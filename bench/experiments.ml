@@ -57,7 +57,7 @@ let drain w =
 (* The baseline-protocol experiments (E3, E11, E16) pin the open-lease
    layer off: they reproduce the paper's classic open/close exchanges,
    which the lease layer (E21) deliberately short-circuits. *)
-let no_lease = { K.default_config with K.open_lease = false }
+let no_lease = { K.default_config with K.open_lease_entries = 0 }
 
 let mk_file w ~at ~ncopies ~path ~body =
   let k = World.kernel w at and p = World.proc w at in
@@ -123,7 +123,11 @@ let e2 () =
         base with
         World.filegroups = [ { World.fg = 0; pack_sites = [ 0 ]; mount_path = None } ];
         kernel_config =
-          { K.default_config with K.readahead; use_cache = cache };
+          {
+            K.default_config with
+            K.readahead;
+            us_cache_pages = (if cache then K.default_config.K.us_cache_pages else 0);
+          };
       }
     in
     let w = World.create ~config () in
@@ -1047,7 +1051,7 @@ let e18 () =
         kernel_config =
           {
             K.default_config with
-            K.use_cache = us;
+            K.us_cache_pages = (if us then K.default_config.K.us_cache_pages else 0);
             ss_cache_pages = (if ss then K.default_config.K.ss_cache_pages else 0);
             cache_retention = retention;
             (* This experiment ablates the cache tiers under the classic
@@ -1422,8 +1426,8 @@ let e21 () =
       [ "data seen"; seen; Report.check (String.equal seen "fresh") ];
     ];
   Report.lease_table (World.stats w);
-  (* Ablations: with the layer off — either switch — every open repeats
-     the cold exchange, reproducing E1's counts exactly. *)
+  (* Ablation: with the layer off every open repeats the cold exchange,
+     reproducing E1's counts exactly. *)
   let ablation name kconfig =
     let rows = List.map (run kconfig) placements in
     let ok =
@@ -1439,7 +1443,6 @@ let e21 () =
   Report.table ~title:"ablations reproduce the unleased protocol (cold = warm = E1)"
     ~header:[ "ablation"; "ok" ]
     [
-      ablation "open_lease=false" { K.default_config with K.open_lease = false };
       ablation "open_lease_entries=0" { K.default_config with K.open_lease_entries = 0 };
     ];
   Printf.printf

@@ -121,7 +121,7 @@ let break_leases k gf (f : css_file) =
       holders
   end
 
-let lease_config_on k = k.config.open_lease && k.config.open_lease_entries > 0
+let lease_config_on k = k.config.open_lease_entries > 0
 
 let count_reader f us =
   let n = match Site.Map.find_opt us f.readers with Some n -> n | None -> 0 in

@@ -42,10 +42,7 @@ let create ~site ~machine_type ~engine ~net ~mount ~fg_table ?(config = default_
       us_cache = mk_cache "cache.us.evict" ~capacity:config.us_cache_pages;
       ss_cache = mk_cache "cache.ss.evict" ~capacity:config.ss_cache_pages;
       name_cache = Namecache.create ~stats ~capacity:config.name_cache_entries ();
-      open_leases =
-        Openlease.create ~stats
-          ~capacity:(if config.open_lease then config.open_lease_entries else 0)
-          ();
+      open_leases = Openlease.create ~stats ~capacity:config.open_lease_entries ();
       prop_pending = Gfile.Set.empty;
       prop_queue = Queue.create ();
       shared_fds = Hashtbl.create (min hint 64);

@@ -21,8 +21,7 @@ val err : Proto.errno -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 
 type config = {
   readahead : bool;          (** one-page readahead on sequential reads (§2.3.3) *)
-  use_cache : bool;          (** buffer remote pages at the US *)
-  us_cache_pages : int;      (** US page-cache entries *)
+  us_cache_pages : int;      (** US page-cache entries; 0 disables the US cache *)
   ss_cache_pages : int;      (** SS buffer-cache entries; 0 disables the tier *)
   cache_retention : bool;    (** keep version-keyed US pages across opens *)
   propagation_delay : float; (** ms before the propagation kernel process runs *)
@@ -32,13 +31,12 @@ type config = {
       (** maximum pages per bulk transfer: streaming-read fetch window,
           write-behind batch size, and propagation pull batch. 1 disables
           the bulk layer and reproduces the one-page-per-RTT protocols. *)
-  open_lease : bool;
-      (** CSS grants revocable read leases on open: the US retains the
-          whole open grant across close and re-opens with zero messages
-          until a callback break. [false] keeps today's protocol
-          byte-identical. *)
   open_lease_entries : int;
-      (** retained open grants per site; 0 disables the lease layer too *)
+      (** retained open grants per site. Above 0, the CSS grants revocable
+          read leases on open: the US retains the whole open grant across
+          close and re-opens with zero messages until a callback break. 0
+          disables the lease layer and keeps the classic open/close
+          protocol byte-identical. *)
   stripe_width : int;
       (** stripe a file's logical pages across up to this many storage
           sites holding latest copies; 1 disables striping and keeps the

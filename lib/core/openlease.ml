@@ -45,7 +45,7 @@ module Lru = Storage.Lru.Make (struct
 end)
 
 type t = {
-  cache : Gfile.t Lru.t option; (* None: disabled (open_lease off or 0 entries) *)
+  cache : Gfile.t Lru.t option; (* None: disabled (0 entries) *)
   tbl : (Gfile.t, entry) Hashtbl.t; (* mirror, for value recovery on eviction *)
   stats : Sim.Stats.t;
   on_dead : (entry -> unit) ref;

@@ -70,7 +70,11 @@ let load_dir k gf =
   let ftype, body, _, _ = load_dir_checked k gf in
   (ftype, body)
 
-let dir_of_body body = try Dir.decode body with Failure _ -> Dir.empty ()
+(* A directory body that does not decode is a corrupt directory: the
+   operation fails rather than read it as empty, which would answer ENOENT
+   for every name in it (and let an update rewrite it as empty). *)
+let dir_of_body body =
+  try Dir.decode body with Failure _ -> err Proto.Eio "corrupt directory"
 
 (* Descend one link: apply mount crossing after a successful lookup. *)
 let enter k ~fg ino =
@@ -324,10 +328,9 @@ let walk_comps k ~context start comps ~finish =
     (match edge with
     | Some (d, c) -> Namecache.note_ftype k.name_cache ~dir:d ~comp:c ftype
     | None -> ());
-    let dir = dir_of_body body in
     (* A miss against a fast-path (possibly stale) local copy is retried
        once against a synchronized copy before reporting ENOENT. *)
-    let lookup_refreshing name =
+    let lookup_refreshing dir name =
       match Dir.lookup dir name with
       | Some ino -> Some (ino, vv)
       | None when fast -> (
@@ -352,8 +355,11 @@ let walk_comps k ~context start comps ~finish =
         walk next ~hint:(Some Inode.Directory) ~edge:None rest
       end
     in
+    (* Only a directory's body is decoded: a regular file's is not a
+       directory encoding, and the walk must answer ENOTDIR for it. *)
     match ftype with
     | Inode.Directory -> (
+      let dir = dir_of_body body in
       match comp with
       | "." -> walk gf ~hint:(Some Inode.Directory) ~edge:None rest
       | ".." when gf.Gfile.ino = Mount.root_ino -> (
@@ -368,13 +374,14 @@ let walk_comps k ~context start comps ~finish =
           walk gf ~hint:(Some Inode.Directory) ~edge:None rest)
       | ".." -> walk (dotdot k gf dir) ~hint:None ~edge:None rest
       | _ -> (
-        match lookup_refreshing comp with
+        match lookup_refreshing dir comp with
         | Some (ino, vv) -> descend ~comp ino vv rest
         | None -> err Proto.Enoent "%s: no such entry in %a" comp Gfile.pp gf))
     | Inode.Hidden_directory ->
       (* The escape mechanism: an explicit '@name' component picks an
          entry and makes the hidden directory visible; otherwise the
          context chooses and the component is *not* consumed. *)
+      let dir = dir_of_body body in
       if String.length comp > 0 && comp.[0] = '@' then begin
         let name = String.sub comp 1 (String.length comp - 1) in
         match Dir.lookup dir name with

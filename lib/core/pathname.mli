@@ -22,6 +22,8 @@ val load_dir : Ktypes.t -> Catalog.Gfile.t -> Storage.Inode.ftype * string
     internal open. *)
 
 val dir_of_body : string -> Catalog.Dir.t
+(** Decode a directory body. Raises {!Ktypes.Error} [Eio] when the body is
+    not a directory encoding (a corrupt directory). *)
 
 val resolve_from :
   Ktypes.t ->

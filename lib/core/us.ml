@@ -4,7 +4,10 @@
    contacts the CSS to open, exchanges pages with the selected SS, and runs
    the close protocol. All page traffic goes through kernel buffers; remote
    pages are cached at the US (keyed by file and version, so a new committed
-   version naturally misses) with one-page readahead on sequential reads. *)
+   version naturally misses). One windowed fetcher fills the cache for
+   every remote read: a window of up to [bulk_window] pages per page owner,
+   over [width] owners (the stripe count, 1 when unstriped). Window 1 and
+   width 1 is the paper's one-page readahead on sequential reads. *)
 
 open Ktypes
 module Inode = Storage.Inode
@@ -43,39 +46,48 @@ let rec open_gf ?(shared = false) k gf mode =
       | None -> None)
     | _ -> None
   in
-  match lease_ride with
-  | Some e ->
-    let o =
-      {
-        o_gf = gf;
-        o_serial = fresh_serial k;
-        o_mode = mode;
-        o_ss = e.Openlease.le_ss;
-        o_info = e.Openlease.le_info;
-        (* A striped grant rides too: the peers serve their stripes
-           statelessly, so the map stays valid as long as the lease does. *)
-        o_stripes = e.Openlease.le_info.Proto.i_stripes;
-        (* Leases only exist while no writer does. *)
-        o_nocache = false;
-        o_dirty = false;
-        o_last_lpage = -1;
-        o_guess = e.Openlease.le_slot;
-        o_window = 1;
-        o_ra_frontier = 0;
-        o_inflight = [];
-        o_wb = None;
-        o_closed = false;
-        o_lease = Some e;
-      }
-    in
-    Hashtbl.add k.open_files (gf, o.o_serial) o;
-    record k ~tag:"us.open.lease"
-      (Format.asprintf "%a %a ss=%a" Gfile.pp gf Proto.pp_mode mode Site.pp
-         e.Openlease.le_ss);
-    o
-  | None -> open_gf_cold ~shared k fi gf mode
+  let tag, ss, info, nocache, slot, lease =
+    match lease_ride with
+    (* Leases only exist while no writer does. A striped grant rides too:
+       the peers serve their stripes statelessly, so the map stays valid as
+       long as the lease does. *)
+    | Some e ->
+      ( "us.open.lease",
+        e.Openlease.le_ss,
+        e.Openlease.le_info,
+        false,
+        e.Openlease.le_slot,
+        Some e )
+    | None -> open_cold ~shared k fi gf mode
+  in
+  let o =
+    {
+      o_gf = gf;
+      o_serial = fresh_serial k;
+      o_mode = mode;
+      o_ss = ss;
+      o_info = info;
+      o_stripes = info.Proto.i_stripes;
+      o_nocache = nocache;
+      o_dirty = false;
+      (* -1 so a scan starting at page 0 counts as sequential and primes
+         the readahead window immediately. *)
+      o_last_lpage = -1;
+      o_guess = slot;
+      o_window = 1;
+      o_ra_frontier = 0;
+      o_inflight = [];
+      o_wb = None;
+      o_closed = false;
+      o_lease = lease;
+    }
+  in
+  Hashtbl.add k.open_files (gf, o.o_serial) o;
+  record k ~tag (Format.asprintf "%a %a ss=%a" Gfile.pp gf Proto.pp_mode mode Site.pp ss);
+  o
 
-and open_gf_cold ~shared k fi gf mode =
+(* The full exchange with the CSS; returns what the open record needs. *)
+and open_cold ~shared k fi gf mode =
   let us_vv = local_vv_of k gf in
   match rpc k fi.css_site (Proto.Open_req { gf; mode; us_vv; shared }) with
   | Proto.R_open { ss; info; others; nocache; slot; lease; registered } ->
@@ -123,44 +135,21 @@ and open_gf_cold ~shared k fi gf mode =
       end
       else None
     in
-    let o =
-      {
-        o_gf = gf;
-        o_serial = fresh_serial k;
-        o_mode = mode;
-        o_ss = ss;
-        o_info = info;
-        o_stripes = info.Proto.i_stripes;
-        o_nocache = nocache;
-        o_dirty = false;
-        (* -1 so a scan starting at page 0 counts as sequential and primes
-           the readahead window immediately. *)
-        o_last_lpage = -1;
-        o_guess = slot;
-        o_window = 1;
-        o_ra_frontier = 0;
-        o_inflight = [];
-        o_wb = None;
-        o_closed = false;
-        o_lease = lease_entry;
-      }
-    in
-    Hashtbl.add k.open_files (gf, o.o_serial) o;
-    record k ~tag:"us.open"
-      (Format.asprintf "%a %a ss=%a" Gfile.pp gf Proto.pp_mode mode Site.pp ss);
-    o
+    ("us.open", ss, info, nocache, slot, lease_entry)
   | Proto.R_err e -> err e "open %a failed" Gfile.pp gf
   | _ -> err Proto.Eio "unexpected open response"
 
 let cache_key o lpage = (o.o_gf, lpage, vv_key o.o_info.Proto.i_vv)
 
-(* ---- striped access (section: scale-out storage) ----
+(* ---- page owners: striping (section: scale-out storage) ----
 
    A striped open carries a stripe map from the CSS: logical page [p] is
-   served by [o_stripes.(p mod width)]. An empty map is the classic
-   single-SS protocol, untouched. *)
+   served by [o_stripes.(p mod width)]. An empty map is width 1: every
+   page lives at [o_ss], the classic single-SS protocol. *)
 
 let striped o = o.o_stripes <> []
+
+let width o = match o.o_stripes with [] -> 1 | stripes -> List.length stripes
 
 let page_site o lpage =
   match o.o_stripes with [] -> o.o_ss | stripes -> stripe_owner stripes lpage
@@ -189,10 +178,10 @@ let fetch_page k o lpage =
   | Proto.R_err e -> err e "read %a page %d failed" Gfile.pp o.o_gf lpage
   | _ -> err Proto.Eio "unexpected read response"
 
-let cacheable k o = k.config.use_cache && not o.o_nocache
+let cacheable k o = k.config.us_cache_pages > 0 && not o.o_nocache
 
-(* The bulk-transfer layer batches page traffic with a remote SS; local
-   access and a window of one page keep the original protocols exactly. *)
+(* The bulk-transfer layer batches write traffic with a remote SS; local
+   access and a window of one page keep the original protocol exactly. *)
 let bulk_enabled k o = k.config.bulk_window > 1 && not (Site.equal o.o_ss k.site)
 
 (* ---- write-behind (bulk write path) ---- *)
@@ -247,7 +236,14 @@ let start_wb_run k o ~off data =
         match flush_wb k o with () -> () | exception Error _ -> ())
       | Some _ | None -> ())
 
-(* ---- windowed streaming reads (bulk read path) ---- *)
+(* ---- the windowed page fetcher (section 2.3.3; bulk reads; striping) ----
+
+   One fetcher serves every cacheable read. A sequential reader keeps a
+   window of up to [bulk_window] pages per owner requested ahead of it,
+   and the [width] owners of a striped file serve their shares in
+   parallel, so a round trip moves up to [width * window] pages. The
+   paper's protocol is the degenerate setting: window 1 and width 1 fetch
+   one page per plain [Read_page] with one-page readahead. *)
 
 let npages_of o = (o.o_info.Proto.i_size + Page.size - 1) / Page.size
 
@@ -264,42 +260,91 @@ let run_length k o ~from ~limit =
   in
   len 0
 
-(* One bulk read: [count] consecutive pages in a single round trip. A
-   single-page run uses plain [Read_page], so a window of one is
-   byte-identical to the unbatched protocol. *)
-let fetch_pages k o ~first ~count =
-  if count <= 1 then begin
-    let data, eof = fetch_page k o first in
-    ([ data ], eof)
-  end
-  else
-    match
-      rpc k o.o_ss
-        (Proto.Read_pages { gf = o.o_gf; first; count; guess = o.o_guess; stride = 1 })
-    with
-    | Proto.R_pages { pages; eof } ->
+(* One owner's share of a run: [cnt] of its pages from [f], every [w]-th,
+   in one [Read_pages]. The pages land in the US cache. *)
+let fetch_share k o ~w site ~f ~cnt =
+  let resp =
+    if Site.equal site k.site then begin
+      charge k (latency k).Net.Latency.local_call;
+      Ss.handle_read_pages ~stride:w k o.o_gf ~first:f ~count:cnt
+    end
+    else
+      let guess = if w = 1 then o.o_guess else 0 in
+      rpc k site (Proto.Read_pages { gf = o.o_gf; first = f; count = cnt; guess; stride = w })
+  in
+  match resp with
+  | Proto.R_pages { pages; eof } ->
+    let n = List.length pages in
+    if w = 1 then begin
       Sim.Stats.incr (stats k) "us.bulk.read";
-      Sim.Stats.add (stats k) "us.bulk.read.pages" (List.length pages);
-      (pages, eof)
-    | Proto.R_err e -> err e "read %a pages %d+%d failed" Gfile.pp o.o_gf first count
-    | _ -> err Proto.Eio "unexpected read response"
+      Sim.Stats.add (stats k) "us.bulk.read.pages" n
+    end
+    else begin
+      Sim.Stats.incr (stats k) "us.stripe.read";
+      Sim.Stats.add (stats k) "us.stripe.read.pages" n
+    end;
+    List.iteri
+      (fun i d -> Cache.insert k.us_cache (cache_key o (f + (i * w))) (Page.of_string d))
+      pages;
+    (pages, eof)
+  | Proto.R_err e -> err e "read %a pages %d+%d failed" Gfile.pp o.o_gf f cnt
+  | _ -> err Proto.Eio "unexpected read response"
+
+(* Fetch the run [first, first+count) into the US cache: each owner gets
+   the arithmetic subsequence of its own pages as one strided request, and
+   the requests travel in parallel, so the elapsed cost is the slowest
+   share, not the sum. An unstriped single page stays a plain [Read_page].
+   Returns page [first] and whether it ends the file. *)
+let fetch_range k o ~first ~count =
+  let w = width o in
+  if w = 1 && count = 1 then begin
+    let data, eof = fetch_page k o first in
+    Cache.insert k.us_cache (cache_key o first) (Page.of_string data);
+    (data, eof)
+  end
+  else begin
+    let head = ref ("", true) in
+    let share site ~f ~cnt () =
+      match fetch_share k o ~w site ~f ~cnt with
+      | d :: rest, eof when f = first ->
+        (* A striped reply's eof covers only its owner's share. *)
+        head :=
+          ( d,
+            if w = 1 then rest = [] && eof
+            else (first + 1) * Page.size >= o.o_info.Proto.i_size )
+      | _ -> ()
+    in
+    if w = 1 || count = 1 then share (page_site o first) ~f:first ~cnt:count ()
+    else
+      Engine.parallel k.engine
+        (List.init w Fun.id
+        |> List.filter_map (fun j ->
+               let f = first + ((j - (first mod w) + w) mod w) in
+               let cnt = (first + count - f + w - 1) / w in
+               if f >= first + count then None
+               else Some (share (stripe_owner o.o_stripes f) ~f ~cnt)));
+    !head
+  end
 
 (* Keep a full window requested ahead of a sequential reader. The frontier
    is the first page no fetch has been issued for; a new batch goes out
-   only when the reader has nearly caught up with it, so steady-state
-   sequential reading issues one window-sized RPC per window of pages. *)
+   only when the reader has caught up with it, so steady-state sequential
+   reading issues one request per owner per window of pages. A readahead
+   failure is silent: the next demand fetch surfaces the error (and the
+   degrade path handles a failed stripe peer). *)
 let schedule_window k o ~lpage =
   let npages = npages_of o in
-  let next = lpage + 1 in
-  if k.config.readahead && o.o_ra_frontier <= next && next < npages then begin
-    let first = max next o.o_ra_frontier in
-    let count = run_length k o ~from:first ~limit:(min o.o_window (npages - first)) in
+  let first = lpage + 1 in
+  if k.config.readahead && o.o_ra_frontier <= first && first < npages then begin
+    let w = width o in
+    let count = run_length k o ~from:first ~limit:(min (o.o_window * w) (npages - first)) in
     if count > 0 then begin
       o.o_inflight <- (first, count) :: o.o_inflight;
       o.o_ra_frontier <- first + count;
       Engine.schedule k.engine ~delay:0.01 (fun () ->
           o.o_inflight <- List.filter (fun r -> r <> (first, count)) o.o_inflight;
-          if (not o.o_closed) && k.alive then begin
+          (* A degrade changed the owners under us: drop the batch. *)
+          if (not o.o_closed) && k.alive && width o = w then begin
             (* A demand fetch may have overtaken us: re-scan and fetch only
                the still-missing tail of the scheduled range. *)
             let rec first_missing p =
@@ -310,171 +355,47 @@ let schedule_window k o ~lpage =
             match first_missing first with
             | None -> ()
             | Some p0 -> (
-              match fetch_pages k o ~first:p0 ~count:(first + count - p0) with
-              | pages, _ ->
-                Sim.Stats.incr (stats k) "us.readahead";
-                List.iteri
-                  (fun i d ->
-                    Cache.insert k.us_cache (cache_key o (p0 + i)) (Page.of_string d))
-                  pages
+              match fetch_range k o ~first:p0 ~count:(first + count - p0) with
+              | _ -> Sim.Stats.incr (stats k) "us.readahead"
               | exception Error _ -> ())
           end)
     end
   end
 
-let read_page_bulk k o lpage ~sequential =
+(* A cacheable read: a hit is served from the US cache, a miss fetches
+   the run of missing pages the window allows. Either way a sequential
+   reader grows the window and keeps it scheduled ahead; a seek resets it
+   to one page. *)
+let read_cached k o lpage ~sequential =
   if sequential then o.o_window <- min k.config.bulk_window (o.o_window * 2)
   else begin
     o.o_window <- 1;
     o.o_ra_frontier <- lpage + 1
   end;
-  let size = o.o_info.Proto.i_size in
-  match Cache.find k.us_cache (cache_key o lpage) with
-  | Some page ->
-    Sim.Stats.incr (stats k) "cache.us.hit";
-    let remaining = size - (lpage * Page.size) in
-    let len = max 0 (min Page.size remaining) in
-    let eof = (lpage + 1) * Page.size >= size in
-    if sequential && not eof then schedule_window k o ~lpage;
-    (Page.sub page 0 len, eof)
-  | None ->
-    Sim.Stats.incr (stats k) "cache.us.miss";
-    let npages = npages_of o in
-    let count =
-      max 1 (run_length k o ~from:lpage ~limit:(min o.o_window (max 1 (npages - lpage))))
-    in
-    let pages, last_eof = fetch_pages k o ~first:lpage ~count in
-    List.iteri
-      (fun i d -> Cache.insert k.us_cache (cache_key o (lpage + i)) (Page.of_string d))
-      pages;
-    let returned = List.length pages in
-    if o.o_ra_frontier < lpage + returned then o.o_ra_frontier <- lpage + returned;
-    let data, eof =
-      match pages with
-      | [] -> ("", true)
-      | [ d ] -> (d, last_eof)
-      | d :: _ -> (d, false)
-    in
-    if sequential && not eof then schedule_window k o ~lpage;
-    (data, eof)
-
-(* Striped streaming read: the miss window fans out as one strided
-   [Read_pages] per stripe site, issued in parallel, each carrying up to a
-   full window of that site's own pages. The aggregate in-flight window is
-   therefore [width * bulk_window] pages per round trip, which is where
-   striping's read throughput comes from. *)
-(* Fetch the run [first, first+count) of pages into the US cache, split by
-   page owner: each stripe site gets the arithmetic subsequence with its
-   own residue mod [w], as one strided [Read_pages], and the fans travel
-   in parallel — the elapsed cost is the slowest stripe's share, not the
-   sum. *)
-let fetch_striped_range k o ~first ~count =
-  let w = List.length o.o_stripes in
-  let groups =
-    List.init w (fun j ->
-        let f = first + ((j - (first mod w) + w) mod w) in
-        if f >= first + count then None
-        else
-          let cnt = (first + count - f + w - 1) / w in
-          Some (stripe_owner o.o_stripes f, f, cnt))
-    |> List.filter_map Fun.id
+  let data, eof =
+    match Cache.find k.us_cache (cache_key o lpage) with
+    | Some page ->
+      Sim.Stats.incr (stats k) "cache.us.hit";
+      let size = o.o_info.Proto.i_size in
+      let len = max 0 (min Page.size (size - (lpage * Page.size))) in
+      (Page.sub page 0 len, (lpage + 1) * Page.size >= size)
+    | None ->
+      Sim.Stats.incr (stats k) "cache.us.miss";
+      let limit = min (o.o_window * width o) (max 1 (npages_of o - lpage)) in
+      let count = max 1 (run_length k o ~from:lpage ~limit) in
+      let result = fetch_range k o ~first:lpage ~count in
+      if o.o_ra_frontier < lpage + count then o.o_ra_frontier <- lpage + count;
+      result
   in
-  let fetch_group (site, f, cnt) =
-    let resp =
-      if Site.equal site k.site then begin
-        charge k (latency k).Net.Latency.local_call;
-        Ss.handle_read_pages ~stride:w k o.o_gf ~first:f ~count:cnt
-      end
-      else
-        rpc k site
-          (Proto.Read_pages { gf = o.o_gf; first = f; count = cnt; guess = 0; stride = w })
-    in
-    match resp with
-    | Proto.R_pages { pages; _ } ->
-      Sim.Stats.incr (stats k) "us.stripe.read";
-      Sim.Stats.add (stats k) "us.stripe.read.pages" (List.length pages);
-      List.iteri
-        (fun i d -> Cache.insert k.us_cache (cache_key o (f + (i * w))) (Page.of_string d))
-        pages
-    | Proto.R_err e -> err e "striped read %a pages %d+%d failed" Gfile.pp o.o_gf f cnt
-    | _ -> err Proto.Eio "unexpected striped read response"
-  in
-  Engine.parallel k.engine (List.map (fun g () -> fetch_group g) groups)
+  if sequential && not eof then schedule_window k o ~lpage;
+  (data, eof)
 
-(* The striped analogue of [schedule_window]: keep an aggregate window of
-   [width * bulk_window] pages requested ahead of a sequential reader,
-   fanned over the stripe sites. A readahead failure is silent — the next
-   demand fetch surfaces the error (and the degrade path handles it). *)
-let schedule_window_striped k o ~lpage =
-  let npages = npages_of o in
-  let next = lpage + 1 in
-  if k.config.readahead && o.o_ra_frontier <= next && next < npages then begin
-    let w = List.length o.o_stripes in
-    let first = max next o.o_ra_frontier in
-    let count =
-      run_length k o ~from:first ~limit:(min (o.o_window * w) (npages - first))
-    in
-    if count > 0 then begin
-      o.o_inflight <- (first, count) :: o.o_inflight;
-      o.o_ra_frontier <- first + count;
-      Engine.schedule k.engine ~delay:0.01 (fun () ->
-          o.o_inflight <- List.filter (fun r -> r <> (first, count)) o.o_inflight;
-          if (not o.o_closed) && k.alive && striped o then begin
-            let rec first_missing p =
-              if p >= first + count then None
-              else if Cache.mem k.us_cache (cache_key o p) then first_missing (p + 1)
-              else Some p
-            in
-            match first_missing first with
-            | None -> ()
-            | Some p0 -> (
-              match fetch_striped_range k o ~first:p0 ~count:(first + count - p0) with
-              | () -> Sim.Stats.incr (stats k) "us.readahead"
-              | exception Error _ -> ())
-          end)
-    end
-  end
-
-(* Striped streaming read: misses fan out in parallel over the stripe
-   sites, and a window of [width * bulk_window] pages is kept scheduled
-   ahead of a sequential reader — the width multiplies both the in-flight
-   window and the serving disk arms, which is where striping's read
-   throughput comes from. *)
-let read_page_striped k o lpage ~sequential =
-  if sequential then o.o_window <- min k.config.bulk_window (o.o_window * 2)
-  else begin
-    o.o_window <- 1;
-    o.o_ra_frontier <- lpage + 1
-  end;
-  let size = o.o_info.Proto.i_size in
-  let return_page page =
-    let remaining = size - (lpage * Page.size) in
-    let len = max 0 (min Page.size remaining) in
-    let eof = (lpage + 1) * Page.size >= size in
-    if sequential && not eof then schedule_window_striped k o ~lpage;
-    (Page.sub page 0 len, eof)
-  in
-  match Cache.find k.us_cache (cache_key o lpage) with
-  | Some page ->
-    Sim.Stats.incr (stats k) "cache.us.hit";
-    return_page page
-  | None ->
-    Sim.Stats.incr (stats k) "cache.us.miss";
-    let w = List.length o.o_stripes in
-    let npages = npages_of o in
-    let count =
-      max 1 (run_length k o ~from:lpage ~limit:(min (o.o_window * w) (max 1 (npages - lpage))))
-    in
-    fetch_striped_range k o ~first:lpage ~count;
-    if o.o_ra_frontier < lpage + count then o.o_ra_frontier <- lpage + count;
-    (match Cache.find k.us_cache (cache_key o lpage) with
-    | Some page -> return_page page
-    | None -> ("", true))
-
-(* Read one logical page through the kernel buffers, with sequential
-   readahead as in standard Unix (section 2.3.3). With the bulk layer on,
-   a remote cacheable open goes through the windowed streaming path
-   instead; a window of one keeps the one-page protocol exactly. *)
+(* Read one logical page through the kernel buffers (section 2.3.3). An
+   unstriped open served by this site reads its own pack, at the cost of
+   conventional Unix; a cacheable open goes through the fetcher; an open
+   that must bypass the cache (a writer is active) reads the page from its
+   owner. When a stripe peer fails under a read open whose primary is
+   still up, the open drops to the classic protocol and the read retries. *)
 let rec read_page k o lpage =
   if o.o_closed then err Proto.Einval "read on closed file";
   (* Read-your-writes: anything buffered for write-behind must reach the
@@ -483,69 +404,22 @@ let rec read_page k o lpage =
   charge_cpu_page k;
   let sequential = lpage = o.o_last_lpage + 1 in
   o.o_last_lpage <- lpage;
-  (* Schedule the readahead asynchronously; it fills the cache. Cache hits
-     must extend the window too, or sequential reads degrade to
-     miss/hit/miss/hit once the readahead stream is one page deep. *)
-  let schedule_readahead ~eof =
-    if k.config.readahead && sequential && (not eof) && cacheable k o then begin
-      let next = lpage + 1 in
-      if not (Cache.mem k.us_cache (cache_key o next)) then
-        Engine.schedule k.engine ~delay:0.01 (fun () ->
-            if
-              (not o.o_closed) && k.alive
-              && not (Cache.mem k.us_cache (cache_key o next))
-            then begin
-              match fetch_page k o next with
-              | data, _ ->
-                Sim.Stats.incr (stats k) "us.readahead";
-                Cache.insert k.us_cache (cache_key o next) (Page.of_string data)
-              | exception Error _ -> ()
-            end)
+  match
+    if (not (striped o)) && Site.equal o.o_ss k.site then begin
+      charge k (latency k).Net.Latency.local_call;
+      match Ss.handle_read_page k o.o_gf lpage with
+      | Proto.R_page { data; eof } -> (data, eof)
+      | Proto.R_err e -> err e "local read failed"
+      | _ -> err Proto.Eio "unexpected local read response"
     end
-  in
-  if striped o then begin
-    match
-      if cacheable k o then read_page_striped k o lpage ~sequential
-      else fetch_page k o lpage
-    with
-    | result -> result
-    | exception Error _
-      when o.o_mode <> Proto.Mode_modify && in_partition k o.o_ss ->
-      (* A stripe peer failed but the primary is still up: retry classic. *)
-      stripe_degrade k o;
-      read_page k o lpage
-  end
-  else if Site.equal o.o_ss k.site then begin
-    (* Local access: same path cost as conventional Unix. *)
-    charge k (latency k).Net.Latency.local_call;
-    match Ss.handle_read_page k o.o_gf lpage with
-    | Proto.R_page { data; eof } -> (data, eof)
-    | Proto.R_err e -> err e "local read failed"
-    | _ -> err Proto.Eio "unexpected local read response"
-  end
-  else if bulk_enabled k o && cacheable k o then read_page_bulk k o lpage ~sequential
-  else if cacheable k o then begin
-    match Cache.find k.us_cache (cache_key o lpage) with
-    | Some page ->
-      Sim.Stats.incr (stats k) "cache.us.hit";
-      let size = o.o_info.Proto.i_size in
-      let remaining = size - (lpage * Page.size) in
-      let len = max 0 (min Page.size remaining) in
-      let eof = (lpage + 1) * Page.size >= size in
-      schedule_readahead ~eof;
-      (Page.sub page 0 len, eof)
-    | None ->
-      Sim.Stats.incr (stats k) "cache.us.miss";
-      let data, eof = fetch_page k o lpage in
-      Cache.insert k.us_cache (cache_key o lpage) (Page.of_string data);
-      schedule_readahead ~eof;
-      (data, eof)
-  end
-  else begin
-    let data, eof = fetch_page k o lpage in
-    schedule_readahead ~eof;
-    (data, eof)
-  end
+    else if cacheable k o then read_cached k o lpage ~sequential
+    else fetch_page k o lpage
+  with
+  | result -> result
+  | exception Error _
+    when striped o && o.o_mode <> Proto.Mode_modify && in_partition k o.o_ss ->
+    stripe_degrade k o;
+    read_page k o lpage
 
 (* Whole-body read, following the SS's eof indications. *)
 let read_all k o =

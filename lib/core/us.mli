@@ -15,9 +15,14 @@ val open_gf :
 
 val read_page : Ktypes.t -> Ktypes.ofile -> int -> string * bool
 (** [read_page k o lpage] returns the page data (possibly short at end of
-    file) and an eof flag. Sequential reads keep a fetch window scheduled
-    ahead of the reader (a growing multi-page window when
-    [config.bulk_window > 1]; the classic one-page readahead otherwise). *)
+    file) and an eof flag. An unstriped open served by this site reads its
+    own pack. A cacheable open goes through the windowed fetcher: a miss
+    fetches a run of pages, one request per page owner, and sequential
+    reads keep a window of up to [config.bulk_window] pages per owner
+    scheduled ahead of the reader. Window 1 over one owner is the classic
+    one-page readahead. Any other open reads the page from its owner,
+    uncached. A read open whose stripe peer fails degrades to the classic
+    protocol and retries. *)
 
 val read_all : Ktypes.t -> Ktypes.ofile -> string
 (** Whole-body read following the SS's eof indications. *)

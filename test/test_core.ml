@@ -362,6 +362,43 @@ let test_enoent_and_enotdir () =
   | _ -> Alcotest.fail "expected ENOTDIR"
   | exception K.Error (Proto.Enotdir, _) -> ()
 
+(* A directory whose body no longer decodes fails the walk with EIO: read
+   as empty, it would answer ENOENT for every name it holds. The first
+   page is overwritten on every pack's disk and every cache is dropped, so
+   both the local fast path (site 0) and a remote walk (site 3) read the
+   damaged copy. *)
+let test_corrupt_directory_is_eio () =
+  let w = asym_world () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  ignore (Kernel.mkdir k0 p0 "/d");
+  ignore (Kernel.creat k0 p0 "/d/f");
+  Kernel.write_file k0 p0 "/d/f" "x";
+  ignore (World.settle w);
+  let gf = gf_of k0 "/d" in
+  List.iter
+    (fun k ->
+      (match Hashtbl.find_opt k.K.packs gf.Catalog.Gfile.fg with
+      | Some pack -> (
+        match Storage.Pack.find_inode pack gf.Catalog.Gfile.ino with
+        | Some inode -> (
+          match Storage.Pack.page_addr pack inode 0 with
+          | Some addr ->
+            Storage.Disk.write (Storage.Pack.disk pack) addr
+              (Storage.Page.of_string "not a directory")
+          | None -> Alcotest.fail "directory has no first page")
+        | None -> ())
+      | None -> ());
+      Storage.Cache.clear k.K.us_cache ~notify:false;
+      Storage.Cache.clear k.K.ss_cache ~notify:false;
+      Locus_core.Namecache.clear k.K.name_cache)
+    (World.kernels w);
+  List.iter
+    (fun site ->
+      match gf_of (World.kernel w site) "/d/f" with
+      | _ -> Alcotest.failf "site %d resolved a name in a corrupt directory" site
+      | exception K.Error (Proto.Eio, _) -> ())
+    [ 0; 3 ]
+
 (* ---- hidden directories (section 2.4.1) ---- *)
 
 let setup_hidden w =
@@ -607,6 +644,7 @@ let () =
         [
           Alcotest.test_case "nested paths" `Quick test_nested_paths;
           Alcotest.test_case "errors" `Quick test_enoent_and_enotdir;
+          Alcotest.test_case "corrupt directory is EIO" `Quick test_corrupt_directory_is_eio;
           Alcotest.test_case "hidden dir context" `Quick test_hidden_dir_context_selection;
           Alcotest.test_case "hidden dir escape" `Quick test_hidden_dir_escape;
           Alcotest.test_case "hidden dir miss" `Quick test_hidden_dir_no_context_entry;

@@ -197,9 +197,9 @@ let test_scrub_even_in_surviving_partition () =
 
 (* ---- ablations ---- *)
 
-(* With the layer off — either switch — both the first and the second
-   open of every E1 collocation mode cost the paper's message counts:
-   the protocol is exactly the pre-lease one. *)
+(* With the layer off, both the first and the second open of every E1
+   collocation mode cost the paper's message counts: the protocol is
+   exactly the pre-lease one. *)
 let test_ablations_match_e1_counts () =
   (* (file_at, open_at, paper count) for the five E1 placements. *)
   let placements = [ (0, 0, 0); (1, 1, 2); (1, 0, 2); (0, 3, 2); (1, 3, 4) ] in
@@ -222,9 +222,6 @@ let test_ablations_match_e1_counts () =
   in
   List.iter
     (fun ((_, _, paper) as p) ->
-      let cold, warm = run { K.default_config with K.open_lease = false } p in
-      check Alcotest.int "open_lease=false cold" paper cold;
-      check Alcotest.int "open_lease=false warm" paper warm;
       let cold, warm = run { K.default_config with K.open_lease_entries = 0 } p in
       check Alcotest.int "open_lease_entries=0 cold" paper cold;
       check Alcotest.int "open_lease_entries=0 warm" paper warm)

@@ -9,7 +9,10 @@
      membership is fully connected and unanimous
    - end-to-end: after random divergent updates and a merge, all copies of
      every file converge to identical version vectors and contents (or the
-     file is explicitly marked in conflict). *)
+     file is explicitly marked in conflict)
+   - page fetcher: random read traces at every window x stripe width
+     return the file's bytes, leave nothing in flight, and at window 1 x
+     width 1 are the classic one-page protocol. *)
 
 module World = Locus.World
 module Kernel = Locus_core.Kernel
@@ -23,6 +26,7 @@ module Disk = Storage.Disk
 module Inode = Storage.Inode
 module Vvec = Vv.Version_vector
 module Topology = Net.Topology
+module Stats = Sim.Stats
 
 (* ---- generators ---- *)
 
@@ -450,6 +454,88 @@ let prop_convergence_despite_message_loss =
           | exception K.Error _ -> false)
         (World.sites w))
 
+(* ---- the windowed page fetcher ----
+
+   Random read traces through one remote open: sequential runs, seeks and
+   re-reads, with the engine drained after each read or not, so readahead
+   either lands first or is overtaken by demand fetches. The reader
+   (site 3) stores no pack and the file's latest version lives at three
+   packs, so a width above 1 engages striping. *)
+
+type fetch_case = {
+  window : int;
+  width : int;
+  pages : int;
+  tail : int;
+  runs : (int * int * bool) list; (* first page, length, drain after each read *)
+}
+
+let arb_fetch_case =
+  QCheck.make
+    ~print:(fun c ->
+      Printf.sprintf "window %d width %d, %d pages + %d bytes: %s" c.window c.width c.pages
+        c.tail
+        (String.concat "; "
+           (List.map
+              (fun (f, n, d) -> Printf.sprintf "%d+%d%s" f n (if d then " drained" else ""))
+              c.runs)))
+    QCheck.Gen.(
+      map2
+        (fun (window, width, pages, tail) runs -> { window; width; pages; tail; runs })
+        (quad (oneofl [ 1; 2; 8 ]) (oneofl [ 1; 3 ]) (int_range 1 40) (int_bound 200))
+        (list_size (int_range 1 10) (triple (int_bound 44) (int_range 1 12) bool)))
+
+let prop_fetcher_reads_file_bytes =
+  QCheck.Test.make ~name:"page fetcher: every window x width reads the file's bytes"
+    ~count:60 arb_fetch_case (fun c ->
+      let base = World.default_config ~n_sites:4 () in
+      let config =
+        {
+          base with
+          World.filegroups = [ { World.fg = 0; pack_sites = [ 0; 1; 2 ]; mount_path = None } ];
+          kernel_config =
+            { base.World.kernel_config with K.bulk_window = c.window; stripe_width = c.width };
+        }
+      in
+      let w = World.create ~config () in
+      let size = (c.pages * Page.size) + c.tail in
+      let npages = (size + Page.size - 1) / Page.size in
+      let body =
+        String.init size (fun i -> Char.chr (Char.code 'a' + (((i * 7) + (i / Page.size)) mod 26)))
+      in
+      let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+      Kernel.set_ncopies p0 3;
+      ignore (Kernel.creat k0 p0 "/f");
+      Kernel.write_file k0 p0 "/f" body;
+      ignore (World.settle w);
+      let k3 = World.kernel w 3 and p3 = World.proc w 3 in
+      let o = Locus_core.Us.open_gf k3 (Kernel.resolve k3 p3 "/f") Proto.Mode_read in
+      let owners = max 1 (List.length o.K.o_stripes) in
+      let drain () = ignore (Sim.Engine.run_until_idle (World.engine w)) in
+      let stats = World.stats w in
+      let snap = Stats.snapshot stats in
+      let ok = ref true in
+      List.iter
+        (fun (first, len, drained) ->
+          let first = first mod npages in
+          for p = first to min (npages - 1) (first + len - 1) do
+            let data, eof = Locus_core.Us.read_page k3 o p in
+            let len = min Page.size (size - (p * Page.size)) in
+            let want = String.sub body (p * Page.size) len in
+            if not (String.equal data want && eof = (p = npages - 1)) then ok := false;
+            if drained then drain ()
+          done)
+        c.runs;
+      drain ();
+      let delta = Stats.delta_of stats snap in
+      let classic =
+        c.window > 1 || c.width > 1
+        || delta "net.msg.read" = 2 * (delta "cache.us.miss" + delta "us.readahead")
+           && delta "us.bulk.read" = 0
+      in
+      Locus_core.Us.close k3 o;
+      !ok && owners = c.width && o.K.o_inflight = [] && classic)
+
 (* ---- the two structures the soak harness leans on hardest ---- *)
 
 (* Eheap against an insertion-ordered list model: pop must always return
@@ -654,6 +740,7 @@ let props =
       prop_fs_matches_model;
       prop_commits_survive_crashes;
       prop_convergence_despite_message_loss;
+      prop_fetcher_reads_file_bytes;
       prop_eheap_matches_model;
       prop_eheap_hold_pattern;
       prop_zipf_pmf;
