@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke soak soak-smoke check lint fmt clean
+.PHONY: all build test bench bench-smoke soak soak-smoke simdiff check lint fmt clean
 
 all: build
 
@@ -35,6 +35,14 @@ soak-smoke:
 
 soak:
 	dune exec bench/main.exe -- soak --seeds 50 --ops 2000
+
+# Simulated-number diff against another checkout (e.g. the parent commit,
+# unpacked with `git archive`): every locus-bench workload at seeds 1 and
+# 2, traced; prints each simulated metric that moved, exits 0 when none
+# did. Usage: make simdiff PARENT=<dir>
+simdiff:
+	@test -n "$(PARENT)" || { echo "usage: make simdiff PARENT=<dir>"; exit 2; }
+	python3 bench/simdiff.py --parent "$(PARENT)"
 
 # Warning-as-error gate: a cold build must produce no compiler output at
 # all. dune only prints warnings when it (re)compiles, so the gate cleans

@@ -1221,28 +1221,36 @@ let e20 () =
   in
   let kconfig window = { K.default_config with K.bulk_window = window } in
   let metric = Report.metric ~experiment:"e20" in
-  (* (a) site 2 reads the 32 pages sequentially from the pack at site 0;
-     the engine drains between reads, modelling streamed fetches landing
-     while the application processes the previous page. *)
-  let read_run window =
+  (* (a) site 2 reads the 32 pages sequentially from the pack at site 0.
+     Drained, the engine runs between reads, modelling streamed fetches
+     landing while the application processes the previous page. Inline,
+     [Us.read_all] reads page after page with nothing run in between,
+     which is what [Kernel.read_file] pays. *)
+  let read_run ~inline window =
     let w = make_world ~n:3 ~packs:[ 0 ] ~kconfig:(kconfig window) () in
     mk_file w ~at:0 ~ncopies:1 ~path:"/big" ~body;
     let k = World.kernel w 2 in
     let o = Us.open_gf k (gf_of k "/big") Proto.Mode_read in
     let snap = Stats.snapshot (World.stats w) in
     let t0 = World.now w in
-    let buf = Buffer.create (pages * Page.size) in
-    for lpage = 0 to pages - 1 do
-      let data, _ = Us.read_page k o lpage in
-      Buffer.add_string buf data;
-      drain w
-    done;
+    let got =
+      if inline then Us.read_all k o
+      else begin
+        let buf = Buffer.create (pages * Page.size) in
+        for lpage = 0 to pages - 1 do
+          let data, _ = Us.read_page k o lpage in
+          Buffer.add_string buf data;
+          drain w
+        done;
+        Buffer.contents buf
+      end
+    in
     let m = Stats.delta_of (World.stats w) snap "net.msg.read" in
     let b = Stats.delta_of (World.stats w) snap "net.bytes" in
     let dt = World.now w -. t0 in
     Us.close k o;
     settle_ok w;
-    (m, b, dt, String.equal (Buffer.contents buf) body, World.stats w)
+    (m, b, dt, String.equal got body, World.stats w)
   in
   (* (b) site 2 writes the same 32 pages through the write protocol. *)
   let write_run window =
@@ -1277,32 +1285,49 @@ let e20 () =
   in
   let windows = [ 1; 2; 4; 8; 16 ] in
   let results =
-    List.map (fun wnd -> (wnd, read_run wnd, write_run wnd, prop_run wnd)) windows
+    List.map
+      (fun wnd ->
+        ( wnd,
+          (read_run ~inline:false wnd, read_run ~inline:true wnd),
+          write_run wnd,
+          prop_run wnd ))
+      windows
   in
   let rows =
     List.map
-      (fun (wnd, (rm, rb, rt, rok, _), (wm, wb, wt, wok, _), (pm, pb, pt, pok, _)) ->
+      (fun ( wnd,
+             ((rm, rb, rt, rok, _), (im, ib, it, iok, _)),
+             (wm, wb, wt, wok, _),
+             (pm, pb, pt, pok, _) ) ->
         List.iter
           (fun (what, m, b, t) ->
             metric (Printf.sprintf "%s.msgs.w%d" what wnd) (float_of_int m);
             metric (Printf.sprintf "%s.bytes.w%d" what wnd) (float_of_int b);
             metric (Printf.sprintf "%s.ms.w%d" what wnd) t)
-          [ ("read", rm, rb, rt); ("write", wm, wb, wt); ("prop", pm, pb, pt) ];
-        [ Report.i wnd; Report.i rm; Report.f2 rt; Report.i wm; Report.f2 wt;
-          Report.i pm; Report.f2 pt; Report.check (rok && wok && pok) ])
+          [ ("read", rm, rb, rt); ("inline", im, ib, it); ("write", wm, wb, wt);
+            ("prop", pm, pb, pt) ];
+        [ Report.i wnd; Report.i rm; Report.f2 rt; Report.i im; Report.f2 it;
+          Report.i wm; Report.f2 wt; Report.i pm; Report.f2 pt;
+          Report.check (rok && iok && wok && pok) ])
       results
   in
   Report.table
     ~title:
       (Printf.sprintf
-         "sequential %d-page remote read / write / 2-copy propagation" pages)
+         "sequential %d-page remote read (drained / inline) / write / 2-copy propagation"
+         pages)
     ~header:
-      [ "window"; "read msgs"; "read ms"; "write msgs"; "write ms";
-        "prop msgs"; "prop ms"; "contents" ]
+      [ "window"; "read msgs"; "read ms"; "inline msgs"; "inline ms"; "write msgs";
+        "write ms"; "prop msgs"; "prop ms"; "contents" ]
     rows;
   let find wnd = List.find (fun (w', _, _, _) -> w' = wnd) results in
-  let _, (rm1, _, _, _, _), (wm1, _, _, _, _), (pm1, _, _, _, _) = find 1 in
-  let _, (rm8, _, _, rok8, rstats8), (wm8, _, _, _, wstats8), (pm8, _, _, _, pstats8) =
+  let _, ((rm1, _, _, _, _), (im1, _, _, _, _)), (wm1, _, _, _, _), (pm1, _, _, _, _) =
+    find 1
+  in
+  let ( _,
+        ((rm8, _, _, rok8, rstats8), (im8, _, _, iok8, _)),
+        (wm8, _, _, _, wstats8),
+        (pm8, _, _, _, pstats8) ) =
     find 8
   in
   Report.bulk_table ~title:"bulk counters, read world, window 8" rstats8;
@@ -1313,6 +1338,11 @@ let e20 () =
     rm8 rm1
     (float_of_int rm1 /. float_of_int (max 1 rm8))
     (Report.check (rok8 && rm1 >= 4 * rm8));
+  Printf.printf
+    "inline read-class messages, window 8 vs 1: %d vs %d (%.1fx, need >= 4x): %s\n"
+    im8 im1
+    (float_of_int im1 /. float_of_int (max 1 im8))
+    (Report.check (iok8 && im1 >= 4 * im8));
   Printf.printf "write-class messages, window 8 vs 1: %d vs %d (%.1fx): %s\n" wm8 wm1
     (float_of_int wm1 /. float_of_int (max 1 wm8))
     (Report.check (wm1 >= 4 * wm8));

@@ -157,6 +157,52 @@ let test_streaming_read_savings () =
     true
     (msgs1 >= 4 * msgs8)
 
+(* ---- inline streaming: nothing runs between reads ---- *)
+
+(* [Kernel.read_file] reads page after page with no engine step between
+   them, so no scheduled readahead batch ever runs before the reader
+   reaches it. A demand miss on such a page waits for the batch instead of
+   fetching its page alone: at window 8 the 16-page read is four bulk
+   reads of 2, 4, 8 and 2 pages. The batches it took over then do
+   nothing. *)
+let inline_read ~window ~mode ~pages =
+  let w = world ~window () in
+  let body = body_of_pages pages ~tail:300 in
+  mk_file w ~path:"/inline" ~body;
+  let k2 = World.kernel w 2 in
+  let s = World.stats w in
+  let o = Us.open_gf k2 (gf_of k2 "/inline") mode in
+  let snap = Stats.snapshot s in
+  let got = Us.read_all k2 o in
+  let delta = Stats.delta_of s snap in
+  let bulk = delta "us.bulk.read" and bulk_pages = delta "us.bulk.read.pages" in
+  let msgs = delta "net.msg.read" in
+  ignore (Engine.run_until_idle (World.engine w));
+  check Alcotest.string "contents" body got;
+  check Alcotest.int "taken-over batches send nothing" msgs (delta "net.msg.read");
+  check Alcotest.bool "nothing left in flight" true (o.K.o_inflight = []);
+  Us.close k2 o;
+  (bulk, bulk_pages, msgs)
+
+let test_inline_read_streams () =
+  let bulk, bulk_pages, msgs = inline_read ~window:8 ~mode:Proto.Mode_read ~pages:15 in
+  check Alcotest.int "four bulk reads" 4 bulk;
+  check Alcotest.int "of 2 + 4 + 8 + 2 pages" 16 bulk_pages;
+  check Alcotest.int "8 read messages" 8 msgs;
+  (* Window 1 is still the paper's protocol: one Read_page per page. *)
+  let bulk, _, msgs = inline_read ~window:1 ~mode:Proto.Mode_read ~pages:15 in
+  check Alcotest.int "no bulk reads at window 1" 0 bulk;
+  check Alcotest.int "16 Read_page round trips at window 1" 32 msgs
+
+(* A writer reads its own file (a directory rewrite reads the directory
+   first) through the same fetcher: bulk reads, not one Read_page per
+   page. *)
+let test_writer_reads_stream () =
+  let bulk, bulk_pages, msgs = inline_read ~window:8 ~mode:Proto.Mode_modify ~pages:18 in
+  check Alcotest.int "19 pages in four bulk reads" 4 bulk;
+  check Alcotest.int "every page in a bulk read" 19 bulk_pages;
+  check Alcotest.int "8 read messages, not 38" 8 msgs
+
 (* ---- write-behind flush points ---- *)
 
 (* Small adjacent writes coalesce in the write-behind buffer (no traffic),
@@ -285,6 +331,9 @@ let () =
             test_window_one_is_unbatched;
           Alcotest.test_case "streaming read saves messages" `Quick
             test_streaming_read_savings;
+          Alcotest.test_case "inline read streams one window per trip" `Quick
+            test_inline_read_streams;
+          Alcotest.test_case "writer reads stream" `Quick test_writer_reads_stream;
           Alcotest.test_case "write-behind flushes before commit" `Quick
             test_write_behind_flushes_before_commit;
           Alcotest.test_case "write-behind flushes on read-back" `Quick

@@ -124,6 +124,25 @@ let test_striped_write_commit () =
         (Kernel.read_file k p "/big"))
     [ 0; 1; 2; 4 ]
 
+(* A striped writer extends the file: only the owners its write reached
+   grew their session sizes, so an owner's own eof is no guide to where
+   the writer's file ends. Reading back across the old end must report
+   eof only on the writer's last page. *)
+let test_striped_writer_reads_past_old_end () =
+  let w = make_world ~n_sites:4 ~packs:[ 0; 1; 2 ] () in
+  let size = (22 * page) + 187 in
+  seed_file w ~from:0 ~path:"/grow" ~contents:(String.make size 'a');
+  let k3 = World.kernel w 3 and p3 = World.proc w 3 in
+  let o = Us.open_gf k3 (Kernel.resolve k3 p3 "/grow") Proto.Mode_modify in
+  check Alcotest.int "striped" 3 (List.length o.K.o_stripes);
+  Us.write k3 o ~off:size (String.make 2726 'B');
+  let last = (size + 2726 - 1) / page in
+  for p = 17 to last do
+    let _, eof = Us.read_page k3 o p in
+    check Alcotest.bool (Printf.sprintf "eof on page %d" p) (p = last) eof
+  done;
+  Us.close k3 o
+
 (* ---- failure of a stripe peer degrades the open, mid-read ---- *)
 
 let test_peer_crash_degrades_read () =
@@ -198,6 +217,8 @@ let () =
           Alcotest.test_case "striped read" `Quick test_striped_read;
           Alcotest.test_case "striped write + commit" `Quick
             test_striped_write_commit;
+          Alcotest.test_case "striped writer reads past the old end" `Quick
+            test_striped_writer_reads_past_old_end;
         ] );
       ( "failure",
         [
