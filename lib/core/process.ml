@@ -55,12 +55,16 @@ let choose_site k proc =
   | Some s -> s
   | None -> k.site
 
+(* The environment shipped with a process to another site. Its
+   descriptors become shared across sites, so a writer's open here stops
+   caching its own pages (see [Us.share]). *)
 let env_of k proc =
   let fds =
     Hashtbl.fold
       (fun num key acc ->
         match Tokens.find_fd k key with
         | Some fd ->
+          Option.iter (Us.share k) fd.f_ofile;
           { Proto.d_num = num; d_key = key; d_gf = fd.f_gf; d_mode = fd.f_mode } :: acc
         | None -> acc)
       proc.p_fds []

@@ -96,6 +96,41 @@ let test_three_way_rotation () =
   done;
   check Alcotest.string "global order preserved" "012345678" (Buffer.contents buf)
 
+(* A writer's open caches its own pages under a key private to it. Once
+   its descriptor is shared with another site, the holders there write
+   and abort the same SS session behind its back, so the original open
+   must read their bytes, not its own stale copies. The writer sits at a
+   site with no pack, so its reads are remote and cacheable. *)
+let test_shared_writer_reads_other_holders () =
+  let config =
+    {
+      (World.default_config ~n_sites:3 ()) with
+      World.filegroups = [ { World.fg = 0; pack_sites = [ 0 ]; mount_path = None } ];
+    }
+  in
+  let w = World.create ~config () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  let body = String.make (2 * Storage.Page.size) 'a' in
+  ignore (Kernel.creat k0 p0 "/w");
+  Kernel.write_file k0 p0 "/w" body;
+  ignore (World.settle w);
+  let k1 = World.kernel w 1 and p1 = World.proc w 1 in
+  let k2 = World.kernel w 2 in
+  let fdnum = Kernel.open_path k1 p1 "/w" Proto.Mode_modify in
+  let read_at0 () =
+    Kernel.lseek k1 p1 fdnum 0;
+    Kernel.read_fd k1 p1 fdnum ~len:8
+  in
+  check Alcotest.string "parent reads the file" "aaaaaaaa" (read_at0 ());
+  Kernel.set_advice p1 (Some 2);
+  let pid, _ = Process.fork k1 p1 in
+  let child = Process.get_proc k2 pid in
+  Kernel.lseek k2 child fdnum 0;
+  Kernel.write_fd k2 child fdnum "child!!!";
+  check Alcotest.string "parent sees the child's write" "child!!!" (read_at0 ());
+  Kernel.abort_fd k2 child fdnum;
+  check Alcotest.string "parent sees the child's abort" "aaaaaaaa" (read_at0 ())
+
 let () =
   Alcotest.run "tokens"
     [
@@ -106,5 +141,7 @@ let () =
           Alcotest.test_case "failure reclaim" `Quick test_failure_reclaims_token;
           Alcotest.test_case "idempotent acquire" `Quick test_acquire_is_idempotent;
           Alcotest.test_case "three-way rotation" `Quick test_three_way_rotation;
+          Alcotest.test_case "shared writer reads other holders' bytes" `Quick
+            test_shared_writer_reads_other_holders;
         ] );
     ]
