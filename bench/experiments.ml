@@ -1201,7 +1201,7 @@ let e19 () =
   | None -> ());
   Printf.printf
     "one Lookup_req round trip replaces the per-component internal opens\n\
-     (E13: 16/28/46 msgs at depth 1/3/6); the trail it returns fills the\n\
+     (E13: 12/20/32 msgs at depth 1/3/6); the trail it returns fills the\n\
      name cache, so the warm walk sends nothing at all.\n"
 
 (* ---------------------------------------------------------------- E20 *)

@@ -75,19 +75,37 @@ let micro_tests () =
     Test.make ~name:"version-vector compare"
       (Staged.stage (fun () -> ignore (Vvec.compare_vv a b)))
   in
-  let dir = Catalog.Dir.empty () in
-  for i = 0 to 99 do
-    Catalog.Dir.insert dir ~name:(Printf.sprintf "entry%d" i) ~ino:(i + 2)
-      ~stamp:0.0 ~origin:0
-  done;
-  let dir_codec =
-    Test.make ~name:"directory encode+decode (100 entries)"
+  let dir_codec n =
+    let dir = Catalog.Dir.empty () in
+    for i = 0 to n - 1 do
+      Catalog.Dir.insert dir ~name:(Printf.sprintf "entry%d" i) ~ino:(i + 2)
+        ~stamp:0.0 ~origin:0
+    done;
+    Test.make ~name:(Printf.sprintf "directory encode+decode (%d entries)" n)
       (Staged.stage (fun () ->
            ignore (Catalog.Dir.decode (Catalog.Dir.encode dir))))
   in
+  (* One dirop pair from a packless site on a directory with two copies,
+     E16's remote create+unlink. Re-using one name keeps the directory at
+     a fixed size: the create re-enters the unlink's tombstone in place. *)
+  let wd = Experiments.make_world ~n:4 ~packs:[ 0; 1 ] () in
+  let kd0 = World.kernel wd 0 and pd0 = World.proc wd 0 in
+  Kernel.set_ncopies pd0 2;
+  ignore (Kernel.mkdir kd0 pd0 "/dops");
+  Experiments.settle_ok wd;
+  let kd2 = World.kernel wd 2 and pd2 = World.proc wd 2 in
+  let remote_dirop =
+    Test.make ~name:"remote create+unlink"
+      (Staged.stage (fun () ->
+           ignore (Kernel.creat kd2 pd2 "/dops/f");
+           Kernel.unlink kd2 pd2 "/dops/f"))
+  in
   [
-    local_open; remote_open; read_local; read_remote; shadow_commit; vv_compare;
-    dir_codec;
+    ("open_close_local", local_open); ("open_close_remote", remote_open);
+    ("page_read_local", read_local); ("page_read_remote_cached", read_remote);
+    ("shadow_commit_2p", shadow_commit); ("vv_compare", vv_compare);
+    ("dir_codec_100", dir_codec 100); ("dir_codec_1000", dir_codec 1000);
+    ("dirop_remote_create_unlink", remote_dirop);
   ]
 
 (* ---- event-core micro suite (BENCH_micro.json) ---- *)
@@ -208,14 +226,17 @@ let run_micro () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
   in
+  let metric = Report.metric ~experiment:"micro" in
   List.iter
-    (fun test ->
+    (fun (key, test) ->
       let results = Benchmark.all cfg [ instance ] test in
       let stats = Analyze.all ols instance results in
       Hashtbl.iter
         (fun name ols_result ->
           match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.printf "  %-40s %10.0f ns/op\n%!" name est
+          | Some [ est ] ->
+            metric (Printf.sprintf "host.ns_per_op.%s" key) est;
+            Printf.printf "  %-40s %10.0f ns/op\n%!" name est
           | Some _ | None -> Printf.printf "  %-40s (no estimate)\n%!" name)
         stats)
     tests

@@ -5,8 +5,19 @@
     points at (§4.4). The two operations are insert and remove; removed
     entries leave *tombstones* carrying the time and site of the removal,
     which is exactly the deletion information the reconciliation rules of
-    §4.4 require. Directory contents are serialized into the directory
-    file's data pages with a line-oriented codec. *)
+    §4.4 require.
+
+    The directory file's body is a binary record log. Each entry is one
+    record of 21 bytes plus the name: a status byte (1 = live,
+    2 = tombstone), the name length (u16, big-endian), the origin site
+    (u16), the inode number (i64), the bits of the stamp (i64), then the
+    name bytes. Records are in log order: a new name goes after the last
+    record, while a remove or a re-insert of a tombstoned name rewrites the
+    entry's record in place, since the record keeps its length. A record
+    never straddles a page: one that does not fit in the rest of the
+    current page starts the next, and the tail is padded with zero bytes
+    (status 0 means "padding to the end of this page"). So a create
+    changes only the last page or adds one, and an unlink changes one. *)
 
 type status = Live | Tombstone
 
@@ -28,12 +39,23 @@ val lookup : t -> string -> int option
 val find_entry : t -> string -> entry option
 (** Entry, live or tombstone. *)
 
+val max_name : int
+(** Longest valid name in bytes: [Page.size - 21], so a record always
+    fits in one page. *)
+
 val insert : t -> name:string -> ino:int -> stamp:float -> origin:int -> unit
-(** Add or resurrect a binding. Raises [Invalid_argument] on names
-    containing the codec separators or "/" (or empty names). *)
+(** Add or resurrect a binding. Raises [Invalid_argument] on an empty
+    name, one longer than {!max_name} or containing "/", a tab or a
+    newline, and on an [origin] outside u16. *)
 
 val remove : t -> name:string -> stamp:float -> origin:int -> bool
-(** Replace a live entry by a tombstone. Returns false if no live entry. *)
+(** Replace a live entry by a tombstone. Returns false if no live entry.
+    Raises [Invalid_argument] on an [origin] outside u16. *)
+
+val conflict_name : string -> ino:int -> string
+(** The altered name a name conflict gives the entry for [ino]
+    (§4.4 rule 1): [name!conflict!ino], with [name] shortened as needed so
+    the result is still a valid name. *)
 
 val live_entries : t -> entry list
 (** Sorted by name. *)
@@ -48,9 +70,13 @@ val names_of_ino : t -> int -> string list
 (** All live names binding an inode (hard links). *)
 
 val encode : t -> string
+(** The record log, ending with the last record. *)
 
 val decode : string -> t
-(** Inverse of {!encode}. Raises [Failure] on malformed input. *)
+(** Inverse of {!encode}: [encode (decode b) = b] for every [b] that
+    {!encode} produced. Raises [Failure] on a record cut short, one that
+    crosses a page boundary, a status byte outside 0..2 or a repeated
+    name. *)
 
 val copy : t -> t
 

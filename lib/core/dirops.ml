@@ -12,8 +12,9 @@ module Inode = Storage.Inode
 module Dir = Catalog.Dir
 
 (* Apply [f] to a directory's contents atomically: open for modification
-   (the CSS serializes writers), rewrite, commit, close. Retries a few
-   times when another site holds the modification lock. *)
+   (the CSS serializes writers), rewrite the pages whose records changed,
+   commit, close. Retries a few times when another site holds the
+   modification lock. *)
 let update_dir k dir_gf f =
   let rec attempt tries =
     match Us.open_gf k dir_gf Proto.Mode_modify with
@@ -22,9 +23,10 @@ let update_dir k dir_gf f =
          the rewrite, the commit — must still release the open, or the SS
          keeps the serving registration and shadow session forever. *)
       (match
-         let dir = Pathname.dir_of_body (Us.read_all k o) in
+         let old = Us.read_all k o in
+         let dir = Pathname.dir_of_body old in
          let result = f dir in
-         Us.set_contents k o (Dir.encode dir);
+         Us.rewrite k o ~old (Dir.encode dir);
          Us.commit k o;
          result
        with

@@ -327,6 +327,23 @@ let vv_key vv = Vvec.to_string vv
 
 let ss_cache_enabled k = k.config.ss_cache_pages > 0
 
+(* The local copy of [gf] moved from version [old_vv] to [vv] by a shadow
+   commit, which left every logical page it did not replace on the same
+   disk page. The buffered copy of such a page below the new end is still
+   the page's contents: carry it over to the new version's key. Buffers of
+   the [replaced] pages, of pages past the end and of any other version
+   go. One pass over the SS cache. *)
+let ss_cache_carry k gf ~old_vv ~vv ~size ~replaced =
+  let old_key = vv_key old_vv and key = vv_key vv in
+  let npages = (size + Storage.Page.size - 1) / Storage.Page.size in
+  let gone = Hashtbl.create 8 in
+  List.iter (fun p -> Hashtbl.replace gone p ()) replaced;
+  Storage.Cache.remap k.ss_cache (fun ((g, p, v) as entry) ->
+      if not (Gfile.equal g gf) || String.equal v key then Some entry
+      else if String.equal v old_key && p < npages && not (Hashtbl.mem gone p) then
+        Some (g, p, key)
+      else None)
+
 let fresh_serial k =
   let n = k.next_serial in
   k.next_serial <- n + 1;

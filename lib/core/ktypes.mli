@@ -284,6 +284,12 @@ val vv_key : Vvec.t -> string
 val ss_cache_enabled : t -> bool
 (** Whether the SS-side buffer-cache tier is on ([ss_cache_pages > 0]). *)
 
+val ss_cache_carry :
+  t -> Gfile.t -> old_vv:Vvec.t -> vv:Vvec.t -> size:int -> replaced:int list -> unit
+(** After a commit took the local copy of a file from [old_vv] to [vv]
+    (new size [size]), re-key the SS buffers of the pages it did not
+    replace to [vv] and drop every other buffer of the file. *)
+
 val fresh_serial : t -> int
 
 val rpc_result : t -> Site.t -> Proto.req -> (Proto.resp, Net.Rpc.rpc_error) result

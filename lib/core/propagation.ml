@@ -14,12 +14,6 @@ module Shadow = Storage.Shadow
 module Page = Storage.Page
 module Cache = Storage.Cache
 
-(* A pull commits through the shadow mechanism directly (below the SS
-   handlers), so it must drop the superseded buffered pages itself. *)
-let invalidate_stale k gf ~vv =
-  Cache.invalidate_if ~notify:false k.ss_cache
-    (fun (g, _, v) -> Gfile.equal g gf && not (String.equal v (vv_key vv)))
-
 (* Is [local] exactly the version [target] was derived from by one commit at
    [origin]? Then pulling just the modified pages is sufficient. *)
 let one_commit_behind ~local ~target ~origin =
@@ -58,7 +52,9 @@ let apply_delete k pack gf ~vv =
       Shadow.mark_deleted session ~time:(now k);
       charge_disk_write k;
       Shadow.commit session ~vv ~mtime:(now k);
-      invalidate_stale k gf ~vv;
+      (* A pull commits below the SS handlers, so it keeps the SS cache
+         itself: nothing of a deleted file stays buffered. *)
+      Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _, _) -> Gfile.equal g gf);
       (* The file is gone and the inode may be reclaimed: drop both the
          links to it and any links read out of it. *)
       Namecache.invalidate_dir k.name_cache gf;
@@ -160,8 +156,11 @@ let pull_from k pack gf ~source ~modified =
               size, and a pure truncate at the source modified no page at
               all — either way the local copy must not keep a stale tail. *)
            Shadow.set_size session info.Proto.i_size;
+           let replaced = Shadow.modified_lpages session in
+           let old_vv = local.Inode.vv in
            Shadow.commit session ~vv:info.Proto.i_vv ~mtime:info.Proto.i_mtime;
-           invalidate_stale k gf ~vv:info.Proto.i_vv;
+           ss_cache_carry k gf ~old_vv ~vv:info.Proto.i_vv
+             ~size:info.Proto.i_size ~replaced;
            (* The local copy just jumped versions: links cached from any
               other version of this directory are dead. *)
            Namecache.note_dir_vv k.name_cache ~dir:gf info.Proto.i_vv;

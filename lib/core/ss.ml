@@ -324,7 +324,7 @@ let handle_commit ?force_vv ?(stripes = []) k gf ~abort ~delete =
       | Some session -> Shadow.abort session
       | None -> ());
       s.s_shadow <- None;
-      Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _, _) -> Gfile.equal g gf);
+      (* The committed version is untouched: its buffered pages stay. *)
       record k ~tag:"ss.abort" (Gfile.to_string gf);
       let vv =
         match Pack.find_inode pack gf.Gfile.ino with
@@ -356,10 +356,13 @@ let handle_commit ?force_vv ?(stripes = []) k gf ~abort ~delete =
          version) is stale *now* — killing it here closes the window before
          the CSS's asynchronous [Lease_break] callback arrives. *)
       Openlease.note_commit k.open_leases gf vv;
-      (* The previous version's buffered pages are dead weight now (the new
-         version keys differently); drop them. *)
-      Cache.invalidate_if ~notify:false k.ss_cache
-        (fun (g, _, v) -> Gfile.equal g gf && not (String.equal v (vv_key vv)));
+      (* Buffered pages this commit did not replace are still current:
+         they move to the new version's key. A delete leaves nothing. *)
+      if delete then
+        Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _, _) -> Gfile.equal g gf)
+      else
+        ss_cache_carry k gf ~old_vv ~vv ~size:(Shadow.incore session).Inode.size
+          ~replaced:modified;
       (* Likewise name-cache links: if this was a directory, links read
          from the old version are dead; if the file was deleted, no link
          may keep resolving to it. *)
@@ -542,13 +545,12 @@ let metadata_commit k gf mutate =
     | None -> Proto.R_err Proto.Enoent
     | Some inode ->
       mutate inode;
-      inode.Inode.vv <- Vvec.bump inode.Inode.vv k.site;
+      let old_vv = inode.Inode.vv in
+      inode.Inode.vv <- Vvec.bump old_vv k.site;
       inode.Inode.mtime <- now k;
       charge_disk_write k;
-      (* The data pages did not change, but they are keyed under the old
-         version and can never hit again; free the space. *)
-      Cache.invalidate_if ~notify:false k.ss_cache
-        (fun (g, _, v) -> Gfile.equal g gf && not (String.equal v (vv_key inode.Inode.vv)));
+      (* No data page changed: every buffered page carries over. *)
+      ss_cache_carry k gf ~old_vv ~vv:inode.Inode.vv ~size:inode.Inode.size ~replaced:[];
       Namecache.note_dir_vv k.name_cache ~dir:gf inode.Inode.vv;
       let fi = fg_info k gf.Gfile.fg in
       let message =

@@ -633,6 +633,30 @@ let set_contents k o body =
   if String.length body > 0 then write k o ~off:0 body;
   o.o_dirty <- true
 
+(* Replace [old], the body this open just read, by [body], sending only
+   the pages whose bytes differ. Past [old]'s end the file reads as
+   zeroes, so a page that [body] only extends with zeroes needs no write
+   when a later page carries the size past it. *)
+let rewrite k o ~old body =
+  let len = String.length body and old_len = String.length old in
+  if len < old_len then truncate k o len;
+  let npages = (len + Page.size - 1) / Page.size in
+  let same_as_old off n =
+    let rec go i =
+      i >= n
+      ||
+      let c = if off + i < old_len then String.unsafe_get old (off + i) else '\000' in
+      Char.equal c (String.unsafe_get body (off + i)) && go (i + 1)
+    in
+    go 0
+  in
+  for lpage = 0 to npages - 1 do
+    let off = lpage * Page.size in
+    let n = min Page.size (len - off) in
+    let unchanged = (off + n <= old_len || lpage < npages - 1) && same_as_old off n in
+    if not unchanged then write k o ~off (String.sub body off n)
+  done
+
 (* Commit or abort the modifications of this open (section 2.3.6). *)
 let commit_gen k o ~abort ~delete =
   (* The write-behind run is part of what commits: flush it into the SS

@@ -262,9 +262,8 @@ let merge_two_dirs k fg a b report =
              distinguished and the owners are notified by mail. *)
           report.name_conflicts <- report.name_conflicts + 1;
           let alter (e : Dir.entry) =
-            let altered = Printf.sprintf "%s!conflict!%d" name e.Dir.ino in
-            Dir.insert out ~name:altered ~ino:e.Dir.ino ~stamp:e.Dir.stamp
-              ~origin:e.Dir.origin
+            Dir.insert out ~name:(Dir.conflict_name name ~ino:e.Dir.ino) ~ino:e.Dir.ino
+              ~stamp:e.Dir.stamp ~origin:e.Dir.origin
           in
           alter ea;
           alter eb;
@@ -327,23 +326,48 @@ let resolve_conflict k gf f copies report =
         f.css_deleted <- false
       end
     in
+    (* Untyped conflict: mark the file (normal access fails) and tell the
+       owner by mail; a tool or the user reconciles interactively. *)
+    let mark_conflict () =
+      f.css_conflict <- true;
+      report.conflicts_marked <- report.conflicts_marked + 1;
+      (match fetch_owner k fg gf.Gfile.ino with
+      | Some owner ->
+        notify_owner k ~owner
+          ~subject:
+            (Printf.sprintf "update conflict on %s (%d versions)" (Gfile.to_string gf)
+               (List.length copies))
+          report
+      | None -> ());
+      record k ~tag:"recon.conflict" (Gfile.to_string gf)
+    in
     (* A file deleted in one partition but modified in another wants to be
        saved (section 4.4): prefer a live copy as merge basis. *)
     let live = List.filter (fun (_, _, i) -> not i.Proto.i_deleted) fetched in
     let deleted_involved = List.length live < List.length fetched in
     match info0.Proto.i_ftype with
     | Inode.Directory | Inode.Hidden_directory ->
-      let dirs =
+      (* A copy that does not decode is left out of the merge, not merged
+         as if it had no entries; when no copy decodes there is nothing
+         to merge and the file is marked like an untyped conflict. *)
+      let decoded =
         List.filter_map
           (fun (site, _, info) ->
             fetch_content k site gf info
             |> Option.map (fun body ->
-                   try Dir.decode body with Failure _ -> Dir.empty ()))
+                   match Dir.decode body with
+                   | dir -> Some dir
+                   | exception Failure _ ->
+                     Sim.Stats.incr (stats k) "recon.dir.undecodable";
+                     record k ~tag:"recon.dir.undecodable"
+                       (Format.asprintf "%a at %a" Gfile.pp gf Site.pp site);
+                     None))
           (if live <> [] then live else fetched)
       in
-      (match dirs with
-      | [] -> ()
-      | first :: rest ->
+      (match (decoded, List.filter_map Fun.id decoded) with
+      | [], _ -> ()
+      | _ :: _, [] -> mark_conflict ()
+      | _, first :: rest ->
         let merged =
           List.fold_left (fun acc d -> merge_two_dirs k fg acc d report) first rest
         in
@@ -394,21 +418,7 @@ let resolve_conflict k gf f copies report =
             report.manager_merges <- report.manager_merges + 1;
             commit_merged ~target:site0 merged;
             record k ~tag:"recon.manager" (Gfile.to_string gf))
-        | None ->
-          (* Untyped conflict: mark the file (normal access fails) and
-             tell the owner by mail; a tool or the user reconciles
-             interactively. *)
-          f.css_conflict <- true;
-          report.conflicts_marked <- report.conflicts_marked + 1;
-          (match fetch_owner k fg gf.Gfile.ino with
-          | Some owner ->
-            notify_owner k ~owner
-              ~subject:
-                (Printf.sprintf "update conflict on %s (%d versions)"
-                   (Gfile.to_string gf) (List.length copies))
-              report
-          | None -> ());
-          record k ~tag:"recon.conflict" (Gfile.to_string gf)
+        | None -> mark_conflict ()
       end
 
 (* Reconcile one file (also the entry point for demand recovery: a

@@ -58,6 +58,50 @@ let test_dir_invalid_names () =
       | () -> Alcotest.fail (Printf.sprintf "name %S should be rejected" name))
     [ ""; "a/b"; "a\tb"; "a\nb" ]
 
+(* Every record must fit in one page: names are capped at [Dir.max_name]
+   (the page size less the 21-byte record header). *)
+let test_dir_name_bound () =
+  let d = Dir.empty () in
+  let longest = String.make Dir.max_name 'n' in
+  check Alcotest.int "bound is a page less the header" (Storage.Page.size - 21) Dir.max_name;
+  Dir.insert d ~name:longest ~ino:4 ~stamp:1.0 ~origin:0;
+  check Alcotest.(option int) "longest name accepted" (Some 4) (Dir.lookup d longest);
+  (match Dir.insert d ~name:(longest ^ "n") ~ino:5 ~stamp:1.0 ~origin:0 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a name past the bound was accepted");
+  check Alcotest.int "one record fills one page" Storage.Page.size
+    (String.length (Dir.encode d))
+
+(* A name conflict's rename must stay a valid name even for the longest
+   name, and stay distinct per inode. *)
+let test_dir_conflict_name_fits () =
+  let longest = String.make Dir.max_name 'n' in
+  let a = Dir.conflict_name longest ~ino:7 and b = Dir.conflict_name longest ~ino:8 in
+  check Alcotest.bool "distinct per inode" true (a <> b);
+  check Alcotest.string "short names keep the classic form" "f!conflict!7"
+    (Dir.conflict_name "f" ~ino:7);
+  let d = Dir.empty () in
+  Dir.insert d ~name:a ~ino:7 ~stamp:1.0 ~origin:0;
+  Dir.insert d ~name:b ~ino:8 ~stamp:1.0 ~origin:0;
+  check Alcotest.int "both renamed entries live" 2 (Dir.cardinal d)
+
+(* The origin is stored as a u16: anything outside is refused, not
+   truncated on the way to disk. *)
+let test_dir_origin_bound () =
+  let d = Dir.empty () in
+  Dir.insert d ~name:"x" ~ino:3 ~stamp:1.0 ~origin:0xffff;
+  List.iter
+    (fun origin ->
+      (match Dir.insert d ~name:"y" ~ino:3 ~stamp:1.0 ~origin with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "insert accepted origin %d" origin);
+      match Dir.remove d ~name:"x" ~stamp:2.0 ~origin with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "remove accepted origin %d" origin)
+    [ -1; 0x10000 ];
+  check Alcotest.(option int) "entry untouched" (Some 3) (Dir.lookup d "x");
+  check Alcotest.(option int) "no entry added" None (Dir.lookup d "y")
+
 let test_dir_codec_roundtrip () =
   let d = Dir.empty () in
   Dir.insert d ~name:"alpha" ~ino:2 ~stamp:1.5 ~origin:0;
@@ -153,6 +197,9 @@ let () =
           Alcotest.test_case "tombstones" `Quick test_dir_remove_leaves_tombstone;
           Alcotest.test_case "resurrect" `Quick test_dir_resurrect;
           Alcotest.test_case "invalid names" `Quick test_dir_invalid_names;
+          Alcotest.test_case "name bound" `Quick test_dir_name_bound;
+          Alcotest.test_case "conflict name fits" `Quick test_dir_conflict_name_fits;
+          Alcotest.test_case "origin bound" `Quick test_dir_origin_bound;
           Alcotest.test_case "codec roundtrip" `Quick test_dir_codec_roundtrip;
           Alcotest.test_case "hard links" `Quick test_dir_hard_links;
         ] );

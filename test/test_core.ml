@@ -290,6 +290,36 @@ let test_commit_visibility () =
   ignore (World.settle w);
   check Alcotest.string "abort undoes" "committed" (Kernel.read_file k0 p0 "/t")
 
+(* [Us.rewrite] sends only the pages whose bytes differ. Past the old end
+   the file reads as zeroes, so a page the new body only extends with
+   zeroes is left alone when a later page carries the size past it. *)
+let test_rewrite_sends_changed_pages () =
+  let w = asym_world_nobulk () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  ignore (Kernel.creat k0 p0 "/r");
+  let page = Storage.Page.size in
+  let v1 = String.make (2 * page) 'a' ^ String.make 100 'b' in
+  Kernel.write_file k0 p0 "/r" v1;
+  ignore (World.settle w);
+  let k2 = World.kernel w 2 and p2 = World.proc w 2 in
+  let gf = gf_of k2 "/r" in
+  let rewrite old body =
+    let o = Us.open_gf k2 gf Proto.Mode_modify in
+    let snap = Stats.snapshot (stats w) in
+    Us.rewrite k2 o ~old body;
+    let writes = Stats.delta_of (stats w) snap "net.msg.write" / 2 in
+    Us.commit k2 o;
+    Us.close k2 o;
+    ignore (World.settle w);
+    check Alcotest.string "file holds the new body" body (Kernel.read_file k2 p2 "/r");
+    writes
+  in
+  check Alcotest.int "same body: no write" 0 (rewrite v1 v1);
+  let v2 = String.make (2 * page) 'a' ^ String.make 100 'b' ^ String.make (page - 100) '\000' ^ "c" in
+  check Alcotest.int "zero tail of the old last page needs no write" 1 (rewrite v1 v2);
+  let v3 = String.make page 'a' ^ "x" ^ String.make (page - 1) 'a' ^ String.make 50 'b' in
+  check Alcotest.int "shorter body: truncate plus the one changed page" 1 (rewrite v2 v3)
+
 let test_single_writer_policy () =
   let w = full_world () in
   let k0 = World.kernel w 0 and p0 = World.proc w 0 in
@@ -465,6 +495,70 @@ let test_unlink () =
   | _ -> Alcotest.fail "unlinked file readable remotely"
   | exception K.Error (Proto.Enoent, _) -> ()
 
+(* A dirop on a big replicated directory, issued from a packless site,
+   moves one page end to end: one page of write traffic, a commit whose
+   modified list is that page, a one-page pull at the second copy. The
+   commit keeps the SS buffers of the pages it did not replace, so the
+   next dirop reads those from the SS cache, not the disk. *)
+let test_remote_dirop_moves_one_page () =
+  let base = World.default_config ~n_sites:5 () in
+  let w =
+    World.create
+      ~config:
+        { base with
+          World.filegroups = [ { World.fg = 0; pack_sites = [ 0; 1 ]; mount_path = None } ];
+          (* Long enough that the second copy's queued pull can be read
+             before it runs. *)
+          World.kernel_config = { base.World.kernel_config with K.propagation_delay = 50.0 };
+        }
+      ()
+  in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  Kernel.set_ncopies p0 2;
+  let dir_gf = Kernel.mkdir k0 p0 "/big" in
+  ignore (World.settle w);
+  let o = Us.open_gf k0 dir_gf Proto.Mode_modify in
+  let dir = Dir.decode (Us.read_all k0 o) in
+  for i = 1 to 160 do
+    Dir.insert dir ~name:(Printf.sprintf "%0200d" i) ~ino:(1000 + i) ~stamp:0.0 ~origin:0
+  done;
+  Us.set_contents k0 o (Dir.encode dir);
+  Us.commit k0 o;
+  Us.close k0 o;
+  ignore (World.settle w);
+  let pages = ((Kernel.stat k0 p0 "/big").Proto.i_size + Storage.Page.size - 1) / Storage.Page.size in
+  check Alcotest.bool "directory of at least 30 pages" true (pages >= 30);
+  let k2 = World.kernel w 2 and p2 = World.proc w 2 in
+  let snap = Stats.snapshot (stats w) in
+  ignore (Kernel.creat k2 p2 "/big/one");
+  check Alcotest.int "one write RPC" 2 (Stats.delta_of (stats w) snap "net.msg.write");
+  check Alcotest.int "one page written" 1 (Stats.delta_of (stats w) snap "us.bulk.write.pages");
+  (* Deliver the commit notification; the pull it queues waits 50 ms. *)
+  ignore (Sim.Engine.run_for (World.engine w) 5.0);
+  let queued =
+    List.concat_map
+      (fun site ->
+        Queue.fold
+          (fun acc (gf, _, modified, _, _) ->
+            if Catalog.Gfile.equal gf dir_gf then modified :: acc else acc)
+          [] (World.kernel w site).K.prop_queue)
+      [ 0; 1 ]
+  in
+  (match queued with
+  | [ modified ] -> check Alcotest.int "commit modified one page" 1 (List.length modified)
+  | _ -> Alcotest.failf "expected one queued pull, found %d" (List.length queued));
+  let snap = Stats.snapshot (stats w) in
+  ignore (World.settle w);
+  check Alcotest.int "second copy pulls one page" 2 (Stats.delta_of (stats w) snap "net.msg.read");
+  let snap = Stats.snapshot (stats w) in
+  ignore (Kernel.creat k2 p2 "/big/two");
+  check Alcotest.bool "next dirop reads unmodified pages from the SS cache" true
+    (Stats.delta_of (stats w) snap "cache.ss.miss" <= 1);
+  ignore (World.settle w);
+  List.iter (fun name -> ignore (Kernel.stat k0 p0 ("/big/" ^ name))) [ "one"; "two" ];
+  let k1 = World.kernel w 1 and p1 = World.proc w 1 in
+  check Alcotest.int "both copies list every entry" 164 (List.length (Kernel.readdir k1 p1 "/big"))
+
 let test_hard_link () =
   let w = full_world () in
   let k0 = World.kernel w 0 and p0 = World.proc w 0 in
@@ -636,6 +730,8 @@ let () =
       ( "write-commit",
         [
           Alcotest.test_case "abort undoes" `Quick test_commit_visibility;
+          Alcotest.test_case "rewrite sends changed pages" `Quick
+            test_rewrite_sends_changed_pages;
           Alcotest.test_case "single writer" `Quick test_single_writer_policy;
           Alcotest.test_case "reader sees live writes" `Quick
             test_concurrent_read_during_write_sees_updates;
@@ -656,6 +752,8 @@ let () =
           Alcotest.test_case "rename" `Quick test_rename;
           Alcotest.test_case "readdir" `Quick test_readdir;
           Alcotest.test_case "create EEXIST" `Quick test_create_eexist;
+          Alcotest.test_case "remote dirop moves one page" `Quick
+            test_remote_dirop_moves_one_page;
         ] );
       ( "close-protocol",
         [

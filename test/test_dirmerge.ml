@@ -169,6 +169,79 @@ let test_merge_idempotent () =
   let m, _ = merge w a a in
   check Alcotest.bool "idempotent" true (Dir.equal m a)
 
+(* ---- copies that do not decode ---- *)
+
+(* /d on all four sites, diverged across a [0; 1] | [2; 3] split: the left
+   side entered "left", the right side "right". *)
+let diverged_dir () =
+  let w = World.create ~config:(World.default_config ~n_sites:4 ()) () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  Kernel.set_ncopies p0 4;
+  ignore (Kernel.mkdir k0 p0 "/mail");
+  let gf = Kernel.mkdir k0 p0 "/d" in
+  ignore (World.settle w);
+  ignore (World.partition w [ [ 0; 1 ]; [ 2; 3 ] ]);
+  ignore (Kernel.creat k0 p0 "/d/left");
+  ignore (Kernel.creat (World.kernel w 2) (World.proc w 2) "/d/right");
+  ignore (World.settle w);
+  (w, gf)
+
+(* Overwrite the first page of [site]'s copy of [gf] with bytes that are
+   no record log, and drop every buffered copy of it. *)
+let corrupt_copy w site (gf : Catalog.Gfile.t) =
+  let k = World.kernel w site in
+  let pack = Hashtbl.find k.K.packs gf.Catalog.Gfile.fg in
+  (match Storage.Pack.page_addr pack (Storage.Pack.get_inode pack gf.Catalog.Gfile.ino) 0 with
+  | Some addr ->
+    Storage.Disk.write (Storage.Pack.disk pack) addr (Storage.Page.of_string "\255garbage")
+  | None -> Alcotest.fail "directory has no first page");
+  Storage.Cache.clear k.K.ss_cache ~notify:false;
+  Storage.Cache.clear k.K.us_cache ~notify:false;
+  Locus_core.Namecache.clear k.K.name_cache
+
+let dir_vv w site (gf : Catalog.Gfile.t) =
+  let pack = Hashtbl.find (World.kernel w site).K.packs gf.Catalog.Gfile.fg in
+  Vv.Version_vector.to_string (Storage.Pack.get_inode pack gf.Catalog.Gfile.ino).Storage.Inode.vv
+
+let css_file w (gf : Catalog.Gfile.t) =
+  let k0 = World.kernel w 0 in
+  let css = World.kernel w (K.fg_info k0 gf.Catalog.Gfile.fg).K.css_site in
+  match Locus_core.Css.find_file css gf.Catalog.Gfile.fg gf.Catalog.Gfile.ino with
+  | Some f -> f
+  | None -> Alcotest.fail "CSS has no record of the directory"
+
+let undecodable w = Sim.Stats.get (World.stats w) "recon.dir.undecodable"
+
+(* A garbage copy is left out of the merge, not merged as an empty
+   directory: the entries of the copy that decodes survive. *)
+let test_merge_skips_undecodable_copy () =
+  let w, gf = diverged_dir () in
+  List.iter (fun site -> corrupt_copy w site gf) [ 2; 3 ];
+  ignore (World.heal_and_merge w);
+  ignore (World.settle w);
+  check Alcotest.bool "undecodable copy counted" true (undecodable w >= 1);
+  check Alcotest.bool "no conflict marked" false (css_file w gf).K.css_conflict;
+  List.iter
+    (fun site ->
+      let names =
+        Kernel.readdir (World.kernel w site) (World.proc w site) "/d"
+        |> List.map (fun (e : Dir.entry) -> e.Dir.name)
+      in
+      check Alcotest.bool (Printf.sprintf "site %d keeps left" site) true (List.mem "left" names))
+    [ 0; 3 ]
+
+(* No copy decodes: nothing to merge, so the directory is marked like an
+   untyped conflict and no (empty) version is committed. *)
+let test_all_copies_undecodable_marks_conflict () =
+  let w, gf = diverged_dir () in
+  List.iter (fun site -> corrupt_copy w site gf) [ 0; 1; 2; 3 ];
+  let before = List.map (fun site -> dir_vv w site gf) [ 0; 1; 2; 3 ] in
+  ignore (World.heal_and_merge w);
+  check Alcotest.bool "undecodable copies counted" true (undecodable w >= 2);
+  check Alcotest.bool "conflict marked" true (css_file w gf).K.css_conflict;
+  check Alcotest.(list string) "no version committed" before
+    (List.map (fun site -> dir_vv w site gf) [ 0; 1; 2; 3 ])
+
 let () =
   Alcotest.run "dirmerge"
     [
@@ -188,5 +261,11 @@ let () =
         [
           Alcotest.test_case "commutative" `Quick test_merge_commutative;
           Alcotest.test_case "idempotent" `Quick test_merge_idempotent;
+        ] );
+      ( "undecodable",
+        [
+          Alcotest.test_case "garbage copy left out" `Quick test_merge_skips_undecodable_copy;
+          Alcotest.test_case "all garbage marks conflict" `Quick
+            test_all_copies_undecodable_marks_conflict;
         ] );
     ]

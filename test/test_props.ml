@@ -1,6 +1,9 @@
 (* Property-based tests on system invariants (qcheck, run under alcotest).
 
-   - directory codec: decode . encode = id for arbitrary directories
+   - directory codec: decode . encode = id, and encode . decode is
+     byte-exact, for arbitrary directories; no record crosses a page; one
+     dirop changes one page (an insert only past the old end); a cut or
+     corrupt record is refused
    - mailbox merge: a CRDT (commutative, associative, idempotent) that
      loses no message and honours deletions
    - shadow paging: arbitrary modification sequences are all-or-nothing
@@ -39,21 +42,6 @@ let gen_name =
       (fun (c, n) -> Printf.sprintf "%c%d" c n)
       (pair (char_range 'a' 'f') (int_bound 20)))
 
-let gen_dir =
-  QCheck.Gen.(
-    list_size (int_bound 15) (triple gen_name (int_range 2 50) bool)
-    >|= fun entries ->
-    let d = Dir.empty () in
-    List.iteri
-      (fun i (name, ino, dead) ->
-        Dir.insert d ~name ~ino ~stamp:(float_of_int i) ~origin:(i mod 3);
-        if dead then
-          ignore (Dir.remove d ~name ~stamp:(float_of_int i +. 0.5) ~origin:(i mod 3)))
-      entries;
-    d)
-
-let arb_dir = QCheck.make ~print:Dir.encode gen_dir
-
 let gen_mbox_ops =
   QCheck.Gen.(list_size (int_bound 12) (pair (int_bound 30) bool))
 
@@ -70,9 +58,119 @@ let apply_mbox_ops site base ops =
 
 (* ---- directory codec ---- *)
 
+(* Multi-page directories: short names that often repeat mixed with long
+   random ones, and entries that were removed, or removed and entered
+   again, so the log holds tombstones and records rewritten in place. *)
+let gen_long_name = QCheck.Gen.(string_size ~gen:(char_range 'a' 'z') (int_range 1 300))
+
+let gen_dir =
+  QCheck.Gen.(
+    list_size (int_bound 80)
+      (triple (oneof [ gen_name; gen_long_name ]) (int_range 2 1000) (int_bound 2))
+    >|= fun entries ->
+    let d = Dir.empty () in
+    List.iteri
+      (fun i (name, ino, life) ->
+        let stamp = float_of_int i in
+        Dir.insert d ~name ~ino ~stamp ~origin:(i mod 7);
+        if life >= 1 then ignore (Dir.remove d ~name ~stamp:(stamp +. 0.25) ~origin:1);
+        if life = 2 then Dir.insert d ~name ~ino:(ino + 1) ~stamp:(stamp +. 0.5) ~origin:2)
+      entries;
+    d)
+
+let arb_dir =
+  QCheck.make ~print:(fun d -> Printf.sprintf "%d bytes" (String.length (Dir.encode d))) gen_dir
+
+(* Record boundaries [(start, stop)] of an encoding, read independently of
+   [Dir.decode]: status byte, then the u16 name length at offset 1, 21
+   header bytes in all; a zero status pads to the end of the page. *)
+let record_spans b =
+  let len = String.length b in
+  let rec go off acc =
+    if off >= len then List.rev acc
+    else if b.[off] = '\000' then go ((off / Page.size + 1) * Page.size) acc
+    else
+      let stop = off + 21 + String.get_uint16_be b (off + 1) in
+      go stop ((off, stop) :: acc)
+  in
+  go 0 []
+
 let prop_dir_codec =
   QCheck.Test.make ~name:"dir codec roundtrip" ~count:200 arb_dir (fun d ->
-      Dir.equal d (Dir.decode (Dir.encode d)))
+      let b = Dir.encode d in
+      Dir.equal d (Dir.decode b) && String.equal (Dir.encode (Dir.decode b)) b)
+
+let prop_dir_records_in_one_page =
+  QCheck.Test.make ~name:"dir records never cross a page" ~count:200 arb_dir (fun d ->
+      List.for_all
+        (fun (start, stop) -> start / Page.size = (stop - 1) / Page.size)
+        (record_spans (Dir.encode d)))
+
+(* One dirop on a decoded directory: enter a new name, remove a live one,
+   or enter a tombstoned one again. Past the old end the file reads as
+   zeroes, so the comparison zero-extends the old encoding. *)
+let prop_dir_one_page_change =
+  QCheck.Test.make ~name:"dir change touches one page" ~count:300
+    (QCheck.make
+       ~print:(fun (d, op, pick, name) ->
+         Printf.sprintf "%d bytes, op %d, pick %d, name %S" (String.length (Dir.encode d)) op
+           pick name)
+       QCheck.Gen.(quad gen_dir (int_bound 2) nat gen_long_name))
+    (fun (d, op, pick, name) ->
+      let old = Dir.encode d in
+      let d = Dir.decode old in
+      let pick_from status =
+        match List.filter (fun (e : Dir.entry) -> e.Dir.status = status) (Dir.all_entries d) with
+        | [] -> None
+        | es -> Some (List.nth es (pick mod List.length es)).Dir.name
+      in
+      let applied =
+        match op with
+        | 0 ->
+          let name = if Dir.find_entry d name = None then name else "fresh" in
+          Dir.find_entry d name = None
+          && (Dir.insert d ~name ~ino:7 ~stamp:1e6 ~origin:3;
+              true)
+        | 1 -> (
+          match pick_from Dir.Live with
+          | Some name -> Dir.remove d ~name ~stamp:1e6 ~origin:3
+          | None -> false)
+        | _ -> (
+          match pick_from Dir.Tombstone with
+          | Some name ->
+            Dir.insert d ~name ~ino:9 ~stamp:1e6 ~origin:3;
+            true
+          | None -> false)
+      in
+      QCheck.assume applied;
+      let b = Dir.encode d in
+      let at i = if i < String.length old then old.[i] else '\000' in
+      let changed = List.filter (fun i -> b.[i] <> at i) (List.init (String.length b) Fun.id) in
+      let pages = List.sort_uniq Int.compare (List.map (fun i -> i / Page.size) changed) in
+      List.length pages = 1
+      && String.length b >= String.length old
+      && (op <> 0 || List.for_all (fun i -> i >= String.length old) changed)
+      && (op = 0 || String.length b = String.length old))
+
+(* A body cut inside a record, or with a record's status byte outside
+   0..2, is refused whole: never a directory missing some entries. *)
+let prop_dir_decode_rejects_damage =
+  QCheck.Test.make ~name:"dir decode rejects a cut or bad record" ~count:300
+    (QCheck.make
+       ~print:(fun (d, pick, cut, status) ->
+         Printf.sprintf "%d bytes, pick %d, cut %d, status %d" (String.length (Dir.encode d))
+           pick cut status)
+       QCheck.Gen.(quad gen_dir nat nat (int_range 3 255)))
+    (fun (d, pick, cut, status) ->
+      let b = Dir.encode d in
+      let spans = record_spans b in
+      QCheck.assume (spans <> []);
+      let start, stop = List.nth spans (pick mod List.length spans) in
+      let cut = start + 1 + (cut mod (stop - start - 1)) in
+      let bad = Bytes.of_string b in
+      Bytes.set_uint8 bad start status;
+      let refused body = match Dir.decode body with _ -> false | exception Failure _ -> true in
+      refused (String.sub b 0 cut) && refused (Bytes.to_string bad))
 
 (* ---- mailbox merge laws ---- *)
 
@@ -864,6 +962,9 @@ let props =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_dir_codec;
+      prop_dir_records_in_one_page;
+      prop_dir_one_page_change;
+      prop_dir_decode_rejects_damage;
       prop_mbox_merge_commutative;
       prop_mbox_merge_idempotent;
       prop_mbox_merge_no_loss;
