@@ -100,12 +100,44 @@ let micro_tests () =
            ignore (Kernel.creat kd2 pd2 "/dops/f");
            Kernel.unlink kd2 pd2 "/dops/f"))
   in
+  (* The next two run with trace recording off, as locus-bench runs: a
+     writer at a packless site overwriting one page of a 2-copy file and
+     committing it, and one bare round trip through [Rpc] and [Netsim]
+     to an echo handler. *)
+  let ww = Experiments.make_world ~n:4 ~packs:[ 0; 1 ] () in
+  Sim.Trace.set_recording (Sim.Engine.trace (World.engine ww)) false;
+  let kw0 = World.kernel ww 0 and pw0 = World.proc ww 0 in
+  Kernel.set_ncopies pw0 2;
+  let page = String.make Storage.Page.size 'w' in
+  let wgf = Kernel.creat kw0 pw0 "/wc" in
+  Kernel.write_file kw0 pw0 "/wc" page;
+  Experiments.settle_ok ww;
+  let kw2 = World.kernel ww 2 in
+  let ow = Us.open_gf kw2 wgf Proto.Mode_modify in
+  let remote_write_commit =
+    Test.make ~name:"remote write+commit"
+      (Staged.stage (fun () ->
+           Us.write kw2 ow ~off:0 page;
+           Us.commit kw2 ow))
+  in
+  let engine = Sim.Engine.create () in
+  Sim.Trace.set_recording (Sim.Engine.trace engine) false;
+  let net = Net.Netsim.create engine (Net.Topology.create ~n:2) Net.Latency.default in
+  Net.Netsim.set_handler net 1 (fun ~src:_ req -> req);
+  let rpc_round_trip =
+    Test.make ~name:"rpc round trip"
+      (Staged.stage (fun () ->
+           ignore
+             (Net.Rpc.call net ~tag:"read" ~src:0 ~dst:1 ~req_bytes:40
+                ~resp_bytes:(fun _ -> 40) 0)))
+  in
   [
     ("open_close_local", local_open); ("open_close_remote", remote_open);
     ("page_read_local", read_local); ("page_read_remote_cached", read_remote);
     ("shadow_commit_2p", shadow_commit); ("vv_compare", vv_compare);
     ("dir_codec_100", dir_codec 100); ("dir_codec_1000", dir_codec 1000);
     ("dirop_remote_create_unlink", remote_dirop);
+    ("write_commit_remote", remote_write_commit); ("rpc_round_trip", rpc_round_trip);
   ]
 
 (* ---- event-core micro suite (BENCH_micro.json) ---- *)

@@ -109,9 +109,7 @@ let break_leases k gf (f : css_file) =
   if not (Site.Set.is_empty f.leases) then begin
     let holders = Site.Set.elements f.leases in
     f.leases <- Site.Set.empty;
-    record k ~tag:"css.lease.break"
-      (Format.asprintf "%a -> [%s]" Gfile.pp gf
-         (String.concat "," (List.map Site.to_string holders)));
+    record k ~tag:"css.lease.break" "%a -> [%a]" Gfile.pp gf pp_sites holders;
     List.iter
       (fun h ->
         if Site.equal h k.site then
@@ -305,13 +303,12 @@ let handle_open k ~src gf mode ~shared us_vv =
             | Proto.Mode_read | Proto.Mode_internal ->
               count_reader f src;
               if lease then f.leases <- Site.Set.add src f.leases);
-            record k ~tag:"css.open"
-              (Format.asprintf "%a %a by %a -> ss %a%s" Gfile.pp gf Proto.pp_mode
-                 mode Site.pp src Site.pp ss
-                 (if stripes = [] then ""
-                  else
-                    Printf.sprintf " stripes [%s]"
-                      (String.concat "," (List.map Site.to_string stripes))));
+            record k ~tag:"css.open" "%a %a by %a -> ss %a%a" Gfile.pp gf Proto.pp_mode mode
+              Site.pp src Site.pp ss
+              (fun ppf -> function
+                | [] -> ()
+                | stripes -> Format.fprintf ppf " stripes [%a]" pp_sites stripes)
+              stripes;
             Proto.R_open
               {
                 ss;
@@ -362,7 +359,7 @@ let maybe_reclaim k gf f =
     if all_seen && all_reachable then begin
       Site.Map.iter (fun site _ -> notify k site (Proto.Reclaim_req { gf })) f.site_vv;
       Hashtbl.remove (fg_state k gf.Gfile.fg).css_files gf.Gfile.ino;
-      record k ~tag:"css.reclaim" (Gfile.to_string gf)
+      record k ~tag:"css.reclaim" "%a" Gfile.pp gf
     end
   end
 

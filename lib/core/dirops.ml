@@ -11,32 +11,57 @@ open Ktypes
 module Inode = Storage.Inode
 module Dir = Catalog.Dir
 
-(* Apply [f] to a directory's contents atomically: open for modification
-   (the CSS serializes writers), rewrite the pages whose records changed,
-   commit, close. Retries a few times when another site holds the
-   modification lock. *)
-let update_dir k dir_gf f =
+(* Ship one entry change to the storage site of a directory open for
+   modification; a procedure call when that is this site. A striped open's
+   [o_ss] is the primary, which holds the complete committed copy. The
+   open counts as dirty from the send on: if the reply is lost, the SS may
+   hold a shadow session that [Us.release] must abort. *)
+let send_dir_update k o op =
+  let name = match op with Proto.Enter { name; _ } | Proto.Remove { name; _ } -> name in
+  o.o_dirty <- true;
+  let resp =
+    if Site.equal o.o_ss k.site then begin
+      charge k (latency k).Net.Latency.local_call;
+      Ss.handle_dir_update k ~src:k.site o.o_gf op
+    end
+    else rpc k o.o_ss (Proto.Dir_update { gf = o.o_gf; op })
+  in
+  match resp with
+  | Proto.R_entry { ino } -> ino
+  | Proto.R_err e -> (
+    (* Refused before anything was written. *)
+    o.o_dirty <- false;
+    match e with
+    | Proto.Eexist -> err e "%s already exists" name
+    | Proto.Enoent -> err e "%s: no such entry" name
+    | _ -> err e "update of %s in %a failed" name Gfile.pp o.o_gf)
+  | _ -> err Proto.Eio "unexpected directory update response"
+
+(* Apply one entry change to a directory atomically: open for
+   modification (the CSS serializes writers), have the storage site apply
+   it to the pages it holds, commit, close. [op] builds the change from
+   its stamp, taken once the open is granted. Retries a few times when
+   another site holds the modification lock. Returns the inode entered or
+   removed. *)
+let update_dir k dir_gf op =
   let rec attempt tries =
     match Us.open_gf k dir_gf Proto.Mode_modify with
     | o ->
-      (* Anything that raises from here on — the read, the user function,
-         the rewrite, the commit — must still release the open, or the SS
-         keeps the serving registration and shadow session forever. *)
+      (* Anything that raises from here on — the update or the commit —
+         must still release the open, or the SS keeps the serving
+         registration and shadow session forever. *)
       (match
-         let old = Us.read_all k o in
-         let dir = Pathname.dir_of_body old in
-         let result = f dir in
-         Us.rewrite k o ~old (Dir.encode dir);
+         let ino = send_dir_update k o (op ~stamp:(now k)) in
          Us.commit k o;
-         result
+         ino
        with
-      | result ->
+      | ino ->
         Us.close k o;
         (* This site just changed the directory, and its own commit
            notification never loops back here: retire name-cache links
            read under the old version now. *)
         Namecache.note_dir_vv k.name_cache ~dir:dir_gf o.o_info.Proto.i_vv;
-        result
+        ino
       | exception e ->
         Us.release k o;
         raise e)
@@ -47,18 +72,11 @@ let update_dir k dir_gf f =
   attempt 5
 
 let enter_entry k dir_gf ~name ~ino =
-  update_dir k dir_gf (fun dir ->
-      match Dir.lookup dir name with
-      | Some _ -> err Proto.Eexist "%s already exists" name
-      | None -> Dir.insert dir ~name ~ino ~stamp:(now k) ~origin:k.site)
+  ignore
+    (update_dir k dir_gf (fun ~stamp -> Proto.Enter { name; ino; stamp; origin = k.site }))
 
 let remove_entry k dir_gf ~name =
-  update_dir k dir_gf (fun dir ->
-      match Dir.lookup dir name with
-      | None -> err Proto.Enoent "%s: no such entry" name
-      | Some ino ->
-        ignore (Dir.remove dir ~name ~stamp:(now k) ~origin:k.site);
-        ino)
+  update_dir k dir_gf (fun ~stamp -> Proto.Remove { name; stamp; origin = k.site })
 
 (* Initial storage-site selection for a new file (section 2.3.7):
    a. all storage sites must store the parent directory;
@@ -110,9 +128,8 @@ let create_in k dir_gf ~name ~ftype ~owner ~perms ~ncopies =
     in
     let gf = Gfile.make ~fg ~ino in
     enter_entry k dir_gf ~name ~ino;
-    record k ~tag:"us.create"
-      (Format.asprintf "%s -> %a at %a (+%d replicas)" name Gfile.pp gf Site.pp ss
-         (List.length others));
+    record k ~tag:"us.create" "%s -> %a at %a (+%d replicas)" name Gfile.pp gf Site.pp ss
+      (List.length others);
     gf
 
 (* Initialize a fresh directory's "." and ".." entries. *)

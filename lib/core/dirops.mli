@@ -7,9 +7,14 @@
     paper's algorithm: storage sites of the parent directory, the local
     site first, inaccessible sites last. *)
 
-val update_dir : Ktypes.t -> Catalog.Gfile.t -> (Catalog.Dir.t -> 'a) -> 'a
-(** Atomically rewrite a directory under the CSS modification lock,
-    retrying a few times on [EBUSY]. *)
+val update_dir :
+  Ktypes.t -> Catalog.Gfile.t -> (stamp:float -> Proto.dir_op) -> int
+(** Apply one entry change to a directory atomically under the CSS
+    modification lock, retrying a few times on [EBUSY]: a [Dir_update] to
+    the directory's storage site, which writes the changed pages into the
+    shadow session, then commit and close. The change is built from its
+    stamp, the time the open was granted. Returns the inode entered or
+    removed. *)
 
 val enter_entry : Ktypes.t -> Catalog.Gfile.t -> name:string -> ino:int -> unit
 (** Raises [EEXIST]. *)

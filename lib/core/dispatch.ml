@@ -22,6 +22,7 @@ let handle k ~src (req : Proto.req) : Proto.resp =
     | Proto.Write_pages { gf; first; off; data } ->
       Ss.handle_write_pages k ~src gf ~first ~off ~data
     | Proto.Truncate_req { gf; size } -> Ss.handle_truncate k gf ~size
+    | Proto.Dir_update { gf; op } -> Ss.handle_dir_update k ~src gf op
     | Proto.Commit_req { gf; us = _; abort; delete; force_vv; stripes } ->
       Ss.handle_commit ?force_vv ~stripes k gf ~abort ~delete
     | Proto.Stripe_collect { gf } -> Ss.handle_stripe_collect k gf
@@ -58,7 +59,7 @@ let handle k ~src (req : Proto.req) : Proto.resp =
     | Proto.Lease_break { gf } ->
       (* CSS callback: drop the retained grant; the deferred close (if one
          is owed and no open still rides the lease) goes out now. *)
-      record k ~tag:"us.lease.breakcb" (Gfile.to_string gf);
+      record k ~tag:"us.lease.breakcb" "%a" Gfile.pp gf;
       Openlease.kill k.open_leases gf;
       Proto.R_ok
     (* create / delete / metadata *)

@@ -406,15 +406,14 @@ let handle_site_failure k dead =
           o.o_closed <- true;
           Us.drop_private k o;
           Sim.Stats.incr (stats k) "cleanup.us.update_lost";
-          record k ~tag:"cleanup" (Format.asprintf "update lost %a" Gfile.pp o.o_gf)
+          record k ~tag:"cleanup" "update lost %a" Gfile.pp o.o_gf
         | Proto.Mode_read | Proto.Mode_internal
           when (not (Site.equal o.o_ss dead)) && in_partition k o.o_ss ->
           (* Only a stripe peer died; the primary still serves a complete
              copy, so the open degrades to the classic protocol in place. *)
           o.o_stripes <- [];
           Sim.Stats.incr (stats k) "cleanup.us.stripe_degraded";
-          record k ~tag:"cleanup"
-            (Format.asprintf "stripe degraded %a" Gfile.pp o.o_gf)
+          record k ~tag:"cleanup" "stripe degraded %a" Gfile.pp o.o_gf
         | Proto.Mode_read | Proto.Mode_internal -> (
           (* Internal close, attempt to reopen at another site. *)
           o.o_stripes <- [];
@@ -430,8 +429,7 @@ let handle_site_failure k dead =
             o.o_lease <- o'.o_lease;
             Hashtbl.remove k.open_files (o'.o_gf, o'.o_serial);
             Sim.Stats.incr (stats k) "cleanup.us.reopened";
-            record k ~tag:"cleanup"
-              (Format.asprintf "reopened %a at %a" Gfile.pp o.o_gf Site.pp o'.o_ss)
+            record k ~tag:"cleanup" "reopened %a at %a" Gfile.pp o.o_gf Site.pp o'.o_ss
           | exception Error _ ->
             o.o_closed <- true;
             (match o.o_lease with Some e -> Us.lease_drop_rider k e | None -> ());
@@ -452,7 +450,7 @@ let handle_site_failure k dead =
             Storage.Shadow.abort session;
             s.s_shadow <- None;
             Sim.Stats.incr (stats k) "cleanup.ss.aborted";
-            record k ~tag:"cleanup" (Format.asprintf "aborted update %a" Gfile.pp gf)
+            record k ~tag:"cleanup" "aborted update %a" Gfile.pp gf
           | None -> ());
           to_drop := gf :: !to_drop
         end
@@ -510,5 +508,5 @@ let restart k =
   let reclaimed =
     Hashtbl.fold (fun _ pack acc -> acc + Storage.Pack.scavenge pack) k.packs 0
   in
-  record k ~tag:"restart" (Printf.sprintf "%d orphan pages reclaimed" reclaimed);
+  record k ~tag:"restart" "%d orphan pages reclaimed" reclaimed;
   reclaimed

@@ -259,8 +259,17 @@ let charge_disk_write k = charge k (latency k).Net.Latency.disk_write
 
 let charge_cpu_page k = charge k (latency k).Net.Latency.cpu_page
 
-let record k ~tag detail =
-  Engine.record k.engine ~tag (Printf.sprintf "%s %s" (Site.to_string k.site) detail)
+(* The detail is formatted only while the trace records: most runs switch
+   recording off, and every call site would otherwise pay the formatting. *)
+let record k ~tag fmt =
+  if Sim.Trace.recording (Engine.trace k.engine) then
+    Format.kasprintf
+      (fun detail -> Engine.record k.engine ~tag (Site.to_string k.site ^ " " ^ detail))
+      fmt
+  else Format.ikfprintf ignore Format.err_formatter fmt
+
+let pp_sites ppf sites =
+  Format.pp_print_string ppf (String.concat "," (List.map Site.to_string sites))
 
 let fg_info k fg =
   match List.find_opt (fun fi -> fi.fg = fg) k.fg_table with

@@ -246,8 +246,13 @@ val charge_disk_write : t -> unit
 
 val charge_cpu_page : t -> unit
 
-val record : t -> tag:string -> string -> unit
-(** Append a protocol-trace event, prefixed with this site. *)
+val record : t -> tag:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
+(** [record k ~tag fmt args] appends a protocol-trace event, its detail
+    formatted from [fmt] and prefixed with this site. While the trace is
+    not recording, nothing is formatted. *)
+
+val pp_sites : Format.formatter -> Net.Site.t list -> unit
+(** Comma-separated site names, for trace details. *)
 
 val fg_info : t -> int -> fg_info
 (** Raises [EINVAL] for an unknown filegroup. *)

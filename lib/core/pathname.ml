@@ -206,9 +206,8 @@ let handle_lookup k gf comps =
     let resp = go gf 0 [] comps in
     (match resp with
     | Proto.R_lookup { consumed; _ } ->
-      record k ~tag:"ss.lookup"
-        (Format.asprintf "%a %d/%d components" Gfile.pp gf consumed
-           (List.length comps))
+      record k ~tag:"ss.lookup" "%a %d/%d components" Gfile.pp gf consumed
+        (List.length comps)
     | _ -> ());
     resp
 

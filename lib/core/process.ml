@@ -165,8 +165,7 @@ let handle_fork k ~child_pid ~env ~image_pages ~parent =
   in
   install_env k p env;
   Hashtbl.add k.procs p.pid p;
-  record k ~tag:"proc.fork.in" (Printf.sprintf "pid %d from %s" child_pid
-                                  (Site.to_string (snd parent)));
+  record k ~tag:"proc.fork.in" "pid %d from %a" child_pid Site.pp (snd parent);
   Proto.R_pid { pid = child_pid }
 
 (* Fork, at the site chosen by the advice list (or locally by default).
@@ -191,7 +190,7 @@ let fork k proc =
     with
     | Proto.R_pid { pid } ->
       proc.p_children <- (pid, dest) :: proc.p_children;
-      record k ~tag:"proc.fork.out" (Printf.sprintf "pid %d -> %s" pid (Site.to_string dest));
+      record k ~tag:"proc.fork.out" "pid %d -> %a" pid Site.pp dest;
       (pid, dest)
     | Proto.R_err e -> err e "remote fork failed"
     | _ -> err Proto.Eio "unexpected fork response"
@@ -206,7 +205,7 @@ let exec_local k proc path =
   proc.p_context <- [ k.machine_type ];
   let pages = load_module k proc path in
   proc.p_image_pages <- pages;
-  record k ~tag:"proc.exec" (Printf.sprintf "pid %d %s (%d pages)" proc.pid path pages)
+  record k ~tag:"proc.exec" "pid %d %s (%d pages)" proc.pid path pages
 
 (* Destination half of a remote exec: the process is effectively moved; the
    load module is read at the destination. *)
@@ -327,7 +326,7 @@ let run ?uid ?cwd ?ncopies ?context k proc path =
     with
     | Proto.R_pid { pid } ->
       proc.p_children <- (pid, dest) :: proc.p_children;
-      record k ~tag:"proc.run" (Printf.sprintf "pid %d %s -> %s" pid path (Site.to_string dest));
+      record k ~tag:"proc.run" "pid %d %s -> %a" pid path Site.pp dest;
       (pid, dest)
     | Proto.R_err e -> err e "remote run failed"
     | _ -> err Proto.Eio "unexpected run response"

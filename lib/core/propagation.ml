@@ -45,7 +45,7 @@ let apply_delete k pack gf ~vv =
     if Vvec.conflict inode.Inode.vv vv then
       (* Deleted in one partition, modified in another: the file wants to
          be saved (section 4.4); leave it for reconciliation. *)
-      record k ~tag:"prop.conflict" (Gfile.to_string gf)
+      record k ~tag:"prop.conflict" "%a" Gfile.pp gf
     else if not (Vvec.dominates_or_equal inode.Inode.vv vv) then begin
       let session = Shadow.begin_modify pack gf.Gfile.ino in
       Shadow.set_contents session "";
@@ -59,7 +59,7 @@ let apply_delete k pack gf ~vv =
          links to it and any links read out of it. *)
       Namecache.invalidate_dir k.name_cache gf;
       Namecache.invalidate_child k.name_cache gf;
-      record k ~tag:"prop.delete" (Gfile.to_string gf);
+      record k ~tag:"prop.delete" "%a" Gfile.pp gf;
       report_to_css k gf vv ~deleted:true
     end
 
@@ -98,7 +98,7 @@ let pull_from k pack gf ~source ~modified =
       else if Vvec.conflict local.Inode.vv info.Proto.i_vv then begin
         (* Concurrent versions: never overwrite — that would lose an
            update. Reconciliation (section 4) resolves it. *)
-        record k ~tag:"prop.conflict" (Gfile.to_string gf);
+        record k ~tag:"prop.conflict" "%a" Gfile.pp gf;
         report_to_css k gf local.Inode.vv ~deleted:local.Inode.deleted;
         true
       end
@@ -164,9 +164,8 @@ let pull_from k pack gf ~source ~modified =
            (* The local copy just jumped versions: links cached from any
               other version of this directory are dead. *)
            Namecache.note_dir_vv k.name_cache ~dir:gf info.Proto.i_vv;
-           record k ~tag:"prop.pull"
-             (Format.asprintf "%a <- %a vv=%a (%d pages)" Gfile.pp gf Site.pp
-                source Vvec.pp info.Proto.i_vv (List.length pages_to_pull))
+           record k ~tag:"prop.pull" "%a <- %a vv=%a (%d pages)" Gfile.pp gf Site.pp source
+             Vvec.pp info.Proto.i_vv (List.length pages_to_pull)
          with Error _ ->
            Shadow.abort session;
            ok := false);
@@ -208,8 +207,7 @@ let service_item k (gf, vv, modified, retries, _) ~backoff =
     if k.alive then begin
       try attempt k gf vv modified
       with Error (e, m) ->
-        record k ~tag:"prop.fail"
-          (Format.asprintf "%a %s: %s" Gfile.pp gf (Proto.errno_to_string e) m);
+        record k ~tag:"prop.fail" "%a %a: %s" Gfile.pp gf Proto.pp_errno e m;
         false
     end
     else false

@@ -11,6 +11,7 @@ module Pack = Storage.Pack
 module Shadow = Storage.Shadow
 module Page = Storage.Page
 module Cache = Storage.Cache
+module Dir = Catalog.Dir
 
 let find_open = ss_find_open
 
@@ -68,29 +69,38 @@ let cached_pack_page k pack gf (inode : Inode.t) lpage =
       page
   end
 
-(* Serve one page (the network read protocol, section 2.3.3). The guess
-   locates the incore inode without a lookup when it is still valid. An
-   open shadow session bypasses the buffer cache: readers of a file being
-   written must see the uncommitted session pages (Unix shared-file
-   semantics). *)
-let handle_read_page ?(guess = 0) k gf lpage =
-  (match Hashtbl.find_opt k.ss_slots guess with
+(* Where the SS reads [gf]'s pages from: an open shadow session's pages
+   when one exists, at a disk read each (readers of a file being written
+   must see its uncommitted pages, Unix shared-file semantics), else the
+   committed copy through the buffer cache. Returns the page reader and
+   the size it reads against. *)
+let page_source k pack gf (inode : Inode.t) =
+  match find_open k gf with
+  | Some { s_shadow = Some session; _ } ->
+    ( (fun lpage ->
+        charge_disk_read k;
+        Shadow.read_page session lpage),
+      (Shadow.incore session).Inode.size )
+  | Some { s_shadow = None; _ } | None ->
+    ((fun lpage -> cached_pack_page k pack gf inode lpage), inode.Inode.size)
+
+let note_guess k gf guess =
+  match Hashtbl.find_opt k.ss_slots guess with
   | Some g when Gfile.equal g gf -> Sim.Stats.incr (stats k) "ss.guess.hit"
-  | Some _ | None -> Sim.Stats.incr (stats k) "ss.guess.miss");
+  | Some _ | None -> Sim.Stats.incr (stats k) "ss.guess.miss"
+
+(* Serve one page (the network read protocol, section 2.3.3). The guess
+   locates the incore inode without a lookup when it is still valid. *)
+let handle_read_page ?(guess = 0) k gf lpage =
+  note_guess k gf guess;
   match local_pack k gf.Gfile.fg with
   | None -> Proto.R_err Proto.Eio
   | Some pack -> (
     match Pack.find_inode pack gf.Gfile.ino with
     | None -> Proto.R_err Proto.Enoent
     | Some inode ->
-      let page, size =
-        match find_open k gf with
-        | Some { s_shadow = Some session; _ } ->
-          charge_disk_read k;
-          (Shadow.read_page session lpage, (Shadow.incore session).Inode.size)
-        | Some { s_shadow = None; _ } | None ->
-          (cached_pack_page k pack gf inode lpage, inode.Inode.size)
-      in
+      let read, size = page_source k pack gf inode in
+      let page = read lpage in
       let remaining = size - (lpage * Page.size) in
       let len = max 0 (min Page.size remaining) in
       let eof = (lpage + 1) * Page.size >= size in
@@ -103,9 +113,7 @@ let handle_read_page ?(guess = 0) k gf lpage =
    own stripe's pages. The reply is trimmed at end of file, with [eof]
    telling the US this site's share of the stream is done. *)
 let handle_read_pages ?(guess = 0) ?(stride = 1) k gf ~first ~count =
-  (match Hashtbl.find_opt k.ss_slots guess with
-  | Some g when Gfile.equal g gf -> Sim.Stats.incr (stats k) "ss.guess.hit"
-  | Some _ | None -> Sim.Stats.incr (stats k) "ss.guess.miss");
+  note_guess k gf guess;
   if first < 0 || count <= 0 || stride <= 0 then Proto.R_err Proto.Einval
   else
     match local_pack k gf.Gfile.fg with
@@ -114,16 +122,7 @@ let handle_read_pages ?(guess = 0) ?(stride = 1) k gf ~first ~count =
       match Pack.find_inode pack gf.Gfile.ino with
       | None -> Proto.R_err Proto.Enoent
       | Some inode ->
-        let read_page, size =
-          match find_open k gf with
-          | Some { s_shadow = Some session; _ } ->
-            ( (fun lpage ->
-                charge_disk_read k;
-                Shadow.read_page session lpage),
-              (Shadow.incore session).Inode.size )
-          | Some { s_shadow = None; _ } | None ->
-            ((fun lpage -> cached_pack_page k pack gf inode lpage), inode.Inode.size)
-        in
+        let read_page, size = page_source k pack gf inode in
         let npages = (size + Page.size - 1) / Page.size in
         let pages = ref [] in
         for i = count - 1 downto 0 do
@@ -158,30 +157,38 @@ let invalidate_others k gf ~writer lpage =
           notify k us (Proto.Page_invalidate { gf; lpage }))
       s.s_uss
 
+(* One page of modification into [gf]'s shadow session, with the effects
+   every written page has, whichever request carried it: a disk write, the
+   buffered committed copy of the page dropped (the session, not the
+   cache, now owns it), and page-valid invalidations at the other using
+   sites. [key] is the committed version's cache key: a commit or
+   propagation re-keys or drops the file's other versions, so no other
+   entry of this page can still hit. A whole page enters without a read;
+   anything else patches. *)
+let write_session_page k ~src gf ~key session ~lpage ~whole ~off data =
+  charge_disk_write k;
+  if whole then Shadow.write_page session ~lpage (Page.of_string data)
+  else Shadow.patch_page session ~lpage ~off data;
+  Cache.invalidate k.ss_cache (gf, lpage, key);
+  invalidate_others k gf ~writer:src lpage
+
 let handle_write_page k ~src gf ~lpage ~whole ~off ~data =
   match local_pack k gf.Gfile.fg with
   | None -> Proto.R_err Proto.Eio
   | Some pack -> (
     match Pack.find_inode pack gf.Gfile.ino with
     | None -> Proto.R_err Proto.Enoent
-    | Some _ ->
+    | Some inode ->
       let session = ensure_session k pack gf in
-      charge_disk_write k;
-      if whole then Shadow.write_page session ~lpage (Page.of_string data)
-      else Shadow.patch_page session ~lpage ~off data;
-      (* Write-through: the buffered committed copy of this page is no
-         longer what a reader should start from. *)
-      Cache.invalidate_if ~notify:false k.ss_cache (fun (g, p, _) -> Gfile.equal g gf && p = lpage);
-      invalidate_others k gf ~writer:src lpage;
+      write_session_page k ~src gf ~key:(vv_key inode.Inode.vv) session ~lpage ~whole ~off
+        data;
       Proto.R_ok)
 
 (* Receive one coalesced write-behind batch: a contiguous byte run from
    offset [off] within page [first], split back into per-page shadow
    writes. Page-aligned full pages enter whole (no read); the run's ragged
-   head and tail patch. Effects per page — disk charge, SS-cache
-   invalidation, page-valid invalidations at other USs — match what the
-   same bytes arriving as single [Write_page]s would do, so the batch is
-   idempotent and safe to retry. *)
+   head and tail patch. Each page has the effects of a single
+   [Write_page], so the batch is idempotent and safe to retry. *)
 let handle_write_pages k ~src gf ~first ~off ~data =
   let len = String.length data in
   if first < 0 || off < 0 || off >= Page.size then Proto.R_err Proto.Einval
@@ -192,8 +199,9 @@ let handle_write_pages k ~src gf ~first ~off ~data =
     | Some pack -> (
       match Pack.find_inode pack gf.Gfile.ino with
       | None -> Proto.R_err Proto.Enoent
-      | Some _ ->
+      | Some inode ->
         let session = ensure_session k pack gf in
+        let key = vv_key inode.Inode.vv in
         let base = (first * Page.size) + off in
         let rec loop pos =
           if pos < len then begin
@@ -201,18 +209,97 @@ let handle_write_pages k ~src gf ~first ~off ~data =
             let lpage = abs / Page.size in
             let poff = abs mod Page.size in
             let n = min (Page.size - poff) (len - pos) in
-            let chunk = String.sub data pos n in
-            charge_disk_write k;
-            if poff = 0 && n = Page.size then
-              Shadow.write_page session ~lpage (Page.of_string chunk)
-            else Shadow.patch_page session ~lpage ~off:poff chunk;
-            Cache.invalidate_if ~notify:false k.ss_cache (fun (g, p, _) -> Gfile.equal g gf && p = lpage);
-            invalidate_others k gf ~writer:src lpage;
+            write_session_page k ~src gf ~key session ~lpage
+              ~whole:(poff = 0 && n = Page.size) ~off:poff (String.sub data pos n);
             loop (pos + n)
           end
         in
         loop 0;
         Proto.R_ok)
+
+(* Replace [old], what [gf] reads as at this site, by [body] in the
+   shadow session, writing only the pages whose bytes differ: a
+   truncate when [body] is shorter, then one page write per changed page.
+   Past [old]'s end the file reads as zeroes, so a page that [body] only
+   extends with zeroes needs no write when a later page carries the size
+   past it. Returns the number of pages written. *)
+let rewrite k ~src gf ~old body =
+  let pack = local_pack_exn k gf.Gfile.fg in
+  let key =
+    match Pack.find_inode pack gf.Gfile.ino with
+    | Some inode -> vv_key inode.Inode.vv
+    | None -> err Proto.Enoent "%a not stored here" Gfile.pp gf
+  in
+  let len = String.length body and old_len = String.length old in
+  if len < old_len then Shadow.truncate (ensure_session k pack gf) len;
+  let npages = (len + Page.size - 1) / Page.size in
+  let same_as_old off n =
+    let rec go i =
+      i >= n
+      ||
+      let c = if off + i < old_len then String.unsafe_get old (off + i) else '\000' in
+      Char.equal c (String.unsafe_get body (off + i)) && go (i + 1)
+    in
+    go 0
+  in
+  let written = ref 0 in
+  for lpage = 0 to npages - 1 do
+    let off = lpage * Page.size in
+    let n = min Page.size (len - off) in
+    let unchanged = (off + n <= old_len || lpage < npages - 1) && same_as_old off n in
+    if not unchanged then begin
+      write_session_page k ~src gf ~key (ensure_session k pack gf) ~lpage
+        ~whole:(n = Page.size) ~off:0 (String.sub body off n);
+      incr written
+    end
+  done;
+  !written
+
+let apply_dir_op dir = function
+  | Proto.Enter { name; ino; stamp; origin } -> (
+    match Dir.lookup dir name with
+    | Some _ -> Stdlib.Error Proto.Eexist
+    | None -> (
+      match Dir.insert dir ~name ~ino ~stamp ~origin with
+      | () -> Ok ino
+      | exception Invalid_argument _ -> Stdlib.Error Proto.Einval))
+  | Proto.Remove { name; stamp; origin } -> (
+    match Dir.lookup dir name with
+    | None -> Stdlib.Error Proto.Enoent
+    | Some ino -> (
+      match Dir.remove dir ~name ~stamp ~origin with
+      | _ -> Ok ino
+      | exception Invalid_argument _ -> Stdlib.Error Proto.Einval))
+
+(* A directory update done where the directory is stored (section 2.3.4's
+   "ask the storage site", applied to updates): read the body through the
+   same page source as a page read, apply the change, and write the pages
+   whose records changed into the shadow session the US's commit then
+   installs. The pages never reach a process, so none is charged
+   [cpu_page], as in the server-side lookup. A body that does not decode
+   is [Eio], never an empty directory. *)
+let handle_dir_update k ~src gf op =
+  match local_pack k gf.Gfile.fg with
+  | None -> Proto.R_err Proto.Eio
+  | Some pack -> (
+    match Pack.find_inode pack gf.Gfile.ino with
+    | None -> Proto.R_err Proto.Enoent
+    | Some inode -> (
+      let read, size = page_source k pack gf inode in
+      let npages = (size + Page.size - 1) / Page.size in
+      let buf = Buffer.create (npages * Page.size) in
+      for lpage = 0 to npages - 1 do
+        Buffer.add_subbytes buf (read lpage) 0 (min Page.size (size - (lpage * Page.size)))
+      done;
+      let old = Buffer.contents buf in
+      match Dir.decode old with
+      | exception Failure _ -> Proto.R_err Proto.Eio
+      | dir -> (
+        match apply_dir_op dir op with
+        | Stdlib.Error e -> Proto.R_err e
+        | Ok ino ->
+          ignore (rewrite k ~src gf ~old (Dir.encode dir));
+          Proto.R_entry { ino })))
 
 let handle_truncate k gf ~size =
   match local_pack k gf.Gfile.fg with
@@ -239,8 +326,8 @@ let handle_stripe_collect k gf =
     Shadow.abort session;
     s.s_shadow <- None;
     Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _, _) -> Gfile.equal g gf);
-    record k ~tag:"ss.stripe.collect"
-      (Format.asprintf "%a -> %d pages size=%d" Gfile.pp gf (List.length pages) size);
+    record k ~tag:"ss.stripe.collect" "%a -> %d pages size=%d" Gfile.pp gf (List.length pages)
+      size;
     Proto.R_stripe { pages; size }
   | Some { s_shadow = None; _ } | None ->
     (* This stripe saw no modifications: nothing to fold in. The size is
@@ -325,7 +412,7 @@ let handle_commit ?force_vv ?(stripes = []) k gf ~abort ~delete =
       | None -> ());
       s.s_shadow <- None;
       (* The committed version is untouched: its buffered pages stay. *)
-      record k ~tag:"ss.abort" (Gfile.to_string gf);
+      record k ~tag:"ss.abort" "%a" Gfile.pp gf;
       let vv =
         match Pack.find_inode pack gf.Gfile.ino with
         | Some inode -> inode.Inode.vv
@@ -368,9 +455,8 @@ let handle_commit ?force_vv ?(stripes = []) k gf ~abort ~delete =
          may keep resolving to it. *)
       Namecache.note_dir_vv k.name_cache ~dir:gf vv;
       if delete then Namecache.invalidate_child k.name_cache gf;
-      record k ~tag:"ss.commit"
-        (Format.asprintf "%a vv=%a%s" Gfile.pp gf Vvec.pp vv
-           (if delete then " delete" else ""));
+      record k ~tag:"ss.commit" "%a vv=%a%s" Gfile.pp gf Vvec.pp vv
+        (if delete then " delete" else "");
       (* Notify the CSS and the other storage sites (section 2.3.6). The
          CSS message is synchronous: the commit is not complete until the
          synchronization site knows the new version, which is what keeps
@@ -475,8 +561,7 @@ let revalidate_serving k =
   List.iter
     (fun (gf, (s : ss_open), us, actual) ->
       Sim.Stats.incr (stats k) "ss.revalidate.dropped";
-      record k ~tag:"ss.revalidate"
-        (Format.asprintf "%a us=%a -> %d" Gfile.pp gf Site.pp us actual);
+      record k ~tag:"ss.revalidate" "%a us=%a -> %d" Gfile.pp gf Site.pp us actual;
       s.s_uss <-
         (if actual = 0 then Site.Map.remove us s.s_uss
          else Site.Map.add us actual s.s_uss);
@@ -505,7 +590,7 @@ let handle_create k req_fg ~ftype ~owner ~perms ~replicate_at =
     Pack.install_inode pack inode;
     charge_disk_write k;
     let gf = Gfile.make ~fg:req_fg ~ino in
-    record k ~tag:"ss.create" (Format.asprintf "%a %a" Gfile.pp gf Inode.pp_ftype ftype);
+    record k ~tag:"ss.create" "%a %a" Gfile.pp gf Inode.pp_ftype ftype;
     let fi = fg_info k req_fg in
     let message ~designate ~replicas =
       Proto.Commit_notify

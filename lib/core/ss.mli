@@ -68,6 +68,25 @@ val handle_write_pages :
 
 val handle_truncate : Ktypes.t -> Catalog.Gfile.t -> size:int -> Proto.resp
 
+val rewrite :
+  Ktypes.t -> src:Net.Site.t -> Catalog.Gfile.t -> old:string -> string -> int
+(** [rewrite k ~src gf ~old body] replaces [old], what [gf] reads as at
+    this site, by [body] in the shadow session: a truncate when [body] is
+    shorter, then a write of each page whose bytes differ, with the
+    effects of a [Write_pages] page. Past [old]'s end the file reads as
+    zeroes, so a page [body] only extends with zeroes is skipped when a
+    later page carries the size past it. Returns the pages written. *)
+
+val handle_dir_update :
+  Ktypes.t -> src:Net.Site.t -> Catalog.Gfile.t -> Proto.dir_op -> Proto.resp
+(** Apply one entry change to a directory open for modification here:
+    read the body through the same page source as a page read (the
+    session if open, else the buffer cache or disk; no [cpu_page]
+    charge), apply [Dir.insert] or [Dir.remove], and {!rewrite} the
+    result. Answers [R_entry] with the inode entered or removed, or
+    [R_err] [Eexist], [Enoent], [Einval] (a name or origin the record
+    format refuses) or [Eio] (the body does not decode). *)
+
 val handle_commit :
   ?force_vv:Vv.Version_vector.t ->
   ?stripes:Net.Site.t list ->

@@ -102,9 +102,8 @@ let handle_token_req k key ~for_site =
         fd.f_holder <- for_site;
         fd.f_offset <- off;
         Sim.Stats.incr (stats k) "token.flip";
-        record k ~tag:"token.grant"
-          (Format.asprintf "%a -> %a off=%d" Proto.pp_token (Proto.Tok_fd (fst key, snd key))
-             Site.pp for_site off);
+        record k ~tag:"token.grant" "%a -> %a off=%d" Proto.pp_token
+          (Proto.Tok_fd (fst key, snd key)) Site.pp for_site off;
         Proto.R_token { granted = true; state = string_of_int off }
     end
 
@@ -172,8 +171,7 @@ let handle_site_failure k dead =
       | Some o -> ( try Us.close k o with Error _ -> Us.release k o)
       | None -> ());
       Hashtbl.remove k.shared_fds key;
-      record k ~tag:"cleanup"
-        (Printf.sprintf "dropped stranded fd (%d,%d)" (fst key) (snd key)))
+      record k ~tag:"cleanup" "dropped stranded fd (%d,%d)" (fst key) (snd key))
     stranded;
   Hashtbl.iter
     (fun _ fd ->

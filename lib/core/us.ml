@@ -142,7 +142,7 @@ let rec open_gf ?(shared = false) k gf mode =
   in
   renew_key k o;
   Hashtbl.add k.open_files (gf, o.o_serial) o;
-  record k ~tag (Format.asprintf "%a %a ss=%a" Gfile.pp gf Proto.pp_mode mode Site.pp ss);
+  record k ~tag "%a %a ss=%a" Gfile.pp gf Proto.pp_mode mode Site.pp ss;
   o
 
 (* The full exchange with the CSS; returns what the open record needs. *)
@@ -189,7 +189,7 @@ and open_cold ~shared k fi gf mode =
           }
         in
         Openlease.insert k.open_leases e;
-        record k ~tag:"us.lease.grant" (Gfile.to_string gf);
+        record k ~tag:"us.lease.grant" "%a" Gfile.pp gf;
         Some e
       end
       else None
@@ -216,7 +216,7 @@ let page_site o lpage =
    cannot degrade (pages already written to peer sessions would be lost);
    they fail like a classic open whose SS died. *)
 let stripe_degrade k o =
-  record k ~tag:"us.stripe.degrade" (Gfile.to_string o.o_gf);
+  record k ~tag:"us.stripe.degrade" "%a" Gfile.pp o.o_gf;
   Sim.Stats.incr (stats k) "us.stripe.degrade";
   o.o_stripes <- []
 
@@ -633,30 +633,6 @@ let set_contents k o body =
   if String.length body > 0 then write k o ~off:0 body;
   o.o_dirty <- true
 
-(* Replace [old], the body this open just read, by [body], sending only
-   the pages whose bytes differ. Past [old]'s end the file reads as
-   zeroes, so a page that [body] only extends with zeroes needs no write
-   when a later page carries the size past it. *)
-let rewrite k o ~old body =
-  let len = String.length body and old_len = String.length old in
-  if len < old_len then truncate k o len;
-  let npages = (len + Page.size - 1) / Page.size in
-  let same_as_old off n =
-    let rec go i =
-      i >= n
-      ||
-      let c = if off + i < old_len then String.unsafe_get old (off + i) else '\000' in
-      Char.equal c (String.unsafe_get body (off + i)) && go (i + 1)
-    in
-    go 0
-  in
-  for lpage = 0 to npages - 1 do
-    let off = lpage * Page.size in
-    let n = min Page.size (len - off) in
-    let unchanged = (off + n <= old_len || lpage < npages - 1) && same_as_old off n in
-    if not unchanged then write k o ~off (String.sub body off n)
-  done
-
 (* Commit or abort the modifications of this open (section 2.3.6). *)
 let commit_gen k o ~abort ~delete =
   (* The write-behind run is part of what commits: flush it into the SS
@@ -700,7 +676,7 @@ let abort k o = ignore (commit_gen k o ~abort:true ~delete:false)
    breaks arriving through dispatch, eviction or recovery all route here. *)
 let lease_send_close k (e : Openlease.entry) =
   if k.alive then begin
-    record k ~tag:"us.lease.close" (Gfile.to_string e.Openlease.le_gf);
+    record k ~tag:"us.lease.close" "%a" Gfile.pp e.Openlease.le_gf;
     if Site.equal e.Openlease.le_ss k.site then
       (try
          ignore
@@ -766,7 +742,7 @@ let close k o =
        stay, version-keyed, so a re-open of the same version hits warm. *)
     if not k.config.cache_retention then
       Cache.invalidate_if ~notify:false k.us_cache (fun (g, _, _) -> Gfile.equal g o.o_gf);
-    record k ~tag:"us.close" (Gfile.to_string o.o_gf)
+    record k ~tag:"us.close" "%a" Gfile.pp o.o_gf
   end
 
 (* Delete the file body: mark the inode deleted and commit (section 2.3.7). *)

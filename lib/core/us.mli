@@ -63,12 +63,6 @@ val truncate : Ktypes.t -> Ktypes.ofile -> int -> unit
 val set_contents : Ktypes.t -> Ktypes.ofile -> string -> unit
 (** Whole-file overwrite (truncate + page writes). *)
 
-val rewrite : Ktypes.t -> Ktypes.ofile -> old:string -> string -> unit
-(** [rewrite k o ~old body] replaces [old], the body this open just read,
-    by [body]: it truncates when [body] is shorter and writes each page
-    whose bytes differ, leaving the others alone (adjacent changed pages
-    coalesce in write-behind). *)
-
 val commit : Ktypes.t -> Ktypes.ofile -> unit
 (** Atomically commit this open's modifications at the SS (§2.3.6). *)
 

@@ -125,6 +125,14 @@ type lookup_step = {
   l_ftype : Storage.Inode.ftype option; (* child's type, when stored at the SS *)
 }
 
+(* One name-space change shipped to a directory's storage site: enter a
+   binding, or turn a live one into a tombstone. [stamp] and [origin] are
+   the time and site of the change, which the entry keeps for the
+   reconciliation rules of section 4.4. *)
+type dir_op =
+  | Enter of { name : string; ino : int; stamp : float; origin : Net.Site.t }
+  | Remove of { name : string; stamp : float; origin : Net.Site.t }
+
 type req =
   (* --- open protocol (Figure 2) --- *)
   | Open_req of {
@@ -161,6 +169,11 @@ type req =
        request idempotent. *)
   | Truncate_req of { gf : Catalog.Gfile.t; size : int }
     (* US -> SS: shrink the open modification session's file *)
+  | Dir_update of { gf : Catalog.Gfile.t; op : dir_op }
+    (* US -> SS of a directory open for modification: apply [op] to the
+       directory there and write the changed pages into the open shadow
+       session, so no directory page crosses the wire (the "ask the
+       storage site" remedy of section 2.3.4, applied to updates) *)
   | Commit_req of {
       gf : Catalog.Gfile.t;
       us : Net.Site.t;
@@ -294,6 +307,7 @@ type resp =
     (* a peer stripe SS's modified full pages (lpage, data) and its
        session's file size, surrendered to the committing primary *)
   | R_created of { ino : int }
+  | R_entry of { ino : int } (* the inode a [Dir_update] entered or removed *)
   | R_stat of { info : inode_info option; stored_here : bool }
   | R_lookup of { gf : Catalog.Gfile.t; consumed : int; trail : lookup_step list }
     (* where the server-side walk stopped, how many components it
@@ -348,6 +362,10 @@ let req_bytes = function
   | Write_page { data; _ } -> header + gfile_bytes + 9 + String.length data
   | Write_pages { data; _ } -> header + gfile_bytes + 12 + String.length data
   | Truncate_req _ -> header + gfile_bytes + 4
+  | Dir_update { op = Enter { name; _ } | Remove { name; _ }; _ } ->
+    (* an op byte and the one directory record the change writes: 21
+       bytes of status, lengths, origin, inode and stamp, then the name *)
+    header + gfile_bytes + 1 + 21 + String.length name
   | Commit_req { force_vv; stripes; _ } ->
     header + gfile_bytes + 5
     + (match force_vv with Some v -> vv_bytes v | None -> 0)
@@ -411,7 +429,7 @@ let resp_bytes = function
   | R_committed { vv } -> header + vv_bytes vv
   | R_stripe { pages; _ } ->
     header + 8 + List.fold_left (fun a (_, p) -> a + 6 + String.length p) 0 pages
-  | R_created _ -> header + 4
+  | R_created _ | R_entry _ -> header + 4
   | R_stat { info; _ } ->
     header + 1 + (match info with Some i -> info_bytes i | None -> 0)
   | R_lookup { trail; _ } ->
@@ -435,7 +453,7 @@ let req_tag = function
   | Open_req _ -> "open"
   | Storage_req _ -> "storage"
   | Read_page _ | Read_pages _ -> "read"
-  | Write_page _ | Write_pages _ -> "write"
+  | Write_page _ | Write_pages _ | Dir_update _ -> "write"
   | Truncate_req _ -> "truncate"
   | Commit_req _ -> "commit"
   | Stripe_collect _ -> "stripe.collect"
@@ -483,7 +501,7 @@ let req_idempotent = function
   | Status_check _ ->
     true
   | Open_req _ | Storage_req _ | Commit_req _ | Stripe_collect _ | Us_close _ | Ss_close _
-  | Create_req _ | Link_count _ | Set_attr _ | Fork_req _ | Exec_req _
+  | Dir_update _ | Create_req _ | Link_count _ | Set_attr _ | Fork_req _ | Exec_req _
   | Run_req _ | Signal_req _ | Exit_notify _ | Pipe_write _ | Pipe_read _ ->
     false
 

@@ -107,6 +107,15 @@ type lookup_step = {
       (** the child's type, when its inode is stored at the serving site *)
 }
 
+(** {1 Directory updates at the storage site} *)
+
+(** One name-space change, applied by {!Dir_update} at the directory's
+    storage site. [stamp] and [origin] are the time and site of the
+    change, kept in the entry for reconciliation (§4.4). *)
+type dir_op =
+  | Enter of { name : string; ino : int; stamp : float; origin : Net.Site.t }
+  | Remove of { name : string; stamp : float; origin : Net.Site.t }
+
 (** {1 Requests} *)
 
 type req =
@@ -153,6 +162,13 @@ type req =
           coalesced write-behind batch. Absolute positioning keeps the
           request idempotent (safe to retry). *)
   | Truncate_req of { gf : Catalog.Gfile.t; size : int }
+  | Dir_update of { gf : Catalog.Gfile.t; op : dir_op }
+      (** US → SS of a directory open for modification: apply [op] there
+          and write only the changed pages into the open shadow session,
+          so no directory page crosses the wire. Answered by [R_entry]
+          with the inode entered or removed, or [R_err] ([Eexist],
+          [Enoent], [Einval], [Eio] for a body that does not decode).
+          Never retried: a lost reply fails the update. *)
   | Commit_req of {
       gf : Catalog.Gfile.t;
       us : Net.Site.t;
@@ -294,6 +310,7 @@ type resp =
       (** a peer stripe SS's modified full pages [(lpage, data)] and its
           session's file size, answering a [Stripe_collect] *)
   | R_created of { ino : int }
+  | R_entry of { ino : int }  (** the inode a [Dir_update] entered or removed *)
   | R_stat of { info : inode_info option; stored_here : bool }
   | R_lookup of { gf : Catalog.Gfile.t; consumed : int; trail : lookup_step list }
       (** where the server-side walk stopped, how many components it

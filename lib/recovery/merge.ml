@@ -99,8 +99,7 @@ let handle_announce k ~members ~css_map =
      state stranded by a lost open reply (the CSS registered the US here,
      but the US never saw the grant, so no close will ever arrive). *)
   Ss.revalidate_serving k;
-  record k ~tag:"merge.apply"
-    (Printf.sprintf "members=[%s]" (String.concat "," (List.map Site.to_string members)));
+  record k ~tag:"merge.apply" "members=[%a]" pp_sites members;
   Proto.R_ok
 
 exception Yield of Site.t
@@ -152,7 +151,7 @@ let run_initiator ?(policy = default_policy) ?(gateways = []) k ~all_sites =
    with Yield active ->
      Hashtbl.remove merging k.site;
      k.recon_stage <- 0;
-     record k ~tag:"merge.yield" (Site.to_string active);
+     record k ~tag:"merge.yield" "%a" Site.pp active;
      raise (Yield active));
   (* Timeout accounting: polls are asynchronous, so the waits overlap; the
      charge is the single timeout level still applicable at the end. *)
@@ -200,7 +199,7 @@ let run_initiator ?(policy = default_policy) ?(gateways = []) k ~all_sites =
              unavailable here. Electing a packless synchronization site
              would only manufacture ghost state; leave the filegroup out
              and let a later merge that includes a pack holder assign one. *)
-          record k ~tag:"merge.unavailable" (Printf.sprintf "fg %d: no pack holder" fg);
+          record k ~tag:"merge.unavailable" "fg %d: no pack holder" fg;
           None)
       all_fgs
   in

@@ -46,8 +46,7 @@ let reelect_css k members =
         fi.css_site <- new_css;
         if Site.equal new_css k.site then begin
           Merge.rebuild_css k fi.fg ~members;
-          record k ~tag:"css.elect" (Printf.sprintf "fg %d css %s -> %s" fi.fg
-                                       (Site.to_string old) (Site.to_string new_css))
+          record k ~tag:"css.elect" "fg %d css %a -> %a" fi.fg Site.pp old Site.pp new_css
         end
         else if Site.equal old k.site then Locus_core.Css.drop_fg k fi.fg
       end)
@@ -73,10 +72,8 @@ let apply_membership k members =
       Kernel.handle_site_failure k dead)
     departed;
   if departed <> [] then
-    record k ~tag:"part.apply"
-      (Printf.sprintf "members=[%s] departed=[%s]"
-         (String.concat "," (List.map Site.to_string k.site_table))
-         (String.concat "," (List.map Site.to_string departed)));
+    record k ~tag:"part.apply" "members=[%a] departed=[%a]" pp_sites k.site_table pp_sites
+      departed;
   departed
 
 (* Passive side: answer a poll with our own partition set, verified

@@ -339,7 +339,7 @@ let resolve_conflict k gf f copies report =
                (List.length copies))
           report
       | None -> ());
-      record k ~tag:"recon.conflict" (Gfile.to_string gf)
+      record k ~tag:"recon.conflict" "%a" Gfile.pp gf
     in
     (* A file deleted in one partition but modified in another wants to be
        saved (section 4.4): prefer a live copy as merge basis. *)
@@ -359,8 +359,7 @@ let resolve_conflict k gf f copies report =
                    | dir -> Some dir
                    | exception Failure _ ->
                      Sim.Stats.incr (stats k) "recon.dir.undecodable";
-                     record k ~tag:"recon.dir.undecodable"
-                       (Format.asprintf "%a at %a" Gfile.pp gf Site.pp site);
+                     record k ~tag:"recon.dir.undecodable" "%a at %a" Gfile.pp gf Site.pp site;
                      None))
           (if live <> [] then live else fetched)
       in
@@ -373,7 +372,7 @@ let resolve_conflict k gf f copies report =
         in
         report.dir_merges <- report.dir_merges + 1;
         commit_merged ~target:site0 (Dir.encode merged);
-        record k ~tag:"recon.dir" (Gfile.to_string gf))
+        record k ~tag:"recon.dir" "%a" Gfile.pp gf)
     | Inode.Mailbox ->
       let boxes =
         List.filter_map
@@ -389,7 +388,7 @@ let resolve_conflict k gf f copies report =
         let merged = List.fold_left Mbox.merge first rest in
         report.mail_merges <- report.mail_merges + 1;
         commit_merged ~target:site0 (Mbox.encode merged);
-        record k ~tag:"recon.mail" (Gfile.to_string gf))
+        record k ~tag:"recon.mail" "%a" Gfile.pp gf)
     | Inode.Regular | Inode.Database | Inode.Fifo ->
       if deleted_involved && live <> [] then begin
         (* Delete/modify conflict: save the modified copy. *)
@@ -398,7 +397,7 @@ let resolve_conflict k gf f copies report =
         | Some content ->
           report.saved_from_delete <- report.saved_from_delete + 1;
           commit_merged ~target:site content;
-          record k ~tag:"recon.saved" (Gfile.to_string gf)
+          record k ~tag:"recon.saved" "%a" Gfile.pp gf
         | None -> ()
       end
       else begin
@@ -417,7 +416,7 @@ let resolve_conflict k gf f copies report =
             let merged = manager contents in
             report.manager_merges <- report.manager_merges + 1;
             commit_merged ~target:site0 merged;
-            record k ~tag:"recon.manager" (Gfile.to_string gf))
+            record k ~tag:"recon.manager" "%a" Gfile.pp gf)
         | None -> mark_conflict ()
       end
 

@@ -290,9 +290,10 @@ let test_commit_visibility () =
   ignore (World.settle w);
   check Alcotest.string "abort undoes" "committed" (Kernel.read_file k0 p0 "/t")
 
-(* [Us.rewrite] sends only the pages whose bytes differ. Past the old end
-   the file reads as zeroes, so a page the new body only extends with
-   zeroes is left alone when a later page carries the size past it. *)
+(* The SS-side rewrite of a directory update ([Ss.rewrite]) writes only
+   the pages whose bytes differ. Past the old end the file reads as
+   zeroes, so a page the new body only extends with zeroes is left alone
+   when a later page carries the size past it. *)
 let test_rewrite_sends_changed_pages () =
   let w = asym_world_nobulk () in
   let k0 = World.kernel w 0 and p0 = World.proc w 0 in
@@ -305,14 +306,15 @@ let test_rewrite_sends_changed_pages () =
   let gf = gf_of k2 "/r" in
   let rewrite old body =
     let o = Us.open_gf k2 gf Proto.Mode_modify in
+    let ss = World.kernel w o.K.o_ss in
     let snap = Stats.snapshot (stats w) in
-    Us.rewrite k2 o ~old body;
-    let writes = Stats.delta_of (stats w) snap "net.msg.write" / 2 in
+    let written = Locus_core.Ss.rewrite ss ~src:2 gf ~old body in
+    check Alcotest.int "no page crosses the wire" 0 (msg_delta w snap);
     Us.commit k2 o;
     Us.close k2 o;
     ignore (World.settle w);
     check Alcotest.string "file holds the new body" body (Kernel.read_file k2 p2 "/r");
-    writes
+    written
   in
   check Alcotest.int "same body: no write" 0 (rewrite v1 v1);
   let v2 = String.make (2 * page) 'a' ^ String.make 100 'b' ^ String.make (page - 100) '\000' ^ "c" in
@@ -531,8 +533,12 @@ let test_remote_dirop_moves_one_page () =
   let k2 = World.kernel w 2 and p2 = World.proc w 2 in
   let snap = Stats.snapshot (stats w) in
   ignore (Kernel.creat k2 p2 "/big/one");
+  (* The SS applies the change: no directory page crosses the wire, and
+     the one write-class RPC is the [Dir_update] itself. *)
+  check Alcotest.int "no directory page read" 0 (Stats.delta_of (stats w) snap "net.msg.read");
   check Alcotest.int "one write RPC" 2 (Stats.delta_of (stats w) snap "net.msg.write");
-  check Alcotest.int "one page written" 1 (Stats.delta_of (stats w) snap "us.bulk.write.pages");
+  check Alcotest.int "no page shipped for writing" 0
+    (Stats.delta_of (stats w) snap "us.bulk.write.pages");
   (* Deliver the commit notification; the pull it queues waits 50 ms. *)
   ignore (Sim.Engine.run_for (World.engine w) 5.0);
   let queued =
@@ -558,6 +564,49 @@ let test_remote_dirop_moves_one_page () =
   List.iter (fun name -> ignore (Kernel.stat k0 p0 ("/big/" ^ name))) [ "one"; "two" ];
   let k1 = World.kernel w 1 and p1 = World.proc w 1 in
   check Alcotest.int "both copies list every entry" 164 (List.length (Kernel.readdir k1 p1 "/big"))
+
+(* A lost [Dir_update] reply fails the create: the update is never
+   retried, and the release that follows aborts the shadow session the SS
+   opened for it and closes the open, so the SS keeps neither, and the
+   directory is unchanged. *)
+let test_dir_update_lost_reply () =
+  let w = asym_world () in
+  let k1 = World.kernel w 1 and p1 = World.proc w 1 in
+  (* Stored at site 1 only; site 0 is the CSS and site 2 the using site. *)
+  let dir_gf = Kernel.mkdir k1 p1 "/d" in
+  ignore (Kernel.creat k1 p1 "/d/old");
+  ignore (World.settle w);
+  let pack = Hashtbl.find k1.K.packs 0 in
+  let body () = Storage.Pack.read_string pack (Storage.Pack.get_inode pack dir_gf.Catalog.Gfile.ino) in
+  let before = body () and vv = (Storage.Pack.get_inode pack dir_gf.Catalog.Gfile.ino).Inode.vv in
+  let net = World.net w in
+  let updates = ref 0 in
+  Net.Netsim.set_handler net 1 (fun ~src req ->
+      (match req with
+      | Proto.Dir_update _ ->
+        incr updates;
+        Net.Netsim.fail_next_message net ~src:1 ~dst:src
+      | _ -> ());
+      k1.K.dispatch src req);
+  let k2 = World.kernel w 2 and p2 = World.proc w 2 in
+  (match Kernel.creat k2 p2 "/d/new" with
+  | _ -> Alcotest.fail "the create should fail"
+  | exception K.Error (Proto.Enet, _) -> ());
+  Net.Netsim.set_handler net 1 (fun ~src req -> k1.K.dispatch src req);
+  check Alcotest.int "sent once, never retried" 1 !updates;
+  check Alcotest.bool "no serving registration at the SS" true
+    (Locus_core.Ss.find_open k1 dir_gf = None);
+  check Alcotest.bool "no shadow pages left" true (Storage.Pack.fsck pack = []);
+  ignore (World.settle w);
+  check Alcotest.string "directory body unchanged" before (body ());
+  check Alcotest.bool "directory version unchanged" true
+    (Vv.Version_vector.equal vv (Storage.Pack.get_inode pack dir_gf.Catalog.Gfile.ino).Inode.vv);
+  let names = List.map (fun (e : Dir.entry) -> e.Dir.name) (Kernel.readdir k2 p2 "/d") in
+  check Alcotest.(list string) "no new entry" [ "."; ".."; "old" ] names;
+  ignore (Kernel.creat k2 p2 "/d/new");
+  ignore (World.settle w);
+  check Alcotest.bool "the lock was released: a retry succeeds" true
+    (List.length (Kernel.readdir k2 p2 "/d") = 4)
 
 let test_hard_link () =
   let w = full_world () in
@@ -754,6 +803,7 @@ let () =
           Alcotest.test_case "create EEXIST" `Quick test_create_eexist;
           Alcotest.test_case "remote dirop moves one page" `Quick
             test_remote_dirop_moves_one_page;
+          Alcotest.test_case "lost dir-update reply" `Quick test_dir_update_lost_reply;
         ] );
       ( "close-protocol",
         [

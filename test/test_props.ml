@@ -10,6 +10,10 @@
      under commit / abort / crash, and leak no disk pages
    - partition protocol: for arbitrary physical topologies the agreed
      membership is fully connected and unanimous
+   - directory updates at the storage site: random creates and unlinks
+     from packed and packless sites, at stripe width 1 and 3, give the
+     errnos of a name model, leave byte-identical copies that re-encode
+     to themselves, and list the model's names at every site
    - end-to-end: after random divergent updates and a merge, all copies of
      every file converge to identical version vectors and contents (or the
      file is explicitly marked in conflict)
@@ -472,6 +476,89 @@ let prop_fs_matches_model =
             [ 0; 1; 2; 3 ])
         model;
       !ok)
+
+(* ---- directory updates at the storage site match a name model ---- *)
+
+(* A random sequence of creates and unlinks over a small name pool, so
+   that duplicate creates, unlinks of missing names and re-creates of
+   tombstoned names all occur, issued from packed sites (0-2) and the
+   packless site 3 against a directory with a copy at every pack, at
+   stripe width 1 and 3. Each errno must match a model of the live names.
+   After a settle, every copy's body must be byte-identical and re-encode
+   to itself, and every site must list exactly the model's names. *)
+let arb_dirop_case =
+  QCheck.make
+    ~print:(fun (width, ops) ->
+      Printf.sprintf "width %d: %s" width
+        (String.concat "; "
+           (List.map
+              (fun (site, n, create) ->
+                Printf.sprintf "%s n%d at s%d" (if create then "create" else "unlink") n site)
+              ops)))
+    QCheck.Gen.(
+      pair (oneofl [ 1; 3 ])
+        (list_size (int_range 1 16) (triple (int_bound 3) (int_bound 4) bool)))
+
+let prop_dir_updates_match_model =
+  QCheck.Test.make ~name:"directory updates at the SS match a name model" ~count:60
+    arb_dirop_case (fun (width, ops) ->
+      let base = World.default_config ~n_sites:4 () in
+      let config =
+        {
+          base with
+          World.filegroups = [ { World.fg = 0; pack_sites = [ 0; 1; 2 ]; mount_path = None } ];
+          kernel_config = { base.World.kernel_config with K.stripe_width = width };
+        }
+      in
+      let w = World.create ~config () in
+      let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+      Kernel.set_ncopies p0 3;
+      let dir_gf = Kernel.mkdir k0 p0 "/d" in
+      ignore (World.settle w);
+      let live = Hashtbl.create 8 in
+      let ok = ref true in
+      List.iter
+        (fun (site, n, create) ->
+          let k = World.kernel w site and p = World.proc w site in
+          let name = Printf.sprintf "n%d" n in
+          let path = "/d/" ^ name in
+          let was_live = Hashtbl.mem live name in
+          let expected =
+            if create && was_live then Stdlib.Error Proto.Eexist
+            else if (not create) && not was_live then Stdlib.Error Proto.Enoent
+            else Ok ()
+          in
+          let outcome =
+            match if create then ignore (Kernel.creat k p path) else Kernel.unlink k p path with
+            | () -> Ok ()
+            | exception K.Error (e, _) -> Stdlib.Error e
+          in
+          if outcome <> expected then ok := false
+          else if outcome = Ok () then
+            if create then Hashtbl.replace live name () else Hashtbl.remove live name)
+        ops;
+      ignore (World.settle w);
+      let bodies =
+        List.map
+          (fun s ->
+            let pack = Hashtbl.find (World.kernel w s).K.packs 0 in
+            Pack.read_string pack (Pack.get_inode pack dir_gf.Catalog.Gfile.ino))
+          [ 0; 1; 2 ]
+      in
+      let expected =
+        List.sort compare ("." :: ".." :: Hashtbl.fold (fun name () acc -> name :: acc) live [])
+      in
+      !ok
+      && List.for_all (String.equal (List.hd bodies)) bodies
+      && List.for_all (fun b -> String.equal (Dir.encode (Dir.decode b)) b) bodies
+      && List.for_all
+           (fun s ->
+             let names =
+               Kernel.readdir (World.kernel w s) (World.proc w s) "/d"
+               |> List.map (fun (e : Dir.entry) -> e.Dir.name)
+             in
+             names = expected)
+           [ 0; 1; 2; 3 ])
 
 (* ---- committed data survives crashes at random points ---- *)
 
@@ -972,6 +1059,7 @@ let props =
       prop_partition_fully_connected;
       prop_convergence_after_merge;
       prop_fs_matches_model;
+      prop_dir_updates_match_model;
       prop_commits_survive_crashes;
       prop_convergence_despite_message_loss;
       prop_fetcher_reads_file_bytes;

@@ -37,6 +37,9 @@ let some_reqs =
         designate = false;
         replicas = [];
       };
+    Proto.Dir_update
+      { gf; op = Proto.Enter { name = "entry"; ino = 7; stamp = 1.0; origin = 2 } };
+    Proto.Dir_update { gf; op = Proto.Remove { name = "entry"; stamp = 2.0; origin = 2 } };
     Proto.Reclaim_req { gf };
     Proto.Page_invalidate { gf; lpage = 3 };
     Proto.Create_req
@@ -130,6 +133,7 @@ let test_resp_sizes () =
       Proto.R_pset { pset = [ 0; 1; 2 ] };
       Proto.R_inventory { files = [ (2, vv_small, false) ] };
       Proto.R_data { data = "x" };
+      Proto.R_entry { ino = 7 };
     ];
   check Alcotest.bool "page response dominated by data" true
     (Proto.resp_bytes (Proto.R_page { data = String.make 1024 'd'; eof = false })
