@@ -100,6 +100,35 @@ let micro_tests () =
            ignore (Kernel.creat kd2 pd2 "/dops/f");
            Kernel.unlink kd2 pd2 "/dops/f"))
   in
+  (* One directory update at the SS plus its commit, on a directory of
+     [n] entries stored only at the using site: the host cost the SS pays
+     per dirop. Runs alternate an enter and a remove of one name, so the
+     directory keeps its size (the enter re-enters the tombstone). *)
+  let ss_dirop n =
+    let w = Experiments.make_world ~n:2 ~packs:[ 0 ] () in
+    Sim.Trace.set_recording (Sim.Engine.trace (World.engine w)) false;
+    let k = World.kernel w 0 and p = World.proc w 0 in
+    let gf = Kernel.mkdir k p "/d" in
+    let o = Us.open_gf k gf Proto.Mode_modify in
+    let dir = Catalog.Dir.decode (Us.read_all k o) in
+    for i = 0 to n - 1 do
+      Catalog.Dir.insert dir ~name:(Printf.sprintf "%05d" i) ~ino:(100 + i) ~stamp:0.0
+        ~origin:0
+    done;
+    Us.set_contents k o (Catalog.Dir.encode dir);
+    Us.commit k o;
+    Experiments.settle_ok w;
+    let present = ref false in
+    Test.make ~name:(Printf.sprintf "SS dirop (%d entries)" n)
+      (Staged.stage (fun () ->
+           let op =
+             if !present then Proto.Remove { name = "x"; stamp = 1.0; origin = 0 }
+             else Proto.Enter { name = "x"; ino = 7; stamp = 1.0; origin = 0 }
+           in
+           ignore (Locus_core.Ss.handle_dir_update k ~src:0 gf op);
+           Us.commit k o;
+           present := not !present))
+  in
   (* The next two run with trace recording off, as locus-bench runs: a
      writer at a packless site overwriting one page of a 2-copy file and
      committing it, and one bare round trip through [Rpc] and [Netsim]
@@ -137,6 +166,8 @@ let micro_tests () =
     ("shadow_commit_2p", shadow_commit); ("vv_compare", vv_compare);
     ("dir_codec_100", dir_codec 100); ("dir_codec_1000", dir_codec 1000);
     ("dirop_remote_create_unlink", remote_dirop);
+    ("ss_dirop_100", ss_dirop 100); ("ss_dirop_1000", ss_dirop 1000);
+    ("ss_dirop_10000", ss_dirop 10_000);
     ("write_commit_remote", remote_write_commit); ("rpc_round_trip", rpc_round_trip);
   ]
 

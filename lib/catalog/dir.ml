@@ -99,58 +99,191 @@ let place off n =
   let room = Page.size - (off mod Page.size) in
   if n <= room then off else off + room
 
+let record_length name = header + String.length name
+
+let blit_record b at e =
+  Bytes.set_uint8 b at (match e.status with Live -> 1 | Tombstone -> 2);
+  Bytes.set_uint16_be b (at + 1) (String.length e.name);
+  Bytes.set_uint16_be b (at + 3) e.origin;
+  Bytes.set_int64_be b (at + 5) (Int64.of_int e.ino);
+  Bytes.set_int64_be b (at + 13) (Int64.bits_of_float e.stamp);
+  Bytes.blit_string e.name 0 b (at + header) (String.length e.name)
+
+let record e =
+  if not (valid_name e.name) then invalid_arg "Dir.record: invalid name";
+  check_origin "Dir.record" e.origin;
+  let b = Bytes.create (record_length e.name) in
+  blit_record b 0 e;
+  Bytes.unsafe_to_string b
+
 let encode t =
   let size = ref 0 in
   for i = 0 to t.len - 1 do
-    let n = header + String.length t.log.(i).name in
+    let n = record_length t.log.(i).name in
     size := place !size n + n
   done;
   let b = Bytes.make !size '\000' in
   let off = ref 0 in
   for i = 0 to t.len - 1 do
     let e = t.log.(i) in
-    let nlen = String.length e.name in
-    let at = place !off (header + nlen) in
-    Bytes.set_uint8 b at (match e.status with Live -> 1 | Tombstone -> 2);
-    Bytes.set_uint16_be b (at + 1) nlen;
-    Bytes.set_uint16_be b (at + 3) e.origin;
-    Bytes.set_int64_be b (at + 5) (Int64.of_int e.ino);
-    Bytes.set_int64_be b (at + 13) (Int64.bits_of_float e.stamp);
-    Bytes.blit_string e.name 0 b (at + header) nlen;
-    off := at + header + nlen
+    let at = place !off (record_length e.name) in
+    blit_record b at e;
+    off := at + record_length e.name
   done;
   Bytes.unsafe_to_string b
 
-let decode s =
-  let len = String.length s in
-  (* A record is at least 22 bytes: size the index once. *)
-  let t = create (16 + (len / 22)) in
+(* The record at byte [at] of [b], which [scan] has checked. *)
+let entry_at b at =
+  let nlen = Bytes.get_uint16_be b (at + 1) in
+  {
+    name = Bytes.sub_string b (at + header) nlen;
+    ino = Int64.to_int (Bytes.get_int64_be b (at + 5));
+    status = (if Bytes.get_uint8 b at = 1 then Live else Tombstone);
+    stamp = Int64.float_of_bits (Bytes.get_int64_be b (at + 13));
+    origin = Bytes.get_uint16_be b (at + 3);
+  }
+
+(* [f at] for each record among the first [len] bytes of [b], whose byte 0
+   starts a page: the one record walk that decoding and indexing share. *)
+let scan b len f =
   let rec go off =
     if off < len then begin
       let page_end = min len ((off / Page.size + 1) * Page.size) in
-      match String.get_uint8 s off with
+      match Bytes.get_uint8 b off with
       | 0 -> go page_end
-      | (1 | 2) as code ->
+      | 1 | 2 ->
         if off + header > page_end then failwith "Dir.decode: truncated record";
-        let nlen = String.get_uint16_be s (off + 1) in
+        let nlen = Bytes.get_uint16_be b (off + 1) in
         let stop = off + header + nlen in
         if nlen = 0 || stop > page_end then failwith "Dir.decode: truncated record";
-        let name = String.sub s (off + header) nlen in
-        if Hashtbl.mem t.index name then failwith "Dir.decode: duplicate name";
-        append t
-          {
-            name;
-            ino = Int64.to_int (String.get_int64_be s (off + 5));
-            status = (if code = 1 then Live else Tombstone);
-            stamp = Int64.float_of_bits (String.get_int64_be s (off + 13));
-            origin = String.get_uint16_be s (off + 3);
-          };
+        f off;
         go stop
       | _ -> failwith "Dir.decode: bad status"
     end
   in
-  go 0;
+  go 0
+
+let decodes = ref 0
+
+let decode_count () = !decodes
+
+let decode s =
+  incr decodes;
+  let len = String.length s in
+  (* A record is at least 22 bytes: size the index once. *)
+  let t = create (16 + (len / 22)) in
+  let b = Bytes.unsafe_of_string s in
+  scan b len (fun off ->
+      let e = entry_at b off in
+      if Hashtbl.mem t.index e.name then failwith "Dir.decode: duplicate name";
+      append t e);
   t
+
+(* ---- an offset index over the record log ---- *)
+
+module Index = struct
+  (* Open addressing over one int array. A slot packs a name's hash above
+     its record's offset plus one (0 is an empty slot), so the index holds
+     no name: a probe whose hash matches reads the record's page and
+     compares the name bytes there. *)
+  let off_bits = 20
+
+  let () = assert (Storage.Inode.max_pages * Page.size < 1 lsl off_bits)
+
+  let off_mask = (1 lsl off_bits) - 1
+
+  type t = { mutable slots : int array; mutable count : int; mutable log_end : int }
+
+  (* FNV-1a, cut to the bits a slot has above the offset. *)
+  let hash b off len =
+    let h = ref 0x811c9dc5 in
+    for i = off to off + len - 1 do
+      h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x100000001b3
+    done;
+    !h land (max_int lsr off_bits)
+
+  (* Is the record at byte [at] of [page] named by the [n] bytes at [boff]
+     of [b]? *)
+  let has_name page at b boff n =
+    Bytes.get_uint16_be page (at + 1) = n
+    &&
+    let rec same i =
+      i >= n
+      || Char.equal (Bytes.unsafe_get page (at + header + i)) (Bytes.unsafe_get b (boff + i))
+         && same (i + 1)
+    in
+    same 0
+
+  (* The record named by the [n] bytes at [boff] of [b], hashed [h], among
+     those ending by [limit]: its offset and page. *)
+  let probe t ~read ~limit h b boff n =
+    let mask = Array.length t.slots - 1 in
+    let rec go i =
+      let v = t.slots.(i) in
+      if v = 0 then None
+      else
+        let off = (v land off_mask) - 1 in
+        if v lsr off_bits = h && off + header + n <= limit then begin
+          let page = read (off / Page.size) in
+          if has_name page (off mod Page.size) b boff n then Some (off, page)
+          else go ((i + 1) land mask)
+        end
+        else go ((i + 1) land mask)
+    in
+    go (h land mask)
+
+  let put slots h v =
+    let mask = Array.length slots - 1 in
+    let rec go i = if slots.(i) = 0 then slots.(i) <- v else go ((i + 1) land mask) in
+    go (h land mask)
+
+  (* Room for [n] names at most half-loaded. *)
+  let reserve t n =
+    if 2 * n > Array.length t.slots then begin
+      let cap = ref (Array.length t.slots) in
+      while 2 * n > !cap do
+        cap := 2 * !cap
+      done;
+      let slots = Array.make !cap 0 in
+      Array.iter (fun v -> if v <> 0 then put slots (v lsr off_bits) v) t.slots;
+      t.slots <- slots
+    end
+
+  let enter t h off n =
+    reserve t (t.count + 1);
+    put t.slots h ((h lsl off_bits) lor (off + 1));
+    t.count <- t.count + 1;
+    t.log_end <- max t.log_end (off + header + n)
+
+  let find t ~read ~limit name =
+    let b = Bytes.unsafe_of_string name and n = String.length name in
+    probe t ~read ~limit (hash b 0 n) b 0 n
+
+  let next t name = place t.log_end (record_length name)
+
+  let add t name off =
+    let b = Bytes.unsafe_of_string name and n = String.length name in
+    enter t (hash b 0 n) off n
+
+  let build ~read ~size =
+    let pages = Array.init ((size + Page.size - 1) / Page.size) read in
+    let t = { slots = Array.make 16 0; count = 0; log_end = 0 } in
+    reserve t (size / 22);
+    Array.iteri
+      (fun lpage page ->
+        scan page
+          (min Page.size (size - (lpage * Page.size)))
+          (fun at ->
+            let n = Bytes.get_uint16_be page (at + 1) in
+            let h = hash page (at + header) n in
+            if probe t ~read:(Array.get pages) ~limit:size h page (at + header) n <> None
+            then failwith "Dir.decode: duplicate name";
+            enter t h ((lpage * Page.size) + at) n))
+      pages;
+    t
+
+  let log_end t = t.log_end
+end
 
 let copy t = { index = Hashtbl.copy t.index; log = Array.sub t.log 0 t.len; len = t.len }
 

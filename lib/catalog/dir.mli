@@ -78,6 +78,53 @@ val decode : string -> t
     crosses a page boundary, a status byte outside 0..2 or a repeated
     name. *)
 
+val decode_count : unit -> int
+(** Calls of {!decode} in this process so far: how a test shows that a
+    path does no whole-body decode. *)
+
+(** {1 Single records}
+
+    What a storage site needs to change the log in place: a record's
+    bytes, the entry a page holds at an offset, and where each record is
+    ({!Index}). *)
+
+val record : entry -> string
+(** The one record {!encode} writes for the entry. Raises
+    [Invalid_argument] where {!insert} would. *)
+
+val entry_at : Storage.Page.t -> int -> entry
+(** The entry whose record starts at byte [at] of a page. *)
+
+(** An offset index over the record log: name to the offset of its
+    record, plus the log's end. It keeps no entry and no name — a lookup
+    hashes the name, reads the page of each record the hash points at and
+    compares the name bytes there — so it costs two to four words per
+    name, and status, inode and stamp are always the page's. *)
+module Index : sig
+  type t
+
+  val build : read:(int -> Storage.Page.t) -> size:int -> t
+  (** Index the log of [size] bytes whose logical page [p] is [read p],
+      reading each page once. Raises [Failure] where {!decode} would. *)
+
+  val find :
+    t -> read:(int -> Storage.Page.t) -> limit:int -> string -> (int * Storage.Page.t) option
+  (** The offset of the name's record and the page holding it, reading
+      only that page. Records that do not end by [limit] are left out:
+      with [limit] the committed size, a lookup skips records appended by
+      an uncommitted session. *)
+
+  val next : t -> string -> int
+  (** Where a new record for the name goes: at the log's end, or at the
+      next page when the record would straddle. *)
+
+  val add : t -> string -> int -> unit
+  (** Note that the name's record now starts at the offset. *)
+
+  val log_end : t -> int
+  (** The byte after the last record. *)
+end
+
 val copy : t -> t
 
 val equal : t -> t -> bool

@@ -35,10 +35,17 @@ let handle k ~src (req : Proto.req) : Proto.resp =
       ->
       (* A new committed version exists: buffered pages of any other
          version of this file can never hit again — drop them from both
-         cache tiers by (file, version) prefix. *)
-      let stale (g, _, v) = Gfile.equal g gf && not (String.equal v (vv_key vv)) in
-      Cache.invalidate_if ~notify:false k.us_cache stale;
-      Cache.invalidate_if ~notify:false k.ss_cache stale;
+         cache tiers. The SS buffers hold the local copy's version. *)
+      let key = vv_key vv in
+      Cache.invalidate_if ~notify:false k.us_cache (fun (g, _, v) ->
+          Gfile.equal g gf && not (String.equal v key));
+      let local_key =
+        Option.bind (local_pack k gf.Gfile.fg) (fun pack ->
+            Storage.Pack.find_inode pack gf.Gfile.ino)
+        |> Option.map (fun (i : Storage.Inode.t) -> vv_key i.Storage.Inode.vv)
+      in
+      if local_key <> Some key then
+        Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _) -> Gfile.equal g gf);
       (* Name-cache coherence rides the same notification: links read from
          an older version of this directory are dead, and if the file was
          deleted no link may keep resolving to it. *)

@@ -41,6 +41,8 @@ let create ~site ~machine_type ~engine ~net ~mount ~fg_table ?(config = default_
       ss_slots = Hashtbl.create hint;
       us_cache = mk_cache "cache.us.evict" ~capacity:config.us_cache_pages;
       ss_cache = mk_cache "cache.ss.evict" ~capacity:config.ss_cache_pages;
+      ss_dirs = Hashtbl.create 16;
+      ss_dirs_tick = 0;
       name_cache = Namecache.create ~stats ~capacity:config.name_cache_entries ();
       open_leases = Openlease.create ~stats ~capacity:config.open_lease_entries ();
       prop_pending = Gfile.Set.empty;
@@ -493,6 +495,7 @@ let crash k =
      Openlease.clear below likewise drops leases without deferred closes. *)
   Storage.Cache.clear k.us_cache ~notify:false;
   Storage.Cache.clear k.ss_cache ~notify:false;
+  Hashtbl.reset k.ss_dirs;
   Namecache.clear k.name_cache;
   Openlease.clear k.open_leases;
   Queue.clear k.prop_queue;

@@ -155,6 +155,15 @@ type ss_open = {
   mutable s_others : Site.t list; (* other storing sites, for commit notifications *)
 }
 
+(* A directory's record index at the SS: where each name's record lies
+   in the committed version [di_key], plus the records the open session
+   on the directory, if any, has patched or appended through it. *)
+type dir_index = {
+  mutable di_key : string;
+  di_index : Catalog.Dir.Index.t;
+  mutable di_used : int; (* recency tick, for eviction *)
+}
+
 (* ---- shared file descriptors and their offset tokens (3.2) ---- *)
 
 type fd_key = int * int (* origin site, serial *)
@@ -218,8 +227,14 @@ type t = {
   ss_opens : (Gfile.t, ss_open) Hashtbl.t;       (* SS-side serving state *)
   ss_slots : (int, Gfile.t) Hashtbl.t;           (* incore-inode slot -> file *)
   us_cache : (Gfile.t * int * string) Storage.Cache.t; (* (file, lpage, vv) -> page *)
-  ss_cache : (Gfile.t * int * string) Storage.Cache.t;
-  (* SS buffer cache fronting pack/disk page reads, same version-keying *)
+  ss_cache : (Gfile.t * int) Storage.Cache.t;
+  (* SS buffer cache fronting pack/disk page reads: (file, page) -> the
+     local copy's page. Whatever installs a new version of the copy
+     carries the buffers ([ss_cache_carry]) or drops the file's. *)
+  ss_dirs : (Gfile.t, dir_index) Hashtbl.t;
+  (* SS directory indexes, together covering at most as many directory
+     pages as the buffer cache holds pages *)
+  mutable ss_dirs_tick : int;
   name_cache : Namecache.t;
   (* (directory, component) -> child links, vv-validated (section 2.3.4) *)
   open_leases : Openlease.t;
@@ -330,28 +345,37 @@ let stripe_owner stripes lpage =
   | [] -> invalid_arg "stripe_owner: unstriped file"
   | _ -> List.nth stripes (lpage mod List.length stripes)
 
-(* Cache keys carry the version vector rendered to a string, so a new
+(* US cache keys carry the version vector rendered to a string, so a new
    committed version naturally misses (coherence for free). *)
 let vv_key vv = Vvec.to_string vv
 
 let ss_cache_enabled k = k.config.ss_cache_pages > 0
 
-(* The local copy of [gf] moved from version [old_vv] to [vv] by a shadow
+(* The local copy of [gf] went from [old_size] to [size] bytes by a shadow
    commit, which left every logical page it did not replace on the same
-   disk page. The buffered copy of such a page below the new end is still
-   the page's contents: carry it over to the new version's key. Buffers of
-   the [replaced] pages, of pages past the end and of any other version
-   go. One pass over the SS cache. *)
-let ss_cache_carry k gf ~old_vv ~vv ~size ~replaced =
-  let old_key = vv_key old_vv and key = vv_key vv in
-  let npages = (size + Storage.Page.size - 1) / Storage.Page.size in
-  let gone = Hashtbl.create 8 in
-  List.iter (fun p -> Hashtbl.replace gone p ()) replaced;
-  Storage.Cache.remap k.ss_cache (fun ((g, p, v) as entry) ->
-      if not (Gfile.equal g gf) || String.equal v key then Some entry
-      else if String.equal v old_key && p < npages && not (Hashtbl.mem gone p) then
-        Some (g, p, key)
-      else None)
+   disk page: the buffers of those pages still hold their contents. Only
+   the buffers of the [replaced] pages and of the pages the commit cut off
+   go. A buffer past the old end holds a page that reads as zeroes, which
+   stays true until a commit writes the page, and so replaces it. *)
+let ss_cache_carry k gf ~old_size ~size ~replaced =
+  let npages size = (size + Storage.Page.size - 1) / Storage.Page.size in
+  List.iter (fun p -> Storage.Cache.invalidate k.ss_cache (gf, p)) replaced;
+  for p = npages size to npages old_size - 1 do
+    Storage.Cache.invalidate k.ss_cache (gf, p)
+  done
+
+(* Forget [gf]'s directory index: its session aborted or took a raw page
+   write, or another version of the directory was installed. *)
+let ss_dir_drop k gf = Hashtbl.remove k.ss_dirs gf
+
+(* A commit took the local copy of [gf] from [old_vv] to [vv]. An index of
+   [old_vv] already holds the session's record changes, so it now locates
+   [vv]'s records; an index of any other version is stale. *)
+let ss_dir_carry k gf ~old_vv ~vv =
+  match Hashtbl.find_opt k.ss_dirs gf with
+  | Some d when String.equal d.di_key (vv_key old_vv) -> d.di_key <- vv_key vv
+  | Some _ -> ss_dir_drop k gf
+  | None -> ()
 
 let fresh_serial k =
   let n = k.next_serial in

@@ -134,6 +134,16 @@ type ss_open = {
   mutable s_others : Site.t list; (** other storing sites, for commit notifications *)
 }
 
+type dir_index = {
+  mutable di_key : string;
+      (** {!vv_key} of the committed version whose records it locates *)
+  di_index : Catalog.Dir.Index.t;
+  mutable di_used : int; (** recency tick, for eviction *)
+}
+(** A directory's record index at the SS: where each name's record lies in
+    the committed version [di_key], plus the records that the session open
+    on the directory, if any, has patched or appended through it. *)
+
 (** {1 Shared file descriptors and their offset tokens (§3.2)} *)
 
 type fd_key = int * int
@@ -202,8 +212,14 @@ type t = {
   ss_slots : (int, Gfile.t) Hashtbl.t; (** incore-inode slot → file *)
   us_cache : (Gfile.t * int * string) Storage.Cache.t;
       (** (file, page, version) → page: stale versions miss naturally *)
-  ss_cache : (Gfile.t * int * string) Storage.Cache.t;
-      (** SS buffer cache fronting pack/disk page reads, same keying *)
+  ss_cache : (Gfile.t * int) Storage.Cache.t;
+      (** SS buffer cache fronting pack/disk page reads: (file, page) → the
+          local copy's page. Whatever installs a new version of the copy
+          carries the buffers ({!ss_cache_carry}) or drops the file's. *)
+  ss_dirs : (Gfile.t, dir_index) Hashtbl.t;
+      (** SS directory indexes, together covering at most as many
+          directory pages as the buffer cache holds pages *)
+  mutable ss_dirs_tick : int;
   name_cache : Namecache.t;
       (** (directory, component) → child links, vv-validated (§2.3.4) *)
   open_leases : Openlease.t;
@@ -289,11 +305,19 @@ val vv_key : Vvec.t -> string
 val ss_cache_enabled : t -> bool
 (** Whether the SS-side buffer-cache tier is on ([ss_cache_pages > 0]). *)
 
-val ss_cache_carry :
-  t -> Gfile.t -> old_vv:Vvec.t -> vv:Vvec.t -> size:int -> replaced:int list -> unit
-(** After a commit took the local copy of a file from [old_vv] to [vv]
-    (new size [size]), re-key the SS buffers of the pages it did not
-    replace to [vv] and drop every other buffer of the file. *)
+val ss_cache_carry : t -> Gfile.t -> old_size:int -> size:int -> replaced:int list -> unit
+(** After a shadow commit took the local copy of a file from [old_size]
+    to [size] bytes, drop the SS buffers of the pages it [replaced] and of
+    the pages it cut off; every other buffer still holds its page. *)
+
+val ss_dir_drop : t -> Gfile.t -> unit
+(** Forget a directory's index: its session aborted or took a raw page
+    write, or another version of it was installed. *)
+
+val ss_dir_carry : t -> Gfile.t -> old_vv:Vvec.t -> vv:Vvec.t -> unit
+(** After a commit took the local copy from [old_vv] to [vv]: an index of
+    [old_vv], which already holds the session's record changes, now
+    locates [vv]'s records; an index of any other version is dropped. *)
 
 val fresh_serial : t -> int
 

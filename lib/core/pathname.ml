@@ -45,23 +45,25 @@ let load_dir_remote k gf =
     Us.release k o;
     raise e
 
+(* The local copy the fast path of section 2.3.4 searches: stored here,
+   not deleted, and with no propagation pending. *)
+let local_copy k gf =
+  match local_pack k gf.Gfile.fg with
+  | Some pack when not (Gfile.Set.mem gf k.prop_pending) -> (
+    match Pack.find_inode pack gf.Gfile.ino with
+    | Some inode when not inode.Inode.deleted -> Some (pack, inode)
+    | Some _ | None -> None)
+  | Some _ | None -> None
+
 (* Load a directory's contents, type and version. Local fast path per
    section 2.3.4; otherwise internal open through the CSS. The [bool]
    tells the caller whether the fast path was used (its copy may be
    momentarily stale, so a lookup miss warrants a synchronized retry). *)
 let load_dir_checked k gf =
-  let fast =
-    match local_pack k gf.Gfile.fg with
-    | Some pack when not (Gfile.Set.mem gf k.prop_pending) -> (
-      match Pack.find_inode pack gf.Gfile.ino with
-      | Some inode when not inode.Inode.deleted ->
-        charge_disk_read k;
-        Some (inode.Inode.ftype, Pack.read_string pack inode, inode.Inode.vv)
-      | Some _ | None -> None)
-    | Some _ | None -> None
-  in
-  match fast with
-  | Some (ftype, body, vv) -> (ftype, body, true, vv)
+  match local_copy k gf with
+  | Some (pack, inode) ->
+    charge_disk_read k;
+    (inode.Inode.ftype, Pack.read_string pack inode, true, inode.Inode.vv)
   | None ->
     let ftype, body, vv = load_dir_remote k gf in
     (ftype, body, false, vv)
@@ -75,6 +77,13 @@ let load_dir k gf =
    for every name in it (and let an update rewrite it as empty). *)
 let dir_of_body body =
   try Dir.decode body with Failure _ -> err Proto.Eio "corrupt directory"
+
+(* One name in a locally stored directory, through the directory's index
+   at this site's SS: one page read, no decode. The caller charges one
+   directory read, as for the whole-body read this replaces. *)
+let lookup_local k pack gf inode name =
+  try Ss.lookup_name k pack gf inode name
+  with Failure _ -> err Proto.Eio "corrupt directory"
 
 (* Descend one link: apply mount crossing after a successful lookup. *)
 let enter k ~fg ino =
@@ -116,15 +125,7 @@ let trusted_local_vv k gf =
 
 (* Would the local fast path serve this directory? If not, a remote
    partial-pathname lookup is worth a round trip. *)
-let locally_searchable k gf =
-  match local_pack k gf.Gfile.fg with
-  | None -> false
-  | Some pack -> (
-    (not (Gfile.Set.mem gf k.prop_pending))
-    &&
-    match Pack.find_inode pack gf.Gfile.ino with
-    | Some inode -> not inode.Inode.deleted
-    | None -> false)
+let locally_searchable k gf = local_copy k gf <> None
 
 let cacheable_comp comp = comp <> "." && comp <> ".."
 
@@ -182,8 +183,7 @@ let handle_lookup k gf comps =
           else if comp = ".." then stop cur consumed trail
           else begin
             charge_disk_read k;
-            let dir = dir_of_body (Pack.read_string pack inode) in
-            match Dir.lookup dir comp with
+            match lookup_local k pack cur inode comp with
             | None -> stop cur consumed trail
             | Some ino -> (
               let child = Gfile.make ~fg ~ino in
@@ -321,23 +321,18 @@ let walk_comps k ~context start comps ~finish =
         remote_ok := false;
         local_step gf ~edge comp rest)
   and local_step gf ~edge comp rest =
-    let ftype, body, fast, vv = load_dir_checked k gf in
     (* Whatever link led here can be annotated with the type it resolved
        to, sparing the terminal stat on the next warm walk. *)
-    (match edge with
-    | Some (d, c) -> Namecache.note_ftype k.name_cache ~dir:d ~comp:c ftype
-    | None -> ());
+    let note_ftype ftype =
+      match edge with
+      | Some (d, c) -> Namecache.note_ftype k.name_cache ~dir:d ~comp:c ftype
+      | None -> ()
+    in
     (* A miss against a fast-path (possibly stale) local copy is retried
        once against a synchronized copy before reporting ENOENT. *)
-    let lookup_refreshing dir name =
-      match Dir.lookup dir name with
-      | Some ino -> Some (ino, vv)
-      | None when fast -> (
-        let _, body, vv' = load_dir_remote k gf in
-        match Dir.lookup (dir_of_body body) name with
-        | Some ino -> Some (ino, vv')
-        | None -> None)
-      | None -> None
+    let refresh name =
+      let _, body, vv = load_dir_remote k gf in
+      Option.map (fun ino -> (ino, vv)) (Dir.lookup (dir_of_body body) name)
     in
     (* Descend through a looked-up entry, filling the cache and applying
        the mount crossing. *)
@@ -354,44 +349,65 @@ let walk_comps k ~context start comps ~finish =
         walk next ~hint:(Some Inode.Directory) ~edge:None rest
       end
     in
-    (* Only a directory's body is decoded: a regular file's is not a
-       directory encoding, and the walk must answer ENOTDIR for it. *)
-    match ftype with
-    | Inode.Directory -> (
-      let dir = dir_of_body body in
-      match comp with
-      | "." -> walk gf ~hint:(Some Inode.Directory) ~edge:None rest
-      | ".." when gf.Gfile.ino = Mount.root_ino -> (
-        (* ".." out of a filegroup root crosses the mount boundary: it
-           names the *parent of the mount point* in the covering
-           filegroup, so resolution restarts at the mount point with the
-           ".." still pending. *)
-        match Mount.mount_point_of k.mount gf.Gfile.fg with
-        | Some point -> walk point ~hint:None ~edge:None (comp :: rest)
-        | None ->
-          (* ".." of the global root is itself *)
-          walk gf ~hint:(Some Inode.Directory) ~edge:None rest)
-      | ".." -> walk (dotdot k gf dir) ~hint:None ~edge:None rest
-      | _ -> (
-        match lookup_refreshing dir comp with
+    let missing () = err Proto.Enoent "%s: no such entry in %a" comp Gfile.pp gf in
+    match local_copy k gf with
+    | Some (pack, inode) when inode.Inode.ftype = Inode.Directory && cacheable_comp comp -> (
+      (* A name in a local directory: through its index, one page. *)
+      charge_disk_read k;
+      note_ftype Inode.Directory;
+      match lookup_local k pack gf inode comp with
+      | Some ino -> descend ~comp ino inode.Inode.vv rest
+      | None -> (
+        match refresh comp with
         | Some (ino, vv) -> descend ~comp ino vv rest
-        | None -> err Proto.Enoent "%s: no such entry in %a" comp Gfile.pp gf))
-    | Inode.Hidden_directory ->
-      (* The escape mechanism: an explicit '@name' component picks an
-         entry and makes the hidden directory visible; otherwise the
-         context chooses and the component is *not* consumed. *)
-      let dir = dir_of_body body in
-      if String.length comp > 0 && comp.[0] = '@' then begin
-        let name = String.sub comp 1 (String.length comp - 1) in
+        | None -> missing ()))
+    | Some _ | None -> (
+      let ftype, body, fast, vv = load_dir_checked k gf in
+      note_ftype ftype;
+      let lookup_refreshing dir name =
         match Dir.lookup dir name with
-        | Some ino -> descend ~comp ino vv rest
-        | None -> err Proto.Enoent "@%s: no such hidden entry" name
-      end
-      else
-        (* context selection is per-process and never cached *)
-        walk (select_context k ~context gf dir) ~hint:None ~edge:None (comp :: rest)
-    | Inode.Regular | Inode.Mailbox | Inode.Database | Inode.Fifo ->
-      err Proto.Enotdir "%a is not a directory" Gfile.pp gf
+        | Some ino -> Some (ino, vv)
+        | None when fast -> refresh name
+        | None -> None
+      in
+      (* Only a directory's body is decoded: a regular file's is not a
+         directory encoding, and the walk must answer ENOTDIR for it. *)
+      match ftype with
+      | Inode.Directory -> (
+        let dir = dir_of_body body in
+        match comp with
+        | "." -> walk gf ~hint:(Some Inode.Directory) ~edge:None rest
+        | ".." when gf.Gfile.ino = Mount.root_ino -> (
+          (* ".." out of a filegroup root crosses the mount boundary: it
+             names the *parent of the mount point* in the covering
+             filegroup, so resolution restarts at the mount point with the
+             ".." still pending. *)
+          match Mount.mount_point_of k.mount gf.Gfile.fg with
+          | Some point -> walk point ~hint:None ~edge:None (comp :: rest)
+          | None ->
+            (* ".." of the global root is itself *)
+            walk gf ~hint:(Some Inode.Directory) ~edge:None rest)
+        | ".." -> walk (dotdot k gf dir) ~hint:None ~edge:None rest
+        | _ -> (
+          match lookup_refreshing dir comp with
+          | Some (ino, vv) -> descend ~comp ino vv rest
+          | None -> missing ()))
+      | Inode.Hidden_directory ->
+        (* The escape mechanism: an explicit '@name' component picks an
+           entry and makes the hidden directory visible; otherwise the
+           context chooses and the component is *not* consumed. *)
+        let dir = dir_of_body body in
+        if String.length comp > 0 && comp.[0] = '@' then begin
+          let name = String.sub comp 1 (String.length comp - 1) in
+          match Dir.lookup dir name with
+          | Some ino -> descend ~comp ino vv rest
+          | None -> err Proto.Enoent "@%s: no such hidden entry" name
+        end
+        else
+          (* context selection is per-process and never cached *)
+          walk (select_context k ~context gf dir) ~hint:None ~edge:None (comp :: rest)
+      | Inode.Regular | Inode.Mailbox | Inode.Database | Inode.Fifo ->
+        err Proto.Enotdir "%a is not a directory" Gfile.pp gf)
   in
   walk start ~hint:None ~edge:None comps
 

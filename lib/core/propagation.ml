@@ -54,7 +54,8 @@ let apply_delete k pack gf ~vv =
       Shadow.commit session ~vv ~mtime:(now k);
       (* A pull commits below the SS handlers, so it keeps the SS cache
          itself: nothing of a deleted file stays buffered. *)
-      Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _, _) -> Gfile.equal g gf);
+      Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _) -> Gfile.equal g gf);
+      ss_dir_drop k gf;
       (* The file is gone and the inode may be reclaimed: drop both the
          links to it and any links read out of it. *)
       Namecache.invalidate_dir k.name_cache gf;
@@ -157,10 +158,12 @@ let pull_from k pack gf ~source ~modified =
               all — either way the local copy must not keep a stale tail. *)
            Shadow.set_size session info.Proto.i_size;
            let replaced = Shadow.modified_lpages session in
-           let old_vv = local.Inode.vv in
            Shadow.commit session ~vv:info.Proto.i_vv ~mtime:info.Proto.i_mtime;
-           ss_cache_carry k gf ~old_vv ~vv:info.Proto.i_vv
-             ~size:info.Proto.i_size ~replaced;
+           ss_cache_carry k gf ~old_size:local.Inode.size ~size:info.Proto.i_size
+             ~replaced;
+           (* The pulled pages were written whole: no index of the old
+              version describes them. *)
+           ss_dir_drop k gf;
            (* The local copy just jumped versions: links cached from any
               other version of this directory are dead. *)
            Namecache.note_dir_vv k.name_cache ~dir:gf info.Proto.i_vv;

@@ -47,16 +47,17 @@ let handle_storage_req k gf ~vv ~us ~others =
           { accept = true; info = Some (Proto.info_of_inode inode); slot = s.s_slot }
       end)
 
-(* A committed page through the SS buffer cache: keyed by the inode's
-   version vector, so a page cached before a commit misses afterwards —
-   the cache can never serve a stale version. A hit skips the disk. *)
+(* A committed page through the SS buffer cache, which holds pages of the
+   local copy as it is now: a commit or pull drops the buffers of the
+   pages it replaced, so the cache can never serve a stale version. A hit
+   skips the disk. *)
 let cached_pack_page k pack gf (inode : Inode.t) lpage =
   if not (ss_cache_enabled k) then begin
     charge_disk_read k;
     Pack.read_page pack inode lpage
   end
   else begin
-    let key = (gf, lpage, vv_key inode.Inode.vv) in
+    let key = (gf, lpage) in
     match Cache.find k.ss_cache key with
     | Some page ->
       Sim.Stats.incr (stats k) "cache.ss.hit";
@@ -161,15 +162,12 @@ let invalidate_others k gf ~writer lpage =
    every written page has, whichever request carried it: a disk write, the
    buffered committed copy of the page dropped (the session, not the
    cache, now owns it), and page-valid invalidations at the other using
-   sites. [key] is the committed version's cache key: a commit or
-   propagation re-keys or drops the file's other versions, so no other
-   entry of this page can still hit. A whole page enters without a read;
-   anything else patches. *)
-let write_session_page k ~src gf ~key session ~lpage ~whole ~off data =
+   sites. A whole page enters without a read; anything else patches. *)
+let write_session_page k ~src gf session ~lpage ~whole ~off data =
   charge_disk_write k;
   if whole then Shadow.write_page session ~lpage (Page.of_string data)
   else Shadow.patch_page session ~lpage ~off data;
-  Cache.invalidate k.ss_cache (gf, lpage, key);
+  Cache.invalidate k.ss_cache (gf, lpage);
   invalidate_others k gf ~writer:src lpage
 
 let handle_write_page k ~src gf ~lpage ~whole ~off ~data =
@@ -178,10 +176,10 @@ let handle_write_page k ~src gf ~lpage ~whole ~off ~data =
   | Some pack -> (
     match Pack.find_inode pack gf.Gfile.ino with
     | None -> Proto.R_err Proto.Enoent
-    | Some inode ->
+    | Some _ ->
       let session = ensure_session k pack gf in
-      write_session_page k ~src gf ~key:(vv_key inode.Inode.vv) session ~lpage ~whole ~off
-        data;
+      ss_dir_drop k gf;
+      write_session_page k ~src gf session ~lpage ~whole ~off data;
       Proto.R_ok)
 
 (* Receive one coalesced write-behind batch: a contiguous byte run from
@@ -199,9 +197,9 @@ let handle_write_pages k ~src gf ~first ~off ~data =
     | Some pack -> (
       match Pack.find_inode pack gf.Gfile.ino with
       | None -> Proto.R_err Proto.Enoent
-      | Some inode ->
+      | Some _ ->
         let session = ensure_session k pack gf in
-        let key = vv_key inode.Inode.vv in
+        ss_dir_drop k gf;
         let base = (first * Page.size) + off in
         let rec loop pos =
           if pos < len then begin
@@ -209,7 +207,7 @@ let handle_write_pages k ~src gf ~first ~off ~data =
             let lpage = abs / Page.size in
             let poff = abs mod Page.size in
             let n = min (Page.size - poff) (len - pos) in
-            write_session_page k ~src gf ~key session ~lpage
+            write_session_page k ~src gf session ~lpage
               ~whole:(poff = 0 && n = Page.size) ~off:poff (String.sub data pos n);
             loop (pos + n)
           end
@@ -217,67 +215,95 @@ let handle_write_pages k ~src gf ~first ~off ~data =
         loop 0;
         Proto.R_ok)
 
-(* Replace [old], what [gf] reads as at this site, by [body] in the
-   shadow session, writing only the pages whose bytes differ: a
-   truncate when [body] is shorter, then one page write per changed page.
-   Past [old]'s end the file reads as zeroes, so a page that [body] only
-   extends with zeroes needs no write when a later page carries the size
-   past it. Returns the number of pages written. *)
-let rewrite k ~src gf ~old body =
-  let pack = local_pack_exn k gf.Gfile.fg in
-  let key =
-    match Pack.find_inode pack gf.Gfile.ino with
-    | Some inode -> vv_key inode.Inode.vv
-    | None -> err Proto.Enoent "%a not stored here" Gfile.pp gf
-  in
-  let len = String.length body and old_len = String.length old in
-  if len < old_len then Shadow.truncate (ensure_session k pack gf) len;
-  let npages = (len + Page.size - 1) / Page.size in
-  let same_as_old off n =
-    let rec go i =
-      i >= n
-      ||
-      let c = if off + i < old_len then String.unsafe_get old (off + i) else '\000' in
-      Char.equal c (String.unsafe_get body (off + i)) && go (i + 1)
-    in
-    go 0
-  in
-  let written = ref 0 in
-  for lpage = 0 to npages - 1 do
-    let off = lpage * Page.size in
-    let n = min Page.size (len - off) in
-    let unchanged = (off + n <= old_len || lpage < npages - 1) && same_as_old off n in
-    if not unchanged then begin
-      write_session_page k ~src gf ~key (ensure_session k pack gf) ~lpage
-        ~whole:(n = Page.size) ~off:0 (String.sub body off n);
-      incr written
-    end
-  done;
-  !written
+(* ---- directory indexes: one record changed in place (section 4.4) ---- *)
 
-let apply_dir_op dir = function
-  | Proto.Enter { name; ino; stamp; origin } -> (
-    match Dir.lookup dir name with
-    | Some _ -> Stdlib.Error Proto.Eexist
-    | None -> (
-      match Dir.insert dir ~name ~ino ~stamp ~origin with
-      | () -> Ok ino
-      | exception Invalid_argument _ -> Stdlib.Error Proto.Einval))
-  | Proto.Remove { name; stamp; origin } -> (
-    match Dir.lookup dir name with
-    | None -> Stdlib.Error Proto.Enoent
-    | Some ino -> (
-      match Dir.remove dir ~name ~stamp ~origin with
-      | _ -> Ok ino
-      | exception Invalid_argument _ -> Stdlib.Error Proto.Einval))
+let dir_index_pages d = (Dir.Index.log_end d.di_index + Page.size - 1) / Page.size
+
+(* Keep the indexes within as many directory pages as the buffer cache
+   holds pages, evicting the least recently used first. *)
+let rec dir_index_fit k =
+  let budget = if ss_cache_enabled k then k.config.ss_cache_pages else 0 in
+  let total, lru =
+    Hashtbl.fold
+      (fun gf d (n, lru) ->
+        let lru =
+          match lru with
+          | Some (_, used) when used <= d.di_used -> lru
+          | Some _ | None -> Some (gf, d.di_used)
+        in
+        (n + dir_index_pages d, lru))
+      k.ss_dirs (0, None)
+  in
+  match lru with
+  | Some (gf, _) when total > budget ->
+    ss_dir_drop k gf;
+    Sim.Stats.incr (stats k) "ss.dir.index_evict";
+    dir_index_fit k
+  | Some _ | None -> ()
+
+let touch k d =
+  k.ss_dirs_tick <- k.ss_dirs_tick + 1;
+  d.di_used <- k.ss_dirs_tick
+
+(* Index [gf]'s log of [size] bytes, each page read with [read]. It is
+   kept under the committed version's key unless a shadow session holds
+   changes: those came as raw page writes, since record changes keep an
+   index, so the committed version's offsets say nothing about the
+   session's. Raises [Failure] on a body that does not decode. *)
+let build_dir_index k gf (inode : Inode.t) ~read ~size =
+  Sim.Stats.incr (stats k) "ss.dir.index_builds";
+  let d =
+    { di_key = vv_key inode.Inode.vv; di_index = Dir.Index.build ~read ~size; di_used = 0 }
+  in
+  let changed =
+    match find_open k gf with
+    | Some { s_shadow = Some session; _ } ->
+      Shadow.modified_lpages session <> []
+      || (Shadow.incore session).Inode.size <> inode.Inode.size
+    | Some { s_shadow = None; _ } | None -> false
+  in
+  if not changed then begin
+    touch k d;
+    Hashtbl.replace k.ss_dirs gf d;
+    dir_index_fit k
+  end;
+  d
+
+let find_dir_index k gf (inode : Inode.t) =
+  match Hashtbl.find_opt k.ss_dirs gf with
+  | Some d when String.equal d.di_key (vv_key inode.Inode.vv) ->
+    touch k d;
+    Some d
+  | Some _ | None -> None
+
+(* Resolve [name] in the committed copy of directory [gf] through its
+   index, reading the one page that holds the name's record. The reads are
+   not charged: the caller charges one read for the directory, as for the
+   whole-body read this replaces. Raises [Failure] on a corrupt body. *)
+let lookup_name k pack gf (inode : Inode.t) name =
+  let read lpage = Pack.read_page pack inode lpage in
+  let size = inode.Inode.size in
+  let d =
+    match find_dir_index k gf inode with
+    | Some d -> d
+    | None -> build_dir_index k gf inode ~read ~size
+  in
+  match Dir.Index.find d.di_index ~read ~limit:size name with
+  | Some (at, page) -> (
+    match Dir.entry_at page (at mod Page.size) with
+    | { Dir.status = Dir.Live; ino; _ } -> Some ino
+    | { Dir.status = Dir.Tombstone; _ } -> None)
+  | None -> None
 
 (* A directory update done where the directory is stored (section 2.3.4's
-   "ask the storage site", applied to updates): read the body through the
-   same page source as a page read, apply the change, and write the pages
-   whose records changed into the shadow session the US's commit then
-   installs. The pages never reach a process, so none is charged
-   [cpu_page], as in the server-side lookup. A body that does not decode
-   is [Eio], never an empty directory. *)
+   "ask the storage site", applied to updates). The directory's index
+   locates the name's record: the SS reads that one page through the same
+   page source as a page read and writes the one changed record into the
+   shadow session the US's commit then installs — a remove or re-entry in
+   place, a new name after the last record. Only the first update of a
+   version reads every page, to build the index. The pages never reach a
+   process, so none is charged [cpu_page], as in the server-side lookup. A
+   body that does not decode is [Eio], never an empty directory. *)
 let handle_dir_update k ~src gf op =
   match local_pack k gf.Gfile.fg with
   | None -> Proto.R_err Proto.Eio
@@ -286,26 +312,59 @@ let handle_dir_update k ~src gf op =
     | None -> Proto.R_err Proto.Enoent
     | Some inode -> (
       let read, size = page_source k pack gf inode in
-      let npages = (size + Page.size - 1) / Page.size in
-      let buf = Buffer.create (npages * Page.size) in
-      for lpage = 0 to npages - 1 do
-        Buffer.add_subbytes buf (read lpage) 0 (min Page.size (size - (lpage * Page.size)))
-      done;
-      let old = Buffer.contents buf in
-      match Dir.decode old with
+      match
+        match find_dir_index k gf inode with
+        | Some d when Dir.Index.log_end d.di_index = size -> d
+        | Some _ | None -> build_dir_index k gf inode ~read ~size
+      with
       | exception Failure _ -> Proto.R_err Proto.Eio
-      | dir -> (
-        match apply_dir_op dir op with
-        | Stdlib.Error e -> Proto.R_err e
-        | Ok ino ->
-          ignore (rewrite k ~src gf ~old (Dir.encode dir));
-          Proto.R_entry { ino })))
+      | d -> (
+        let write at (e : Dir.entry) =
+          match Dir.record e with
+          | exception Invalid_argument _ -> Stdlib.Error Proto.Einval
+          | _ when at / Page.size >= Inode.max_pages -> Stdlib.Error Proto.Enospc
+          | data ->
+            write_session_page k ~src gf (ensure_session k pack gf)
+              ~lpage:(at / Page.size) ~whole:false
+              ~off:(at mod Page.size) data;
+            Ok e.Dir.ino
+        in
+        let found name =
+          Dir.Index.find d.di_index ~read ~limit:size name
+          |> Option.map (fun (at, page) -> (at, Dir.entry_at page (at mod Page.size)))
+        in
+        let result =
+          match op with
+          | Proto.Enter { name; ino; stamp; origin } -> (
+            let e = { Dir.name; ino; status = Dir.Live; stamp; origin } in
+            match found name with
+            | Some (_, { Dir.status = Dir.Live; _ }) -> Stdlib.Error Proto.Eexist
+            | Some (at, { Dir.status = Dir.Tombstone; _ }) -> write at e
+            | None ->
+              let at = Dir.Index.next d.di_index name in
+              let r = write at e in
+              if Result.is_ok r then begin
+                Dir.Index.add d.di_index name at;
+                if at mod Page.size = 0 then dir_index_fit k
+              end;
+              r)
+          | Proto.Remove { name; stamp; origin } -> (
+            match found name with
+            | Some (at, ({ Dir.status = Dir.Live; _ } as e)) ->
+              write at { e with Dir.status = Dir.Tombstone; stamp; origin }
+            | Some (_, { Dir.status = Dir.Tombstone; _ }) | None ->
+              Stdlib.Error Proto.Enoent)
+        in
+        match result with
+        | Ok ino -> Proto.R_entry { ino }
+        | Stdlib.Error e -> Proto.R_err e)))
 
 let handle_truncate k gf ~size =
   match local_pack k gf.Gfile.fg with
   | None -> Proto.R_err Proto.Eio
   | Some pack ->
     let session = ensure_session k pack gf in
+    ss_dir_drop k gf;
     Shadow.truncate session size;
     Proto.R_ok
 
@@ -325,7 +384,8 @@ let handle_stripe_collect k gf =
     let size = (Shadow.incore session).Inode.size in
     Shadow.abort session;
     s.s_shadow <- None;
-    Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _, _) -> Gfile.equal g gf);
+    ss_dir_drop k gf;
+    Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _) -> Gfile.equal g gf);
     record k ~tag:"ss.stripe.collect" "%a -> %d pages size=%d" Gfile.pp gf (List.length pages)
       size;
     Proto.R_stripe { pages; size }
@@ -370,6 +430,7 @@ let collect_stripes k gf session stripes =
       List.iter
         (fun (lpage, data) ->
           if lpage mod width = j && lpage < npages then begin
+            ss_dir_drop k gf;
             charge_disk_write k;
             Shadow.write_page session ~lpage (Page.of_string data)
           end)
@@ -411,6 +472,7 @@ let handle_commit ?force_vv ?(stripes = []) k gf ~abort ~delete =
       | Some session -> Shadow.abort session
       | None -> ());
       s.s_shadow <- None;
+      ss_dir_drop k gf;
       (* The committed version is untouched: its buffered pages stay. *)
       record k ~tag:"ss.abort" "%a" Gfile.pp gf;
       let vv =
@@ -435,6 +497,9 @@ let handle_commit ?force_vv ?(stripes = []) k gf ~abort ~delete =
       let vv =
         match force_vv with Some v -> v | None -> Vvec.bump old_vv k.site
       in
+      let old_size =
+        match Pack.find_inode pack gf.Gfile.ino with Some i -> i.Inode.size | None -> 0
+      in
       charge_disk_write k;
       Shadow.commit session ~vv ~mtime:(now k);
       s.s_shadow <- None;
@@ -443,13 +508,18 @@ let handle_commit ?force_vv ?(stripes = []) k gf ~abort ~delete =
          version) is stale *now* — killing it here closes the window before
          the CSS's asynchronous [Lease_break] callback arrives. *)
       Openlease.note_commit k.open_leases gf vv;
-      (* Buffered pages this commit did not replace are still current:
-         they move to the new version's key. A delete leaves nothing. *)
-      if delete then
-        Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _, _) -> Gfile.equal g gf)
-      else
-        ss_cache_carry k gf ~old_vv ~vv ~size:(Shadow.incore session).Inode.size
+      (* Buffered pages this commit did not replace are still current, and
+         so is the directory index, which made the session's changes. A
+         delete leaves nothing. *)
+      if delete then begin
+        Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _) -> Gfile.equal g gf);
+        ss_dir_drop k gf
+      end
+      else begin
+        ss_cache_carry k gf ~old_size ~size:(Shadow.incore session).Inode.size
           ~replaced:modified;
+        ss_dir_carry k gf ~old_vv ~vv
+      end;
       (* Likewise name-cache links: if this was a directory, links read
          from the old version are dead; if the file was deleted, no link
          may keep resolving to it. *)
@@ -487,7 +557,8 @@ let handle_us_close k ~src gf ~mode =
       (* The last user vanished without committing: abort the session so
          the previous version stays coherent. *)
       Shadow.abort session;
-      s.s_shadow <- None
+      s.s_shadow <- None;
+      ss_dir_drop k gf
     | Some _ | None -> ());
     if Site.Map.is_empty s.s_uss then begin
       Hashtbl.remove k.ss_opens gf;
@@ -568,7 +639,8 @@ let revalidate_serving k =
       (match s.s_shadow with
       | Some session when Site.Map.is_empty s.s_uss ->
         Shadow.abort session;
-        s.s_shadow <- None
+        s.s_shadow <- None;
+        ss_dir_drop k gf
       | Some _ | None -> ());
       if Site.Map.is_empty s.s_uss then begin
         Hashtbl.remove k.ss_opens gf;
@@ -634,8 +706,8 @@ let metadata_commit k gf mutate =
       inode.Inode.vv <- Vvec.bump old_vv k.site;
       inode.Inode.mtime <- now k;
       charge_disk_write k;
-      (* No data page changed: every buffered page carries over. *)
-      ss_cache_carry k gf ~old_vv ~vv:inode.Inode.vv ~size:inode.Inode.size ~replaced:[];
+      (* No data page changed: the buffers and the index carry over. *)
+      ss_dir_carry k gf ~old_vv ~vv:inode.Inode.vv;
       Namecache.note_dir_vv k.name_cache ~dir:gf inode.Inode.vv;
       let fi = fg_info k gf.Gfile.fg in
       let message =
@@ -693,7 +765,8 @@ let handle_reclaim k gf =
   (match local_pack k gf.Gfile.fg with
   | Some pack -> Pack.remove_inode pack gf.Gfile.ino
   | None -> ());
-  Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _, _) -> Gfile.equal g gf);
+  Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _) -> Gfile.equal g gf);
+  ss_dir_drop k gf;
   (* A reclaimed inode number can be reallocated: drop every name-cache
      link into or out of it, and any retained open grant on it. *)
   Namecache.invalidate_dir k.name_cache gf;

@@ -68,24 +68,28 @@ val handle_write_pages :
 
 val handle_truncate : Ktypes.t -> Catalog.Gfile.t -> size:int -> Proto.resp
 
-val rewrite :
-  Ktypes.t -> src:Net.Site.t -> Catalog.Gfile.t -> old:string -> string -> int
-(** [rewrite k ~src gf ~old body] replaces [old], what [gf] reads as at
-    this site, by [body] in the shadow session: a truncate when [body] is
-    shorter, then a write of each page whose bytes differ, with the
-    effects of a [Write_pages] page. Past [old]'s end the file reads as
-    zeroes, so a page [body] only extends with zeroes is skipped when a
-    later page carries the size past it. Returns the pages written. *)
+val lookup_name :
+  Ktypes.t -> Storage.Pack.t -> Catalog.Gfile.t -> Storage.Inode.t -> string -> int option
+(** [lookup_name k pack gf inode name]: the inode a live entry binds
+    [name] to in the committed copy of directory [gf], found through the
+    directory's index ({!Ktypes.dir_index}) by reading the one page that
+    holds the record. The first lookup of a version builds the index from
+    every page. No read is charged: the caller charges the directory read.
+    Raises [Failure] on a body that does not decode. *)
 
 val handle_dir_update :
   Ktypes.t -> src:Net.Site.t -> Catalog.Gfile.t -> Proto.dir_op -> Proto.resp
-(** Apply one entry change to a directory open for modification here:
-    read the body through the same page source as a page read (the
-    session if open, else the buffer cache or disk; no [cpu_page]
-    charge), apply [Dir.insert] or [Dir.remove], and {!rewrite} the
-    result. Answers [R_entry] with the inode entered or removed, or
+(** Apply one entry change to a directory open for modification here. The
+    directory's index locates the name's record; the one page holding it
+    is read through the same page source as a page read (the session if
+    open, else the buffer cache or disk; no [cpu_page] charge), and the
+    one changed record is written into the shadow session: a remove or a
+    re-entry of a tombstoned name in place, a new name after the last
+    record. The first update of a version reads every page to build the
+    index. Answers [R_entry] with the inode entered or removed, or
     [R_err] [Eexist], [Enoent], [Einval] (a name or origin the record
-    format refuses) or [Eio] (the body does not decode). *)
+    format refuses), [Enospc] (the directory is at its largest size) or
+    [Eio] (the body does not decode). *)
 
 val handle_commit :
   ?force_vv:Vv.Version_vector.t ->

@@ -345,50 +345,46 @@ let resolve_conflict k gf f copies report =
        saved (section 4.4): prefer a live copy as merge basis. *)
     let live = List.filter (fun (_, _, i) -> not i.Proto.i_deleted) fetched in
     let deleted_involved = List.length live < List.length fetched in
-    match info0.Proto.i_ftype with
-    | Inode.Directory | Inode.Hidden_directory ->
-      (* A copy that does not decode is left out of the merge, not merged
-         as if it had no entries; when no copy decodes there is nothing
-         to merge and the file is marked like an untyped conflict. *)
+    (* Directories and mailboxes merge decoded copies. A copy that does
+       not decode is left out of the merge, not merged as if it were
+       empty (which would drop its entries or its mail); when no copy
+       decodes there is nothing to merge and the file is marked like an
+       untyped conflict. *)
+    let merge_decoded ~what decode merge =
+      let tag = Printf.sprintf "recon.%s.undecodable" what in
       let decoded =
         List.filter_map
           (fun (site, _, info) ->
             fetch_content k site gf info
             |> Option.map (fun body ->
-                   match Dir.decode body with
-                   | dir -> Some dir
+                   match decode body with
+                   | v -> Some v
                    | exception Failure _ ->
-                     Sim.Stats.incr (stats k) "recon.dir.undecodable";
-                     record k ~tag:"recon.dir.undecodable" "%a at %a" Gfile.pp gf Site.pp site;
+                     Sim.Stats.incr (stats k) tag;
+                     record k ~tag "%a at %a" Gfile.pp gf Site.pp site;
                      None))
           (if live <> [] then live else fetched)
       in
-      (match (decoded, List.filter_map Fun.id decoded) with
+      match (decoded, List.filter_map Fun.id decoded) with
       | [], _ -> ()
       | _ :: _, [] -> mark_conflict ()
-      | _, first :: rest ->
-        let merged =
-          List.fold_left (fun acc d -> merge_two_dirs k fg acc d report) first rest
-        in
-        report.dir_merges <- report.dir_merges + 1;
-        commit_merged ~target:site0 (Dir.encode merged);
-        record k ~tag:"recon.dir" "%a" Gfile.pp gf)
+      | _, first :: rest -> merge first rest
+    in
+    match info0.Proto.i_ftype with
+    | Inode.Directory | Inode.Hidden_directory ->
+      merge_decoded ~what:"dir" Dir.decode (fun first rest ->
+          let merged =
+            List.fold_left (fun acc d -> merge_two_dirs k fg acc d report) first rest
+          in
+          report.dir_merges <- report.dir_merges + 1;
+          commit_merged ~target:site0 (Dir.encode merged);
+          record k ~tag:"recon.dir" "%a" Gfile.pp gf)
     | Inode.Mailbox ->
-      let boxes =
-        List.filter_map
-          (fun (site, _, info) ->
-            fetch_content k site gf info
-            |> Option.map (fun body ->
-                   try Mbox.decode body with Failure _ -> Mbox.empty ()))
-          (if live <> [] then live else fetched)
-      in
-      (match boxes with
-      | [] -> ()
-      | first :: rest ->
-        let merged = List.fold_left Mbox.merge first rest in
-        report.mail_merges <- report.mail_merges + 1;
-        commit_merged ~target:site0 (Mbox.encode merged);
-        record k ~tag:"recon.mail" "%a" Gfile.pp gf)
+      merge_decoded ~what:"mail" Mbox.decode (fun first rest ->
+          let merged = List.fold_left Mbox.merge first rest in
+          report.mail_merges <- report.mail_merges + 1;
+          commit_merged ~target:site0 (Mbox.encode merged);
+          record k ~tag:"recon.mail" "%a" Gfile.pp gf)
     | Inode.Regular | Inode.Database | Inode.Fifo ->
       if deleted_involved && live <> [] then begin
         (* Delete/modify conflict: save the modified copy. *)

@@ -3,8 +3,8 @@
     Used at a storage site to front disk-page reads and at a using site for
     pages fetched across the network (§2.3.3: "all such requests are
     serviced via kernel buffers"). Keys are caller-chosen; entries are
-    whole pages. All operations are O(1) except {!invalidate_if}, {!remap}
-    and {!clear} (a hashtable keyed on the entries plus an intrusive
+    whole pages. All operations are O(1) except {!invalidate_if} and
+    {!clear} (a hashtable keyed on the entries plus an intrusive
     doubly-linked recency list). *)
 
 type 'k t
@@ -34,13 +34,6 @@ val invalidate_if : 'k t -> notify:bool -> ('k -> bool) -> unit
     fires [on_evict] (the capacity {!evictions} counter is never bumped);
     coherence invalidations pass [false] so the eviction counters keep
     measuring capacity pressure only. O(n). *)
-
-val remap : 'k t -> ('k -> 'k option) -> unit
-(** One pass over every entry: [f key = None] drops it silently (as
-    [invalidate_if ~notify:false]); [Some key'] keeps it under [key'], at
-    its place in the recency order — how a commit carries the buffers of
-    the pages it did not replace over to the new version's key. An entry
-    moved onto a key already present is dropped instead. O(n). *)
 
 val clear : 'k t -> notify:bool -> unit
 

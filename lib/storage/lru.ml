@@ -1,7 +1,7 @@
 (* O(1) LRU: a hashtable from key to list node plus an intrusive doubly
    linked recency list (head = most recent, tail = next eviction victim).
-   Every operation except [filter_out]/[invalidate_if], [remap] and
-   [clear] is constant time.
+   Every operation except [filter_out]/[invalidate_if] and [clear] is
+   constant time.
 
    The recency-list core is generic over the cached value: the buffer
    caches ({!Cache}, holding pages) and the pathname name cache (holding
@@ -16,7 +16,7 @@ end
 
 module Make (V : VALUE) = struct
   type 'k node = {
-    mutable n_key : 'k;
+    n_key : 'k;
     mutable n_value : V.t;
     mutable n_prev : 'k node option;
     mutable n_next : 'k node option;
@@ -126,30 +126,6 @@ module Make (V : VALUE) = struct
 
   let invalidate_if t ~notify pred =
     ignore (filter_out t ~notify (fun key _ -> pred key))
-
-  (* Changes are collected first, since the table cannot change under its
-     own fold; an entry [f] leaves under its own key costs nothing more. A
-     move keeps the node, and so its place in the recency list. *)
-  let remap t f =
-    let changes =
-      Hashtbl.fold
-        (fun key n acc ->
-          match f key with
-          | Some key' when key' == key -> acc
-          | action -> (n, action) :: acc)
-        t.table []
-    in
-    List.iter
-      (fun (n, action) ->
-        match action with
-        | None -> remove_node t n
-        | Some key when key = n.n_key -> ()
-        | Some key when Hashtbl.mem t.table key -> remove_node t n
-        | Some key ->
-          Hashtbl.remove t.table n.n_key;
-          n.n_key <- key;
-          Hashtbl.replace t.table key n)
-      changes
 
   let clear t ~notify =
     let victims =

@@ -4,7 +4,7 @@
     recency list. {!Cache} (the buffer caches) and the kernel's pathname
     name cache are both instances of {!Make}; they differ only in the
     cached value type. All operations are O(1) except {!Make.filter_out} /
-    {!Make.invalidate_if}, {!Make.remap} and {!Make.clear}. *)
+    {!Make.invalidate_if} and {!Make.clear}. *)
 
 module type VALUE = sig
   type t
@@ -45,12 +45,6 @@ module Make (V : VALUE) : sig
 
   val invalidate_if : 'k t -> notify:bool -> ('k -> bool) -> unit
   (** {!filter_out} on the key alone, discarding the count. O(n). *)
-
-  val remap : 'k t -> ('k -> 'k option) -> unit
-  (** One pass over every entry: [f key = None] drops it silently (as
-      [invalidate_if ~notify:false]); [Some key'] keeps it under [key'], at
-      its place in the recency order. An entry moved onto a key already
-      present is dropped instead. O(n). *)
 
   val clear : 'k t -> notify:bool -> unit
   (** Drop everything; [~notify:true] fires [on_evict] per entry, LRU

@@ -18,15 +18,8 @@ let blit_string s page off = Bytes.blit_string s 0 page off (String.length s)
 
 let sub page off len = Bytes.sub_string page off len
 
-let get_u32 p off =
-  let b i = Char.code (Bytes.get p (off + i)) in
-  (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
+let get_u32 p off = Int32.to_int (Bytes.get_int32_be p off) land 0xffff_ffff
 
-let set_u32 p off v =
-  let set i x = Bytes.set p (off + i) (Char.chr (x land 0xff)) in
-  set 0 (v lsr 24);
-  set 1 (v lsr 16);
-  set 2 (v lsr 8);
-  set 3 v
+let set_u32 p off v = Bytes.set_int32_be p off (Int32.of_int v)
 
 let equal = Bytes.equal

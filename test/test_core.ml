@@ -225,11 +225,12 @@ let test_cross_open_cache_retention () =
   check Alcotest.string "new version read through" "fresh"
     (Kernel.read_file k3 p3 "/warm");
   (* The Commit_notify handler drops every entry of the file that is not
-     at the announced version, from both cache tiers. *)
+     at the announced version, from both cache tiers: an SS buffer holds
+     the local copy's version, and this site stores none. *)
   let vv = (Us.stat_gf k0 gf).Proto.i_vv in
   Storage.Cache.insert k3.K.us_cache (gf, 0, K.vv_key vv) (Storage.Page.of_string "cur");
   Storage.Cache.insert k3.K.us_cache (gf, 1, "stale-vv") (Storage.Page.of_string "old");
-  Storage.Cache.insert k3.K.ss_cache (gf, 2, "stale-vv") (Storage.Page.of_string "old");
+  Storage.Cache.insert k3.K.ss_cache (gf, 2) (Storage.Page.of_string "old");
   let notify =
     Proto.Commit_notify
       { gf; vv; meta_only = false; modified = []; origin = 0; fresh = false;
@@ -241,7 +242,7 @@ let test_cross_open_cache_retention () =
   check Alcotest.bool "stale US entry dropped" false
     (Storage.Cache.mem k3.K.us_cache (gf, 1, "stale-vv"));
   check Alcotest.bool "stale SS entry dropped" false
-    (Storage.Cache.mem k3.K.ss_cache (gf, 2, "stale-vv"))
+    (Storage.Cache.mem k3.K.ss_cache (gf, 2))
 
 (* Regression: a short mid-file page (a lying or sparse SS) used to stop
    the read_bytes loop, silently returning short data. It must read as
@@ -290,37 +291,55 @@ let test_commit_visibility () =
   ignore (World.settle w);
   check Alcotest.string "abort undoes" "committed" (Kernel.read_file k0 p0 "/t")
 
-(* The SS-side rewrite of a directory update ([Ss.rewrite]) writes only
-   the pages whose bytes differ. Past the old end the file reads as
-   zeroes, so a page the new body only extends with zeroes is left alone
-   when a later page carries the size past it. *)
-let test_rewrite_sends_changed_pages () =
+(* A directory update at the SS ([Ss.handle_dir_update]) writes exactly
+   the page that holds the changed record, with no page on the wire: an
+   unlink and a re-entry patch the record in place, a new name lands on
+   the last page, or starts the next page when it does not fit there —
+   the old last page's padding reads as zeroes and is never written. The
+   body stays what the codec encodes. *)
+let test_record_patch_writes_one_page () =
   let w = asym_world_nobulk () in
   let k0 = World.kernel w 0 and p0 = World.proc w 0 in
-  ignore (Kernel.creat k0 p0 "/r");
-  let page = Storage.Page.size in
-  let v1 = String.make (2 * page) 'a' ^ String.make 100 'b' in
-  Kernel.write_file k0 p0 "/r" v1;
+  let dir_gf = Kernel.mkdir k0 p0 "/r" in
   ignore (World.settle w);
   let k2 = World.kernel w 2 and p2 = World.proc w 2 in
-  let gf = gf_of k2 "/r" in
-  let rewrite old body =
-    let o = Us.open_gf k2 gf Proto.Mode_modify in
+  let size () = (Kernel.stat k2 p2 "/r").Proto.i_size in
+  let update op =
+    let o = Us.open_gf k2 dir_gf Proto.Mode_modify in
     let ss = World.kernel w o.K.o_ss in
     let snap = Stats.snapshot (stats w) in
-    let written = Locus_core.Ss.rewrite ss ~src:2 gf ~old body in
+    (match Locus_core.Ss.handle_dir_update ss ~src:2 dir_gf op with
+    | Proto.R_entry _ -> ()
+    | _ -> Alcotest.fail "the update was refused");
     check Alcotest.int "no page crosses the wire" 0 (msg_delta w snap);
+    let written =
+      match Locus_core.Ss.find_open ss dir_gf with
+      | Some { K.s_shadow = Some session; _ } -> Storage.Shadow.modified_lpages session
+      | Some { K.s_shadow = None; _ } | None -> []
+    in
     Us.commit k2 o;
     Us.close k2 o;
     ignore (World.settle w);
-    check Alcotest.string "file holds the new body" body (Kernel.read_file k2 p2 "/r");
+    let body = Kernel.read_file k2 p2 "/r" in
+    check Alcotest.string "the body re-encodes to itself" body (Dir.encode (Dir.decode body));
     written
   in
-  check Alcotest.int "same body: no write" 0 (rewrite v1 v1);
-  let v2 = String.make (2 * page) 'a' ^ String.make 100 'b' ^ String.make (page - 100) '\000' ^ "c" in
-  check Alcotest.int "zero tail of the old last page needs no write" 1 (rewrite v1 v2);
-  let v3 = String.make page 'a' ^ "x" ^ String.make (page - 1) 'a' ^ String.make 50 'b' in
-  check Alcotest.int "shorter body: truncate plus the one changed page" 1 (rewrite v2 v3)
+  let enter name = Proto.Enter { name; ino = 77; stamp = 1.0; origin = 2 } in
+  let page = Storage.Page.size in
+  (* "." and ".." take 45 bytes: a 957-byte name (a 978-byte record) ends
+     the first page 1 byte short of full. *)
+  let long = String.make 957 'a' in
+  check Alcotest.(list int) "a new name on the last page" [ 0 ] (update (enter long));
+  check Alcotest.int "the log ends 1 byte short of the page" (page - 1) (size ());
+  check Alcotest.(list int) "a name that does not fit starts the next page" [ 1 ]
+    (update (enter "b"));
+  check Alcotest.int "the record starts the second page" (page + 22) (size ());
+  check Alcotest.(list int) "an unlink patches in place" [ 0 ]
+    (update (Proto.Remove { name = long; stamp = 2.0; origin = 2 }));
+  check Alcotest.(list int) "a re-entry patches in place" [ 0 ] (update (enter long));
+  check Alcotest.int "the size is unchanged" (page + 22) (size ());
+  let names = List.map (fun (e : Dir.entry) -> e.Dir.name) (Kernel.readdir k2 p2 "/r") in
+  check Alcotest.(list string) "every name is listed" [ "."; ".."; long; "b" ] names
 
 let test_single_writer_policy () =
   let w = full_world () in
@@ -565,6 +584,70 @@ let test_remote_dirop_moves_one_page () =
   let k1 = World.kernel w 1 and p1 = World.proc w 1 in
   check Alcotest.int "both copies list every entry" 164 (List.length (Kernel.readdir k1 p1 "/big"))
 
+(* The SS keeps one record index per directory version and carries it
+   across its own commits: after a warm-up, 50 creates and unlinks from a
+   packless site into one directory build it once, and nothing decodes a
+   whole directory body. *)
+let test_dir_index_built_once () =
+  let w = asym_world () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  ignore (Kernel.mkdir k0 p0 "/d");
+  ignore (World.settle w);
+  let k3 = World.kernel w 3 and p3 = World.proc w 3 in
+  ignore (Kernel.stat k3 p3 "/d");
+  let snap = Stats.snapshot (stats w) in
+  let decodes = Dir.decode_count () in
+  for i = 0 to 24 do
+    ignore (Kernel.creat k3 p3 (Printf.sprintf "/d/f%d" i))
+  done;
+  for i = 0 to 24 do
+    Kernel.unlink k3 p3 (Printf.sprintf "/d/f%d" i)
+  done;
+  check Alcotest.int "one index build" 1 (Stats.delta_of (stats w) snap "ss.dir.index_builds");
+  check Alcotest.int "no whole-body decode" 0 (Dir.decode_count () - decodes);
+  ignore (World.settle w);
+  check Alcotest.(list string) "every name is gone" [ "."; ".." ]
+    (List.map (fun (e : Dir.entry) -> e.Dir.name) (Kernel.readdir k3 p3 "/d"))
+
+(* Words the SS allocates for an append and a tombstone patch, once the
+   directory's index exists, at a directory of [n] entries stored only at
+   site 0, which is also the using site. *)
+let dir_update_words n =
+  let w = asym_world () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  Kernel.set_ncopies p0 1;
+  let gf = Kernel.mkdir k0 p0 "/d" in
+  let o = Us.open_gf k0 gf Proto.Mode_modify in
+  let dir = Dir.decode (Us.read_all k0 o) in
+  for i = 0 to n - 1 do
+    Dir.insert dir ~name:(Printf.sprintf "%05d" i) ~ino:(100 + i) ~stamp:0.0 ~origin:0
+  done;
+  Us.set_contents k0 o (Dir.encode dir);
+  Us.commit k0 o;
+  Us.close k0 o;
+  ignore (World.settle w);
+  let update op =
+    let o = Us.open_gf k0 gf Proto.Mode_modify in
+    let before = Gc.minor_words () in
+    let resp = Locus_core.Ss.handle_dir_update k0 ~src:0 gf op in
+    let words = Gc.minor_words () -. before in
+    (match resp with Proto.R_entry _ -> () | _ -> Alcotest.fail "the update was refused");
+    Us.commit k0 o;
+    Us.close k0 o;
+    words
+  in
+  let enter name = Proto.Enter { name; ino = 7; stamp = 1.0; origin = 0 } in
+  ignore (update (enter "warm-up"));
+  update (enter "fresh") +. update (Proto.Remove { name = "00050"; stamp = 2.0; origin = 0 })
+
+(* Allocation is deterministic, so this pins exactly what the SS's host
+   cost of a dirop does not do: grow with the directory. *)
+let test_dir_update_allocation_flat () =
+  let small = dir_update_words 100 and large = dir_update_words 10_000 in
+  if large > 2.0 *. small then
+    Alcotest.failf "a dirop at 10,000 entries allocates %.0f words, at 100 entries %.0f" large
+      small
+
 (* A lost [Dir_update] reply fails the create: the update is never
    retried, and the release that follows aborts the shadow session the SS
    opened for it and closes the open, so the SS keeps neither, and the
@@ -779,8 +862,8 @@ let () =
       ( "write-commit",
         [
           Alcotest.test_case "abort undoes" `Quick test_commit_visibility;
-          Alcotest.test_case "rewrite sends changed pages" `Quick
-            test_rewrite_sends_changed_pages;
+          Alcotest.test_case "record patch writes one page" `Quick
+            test_record_patch_writes_one_page;
           Alcotest.test_case "single writer" `Quick test_single_writer_policy;
           Alcotest.test_case "reader sees live writes" `Quick
             test_concurrent_read_during_write_sees_updates;
@@ -804,6 +887,8 @@ let () =
           Alcotest.test_case "remote dirop moves one page" `Quick
             test_remote_dirop_moves_one_page;
           Alcotest.test_case "lost dir-update reply" `Quick test_dir_update_lost_reply;
+          Alcotest.test_case "dir index built once" `Quick test_dir_index_built_once;
+          Alcotest.test_case "dir update allocation flat" `Quick test_dir_update_allocation_flat;
         ] );
       ( "close-protocol",
         [

@@ -11,9 +11,11 @@
    - partition protocol: for arbitrary physical topologies the agreed
      membership is fully connected and unanimous
    - directory updates at the storage site: random creates and unlinks
-     from packed and packless sites, at stripe width 1 and 3, give the
-     errnos of a name model, leave byte-identical copies that re-encode
-     to themselves, and list the model's names at every site
+     from packed and packless sites, mixed with lost replies, whole-body
+     rewrites and settled lookups, in directories of one page or 10+, at
+     stripe width 1 and 3, give the errnos of a name model, leave
+     byte-identical copies that re-encode to themselves, and list and
+     resolve the model's names at every site
    - end-to-end: after random divergent updates and a merge, all copies of
      every file converge to identical version vectors and contents (or the
      file is explicitly marked in conflict)
@@ -112,7 +114,11 @@ let prop_dir_records_in_one_page =
 
 (* One dirop on a decoded directory: enter a new name, remove a live one,
    or enter a tombstoned one again. Past the old end the file reads as
-   zeroes, so the comparison zero-extends the old encoding. *)
+   zeroes, so the comparison zero-extends the old encoding. The same
+   change made the way the storage site makes it — [Dir.record] written
+   where [Dir.Index] puts it, the name's own record or the log's end —
+   gives the same bytes, and the index locates every record of the old
+   body. *)
 let prop_dir_one_page_change =
   QCheck.Test.make ~name:"dir change touches one page" ~count:300
     (QCheck.make
@@ -123,38 +129,73 @@ let prop_dir_one_page_change =
     (fun (d, op, pick, name) ->
       let old = Dir.encode d in
       let d = Dir.decode old in
+      let size = String.length old in
+      let read lpage =
+        Page.of_string (String.sub old (lpage * Page.size) (min Page.size (size - (lpage * Page.size))))
+      in
+      let index = Dir.Index.build ~read ~size in
+      let locate name =
+        Option.map
+          (fun (at, page) -> (at, Dir.entry_at page (at mod Page.size)))
+          (Dir.Index.find index ~read ~limit:size name)
+      in
+      let located =
+        List.for_all
+          (fun (e : Dir.entry) ->
+            match locate e.Dir.name with Some (_, found) -> found = e | None -> false)
+          (Dir.all_entries d)
+      in
       let pick_from status =
         match List.filter (fun (e : Dir.entry) -> e.Dir.status = status) (Dir.all_entries d) with
         | [] -> None
         | es -> Some (List.nth es (pick mod List.length es)).Dir.name
       in
-      let applied =
+      (* The name changed, and whether it is new. *)
+      let changed_name =
         match op with
         | 0 ->
           let name = if Dir.find_entry d name = None then name else "fresh" in
-          Dir.find_entry d name = None
-          && (Dir.insert d ~name ~ino:7 ~stamp:1e6 ~origin:3;
-              true)
+          if Dir.find_entry d name = None then begin
+            Dir.insert d ~name ~ino:7 ~stamp:1e6 ~origin:3;
+            Some (name, true)
+          end
+          else None
         | 1 -> (
           match pick_from Dir.Live with
-          | Some name -> Dir.remove d ~name ~stamp:1e6 ~origin:3
-          | None -> false)
+          | Some name when Dir.remove d ~name ~stamp:1e6 ~origin:3 -> Some (name, false)
+          | Some _ | None -> None)
         | _ -> (
           match pick_from Dir.Tombstone with
           | Some name ->
             Dir.insert d ~name ~ino:9 ~stamp:1e6 ~origin:3;
-            true
-          | None -> false)
+            Some (name, false)
+          | None -> None)
       in
-      QCheck.assume applied;
+      QCheck.assume (changed_name <> None);
+      let name, fresh = Option.get changed_name in
       let b = Dir.encode d in
       let at i = if i < String.length old then old.[i] else '\000' in
       let changed = List.filter (fun i -> b.[i] <> at i) (List.init (String.length b) Fun.id) in
       let pages = List.sort_uniq Int.compare (List.map (fun i -> i / Page.size) changed) in
-      List.length pages = 1
+      let patched =
+        let off =
+          if fresh then Some (Dir.Index.next index name) else Option.map fst (locate name)
+        in
+        Option.map
+          (fun off ->
+            let r = Dir.record (Option.get (Dir.find_entry d name)) in
+            let p = Bytes.make (max size (off + String.length r)) '\000' in
+            Bytes.blit_string old 0 p 0 size;
+            Bytes.blit_string r 0 p off (String.length r);
+            Bytes.to_string p)
+          off
+      in
+      located
+      && List.length pages = 1
       && String.length b >= String.length old
       && (op <> 0 || List.for_all (fun i -> i >= String.length old) changed)
-      && (op = 0 || String.length b = String.length old))
+      && (op = 0 || String.length b = String.length old)
+      && patched = Some b)
 
 (* A body cut inside a record, or with a record's status byte outside
    0..2, is refused whole: never a directory missing some entries. *)
@@ -485,23 +526,91 @@ let prop_fs_matches_model =
    packless site 3 against a directory with a copy at every pack, at
    stripe width 1 and 3. Each errno must match a model of the live names.
    After a settle, every copy's body must be byte-identical and re-encode
-   to itself, and every site must list exactly the model's names. *)
+   to itself, and every site must list exactly the model's names.
+
+   The SS changes one record through its directory index, so the sequence
+   also mixes in what must keep or drop an index: a [Dir_update] whose
+   reply is lost (the create or unlink fails with ENET and its session
+   aborts, unless the US is its own SS), a rewrite of the whole body in a
+   session ([Us.set_contents] + commit) that moves every record, and a
+   settled lookup at a pack site, which indexes that copy so that the
+   next change elsewhere reaches it by propagation. A big case starts
+   from a directory of 10+ pages and uses names long enough that records
+   leave padding at page ends. At the end every pack site also resolves
+   every pool name like the model. *)
+type dirop =
+  | Create of int * int (* site, name *)
+  | Unlink of int * int
+  | Lost of int * int * bool (* site, name, create *)
+  | Rewrite of int
+  | Lookup of int * int
+
 let arb_dirop_case =
+  let print_op = function
+    | Create (site, n) -> Printf.sprintf "create n%d at s%d" n site
+    | Unlink (site, n) -> Printf.sprintf "unlink n%d at s%d" n site
+    | Lost (site, n, create) ->
+      Printf.sprintf "%s n%d at s%d, reply lost" (if create then "create" else "unlink") n site
+    | Rewrite site -> Printf.sprintf "rewrite at s%d" site
+    | Lookup (site, n) -> Printf.sprintf "lookup n%d at s%d" n site
+  in
   QCheck.make
-    ~print:(fun (width, ops) ->
-      Printf.sprintf "width %d: %s" width
-        (String.concat "; "
-           (List.map
-              (fun (site, n, create) ->
-                Printf.sprintf "%s n%d at s%d" (if create then "create" else "unlink") n site)
-              ops)))
+    ~print:(fun (width, big, ops) ->
+      Printf.sprintf "width %d%s: %s" width (if big then ", big" else "")
+        (String.concat "; " (List.map print_op ops)))
     QCheck.Gen.(
-      pair (oneofl [ 1; 3 ])
-        (list_size (int_range 1 16) (triple (int_bound 3) (int_bound 4) bool)))
+      let site = int_bound 3 and name = int_bound 4 in
+      triple (oneofl [ 1; 3 ]) bool
+        (list_size (int_range 1 16)
+           (frequency
+              [
+                (6, map2 (fun s n -> Create (s, n)) site name);
+                (6, map2 (fun s n -> Unlink (s, n)) site name);
+                (1, map3 (fun s n c -> Lost (s, n, c)) site name bool);
+                (1, map (fun s -> Rewrite s) site);
+                (2, map2 (fun s n -> Lookup (s, n)) (int_bound 2) name);
+              ])))
+
+(* Drop the reply to the next [Dir_update] any pack site serves. *)
+let lose_dir_update_replies w =
+  let net = World.net w in
+  List.iter
+    (fun ss ->
+      let k = World.kernel w ss in
+      Net.Netsim.set_handler net ss (fun ~src req ->
+          (match req with
+          | Proto.Dir_update _ -> Net.Netsim.fail_next_message net ~src:ss ~dst:src
+          | _ -> ());
+          k.K.dispatch src req))
+    [ 0; 1; 2 ]
+
+let restore_handlers w =
+  List.iter
+    (fun ss ->
+      let k = World.kernel w ss in
+      Net.Netsim.set_handler (World.net w) ss (fun ~src req -> k.K.dispatch src req))
+    [ 0; 1; 2 ]
+
+(* Rewrite [dir_gf] whole from [site]: the same entries, in reverse log
+   order, so every record moves. *)
+let rewrite_reversed w site dir_gf =
+  let k = World.kernel w site in
+  let o = Locus_core.Us.open_gf k dir_gf Proto.Mode_modify in
+  let dir = Dir.decode (Locus_core.Us.read_all k o) in
+  let reversed = Dir.empty () in
+  List.iter
+    (fun (e : Dir.entry) ->
+      Dir.insert reversed ~name:e.Dir.name ~ino:e.Dir.ino ~stamp:e.Dir.stamp ~origin:e.Dir.origin;
+      if e.Dir.status = Dir.Tombstone then
+        ignore (Dir.remove reversed ~name:e.Dir.name ~stamp:e.Dir.stamp ~origin:e.Dir.origin))
+    (List.rev (Dir.all_entries dir));
+  Locus_core.Us.set_contents k o (Dir.encode reversed);
+  Locus_core.Us.commit k o;
+  Locus_core.Us.close k o
 
 let prop_dir_updates_match_model =
   QCheck.Test.make ~name:"directory updates at the SS match a name model" ~count:60
-    arb_dirop_case (fun (width, ops) ->
+    arb_dirop_case (fun (width, big, ops) ->
       let base = World.default_config ~n_sites:4 () in
       let config =
         {
@@ -515,27 +624,68 @@ let prop_dir_updates_match_model =
       Kernel.set_ncopies p0 3;
       let dir_gf = Kernel.mkdir k0 p0 "/d" in
       ignore (World.settle w);
+      let pad = if big then String.make 300 'x' else "" in
+      let prefill =
+        if big then List.init 50 (fun i -> Printf.sprintf "p%d-%s" i (String.make 250 'p'))
+        else []
+      in
+      if big then begin
+        let o = Locus_core.Us.open_gf k0 dir_gf Proto.Mode_modify in
+        let dir = Dir.decode (Locus_core.Us.read_all k0 o) in
+        List.iteri
+          (fun i name -> Dir.insert dir ~name ~ino:(1000 + i) ~stamp:0.0 ~origin:0)
+          prefill;
+        Locus_core.Us.set_contents k0 o (Dir.encode dir);
+        Locus_core.Us.commit k0 o;
+        Locus_core.Us.close k0 o;
+        ignore (World.settle w)
+      end;
+      let name_of n = Printf.sprintf "n%d%s" n pad in
       let live = Hashtbl.create 8 in
       let ok = ref true in
+      let dirop site n create =
+        let k = World.kernel w site and p = World.proc w site in
+        let name = name_of n in
+        let path = "/d/" ^ name in
+        let was_live = Hashtbl.mem live name in
+        let expected =
+          if create && was_live then Stdlib.Error Proto.Eexist
+          else if (not create) && not was_live then Stdlib.Error Proto.Enoent
+          else Ok ()
+        in
+        let outcome =
+          match if create then ignore (Kernel.creat k p path) else Kernel.unlink k p path with
+          | () -> Ok ()
+          | exception K.Error (e, _) -> Stdlib.Error e
+        in
+        (expected, outcome, name)
+      in
+      let apply create name =
+        if create then Hashtbl.replace live name () else Hashtbl.remove live name
+      in
       List.iter
-        (fun (site, n, create) ->
-          let k = World.kernel w site and p = World.proc w site in
-          let name = Printf.sprintf "n%d" n in
-          let path = "/d/" ^ name in
-          let was_live = Hashtbl.mem live name in
-          let expected =
-            if create && was_live then Stdlib.Error Proto.Eexist
-            else if (not create) && not was_live then Stdlib.Error Proto.Enoent
-            else Ok ()
-          in
-          let outcome =
-            match if create then ignore (Kernel.creat k p path) else Kernel.unlink k p path with
-            | () -> Ok ()
-            | exception K.Error (e, _) -> Stdlib.Error e
-          in
-          if outcome <> expected then ok := false
-          else if outcome = Ok () then
-            if create then Hashtbl.replace live name () else Hashtbl.remove live name)
+        (function
+          | Create (site, n) | Unlink (site, n) as op ->
+            let create = match op with Create _ -> true | _ -> false in
+            let expected, outcome, name = dirop site n create in
+            if outcome <> expected then ok := false
+            else if outcome = Ok () then apply create name
+          | Lost (site, n, create) -> (
+            lose_dir_update_replies w;
+            let expected, outcome, name = dirop site n create in
+            restore_handlers w;
+            match (expected, outcome) with
+            | Ok (), Ok () -> apply create name
+            | _, Stdlib.Error Proto.Enet -> ()
+            | _ -> if outcome <> expected then ok := false)
+          | Rewrite site -> rewrite_reversed w site dir_gf
+          | Lookup (site, n) -> (
+            ignore (World.settle w);
+            let k = World.kernel w site and p = World.proc w site in
+            match Kernel.stat k p ("/d/" ^ name_of n) with
+            | _ -> if not (Hashtbl.mem live (name_of n)) then ok := false
+            | exception K.Error (Proto.Enoent, _) ->
+              if Hashtbl.mem live (name_of n) then ok := false))
         ops;
       ignore (World.settle w);
       let bodies =
@@ -546,7 +696,8 @@ let prop_dir_updates_match_model =
           [ 0; 1; 2 ]
       in
       let expected =
-        List.sort compare ("." :: ".." :: Hashtbl.fold (fun name () acc -> name :: acc) live [])
+        List.sort compare
+          ("." :: ".." :: (prefill @ Hashtbl.fold (fun name () acc -> name :: acc) live []))
       in
       !ok
       && List.for_all (String.equal (List.hd bodies)) bodies
@@ -558,7 +709,19 @@ let prop_dir_updates_match_model =
                |> List.map (fun (e : Dir.entry) -> e.Dir.name)
              in
              names = expected)
-           [ 0; 1; 2; 3 ])
+           [ 0; 1; 2; 3 ]
+      && List.for_all
+           (fun s ->
+             List.for_all
+               (fun n ->
+                 let found =
+                   match Kernel.stat (World.kernel w s) (World.proc w s) ("/d/" ^ name_of n) with
+                   | _ -> true
+                   | exception K.Error (Proto.Enoent, _) -> false
+                 in
+                 found = Hashtbl.mem live (name_of n))
+               [ 0; 1; 2; 3; 4 ])
+           [ 0; 1; 2 ])
 
 (* ---- committed data survives crashes at random points ---- *)
 

@@ -276,6 +276,65 @@ let test_mailbox_merge_on_partition () =
   let msgs = Kernel.mailbox_read k0 p0 "/mail/alice" in
   check Alcotest.int "both messages present" 2 (List.length msgs)
 
+(* A mailbox with mail on both sides of a [0; 1] | [2; 3] split, whose
+   copies at [corrupt] are then overwritten with bytes that are no
+   mailbox, every buffered copy dropped. *)
+let diverged_mailbox ~corrupt =
+  let w, k0, p0 = conflict_world () in
+  let gf = Kernel.creat ~ftype:Inode.Mailbox k0 p0 "/mail/alice" in
+  ignore (World.settle w);
+  ignore (World.partition w [ [ 0; 1 ]; [ 2; 3 ] ]);
+  Kernel.mailbox_deliver k0 ~path:"/mail/alice" ~from:"bob" ~body:"left mail";
+  Kernel.mailbox_deliver (World.kernel w 2) ~path:"/mail/alice" ~from:"carol"
+    ~body:"right mail";
+  ignore (World.settle w);
+  List.iter
+    (fun site ->
+      let k = World.kernel w site in
+      let pack = Hashtbl.find k.K.packs gf.Catalog.Gfile.fg in
+      (match Storage.Pack.page_addr pack (Storage.Pack.get_inode pack gf.Catalog.Gfile.ino) 0 with
+      | Some addr ->
+        Storage.Disk.write (Storage.Pack.disk pack) addr (Storage.Page.of_string "\255garbage")
+      | None -> Alcotest.fail "mailbox has no first page");
+      Storage.Cache.clear k.K.ss_cache ~notify:false;
+      Storage.Cache.clear k.K.us_cache ~notify:false)
+    corrupt;
+  (w, k0, p0, gf)
+
+let mailbox_vvs w (gf : Catalog.Gfile.t) =
+  List.map
+    (fun site ->
+      let pack = Hashtbl.find (World.kernel w site).K.packs gf.Catalog.Gfile.fg in
+      Vv.Version_vector.to_string (Storage.Pack.get_inode pack gf.Catalog.Gfile.ino).Inode.vv)
+    [ 0; 1; 2; 3 ]
+
+let mail_undecodable w = Sim.Stats.get (World.stats w) "recon.mail.undecodable"
+
+(* A mailbox copy that does not decode is left out of the merge and
+   counted, and the mail of the copies that decode survives. *)
+let test_mailbox_merge_skips_undecodable_copy () =
+  let w, k0, p0, _ = diverged_mailbox ~corrupt:[ 2; 3 ] in
+  let _, recon = World.heal_and_merge w in
+  ignore (World.settle w);
+  check Alcotest.bool "undecodable copy counted" true (mail_undecodable w >= 1);
+  check Alcotest.int "no conflicts" 0 (total (fun r -> r.Reconcile.conflicts_marked) recon);
+  let bodies = List.map (fun (m : Catalog.Mailbox.msg) -> m.Catalog.Mailbox.body)
+      (Kernel.mailbox_read k0 p0 "/mail/alice") in
+  check Alcotest.(list string) "the left mail survives" [ "left mail" ] bodies
+
+(* No copy decodes: nothing is merged, so no version — least of all an
+   empty mailbox — is committed, and the file is marked like an untyped
+   conflict for its owner to resolve. *)
+let test_mailbox_all_undecodable_marks_conflict () =
+  let w, _, _, gf = diverged_mailbox ~corrupt:[ 0; 1; 2; 3 ] in
+  let before = mailbox_vvs w gf in
+  let _, recon = World.heal_and_merge w in
+  check Alcotest.bool "undecodable copies counted" true (mail_undecodable w >= 2);
+  check Alcotest.int "no mailbox merged" 0 (total (fun r -> r.Reconcile.mail_merges) recon);
+  check Alcotest.bool "conflict marked" true
+    (total (fun r -> r.Reconcile.conflicts_marked) recon >= 1);
+  check Alcotest.(list string) "no version committed" before (mailbox_vvs w gf)
+
 let test_delete_vs_update_saves_file () =
   let w, k0, p0 = conflict_world () in
   ignore (Kernel.creat k0 p0 "/precious");
@@ -454,6 +513,10 @@ let () =
           Alcotest.test_case "stale copy propagates" `Quick
             test_stale_copy_propagates_on_merge;
           Alcotest.test_case "mailbox merge" `Quick test_mailbox_merge_on_partition;
+          Alcotest.test_case "undecodable mailbox left out" `Quick
+            test_mailbox_merge_skips_undecodable_copy;
+          Alcotest.test_case "no mailbox decodes: conflict" `Quick
+            test_mailbox_all_undecodable_marks_conflict;
           Alcotest.test_case "delete vs update saves" `Quick
             test_delete_vs_update_saves_file;
           Alcotest.test_case "name conflict renames" `Quick test_name_conflict_renames_both;

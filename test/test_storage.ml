@@ -253,30 +253,6 @@ let test_cache_lru_eviction () =
   check Alcotest.bool "b evicted" true (Cache.find c "b" = None);
   check Alcotest.bool "c kept" true (Cache.find c "c" <> None)
 
-(* [remap] keeps, re-keys or drops every entry in one pass; a re-keyed
-   entry keeps its place in the recency order, and one moved onto a key
-   already present gives way to it. *)
-let test_cache_remap () =
-  let c = Cache.create ~capacity:8 () in
-  List.iter
-    (fun (k, v) -> Cache.insert c k (Page.of_string v))
-    [ (("f", 0, "v1"), "a"); (("f", 1, "v1"), "b"); (("g", 0, "v1"), "c");
-      (("f", 2, "v1"), "d"); (("f", 2, "v2"), "e") ];
-  Cache.remap c (fun ((g, p, _) as key) ->
-      if g <> "f" then Some key else if p = 1 then None else Some (g, p, "v2"));
-  check
-    Alcotest.(list (triple string int string))
-    "moved in place, dropped, collision gave way"
-    [ ("f", 2, "v2"); ("g", 0, "v1"); ("f", 0, "v2") ]
-    (Cache.keys_mru c);
-  (match Cache.find c ("f", 0, "v2") with
-  | Some p -> check Alcotest.string "contents follow the key" "a" (Page.sub p 0 1)
-  | None -> Alcotest.fail "re-keyed entry lost");
-  (match Cache.find c ("f", 2, "v2") with
-  | Some p -> check Alcotest.string "present key kept" "e" (Page.sub p 0 1)
-  | None -> Alcotest.fail "present entry lost");
-  check Alcotest.int "no evictions counted" 0 (Cache.evictions c)
-
 let test_cache_invalidate_if () =
   let c = Cache.create ~capacity:8 () in
   Cache.insert c ("f", 0) (Page.of_string "x");
@@ -400,7 +376,6 @@ let () =
           Alcotest.test_case "hit/miss" `Quick test_cache_hit_miss;
           Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
           Alcotest.test_case "invalidate_if" `Quick test_cache_invalidate_if;
-          Alcotest.test_case "remap" `Quick test_cache_remap;
           Alcotest.test_case "lru order" `Quick test_cache_lru_order;
           Alcotest.test_case "eviction counters" `Quick test_cache_eviction_counters;
           Alcotest.test_case "notify policy" `Quick test_cache_notify_policy;
