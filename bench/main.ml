@@ -160,8 +160,66 @@ let micro_tests () =
              (Net.Rpc.call net ~tag:"read" ~src:0 ~dst:1 ~req_bytes:40
                 ~resp_bytes:(fun _ -> 40) 0)))
   in
+  (* Pathname resolution at a packless site, trace recording off: a walk
+     of three components served by the name cache, and the same walk
+     after the cache is emptied, which ships the components to a storage
+     site in one lookup and refills the cache. *)
+  let wn = Experiments.make_world ~n:4 ~packs:[ 0; 1 ] () in
+  Sim.Trace.set_recording (Sim.Engine.trace (World.engine wn)) false;
+  let kn0 = World.kernel wn 0 and pn0 = World.proc wn 0 in
+  ignore (Kernel.mkdir kn0 pn0 "/nc");
+  ignore (Kernel.mkdir kn0 pn0 "/nc/deep");
+  let ngf = Kernel.creat kn0 pn0 "/nc/deep/f" in
+  Experiments.settle_ok wn;
+  let kn3 = World.kernel wn 3 in
+  let resolve () =
+    Locus_core.Pathname.resolve_from kn3 ~cwd:(Catalog.Mount.root kn3.K.mount) ~context:[]
+      "/nc/deep/f"
+  in
+  ignore (resolve ());
+  let name_hit =
+    Test.make ~name:"resolve, name-cache hit"
+      (Staged.stage (fun () -> ignore (resolve ())))
+  in
+  let name_miss =
+    Test.make ~name:"resolve, name-cache miss"
+      (Staged.stage (fun () ->
+           Locus_core.Namecache.clear kn3.K.name_cache;
+           ignore (resolve ())))
+  in
+  (* A re-open riding a retained lease grant: no message, no CSS. *)
+  let o = Us.open_gf kn3 ngf Proto.Mode_read in
+  Us.close kn3 o;
+  let leased_reopen =
+    Test.make ~name:"leased re-open+close"
+      (Staged.stage (fun () ->
+           let o = Us.open_gf kn3 ngf Proto.Mode_read in
+           Us.close kn3 o))
+  in
+  (* The recovery merge of two concurrent copies of a directory of [n]
+     entries: half the names in both copies, a quarter in each alone. No
+     tombstone meets a live entry, so the merge asks no storage site. *)
+  let dir_merge n =
+    let copy lo hi =
+      let d = Catalog.Dir.empty () in
+      for i = lo to hi - 1 do
+        Catalog.Dir.insert d ~name:(Printf.sprintf "entry%d" i) ~ino:(i + 2)
+          ~stamp:(float_of_int i) ~origin:0
+      done;
+      d
+    in
+    let a = copy 0 (3 * n / 4) and b = copy (n / 4) n in
+    Test.make ~name:(Printf.sprintf "directory merge (%d entries)" n)
+      (Staged.stage (fun () ->
+           ignore
+             (Recovery.Reconcile.merge_two_dirs kn0 0 a b
+                (Recovery.Reconcile.empty_report ()))))
+  in
   [
     ("open_close_local", local_open); ("open_close_remote", remote_open);
+    ("resolve_name_cache_hit", name_hit); ("resolve_name_cache_miss", name_miss);
+    ("leased_reopen", leased_reopen);
+    ("dir_merge_100", dir_merge 100); ("dir_merge_1000", dir_merge 1000);
     ("page_read_local", read_local); ("page_read_remote_cached", read_remote);
     ("shadow_commit_2p", shadow_commit); ("vv_compare", vv_compare);
     ("dir_codec_100", dir_codec 100); ("dir_codec_1000", dir_codec 1000);

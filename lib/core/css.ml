@@ -323,6 +323,76 @@ let handle_open k ~src gf mode ~shared us_vv =
     end
   end
 
+(* ---- directory intents: the CSS's locks and choices ---- *)
+
+(* Take [gf]'s modification lock for a directory intent of [us], exactly as
+   a modify open would: refused while another holds it, and every read
+   lease on the file is broken. [Ok] carries the file's state, whose
+   [writer] the caller clears before it replies. *)
+let lock k gf ~us =
+  let f = get_file k gf.Gfile.fg gf.Gfile.ino in
+  if f.css_deleted || Site.Map.is_empty f.site_vv then Stdlib.Error Proto.Enoent
+  else if f.css_conflict then Stdlib.Error Proto.Econflict
+  else if f.writer <> None then Stdlib.Error Proto.Ebusy
+  else begin
+    f.writer <- Some us;
+    break_leases k gf f;
+    Ok f
+  end
+
+(* Whether this site's own copy is at [f]'s latest version. *)
+let holds_latest k gf f =
+  match local_info k gf with
+  | Some info ->
+    Vvec.dominates_or_equal info.Proto.i_vv f.latest_vv
+    && List.mem k.site (sites_with_latest k f)
+  | None -> false
+
+(* The storage site that runs an intent's work on [gf]: this site when it
+   holds the latest copy (no message), otherwise the first reachable site
+   that does. *)
+let intent_site k gf f =
+  if holds_latest k gf f then Some k.site
+  else match sites_with_latest k f with s :: _ -> Some s | [] -> None
+
+(* Initial storage-site selection for a new file (section 2.3.7):
+   a. all storage sites must store the parent directory;
+   b. the creating (using) site is used first if possible;
+   c. then the parent directory's site order, inaccessible sites last. *)
+let initial_storage_sites k ~us ~parent_sites ~ncopies =
+  let accessible, inaccessible =
+    List.partition (fun s -> in_partition k s) parent_sites
+  in
+  let ordered =
+    if List.mem us accessible then
+      us :: List.filter (fun s -> not (Site.equal s us)) accessible
+    else accessible
+  in
+  let ordered = ordered @ inaccessible in
+  List.filteri (fun i _ -> i < ncopies) ordered
+
+(* What a storage site [ss] that is not this CSS must be told before it
+   runs a counted unlink, whose inode only it can find: the inodes whose
+   unlink must fail (a held modification lock, a conflict), and those
+   whose latest copy it does not hold, so it leaves their link count to
+   the CSS. *)
+let unlink_fences k fg ~ss =
+  Hashtbl.fold
+    (fun ino f (refuse, stale) ->
+      let refuse =
+        if f.writer <> None then (ino, Proto.Ebusy) :: refuse
+        else if f.css_conflict then (ino, Proto.Econflict) :: refuse
+        else refuse
+      in
+      let stale =
+        match Site.Map.find_opt ss f.site_vv with
+        | Some vv when not (Vvec.dominates_or_equal vv f.latest_vv) -> ino :: stale
+        | Some _ when f.css_deleted -> ino :: stale
+        | Some _ | None -> stale
+      in
+      (refuse, stale))
+    (fg_state k fg).css_files ([], [])
+
 (* SS -> CSS leg of the close protocol. *)
 let handle_ss_close k gf ~us ~mode =
   let fg = gf.Gfile.fg in

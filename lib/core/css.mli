@@ -40,6 +40,34 @@ val handle_open :
   Proto.resp
 (** The CSS half of the open protocol (Figure 2). *)
 
+(** {1 Directory intents} *)
+
+val lock :
+  Ktypes.t -> Catalog.Gfile.t -> us:Net.Site.t -> (Ktypes.css_file, Proto.errno) result
+(** Take a file's modification lock for a directory intent of [us], as a
+    modify open would: [EBUSY] while held, [ENOENT]/[ECONFLICT] as for an
+    open; every read lease is broken. The caller clears [writer] before
+    it replies. *)
+
+val holds_latest : Ktypes.t -> Catalog.Gfile.t -> Ktypes.css_file -> bool
+(** This site's own copy is at the file's latest version. *)
+
+val intent_site : Ktypes.t -> Catalog.Gfile.t -> Ktypes.css_file -> Net.Site.t option
+(** Where an intent's work on a file runs: this site when it holds the
+    latest copy, otherwise the first reachable site that does. *)
+
+val initial_storage_sites :
+  Ktypes.t -> us:Net.Site.t -> parent_sites:Net.Site.t list -> ncopies:int -> Net.Site.t list
+(** The site-selection algorithm of §2.3.7 for a file created by [us]:
+    the parent directory's sites, [us] first when it is one of them,
+    inaccessible sites last, [ncopies] of them. *)
+
+val unlink_fences :
+  Ktypes.t -> int -> ss:Net.Site.t -> (int * Proto.errno) list * int list
+(** For a counted unlink forwarded to storage site [ss]: the inodes whose
+    unlink must fail, with the errno, and those whose latest copy [ss]
+    does not hold. *)
+
 val handle_ss_close :
   Ktypes.t -> Catalog.Gfile.t -> us:Net.Site.t -> mode:Proto.open_mode -> Proto.resp
 (** SS→CSS leg of the close protocol. *)

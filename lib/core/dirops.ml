@@ -1,136 +1,275 @@
 (* Directory updates, file creation and deletion (sections 2.3.4, 2.3.7).
 
-   Every name-space change — enter an entry, remove an entry, rename — is
-   one atomic directory modification performed through the standard
-   open-for-modification / commit machinery, so directory interrogation
-   never sees an inconsistent picture. Creation chooses initial storage
-   sites with the paper's algorithm: storage sites of the parent directory,
-   local site first, inaccessible sites last. *)
+   Every name-space change — a create, an unlink, a link, each half of a
+   rename — is one intent: the using site sends one request to the
+   filegroup's CSS, which serializes it under the directory's modification
+   lock and has one storage site change the directory record and commit,
+   as one atomic directory modification. Directory interrogation never
+   sees an inconsistent picture. Creation chooses initial storage sites
+   with the paper's algorithm: storage sites of the parent directory, the
+   creating site first, inaccessible sites last. *)
 
 open Ktypes
 module Inode = Storage.Inode
+module Pack = Storage.Pack
 module Dir = Catalog.Dir
 
-(* Ship one entry change to the storage site of a directory open for
-   modification; a procedure call when that is this site. A striped open's
-   [o_ss] is the primary, which holds the complete committed copy. The
-   open counts as dirty from the send on: if the reply is lost, the SS may
-   hold a shadow session that [Us.release] must abort. *)
-let send_dir_update k o op =
-  let name = match op with Proto.Enter { name; _ } | Proto.Remove { name; _ } -> name in
-  o.o_dirty <- true;
-  let resp =
-    if Site.equal o.o_ss k.site then begin
-      charge k (latency k).Net.Latency.local_call;
-      Ss.handle_dir_update k ~src:k.site o.o_gf op
-    end
-    else rpc k o.o_ss (Proto.Dir_update { gf = o.o_gf; op })
-  in
-  match resp with
-  | Proto.R_entry { ino } -> ino
-  | Proto.R_err e -> (
-    (* Refused before anything was written. *)
-    o.o_dirty <- false;
-    match e with
-    | Proto.Eexist -> err e "%s already exists" name
-    | Proto.Enoent -> err e "%s: no such entry" name
-    | _ -> err e "update of %s in %a failed" name Gfile.pp o.o_gf)
-  | _ -> err Proto.Eio "unexpected directory update response"
+(* ---- the CSS's half ---- *)
 
-(* Apply one entry change to a directory atomically: open for
-   modification (the CSS serializes writers), have the storage site apply
-   it to the pages it holds, commit, close. [op] builds the change from
-   its stamp, taken once the open is granted. Retries a few times when
-   another site holds the modification lock. Returns the inode entered or
-   removed. *)
-let update_dir k dir_gf op =
+(* Register a new file with this CSS and designate its other initial
+   storage sites, which pull a first copy from [origin] (section 2.3.7).
+   Runs once the file's name has been entered. *)
+let register_file k gf ~origin ~vv ~sites =
+  let replicas = List.filter (fun s -> not (Site.equal s origin)) sites in
+  Css.handle_commit_notify ~replicas k gf ~origin ~vv ~deleted:false;
+  let message =
+    Proto.Commit_notify
+      { gf; vv; meta_only = false; modified = []; origin; fresh = true; deleted = false;
+        designate = true; replicas = [] }
+  in
+  List.iter (fun site -> notify k site message) replicas
+
+(* Record a link-count change of [gf] that [fss] committed, and tell the
+   other sites that held the latest copy, as a commit does. *)
+let links_changed k gf (f : css_file) ~fss ~vv ~deleted =
+  let others = List.filter (fun s -> not (Site.equal s fss)) (Css.sites_with_latest k f) in
+  Css.handle_commit_notify k gf ~origin:fss ~vv ~deleted;
+  let message =
+    Proto.Commit_notify
+      { gf; vv; meta_only = not deleted; modified = []; origin = fss; fresh = true; deleted;
+        designate = false; replicas = [] }
+  in
+  List.iter (fun site -> notify k site message) others
+
+(* Change the link count of [gf] at the site holding its latest copy, when
+   the site that changed the directory could not: in process here, or one
+   forward. [None] when no copy is known to drop a link of. *)
+let change_links_at k ~us ~seq gf ~delta =
+  let f = Css.get_file k gf.Gfile.fg gf.Gfile.ino in
+  if f.css_deleted || Site.Map.is_empty f.site_vv then None
+  else
+    match Css.intent_site k gf f with
+    | None -> err Proto.Enet "no reachable copy of %a to change its links" Gfile.pp gf
+    | Some fss -> (
+      let result =
+        if Site.equal fss k.site then Ss.change_links k gf ~delta
+        else
+          let step = Proto.Step_link { gf; delta } in
+          match rpc k fss (Proto.Intent_step { us; seq; step }) with
+          | Proto.R_linked { vv; deleted } -> Ok (vv, deleted)
+          | Proto.R_err e -> Stdlib.Error e
+          | _ -> err Proto.Eio "unexpected link-step response"
+      in
+      match result with
+      | Ok (vv, deleted) ->
+        links_changed k gf f ~fss ~vv ~deleted;
+        Some (vv, deleted)
+      | Stdlib.Error e -> err e "link count of %a at %a" Gfile.pp gf Site.pp fss)
+
+(* The CSS half of an intent (sections 2.3.4, 2.3.7): take the directory's
+   modification lock, and for a counted unlink or link the target's; pick
+   the storage site — this site when it holds the latest copy, no message
+   — and run the record change and commit there, in process or in one
+   forward; then record the new versions, register a created file and
+   designate its replicas. Every lock is released before the reply. *)
+let run_intent k ~us ~seq dir (op : Proto.intent) =
+  let fg = dir.Gfile.fg in
+  if not (Css.is_css k fg) then Proto.R_err Proto.Estale
+  else
+    match Css.lock k dir ~us with
+    | Stdlib.Error e -> Proto.R_err e
+    | Ok f -> (
+      let locked = ref [ f ] in
+      (* A target whose link count no reachable copy can change is
+         refused before anything changes. *)
+      let lock_target gf =
+        match Css.lock k gf ~us with
+        | Ok tf ->
+          locked := tf :: !locked;
+          if Css.intent_site k gf tf = None then Stdlib.Error Proto.Enet else Ok ()
+        | Stdlib.Error _ as refused -> refused
+      in
+      let latest_here gf =
+        let tf = Css.get_file k fg gf.Gfile.ino in
+        (not tf.css_deleted) && Css.holds_latest k gf tf
+      in
+      (* Run the directory step at [ss], whose commit notifies the other
+         sites holding the latest copy; [fences] are what a remote site
+         must be told that only this CSS knows. *)
+      let dir_step ss ~guard ~fences =
+        let others = List.filter (fun s -> not (Site.equal s ss)) (Css.sites_with_latest k f) in
+        if Site.equal ss k.site then
+          Ss.apply_intent k ~us dir op ~others ~guard
+            ~links_here:(fun ino -> latest_here (Gfile.make ~fg ~ino))
+        else begin
+          let refuse, stale = fences () in
+          rpc k ss
+            (Proto.Intent_step
+               { us; seq; step = Proto.Step_dir { dir; op; others; refuse; stale } })
+        end
+      in
+      let no_guard _ = Ok () and no_fences () = ([], []) in
+      let finish ss resp ~after =
+        match resp with
+        | Proto.R_intent { ino; dir_vv; file } ->
+          Css.handle_commit_notify k dir ~origin:ss ~vv:dir_vv ~deleted:false;
+          Proto.R_intent { ino; dir_vv; file = after ino file }
+        | Proto.R_err _ as refused -> refused
+        | _ -> err Proto.Eio "unexpected intent-step response"
+      in
+      (* A counted unlink or link whose storing site left the link count
+         to this CSS. *)
+      let links ~delta ss ino file =
+        let gf = Gfile.make ~fg ~ino in
+        match file with
+        | Some (vv, deleted) ->
+          links_changed k gf (Css.get_file k fg ino) ~fss:ss ~vv ~deleted;
+          file
+        | None -> change_links_at k ~us ~seq gf ~delta
+      in
+      let run () =
+        match (op, Css.intent_site k dir f) with
+        | _, None -> Proto.R_err Proto.Enet
+        | Proto.Create { ncopies; ino = given; _ }, Some latest -> (
+          let parent_sites = List.map fst (Site.Map.bindings f.site_vv) in
+          let parent_sites =
+            if given <> None && not (List.mem us parent_sites) then parent_sites @ [ us ]
+            else parent_sites
+          in
+          let ncopies = max 1 (min ncopies (List.length parent_sites)) in
+          match Css.initial_storage_sites k ~us ~parent_sites ~ncopies with
+          | [] -> Proto.R_err Proto.Enet
+          | first :: _ as chosen ->
+            (* The first chosen site numbers the inode: the using site
+               itself, or the storage site that enters the name — the
+               first chosen site when it holds the latest directory, else
+               [latest], moved to the front. *)
+            let ss, sites =
+              if given <> None then (latest, chosen)
+              else if List.mem first (Css.sites_with_latest k f) then (first, chosen)
+              else
+                ( latest,
+                  List.filteri
+                    (fun i _ -> i < ncopies)
+                    (latest :: List.filter (fun s -> not (Site.equal s latest)) chosen) )
+            in
+            finish ss (dir_step ss ~guard:no_guard ~fences:no_fences) ~after:(fun ino file ->
+                let origin, vv =
+                  match (given, file) with
+                  | None, Some (vv, _) -> (ss, vv)
+                  | Some _, _ | None, None -> (us, Vvec.bump Vvec.zero us)
+                in
+                register_file k (Gfile.make ~fg ~ino) ~origin ~vv ~sites;
+                None))
+        | (Proto.Unlink { links = false; _ } | Proto.Link { links = false; _ }), Some ss ->
+          finish ss (dir_step ss ~guard:no_guard ~fences:no_fences) ~after:(fun _ _ -> None)
+        | Proto.Link { ino; links = true; _ }, Some ss -> (
+          let target = Gfile.make ~fg ~ino in
+          match lock_target target with
+          | Stdlib.Error e -> Proto.R_err e
+          | Ok () ->
+            let fences () =
+              let tf = Css.get_file k fg ino in
+              ([], if List.mem ss (Css.sites_with_latest k tf) then [] else [ ino ])
+            in
+            finish ss (dir_step ss ~guard:no_guard ~fences) ~after:(links ~delta:1 ss))
+        | Proto.Unlink { links = true; _ }, Some ss ->
+          (* The target is known only once the storage site finds the
+             name: here it is locked as it is found; a remote site gets
+             the lock table's verdicts with the step. *)
+          let guard ino =
+            match lock_target (Gfile.make ~fg ~ino) with
+            | Stdlib.Error Proto.Enoent -> Ok () (* no live copy: only the name goes *)
+            | result -> result
+          in
+          finish ss
+            (dir_step ss ~guard ~fences:(fun () -> Css.unlink_fences k fg ~ss))
+            ~after:(links ~delta:(-1) ss)
+      in
+      let release () = List.iter (fun (f : css_file) -> f.writer <- None) !locked in
+      match run () with
+      | resp ->
+        release ();
+        record k ~tag:"css.intent" "%a from %a seq %d" Gfile.pp dir Site.pp us seq;
+        resp
+      | exception Error (e, _) ->
+        release ();
+        Proto.R_err e)
+
+(* ---- the using site's half ---- *)
+
+let name_of = function
+  | Proto.Create { name; _ } | Proto.Unlink { name; _ } | Proto.Link { name; _ } -> name
+
+(* Send one intent to the directory's CSS — a procedure call when that is
+   this site — retrying a few times while another site holds the
+   directory's (or the target's) modification lock. The transport resends
+   a lost request or reply; the CSS answers a resend from its reply
+   cache. Returns the inode and the file's new version, if the link count
+   changed. *)
+let intent k dir op =
   let rec attempt tries =
-    match Us.open_gf k dir_gf Proto.Mode_modify with
-    | o ->
-      (* Anything that raises from here on — the update or the commit —
-         must still release the open, or the SS keeps the serving
-         registration and shadow session forever. *)
-      (match
-         let ino = send_dir_update k o (op ~stamp:(now k)) in
-         Us.commit k o;
-         ino
-       with
-      | ino ->
-        Us.close k o;
-        (* This site just changed the directory, and its own commit
-           notification never loops back here: retire name-cache links
-           read under the old version now. *)
-        Namecache.note_dir_vv k.name_cache ~dir:dir_gf o.o_info.Proto.i_vv;
-        ino
-      | exception e ->
-        Us.release k o;
-        raise e)
-    | exception Error (Proto.Ebusy, _) when tries > 0 ->
+    k.intent_seq <- k.intent_seq + 1;
+    let seq = k.intent_seq in
+    let css = (fg_info k dir.Gfile.fg).css_site in
+    let resp =
+      if Site.equal css k.site then begin
+        charge k (latency k).Net.Latency.local_call;
+        run_intent k ~us:k.site ~seq dir op
+      end
+      else rpc k css (Proto.Dir_intent { dir; op; seq })
+    in
+    match resp with
+    | Proto.R_intent { ino; dir_vv; file } ->
+      (* This site just changed the directory (and maybe the file), and
+         neither the commit notification nor the CSS's lease break has
+         reached it yet: retire name-cache links read under the old
+         version, and any retained open grant on an old version, now. *)
+      Namecache.note_dir_vv k.name_cache ~dir dir_vv;
+      Openlease.note_commit k.open_leases dir dir_vv;
+      (match file with
+      | Some (vv, _) ->
+        Openlease.note_commit k.open_leases (Gfile.make ~fg:dir.Gfile.fg ~ino) vv
+      | None -> ());
+      (ino, file)
+    | Proto.R_err Proto.Ebusy when tries > 0 ->
       charge k 1.0;
       attempt (tries - 1)
+    | Proto.R_err e -> (
+      let name = name_of op in
+      match e with
+      | Proto.Eexist -> err e "%s already exists" name
+      | Proto.Enoent -> err e "%s: no such entry" name
+      | _ -> err e "update of %s in %a failed" name Gfile.pp dir)
+    | _ -> err Proto.Eio "unexpected intent response"
   in
   attempt 5
 
-let enter_entry k dir_gf ~name ~ino =
-  ignore
-    (update_dir k dir_gf (fun ~stamp -> Proto.Enter { name; ino; stamp; origin = k.site }))
-
-let remove_entry k dir_gf ~name =
-  update_dir k dir_gf (fun ~stamp -> Proto.Remove { name; stamp; origin = k.site })
-
-(* Initial storage-site selection for a new file (section 2.3.7):
-   a. all storage sites must store the parent directory;
-   b. the local site is used first if possible;
-   c. then the parent directory's site order, inaccessible sites last. *)
-let initial_storage_sites k ~parent_sites ~ncopies =
-  let accessible, inaccessible =
-    List.partition (fun s -> in_partition k s) parent_sites
-  in
-  let ordered =
-    if List.mem k.site accessible then
-      k.site :: List.filter (fun s -> not (Site.equal s k.site)) accessible
-    else accessible
-  in
-  let ordered = ordered @ inaccessible in
-  List.filteri (fun i _ -> i < ncopies) ordered
-
-let parent_storage_sites k dir_gf =
-  let fi = fg_info k dir_gf.Gfile.fg in
-  match rpc k fi.css_site (Proto.Where_stored { gf = dir_gf }) with
-  | Proto.R_where { all_sites; _ } -> all_sites
-  | Proto.R_err e -> err e "cannot locate parent directory copies"
-  | _ -> err Proto.Eio "unexpected where response"
-
-(* Create a file under [dir_gf]. The create is done at one storage site and
-   propagated to the others. Returns the new file's gfile. *)
+(* Create a file under [dir_gf]. When this site stores the parent it is
+   the first storage site and numbers the inode itself; the name is
+   entered, and the inode announced to the CSS and the other initial
+   storage sites, by one intent. Returns the new file's gfile. *)
 let create_in k dir_gf ~name ~ftype ~owner ~perms ~ncopies =
-  let parent_sites = parent_storage_sites k dir_gf in
-  (* Replication factor: min(per-process default, parent's factor). *)
-  let ncopies = max 1 (min ncopies (List.length parent_sites)) in
-  let chosen = initial_storage_sites k ~parent_sites ~ncopies in
-  match chosen with
-  | [] -> err Proto.Enet "no accessible storage site for create"
-  | ss :: others ->
-    let fg = dir_gf.Gfile.fg in
-    let req = Proto.Create_req { fg; ftype; owner; perms; replicate_at = others } in
-    let ino =
-      if Site.equal ss k.site then begin
-        match Ss.handle_create k fg ~ftype ~owner ~perms ~replicate_at:others with
-        | Proto.R_created { ino } -> ino
-        | Proto.R_err e -> err e "create failed"
-        | _ -> err Proto.Eio "unexpected create response"
-      end
-      else
-        match rpc k ss req with
-        | Proto.R_created { ino } -> ino
-        | Proto.R_err e -> err e "create failed"
-        | _ -> err Proto.Eio "unexpected create response"
-    in
+  let fg = dir_gf.Gfile.fg in
+  let own =
+    match local_pack k fg with
+    | Some pack when Pack.stores pack dir_gf.Gfile.ino ->
+      Some (pack, Ss.alloc_inode k pack ~ftype ~owner ~perms)
+    | Some _ | None -> None
+  in
+  let ino = Option.map (fun (_, (i : Inode.t)) -> i.Inode.ino) own in
+  match intent k dir_gf (Proto.Create { name; ftype; owner; perms; ncopies; ino }) with
+  | ino, _ ->
     let gf = Gfile.make ~fg ~ino in
-    enter_entry k dir_gf ~name ~ino;
-    record k ~tag:"us.create" "%s -> %a at %a (+%d replicas)" name Gfile.pp gf Site.pp ss
-      (List.length others);
+    record k ~tag:"us.create" "%s -> %a" name Gfile.pp gf;
     gf
+  | exception (Error (e, _) as failure) ->
+    (* Refused, so the name was never entered: free the inode. After a
+       transport failure the entry may have committed, so it stays. *)
+    (match own with
+    | Some (pack, inode) when e <> Proto.Enet -> Pack.remove_inode pack inode.Inode.ino
+    | Some _ | None -> ());
+    raise failure
 
 (* Initialize a fresh directory's "." and ".." entries. *)
 let init_directory k gf ~parent_ino =
@@ -147,45 +286,17 @@ let init_directory k gf ~parent_ino =
     Us.release k o;
     raise e
 
-(* Adjust a file's link count at its current storage site. *)
-let link_count k gf ~delta =
-  let o = Us.open_gf k gf Proto.Mode_modify in
-  let resp =
-    match
-      if Site.equal o.o_ss k.site then Ss.handle_link_count k gf ~delta
-      else rpc k o.o_ss (Proto.Link_count { gf; delta })
-    with
-    | resp -> resp
-    | exception e ->
-      Us.release k o;
-      raise e
-  in
-  (match resp with
-  | Proto.R_committed _ -> ()
-  | Proto.R_err e ->
-    Us.release k o;
-    err e "link count update failed"
-  | _ -> ());
-  Us.close k o
-
-(* Remove a name; delete the file body once the last link is gone. *)
+(* Remove a name; the file body is deleted once the last link is gone. *)
 let unlink_gf k dir_gf ~name =
-  let ino = remove_entry k dir_gf ~name in
+  let ino, file = intent k dir_gf (Proto.Unlink { name; links = true }) in
   let gf = Gfile.make ~fg:dir_gf.Gfile.fg ~ino in
-  let info = Us.stat_gf k gf in
-  if info.Proto.i_nlink > 1 then link_count k gf ~delta:(-1)
-  else begin
-    let o = Us.open_gf k gf Proto.Mode_modify in
-    (match Us.delete_file k o with
-    | () -> Us.close k o
-    | exception e ->
-      Us.release k o;
-      raise e);
+  (match file with
+  | Some (_, true) ->
     (* The unlinking site may never receive the deletion's commit
        notification (it need not store the file): drop links to the dead
        inode here as well. *)
     Namecache.invalidate_child k.name_cache gf
-  end;
+  | Some (_, false) | None -> ());
   gf
 
 (* Add a hard link: a second name for an existing inode in the same
@@ -193,18 +304,22 @@ let unlink_gf k dir_gf ~name =
 let link_gf k ~target ~dir_gf ~name =
   if target.Gfile.fg <> dir_gf.Gfile.fg then
     err Proto.Einval "hard links cannot cross filegroup boundaries";
-  enter_entry k dir_gf ~name ~ino:target.Gfile.ino;
-  link_count k target ~delta:1
+  ignore (intent k dir_gf (Proto.Link { name; ino = target.Gfile.ino; links = true }))
 
-(* Rename within a filegroup: remove the old entry, enter the new one.
-   Both are atomic directory operations. *)
+(* Rename within a filegroup: remove the old entry, enter the new one —
+   two intents, neither of which touches the link count. If the new entry
+   is refused the old one is put back; if that fails too, the file has
+   lost its name, which is [EIO], never a silent success. *)
 let rename_gf k ~old_dir ~old_name ~new_dir ~new_name =
   if old_dir.Gfile.fg <> new_dir.Gfile.fg then
     err Proto.Einval "rename cannot cross filegroup boundaries";
-  let ino = remove_entry k old_dir ~name:old_name in
-  (try enter_entry k new_dir ~name:new_name ~ino
-   with e ->
-     (* Put the old entry back if the target directory refused. *)
-     ignore (enter_entry k old_dir ~name:old_name ~ino);
-     raise e);
+  let ino, _ = intent k old_dir (Proto.Unlink { name = old_name; links = false }) in
+  (match intent k new_dir (Proto.Link { name = new_name; ino; links = false }) with
+  | _ -> ()
+  | exception e -> (
+    match intent k old_dir (Proto.Link { name = old_name; ino; links = false }) with
+    | _ -> raise e
+    | exception Error (_, why) ->
+      err Proto.Eio "rename: %s is lost (inode %d): putting it back failed: %s" old_name ino
+        why));
   Gfile.make ~fg:old_dir.Gfile.fg ~ino

@@ -1,32 +1,26 @@
 (** Directory updates, file creation and deletion (§2.3.4, §2.3.7).
 
-    Every name-space change — enter an entry, remove an entry, rename — is
-    one atomic directory modification through the standard open-for-
-    modification/commit machinery, so directory interrogation never sees
-    an inconsistent picture. Creation picks initial storage sites with the
-    paper's algorithm: storage sites of the parent directory, the local
-    site first, inaccessible sites last. *)
+    Every name-space change — a create, an unlink, a link, each half of a
+    rename — is one intent: one request to the filegroup's CSS, which
+    serializes it under the directory's modification lock and has one
+    storage site change the record and commit, as one atomic directory
+    modification. Creation picks initial storage sites with the paper's
+    algorithm: storage sites of the parent directory, the creating site
+    first, inaccessible sites last. *)
 
-val update_dir :
-  Ktypes.t -> Catalog.Gfile.t -> (stamp:float -> Proto.dir_op) -> int
-(** Apply one entry change to a directory atomically under the CSS
-    modification lock, retrying a few times on [EBUSY]: a [Dir_update] to
-    the directory's storage site, which writes the changed pages into the
-    shadow session, then commit and close. The change is built from its
-    stamp, the time the open was granted. Returns the inode entered or
-    removed. *)
-
-val enter_entry : Ktypes.t -> Catalog.Gfile.t -> name:string -> ino:int -> unit
-(** Raises [EEXIST]. *)
-
-val remove_entry : Ktypes.t -> Catalog.Gfile.t -> name:string -> int
-(** Tombstones the entry; returns the inode number. Raises [ENOENT]. *)
-
-val initial_storage_sites :
-  Ktypes.t -> parent_sites:Net.Site.t list -> ncopies:int -> Net.Site.t list
-(** The site-selection algorithm of §2.3.7 (exposed for tests). *)
-
-val parent_storage_sites : Ktypes.t -> Catalog.Gfile.t -> Net.Site.t list
+val run_intent :
+  Ktypes.t -> us:Net.Site.t -> seq:int -> Catalog.Gfile.t -> Proto.intent -> Proto.resp
+(** The CSS half of using site [us]'s intent [seq] on a directory: take
+    the directory's modification lock ([EBUSY] while held; its leases are
+    broken) and, for a counted unlink or link, the target file's; run the
+    record change and the directory's commit at this site when it holds
+    the latest copy, otherwise at the first reachable site that does (one
+    [Intent_step]); record the new versions; for a create, register the
+    file and designate its other initial storage sites. A counted unlink
+    or link changes the file's link count where the directory changed
+    when that site holds the file's latest copy, otherwise at a site that
+    does (one more step). Locks are released before the reply. Answers
+    [R_intent] or [R_err]. *)
 
 val create_in :
   Ktypes.t ->
@@ -37,21 +31,24 @@ val create_in :
   perms:int ->
   ncopies:int ->
   Catalog.Gfile.t
-(** Create a file under a directory: allocate the inode at the chosen SS
-    (a placeholder travels instead of an inode number), enter the name,
-    and designate the replicas. *)
+(** Create a file under a directory with one intent. When this site stores
+    the parent it is the first storage site: it allocates the inode
+    itself, sends the number with the intent, and frees it if the intent
+    is refused ([EEXIST]). Otherwise the storage site that enters the name
+    allocates it, after the name check. Retries a few times on [EBUSY]. *)
 
 val init_directory : Ktypes.t -> Catalog.Gfile.t -> parent_ino:int -> unit
 (** Write a fresh directory's "." and ".." entries. *)
 
-val link_count : Ktypes.t -> Catalog.Gfile.t -> delta:int -> unit
-
 val unlink_gf : Ktypes.t -> Catalog.Gfile.t -> name:string -> Catalog.Gfile.t
-(** Remove a name; delete the file body once the last link is gone. *)
+(** Remove a name with one intent; the file body is deleted once the last
+    link is gone. Fails with [EBUSY], changing nothing, while the
+    directory or the file is open for modification. *)
 
 val link_gf :
   Ktypes.t -> target:Catalog.Gfile.t -> dir_gf:Catalog.Gfile.t -> name:string -> unit
-(** Hard link; raises [EINVAL] across filegroup boundaries. *)
+(** Hard link with one intent; raises [EINVAL] across filegroup
+    boundaries. *)
 
 val rename_gf :
   Ktypes.t ->
@@ -60,3 +57,6 @@ val rename_gf :
   new_dir:Catalog.Gfile.t ->
   new_name:string ->
   Catalog.Gfile.t
+(** Rename within a filegroup: remove the old entry, enter the new one —
+    two intents that leave the link count alone. A refused new entry puts
+    the old one back; if that fails too, [EIO] names the lost entry. *)

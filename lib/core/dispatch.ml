@@ -22,7 +22,6 @@ let handle k ~src (req : Proto.req) : Proto.resp =
     | Proto.Write_pages { gf; first; off; data } ->
       Ss.handle_write_pages k ~src gf ~first ~off ~data
     | Proto.Truncate_req { gf; size } -> Ss.handle_truncate k gf ~size
-    | Proto.Dir_update { gf; op } -> Ss.handle_dir_update k ~src gf op
     | Proto.Commit_req { gf; us = _; abort; delete; force_vv; stripes } ->
       Ss.handle_commit ?force_vv ~stripes k gf ~abort ~delete
     | Proto.Stripe_collect { gf } -> Ss.handle_stripe_collect k gf
@@ -69,10 +68,12 @@ let handle k ~src (req : Proto.req) : Proto.resp =
       record k ~tag:"us.lease.breakcb" "%a" Gfile.pp gf;
       Openlease.kill k.open_leases gf;
       Proto.R_ok
-    (* create / delete / metadata *)
-    | Proto.Create_req { fg; ftype; owner; perms; replicate_at } ->
-      Ss.handle_create k fg ~ftype ~owner ~perms ~replicate_at
-    | Proto.Link_count { gf; delta } -> Ss.handle_link_count k gf ~delta
+    (* name-space changes: each intent and step runs at most once *)
+    | Proto.Dir_intent { dir; op; seq } ->
+      run_once k ~us:src req (fun () -> Dirops.run_intent k ~us:src ~seq dir op)
+    | Proto.Intent_step { us; seq = _; step } ->
+      run_once k ~us req (fun () -> Ss.handle_intent_step k ~us step)
+    (* metadata *)
     | Proto.Set_attr { gf; perms; owner } -> Ss.handle_set_attr k gf ~perms ~owner
     | Proto.Stat_req { gf } -> Ss.handle_stat k gf
     | Proto.Where_stored { gf } -> Css.handle_where k gf

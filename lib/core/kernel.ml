@@ -51,6 +51,8 @@ let create ~site ~machine_type ~engine ~net ~mount ~fg_table ?(config = default_
       procs = Hashtbl.create (min hint 64);
       pipe_bufs = Hashtbl.create 8;
       next_serial = 1;
+      intent_seq = 0;
+      intent_replies = Hashtbl.create 16;
       dispatch = (fun _ _ -> Proto.R_err Proto.Eio);
       extra_handler = (fun _ _ -> None);
       site_table = [ site ];
@@ -491,6 +493,7 @@ let crash k =
   Hashtbl.reset k.shared_fds;
   Hashtbl.reset k.procs;
   Hashtbl.reset k.pipe_bufs;
+  Hashtbl.reset k.intent_replies;
   (* ~notify:false: a dead kernel fires no hooks — pages just vanish, and
      Openlease.clear below likewise drops leases without deferred closes. *)
   Storage.Cache.clear k.us_cache ~notify:false;

@@ -248,6 +248,10 @@ type t = {
   procs : (int, proc) Hashtbl.t;
   pipe_bufs : (Gfile.t, string ref) Hashtbl.t;   (* SS-side fifo contents *)
   mutable next_serial : int;
+  mutable intent_seq : int; (* numbers this site's directory intents *)
+  intent_replies : (Site.t, Proto.req * Proto.resp) Hashtbl.t;
+  (* per using site, the last intent (or forwarded step) this site ran for
+     it and the reply: a resend is answered from here, not run again *)
   mutable dispatch : Site.t -> Proto.req -> Proto.resp;
   (* local fast path into this kernel's own message handler *)
   mutable extra_handler : Site.t -> Proto.req -> Proto.resp option;
@@ -454,6 +458,18 @@ let send_close k dst req =
     park_close k dst req ~tries:0;
     None
   | Stdlib.Error (Net.Rpc.Lost_reply _ | Net.Rpc.Timeout _) -> None
+
+(* Run the numbered intent [req] of using site [us] at most once: a resend
+   of the last one is answered with the reply it got. *)
+let run_once k ~us req run =
+  match Hashtbl.find_opt k.intent_replies us with
+  | Some (last, resp) when last = req ->
+    Sim.Stats.incr (Engine.stats k.engine) "dirop.replay";
+    resp
+  | Some _ | None ->
+    let resp = run () in
+    Hashtbl.replace k.intent_replies us (req, resp);
+    resp
 
 (* One-way notification; losses are silent (the commit protocol tolerates
    them: recovery reconciles). *)

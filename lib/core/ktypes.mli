@@ -233,6 +233,10 @@ type t = {
   procs : (int, proc) Hashtbl.t;
   pipe_bufs : (Gfile.t, string ref) Hashtbl.t;
   mutable next_serial : int;
+  mutable intent_seq : int; (** numbers this site's directory intents *)
+  intent_replies : (Site.t, Proto.req * Proto.resp) Hashtbl.t;
+      (** per using site, the last intent or forwarded step this site ran
+          for it, with its reply: exactly-once execution *)
   mutable dispatch : Site.t -> Proto.req -> Proto.resp;
       (** local fast path into this kernel's own message handler *)
   mutable extra_handler : Site.t -> Proto.req -> Proto.resp option;
@@ -354,6 +358,13 @@ val send_close : t -> Site.t -> Proto.req -> Proto.resp option
     non-idempotent handler still runs at most once. [None] means the close
     either ran with its reply lost, or is parked for retry — the caller
     may treat it as handed off either way. *)
+
+val run_once : t -> us:Site.t -> Proto.req -> (unit -> Proto.resp) -> Proto.resp
+(** [run_once k ~us req run] runs [run] for using site [us]'s numbered
+    intent (or forwarded step) [req], unless [req] is the last one this
+    site ran for [us]: a resend is answered with the same reply (counted
+    as ["dirop.replay"]), so a lost reply costs one retry, never a second
+    execution. One entry per using site. *)
 
 val notify : t -> Site.t -> Proto.req -> unit
 (** One-way message; losses are silent (recovery reconciles). *)

@@ -295,21 +295,24 @@ let lookup_name k pack gf (inode : Inode.t) name =
     | { Dir.status = Dir.Tombstone; _ } -> None)
   | None -> None
 
-(* A directory update done where the directory is stored (section 2.3.4's
-   "ask the storage site", applied to updates). The directory's index
-   locates the name's record: the SS reads that one page through the same
-   page source as a page read and writes the one changed record into the
-   shadow session the US's commit then installs — a remove or re-entry in
-   place, a new name after the last record. Only the first update of a
-   version reads every page, to build the index. The pages never reach a
-   process, so none is charged [cpu_page], as in the server-side lookup. A
-   body that does not decode is [Eio], never an empty directory. *)
-let handle_dir_update k ~src gf op =
+(* Change the record of [name] in directory [gf] where the directory is
+   stored (section 2.3.4's "ask the storage site", applied to updates).
+   The directory's index locates the record: the SS reads that one page
+   through the same page source as a page read and writes the one changed
+   record into the shadow session that a commit then installs — a remove
+   or re-entry in place, a new name after the last record. Only the first
+   change of a version reads every page, to build the index. The pages
+   never reach a process, so none is charged [cpu_page], as in the
+   server-side lookup. A body that does not decode is [Eio], never an
+   empty directory. [change] sees the record that holds [name] now, if
+   any, and returns the record to write in its place, or refuses. Returns
+   the inode of the record written. *)
+let dir_change k ~src gf name change =
   match local_pack k gf.Gfile.fg with
-  | None -> Proto.R_err Proto.Eio
+  | None -> Stdlib.Error Proto.Eio
   | Some pack -> (
     match Pack.find_inode pack gf.Gfile.ino with
-    | None -> Proto.R_err Proto.Enoent
+    | None -> Stdlib.Error Proto.Enoent
     | Some inode -> (
       let read, size = page_source k pack gf inode in
       match
@@ -317,7 +320,7 @@ let handle_dir_update k ~src gf op =
         | Some d when Dir.Index.log_end d.di_index = size -> d
         | Some _ | None -> build_dir_index k gf inode ~read ~size
       with
-      | exception Failure _ -> Proto.R_err Proto.Eio
+      | exception Failure _ -> Stdlib.Error Proto.Eio
       | d -> (
         let write at (e : Dir.entry) =
           match Dir.record e with
@@ -329,35 +332,36 @@ let handle_dir_update k ~src gf op =
               ~off:(at mod Page.size) data;
             Ok e.Dir.ino
         in
-        let found name =
-          Dir.Index.find d.di_index ~read ~limit:size name
-          |> Option.map (fun (at, page) -> (at, Dir.entry_at page (at mod Page.size)))
-        in
-        let result =
-          match op with
-          | Proto.Enter { name; ino; stamp; origin } -> (
-            let e = { Dir.name; ino; status = Dir.Live; stamp; origin } in
-            match found name with
-            | Some (_, { Dir.status = Dir.Live; _ }) -> Stdlib.Error Proto.Eexist
-            | Some (at, { Dir.status = Dir.Tombstone; _ }) -> write at e
-            | None ->
-              let at = Dir.Index.next d.di_index name in
-              let r = write at e in
-              if Result.is_ok r then begin
-                Dir.Index.add d.di_index name at;
-                if at mod Page.size = 0 then dir_index_fit k
-              end;
-              r)
-          | Proto.Remove { name; stamp; origin } -> (
-            match found name with
-            | Some (at, ({ Dir.status = Dir.Live; _ } as e)) ->
-              write at { e with Dir.status = Dir.Tombstone; stamp; origin }
-            | Some (_, { Dir.status = Dir.Tombstone; _ }) | None ->
-              Stdlib.Error Proto.Enoent)
-        in
-        match result with
-        | Ok ino -> Proto.R_entry { ino }
-        | Stdlib.Error e -> Proto.R_err e)))
+        match Dir.Index.find d.di_index ~read ~limit:size name with
+        | Some (at, page) ->
+          Result.bind (change (Some (Dir.entry_at page (at mod Page.size)))) (write at)
+        | None -> (
+          match change None with
+          | Stdlib.Error _ as refused -> refused
+          | Ok e ->
+            let at = Dir.Index.next d.di_index name in
+            let r = write at e in
+            if Result.is_ok r then begin
+              Dir.Index.add d.di_index name at;
+              if at mod Page.size = 0 then dir_index_fit k
+            end;
+            r))))
+
+let handle_dir_update k ~src gf op =
+  let result =
+    match op with
+    | Proto.Enter { name; ino; stamp; origin } ->
+      dir_change k ~src gf name (function
+        | Some { Dir.status = Dir.Live; _ } -> Stdlib.Error Proto.Eexist
+        | Some { Dir.status = Dir.Tombstone; _ } | None ->
+          Ok { Dir.name; ino; status = Dir.Live; stamp; origin })
+    | Proto.Remove { name; stamp; origin } ->
+      dir_change k ~src gf name (function
+        | Some ({ Dir.status = Dir.Live; _ } as e) ->
+          Ok { e with Dir.status = Dir.Tombstone; stamp; origin }
+        | Some { Dir.status = Dir.Tombstone; _ } | None -> Stdlib.Error Proto.Enoent)
+  in
+  match result with Ok ino -> Proto.R_entry { ino } | Stdlib.Error e -> Proto.R_err e
 
 let handle_truncate k gf ~size =
   match local_pack k gf.Gfile.fg with
@@ -438,6 +442,57 @@ let collect_stripes k gf session stripes =
     collected;
   Shadow.set_size session final
 
+(* Install [session] as the committed version of [gf] (section 2.3.6):
+   bump the version vector (or take recovery's [force_vv]), switch the
+   incore inode in, and keep every cache coherent with the new version.
+   [delete] marks the inode deleted first (section 2.3.7). Returns the new
+   version and the pages the session modified. Notifying anyone is the
+   caller's job. *)
+let install ?force_vv k pack gf s session ~delete =
+  let modified = Shadow.modified_lpages session in
+  if delete then begin
+    Shadow.set_contents session "";
+    Shadow.mark_deleted session ~time:(now k)
+  end;
+  let old_vv = (Shadow.incore session).Inode.vv in
+  let vv = match force_vv with Some v -> v | None -> Vvec.bump old_vv k.site in
+  let old_size =
+    match Pack.find_inode pack gf.Gfile.ino with Some i -> i.Inode.size | None -> 0
+  in
+  charge_disk_write k;
+  Shadow.commit session ~vv ~mtime:(now k);
+  s.s_shadow <- None;
+  (* Local lease self-heal: this site just observed the version advance
+     first-hand, so its own US-side retained grant (if any, on the old
+     version) is stale *now* — killing it here closes the window before
+     the CSS's asynchronous [Lease_break] callback arrives. *)
+  Openlease.note_commit k.open_leases gf vv;
+  (* Buffered pages this commit did not replace are still current, and
+     so is the directory index, which made the session's changes. A
+     delete leaves nothing. *)
+  if delete then begin
+    Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _) -> Gfile.equal g gf);
+    ss_dir_drop k gf
+  end
+  else begin
+    ss_cache_carry k gf ~old_size ~size:(Shadow.incore session).Inode.size
+      ~replaced:modified;
+    ss_dir_carry k gf ~old_vv ~vv
+  end;
+  (* Likewise name-cache links: if this was a directory, links read
+     from the old version are dead; if the file was deleted, no link
+     may keep resolving to it. *)
+  Namecache.note_dir_vv k.name_cache ~dir:gf vv;
+  if delete then Namecache.invalidate_child k.name_cache gf;
+  record k ~tag:"ss.commit" "%a vv=%a%s" Gfile.pp gf Vvec.pp vv
+    (if delete then " delete" else "");
+  (vv, modified)
+
+let commit_message k gf ~vv ~modified ~deleted ~meta_only =
+  Proto.Commit_notify
+    { gf; vv; meta_only; modified; origin = k.site; fresh = true; deleted;
+      designate = false; replicas = [] }
+
 (* The atomic commit (section 2.3.6): move the incore inode to the disk
    inode, then notify the CSS and all other storage sites so they bring
    their copies up to date by pulling. [stripes] names the peer stripe
@@ -488,55 +543,13 @@ let handle_commit ?force_vv ?(stripes = []) k gf ~abort ~delete =
         | None -> ensure_session k pack gf
       in
       if stripes <> [] then collect_stripes k gf session stripes;
-      let modified = Shadow.modified_lpages session in
-      if delete then begin
-        Shadow.set_contents session "";
-        Shadow.mark_deleted session ~time:(now k)
-      end;
-      let old_vv = (Shadow.incore session).Inode.vv in
-      let vv =
-        match force_vv with Some v -> v | None -> Vvec.bump old_vv k.site
-      in
-      let old_size =
-        match Pack.find_inode pack gf.Gfile.ino with Some i -> i.Inode.size | None -> 0
-      in
-      charge_disk_write k;
-      Shadow.commit session ~vv ~mtime:(now k);
-      s.s_shadow <- None;
-      (* Local lease self-heal: this site just observed the version advance
-         first-hand, so its own US-side retained grant (if any, on the old
-         version) is stale *now* — killing it here closes the window before
-         the CSS's asynchronous [Lease_break] callback arrives. *)
-      Openlease.note_commit k.open_leases gf vv;
-      (* Buffered pages this commit did not replace are still current, and
-         so is the directory index, which made the session's changes. A
-         delete leaves nothing. *)
-      if delete then begin
-        Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _) -> Gfile.equal g gf);
-        ss_dir_drop k gf
-      end
-      else begin
-        ss_cache_carry k gf ~old_size ~size:(Shadow.incore session).Inode.size
-          ~replaced:modified;
-        ss_dir_carry k gf ~old_vv ~vv
-      end;
-      (* Likewise name-cache links: if this was a directory, links read
-         from the old version are dead; if the file was deleted, no link
-         may keep resolving to it. *)
-      Namecache.note_dir_vv k.name_cache ~dir:gf vv;
-      if delete then Namecache.invalidate_child k.name_cache gf;
-      record k ~tag:"ss.commit" "%a vv=%a%s" Gfile.pp gf Vvec.pp vv
-        (if delete then " delete" else "");
+      let vv, modified = install k pack gf s session ?force_vv ~delete in
       (* Notify the CSS and the other storage sites (section 2.3.6). The
          CSS message is synchronous: the commit is not complete until the
          synchronization site knows the new version, which is what keeps
          the latest version the only one visible within a partition. *)
       let fi = fg_info k gf.Gfile.fg in
-      let message =
-        Proto.Commit_notify
-          { gf; vv; meta_only = false; modified; origin = k.site; fresh = true;
-            deleted = delete; designate = false; replicas = [] }
-      in
+      let message = commit_message k gf ~vv ~modified ~deleted:delete ~meta_only:false in
       if Site.equal fi.css_site k.site then
         Css.handle_commit_notify k gf ~origin:k.site ~vv ~deleted:delete
       else (match rpc_result k fi.css_site message with Ok _ | Stdlib.Error _ -> ());
@@ -648,52 +661,147 @@ let revalidate_serving k =
       end)
     !stale
 
-(* Create: the placeholder arrives, we allocate the inode number from the
-   pack's partition of the inode space (section 2.3.7). *)
-let handle_create k req_fg ~ftype ~owner ~perms ~replicate_at =
-  match local_pack k req_fg with
-  | None -> Proto.R_err Proto.Eio
-  | Some pack ->
-    let ino = Pack.alloc_ino pack in
-    let inode = Inode.create ~ino ~ftype ~owner in
-    inode.Inode.perms <- perms;
-    inode.Inode.vv <- Vvec.bump Vvec.zero k.site;
-    inode.Inode.mtime <- now k;
-    Pack.install_inode pack inode;
-    charge_disk_write k;
-    let gf = Gfile.make ~fg:req_fg ~ino in
-    record k ~tag:"ss.create" "%a %a" Gfile.pp gf Inode.pp_ftype ftype;
-    let fi = fg_info k req_fg in
-    let message ~designate ~replicas =
-      Proto.Commit_notify
-        {
-          gf;
-          vv = inode.Inode.vv;
-          meta_only = false;
-          modified = [];
-          origin = k.site;
-          fresh = true;
-          deleted = false;
-          designate;
-          replicas;
-        }
-    in
-    (* Register the new descriptor at the CSS synchronously so that an
-       immediately following open finds it. *)
-    if Site.equal fi.css_site k.site then
-      Css.handle_commit_notify ~replicas:replicate_at k gf ~origin:k.site
-        ~vv:inode.Inode.vv ~deleted:false
-    else ignore (rpc k fi.css_site (message ~designate:false ~replicas:replicate_at));
-    (* The other chosen initial storage sites pull their first copy. *)
-    List.iter
-      (fun site ->
-        if not (Site.equal site k.site) then
-          notify k site (message ~designate:true ~replicas:[]))
-      replicate_at;
-    Proto.R_created { ino }
+(* ---- directory intents: the storage site's half ---- *)
 
-(* Metadata-only commit: mutate descriptor fields, bump the version and
-   notify (the "just inode information changed" case of section 2.3.6). *)
+(* A new inode, numbered from this pack's partition of the filegroup's
+   inode space (section 2.3.7). Registering it at the CSS and designating
+   its other storage sites is the CSS's job, once its name is entered. *)
+let alloc_inode k pack ~ftype ~owner ~perms =
+  let ino = Pack.alloc_ino pack in
+  let inode = Inode.create ~ino ~ftype ~owner in
+  inode.Inode.perms <- perms;
+  inode.Inode.vv <- Vvec.bump Vvec.zero k.site;
+  inode.Inode.mtime <- now k;
+  Pack.install_inode pack inode;
+  charge_disk_write k;
+  record k ~tag:"ss.create" "%a %a"
+    Gfile.pp (Gfile.make ~fg:(Pack.fg pack) ~ino)
+    Inode.pp_ftype ftype;
+  inode
+
+(* Serving state an intent opened, and no open uses, goes with it. *)
+let drop_if_idle k (s : ss_open) =
+  if s.s_shadow = None && Site.Map.is_empty s.s_uss then begin
+    Hashtbl.remove k.ss_opens s.s_gf;
+    Hashtbl.remove k.ss_slots s.s_slot
+  end
+
+(* Metadata-only change: mutate descriptor fields and bump the version (the
+   "just inode information changed" case of section 2.3.6). No data page
+   changed, so the buffers and the index carry over. *)
+let metadata_install k gf (inode : Inode.t) mutate =
+  mutate inode;
+  let old_vv = inode.Inode.vv in
+  inode.Inode.vv <- Vvec.bump old_vv k.site;
+  inode.Inode.mtime <- now k;
+  charge_disk_write k;
+  ss_dir_carry k gf ~old_vv ~vv:inode.Inode.vv;
+  Namecache.note_dir_vv k.name_cache ~dir:gf inode.Inode.vv;
+  inode.Inode.vv
+
+(* Add [delta] to the link count of this site's copy of [gf]; the last link
+   going is a delete commit. Returns the new version and whether the file
+   was deleted. *)
+let change_links k gf ~delta =
+  match local_pack k gf.Gfile.fg with
+  | None -> Stdlib.Error Proto.Eio
+  | Some pack -> (
+    match Pack.find_inode pack gf.Gfile.ino with
+    | None -> Stdlib.Error Proto.Enoent
+    | Some { Inode.deleted = true; _ } -> Stdlib.Error Proto.Enoent
+    | Some inode when inode.Inode.nlink + delta <= 0 ->
+      let s = get_open k gf in
+      let session = ensure_session k pack gf in
+      let vv, _ = install k pack gf s session ~delete:true in
+      drop_if_idle k s;
+      Ok (vv, true)
+    | Some inode ->
+      let vv =
+        metadata_install k gf inode (fun i -> i.Inode.nlink <- i.Inode.nlink + delta)
+      in
+      Ok (vv, false))
+
+(* An intent's record change and the directory's commit, in one handler:
+   the storage site's half of a create, unlink or link (sections 2.3.4,
+   2.3.7). The commit notifies [others], the other sites holding the
+   latest copy; version bookkeeping at the CSS rides the reply. [guard]
+   vets the inode a counted unlink would drop a link of, before anything
+   changes. A create without an inode allocates one here, after the name
+   check. A counted unlink or link also changes the file's link count
+   here when [links_here] says this site holds its latest copy. *)
+let apply_intent k ~us dir (op : Proto.intent) ~others ~guard ~links_here =
+  let stamp = now k and origin = us in
+  let allocated = ref None in
+  let live ino name = Ok { Dir.name; ino; status = Dir.Live; stamp; origin } in
+  let tombstone (e : Dir.entry) = Ok { e with Dir.status = Dir.Tombstone; stamp; origin } in
+  let result =
+    match op with
+    | Proto.Create { name; ftype; owner; perms; ino; ncopies = _ } ->
+      dir_change k ~src:us dir name (function
+        | Some { Dir.status = Dir.Live; _ } -> Stdlib.Error Proto.Eexist
+        | Some { Dir.status = Dir.Tombstone; _ } | None -> (
+          match ino with
+          | Some ino -> live ino name
+          | None ->
+            let inode = alloc_inode k (local_pack_exn k dir.Gfile.fg) ~ftype ~owner ~perms in
+            allocated := Some inode;
+            live inode.Inode.ino name))
+    | Proto.Unlink { name; links } ->
+      dir_change k ~src:us dir name (function
+        | Some ({ Dir.status = Dir.Live; ino; _ } as e) ->
+          if links then Result.bind (guard ino) (fun () -> tombstone e) else tombstone e
+        | Some { Dir.status = Dir.Tombstone; _ } | None -> Stdlib.Error Proto.Enoent)
+    | Proto.Link { name; ino; links = _ } ->
+      dir_change k ~src:us dir name (function
+        | Some { Dir.status = Dir.Live; _ } -> Stdlib.Error Proto.Eexist
+        | Some { Dir.status = Dir.Tombstone; _ } | None -> live ino name)
+  in
+  match result with
+  | Stdlib.Error e ->
+    (* Refused before anything was written; an inode allocated for a name
+       the record format refused is freed. *)
+    (match !allocated with
+    | Some inode -> Pack.remove_inode (local_pack_exn k dir.Gfile.fg) inode.Inode.ino
+    | None -> ());
+    Proto.R_err e
+  | Ok ino ->
+    let pack = local_pack_exn k dir.Gfile.fg in
+    let s = get_open k dir in
+    let session = ensure_session k pack dir in
+    let dir_vv, modified = install k pack dir s session ~delete:false in
+    drop_if_idle k s;
+    let message = commit_message k dir ~vv:dir_vv ~modified ~deleted:false ~meta_only:false in
+    List.iter (fun site -> if not (Site.equal site k.site) then notify k site message) others;
+    let links delta =
+      if links_here ino then
+        Result.to_option (change_links k (Gfile.make ~fg:dir.Gfile.fg ~ino) ~delta)
+      else None
+    in
+    let file =
+      match op with
+      | Proto.Create _ ->
+        Option.map (fun (i : Inode.t) -> (i.Inode.vv, false)) !allocated
+      | Proto.Unlink { links = true; _ } -> links (-1)
+      | Proto.Link { links = true; _ } -> links 1
+      | Proto.Unlink { links = false; _ } | Proto.Link { links = false; _ } -> None
+    in
+    record k ~tag:"ss.intent" "%a ino %d vv=%a" Gfile.pp dir ino Vvec.pp dir_vv;
+    Proto.R_intent { ino; dir_vv; file }
+
+let handle_intent_step k ~us (step : Proto.intent_step) =
+  match step with
+  | Proto.Step_dir { dir; op; others; refuse; stale } ->
+    apply_intent k ~us dir op ~others
+      ~guard:(fun ino ->
+        match List.assoc_opt ino refuse with Some e -> Stdlib.Error e | None -> Ok ())
+      ~links_here:(fun ino -> not (List.mem ino stale))
+  | Proto.Step_link { gf; delta } -> (
+    match change_links k gf ~delta with
+    | Ok (vv, deleted) -> Proto.R_linked { vv; deleted }
+    | Stdlib.Error e -> Proto.R_err e)
+
+(* Metadata-only commit: change descriptor fields and notify the CSS and
+   the file's other storing sites. *)
 let metadata_commit k gf mutate =
   match local_pack k gf.Gfile.fg with
   | None -> Proto.R_err Proto.Eio
@@ -701,40 +809,16 @@ let metadata_commit k gf mutate =
     match Pack.find_inode pack gf.Gfile.ino with
     | None -> Proto.R_err Proto.Enoent
     | Some inode ->
-      mutate inode;
-      let old_vv = inode.Inode.vv in
-      inode.Inode.vv <- Vvec.bump old_vv k.site;
-      inode.Inode.mtime <- now k;
-      charge_disk_write k;
-      (* No data page changed: the buffers and the index carry over. *)
-      ss_dir_carry k gf ~old_vv ~vv:inode.Inode.vv;
-      Namecache.note_dir_vv k.name_cache ~dir:gf inode.Inode.vv;
+      let vv = metadata_install k gf inode mutate in
       let fi = fg_info k gf.Gfile.fg in
-      let message =
-        Proto.Commit_notify
-          {
-            gf;
-            vv = inode.Inode.vv;
-            meta_only = true;
-            modified = [];
-            origin = k.site;
-            fresh = true;
-            deleted = false;
-            designate = false;
-            replicas = [];
-          }
-      in
+      let message = commit_message k gf ~vv ~modified:[] ~deleted:false ~meta_only:true in
       if Site.equal fi.css_site k.site then
-        Css.handle_commit_notify k gf ~origin:k.site ~vv:inode.Inode.vv ~deleted:false
+        Css.handle_commit_notify k gf ~origin:k.site ~vv ~deleted:false
       else (match rpc_result k fi.css_site message with Ok _ | Stdlib.Error _ -> ());
       (match find_open k gf with
       | Some s -> List.iter (fun site -> notify k site message) s.s_others
       | None -> ());
-      Proto.R_committed { vv = inode.Inode.vv })
-
-let handle_link_count k gf ~delta =
-  metadata_commit k gf (fun inode ->
-      inode.Inode.nlink <- max 0 (inode.Inode.nlink + delta))
+      Proto.R_committed { vv })
 
 let handle_set_attr k gf ~perms ~owner =
   metadata_commit k gf (fun inode ->

@@ -79,17 +79,18 @@ val lookup_name :
 
 val handle_dir_update :
   Ktypes.t -> src:Net.Site.t -> Catalog.Gfile.t -> Proto.dir_op -> Proto.resp
-(** Apply one entry change to a directory open for modification here. The
-    directory's index locates the name's record; the one page holding it
-    is read through the same page source as a page read (the session if
-    open, else the buffer cache or disk; no [cpu_page] charge), and the
-    one changed record is written into the shadow session: a remove or a
-    re-entry of a tombstoned name in place, a new name after the last
-    record. The first update of a version reads every page to build the
-    index. Answers [R_entry] with the inode entered or removed, or
-    [R_err] [Eexist], [Enoent], [Einval] (a name or origin the record
-    format refuses), [Enospc] (the directory is at its largest size) or
-    [Eio] (the body does not decode). *)
+(** Apply one entry change to a directory stored here, into its shadow
+    session (begun if none is open). The directory's index locates the
+    name's record; the one page holding it is read through the same page
+    source as a page read (the session if open, else the buffer cache or
+    disk; no [cpu_page] charge), and the one changed record is written
+    into the session: a remove or a re-entry of a tombstoned name in
+    place, a new name after the last record. The first update of a
+    version reads every page to build the index. Answers [R_entry] with
+    the inode entered or removed, or [R_err] [Eexist], [Enoent],
+    [Einval] (a name or origin the record format refuses), [Enospc] (the
+    directory is at its largest size) or [Eio] (the body does not
+    decode). *)
 
 val handle_commit :
   ?force_vv:Vv.Version_vector.t ->
@@ -129,19 +130,52 @@ val revalidate_serving : Ktypes.t -> unit
     ever arrive. Unreachable USes keep their registrations for the next
     merge to retry. *)
 
-val handle_create :
+val alloc_inode :
   Ktypes.t ->
-  int ->
+  Storage.Pack.t ->
   ftype:Storage.Inode.ftype ->
   owner:string ->
   perms:int ->
-  replicate_at:Net.Site.t list ->
-  Proto.resp
-(** Allocate an inode number from this pack's partition of the filegroup's
-    inode space (§2.3.7), install the descriptor, register it with the
-    CSS, and designate the other initial storage sites. *)
+  Storage.Inode.t
+(** Allocate an inode number from this pack's partition of the
+    filegroup's inode space (§2.3.7) and install the descriptor, at a
+    version of one commit here. Registering it with the CSS and
+    designating the other storage sites happen once its name is entered. *)
 
-val handle_link_count : Ktypes.t -> Catalog.Gfile.t -> delta:int -> Proto.resp
+val change_links :
+  Ktypes.t ->
+  Catalog.Gfile.t ->
+  delta:int ->
+  (Vv.Version_vector.t * bool, Proto.errno) result
+(** Add [delta] to the link count of this site's copy of a file: a
+    metadata-only commit, or a delete commit when the last link goes.
+    Returns the new version and whether the file was deleted. Notifies
+    nobody: the CSS that asked does. *)
+
+val apply_intent :
+  Ktypes.t ->
+  us:Net.Site.t ->
+  Catalog.Gfile.t ->
+  Proto.intent ->
+  others:Net.Site.t list ->
+  guard:(int -> (unit, Proto.errno) result) ->
+  links_here:(int -> bool) ->
+  Proto.resp
+(** The storage site's half of a directory intent from using site [us]:
+    change the one record through {!handle_dir_update}'s machinery and
+    commit the directory, in one handler, notifying [others], the other
+    sites holding its latest copy (the CSS learns the version from the
+    reply). A create
+    without an inode allocates one here after the name check; [guard]
+    vets the inode of a counted unlink before anything changes; a counted
+    unlink or link also changes the file's link count here when
+    [links_here] holds for its inode. Answers [R_intent], or [R_err] with
+    nothing changed. No serving registration or session outlives it. *)
+
+val handle_intent_step : Ktypes.t -> us:Net.Site.t -> Proto.intent_step -> Proto.resp
+(** A step the CSS forwarded: {!apply_intent} with the step's refuse and
+    stale lists as guard and link test, or a {!change_links}
+    ([R_linked]). *)
 
 val handle_set_attr :
   Ktypes.t -> Catalog.Gfile.t -> perms:int option -> owner:string option -> Proto.resp

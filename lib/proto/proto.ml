@@ -133,6 +133,42 @@ type dir_op =
   | Enter of { name : string; ino : int; stamp : float; origin : Net.Site.t }
   | Remove of { name : string; stamp : float; origin : Net.Site.t }
 
+(* One name-space change a using site asks the directory's CSS for, as a
+   single intent (sections 2.3.4, 2.3.7). [links] is false only for the
+   two halves of a rename, which move a name and leave the file's link
+   count alone. *)
+type intent =
+  | Create of {
+      name : string;
+      ftype : Storage.Inode.ftype;
+      owner : string;
+      perms : int;
+      ncopies : int;
+      ino : int option;
+        (* allocated by the using site when it is the first storage site;
+           otherwise the storage site that enters the name allocates it *)
+    }
+  | Unlink of { name : string; links : bool }
+  | Link of { name : string; ino : int; links : bool }
+
+(* The work a CSS forwards to a storage site for an intent: the record
+   change and commit of the directory, or a file's link-count change. *)
+type intent_step =
+  | Step_dir of {
+      dir : Catalog.Gfile.t;
+      op : intent;
+      others : Net.Site.t list;
+        (* the other sites holding the directory's latest copy, which the
+           commit notifies *)
+      refuse : (int * errno) list;
+        (* an unlink of a name bound to one of these inodes fails with the
+           errno and changes nothing (a held modification lock, a conflict) *)
+      stale : int list;
+        (* inodes whose link count this site must leave to the CSS: its copy
+           is not the latest *)
+    }
+  | Step_link of { gf : Catalog.Gfile.t; delta : int }
+
 type req =
   (* --- open protocol (Figure 2) --- *)
   | Open_req of {
@@ -169,11 +205,14 @@ type req =
        request idempotent. *)
   | Truncate_req of { gf : Catalog.Gfile.t; size : int }
     (* US -> SS: shrink the open modification session's file *)
-  | Dir_update of { gf : Catalog.Gfile.t; op : dir_op }
-    (* US -> SS of a directory open for modification: apply [op] to the
-       directory there and write the changed pages into the open shadow
-       session, so no directory page crosses the wire (the "ask the
-       storage site" remedy of section 2.3.4, applied to updates) *)
+  | Dir_intent of { dir : Catalog.Gfile.t; op : intent; seq : int }
+    (* US -> CSS: one name-space change, serialized at the CSS and run as
+       one atomic directory modification at a storage site. [seq] numbers
+       the using site's intents: a resend of the same intent is answered
+       from the executing site's reply cache, never run twice. *)
+  | Intent_step of { us : Net.Site.t; seq : int; step : intent_step }
+    (* CSS -> SS: the forwarded work of using site [us]'s intent [seq],
+       answered from the same reply cache on a resend *)
   | Commit_req of {
       gf : Catalog.Gfile.t;
       us : Net.Site.t;
@@ -224,17 +263,7 @@ type req =
        revoked (a writer opened, a new version committed, a conflict or
        delete was recorded, or the partition changed). The holder drops
        its retained open grant and sends any deferred close. *)
-  (* --- create / delete (section 2.3.7) --- *)
-  | Create_req of {
-      fg : int;
-      ftype : Storage.Inode.ftype;
-      owner : string;
-      perms : int;
-      replicate_at : Net.Site.t list; (* the other initial storage sites *)
-    } (* US -> chosen SS; a placeholder travels instead of an inode number *)
   (* --- interrogation --- *)
-  | Link_count of { gf : Catalog.Gfile.t; delta : int }
-    (* US -> SS: adjust the link count (metadata-only commit) *)
   | Set_attr of { gf : Catalog.Gfile.t; perms : int option; owner : string option }
     (* US -> SS: chmod/chown; a metadata-only commit (section 2.3.6's
        "just inode information changed" case) *)
@@ -306,8 +335,13 @@ type resp =
   | R_stripe of { pages : (int * string) list; size : int }
     (* a peer stripe SS's modified full pages (lpage, data) and its
        session's file size, surrendered to the committing primary *)
-  | R_created of { ino : int }
-  | R_entry of { ino : int } (* the inode a [Dir_update] entered or removed *)
+  | R_entry of { ino : int } (* the inode a directory record change entered or removed *)
+  | R_intent of { ino : int; dir_vv : Vvec.t; file : (Vvec.t * bool) option }
+    (* an intent's inode, the directory's new version, and the file's new
+       version and deleted flag when the replying site changed its links
+       (or, for a create, allocated it) *)
+  | R_linked of { vv : Vvec.t; deleted : bool }
+    (* a [Step_link]'s new version of the file; [deleted] at the last link *)
   | R_stat of { info : inode_info option; stored_here : bool }
   | R_lookup of { gf : Catalog.Gfile.t; consumed : int; trail : lookup_step list }
     (* where the server-side walk stopped, how many components it
@@ -350,6 +384,14 @@ let page_bytes = 1024
 
 let token_bytes = function Tok_fd _ -> 8
 
+(* An op byte and a flag byte, then the op's fields. *)
+let intent_bytes = function
+  | Create { name; owner; ino; _ } ->
+    2 + String.length name + String.length owner + 4
+    + (match ino with Some _ -> 4 | None -> 0)
+  | Unlink { name; _ } -> 2 + String.length name
+  | Link { name; _ } -> 2 + 4 + String.length name
+
 let req_bytes = function
   | Open_req { us_vv; _ } ->
     header + gfile_bytes + 2
@@ -362,10 +404,11 @@ let req_bytes = function
   | Write_page { data; _ } -> header + gfile_bytes + 9 + String.length data
   | Write_pages { data; _ } -> header + gfile_bytes + 12 + String.length data
   | Truncate_req _ -> header + gfile_bytes + 4
-  | Dir_update { op = Enter { name; _ } | Remove { name; _ }; _ } ->
-    (* an op byte and the one directory record the change writes: 21
-       bytes of status, lengths, origin, inode and stamp, then the name *)
-    header + gfile_bytes + 1 + 21 + String.length name
+  | Dir_intent { op; _ } -> header + gfile_bytes + 4 + intent_bytes op
+  | Intent_step { step = Step_dir { op; others; refuse; stale; _ }; _ } ->
+    header + 8 + gfile_bytes + intent_bytes op + site_list_bytes others
+    + (5 * List.length refuse) + (4 * List.length stale)
+  | Intent_step { step = Step_link _; _ } -> header + 8 + gfile_bytes + 4
   | Commit_req { force_vv; stripes; _ } ->
     header + gfile_bytes + 5
     + (match force_vv with Some v -> vv_bytes v | None -> 0)
@@ -379,9 +422,6 @@ let req_bytes = function
   | Reclaim_req _ -> header + gfile_bytes
   | Page_invalidate _ -> header + gfile_bytes + 4
   | Lease_break _ -> header + gfile_bytes
-  | Create_req { owner; replicate_at; _ } ->
-    header + 12 + String.length owner + site_list_bytes replicate_at
-  | Link_count _ -> header + gfile_bytes + 4
   | Set_attr { owner; _ } ->
     header + gfile_bytes + 6
     + (match owner with Some o -> String.length o | None -> 0)
@@ -429,7 +469,11 @@ let resp_bytes = function
   | R_committed { vv } -> header + vv_bytes vv
   | R_stripe { pages; _ } ->
     header + 8 + List.fold_left (fun a (_, p) -> a + 6 + String.length p) 0 pages
-  | R_created _ | R_entry _ -> header + 4
+  | R_entry _ -> header + 4
+  | R_intent { dir_vv; file; _ } ->
+    header + 5 + vv_bytes dir_vv
+    + (match file with Some (vv, _) -> 1 + vv_bytes vv | None -> 0)
+  | R_linked { vv; _ } -> header + 1 + vv_bytes vv
   | R_stat { info; _ } ->
     header + 1 + (match info with Some i -> info_bytes i | None -> 0)
   | R_lookup { trail; _ } ->
@@ -453,7 +497,7 @@ let req_tag = function
   | Open_req _ -> "open"
   | Storage_req _ -> "storage"
   | Read_page _ | Read_pages _ -> "read"
-  | Write_page _ | Write_pages _ | Dir_update _ -> "write"
+  | Write_page _ | Write_pages _ -> "write"
   | Truncate_req _ -> "truncate"
   | Commit_req _ -> "commit"
   | Stripe_collect _ -> "stripe.collect"
@@ -463,8 +507,8 @@ let req_tag = function
   | Reclaim_req _ -> "reclaim"
   | Page_invalidate _ -> "page.invalidate"
   | Lease_break _ -> "lease.break"
-  | Create_req _ -> "create"
-  | Link_count _ -> "link"
+  | Dir_intent _ -> "dirop"
+  | Intent_step _ -> "dirop.step"
   | Set_attr _ -> "setattr"
   | Stat_req _ -> "stat"
   | Where_stored _ -> "where"
@@ -491,17 +535,20 @@ let req_tag = function
    requests whose handler mutates state non-idempotently (opens count
    readers, commits bump version vectors, forks create processes) are never
    blindly retried; reconfiguration probes are single-shot because
-   unreachability is the information being gathered (section 5.4). *)
+   unreachability is the information being gathered (section 5.4). A
+   directory intent and its forwarded steps are numbered, and the site
+   that runs one answers a resend from its reply cache, so both are safe
+   to resend. *)
 let req_idempotent = function
   | Read_page _ | Read_pages _ | Stat_req _ | Where_stored _ | Lookup_req _
   | Open_files_query _ | Pack_inventory _ | Token_state_req _ | Token_req _
   | Page_invalidate _ | Lease_break _ | Reclaim_req _ | Commit_notify _ | Write_page _
-  | Write_pages _ | Truncate_req _
+  | Write_pages _ | Truncate_req _ | Dir_intent _ | Intent_step _
   | Part_poll _ | Part_announce _ | Merge_poll _ | Merge_announce _
   | Status_check _ ->
     true
   | Open_req _ | Storage_req _ | Commit_req _ | Stripe_collect _ | Us_close _ | Ss_close _
-  | Dir_update _ | Create_req _ | Link_count _ | Set_attr _ | Fork_req _ | Exec_req _
+  | Set_attr _ | Fork_req _ | Exec_req _
   | Run_req _ | Signal_req _ | Exit_notify _ | Pipe_write _ | Pipe_read _ ->
     false
 

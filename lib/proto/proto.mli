@@ -109,12 +109,50 @@ type lookup_step = {
 
 (** {1 Directory updates at the storage site} *)
 
-(** One name-space change, applied by {!Dir_update} at the directory's
-    storage site. [stamp] and [origin] are the time and site of the
-    change, kept in the entry for reconciliation (§4.4). *)
+(** One directory record change, applied where the directory is stored.
+    [stamp] and [origin] are the time and site of the change, kept in the
+    entry for reconciliation (§4.4). *)
 type dir_op =
   | Enter of { name : string; ino : int; stamp : float; origin : Net.Site.t }
   | Remove of { name : string; stamp : float; origin : Net.Site.t }
+
+(** {1 Directory intents} *)
+
+(** One name-space change a using site asks the directory's CSS for, in
+    one request ({!Dir_intent}). [links] is false only for the two halves
+    of a rename, which move a name and leave the link count alone. *)
+type intent =
+  | Create of {
+      name : string;
+      ftype : Storage.Inode.ftype;
+      owner : string;
+      perms : int;
+      ncopies : int;
+      ino : int option;
+          (** allocated by the using site when it is the first storage
+              site; [None] lets the storage site that enters the name
+              allocate it, after the name check *)
+    }
+  | Unlink of { name : string; links : bool }
+  | Link of { name : string; ino : int; links : bool }
+
+(** What a CSS forwards to a storage site for an intent. *)
+type intent_step =
+  | Step_dir of {
+      dir : Catalog.Gfile.t;
+      op : intent;
+      others : Net.Site.t list;
+          (** the other sites holding the directory's latest copy, which
+              the commit notifies *)
+      refuse : (int * errno) list;
+          (** an unlink of a name bound to one of these inodes fails with
+              the errno and changes nothing *)
+      stale : int list;
+          (** inodes whose link count the step must leave to the CSS: this
+              site's copy is not the latest *)
+    }  (** apply the record change, commit the directory *)
+  | Step_link of { gf : Catalog.Gfile.t; delta : int }
+      (** change a file's link count; at zero links, a delete commit *)
 
 (** {1 Requests} *)
 
@@ -162,13 +200,16 @@ type req =
           coalesced write-behind batch. Absolute positioning keeps the
           request idempotent (safe to retry). *)
   | Truncate_req of { gf : Catalog.Gfile.t; size : int }
-  | Dir_update of { gf : Catalog.Gfile.t; op : dir_op }
-      (** US → SS of a directory open for modification: apply [op] there
-          and write only the changed pages into the open shadow session,
-          so no directory page crosses the wire. Answered by [R_entry]
-          with the inode entered or removed, or [R_err] ([Eexist],
-          [Enoent], [Einval], [Eio] for a body that does not decode).
-          Never retried: a lost reply fails the update. *)
+  | Dir_intent of { dir : Catalog.Gfile.t; op : intent; seq : int }
+      (** US → CSS: one name-space change. The CSS takes the directory's
+          modification lock (and the target file's, for a counted unlink
+          or link), has a storage site change the record and commit, and
+          answers [R_intent]. [seq] numbers the using site's intents: a
+          resend is answered from the CSS's reply cache, never run twice. *)
+  | Intent_step of { us : Net.Site.t; seq : int; step : intent_step }
+      (** CSS → SS: the forwarded work of [us]'s intent [seq], answered
+          [R_intent] ([Step_dir]) or [R_linked] ([Step_link]), and from
+          the SS's reply cache on a resend. *)
   | Commit_req of {
       gf : Catalog.Gfile.t;
       us : Net.Site.t;
@@ -216,16 +257,6 @@ type req =
           (writer open, new committed version, conflict/delete, or a
           partition event). The holder drops its retained open grant and
           sends any deferred close. *)
-  | Create_req of {
-      fg : int;
-      ftype : Storage.Inode.ftype;
-      owner : string;
-      perms : int;
-      replicate_at : Net.Site.t list;
-    }  (** US → chosen SS: a placeholder travels instead of an inode
-           number; the SS allocates from its partition of the inode
-           space (§2.3.7). *)
-  | Link_count of { gf : Catalog.Gfile.t; delta : int }
   | Set_attr of { gf : Catalog.Gfile.t; perms : int option; owner : string option }
       (** metadata-only commits (§2.3.6's "just inode information") *)
   | Stat_req of { gf : Catalog.Gfile.t }
@@ -309,8 +340,18 @@ type resp =
   | R_stripe of { pages : (int * string) list; size : int }
       (** a peer stripe SS's modified full pages [(lpage, data)] and its
           session's file size, answering a [Stripe_collect] *)
-  | R_created of { ino : int }
-  | R_entry of { ino : int }  (** the inode a [Dir_update] entered or removed *)
+  | R_entry of { ino : int }  (** the inode a directory record change entered or removed *)
+  | R_intent of {
+      ino : int;
+      dir_vv : Vv.Version_vector.t;
+      file : (Vv.Version_vector.t * bool) option;
+    }
+      (** an intent's inode and the directory's new version; [file] is
+          the file's new version and deleted flag when the replying site
+          changed its link count (or, for a create, allocated it) *)
+  | R_linked of { vv : Vv.Version_vector.t; deleted : bool }
+      (** a [Step_link]'s new version of the file; [deleted] when the last
+          link went *)
   | R_stat of { info : inode_info option; stored_here : bool }
   | R_lookup of { gf : Catalog.Gfile.t; consumed : int; trail : lookup_step list }
       (** where the server-side walk stopped, how many components it
@@ -344,8 +385,9 @@ val req_tag : req -> string
 val req_idempotent : req -> bool
 (** Whether resending the request after a suspected loss is safe: the
     handler's effect is idempotent (reads, queries, token traffic,
-    re-sendable notifications). Opens, commits, closes, creates and
-    process operations are not. *)
+    re-sendable notifications), or the handler answers a resend from a
+    reply cache (directory intents and their steps). Opens, commits,
+    closes and process operations are not. *)
 
 val req_policy : req -> Net.Rpc.policy
 (** Transport retry policy for the request's message class:

@@ -28,11 +28,11 @@ let install k =
         Some (Proto.R_status { stage = k.recon_stage; site = k.site })
       | Proto.Open_req _ | Proto.Storage_req _ | Proto.Read_page _
       | Proto.Read_pages _ | Proto.Write_page _ | Proto.Write_pages _
-      | Proto.Truncate_req _ | Proto.Dir_update _ | Proto.Commit_req _ | Proto.Stripe_collect _
+      | Proto.Truncate_req _ | Proto.Dir_intent _ | Proto.Intent_step _ | Proto.Commit_req _
+      | Proto.Stripe_collect _
       | Proto.Us_close _ | Proto.Ss_close _ | Proto.Commit_notify _
       | Proto.Reclaim_req _ | Proto.Page_invalidate _ | Proto.Lease_break _
-      | Proto.Create_req _
-      | Proto.Link_count _ | Proto.Set_attr _ | Proto.Stat_req _
+      | Proto.Set_attr _ | Proto.Stat_req _
       | Proto.Where_stored _ | Proto.Lookup_req _
       | Proto.Token_req _ | Proto.Token_state_req _ | Proto.Fork_req _
       | Proto.Exec_req _ | Proto.Run_req _ | Proto.Signal_req _

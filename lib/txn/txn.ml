@@ -158,11 +158,12 @@ let release_locks t =
 let rec abort t =
   if t.t_status = Active then begin
     List.iter (fun c -> abort c) t.t_children;
-    (* Undo creations done under this transaction. *)
+    (* Undo creations done under this transaction, once its own locks are
+       gone: an unlink of a file open for modification is refused. *)
+    release_locks t;
     List.iter
       (fun path -> try Kernel.unlink t.t_kernel t.t_proc path with K.Error _ -> ())
       t.t_created;
-    release_locks t;
     t.t_writes <- [];
     t.t_created <- [];
     t.t_status <- Aborted;

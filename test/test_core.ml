@@ -553,9 +553,11 @@ let test_remote_dirop_moves_one_page () =
   let snap = Stats.snapshot (stats w) in
   ignore (Kernel.creat k2 p2 "/big/one");
   (* The SS applies the change: no directory page crosses the wire, and
-     the one write-class RPC is the [Dir_update] itself. *)
+     the one round trip is the intent itself — the CSS holds the latest
+     copy and runs it in process. *)
   check Alcotest.int "no directory page read" 0 (Stats.delta_of (stats w) snap "net.msg.read");
-  check Alcotest.int "one write RPC" 2 (Stats.delta_of (stats w) snap "net.msg.write");
+  check Alcotest.int "no write RPC" 0 (Stats.delta_of (stats w) snap "net.msg.write");
+  check Alcotest.int "one intent round trip" 2 (Stats.delta_of (stats w) snap "net.msg.dirop");
   check Alcotest.int "no page shipped for writing" 0
     (Stats.delta_of (stats w) snap "us.bulk.write.pages");
   (* Deliver the commit notification; the pull it queues waits 50 ms. *)
@@ -648,48 +650,186 @@ let test_dir_update_allocation_flat () =
     Alcotest.failf "a dirop at 10,000 entries allocates %.0f words, at 100 entries %.0f" large
       small
 
-(* A lost [Dir_update] reply fails the create: the update is never
-   retried, and the release that follows aborts the shadow session the SS
-   opened for it and closes the open, so the SS keeps neither, and the
-   directory is unchanged. *)
-let test_dir_update_lost_reply () =
-  let w = asym_world () in
-  let k1 = World.kernel w 1 and p1 = World.proc w 1 in
-  (* Stored at site 1 only; site 0 is the CSS and site 2 the using site. *)
-  let dir_gf = Kernel.mkdir k1 p1 "/d" in
-  ignore (Kernel.creat k1 p1 "/d/old");
-  ignore (World.settle w);
-  let pack = Hashtbl.find k1.K.packs 0 in
-  let body () = Storage.Pack.read_string pack (Storage.Pack.get_inode pack dir_gf.Catalog.Gfile.ino) in
-  let before = body () and vv = (Storage.Pack.get_inode pack dir_gf.Catalog.Gfile.ino).Inode.vv in
-  let net = World.net w in
-  let updates = ref 0 in
-  Net.Netsim.set_handler net 1 (fun ~src req ->
-      (match req with
-      | Proto.Dir_update _ ->
-        incr updates;
-        Net.Netsim.fail_next_message net ~src:1 ~dst:src
+(* One message of a remote intent is lost — the using site's request to
+   the CSS, the CSS's reply, or the storage site's reply to the CSS's
+   forward. The transport resends, and the site that ran the intent
+   answers the resend from its reply cache: the create returns its true
+   result and ran exactly once. Afterwards the SS keeps no serving
+   registration and no shadow pages, the locks are free, and a second
+   create of the name is [EEXIST]. *)
+let test_lost_intent_messages () =
+  let lose which =
+    let w = asym_world () in
+    let k1 = World.kernel w 1 and p1 = World.proc w 1 in
+    (* Stored at site 1 only; site 0 is the CSS and must forward, and site
+       2 is the using site. *)
+    let dir_gf = Kernel.mkdir k1 p1 "/d" in
+    ignore (Kernel.creat k1 p1 "/d/old");
+    ignore (World.settle w);
+    let k2 = World.kernel w 2 and p2 = World.proc w 2 in
+    ignore (Kernel.stat k2 p2 "/d/old");
+    let pack = Hashtbl.find k1.K.packs 0 in
+    let vv () = (Storage.Pack.get_inode pack dir_gf.Catalog.Gfile.ino).Inode.vv in
+    let before = vv () in
+    let net = World.net w in
+    let k0 = World.kernel w 0 in
+    let runs = ref 0 in
+    let wrap site (k : K.t) f =
+      Net.Netsim.set_handler net site (fun ~src req ->
+          f req;
+          k.K.dispatch src req)
+    in
+    wrap 0 k0 (function
+      | Proto.Dir_intent _ ->
+        incr runs;
+        if which = `Css_reply && !runs = 1 then Net.Netsim.fail_next_message net ~src:0 ~dst:2
       | _ -> ());
-      k1.K.dispatch src req);
+    let steps = ref 0 in
+    wrap 1 k1 (function
+      | Proto.Intent_step _ ->
+        incr steps;
+        if which = `Ss_reply && !steps = 1 then Net.Netsim.fail_next_message net ~src:1 ~dst:0
+      | _ -> ());
+    if which = `Us_request then Net.Netsim.fail_next_message net ~src:2 ~dst:0;
+    let snap = Stats.snapshot (stats w) in
+    let gf = Kernel.creat k2 p2 "/d/new" in
+    let replays = Stats.delta_of (stats w) snap "dirop.replay" in
+    wrap 0 k0 ignore;
+    wrap 1 k1 ignore;
+    let label =
+      match which with
+      | `Us_request -> "request"
+      | `Css_reply -> "CSS reply"
+      | `Ss_reply -> "SS reply"
+    in
+    check Alcotest.int (label ^ ": one resend") 1 (Stats.delta_of (stats w) snap "rpc.retry");
+    check Alcotest.int (label ^ ": answered from the cache")
+      (if which = `Us_request then 0 else 1)
+      replays;
+    check Alcotest.bool (label ^ ": the directory committed once") true
+      (Vv.Version_vector.equal (vv ()) (Vv.Version_vector.bump before 1));
+    check Alcotest.bool (label ^ ": no serving registration at the SS") true
+      (Locus_core.Ss.find_open k1 dir_gf = None);
+    check Alcotest.bool (label ^ ": no shadow pages left") true (Storage.Pack.fsck pack = []);
+    check Alcotest.bool (label ^ ": the locks are free") true
+      (List.for_all
+         (fun ino ->
+           match Locus_core.Css.find_file k0 0 ino with
+           | Some f -> f.K.writer = None
+           | None -> true)
+         [ dir_gf.Catalog.Gfile.ino; gf.Catalog.Gfile.ino ]);
+    ignore (World.settle w);
+    let names = List.map (fun (e : Dir.entry) -> e.Dir.name) (Kernel.readdir k2 p2 "/d") in
+    check Alcotest.(list string) (label ^ ": one new entry") [ "."; ".."; "new"; "old" ] names;
+    match Kernel.creat k2 p2 "/d/new" with
+    | _ -> Alcotest.failf "%s: a second create of the name succeeded" label
+    | exception K.Error (Proto.Eexist, _) -> ()
+  in
+  List.iter lose [ `Us_request; `Css_reply; `Ss_reply ]
+
+(* Foreground round trips of a create and an unlink from a packless site:
+   exactly one (two messages) when the CSS stores the directory and the
+   file, and at most two when the CSS must forward to the storage site. *)
+let test_intent_round_trips () =
+  let w = asym_world () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  let k1 = World.kernel w 1 and p1 = World.proc w 1 in
+  ignore (Kernel.mkdir k0 p0 "/here");
+  ignore (Kernel.mkdir k1 p1 "/there");
+  ignore (World.settle w);
+  let k3 = World.kernel w 3 and p3 = World.proc w 3 in
+  (* Warm the path without opening the directories: a read lease on one
+     would add its break and deferred close to the count. *)
+  ignore (Kernel.stat k3 p3 "/here");
+  ignore (Kernel.stat k3 p3 "/there");
+  ignore (World.settle w);
+  let counts f =
+    let snap = Stats.snapshot (stats w) in
+    f ();
+    let d tag = Stats.delta_of (stats w) snap tag in
+    let r = (d "net.msg", d "net.msg.dirop", d "net.msg.dirop.step") in
+    ignore (World.settle w);
+    r
+  in
+  let total, dirop, step = counts (fun () -> ignore (Kernel.creat k3 p3 "/here/f")) in
+  check Alcotest.(triple int int int) "create, CSS stores it: one round trip" (2, 2, 0)
+    (total, dirop, step);
+  let total, dirop, step = counts (fun () -> Kernel.unlink k3 p3 "/here/f") in
+  check Alcotest.(triple int int int) "unlink, CSS stores it: one round trip" (2, 2, 0)
+    (total, dirop, step);
+  let _, dirop, step = counts (fun () -> ignore (Kernel.creat k3 p3 "/there/g")) in
+  check Alcotest.bool "create, CSS forwards: at most two round trips" true
+    (dirop = 2 && step <= 2);
+  let _, dirop, step = counts (fun () -> Kernel.unlink k3 p3 "/there/g") in
+  check Alcotest.bool "unlink, CSS forwards: at most two round trips" true
+    (dirop = 2 && step <= 2);
+  check Alcotest.(list string) "both directories are empty" [ "."; ".."; "."; ".." ]
+    (List.concat_map
+       (fun d -> List.map (fun (e : Dir.entry) -> e.Dir.name) (Kernel.readdir k3 p3 d))
+       [ "/here"; "/there" ])
+
+(* A create refused with [EEXIST] leaves no inode behind, whichever site
+   would have numbered it: the storage site (from a packless site) or the
+   creating site itself (which stores the parent). *)
+let test_duplicate_create_no_orphan () =
+  let w = asym_world () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  Kernel.set_ncopies p0 2;
+  ignore (Kernel.mkdir k0 p0 "/d");
+  let k3 = World.kernel w 3 and p3 = World.proc w 3 in
+  Kernel.set_ncopies p3 2;
+  ignore (Kernel.creat k3 p3 "/d/f");
+  ignore (World.settle w);
+  let inodes () =
+    List.map
+      (fun s -> List.length (Storage.Pack.inodes (Hashtbl.find (World.kernel w s).K.packs 0)))
+      [ 0; 1 ]
+  in
+  let before = inodes () in
+  let k1 = World.kernel w 1 and p1 = World.proc w 1 in
+  List.iter
+    (fun (k, p) ->
+      for _ = 1 to 5 do
+        match Kernel.creat k p "/d/f" with
+        | _ -> Alcotest.fail "a duplicate create succeeded"
+        | exception K.Error (Proto.Eexist, _) -> ()
+      done)
+    [ (k3, p3); (k1, p1) ];
+  ignore (World.settle w);
+  check Alcotest.(list int) "no orphan inode at any copy" before (inodes ())
+
+(* Unlinking a file another site holds open for modification fails with
+   [EBUSY] and changes nothing: the name stays and the file lives. Once
+   the writer closes, the unlink succeeds and deletes the body. *)
+let test_unlink_busy_file () =
+  let w = asym_world () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  Kernel.set_ncopies p0 2;
+  ignore (Kernel.mkdir k0 p0 "/d");
+  ignore (Kernel.creat k0 p0 "/d/f");
+  Kernel.write_file k0 p0 "/d/f" "busy";
+  ignore (World.settle w);
   let k2 = World.kernel w 2 and p2 = World.proc w 2 in
-  (match Kernel.creat k2 p2 "/d/new" with
-  | _ -> Alcotest.fail "the create should fail"
-  | exception K.Error (Proto.Enet, _) -> ());
-  Net.Netsim.set_handler net 1 (fun ~src req -> k1.K.dispatch src req);
-  check Alcotest.int "sent once, never retried" 1 !updates;
-  check Alcotest.bool "no serving registration at the SS" true
-    (Locus_core.Ss.find_open k1 dir_gf = None);
-  check Alcotest.bool "no shadow pages left" true (Storage.Pack.fsck pack = []);
+  let k3 = World.kernel w 3 and p3 = World.proc w 3 in
+  let gf = gf_of k3 "/d/f" in
+  let fd = Kernel.open_path k2 p2 "/d/f" Proto.Mode_modify in
+  (match Kernel.unlink k3 p3 "/d/f" with
+  | () -> Alcotest.fail "unlinked a file open for modification"
+  | exception K.Error (Proto.Ebusy, _) -> ());
   ignore (World.settle w);
-  check Alcotest.string "directory body unchanged" before (body ());
-  check Alcotest.bool "directory version unchanged" true
-    (Vv.Version_vector.equal vv (Storage.Pack.get_inode pack dir_gf.Catalog.Gfile.ino).Inode.vv);
-  let names = List.map (fun (e : Dir.entry) -> e.Dir.name) (Kernel.readdir k2 p2 "/d") in
-  check Alcotest.(list string) "no new entry" [ "."; ".."; "old" ] names;
-  ignore (Kernel.creat k2 p2 "/d/new");
+  let names () = List.map (fun (e : Dir.entry) -> e.Dir.name) (Kernel.readdir k3 p3 "/d") in
+  check Alcotest.(list string) "the name stays" [ "."; ".."; "f" ] (names ());
+  check Alcotest.string "the file lives" "busy" (Kernel.read_file k3 p3 "/d/f");
+  Kernel.close_fd k2 p2 fd;
+  Kernel.unlink k3 p3 "/d/f";
   ignore (World.settle w);
-  check Alcotest.bool "the lock was released: a retry succeeds" true
-    (List.length (Kernel.readdir k2 p2 "/d") = 4)
+  check Alcotest.(list string) "the name is gone" [ "."; ".." ] (names ());
+  List.iter
+    (fun s ->
+      match Storage.Pack.find_inode (Hashtbl.find (World.kernel w s).K.packs 0) gf.Catalog.Gfile.ino with
+      | None | Some { Inode.deleted = true; _ } -> ()
+      | Some _ -> Alcotest.failf "site %d still holds the body" s)
+    [ 0; 1 ]
 
 let test_hard_link () =
   let w = full_world () in
@@ -721,6 +861,32 @@ let test_rename () =
   match Kernel.read_file k0 p0 "/d1/file" with
   | _ -> Alcotest.fail "old name should be gone"
   | exception K.Error (Proto.Enoent, _) -> ()
+
+(* A rename whose new entry is refused puts the old one back; when that
+   fails too, the file has lost its name, and the rename says so with
+   [EIO] naming the entry rather than returning the first refusal. *)
+let test_rename_lost_entry_is_eio () =
+  let w = asym_world () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  ignore (Kernel.mkdir k0 p0 "/d1");
+  ignore (Kernel.mkdir k0 p0 "/d2");
+  ignore (Kernel.creat k0 p0 "/d1/a");
+  ignore (Kernel.creat k0 p0 "/d2/b");
+  ignore (World.settle w);
+  let k3 = World.kernel w 3 and p3 = World.proc w 3 in
+  (* The CSS (site 0) refuses the third intent: the put-back. *)
+  let intents = ref 0 in
+  Net.Netsim.set_handler (World.net w) 0 (fun ~src req ->
+      match req with
+      | Proto.Dir_intent _ when (incr intents; !intents = 3) -> Proto.R_err Proto.Enet
+      | _ -> k0.K.dispatch src req);
+  (match Kernel.rename k3 p3 ~from_path:"/d1/a" ~to_path:"/d2/b" with
+  | () -> Alcotest.fail "the rename succeeded"
+  | exception K.Error (Proto.Eio, msg) ->
+    check Alcotest.bool "the message names the lost entry" true
+      (String.length msg >= 10 && String.sub msg 0 10 = "rename: a ")
+  | exception K.Error (e, _) -> Alcotest.failf "rename failed with %a" Proto.pp_errno e);
+  check Alcotest.int "remove, refused enter, failed put-back" 3 !intents
 
 let test_readdir () =
   let w = full_world () in
@@ -882,11 +1048,17 @@ let () =
           Alcotest.test_case "unlink" `Quick test_unlink;
           Alcotest.test_case "hard link" `Quick test_hard_link;
           Alcotest.test_case "rename" `Quick test_rename;
+          Alcotest.test_case "rename that loses the entry is EIO" `Quick
+            test_rename_lost_entry_is_eio;
           Alcotest.test_case "readdir" `Quick test_readdir;
           Alcotest.test_case "create EEXIST" `Quick test_create_eexist;
           Alcotest.test_case "remote dirop moves one page" `Quick
             test_remote_dirop_moves_one_page;
-          Alcotest.test_case "lost dir-update reply" `Quick test_dir_update_lost_reply;
+          Alcotest.test_case "lost intent messages" `Quick test_lost_intent_messages;
+          Alcotest.test_case "intent round trips" `Quick test_intent_round_trips;
+          Alcotest.test_case "duplicate create leaves no inode" `Quick
+            test_duplicate_create_no_orphan;
+          Alcotest.test_case "unlink of a busy file changes nothing" `Quick test_unlink_busy_file;
           Alcotest.test_case "dir index built once" `Quick test_dir_index_built_once;
           Alcotest.test_case "dir update allocation flat" `Quick test_dir_update_allocation_flat;
         ] );

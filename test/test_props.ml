@@ -529,12 +529,16 @@ let prop_fs_matches_model =
    to itself, and every site must list exactly the model's names.
 
    The SS changes one record through its directory index, so the sequence
-   also mixes in what must keep or drop an index: a [Dir_update] whose
-   reply is lost (the create or unlink fails with ENET and its session
-   aborts, unless the US is its own SS), a rewrite of the whole body in a
-   session ([Us.set_contents] + commit) that moves every record, and a
-   settled lookup at a pack site, which indexes that copy so that the
-   next change elsewhere reaches it by propagation. A big case starts
+   also mixes in what must keep or drop an index: an intent whose reply
+   is lost (the CSS's reply to the using site, or a storage site's reply
+   to the CSS's forward) — the transport resends, the reply cache answers,
+   and the op must still match the model exactly — a rewrite of the whole
+   body in a session ([Us.set_contents] + commit) that moves every
+   record, and a settled lookup at a pack site, which indexes that copy
+   so that the next change elsewhere reaches it by propagation. A busy
+   case holds a modify open, from another site, on the directory or on
+   the file a live name binds: the create or unlink must fail with EBUSY
+   and change nothing. A big case starts
    from a directory of 10+ pages and uses names long enough that records
    leave padding at page ends. At the end every pack site also resolves
    every pool name like the model. *)
@@ -542,6 +546,7 @@ type dirop =
   | Create of int * int (* site, name *)
   | Unlink of int * int
   | Lost of int * int * bool (* site, name, create *)
+  | Busy of int * int * bool (* site, name, the open is on the directory *)
   | Rewrite of int
   | Lookup of int * int
 
@@ -551,6 +556,9 @@ let arb_dirop_case =
     | Unlink (site, n) -> Printf.sprintf "unlink n%d at s%d" n site
     | Lost (site, n, create) ->
       Printf.sprintf "%s n%d at s%d, reply lost" (if create then "create" else "unlink") n site
+    | Busy (site, n, on_dir) ->
+      Printf.sprintf "dirop n%d at s%d, %s open for modify" n site
+        (if on_dir then "directory" else "file")
     | Rewrite site -> Printf.sprintf "rewrite at s%d" site
     | Lookup (site, n) -> Printf.sprintf "lookup n%d at s%d" n site
   in
@@ -567,19 +575,24 @@ let arb_dirop_case =
                 (6, map2 (fun s n -> Create (s, n)) site name);
                 (6, map2 (fun s n -> Unlink (s, n)) site name);
                 (1, map3 (fun s n c -> Lost (s, n, c)) site name bool);
+                (1, map3 (fun s n d -> Busy (s, n, d)) site name bool);
                 (1, map (fun s -> Rewrite s) site);
                 (2, map2 (fun s n -> Lookup (s, n)) (int_bound 2) name);
               ])))
 
-(* Drop the reply to the next [Dir_update] any pack site serves. *)
-let lose_dir_update_replies w =
+(* Drop one reply: the first to an intent, or to a forwarded intent step,
+   that any pack site serves. *)
+let lose_intent_replies w =
   let net = World.net w in
+  let armed = ref true in
   List.iter
     (fun ss ->
       let k = World.kernel w ss in
       Net.Netsim.set_handler net ss (fun ~src req ->
           (match req with
-          | Proto.Dir_update _ -> Net.Netsim.fail_next_message net ~src:ss ~dst:src
+          | (Proto.Dir_intent _ | Proto.Intent_step _) when !armed ->
+            armed := false;
+            Net.Netsim.fail_next_message net ~src:ss ~dst:src
           | _ -> ());
           k.K.dispatch src req))
     [ 0; 1; 2 ]
@@ -670,14 +683,32 @@ let prop_dir_updates_match_model =
             let expected, outcome, name = dirop site n create in
             if outcome <> expected then ok := false
             else if outcome = Ok () then apply create name
-          | Lost (site, n, create) -> (
-            lose_dir_update_replies w;
+          | Lost (site, n, create) ->
+            lose_intent_replies w;
             let expected, outcome, name = dirop site n create in
             restore_handlers w;
-            match (expected, outcome) with
-            | Ok (), Ok () -> apply create name
-            | _, Stdlib.Error Proto.Enet -> ()
-            | _ -> if outcome <> expected then ok := false)
+            if outcome <> expected then ok := false
+            else if outcome = Ok () then apply create name
+          | Busy (site, n, on_dir) -> (
+            let holder = (site + 1) mod 4 in
+            let hk = World.kernel w holder in
+            let name = name_of n in
+            let held =
+              if on_dir then Some dir_gf
+              else if Hashtbl.mem live name then
+                Some
+                  (Locus_core.Pathname.resolve_from hk
+                     ~cwd:(Catalog.Mount.root hk.K.mount) ~context:[] ("/d/" ^ name))
+              else None
+            in
+            match held with
+            | None -> ()
+            | Some gf ->
+              let o = Locus_core.Us.open_gf hk gf Proto.Mode_modify in
+              let create = not (Hashtbl.mem live name) in
+              let _, outcome, _ = dirop site n create in
+              Locus_core.Us.close hk o;
+              if outcome <> Stdlib.Error Proto.Ebusy then ok := false)
           | Rewrite site -> rewrite_reversed w site dir_gf
           | Lookup (site, n) -> (
             ignore (World.settle w);

@@ -37,14 +37,28 @@ let some_reqs =
         designate = false;
         replicas = [];
       };
-    Proto.Dir_update
-      { gf; op = Proto.Enter { name = "entry"; ino = 7; stamp = 1.0; origin = 2 } };
-    Proto.Dir_update { gf; op = Proto.Remove { name = "entry"; stamp = 2.0; origin = 2 } };
+    Proto.Dir_intent
+      {
+        dir = gf;
+        op =
+          Proto.Create
+            { name = "entry"; ftype = Storage.Inode.Regular; owner = "u"; perms = 0o644;
+              ncopies = 2; ino = None };
+        seq = 1;
+      };
+    Proto.Dir_intent { dir = gf; op = Proto.Unlink { name = "entry"; links = true }; seq = 2 };
+    Proto.Intent_step
+      {
+        us = 2;
+        seq = 3;
+        step =
+          Proto.Step_dir
+            { dir = gf; op = Proto.Link { name = "entry"; ino = 7; links = true };
+              others = [ 1 ]; refuse = []; stale = [ 7 ] };
+      };
+    Proto.Intent_step { us = 2; seq = 3; step = Proto.Step_link { gf; delta = -1 } };
     Proto.Reclaim_req { gf };
     Proto.Page_invalidate { gf; lpage = 3 };
-    Proto.Create_req
-      { fg = 0; ftype = Storage.Inode.Regular; owner = "u"; perms = 0o644; replicate_at = [] };
-    Proto.Link_count { gf; delta = 1 };
     Proto.Set_attr { gf; perms = Some 0o600; owner = None };
     Proto.Stat_req { gf };
     Proto.Where_stored { gf };
@@ -134,6 +148,8 @@ let test_resp_sizes () =
       Proto.R_inventory { files = [ (2, vv_small, false) ] };
       Proto.R_data { data = "x" };
       Proto.R_entry { ino = 7 };
+      Proto.R_intent { ino = 7; dir_vv = vv_small; file = Some (vv_small, true) };
+      Proto.R_linked { vv = vv_small; deleted = false };
     ];
   check Alcotest.bool "page response dominated by data" true
     (Proto.resp_bytes (Proto.R_page { data = String.make 1024 'd'; eof = false })
