@@ -36,13 +36,20 @@ soak-smoke:
 soak:
 	dune exec bench/main.exe -- soak --seeds 50 --ops 2000
 
-# Simulated-number diff against another checkout (e.g. the parent commit,
-# unpacked with `git archive`): every locus-bench workload at seeds 1 and
-# 2, traced; prints each simulated metric that moved, exits 0 when none
-# did. Usage: make simdiff PARENT=<dir>
+# Simulated-number diff against another checkout: every locus-bench
+# workload at seeds 1 and 2, traced; prints each simulated metric that
+# moved, exits 0 when none did. Without PARENT it compares the working
+# tree against HEAD, unpacked with `git archive` into a temporary
+# directory (under $TMPDIR) that is removed afterwards.
+# Usage: make simdiff [PARENT=<dir>]
 simdiff:
-	@test -n "$(PARENT)" || { echo "usage: make simdiff PARENT=<dir>"; exit 2; }
-	python3 bench/simdiff.py --parent "$(PARENT)"
+	@if [ -n "$(PARENT)" ]; then \
+		python3 bench/simdiff.py --parent "$(PARENT)"; \
+	else \
+		dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+		git archive HEAD | tar x -C "$$dir" && \
+		python3 bench/simdiff.py --parent "$$dir"; \
+	fi
 
 # Warning-as-error gate: a cold build must produce no compiler output at
 # all. dune only prints warnings when it (re)compiles, so the gate cleans

@@ -220,7 +220,7 @@ let e4 () =
     Us.write k1 o ~off:0 "doomed";
     (* Push the bytes out of the write-behind buffer: the row verifies the
        SS aborts an *active* shadow session when the using site dies. *)
-    Us.flush_writes k1 o;
+    Us.flush_wb k1 o;
     World.crash_site w 1;
     ignore (World.detect_failures w ~initiator:0);
     let aborted = Stats.get (World.stats w) "cleanup.ss.aborted" >= 1 in

@@ -14,11 +14,8 @@ let handle k ~src (req : Proto.req) : Proto.resp =
     | Proto.Storage_req { gf; vv; us; mode = _; others } ->
       Ss.handle_storage_req k gf ~vv ~us ~others
     (* data transfer *)
-    | Proto.Read_page { gf; lpage; guess } -> Ss.handle_read_page ~guess k gf lpage
     | Proto.Read_pages { gf; first; count; guess; stride } ->
       Ss.handle_read_pages ~guess ~stride k gf ~first ~count
-    | Proto.Write_page { gf; lpage; whole; off; data } ->
-      Ss.handle_write_page k ~src gf ~lpage ~whole ~off ~data
     | Proto.Write_pages { gf; first; off; data } ->
       Ss.handle_write_pages k ~src gf ~first ~off ~data
     | Proto.Truncate_req { gf; size } -> Ss.handle_truncate k gf ~size

@@ -120,25 +120,16 @@ let pull_from k pack gf ~source ~modified =
           then List.filter (fun p -> p < npages) modified
           else List.init npages Fun.id
         in
-        (* Consecutive pages travel as one bulk read of at most a window;
-           lone pages keep the single-page message. *)
+        (* Consecutive pages travel as one read of at most a window; only
+           a request of two or more pages counts as a bulk pull. *)
         let cap = max 1 k.config.bulk_window in
         let fetch_run ~first ~count =
-          if count = 1 then
-            match rpc k source (Proto.Read_page { gf; lpage = first; guess = 0 }) with
-            | Proto.R_page { data; _ } -> [ data ]
-            | Proto.R_err e -> err e "propagation read failed"
-            | _ -> err Proto.Eio "unexpected response to propagation read"
-          else
-            match
-              rpc k source (Proto.Read_pages { gf; first; count; guess = 0; stride = 1 })
-            with
-            | Proto.R_pages { pages; _ } ->
-              Sim.Stats.incr (stats k) "prop.bulk";
-              Sim.Stats.add (stats k) "prop.bulk.pages" (List.length pages);
-              pages
-            | Proto.R_err e -> err e "propagation read failed"
-            | _ -> err Proto.Eio "unexpected response to propagation read"
+          let pages, _ = Ss.read_pages k source gf ~first ~count ~stride:1 ~guess:0 in
+          if count > 1 then begin
+            Sim.Stats.incr (stats k) "prop.bulk";
+            Sim.Stats.add (stats k) "prop.bulk.pages" (List.length pages)
+          end;
+          pages
         in
         let ok = ref true in
         (try

@@ -35,3 +35,8 @@ val one_commit_behind :
   target:Vv.Version_vector.t ->
   origin:Net.Site.t ->
   bool
+
+val runs_of : cap:int -> int list -> (int * int) list
+(** [runs_of ~cap pages] groups an ascending page list into [(first,
+    count)] runs of consecutive pages, each at most [cap] long: the
+    requests of a pull, and of reconciliation's copy reads. *)

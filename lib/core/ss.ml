@@ -90,29 +90,14 @@ let note_guess k gf guess =
   | Some g when Gfile.equal g gf -> Sim.Stats.incr (stats k) "ss.guess.hit"
   | Some _ | None -> Sim.Stats.incr (stats k) "ss.guess.miss"
 
-(* Serve one page (the network read protocol, section 2.3.3). The guess
-   locates the incore inode without a lookup when it is still valid. *)
-let handle_read_page ?(guess = 0) k gf lpage =
-  note_guess k gf guess;
-  match local_pack k gf.Gfile.fg with
-  | None -> Proto.R_err Proto.Eio
-  | Some pack -> (
-    match Pack.find_inode pack gf.Gfile.ino with
-    | None -> Proto.R_err Proto.Enoent
-    | Some inode ->
-      let read, size = page_source k pack gf inode in
-      let page = read lpage in
-      let remaining = size - (lpage * Page.size) in
-      let len = max 0 (min Page.size remaining) in
-      let eof = (lpage + 1) * Page.size >= size in
-      Proto.R_page { data = Page.sub page 0 len; eof })
-
 (* Serve up to [count] pages, every [stride]-th from [first], in one
-   response — the bulk-read half of the transfer layer. Disk and cache
-   accounting is identical to [count] single reads; only the message count
-   changes. A stride above 1 is a striped US asking this site for just its
-   own stripe's pages. The reply is trimmed at end of file, with [eof]
-   telling the US this site's share of the stream is done. *)
+   response: the network read protocol (section 2.3.3), one page at
+   [count] = 1. The guess locates the incore inode without a lookup when
+   it is still valid. Each page costs what a single read does; only the
+   message count changes. A stride above 1 is a striped US asking this
+   site for just its own stripe's pages. The reply is trimmed at end of
+   file, and a page at or past it is not read at all, with [eof] telling
+   the US this site's share of the stream is done. *)
 let handle_read_pages ?(guess = 0) ?(stride = 1) k gf ~first ~count =
   note_guess k gf guess;
   if first < 0 || count <= 0 || stride <= 0 then Proto.R_err Proto.Einval
@@ -136,6 +121,22 @@ let handle_read_pages ?(guess = 0) ?(stride = 1) k gf ~first ~count =
           end
         done;
         Proto.R_pages { pages = !pages; eof = first + (count * stride) >= npages })
+
+(* The client half: read pages of [gf] from [site], by a procedure call
+   when this site serves itself. Returns the pages and the eof flag;
+   raises [Error] on a refusal or a network failure. *)
+let read_pages k site gf ~first ~count ~stride ~guess =
+  let resp =
+    if Site.equal site k.site then begin
+      charge k (latency k).Net.Latency.local_call;
+      handle_read_pages ~guess ~stride k gf ~first ~count
+    end
+    else rpc k site (Proto.Read_pages { gf; first; count; guess; stride })
+  in
+  match resp with
+  | Proto.R_pages { pages; eof } -> (pages, eof)
+  | Proto.R_err e -> err e "read %a pages %d+%d failed" Gfile.pp gf first count
+  | _ -> err Proto.Eio "unexpected read response"
 
 let ensure_session k pack gf =
   let s = get_open k gf in
@@ -170,23 +171,11 @@ let write_session_page k ~src gf session ~lpage ~whole ~off data =
   Cache.invalidate k.ss_cache (gf, lpage);
   invalidate_others k gf ~writer:src lpage
 
-let handle_write_page k ~src gf ~lpage ~whole ~off ~data =
-  match local_pack k gf.Gfile.fg with
-  | None -> Proto.R_err Proto.Eio
-  | Some pack -> (
-    match Pack.find_inode pack gf.Gfile.ino with
-    | None -> Proto.R_err Proto.Enoent
-    | Some _ ->
-      let session = ensure_session k pack gf in
-      ss_dir_drop k gf;
-      write_session_page k ~src gf session ~lpage ~whole ~off data;
-      Proto.R_ok)
-
-(* Receive one coalesced write-behind batch: a contiguous byte run from
-   offset [off] within page [first], split back into per-page shadow
-   writes. Page-aligned full pages enter whole (no read); the run's ragged
-   head and tail patch. Each page has the effects of a single
-   [Write_page], so the batch is idempotent and safe to retry. *)
+(* Receive a contiguous byte run from offset [off] within page [first] —
+   one page of modification or a coalesced write-behind batch — split
+   into per-page shadow writes. Page-aligned full pages enter whole (no
+   read); a ragged head or tail patches. Absolute positioning makes the
+   request idempotent and safe to retry. *)
 let handle_write_pages k ~src gf ~first ~off ~data =
   let len = String.length data in
   if first < 0 || off < 0 || off >= Page.size then Proto.R_err Proto.Einval
@@ -214,6 +203,33 @@ let handle_write_pages k ~src gf ~first ~off ~data =
         in
         loop 0;
         Proto.R_ok)
+
+(* The client half: write the run [data] at byte [off] of [gf] to [site],
+   in requests of at most a window of pages each, by a procedure call when
+   this site serves itself. [sent] hears the page count of each request
+   once it is answered. Raises [Error] on a refusal or a network
+   failure. *)
+let write_run ?(sent = ignore) k site gf ~off data =
+  let len = String.length data in
+  let window_bytes = max 1 k.config.bulk_window * Page.size in
+  let rec loop pos =
+    if pos < len then begin
+      let abs = off + pos in
+      let first = abs / Page.size in
+      let poff = abs mod Page.size in
+      let n = min (window_bytes - poff) (len - pos) in
+      let chunk = if n = len then data else String.sub data pos n in
+      expect_ok
+        (if Site.equal site k.site then begin
+           charge k (latency k).Net.Latency.local_call;
+           handle_write_pages k ~src:k.site gf ~first ~off:poff ~data:chunk
+         end
+         else rpc k site (Proto.Write_pages { gf; first; off = poff; data = chunk }));
+      sent ((poff + n + Page.size - 1) / Page.size);
+      loop (pos + n)
+    end
+  in
+  loop 0
 
 (* ---- directory indexes: one record changed in place (section 4.4) ---- *)
 

@@ -21,12 +21,6 @@ val handle_storage_req :
 (** "Will you act as storage site?" Refused when this pack does not store
     the file at (at least) the requested version. *)
 
-val handle_read_page : ?guess:int -> Ktypes.t -> Catalog.Gfile.t -> int -> Proto.resp
-(** Serve one logical page (through the open shadow session when one
-    exists, giving Unix shared-file read semantics). [guess] is the US's
-    hint for locating the incore inode (§2.3.3); hits and misses are
-    counted in the statistics. *)
-
 val handle_read_pages :
   ?guess:int ->
   ?stride:int ->
@@ -36,22 +30,29 @@ val handle_read_pages :
   count:int ->
   Proto.resp
 (** Serve up to [count] pages, every [stride]-th from [first], in one
-    response (the bulk-read half of the transfer layer). Same per-page
-    disk and cache accounting as single reads; the reply is trimmed at end
-    of file. A stride above 1 is a striped US asking for just this site's
-    own stripe's pages. *)
+    response: the network read protocol (§2.3.3), a single page at
+    [count] = 1. Pages come through the open shadow session when one
+    exists, giving Unix shared-file read semantics. [guess] is the US's
+    hint for locating the incore inode; hits and misses are counted in
+    the statistics. Each page costs what a single read does; the reply is
+    trimmed at end of file, and a page at or past it is not read. A stride
+    above 1 is a striped US asking for just this site's own stripe's
+    pages. *)
 
-val handle_write_page :
+val read_pages :
   Ktypes.t ->
-  src:Net.Site.t ->
+  Net.Site.t ->
   Catalog.Gfile.t ->
-  lpage:int ->
-  whole:bool ->
-  off:int ->
-  data:string ->
-  Proto.resp
-(** One page of modification into the shadow session; invalidates other
-    using sites' buffered copies (the page-valid tokens of §3.2). *)
+  first:int ->
+  count:int ->
+  stride:int ->
+  guess:int ->
+  string list * bool
+(** [read_pages k site gf ~first ~count ~stride ~guess]: the client half
+    of [handle_read_pages] — the pages [site] returns and its eof flag. A
+    procedure call (charged [local_call]) when [site] is this site, else
+    one [Read_pages] RPC. Raises {!Ktypes.Error} on a refusal or a network
+    failure. *)
 
 val handle_write_pages :
   Ktypes.t ->
@@ -61,10 +62,26 @@ val handle_write_pages :
   off:int ->
   data:string ->
   Proto.resp
-(** One coalesced write-behind batch: a contiguous byte run from offset
-    [off] within page [first], split back into per-page shadow writes.
-    Idempotent (absolute positioning), so safe to retry after a suspected
-    message loss. *)
+(** A contiguous byte run from offset [off] within page [first] — one
+    page of modification or a coalesced write-behind batch — split into
+    per-page shadow writes; invalidates other using sites' buffered
+    copies (the page-valid tokens of §3.2). Idempotent (absolute
+    positioning), so safe to retry after a suspected message loss. *)
+
+val write_run :
+  ?sent:(int -> unit) ->
+  Ktypes.t ->
+  Net.Site.t ->
+  Catalog.Gfile.t ->
+  off:int ->
+  string ->
+  unit
+(** [write_run k site gf ~off data]: the client half of
+    [handle_write_pages] — write [data] at byte [off] of [gf] at [site],
+    in requests of at most [config.bulk_window] pages each. A procedure
+    call (charged [local_call]) per request when [site] is this site,
+    else one [Write_pages] RPC. [sent] hears each answered request's page
+    count. Raises {!Ktypes.Error} on a refusal or a network failure. *)
 
 val handle_truncate : Ktypes.t -> Catalog.Gfile.t -> size:int -> Proto.resp
 

@@ -2,16 +2,20 @@
 
    The US carries out the user-visible half of every file operation: it
    contacts the CSS to open, exchanges pages with the selected SS, and runs
-   the close protocol. All page traffic goes through kernel buffers; remote
-   pages are cached at the US (keyed by file and version, so a new committed
-   version naturally misses; a writer's pages go under a key private to its
-   open). One windowed fetcher fills the cache for every remote read, a
-   reader's or a writer's: a window of up to [bulk_window] pages per page
-   owner, over [width] owners (the stripe count, 1 when unstriped). A
-   demand miss on a page whose readahead batch has not run yet waits for
-   that batch, so a sequential read moves one window per round trip even
-   when nothing runs between reads. Window 1 and width 1 is the paper's
-   one-page readahead on sequential reads. *)
+   the close protocol. Pages travel in one read message and one write
+   message, [Read_pages] and [Write_pages], whose one-page forms are the
+   paper's network read and write; [Ss.read_pages] and [Ss.write_run] send
+   them, for propagation and reconciliation too. All page traffic goes
+   through kernel buffers; remote pages are cached at the US (keyed by
+   file and version, so a new committed version naturally misses; a
+   writer's pages go under a key private to its open). One windowed
+   fetcher fills the cache for every remote read, a reader's or a
+   writer's: a window of up to [bulk_window] pages per page owner, over
+   [width] owners (the stripe count, 1 when unstriped). A demand miss on a
+   page whose readahead batch has not run yet waits for that batch, so a
+   sequential read moves one window per round trip even when nothing runs
+   between reads. Window 1 and width 1 is the paper's one-page readahead
+   on sequential reads. *)
 
 open Ktypes
 module Inode = Storage.Inode
@@ -220,25 +224,6 @@ let stripe_degrade k o =
   Sim.Stats.incr (stats k) "us.stripe.degrade";
   o.o_stripes <- []
 
-let fetch_page k o lpage =
-  let site = page_site o lpage in
-  let guess = if Site.equal site o.o_ss then o.o_guess else 0 in
-  let resp =
-    if Site.equal site k.site then begin
-      charge k (latency k).Net.Latency.local_call;
-      Ss.handle_read_page ~guess k o.o_gf lpage
-    end
-    else rpc k site (Proto.Read_page { gf = o.o_gf; lpage; guess })
-  in
-  match resp with
-  | Proto.R_page { data; eof = _ } when striped o ->
-    (* An owner's eof speaks for its own session's size, which a striped
-       writer's extending writes grew only where they landed. *)
-    (data, (lpage + 1) * Page.size >= o.o_info.Proto.i_size)
-  | Proto.R_page { data; eof } -> (data, eof)
-  | Proto.R_err e -> err e "read %a page %d failed" Gfile.pp o.o_gf lpage
-  | _ -> err Proto.Eio "unexpected read response"
-
 let cacheable k o = k.config.us_cache_pages > 0 && not o.o_nocache
 
 (* The bulk-transfer layer batches write traffic with a remote SS; local
@@ -262,26 +247,10 @@ let flush_wb k o =
   | None -> ()
   | Some run ->
     o.o_wb <- None;
-    let data = Buffer.contents run.wb_buf in
-    let len = String.length data in
-    let window_bytes = k.config.bulk_window * Page.size in
-    let rec loop pos =
-      if pos < len then begin
-        let abs = run.wb_off + pos in
-        let first = abs / Page.size in
-        let poff = abs mod Page.size in
-        let n = min (window_bytes - poff) (len - pos) in
-        let chunk = String.sub data pos n in
-        expect_ok
-          (rpc k o.o_ss (Proto.Write_pages { gf = o.o_gf; first; off = poff; data = chunk }));
+    Ss.write_run k o.o_ss o.o_gf ~off:run.wb_off (Buffer.contents run.wb_buf)
+      ~sent:(fun pages ->
         Sim.Stats.incr (stats k) "us.bulk.write";
-        Sim.Stats.add (stats k) "us.bulk.write.pages" ((poff + n + Page.size - 1) / Page.size);
-        loop (pos + n)
-      end
-    in
-    loop 0
-
-let flush_writes = flush_wb
+        Sim.Stats.add (stats k) "us.bulk.write.pages" pages)
 
 let start_wb_run k o ~off data =
   let buf = Buffer.create (max 64 (String.length data)) in
@@ -304,7 +273,7 @@ let start_wb_run k o ~off data =
    and the [width] owners of a striped file serve their shares in
    parallel, so a round trip moves up to [width * window] pages. The
    paper's protocol is the degenerate setting: window 1 and width 1 fetch
-   one page per plain [Read_page] with one-page readahead. *)
+   one page per one-page [Read_pages] with one-page readahead. *)
 
 let npages_of o = (o.o_info.Proto.i_size + Page.size - 1) / Page.size
 
@@ -327,68 +296,59 @@ let run_length k o ~from ~limit =
   len 0
 
 (* One owner's share of a run: [cnt] of its pages from [f], every [w]-th,
-   in one [Read_pages]. The pages land in the US cache. *)
+   in one [Read_pages]. Only a request of two or more pages counts as a
+   bulk read. *)
 let fetch_share k o ~w site ~f ~cnt =
-  let resp =
-    if Site.equal site k.site then begin
-      charge k (latency k).Net.Latency.local_call;
-      Ss.handle_read_pages ~stride:w k o.o_gf ~first:f ~count:cnt
-    end
-    else
-      let guess = if w = 1 then o.o_guess else 0 in
-      rpc k site (Proto.Read_pages { gf = o.o_gf; first = f; count = cnt; guess; stride = w })
+  let guess = if w = 1 && Site.equal site o.o_ss then o.o_guess else 0 in
+  let ((pages, _) as reply) =
+    Ss.read_pages k site o.o_gf ~first:f ~count:cnt ~stride:w ~guess
   in
-  match resp with
-  | Proto.R_pages { pages; eof } ->
-    let n = List.length pages in
-    if w = 1 then begin
-      Sim.Stats.incr (stats k) "us.bulk.read";
-      Sim.Stats.add (stats k) "us.bulk.read.pages" n
-    end
-    else begin
-      Sim.Stats.incr (stats k) "us.stripe.read";
-      Sim.Stats.add (stats k) "us.stripe.read.pages" n
-    end;
-    List.iteri (fun i d -> file_page k o (f + (i * w)) d) pages;
-    (pages, eof)
-  | Proto.R_err e -> err e "read %a pages %d+%d failed" Gfile.pp o.o_gf f cnt
-  | _ -> err Proto.Eio "unexpected read response"
+  if w > 1 then begin
+    Sim.Stats.incr (stats k) "us.stripe.read";
+    Sim.Stats.add (stats k) "us.stripe.read.pages" (List.length pages)
+  end
+  else if cnt > 1 then begin
+    Sim.Stats.incr (stats k) "us.bulk.read";
+    Sim.Stats.add (stats k) "us.bulk.read.pages" (List.length pages)
+  end;
+  reply
+
+(* Whether page [lpage] ends a striped file. An owner's eof speaks for
+   its own session's size, which a striped writer's extending writes grew
+   only where they landed, so the open's own size decides. *)
+let stripe_eof o lpage = (lpage + 1) * Page.size >= o.o_info.Proto.i_size
 
 (* Fetch the run [first, first+count) into the US cache: each owner gets
    the arithmetic subsequence of its own pages as one strided request, and
    the requests travel in parallel, so the elapsed cost is the slowest
-   share, not the sum. An unstriped single page stays a plain [Read_page].
-   Returns page [first] and whether it ends the file. *)
+   share, not the sum. Returns page [first] and whether it ends the file. *)
 let fetch_range k o ~first ~count =
   let w = width o in
-  if w = 1 && count = 1 then begin
-    let data, eof = fetch_page k o first in
-    file_page k o first data;
-    (data, eof)
-  end
-  else begin
-    let head = ref ("", true) in
-    let share site ~f ~cnt () =
-      match fetch_share k o ~w site ~f ~cnt with
-      | d :: rest, eof when f = first ->
-        (* A striped reply's eof covers only its owner's share. *)
-        head :=
-          ( d,
-            if w = 1 then rest = [] && eof
-            else (first + 1) * Page.size >= o.o_info.Proto.i_size )
-      | _ -> ()
-    in
-    if w = 1 || count = 1 then share (page_site o first) ~f:first ~cnt:count ()
-    else
-      Engine.parallel k.engine
-        (List.init w Fun.id
-        |> List.filter_map (fun j ->
-               let f = first + ((j - (first mod w) + w) mod w) in
-               let cnt = (first + count - f + w - 1) / w in
-               if f >= first + count then None
-               else Some (share (stripe_owner o.o_stripes f) ~f ~cnt)));
-    !head
-  end
+  let head = ref ("", true) in
+  let share site ~f ~cnt () =
+    let pages, eof = fetch_share k o ~w site ~f ~cnt in
+    List.iteri (fun i d -> file_page k o (f + (i * w)) d) pages;
+    match pages with
+    | d :: rest when f = first ->
+      head := (d, if w = 1 then rest = [] && eof else stripe_eof o first)
+    | _ -> ()
+  in
+  if w = 1 || count = 1 then share (page_site o first) ~f:first ~cnt:count ()
+  else
+    Engine.parallel k.engine
+      (List.init w Fun.id
+      |> List.filter_map (fun j ->
+             let f = first + ((j - (first mod w) + w) mod w) in
+             let cnt = (first + count - f + w - 1) / w in
+             if f >= first + count then None
+             else Some (share (stripe_owner o.o_stripes f) ~f ~cnt)));
+  !head
+
+(* One page straight from its owner, past the US cache. *)
+let fetch_uncached k o lpage =
+  let pages, eof = fetch_share k o ~w:1 (page_site o lpage) ~f:lpage ~cnt:1 in
+  ( (match pages with d :: _ -> d | [] -> ""),
+    if striped o then stripe_eof o lpage else eof )
 
 (* Keep a full window requested ahead of a sequential reader. The frontier
    is the first page no fetch has been issued for; a new batch goes out
@@ -490,15 +450,9 @@ let rec read_page k o lpage =
   let sequential = lpage = o.o_last_lpage + 1 in
   o.o_last_lpage <- lpage;
   match
-    if (not (striped o)) && Site.equal o.o_ss k.site then begin
-      charge k (latency k).Net.Latency.local_call;
-      match Ss.handle_read_page k o.o_gf lpage with
-      | Proto.R_page { data; eof } -> (data, eof)
-      | Proto.R_err e -> err e "local read failed"
-      | _ -> err Proto.Eio "unexpected local read response"
-    end
-    else if cacheable k o then read_cached k o lpage ~sequential
-    else fetch_page k o lpage
+    if cacheable k o && (striped o || not (Site.equal o.o_ss k.site)) then
+      read_cached k o lpage ~sequential
+    else fetch_uncached k o lpage
   with
   | result -> result
   | exception Error _
@@ -574,28 +528,11 @@ let write k o ~off data =
       flush_wb k o
     | _ -> ()
   in
-  let send_chunk ~lpage ~poff chunk =
-    let whole = poff = 0 && String.length chunk = Page.size in
-    let site = page_site o lpage in
-    let req =
-      Proto.Write_page { gf = o.o_gf; lpage; whole; off = poff; data = chunk }
-    in
-    let resp =
-      if Site.equal site k.site then begin
-        charge k (latency k).Net.Latency.local_call;
-        Ss.handle_write_page k ~src:k.site o.o_gf ~lpage ~whole ~off:poff ~data:chunk
-      end
-      else rpc k site req
-    in
-    expect_ok resp
-  in
   let rec loop pos =
     if pos < len then begin
       let abs = off + pos in
-      let lpage = abs / Page.size in
-      let poff = abs mod Page.size in
-      let n = min (Page.size - poff) (len - pos) in
-      send_chunk ~lpage ~poff (String.sub data pos n);
+      let n = min (Page.size - (abs mod Page.size)) (len - pos) in
+      Ss.write_run k (page_site o (abs / Page.size)) o.o_gf ~off:abs (String.sub data pos n);
       loop (pos + n)
     end
   in

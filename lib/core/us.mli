@@ -53,7 +53,7 @@ val write : Ktypes.t -> Ktypes.ofile -> off:int -> string -> unit
     flush point (window full, non-adjacent write, read-back, truncate,
     commit, close, token release, or a short timer). *)
 
-val flush_writes : Ktypes.t -> Ktypes.ofile -> unit
+val flush_wb : Ktypes.t -> Ktypes.ofile -> unit
 (** Push any pending write-behind run to the SS now. Called wherever the
     modification must become visible outside this open — notably before a
     file-offset token leaves this site. No-op when nothing is buffered. *)

@@ -189,20 +189,20 @@ type req =
            commit notifications directly to them (section 2.3.6) *)
     } (* CSS -> candidate SS: will you serve this open at this version? *)
   (* --- data transfer --- *)
-  | Read_page of { gf : Catalog.Gfile.t; lpage : int; guess : int }
-    (* US -> SS; [guess] is the hint for locating the incore inode *)
   | Read_pages of { gf : Catalog.Gfile.t; first : int; count : int; guess : int; stride : int }
     (* US -> SS: up to [count] pages starting at [first], every [stride]-th
-       logical page, in one round trip — the bulk-transfer read protocol.
-       [stride] = 1 is the classic consecutive window; a striped US sends
-       stride = width to each stripe SS so each serves only its own pages. *)
-  | Write_page of { gf : Catalog.Gfile.t; lpage : int; whole : bool; off : int; data : string }
-    (* US -> SS: one logical page of modification (whole page or patch) *)
+       logical page, in one round trip — the network read protocol, for a
+       using site, a propagation pull and reconciliation alike. [count] = 1
+       is the paper's one-page read. [guess] is the hint for locating the
+       incore inode. [stride] = 1 is the classic consecutive window; a
+       striped US sends stride = width to each stripe SS so each serves
+       only its own pages. *)
   | Write_pages of { gf : Catalog.Gfile.t; first : int; off : int; data : string }
     (* US -> SS: one contiguous run of modified bytes starting at byte
-       [off] within page [first], possibly spanning several pages — a
-       coalesced write-behind batch. Absolute positioning keeps the
-       request idempotent. *)
+       [off] within page [first], possibly spanning several pages — one
+       page of modification (whole page or patch) or a coalesced
+       write-behind batch. Absolute positioning keeps the request
+       idempotent. *)
   | Truncate_req of { gf : Catalog.Gfile.t; size : int }
     (* US -> SS: shrink the open modification session's file *)
   | Dir_intent of { dir : Catalog.Gfile.t; op : intent; seq : int }
@@ -326,11 +326,10 @@ type resp =
            its own serving registration. Packs into the flag byte. *)
     }
   | R_storage of { accept : bool; info : inode_info option; slot : int }
-  | R_page of { data : string; eof : bool }
   | R_pages of { pages : string list; eof : bool }
-    (* consecutive pages from a [Read_pages]; may be fewer than asked when
-       the file ends mid-window. [eof] marks that the last page returned
-       contains end of file (or that [first] was past it). *)
+    (* the pages of a [Read_pages]; fewer than asked when the file ends
+       mid-window, none when [first] is past it. [eof] marks that the last
+       page returned contains end of file (or that [first] was past it). *)
   | R_committed of { vv : Vvec.t }
   | R_stripe of { pages : (int * string) list; size : int }
     (* a peer stripe SS's modified full pages (lpage, data) and its
@@ -398,11 +397,17 @@ let req_bytes = function
     + (match us_vv with Some v -> vv_bytes v | None -> 0)
   | Storage_req { vv; others; _ } ->
     header + gfile_bytes + vv_bytes vv + 5 + site_list_bytes others
-  | Read_page _ -> header + gfile_bytes + 8
-  | Read_pages { stride; _ } ->
-    header + gfile_bytes + 12 + (if stride > 1 then 2 else 0)
-  | Write_page { data; _ } -> header + gfile_bytes + 9 + String.length data
-  | Write_pages { data; _ } -> header + gfile_bytes + 12 + String.length data
+  (* The one-page forms cost what the paper's one-page messages do: a
+     count travels only when it is not 1, a stride only when it is not 1,
+     and a write within one page carries a page number, an offset and a
+     whole-page flag, not a run header. *)
+  | Read_pages { count; stride; _ } ->
+    header + gfile_bytes + 8
+    + (if count <> 1 then 4 else 0)
+    + if stride > 1 then 2 else 0
+  | Write_pages { off; data; _ } ->
+    let len = String.length data in
+    header + gfile_bytes + (if off + len <= Storage.Page.size then 9 else 12) + len
   | Truncate_req _ -> header + gfile_bytes + 4
   | Dir_intent { op; _ } -> header + gfile_bytes + 4 + intent_bytes op
   | Intent_step { step = Step_dir { op; others; refuse; stale; _ }; _ } ->
@@ -460,11 +465,12 @@ let resp_bytes = function
     header + 5 + info_bytes info + site_list_bytes others
   | R_storage { info; _ } ->
     header + 1 + (match info with Some i -> info_bytes i | None -> 0)
-  | R_page { data; _ } -> header + 1 + String.length data
+  | R_pages { pages = [ data ]; _ } -> header + 1 + String.length data
   | R_pages { pages; _ } ->
     (* One header for the whole batch; each page pays only a small length
        frame plus its payload — the honest accounting that makes the bulk
-       win fewer headers and RTTs, not free bytes. *)
+       win fewer headers and RTTs, not free bytes. A lone page needs no
+       frame. *)
     header + 1 + List.fold_left (fun a p -> a + 2 + String.length p) 0 pages
   | R_committed { vv } -> header + vv_bytes vv
   | R_stripe { pages; _ } ->
@@ -496,8 +502,8 @@ let resp_bytes = function
 let req_tag = function
   | Open_req _ -> "open"
   | Storage_req _ -> "storage"
-  | Read_page _ | Read_pages _ -> "read"
-  | Write_page _ | Write_pages _ -> "write"
+  | Read_pages _ -> "read"
+  | Write_pages _ -> "write"
   | Truncate_req _ -> "truncate"
   | Commit_req _ -> "commit"
   | Stripe_collect _ -> "stripe.collect"
@@ -540,9 +546,9 @@ let req_tag = function
    that runs one answers a resend from its reply cache, so both are safe
    to resend. *)
 let req_idempotent = function
-  | Read_page _ | Read_pages _ | Stat_req _ | Where_stored _ | Lookup_req _
+  | Read_pages _ | Stat_req _ | Where_stored _ | Lookup_req _
   | Open_files_query _ | Pack_inventory _ | Token_state_req _ | Token_req _
-  | Page_invalidate _ | Lease_break _ | Reclaim_req _ | Commit_notify _ | Write_page _
+  | Page_invalidate _ | Lease_break _ | Reclaim_req _ | Commit_notify _
   | Write_pages _ | Truncate_req _ | Dir_intent _ | Intent_step _
   | Part_poll _ | Part_announce _ | Merge_poll _ | Merge_announce _
   | Status_check _ ->

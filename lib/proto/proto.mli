@@ -173,8 +173,6 @@ type req =
       others : Net.Site.t list;
     }  (** CSS → candidate SS: will you serve this open at this version?
            [others] lets the SS send its commit notifications directly. *)
-  | Read_page of { gf : Catalog.Gfile.t; lpage : int; guess : int }
-      (** US → SS: one page; [guess] locates the incore inode (§2.3.3). *)
   | Read_pages of {
       gf : Catalog.Gfile.t;
       first : int;
@@ -182,23 +180,19 @@ type req =
       guess : int;
       stride : int;
     }  (** US → SS: up to [count] pages, every [stride]-th logical page
-           from [first], in one round trip — the bulk-transfer read used
-           by windowed streaming reads and batched propagation pulls.
-           [stride] = 1 is the classic consecutive window; a striped US
-           sends [stride] = width so each stripe SS serves only its own
-           pages. *)
-  | Write_page of {
-      gf : Catalog.Gfile.t;
-      lpage : int;
-      whole : bool;
-      off : int;
-      data : string;
-    }  (** US → SS: one logical page of modification (whole or patch). *)
+           from [first], in one round trip — the network read protocol
+           (§2.3.3), used alike by the using site, propagation pulls and
+           reconciliation. [count] = 1 is the paper's one-page read and
+           costs what it did on the wire. [guess] locates the incore
+           inode. [stride] = 1 is the classic consecutive window; a
+           striped US sends [stride] = width so each stripe SS serves
+           only its own pages. *)
   | Write_pages of { gf : Catalog.Gfile.t; first : int; off : int; data : string }
       (** US → SS: a contiguous run of modified bytes starting at byte
-          [off] within page [first], possibly spanning several pages — one
-          coalesced write-behind batch. Absolute positioning keeps the
-          request idempotent (safe to retry). *)
+          [off] within page [first] — one page of modification (whole or
+          patch) or a coalesced write-behind batch over several pages.
+          Absolute positioning keeps the request idempotent (safe to
+          retry). *)
   | Truncate_req of { gf : Catalog.Gfile.t; size : int }
   | Dir_intent of { dir : Catalog.Gfile.t; op : intent; seq : int }
       (** US → CSS: one name-space change. The CSS takes the directory's
@@ -331,9 +325,8 @@ type resp =
             serving registration. Packs into the flag byte. *)
     }
   | R_storage of { accept : bool; info : inode_info option; slot : int }
-  | R_page of { data : string; eof : bool }
   | R_pages of { pages : string list; eof : bool }
-      (** consecutive pages answering a [Read_pages]; fewer than asked when
+      (** the pages answering a [Read_pages]; fewer than asked when
           the file ends mid-window, [eof] when the batch reaches end of
           file (or started past it) *)
   | R_committed of { vv : Vv.Version_vector.t }

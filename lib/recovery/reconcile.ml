@@ -11,6 +11,8 @@
 open Locus_core.Ktypes
 module Kernel = Locus_core.Kernel
 module Css = Locus_core.Css
+module Ss = Locus_core.Ss
+module Propagation = Locus_core.Propagation
 module Inode = Storage.Inode
 module Page = Storage.Page
 module Dir = Catalog.Dir
@@ -77,40 +79,30 @@ let fetch_info k site gf =
   | Ok _ -> None
   | Stdlib.Error _ -> None
 
+(* Read a copy's whole body in runs of at most a window of pages, as a
+   propagation pull does. A failed request, or a reply with fewer pages
+   than asked, fails the copy: the rest of it is not read. *)
 let fetch_content k site gf (info : Proto.inode_info) =
   let buf = Buffer.create info.Proto.i_size in
   let npages = (info.Proto.i_size + Page.size - 1) / Page.size in
-  let ok = ref true in
-  for lpage = 0 to npages - 1 do
-    match rpc_result k site (Proto.Read_page { gf; lpage; guess = 0 }) with
-    | Ok (Proto.R_page { data; _ }) -> Buffer.add_string buf data
-    | Ok _ | Stdlib.Error _ -> ok := false
-  done;
-  if !ok then Some (Buffer.contents buf) else None
+  let rec read = function
+    | [] -> Some (Buffer.contents buf)
+    | (first, count) :: rest -> (
+      match Ss.read_pages k site gf ~first ~count ~stride:1 ~guess:0 with
+      | pages, _ when List.length pages = count ->
+        List.iter (Buffer.add_string buf) pages;
+        read rest
+      | _ -> None
+      | exception Error _ -> None)
+  in
+  read (Propagation.runs_of ~cap:(max 1 k.config.bulk_window) (List.init npages Fun.id))
 
 (* Push merged contents to [target] and commit with the exact merged
    version vector; then tell the other storing sites to pull. *)
 let write_version k ~target gf ~content ~vv ~others =
   let push () =
     expect_ok (rpc k target (Proto.Truncate_req { gf; size = 0 }));
-    let len = String.length content in
-    let rec loop off lpage =
-      if off < len then begin
-        let n = min Page.size (len - off) in
-        expect_ok
-          (rpc k target
-             (Proto.Write_page
-                {
-                  gf;
-                  lpage;
-                  whole = n = Page.size;
-                  off = 0;
-                  data = String.sub content off n;
-                }));
-        loop (off + n) (lpage + 1)
-      end
-    in
-    loop 0 0;
+    Ss.write_run k target gf ~off:0 content;
     match
       rpc k target
         (Proto.Commit_req

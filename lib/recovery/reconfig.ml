@@ -26,8 +26,7 @@ let install k =
         Some (Merge.handle_announce k ~members ~css_map)
       | Proto.Status_check _ ->
         Some (Proto.R_status { stage = k.recon_stage; site = k.site })
-      | Proto.Open_req _ | Proto.Storage_req _ | Proto.Read_page _
-      | Proto.Read_pages _ | Proto.Write_page _ | Proto.Write_pages _
+      | Proto.Open_req _ | Proto.Storage_req _ | Proto.Read_pages _ | Proto.Write_pages _
       | Proto.Truncate_req _ | Proto.Dir_intent _ | Proto.Intent_step _ | Proto.Commit_req _
       | Proto.Stripe_collect _
       | Proto.Us_close _ | Proto.Ss_close _ | Proto.Commit_notify _

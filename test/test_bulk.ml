@@ -123,9 +123,9 @@ let test_window_one_is_unbatched () =
   let got8, msgs8, bulk8 = run 8 in
   check Alcotest.string "window 1 reads the right bytes" body got1;
   check Alcotest.string "window 8 reads identical bytes" body got8;
-  (* With window=1 the bulk RPC is never used: every fetch is a plain
-     Read_page, exactly the pre-bulk protocol (2 messages per page,
-     demand or readahead alike). *)
+  (* With window=1 no bulk read is used: every fetch is a one-page
+     request, exactly the pre-bulk protocol (2 messages per page, demand
+     or readahead alike). *)
   check Alcotest.int "no bulk RPCs at window 1" 0 bulk1;
   check Alcotest.int "one-page protocol costs 2 msgs/page" (2 * pages) msgs1;
   check Alcotest.bool "window 8 uses bulk RPCs" true (bulk8 >= 1);
@@ -189,14 +189,14 @@ let test_inline_read_streams () =
   check Alcotest.int "four bulk reads" 4 bulk;
   check Alcotest.int "of 2 + 4 + 8 + 2 pages" 16 bulk_pages;
   check Alcotest.int "8 read messages" 8 msgs;
-  (* Window 1 is still the paper's protocol: one Read_page per page. *)
+  (* Window 1 is still the paper's protocol: one one-page read per page. *)
   let bulk, _, msgs = inline_read ~window:1 ~mode:Proto.Mode_read ~pages:15 in
   check Alcotest.int "no bulk reads at window 1" 0 bulk;
-  check Alcotest.int "16 Read_page round trips at window 1" 32 msgs
+  check Alcotest.int "16 one-page round trips at window 1" 32 msgs
 
 (* A writer reads its own file (a directory rewrite reads the directory
-   first) through the same fetcher: bulk reads, not one Read_page per
-   page. *)
+   first) through the same fetcher: bulk reads, not one one-page read
+   per page. *)
 let test_writer_reads_stream () =
   let bulk, bulk_pages, msgs = inline_read ~window:8 ~mode:Proto.Mode_modify ~pages:18 in
   check Alcotest.int "19 pages in four bulk reads" 4 bulk;

@@ -258,7 +258,8 @@ let test_read_bytes_zero_fills_short_page () =
   (* Serve page 1 short and non-eof; everything else takes the normal path. *)
   Net.Netsim.set_handler (World.net w) 0 (fun ~src req ->
       match req with
-      | Proto.Read_page { lpage = 1; _ } -> Proto.R_page { data = "XY"; eof = false }
+      | Proto.Read_pages { first = 1; count = 1; _ } ->
+        Proto.R_pages { pages = [ "XY" ]; eof = false }
       | _ -> k0.K.dispatch src req);
   let k3 = World.kernel w 3 in
   let o = Us.open_gf k3 (gf_of k3 "/sparse") Proto.Mode_read in
@@ -271,6 +272,40 @@ let test_read_bytes_zero_fills_short_page () =
     (String.sub data (ps + 2) (ps - 2));
   check Alcotest.string "next page reached" (String.make ps 'C')
     (String.sub data (2 * ps) ps);
+  Us.close k3 o;
+  ignore (World.settle w)
+
+(* A read at end of file asks for a page the file does not have. The SS
+   reads no disk for it and buffers nothing: the read costs the page's CPU
+   charge and one read round trip (a one-page request and an empty reply)
+   and nothing more. *)
+let test_read_at_eof_reads_no_page () =
+  let w = asym_world () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  ignore (Kernel.creat k0 p0 "/two");
+  Kernel.write_file k0 p0 "/two" (String.make 2048 't');
+  ignore (World.settle w);
+  let k3 = World.kernel w 3 in
+  let gf = gf_of k3 "/two" in
+  let o = Us.open_gf k3 gf Proto.Mode_read in
+  let ss = World.kernel w o.K.o_ss in
+  let snap = Stats.snapshot (stats w) in
+  let t0 = World.now w in
+  let data = Us.read_bytes k3 o ~off:2048 ~len:100 in
+  let elapsed = World.now w -. t0 in
+  check Alcotest.string "nothing past eof" "" data;
+  check Alcotest.int "no SS cache miss" 0 (Stats.delta_of (stats w) snap "cache.ss.miss");
+  check Alcotest.bool "no buffer for page 2" false (Storage.Cache.mem ss.K.ss_cache (gf, 2));
+  let lat = K.latency k3 in
+  let request = Proto.Read_pages { gf; first = 2; count = 1; guess = 0; stride = 1 } in
+  let reply = Proto.R_pages { pages = []; eof = true } in
+  let round_trip =
+    Net.Latency.msg_cost lat ~bytes:(Proto.req_bytes request)
+    +. Net.Latency.msg_cost lat ~bytes:(Proto.resp_bytes reply)
+  in
+  check (Alcotest.float 1e-9) "one round trip, no disk read"
+    (lat.Net.Latency.cpu_page +. round_trip)
+    elapsed;
   Us.close k3 o;
   ignore (World.settle w)
 
@@ -1024,6 +1059,7 @@ let () =
           Alcotest.test_case "cross-open retention" `Quick test_cross_open_cache_retention;
           Alcotest.test_case "read_bytes zero fill" `Quick
             test_read_bytes_zero_fills_short_page;
+          Alcotest.test_case "read at eof reads no page" `Quick test_read_at_eof_reads_no_page;
         ] );
       ( "write-commit",
         [

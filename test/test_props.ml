@@ -957,7 +957,7 @@ let run_fetch_case c =
       (Storage.Cache.keys_mru k3.K.us_cache)
   in
   let peek same =
-    Locus_core.Us.flush_writes k3 o;
+    Locus_core.Us.flush_wb k3 o;
     let k = World.kernel w (if same then 3 else 1) in
     match Locus_core.Us.open_gf k gf Proto.Mode_read with
     | r ->

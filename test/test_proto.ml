@@ -19,8 +19,8 @@ let some_reqs =
     Proto.Open_req { gf; mode = Proto.Mode_read; us_vv = None; shared = false };
     Proto.Storage_req
       { gf; vv = vv_small; us = 1; mode = Proto.Mode_read; others = [ 2; 3 ] };
-    Proto.Read_page { gf; lpage = 0; guess = 0 };
-    Proto.Write_page { gf; lpage = 0; whole = true; off = 0; data = String.make 1024 'x' };
+    Proto.Read_pages { gf; first = 0; count = 1; guess = 0; stride = 1 };
+    Proto.Write_pages { gf; first = 0; off = 0; data = String.make 1024 'x' };
     Proto.Truncate_req { gf; size = 0 };
     Proto.Commit_req { gf; us = 0; abort = false; delete = false; force_vv = None; stripes = [] };
     Proto.Us_close { gf; mode = Proto.Mode_read };
@@ -92,7 +92,7 @@ let test_tags_nonempty_and_distinctive () =
 
 let test_payload_monotone () =
   let size data =
-    Proto.req_bytes (Proto.Write_page { gf; lpage = 0; whole = true; off = 0; data })
+    Proto.req_bytes (Proto.Write_pages { gf; first = 0; off = 0; data })
   in
   check Alcotest.bool "write grows with data" true (size (String.make 1024 'x') > size "x");
   let vv_size v =
@@ -139,7 +139,7 @@ let test_resp_sizes () =
         { ss = 0; info; others = []; nocache = false; slot = 1; lease = false;
           registered = true };
       Proto.R_storage { accept = true; info = Some info; slot = 1 };
-      Proto.R_page { data = String.make 512 'd'; eof = true };
+      Proto.R_pages { pages = [ String.make 512 'd' ]; eof = true };
       Proto.R_committed { vv = vv_small };
       Proto.R_stat { info = Some info; stored_here = true };
       Proto.R_where { sites = [ 0 ]; all_sites = [ 0; 1 ]; vv = vv_small };
@@ -152,8 +152,35 @@ let test_resp_sizes () =
       Proto.R_linked { vv = vv_small; deleted = false };
     ];
   check Alcotest.bool "page response dominated by data" true
-    (Proto.resp_bytes (Proto.R_page { data = String.make 1024 'd'; eof = false })
+    (Proto.resp_bytes (Proto.R_pages { pages = [ String.make 1024 'd' ]; eof = false })
      > 1024)
+
+(* One read message and one write message carry every page. Their
+   one-page forms cost exactly what the paper's one-page read, reply and
+   write did (a 24-byte header, an 8-byte file name, then the fields),
+   and their multi-page forms what the batched messages always cost: no
+   simulated number moves because the one-page messages went away. *)
+let test_one_page_forms () =
+  let page = String.make 1024 'p' in
+  let read ~count ~stride =
+    Proto.req_bytes (Proto.Read_pages { gf; first = 3; count; guess = 0; stride })
+  in
+  let reply pages = Proto.resp_bytes (Proto.R_pages { pages; eof = false }) in
+  let write ~off data = Proto.req_bytes (Proto.Write_pages { gf; first = 3; off; data }) in
+  (* One page: header + file + 8, header + 1 + data, header + file + 9 + data. *)
+  check Alcotest.int "one-page request" 40 (read ~count:1 ~stride:1);
+  check Alcotest.int "one-page reply" (25 + 1024) (reply [ page ]);
+  check Alcotest.int "short one-page reply" (25 + 100) (reply [ String.sub page 0 100 ]);
+  check Alcotest.int "past-eof reply" 25 (reply []);
+  check Alcotest.int "whole-page write" (41 + 1024) (write ~off:0 page);
+  check Alcotest.int "patch write" (41 + 24) (write ~off:1000 (String.sub page 0 24));
+  (* Two pages: a count, a length frame per page, a run header. *)
+  check Alcotest.int "two-page request" 44 (read ~count:2 ~stride:1);
+  check Alcotest.int "two-page strided request" 46 (read ~count:2 ~stride:4);
+  check Alcotest.int "one-page strided request" 42 (read ~count:1 ~stride:4);
+  check Alcotest.int "two-page reply" (25 + (2 * (2 + 1024))) (reply [ page; page ]);
+  check Alcotest.int "two-page write" (44 + 2048) (write ~off:0 (page ^ page));
+  check Alcotest.int "write crossing a page" (44 + 48) (write ~off:1000 (String.sub page 0 48))
 
 let test_errno_strings () =
   List.iter
@@ -176,6 +203,7 @@ let () =
           Alcotest.test_case "tags" `Quick test_tags_nonempty_and_distinctive;
           Alcotest.test_case "payload monotone" `Quick test_payload_monotone;
           Alcotest.test_case "response sizes" `Quick test_resp_sizes;
+          Alcotest.test_case "one-page forms" `Quick test_one_page_forms;
           Alcotest.test_case "errno strings" `Quick test_errno_strings;
         ] );
     ]

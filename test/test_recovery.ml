@@ -225,7 +225,7 @@ let test_cleanup_ss_aborts_orphan_session () =
   Us.write k1 o ~off:0 "doomed";
   (* Push the write-behind run out so the SS has an open shadow session to
      orphan when the site dies. *)
-  Us.flush_writes k1 o;
+  Us.flush_wb k1 o;
   World.crash_site w 1;
   ignore (World.detect_failures w ~initiator:0);
   check Alcotest.bool "ss aborted the session" true
@@ -408,6 +408,90 @@ let test_untyped_conflict_marked_and_resolvable () =
   ignore (World.settle w);
   check Alcotest.string "winner readable" "left" (Kernel.read_file k0 p0 "/binary")
 
+(* A database file written differently in two partitions, merged by a
+   registered type manager after the heal: reconciliation reads both
+   copies and writes the merged one in runs of at most a window of pages,
+   as a propagation pull does. Returns the read and write requests the
+   reconciling CSS (site 0) sent. Site 0's own copy is the stale base, so
+   both copies it reads and the one it writes are remote. *)
+let reconcile_requests ~window =
+  let base = World.default_config ~n_sites:5 () in
+  let config =
+    { base with
+      World.kernel_config = { base.World.kernel_config with K.bulk_window = window } }
+  in
+  let w = World.create ~config () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  let body c = String.make (20 * Storage.Page.size) c in
+  Kernel.set_ncopies p0 5;
+  let gf = Kernel.creat ~ftype:Inode.Database k0 p0 "/db" in
+  Kernel.write_file k0 p0 "/db" (body 'a');
+  ignore (World.settle w);
+  ignore (World.partition w [ [ 0 ]; [ 1; 2 ]; [ 3; 4 ] ]);
+  Kernel.write_file (World.kernel w 1) (World.proc w 1) "/db" (body 'l');
+  Kernel.write_file (World.kernel w 3) (World.proc w 3) "/db" (body 'r');
+  ignore (World.settle w);
+  (* No manager yet: the heal marks the conflict and reads no content. *)
+  ignore (World.heal_and_merge w);
+  let reads = ref 0 and writes = ref 0 in
+  List.iter
+    (fun site ->
+      let k = World.kernel w site in
+      Net.Netsim.set_handler (World.net w) site (fun ~src req ->
+          if src = 0 then begin
+            match Proto.req_tag req with
+            | "read" -> incr reads
+            | "write" -> incr writes
+            | _ -> ()
+          end;
+          k.K.dispatch src req))
+    [ 1; 2; 3; 4 ];
+  Reconcile.register_merge_manager Inode.Database (List.fold_left max "");
+  let report = Reconcile.empty_report () in
+  Fun.protect
+    ~finally:(fun () -> Reconcile.unregister_merge_manager Inode.Database)
+    (fun () -> Reconcile.reconcile_file k0 gf report);
+  check Alcotest.int "merged by the manager" 1 report.Reconcile.manager_merges;
+  (!reads, !writes)
+
+let test_reconcile_moves_windows () =
+  check Alcotest.(pair int int) "window 8: 3 reads per copy, 3 writes" (6, 3)
+    (reconcile_requests ~window:8);
+  check Alcotest.(pair int int) "window 1: one request per page" (40, 20)
+    (reconcile_requests ~window:1)
+
+(* A copy that stops answering fails its read at the first failed
+   request. Each failed request pays the transport's retries and backoff,
+   so reading on after it would only multiply that cost. A reply with
+   fewer pages than asked fails the copy too, never passing for a short
+   body. *)
+let test_failed_copy_read_stops () =
+  let w = make_world ~n:4 () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  Kernel.set_ncopies p0 4;
+  let body = String.make (16 * Storage.Page.size) 'b' in
+  let gf = Kernel.creat k0 p0 "/big" in
+  Kernel.write_file k0 p0 "/big" body;
+  ignore (World.settle w);
+  let info = Us.stat_gf k0 gf in
+  check Alcotest.(option string) "the copy reads whole" (Some body)
+    (Reconcile.fetch_content k0 3 gf info);
+  Topology.set_link (World.topology w) 0 3 false;
+  let snap = Sim.Stats.snapshot (World.stats w) in
+  check Alcotest.(option string) "the copy fails" None (Reconcile.fetch_content k0 3 gf info);
+  check Alcotest.int "one failed request" 1
+    (Sim.Stats.delta_of (World.stats w) snap "rpc.fail");
+  let k2 = World.kernel w 2 and asked = ref 0 in
+  Net.Netsim.set_handler (World.net w) 2 (fun ~src req ->
+      match k2.K.dispatch src req with
+      | Proto.R_pages { pages = _ :: rest; eof } ->
+        incr asked;
+        Proto.R_pages { pages = rest; eof }
+      | resp -> resp);
+  check Alcotest.(option string) "a short reply fails the copy" None
+    (Reconcile.fetch_content k0 2 gf info);
+  check Alcotest.int "no request after the short reply" 1 !asked
+
 (* The one-call orchestration: partition protocols per group, then merge
    and recovery. *)
 let test_full_reconfigure_entry () =
@@ -525,5 +609,7 @@ let () =
           Alcotest.test_case "demand recovery" `Quick test_demand_recovery_single_file;
           Alcotest.test_case "full reconfigure entry" `Quick test_full_reconfigure_entry;
           Alcotest.test_case "hidden directory merge" `Quick test_hidden_directory_merge;
+          Alcotest.test_case "reconciliation moves windows" `Quick test_reconcile_moves_windows;
+          Alcotest.test_case "failed copy read stops" `Quick test_failed_copy_read_stops;
         ] );
     ]
