@@ -12,17 +12,18 @@ bench:
 	dune exec bench/main.exe
 
 # A fast slice of the harness as a CI gate: the open protocol (E1), both
-# pathname-resolution experiments (E13 baseline, E19 fast path), the
-# bulk-transfer sweep (E20), the open-lease sweep (E21), the striping
-# sweep (E22), the fault-soak smoke (E23), the small-world flood
+# pathname-resolution experiments (E13 baseline, E19 fast path), update
+# propagation (E14, which asserts that every copy holds the committed
+# bytes), the bulk-transfer sweep (E20), the open-lease sweep (E21), the
+# striping sweep (E22), the fault-soak smoke (E23), the small-world flood
 # (e24smoke), and the event-core micro suite must run to completion.
 # Their PASS/FAIL cells are human-read; this asserts the experiments
 # themselves stay runnable. E20 onward also leave BENCH_<experiment>.json
 # behind for machine comparison (micro records the heap speedup and
 # words/event; the full-scale flood dashboard is `-- e24`).
 bench-smoke:
-	@dune exec bench/main.exe -- e1 e13 e19 e20 e21 e22 e23 e24smoke micro > /dev/null
-	@echo "bench-smoke: OK (e1 e13 e19 e20 e21 e22 e23 e24smoke micro ran clean)"
+	@dune exec bench/main.exe -- e1 e13 e14 e19 e20 e21 e22 e23 e24smoke micro > /dev/null
+	@echo "bench-smoke: OK (e1 e13 e14 e19 e20 e21 e22 e23 e24smoke micro ran clean)"
 
 # Deterministic fault soak (DESIGN.md section 12, EXPERIMENTS.md E23).
 # soak-smoke is the CI gate: a handful of seeds, bounded ops, seconds not

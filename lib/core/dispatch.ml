@@ -14,8 +14,8 @@ let handle k ~src (req : Proto.req) : Proto.resp =
     | Proto.Storage_req { gf; vv; us; mode = _; others } ->
       Ss.handle_storage_req k gf ~vv ~us ~others
     (* data transfer *)
-    | Proto.Read_pages { gf; first; count; guess; stride } ->
-      Ss.handle_read_pages ~guess ~stride k gf ~first ~count
+    | Proto.Read_pages { gf; first; count; guess; stride; committed; stat } ->
+      Ss.handle_read_pages ~guess ~stride ~committed ~stat k gf ~first ~count
     | Proto.Write_pages { gf; first; off; data } ->
       Ss.handle_write_pages k ~src gf ~first ~off ~data
     | Proto.Truncate_req { gf; size } -> Ss.handle_truncate k gf ~size
@@ -27,7 +27,7 @@ let handle k ~src (req : Proto.req) : Proto.resp =
     | Proto.Ss_close { gf; ss = _; us; mode } -> Css.handle_ss_close k gf ~us ~mode
     (* commit notifications: CSS bookkeeping and/or propagation pull *)
     | Proto.Commit_notify
-        { gf; vv; meta_only = _; modified; origin; fresh; deleted; designate; replicas }
+        { gf; vv; meta_only; modified; origin; fresh; deleted; designate; replicas }
       ->
       (* A new committed version exists: buffered pages of any other
          version of this file can never hit again — drop them from both
@@ -53,7 +53,7 @@ let handle k ~src (req : Proto.req) : Proto.resp =
       if (fg_info k gf.Gfile.fg).css_site = k.site then
         Css.handle_commit_notify ~replicas k gf ~origin ~vv ~deleted;
       if fresh && not (Net.Site.equal origin k.site) then
-        Propagation.enqueue k gf ~vv ~modified ~designate;
+        Propagation.enqueue k gf ~vv ~origin ~modified ~meta_only ~deleted ~designate;
       Proto.R_ok
     | Proto.Reclaim_req { gf } -> Ss.handle_reclaim k gf
     | Proto.Page_invalidate { gf; lpage } ->

@@ -211,6 +211,22 @@ type fg_info = {
   mutable pack_sites : Site.t list; (* sites with a physical container of this fg *)
 }
 
+(* ---- background propagation ---- *)
+
+(* One queued pull: what the commit notification said, and the retry
+   state. [pull_modified] = [] means every page, unless the commit changed
+   only the inode. *)
+type pull = {
+  pull_gf : Gfile.t;
+  pull_vv : Vvec.t;             (* the committed version *)
+  pull_origin : Site.t;         (* the site that committed it *)
+  pull_modified : int list;     (* the pages the commit modified *)
+  pull_meta_only : bool;        (* the commit changed only the inode *)
+  pull_deleted : bool;          (* the commit deleted the file *)
+  pull_retries : int;           (* retries left *)
+  pull_not_before : float;      (* earliest retry, simulated ms *)
+}
+
 (* ---- the kernel ---- *)
 
 type t = {
@@ -241,9 +257,7 @@ type t = {
   (* retained open grants of lease-backed read opens, for zero-message
      re-opens and deferred closes *)
   mutable prop_pending : Gfile.Set.t;
-  prop_queue : (Gfile.t * Vvec.t * int list * int * float) Queue.t;
-  (* file, target version, modified pages ([] = whole file), retries left,
-     earliest-retry time (simulated ms; backed off after a failed pull) *)
+  prop_queue : pull Queue.t;
   shared_fds : (fd_key, shared_fd) Hashtbl.t;
   procs : (int, proc) Hashtbl.t;
   pipe_bufs : (Gfile.t, string ref) Hashtbl.t;   (* SS-side fifo contents *)

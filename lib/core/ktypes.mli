@@ -195,6 +195,25 @@ type fg_info = {
       (** sites with a physical container of this filegroup *)
 }
 
+(** {1 Background propagation} *)
+
+(** One queued pull (§2.3.6): what the commit notification said, and the
+    retry state. *)
+type pull = {
+  pull_gf : Gfile.t;
+  pull_vv : Vvec.t;  (** the committed version *)
+  pull_origin : Site.t;  (** the site that committed it *)
+  pull_modified : int list;
+      (** the pages the commit modified; [[]] means every page, unless
+          [pull_meta_only] *)
+  pull_meta_only : bool;  (** the commit changed only the inode *)
+  pull_deleted : bool;  (** the commit deleted the file *)
+  pull_retries : int;  (** retries left *)
+  pull_not_before : float;
+      (** earliest retry time, simulated ms (backed off after a failed
+          pull) *)
+}
+
 (** {1 The kernel} *)
 
 type t = {
@@ -226,9 +245,7 @@ type t = {
       (** retained open grants of lease-backed read opens: zero-message
           re-opens and deferred closes *)
   mutable prop_pending : Gfile.Set.t;
-  prop_queue : (Gfile.t * Vvec.t * int list * int * float) Queue.t;
-      (** file, target version, modified pages ([] = all), retries left,
-          earliest-retry time (backed off after a failed pull) *)
+  prop_queue : pull Queue.t;
   shared_fds : (fd_key, shared_fd) Hashtbl.t;
   procs : (int, proc) Hashtbl.t;
   pipe_bufs : (Gfile.t, string ref) Hashtbl.t;

@@ -1,11 +1,16 @@
 (* Background update propagation (section 2.3.6).
 
    Propagation is done by *pulling*: a kernel process at each storage site
-   services a queue of propagation requests. A pull internally opens the
-   file at a site holding the latest version, issues standard read messages
-   for all (or just the modified) pages, and commits locally through the
-   standard shadow-page mechanism — so a pull interrupted by partition
-   leaves a coherent, complete (if stale) copy. *)
+   services a queue of propagation requests, one per commit notification.
+   A pull reads the new version from the site that committed it, with the
+   standard read message over that site's committed copy; its first read
+   also brings back the copy's inode, so a pull of one window is one round
+   trip. A copy exactly one commit behind reads just the modified pages
+   (none for a metadata-only commit), and a delete reads nothing. When the
+   committing site is out of reach, or a pull from it failed, the pull
+   asks the CSS which sites hold the latest version. The pull commits
+   locally through the standard shadow-page mechanism — so a pull
+   interrupted by partition leaves a coherent, complete (if stale) copy. *)
 
 open Ktypes
 module Inode = Storage.Inode
@@ -75,144 +80,196 @@ let runs_of ~cap pages =
   in
   match pages with [] -> [] | p :: rest -> go [] p 1 rest
 
-(* Pull the current version of [gf] from [source]. Uses the standard stat +
-   page-read messages; charges disk costs through the normal paths. *)
-let pull_from k pack gf ~source ~modified =
-  match rpc k source (Proto.Stat_req { gf }) with
-  | Proto.R_stat { info = Some info; _ } ->
-    if info.Proto.i_deleted then begin
+(* Retries of a queued pull after its first attempt. *)
+let max_retries = 3
+
+let npages_of (info : Proto.inode_info) = (info.Proto.i_size + Page.size - 1) / Page.size
+
+(* Write the pulled pages of version [info] of [gf] over the local copy
+   [local] in a shadow session and commit it. [read] yields the pages, in
+   (first page, pages) runs; an [Error] from it aborts the session. *)
+let install_version k pack gf ~source (local : Inode.t) (info : Proto.inode_info) ~npulled read =
+  let session = Shadow.begin_modify pack gf.Gfile.ino in
+  let incore = Shadow.incore session in
+  incore.Inode.ftype <- info.Proto.i_ftype;
+  incore.Inode.owner <- info.Proto.i_owner;
+  incore.Inode.perms <- info.Proto.i_perms;
+  incore.Inode.nlink <- info.Proto.i_nlink;
+  incore.Inode.deleted <- false;
+  match
+    read (fun first pages ->
+        List.iteri
+          (fun i data ->
+            charge_disk_write k;
+            (* Rename the network buffer and send it to secondary storage:
+               no copy through an application space. *)
+            Shadow.write_page session ~lpage:(first + i) (Page.of_string data))
+          pages)
+  with
+  | exception Error _ ->
+    Shadow.abort session;
+    false
+  | () ->
+    (* Exactly the source's size: write_page grew past a shrunk size, and
+       a pure truncate at the source modified no page at all — either way
+       the local copy must not keep a stale tail. *)
+    Shadow.set_size session info.Proto.i_size;
+    let replaced = Shadow.modified_lpages session in
+    Shadow.commit session ~vv:info.Proto.i_vv ~mtime:info.Proto.i_mtime;
+    ss_cache_carry k gf ~old_size:local.Inode.size ~size:info.Proto.i_size ~replaced;
+    (* The pulled pages were written whole: no index of the old version
+       describes them. *)
+    ss_dir_drop k gf;
+    (* The local copy just jumped versions: links cached from any other
+       version of this directory are dead. *)
+    Namecache.note_dir_vv k.name_cache ~dir:gf info.Proto.i_vv;
+    record k ~tag:"prop.pull" "%a <- %a vv=%a (%d pages)" Gfile.pp gf Site.pp source Vvec.pp
+      info.Proto.i_vv npulled;
+    report_to_css k gf info.Proto.i_vv ~deleted:false;
+    true
+
+(* Pull [p]'s version from [source]. The plan: a copy exactly one commit
+   behind the notified version reads that commit's modified pages (none
+   for a metadata-only commit), any other copy every page. The plan's
+   first run also asks for the source's committed inode; a whole-file
+   pull does not know the size yet, so its first run is one window from
+   page 0. [None] when [strict] and the source's version does not
+   dominate the notified one: another source must serve. *)
+let pull_from k pack (p : pull) ~source ~strict =
+  let gf = p.pull_gf in
+  let cap = max 1 k.config.bulk_window in
+  let behind =
+    (p.pull_meta_only || p.pull_modified <> [])
+    &&
+    match Pack.find_inode pack gf.Gfile.ino with
+    | Some local -> one_commit_behind ~local:local.Inode.vv ~target:p.pull_vv ~origin:p.pull_origin
+    | None -> false
+  in
+  let modified = if p.pull_meta_only then [] else p.pull_modified in
+  let first, count =
+    if not behind then (0, cap)
+    else match runs_of ~cap modified with run :: _ -> run | [] -> (0, 0)
+  in
+  (* Only a request that returned two or more pages counts as a bulk
+     pull. A reply with fewer pages than the file has in the run fails the
+     pull: the copy never takes a short body. *)
+  let fetch ~npages ~first ~count ~stat =
+    let pages, info = Ss.read_committed k source gf ~first ~count ~stat in
+    let n = List.length pages in
+    if n > 1 then begin
+      Sim.Stats.incr (stats k) "prop.bulk";
+      Sim.Stats.add (stats k) "prop.bulk.pages" n
+    end;
+    let npages = match info with Some i -> npages_of i | None -> npages in
+    if n <> min count (max 0 (npages - first)) then
+      err Proto.Eio "short read of %a from %a" Gfile.pp gf Site.pp source;
+    (pages, info)
+  in
+  match fetch ~npages:0 ~first ~count ~stat:true with
+  | _, None -> err Proto.Eio "read of %a carried no inode" Gfile.pp gf
+  | head, Some info ->
+    if strict && not (Vvec.dominates_or_equal info.Proto.i_vv p.pull_vv) then None
+    else if info.Proto.i_deleted then begin
       apply_delete k pack gf ~vv:info.Proto.i_vv;
-      true
+      Some true
     end
     else begin
       (* Make sure a local descriptor exists, then shadow in the data. *)
       (match Pack.find_inode pack gf.Gfile.ino with
       | Some _ -> ()
       | None ->
-        let inode =
-          Inode.create ~ino:gf.Gfile.ino ~ftype:info.Proto.i_ftype
-            ~owner:info.Proto.i_owner
-        in
-        Pack.install_inode pack inode);
+        Pack.install_inode pack
+          (Inode.create ~ino:gf.Gfile.ino ~ftype:info.Proto.i_ftype ~owner:info.Proto.i_owner));
       let local = Pack.get_inode pack gf.Gfile.ino in
-      if Vvec.dominates_or_equal local.Inode.vv info.Proto.i_vv then true
+      if Vvec.dominates_or_equal local.Inode.vv info.Proto.i_vv then Some true
       else if Vvec.conflict local.Inode.vv info.Proto.i_vv then begin
         (* Concurrent versions: never overwrite — that would lose an
            update. Reconciliation (section 4) resolves it. *)
         record k ~tag:"prop.conflict" "%a" Gfile.pp gf;
         report_to_css k gf local.Inode.vv ~deleted:local.Inode.deleted;
-        true
+        Some true
       end
       else begin
-        let session = Shadow.begin_modify pack gf.Gfile.ino in
-        let incore = Shadow.incore session in
-        incore.Inode.ftype <- info.Proto.i_ftype;
-        incore.Inode.owner <- info.Proto.i_owner;
-        incore.Inode.perms <- info.Proto.i_perms;
-        incore.Inode.nlink <- info.Proto.i_nlink;
-        incore.Inode.deleted <- false;
-        let npages = (info.Proto.i_size + Page.size - 1) / Page.size in
-        let pages_to_pull =
-          if
-            modified <> []
-            && one_commit_behind ~local:local.Inode.vv ~target:info.Proto.i_vv
-                 ~origin:source
-          then List.filter (fun p -> p < npages) modified
+        let npages = npages_of info in
+        (* The modified pages describe the notified commit only. *)
+        let wanted =
+          if behind && Vvec.equal info.Proto.i_vv p.pull_vv then
+            List.filter (fun pg -> pg < npages) modified
           else List.init npages Fun.id
         in
-        (* Consecutive pages travel as one read of at most a window; only
-           a request of two or more pages counts as a bulk pull. *)
-        let cap = max 1 k.config.bulk_window in
-        let fetch_run ~first ~count =
-          let pages, _ = Ss.read_pages k source gf ~first ~count ~stride:1 ~guess:0 in
-          if count > 1 then begin
-            Sim.Stats.incr (stats k) "prop.bulk";
-            Sim.Stats.add (stats k) "prop.bulk.pages" (List.length pages)
-          end;
-          pages
-        in
-        let ok = ref true in
-        (try
-           List.iter
-             (fun (first, count) ->
-               let pages = fetch_run ~first ~count in
-               List.iteri
-                 (fun i data ->
-                   charge_disk_write k;
-                   (* Rename the network buffer and send it to secondary
-                      storage: no copy through an application space. *)
-                   Shadow.write_page session ~lpage:(first + i) (Page.of_string data))
-                 pages)
-             (runs_of ~cap pages_to_pull);
-           (* Exactly the source's size: write_page grew past a shrunk
-              size, and a pure truncate at the source modified no page at
-              all — either way the local copy must not keep a stale tail. *)
-           Shadow.set_size session info.Proto.i_size;
-           let replaced = Shadow.modified_lpages session in
-           Shadow.commit session ~vv:info.Proto.i_vv ~mtime:info.Proto.i_mtime;
-           ss_cache_carry k gf ~old_size:local.Inode.size ~size:info.Proto.i_size
-             ~replaced;
-           (* The pulled pages were written whole: no index of the old
-              version describes them. *)
-           ss_dir_drop k gf;
-           (* The local copy just jumped versions: links cached from any
-              other version of this directory are dead. *)
-           Namecache.note_dir_vv k.name_cache ~dir:gf info.Proto.i_vv;
-           record k ~tag:"prop.pull" "%a <- %a vv=%a (%d pages)" Gfile.pp gf Site.pp source
-             Vvec.pp info.Proto.i_vv (List.length pages_to_pull)
-         with Error _ ->
-           Shadow.abort session;
-           ok := false);
-        if !ok then report_to_css k gf info.Proto.i_vv ~deleted:false;
-        !ok
+        let rest = List.filter (fun pg -> pg < first || pg >= first + count) wanted in
+        Some
+          (install_version k pack gf ~source local info ~npulled:(List.length wanted) (fun write ->
+               write first head;
+               List.iter
+                 (fun (first, count) ->
+                   let pages, _ = fetch ~npages ~first ~count ~stat:false in
+                   write first pages)
+                 (runs_of ~cap rest)))
       end
     end
-  | Proto.R_stat { info = None; _ } -> false
-  | Proto.R_err _ -> false
-  | _ -> false
 
-(* One queued propagation request. Returns true when no retry is needed. *)
-let attempt k gf target_vv modified =
+(* A reachable site other than this one holding the latest version, by
+   the CSS's list. *)
+let source_from_css k gf =
+  let fi = fg_info k gf.Gfile.fg in
+  match rpc_result k fi.css_site (Proto.Where_stored { gf }) with
+  | Ok (Proto.R_where { sites; _ }) ->
+    List.find_opt (fun s -> (not (Site.equal s k.site)) && in_partition k s) sites
+  | Ok _ | Stdlib.Error _ -> None
+
+(* One queued propagation request. Returns true when no retry is needed.
+   A delete needs no read. The first attempt reads from the committing
+   site when it is in the partition; a retry, or a committing site that no
+   longer holds the notified version, goes by the CSS's list. *)
+let attempt k (p : pull) =
+  let gf = p.pull_gf in
   match local_pack k gf.Gfile.fg with
   | None -> true (* we do not store this filegroup after all *)
   | Some pack -> (
     match local_vv k gf with
-    | Some vv when Vvec.dominates_or_equal vv target_vv -> true (* already current *)
+    | Some vv when Vvec.dominates_or_equal vv p.pull_vv -> true (* already current *)
     | Some _ | None -> (
-      (* Find a source holding the latest version: ask the CSS. *)
-      let fi = fg_info k gf.Gfile.fg in
-      match rpc_result k fi.css_site (Proto.Where_stored { gf }) with
-      | Ok (Proto.R_where { sites; _ }) -> (
-        let sources =
-          List.filter (fun s -> (not (Site.equal s k.site)) && in_partition k s) sites
+      if p.pull_deleted then begin
+        apply_delete k pack gf ~vv:p.pull_vv;
+        true
+      end
+      else
+        let from_origin =
+          p.pull_retries = max_retries
+          && (not (Site.equal p.pull_origin k.site))
+          && in_partition k p.pull_origin
         in
-        match sources with
-        | [] -> false
-        | source :: _ -> pull_from k pack gf ~source ~modified)
-      | Ok (Proto.R_err _) -> false
-      | Ok _ -> false
-      | Stdlib.Error _ -> false))
+        match if from_origin then pull_from k pack p ~source:p.pull_origin ~strict:true else None with
+        | Some ok -> ok
+        | None -> (
+          match source_from_css k gf with
+          | None -> false
+          | Some source ->
+            Option.value (pull_from k pack p ~source ~strict:false) ~default:false)))
 
 (* Attempt one queued item; a failure with retries left re-queues it, not
    to be retried before [backoff] ms from now. *)
-let service_item k (gf, vv, modified, retries, _) ~backoff =
+let service_item k (p : pull) ~backoff =
+  let gf = p.pull_gf in
   k.prop_pending <- Gfile.Set.remove gf k.prop_pending;
   let done_ =
     if k.alive then begin
-      try attempt k gf vv modified
+      try attempt k p
       with Error (e, m) ->
         record k ~tag:"prop.fail" "%a %a: %s" Gfile.pp gf Proto.pp_errno e m;
         false
     end
     else false
   in
-  if (not done_) && retries > 0 && k.alive then begin
+  if (not done_) && p.pull_retries > 0 && k.alive then begin
     k.prop_pending <- Gfile.Set.add gf k.prop_pending;
-    Queue.add (gf, vv, modified, retries - 1, now k +. backoff) k.prop_queue
+    Queue.add
+      { p with pull_retries = p.pull_retries - 1; pull_not_before = now k +. backoff }
+      k.prop_queue
   end
 
-let earliest_retry k =
-  Queue.fold (fun acc (_, _, _, _, nb) -> min acc nb) infinity k.prop_queue
+let earliest_retry k = Queue.fold (fun acc p -> min acc p.pull_not_before) infinity k.prop_queue
 
 let rec service_queue k =
   (* Rotate past items still backing off after a failed pull — servicing
@@ -224,8 +281,8 @@ let rec service_queue k =
       else
         match Queue.take_opt k.prop_queue with
         | None -> None
-        | Some ((_, _, _, _, nb) as item) ->
-          if nb <= now k then Some item
+        | Some item ->
+          if item.pull_not_before <= now k then Some item
           else begin
             Queue.add item k.prop_queue;
             take (i + 1)
@@ -245,7 +302,7 @@ let rec service_queue k =
    pulls only files it already stores — packs hold a subset of the
    filegroup — unless the notification designates it as an initial storage
    site for a new file. *)
-let enqueue k gf ~vv ~modified ~designate =
+let enqueue k gf ~vv ~origin ~modified ~meta_only ~deleted ~designate =
   let interested =
     match local_pack k gf.Gfile.fg with
     | None -> false
@@ -258,7 +315,18 @@ let enqueue k gf ~vv ~modified ~designate =
   in
   if interested && (not current) && not (Gfile.Set.mem gf k.prop_pending) then begin
     k.prop_pending <- Gfile.Set.add gf k.prop_pending;
-    Queue.add (gf, vv, modified, 3, now k) k.prop_queue;
+    Queue.add
+      {
+        pull_gf = gf;
+        pull_vv = vv;
+        pull_origin = origin;
+        pull_modified = modified;
+        pull_meta_only = meta_only;
+        pull_deleted = deleted;
+        pull_retries = max_retries;
+        pull_not_before = now k;
+      }
+      k.prop_queue;
     Engine.schedule k.engine ~delay:k.config.propagation_delay (fun () ->
         service_queue k)
   end

@@ -1,26 +1,36 @@
 (** Background update propagation (§2.3.6).
 
     Propagation is done by *pulling*: a kernel process at each storage site
-    services a queue of propagation requests. A pull internally opens the
-    file at a site holding the latest version, issues standard page reads
-    (just the modified pages when this copy is exactly one commit behind),
-    and commits locally through the shadow-page mechanism — so a pull
-    interrupted by partition leaves a coherent, complete (if stale) copy.
-    Concurrent versions are never overwritten; they are left for
-    reconciliation (§4). *)
+    services a queue of propagation requests, one per commit notification.
+    A pull reads the new version from the site that committed it, with the
+    standard page-read message over that site's committed copy (never an
+    open writer's uncommitted pages); the first read also returns the
+    copy's inode, so a pull of one window is one round trip. A copy
+    exactly one commit behind reads just the modified pages, none for a
+    metadata-only commit, and a delete reads nothing. A committing site
+    out of reach, or one a pull already failed against, is replaced by a
+    site from the CSS's list. The pull commits locally through the
+    shadow-page mechanism — so a pull interrupted by partition leaves a
+    coherent, complete (if stale) copy. Concurrent versions are never
+    overwritten; they are left for reconciliation (§4). *)
 
 val enqueue :
   Ktypes.t ->
   Catalog.Gfile.t ->
   vv:Vv.Version_vector.t ->
+  origin:Net.Site.t ->
   modified:int list ->
+  meta_only:bool ->
+  deleted:bool ->
   designate:bool ->
   unit
-(** React to a commit notification: queue a pull if this site stores the
-    file (or is a designated initial storage site) and its copy is not
-    current. The kernel process runs after a small delay. *)
+(** React to a commit notification of version [vv] by [origin]: queue a
+    pull if this site stores the file (or is a designated initial storage
+    site) and its copy is not current. [modified] are the commit's
+    modified pages ([[]] = all, unless [meta_only]). The kernel process
+    runs after a small delay. *)
 
-val attempt : Ktypes.t -> Catalog.Gfile.t -> Vv.Version_vector.t -> int list -> bool
+val attempt : Ktypes.t -> Ktypes.pull -> bool
 (** One pull attempt (exposed for tests); true when no retry is needed. *)
 
 val service_queue : Ktypes.t -> unit

@@ -73,16 +73,17 @@ let cached_pack_page k pack gf (inode : Inode.t) lpage =
 (* Where the SS reads [gf]'s pages from: an open shadow session's pages
    when one exists, at a disk read each (readers of a file being written
    must see its uncommitted pages, Unix shared-file semantics), else the
-   committed copy through the buffer cache. Returns the page reader and
+   committed copy through the buffer cache. A [committed] read (a pull,
+   reconciliation) never sees the session. Returns the page reader and
    the size it reads against. *)
-let page_source k pack gf (inode : Inode.t) =
+let page_source ?(committed = false) k pack gf (inode : Inode.t) =
   match find_open k gf with
-  | Some { s_shadow = Some session; _ } ->
+  | Some { s_shadow = Some session; _ } when not committed ->
     ( (fun lpage ->
         charge_disk_read k;
         Shadow.read_page session lpage),
       (Shadow.incore session).Inode.size )
-  | Some { s_shadow = None; _ } | None ->
+  | Some _ | None ->
     ((fun lpage -> cached_pack_page k pack gf inode lpage), inode.Inode.size)
 
 let note_guess k gf guess =
@@ -97,10 +98,14 @@ let note_guess k gf guess =
    message count changes. A stride above 1 is a striped US asking this
    site for just its own stripe's pages. The reply is trimmed at end of
    file, and a page at or past it is not read at all, with [eof] telling
-   the US this site's share of the stream is done. *)
-let handle_read_pages ?(guess = 0) ?(stride = 1) k gf ~first ~count =
+   the US this site's share of the stream is done. A background read sets
+   [committed]; with [stat] the reply also carries the committed inode,
+   at the disk read a stat costs, and a count of 0 reads only that. *)
+let handle_read_pages ?(guess = 0) ?(stride = 1) ?(committed = false) ?(stat = false) k gf
+    ~first ~count =
   note_guess k gf guess;
-  if first < 0 || count <= 0 || stride <= 0 then Proto.R_err Proto.Einval
+  if first < 0 || count < 0 || (count = 0 && not stat) || stride <= 0 then
+    Proto.R_err Proto.Einval
   else
     match local_pack k gf.Gfile.fg with
     | None -> Proto.R_err Proto.Eio
@@ -108,7 +113,14 @@ let handle_read_pages ?(guess = 0) ?(stride = 1) k gf ~first ~count =
       match Pack.find_inode pack gf.Gfile.ino with
       | None -> Proto.R_err Proto.Enoent
       | Some inode ->
-        let read_page, size = page_source k pack gf inode in
+        let info =
+          if stat then begin
+            charge_disk_read k;
+            Some (Proto.info_of_inode inode)
+          end
+          else None
+        in
+        let read_page, size = page_source ~committed:(committed || stat) k pack gf inode in
         let npages = (size + Page.size - 1) / Page.size in
         let pages = ref [] in
         for i = count - 1 downto 0 do
@@ -120,23 +132,35 @@ let handle_read_pages ?(guess = 0) ?(stride = 1) k gf ~first ~count =
             pages := Page.sub page 0 len :: !pages
           end
         done;
-        Proto.R_pages { pages = !pages; eof = first + (count * stride) >= npages })
+        Proto.R_pages { pages = !pages; eof = first + (count * stride) >= npages; info })
 
 (* The client half: read pages of [gf] from [site], by a procedure call
-   when this site serves itself. Returns the pages and the eof flag;
-   raises [Error] on a refusal or a network failure. *)
-let read_pages k site gf ~first ~count ~stride ~guess =
+   when this site serves itself. Raises [Error] on a refusal or a network
+   failure. *)
+let read_request k site gf ~first ~count ~stride ~guess ~committed ~stat =
   let resp =
     if Site.equal site k.site then begin
       charge k (latency k).Net.Latency.local_call;
-      handle_read_pages ~guess ~stride k gf ~first ~count
+      handle_read_pages ~guess ~stride ~committed ~stat k gf ~first ~count
     end
-    else rpc k site (Proto.Read_pages { gf; first; count; guess; stride })
+    else rpc k site (Proto.Read_pages { gf; first; count; guess; stride; committed; stat })
   in
   match resp with
-  | Proto.R_pages { pages; eof } -> (pages, eof)
+  | Proto.R_pages { pages; eof; info } -> (pages, eof, info)
   | Proto.R_err e -> err e "read %a pages %d+%d failed" Gfile.pp gf first count
   | _ -> err Proto.Eio "unexpected read response"
+
+let read_pages k site gf ~first ~count ~stride ~guess =
+  let pages, eof, _ =
+    read_request k site gf ~first ~count ~stride ~guess ~committed:false ~stat:false
+  in
+  (pages, eof)
+
+let read_committed k site gf ~first ~count ~stat =
+  let pages, _, info =
+    read_request k site gf ~first ~count ~stride:1 ~guess:0 ~committed:true ~stat
+  in
+  (pages, info)
 
 let ensure_session k pack gf =
   let s = get_open k gf in

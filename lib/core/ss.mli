@@ -24,6 +24,8 @@ val handle_storage_req :
 val handle_read_pages :
   ?guess:int ->
   ?stride:int ->
+  ?committed:bool ->
+  ?stat:bool ->
   Ktypes.t ->
   Catalog.Gfile.t ->
   first:int ->
@@ -32,9 +34,13 @@ val handle_read_pages :
 (** Serve up to [count] pages, every [stride]-th from [first], in one
     response: the network read protocol (§2.3.3), a single page at
     [count] = 1. Pages come through the open shadow session when one
-    exists, giving Unix shared-file read semantics. [guess] is the US's
-    hint for locating the incore inode; hits and misses are counted in
-    the statistics. Each page costs what a single read does; the reply is
+    exists, giving Unix shared-file read semantics, unless the read is
+    [committed] (a background read: a pull, reconciliation), which sees
+    only the committed copy. [stat] implies [committed] and puts the
+    committed inode in the reply, at the one disk read a [Stat_req]
+    costs; only with it may [count] be 0. [guess] is the US's hint for
+    locating the incore inode; hits and misses are counted in the
+    statistics. Each page costs what a single read does; the reply is
     trimmed at end of file, and a page at or past it is not read. A stride
     above 1 is a striped US asking for just this site's own stripe's
     pages. *)
@@ -53,6 +59,20 @@ val read_pages :
     procedure call (charged [local_call]) when [site] is this site, else
     one [Read_pages] RPC. Raises {!Ktypes.Error} on a refusal or a network
     failure. *)
+
+val read_committed :
+  Ktypes.t ->
+  Net.Site.t ->
+  Catalog.Gfile.t ->
+  first:int ->
+  count:int ->
+  stat:bool ->
+  string list * Proto.inode_info option
+(** [read_committed k site gf ~first ~count ~stat]: a background read of
+    [site]'s committed copy, never an open session's pages — up to
+    [count] consecutive pages from [first], and with [stat] the copy's
+    committed inode ([count] may then be 0). Sent and failing as
+    {!read_pages} does. *)
 
 val handle_write_pages :
   Ktypes.t ->

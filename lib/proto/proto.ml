@@ -189,14 +189,26 @@ type req =
            commit notifications directly to them (section 2.3.6) *)
     } (* CSS -> candidate SS: will you serve this open at this version? *)
   (* --- data transfer --- *)
-  | Read_pages of { gf : Catalog.Gfile.t; first : int; count : int; guess : int; stride : int }
+  | Read_pages of {
+      gf : Catalog.Gfile.t;
+      first : int;
+      count : int;
+      guess : int;
+      stride : int;
+      committed : bool;
+      stat : bool;
+    }
     (* US -> SS: up to [count] pages starting at [first], every [stride]-th
        logical page, in one round trip — the network read protocol, for a
        using site, a propagation pull and reconciliation alike. [count] = 1
        is the paper's one-page read. [guess] is the hint for locating the
        incore inode. [stride] = 1 is the classic consecutive window; a
        striped US sends stride = width to each stripe SS so each serves
-       only its own pages. *)
+       only its own pages. A using site reads an open modification
+       session's pages when one exists; a background read (a pull,
+       reconciliation) sets [committed] and reads only the committed copy.
+       [stat] also asks for that copy's inode in the reply, in place of a
+       [Stat_req]; it implies [committed], and with it [count] may be 0. *)
   | Write_pages of { gf : Catalog.Gfile.t; first : int; off : int; data : string }
     (* US -> SS: one contiguous run of modified bytes starting at byte
        [off] within page [first], possibly spanning several pages — one
@@ -326,10 +338,11 @@ type resp =
            its own serving registration. Packs into the flag byte. *)
     }
   | R_storage of { accept : bool; info : inode_info option; slot : int }
-  | R_pages of { pages : string list; eof : bool }
+  | R_pages of { pages : string list; eof : bool; info : inode_info option }
     (* the pages of a [Read_pages]; fewer than asked when the file ends
        mid-window, none when [first] is past it. [eof] marks that the last
-       page returned contains end of file (or that [first] was past it). *)
+       page returned contains end of file (or that [first] was past it).
+       [info] is the committed copy's inode, when the request set [stat]. *)
   | R_committed of { vv : Vvec.t }
   | R_stripe of { pages : (int * string) list; size : int }
     (* a peer stripe SS's modified full pages (lpage, data) and its
@@ -400,11 +413,13 @@ let req_bytes = function
   (* The one-page forms cost what the paper's one-page messages do: a
      count travels only when it is not 1, a stride only when it is not 1,
      and a write within one page carries a page number, an offset and a
-     whole-page flag, not a run header. *)
-  | Read_pages { count; stride; _ } ->
+     whole-page flag, not a run header. A background read's flags travel
+     in one byte, only when set. *)
+  | Read_pages { count; stride; committed; stat; _ } ->
     header + gfile_bytes + 8
     + (if count <> 1 then 4 else 0)
-    + if stride > 1 then 2 else 0
+    + (if stride > 1 then 2 else 0)
+    + if committed || stat then 1 else 0
   | Write_pages { off; data; _ } ->
     let len = String.length data in
     header + gfile_bytes + (if off + len <= Storage.Page.size then 9 else 12) + len
@@ -465,13 +480,16 @@ let resp_bytes = function
     header + 5 + info_bytes info + site_list_bytes others
   | R_storage { info; _ } ->
     header + 1 + (match info with Some i -> info_bytes i | None -> 0)
-  | R_pages { pages = [ data ]; _ } -> header + 1 + String.length data
-  | R_pages { pages; _ } ->
+  | R_pages { pages; info; _ } ->
     (* One header for the whole batch; each page pays only a small length
        frame plus its payload — the honest accounting that makes the bulk
        win fewer headers and RTTs, not free bytes. A lone page needs no
-       frame. *)
-    header + 1 + List.fold_left (fun a p -> a + 2 + String.length p) 0 pages
+       frame. An inode costs what it does in a stat reply. *)
+    header + 1
+    + (match pages with
+      | [ data ] -> String.length data
+      | pages -> List.fold_left (fun a p -> a + 2 + String.length p) 0 pages)
+    + (match info with Some i -> info_bytes i | None -> 0)
   | R_committed { vv } -> header + vv_bytes vv
   | R_stripe { pages; _ } ->
     header + 8 + List.fold_left (fun a (_, p) -> a + 6 + String.length p) 0 pages

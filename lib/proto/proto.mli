@@ -179,6 +179,8 @@ type req =
       count : int;
       guess : int;
       stride : int;
+      committed : bool;
+      stat : bool;
     }  (** US → SS: up to [count] pages, every [stride]-th logical page
            from [first], in one round trip — the network read protocol
            (§2.3.3), used alike by the using site, propagation pulls and
@@ -186,7 +188,12 @@ type req =
            costs what it did on the wire. [guess] locates the incore
            inode. [stride] = 1 is the classic consecutive window; a
            striped US sends [stride] = width so each stripe SS serves
-           only its own pages. *)
+           only its own pages. A using site reads an open modification
+           session's pages when one exists; a background read (a pull,
+           reconciliation) sets [committed] and reads only the committed
+           copy. [stat] also asks for that copy's inode in the reply, in
+           place of a [Stat_req]; it implies [committed], and with it
+           [count] may be 0. The flags cost one byte, only when set. *)
   | Write_pages of { gf : Catalog.Gfile.t; first : int; off : int; data : string }
       (** US → SS: a contiguous run of modified bytes starting at byte
           [off] within page [first] — one page of modification (whole or
@@ -325,10 +332,12 @@ type resp =
             serving registration. Packs into the flag byte. *)
     }
   | R_storage of { accept : bool; info : inode_info option; slot : int }
-  | R_pages of { pages : string list; eof : bool }
+  | R_pages of { pages : string list; eof : bool; info : inode_info option }
       (** the pages answering a [Read_pages]; fewer than asked when
           the file ends mid-window, [eof] when the batch reaches end of
-          file (or started past it) *)
+          file (or started past it). [info] is the committed copy's inode
+          when the request set [stat], at the size a stat reply's inode
+          costs; [None] costs nothing. *)
   | R_committed of { vv : Vv.Version_vector.t }
   | R_stripe of { pages : (int * string) list; size : int }
       (** a peer stripe SS's modified full pages [(lpage, data)] and its

@@ -79,23 +79,48 @@ let fetch_info k site gf =
   | Ok _ -> None
   | Stdlib.Error _ -> None
 
-(* Read a copy's whole body in runs of at most a window of pages, as a
-   propagation pull does. A failed request, or a reply with fewer pages
-   than asked, fails the copy: the rest of it is not read. *)
-let fetch_content k site gf (info : Proto.inode_info) =
-  let buf = Buffer.create info.Proto.i_size in
-  let npages = (info.Proto.i_size + Page.size - 1) / Page.size in
-  let rec read = function
-    | [] -> Some (Buffer.contents buf)
-    | (first, count) :: rest -> (
-      match Ss.read_pages k site gf ~first ~count ~stride:1 ~guess:0 with
-      | pages, _ when List.length pages = count ->
-        List.iter (Buffer.add_string buf) pages;
-        read rest
-      | _ -> None
-      | exception Error _ -> None)
-  in
-  read (Propagation.runs_of ~cap:(max 1 k.config.bulk_window) (List.init npages Fun.id))
+(* A copy as reconciliation reads it: its committed inode, which came
+   with the first window of its body, and the body, whose other windows
+   are read when [body] is forced. *)
+type copy = { info : Proto.inode_info; body : string option Lazy.t }
+
+(* Read [site]'s committed copy of [gf] — never an open session's pages —
+   in runs of at most a window of pages, as a propagation pull does. The
+   first run brings the inode back in place of a stat; [None] when it
+   fails. The body stops at the first failed request, and a reply with
+   fewer pages than the inode's size implies fails the body: the rest of
+   it is not read. *)
+let fetch_copy k site gf =
+  let cap = max 1 k.config.bulk_window in
+  match Ss.read_committed k site gf ~first:0 ~count:cap ~stat:true with
+  | exception Error _ -> None
+  | _, None -> None
+  | head, Some info ->
+    let npages = (info.Proto.i_size + Page.size - 1) / Page.size in
+    let whole ~first ~count pages = List.length pages = min count (npages - first) in
+    let body =
+      lazy
+        (let buf = Buffer.create info.Proto.i_size in
+         let rec read = function
+           | [] -> Some (Buffer.contents buf)
+           | (first, count) :: rest -> (
+             match Ss.read_committed k site gf ~first ~count ~stat:false with
+             | pages, _ when whole ~first ~count pages ->
+               List.iter (Buffer.add_string buf) pages;
+               read rest
+             | _ -> None
+             | exception Error _ -> None)
+         in
+         if whole ~first:0 ~count:cap head then begin
+           List.iter (Buffer.add_string buf) head;
+           read
+             (Propagation.runs_of ~cap (List.init (max 0 (npages - cap)) (fun i -> cap + i)))
+         end
+         else None)
+    in
+    Some { info; body }
+
+let fetch_content k site gf = Option.bind (fetch_copy k site gf) (fun c -> Lazy.force c.body)
 
 (* Push merged contents to [target] and commit with the exact merged
    version vector; then tell the other storing sites to pull. *)
@@ -298,16 +323,11 @@ let in_partition_sites k f =
 let resolve_conflict k gf f copies report =
   let fg = gf.Gfile.fg in
   let fetched =
-    List.filter_map
-      (fun (site, vv) ->
-        match fetch_info k site gf with
-        | Some info -> Some (site, vv, info)
-        | None -> None)
-      copies
+    List.filter_map (fun (site, _) -> Option.map (fun c -> (site, c)) (fetch_copy k site gf)) copies
   in
   match fetched with
   | [] -> ()
-  | (site0, _, info0) :: _ ->
+  | (site0, { info = info0; _ }) :: _ ->
     let vv = merged_vv k (List.map snd copies) in
     let others = in_partition_sites k f in
     let commit_merged ~target content =
@@ -335,7 +355,7 @@ let resolve_conflict k gf f copies report =
     in
     (* A file deleted in one partition but modified in another wants to be
        saved (section 4.4): prefer a live copy as merge basis. *)
-    let live = List.filter (fun (_, _, i) -> not i.Proto.i_deleted) fetched in
+    let live = List.filter (fun (_, c) -> not c.info.Proto.i_deleted) fetched in
     let deleted_involved = List.length live < List.length fetched in
     (* Directories and mailboxes merge decoded copies. A copy that does
        not decode is left out of the merge, not merged as if it were
@@ -346,8 +366,8 @@ let resolve_conflict k gf f copies report =
       let tag = Printf.sprintf "recon.%s.undecodable" what in
       let decoded =
         List.filter_map
-          (fun (site, _, info) ->
-            fetch_content k site gf info
+          (fun (site, c) ->
+            Lazy.force c.body
             |> Option.map (fun body ->
                    match decode body with
                    | v -> Some v
@@ -380,8 +400,8 @@ let resolve_conflict k gf f copies report =
     | Inode.Regular | Inode.Database | Inode.Fifo ->
       if deleted_involved && live <> [] then begin
         (* Delete/modify conflict: save the modified copy. *)
-        let site, _, info = List.hd live in
-        match fetch_content k site gf info with
+        let site, c = List.hd live in
+        match Lazy.force c.body with
         | Some content ->
           report.saved_from_delete <- report.saved_from_delete + 1;
           commit_merged ~target:site content;
@@ -393,11 +413,7 @@ let resolve_conflict k gf f copies report =
         | Some manager -> (
           (* A higher-level manager (e.g. a database manager) reconciles
              the divergent versions itself. *)
-          let contents =
-            List.filter_map
-              (fun (site, _, info) -> fetch_content k site gf info)
-              fetched
-          in
+          let contents = List.filter_map (fun (_, c) -> Lazy.force c.body) fetched in
           match contents with
           | [] -> ()
           | _ :: _ ->
@@ -467,21 +483,17 @@ let resolve_manual k gf ~winner =
   match Css.find_file k gf.Gfile.fg gf.Gfile.ino with
   | None -> false
   | Some f -> (
-    match fetch_info k winner gf with
+    match fetch_content k winner gf with
     | None -> false
-    | Some info -> (
-      match fetch_content k winner gf info with
-      | None -> false
-      | Some content ->
-        let versions = List.map snd (partition_copies k f) in
-        let vv = merged_vv k versions in
-        let ok =
-          write_version k ~target:winner gf ~content ~vv
-            ~others:(in_partition_sites k f)
-        in
-        if ok then begin
-          f.latest_vv <- vv;
-          f.site_vv <- Site.Map.add winner vv f.site_vv;
-          f.css_conflict <- false
-        end;
-        ok))
+    | Some content ->
+      let versions = List.map snd (partition_copies k f) in
+      let vv = merged_vv k versions in
+      let ok =
+        write_version k ~target:winner gf ~content ~vv ~others:(in_partition_sites k f)
+      in
+      if ok then begin
+        f.latest_vv <- vv;
+        f.site_vv <- Site.Map.add winner vv f.site_vv;
+        f.css_conflict <- false
+      end;
+      ok)

@@ -44,12 +44,12 @@ val resolve_manual : Locus_core.Ktypes.t -> Catalog.Gfile.t -> winner:Net.Site.t
 (** Interactive resolution of a marked conflict: keep the copy stored at
     [winner]; every other site pulls the resolved version. *)
 
-val fetch_content :
-  Locus_core.Ktypes.t -> Net.Site.t -> Catalog.Gfile.t -> Proto.inode_info -> string option
-(** [fetch_content k site gf info]: the body of [site]'s copy, read in
-    runs of at most [config.bulk_window] pages; [None] as soon as a
-    request fails or returns fewer pages than asked (exposed for
-    tests). *)
+val fetch_content : Locus_core.Ktypes.t -> Net.Site.t -> Catalog.Gfile.t -> string option
+(** [fetch_content k site gf]: the body of [site]'s committed copy (never
+    an open session's pages), read in runs of at most
+    [config.bulk_window] pages, the first of which also returns the
+    copy's inode; [None] as soon as a request fails or returns fewer
+    pages than the inode's size implies (exposed for tests). *)
 
 val merge_two_dirs :
   Locus_core.Ktypes.t -> int -> Catalog.Dir.t -> Catalog.Dir.t -> report -> Catalog.Dir.t

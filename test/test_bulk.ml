@@ -309,9 +309,9 @@ let test_propagation_survives_message_loss () =
   Kernel.write_file k0 p0 "/lossy" "seed";
   ignore (World.settle w);
   Kernel.write_file k0 p0 "/lossy" body;
-  (* Kill the next message from the puller to the SS — the first RPC of
-     the background pull. Stat_req and Read_pages are idempotent, so the
-     transport retries and the pull completes anyway. *)
+  (* Kill the next message from the puller to the SS — the first read of
+     the background pull. Read_pages is idempotent, so the transport
+     retries and the pull completes anyway. *)
   Net.Netsim.fail_next_message (World.net w) ~src:1 ~dst:0;
   ignore (World.settle w);
   let k1 = World.kernel w 1 and p1 = World.proc w 1 in

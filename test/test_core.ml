@@ -259,7 +259,7 @@ let test_read_bytes_zero_fills_short_page () =
   Net.Netsim.set_handler (World.net w) 0 (fun ~src req ->
       match req with
       | Proto.Read_pages { first = 1; count = 1; _ } ->
-        Proto.R_pages { pages = [ "XY" ]; eof = false }
+        Proto.R_pages { pages = [ "XY" ]; eof = false; info = None }
       | _ -> k0.K.dispatch src req);
   let k3 = World.kernel w 3 in
   let o = Us.open_gf k3 (gf_of k3 "/sparse") Proto.Mode_read in
@@ -297,8 +297,11 @@ let test_read_at_eof_reads_no_page () =
   check Alcotest.int "no SS cache miss" 0 (Stats.delta_of (stats w) snap "cache.ss.miss");
   check Alcotest.bool "no buffer for page 2" false (Storage.Cache.mem ss.K.ss_cache (gf, 2));
   let lat = K.latency k3 in
-  let request = Proto.Read_pages { gf; first = 2; count = 1; guess = 0; stride = 1 } in
-  let reply = Proto.R_pages { pages = []; eof = true } in
+  let request =
+    Proto.Read_pages
+      { gf; first = 2; count = 1; guess = 0; stride = 1; committed = false; stat = false }
+  in
+  let reply = Proto.R_pages { pages = []; eof = true; info = None } in
   let round_trip =
     Net.Latency.msg_cost lat ~bytes:(Proto.req_bytes request)
     +. Net.Latency.msg_cost lat ~bytes:(Proto.resp_bytes reply)
@@ -601,8 +604,8 @@ let test_remote_dirop_moves_one_page () =
     List.concat_map
       (fun site ->
         Queue.fold
-          (fun acc (gf, _, modified, _, _) ->
-            if Catalog.Gfile.equal gf dir_gf then modified :: acc else acc)
+          (fun acc (p : K.pull) ->
+            if Catalog.Gfile.equal p.K.pull_gf dir_gf then p.K.pull_modified :: acc else acc)
           [] (World.kernel w site).K.prop_queue)
       [ 0; 1 ]
   in

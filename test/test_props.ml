@@ -655,6 +655,8 @@ let prop_dir_updates_match_model =
       end;
       let name_of n = Printf.sprintf "n%d%s" n pad in
       let live = Hashtbl.create 8 in
+      (* Each created name's file, as its create returned it. *)
+      let files = Hashtbl.create 8 in
       let ok = ref true in
       let dirop site n create =
         let k = World.kernel w site and p = World.proc w site in
@@ -667,7 +669,10 @@ let prop_dir_updates_match_model =
           else Ok ()
         in
         let outcome =
-          match if create then ignore (Kernel.creat k p path) else Kernel.unlink k p path with
+          match
+            if create then Hashtbl.replace files name (Kernel.creat k p path)
+            else Kernel.unlink k p path
+          with
           | () -> Ok ()
           | exception K.Error (e, _) -> Stdlib.Error e
         in
@@ -693,12 +698,13 @@ let prop_dir_updates_match_model =
             let holder = (site + 1) mod 4 in
             let hk = World.kernel w holder in
             let name = name_of n in
+            (* The file comes from the model, not from a lookup at the
+               holder: with nothing settled, the holder's view of the
+               directory may still be momentarily stale (a lease break or
+               a pull in flight), which pathname search allows. *)
             let held =
               if on_dir then Some dir_gf
-              else if Hashtbl.mem live name then
-                Some
-                  (Locus_core.Pathname.resolve_from hk
-                     ~cwd:(Catalog.Mount.root hk.K.mount) ~context:[] ("/d/" ^ name))
+              else if Hashtbl.mem live name then Some (Hashtbl.find files name)
               else None
             in
             match held with

@@ -19,7 +19,8 @@ let some_reqs =
     Proto.Open_req { gf; mode = Proto.Mode_read; us_vv = None; shared = false };
     Proto.Storage_req
       { gf; vv = vv_small; us = 1; mode = Proto.Mode_read; others = [ 2; 3 ] };
-    Proto.Read_pages { gf; first = 0; count = 1; guess = 0; stride = 1 };
+    Proto.Read_pages
+      { gf; first = 0; count = 1; guess = 0; stride = 1; committed = false; stat = false };
     Proto.Write_pages { gf; first = 0; off = 0; data = String.make 1024 'x' };
     Proto.Truncate_req { gf; size = 0 };
     Proto.Commit_req { gf; us = 0; abort = false; delete = false; force_vv = None; stripes = [] };
@@ -115,20 +116,20 @@ let test_payload_monotone () =
   check Alcotest.bool "fork ships image" true
     (fork_size 64 - fork_size 1 >= 63 * 1024)
 
+let info =
+  {
+    Proto.i_ftype = Storage.Inode.Regular;
+    i_size = 0;
+    i_nlink = 1;
+    i_owner = "someone";
+    i_perms = 0o644;
+    i_mtime = 0.0;
+    i_vv = vv_small;
+    i_deleted = false;
+    i_stripes = [];
+  }
+
 let test_resp_sizes () =
-  let info =
-    {
-      Proto.i_ftype = Storage.Inode.Regular;
-      i_size = 0;
-      i_nlink = 1;
-      i_owner = "someone";
-      i_perms = 0o644;
-      i_mtime = 0.0;
-      i_vv = vv_small;
-      i_deleted = false;
-      i_stripes = [];
-    }
-  in
   List.iter
     (fun resp ->
       if Proto.resp_bytes resp <= 0 then Alcotest.fail "non-positive response size")
@@ -139,7 +140,7 @@ let test_resp_sizes () =
         { ss = 0; info; others = []; nocache = false; slot = 1; lease = false;
           registered = true };
       Proto.R_storage { accept = true; info = Some info; slot = 1 };
-      Proto.R_pages { pages = [ String.make 512 'd' ]; eof = true };
+      Proto.R_pages { pages = [ String.make 512 'd' ]; eof = true; info = None };
       Proto.R_committed { vv = vv_small };
       Proto.R_stat { info = Some info; stored_here = true };
       Proto.R_where { sites = [ 0 ]; all_sites = [ 0; 1 ]; vv = vv_small };
@@ -152,7 +153,7 @@ let test_resp_sizes () =
       Proto.R_linked { vv = vv_small; deleted = false };
     ];
   check Alcotest.bool "page response dominated by data" true
-    (Proto.resp_bytes (Proto.R_pages { pages = [ String.make 1024 'd' ]; eof = false })
+    (Proto.resp_bytes (Proto.R_pages { pages = [ String.make 1024 'd' ]; eof = false; info = None })
      > 1024)
 
 (* One read message and one write message carry every page. Their
@@ -163,9 +164,11 @@ let test_resp_sizes () =
 let test_one_page_forms () =
   let page = String.make 1024 'p' in
   let read ~count ~stride =
-    Proto.req_bytes (Proto.Read_pages { gf; first = 3; count; guess = 0; stride })
+    Proto.req_bytes
+      (Proto.Read_pages
+         { gf; first = 3; count; guess = 0; stride; committed = false; stat = false })
   in
-  let reply pages = Proto.resp_bytes (Proto.R_pages { pages; eof = false }) in
+  let reply pages = Proto.resp_bytes (Proto.R_pages { pages; eof = false; info = None }) in
   let write ~off data = Proto.req_bytes (Proto.Write_pages { gf; first = 3; off; data }) in
   (* One page: header + file + 8, header + 1 + data, header + file + 9 + data. *)
   check Alcotest.int "one-page request" 40 (read ~count:1 ~stride:1);
@@ -180,7 +183,23 @@ let test_one_page_forms () =
   check Alcotest.int "one-page strided request" 42 (read ~count:1 ~stride:4);
   check Alcotest.int "two-page reply" (25 + (2 * (2 + 1024))) (reply [ page; page ]);
   check Alcotest.int "two-page write" (44 + 2048) (write ~off:0 (page ^ page));
-  check Alcotest.int "write crossing a page" (44 + 48) (write ~off:1000 (String.sub page 0 48))
+  check Alcotest.int "write crossing a page" (44 + 48) (write ~off:1000 (String.sub page 0 48));
+  (* A background read's flags cost one byte together, and a reply pays
+     for an inode what a stat reply does, only when it carries one. *)
+  let background ~count ~committed ~stat =
+    Proto.req_bytes
+      (Proto.Read_pages { gf; first = 0; count; guess = 0; stride = 1; committed; stat })
+  in
+  check Alcotest.int "committed one-page request" 41
+    (background ~count:1 ~committed:true ~stat:false);
+  check Alcotest.int "stat window request" 45 (background ~count:8 ~committed:true ~stat:true);
+  check Alcotest.int "stat-only request" 45 (background ~count:0 ~committed:false ~stat:true);
+  check Alcotest.int "inode-only reply"
+    (Proto.resp_bytes (Proto.R_stat { info = Some info; stored_here = true }))
+    (Proto.resp_bytes (Proto.R_pages { pages = []; eof = true; info = Some info }));
+  check Alcotest.int "one page and an inode"
+    (reply [ page ] + Proto.resp_bytes (Proto.R_stat { info = Some info; stored_here = true }) - 25)
+    (Proto.resp_bytes (Proto.R_pages { pages = [ page ]; eof = false; info = Some info }))
 
 let test_errno_strings () =
   List.iter

@@ -463,8 +463,8 @@ let test_reconcile_moves_windows () =
 (* A copy that stops answering fails its read at the first failed
    request. Each failed request pays the transport's retries and backoff,
    so reading on after it would only multiply that cost. A reply with
-   fewer pages than asked fails the copy too, never passing for a short
-   body. *)
+   fewer pages than the copy's inode says it has fails the copy too,
+   never passing for a short body. *)
 let test_failed_copy_read_stops () =
   let w = make_world ~n:4 () in
   let k0 = World.kernel w 0 and p0 = World.proc w 0 in
@@ -473,23 +473,22 @@ let test_failed_copy_read_stops () =
   let gf = Kernel.creat k0 p0 "/big" in
   Kernel.write_file k0 p0 "/big" body;
   ignore (World.settle w);
-  let info = Us.stat_gf k0 gf in
   check Alcotest.(option string) "the copy reads whole" (Some body)
-    (Reconcile.fetch_content k0 3 gf info);
+    (Reconcile.fetch_content k0 3 gf);
   Topology.set_link (World.topology w) 0 3 false;
   let snap = Sim.Stats.snapshot (World.stats w) in
-  check Alcotest.(option string) "the copy fails" None (Reconcile.fetch_content k0 3 gf info);
+  check Alcotest.(option string) "the copy fails" None (Reconcile.fetch_content k0 3 gf);
   check Alcotest.int "one failed request" 1
     (Sim.Stats.delta_of (World.stats w) snap "rpc.fail");
   let k2 = World.kernel w 2 and asked = ref 0 in
   Net.Netsim.set_handler (World.net w) 2 (fun ~src req ->
       match k2.K.dispatch src req with
-      | Proto.R_pages { pages = _ :: rest; eof } ->
+      | Proto.R_pages { pages = _ :: rest; eof; info } ->
         incr asked;
-        Proto.R_pages { pages = rest; eof }
+        Proto.R_pages { pages = rest; eof; info }
       | resp -> resp);
   check Alcotest.(option string) "a short reply fails the copy" None
-    (Reconcile.fetch_content k0 2 gf info);
+    (Reconcile.fetch_content k0 2 gf);
   check Alcotest.int "no request after the short reply" 1 !asked
 
 (* The one-call orchestration: partition protocols per group, then merge
