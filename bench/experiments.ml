@@ -1358,6 +1358,27 @@ let e20 () =
     "propagation round trips drop by the window factor: %d vs %d msgs: %s\n"
     pm8 pm1
     (Report.check (pm1 >= 4 * pm8));
+  (* (d) a whole-file overwrite of 8 pages from site 2 at window 8: the
+     truncate rides in the one [Write_pages], so it is one round trip. *)
+  let whole_msgs, whole_truncs =
+    let w = make_world ~n:3 ~packs:[ 0 ] ~kconfig:(kconfig 8) () in
+    mk_file w ~at:0 ~ncopies:1 ~path:"/eight" ~body:"";
+    let k = World.kernel w 2 and p = World.proc w 2 in
+    let snap = Stats.snapshot (World.stats w) in
+    Kernel.write_file k p "/eight" (String.sub body 0 (8 * Page.size));
+    settle_ok w;
+    let delta tag = Stats.delta_of (World.stats w) snap ("net.msg." ^ tag) in
+    (delta "write", delta "truncate")
+  in
+  metric "whole.write.msgs.w8" (float_of_int whole_msgs);
+  metric "whole.truncate.msgs.w8" (float_of_int whole_truncs);
+  let whole_ok = whole_msgs = 2 && whole_truncs = 0 in
+  Printf.printf
+    "8-page whole-file write at window 8: %d write msgs, %d truncate msgs (need one round \
+     trip, no truncate): %s\n"
+    whole_msgs whole_truncs (Report.check whole_ok);
+  (* A gate, not just a cell: bench-smoke fails when this does. *)
+  if not whole_ok then failwith "E20: a whole-file write is not one write round trip";
   Printf.printf
     "a window of 1 reproduces the unbatched protocols exactly; the window\n\
      sweep shows the per-page round trips collapsing into streamed batches.\n"

@@ -16,9 +16,8 @@ let handle k ~src (req : Proto.req) : Proto.resp =
     (* data transfer *)
     | Proto.Read_pages { gf; first; count; guess; stride; committed; stat } ->
       Ss.handle_read_pages ~guess ~stride ~committed ~stat k gf ~first ~count
-    | Proto.Write_pages { gf; first; off; data } ->
-      Ss.handle_write_pages k ~src gf ~first ~off ~data
-    | Proto.Truncate_req { gf; size } -> Ss.handle_truncate k gf ~size
+    | Proto.Write_pages { gf; trunc; first; off; data } ->
+      Ss.handle_write_pages ?trunc k ~src gf ~first ~off ~data
     | Proto.Commit_req { gf; us = _; abort; delete; force_vv; stripes } ->
       Ss.handle_commit ?force_vv ~stripes k gf ~abort ~delete
     | Proto.Stripe_collect { gf } -> Ss.handle_stripe_collect k gf
@@ -56,8 +55,9 @@ let handle k ~src (req : Proto.req) : Proto.resp =
         Propagation.enqueue k gf ~vv ~origin ~modified ~meta_only ~deleted ~designate;
       Proto.R_ok
     | Proto.Reclaim_req { gf } -> Ss.handle_reclaim k gf
-    | Proto.Page_invalidate { gf; lpage } ->
-      Cache.invalidate_if ~notify:false k.us_cache (fun (g, p, _) -> Gfile.equal g gf && p = lpage);
+    | Proto.Page_invalidate { gf; first; count } ->
+      Cache.invalidate_if ~notify:false k.us_cache (fun (g, p, _) ->
+          Gfile.equal g gf && p >= first && p < first + count);
       Proto.R_ok
     | Proto.Lease_break { gf } ->
       (* CSS callback: drop the retained grant; the deferred close (if one

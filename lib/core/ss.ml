@@ -1,9 +1,12 @@
 (* Storage Site logic (sections 2.3.3, 2.3.5, 2.3.6).
 
    The SS serves pages to using sites, receives their modification pages
-   into shadow pages, and performs the atomic commit — after which it sends
-   commit notifications to the CSS and to every other site storing the
-   file, which pull the new version in background. *)
+   (and truncates, which ride in the same write message) into shadow
+   pages, tells the other using sites it serves which of their buffered
+   pages each write made stale, one ranged message per write, and
+   performs the atomic commit — after which it sends commit notifications
+   to the CSS and to every other site storing the file, which pull the new
+   version in background. *)
 
 open Ktypes
 module Inode = Storage.Inode
@@ -171,39 +174,37 @@ let ensure_session k pack gf =
     s.s_shadow <- Some session;
     session
 
-(* Invalidate buffered copies at the other using sites we serve: the
-   page-valid token mechanism (section 3.2). *)
-let invalidate_others k gf ~writer lpage =
+(* Invalidate buffered copies of pages [first] to [first + count - 1] at
+   the other using sites we serve: the page-valid token mechanism (section
+   3.2), one message per site for the whole range. *)
+let invalidate_others k gf ~writer ~first ~count =
   match find_open k gf with
-  | None -> ()
-  | Some s ->
+  | Some s when count > 0 ->
     Site.Map.iter
       (fun us _ ->
         if (not (Site.equal us writer)) && not (Site.equal us k.site) then
-          notify k us (Proto.Page_invalidate { gf; lpage }))
+          notify k us (Proto.Page_invalidate { gf; first; count }))
       s.s_uss
+  | Some _ | None -> ()
 
-(* One page of modification into [gf]'s shadow session, with the effects
-   every written page has, whichever request carried it: a disk write, the
-   buffered committed copy of the page dropped (the session, not the
-   cache, now owns it), and page-valid invalidations at the other using
-   sites. A whole page enters without a read; anything else patches. *)
-let write_session_page k ~src gf session ~lpage ~whole ~off data =
+(* The effects every page written into [gf]'s shadow session has,
+   whichever request carried it: a disk write, and the buffered committed
+   copy of the page dropped (the session, not the cache, now owns it). *)
+let page_written k gf lpage =
   charge_disk_write k;
-  if whole then Shadow.write_page session ~lpage (Page.of_string data)
-  else Shadow.patch_page session ~lpage ~off data;
-  Cache.invalidate k.ss_cache (gf, lpage);
-  invalidate_others k gf ~writer:src lpage
+  Cache.invalidate k.ss_cache (gf, lpage)
 
-(* Receive a contiguous byte run from offset [off] within page [first] —
-   one page of modification or a coalesced write-behind batch — split
-   into per-page shadow writes. Page-aligned full pages enter whole (no
-   read); a ragged head or tail patches. Absolute positioning makes the
+(* Receive a write request whose run is the [len] bytes of [data] from
+   [pos], to land at offset [off] within page [first]: truncate the
+   session to [trunc] first, when set, then split the run into per-page
+   shadow writes. Page-aligned full pages enter whole (no read); a ragged
+   head or tail patches. Then one [Page_invalidate] to each other using
+   site covers every page written or cut. Absolute positioning makes the
    request idempotent and safe to retry. *)
-let handle_write_pages k ~src gf ~first ~off ~data =
-  let len = String.length data in
-  if first < 0 || off < 0 || off >= Page.size then Proto.R_err Proto.Einval
-  else if len = 0 then Proto.R_ok
+let write_span ?trunc k ~src gf ~first ~off data ~pos ~len =
+  let trunc_ok = match trunc with Some size -> size >= 0 | None -> true in
+  if first < 0 || off < 0 || off >= Page.size || not trunc_ok then Proto.R_err Proto.Einval
+  else if len = 0 && trunc = None then Proto.R_ok
   else
     match local_pack k gf.Gfile.fg with
     | None -> Proto.R_err Proto.Eio
@@ -213,47 +214,69 @@ let handle_write_pages k ~src gf ~first ~off ~data =
       | Some _ ->
         let session = ensure_session k pack gf in
         ss_dir_drop k gf;
+        let npages size = (size + Page.size - 1) / Page.size in
+        (* The pages a truncate cuts, [lo, hi): from the one holding the
+           new end (its tail now reads as zeroes) to the old last page.
+           (max_int, 0) is the empty range. *)
+        let lo, hi =
+          match trunc with
+          | Some size ->
+            let old = (Shadow.incore session).Inode.size in
+            Shadow.truncate session size;
+            if size < old then (size / Page.size, npages old) else (max_int, 0)
+          | None -> (max_int, 0)
+        in
         let base = (first * Page.size) + off in
-        let rec loop pos =
-          if pos < len then begin
-            let abs = base + pos in
+        let rec loop at =
+          if at < len then begin
+            let abs = base + at in
             let lpage = abs / Page.size in
             let poff = abs mod Page.size in
-            let n = min (Page.size - poff) (len - pos) in
-            write_session_page k ~src gf session ~lpage
-              ~whole:(poff = 0 && n = Page.size) ~off:poff (String.sub data pos n);
-            loop (pos + n)
+            let n = min (Page.size - poff) (len - at) in
+            if poff = 0 && n = Page.size then
+              Shadow.write_page session ~lpage (Page.of_string ~pos:(pos + at) data)
+            else Shadow.patch_page session ~lpage ~off:poff (String.sub data (pos + at) n);
+            page_written k gf lpage;
+            loop (at + n)
           end
         in
         loop 0;
+        let lo, hi =
+          if len = 0 then (lo, hi) else (min lo (base / Page.size), max hi (npages (base + len)))
+        in
+        invalidate_others k gf ~writer:src ~first:lo ~count:(hi - lo);
         Proto.R_ok)
 
-(* The client half: write the run [data] at byte [off] of [gf] to [site],
-   in requests of at most a window of pages each, by a procedure call when
-   this site serves itself. [sent] hears the page count of each request
-   once it is answered. Raises [Error] on a refusal or a network
-   failure. *)
-let write_run ?(sent = ignore) k site gf ~off data =
+let handle_write_pages ?trunc k ~src gf ~first ~off ~data =
+  write_span ?trunc k ~src gf ~first ~off data ~pos:0 ~len:(String.length data)
+
+(* The client half: truncate [gf] at [site] to [trunc] when set, then
+   write the run [data] at byte [off], in requests of at most a window of
+   pages each; the truncate rides in the first. A procedure call when
+   this site serves itself, charged as one call per request, hands the
+   handler its span of [data] without a copy. [sent] hears the page count
+   of each request that carried data once it is answered. Raises [Error]
+   on a refusal or a network failure. *)
+let write_run ?(sent = ignore) ?trunc k site gf ~off data =
   let len = String.length data in
   let window_bytes = max 1 k.config.bulk_window * Page.size in
-  let rec loop pos =
-    if pos < len then begin
-      let abs = off + pos in
-      let first = abs / Page.size in
-      let poff = abs mod Page.size in
-      let n = min (window_bytes - poff) (len - pos) in
-      let chunk = if n = len then data else String.sub data pos n in
-      expect_ok
-        (if Site.equal site k.site then begin
-           charge k (latency k).Net.Latency.local_call;
-           handle_write_pages k ~src:k.site gf ~first ~off:poff ~data:chunk
-         end
-         else rpc k site (Proto.Write_pages { gf; first; off = poff; data = chunk }));
-      sent ((poff + n + Page.size - 1) / Page.size);
-      loop (pos + n)
-    end
+  let rec loop trunc pos =
+    let abs = off + pos in
+    let first = abs / Page.size in
+    let poff = abs mod Page.size in
+    let n = min (window_bytes - poff) (len - pos) in
+    expect_ok
+      (if Site.equal site k.site then begin
+         charge k (latency k).Net.Latency.local_call;
+         write_span ?trunc k ~src:k.site gf ~first ~off:poff data ~pos ~len:n
+       end
+       else
+         let data = if n = len then data else String.sub data pos n in
+         rpc k site (Proto.Write_pages { gf; trunc; first; off = poff; data }));
+    if n > 0 then sent ((poff + n + Page.size - 1) / Page.size);
+    if pos + n < len then loop None (pos + n)
   in
-  loop 0
+  if len > 0 || trunc <> None then loop trunc 0
 
 (* ---- directory indexes: one record changed in place (section 4.4) ---- *)
 
@@ -367,9 +390,10 @@ let dir_change k ~src gf name change =
           | exception Invalid_argument _ -> Stdlib.Error Proto.Einval
           | _ when at / Page.size >= Inode.max_pages -> Stdlib.Error Proto.Enospc
           | data ->
-            write_session_page k ~src gf (ensure_session k pack gf)
-              ~lpage:(at / Page.size) ~whole:false
-              ~off:(at mod Page.size) data;
+            let lpage = at / Page.size in
+            Shadow.patch_page (ensure_session k pack gf) ~lpage ~off:(at mod Page.size) data;
+            page_written k gf lpage;
+            invalidate_others k gf ~writer:src ~first:lpage ~count:1;
             Ok e.Dir.ino
         in
         match Dir.Index.find d.di_index ~read ~limit:size name with
@@ -402,15 +426,6 @@ let handle_dir_update k ~src gf op =
         | Some { Dir.status = Dir.Tombstone; _ } | None -> Stdlib.Error Proto.Enoent)
   in
   match result with Ok ino -> Proto.R_entry { ino } | Stdlib.Error e -> Proto.R_err e
-
-let handle_truncate k gf ~size =
-  match local_pack k gf.Gfile.fg with
-  | None -> Proto.R_err Proto.Eio
-  | Some pack ->
-    let session = ensure_session k pack gf in
-    ss_dir_drop k gf;
-    Shadow.truncate session size;
-    Proto.R_ok
 
 (* Peer stripe site's half of the striped commit: surrender the session's
    modified pages and size to the committing primary, then abort the local

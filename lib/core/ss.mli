@@ -1,7 +1,9 @@
 (** Storage Site logic (§2.3.3, §2.3.5, §2.3.6).
 
-    The SS serves pages to using sites, receives modification pages into
-    shadow pages, and performs the atomic commit — after which it notifies
+    The SS serves pages to using sites, receives modification pages and
+    truncates into shadow pages, invalidates the other using sites'
+    buffers of what each write changed (one ranged message per write),
+    and performs the atomic commit — after which it notifies
     the CSS (synchronously) and every other site storing the file, which
     pull the new version in background. *)
 
@@ -75,6 +77,7 @@ val read_committed :
     {!read_pages} does. *)
 
 val handle_write_pages :
+  ?trunc:int ->
   Ktypes.t ->
   src:Net.Site.t ->
   Catalog.Gfile.t ->
@@ -82,28 +85,32 @@ val handle_write_pages :
   off:int ->
   data:string ->
   Proto.resp
-(** A contiguous byte run from offset [off] within page [first] — one
-    page of modification or a coalesced write-behind batch — split into
-    per-page shadow writes; invalidates other using sites' buffered
-    copies (the page-valid tokens of §3.2). Idempotent (absolute
+(** Shrink the shadow session to [trunc] bytes when set, then write a
+    contiguous byte run from offset [off] within page [first] — one page
+    of modification, a coalesced write-behind batch, or a window of a
+    whole-file overwrite — as per-page shadow writes. One
+    [Page_invalidate] to each other using site then covers every page
+    written or cut (the page-valid tokens of §3.2). Idempotent (absolute
     positioning), so safe to retry after a suspected message loss. *)
 
 val write_run :
   ?sent:(int -> unit) ->
+  ?trunc:int ->
   Ktypes.t ->
   Net.Site.t ->
   Catalog.Gfile.t ->
   off:int ->
   string ->
   unit
-(** [write_run k site gf ~off data]: the client half of
-    [handle_write_pages] — write [data] at byte [off] of [gf] at [site],
-    in requests of at most [config.bulk_window] pages each. A procedure
-    call (charged [local_call]) per request when [site] is this site,
-    else one [Write_pages] RPC. [sent] hears each answered request's page
-    count. Raises {!Ktypes.Error} on a refusal or a network failure. *)
-
-val handle_truncate : Ktypes.t -> Catalog.Gfile.t -> size:int -> Proto.resp
+(** [write_run ?trunc k site gf ~off data]: the client half of
+    [handle_write_pages] — truncate [gf] at [site] to [trunc] when set,
+    then write [data] at byte [off], in requests of at most
+    [config.bulk_window] pages each, the truncate riding in the first. A
+    truncate with no data is one request. A procedure call (charged
+    [local_call]) per request when [site] is this site, handing the
+    handler its span of [data] without a copy; else one [Write_pages] RPC.
+    [sent] hears the page count of each answered request that carried
+    data. Raises {!Ktypes.Error} on a refusal or a network failure. *)
 
 val lookup_name :
   Ktypes.t -> Storage.Pack.t -> Catalog.Gfile.t -> Storage.Inode.t -> string -> int option

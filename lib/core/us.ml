@@ -5,7 +5,9 @@
    the close protocol. Pages travel in one read message and one write
    message, [Read_pages] and [Write_pages], whose one-page forms are the
    paper's network read and write; [Ss.read_pages] and [Ss.write_run] send
-   them, for propagation and reconciliation too. All page traffic goes
+   them, for propagation and reconciliation too. A truncate rides in a
+   [Write_pages], so a whole-file overwrite of up to a window of pages is
+   one write round trip. All page traffic goes
    through kernel buffers; remote pages are cached at the US (keyed by
    file and version, so a new committed version naturally misses; a
    writer's pages go under a key private to its open). One windowed
@@ -237,6 +239,11 @@ let bulk_enabled k o = k.config.bulk_window > 1 && not (Site.equal o.o_ss k.site
    that any settle point still observes the data at the SS. *)
 let wb_flush_delay = 0.05
 
+(* Count one answered bulk write request of [pages] pages. *)
+let bulk_sent k pages =
+  Sim.Stats.incr (stats k) "us.bulk.write";
+  Sim.Stats.add (stats k) "us.bulk.write.pages" pages
+
 (* Flush the pending write-behind run to the SS as [Write_pages] batches of
    at most a window of pages each. Every path that makes the modification
    externally visible — commit, close, truncate, a read on this open, a
@@ -248,9 +255,7 @@ let flush_wb k o =
   | Some run ->
     o.o_wb <- None;
     Ss.write_run k o.o_ss o.o_gf ~off:run.wb_off (Buffer.contents run.wb_buf)
-      ~sent:(fun pages ->
-        Sim.Stats.incr (stats k) "us.bulk.write";
-        Sim.Stats.add (stats k) "us.bulk.write.pages" pages)
+      ~sent:(bulk_sent k)
 
 let start_wb_run k o ~off data =
   let buf = Buffer.create (max 64 (String.length data)) in
@@ -504,13 +509,17 @@ let read_bytes k o ~off ~len =
     Buffer.contents buf
   end
 
+let writable o =
+  if o.o_closed then err Proto.Einval "write on closed file";
+  if o.o_mode <> Proto.Mode_modify then err Proto.Eaccess "file not open for modification"
+
 (* Write [data] at byte offset [off] through the write protocol: each
    affected page travels US -> SS once; whole-page changes need no read.
    With the bulk layer on, adjacent chunks coalesce into a write-behind
-   run at the US and travel later as one [Write_pages] batch. *)
+   run at the US and travel later as one [Write_pages] batch; otherwise
+   the run goes now, in one [Ss.write_run]. *)
 let write k o ~off data =
-  if o.o_closed then err Proto.Einval "write on closed file";
-  if o.o_mode <> Proto.Mode_modify then err Proto.Eaccess "file not open for modification";
+  writable o;
   let len = String.length data in
   let write_behind () =
     (match o.o_wb with
@@ -528,18 +537,21 @@ let write k o ~off data =
       flush_wb k o
     | _ -> ()
   in
-  let rec loop pos =
+  (* A striped write must route each page to its owner, so the contiguous
+     run does not apply; pages travel singly as in the unbatched
+     protocol. *)
+  let rec per_page pos =
     if pos < len then begin
       let abs = off + pos in
       let n = min (Page.size - (abs mod Page.size)) (len - pos) in
       Ss.write_run k (page_site o (abs / Page.size)) o.o_gf ~off:abs (String.sub data pos n);
-      loop (pos + n)
+      per_page (pos + n)
     end
   in
-  (* A striped write must route each page to its owner, so the contiguous
-     write-behind run does not apply; pages travel singly as in the
-     unbatched protocol. *)
-  if len > 0 then if bulk_enabled k o && not (striped o) then write_behind () else loop 0;
+  if len > 0 then
+    if striped o then per_page 0
+    else if bulk_enabled k o then write_behind ()
+    else Ss.write_run k o.o_ss o.o_gf ~off data;
   renew_key k o;
   o.o_dirty <- true;
   if off + len > o.o_info.Proto.i_size then
@@ -549,25 +561,33 @@ let truncate k o size =
   if o.o_mode <> Proto.Mode_modify then err Proto.Eaccess "file not open for modification";
   (* Buffered writes precede the truncate in program order. *)
   if o.o_wb <> None then flush_wb k o;
-  let truncate_at site =
-    let resp =
-      if Site.equal site k.site then Ss.handle_truncate k o.o_gf ~size
-      else rpc k site (Proto.Truncate_req { gf = o.o_gf; size })
-    in
-    expect_ok resp
-  in
   (* Every stripe session must agree on the size, so commit-time size
      reconciliation (the max of the session sizes) stays sound. *)
-  (match o.o_stripes with
-  | [] -> truncate_at o.o_ss
-  | stripes -> List.iter truncate_at stripes);
+  List.iter
+    (fun site -> Ss.write_run ~trunc:size k site o.o_gf ~off:0 "")
+    (match o.o_stripes with [] -> [ o.o_ss ] | stripes -> stripes);
   renew_key k o;
   o.o_dirty <- true;
   if size < o.o_info.Proto.i_size then o.o_info <- { o.o_info with Proto.i_size = size }
 
+(* A whole-file overwrite. Unstriped, the truncate rides in the first
+   [Write_pages] of the run, and any pending write-behind run is dropped:
+   the truncate would discard it. The open is dirty before anything is
+   sent, so a failure part-way through aborts the session. *)
 let set_contents k o body =
-  truncate k o 0;
-  if String.length body > 0 then write k o ~off:0 body;
+  if striped o then begin
+    truncate k o 0;
+    if String.length body > 0 then write k o ~off:0 body
+  end
+  else begin
+    writable o;
+    o.o_wb <- None;
+    o.o_dirty <- true;
+    Ss.write_run ~trunc:0 k o.o_ss o.o_gf ~off:0 body
+      ~sent:(if bulk_enabled k o then bulk_sent k else ignore);
+    renew_key k o;
+    o.o_info <- { o.o_info with Proto.i_size = String.length body }
+  end;
   o.o_dirty <- true
 
 (* Commit or abort the modifications of this open (section 2.3.6). *)

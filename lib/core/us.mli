@@ -59,9 +59,15 @@ val flush_wb : Ktypes.t -> Ktypes.ofile -> unit
     file-offset token leaves this site. No-op when nothing is buffered. *)
 
 val truncate : Ktypes.t -> Ktypes.ofile -> int -> unit
+(** Shrink the file to the given size: a [Write_pages] with the size and
+    no data, to every stripe site of a striped open. Pending write-behind
+    is flushed first. *)
 
 val set_contents : Ktypes.t -> Ktypes.ofile -> string -> unit
-(** Whole-file overwrite (truncate + page writes). *)
+(** Whole-file overwrite. Unstriped, it drops any pending write-behind
+    run and sends the body in one [Ss.write_run], the truncate to 0
+    riding in its first [Write_pages]; striped, a truncate then page
+    writes. *)
 
 val commit : Ktypes.t -> Ktypes.ofile -> unit
 (** Atomically commit this open's modifications at the SS (§2.3.6). *)

@@ -209,14 +209,21 @@ type req =
        reconciliation) sets [committed] and reads only the committed copy.
        [stat] also asks for that copy's inode in the reply, in place of a
        [Stat_req]; it implies [committed], and with it [count] may be 0. *)
-  | Write_pages of { gf : Catalog.Gfile.t; first : int; off : int; data : string }
-    (* US -> SS: one contiguous run of modified bytes starting at byte
-       [off] within page [first], possibly spanning several pages — one
-       page of modification (whole page or patch) or a coalesced
-       write-behind batch. Absolute positioning keeps the request
+  | Write_pages of {
+      gf : Catalog.Gfile.t;
+      trunc : int option;
+      first : int;
+      off : int;
+      data : string;
+    }
+    (* US -> SS: first shrink the open modification session's file to
+       [trunc] bytes, when set, then write one contiguous run of modified
+       bytes starting at byte [off] within page [first], possibly spanning
+       several pages — one page of modification (whole page or patch), a
+       coalesced write-behind batch, or the first window of a whole-file
+       overwrite, whose truncate to 0 rides along. With no data it is the
+       network truncate alone. Absolute positioning keeps the request
        idempotent. *)
-  | Truncate_req of { gf : Catalog.Gfile.t; size : int }
-    (* US -> SS: shrink the open modification session's file *)
   | Dir_intent of { dir : Catalog.Gfile.t; op : intent; seq : int }
     (* US -> CSS: one name-space change, serialized at the CSS and run as
        one atomic directory modification at a storage site. [seq] numbers
@@ -267,9 +274,10 @@ type req =
   | Reclaim_req of { gf : Catalog.Gfile.t }
     (* CSS -> SS: every storage site has seen the delete; the inode number
        can be reallocated (section 2.3.7) *)
-  | Page_invalidate of { gf : Catalog.Gfile.t; lpage : int }
-    (* SS -> other USs it serves: your buffered copy of this page is no
-       longer valid (the page-valid tokens of section 3.2) *)
+  | Page_invalidate of { gf : Catalog.Gfile.t; first : int; count : int }
+    (* SS -> other USs it serves: your buffered copies of pages [first] to
+       [first + count - 1] are no longer valid (the page-valid tokens of
+       section 3.2). One covers every page a [Write_pages] wrote or cut. *)
   | Lease_break of { gf : Catalog.Gfile.t }
     (* CSS -> lease-holding US: the read lease granted on this file is
        revoked (a writer opened, a new version committed, a conflict or
@@ -420,10 +428,15 @@ let req_bytes = function
     + (if count <> 1 then 4 else 0)
     + (if stride > 1 then 2 else 0)
     + if committed || stat then 1 else 0
-  | Write_pages { off; data; _ } ->
+  (* A truncate alone carries just the size; a run pays 4 bytes for one
+     only when it carries one. *)
+  | Write_pages { trunc = Some _; data = ""; _ } -> header + gfile_bytes + 4
+  | Write_pages { trunc; off; data; _ } ->
     let len = String.length data in
-    header + gfile_bytes + (if off + len <= Storage.Page.size then 9 else 12) + len
-  | Truncate_req _ -> header + gfile_bytes + 4
+    header + gfile_bytes
+    + (if off + len <= Storage.Page.size then 9 else 12)
+    + (if Option.is_some trunc then 4 else 0)
+    + len
   | Dir_intent { op; _ } -> header + gfile_bytes + 4 + intent_bytes op
   | Intent_step { step = Step_dir { op; others; refuse; stale; _ }; _ } ->
     header + 8 + gfile_bytes + intent_bytes op + site_list_bytes others
@@ -440,7 +453,7 @@ let req_bytes = function
     header + gfile_bytes + vv_bytes vv + 3 + (4 * List.length modified) + 4
     + site_list_bytes replicas
   | Reclaim_req _ -> header + gfile_bytes
-  | Page_invalidate _ -> header + gfile_bytes + 4
+  | Page_invalidate { count; _ } -> header + gfile_bytes + 4 + if count <> 1 then 4 else 0
   | Lease_break _ -> header + gfile_bytes
   | Set_attr { owner; _ } ->
     header + gfile_bytes + 6
@@ -521,8 +534,8 @@ let req_tag = function
   | Open_req _ -> "open"
   | Storage_req _ -> "storage"
   | Read_pages _ -> "read"
+  | Write_pages { trunc = Some _; data = ""; _ } -> "truncate"
   | Write_pages _ -> "write"
-  | Truncate_req _ -> "truncate"
   | Commit_req _ -> "commit"
   | Stripe_collect _ -> "stripe.collect"
   | Us_close _ -> "close.us"
@@ -567,7 +580,7 @@ let req_idempotent = function
   | Read_pages _ | Stat_req _ | Where_stored _ | Lookup_req _
   | Open_files_query _ | Pack_inventory _ | Token_state_req _ | Token_req _
   | Page_invalidate _ | Lease_break _ | Reclaim_req _ | Commit_notify _
-  | Write_pages _ | Truncate_req _ | Dir_intent _ | Intent_step _
+  | Write_pages _ | Dir_intent _ | Intent_step _
   | Part_poll _ | Part_announce _ | Merge_poll _ | Merge_announce _
   | Status_check _ ->
     true

@@ -194,13 +194,23 @@ type req =
            copy. [stat] also asks for that copy's inode in the reply, in
            place of a [Stat_req]; it implies [committed], and with it
            [count] may be 0. The flags cost one byte, only when set. *)
-  | Write_pages of { gf : Catalog.Gfile.t; first : int; off : int; data : string }
-      (** US → SS: a contiguous run of modified bytes starting at byte
-          [off] within page [first] — one page of modification (whole or
-          patch) or a coalesced write-behind batch over several pages.
-          Absolute positioning keeps the request idempotent (safe to
-          retry). *)
-  | Truncate_req of { gf : Catalog.Gfile.t; size : int }
+  | Write_pages of {
+      gf : Catalog.Gfile.t;
+      trunc : int option;
+      first : int;
+      off : int;
+      data : string;
+    }
+      (** US → SS: shrink the open modification session's file to
+          [trunc] bytes when set, then write a contiguous run of modified
+          bytes starting at byte [off] within page [first] — one page of
+          modification (whole or patch), a coalesced write-behind batch
+          over several pages, or the first window of a whole-file
+          overwrite with its truncate to 0. With [trunc] and no data it is
+          the truncate alone, tagged ["truncate"] and sized as the old
+          separate truncate message; a run pays 4 bytes for [trunc] only
+          when it is set. Absolute positioning keeps the request
+          idempotent (safe to retry). *)
   | Dir_intent of { dir : Catalog.Gfile.t; op : intent; seq : int }
       (** US → CSS: one name-space change. The CSS takes the directory's
           modification lock (and the target file's, for a counted unlink
@@ -251,8 +261,11 @@ type req =
   | Reclaim_req of { gf : Catalog.Gfile.t }
       (** CSS → SS: all storage sites saw the delete; release the inode
           number (§2.3.7). *)
-  | Page_invalidate of { gf : Catalog.Gfile.t; lpage : int }
-      (** SS → other USs: buffered copy no longer valid (§3.2). *)
+  | Page_invalidate of { gf : Catalog.Gfile.t; first : int; count : int }
+      (** SS → other USs: buffered copies of pages [first] to
+          [first + count - 1] are no longer valid (§3.2). The SS sends one
+          per [Write_pages], covering every page it wrote or its truncate
+          cut. A count travels only when it is not 1. *)
   | Lease_break of { gf : Catalog.Gfile.t }
       (** CSS → lease-holding US: the read lease on this file is revoked
           (writer open, new committed version, conflict/delete, or a

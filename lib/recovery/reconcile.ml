@@ -126,8 +126,7 @@ let fetch_content k site gf = Option.bind (fetch_copy k site gf) (fun c -> Lazy.
    version vector; then tell the other storing sites to pull. *)
 let write_version k ~target gf ~content ~vv ~others =
   let push () =
-    expect_ok (rpc k target (Proto.Truncate_req { gf; size = 0 }));
-    Ss.write_run k target gf ~off:0 content;
+    Ss.write_run ~trunc:0 k target gf ~off:0 content;
     match
       rpc k target
         (Proto.Commit_req

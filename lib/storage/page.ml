@@ -6,10 +6,10 @@ let blank () = Bytes.make size '\000'
 
 let copy = Bytes.copy
 
-let of_string s =
+let of_string ?(pos = 0) s =
   let p = blank () in
-  let n = min (String.length s) size in
-  Bytes.blit_string s 0 p 0 n;
+  let n = max 0 (min (String.length s - pos) size) in
+  Bytes.blit_string s pos p 0 n;
   p
 
 let to_string p = Bytes.to_string p

@@ -9,8 +9,9 @@ val blank : unit -> t
 
 val copy : t -> t
 
-val of_string : string -> t
-(** Pad with NULs or truncate to exactly {!size} bytes. *)
+val of_string : ?pos:int -> string -> t
+(** The bytes from [pos] (default 0), padded with NULs or cut to exactly
+    {!size} bytes. *)
 
 val to_string : t -> string
 (** Full page contents including padding. *)

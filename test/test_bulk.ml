@@ -269,6 +269,57 @@ let test_write_behind_flushes_on_token_release () =
     "one two three"
     (Kernel.read_file k0 p0 "/log")
 
+(* ---- whole-file writes ---- *)
+
+(* A remote whole-file write of two pages is one write round trip: its
+   truncate rides in the [Write_pages] instead of a message of its own. *)
+let test_whole_file_write_one_trip () =
+  let w = world ~window:8 () in
+  mk_file w ~path:"/whole" ~body:(body_of_pages 3);
+  let k2 = World.kernel w 2 and p2 = World.proc w 2 in
+  let body = body_of_pages 2 in
+  let snap = Stats.snapshot (World.stats w) in
+  Kernel.write_file k2 p2 "/whole" body;
+  let delta tag = Stats.delta_of (World.stats w) snap ("net.msg." ^ tag) in
+  check Alcotest.int "one write round trip" 2 (delta "write");
+  check Alcotest.int "no truncate message" 0 (delta "truncate");
+  ignore (World.settle w);
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  check Alcotest.string "the overwrite replaced the longer body" body
+    (Kernel.read_file k0 p0 "/whole")
+
+(* Two other using sites read the file while a third writes 8 pages in
+   one request: the SS sends each reader one ranged invalidation, not one
+   per page, and neither reader sees its stale buffers again. *)
+let test_one_ranged_invalidation () =
+  let w = world ~window:8 () in
+  mk_file w ~path:"/shared" ~body:(body_of_pages 8);
+  let readers =
+    List.map
+      (fun site ->
+        let k = World.kernel w site in
+        let o = Us.open_gf k (gf_of k "/shared") Proto.Mode_read in
+        ignore (read_streamed w k o ~pages:8);
+        (k, o))
+      [ 2; 3 ]
+  in
+  let k4 = World.kernel w 4 in
+  let o = Us.open_gf k4 (gf_of k4 "/shared") Proto.Mode_modify in
+  let fresh = String.make (8 * Page.size) 'N' in
+  let snap = Stats.snapshot (World.stats w) in
+  Us.write k4 o ~off:0 fresh;
+  ignore (World.settle w);
+  check Alcotest.int "one invalidation per other using site" 2
+    (Stats.delta_of (World.stats w) snap "net.msg.page.invalidate");
+  List.iter
+    (fun (k, r) ->
+      let data, _ = Us.read_page k r 7 in
+      check Alcotest.string "reader sees the written page" (String.make Page.size 'N') data;
+      Us.close k r)
+    readers;
+  Us.commit k4 o;
+  Us.close k4 o
+
 (* ---- batched propagation pulls ---- *)
 
 (* A ten-page patch to a replicated file is pulled in window-sized runs:
@@ -340,6 +391,10 @@ let () =
             test_write_behind_flushes_on_read_back;
           Alcotest.test_case "write-behind flushes on token release" `Quick
             test_write_behind_flushes_on_token_release;
+          Alcotest.test_case "whole-file write is one round trip" `Quick
+            test_whole_file_write_one_trip;
+          Alcotest.test_case "one ranged invalidation per write" `Quick
+            test_one_ranged_invalidation;
           Alcotest.test_case "propagation pulls in batches" `Quick
             test_propagation_pulls_in_batches;
           Alcotest.test_case "propagation survives message loss" `Quick

@@ -203,6 +203,36 @@ let test_page_invalidation () =
   Us.close k2 o_r;
   ignore (World.settle w)
 
+(* A truncate is a write too: the pages it cuts must leave the other
+   using sites' buffers, or a reader that cached them keeps reading bytes
+   the writer's session no longer holds. *)
+let test_truncate_invalidation () =
+  let w = make_world () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  Kernel.set_ncopies p0 1;
+  ignore (Kernel.creat k0 p0 "/cut");
+  Kernel.write_file k0 p0 "/cut" (String.make 2048 'a');
+  ignore (World.settle w);
+  (* Reader at site 2 caches page 1. *)
+  let k2 = World.kernel w 2 in
+  let o_r = Us.open_gf k2 (Kernel.resolve k2 (World.proc w 2) "/cut") Proto.Mode_read in
+  ignore (Us.read_page k2 o_r 1);
+  (* Writer at site 1 cuts the file to one page, uncommitted. *)
+  let k1 = World.kernel w 1 in
+  let o_w = Us.open_gf k1 (Kernel.resolve k1 (World.proc w 1) "/cut") Proto.Mode_modify in
+  Us.truncate k1 o_w 1024;
+  ignore (World.settle w);
+  let data, eof = Us.read_page k2 o_r 1 in
+  check Alcotest.int "cut page left the reader's buffer" 0 (String.length data);
+  check Alcotest.bool "reader sees eof" true eof;
+  let k3 = World.kernel w 3 in
+  let o_c = Us.open_gf k3 (Kernel.resolve k3 (World.proc w 3) "/cut") Proto.Mode_read in
+  let cold, cold_eof = Us.read_page k3 o_c 1 in
+  check Alcotest.(pair int bool) "a cold reader agrees" (0, true) (String.length cold, cold_eof);
+  Us.abort k1 o_w;
+  List.iter (fun (k, o) -> Us.close k o) [ (k1, o_w); (k2, o_r); (k3, o_c) ];
+  ignore (World.settle w)
+
 (* ---- crash durability ---- *)
 
 let test_crash_loses_uncommitted_keeps_committed () =
@@ -332,6 +362,7 @@ let () =
         [
           Alcotest.test_case "delete reclaims inode" `Quick test_delete_reclaims_inode;
           Alcotest.test_case "page invalidation" `Quick test_page_invalidation;
+          Alcotest.test_case "truncate invalidation" `Quick test_truncate_invalidation;
         ] );
       ( "durability",
         [

@@ -21,8 +21,8 @@ let some_reqs =
       { gf; vv = vv_small; us = 1; mode = Proto.Mode_read; others = [ 2; 3 ] };
     Proto.Read_pages
       { gf; first = 0; count = 1; guess = 0; stride = 1; committed = false; stat = false };
-    Proto.Write_pages { gf; first = 0; off = 0; data = String.make 1024 'x' };
-    Proto.Truncate_req { gf; size = 0 };
+    Proto.Write_pages { gf; trunc = None; first = 0; off = 0; data = String.make 1024 'x' };
+    Proto.Write_pages { gf; trunc = Some 0; first = 0; off = 0; data = "" };
     Proto.Commit_req { gf; us = 0; abort = false; delete = false; force_vv = None; stripes = [] };
     Proto.Us_close { gf; mode = Proto.Mode_read };
     Proto.Ss_close { gf; ss = 0; us = 1; mode = Proto.Mode_read };
@@ -59,7 +59,7 @@ let some_reqs =
       };
     Proto.Intent_step { us = 2; seq = 3; step = Proto.Step_link { gf; delta = -1 } };
     Proto.Reclaim_req { gf };
-    Proto.Page_invalidate { gf; lpage = 3 };
+    Proto.Page_invalidate { gf; first = 3; count = 1 };
     Proto.Set_attr { gf; perms = Some 0o600; owner = None };
     Proto.Stat_req { gf };
     Proto.Where_stored { gf };
@@ -93,7 +93,7 @@ let test_tags_nonempty_and_distinctive () =
 
 let test_payload_monotone () =
   let size data =
-    Proto.req_bytes (Proto.Write_pages { gf; first = 0; off = 0; data })
+    Proto.req_bytes (Proto.Write_pages { gf; trunc = None; first = 0; off = 0; data })
   in
   check Alcotest.bool "write grows with data" true (size (String.make 1024 'x') > size "x");
   let vv_size v =
@@ -169,7 +169,7 @@ let test_one_page_forms () =
          { gf; first = 3; count; guess = 0; stride; committed = false; stat = false })
   in
   let reply pages = Proto.resp_bytes (Proto.R_pages { pages; eof = false; info = None }) in
-  let write ~off data = Proto.req_bytes (Proto.Write_pages { gf; first = 3; off; data }) in
+  let write ~off data = Proto.req_bytes (Proto.Write_pages { gf; trunc = None; first = 3; off; data }) in
   (* One page: header + file + 8, header + 1 + data, header + file + 9 + data. *)
   check Alcotest.int "one-page request" 40 (read ~count:1 ~stride:1);
   check Alcotest.int "one-page reply" (25 + 1024) (reply [ page ]);
@@ -201,6 +201,23 @@ let test_one_page_forms () =
     (reply [ page ] + Proto.resp_bytes (Proto.R_stat { info = Some info; stored_here = true }) - 25)
     (Proto.resp_bytes (Proto.R_pages { pages = [ page ]; eof = false; info = Some info }))
 
+(* The fused forms: a truncate alone costs and is tagged what the
+   separate truncate message was (header + file + size), a run pays 4
+   bytes for a truncate only when it carries one, and a one-page
+   invalidation keeps its size while a ranged one adds a count. *)
+let test_fused_forms () =
+  let write ?trunc data = Proto.Write_pages { gf; trunc; first = 0; off = 0; data } in
+  let page = String.make 1024 'p' in
+  check Alcotest.int "truncate alone" 36 (Proto.req_bytes (write ~trunc:0 ""));
+  check Alcotest.string "truncate tag" "truncate" (Proto.req_tag (write ~trunc:0 ""));
+  check Alcotest.int "truncate riding a run"
+    (Proto.req_bytes (write page) + 4)
+    (Proto.req_bytes (write ~trunc:0 page));
+  check Alcotest.string "run tag" "write" (Proto.req_tag (write ~trunc:0 page));
+  let inval count = Proto.req_bytes (Proto.Page_invalidate { gf; first = 2; count }) in
+  check Alcotest.int "one-page invalidation" 36 (inval 1);
+  check Alcotest.int "ranged invalidation" 40 (inval 8)
+
 let test_errno_strings () =
   List.iter
     (fun e ->
@@ -223,6 +240,7 @@ let () =
           Alcotest.test_case "payload monotone" `Quick test_payload_monotone;
           Alcotest.test_case "response sizes" `Quick test_resp_sizes;
           Alcotest.test_case "one-page forms" `Quick test_one_page_forms;
+          Alcotest.test_case "fused truncate and ranged invalidation" `Quick test_fused_forms;
           Alcotest.test_case "errno strings" `Quick test_errno_strings;
         ] );
     ]
