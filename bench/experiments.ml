@@ -1329,11 +1329,9 @@ let e20 () =
         "write ms"; "prop msgs"; "prop ms"; "contents" ]
     rows;
   let find wnd = List.find (fun (w', _, _, _) -> w' = wnd) results in
-  let _, ((rm1, _, _, _, _), (im1, _, _, _, _)), (wm1, _, _, _, _), (pm1, _, _, _, _) =
-    find 1
-  in
+  let _, ((rm1, _, _, _, _), _), (wm1, _, _, _, _), (pm1, _, _, _, _) = find 1 in
   let ( _,
-        ((rm8, _, _, rok8, rstats8), (im8, _, _, iok8, _)),
+        ((rm8, _, _, rok8, rstats8), _),
         (wm8, _, _, _, wstats8),
         (pm8, _, _, _, pstats8) ) =
     find 8
@@ -1346,11 +1344,23 @@ let e20 () =
     rm8 rm1
     (float_of_int rm1 /. float_of_int (max 1 rm8))
     (Report.check (rok8 && rm1 >= 4 * rm8));
+  (* A read call tells the fetcher its extent, so an inline read moves a
+     full window per round trip from the first page: exactly the write
+     column's message count at every window. A gate, like (d) below. *)
+  let inline_ok =
+    List.for_all
+      (fun (_, (_, (im, _, _, iok, _)), (wm, _, _, _, _), _) -> iok && im = wm)
+      results
+  in
+  metric "inline.equals.write" (if inline_ok then 1. else 0.);
   Printf.printf
-    "inline read-class messages, window 8 vs 1: %d vs %d (%.1fx, need >= 4x): %s\n"
-    im8 im1
-    (float_of_int im1 /. float_of_int (max 1 im8))
-    (Report.check (iok8 && im1 >= 4 * im8));
+    "inline read-class messages equal write-class at every window (%s vs %s): %s\n"
+    (String.concat "/"
+       (List.map (fun (_, (_, (im, _, _, _, _)), _, _) -> string_of_int im) results))
+    (String.concat "/"
+       (List.map (fun (_, _, (wm, _, _, _, _), _) -> string_of_int wm) results))
+    (Report.check inline_ok);
+  if not inline_ok then failwith "E20: an inline read does not move a window per round trip";
   Printf.printf "write-class messages, window 8 vs 1: %d vs %d (%.1fx): %s\n" wm8 wm1
     (float_of_int wm1 /. float_of_int (max 1 wm8))
     (Report.check (wm1 >= 4 * wm8));

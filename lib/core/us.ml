@@ -13,11 +13,13 @@
    writer's pages go under a key private to its open). One windowed
    fetcher fills the cache for every remote read, a reader's or a
    writer's: a window of up to [bulk_window] pages per page owner, over
-   [width] owners (the stripe count, 1 when unstriped). A demand miss on a
-   page whose readahead batch has not run yet waits for that batch, so a
-   sequential read moves one window per round trip even when nothing runs
-   between reads. Window 1 and width 1 is the paper's one-page readahead
-   on sequential reads. *)
+   [width] owners (the stripe count, 1 when unstriped). A read call tells
+   the fetcher its extent, so a demand miss fetches the call's pages up to
+   a full window at once, and readahead starts only past the call's last
+   page. A demand miss on a page whose readahead batch has not run yet
+   waits for that batch, so a page-at-a-time sequential read moves one
+   window per round trip even when nothing runs between reads. Window 1
+   and width 1 is the paper's one-page readahead on sequential reads. *)
 
 open Ktypes
 module Inode = Storage.Inode
@@ -399,13 +401,17 @@ let schedule_window k o ~lpage =
   end
 
 (* A cacheable read: a hit is served from the US cache, a miss fetches
-   the run of missing pages the window allows. A miss on a page whose
-   readahead batch is scheduled but has not run models the reader sleeping
-   on the buffer until that batch's reply lands: it fetches the batch's
-   still-missing pages from the demanded page on, in one round trip, and
-   retires the batch. Either way a sequential reader grows the window and
-   keeps it scheduled ahead; a seek resets it to one page. *)
-let read_cached k o lpage ~sequential =
+   the run of missing pages the window or the call's extent allows. The
+   read call wants [want] pages from [lpage] on; a miss fetches that many,
+   or the window if it is larger, capped at a full window per owner. A
+   miss on a page whose readahead batch is scheduled but has not run
+   models the reader sleeping on the buffer until that batch's reply
+   lands: it fetches the batch's still-missing pages from the demanded
+   page on, or the call's capped extent if longer, in one round trip, and
+   retires the batch. Either way a sequential reader grows the window, and
+   on the call's last page keeps it scheduled ahead; a seek resets it to
+   one page. *)
+let read_cached k o lpage ~sequential ~want =
   if sequential then o.o_window <- min k.config.bulk_window (o.o_window * 2)
   else begin
     o.o_window <- 1;
@@ -420,6 +426,11 @@ let read_cached k o lpage ~sequential =
       (Page.sub page 0 len, (lpage + 1) * Page.size >= size)
     | None ->
       Sim.Stats.incr (stats k) "cache.us.miss";
+      let w = width o in
+      let want = min want (k.config.bulk_window * w) in
+      let run limit =
+        max 1 (run_length k o ~from:lpage ~limit:(min limit (npages_of o - lpage)))
+      in
       let count =
         match List.find_opt (covers lpage) o.o_inflight with
         | Some b ->
@@ -427,16 +438,14 @@ let read_cached k o lpage ~sequential =
           let rec last p =
             if p > lpage && Cache.mem k.us_cache (cache_key o p) then last (p - 1) else p
           in
-          last (b.ra_first + b.ra_count - 1) - lpage + 1
-        | None ->
-          let limit = min (o.o_window * width o) (max 1 (npages_of o - lpage)) in
-          max 1 (run_length k o ~from:lpage ~limit)
+          max (last (b.ra_first + b.ra_count - 1) - lpage + 1) (run want)
+        | None -> run (max (o.o_window * w) want)
       in
       let result = fetch_range k o ~first:lpage ~count in
       if o.o_ra_frontier < lpage + count then o.o_ra_frontier <- lpage + count;
       result
   in
-  if sequential && not eof then schedule_window k o ~lpage;
+  if sequential && (not eof) && want <= 1 then schedule_window k o ~lpage;
   (data, eof)
 
 (* Read one logical page through the kernel buffers (section 2.3.3). An
@@ -445,8 +454,9 @@ let read_cached k o lpage ~sequential =
    the fetcher; an open that must bypass the cache (another open is
    writing) reads the page from its owner. When a stripe peer fails under
    a read open whose primary is still up, the open drops to the classic
-   protocol and the read retries. *)
-let rec read_page k o lpage =
+   protocol and the read retries. [want] is how many pages the read call
+   covers from [lpage] on. *)
+let rec read_page ?(want = 1) k o lpage =
   if o.o_closed then err Proto.Einval "read on closed file";
   (* Read-your-writes: anything buffered for write-behind must reach the
      SS shadow session before a page can be read back. *)
@@ -456,20 +466,21 @@ let rec read_page k o lpage =
   o.o_last_lpage <- lpage;
   match
     if cacheable k o && (striped o || not (Site.equal o.o_ss k.site)) then
-      read_cached k o lpage ~sequential
+      read_cached k o lpage ~sequential ~want
     else fetch_uncached k o lpage
   with
   | result -> result
   | exception Error _
     when striped o && o.o_mode <> Proto.Mode_modify && in_partition k o.o_ss ->
     stripe_degrade k o;
-    read_page k o lpage
+    read_page ~want k o lpage
 
-(* Whole-body read, following the SS's eof indications. *)
+(* Whole-body read, following the SS's eof indications. Each page read
+   wants the pages left to eof. *)
 let read_all k o =
   let buf = Buffer.create 1024 in
   let rec loop lpage =
-    let data, eof = read_page k o lpage in
+    let data, eof = read_page ~want:(npages_of o - lpage) k o lpage in
     Buffer.add_string buf data;
     if (not eof) && String.length data > 0 then loop (lpage + 1)
   in
@@ -481,16 +492,18 @@ let read_all k o =
    any gap without allocating a fresh string per hole. *)
 let blank_page = String.make Page.size '\000'
 
-(* Read up to [len] bytes starting at byte [off] (fd-style read). *)
+(* Read up to [len] bytes starting at byte [off] (fd-style read). Each
+   page read wants the pages left in the range. *)
 let read_bytes k o ~off ~len =
   if len <= 0 then ""
   else begin
     let buf = Buffer.create len in
+    let last = (off + len - 1) / Page.size in
     let rec loop abs remaining =
       if remaining > 0 then begin
         let lpage = abs / Page.size in
         let poff = abs mod Page.size in
-        let data, eof = read_page k o lpage in
+        let data, eof = read_page ~want:(last - lpage + 1) k o lpage in
         let avail = max 0 (String.length data - poff) in
         let take = min remaining avail in
         if take > 0 then Buffer.add_string buf (String.sub data poff take);

@@ -24,26 +24,32 @@ val drop_private : Ktypes.t -> Ktypes.ofile -> unit
     private key. [close] does this; cleanup calls it for a writer's open
     it ends without a close. *)
 
-val read_page : Ktypes.t -> Ktypes.ofile -> int -> string * bool
-(** [read_page k o lpage] returns the page data (possibly short at end of
-    file) and an eof flag. An unstriped open served by this site reads its
-    own pack. A cacheable open, a writer's own included, goes through the
-    windowed fetcher: a miss fetches a run of pages, one request per page
-    owner, and sequential reads keep a window of up to
-    [config.bulk_window] pages per owner scheduled ahead of the reader. A
+val read_page : ?want:int -> Ktypes.t -> Ktypes.ofile -> int -> string * bool
+(** [read_page ~want k o lpage] returns the page data (possibly short at
+    end of file) and an eof flag. [want] (default 1) is how many pages the
+    read call covers from [lpage] on. An unstriped open served by this
+    site reads its own pack. A cacheable open, a writer's own included,
+    goes through the windowed fetcher: a miss fetches a run of pages, one
+    request per page owner, as many as [want] or the open's window,
+    whichever is more, up to [config.bulk_window] pages per owner. On the
+    call's last page ([want <= 1]) a sequential reader keeps a window of
+    up to [config.bulk_window] pages per owner scheduled ahead of it. A
     miss inside a scheduled batch that has not run yet takes the batch
-    over, so a sequential read moves one window per round trip even with
-    nothing run between reads. Window 1 over one owner is the classic
-    one-page readahead. An open that must bypass the cache (another open
+    over, so a page-at-a-time sequential read moves one window per round
+    trip even with nothing run between reads. Window 1 over one owner is
+    the classic one-page readahead. An open that must bypass the cache (another open
     is writing the file) reads the page from its owner, uncached. A read
     open whose stripe peer fails degrades to the classic protocol and
     retries. *)
 
 val read_all : Ktypes.t -> Ktypes.ofile -> string
-(** Whole-body read following the SS's eof indications. *)
+(** Whole-body read following the SS's eof indications; each page read
+    wants the pages left to eof, so a remote read moves a full window per
+    round trip from the first. *)
 
 val read_bytes : Ktypes.t -> Ktypes.ofile -> off:int -> len:int -> string
-(** Byte-ranged read (fd-style). *)
+(** Byte-ranged read (fd-style); each page read wants the pages left in
+    the range. *)
 
 val write : Ktypes.t -> Ktypes.ofile -> off:int -> string -> unit
 (** Send the affected pages to the SS via the write protocol: whole-page

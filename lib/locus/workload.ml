@@ -30,8 +30,21 @@ let pp_report ppf r =
 
 let file_path i = Printf.sprintf "/work/f%d" i
 
-let setup w spec =
+(* What setup and an op stream did to the tree, for callers (the soak
+   harness) that maintain an external model. A [Wrote] with [ok = false]
+   may still have committed — e.g. the commit executed at the SS but the
+   reply was lost — so model checkers must treat its body as possibly
+   durable. *)
+type event =
+  | Wrote of { site : int; path : string; body : string; ok : bool }
+  | Dirop of { site : int; path : string }
+
+let setup ?(observe = fun _ -> ()) w spec =
   let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  let write path body =
+    Kernel.write_file k0 p0 path body;
+    observe (Wrote { site = 0; path; body; ok = true })
+  in
   let saved = Kernel.get_ncopies p0 in
   Kernel.set_ncopies p0 (List.length (World.sites w));
   ignore (Kernel.mkdir k0 p0 "/work");
@@ -40,10 +53,10 @@ let setup w spec =
   Kernel.set_ncopies p0 spec.ncopies;
   ignore (Kernel.creat ~ftype:Inode.Mailbox k0 p0 "/mail/root");
   ignore (Kernel.creat k0 p0 "/bin/cc");
-  Kernel.write_file k0 p0 "/bin/cc" (String.make 3000 'c');
+  write "/bin/cc" (String.make 3000 'c');
   for i = 0 to spec.n_files - 1 do
     ignore (Kernel.creat k0 p0 (file_path i));
-    Kernel.write_file k0 p0 (file_path i) "int main(){}"
+    write (file_path i) "int main(){}"
   done;
   Kernel.set_ncopies p0 saved;
   ignore (World.settle w)
@@ -57,14 +70,6 @@ let pick_op rng (m : mix) =
   else if v < m.read + m.edit + m.exec then `Exec
   else if v < m.read + m.edit + m.exec + m.mail then `Mail
   else `Namespace
-
-(* What an op stream did to the tree, for callers (the soak harness) that
-   maintain an external model. A [Wrote] with [ok = false] may still have
-   committed — e.g. the commit executed at the SS but the reply was lost —
-   so model checkers must treat its body as possibly durable. *)
-type event =
-  | Wrote of { site : int; path : string; body : string; ok : bool }
-  | Dirop of { site : int; path : string }
 
 (* A reusable operation generator: the seeded RNG plus running counters.
    [gen_step] issues exactly one operation, so a driver can interleave ops

@@ -39,9 +39,6 @@ type report = {
 
 val pp_report : Format.formatter -> report -> unit
 
-val setup : World.t -> spec -> unit
-(** Create the working set: /work files, /bin/cc, /mail/root. *)
-
 val file_path : int -> string
 (** The path of working-set file [i] ("/work/f<i>") — exposed so fault
     injectors can target the same files the op stream edits. *)
@@ -54,6 +51,11 @@ type event =
           durable. *)
   | Dirop of { site : int; path : string }
       (** Create/unlink churn touched [path]. *)
+
+val setup : ?observe:(event -> unit) -> World.t -> spec -> unit
+(** Create the working set: /work files, /bin/cc, /mail/root. Each
+    whole-file write it makes is reported to [observe] as a [Wrote] with
+    [ok = true], so a model of the tree starts from the setup bodies. *)
 
 type gen
 (** A reusable operation generator: the seeded op stream plus running

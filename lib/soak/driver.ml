@@ -87,13 +87,14 @@ let run ?(drop = []) ?bug ~seed ~ops () =
   let spec =
     { Workload.default_spec with Workload.seed = Int64.of_int (0xBEEF00 + seed) }
   in
-  Workload.setup w spec;
   let model = Invariant.model_create () in
   let observe = function
     | Workload.Wrote { path; body; ok; _ } ->
       Invariant.model_wrote model ~path ~body ~ok
     | Workload.Dirop _ -> ()
   in
+  (* The model starts from the bodies setup wrote. *)
+  Workload.setup ~observe w spec;
   let g = Workload.make_gen ~observe spec in
   let injected : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let skipped = ref 0 in

@@ -160,11 +160,11 @@ let test_streaming_read_savings () =
 (* ---- inline streaming: nothing runs between reads ---- *)
 
 (* [Kernel.read_file] reads page after page with no engine step between
-   them, so no scheduled readahead batch ever runs before the reader
-   reaches it. A demand miss on such a page waits for the batch instead of
-   fetching its page alone: at window 8 the 16-page read is four bulk
-   reads of 2, 4, 8 and 2 pages. The batches it took over then do
-   nothing. *)
+   them, and each page read tells the fetcher how many pages the call has
+   left, so a demand miss fetches a full window at once: at window 8 the
+   16-page read is two bulk reads of 8 pages. Readahead runs only on the
+   call's last page, where eof stops it, so no batch is scheduled only to
+   be taken over and nothing runs once the read returns. *)
 let inline_read ~window ~mode ~pages =
   let w = world ~window () in
   let body = body_of_pages pages ~tail:300 in
@@ -186,9 +186,9 @@ let inline_read ~window ~mode ~pages =
 
 let test_inline_read_streams () =
   let bulk, bulk_pages, msgs = inline_read ~window:8 ~mode:Proto.Mode_read ~pages:15 in
-  check Alcotest.int "four bulk reads" 4 bulk;
-  check Alcotest.int "of 2 + 4 + 8 + 2 pages" 16 bulk_pages;
-  check Alcotest.int "8 read messages" 8 msgs;
+  check Alcotest.int "two bulk reads" 2 bulk;
+  check Alcotest.int "of 8 + 8 pages" 16 bulk_pages;
+  check Alcotest.int "4 read messages" 4 msgs;
   (* Window 1 is still the paper's protocol: one one-page read per page. *)
   let bulk, _, msgs = inline_read ~window:1 ~mode:Proto.Mode_read ~pages:15 in
   check Alcotest.int "no bulk reads at window 1" 0 bulk;
@@ -199,9 +199,62 @@ let test_inline_read_streams () =
    per page. *)
 let test_writer_reads_stream () =
   let bulk, bulk_pages, msgs = inline_read ~window:8 ~mode:Proto.Mode_modify ~pages:18 in
-  check Alcotest.int "19 pages in four bulk reads" 4 bulk;
+  check Alcotest.int "19 pages in three bulk reads (8 + 8 + 3)" 3 bulk;
   check Alcotest.int "every page in a bulk read" 19 bulk_pages;
-  check Alcotest.int "8 read messages, not 38" 8 msgs
+  check Alcotest.int "6 read messages, not 38" 6 msgs
+
+(* ---- a read call fetches its extent ---- *)
+
+(* A 3-page [read_bytes] on a fresh remote open asks for its 3 pages in
+   one [Read_pages], counted before anything scheduled gets to run. *)
+let test_read_bytes_fetches_extent () =
+  let w = world ~window:8 () in
+  let body = body_of_pages 16 in
+  mk_file w ~path:"/range" ~body;
+  let k2 = World.kernel w 2 in
+  let s = World.stats w in
+  let o = Us.open_gf k2 (gf_of k2 "/range") Proto.Mode_read in
+  let snap = Stats.snapshot s in
+  let got = Us.read_bytes k2 o ~off:0 ~len:(3 * Page.size) in
+  let delta = Stats.delta_of s snap in
+  check Alcotest.string "the 3 pages" (String.sub body 0 (3 * Page.size)) got;
+  check Alcotest.int "one bulk read" 1 (delta "us.bulk.read");
+  check Alcotest.int "carrying 3 pages" 3 (delta "us.bulk.read.pages");
+  check Alcotest.int "one round trip" 2 (delta "net.msg.read");
+  ignore (Engine.run_until_idle (World.engine w));
+  Us.close k2 o
+
+(* A whole-file read leaves no readahead behind: it stops at eof, so no
+   batch is ever scheduled. *)
+let test_read_all_schedules_nothing () =
+  let w = world ~window:8 () in
+  mk_file w ~path:"/whole16" ~body:(body_of_pages 16);
+  let k2 = World.kernel w 2 in
+  let s = World.stats w in
+  let o = Us.open_gf k2 (gf_of k2 "/whole16") Proto.Mode_read in
+  let snap = Stats.snapshot s in
+  let pending = Engine.pending (World.engine w) in
+  ignore (Us.read_all k2 o);
+  check Alcotest.int "no batch scheduled" pending (Engine.pending (World.engine w));
+  check Alcotest.bool "nothing in flight" true (o.K.o_inflight = []);
+  ignore (Engine.run_until_idle (World.engine w));
+  check Alcotest.int "no readahead" 0 (Stats.delta_of s snap "us.readahead");
+  Us.close k2 o
+
+(* A lone one-page read on a fresh open keeps the slow start: a reader
+   that seeks and reads one page does not pull a full window. *)
+let test_lone_page_slow_start () =
+  let w = world ~window:8 () in
+  mk_file w ~path:"/lone" ~body:(body_of_pages 16);
+  let k2 = World.kernel w 2 in
+  let s = World.stats w in
+  let o = Us.open_gf k2 (gf_of k2 "/lone") Proto.Mode_read in
+  let snap = Stats.snapshot s in
+  ignore (Us.read_page k2 o 0);
+  check Alcotest.bool "at most 2 pages fetched" true
+    (Stats.delta_of s snap "us.bulk.read.pages" <= 2);
+  ignore (Engine.run_until_idle (World.engine w));
+  Us.close k2 o
 
 (* ---- write-behind flush points ---- *)
 
@@ -385,6 +438,12 @@ let () =
           Alcotest.test_case "inline read streams one window per trip" `Quick
             test_inline_read_streams;
           Alcotest.test_case "writer reads stream" `Quick test_writer_reads_stream;
+          Alcotest.test_case "read_bytes fetches its extent" `Quick
+            test_read_bytes_fetches_extent;
+          Alcotest.test_case "read_all schedules no readahead" `Quick
+            test_read_all_schedules_nothing;
+          Alcotest.test_case "lone page read keeps the slow start" `Quick
+            test_lone_page_slow_start;
           Alcotest.test_case "write-behind flushes before commit" `Quick
             test_write_behind_flushes_before_commit;
           Alcotest.test_case "write-behind flushes on read-back" `Quick

@@ -845,15 +845,17 @@ let prop_convergence_despite_message_loss =
 (* ---- the windowed page fetcher ----
 
    Random traces through one remote open: sequential runs, seeks and
-   re-reads, with the engine drained after each read or not, so readahead
-   either lands first or is taken over by demand fetches. The open (site
-   3) stores no pack and the file's latest version lives at three packs,
-   so a width above 1 engages striping. A writer's trace also writes,
+   re-reads, page by page with the engine drained after each read or not,
+   so readahead either lands first or is taken over by demand fetches, or
+   as one [Us.read_bytes] call that tells the fetcher its extent. The open
+   (site 3) stores no pack and the file's latest version lives at three
+   packs, so a width above 1 engages striping. A writer's trace also writes,
    truncates and commits between its reads, and read opens at other sites
    look at the file in between. *)
 
 type fetch_op =
   | Read of int * int * bool (* first page, length, drain after each read *)
+  | Read_range of int * int (* first page, length: one [Us.read_bytes] *)
   | Write of int * int (* byte offset, length *)
   | Truncate of int
   | Commit
@@ -873,6 +875,7 @@ type fetch_case = {
 
 let show_fetch_op = function
   | Read (f, n, d) -> Printf.sprintf "read %d+%d%s" f n (if d then " drained" else "")
+  | Read_range (f, n) -> Printf.sprintf "read_bytes %d+%d" f n
   | Write (off, n) -> Printf.sprintf "write %d+%d" off n
   | Truncate n -> Printf.sprintf "truncate %d" n
   | Commit -> "commit"
@@ -881,7 +884,13 @@ let show_fetch_op = function
 
 let arb_fetch_case ~writer =
   let open QCheck.Gen in
-  let read = map (fun (f, n, d) -> Read (f, n, d)) (triple (int_bound 44) (int_range 1 12) bool) in
+  let read =
+    frequency
+      [
+        (2, map (fun (f, n, d) -> Read (f, n, d)) (triple (int_bound 44) (int_range 1 12) bool));
+        (1, map2 (fun f n -> Read_range (f, n)) (int_bound 44) (int_range 1 12));
+      ]
+  in
   let writer_op ~commits =
     frequency
       [
@@ -1005,6 +1014,16 @@ let run_fetch_case c =
             if not (String.equal data want && eof = (p = npages - 1)) then ok := false;
             if drained then drain ()
           done
+        end
+      | Read_range (first, len) ->
+        (* One call over the same pages: the bytes up to eof, no further. *)
+        let size = String.length !body in
+        let npages = (size + Page.size - 1) / Page.size in
+        if npages > 0 then begin
+          let off = first mod npages * Page.size in
+          let data = Locus_core.Us.read_bytes k3 o ~off ~len:(len * Page.size) in
+          let want = String.sub !body off (min (len * Page.size) (size - off)) in
+          if not (String.equal data want) then ok := false
         end
       | Write (off, len) ->
         let off = min off (String.length !body) in

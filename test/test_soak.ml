@@ -33,6 +33,17 @@ let test_clean_seeds () =
         Alcotest.failf "seed %d: %s" seed (pp_violations oc.Driver.oc_violations))
     seeds
 
+(* In these two seeds every workload write to some file fails, so the
+   file keeps the body setup wrote. The durability model starts from the
+   setup bodies, so that outcome is correct, not a lost write. *)
+let test_setup_bodies_modelled () =
+  List.iter
+    (fun seed ->
+      let oc = Driver.run ~seed ~ops () in
+      if Driver.failed oc then
+        Alcotest.failf "seed %d: %s" seed (pp_violations oc.Driver.oc_violations))
+    [ 39; 25 ]
+
 let test_determinism () =
   let a = Driver.run ~seed:3 ~ops:300 () in
   let b = Driver.run ~seed:3 ~ops:300 () in
@@ -117,6 +128,8 @@ let () =
       ( "soak",
         [
           Alcotest.test_case "clean seeds pass invariants" `Slow test_clean_seeds;
+          Alcotest.test_case "setup bodies are in the durability model" `Slow
+            test_setup_bodies_modelled;
           Alcotest.test_case "same seed replays identically" `Quick
             test_determinism;
           Alcotest.test_case "masking all faults is clean" `Quick
