@@ -318,6 +318,7 @@ let handle_open k ~src gf mode ~shared us_vv =
                 slot;
                 lease;
                 registered;
+                pages = [];
               }
         end
     end

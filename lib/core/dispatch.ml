@@ -9,8 +9,22 @@ let handle k ~src (req : Proto.req) : Proto.resp =
   else begin
     match req with
     (* open protocol *)
-    | Proto.Open_req { gf; mode; us_vv; shared } ->
-      Css.handle_open k ~src gf mode ~shared us_vv
+    | Proto.Open_req { gf; mode; us_vv; shared; want } -> (
+      (* A read open the CSS serves itself carries the committed copy's
+         first [want] pages, read from the inode its [info] names, so the
+         US's first [Read_pages] never goes out. Not when a writer exists
+         (its session's bytes are not the committed copy's), not to a
+         collocated US, not for a polled SS (the pages would cross the wire
+         twice) and not for a striped open (one owner per page). *)
+      match Css.handle_open k ~src gf mode ~shared us_vv with
+      | Proto.R_open ({ ss; info; nocache = false; slot; _ } as r)
+        when want > 0 && Site.equal ss k.site
+             && (not (Site.equal src k.site))
+             && info.Proto.i_stripes = [] -> (
+        match Ss.handle_read_pages ~guess:slot ~committed:true k gf ~first:0 ~count:want with
+        | Proto.R_pages { pages; _ } -> Proto.R_open { r with pages }
+        | _ -> Proto.R_open r)
+      | resp -> resp)
     | Proto.Storage_req { gf; vv; us; mode = _; others } ->
       Ss.handle_storage_req k gf ~vv ~us ~others
     (* data transfer *)

@@ -40,6 +40,7 @@ let create ~site ~machine_type ~engine ~net ~mount ~fg_table ?(config = default_
       ss_opens = Hashtbl.create hint;
       ss_slots = Hashtbl.create hint;
       us_cache = mk_cache "cache.us.evict" ~capacity:config.us_cache_pages;
+      us_open_keys = Keys.create ~capacity:(max 1 config.us_cache_pages) ();
       ss_cache = mk_cache "cache.ss.evict" ~capacity:config.ss_cache_pages;
       ss_dirs = Hashtbl.create 16;
       ss_dirs_tick = 0;
@@ -497,6 +498,7 @@ let crash k =
   (* ~notify:false: a dead kernel fires no hooks — pages just vanish, and
      Openlease.clear below likewise drops leases without deferred closes. *)
   Storage.Cache.clear k.us_cache ~notify:false;
+  Keys.clear k.us_open_keys ~notify:false;
   Storage.Cache.clear k.ss_cache ~notify:false;
   Hashtbl.reset k.ss_dirs;
   Namecache.clear k.name_cache;

@@ -11,6 +11,13 @@ module Vvec = Vv.Version_vector
 module Site = Net.Site
 module Gfile = Catalog.Gfile
 
+(* An LRU of version keys, one per file. *)
+module Keys = Storage.Lru.Make (struct
+  type t = string
+
+  let copy s = s
+end)
+
 exception Error of Proto.errno * string
 
 let err errno fmt = Format.kasprintf (fun s -> raise (Error (errno, s))) fmt
@@ -243,6 +250,10 @@ type t = {
   ss_opens : (Gfile.t, ss_open) Hashtbl.t;       (* SS-side serving state *)
   ss_slots : (int, Gfile.t) Hashtbl.t;           (* incore-inode slot -> file *)
   us_cache : (Gfile.t * int * string) Storage.Cache.t; (* (file, lpage, vv) -> page *)
+  us_open_keys : Gfile.t Keys.t;
+    (* file -> the version key of this site's last cold read open of it: a
+       hint that its first pages may still be buffered. No more entries
+       than the US cache has pages. *)
   ss_cache : (Gfile.t * int) Storage.Cache.t;
   (* SS buffer cache fronting pack/disk page reads: (file, page) -> the
      local copy's page. Whatever installs a new version of the copy

@@ -11,6 +11,19 @@ module Vvec = Vv.Version_vector
 module Site = Net.Site
 module Gfile = Catalog.Gfile
 
+(** An LRU of version keys, one per file. *)
+module Keys : sig
+  type 'k t
+
+  val create : ?on_evict:('k -> unit) -> capacity:int -> unit -> 'k t
+
+  val find : 'k t -> 'k -> string option
+
+  val insert : 'k t -> 'k -> string -> unit
+
+  val clear : 'k t -> notify:bool -> unit
+end
+
 exception Error of Proto.errno * string
 (** Every kernel failure, local or reflected from a remote site (§3.3). *)
 
@@ -231,6 +244,11 @@ type t = {
   ss_slots : (int, Gfile.t) Hashtbl.t; (** incore-inode slot → file *)
   us_cache : (Gfile.t * int * string) Storage.Cache.t;
       (** (file, page, version) → page: stale versions miss naturally *)
+  us_open_keys : Gfile.t Keys.t;
+      (** file → the version key of this site's last cold read open of it:
+          a hint, checked against [us_cache], that the file's first pages
+          are still buffered, so the open need not ask for them. Holds no
+          more files than [us_cache] holds pages. *)
   ss_cache : (Gfile.t * int) Storage.Cache.t;
       (** SS buffer cache fronting pack/disk page reads: (file, page) → the
           local copy's page. Whatever installs a new version of the copy

@@ -18,8 +18,12 @@
    a full window at once, and readahead starts only past the call's last
    page. A demand miss on a page whose readahead batch has not run yet
    waits for that batch, so a page-at-a-time sequential read moves one
-   window per round trip even when nothing runs between reads. Window 1
-   and width 1 is the paper's one-page readahead on sequential reads. *)
+   window per round trip even when nothing runs between reads. A read
+   open asks for the file's first window, and a CSS that serves the open
+   itself returns those pages in its [R_open]: they are filed like a
+   fetch's, so a file of up to a window is read with no read message.
+   Window 1 and width 1 is the paper's one-page readahead on sequential
+   reads, and its open, which asks for no pages. *)
 
 open Ktypes
 module Inode = Storage.Inode
@@ -50,6 +54,8 @@ let file_page k o lpage data =
   Cache.insert k.us_cache (cache_key o lpage) (Page.of_string data);
   if o.o_mode = Proto.Mode_modify then o.o_private <- lpage :: o.o_private
 
+let cacheable k o = k.config.us_cache_pages > 0 && not o.o_nocache
+
 let drop_private k o =
   List.iter (fun p -> Cache.invalidate k.us_cache (cache_key o p)) o.o_private;
   o.o_private <- []
@@ -78,6 +84,27 @@ let local_vv_of k gf =
     Pack.find_inode pack gf.Gfile.ino
     |> Option.map (fun (i : Inode.t) -> i.Inode.vv)
 
+(* Whether a cold open asks its CSS for the file's first pages: a
+   non-shared read open through a remote CSS, whose pages this site would
+   buffer, with windows of more than one page. At window 1 no open asks,
+   and the exchange is the paper's. *)
+let asks_first_pages k fi mode ~shared =
+  mode = Proto.Mode_read && (not shared)
+  && k.config.us_cache_pages > 0
+  && k.config.bulk_window > 1
+  && not (Site.equal fi.css_site k.site)
+
+(* Whether page 0 of [gf] is still buffered under the version this site's
+   last read open of it named, counted in [us.open.buffered] when it is.
+   A hint: a newer version misses and costs one [Read_pages], never wrong
+   bytes. *)
+let first_page_buffered k gf =
+  match Keys.find k.us_open_keys gf with
+  | Some key when Cache.mem k.us_cache (gf, 0, key) ->
+    Sim.Stats.incr (stats k) "us.open.buffered";
+    true
+  | Some _ | None -> false
+
 (* Open <filegroup, inode>: interrogate the CSS, which selects the SS
    (Figure 2). Returns the US incore inode.
 
@@ -102,7 +129,8 @@ let rec open_gf ?(shared = false) k gf mode =
       | None -> None)
     | _ -> None
   in
-  let tag, ss, info, nocache, slot, lease =
+  let asks = asks_first_pages k fi mode ~shared in
+  let tag, ss, info, nocache, slot, lease, pages =
     match lease_ride with
     (* Leases only exist while no writer does. A striped grant rides too:
        the peers serve their stripes statelessly, so the map stays valid as
@@ -113,8 +141,9 @@ let rec open_gf ?(shared = false) k gf mode =
         e.Openlease.le_info,
         false,
         e.Openlease.le_slot,
-        Some e )
-    | None -> open_cold ~shared k fi gf mode
+        Some e,
+        [] )
+    | None -> open_cold ~shared ~asks k fi gf mode
   in
   let o =
     {
@@ -149,15 +178,25 @@ let rec open_gf ?(shared = false) k gf mode =
     }
   in
   renew_key k o;
+  (* The pages the CSS carried in its reply are this version's first
+     pages, filed as the fetcher would have filed them. *)
+  if pages <> [] && cacheable k o then begin
+    List.iteri (file_page k o) pages;
+    Sim.Stats.add (stats k) "us.open.pages" (List.length pages)
+  end;
+  if asks && Option.is_none lease_ride then Keys.insert k.us_open_keys gf o.o_key;
   Hashtbl.add k.open_files (gf, o.o_serial) o;
   record k ~tag "%a %a ss=%a" Gfile.pp gf Proto.pp_mode mode Site.pp ss;
   o
 
-(* The full exchange with the CSS; returns what the open record needs. *)
-and open_cold ~shared k fi gf mode =
+(* The full exchange with the CSS; returns what the open record needs. A
+   read open asks for a window of first pages unless page 0 is still
+   buffered. *)
+and open_cold ~shared ~asks k fi gf mode =
   let us_vv = local_vv_of k gf in
-  match rpc k fi.css_site (Proto.Open_req { gf; mode; us_vv; shared }) with
-  | Proto.R_open { ss; info; others; nocache; slot; lease; registered } ->
+  let want = if asks && not (first_page_buffered k gf) then k.config.bulk_window else 0 in
+  match rpc k fi.css_site (Proto.Open_req { gf; mode; us_vv; shared; want }) with
+  | Proto.R_open { ss; info; others; nocache; slot; lease; registered; pages } ->
     let info =
       if Site.equal ss k.site then begin
         (* We serve ourselves: the real disk inode is local. *)
@@ -202,7 +241,7 @@ and open_cold ~shared k fi gf mode =
       end
       else None
     in
-    ("us.open", ss, info, nocache, slot, lease_entry)
+    ("us.open", ss, info, nocache, slot, lease_entry, pages)
   | Proto.R_err e -> err e "open %a failed" Gfile.pp gf
   | _ -> err Proto.Eio "unexpected open response"
 
@@ -227,8 +266,6 @@ let stripe_degrade k o =
   record k ~tag:"us.stripe.degrade" "%a" Gfile.pp o.o_gf;
   Sim.Stats.incr (stats k) "us.stripe.degrade";
   o.o_stripes <- []
-
-let cacheable k o = k.config.us_cache_pages > 0 && not o.o_nocache
 
 (* The bulk-transfer layer batches write traffic with a remote SS; local
    access and a window of one page keep the original protocol exactly. *)

@@ -67,6 +67,8 @@ type report = {
   fr_lease_hit : float; (* open-lease hit ratio over the run, 0..1 *)
   fr_cache_hit : float; (* US buffer-cache hit ratio over the run *)
   fr_name_hit : float;  (* name-cache hit ratio over the run *)
+  fr_open_pages : int;  (* pages delivered with read opens *)
+  fr_open_buffered : int; (* read opens that asked for no pages: buffered *)
 }
 
 let pp_report ppf r =
@@ -223,4 +225,6 @@ let run w spec =
     fr_lease_hit = ratio (d "open.lease.hit") (d "open.lease.miss");
     fr_cache_hit = ratio (d "cache.us.hit") (d "cache.us.miss");
     fr_name_hit = ratio (d "name.cache.hit") (d "name.cache.miss");
+    fr_open_pages = d "us.open.pages";
+    fr_open_buffered = d "us.open.buffered";
   }

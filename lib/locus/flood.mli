@@ -45,8 +45,13 @@ type report = {
   fr_edit_lat : Sim.Stats.hist_summary;
   fr_dirop_lat : Sim.Stats.hist_summary;
   fr_lease_hit : float; (** open-lease hit ratio over the run, 0..1 *)
-  fr_cache_hit : float; (** US buffer-cache hit ratio over the run *)
+  fr_cache_hit : float;
+      (** US buffer-cache hit ratio over the run; a page delivered with an
+          open counts as a hit when it is read *)
   fr_name_hit : float;  (** name-cache hit ratio over the run *)
+  fr_open_pages : int;  (** pages delivered with read opens *)
+  fr_open_buffered : int;
+      (** read opens that asked for no pages: page 0 was still buffered *)
 }
 
 val pp_report : Format.formatter -> report -> unit

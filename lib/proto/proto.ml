@@ -178,6 +178,11 @@ type req =
       shared : bool;
         (* join an existing open through a shared descriptor (fork):
            exempt from the single-writer policy, serialized by the token *)
+      want : int;
+        (* how many of the file's first pages a read open asks the CSS to
+           carry in its reply, should the CSS serve the open itself; 0 (the
+           paper's open, and every open at window 1) asks for none. Costs 4
+           bytes only when nonzero. *)
     } (* US -> CSS: open request; carries the US's copy version if it stores one *)
   | Storage_req of {
       gf : Catalog.Gfile.t;
@@ -344,6 +349,11 @@ type resp =
            CSS = SS). False only on the US-is-current shortcut, where the
            CSS names the US itself without a poll: the US must then create
            its own serving registration. Packs into the flag byte. *)
+      pages : string list;
+        (* the committed copy's first pages, up to the request's [want],
+           when the CSS serves a remote read open itself with no writer
+           and no stripes; otherwise none, and the reply is the paper's.
+           Framed like [R_pages]'s. *)
     }
   | R_storage of { accept : bool; info : inode_info option; slot : int }
   | R_pages of { pages : string list; eof : bool; info : inode_info option }
@@ -413,9 +423,10 @@ let intent_bytes = function
   | Link { name; _ } -> 2 + 4 + String.length name
 
 let req_bytes = function
-  | Open_req { us_vv; _ } ->
+  | Open_req { us_vv; want; _ } ->
     header + gfile_bytes + 2
     + (match us_vv with Some v -> vv_bytes v | None -> 0)
+    + if want > 0 then 4 else 0
   | Storage_req { vv; others; _ } ->
     header + gfile_bytes + vv_bytes vv + 5 + site_list_bytes others
   (* The one-page forms cost what the paper's one-page messages do: a
@@ -486,22 +497,26 @@ let req_bytes = function
   | Pipe_write { data; _ } -> header + gfile_bytes + String.length data
   | Pipe_read _ -> header + gfile_bytes + 4
 
+(* A batch of pages costs one byte, then a small length frame plus its
+   payload per page; a lone page needs no frame. *)
+let pages_bytes = function
+  | [ data ] -> 1 + String.length data
+  | pages -> List.fold_left (fun a p -> a + 2 + String.length p) 1 pages
+
 let resp_bytes = function
   | R_ok -> header
   | R_err _ -> header + 4
-  | R_open { info; others; _ } ->
+  | R_open { info; others; pages; _ } ->
     header + 5 + info_bytes info + site_list_bytes others
+    + if pages = [] then 0 else pages_bytes pages
   | R_storage { info; _ } ->
     header + 1 + (match info with Some i -> info_bytes i | None -> 0)
   | R_pages { pages; info; _ } ->
     (* One header for the whole batch; each page pays only a small length
        frame plus its payload — the honest accounting that makes the bulk
-       win fewer headers and RTTs, not free bytes. A lone page needs no
-       frame. An inode costs what it does in a stat reply. *)
-    header + 1
-    + (match pages with
-      | [ data ] -> String.length data
-      | pages -> List.fold_left (fun a p -> a + 2 + String.length p) 0 pages)
+       win fewer headers and RTTs, not free bytes. An inode costs what it
+       does in a stat reply. *)
+    header + pages_bytes pages
     + (match info with Some i -> info_bytes i | None -> 0)
   | R_committed { vv } -> header + vv_bytes vv
   | R_stripe { pages; _ } ->

@@ -162,9 +162,13 @@ type req =
       mode : open_mode;
       us_vv : Vv.Version_vector.t option;
       shared : bool;
+      want : int;
     }  (** US → CSS: the open request of Figure 2; carries the US's copy
            version for the US-is-current optimization. [shared] joins an
-           existing open through a forked descriptor. *)
+           existing open through a forked descriptor. [want] asks a CSS
+           that serves a read open itself to carry up to that many of the
+           file's first pages in its [R_open]; 0, the paper's open, asks
+           for none and costs no bytes. *)
   | Storage_req of {
       gf : Catalog.Gfile.t;
       vv : Vv.Version_vector.t;
@@ -343,6 +347,11 @@ type resp =
             poll or CSS-local registration). False only on the
             US-is-current shortcut, where the US must create its own
             serving registration. Packs into the flag byte. *)
+      pages : string list;
+        (** the committed copy's first pages, up to the request's [want]:
+            only when the CSS is itself the SS of a remote US's read open,
+            with no writer and no stripe map. Empty otherwise, and then the
+            reply costs what the paper's does; framed like [R_pages]. *)
     }
   | R_storage of { accept : bool; info : inode_info option; slot : int }
   | R_pages of { pages : string list; eof : bool; info : inode_info option }

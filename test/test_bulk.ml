@@ -57,12 +57,16 @@ let read_streamed w k o ~pages =
 (* ---- batch boundaries ---- *)
 
 (* A file that ends mid-window with a short last page: the batch must be
-   trimmed at eof and the short page returned at its true length. *)
+   trimmed at eof and the short page returned at its true length. The
+   open's batch is the first window: a 6-page file comes whole with the
+   open, and a 14-page file's second batch is a 6-page [Read_pages]. *)
 let test_batch_ends_mid_window () =
   let w = world ~window:8 () in
+  let s = World.stats w in
   let body = body_of_pages 5 ~tail:100 in
   mk_file w ~path:"/short" ~body;
   let k2 = World.kernel w 2 in
+  let snap = Stats.snapshot s in
   let o = Us.open_gf k2 (gf_of k2 "/short") Proto.Mode_read in
   let got = read_streamed w k2 o ~pages:6 in
   check Alcotest.string "6-page body with 100-byte tail intact" body got;
@@ -70,11 +74,22 @@ let test_batch_ends_mid_window () =
   let data, eof = Us.read_page k2 o 5 in
   check Alcotest.int "short last page length" 100 (String.length data);
   check Alcotest.bool "eof on last page" true eof;
+  check Alcotest.int "the open carried the 6 pages, not 8" 6 (Stats.get s "us.open.pages");
+  check Alcotest.int "no read message" 0 (Stats.delta_of s snap "net.msg.read");
+  Us.close k2 o;
+  let body = body_of_pages 13 ~tail:100 in
+  mk_file w ~path:"/short14" ~body;
+  let o = Us.open_gf k2 (gf_of k2 "/short14") Proto.Mode_read in
+  let got = read_streamed w k2 o ~pages:14 in
+  check Alcotest.string "14-page body with 100-byte tail intact" body got;
+  let data, eof = Us.read_page k2 o 13 in
+  check Alcotest.int "short last page length" 100 (String.length data);
+  check Alcotest.bool "eof on last page" true eof;
+  check Alcotest.int "this open carried a window" 14 (Stats.get s "us.open.pages");
   (* Only the pages that exist were ever transferred in bulk. *)
-  let bulk_pages = Stats.get (World.stats w) "us.bulk.read.pages" in
+  let bulk_pages = Stats.get s "us.bulk.read.pages" in
   check Alcotest.bool "no pages fetched past eof" true (bulk_pages <= 6);
-  check Alcotest.bool "batched fetches used" true
-    (Stats.get (World.stats w) "us.bulk.read" >= 1);
+  check Alcotest.bool "batched fetches used" true (Stats.get s "us.bulk.read" >= 1);
   Us.close k2 o
 
 (* ---- window growth and reset on seek ---- *)
@@ -117,18 +132,21 @@ let test_window_one_is_unbatched () =
     let got = read_streamed w k2 o ~pages in
     let msgs = Stats.delta_of (World.stats w) snap "net.msg.read" in
     Us.close k2 o;
-    (got, msgs, Stats.get (World.stats w) "us.bulk.read")
+    (got, msgs, Stats.get (World.stats w) "us.bulk.read", Stats.get (World.stats w) "us.open.pages")
   in
-  let got1, msgs1, bulk1 = run 1 in
-  let got8, msgs8, bulk8 = run 8 in
+  let got1, msgs1, bulk1, open1 = run 1 in
+  let got8, msgs8, bulk8, open8 = run 8 in
   check Alcotest.string "window 1 reads the right bytes" body got1;
   check Alcotest.string "window 8 reads identical bytes" body got8;
   (* With window=1 no bulk read is used: every fetch is a one-page
      request, exactly the pre-bulk protocol (2 messages per page, demand
-     or readahead alike). *)
+     or readahead alike), and the open carries no page. *)
   check Alcotest.int "no bulk RPCs at window 1" 0 bulk1;
   check Alcotest.int "one-page protocol costs 2 msgs/page" (2 * pages) msgs1;
-  check Alcotest.bool "window 8 uses bulk RPCs" true (bulk8 >= 1);
+  check Alcotest.int "no pages with the open at window 1" 0 open1;
+  (* At window 8 the open carries the whole 8-page file. *)
+  check Alcotest.int "the window-8 open carries all 8 pages" pages open8;
+  check Alcotest.int "so window 8 sends no bulk read" 0 bulk8;
   check Alcotest.bool "window 8 needs fewer messages" true (msgs8 < msgs1)
 
 (* ---- streaming read message savings ---- *)
@@ -162,7 +180,8 @@ let test_streaming_read_savings () =
 (* [Kernel.read_file] reads page after page with no engine step between
    them, and each page read tells the fetcher how many pages the call has
    left, so a demand miss fetches a full window at once: at window 8 the
-   16-page read is two bulk reads of 8 pages. Readahead runs only on the
+   open carries the 16-page file's first 8 pages and the read is one bulk
+   read of the other 8. Readahead runs only on the
    call's last page, where eof stops it, so no batch is scheduled only to
    be taken over and nothing runs once the read returns. *)
 let inline_read ~window ~mode ~pages =
@@ -171,7 +190,9 @@ let inline_read ~window ~mode ~pages =
   mk_file w ~path:"/inline" ~body;
   let k2 = World.kernel w 2 in
   let s = World.stats w in
+  let opened = Stats.get s "us.open.pages" in
   let o = Us.open_gf k2 (gf_of k2 "/inline") mode in
+  let opened = Stats.get s "us.open.pages" - opened in
   let snap = Stats.snapshot s in
   let got = Us.read_all k2 o in
   let delta = Stats.delta_of s snap in
@@ -182,31 +203,35 @@ let inline_read ~window ~mode ~pages =
   check Alcotest.int "taken-over batches send nothing" msgs (delta "net.msg.read");
   check Alcotest.bool "nothing left in flight" true (o.K.o_inflight = []);
   Us.close k2 o;
-  (bulk, bulk_pages, msgs)
+  (opened, bulk, bulk_pages, msgs)
 
 let test_inline_read_streams () =
-  let bulk, bulk_pages, msgs = inline_read ~window:8 ~mode:Proto.Mode_read ~pages:15 in
-  check Alcotest.int "two bulk reads" 2 bulk;
-  check Alcotest.int "of 8 + 8 pages" 16 bulk_pages;
-  check Alcotest.int "4 read messages" 4 msgs;
+  let opened, bulk, bulk_pages, msgs = inline_read ~window:8 ~mode:Proto.Mode_read ~pages:15 in
+  check Alcotest.int "the open carries 8 pages" 8 opened;
+  check Alcotest.int "one bulk read" 1 bulk;
+  check Alcotest.int "of 8 pages" 8 bulk_pages;
+  check Alcotest.int "2 read messages" 2 msgs;
   (* Window 1 is still the paper's protocol: one one-page read per page. *)
-  let bulk, _, msgs = inline_read ~window:1 ~mode:Proto.Mode_read ~pages:15 in
+  let opened, bulk, _, msgs = inline_read ~window:1 ~mode:Proto.Mode_read ~pages:15 in
+  check Alcotest.int "no pages with the open at window 1" 0 opened;
   check Alcotest.int "no bulk reads at window 1" 0 bulk;
   check Alcotest.int "16 one-page round trips at window 1" 32 msgs
 
 (* A writer reads its own file (a directory rewrite reads the directory
    first) through the same fetcher: bulk reads, not one one-page read
-   per page. *)
+   per page. Its open carries no pages. *)
 let test_writer_reads_stream () =
-  let bulk, bulk_pages, msgs = inline_read ~window:8 ~mode:Proto.Mode_modify ~pages:18 in
+  let opened, bulk, bulk_pages, msgs = inline_read ~window:8 ~mode:Proto.Mode_modify ~pages:18 in
+  check Alcotest.int "no pages with a modify open" 0 opened;
   check Alcotest.int "19 pages in three bulk reads (8 + 8 + 3)" 3 bulk;
   check Alcotest.int "every page in a bulk read" 19 bulk_pages;
   check Alcotest.int "6 read messages, not 38" 6 msgs
 
 (* ---- a read call fetches its extent ---- *)
 
-(* A 3-page [read_bytes] on a fresh remote open asks for its 3 pages in
-   one [Read_pages], counted before anything scheduled gets to run. *)
+(* A 3-page [read_bytes] within the window the open carried sends
+   nothing; one past it asks for its 3 pages in one [Read_pages], counted
+   before anything scheduled gets to run. *)
 let test_read_bytes_fetches_extent () =
   let w = world ~window:8 () in
   let body = body_of_pages 16 in
@@ -216,8 +241,12 @@ let test_read_bytes_fetches_extent () =
   let o = Us.open_gf k2 (gf_of k2 "/range") Proto.Mode_read in
   let snap = Stats.snapshot s in
   let got = Us.read_bytes k2 o ~off:0 ~len:(3 * Page.size) in
+  check Alcotest.string "the first 3 pages" (String.sub body 0 (3 * Page.size)) got;
+  check Alcotest.int "carried by the open" 0 (Stats.delta_of s snap "net.msg.read");
+  let snap = Stats.snapshot s in
+  let got = Us.read_bytes k2 o ~off:(8 * Page.size) ~len:(3 * Page.size) in
   let delta = Stats.delta_of s snap in
-  check Alcotest.string "the 3 pages" (String.sub body 0 (3 * Page.size)) got;
+  check Alcotest.string "the 3 pages" (String.sub body (8 * Page.size) (3 * Page.size)) got;
   check Alcotest.int "one bulk read" 1 (delta "us.bulk.read");
   check Alcotest.int "carrying 3 pages" 3 (delta "us.bulk.read.pages");
   check Alcotest.int "one round trip" 2 (delta "net.msg.read");
@@ -255,6 +284,91 @@ let test_lone_page_slow_start () =
     (Stats.delta_of s snap "us.bulk.read.pages" <= 2);
   ignore (Engine.run_until_idle (World.engine w));
   Us.close k2 o
+
+(* ---- the open carries its first window ---- *)
+
+(* Site 0 is the file's CSS and only storage site, so it serves a remote
+   read open itself and returns the file's pages with the grant: the open
+   is its two messages and the whole-file read after it sends none. *)
+let test_open_carries_first_window () =
+  let w = world ~window:8 () in
+  let body = body_of_pages 1 ~tail:200 in
+  mk_file w ~path:"/two" ~body;
+  let k2 = World.kernel w 2 in
+  let s = World.stats w in
+  let gf = gf_of k2 "/two" in
+  let snap = Stats.snapshot s in
+  let o = Us.open_gf k2 gf Proto.Mode_read in
+  check Alcotest.int "open = 2 messages" 2 (Stats.delta_of s snap "net.msg");
+  check Alcotest.bool "CSS serves" true (Net.Site.equal o.K.o_ss 0);
+  check Alcotest.int "carrying both pages" 2 (Stats.delta_of s snap "us.open.pages");
+  let snap = Stats.snapshot s in
+  check Alcotest.string "contents" body (Us.read_all k2 o);
+  check Alcotest.int "read_all = 0 messages" 0 (Stats.delta_of s snap "net.msg");
+  Us.close k2 o
+
+(* With leases off every re-open goes to the CSS. While the first page is
+   still buffered under the version the last open named, the re-open
+   asks for nothing: its request and reply are the paper's, byte for
+   byte, and the read after it hits the buffer. *)
+let test_buffered_reopen_asks_nothing () =
+  let base = World.default_config ~n_sites:5 () in
+  let w =
+    World.create
+      ~config:
+        { base with
+          World.filegroups = [ { World.fg = 0; pack_sites = [ 0; 1 ]; mount_path = None } ];
+          World.kernel_config = { base.World.kernel_config with K.open_lease_entries = 0 }
+        }
+      ()
+  in
+  let body = body_of_pages 2 in
+  mk_file w ~path:"/again" ~body;
+  let k2 = World.kernel w 2 in
+  let s = World.stats w in
+  let gf = gf_of k2 "/again" in
+  let o = Us.open_gf k2 gf Proto.Mode_read in
+  check Alcotest.string "first read" body (Us.read_all k2 o);
+  Us.close k2 o;
+  ignore (World.settle w);
+  let snap = Stats.snapshot s in
+  let o = Us.open_gf k2 gf Proto.Mode_read in
+  let delta = Stats.delta_of s snap in
+  check Alcotest.int "open = 2 messages" 2 (delta "net.msg");
+  check Alcotest.int "skipped as buffered" 1 (delta "us.open.buffered");
+  check Alcotest.int "no pages carried" 0 (delta "us.open.pages");
+  let paper_open =
+    Proto.req_bytes
+      (Proto.Open_req { gf; mode = Proto.Mode_read; us_vv = None; shared = false; want = 0 })
+    + Proto.resp_bytes
+        (Proto.R_open
+           { ss = 0; info = o.K.o_info; others = []; nocache = false; slot = 0; lease = false;
+             registered = true; pages = [] })
+  in
+  check Alcotest.int "the paper's open bytes" paper_open (delta "net.bytes");
+  let snap = Stats.snapshot s in
+  check Alcotest.string "re-read" body (Us.read_all k2 o);
+  check Alcotest.int "served from the buffer" 0 (Stats.delta_of s snap "net.msg");
+  Us.close k2 o
+
+(* A read open of a file another site is writing carries no pages: the
+   committed copy is not what the reader must see. It reads the writer's
+   session bytes from the SS instead. *)
+let test_open_under_writer_carries_nothing () =
+  let w = world ~window:8 () in
+  mk_file w ~path:"/busy" ~body:(body_of_pages 2);
+  let k3 = World.kernel w 3 and k2 = World.kernel w 2 in
+  let writer = Us.open_gf k3 (gf_of k3 "/busy") Proto.Mode_modify in
+  let fresh = String.make (2 * Page.size) 'W' in
+  Us.set_contents k3 writer fresh;
+  let s = World.stats w in
+  let snap = Stats.snapshot s in
+  let o = Us.open_gf k2 (gf_of k2 "/busy") Proto.Mode_read in
+  check Alcotest.int "no pages carried" 0 (Stats.delta_of s snap "us.open.pages");
+  check Alcotest.string "reads the writer's session" fresh (Us.read_all k2 o);
+  Us.close k2 o;
+  Us.abort k3 writer;
+  Us.close k3 writer
 
 (* ---- write-behind flush points ---- *)
 
@@ -444,6 +558,12 @@ let () =
             test_read_all_schedules_nothing;
           Alcotest.test_case "lone page read keeps the slow start" `Quick
             test_lone_page_slow_start;
+          Alcotest.test_case "read open carries its first window" `Quick
+            test_open_carries_first_window;
+          Alcotest.test_case "buffered re-open asks for no pages" `Quick
+            test_buffered_reopen_asks_nothing;
+          Alcotest.test_case "open under a writer carries no pages" `Quick
+            test_open_under_writer_carries_nothing;
           Alcotest.test_case "write-behind flushes before commit" `Quick
             test_write_behind_flushes_before_commit;
           Alcotest.test_case "write-behind flushes on read-back" `Quick

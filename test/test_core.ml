@@ -116,8 +116,9 @@ let test_open_css_is_ss () =
 
 (* ---- read protocol ---- *)
 
+(* The paper's one-page read: at window 1 the open carries no pages. *)
 let test_remote_read_two_messages_per_page () =
-  let w = asym_world () in
+  let w = asym_world_nobulk () in
   let k0 = World.kernel w 0 and p0 = World.proc w 0 in
   ignore (Kernel.creat k0 p0 "/big");
   Kernel.write_file k0 p0 "/big" (String.make (3 * Storage.Page.size) 'q');
@@ -133,7 +134,7 @@ let test_remote_read_two_messages_per_page () =
   ignore (World.settle w)
 
 let test_readahead_fills_cache () =
-  let w = asym_world () in
+  let w = asym_world_nobulk () in
   let k0 = World.kernel w 0 and p0 = World.proc w 0 in
   ignore (Kernel.creat k0 p0 "/seq");
   Kernel.write_file k0 p0 "/seq" (String.make (4 * Storage.Page.size) 's');
@@ -998,7 +999,7 @@ let test_stale_css_detected () =
   let gf = gf_of k0 "/s" in
   let k3 = World.kernel w 3 in
   match
-    k3.K.dispatch 0 (Proto.Open_req { gf; mode = Proto.Mode_read; us_vv = None; shared = false })
+    k3.K.dispatch 0 (Proto.Open_req { gf; mode = Proto.Mode_read; us_vv = None; shared = false; want = 0 })
   with
   | Proto.R_err Proto.Estale -> ()
   | _ -> Alcotest.fail "non-CSS site should answer ESTALE"

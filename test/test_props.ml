@@ -851,7 +851,10 @@ let prop_convergence_despite_message_loss =
    (site 3) stores no pack and the file's latest version lives at three
    packs, so a width above 1 engages striping. A writer's trace also writes,
    truncates and commits between its reads, and read opens at other sites
-   look at the file in between. *)
+   look at the file in between. After each commit, and after the writer
+   closes, a read open at site 4, another site with no pack, looks too:
+   the CSS serves that open itself, so once no writer is left its reply
+   carries the new version's first pages. *)
 
 type fetch_op =
   | Read of int * int * bool (* first page, length, drain after each read *)
@@ -862,7 +865,8 @@ type fetch_op =
   | Drain
   | Peek of bool
       (* a read open reads the file whole: at the writer's site (sharing
-         its US cache) or at a pack site *)
+         its US cache) or at a pack site; a commit is followed by one at a
+         packless site *)
 
 type fetch_case = {
   window : int;
@@ -933,7 +937,7 @@ let arb_fetch_case ~writer =
    can hit an uncommitted byte. Either way nothing is left in flight after
    the final drain. *)
 let run_fetch_case c =
-  let base = World.default_config ~n_sites:4 () in
+  let base = World.default_config ~n_sites:5 () in
   let config =
     {
       base with
@@ -971,9 +975,9 @@ let run_fetch_case c =
       (fun (g, _, v) -> Catalog.Gfile.equal g gf && List.mem v keys)
       (Storage.Cache.keys_mru k3.K.us_cache)
   in
-  let peek same =
+  let peek site =
     Locus_core.Us.flush_wb k3 o;
-    let k = World.kernel w (if same then 3 else 1) in
+    let k = World.kernel w site in
     match Locus_core.Us.open_gf k gf Proto.Mode_read with
     | r ->
       if not (String.equal (Locus_core.Us.read_all k r) !body) then ok := false;
@@ -1043,9 +1047,10 @@ let run_fetch_case c =
       | Commit ->
         Locus_core.Us.commit k3 o;
         committed := !body;
-        committed_vv := o.K.o_info.Proto.i_vv
+        committed_vv := o.K.o_info.Proto.i_vv;
+        peek 4
       | Drain -> drain ()
-      | Peek same -> peek same);
+      | Peek same -> peek (if same then 3 else 1));
       if not (versions_committed ()) then ok := false;
       if c.writer && cached_under (List.filter (( <> ) o.K.o_key) !keys) then ok := false;
       keys := o.K.o_key :: !keys)
@@ -1061,7 +1066,12 @@ let run_fetch_case c =
   in
   Locus_core.Us.close k3 o;
   (* Close commits the writer's last modifications. *)
-  if c.writer then peek false;
+  if c.writer then begin
+    committed := !body;
+    committed_vv := o.K.o_info.Proto.i_vv;
+    peek 4;
+    if not (versions_committed ()) then ok := false
+  end;
   !ok && owners = c.width && inflight = [] && classic
   && not (c.writer && cached_under !keys)
 

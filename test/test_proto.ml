@@ -16,7 +16,7 @@ let vv_big = List.fold_left Vvec.bump Vvec.zero [ 0; 1; 2; 3; 4; 5; 6; 7 ]
 
 let some_reqs =
   [
-    Proto.Open_req { gf; mode = Proto.Mode_read; us_vv = None; shared = false };
+    Proto.Open_req { gf; mode = Proto.Mode_read; us_vv = None; shared = false; want = 0 };
     Proto.Storage_req
       { gf; vv = vv_small; us = 1; mode = Proto.Mode_read; others = [ 2; 3 ] };
     Proto.Read_pages
@@ -138,7 +138,7 @@ let test_resp_sizes () =
       Proto.R_err Proto.Enoent;
       Proto.R_open
         { ss = 0; info; others = []; nocache = false; slot = 1; lease = false;
-          registered = true };
+          registered = true; pages = [] };
       Proto.R_storage { accept = true; info = Some info; slot = 1 };
       Proto.R_pages { pages = [ String.make 512 'd' ]; eof = true; info = None };
       Proto.R_committed { vv = vv_small };
@@ -218,6 +218,37 @@ let test_fused_forms () =
   check Alcotest.int "one-page invalidation" 36 (inval 1);
   check Alcotest.int "ranged invalidation" 40 (inval 8)
 
+(* The open exchange: an open that asks for no pages and a reply that
+   carries none cost exactly what the paper's open and reply did (header,
+   file, two flag bytes and the US's version; header, five bytes, the
+   inode and the other sites). Asking costs a 4-byte count, and carried
+   pages are framed as in a [Read_pages] reply. *)
+let test_open_forms () =
+  let page = String.make 1024 'p' in
+  let open_req ?us_vv want =
+    Proto.req_bytes (Proto.Open_req { gf; mode = Proto.Mode_read; us_vv; shared = false; want })
+  in
+  let r_open ?(others = []) pages =
+    Proto.resp_bytes
+      (Proto.R_open
+         { ss = 0; info; others; nocache = false; slot = 1; lease = true; registered = true;
+           pages })
+  in
+  check Alcotest.int "paper open request" 34 (open_req 0);
+  check Alcotest.int "paper open request with a copy" 42 (open_req ~us_vv:vv_small 0);
+  check Alcotest.int "paper open reply" 84 (r_open []);
+  check Alcotest.int "paper open reply naming others" 92 (r_open ~others:[ 1; 2 ] []);
+  check Alcotest.int "asking open request" 38 (open_req 8);
+  check Alcotest.int "open reply with a lone page" (84 + 1 + 1024) (r_open [ page ]);
+  check Alcotest.int "open reply with a short page" (84 + 1 + 100)
+    (r_open [ String.sub page 0 100 ]);
+  check Alcotest.int "open reply with two pages" (84 + 1 + (2 * (2 + 1024)))
+    (r_open [ page; page ]);
+  let reply pages = Proto.resp_bytes (Proto.R_pages { pages; eof = false; info = None }) in
+  check Alcotest.int "pages framed as a read reply"
+    (reply [ page; page; page ] - 24)
+    (r_open [ page; page; page ] - r_open [])
+
 let test_errno_strings () =
   List.iter
     (fun e ->
@@ -241,6 +272,7 @@ let () =
           Alcotest.test_case "response sizes" `Quick test_resp_sizes;
           Alcotest.test_case "one-page forms" `Quick test_one_page_forms;
           Alcotest.test_case "fused truncate and ranged invalidation" `Quick test_fused_forms;
+          Alcotest.test_case "open forms" `Quick test_open_forms;
           Alcotest.test_case "errno strings" `Quick test_errno_strings;
         ] );
     ]
