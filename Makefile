@@ -14,15 +14,18 @@ bench:
 # A fast slice of the harness as a CI gate: the open protocol (E1), both
 # pathname-resolution experiments (E13 baseline, E19 fast path), update
 # propagation (E14, which asserts that every copy holds the committed
-# bytes), the bulk-transfer sweep (E20), the open-lease sweep (E21), the
-# striping sweep (E22), the fault-soak smoke (E23), the small-world flood
-# (e24smoke), and the event-core micro suite must run to completion.
-# Their PASS/FAIL cells are human-read; this asserts the experiments
-# themselves stay runnable, and four checks abort their experiment: E1's
-# message counts must equal the paper's (and an open plus whole read of a
-# 2-page file the CSS stores must be 6 messages at window 1, 2 at window
-# 8, where the open carries the pages), E14's copies must converge to the
-# committed bytes, E20's inline 32-page remote read must send exactly as
+# bytes), the RPC transport under loss (E17), the bulk-transfer sweep
+# (E20), the open-lease sweep (E21), the striping sweep (E22), the
+# fault-soak smoke (E23), the small-world flood (e24smoke), and the
+# event-core micro suite must run to completion. Their PASS/FAIL cells
+# are human-read; this asserts the experiments themselves stay runnable,
+# and five checks abort their experiment: E1's message counts must equal
+# the paper's (and an open plus whole read of a 2-page file the CSS
+# stores must be 6 messages at window 1, 2 at window 8, where the open
+# carries the pages), E14's copies must converge to the committed bytes,
+# E17 must recover every injected loss, and a lost reply to an open and
+# to a commit must each leave the handler run once and the write done,
+# E20's inline 32-page remote read must send exactly as
 # many messages as its write at window 1 and one round trip fewer above
 # it (a full window per round trip, after an open that carried the
 # first), and E20's 8-page remote whole-file write must be one write
@@ -31,8 +34,8 @@ bench:
 # comparison (micro records the heap speedup and words/event; the
 # full-scale flood dashboard is `-- e24`).
 bench-smoke:
-	@dune exec bench/main.exe -- e1 e13 e14 e19 e20 e21 e22 e23 e24smoke micro > /dev/null
-	@echo "bench-smoke: OK (e1 e13 e14 e19 e20 e21 e22 e23 e24smoke micro ran clean)"
+	@dune exec bench/main.exe -- e1 e13 e14 e17 e19 e20 e21 e22 e23 e24smoke micro > /dev/null
+	@echo "bench-smoke: OK (e1 e13 e14 e17 e19 e20 e21 e22 e23 e24smoke micro ran clean)"
 
 # Deterministic fault soak (DESIGN.md section 12, EXPERIMENTS.md E23).
 # soak-smoke is the CI gate: a handful of seeds, bounded ops, seconds not

@@ -44,7 +44,7 @@ let links_changed k gf (f : css_file) ~fss ~vv ~deleted =
 (* Change the link count of [gf] at the site holding its latest copy, when
    the site that changed the directory could not: in process here, or one
    forward. [None] when no copy is known to drop a link of. *)
-let change_links_at k ~us ~seq gf ~delta =
+let change_links_at k ~us gf ~delta =
   let f = Css.get_file k gf.Gfile.fg gf.Gfile.ino in
   if f.css_deleted || Site.Map.is_empty f.site_vv then None
   else
@@ -55,7 +55,7 @@ let change_links_at k ~us ~seq gf ~delta =
         if Site.equal fss k.site then Ss.change_links k gf ~delta
         else
           let step = Proto.Step_link { gf; delta } in
-          match rpc k fss (Proto.Intent_step { us; seq; step }) with
+          match rpc k fss (Proto.Intent_step { us; step }) with
           | Proto.R_linked { vv; deleted } -> Ok (vv, deleted)
           | Proto.R_err e -> Stdlib.Error e
           | _ -> err Proto.Eio "unexpected link-step response"
@@ -72,7 +72,7 @@ let change_links_at k ~us ~seq gf ~delta =
    — and run the record change and commit there, in process or in one
    forward; then record the new versions, register a created file and
    designate its replicas. Every lock is released before the reply. *)
-let run_intent k ~us ~seq dir (op : Proto.intent) =
+let run_intent k ~us dir (op : Proto.intent) =
   let fg = dir.Gfile.fg in
   if not (Css.is_css k fg) then Proto.R_err Proto.Estale
   else
@@ -105,7 +105,7 @@ let run_intent k ~us ~seq dir (op : Proto.intent) =
           let refuse, stale = fences () in
           rpc k ss
             (Proto.Intent_step
-               { us; seq; step = Proto.Step_dir { dir; op; others; refuse; stale } })
+               { us; step = Proto.Step_dir { dir; op; others; refuse; stale } })
         end
       in
       let no_guard _ = Ok () and no_fences () = ([], []) in
@@ -125,7 +125,7 @@ let run_intent k ~us ~seq dir (op : Proto.intent) =
         | Some (vv, deleted) ->
           links_changed k gf (Css.get_file k fg ino) ~fss:ss ~vv ~deleted;
           file
-        | None -> change_links_at k ~us ~seq gf ~delta
+        | None -> change_links_at k ~us gf ~delta
       in
       let run () =
         match (op, Css.intent_site k dir f) with
@@ -190,7 +190,7 @@ let run_intent k ~us ~seq dir (op : Proto.intent) =
       match run () with
       | resp ->
         release ();
-        record k ~tag:"css.intent" "%a from %a seq %d" Gfile.pp dir Site.pp us seq;
+        record k ~tag:"css.intent" "%a from %a" Gfile.pp dir Site.pp us;
         resp
       | exception Error (e, _) ->
         release ();
@@ -204,20 +204,18 @@ let name_of = function
 (* Send one intent to the directory's CSS — a procedure call when that is
    this site — retrying a few times while another site holds the
    directory's (or the target's) modification lock. The transport resends
-   a lost request or reply; the CSS answers a resend from its reply
-   cache. Returns the inode and the file's new version, if the link count
+   a lost request or reply, and answers a resend from the CSS's kept
+   reply. Returns the inode and the file's new version, if the link count
    changed. *)
 let intent k dir op =
   let rec attempt tries =
-    k.intent_seq <- k.intent_seq + 1;
-    let seq = k.intent_seq in
     let css = (fg_info k dir.Gfile.fg).css_site in
     let resp =
       if Site.equal css k.site then begin
         charge k (latency k).Net.Latency.local_call;
-        run_intent k ~us:k.site ~seq dir op
+        run_intent k ~us:k.site dir op
       end
-      else rpc k css (Proto.Dir_intent { dir; op; seq })
+      else rpc k css (Proto.Dir_intent { dir; op })
     in
     match resp with
     | Proto.R_intent { ino; dir_vv; file } ->

@@ -9,8 +9,8 @@
     first, inaccessible sites last. *)
 
 val run_intent :
-  Ktypes.t -> us:Net.Site.t -> seq:int -> Catalog.Gfile.t -> Proto.intent -> Proto.resp
-(** The CSS half of using site [us]'s intent [seq] on a directory: take
+  Ktypes.t -> us:Net.Site.t -> Catalog.Gfile.t -> Proto.intent -> Proto.resp
+(** The CSS half of using site [us]'s intent on a directory: take
     the directory's modification lock ([EBUSY] while held; its leases are
     broken) and, for a counted unlink or link, the target file's; run the
     record change and the directory's commit at this site when it holds

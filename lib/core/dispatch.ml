@@ -79,11 +79,9 @@ let handle k ~src (req : Proto.req) : Proto.resp =
       record k ~tag:"us.lease.breakcb" "%a" Gfile.pp gf;
       Openlease.kill k.open_leases gf;
       Proto.R_ok
-    (* name-space changes: each intent and step runs at most once *)
-    | Proto.Dir_intent { dir; op; seq } ->
-      run_once k ~us:src req (fun () -> Dirops.run_intent k ~us:src ~seq dir op)
-    | Proto.Intent_step { us; seq = _; step } ->
-      run_once k ~us req (fun () -> Ss.handle_intent_step k ~us step)
+    (* name-space changes *)
+    | Proto.Dir_intent { dir; op } -> Dirops.run_intent k ~us:src dir op
+    | Proto.Intent_step { us; step } -> Ss.handle_intent_step k ~us step
     (* metadata *)
     | Proto.Set_attr { gf; perms; owner } -> Ss.handle_set_attr k gf ~perms ~owner
     | Proto.Stat_req { gf } -> Ss.handle_stat k gf

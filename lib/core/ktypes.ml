@@ -273,10 +273,6 @@ type t = {
   procs : (int, proc) Hashtbl.t;
   pipe_bufs : (Gfile.t, string ref) Hashtbl.t;   (* SS-side fifo contents *)
   mutable next_serial : int;
-  mutable intent_seq : int; (* numbers this site's directory intents *)
-  intent_replies : (Site.t, Proto.req * Proto.resp) Hashtbl.t;
-  (* per using site, the last intent (or forwarded step) this site ran for
-     it and the reply: a resend is answered from here, not run again *)
   mutable dispatch : Site.t -> Proto.req -> Proto.resp;
   (* local fast path into this kernel's own message handler *)
   mutable extra_handler : Site.t -> Proto.req -> Proto.resp option;
@@ -412,7 +408,7 @@ let fresh_serial k =
   n
 
 (* Remote procedure call to another kernel, through the transport layer:
-   typed errors, per-message-class retry policy, per-call tracing.
+   typed errors, one exactly-once retry policy, per-call tracing.
    Collocated roles short-circuit to a procedure call (section 2.3.2). *)
 let rpc_result k dst req =
   if not k.alive then Stdlib.Error (Net.Rpc.Unreachable { src = k.site; dst; attempts = 0 })
@@ -428,34 +424,14 @@ let rpc k dst req =
   | Ok resp -> resp
   | Stdlib.Error e -> err Proto.Enet "%a" Net.Rpc.pp_error e
 
-(* Close legs ([Us_close]/[Ss_close]) are non-idempotent, so the transport
-   never retries them on its own — but [Unreachable] means the handler
-   provably did not run (the request never arrived), so resending is safe.
-   Without the resend, one randomly lost close between two healthy sites
-   leaks the SS's serving registration forever: nothing downstream rebuilds
-   SS-side state while both ends stay up (merge rebuilds only the CSS lock
-   table, and failure cleanup covers only dead sites). [Lost_reply] means
-   the close DID run — the reply loss is harmless and must not trigger a
-   resend. *)
-let rpc_close ?(attempts = 3) k dst req =
-  let rec go n =
-    match rpc_result k dst req with
-    | Stdlib.Error (Net.Rpc.Unreachable _) when n < attempts ->
-      Sim.Stats.incr (Engine.stats k.engine) "net.close.resend";
-      go (n + 1)
-    | r -> r
-  in
-  go 1
-
-(* At-least-once delivery for the close legs: a loss burst can outlast
-   [rpc_close]'s synchronous resend budget, and a close that is simply
-   dropped leaks serving state for as long as both ends stay up. Park the
-   close and retry on a growing timer until it gets through, the
-   destination leaves this site's partition (membership cleanup then owns
-   the state), or the backoff budget runs out (the destination is down but
-   not yet detected; restart scavenging owns the state). Retries fire only
-   after [Unreachable] — the handler provably did not run — so the
-   non-idempotent close still executes at most once. *)
+(* Send a close leg. A destination outside this site's partition is left
+   to membership cleanup, which owns the state (section 5.6). A close that
+   never reached a destination inside it is parked and retried on a
+   growing timer until it gets through, the destination leaves the
+   partition, or the backoff budget runs out (the destination is down but
+   not yet detected; restart scavenging owns the state): dropped, it would
+   leak serving state for as long as both ends stay up. A close handed
+   off either way is answered [R_ok]. *)
 let close_park_base_delay = 4.0
 
 let close_park_max_tries = 8
@@ -467,34 +443,20 @@ let rec park_close k dst req ~tries =
       (fun () ->
         if k.alive && in_partition k dst then begin
           Sim.Stats.incr (Engine.stats k.engine) "net.close.park_retry";
-          match rpc_close k dst req with
-          | Ok _ | Stdlib.Error (Net.Rpc.Lost_reply _ | Net.Rpc.Timeout _) -> ()
-          | Stdlib.Error (Net.Rpc.Unreachable _) ->
-            park_close k dst req ~tries:(tries + 1)
+          match rpc_result k dst req with
+          | Stdlib.Error (Net.Rpc.Unreachable _) -> park_close k dst req ~tries:(tries + 1)
+          | Ok _ | Stdlib.Error _ -> ()
         end)
 
-(* Send a close leg, parking it for background retry if every synchronous
-   resend was lost. [None] means the caller can treat the close as
-   handed off: it either ran ([Lost_reply]) or will be retried. *)
 let send_close k dst req =
-  match rpc_close k dst req with
-  | Ok resp -> Some resp
-  | Stdlib.Error (Net.Rpc.Unreachable _) ->
-    park_close k dst req ~tries:0;
-    None
-  | Stdlib.Error (Net.Rpc.Lost_reply _ | Net.Rpc.Timeout _) -> None
-
-(* Run the numbered intent [req] of using site [us] at most once: a resend
-   of the last one is answered with the reply it got. *)
-let run_once k ~us req run =
-  match Hashtbl.find_opt k.intent_replies us with
-  | Some (last, resp) when last = req ->
-    Sim.Stats.incr (Engine.stats k.engine) "dirop.replay";
-    resp
-  | Some _ | None ->
-    let resp = run () in
-    Hashtbl.replace k.intent_replies us (req, resp);
-    resp
+  if not (in_partition k dst) then Proto.R_ok
+  else
+    match rpc_result k dst req with
+    | Ok resp -> resp
+    | Stdlib.Error (Net.Rpc.Unreachable _) ->
+      park_close k dst req ~tries:0;
+      Proto.R_ok
+    | Stdlib.Error _ -> Proto.R_ok
 
 (* One-way notification; losses are silent (the commit protocol tolerates
    them: recovery reconciles). *)

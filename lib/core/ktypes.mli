@@ -268,10 +268,6 @@ type t = {
   procs : (int, proc) Hashtbl.t;
   pipe_bufs : (Gfile.t, string ref) Hashtbl.t;
   mutable next_serial : int;
-  mutable intent_seq : int; (** numbers this site's directory intents *)
-  intent_replies : (Site.t, Proto.req * Proto.resp) Hashtbl.t;
-      (** per using site, the last intent or forwarded step this site ran
-          for it, with its reply: exactly-once execution *)
   mutable dispatch : Site.t -> Proto.req -> Proto.resp;
       (** local fast path into this kernel's own message handler *)
   mutable extra_handler : Site.t -> Proto.req -> Proto.resp option;
@@ -362,7 +358,7 @@ val fresh_serial : t -> int
 
 val rpc_result : t -> Site.t -> Proto.req -> (Proto.resp, Net.Rpc.rpc_error) result
 (** Remote procedure call to another kernel through the {!Net.Rpc}
-    transport layer, under the request's message-class policy
+    transport layer, under the request's retry policy
     ({!Proto.req_policy}); collocated roles short-circuit to a procedure
     call (§2.3.2). Returns the typed transport error; callers that can
     tolerate or interpret failure (close paths, recovery polls, token
@@ -373,33 +369,16 @@ val rpc : t -> Site.t -> Proto.req -> Proto.resp
 (** Like {!rpc_result}, but any transport failure raises [ENET] — for the
     protocol paths where unreachability simply fails the operation. *)
 
-val rpc_close :
-  ?attempts:int -> t -> Site.t -> Proto.req -> (Proto.resp, Net.Rpc.rpc_error) result
-(** {!rpc_result} for the non-idempotent close legs ([Us_close]/[Ss_close]):
-    resends on [Unreachable] only (the handler provably did not run, so a
-    resend cannot double-apply), up to [attempts] sends total (default 3).
-    [Lost_reply] — the close DID run — is returned as-is, never resent.
-    Without this, one randomly lost close between two healthy sites leaks
-    the SS serving registration forever: merge rebuilds only the CSS lock
-    table, and failure cleanup covers only dead sites. *)
-
-val send_close : t -> Site.t -> Proto.req -> Proto.resp option
-(** {!rpc_close}, plus at-least-once hand-off: if every synchronous resend
-    was lost ([Unreachable]), the close is parked and retried on a growing
-    background timer until it reaches the destination, the destination
-    leaves this site's partition (membership cleanup then owns the state),
-    or the backoff budget runs out (an undetected dead site; restart
-    scavenging owns the state). Retries remain [Unreachable]-only, so the
-    non-idempotent handler still runs at most once. [None] means the close
-    either ran with its reply lost, or is parked for retry — the caller
-    may treat it as handed off either way. *)
-
-val run_once : t -> us:Site.t -> Proto.req -> (unit -> Proto.resp) -> Proto.resp
-(** [run_once k ~us req run] runs [run] for using site [us]'s numbered
-    intent (or forwarded step) [req], unless [req] is the last one this
-    site ran for [us]: a resend is answered with the same reply (counted
-    as ["dirop.replay"]), so a lost reply costs one retry, never a second
-    execution. One entry per using site. *)
+val send_close : t -> Site.t -> Proto.req -> Proto.resp
+(** {!rpc_result} for a close leg ([Us_close]/[Ss_close]), with two
+    hand-offs. A destination outside this site's partition is not sent to:
+    membership cleanup owns that state. A close whose every attempt was
+    lost before it arrived ([Unreachable]: the handler never ran) is parked
+    and retried on a growing background timer until it reaches the
+    destination, the destination leaves the partition, or the backoff
+    budget runs out (an undetected dead site; restart scavenging owns the
+    state). A close handed off — skipped, parked, or run with every reply
+    lost — is answered [R_ok]. *)
 
 val notify : t -> Site.t -> Proto.req -> unit
 (** One-way message; losses are silent (recovery reconciles). *)

@@ -635,27 +635,24 @@ let handle_us_close k ~src gf ~mode =
   let fi = fg_info k gf.Gfile.fg in
   if Site.equal fi.css_site k.site then Css.handle_ss_close k gf ~us:src ~mode
   else
-    match send_close k fi.css_site (Proto.Ss_close { gf; ss = k.site; us = src; mode }) with
-    | Some resp -> resp
-    | None ->
-      (* Handed off: the CSS either ran the close with its reply lost, or
-         the leg is parked for background retry; a CSS that can never be
-         reached has its lock table rebuilt by the next partition/merge
-         pass. Either way this SS's side of the close is complete. *)
-      Proto.R_ok
+    (* A CSS that can never be reached has its lock table rebuilt by the
+       next partition/merge pass: this SS's side of the close is complete
+       either way. *)
+    send_close k fi.css_site (Proto.Ss_close { gf; ss = k.site; us = src; mode })
 
 (* Revalidate this site's serving registrations against the using sites'
    actual open files, part of the post-merge rebuild (the SS-side analogue
    of the section 5.6 lock-table scrub). A registration can outlive its
-   open when the reply to the open itself is lost: the CSS registered the
-   US here (poll or local add), but the US never learned the open
-   succeeded, so no close will ever arrive. Each US in the partition is
-   asked for its live opens (retained leases are already gone: every
-   member scrubs its lease table on the merge announcement, and those
-   deferred closes run the normal protocol); counts are reset to what the
-   US reports, and emptied registrations are torn down exactly as a last
-   close would — abort the shadow session, free the incore slot. An
-   unreachable US keeps its registrations; the next merge retries. *)
+   open only when every attempt of the open lost its reply: the CSS
+   registered the US here (poll or local add), but the US never learned
+   the open succeeded, so no close will ever arrive. Each US in the
+   partition is asked for its live opens (retained leases are already
+   gone: every member scrubs its lease table on the merge announcement,
+   and those deferred closes run the normal protocol); counts are reset
+   to what the US reports, and emptied registrations are torn down
+   exactly as a last close would — abort the shadow session, free the
+   incore slot. An unreachable US keeps its registrations; the next merge
+   retries. *)
 let revalidate_serving k =
   (* (us, fg) -> ino -> live open count at us, queried at most once. *)
   let cache : (Site.t * int, (int, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in

@@ -169,9 +169,9 @@ val revalidate_serving : Ktypes.t -> unit
     using site in the partition for its live opens and reset each serving
     registration's count to what the US reports, tearing emptied ones down
     like a last close (abort shadow session, free the slot). Cleans up
-    registrations stranded by a lost open reply — the CSS registered the
-    US here, but the US never learned its open succeeded, so no close will
-    ever arrive. Unreachable USes keep their registrations for the next
+    registrations stranded by an open whose every attempt lost its reply —
+    the CSS registered the US here, but the US never learned its open
+    succeeded, so no close will ever arrive. Unreachable USes keep their registrations for the next
     merge to retry. *)
 
 val alloc_inode :

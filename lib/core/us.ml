@@ -678,25 +678,24 @@ let commit k o = ignore (commit_gen k o ~abort:false ~delete:false)
 
 let abort k o = ignore (commit_gen k o ~abort:true ~delete:false)
 
+(* Run the close protocol's first leg at [ss]: in process, or one
+   [Us_close] handed off to {!Ktypes.send_close}. A close that can never
+   reach the SS is handled by cleanup when the membership change is
+   observed. *)
+let close_at k ss gf mode =
+  try
+    ignore
+      (if Site.equal ss k.site then Ss.handle_us_close k ~src:k.site gf ~mode
+       else send_close k ss (Proto.Us_close { gf; mode }))
+  with Error _ -> ()
+
 (* Send the one batched close a dead lease owes: the [Us_close] the cold
    open deferred. Installed as [Openlease.on_dead] by [Kernel.create], so
    breaks arriving through dispatch, eviction or recovery all route here. *)
 let lease_send_close k (e : Openlease.entry) =
   if k.alive then begin
     record k ~tag:"us.lease.close" "%a" Gfile.pp e.Openlease.le_gf;
-    if Site.equal e.Openlease.le_ss k.site then
-      (try
-         ignore
-           (Ss.handle_us_close k ~src:k.site e.Openlease.le_gf ~mode:e.Openlease.le_mode)
-       with Error _ -> ())
-    else
-      (* Hand off with background retry; a persistently unreachable SS is
-         handled by reconfiguration cleanup. *)
-      try
-        ignore
-          (send_close k e.Openlease.le_ss
-             (Proto.Us_close { gf = e.Openlease.le_gf; mode = e.Openlease.le_mode }))
-      with Error _ -> ()
+    close_at k e.Openlease.le_ss e.Openlease.le_gf e.Openlease.le_mode
   end
 
 (* One local open stops riding the lease. If the lease already died while
@@ -722,22 +721,7 @@ let close k o =
       if not e.Openlease.le_broken then Sim.Stats.incr (stats k) "open.lease.defer";
       lease_drop_rider k e
     | None ->
-      let close_at site =
-        let resp =
-          if Site.equal site k.site then
-            (try Ss.handle_us_close k ~src:k.site o.o_gf ~mode:o.o_mode
-             with Error _ -> Proto.R_ok)
-          else
-            match send_close k site (Proto.Us_close { gf = o.o_gf; mode = o.o_mode }) with
-            | Some resp -> resp
-            | None -> Proto.R_ok
-            (* Handed off: either the close ran with its reply lost, or it
-               is parked for background retry; a close that can never reach
-               the SS is handled by cleanup when the membership change is
-               observed. *)
-        in
-        match resp with Proto.R_ok | Proto.R_err _ -> () | _ -> ()
-      in
+      let close_at site = close_at k site o.o_gf o.o_mode in
       (match o.o_stripes with
       | (_ :: _) as stripes when o.o_mode = Proto.Mode_modify ->
         (* Every stripe site registered this open at the poll; each gets

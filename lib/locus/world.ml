@@ -112,6 +112,7 @@ let create ?(config = default_config ()) () =
   let topo = Topology.create ~n:config.n_sites in
   let net = Netsim.create engine topo config.latency in
   Netsim.set_error_classifier net (function Proto.R_err _ -> true | _ -> false);
+  Netsim.set_idempotent_classifier net Proto.req_idempotent;
   (* Shard members are mounted collectively via [shard_mounts], so they
      carry no mount path of their own; the root is the remaining pathless
      filegroup. *)

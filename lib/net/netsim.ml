@@ -31,6 +31,7 @@ type hot_stats = {
   hs_rpc_retry : Stats.counter;     (* rpc.retry *)
   hs_rpc_recovered : Stats.counter; (* rpc.recovered *)
   hs_rpc_fail : Stats.counter;      (* rpc.fail *)
+  hs_rpc_replay : Stats.counter;    (* rpc.replay *)
 }
 
 type ('req, 'resp) t = {
@@ -45,6 +46,11 @@ type ('req, 'resp) t = {
   mutable error_resp : 'resp -> bool;
       (* classifies handler responses that signal an error, so that {!send}
          can count the ones it silently discards *)
+  mutable idempotent : 'req -> bool;
+      (* requests harmless to run twice: their replies are not kept *)
+  mutable next_id : int; (* call ids, unique for the network's lifetime *)
+  replies : (int, int * 'resp) Hashtbl.t;
+      (* receiver * n_sites + sender -> the last kept (call id, reply) *)
   hot : hot_stats;
   tags : (string, tag_stats) Hashtbl.t;
   mutable untagged : tag_stats option;
@@ -73,6 +79,9 @@ let create engine topo latency =
     forced_failures = [];
     failure_observers = [];
     error_resp = (fun _ -> false);
+    idempotent = (fun _ -> false);
+    next_id = 0;
+    replies = Hashtbl.create 16;
     hot =
       {
         hs_msg = Stats.counter stats "net.msg";
@@ -85,6 +94,7 @@ let create engine topo latency =
         hs_rpc_retry = Stats.counter stats "rpc.retry";
         hs_rpc_recovered = Stats.counter stats "rpc.recovered";
         hs_rpc_fail = Stats.counter stats "rpc.fail";
+        hs_rpc_replay = Stats.counter stats "rpc.replay";
       };
     tags = Hashtbl.create 64;
     untagged = None;
@@ -120,6 +130,20 @@ let untagged_ts t =
 let set_handler t site f = t.handlers <- Site.Map.add site f t.handlers
 
 let set_error_classifier t f = t.error_resp <- f
+
+let set_idempotent_classifier t f = t.idempotent <- f
+
+let fresh_call_id t =
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  id
+
+let reply_key t ~src ~dst = (dst * Topology.n_sites t.topo) + src
+
+let forget_replies t site =
+  for src = 0 to Topology.n_sites t.topo - 1 do
+    Hashtbl.remove t.replies (reply_key t ~src ~dst:site)
+  done
 
 let set_drop_probability t p = t.drop_prob <- p
 
@@ -175,7 +199,24 @@ let account t ~ts ~bytes =
   Stats.cadd t.hot.hs_bytes bytes;
   match ts.ts_msg with Some c -> Stats.cincr c | None -> ()
 
-let call_tagged t ~ts ~src ~dst ~req_bytes ~resp_bytes req =
+(* Run [dst]'s handler for call [id] at most once: a state-changing
+   request's reply is kept per (receiver, sender) pair, and a resend of
+   the same call is answered from it. A call with another id means the
+   sender is done with the kept one, which goes: a reply that carries
+   pages is not held longer than its call. *)
+let run_handler t ~id ~src ~dst req =
+  let key = reply_key t ~src ~dst in
+  match Hashtbl.find_opt t.replies key with
+  | Some (last, resp) when last = id ->
+    Stats.cincr t.hot.hs_rpc_replay;
+    resp
+  | kept ->
+    if Option.is_some kept then Hashtbl.remove t.replies key;
+    let resp = (handler_of t dst) ~src req in
+    if not (t.idempotent req) then Hashtbl.replace t.replies key (id, resp);
+    resp
+
+let call_tagged t ~ts ~id ~src ~dst ~req_bytes ~resp_bytes req =
   if Site.equal src dst then begin
     Engine.charge t.engine t.latency.Latency.local_call;
     Ok ((handler_of t dst) ~src req)
@@ -189,7 +230,7 @@ let call_tagged t ~ts ~src ~dst ~req_bytes ~resp_bytes req =
     else begin
       account t ~ts ~bytes:req_bytes;
       Engine.charge t.engine (Latency.msg_cost t.latency ~bytes:req_bytes);
-      let resp = (handler_of t dst) ~src req in
+      let resp = run_handler t ~id ~src ~dst req in
       if not (message_delivered t ~src:dst ~dst:src) then begin
         close_circuit t ~observer:src ~peer:dst;
         Error Reply_lost
@@ -205,7 +246,7 @@ let call_tagged t ~ts ~src ~dst ~req_bytes ~resp_bytes req =
 
 let call t ?tag ~src ~dst ~req_bytes ~resp_bytes req =
   let ts = match tag with Some tag -> tag_stats t tag | None -> untagged_ts t in
-  call_tagged t ~ts ~src ~dst ~req_bytes ~resp_bytes req
+  call_tagged t ~ts ~id:(fresh_call_id t) ~src ~dst ~req_bytes ~resp_bytes req
 
 (* Run a one-way message's handler, counting discarded error responses:
    {!send} has nobody to give them to. *)

@@ -12,18 +12,22 @@
     are closed by any delivery failure; closure is reported to registered
     observers, which is how kernels detect that reconfiguration is needed.
 
-    This module is deliberately dumb: one attempt, no recovery. Retry and
-    backoff policy, typed transport errors, and per-call accounting live one
-    layer up in {!Rpc}, which is what every kernel path goes through. *)
+    One exchange is one attempt. Retry and backoff policy, typed transport
+    errors, and per-call accounting live one layer up in {!Rpc}, which is
+    what every kernel path goes through. What makes its resends harmless
+    lives here, as the circuits' sequence numbers do in LOCUS: every call
+    carries an id, and for each (receiver, sender) pair the receiver keeps
+    the last state-changing call's id and reply, so a resend of that call
+    is answered without running the handler again. *)
 
 type ('req, 'resp) t
 
 (** Why a single exchange failed. [Request_lost]: the request never reached
     the destination (site down, link down, or injected loss) — the handler
     did not run. [Reply_lost]: the handler ran (any side effect happened)
-    but the response was lost on the way back. The distinction is what lets
-    the transport layer retry idempotent calls safely and refuse to retry
-    non-idempotent ones. *)
+    but the response was lost on the way back; a resend of a
+    state-changing call is answered from the receiver's kept reply, not
+    run again. *)
 type failure = Request_lost | Reply_lost
 
 val pp_failure : Format.formatter -> failure -> unit
@@ -63,6 +67,7 @@ type hot_stats = {
   hs_rpc_retry : Sim.Stats.counter;
   hs_rpc_recovered : Sim.Stats.counter;
   hs_rpc_fail : Sim.Stats.counter;
+  hs_rpc_replay : Sim.Stats.counter;
 }
 
 val hot_stats : ('req, 'resp) t -> hot_stats
@@ -82,6 +87,17 @@ val set_error_classifier : ('req, 'resp) t -> ('resp -> bool) -> unit
     error responses it silently discards (under ["net.send.err"]). Default:
     nothing is an error. *)
 
+val set_idempotent_classifier : ('req, 'resp) t -> ('req -> bool) -> unit
+(** Teach the layer which requests are harmless to run twice, so it keeps
+    no reply for them. Default: none is, and every reply is kept. *)
+
+val fresh_call_id : ('req, 'resp) t -> int
+(** The next call id, from one counter per network: ids are never reused,
+    so a site that restarts cannot match a reply kept before its crash. *)
+
+val forget_replies : ('req, 'resp) t -> Site.t -> unit
+(** Drop every reply the site keeps as a receiver: its crash loses them. *)
+
 val call :
   ('req, 'resp) t ->
   ?tag:string ->
@@ -91,23 +107,32 @@ val call :
   resp_bytes:('resp -> int) ->
   'req ->
   ('resp, failure) result
-(** Synchronous exchange, one attempt. When [src = dst] this is a local
-    procedure call: it charges only {!Latency.local_call}, counts no
-    messages, and cannot fail. Otherwise it counts two messages (request
-    and response) and charges their wire cost. On failure the circuit is
-    closed (observers run) and the typed failure is returned. *)
+(** Synchronous exchange, one attempt, under a fresh call id. When
+    [src = dst] this is a local procedure call: it charges only
+    {!Latency.local_call}, counts no messages, and cannot fail. Otherwise
+    it counts two messages (request and response) and charges their wire
+    cost. On failure the circuit is closed (observers run) and the typed
+    failure is returned. *)
 
 val call_tagged :
   ('req, 'resp) t ->
   ts:tag_stats ->
+  id:int ->
   src:Site.t ->
   dst:Site.t ->
   req_bytes:int ->
   resp_bytes:('resp -> int) ->
   'req ->
   ('resp, failure) result
-(** {!call} with the tag already resolved to its handles — the hash-free
-    entry point {!Rpc.call} uses. *)
+(** {!call} with the tag already resolved to its handles, as attempt of
+    call [id] — the hash-free entry point {!Rpc.call} uses. A remote
+    state-changing request whose [id] matches the receiver's kept reply
+    from [src] gets that reply (counted as ["rpc.replay"]) and its handler
+    does not run. Any other request drops the kept reply, since its sender
+    has moved on; the handler runs, and a state-changing request's reply
+    is kept. One entry per pair suffices while a sender has one call in
+    flight to a receiver: a call is synchronous, and the simulated clock
+    runs no events between an attempt and its resend. *)
 
 val send_tagged :
   ('req, 'resp) t ->

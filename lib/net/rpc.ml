@@ -25,15 +25,12 @@ let error_attempts = function
 type policy = {
   max_attempts : int;
   backoff : float list;
-  idempotent : bool;
   timeout : float;
 }
 
-let no_retry = { max_attempts = 1; backoff = []; idempotent = false; timeout = 0.0 }
+let probe = { max_attempts = 1; backoff = []; timeout = 0.0 }
 
-let probe = { no_retry with idempotent = true }
-
-let default_policy = { max_attempts = 3; backoff = [ 0.5; 2.0; 8.0 ]; idempotent = true; timeout = 0.0 }
+let default_policy = { max_attempts = 3; backoff = [ 0.5; 2.0; 8.0 ]; timeout = 0.0 }
 
 (* Delay before retry number [n+1], after [n] failed attempts: last backoff
    entry repeats if the schedule is shorter than the attempt budget. *)
@@ -74,17 +71,20 @@ let call net ?(policy = default_policy) ?(tag = "untagged") ~src ~dst ~req_bytes
     Stats.incr stats ("rpc.fail." ^ kind);
     finish kind (Error err)
   in
-  let rec attempt n =
-    match Netsim.call_tagged net ~ts ~src ~dst ~req_bytes ~resp_bytes req with
+  (* Every attempt carries the same id, so the receiver runs the handler
+     at most once; [ran] records that some attempt reached it. *)
+  let id = Netsim.fresh_call_id net in
+  let rec attempt n ~ran =
+    match Netsim.call_tagged net ~ts ~id ~src ~dst ~req_bytes ~resp_bytes req with
     | Ok resp ->
       Stats.hobserve ts.Netsim.ts_bytes (float_of_int (req_bytes + resp_bytes resp));
       if n > 1 then Stats.cincr hot.Netsim.hs_rpc_recovered;
       finish "ok" (Ok resp)
     | Error failure ->
-      if (not policy.idempotent) || n >= policy.max_attempts then
-        match failure with
-        | Netsim.Request_lost -> fail "unreachable" (Unreachable { src; dst; attempts = n })
-        | Netsim.Reply_lost -> fail "lost_reply" (Lost_reply { src; dst; attempts = n })
+      let ran = ran || failure = Netsim.Reply_lost in
+      if n >= policy.max_attempts then
+        if ran then fail "lost_reply" (Lost_reply { src; dst; attempts = n })
+        else fail "unreachable" (Unreachable { src; dst; attempts = n })
       else begin
         let delay = backoff_delay policy n in
         let waited = Engine.now engine -. start in
@@ -94,11 +94,11 @@ let call net ?(policy = default_policy) ?(tag = "untagged") ~src ~dst ~req_bytes
           Stats.cincr hot.Netsim.hs_rpc_retry;
           Stats.cincr ts.Netsim.ts_retry;
           Engine.charge engine delay;
-          attempt (n + 1)
+          attempt (n + 1) ~ran
         end
       end
   in
-  attempt 1
+  attempt 1 ~ran:false
 
 let send net ?tag ~src ~dst ~bytes req =
   Stats.cincr (Netsim.hot_stats net).Netsim.hs_rpc_send;

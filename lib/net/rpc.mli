@@ -9,22 +9,22 @@
     (§2.3.3): no connection setup, no transport-level acknowledgements —
     the response to a request is its acknowledgement, and recovery from
     loss is the requesting kernel's job. The retry policy here is that
-    recovery. Calls that the protocol makes idempotent (page reads, status
-    queries, token requests) may be resent after a loss; calls whose
-    handler mutates state non-idempotently (opens, commits, closes) are
-    never blindly retried — a lost reply after such a call surfaces as
-    {!Lost_reply} and the caller decides. Reconfiguration probes (§5) use
-    {!probe}: one attempt, because unreachability is the information the
-    caller is after, not a transient to paper over. *)
+    recovery, and it is one policy for every request: each call carries one
+    id across its attempts, and the receiver answers a resend of a
+    state-changing call from its kept reply ({!Netsim.call_tagged}), so a
+    call runs its handler at most once however many attempts it takes.
+    Reconfiguration probes (§5) use {!probe}: one attempt, because
+    unreachability is the information the caller is after, not a transient
+    to paper over. *)
 
 type rpc_error =
   | Unreachable of { src : Site.t; dst : Site.t; attempts : int }
-      (** No request ever reached [dst]: the destination handler did not run
-          on the final attempt. [attempts = 0] means the calling site itself
-          was down and nothing was sent. *)
+      (** No attempt's request reached [dst]: the destination handler never
+          ran. [attempts = 0] means the calling site itself was down and
+          nothing was sent. *)
   | Lost_reply of { src : Site.t; dst : Site.t; attempts : int }
-      (** The final attempt's request was delivered and processed, but the
-          reply was lost. Remote state may have changed. *)
+      (** Some attempt's request was delivered and processed, but no reply
+          came back. Remote state may have changed, once. *)
   | Timeout of { src : Site.t; dst : Site.t; attempts : int; waited : float }
       (** Retrying was abandoned because the next backoff would exceed the
           policy's [timeout]; [waited] is the simulated time already spent. *)
@@ -39,25 +39,18 @@ type policy = {
       (** Delay in simulated ms before retry [i] ([backoff]'s last entry
           repeats if there are more retries than entries; empty = no delay).
           Charged to the simulation clock. *)
-  idempotent : bool;
-      (** Only idempotent calls are ever retried; a non-idempotent call
-          fails on its first loss regardless of [max_attempts]. *)
   timeout : float;
       (** Upper bound on total simulated time spent in the call, checked
           before each backoff; 0 = no bound. *)
 }
 
-val no_retry : policy
-(** Single attempt, not idempotent. For calls with non-idempotent remote
-    side effects: open, commit, close, create, fork. *)
-
 val probe : policy
-(** Single attempt, idempotent. For failure-detection polls where
-    unreachability is the answer, not an error to mask. *)
+(** Single attempt. For failure-detection polls where unreachability is the
+    answer, not an error to mask. *)
 
 val default_policy : policy
-(** Three attempts, backoff [0.5; 2.0; 8.0] ms, idempotent, no timeout.
-    For read-only and idempotent requests. *)
+(** Three attempts, backoff [0.5; 2.0; 8.0] ms, no timeout. For every
+    request but the probes. *)
 
 val call :
   ('req, 'resp) Netsim.t ->
@@ -69,9 +62,10 @@ val call :
   resp_bytes:('resp -> int) ->
   'req ->
   ('resp, rpc_error) result
-(** Synchronous request/response under [policy] (default {!default_policy}).
-    Opens a trace span (tag ["rpc"]) covering all attempts and records a
-    sample in the ["rpc.latency.<tag>"] histogram on every outcome, plus
+(** Synchronous request/response under [policy] (default {!default_policy}),
+    every attempt under one call id from {!Netsim.fresh_call_id}. Opens a
+    trace span (tag ["rpc"]) covering all attempts and records a sample in
+    the ["rpc.latency.<tag>"] histogram on every outcome, plus
     ["rpc.bytes.<tag>"] on success. Counters: ["rpc.call"], ["rpc.retry"]
     (and ["rpc.retry.<tag>"]), ["rpc.recovered"] (succeeded after >= 1
     retry), ["rpc.fail"] (and ["rpc.fail.unreachable" / ".lost_reply" /

@@ -229,14 +229,11 @@ type req =
        overwrite, whose truncate to 0 rides along. With no data it is the
        network truncate alone. Absolute positioning keeps the request
        idempotent. *)
-  | Dir_intent of { dir : Catalog.Gfile.t; op : intent; seq : int }
+  | Dir_intent of { dir : Catalog.Gfile.t; op : intent }
     (* US -> CSS: one name-space change, serialized at the CSS and run as
-       one atomic directory modification at a storage site. [seq] numbers
-       the using site's intents: a resend of the same intent is answered
-       from the executing site's reply cache, never run twice. *)
-  | Intent_step of { us : Net.Site.t; seq : int; step : intent_step }
-    (* CSS -> SS: the forwarded work of using site [us]'s intent [seq],
-       answered from the same reply cache on a resend *)
+       one atomic directory modification at a storage site *)
+  | Intent_step of { us : Net.Site.t; step : intent_step }
+    (* CSS -> SS: the forwarded work of using site [us]'s intent *)
   | Commit_req of {
       gf : Catalog.Gfile.t;
       us : Net.Site.t;
@@ -394,6 +391,7 @@ type resp =
 
 (* ---- wire-size model ---- *)
 
+(* Every message's fixed header; a request's transport call id is in it. *)
 let header = 24
 
 let gfile_bytes = 8
@@ -448,11 +446,11 @@ let req_bytes = function
     + (if off + len <= Storage.Page.size then 9 else 12)
     + (if Option.is_some trunc then 4 else 0)
     + len
-  | Dir_intent { op; _ } -> header + gfile_bytes + 4 + intent_bytes op
+  | Dir_intent { op; _ } -> header + gfile_bytes + intent_bytes op
   | Intent_step { step = Step_dir { op; others; refuse; stale; _ }; _ } ->
-    header + 8 + gfile_bytes + intent_bytes op + site_list_bytes others
+    header + 4 + gfile_bytes + intent_bytes op + site_list_bytes others
     + (5 * List.length refuse) + (4 * List.length stale)
-  | Intent_step { step = Step_link _; _ } -> header + 8 + gfile_bytes + 4
+  | Intent_step { step = Step_link _; _ } -> header + 4 + gfile_bytes + 4
   | Commit_req { force_vv; stripes; _ } ->
     header + gfile_bytes + 5
     + (match force_vv with Some v -> vv_bytes v | None -> 0)
@@ -582,30 +580,26 @@ let req_tag = function
   | Pipe_write _ -> "pipe.write"
   | Pipe_read _ -> "pipe.read"
 
-(* Retry policy per message class. Idempotent requests (reads, queries,
-   token traffic, re-sendable notifications) get the default retry policy;
-   requests whose handler mutates state non-idempotently (opens count
-   readers, commits bump version vectors, forks create processes) are never
-   blindly retried; reconfiguration probes are single-shot because
-   unreachability is the information being gathered (section 5.4). A
-   directory intent and its forwarded steps are numbered, and the site
-   that runs one answers a resend from its reply cache, so both are safe
-   to resend. *)
+(* Requests whose handler has the same effect run twice as once: reads,
+   queries, token traffic, absolutely positioned writes and re-sendable
+   notifications. The transport keeps the reply of every other request,
+   so a resend of it is answered without running it again. *)
 let req_idempotent = function
   | Read_pages _ | Stat_req _ | Where_stored _ | Lookup_req _
   | Open_files_query _ | Pack_inventory _ | Token_state_req _ | Token_req _
   | Page_invalidate _ | Lease_break _ | Reclaim_req _ | Commit_notify _
-  | Write_pages _ | Dir_intent _ | Intent_step _
-  | Part_poll _ | Part_announce _ | Merge_poll _ | Merge_announce _
+  | Write_pages _ | Part_poll _ | Part_announce _ | Merge_poll _ | Merge_announce _
   | Status_check _ ->
     true
   | Open_req _ | Storage_req _ | Commit_req _ | Stripe_collect _ | Us_close _ | Ss_close _
-  | Set_attr _ | Fork_req _ | Exec_req _
+  | Dir_intent _ | Intent_step _ | Set_attr _ | Fork_req _ | Exec_req _
   | Run_req _ | Signal_req _ | Exit_notify _ | Pipe_write _ | Pipe_read _ ->
     false
 
+(* Reconfiguration probes are single-shot because unreachability is the
+   information being gathered (section 5.4); everything else may resend. *)
 let req_policy = function
   | Part_poll _ | Part_announce _ | Merge_poll _ | Merge_announce _
   | Status_check _ ->
     Net.Rpc.probe
-  | req -> if req_idempotent req then Net.Rpc.default_policy else Net.Rpc.no_retry
+  | _ -> Net.Rpc.default_policy

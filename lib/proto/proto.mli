@@ -214,17 +214,15 @@ type req =
           the truncate alone, tagged ["truncate"] and sized as the old
           separate truncate message; a run pays 4 bytes for [trunc] only
           when it is set. Absolute positioning keeps the request
-          idempotent (safe to retry). *)
-  | Dir_intent of { dir : Catalog.Gfile.t; op : intent; seq : int }
+          idempotent: the transport keeps no reply for it. *)
+  | Dir_intent of { dir : Catalog.Gfile.t; op : intent }
       (** US → CSS: one name-space change. The CSS takes the directory's
           modification lock (and the target file's, for a counted unlink
           or link), has a storage site change the record and commit, and
-          answers [R_intent]. [seq] numbers the using site's intents: a
-          resend is answered from the CSS's reply cache, never run twice. *)
-  | Intent_step of { us : Net.Site.t; seq : int; step : intent_step }
-      (** CSS → SS: the forwarded work of [us]'s intent [seq], answered
-          [R_intent] ([Step_dir]) or [R_linked] ([Step_link]), and from
-          the SS's reply cache on a resend. *)
+          answers [R_intent]. *)
+  | Intent_step of { us : Net.Site.t; step : intent_step }
+      (** CSS → SS: the forwarded work of [us]'s intent, answered
+          [R_intent] ([Step_dir]) or [R_linked] ([Step_link]). *)
   | Commit_req of {
       gf : Catalog.Gfile.t;
       us : Net.Site.t;
@@ -407,14 +405,13 @@ val req_tag : req -> string
 (** Short label for per-category message statistics. *)
 
 val req_idempotent : req -> bool
-(** Whether resending the request after a suspected loss is safe: the
-    handler's effect is idempotent (reads, queries, token traffic,
-    re-sendable notifications), or the handler answers a resend from a
-    reply cache (directory intents and their steps). Opens, commits,
-    closes and process operations are not. *)
+(** Whether running the request twice has the effect of running it once
+    (reads, queries, token traffic, absolutely positioned writes,
+    re-sendable notifications). The transport keeps no reply for these
+    ({!Net.Netsim.set_idempotent_classifier}); it keeps the reply of every
+    other request, so a resend is answered without running it again. *)
 
 val req_policy : req -> Net.Rpc.policy
-(** Transport retry policy for the request's message class:
-    {!Net.Rpc.default_policy} for idempotent requests, {!Net.Rpc.no_retry}
-    for state-mutating ones, {!Net.Rpc.probe} for the §5 reconfiguration
-    polls — those must not retry, since unreachability is their answer. *)
+(** Transport retry policy: {!Net.Rpc.probe} for the §5 reconfiguration
+    polls — those must not retry, since unreachability is their answer —
+    and {!Net.Rpc.default_policy} for everything else. *)

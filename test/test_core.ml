@@ -689,15 +689,46 @@ let test_dir_update_allocation_flat () =
     Alcotest.failf "a dirop at 10,000 entries allocates %.0f words, at 100 entries %.0f" large
       small
 
+(* ---- one lost message of a state-changing request ---- *)
+
+(* Lose one message of the first request at [site] that [picks] selects:
+   its request, sent from [peer], or its reply to [peer], armed inside
+   [site]'s handler. Returns how many times [site] ran a selected request;
+   [disarm] puts the plain handler back. *)
+let arm_loss w ~site ~peer ~reply picks =
+  let net = World.net w and k = World.kernel w site in
+  let runs = ref 0 in
+  if not reply then Net.Netsim.fail_next_message net ~src:peer ~dst:site;
+  Net.Netsim.set_handler net site (fun ~src req ->
+      if picks req then begin
+        incr runs;
+        if reply && !runs = 1 then Net.Netsim.fail_next_message net ~src:site ~dst:peer
+      end;
+      k.K.dispatch src req);
+  runs
+
+let disarm w site =
+  let k = World.kernel w site in
+  Net.Netsim.set_handler (World.net w) site (fun ~src req -> k.K.dispatch src req)
+
+(* The transport's share of a lost message: one resend, answered from the
+   kept reply when the reply was what got lost, and one run. *)
+let check_one_resend w snap ~label ~reply runs =
+  check Alcotest.int (label ^ ": one resend") 1 (Stats.delta_of (stats w) snap "rpc.retry");
+  check Alcotest.int (label ^ ": answered from the kept reply")
+    (if reply then 1 else 0)
+    (Stats.delta_of (stats w) snap "rpc.replay");
+  check Alcotest.int (label ^ ": the handler ran once") 1 !runs
+
 (* One message of a remote intent is lost — the using site's request to
    the CSS, the CSS's reply, or the storage site's reply to the CSS's
-   forward. The transport resends, and the site that ran the intent
-   answers the resend from its reply cache: the create returns its true
-   result and ran exactly once. Afterwards the SS keeps no serving
-   registration and no shadow pages, the locks are free, and a second
-   create of the name is [EEXIST]. *)
+   forward. The create returns its true result and ran exactly once.
+   Afterwards the SS keeps no serving registration and no shadow pages,
+   the locks are free, and a second create of the name is [EEXIST]. *)
 let test_lost_intent_messages () =
-  let lose which =
+  let is_intent = function Proto.Dir_intent _ -> true | _ -> false in
+  let is_step = function Proto.Intent_step _ -> true | _ -> false in
+  let lose (label, site, peer, reply, picks) =
     let w = asym_world () in
     let k1 = World.kernel w 1 and p1 = World.proc w 1 in
     (* Stored at site 1 only; site 0 is the CSS and must forward, and site
@@ -710,41 +741,12 @@ let test_lost_intent_messages () =
     let pack = Hashtbl.find k1.K.packs 0 in
     let vv () = (Storage.Pack.get_inode pack dir_gf.Catalog.Gfile.ino).Inode.vv in
     let before = vv () in
-    let net = World.net w in
     let k0 = World.kernel w 0 in
-    let runs = ref 0 in
-    let wrap site (k : K.t) f =
-      Net.Netsim.set_handler net site (fun ~src req ->
-          f req;
-          k.K.dispatch src req)
-    in
-    wrap 0 k0 (function
-      | Proto.Dir_intent _ ->
-        incr runs;
-        if which = `Css_reply && !runs = 1 then Net.Netsim.fail_next_message net ~src:0 ~dst:2
-      | _ -> ());
-    let steps = ref 0 in
-    wrap 1 k1 (function
-      | Proto.Intent_step _ ->
-        incr steps;
-        if which = `Ss_reply && !steps = 1 then Net.Netsim.fail_next_message net ~src:1 ~dst:0
-      | _ -> ());
-    if which = `Us_request then Net.Netsim.fail_next_message net ~src:2 ~dst:0;
+    let runs = arm_loss w ~site ~peer ~reply picks in
     let snap = Stats.snapshot (stats w) in
     let gf = Kernel.creat k2 p2 "/d/new" in
-    let replays = Stats.delta_of (stats w) snap "dirop.replay" in
-    wrap 0 k0 ignore;
-    wrap 1 k1 ignore;
-    let label =
-      match which with
-      | `Us_request -> "request"
-      | `Css_reply -> "CSS reply"
-      | `Ss_reply -> "SS reply"
-    in
-    check Alcotest.int (label ^ ": one resend") 1 (Stats.delta_of (stats w) snap "rpc.retry");
-    check Alcotest.int (label ^ ": answered from the cache")
-      (if which = `Us_request then 0 else 1)
-      replays;
+    disarm w site;
+    check_one_resend w snap ~label ~reply runs;
     check Alcotest.bool (label ^ ": the directory committed once") true
       (Vv.Version_vector.equal (vv ()) (Vv.Version_vector.bump before 1));
     check Alcotest.bool (label ^ ": no serving registration at the SS") true
@@ -764,7 +766,61 @@ let test_lost_intent_messages () =
     | _ -> Alcotest.failf "%s: a second create of the name succeeded" label
     | exception K.Error (Proto.Eexist, _) -> ()
   in
-  List.iter lose [ `Us_request; `Css_reply; `Ss_reply ]
+  List.iter lose
+    [
+      ("request", 0, 2, false, is_intent);
+      ("CSS reply", 0, 2, true, is_intent);
+      ("SS reply", 1, 0, true, is_step);
+    ]
+
+(* The reply to one request of a remote file operation is lost: an open,
+   a commit or a close of a whole-file write, or the metadata commit of a
+   chmod, sent from site 3 to site 0, which stores the file's one copy and
+   is its CSS. The operation succeeds, and the file holds its new state
+   under one version bump. The SS keeps no serving registration, and a
+   writer at site 2 is not locked out. *)
+let test_lost_file_replies () =
+  let lose (label, picks, op, holds) =
+    let w = asym_world () in
+    let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+    Kernel.set_ncopies p0 1;
+    let gf = Kernel.creat k0 p0 "/f" in
+    Kernel.write_file k0 p0 "/f" "old";
+    ignore (World.settle w);
+    let pack = Hashtbl.find k0.K.packs 0 in
+    let inode () = Storage.Pack.get_inode pack gf.Catalog.Gfile.ino in
+    let before = (inode ()).Inode.vv in
+    let k3 = World.kernel w 3 and p3 = World.proc w 3 in
+    ignore (Kernel.stat k3 p3 "/f");
+    let runs = arm_loss w ~site:0 ~peer:3 ~reply:true picks in
+    let snap = Stats.snapshot (stats w) in
+    (match op k3 p3 with
+    | () -> ()
+    | exception K.Error (e, msg) -> Alcotest.failf "%s: %s (%s)" label (Proto.errno_to_string e) msg);
+    disarm w 0;
+    check_one_resend w snap ~label ~reply:true runs;
+    check Alcotest.bool (label ^ ": one version bump") true
+      (Vv.Version_vector.equal (inode ()).Inode.vv (Vv.Version_vector.bump before 0));
+    check Alcotest.bool (label ^ ": no serving registration at the SS") true
+      (Locus_core.Ss.find_open k0 gf = None);
+    check Alcotest.bool (label ^ ": the new state is there") true (holds k0 p0 (inode ()));
+    let k2 = World.kernel w 2 and p2 = World.proc w 2 in
+    match Kernel.write_file k2 p2 "/f" "two" with
+    | () -> ()
+    | exception K.Error (e, msg) ->
+      Alcotest.failf "%s: a writer at site 2: %s (%s)" label (Proto.errno_to_string e) msg
+  in
+  let write k p = Kernel.write_file k p "/f" "new" in
+  let wrote k p _ = String.equal (Kernel.read_file k p "/f") "new" in
+  let chmod k p = Kernel.chmod k p "/f" 0o600 in
+  let chmodded _ _ (i : Inode.t) = i.Inode.perms = 0o600 in
+  List.iter lose
+    [
+      ("open", (function Proto.Open_req _ -> true | _ -> false), write, wrote);
+      ("commit", (function Proto.Commit_req _ -> true | _ -> false), write, wrote);
+      ("close", (function Proto.Us_close _ -> true | _ -> false), write, wrote);
+      ("set_attr", (function Proto.Set_attr _ -> true | _ -> false), chmod, chmodded);
+    ]
 
 (* Foreground round trips of a create and an unlink from a packless site:
    exactly one (two messages) when the CSS stores the directory and the
@@ -1095,6 +1151,7 @@ let () =
           Alcotest.test_case "remote dirop moves one page" `Quick
             test_remote_dirop_moves_one_page;
           Alcotest.test_case "lost intent messages" `Quick test_lost_intent_messages;
+          Alcotest.test_case "lost file-request replies" `Quick test_lost_file_replies;
           Alcotest.test_case "intent round trips" `Quick test_intent_round_trips;
           Alcotest.test_case "duplicate create leaves no inode" `Quick
             test_duplicate_create_no_orphan;

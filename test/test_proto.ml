@@ -45,19 +45,17 @@ let some_reqs =
           Proto.Create
             { name = "entry"; ftype = Storage.Inode.Regular; owner = "u"; perms = 0o644;
               ncopies = 2; ino = None };
-        seq = 1;
       };
-    Proto.Dir_intent { dir = gf; op = Proto.Unlink { name = "entry"; links = true }; seq = 2 };
+    Proto.Dir_intent { dir = gf; op = Proto.Unlink { name = "entry"; links = true } };
     Proto.Intent_step
       {
         us = 2;
-        seq = 3;
         step =
           Proto.Step_dir
             { dir = gf; op = Proto.Link { name = "entry"; ino = 7; links = true };
               others = [ 1 ]; refuse = []; stale = [ 7 ] };
       };
-    Proto.Intent_step { us = 2; seq = 3; step = Proto.Step_link { gf; delta = -1 } };
+    Proto.Intent_step { us = 2; step = Proto.Step_link { gf; delta = -1 } };
     Proto.Reclaim_req { gf };
     Proto.Page_invalidate { gf; first = 3; count = 1 };
     Proto.Set_attr { gf; perms = Some 0o600; owner = None };

@@ -71,19 +71,94 @@ let test_backoff_charges_simulated_time () =
   check Alcotest.int "unreachable counted" 1
     (Stats.get (Engine.stats e) "rpc.fail.unreachable")
 
-let test_non_idempotent_not_retried () =
+(* ---- exactly-once: a handler never runs twice for one call ---- *)
+
+(* Handler whose reply names the run that produced it, so a second run of
+   the same call would show in the reply as well as in the count. *)
+let numbered_echo calls = fun ~src:_ req -> incr calls; Printf.sprintf "%s#%d" req !calls
+
+let replays e = Stats.get (Engine.stats e) "rpc.replay"
+
+let test_lost_reply_answered_from_cache () =
   let e, _, net = make_net 2 in
   let calls = ref 0 in
-  Netsim.set_handler net 1 (counting_echo calls);
+  Netsim.set_handler net 1 (numbered_echo calls);
+  Netsim.fail_next_message net ~src:1 ~dst:0;
+  (match call net "x" with
+  | Ok resp -> check Alcotest.string "the resend gets the first reply" "x#1" resp
+  | Error e -> Alcotest.failf "unexpected %a" Rpc.pp_error e);
+  check Alcotest.int "handler ran once" 1 !calls;
+  check Alcotest.int "one resend" 1 (Stats.get (Engine.stats e) "rpc.retry");
+  check Alcotest.int "answered from the kept reply" 1 (replays e)
+
+let test_lost_request_runs_on_resend () =
+  let e, _, net = make_net 2 in
+  let calls = ref 0 in
+  Netsim.set_handler net 1 (numbered_echo calls);
+  (* The first request is lost, the second runs and loses its reply, the
+     third is answered from the reply the second left. *)
   Netsim.fail_next_message net ~src:0 ~dst:1;
-  let policy = { retry3 with Rpc.idempotent = false } in
-  (match call ~policy net "x" with
-  | Ok _ -> Alcotest.fail "forced loss should fail"
-  | Error (Rpc.Unreachable { attempts; _ }) ->
-    check Alcotest.int "single attempt" 1 attempts
-  | Error e -> Alcotest.failf "wrong error %a" Rpc.pp_error e);
-  check Alcotest.int "handler never ran" 0 !calls;
-  check Alcotest.int "no retries" 0 (Stats.get (Engine.stats e) "rpc.retry")
+  Netsim.fail_next_message net ~src:1 ~dst:0;
+  (match call net "x" with
+  | Ok resp -> check Alcotest.string "the run's reply" "x#1" resp
+  | Error e -> Alcotest.failf "unexpected %a" Rpc.pp_error e);
+  check Alcotest.int "handler ran once" 1 !calls;
+  check Alcotest.int "two resends" 2 (Stats.get (Engine.stats e) "rpc.retry");
+  check Alcotest.int "the last resend replayed" 1 (replays e)
+
+let test_receiver_crash_drops_replies () =
+  let e, _, net = make_net 2 in
+  let calls = ref 0 in
+  Netsim.set_handler net 1 (numbered_echo calls);
+  let ts = Netsim.tag_stats net "test" in
+  let attempt id =
+    Netsim.call_tagged net ~ts ~id ~src:0 ~dst:1 ~req_bytes:10 ~resp_bytes:String.length "x"
+  in
+  let id = Netsim.fresh_call_id net in
+  Netsim.fail_next_message net ~src:1 ~dst:0;
+  (match attempt id with
+  | Error Netsim.Reply_lost -> ()
+  | _ -> Alcotest.fail "the reply should be lost");
+  check Alcotest.(result string reject) "a resend is answered from the kept reply" (Ok "x#1")
+    (Result.map_error ignore (attempt id));
+  Netsim.forget_replies net 1;
+  check Alcotest.(result string reject) "after the crash the handler runs" (Ok "x#2")
+    (Result.map_error ignore (attempt id));
+  (match call net "x" with
+  | Ok resp -> check Alcotest.string "a new call runs its handler" "x#3" resp
+  | Error e -> Alcotest.failf "unexpected %a" Rpc.pp_error e);
+  check Alcotest.int "one replay in all" 1 (replays e)
+
+let test_restarted_sender_gets_fresh_reply () =
+  let e, topo, net = make_net 2 in
+  let calls = ref 0 in
+  Netsim.set_handler net 1 (numbered_echo calls);
+  (* Every reply of the sender's last call before its crash is lost: the
+     receiver keeps that call's reply. *)
+  for _ = 1 to 3 do
+    Netsim.fail_next_message net ~src:1 ~dst:0
+  done;
+  (match call net "x" with
+  | Error (Rpc.Lost_reply _) -> ()
+  | _ -> Alcotest.fail "every reply should be lost");
+  Topology.set_site_up topo 0 false;
+  Topology.set_site_up topo 0 true;
+  (match call net "x" with
+  | Ok resp -> check Alcotest.string "the restarted sender's call ran" "x#2" resp
+  | Error e -> Alcotest.failf "unexpected %a" Rpc.pp_error e);
+  check Alcotest.int "handler ran once per call" 2 !calls;
+  check Alcotest.int "answered from the kept reply only within the first call" 2 (replays e)
+
+let test_idempotent_reply_not_kept () =
+  let e, _, net = make_net 2 in
+  let calls = ref 0 in
+  Netsim.set_handler net 1 (numbered_echo calls);
+  Netsim.set_idempotent_classifier net (String.equal "read");
+  Netsim.fail_next_message net ~src:1 ~dst:0;
+  (match call net "read" with
+  | Ok resp -> check Alcotest.string "the resend ran" "read#2" resp
+  | Error e -> Alcotest.failf "unexpected %a" Rpc.pp_error e);
+  check Alcotest.int "no replay" 0 (replays e)
 
 let test_lost_reply_distinguished () =
   let _, _, net = make_net 2 in
@@ -92,7 +167,7 @@ let test_lost_reply_distinguished () =
   (* Lose the reply direction: the handler runs, the caller must learn that
      remote state may have changed. *)
   Netsim.fail_next_message net ~src:1 ~dst:0;
-  (match call ~policy:Rpc.no_retry net "x" with
+  (match call ~policy:Rpc.probe net "x" with
   | Ok _ -> Alcotest.fail "lost reply should fail"
   | Error (Rpc.Lost_reply { attempts; _ }) -> check Alcotest.int "one attempt" 1 attempts
   | Error e -> Alcotest.failf "wrong error %a" Rpc.pp_error e);
@@ -103,7 +178,7 @@ let test_timeout_bounds_retries () =
   Netsim.set_handler net 1 (counting_echo (ref 0));
   Topology.set_link topo 0 1 false;
   let policy =
-    { Rpc.max_attempts = 100; backoff = [ 10.0 ]; idempotent = true; timeout = 35.0 }
+    { Rpc.max_attempts = 100; backoff = [ 10.0 ]; timeout = 35.0 }
   in
   (match call ~policy net "x" with
   | Ok _ -> Alcotest.fail "link is down"
@@ -172,8 +247,15 @@ let () =
             test_retry_recovers_forced_loss;
           Alcotest.test_case "backoff charges simulated time" `Quick
             test_backoff_charges_simulated_time;
-          Alcotest.test_case "non-idempotent not retried" `Quick
-            test_non_idempotent_not_retried;
+          Alcotest.test_case "lost reply answered from the kept reply" `Quick
+            test_lost_reply_answered_from_cache;
+          Alcotest.test_case "lost request runs once on the resend" `Quick
+            test_lost_request_runs_on_resend;
+          Alcotest.test_case "receiver crash drops kept replies" `Quick
+            test_receiver_crash_drops_replies;
+          Alcotest.test_case "restarted sender gets a fresh reply" `Quick
+            test_restarted_sender_gets_fresh_reply;
+          Alcotest.test_case "idempotent reply not kept" `Quick test_idempotent_reply_not_kept;
           Alcotest.test_case "lost reply distinguished" `Quick
             test_lost_reply_distinguished;
           Alcotest.test_case "timeout bounds retries" `Quick test_timeout_bounds_retries;
