@@ -19,7 +19,7 @@ bench:
 # fault-soak smoke (E23), the small-world flood (e24smoke), and the
 # event-core micro suite must run to completion. Their PASS/FAIL cells
 # are human-read; this asserts the experiments themselves stay runnable,
-# and five checks abort their experiment: E1's message counts must equal
+# and these checks abort their experiment: E1's message counts must equal
 # the paper's (and an open plus whole read of a 2-page file the CSS
 # stores must be 6 messages at window 1, 2 at window 8, where the open
 # carries the pages), E14's copies must converge to the committed bytes,
@@ -28,8 +28,11 @@ bench:
 # E20's inline 32-page remote read must send exactly as
 # many messages as its write at window 1 and one round trip fewer above
 # it (a full window per round trip, after an open that carried the
-# first), and E20's 8-page remote whole-file write must be one write
-# round trip with no truncate message.
+# first), E20's 8-page remote whole-file write must be one write
+# round trip with no truncate message, and E22's striped reads must
+# return the file's bytes, width 4 must give at least twice width 1's
+# throughput, and the per-client read cost at 512 sites must stay within
+# 1.25x of 8 sites'.
 # E20 onward also leave BENCH_<experiment>.json behind for machine
 # comparison (micro records the heap speedup and words/event; the
 # full-scale flood dashboard is `-- e24`).

@@ -1785,7 +1785,12 @@ let e22 () =
   Printf.printf
     "page service spreads over the stripe sites; width 1 is the classic\n\
      single-SS protocol, and cost per open does not grow with the size of\n\
-     the installation.\n"
+     the installation.\n";
+  (* A gate, not just a cell: bench-smoke fails when any check fails. *)
+  if not (all_ok && List.for_all (fun (_, _, _, _, _, _, ok) -> ok) scale) then
+    failwith "E22: a striped read returned the wrong bytes";
+  if speedup < 2.0 then failwith "E22: width 4 is not twice width 1's throughput";
+  if ms_of 512 > ms_of 8 *. 1.25 then failwith "E22: read cost grows with the site count"
 
 (* ---------------------------------------------------------------- E23 *)
 (* Fault-soak smoke: a handful of seeded runs of the deterministic soak

@@ -30,7 +30,6 @@ let new_file_state () =
     css_deleted = false;
     css_conflict = false;
     leases = Site.Set.empty;
-    stripes = [];
   }
 
 let find_file k fg ino = Hashtbl.find_opt (fg_state k fg).css_files ino
@@ -146,13 +145,6 @@ let handle_open k ~src gf mode ~shared us_vv =
     else if Site.Map.is_empty f.site_vv then Proto.R_err Proto.Enoent
     else begin
       match mode with
-      | _ when f.stripes <> [] && f.writer <> None ->
-        (* A striped modification session is in flight: its fresh pages
-           are scattered over per-stripe shadow sessions, so no other
-           open (read or shared) can be served coherently by any single
-           site until the writer commits. Classic (stripe_width = 1)
-           runs never pin a map and never take this branch. *)
-        Proto.R_err Proto.Ebusy
       | Proto.Mode_modify when f.writer <> None && not shared -> Proto.R_err Proto.Ebusy
       | Proto.Mode_read | Proto.Mode_internal | Proto.Mode_modify ->
         let candidates = sites_with_latest k f in
@@ -228,53 +220,31 @@ let handle_open k ~src gf mode ~shared us_vv =
                   Option.map reg (try_sites candidates)
               end
           in
-          (* Stripe only a solitary open: a modify session fans its pages
-             over per-stripe shadow sessions, and a striped read wants an
-             undisturbed whole-version copy at every stripe site, so any
-             concurrent sharing falls back to the classic single-SS
-             protocol. stripe_width = 1 disables the machinery. *)
-          let stripes_granted =
-            if k.config.stripe_width <= 1 || shared then []
-            else
-              match mode with
-              | Proto.Mode_internal -> []
-              | Proto.Mode_read ->
-                if f.writer = None && f.writer_ss = None && not us_is_current then
-                  stripe_map ~width:k.config.stripe_width ~ino candidates
-                else []
-              | Proto.Mode_modify ->
-                if f.writer = None && f.writer_ss = None && Site.Map.is_empty f.readers
-                then stripe_map ~width:k.config.stripe_width ~ino candidates
-                else []
+          (* Stripe only a solitary read open: a striped read wants an
+             undisturbed whole-version copy at every stripe site, so a
+             writer or any concurrent sharing falls back to the classic
+             single-SS protocol. A modify open is never striped: while a
+             writer is active only one storage site may be involved
+             (section 2.3.6 footnote). stripe_width = 1 disables the
+             machinery. *)
+          let stripes =
+            if
+              k.config.stripe_width > 1 && (not shared) && mode = Proto.Mode_read
+              && f.writer = None && f.writer_ss = None && not us_is_current
+            then stripe_map ~width:k.config.stripe_width ~ino candidates
+            else []
           in
+          (* Only the primary is polled and registered: peers serve
+             strided reads statelessly from their packs, so a striped read
+             open costs the same messages as a classic one. *)
           let choice, stripes =
-            match stripes_granted with
+            match stripes with
             | [] -> (classic_choice (), [])
-            | primary :: peers -> (
-              match mode with
-              | Proto.Mode_modify -> (
-                (* Poll every stripe site: each opens serving state and
-                   registers the US, so a site failure mid-write can abort
-                   the orphaned per-stripe sessions. (If a poll fails after
-                   earlier ones succeeded, the leftover registrations are
-                   harmless serving state, swept on close or failure.) *)
-                let prim =
-                  if Site.equal primary k.site then css_self () else poll primary
-                in
-                match prim with
-                | Some x when List.for_all (fun p -> poll p <> None) peers ->
-                  (Some (reg x), stripes_granted)
-                | Some _ | None -> (classic_choice (), []))
-              | Proto.Mode_read | Proto.Mode_internal -> (
-                (* Only the primary is polled and registered: peers serve
-                   strided reads statelessly from their packs, so a striped
-                   read open costs the same messages as a classic one. *)
-                let prim =
-                  if Site.equal primary k.site then css_self () else poll primary
-                in
-                match prim with
-                | Some x -> (Some (reg x), stripes_granted)
-                | None -> (classic_choice (), [])))
+            | primary :: _ -> (
+              let prim = if Site.equal primary k.site then css_self () else poll primary in
+              match prim with
+              | Some x -> (Some (reg x), stripes)
+              | None -> (classic_choice (), []))
           in
           match choice with
           | None -> Proto.R_err Proto.Enet
@@ -294,9 +264,6 @@ let handle_open k ~src gf mode ~shared us_vv =
             | Proto.Mode_modify ->
               if f.writer = None then f.writer <- Some src;
               f.writer_ss <- Some ss;
-              (* Pin the stripe map while the session lives, so the CSS
-                 can refuse opens it could not serve coherently. *)
-              f.stripes <- stripes;
               (* A writer exists: no outstanding lease may keep serving
                  zero-message re-opens of the now-mutable file. *)
               break_leases k gf f
@@ -406,9 +373,6 @@ let handle_ss_close k gf ~us ~mode =
       | Proto.Mode_modify ->
         if f.writer = Some us then begin
           f.writer <- None;
-          (* A striped writer's close arrives once per stripe site; the
-             first Ss_close unpins, the rest are no-ops. *)
-          f.stripes <- [];
           if Site.Map.is_empty f.readers then f.writer_ss <- None
         end
       | Proto.Mode_read | Proto.Mode_internal ->
@@ -485,13 +449,8 @@ let drop_site k dead =
         (fun _ino f ->
           if f.writer = Some dead then begin
             f.writer <- None;
-            f.writer_ss <- None;
-            f.stripes <- []
+            f.writer_ss <- None
           end;
-          (* A stripe site left mid-session: the scattered session can
-             never commit coherently, so unpin; the writer's own site
-             failure handling aborts its side. *)
-          if List.exists (Site.equal dead) f.stripes then f.stripes <- [];
           f.readers <- Site.Map.remove dead f.readers;
           (* A lease must never survive a partition event (the holders
              scrub their own side; no callback can reach a departed

@@ -46,9 +46,10 @@ type config = {
      re-opens with zero messages until a callback break. 0 disables the
      lease layer and keeps the classic open/close protocol byte-identical. *)
   stripe_width : int;
-  (* stripe a file's logical pages across up to this many storage sites
-     holding latest copies: page p lives at stripes.(p mod width). 1
-     disables striping and keeps the classic protocol byte-identical. *)
+  (* stripe a read open's logical pages across up to this many storage
+     sites holding latest copies: page p lives at stripes.(p mod width).
+     A modify open is never striped. 1 disables striping and keeps the
+     classic protocol byte-identical. *)
   table_size_hint : int;
   (* initial bucket count for the hot per-kernel hashtables (open files,
      SS serving state, slots, descriptors); sized up front so large runs
@@ -84,10 +85,6 @@ type css_file = {
   (* sites granted a read lease on this file; broken by callback
      (Lease_break) when a writer opens, the version advances, a conflict
      or delete is recorded, or the partition changes *)
-  mutable stripes : Site.t list;
-  (* the stripe map pinned while opens are outstanding, so every US of a
-     shared file reads and writes the same page->SS assignment; [] means
-     unstriped (classic single-SS service) *)
 }
 
 type css_fg = { css_files : (int, css_file) Hashtbl.t }
@@ -143,9 +140,10 @@ type ofile = {
      fetches; a demand miss inside one takes it over and retires it *)
   mutable o_wb : wb_run option; (* pending write-behind run, if any *)
   mutable o_stripes : Site.t list;
-  (* stripe map for this open: page p is served by stripes.(p mod width);
-     [] = unstriped, everything goes to [o_ss]. [o_ss] is always the
-     primary (first) stripe site when striped. *)
+  (* stripe map for this read open: page p is served by
+     stripes.(p mod width); [] = unstriped, as every modify open is:
+     everything goes to [o_ss]. [o_ss] is always the primary (first)
+     stripe site when striped. *)
   mutable o_closed : bool;
   mutable o_lease : Openlease.entry option;
   (* the lease grant this open rides: its close is deferred while the

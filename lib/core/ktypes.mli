@@ -51,9 +51,10 @@ type config = {
           disables the lease layer and keeps the classic open/close
           protocol byte-identical. *)
   stripe_width : int;
-      (** stripe a file's logical pages across up to this many storage
-          sites holding latest copies; 1 disables striping and keeps the
-          classic protocol byte-identical *)
+      (** stripe a read open's logical pages across up to this many
+          storage sites holding latest copies; a modify open is never
+          striped (one storage site per writer, §2.3.6). 1 disables
+          striping and keeps the classic protocol byte-identical *)
   table_size_hint : int;
       (** initial bucket count for the hot per-kernel hashtables, so
           large runs don't pay repeated rehashing *)
@@ -77,9 +78,6 @@ type css_file = {
       (** sites granted a read lease on this file; broken by callback
           ([Lease_break]) when a writer opens, the version advances, a
           conflict or delete is recorded, or the partition changes *)
-  mutable stripes : Site.t list;
-      (** stripe map pinned while opens are outstanding, so every US of a
-          shared file uses the same page→SS assignment; [[]] = unstriped *)
 }
 
 type css_fg = { css_files : (int, css_file) Hashtbl.t }
@@ -128,9 +126,9 @@ type ofile = {
           a demand miss inside one takes it over and retires it *)
   mutable o_wb : wb_run option; (** pending write-behind run *)
   mutable o_stripes : Site.t list;
-      (** stripe map for this open: page p is served by
-          [stripes.(p mod width)]; [[]] = unstriped. When striped, [o_ss]
-          is the primary (first) stripe site. *)
+      (** stripe map for this read open: page p is served by
+          [stripes.(p mod width)]; [[]] = unstriped, as every modify open
+          is. When striped, [o_ss] is the primary (first) stripe site. *)
   mutable o_closed : bool;
   mutable o_lease : Openlease.entry option;
       (** the lease grant this open rides: its close is deferred while

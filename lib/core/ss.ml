@@ -427,76 +427,6 @@ let handle_dir_update k ~src gf op =
   in
   match result with Ok ino -> Proto.R_entry { ino } | Stdlib.Error e -> Proto.R_err e
 
-(* Peer stripe site's half of the striped commit: surrender the session's
-   modified pages and size to the committing primary, then abort the local
-   session — the primary folds them in and commits the one complete copy. *)
-let handle_stripe_collect k gf =
-  match find_open k gf with
-  | Some ({ s_shadow = Some session; _ } as s) ->
-    let pages =
-      List.map
-        (fun lpage ->
-          charge_disk_read k;
-          (lpage, Page.to_string (Shadow.read_page session lpage)))
-        (Shadow.modified_lpages session)
-    in
-    let size = (Shadow.incore session).Inode.size in
-    Shadow.abort session;
-    s.s_shadow <- None;
-    ss_dir_drop k gf;
-    Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _) -> Gfile.equal g gf);
-    record k ~tag:"ss.stripe.collect" "%a -> %d pages size=%d" Gfile.pp gf (List.length pages)
-      size;
-    Proto.R_stripe { pages; size }
-  | Some { s_shadow = None; _ } | None ->
-    (* This stripe saw no modifications: nothing to fold in. The size is
-       -1 so the primary ignores it in the size reconciliation. *)
-    Proto.R_stripe { pages = []; size = -1 }
-
-(* Committing primary's side: pull every peer stripe's modified pages into
-   the local shadow session so the copy committed here is complete, then
-   reconcile the size (all sessions saw the same truncates, so the true
-   final size is the maximum of the per-stripe session sizes).
-
-   [stripes] is the complete map, this site included: page p is owned by
-   stripes.(p mod width). Only pages a peer owns are folded in — the US
-   routes every write to the page's owner, so anything else in a peer's
-   session is a truncate artifact (a dropped page reading as zeroes), and
-   folding it would clobber the primary's fresh data. The size is taken
-   from the sessions as the US left them, before whole-page folds round
-   the primary's session up to a page boundary. *)
-let collect_stripes k gf session stripes =
-  let width = List.length stripes in
-  let collected =
-    List.mapi
-      (fun j peer ->
-        if Site.equal peer k.site then (j, [], -1)
-        else
-          match rpc k peer (Proto.Stripe_collect { gf }) with
-          | Proto.R_stripe { pages; size } -> (j, pages, size)
-          | Proto.R_err e -> err e "stripe collect refused"
-          | _ -> err Proto.Eio "unexpected stripe-collect response")
-      stripes
-  in
-  let final =
-    List.fold_left
-      (fun acc (_, _, size) -> max acc size)
-      (Shadow.incore session).Inode.size collected
-  in
-  let npages = (final + Page.size - 1) / Page.size in
-  List.iter
-    (fun (j, pages, _) ->
-      List.iter
-        (fun (lpage, data) ->
-          if lpage mod width = j && lpage < npages then begin
-            ss_dir_drop k gf;
-            charge_disk_write k;
-            Shadow.write_page session ~lpage (Page.of_string data)
-          end)
-        pages)
-    collected;
-  Shadow.set_size session final
-
 (* Install [session] as the committed version of [gf] (section 2.3.6):
    bump the version vector (or take recovery's [force_vv]), switch the
    incore inode in, and keep every cache coherent with the new version.
@@ -550,26 +480,15 @@ let commit_message k gf ~vv ~modified ~deleted ~meta_only =
 
 (* The atomic commit (section 2.3.6): move the incore inode to the disk
    inode, then notify the CSS and all other storage sites so they bring
-   their copies up to date by pulling. [stripes] names the peer stripe
-   sites of a striped session; their pages are collected first, so the
-   commit itself stays the classic single-site version bump. *)
-let handle_commit ?force_vv ?(stripes = []) k gf ~abort ~delete =
+   their copies up to date by pulling. *)
+let handle_commit ?force_vv k gf ~abort ~delete =
   match local_pack k gf.Gfile.fg with
   | None -> Proto.R_err Proto.Eio
   | Some pack -> (
     let s = get_open k gf in
-    (* An abort of a striped session must also abort the peers' sessions;
-       collection discards their pages. *)
-    if abort && stripes <> [] then
-      List.iter
-        (fun peer ->
-          if not (Site.equal peer k.site) then
-            match rpc_result k peer (Proto.Stripe_collect { gf }) with
-            | Ok _ | Stdlib.Error _ -> ())
-        stripes;
     match s.s_shadow with
     | None when abort -> Proto.R_committed { vv = Vvec.zero }
-    | None when not delete && stripes = [] ->
+    | None when not delete ->
       (* Nothing was modified: no new version is created. *)
       let vv =
         match Pack.find_inode pack gf.Gfile.ino with
@@ -577,10 +496,8 @@ let handle_commit ?force_vv ?(stripes = []) k gf ~abort ~delete =
         | None -> Vvec.zero
       in
       Proto.R_committed { vv }
-    | (None | Some _) when abort ->
-      (match s.s_shadow with
-      | Some session -> Shadow.abort session
-      | None -> ());
+    | Some session when abort ->
+      Shadow.abort session;
       s.s_shadow <- None;
       ss_dir_drop k gf;
       (* The committed version is untouched: its buffered pages stay. *)
@@ -597,7 +514,6 @@ let handle_commit ?force_vv ?(stripes = []) k gf ~abort ~delete =
         | Some session -> session
         | None -> ensure_session k pack gf
       in
-      if stripes <> [] then collect_stripes k gf session stripes;
       let vv, modified = install k pack gf s session ?force_vv ~delete in
       (* Notify the CSS and the other storage sites (section 2.3.6). The
          CSS message is synchronous: the commit is not complete until the

@@ -138,7 +138,6 @@ val handle_dir_update :
 
 val handle_commit :
   ?force_vv:Vv.Version_vector.t ->
-  ?stripes:Net.Site.t list ->
   Ktypes.t ->
   Catalog.Gfile.t ->
   abort:bool ->
@@ -147,17 +146,8 @@ val handle_commit :
 (** The atomic commit (§2.3.6): switch the incore inode in, bump the
     version vector (or install [force_vv], recovery's merged vector), and
     send commit notifications. [abort] discards instead; [delete] marks
-    the inode deleted first (§2.3.7). A non-empty [stripes] names the
-    stripe sites of a striped modify session: this site (the primary)
-    first collects each peer's session pages with [Stripe_collect] and
-    folds them into its own shadow copy, so the classic commit then
-    installs the one complete version. *)
-
-val handle_stripe_collect : Ktypes.t -> Catalog.Gfile.t -> Proto.resp
-(** Peer half of the striped commit: surrender the local session's
-    modified pages and size to the committing primary and abort the
-    session. Answers an empty page set (size -1) when no session exists,
-    which an aborting primary treats as already clean. *)
+    the inode deleted first (§2.3.7). A modify open is never striped, so
+    this one site holds the whole session. *)
 
 val handle_us_close :
   Ktypes.t -> src:Net.Site.t -> Catalog.Gfile.t -> mode:Proto.open_mode -> Proto.resp

@@ -154,13 +154,10 @@ let rec open_gf ?(shared = false) k gf mode =
       o_info = info;
       o_stripes = info.Proto.i_stripes;
       (* The CSS reports any writer, this open included. The writer's own
-         open caches under its private key unless other hands move its
-         bytes: a shared descriptor's other holders write behind its back
-         (the original open stops caching once its descriptor leaves the
-         site: see [share]), and a striped writer's peer copies lag its
-         own commits until propagation catches them up. *)
-      o_nocache =
-        nocache && (shared || mode <> Proto.Mode_modify || info.Proto.i_stripes <> []);
+         open caches under its private key unless a shared descriptor's
+         other holders write behind its back (the original open stops
+         caching once its descriptor leaves the site: see [share]). *)
+      o_nocache = nocache && (shared || mode <> Proto.Mode_modify);
       o_key = "";
       o_private = [];
       o_gen = 0;
@@ -247,9 +244,10 @@ and open_cold ~shared ~asks k fi gf mode =
 
 (* ---- page owners: striping (section: scale-out storage) ----
 
-   A striped open carries a stripe map from the CSS: logical page [p] is
-   served by [o_stripes.(p mod width)]. An empty map is width 1: every
-   page lives at [o_ss], the classic single-SS protocol. *)
+   A striped read open carries a stripe map from the CSS: logical page
+   [p] is served by [o_stripes.(p mod width)]. An empty map is width 1:
+   every page lives at [o_ss], the classic single-SS protocol, as it does
+   for every modify open. *)
 
 let striped o = o.o_stripes <> []
 
@@ -259,9 +257,7 @@ let page_site o lpage =
   match o.o_stripes with [] -> o.o_ss | stripes -> stripe_owner stripes lpage
 
 (* A stripe peer stopped answering: drop back to the classic protocol
-   against the primary, which holds a complete latest copy. Modify opens
-   cannot degrade (pages already written to peer sessions would be lost);
-   they fail like a classic open whose SS died. *)
+   against the primary, which holds a complete latest copy. *)
 let stripe_degrade k o =
   record k ~tag:"us.stripe.degrade" "%a" Gfile.pp o.o_gf;
   Sim.Stats.incr (stats k) "us.stripe.degrade";
@@ -358,8 +354,8 @@ let fetch_share k o ~w site ~f ~cnt =
   reply
 
 (* Whether page [lpage] ends a striped file. An owner's eof speaks for
-   its own session's size, which a striped writer's extending writes grew
-   only where they landed, so the open's own size decides. *)
+   the last page of its own share, not for [lpage], so the open's size
+   decides. *)
 let stripe_eof o lpage = (lpage + 1) * Page.size >= o.o_info.Proto.i_size
 
 (* Fetch the run [first, first+count) into the US cache: each owner gets
@@ -507,8 +503,7 @@ let rec read_page ?(want = 1) k o lpage =
     else fetch_uncached k o lpage
   with
   | result -> result
-  | exception Error _
-    when striped o && o.o_mode <> Proto.Mode_modify && in_partition k o.o_ss ->
+  | exception Error _ when striped o && in_partition k o.o_ss ->
     stripe_degrade k o;
     read_page ~want k o lpage
 
@@ -587,20 +582,8 @@ let write k o ~off data =
       flush_wb k o
     | _ -> ()
   in
-  (* A striped write must route each page to its owner, so the contiguous
-     run does not apply; pages travel singly as in the unbatched
-     protocol. *)
-  let rec per_page pos =
-    if pos < len then begin
-      let abs = off + pos in
-      let n = min (Page.size - (abs mod Page.size)) (len - pos) in
-      Ss.write_run k (page_site o (abs / Page.size)) o.o_gf ~off:abs (String.sub data pos n);
-      per_page (pos + n)
-    end
-  in
   if len > 0 then
-    if striped o then per_page 0
-    else if bulk_enabled k o then write_behind ()
+    if bulk_enabled k o then write_behind ()
     else Ss.write_run k o.o_ss o.o_gf ~off data;
   renew_key k o;
   o.o_dirty <- true;
@@ -611,72 +594,23 @@ let truncate k o size =
   if o.o_mode <> Proto.Mode_modify then err Proto.Eaccess "file not open for modification";
   (* Buffered writes precede the truncate in program order. *)
   if o.o_wb <> None then flush_wb k o;
-  (* Every stripe session must agree on the size, so commit-time size
-     reconciliation (the max of the session sizes) stays sound. *)
-  List.iter
-    (fun site -> Ss.write_run ~trunc:size k site o.o_gf ~off:0 "")
-    (match o.o_stripes with [] -> [ o.o_ss ] | stripes -> stripes);
+  Ss.write_run ~trunc:size k o.o_ss o.o_gf ~off:0 "";
   renew_key k o;
   o.o_dirty <- true;
   if size < o.o_info.Proto.i_size then o.o_info <- { o.o_info with Proto.i_size = size }
 
-(* A whole-file overwrite. Unstriped, the truncate rides in the first
-   [Write_pages] of the run, and any pending write-behind run is dropped:
-   the truncate would discard it. The open is dirty before anything is
-   sent, so a failure part-way through aborts the session. *)
+(* A whole-file overwrite. The truncate rides in the first [Write_pages]
+   of the run, and any pending write-behind run is dropped: the truncate
+   would discard it. The open is dirty before anything is sent, so a
+   failure part-way through aborts the session. *)
 let set_contents k o body =
-  if striped o then begin
-    truncate k o 0;
-    if String.length body > 0 then write k o ~off:0 body
-  end
-  else begin
-    writable o;
-    o.o_wb <- None;
-    o.o_dirty <- true;
-    Ss.write_run ~trunc:0 k o.o_ss o.o_gf ~off:0 body
-      ~sent:(if bulk_enabled k o then bulk_sent k else ignore);
-    renew_key k o;
-    o.o_info <- { o.o_info with Proto.i_size = String.length body }
-  end;
-  o.o_dirty <- true
-
-(* Commit or abort the modifications of this open (section 2.3.6). *)
-let commit_gen k o ~abort ~delete =
-  (* The write-behind run is part of what commits: flush it into the SS
-     shadow session first. Aborting just drops it. *)
-  if abort then o.o_wb <- None else if o.o_wb <> None then flush_wb k o;
-  let resp =
-    match o.o_stripes with
-    | (primary :: _) as stripes when o.o_mode = Proto.Mode_modify ->
-      (* Striped commit goes to the primary, which collects each peer's
-         session pages, folds them into one complete shadow copy, and
-         runs the classic atomic commit on it. *)
-      if Site.equal primary k.site then
-        Ss.handle_commit ~stripes k o.o_gf ~abort ~delete
-      else
-        rpc k primary
-          (Proto.Commit_req
-             { gf = o.o_gf; us = k.site; abort; delete; force_vv = None; stripes })
-    | _ ->
-      if Site.equal o.o_ss k.site then
-        Ss.handle_commit k o.o_gf ~abort ~delete
-      else
-        rpc k o.o_ss
-          (Proto.Commit_req
-             { gf = o.o_gf; us = k.site; abort; delete; force_vv = None; stripes = [] })
-  in
-  match resp with
-  | Proto.R_committed { vv } ->
-    o.o_dirty <- false;
-    if not (Vvec.equal vv Vvec.zero) then o.o_info <- { o.o_info with Proto.i_vv = vv };
-    renew_key k o;
-    vv
-  | Proto.R_err e -> err e "commit failed"
-  | _ -> err Proto.Eio "unexpected commit response"
-
-let commit k o = ignore (commit_gen k o ~abort:false ~delete:false)
-
-let abort k o = ignore (commit_gen k o ~abort:true ~delete:false)
+  writable o;
+  o.o_wb <- None;
+  o.o_dirty <- true;
+  Ss.write_run ~trunc:0 k o.o_ss o.o_gf ~off:0 body
+    ~sent:(if bulk_enabled k o then bulk_sent k else ignore);
+  renew_key k o;
+  o.o_info <- { o.o_info with Proto.i_size = String.length body }
 
 (* Run the close protocol's first leg at [ss]: in process, or one
    [Us_close] handed off to {!Ktypes.send_close}. A close that can never
@@ -704,6 +638,46 @@ let lease_drop_rider k (e : Openlease.entry) =
   e.Openlease.le_active <- e.Openlease.le_active - 1;
   if e.Openlease.le_broken && e.Openlease.le_active <= 0 then lease_send_close k e
 
+(* A commit of [gf] at [vv] from this site: any lease this site holds on
+   another version is dead now, before the CSS's one-way [Lease_break]
+   arrives, as [Ss.install] kills it at a storing site. The commit rides
+   the lease across the kill, so its deferred close goes out from a
+   scheduled event rather than in the foreground. *)
+let retire_lease k gf vv =
+  match Openlease.find_entry k.open_leases gf with
+  | Some e when not (Vvec.equal e.Openlease.le_vv vv) ->
+    e.Openlease.le_active <- e.Openlease.le_active + 1;
+    Openlease.kill k.open_leases gf;
+    Engine.schedule k.engine ~delay:0.0 (fun () -> lease_drop_rider k e)
+  | Some _ | None -> ()
+
+(* Commit or abort the modifications of this open (section 2.3.6). *)
+let commit_gen k o ~abort ~delete =
+  (* The write-behind run is part of what commits: flush it into the SS
+     shadow session first. Aborting just drops it. *)
+  if abort then o.o_wb <- None else if o.o_wb <> None then flush_wb k o;
+  let resp =
+    if Site.equal o.o_ss k.site then Ss.handle_commit k o.o_gf ~abort ~delete
+    else
+      rpc k o.o_ss
+        (Proto.Commit_req { gf = o.o_gf; us = k.site; abort; delete; force_vv = None })
+  in
+  match resp with
+  | Proto.R_committed { vv } ->
+    o.o_dirty <- false;
+    if not (Vvec.equal vv Vvec.zero) then begin
+      o.o_info <- { o.o_info with Proto.i_vv = vv };
+      retire_lease k o.o_gf vv
+    end;
+    renew_key k o;
+    vv
+  | Proto.R_err e -> err e "commit failed"
+  | _ -> err Proto.Eio "unexpected commit response"
+
+let commit k o = ignore (commit_gen k o ~abort:false ~delete:false)
+
+let abort k o = ignore (commit_gen k o ~abort:true ~delete:false)
+
 (* Close: flush (commit) any modification, then run the close protocol
    US -> SS -> CSS (section 2.3.3). A lease-backed read open defers the
    protocol instead: the SS keeps serving this US, and the [Us_close] /
@@ -720,15 +694,7 @@ let close k o =
     | Some e ->
       if not e.Openlease.le_broken then Sim.Stats.incr (stats k) "open.lease.defer";
       lease_drop_rider k e
-    | None ->
-      let close_at site = close_at k site o.o_gf o.o_mode in
-      (match o.o_stripes with
-      | (_ :: _) as stripes when o.o_mode = Proto.Mode_modify ->
-        (* Every stripe site registered this open at the poll; each gets
-           its [Us_close], and the CSS treats the resulting [Ss_close]
-           volley idempotently. *)
-        List.iter close_at stripes
-      | _ -> close_at o.o_ss));
+    | None -> close_at k o.o_ss o.o_gf o.o_mode);
     (* Without retention the buffered pages die with the open; with it they
        stay, version-keyed, so a re-open of the same version hits warm. *)
     if not k.config.cache_retention then

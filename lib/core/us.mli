@@ -28,7 +28,7 @@ val read_page : ?want:int -> Ktypes.t -> Ktypes.ofile -> int -> string * bool
 (** [read_page ~want k o lpage] returns the page data (possibly short at
     end of file) and an eof flag. [want] (default 1) is how many pages the
     read call covers from [lpage] on. An unstriped open served by this
-    site reads its own pack. A cacheable open, a writer's own included,
+    site reads its own pack; only a read open is ever striped. A cacheable open, a writer's own included,
     goes through the windowed fetcher: a miss fetches a run of pages, one
     request per page owner, as many as [want] or the open's window,
     whichever is more, up to [config.bulk_window] pages per owner. On the
@@ -66,17 +66,20 @@ val flush_wb : Ktypes.t -> Ktypes.ofile -> unit
 
 val truncate : Ktypes.t -> Ktypes.ofile -> int -> unit
 (** Shrink the file to the given size: a [Write_pages] with the size and
-    no data, to every stripe site of a striped open. Pending write-behind
-    is flushed first. *)
+    no data, to the open's one SS. Pending write-behind is flushed
+    first. *)
 
 val set_contents : Ktypes.t -> Ktypes.ofile -> string -> unit
-(** Whole-file overwrite. Unstriped, it drops any pending write-behind
-    run and sends the body in one [Ss.write_run], the truncate to 0
-    riding in its first [Write_pages]; striped, a truncate then page
-    writes. *)
+(** Whole-file overwrite: drops any pending write-behind run and sends
+    the body in one [Ss.write_run], the truncate to 0 riding in its first
+    [Write_pages]. *)
 
 val commit : Ktypes.t -> Ktypes.ofile -> unit
-(** Atomically commit this open's modifications at the SS (§2.3.6). *)
+(** Atomically commit this open's modifications at the SS (§2.3.6). A
+    read lease this site holds on the file's older version dies with the
+    commit, so a re-open here cannot read the old bytes before the CSS's
+    [Lease_break] arrives; the lease's deferred close goes out from a
+    scheduled event. *)
 
 val abort : Ktypes.t -> Ktypes.ofile -> unit
 (** Undo any changes back to the previous commit point. *)

@@ -70,10 +70,10 @@ type inode_info = {
   i_vv : Vvec.t;
   i_deleted : bool;
   i_stripes : Net.Site.t list;
-  (* stripe map assigned by the CSS at open time: logical page p is
+  (* stripe map assigned by the CSS to a read open: logical page p is
      served by stripes.(p mod width). [] = unstriped (classic single-SS
-     service) and costs zero wire bytes, keeping stripe_width = 1
-     byte-identical to the classic protocol. *)
+     service, and every modify open) and costs zero wire bytes, keeping
+     stripe_width = 1 byte-identical to the classic protocol. *)
 }
 
 let info_of_inode (i : Storage.Inode.t) =
@@ -243,17 +243,8 @@ type req =
         (* recovery only: install this exact version vector (the pointwise
            maximum of the merged copies, bumped at the merge site) instead
            of bumping the local one *)
-      stripes : Net.Site.t list;
-        (* striped session: the peer stripe sites the primary SS must
-           collect modified pages from before committing, so every
-           committed copy is complete under one version bump. [] (classic)
-           costs zero wire bytes. *)
     } (* US -> SS: commit (or abort) the open modification session; [delete]
          marks the inode deleted before committing (section 2.3.7) *)
-  | Stripe_collect of { gf : Catalog.Gfile.t }
-    (* primary SS -> peer stripe SS at commit: hand over your session's
-       modified pages and size, then abort your session; the primary
-       folds them into its shadow session and commits classically *)
   (* --- close protocol (3 messages; see the race note in section 2.3.3) --- *)
   | Us_close of { gf : Catalog.Gfile.t; mode : open_mode }
   | Ss_close of { gf : Catalog.Gfile.t; ss : Net.Site.t; us : Net.Site.t; mode : open_mode }
@@ -359,9 +350,6 @@ type resp =
        page returned contains end of file (or that [first] was past it).
        [info] is the committed copy's inode, when the request set [stat]. *)
   | R_committed of { vv : Vvec.t }
-  | R_stripe of { pages : (int * string) list; size : int }
-    (* a peer stripe SS's modified full pages (lpage, data) and its
-       session's file size, surrendered to the committing primary *)
   | R_entry of { ino : int } (* the inode a directory record change entered or removed *)
   | R_intent of { ino : int; dir_vv : Vvec.t; file : (Vvec.t * bool) option }
     (* an intent's inode, the directory's new version, and the file's new
@@ -451,11 +439,8 @@ let req_bytes = function
     header + 4 + gfile_bytes + intent_bytes op + site_list_bytes others
     + (5 * List.length refuse) + (4 * List.length stale)
   | Intent_step { step = Step_link _; _ } -> header + 4 + gfile_bytes + 4
-  | Commit_req { force_vv; stripes; _ } ->
-    header + gfile_bytes + 5
-    + (match force_vv with Some v -> vv_bytes v | None -> 0)
-    + site_list_bytes stripes
-  | Stripe_collect _ -> header + gfile_bytes
+  | Commit_req { force_vv; _ } ->
+    header + gfile_bytes + 5 + (match force_vv with Some v -> vv_bytes v | None -> 0)
   | Us_close _ -> header + gfile_bytes + 1
   | Ss_close _ -> header + gfile_bytes + 9
   | Commit_notify { vv; modified; replicas; _ } ->
@@ -517,8 +502,6 @@ let resp_bytes = function
     header + pages_bytes pages
     + (match info with Some i -> info_bytes i | None -> 0)
   | R_committed { vv } -> header + vv_bytes vv
-  | R_stripe { pages; _ } ->
-    header + 8 + List.fold_left (fun a (_, p) -> a + 6 + String.length p) 0 pages
   | R_entry _ -> header + 4
   | R_intent { dir_vv; file; _ } ->
     header + 5 + vv_bytes dir_vv
@@ -550,7 +533,6 @@ let req_tag = function
   | Write_pages { trunc = Some _; data = ""; _ } -> "truncate"
   | Write_pages _ -> "write"
   | Commit_req _ -> "commit"
-  | Stripe_collect _ -> "stripe.collect"
   | Us_close _ -> "close.us"
   | Ss_close _ -> "close.ss"
   | Commit_notify _ -> "notify"
@@ -591,7 +573,7 @@ let req_idempotent = function
   | Write_pages _ | Part_poll _ | Part_announce _ | Merge_poll _ | Merge_announce _
   | Status_check _ ->
     true
-  | Open_req _ | Storage_req _ | Commit_req _ | Stripe_collect _ | Us_close _ | Ss_close _
+  | Open_req _ | Storage_req _ | Commit_req _ | Us_close _ | Ss_close _
   | Dir_intent _ | Intent_step _ | Set_attr _ | Fork_req _ | Exec_req _
   | Run_req _ | Signal_req _ | Exit_notify _ | Pipe_write _ | Pipe_read _ ->
     false

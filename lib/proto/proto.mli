@@ -58,9 +58,10 @@ type inode_info = {
   i_vv : Vv.Version_vector.t;
   i_deleted : bool;
   i_stripes : Net.Site.t list;
-      (** stripe map assigned by the CSS at open time: logical page p is
-          served by [stripes.(p mod width)]. [[]] = unstriped, and costs
-          zero wire bytes (classic ablation stays byte-identical). *)
+      (** stripe map assigned by the CSS to a read open: logical page p
+          is served by [stripes.(p mod width)]. [[]] = unstriped, as every
+          modify open is, and costs zero wire bytes (classic ablation
+          stays byte-identical). *)
 }
 
 val info_of_inode : Storage.Inode.t -> inode_info
@@ -229,16 +230,10 @@ type req =
       abort : bool;
       delete : bool;
       force_vv : Vv.Version_vector.t option;
-      stripes : Net.Site.t list;
     }  (** US → SS: commit/abort the open modification; [delete] marks
            the inode deleted (§2.3.7); [force_vv] installs recovery's
-           merged vector; [stripes] names the peer stripe sites the
-           primary must collect modified pages from first ([[]] =
-           classic, zero wire bytes). *)
-  | Stripe_collect of { gf : Catalog.Gfile.t }
-      (** primary SS → peer stripe SS at commit: surrender your session's
-          modified pages and size, then abort the session; the primary
-          folds them in and commits classically under one version bump. *)
+           merged vector. A modify open is never striped, so the commit
+           goes to its one SS. *)
   | Us_close of { gf : Catalog.Gfile.t; mode : open_mode }
   | Ss_close of {
       gf : Catalog.Gfile.t;
@@ -359,9 +354,6 @@ type resp =
           when the request set [stat], at the size a stat reply's inode
           costs; [None] costs nothing. *)
   | R_committed of { vv : Vv.Version_vector.t }
-  | R_stripe of { pages : (int * string) list; size : int }
-      (** a peer stripe SS's modified full pages [(lpage, data)] and its
-          session's file size, answering a [Stripe_collect] *)
   | R_entry of { ino : int }  (** the inode a directory record change entered or removed *)
   | R_intent of {
       ino : int;

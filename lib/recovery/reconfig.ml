@@ -28,7 +28,6 @@ let install k =
         Some (Proto.R_status { stage = k.recon_stage; site = k.site })
       | Proto.Open_req _ | Proto.Storage_req _ | Proto.Read_pages _ | Proto.Write_pages _
       | Proto.Dir_intent _ | Proto.Intent_step _ | Proto.Commit_req _
-      | Proto.Stripe_collect _
       | Proto.Us_close _ | Proto.Ss_close _ | Proto.Commit_notify _
       | Proto.Reclaim_req _ | Proto.Page_invalidate _ | Proto.Lease_break _
       | Proto.Set_attr _ | Proto.Stat_req _

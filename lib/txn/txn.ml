@@ -131,7 +131,7 @@ let take_lock t path =
     match Us.open_gf k gf Proto.Mode_modify with
     | o ->
       t.t_locks <- { l_path = path; l_ofile = o } :: t.t_locks;
-      List.iter (note_touched (Kernel.site k) t) (o.K.o_ss :: o.K.o_stripes)
+      note_touched (Kernel.site k) t o.K.o_ss
     | exception K.Error (e, _) ->
       raise (Txn_error (Printf.sprintf "cannot lock %s: %s" path (Proto.errno_to_string e)))
   end
@@ -219,11 +219,9 @@ let commit t =
 
 let rec touched_sites t =
   (* Closed handles still count: cleanup may have closed them just before
-     asking which transactions the failure dooms. A striped lock touches
-     every stripe site, not only the primary. *)
-  let own =
-    List.concat_map (fun l -> l.l_ofile.K.o_ss :: l.l_ofile.K.o_stripes) t.t_locks
-  in
+     asking which transactions the failure dooms. A lock is a modify
+     open, never striped: it touches its one SS. *)
+  let own = List.map (fun l -> l.l_ofile.K.o_ss) t.t_locks in
   let kids = List.concat_map touched_sites t.t_children in
   List.sort_uniq Site.compare (own @ kids)
 

@@ -119,6 +119,27 @@ let test_break_on_commit_notify () =
   ignore (World.settle w);
   check Alcotest.bool "broken by version advance" false (held k3 gf)
 
+(* A holder's own commit kills its lease at once: a read at the same
+   instant, before the CSS's one-way [Lease_break] arrives, goes cold and
+   reads the new bytes. The dead lease's deferred close still goes out,
+   and so does the new lease's once the late break kills it too, so the
+   CSS ends with no reader registration for the site. *)
+let test_break_on_own_commit () =
+  let w = make_world () in
+  mk_file w ~at:1 ~path:"/f" ~body:"old!";
+  let k0 = World.kernel w 0 and k3 = World.kernel w 3 and p3 = World.proc w 3 in
+  let gf = gf_of k3 "/f" in
+  check Alcotest.string "first read" "old!" (Kernel.read_file k3 p3 "/f");
+  check Alcotest.bool "lease held" true (held k3 gf);
+  Kernel.write_file k3 p3 "/f" "new!";
+  check Alcotest.string "own bytes at the same instant" "new!" (Kernel.read_file k3 p3 "/f");
+  ignore (World.settle w);
+  match Css.find_file k0 0 gf.Gfile.ino with
+  | Some f ->
+    check Alcotest.int "reader registrations closed" 0
+      (Option.value ~default:0 (K.Site.Map.find_opt 3 f.K.readers))
+  | None -> Alcotest.fail "css record missing"
+
 (* ---- deferred close ---- *)
 
 (* With a single-entry lease table, registering a second grant evicts the
@@ -238,6 +259,7 @@ let () =
         [
           Alcotest.test_case "writer open" `Quick test_break_on_writer_open;
           Alcotest.test_case "commit notify" `Quick test_break_on_commit_notify;
+          Alcotest.test_case "own commit" `Quick test_break_on_own_commit;
         ] );
       ( "deferred close",
         [

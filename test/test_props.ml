@@ -21,8 +21,9 @@
      file is explicitly marked in conflict)
    - page fetcher: random read traces at every window x stripe width
      return the file's bytes, leave nothing in flight, and at window 1 x
-     width 1 are the classic one-page protocol; a writer's traces read
-     its own writes, no other open finds its uncommitted bytes in a US
+     width 1 are the classic one-page protocol; a writer, never
+     striped, commits at every width and its traces read its own
+     writes, no other open finds its uncommitted bytes in a US
      cache, and its privately keyed pages leave the cache when its key is
      renewed and at close. *)
 
@@ -895,13 +896,13 @@ let arb_fetch_case ~writer =
         (1, map2 (fun f n -> Read_range (f, n)) (int_bound 44) (int_range 1 12));
       ]
   in
-  let writer_op ~commits =
+  let writer_op =
     frequency
       [
         (5, read);
         (3, map2 (fun off n -> Write (off, n)) (int_bound (44 * Page.size)) (int_range 1 (3 * Page.size)));
         (1, map (fun n -> Truncate n) (int_bound (44 * Page.size)));
-        ((if commits then 1 else 0), return Commit);
+        (1, return Commit);
         (1, return Drain);
         (2, map (fun same -> Peek same) bool);
       ]
@@ -914,14 +915,7 @@ let arb_fetch_case ~writer =
         (String.concat "; " (List.map show_fetch_op c.ops)))
     (quad (oneofl [ 1; 2; 8 ]) (oneofl [ 1; 3 ]) (int_range 1 40) (int_bound 200)
     >>= fun (window, width, pages, tail) ->
-    (* A striped writer that goes on writing after a commit reads its
-       peers' stale copies (see ROADMAP), so its traces commit only at
-       close. *)
-    let op =
-      if not writer then read
-      else if width > 1 then writer_op ~commits:false
-      else writer_op ~commits:true
-    in
+    let op = if writer then writer_op else read in
     list_size (int_range 1 10) op >|= fun ops -> { window; width; pages; tail; writer; ops })
 
 (* A reader's trace must return the file's bytes and, at window 1 x width
@@ -978,13 +972,9 @@ let run_fetch_case c =
   let peek site =
     Locus_core.Us.flush_wb k3 o;
     let k = World.kernel w site in
-    match Locus_core.Us.open_gf k gf Proto.Mode_read with
-    | r ->
-      if not (String.equal (Locus_core.Us.read_all k r) !body) then ok := false;
-      Locus_core.Us.close k r
-    | exception K.Error (Proto.Ebusy, _) ->
-      (* A striped modify session admits no other open. *)
-      if o.K.o_stripes = [] then ok := false
+    let r = Locus_core.Us.open_gf k gf Proto.Mode_read in
+    if not (String.equal (Locus_core.Us.read_all k r) !body) then ok := false;
+    Locus_core.Us.close k r
   in
   let versions_committed () =
     let key = K.vv_key !committed_vv in
@@ -1072,7 +1062,8 @@ let run_fetch_case c =
     peek 4;
     if not (versions_committed ()) then ok := false
   end;
-  !ok && owners = c.width && inflight = [] && classic
+  (* A writer has one page owner: a modify open is never striped. *)
+  !ok && owners = (if c.writer then 1 else c.width) && inflight = [] && classic
   && not (c.writer && cached_under !keys)
 
 let prop_fetcher_reads_file_bytes =

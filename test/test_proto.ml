@@ -23,7 +23,7 @@ let some_reqs =
       { gf; first = 0; count = 1; guess = 0; stride = 1; committed = false; stat = false };
     Proto.Write_pages { gf; trunc = None; first = 0; off = 0; data = String.make 1024 'x' };
     Proto.Write_pages { gf; trunc = Some 0; first = 0; off = 0; data = "" };
-    Proto.Commit_req { gf; us = 0; abort = false; delete = false; force_vv = None; stripes = [] };
+    Proto.Commit_req { gf; us = 0; abort = false; delete = false; force_vv = None };
     Proto.Us_close { gf; mode = Proto.Mode_read };
     Proto.Ss_close { gf; ss = 0; us = 1; mode = Proto.Mode_read };
     Proto.Commit_notify

@@ -2,11 +2,11 @@
 
    A file whose latest version lives at several packs can be opened with a
    stripe map: logical page p is served by stripes.(p mod width). These
-   tests pin the three load-bearing properties: stripe_width = 1 (and any
-   world where striping cannot engage) is byte-identical to the classic
-   protocol; striped reads and writes move the right bytes; and failures
-   degrade a striped open back to the classic single-SS protocol instead
-   of failing it. *)
+   tests pin the load-bearing properties: stripe_width = 1 (and any world
+   where striping cannot engage) is byte-identical to the classic
+   protocol; striped reads move the right bytes; a modify open is never
+   striped; and failures degrade a striped open back to the classic
+   single-SS protocol instead of failing it. *)
 
 module World = Locus.World
 module Kernel = Locus_core.Kernel
@@ -97,51 +97,44 @@ let test_striped_read () =
   check Alcotest.bool "pages fetched via the stripe fan-out" true
     (Stats.get (World.stats w) "us.stripe.read" > 0)
 
-(* ---- striped writes: scattered sessions, one commit ---- *)
+(* ---- writers: one storage site per writer ---- *)
 
-let test_striped_write_commit () =
+(* While a writer is active only one storage site may be involved
+   (section 2.3.6 footnote), so a modify open gets no stripe map even
+   where a read open would get one. The writer then reads its own bytes
+   after a commit, other opens are served while it writes, and the commit
+   reaches every copy. *)
+let test_modify_never_striped () =
   let w = make_world ~packs:[ 0; 1; 2 ] () in
-  seed_file w ~from:3 ~path:"/big" ~contents:(body 3 24);
-  let s = World.stats w in
-  let before = Stats.snapshot s in
-  (* A fresh modify open from the packless site sees three latest holders,
-     no readers and no writer: the session is striped, each page travelling
-     to its owner, and the commit collects the peers' pages at the primary
-     before the single version-vector bump. *)
+  seed_file w ~from:3 ~path:"/big" ~contents:(body 3 12);
   let k3 = World.kernel w 3 and p3 = World.proc w 3 in
-  let v2 = body 7 24 in
-  Kernel.write_file k3 p3 "/big" v2;
-  check Alcotest.bool "commit collected the peer stripes" true
-    (Stats.delta_of s before "net.msg.stripe.collect" >= 2);
+  let gf = Kernel.resolve k3 p3 "/big" in
+  let o = Us.open_gf k3 gf Proto.Mode_modify in
+  check Alcotest.bool "no stripe map" true (o.K.o_stripes = []);
+  let v2 = body 7 12 and patch = body 11 3 in
+  Us.write k3 o ~off:0 v2;
+  Us.commit k3 o;
+  Us.write k3 o ~off:(5 * page) patch;
+  let final = String.sub v2 0 (5 * page) ^ patch ^ String.sub v2 (8 * page) (4 * page) in
+  check Alcotest.string "the writer reads its own bytes after a commit" final
+    (Us.read_bytes k3 o ~off:0 ~len:(12 * page));
+  (* A reader is served by the writer's SS meanwhile, and sees what the
+     writer has pushed there. *)
+  Us.flush_wb k3 o;
+  let k4 = World.kernel w 4 in
+  let r = Us.open_gf k4 gf Proto.Mode_read in
+  check Alcotest.string "a read open while the writer is open" final (Us.read_all k4 r);
+  Us.close k4 r;
+  Us.close k3 o;
   ignore (World.settle w);
-  (* Every pack converged on the folded image. *)
   List.iter
     (fun site ->
-      let k = World.kernel w site and p = World.proc w site in
+      let pack = Hashtbl.find (World.kernel w site).K.packs 0 in
       check Alcotest.string
-        (Printf.sprintf "content at site %d" site)
-        v2
-        (Kernel.read_file k p "/big"))
-    [ 0; 1; 2; 4 ]
-
-(* A striped writer extends the file: only the owners its write reached
-   grew their session sizes, so an owner's own eof is no guide to where
-   the writer's file ends. Reading back across the old end must report
-   eof only on the writer's last page. *)
-let test_striped_writer_reads_past_old_end () =
-  let w = make_world ~n_sites:4 ~packs:[ 0; 1; 2 ] () in
-  let size = (22 * page) + 187 in
-  seed_file w ~from:0 ~path:"/grow" ~contents:(String.make size 'a');
-  let k3 = World.kernel w 3 and p3 = World.proc w 3 in
-  let o = Us.open_gf k3 (Kernel.resolve k3 p3 "/grow") Proto.Mode_modify in
-  check Alcotest.int "striped" 3 (List.length o.K.o_stripes);
-  Us.write k3 o ~off:size (String.make 2726 'B');
-  let last = (size + 2726 - 1) / page in
-  for p = 17 to last do
-    let _, eof = Us.read_page k3 o p in
-    check Alcotest.bool (Printf.sprintf "eof on page %d" p) (p = last) eof
-  done;
-  Us.close k3 o
+        (Printf.sprintf "copy at pack %d" site)
+        final
+        (Storage.Pack.read_string pack (Storage.Pack.get_inode pack gf.Catalog.Gfile.ino)))
+    [ 0; 1; 2 ]
 
 (* ---- failure of a stripe peer degrades the open, mid-read ---- *)
 
@@ -215,10 +208,8 @@ let () =
       ( "striped-io",
         [
           Alcotest.test_case "striped read" `Quick test_striped_read;
-          Alcotest.test_case "striped write + commit" `Quick
-            test_striped_write_commit;
-          Alcotest.test_case "striped writer reads past the old end" `Quick
-            test_striped_writer_reads_past_old_end;
+          Alcotest.test_case "a modify open is never striped" `Quick
+            test_modify_never_striped;
         ] );
       ( "failure",
         [
