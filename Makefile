@@ -22,7 +22,10 @@ bench:
 # and these checks abort their experiment: E1's message counts must equal
 # the paper's (and an open plus whole read of a 2-page file the CSS
 # stores must be 6 messages at window 1, 2 at window 8, where the open
-# carries the pages), E14's copies must converge to the committed bytes,
+# carries the pages), E14's copies must converge to the committed bytes
+# and each additional copy must cost exactly 4 messages at window 1
+# (notify, read round trip, report) and 2 at window 8 (a notify carrying
+# the commit, report),
 # E17 must recover every injected loss, and a lost reply to an open and
 # to a commit must each leave the handler run once and the write done,
 # E20's inline 32-page remote read must send exactly as

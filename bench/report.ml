@@ -94,7 +94,9 @@ let name_cache_table ?(title = "name-cache effectiveness") stats =
       ]
 
 (* Bulk-transfer counters: how many batched RPCs each path issued and how
-   many pages the average batch carried. *)
+   many pages the average batch carried. A commit notification that
+   carried its commit to a copy at the base version counts as one batch of
+   the pages it carried, none for an inode alone. *)
 let bulk_table ?(title = "bulk-transfer effectiveness") stats =
   let rows =
     List.filter_map
@@ -110,6 +112,7 @@ let bulk_table ?(title = "bulk-transfer effectiveness") stats =
         ("streaming read", "us.bulk.read", "us.bulk.read.pages");
         ("write-behind", "us.bulk.write", "us.bulk.write.pages");
         ("propagation pull", "prop.bulk", "prop.bulk.pages");
+        ("carried commit", "prop.carried", "prop.carried.pages");
       ]
   in
   if rows <> [] then

@@ -25,21 +25,25 @@ let register_file k gf ~origin ~vv ~sites =
   let message =
     Proto.Commit_notify
       { gf; vv; meta_only = false; modified = []; origin; fresh = true; deleted = false;
-        designate = true; replicas = [] }
+        designate = true; replicas = []; carried = None }
   in
   List.iter (fun site -> notify k site message) replicas
 
 (* Record a link-count change of [gf] that [fss] committed, and tell the
-   other sites that held the latest copy, as a commit does. *)
+   other sites that held the latest copy, as a commit does: with the
+   changed inode when [fss] is this site. *)
 let links_changed k gf (f : css_file) ~fss ~vv ~deleted =
   let others = List.filter (fun s -> not (Site.equal s fss)) (Css.sites_with_latest k f) in
   Css.handle_commit_notify k gf ~origin:fss ~vv ~deleted;
-  let message =
-    Proto.Commit_notify
-      { gf; vv; meta_only = not deleted; modified = []; origin = fss; fresh = true; deleted;
-        designate = false; replicas = [] }
-  in
-  List.iter (fun site -> notify k site message) others
+  if Site.equal fss k.site then
+    Ss.notify_others k gf ~vv ~modified:[] ~deleted ~meta_only:(not deleted) others
+  else
+    let message =
+      Proto.Commit_notify
+        { gf; vv; meta_only = not deleted; modified = []; origin = fss; fresh = true; deleted;
+          designate = false; replicas = []; carried = None }
+    in
+    List.iter (fun site -> notify k site message) others
 
 (* Change the link count of [gf] at the site holding its latest copy, when
    the site that changed the directory could not: in process here, or one

@@ -39,7 +39,7 @@ let handle k ~src (req : Proto.req) : Proto.resp =
     | Proto.Ss_close { gf; ss = _; us; mode } -> Css.handle_ss_close k gf ~us ~mode
     (* commit notifications: CSS bookkeeping and/or propagation pull *)
     | Proto.Commit_notify
-        { gf; vv; meta_only; modified; origin; fresh; deleted; designate; replicas }
+        { gf; vv; meta_only; modified; origin; fresh; deleted; designate; replicas; carried }
       ->
       (* A new committed version exists: buffered pages of any other
          version of this file can never hit again — drop them from both
@@ -65,7 +65,7 @@ let handle k ~src (req : Proto.req) : Proto.resp =
       if (fg_info k gf.Gfile.fg).css_site = k.site then
         Css.handle_commit_notify ~replicas k gf ~origin ~vv ~deleted;
       if fresh && not (Net.Site.equal origin k.site) then
-        Propagation.enqueue k gf ~vv ~origin ~modified ~meta_only ~deleted ~designate;
+        Propagation.enqueue ?carried k gf ~vv ~origin ~modified ~meta_only ~deleted ~designate;
       Proto.R_ok
     | Proto.Reclaim_req { gf } -> Ss.handle_reclaim k gf
     | Proto.Page_invalidate { gf; first; count } ->

@@ -1,15 +1,18 @@
 (* Background update propagation (section 2.3.6).
 
-   Propagation is done by *pulling*: a kernel process at each storage site
-   services a queue of propagation requests, one per commit notification.
-   A pull reads the new version from the site that committed it, with the
-   standard read message over that site's committed copy; its first read
-   also brings back the copy's inode, so a pull of one window is one round
+   A kernel process at each storage site services a queue of propagation
+   requests, one per commit notification. Above a window of 1 the
+   notification of a small commit carries it: the committed inode and the
+   modified pages. A copy exactly one commit behind the notified version
+   installs them with no message. Every other copy pulls: it reads the
+   new version from the site that committed it, with the standard read
+   message over that site's committed copy, and its first read also
+   brings back the copy's inode, so a pull of one window is one round
    trip. A copy exactly one commit behind reads just the modified pages
    (none for a metadata-only commit), and a delete reads nothing. When the
    committing site is out of reach, or a pull from it failed, the pull
-   asks the CSS which sites hold the latest version. The pull commits
-   locally through the standard shadow-page mechanism — so a pull
+   asks the CSS which sites hold the latest version. Both install the
+   version locally through the standard shadow-page mechanism — so a pull
    interrupted by partition leaves a coherent, complete (if stale) copy. *)
 
 open Ktypes
@@ -41,7 +44,7 @@ let report_to_css k gf vv ~deleted =
     notify k fi.css_site
       (Proto.Commit_notify
          { gf; vv; meta_only = false; modified = []; origin = k.site; fresh = false;
-           deleted; designate = false; replicas = [] })
+           deleted; designate = false; replicas = []; carried = None })
 
 let apply_delete k pack gf ~vv =
   match Pack.find_inode pack gf.Gfile.ino with
@@ -298,11 +301,39 @@ let rec service_queue k =
     Engine.schedule k.engine ~delay (fun () -> service_queue k)
   end
 
-(* Called when a commit notification arrives at a storage site. A site
-   pulls only files it already stores — packs hold a subset of the
-   filegroup — unless the notification designates it as an initial storage
-   site for a new file. *)
-let enqueue k gf ~vv ~origin ~modified ~meta_only ~deleted ~designate =
+(* A notification that carried its commit, the committed inode and the
+   modified pages below eof, is installed on arrival, with no message,
+   when the local copy is exactly at the version the commit replaced. Any
+   other copy pulls. Not from the queue: a queued pull reads the origin's
+   newest version, but a carried commit is exactly the notified one, and
+   the CSS lists the copy for the origin's next commit only once the
+   copy's report has reached it. *)
+let install_carried k gf ~vv ~origin ~modified ~meta_only (info, pages) =
+  match local_pack k gf.Gfile.fg with
+  | None -> ()
+  | Some pack -> (
+    match Pack.find_inode pack gf.Gfile.ino with
+    | Some local
+      when Vvec.equal info.Proto.i_vv vv
+           && one_commit_behind ~local:local.Inode.vv ~target:vv ~origin ->
+      let npages = npages_of info in
+      let wanted = if meta_only then [] else List.filter (fun pg -> pg < npages) modified in
+      if List.compare_lengths wanted pages = 0 then begin
+        Sim.Stats.incr (stats k) "prop.carried";
+        Sim.Stats.add (stats k) "prop.carried.pages" (List.length pages);
+        ignore
+          (install_version k pack gf ~source:origin local info ~npulled:(List.length pages)
+             (fun write -> List.iter2 (fun pg data -> write pg [ data ]) wanted pages))
+      end
+    | Some _ | None -> ())
+
+(* Called when a commit notification arrives at a storage site. A copy
+   that installed the commit the notification carried is current. Else a
+   site pulls only files it already stores — packs hold a subset of the
+   filegroup — unless the notification designates it as an initial
+   storage site for a new file. *)
+let enqueue ?carried k gf ~vv ~origin ~modified ~meta_only ~deleted ~designate =
+  Option.iter (install_carried k gf ~vv ~origin ~modified ~meta_only) carried;
   let interested =
     match local_pack k gf.Gfile.fg with
     | None -> false

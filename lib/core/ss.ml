@@ -5,8 +5,9 @@
    pages, tells the other using sites it serves which of their buffered
    pages each write made stale, one ranged message per write, and
    performs the atomic commit — after which it sends commit notifications
-   to the CSS and to every other site storing the file, which pull the new
-   version in background. *)
+   to the CSS and to every other site storing the file, which bring their
+   copies up to date in background: from the commit the notification
+   carried, or by pulling the new version. *)
 
 open Ktypes
 module Inode = Storage.Inode
@@ -473,14 +474,61 @@ let install ?force_vv k pack gf s session ~delete =
     (if delete then " delete" else "");
   (vv, modified)
 
-let commit_message k gf ~vv ~modified ~deleted ~meta_only =
+let commit_message ?carried k gf ~vv ~modified ~deleted ~meta_only =
   Proto.Commit_notify
     { gf; vv; meta_only; modified; origin = k.site; fresh = true; deleted;
-      designate = false; replicas = [] }
+      designate = false; replicas = []; carried }
+
+(* What a notification of version [vv] of [gf] carries: the committed
+   inode and the [modified] pages below its eof, read through the buffer
+   cache as the first pull would read them, so the cache warms as it did.
+   [None] once the local copy is no longer at [vv]. *)
+let carried_pages k gf ~vv ~modified =
+  match local_pack k gf.Gfile.fg with
+  | None -> None
+  | Some pack -> (
+    match Pack.find_inode pack gf.Gfile.ino with
+    | Some inode when Vvec.equal inode.Inode.vv vv ->
+      let size = inode.Inode.size in
+      let pages =
+        List.filter_map
+          (fun lpage ->
+            let len = min Page.size (size - (lpage * Page.size)) in
+            if len <= 0 then None
+            else Some (Page.sub (cached_pack_page k pack gf inode lpage) 0 len))
+          modified
+      in
+      Some (Proto.info_of_inode inode, pages)
+    | Some _ | None -> None)
+
+(* Notify the file's other storing [sites] of this site's fresh commit
+   (section 2.3.6). Above a window of 1, a commit that modified 1 to
+   [bulk_window] pages, or only the inode, carries them: a copy at the
+   version it replaced then installs the change with no pull. The pages
+   are read after the commit has returned, in a zero-delay event, so the
+   caller never waits for the disk. A copy that moved on by then sends the
+   bare notification, and its receivers pull the newest version. *)
+let notify_others k gf ~vv ~modified ~deleted ~meta_only sites =
+  let sites = List.filter (fun site -> not (Site.equal site k.site)) sites in
+  let bare = commit_message k gf ~vv ~modified ~deleted ~meta_only in
+  let window = k.config.bulk_window in
+  let carries =
+    window > 1 && (not deleted) && sites <> []
+    && (meta_only || (modified <> [] && List.length modified <= window))
+  in
+  if not carries then List.iter (fun site -> notify k site bare) sites
+  else
+    Engine.schedule k.engine ~delay:0.0 (fun () ->
+        let message =
+          match carried_pages k gf ~vv ~modified with
+          | Some _ as carried -> commit_message ?carried k gf ~vv ~modified ~deleted ~meta_only
+          | None -> bare
+        in
+        List.iter (fun site -> notify k site message) sites)
 
 (* The atomic commit (section 2.3.6): move the incore inode to the disk
    inode, then notify the CSS and all other storage sites so they bring
-   their copies up to date by pulling. *)
+   their copies up to date. *)
 let handle_commit ?force_vv k gf ~abort ~delete =
   match local_pack k gf.Gfile.fg with
   | None -> Proto.R_err Proto.Eio
@@ -524,9 +572,7 @@ let handle_commit ?force_vv k gf ~abort ~delete =
       if Site.equal fi.css_site k.site then
         Css.handle_commit_notify k gf ~origin:k.site ~vv ~deleted:delete
       else (match rpc_result k fi.css_site message with Ok _ | Stdlib.Error _ -> ());
-      List.iter
-        (fun site -> if not (Site.equal site k.site) then notify k site message)
-        s.s_others;
+      notify_others k gf ~vv ~modified ~deleted:delete ~meta_only:false s.s_others;
       Proto.R_committed { vv })
 
 (* US close at the SS, then SS close at the CSS — the three-message close
@@ -738,8 +784,7 @@ let apply_intent k ~us dir (op : Proto.intent) ~others ~guard ~links_here =
     let session = ensure_session k pack dir in
     let dir_vv, modified = install k pack dir s session ~delete:false in
     drop_if_idle k s;
-    let message = commit_message k dir ~vv:dir_vv ~modified ~deleted:false ~meta_only:false in
-    List.iter (fun site -> if not (Site.equal site k.site) then notify k site message) others;
+    notify_others k dir ~vv:dir_vv ~modified ~deleted:false ~meta_only:false others;
     let links delta =
       if links_here ino then
         Result.to_option (change_links k (Gfile.make ~fg:dir.Gfile.fg ~ino) ~delta)
@@ -784,7 +829,7 @@ let metadata_commit k gf mutate =
         Css.handle_commit_notify k gf ~origin:k.site ~vv ~deleted:false
       else (match rpc_result k fi.css_site message with Ok _ | Stdlib.Error _ -> ());
       (match find_open k gf with
-      | Some s -> List.iter (fun site -> notify k site message) s.s_others
+      | Some s -> notify_others k gf ~vv ~modified:[] ~deleted:false ~meta_only:true s.s_others
       | None -> ());
       Proto.R_committed { vv })
 

@@ -5,7 +5,8 @@
     buffers of what each write changed (one ranged message per write),
     and performs the atomic commit — after which it notifies
     the CSS (synchronously) and every other site storing the file, which
-    pull the new version in background. *)
+    bring their copies up to date in background: from the commit the
+    notification carried ({!notify_others}), or by pulling. *)
 
 val find_open : Ktypes.t -> Catalog.Gfile.t -> Ktypes.ss_open option
 
@@ -185,6 +186,23 @@ val change_links :
     metadata-only commit, or a delete commit when the last link goes.
     Returns the new version and whether the file was deleted. Notifies
     nobody: the CSS that asked does. *)
+
+val notify_others :
+  Ktypes.t ->
+  Catalog.Gfile.t ->
+  vv:Vv.Version_vector.t ->
+  modified:int list ->
+  deleted:bool ->
+  meta_only:bool ->
+  Net.Site.t list ->
+  unit
+(** Send the fresh-commit notification of this site's version [vv] of a
+    file to its other storing sites (§2.3.6). Above a window of 1, when
+    the commit was no delete and modified 1 to [bulk_window] pages or only
+    the inode, the notification carries the committed inode and those
+    pages below eof. They are read in a zero-delay event after the caller
+    returns, through the SS buffer cache; if the local copy is no longer
+    at [vv] by then, the notification goes bare. *)
 
 val apply_intent :
   Ktypes.t ->

@@ -263,6 +263,10 @@ type req =
       replicas : Net.Site.t list;
         (* create -> CSS only: the designated initial storage sites, so
            the CSS records them as (stale) copy holders immediately *)
+      carried : (inode_info * string list) option;
+        (* the committed inode and the modified pages below its eof, in
+           [modified] order: a copy at the version this commit replaced
+           installs them without pulling *)
     }
   | Reclaim_req of { gf : Catalog.Gfile.t }
     (* CSS -> SS: every storage site has seen the delete; the inode number
@@ -408,6 +412,12 @@ let intent_bytes = function
   | Unlink { name; _ } -> 2 + String.length name
   | Link { name; _ } -> 2 + 4 + String.length name
 
+(* A batch of pages costs one byte, then a small length frame plus its
+   payload per page; a lone page needs no frame. *)
+let pages_bytes = function
+  | [ data ] -> 1 + String.length data
+  | pages -> List.fold_left (fun a p -> a + 2 + String.length p) 1 pages
+
 let req_bytes = function
   | Open_req { us_vv; want; _ } ->
     header + gfile_bytes + 2
@@ -443,9 +453,10 @@ let req_bytes = function
     header + gfile_bytes + 5 + (match force_vv with Some v -> vv_bytes v | None -> 0)
   | Us_close _ -> header + gfile_bytes + 1
   | Ss_close _ -> header + gfile_bytes + 9
-  | Commit_notify { vv; modified; replicas; _ } ->
+  | Commit_notify { vv; modified; replicas; carried; _ } ->
     header + gfile_bytes + vv_bytes vv + 3 + (4 * List.length modified) + 4
     + site_list_bytes replicas
+    + (match carried with Some (info, pages) -> info_bytes info + pages_bytes pages | None -> 0)
   | Reclaim_req _ -> header + gfile_bytes
   | Page_invalidate { count; _ } -> header + gfile_bytes + 4 + if count <> 1 then 4 else 0
   | Lease_break _ -> header + gfile_bytes
@@ -479,12 +490,6 @@ let req_bytes = function
   | Pack_inventory _ -> header + 4
   | Pipe_write { data; _ } -> header + gfile_bytes + String.length data
   | Pipe_read _ -> header + gfile_bytes + 4
-
-(* A batch of pages costs one byte, then a small length frame plus its
-   payload per page; a lone page needs no frame. *)
-let pages_bytes = function
-  | [ data ] -> 1 + String.length data
-  | pages -> List.fold_left (fun a p -> a + 2 + String.length p) 1 pages
 
 let resp_bytes = function
   | R_ok -> header

@@ -251,10 +251,19 @@ type req =
       deleted : bool;
       designate : bool;
       replicas : Net.Site.t list;
+      carried : (inode_info * string list) option;
     }  (** SS → CSS and other storage sites after a commit (§2.3.6).
            [modified] lets receivers pull just the changes; [designate]
            makes a site pull its first copy; [replicas] registers
-           create-time designations at the CSS. *)
+           create-time designations at the CSS. Above a window of 1, the
+           notification of a fresh commit to the other storing sites
+           [carried] the committed inode and the modified pages below
+           its eof, in [modified] order, when the commit modified 1 to
+           [bulk_window] pages or only the inode: a copy exactly at the
+           version the commit replaced installs them with no message,
+           and any other copy pulls. The payload costs [info_bytes] plus
+           [pages_bytes] only when present, so a notification carrying
+           nothing keeps the paper's size. *)
   | Reclaim_req of { gf : Catalog.Gfile.t }
       (** CSS → SS: all storage sites saw the delete; release the inode
           number (§2.3.7). *)

@@ -148,6 +148,7 @@ let write_version k ~target gf ~content ~vv ~others =
                    deleted = false;
                    designate = true;
                    replicas = [];
+                   carried = None;
                  }))
         others;
       true
@@ -201,6 +202,7 @@ let schedule_propagation k gf ~vv ~origin f report =
                deleted = false;
                designate = true;
                replicas = [];
+               carried = None;
              })
       end)
     f.site_vv

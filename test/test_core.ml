@@ -235,7 +235,7 @@ let test_cross_open_cache_retention () =
   let notify =
     Proto.Commit_notify
       { gf; vv; meta_only = false; modified = []; origin = 0; fresh = false;
-        deleted = false; designate = false; replicas = [] }
+        deleted = false; designate = false; replicas = []; carried = None }
   in
   ignore (k3.K.dispatch 0 notify);
   check Alcotest.bool "current version kept" true
@@ -560,7 +560,7 @@ let test_unlink () =
    modified list is that page, a one-page pull at the second copy. The
    commit keeps the SS buffers of the pages it did not replace, so the
    next dirop reads those from the SS cache, not the disk. *)
-let test_remote_dirop_moves_one_page () =
+let remote_dirop_moves_one_page ~window =
   let base = World.default_config ~n_sites:5 () in
   let w =
     World.create
@@ -569,7 +569,8 @@ let test_remote_dirop_moves_one_page () =
           World.filegroups = [ { World.fg = 0; pack_sites = [ 0; 1 ]; mount_path = None } ];
           (* Long enough that the second copy's queued pull can be read
              before it runs. *)
-          World.kernel_config = { base.World.kernel_config with K.propagation_delay = 50.0 };
+          World.kernel_config =
+            { base.World.kernel_config with K.propagation_delay = 50.0; K.bulk_window = window };
         }
       ()
   in
@@ -599,7 +600,8 @@ let test_remote_dirop_moves_one_page () =
   check Alcotest.int "one intent round trip" 2 (Stats.delta_of (stats w) snap "net.msg.dirop");
   check Alcotest.int "no page shipped for writing" 0
     (Stats.delta_of (stats w) snap "us.bulk.write.pages");
-  (* Deliver the commit notification; the pull it queues waits 50 ms. *)
+  (* Deliver the commit notification; the pull it queues waits 50 ms. A
+     notification that carried the commit is installed on arrival. *)
   ignore (Sim.Engine.run_for (World.engine w) 5.0);
   let queued =
     List.concat_map
@@ -610,12 +612,26 @@ let test_remote_dirop_moves_one_page () =
           [] (World.kernel w site).K.prop_queue)
       [ 0; 1 ]
   in
-  (match queued with
-  | [ modified ] -> check Alcotest.int "commit modified one page" 1 (List.length modified)
-  | _ -> Alcotest.failf "expected one queued pull, found %d" (List.length queued));
-  let snap = Stats.snapshot (stats w) in
-  ignore (World.settle w);
-  check Alcotest.int "second copy pulls one page" 2 (Stats.delta_of (stats w) snap "net.msg.read");
+  (* At a window of 1 the second copy pulls the one page; above it the
+     notification carried the page and the copy sends no read. *)
+  if window = 1 then begin
+    (match queued with
+    | [ modified ] -> check Alcotest.int "commit modified one page" 1 (List.length modified)
+    | _ -> Alcotest.failf "expected one queued pull, found %d" (List.length queued));
+    let snap = Stats.snapshot (stats w) in
+    ignore (World.settle w);
+    check Alcotest.int "second copy pulls one page" 2 (Stats.delta_of (stats w) snap "net.msg.read")
+  end
+  else begin
+    check Alcotest.int "window 8: no pull queued" 0 (List.length queued);
+    ignore (World.settle w);
+    check Alcotest.int "window 8: second copy reads nothing" 0
+      (Stats.delta_of (stats w) snap "net.msg.read");
+    check Alcotest.int "window 8: the notification carried the commit" 1
+      (Stats.delta_of (stats w) snap "prop.carried");
+    check Alcotest.int "window 8: it carried the one page" 1
+      (Stats.delta_of (stats w) snap "prop.carried.pages")
+  end;
   let snap = Stats.snapshot (stats w) in
   ignore (Kernel.creat k2 p2 "/big/two");
   check Alcotest.bool "next dirop reads unmodified pages from the SS cache" true
@@ -624,6 +640,10 @@ let test_remote_dirop_moves_one_page () =
   List.iter (fun name -> ignore (Kernel.stat k0 p0 ("/big/" ^ name))) [ "one"; "two" ];
   let k1 = World.kernel w 1 and p1 = World.proc w 1 in
   check Alcotest.int "both copies list every entry" 164 (List.length (Kernel.readdir k1 p1 "/big"))
+
+let test_remote_dirop_moves_one_page () =
+  remote_dirop_moves_one_page ~window:1;
+  remote_dirop_moves_one_page ~window:8
 
 (* The SS keeps one record index per directory version and carries it
    across its own commits: after a warm-up, 50 creates and unlinks from a

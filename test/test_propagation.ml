@@ -11,7 +11,27 @@ module Vvec = Vv.Version_vector
 
 let check = Alcotest.check
 
-let make_world ?(n = 4) () = World.create ~config:(World.default_config ~n_sites:n ()) ()
+(* The change of each counter since [snap], read now: later traffic does
+   not move the result. *)
+let deltas w snap =
+  let counts =
+    List.map
+      (fun key -> (key, Sim.Stats.delta_of (World.stats w) snap key))
+      [ "net.msg.read"; "prop.carried"; "prop.carried.pages"; "prop.bulk.pages" ]
+  in
+  fun key -> List.assoc key counts
+
+(* Propagation above a window of 1 carries the change in the commit
+   notification; a window of 1 is the paper's pull protocol. *)
+let make_world ?(n = 4) ?window () =
+  let config = World.default_config ~n_sites:n () in
+  let config =
+    match window with
+    | None -> config
+    | Some w ->
+      { config with World.kernel_config = { config.World.kernel_config with K.bulk_window = w } }
+  in
+  World.create ~config ()
 
 let test_one_commit_behind () =
   let base = Vvec.of_list [ (0, 2); (1, 1) ] in
@@ -25,27 +45,36 @@ let test_one_commit_behind () =
 
 let test_incremental_pull_transfers_only_modified () =
   (* A small change to a large file: the pull moves one page, not all. *)
-  let w = make_world () in
-  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
-  Kernel.set_ncopies p0 2;
-  ignore (Kernel.creat k0 p0 "/large");
-  Kernel.write_file k0 p0 "/large" (String.make (8 * Storage.Page.size) 'L');
-  ignore (World.settle w);
-  (* Patch one page in place. *)
-  let gf = Kernel.resolve k0 p0 "/large" in
-  let o = Us.open_gf k0 gf Proto.Mode_modify in
-  Us.write k0 o ~off:(3 * Storage.Page.size) (String.make 10 'Z');
-  Us.commit k0 o;
-  Us.close k0 o;
-  let snap = Sim.Stats.snapshot (World.stats w) in
-  ignore (World.settle w);
-  let read_msgs = Sim.Stats.delta_of (World.stats w) snap "net.msg.read" in
+  let patch_one_page ~window =
+    let w = make_world ~window () in
+    let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+    Kernel.set_ncopies p0 2;
+    ignore (Kernel.creat k0 p0 "/large");
+    Kernel.write_file k0 p0 "/large" (String.make (8 * Storage.Page.size) 'L');
+    ignore (World.settle w);
+    (* Patch one page in place. *)
+    let gf = Kernel.resolve k0 p0 "/large" in
+    let o = Us.open_gf k0 gf Proto.Mode_modify in
+    Us.write k0 o ~off:(3 * Storage.Page.size) (String.make 10 'Z');
+    Us.commit k0 o;
+    Us.close k0 o;
+    let snap = Sim.Stats.snapshot (World.stats w) in
+    ignore (World.settle w);
+    let delta = deltas w snap in
+    let k1 = World.kernel w 1 and p1 = World.proc w 1 in
+    let body = Kernel.read_file k1 p1 "/large" in
+    check Alcotest.string "patched bytes present" (String.make 10 'Z')
+      (String.sub body (3 * Storage.Page.size) 10);
+    delta
+  in
+  let delta = patch_one_page ~window:1 in
   (* The secondary copy pulled just the modified page: 2 messages, not 16. *)
-  check Alcotest.int "single page pulled" 2 read_msgs;
-  let k1 = World.kernel w 1 and p1 = World.proc w 1 in
-  let body = Kernel.read_file k1 p1 "/large" in
-  check Alcotest.string "patched bytes present" (String.make 10 'Z')
-    (String.sub body (3 * Storage.Page.size) 10)
+  check Alcotest.int "single page pulled" 2 (delta "net.msg.read");
+  (* Above a window of 1 the notification carried that page. *)
+  let delta = patch_one_page ~window:8 in
+  check Alcotest.int "window 8: no read" 0 (delta "net.msg.read");
+  check Alcotest.int "window 8: one notification carried the commit" 1 (delta "prop.carried");
+  check Alcotest.int "window 8: it carried the one page" 1 (delta "prop.carried.pages")
 
 let test_pull_refuses_concurrent_overwrite () =
   let w = make_world () in
@@ -196,10 +225,10 @@ let test_pull_ignores_open_session () =
     (World.sites w)
 
 (* A commit that changed only the inode — a chmod, a link-count change —
-   moves no page: the pull is one read of count 0 that brings back the
-   inode. *)
-let test_meta_only_commit_moves_no_page () =
-  let w = make_world () in
+   moves no page. At a window of 1 the pull is one read of count 0 that
+   brings back the inode; above it the notification carries the inode. *)
+let meta_only_commit ~window =
+  let w = make_world ~window () in
   let k0 = World.kernel w 0 and p0 = World.proc w 0 in
   Kernel.set_ncopies p0 2;
   let gf = Kernel.creat k0 p0 "/meta" in
@@ -209,10 +238,9 @@ let test_meta_only_commit_moves_no_page () =
   let snap = Sim.Stats.snapshot (World.stats w) in
   Kernel.chmod k0 p0 "/meta" 0o600;
   ignore (World.settle w);
-  let delta = Sim.Stats.delta_of (World.stats w) snap in
+  let chmod = deltas w snap in
   check Alcotest.int "chmod: no page pulled" 0 !pulled;
-  check Alcotest.int "chmod: no bulk page" 0 (delta "prop.bulk.pages");
-  check Alcotest.int "chmod: one read round trip" 2 (delta "net.msg.read");
+  check Alcotest.int "chmod: no bulk page" 0 (chmod "prop.bulk.pages");
   (match copies w gf with
   | [ (_, vv, body); (_, vv', body') ] ->
     check Alcotest.bool "chmod: copies at one version" true (Vvec.equal vv vv');
@@ -223,34 +251,63 @@ let test_meta_only_commit_moves_no_page () =
       .Inode.perms
   in
   check Alcotest.int "chmod reached the copy" (perms 0) (perms 1);
+  let snap = Sim.Stats.snapshot (World.stats w) in
   Kernel.link k0 p0 ~target:"/meta" ~path:"/meta2";
   ignore (World.settle w);
+  let link = deltas w snap in
   check Alcotest.int "link: no page pulled" 0 !pulled;
   let nlink site =
     (Pack.get_inode (Hashtbl.find (World.kernel w site).K.packs 0) gf.Catalog.Gfile.ino)
       .Inode.nlink
   in
   check Alcotest.int "link count at the committing copy" 2 (nlink 0);
-  check Alcotest.int "link count reached the copy" 2 (nlink 1)
+  check Alcotest.int "link count reached the copy" 2 (nlink 1);
+  (chmod, link)
+
+let test_meta_only_commit_moves_no_page () =
+  let chmod, _ = meta_only_commit ~window:1 in
+  check Alcotest.int "chmod: one read round trip" 2 (chmod "net.msg.read");
+  let chmod, link = meta_only_commit ~window:8 in
+  check Alcotest.int "window 8, chmod: no read" 0 (chmod "net.msg.read");
+  check Alcotest.int "window 8, chmod: the inode was carried" 1 (chmod "prop.carried");
+  check Alcotest.int "window 8, chmod: no page carried" 0 (chmod "prop.carried.pages");
+  (* The link changes the root directory too: its record page travels to
+     the directory's three other copies, the file's inode to its one. *)
+  check Alcotest.int "window 8, link: no read" 0 (link "net.msg.read");
+  check Alcotest.int "window 8, link: four copies updated by notification" 4
+    (link "prop.carried");
+  check Alcotest.int "window 8, link: one directory page each" 3 (link "prop.carried.pages")
 
 (* A pull of one window is one round trip to the committing site: no
-   where-stored query and no stat. *)
+   where-stored query and no stat. Above a window of 1, the notification
+   of a two-page rewrite carries both pages and the copy sends no request
+   at all. *)
 let test_one_round_trip_pull () =
-  let w = make_world () in
-  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
-  Kernel.set_ncopies p0 2;
-  let gf = Kernel.creat k0 p0 "/two" in
-  Kernel.write_file k0 p0 "/two" "seed";
-  ignore (World.settle w);
-  let log = log_requests w in
-  Kernel.write_file k0 p0 "/two" (String.make (2 * Storage.Page.size) 't');
-  ignore (World.settle w);
-  check Alcotest.(list string) "one read, no where or stat" [ "read" ] (pull_requests log gf);
-  match copies w gf with
-  | [ (_, vv, body); (_, vv', body') ] ->
-    check Alcotest.bool "converged" true (Vvec.equal vv vv');
-    check Alcotest.string "equal bytes" body body'
-  | l -> Alcotest.failf "expected two copies, found %d" (List.length l)
+  let rewrite ~window ~pages =
+    let w = make_world ~window () in
+    let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+    Kernel.set_ncopies p0 2;
+    let gf = Kernel.creat k0 p0 "/two" in
+    Kernel.write_file k0 p0 "/two" "seed";
+    ignore (World.settle w);
+    let log = log_requests w in
+    let snap = Sim.Stats.snapshot (World.stats w) in
+    Kernel.write_file k0 p0 "/two" (String.make (pages * Storage.Page.size) 't');
+    ignore (World.settle w);
+    let delta = deltas w snap in
+    (match copies w gf with
+    | [ (_, vv, body); (_, vv', body') ] ->
+      check Alcotest.bool "converged" true (Vvec.equal vv vv');
+      check Alcotest.string "equal bytes" body body'
+    | l -> Alcotest.failf "expected two copies, found %d" (List.length l));
+    (pull_requests log gf, delta)
+  in
+  let requests, _ = rewrite ~window:1 ~pages:1 in
+  check Alcotest.(list string) "one read, no where or stat" [ "read" ] requests;
+  let requests, delta = rewrite ~window:8 ~pages:2 in
+  check Alcotest.(list string) "window 8: no read, where or stat" [] requests;
+  check Alcotest.int "window 8: one notification carried the commit" 1 (delta "prop.carried");
+  check Alcotest.int "window 8: it carried both pages" 2 (delta "prop.carried.pages")
 
 (* A propagated delete needs no message at all: the notification says
    the file is gone and at which version. *)
@@ -274,34 +331,41 @@ let test_delete_pull_sends_nothing () =
   check Alcotest.bool "deleted at the copy" true (deleted 1)
 
 (* With the committing site partitioned away, a pull asks the CSS where
-   the version is stored, and it still reads only the modified page. *)
-let test_pull_without_origin_uses_css () =
+   the version is stored, and it still reads only the modified pages. At a
+   window of 1 the commit patches page 3 of 8. Above it, a commit of one
+   page would travel in its notification, so the commit patches 9 of 10
+   pages, more than a window: the notification carries nothing and the
+   pull reads the 9 pages in two runs. *)
+let pull_without_origin ~window ~npages ~patched =
   let config = World.default_config ~n_sites:4 () in
   let config =
     {
       config with
-      World.kernel_config = { config.World.kernel_config with K.propagation_delay = 50.0 };
+      World.kernel_config =
+        { config.World.kernel_config with K.propagation_delay = 50.0; K.bulk_window = window };
     }
   in
   let w = World.create ~config () in
   let k1 = World.kernel w 1 and p1 = World.proc w 1 in
   Kernel.set_ncopies p1 3;
   let gf = Kernel.creat k1 p1 "/far" in
-  Kernel.write_file k1 p1 "/far" (String.make (8 * Storage.Page.size) 'f');
+  Kernel.write_file k1 p1 "/far" (String.make (npages * Storage.Page.size) 'f');
   ignore (World.settle w);
   let holders = List.map (fun (s, _, _) -> s) (copies w gf) in
   check Alcotest.(list int) "copies at 0, 1 and 2" [ 0; 1; 2 ] holders;
-  (* Site 1 patches page 3. Deliver the notifications; site 0 pulls at
-     once, site 2's pull is still queued when site 1 is cut off. *)
+  (* Site 1 patches the pages. Deliver the notifications; site 0 pulls
+     at once, site 2's pull is still queued when site 1 is cut off. *)
   let o = Us.open_gf k1 gf Proto.Mode_modify in
-  Us.write k1 o ~off:(3 * Storage.Page.size) "patch";
+  List.iter (fun pg -> Us.write k1 o ~off:(pg * Storage.Page.size) "patch") patched;
   Us.commit k1 o;
   Us.close k1 o;
   ignore (Sim.Engine.run_for (World.engine w) 5.0);
   Propagation.drain (World.kernel w 0);
   ignore (World.partition w [ [ 1 ]; [ 0; 2; 3 ] ]);
   let log = log_requests w in
+  let snap = Sim.Stats.snapshot (World.stats w) in
   ignore (World.settle w);
+  let carried = Sim.Stats.delta_of (World.stats w) snap "prop.carried" in
   let reads =
     List.filter_map
       (fun (src, req) ->
@@ -311,12 +375,106 @@ let test_pull_without_origin_uses_css () =
         | _ -> None)
       !log
   in
-  check Alcotest.(list string) "where, then one read" [ "read"; "where" ] (pull_requests log gf);
-  check Alcotest.(list (pair int int)) "only the modified page" [ (3, 1) ] reads;
+  check Alcotest.int "nothing carried" 0 carried;
   let body site = Pack.read_string (Hashtbl.find (World.kernel w site).K.packs 0) in
   let inode site = Pack.get_inode (Hashtbl.find (World.kernel w site).K.packs 0) gf.Catalog.Gfile.ino in
   check Alcotest.string "site 2 caught up" (body 0 (inode 0)) (body 2 (inode 2));
-  check Alcotest.bool "at the committed version" true (Vvec.equal (inode 0).Inode.vv (inode 2).Inode.vv)
+  check Alcotest.bool "at the committed version" true (Vvec.equal (inode 0).Inode.vv (inode 2).Inode.vv);
+  (pull_requests log gf, List.rev reads)
+
+let test_pull_without_origin_uses_css () =
+  let requests, reads = pull_without_origin ~window:1 ~npages:8 ~patched:[ 3 ] in
+  check Alcotest.(list string) "where, then one read" [ "read"; "where" ] requests;
+  check Alcotest.(list (pair int int)) "only the modified page" [ (3, 1) ] reads;
+  let requests, reads =
+    pull_without_origin ~window:8 ~npages:10 ~patched:(List.init 9 Fun.id)
+  in
+  check Alcotest.(list string) "window 8: where, then two reads" [ "read"; "read"; "where" ]
+    requests;
+  check Alcotest.(list (pair int int)) "window 8: only the modified pages" [ (0, 8); (8, 1) ] reads
+
+(* A copy that missed a notification is not at the base of the next one:
+   it ignores the pages that one carries and pulls the whole file. The
+   writer commits twice in one session, so the copy is notified of both
+   commits; the first notification is lost. *)
+let test_lost_notify_pulls_whole () =
+  let w = make_world ~window:8 () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  Kernel.set_ncopies p0 2;
+  let gf = Kernel.creat k0 p0 "/lost" in
+  Kernel.write_file k0 p0 "/lost" (String.make (4 * Storage.Page.size) 'a');
+  ignore (World.settle w);
+  let o = Us.open_gf k0 gf Proto.Mode_modify in
+  Us.write k0 o ~off:0 "first";
+  Net.Netsim.fail_next_message (World.net w) ~src:0 ~dst:1;
+  Us.commit k0 o;
+  ignore (World.settle w);
+  let vv_at site = List.find_map (fun (s, vv, _) -> if s = site then Some vv else None) (copies w gf) in
+  check Alcotest.bool "the copy missed the first commit" false
+    (Option.equal Vvec.equal (vv_at 0) (vv_at 1));
+  let snap = Sim.Stats.snapshot (World.stats w) in
+  Us.write k0 o ~off:Storage.Page.size "second";
+  Us.commit k0 o;
+  Us.close k0 o;
+  ignore (World.settle w);
+  let delta = deltas w snap in
+  check Alcotest.int "carried pages ignored" 0 (delta "prop.carried");
+  check Alcotest.bool "the copy pulled" true (delta "net.msg.read" > 0);
+  match copies w gf with
+  | [ (_, vv, body); (_, vv', body') ] ->
+    check Alcotest.bool "at the latest version" true (Vvec.equal vv vv');
+    check Alcotest.string "equal bytes" body body';
+    check Alcotest.string "both commits present" "first" (String.sub body' 0 5)
+  | l -> Alcotest.failf "expected two copies, found %d" (List.length l)
+
+(* The carried pages are the committed ones: a writer that opens the file
+   at the committing site after the commit, before its notification is
+   sent, does not have its uncommitted bytes shipped under the committed
+   version. *)
+let test_carried_ignores_open_session () =
+  let w = make_world ~window:8 () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  Kernel.set_ncopies p0 2;
+  let gf = Kernel.creat k0 p0 "/u" in
+  Kernel.write_file k0 p0 "/u" "v0";
+  ignore (World.settle w);
+  let snap = Sim.Stats.snapshot (World.stats w) in
+  Kernel.write_file k0 p0 "/u" "committed-v1";
+  let o = Us.open_gf k0 gf Proto.Mode_modify in
+  Us.write k0 o ~off:0 "DIRTYDIRTY!!";
+  ignore (World.settle w);
+  check Alcotest.int "the commit was carried" 1
+    (Sim.Stats.delta_of (World.stats w) snap "prop.carried");
+  Us.abort k0 o;
+  Us.close k0 o;
+  ignore (World.settle w);
+  let stored = copies w gf in
+  check Alcotest.int "two copies" 2 (List.length stored);
+  List.iter
+    (fun (site, _, body) ->
+      check Alcotest.string (Printf.sprintf "committed bytes at site %d" site) "committed-v1" body)
+    stored
+
+(* A commit that modified more than a window of pages carries nothing:
+   the copy pulls as at a window of 1, a window per round trip. *)
+let test_wide_commit_pulls () =
+  let w = make_world ~window:8 () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  Kernel.set_ncopies p0 2;
+  let gf = Kernel.creat k0 p0 "/wide" in
+  Kernel.write_file k0 p0 "/wide" (String.make (10 * Storage.Page.size) 'x');
+  ignore (World.settle w);
+  let snap = Sim.Stats.snapshot (World.stats w) in
+  Kernel.write_file k0 p0 "/wide" (String.make (10 * Storage.Page.size) 'y');
+  ignore (World.settle w);
+  let delta = deltas w snap in
+  check Alcotest.int "nothing carried" 0 (delta "prop.carried");
+  check Alcotest.int "two read round trips" 4 (delta "net.msg.read");
+  match copies w gf with
+  | [ (_, vv, body); (_, vv', body') ] ->
+    check Alcotest.bool "converged" true (Vvec.equal vv vv');
+    check Alcotest.string "equal bytes" body body'
+  | l -> Alcotest.failf "expected two copies, found %d" (List.length l)
 
 let () =
   Alcotest.run "propagation"
@@ -338,5 +496,10 @@ let () =
           Alcotest.test_case "one round trip" `Quick test_one_round_trip_pull;
           Alcotest.test_case "delete sends nothing" `Quick test_delete_pull_sends_nothing;
           Alcotest.test_case "origin away: CSS list" `Quick test_pull_without_origin_uses_css;
+          Alcotest.test_case "lost notify: carried pages ignored" `Quick
+            test_lost_notify_pulls_whole;
+          Alcotest.test_case "carried pages ignore an open session" `Quick
+            test_carried_ignores_open_session;
+          Alcotest.test_case "wide commit carries nothing" `Quick test_wide_commit_pulls;
         ] );
     ]

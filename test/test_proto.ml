@@ -37,6 +37,7 @@ let some_reqs =
         deleted = false;
         designate = false;
         replicas = [];
+        carried = None;
       };
     Proto.Dir_intent
       {
@@ -247,6 +248,30 @@ let test_open_forms () =
     (reply [ page; page; page ] - 24)
     (r_open [ page; page; page ] - r_open [])
 
+(* The commit notification: one that carries nothing costs exactly what
+   the paper's did (header, file, the version, three flag bytes, the
+   modified pages and the origin). A carried commit adds the inode, as a
+   stat reply carries it, and the pages, framed as in a [Read_pages]
+   reply. *)
+let test_commit_notify_forms () =
+  let page = String.make 1024 'p' in
+  let notify ?carried modified =
+    Proto.req_bytes
+      (Proto.Commit_notify
+         { gf; vv = vv_small; meta_only = false; modified; origin = 0; fresh = true;
+           deleted = false; designate = false; replicas = []; carried })
+  in
+  check Alcotest.int "paper notification" 55 (notify [ 0; 1 ]);
+  check Alcotest.int "paper notification of a metadata commit" 47 (notify []);
+  check Alcotest.int "carried inode alone" (47 + 55 + 1) (notify ~carried:(info, []) []);
+  check Alcotest.int "carried page" (51 + 55 + 1 + 1024) (notify ~carried:(info, [ page ]) [ 0 ]);
+  check Alcotest.int "carried pages" (55 + 55 + 1 + (2 * (2 + 1024)))
+    (notify ~carried:(info, [ page; page ]) [ 0; 1 ]);
+  let reply pages = Proto.resp_bytes (Proto.R_pages { pages; eof = false; info = Some info }) in
+  check Alcotest.int "inode and pages priced as a read reply"
+    (reply [ page; page; page ] - 24)
+    (notify ~carried:(info, [ page; page; page ]) [ 0; 1; 2 ] - notify [ 0; 1; 2 ])
+
 let test_errno_strings () =
   List.iter
     (fun e ->
@@ -271,6 +296,7 @@ let () =
           Alcotest.test_case "one-page forms" `Quick test_one_page_forms;
           Alcotest.test_case "fused truncate and ranged invalidation" `Quick test_fused_forms;
           Alcotest.test_case "open forms" `Quick test_open_forms;
+          Alcotest.test_case "commit notification forms" `Quick test_commit_notify_forms;
           Alcotest.test_case "errno strings" `Quick test_errno_strings;
         ] );
     ]
