@@ -32,7 +32,9 @@ bench:
 # many messages as its write at window 1 and one round trip fewer above
 # it (a full window per round trip, after an open that carried the
 # first), E20's 8-page remote whole-file write must be one write
-# round trip with no truncate message, and E22's striped reads must
+# round trip with no truncate message, E21's partition and merge must
+# send no close for the leases a site holds across them and a re-open
+# after the merge must read the committed bytes, and E22's striped reads must
 # return the file's bytes, width 4 must give at least twice width 1's
 # throughput, and the per-client read cost at 512 sites must stay within
 # 1.25x of 8 sites'.

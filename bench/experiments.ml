@@ -1603,6 +1603,48 @@ let e21 () =
       [ "data seen"; seen; Report.check (String.equal seen "fresh") ];
     ];
   Report.lease_table (World.stats w);
+  (* A membership change drops every lease silently, as a crash does: the
+     merge's section 5.6 rebuild restores the lock tables the deferred
+     closes would have updated. Site 2 holds leases on three files across
+     a partition, takes them again inside it and holds them into the
+     merge; neither event may send a close, and a re-open after the merge
+     must read the committed bytes. *)
+  let w = make_world ~n:5 ~packs:[ 0; 1 ] () in
+  let files = [ "/p"; "/q"; "/r" ] in
+  List.iter (fun path -> mk_file w ~at:1 ~ncopies:1 ~path ~body:path) files;
+  let k2 = World.kernel w 2 in
+  let gfs = List.map (gf_of k2) files in
+  let hold () =
+    List.iter (fun gf -> Us.close k2 (Us.open_gf k2 gf Proto.Mode_read)) gfs;
+    settle_ok w
+  in
+  let closes f =
+    let snap = Stats.snapshot (World.stats w) in
+    f ();
+    settle_ok w;
+    Stats.delta_of (World.stats w) snap "net.msg.close.us"
+    + Stats.delta_of (World.stats w) snap "net.msg.close.ss"
+  in
+  hold ();
+  let part_closes = closes (fun () -> ignore (World.partition w [ [ 0; 1; 2 ]; [ 3; 4 ] ])) in
+  hold ();
+  let merge_closes = closes (fun () -> ignore (World.heal_and_merge w)) in
+  let o = Us.open_gf k2 (List.hd gfs) Proto.Mode_read in
+  let reread = Us.read_all k2 o in
+  Us.close k2 o;
+  settle_ok w;
+  metric "membership.partition.close.msgs" (float_of_int part_closes);
+  metric "membership.merge.close.msgs" (float_of_int merge_closes);
+  let membership_ok = part_closes = 0 && merge_closes = 0 && String.equal reread "/p" in
+  Report.table ~title:"leases held across a membership change (3 files at site 2)"
+    ~header:[ "event"; "partition close msgs"; "merge close msgs"; "re-open reads"; "ok" ]
+    [
+      [ "partition + merge"; Report.i part_closes; Report.i merge_closes; reread;
+        Report.check membership_ok ];
+    ];
+  (* A gate, not just a cell: bench-smoke fails when this does. *)
+  if not membership_ok then
+    failwith "E21: a membership change sent lease closes or lost the committed bytes";
   (* Ablation: with the layer off every open repeats the cold exchange,
      reproducing E1's counts exactly. *)
   let ablation name kconfig =

@@ -29,6 +29,7 @@ let new_file_state () =
     writer_ss = None;
     css_deleted = false;
     css_conflict = false;
+    css_ftype = Inode.Regular;
     leases = Site.Set.empty;
   }
 
@@ -47,7 +48,8 @@ let get_file k fg ino =
       | Some inode ->
         f.latest_vv <- inode.Inode.vv;
         f.site_vv <- Site.Map.add k.site inode.Inode.vv f.site_vv;
-        f.css_deleted <- inode.Inode.deleted
+        f.css_deleted <- inode.Inode.deleted;
+        f.css_ftype <- inode.Inode.ftype
       | None -> ())
     | None -> ());
     Hashtbl.add st.css_files ino f;
@@ -64,10 +66,11 @@ let update_site_vv f ~site ~vv =
   if not keep_old then f.site_vv <- Site.Map.add site vv f.site_vv
 
 (* Record (at CSS creation or after a merge) that [site] stores version
-   [vv] of the file. *)
-let seed_copy k gf ~site ~vv ~deleted =
+   [vv] of the file, whose type is [ftype]. *)
+let seed_copy k gf ~site ~vv ~ftype ~deleted =
   let f = get_file k gf.Gfile.fg gf.Gfile.ino in
   update_site_vv f ~site ~vv;
+  f.css_ftype <- ftype;
   if Vvec.conflict vv f.latest_vv then f.css_conflict <- true
   else if not (Vvec.dominates_or_equal f.latest_vv vv) then f.latest_vv <- vv;
   if deleted then f.css_deleted <- true
@@ -453,7 +456,7 @@ let drop_site k dead =
           end;
           f.readers <- Site.Map.remove dead f.readers;
           (* A lease must never survive a partition event (the holders
-             scrub their own side; no callback can reach a departed
+             drop their own side; no callback can reach a departed
              site). *)
           f.leases <- Site.Set.remove dead f.leases)
         st.css_files)

@@ -22,9 +22,11 @@ val seed_copy :
   Catalog.Gfile.t ->
   site:Net.Site.t ->
   vv:Vv.Version_vector.t ->
+  ftype:Storage.Inode.ftype ->
   deleted:bool ->
   unit
-(** Record (at boot or lock-table rebuild) that [site] stores a copy. *)
+(** Record (at boot or lock-table rebuild) that [site] stores a copy of
+    type [ftype]. *)
 
 val sites_with_latest : Ktypes.t -> Ktypes.css_file -> Net.Site.t list
 (** Reachable sites whose copy is at the latest version: the SS

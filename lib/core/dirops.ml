@@ -23,9 +23,8 @@ let register_file k gf ~origin ~vv ~sites =
   let replicas = List.filter (fun s -> not (Site.equal s origin)) sites in
   Css.handle_commit_notify ~replicas k gf ~origin ~vv ~deleted:false;
   let message =
-    Proto.Commit_notify
-      { gf; vv; meta_only = false; modified = []; origin; fresh = true; deleted = false;
-        designate = true; replicas = []; carried = None }
+    Ss.commit_message ~origin ~designate:true k gf ~vv ~modified:[] ~deleted:false
+      ~meta_only:false
   in
   List.iter (fun site -> notify k site message) replicas
 
@@ -39,9 +38,7 @@ let links_changed k gf (f : css_file) ~fss ~vv ~deleted =
     Ss.notify_others k gf ~vv ~modified:[] ~deleted ~meta_only:(not deleted) others
   else
     let message =
-      Proto.Commit_notify
-        { gf; vv; meta_only = not deleted; modified = []; origin = fss; fresh = true; deleted;
-          designate = false; replicas = []; carried = None }
+      Ss.commit_message ~origin:fss k gf ~vv ~modified:[] ~deleted ~meta_only:(not deleted)
     in
     List.iter (fun site -> notify k site message) others
 

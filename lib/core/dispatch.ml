@@ -45,7 +45,7 @@ let handle k ~src (req : Proto.req) : Proto.resp =
          version of this file can never hit again — drop them from both
          cache tiers. The SS buffers hold the local copy's version. *)
       let key = vv_key vv in
-      Cache.invalidate_if ~notify:false k.us_cache (fun (g, _, v) ->
+      Cache.invalidate_if k.us_cache (fun (g, _, v) ->
           Gfile.equal g gf && not (String.equal v key));
       let local_key =
         Option.bind (local_pack k gf.Gfile.fg) (fun pack ->
@@ -53,7 +53,7 @@ let handle k ~src (req : Proto.req) : Proto.resp =
         |> Option.map (fun (i : Storage.Inode.t) -> vv_key i.Storage.Inode.vv)
       in
       if local_key <> Some key then
-        Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _) -> Gfile.equal g gf);
+        Cache.invalidate_if k.ss_cache (fun (g, _) -> Gfile.equal g gf);
       (* Name-cache coherence rides the same notification: links read from
          an older version of this directory are dead, and if the file was
          deleted no link may keep resolving to it. *)
@@ -69,7 +69,7 @@ let handle k ~src (req : Proto.req) : Proto.resp =
       Proto.R_ok
     | Proto.Reclaim_req { gf } -> Ss.handle_reclaim k gf
     | Proto.Page_invalidate { gf; first; count } ->
-      Cache.invalidate_if ~notify:false k.us_cache (fun (g, p, _) ->
+      Cache.invalidate_if k.us_cache (fun (g, p, _) ->
           Gfile.equal g gf && p >= first && p < first + count);
       Proto.R_ok
     | Proto.Lease_break { gf } ->

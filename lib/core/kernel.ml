@@ -391,9 +391,6 @@ let mailbox_read k (proc : proc) path =
 
 (* Local resources in use remotely / remote resources in use locally. *)
 let handle_site_failure k dead =
-  (* Retained open grants served by the failed SS are dead: their deferred
-     closes go out now (and are lost with the site — cleanup covers it). *)
-  Openlease.kill_if k.open_leases (fun e -> Site.equal e.Openlease.le_ss dead);
   (* US side: open files served by the failed SS, or striped across it. *)
   Hashtbl.iter
     (fun _ (o : ofile) ->
@@ -493,11 +490,11 @@ let crash k =
   Hashtbl.reset k.procs;
   Hashtbl.reset k.pipe_bufs;
   Net.Netsim.forget_replies k.net k.site;
-  (* ~notify:false: a dead kernel fires no hooks — pages just vanish, and
-     Openlease.clear below likewise drops leases without deferred closes. *)
-  Storage.Cache.clear k.us_cache ~notify:false;
-  Keys.clear k.us_open_keys ~notify:false;
-  Storage.Cache.clear k.ss_cache ~notify:false;
+  (* A dead kernel fires no hooks: pages just vanish, and Openlease.clear
+     below likewise drops leases without deferred closes. *)
+  Storage.Cache.clear k.us_cache;
+  Keys.clear k.us_open_keys;
+  Storage.Cache.clear k.ss_cache;
   Hashtbl.reset k.ss_dirs;
   Namecache.clear k.name_cache;
   Openlease.clear k.open_leases;

@@ -81,6 +81,7 @@ type css_file = {
   mutable writer_ss : Site.t option;     (* the single SS while a writer exists *)
   mutable css_deleted : bool;
   mutable css_conflict : bool; (* unresolved version conflict: normal opens fail (4.6) *)
+  mutable css_ftype : Storage.Inode.ftype; (* from the local pack or the rebuild's inventories *)
   mutable leases : Site.Set.t;
   (* sites granted a read lease on this file; broken by callback
      (Lease_break) when a writer opens, the version advances, a conflict

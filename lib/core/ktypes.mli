@@ -21,7 +21,7 @@ module Keys : sig
 
   val insert : 'k t -> 'k -> string -> unit
 
-  val clear : 'k t -> notify:bool -> unit
+  val clear : 'k t -> unit
 end
 
 exception Error of Proto.errno * string
@@ -74,6 +74,10 @@ type css_file = {
   mutable css_deleted : bool;
   mutable css_conflict : bool;
       (** unresolved version conflict: normal opens fail (§4.6) *)
+  mutable css_ftype : Storage.Inode.ftype;
+      (** the file's type, from the local pack or the pack inventories of
+          the last lock-table rebuild: reconciliation merges directories
+          and mailboxes by type (§4.4, §4.5) *)
   mutable leases : Site.Set.t;
       (** sites granted a read lease on this file; broken by callback
           ([Lease_break]) when a writer opens, the version advances, a

@@ -93,9 +93,9 @@ let drop t pred =
   match t.cache with
   | None -> ()
   | Some c ->
-    (* ~notify:false: the name cache's on_evict only counts capacity
-       pressure; invalidations are accounted right here. *)
-    let dropped = Lru.filter_out c ~notify:false pred in
+    (* The name cache's on_evict only counts capacity pressure;
+       invalidations are accounted right here. *)
+    let dropped = Lru.filter_out c pred in
     if dropped > 0 then Sim.Stats.add t.stats "name.cache.invalidate" dropped
 
 (* The directory committed at [vv]: every link recorded under a different
@@ -115,6 +115,6 @@ let clear t =
   | Some c ->
     let n = Lru.length c in
     if n > 0 then Sim.Stats.add t.stats "name.cache.invalidate" n;
-    Lru.clear c ~notify:false
+    Lru.clear c
 
 let length t = match t.cache with None -> 0 | Some c -> Lru.length c

@@ -7,8 +7,12 @@
    completes with zero messages: no [Open_req], no [Storage_req]. Close
    of a lease-backed read open is *deferred*: the SS serving state stays
    registered and the Us_close/Ss_close legs are elided until the lease
-   dies (callback break, commit, eviction, partition scrub), at which
-   point exactly one batched close travels.
+   dies. A lease dies one of two ways. A break (the CSS callback, an own
+   commit, a capacity eviction) sends exactly one batched close. A crash,
+   partition or merge drops the whole table silently: the next merge's
+   §5.6 rebuild restores the CSS lock tables from the members' open
+   files, and [Ss.revalidate_serving] drops SS registrations no open
+   backs.
 
    The structure itself is protocol-agnostic: the deferred-close sender
    is a callback installed by [Kernel.create], so any kernel module can
@@ -105,13 +109,13 @@ let acquire t gf =
 
 (* Kill the lease on [gf]: remove it so no re-open can ride it, and send
    the deferred close now (idle) or at the last riding close (active). *)
-let kill ?(counter = "break") t gf =
+let kill t gf =
   match Hashtbl.find_opt t.tbl gf with
   | None -> ()
   | Some e ->
     Hashtbl.remove t.tbl gf;
     (match t.cache with Some c -> Lru.invalidate c gf | None -> ());
-    count t counter;
+    count t "break";
     e.le_broken <- true;
     if e.le_active <= 0 then !(t.on_dead) e
 
@@ -134,20 +138,13 @@ let note_commit t gf vv =
   | Some e when not (Vvec.equal e.le_vv vv) -> kill t gf
   | Some _ | None -> ()
 
-let kill_if t pred =
-  let doomed = Hashtbl.fold (fun gf e acc -> if pred e then gf :: acc else acc) t.tbl [] in
-  List.iter (kill t) doomed
-
-(* Partition scrub (§5.6's lock-table scrub): a lease must never survive
-   a partition event. Deferred closes go out best-effort; unreachable
-   storage sites clean up through their own failure handling. *)
-let scrub t = kill_if t (fun _ -> true)
-
-(* Crash: volatile state dies silently — no messages from a dead kernel.
-   ~notify:false is load-bearing here: firing on_evict would try to send
-   deferred closes from a site that no longer exists. Every live-site bulk
-   removal must go through [scrub]/[kill_if] instead, which do send them. *)
+(* Crash, partition or merge: drop every lease silently, sending nothing.
+   A dead kernel sends no messages, and after a membership change the
+   next merge's §5.6 rebuild does what the closes would: each CSS counts
+   only the members' open files, and [Ss.revalidate_serving] drops the
+   SS registrations no open backs. An open still riding a dropped lease sees
+   it broken and sends its one close when it closes. *)
 let clear t =
   Hashtbl.iter (fun _ e -> e.le_broken <- true) t.tbl;
   Hashtbl.reset t.tbl;
-  match t.cache with None -> () | Some c -> Lru.clear c ~notify:false
+  match t.cache with None -> () | Some c -> Lru.clear c

@@ -4,9 +4,11 @@
     slot) of lease-backed read/internal opens across [close], in an LRU
     on {!Storage.Lru.Make}. A re-open while the lease is valid completes
     with zero messages; the close of a lease-backed open is deferred
-    until the lease dies (callback break, local commit observation,
-    capacity eviction, partition scrub), when exactly one batched close
-    travels via the [on_dead] callback installed by [Kernel.create].
+    until the lease dies. A break (callback, local commit observation,
+    capacity eviction) sends exactly one batched close via the [on_dead]
+    callback installed by [Kernel.create]; a crash, partition or merge
+    drops every lease silently ({!clear}), as the §5.6 rebuild restores
+    the lock tables the closes would have updated.
 
     Counters: [open.lease.hit], [open.lease.miss], [open.lease.break],
     [open.lease.evict], [open.lease.defer] (the last is counted by the
@@ -46,20 +48,16 @@ val acquire : t -> Catalog.Gfile.t -> entry option
 val insert : t -> entry -> unit
 (** Register a fresh grant; may evict the LRU entry (one batched close). *)
 
-val kill : ?counter:string -> t -> Catalog.Gfile.t -> unit
+val kill : t -> Catalog.Gfile.t -> unit
 (** Break the lease on a file: no further re-opens ride it; the deferred
-    close goes out now (idle) or at the last riding close. [counter]
-    names the [open.lease.*] statistic (default ["break"]). *)
+    close goes out now (idle) or at the last riding close. Counted as
+    [open.lease.break]. *)
 
 val note_commit : t -> Catalog.Gfile.t -> Vv.Version_vector.t -> unit
 (** A commit at [vv] was observed locally: kill any lease granted on a
     different version, ahead of the CSS callback. *)
 
-val kill_if : t -> (entry -> bool) -> unit
-
-val scrub : t -> unit
-(** Partition event: kill every lease (§5.6 lock-table scrub analogue),
-    sending deferred closes best-effort. *)
-
 val clear : t -> unit
-(** Crash: drop everything silently, sending nothing. *)
+(** Crash, partition or merge: drop every lease silently, sending nothing.
+    An open still riding a dropped lease sends its one close when it
+    closes. *)

@@ -62,7 +62,7 @@ let apply_delete k pack gf ~vv =
       Shadow.commit session ~vv ~mtime:(now k);
       (* A pull commits below the SS handlers, so it keeps the SS cache
          itself: nothing of a deleted file stays buffered. *)
-      Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _) -> Gfile.equal g gf);
+      Cache.invalidate_if k.ss_cache (fun (g, _) -> Gfile.equal g gf);
       ss_dir_drop k gf;
       (* The file is gone and the inode may be reclaimed: drop both the
          links to it and any links read out of it. *)

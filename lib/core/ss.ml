@@ -457,7 +457,7 @@ let install ?force_vv k pack gf s session ~delete =
      so is the directory index, which made the session's changes. A
      delete leaves nothing. *)
   if delete then begin
-    Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _) -> Gfile.equal g gf);
+    Cache.invalidate_if k.ss_cache (fun (g, _) -> Gfile.equal g gf);
     ss_dir_drop k gf
   end
   else begin
@@ -474,10 +474,12 @@ let install ?force_vv k pack gf s session ~delete =
     (if delete then " delete" else "");
   (vv, modified)
 
-let commit_message ?carried k gf ~vv ~modified ~deleted ~meta_only =
+let commit_message ?carried ?origin ?(designate = false) k gf ~vv ~modified ~deleted
+    ~meta_only =
+  let origin = Option.value origin ~default:k.site in
   Proto.Commit_notify
-    { gf; vv; meta_only; modified; origin = k.site; fresh = true; deleted;
-      designate = false; replicas = []; carried }
+    { gf; vv; meta_only; modified; origin; fresh = true; deleted; designate; replicas = [];
+      carried }
 
 (* What a notification of version [vv] of [gf] carries: the committed
    inode and the [modified] pages below its eof, read through the buffer
@@ -604,16 +606,17 @@ let handle_us_close k ~src gf ~mode =
 
 (* Revalidate this site's serving registrations against the using sites'
    actual open files, part of the post-merge rebuild (the SS-side analogue
-   of the section 5.6 lock-table scrub). A registration can outlive its
-   open only when every attempt of the open lost its reply: the CSS
-   registered the US here (poll or local add), but the US never learned
-   the open succeeded, so no close will ever arrive. Each US in the
-   partition is asked for its live opens (retained leases are already
-   gone: every member scrubs its lease table on the merge announcement,
-   and those deferred closes run the normal protocol); counts are reset
-   to what the US reports, and emptied registrations are torn down
-   exactly as a last close would — abort the shadow session, free the
-   incore slot. An unreachable US keeps its registrations; the next merge
+   of the section 5.6 lock-table scrub). A registration outlives its open
+   in two ways. Partition and merge drop every retained lease silently,
+   so the deferred close of a lease no open rides never arrives. And when
+   every attempt of an open lost its reply, the CSS registered the US
+   here (poll or local add), but the US never learned the open
+   succeeded, so no close will ever arrive. Each US in the partition is
+   asked for its live opens (its leases are already gone: every member
+   drops its lease table on the merge announcement); counts are reset to
+   what the US reports, and emptied registrations are torn down exactly
+   as a last close would — abort the shadow session, free the incore
+   slot. An unreachable US keeps its registrations; the next merge
    retries. *)
 let revalidate_serving k =
   (* (us, fg) -> ino -> live open count at us, queried at most once. *)
@@ -854,7 +857,8 @@ let handle_inventory k fg =
   | Some pack ->
     let files =
       Pack.inodes pack
-      |> List.map (fun (i : Inode.t) -> (i.Inode.ino, i.Inode.vv, i.Inode.deleted))
+      |> List.map (fun (i : Inode.t) ->
+             (i.Inode.ino, i.Inode.vv, i.Inode.ftype, i.Inode.deleted))
     in
     Proto.R_inventory { files }
 
@@ -862,7 +866,7 @@ let handle_reclaim k gf =
   (match local_pack k gf.Gfile.fg with
   | Some pack -> Pack.remove_inode pack gf.Gfile.ino
   | None -> ());
-  Cache.invalidate_if ~notify:false k.ss_cache (fun (g, _) -> Gfile.equal g gf);
+  Cache.invalidate_if k.ss_cache (fun (g, _) -> Gfile.equal g gf);
   ss_dir_drop k gf;
   (* A reclaimed inode number can be reallocated: drop every name-cache
      link into or out of it, and any retained open grant on it. *)

@@ -160,10 +160,11 @@ val revalidate_serving : Ktypes.t -> unit
     using site in the partition for its live opens and reset each serving
     registration's count to what the US reports, tearing emptied ones down
     like a last close (abort shadow session, free the slot). Cleans up
-    registrations stranded by an open whose every attempt lost its reply —
-    the CSS registered the US here, but the US never learned its open
-    succeeded, so no close will ever arrive. Unreachable USes keep their registrations for the next
-    merge to retry. *)
+    the registrations of leases that partition and merge dropped without
+    a close, and those stranded by an open whose every attempt lost its
+    reply — the CSS registered the US here, but the US never learned its
+    open succeeded, so no close will ever arrive. Unreachable USes keep
+    their registrations for the next merge to retry. *)
 
 val alloc_inode :
   Ktypes.t ->
@@ -186,6 +187,22 @@ val change_links :
     metadata-only commit, or a delete commit when the last link goes.
     Returns the new version and whether the file was deleted. Notifies
     nobody: the CSS that asked does. *)
+
+val commit_message :
+  ?carried:Proto.inode_info * string list ->
+  ?origin:Net.Site.t ->
+  ?designate:bool ->
+  Ktypes.t ->
+  Catalog.Gfile.t ->
+  vv:Vv.Version_vector.t ->
+  modified:int list ->
+  deleted:bool ->
+  meta_only:bool ->
+  Proto.req
+(** The fresh-commit notification of version [vv] of a file, committed at
+    [origin] (default: this site). [~designate:true] makes a receiver
+    whose pack does not store the file yet pull its first copy, as a new
+    file's designated copies and reconciliation need. *)
 
 val notify_others :
   Ktypes.t ->

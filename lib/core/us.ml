@@ -698,7 +698,7 @@ let close k o =
     (* Without retention the buffered pages die with the open; with it they
        stay, version-keyed, so a re-open of the same version hits warm. *)
     if not k.config.cache_retention then
-      Cache.invalidate_if ~notify:false k.us_cache (fun (g, _, _) -> Gfile.equal g o.o_gf);
+      Cache.invalidate_if k.us_cache (fun (g, _, _) -> Gfile.equal g o.o_gf);
     record k ~tag:"us.close" "%a" Gfile.pp o.o_gf
   end
 

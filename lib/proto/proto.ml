@@ -377,8 +377,8 @@ type resp =
   | R_busy of { active : Net.Site.t }
   | R_status of { stage : int; site : Net.Site.t }
   | R_open_files of { files : (int * open_mode * Net.Site.t) list }
-  | R_inventory of { files : (int * Vvec.t * bool) list }
-    (* ino, version, deleted? for every inode the pack stores *)
+  | R_inventory of { files : (int * Vvec.t * Storage.Inode.ftype * bool) list }
+    (* ino, version, type, deleted? for every inode the pack stores *)
   | R_data of { data : string }
 
 (* ---- wire-size model ---- *)
@@ -528,7 +528,9 @@ let resp_bytes = function
   | R_status _ -> header + 8
   | R_open_files { files } -> header + (9 * List.length files)
   | R_inventory { files } ->
-    header + List.fold_left (fun a (_, vv, _) -> a + 5 + vv_bytes vv) 0 files
+    (* 4 bytes of inode number and one flag byte holding the type and the
+       deleted bit *)
+    header + List.fold_left (fun a (_, vv, _, _) -> a + 5 + vv_bytes vv) 0 files
   | R_data { data } -> header + String.length data
 
 let req_tag = function

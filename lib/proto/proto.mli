@@ -391,7 +391,9 @@ type resp =
   | R_busy of { active : Net.Site.t }
   | R_status of { stage : int; site : Net.Site.t }
   | R_open_files of { files : (int * open_mode * Net.Site.t) list }
-  | R_inventory of { files : (int * Vv.Version_vector.t * bool) list }
+  | R_inventory of {
+      files : (int * Vv.Version_vector.t * Storage.Inode.ftype * bool) list;
+    }  (** ino, version, type, deleted? for every inode the pack stores *)
   | R_data of { data : string }
 
 (** {1 Wire-size model} *)

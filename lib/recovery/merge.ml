@@ -62,8 +62,8 @@ let rebuild_css k fg ~members =
        with
       | Ok (Proto.R_inventory { files }) ->
         List.iter
-          (fun (ino, vv, deleted) ->
-            Css.seed_copy k (Gfile.make ~fg ~ino) ~site:m ~vv ~deleted)
+          (fun (ino, vv, ftype, deleted) ->
+            Css.seed_copy k (Gfile.make ~fg ~ino) ~site:m ~vv ~ftype ~deleted)
           files
       | Ok _ | Stdlib.Error _ -> ());
       match
@@ -81,9 +81,11 @@ let handle_announce k ~members ~css_map =
      deletions there produced no notification here: start the name cache
      cold rather than audit it. Open leases likewise: files may have
      advanced in the other partition and CSS roles are about to move, so
-     every retained grant is scrubbed (deferred closes go out now). *)
+     every retained grant dies silently, as at a crash. The rebuild below
+     counts only the members' open files, and [Ss.revalidate_serving]
+     drops the SS registrations the dropped leases left behind. *)
   Locus_core.Namecache.clear k.name_cache;
-  Locus_core.Openlease.scrub k.open_leases;
+  Locus_core.Openlease.clear k.open_leases;
   List.iter
     (fun (fg, css) ->
       match List.find_opt (fun fi -> fi.fg = fg) k.fg_table with

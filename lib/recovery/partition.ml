@@ -60,9 +60,11 @@ let apply_membership k members =
   set_sites k members;
   (* No lease survives a partition event: the CSS that granted it may no
      longer be reachable (or no longer the CSS), so its break callbacks
-     can no longer be trusted to arrive — the analogue of the §5.6
-     lock-table scrub. Deferred closes go out best-effort. *)
-  Locus_core.Openlease.scrub k.open_leases;
+     can no longer be trusted to arrive. Leases die silently, as at a
+     crash: the deferred closes would only update lock tables the next
+     merge's §5.6 rebuild restores from the members' open files. Until
+     then a CSS that stays may count one stale reader per dropped lease. *)
+  Locus_core.Openlease.clear k.open_leases;
   (* Select the new synchronization sites first: the cleanup procedure's
      attempt to reopen lost files at another copy needs a live CSS. *)
   reelect_css k k.site_table;

@@ -137,19 +137,8 @@ let write_version k ~target gf ~content ~vv ~others =
         (fun s ->
           if not (Site.equal s target) then
             notify k s
-              (Proto.Commit_notify
-                 {
-                   gf;
-                   vv;
-                   meta_only = false;
-                   modified = [];
-                   origin = target;
-                   fresh = true;
-                   deleted = false;
-                   designate = true;
-                   replicas = [];
-                   carried = None;
-                 }))
+              (Ss.commit_message ~origin:target ~designate:true k gf ~vv ~modified:[]
+                 ~deleted:false ~meta_only:false))
         others;
       true
     | Proto.R_err _ | _ -> false
@@ -191,19 +180,8 @@ let schedule_propagation k gf ~vv ~origin f report =
       then begin
         report.propagations <- report.propagations + 1;
         notify k site
-          (Proto.Commit_notify
-             {
-               gf;
-               vv;
-               meta_only = false;
-               modified = [];
-               origin;
-               fresh = true;
-               deleted = false;
-               designate = true;
-               replicas = [];
-               carried = None;
-             })
+          (Ss.commit_message ~origin ~designate:true k gf ~vv ~modified:[] ~deleted:false
+             ~meta_only:false)
       end)
     f.site_vv
 
@@ -432,7 +410,9 @@ let resolve_conflict k gf f copies report =
    their copies differ at all — not only on version conflict — because
    rule 2b can resurrect a deleted entry when the *file* it names was
    modified in the other partition, which plain propagation of a dominating
-   directory version would lose. *)
+   directory version would lose. The type is the CSS's own record, seeded
+   from the pack inventories by the lock-table rebuild that runs before
+   reconciliation, so no copy is asked for it. *)
 let reconcile_file k gf report =
   match Css.find_file k gf.Gfile.fg gf.Gfile.ino with
   | None -> ()
@@ -442,28 +422,16 @@ let reconcile_file k gf report =
     match copies with
     | [] | [ _ ] -> () (* absent or a single version: nothing to reconcile *)
     | _ :: _ :: _ -> (
-      let mergeable_type =
-        List.exists
-          (fun (site, _) ->
-            match fetch_info k site gf with
-            | Some
-                {
-                  Proto.i_ftype =
-                    Inode.Directory | Inode.Hidden_directory | Inode.Mailbox;
-                  _;
-                } ->
-              true
-            | Some _ | None -> false)
-          copies
-      in
-      if mergeable_type then resolve_conflict k gf f copies report
-      else
+      match f.css_ftype with
+      | Inode.Directory | Inode.Hidden_directory | Inode.Mailbox ->
+        resolve_conflict k gf f copies report
+      | Inode.Regular | Inode.Database | Inode.Fifo -> (
         match maximal_versions copies with
         | [] -> ()
         | [ (origin, vv) ] ->
           if not (Vvec.dominates_or_equal f.latest_vv vv) then f.latest_vv <- vv;
           schedule_propagation k gf ~vv ~origin f report
-        | concurrent -> resolve_conflict k gf f concurrent report)
+        | concurrent -> resolve_conflict k gf f concurrent report))
 
 (* Reconcile every file of a filegroup; the caller is the filegroup's CSS. *)
 let reconcile_fg k fg =

@@ -32,12 +32,14 @@ module Page = Storage.Page
 (* Re-introducible bug classes, for demonstrating what the harness
    catches (and shrinks) and what the recovery protocols absorb.
 
-   [Bug_silent_scrub] re-creates the Lru notify-policy bug: lease tables
-   wiped without firing the deferred closes, stranding SS serving
-   registrations and CSS reader/lease entries. The section 5.6 rebuild
-   (CSS lock-table reconstruction plus the SS-side serving revalidation)
-   now repairs exactly that class at the quiesce merge, so runs with this
-   bug are expected to pass — pinning the self-heal.
+   [Bug_silent_scrub] drops every live lease table silently after each
+   batch, as a crash, partition or merge does, but with no membership
+   change behind it: the deferred closes never go out, stranding SS
+   serving registrations and CSS reader/lease entries. The section 5.6
+   rebuild (CSS lock-table reconstruction plus the SS-side serving
+   revalidation) repairs exactly that class at the quiesce merge, so runs
+   with this bug are expected to pass — pinning the self-heal that lets
+   partition and merge drop leases silently.
 
    [Bug_abandoned_open] re-creates the error-path leak this PR fixed with
    [Us.release]: an open succeeds, then the path abandons the handle
@@ -266,8 +268,8 @@ let run ?(drop = []) ?bug ~seed ~ops () =
       end;
       (match bug with
       | Some Bug_silent_scrub ->
-        (* Wipe live lease tables without firing the deferred closes
-           (what ~notify:false on the wrong path does). *)
+        (* Drop live lease tables silently, as a membership change
+           does, with no membership change to rebuild the lock tables. *)
         List.iter
           (fun k -> if k.K.alive then Openlease.clear k.K.open_leases)
           (World.kernels w)

@@ -10,12 +10,13 @@
 
 type bug =
   | Bug_silent_scrub
-      (** Wipe live lease tables without firing the deferred closes (what
-          the Lru [~notify:false] policy would do on the wrong path),
-          stranding SS serving registrations and CSS reader/lease
+      (** Drop live lease tables silently after every batch, as a crash,
+          partition or merge does, but with no membership change behind
+          it, stranding SS serving registrations and CSS reader/lease
           entries. The §5.6 merge rebuild absorbs exactly this class at
           quiesce, so runs with this bug are expected to {e pass} —
-          pinning the self-heal. *)
+          pinning the self-heal that lets partition and merge drop leases
+          silently. *)
   | Bug_abandoned_open
       (** Abandon a successfully opened handle without closing it, as the
           pre-[Us.release] error paths did. The orphan lives at the using

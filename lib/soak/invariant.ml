@@ -101,11 +101,11 @@ let check_site w k =
         add (vf "orphan-wb" "site %d: %a has an unflushed write-behind run"
                site Gfile.pp o.K.o_gf))
     k.K.open_files;
-  (* Leases: the final merge scrubs every lease table; a survivor means a
-     scrub path dropped entries without sending the deferred closes. *)
+  (* Leases: the final merge drops every lease table; a survivor means a
+     lease was granted across the merge, or the merge missed a member. *)
   let nleases = Openlease.length k.K.open_leases in
   if nleases > 0 then
-    add (vf "orphan-lease" "site %d: %d lease(s) survived the merge scrub"
+    add (vf "orphan-lease" "site %d: %d lease(s) survived the merge"
            site nleases);
   (* SS side: no shadow sessions, and every serving registration must be
      backed by an actual open (or lease) at the using site it names. *)

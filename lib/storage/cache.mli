@@ -28,14 +28,14 @@ val insert : 'k t -> 'k -> Page.t -> unit
 
 val invalidate : 'k t -> 'k -> unit
 
-val invalidate_if : 'k t -> notify:bool -> ('k -> bool) -> unit
+val invalidate_if : 'k t -> ('k -> bool) -> unit
 (** Drop all entries whose key satisfies the predicate (e.g. every page of
-    a file that just changed version). [~notify] selects whether each drop
-    fires [on_evict] (the capacity {!evictions} counter is never bumped);
-    coherence invalidations pass [false] so the eviction counters keep
-    measuring capacity pressure only. O(n). *)
+    a file that just changed version). Silent: no [on_evict], no
+    {!evictions} count, so the eviction counters measure capacity
+    pressure only. O(n). *)
 
-val clear : 'k t -> notify:bool -> unit
+val clear : 'k t -> unit
+(** Drop everything, silently. *)
 
 val length : 'k t -> int
 

@@ -108,40 +108,23 @@ module Make (V : VALUE) = struct
     | Some n -> remove_node t n
     | None -> ()
 
-  (* Bulk removals take an explicit [~notify] policy: with [~notify:true]
-     each dropped key fires [on_evict] (without bumping the capacity-pressure
-     [evictions] counter); with [~notify:false] entries vanish silently.
-     Callers whose eviction hook carries a liveness obligation (the open-lease
-     cache sends deferred closes from it) must choose deliberately — a silent
-     scrub of such a cache leaks the obligation. *)
-  let filter_out t ~notify pred =
+  (* Bulk removals are silent: [on_evict] reports capacity pressure only,
+     so an invalidation or a clear fires no hook and counts no eviction. *)
+  let filter_out t pred =
     let victims =
       Hashtbl.fold
         (fun key n acc -> if pred key n.n_value then n :: acc else acc)
         t.table []
     in
     List.iter (remove_node t) victims;
-    if notify then List.iter (fun n -> t.on_evict n.n_key) victims;
     List.length victims
 
-  let invalidate_if t ~notify pred =
-    ignore (filter_out t ~notify (fun key _ -> pred key))
+  let invalidate_if t pred = ignore (filter_out t (fun key _ -> pred key))
 
-  let clear t ~notify =
-    let victims =
-      if notify then
-        (* LRU-first, matching the order capacity pressure would use. *)
-        let rec go acc = function
-          | None -> acc
-          | Some n -> go (n.n_key :: acc) n.n_next
-        in
-        go [] t.head
-      else []
-    in
+  let clear t =
     Hashtbl.reset t.table;
     t.head <- None;
-    t.tail <- None;
-    List.iter t.on_evict victims
+    t.tail <- None
 
   let length t = Hashtbl.length t.table
 

@@ -35,20 +35,16 @@ module Make (V : VALUE) : sig
 
   val invalidate : 'k t -> 'k -> unit
 
-  val filter_out : 'k t -> notify:bool -> ('k -> V.t -> bool) -> int
+  val filter_out : 'k t -> ('k -> V.t -> bool) -> int
   (** Drop all entries satisfying the predicate; returns how many were
-      dropped (for invalidation accounting). With [~notify:true] every
-      dropped key fires [on_evict] (the capacity {!evictions} counter is
-      not bumped); with [~notify:false] the drop is silent. Callers whose
-      [on_evict] hook carries a liveness obligation (e.g. a deferred close)
-      must pick the policy explicitly — a silent scrub leaks it. O(n). *)
+      dropped (for invalidation accounting). Silent: no [on_evict], no
+      {!evictions} count. O(n). *)
 
-  val invalidate_if : 'k t -> notify:bool -> ('k -> bool) -> unit
+  val invalidate_if : 'k t -> ('k -> bool) -> unit
   (** {!filter_out} on the key alone, discarding the count. O(n). *)
 
-  val clear : 'k t -> notify:bool -> unit
-  (** Drop everything; [~notify:true] fires [on_evict] per entry, LRU
-      first. *)
+  val clear : 'k t -> unit
+  (** Drop everything, silently. *)
 
   val length : 'k t -> int
 

@@ -478,8 +478,8 @@ let test_corrupt_directory_is_eio () =
           | None -> Alcotest.fail "directory has no first page")
         | None -> ())
       | None -> ());
-      Storage.Cache.clear k.K.us_cache ~notify:false;
-      Storage.Cache.clear k.K.ss_cache ~notify:false;
+      Storage.Cache.clear k.K.us_cache;
+      Storage.Cache.clear k.K.ss_cache;
       Locus_core.Namecache.clear k.K.name_cache)
     (World.kernels w);
   List.iter

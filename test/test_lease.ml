@@ -174,47 +174,130 @@ let test_eviction_sends_one_close () =
 
 (* No lease survives a partition or a merge: the grantor may be
    unreachable or no longer the CSS, so its break callbacks can no longer
-   be trusted (the §5.6 lock-table scrub applied to leases). *)
+   be trusted. A lease dies there as at a crash, silently: the merge's
+   §5.6 rebuild counts only the members' open files at the CSS, and
+   [Ss.revalidate_serving] drops the SS registrations no open backs. *)
+
+let closes w snap =
+  Stats.delta_of (World.stats w) snap "net.msg.close.us"
+  + Stats.delta_of (World.stats w) snap "net.msg.close.ss"
+
+let paths = [ "/f"; "/g"; "/h" ]
+
+(* Read each file once at [k] and close it: [k] holds an idle lease on
+   each. *)
+let take_leases w k gfs =
+  List.iter (fun gf -> Us.close k (Us.open_gf k gf Proto.Mode_read)) gfs;
+  ignore (World.settle w);
+  List.iter (fun gf -> check Alcotest.bool "lease held" true (held k gf)) gfs
+
+(* Files at 1 (CSS at 0), each leased at [site]. *)
+let hold_three w site =
+  List.iter (fun path -> mk_file w ~at:1 ~path ~body:path) paths;
+  let k = World.kernel w site in
+  let gfs = List.map (gf_of k) paths in
+  take_leases w k gfs;
+  gfs
+
+(* The SS (site 1) serves [site] for [gf], or the CSS (site 0) counts
+   [site] as a reader of it. *)
+let registered w site gf =
+  let serving =
+    match Hashtbl.find_opt (World.kernel w 1).K.ss_opens gf with
+    | Some s -> Net.Site.Map.mem site s.K.s_uss
+    | None -> false
+  in
+  let reading =
+    match Css.find_file (World.kernel w 0) gf.Gfile.fg gf.Gfile.ino with
+    | Some f -> Net.Site.Map.mem site f.K.readers
+    | None -> false
+  in
+  serving || reading
+
 let test_scrub_across_partition_and_merge () =
   let w = make_world () in
-  mk_file w ~at:1 ~path:"/f" ~body:"x";
-  let k3 = World.kernel w 3 in
-  let gf = gf_of k3 "/f" in
-  let o = Us.open_gf k3 gf Proto.Mode_read in
-  Us.close k3 o;
-  ignore (World.settle w);
-  check Alcotest.bool "lease held" true (held k3 gf);
+  let k2 = World.kernel w 2 in
+  let gfs = hold_three w 2 in
+  let snap = Stats.snapshot (World.stats w) in
   ignore (World.partition w [ [ 0; 1; 2 ]; [ 3; 4 ] ]);
   ignore (World.settle w);
-  check Alcotest.bool "scrubbed by the partition protocol" false (held k3 gf);
+  check Alcotest.int "no close at the partition" 0 (closes w snap);
+  List.iter (fun gf -> check Alcotest.bool "dropped by the partition" false (held k2 gf)) gfs;
+  (* Leases granted inside the partition die at the merge the same way. *)
+  take_leases w k2 gfs;
+  let snap = Stats.snapshot (World.stats w) in
   ignore (World.heal_and_merge w);
   ignore (World.settle w);
-  check Alcotest.bool "nothing resurrected by the merge" false (held k3 gf);
+  check Alcotest.int "no close at the merge" 0 (closes w snap);
+  List.iter
+    (fun gf ->
+      check Alcotest.bool "nothing resurrected by the merge" false (held k2 gf);
+      check Alcotest.bool "no registration after the merge" false (registered w 2 gf))
+    gfs;
   (* Service resumes through the normal protocol. *)
-  let o2 = Us.open_gf k3 gf Proto.Mode_read in
-  check Alcotest.string "readable after merge" "x" (Us.read_all k3 o2);
-  Us.close k3 o2;
-  ignore (World.settle w)
-
-(* The scrub also runs on the partition that keeps both CSS and SS: a
-   lease must never survive any membership change. *)
-let test_scrub_even_in_surviving_partition () =
-  let w = make_world () in
-  mk_file w ~at:1 ~path:"/f" ~body:"x";
-  let k2 = World.kernel w 2 in
-  let gf = gf_of k2 "/f" in
-  let o = Us.open_gf k2 gf Proto.Mode_read in
-  Us.close k2 o;
-  ignore (World.settle w);
-  check Alcotest.bool "lease held" true (held k2 gf);
-  (* Sites 0 (CSS), 1 (SS) and 2 (holder) stay together; 3, 4 leave. *)
-  ignore (World.partition w [ [ 0; 1; 2 ]; [ 3; 4 ] ]);
-  ignore (World.settle w);
-  check Alcotest.bool "scrubbed anyway" false (held k2 gf);
-  let o2 = Us.open_gf k2 gf Proto.Mode_read in
-  check Alcotest.string "still readable" "x" (Us.read_all k2 o2);
+  let o2 = Us.open_gf k2 (List.hd gfs) Proto.Mode_read in
+  check Alcotest.string "readable after merge" "/f" (Us.read_all k2 o2);
   Us.close k2 o2;
   ignore (World.settle w)
+
+(* The partition that keeps the holder with both CSS and SS drops its
+   leases too: a lease must never survive any membership change. Their
+   registrations outlive the partition, one per dropped lease, until the
+   merge's rebuild removes them. *)
+let test_scrub_even_in_surviving_partition () =
+  let w = make_world () in
+  let k3 = World.kernel w 3 in
+  let gfs = hold_three w 3 in
+  (* Sites 0 (CSS), 1 (SS) and 3 (holder) stay together; 2, 4 leave. *)
+  let snap = Stats.snapshot (World.stats w) in
+  ignore (World.partition w [ [ 0; 1; 3 ]; [ 2; 4 ] ]);
+  ignore (World.settle w);
+  check Alcotest.int "no close at the partition" 0 (closes w snap);
+  List.iter (fun gf -> check Alcotest.bool "dropped anyway" false (held k3 gf)) gfs;
+  let o2 = Us.open_gf k3 (List.hd gfs) Proto.Mode_read in
+  check Alcotest.string "still readable" "/f" (Us.read_all k3 o2);
+  Us.close k3 o2;
+  let snap = Stats.snapshot (World.stats w) in
+  ignore (World.heal_and_merge w);
+  ignore (World.settle w);
+  check Alcotest.int "no close at the merge" 0 (closes w snap);
+  List.iter
+    (fun gf ->
+      check Alcotest.bool "no registration after the merge" false (registered w 3 gf))
+    gfs
+
+(* An open riding a lease when the partition drops it keeps its one
+   close: the partition sends none, for it or for the site's idle
+   leases, and the rider's close sends exactly one. *)
+let test_rider_closes_once_across_partition () =
+  let w = make_world () in
+  let k2 = World.kernel w 2 in
+  let gfs = hold_three w 2 in
+  let gf = List.hd gfs in
+  let rider = Us.open_gf k2 gf Proto.Mode_read in
+  check Alcotest.bool "rides the lease" true (rider.K.o_lease <> None);
+  let snap = Stats.snapshot (World.stats w) in
+  ignore (World.partition w [ [ 0; 1; 2 ]; [ 3; 4 ] ]);
+  ignore (World.settle w);
+  check Alcotest.int "no close at the partition" 0 (closes w snap);
+  check Alcotest.bool "lease dropped" false (held k2 gf);
+  check Alcotest.string "rider still reads" "/f" (Us.read_all k2 rider);
+  let snap = Stats.snapshot (World.stats w) in
+  Us.close k2 rider;
+  ignore (World.settle w);
+  (* A close is a request and its reply: one Us_close, one Ss_close. *)
+  check Alcotest.int "one close from the rider" 2
+    (Stats.delta_of (World.stats w) snap "net.msg.close.us");
+  check Alcotest.int "forwarded once to the CSS" 2
+    (Stats.delta_of (World.stats w) snap "net.msg.close.ss");
+  let snap = Stats.snapshot (World.stats w) in
+  ignore (World.heal_and_merge w);
+  ignore (World.settle w);
+  check Alcotest.int "no close at the merge" 0 (closes w snap);
+  List.iter
+    (fun gf ->
+      check Alcotest.bool "no registration after the merge" false (registered w 2 gf))
+    gfs
 
 (* ---- ablations ---- *)
 
@@ -272,6 +355,8 @@ let () =
             test_scrub_across_partition_and_merge;
           Alcotest.test_case "scrub in surviving partition" `Quick
             test_scrub_even_in_surviving_partition;
+          Alcotest.test_case "rider closes once across a partition" `Quick
+            test_rider_closes_once_across_partition;
         ] );
       ( "ablation",
         [

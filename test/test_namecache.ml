@@ -300,7 +300,7 @@ end)
 let test_lru_filter_out () =
   let c = Slru.create ~capacity:8 () in
   List.iter (fun i -> Slru.insert c i (i * 10)) [ 1; 2; 3; 4; 5 ];
-  let dropped = Slru.filter_out c ~notify:false (fun k v -> k mod 2 = 0 && v >= 20) in
+  let dropped = Slru.filter_out c (fun k v -> k mod 2 = 0 && v >= 20) in
   check Alcotest.int "dropped the matching entries" 2 dropped;
   check Alcotest.int "rest survive" 3 (Slru.length c);
   check Alcotest.bool "odd keys intact" true

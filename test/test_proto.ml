@@ -145,7 +145,7 @@ let test_resp_sizes () =
       Proto.R_where { sites = [ 0 ]; all_sites = [ 0; 1 ]; vv = vv_small };
       Proto.R_token { granted = true; state = "17" };
       Proto.R_pset { pset = [ 0; 1; 2 ] };
-      Proto.R_inventory { files = [ (2, vv_small, false) ] };
+      Proto.R_inventory { files = [ (2, vv_small, Storage.Inode.Regular, false) ] };
       Proto.R_data { data = "x" };
       Proto.R_entry { ino = 7 };
       Proto.R_intent { ino = 7; dir_vv = vv_small; file = Some (vv_small, true) };
@@ -272,6 +272,23 @@ let test_commit_notify_forms () =
     (reply [ page; page; page ] - 24)
     (notify ~carried:(info, [ page; page; page ]) [ 0; 1; 2 ] - notify [ 0; 1; 2 ])
 
+(* A pack inventory names each inode's number, version, type and deleted
+   bit. The type shares the deleted bit's flag byte, so an entry costs
+   what it did before it carried a type: 4 bytes of inode number, one
+   flag byte, the version. *)
+let test_inventory_forms () =
+  let inventory files = Proto.resp_bytes (Proto.R_inventory { files }) in
+  let vv = Vvec.bump vv_small 2 in
+  check Alcotest.int "empty inventory" 24 (inventory []);
+  check Alcotest.int "one entry" (24 + 5 + 8) (inventory [ (2, vv_small, Storage.Inode.Regular, false) ]);
+  check Alcotest.int "typed entries" (24 + (5 + 8) + (5 + 16) + (5 + 8))
+    (inventory
+       [
+         (2, vv_small, Storage.Inode.Directory, false);
+         (3, vv, Storage.Inode.Mailbox, true);
+         (4, vv_small, Storage.Inode.Hidden_directory, false);
+       ])
+
 let test_errno_strings () =
   List.iter
     (fun e ->
@@ -297,6 +314,7 @@ let () =
           Alcotest.test_case "fused truncate and ranged invalidation" `Quick test_fused_forms;
           Alcotest.test_case "open forms" `Quick test_open_forms;
           Alcotest.test_case "commit notification forms" `Quick test_commit_notify_forms;
+          Alcotest.test_case "inventory forms" `Quick test_inventory_forms;
           Alcotest.test_case "errno strings" `Quick test_errno_strings;
         ] );
     ]

@@ -296,8 +296,8 @@ let diverged_mailbox ~corrupt =
       | Some addr ->
         Storage.Disk.write (Storage.Pack.disk pack) addr (Storage.Page.of_string "\255garbage")
       | None -> Alcotest.fail "mailbox has no first page");
-      Storage.Cache.clear k.K.ss_cache ~notify:false;
-      Storage.Cache.clear k.K.us_cache ~notify:false)
+      Storage.Cache.clear k.K.ss_cache;
+      Storage.Cache.clear k.K.us_cache)
     corrupt;
   (w, k0, p0, gf)
 
@@ -540,6 +540,79 @@ let test_hidden_directory_merge () =
   check Alcotest.string "pdp11 entry merged" "pdp11 module"
     (Kernel.read_file k0 p0 "/cmd/@pdp11")
 
+(* Count the [Stat_req]s every site receives from here on. *)
+let count_stats w =
+  let stats = ref 0 in
+  List.iter
+    (fun site ->
+      let k = World.kernel w site in
+      Net.Netsim.set_handler (World.net w) site (fun ~src req ->
+          if Proto.req_tag req = "stat" then incr stats;
+          k.K.dispatch src req))
+    (World.sites w);
+  stats
+
+(* Reconciliation takes each file's type from the pack inventories of the
+   lock-table rebuild that runs just before it, so a heal asks no copy
+   for its type: a dominated regular file and a diverged directory
+   reconcile with no [Stat_req] anywhere. *)
+let test_heal_sends_no_type_probe () =
+  let w, k0, p0 = conflict_world () in
+  ignore (Kernel.creat k0 p0 "/doc");
+  Kernel.write_file k0 p0 "/doc" "v1";
+  ignore (World.settle w);
+  ignore (World.partition w [ [ 0; 1 ]; [ 2; 3 ] ]);
+  Kernel.write_file k0 p0 "/doc" "v2";
+  let k2 = World.kernel w 2 and p2 = World.proc w 2 in
+  ignore (Kernel.creat k0 p0 "/mail/left");
+  ignore (Kernel.creat k2 p2 "/mail/right");
+  ignore (World.settle w);
+  let stats = count_stats w in
+  let _, recon = World.heal_and_merge w in
+  check Alcotest.int "directory merged" 1 (total (fun r -> r.Reconcile.dir_merges) recon);
+  check Alcotest.bool "stale file propagated" true
+    (total (fun r -> r.Reconcile.propagations) recon >= 1);
+  check Alcotest.int "no stat sent" 0 !stats;
+  let k3 = World.kernel w 3 and p3 = World.proc w 3 in
+  check Alcotest.string "stale copy caught up" "v2" (Kernel.read_file k3 p3 "/doc");
+  check Alcotest.(list string) "both entries" [ "."; ".."; "left"; "right" ]
+    (List.sort String.compare
+       (List.map (fun (e : Catalog.Dir.entry) -> e.Catalog.Dir.name) (Kernel.readdir k3 p3 "/mail")))
+
+(* The CSS learns the type of a file it does not store from the pack
+   inventories, not from its copies: a directory stored at sites 2 and 3
+   only, with a dominated copy at 3, still goes through the directory
+   merge, as rule 2b needs, rather than plain propagation, and no copy is
+   asked its type. *)
+let test_unstored_directory_merges_by_type () =
+  let w = make_world ~n:4 () in
+  ignore (World.partition w [ [ 0; 1 ]; [ 2; 3 ] ]);
+  let k2 = World.kernel w 2 and p2 = World.proc w 2 in
+  Kernel.set_ncopies p2 2;
+  ignore (Kernel.mkdir k2 p2 "/d");
+  ignore (World.settle w);
+  ignore (World.heal_and_merge w);
+  let gf =
+    Locus_core.Pathname.resolve_from k2 ~cwd:(Catalog.Mount.root k2.K.mount) ~context:[] "/d"
+  in
+  let k0 = World.kernel w 0 in
+  check Alcotest.bool "CSS 0 stores no copy" false
+    (Storage.Pack.stores (Hashtbl.find k0.K.packs 0) gf.Catalog.Gfile.ino);
+  ignore (World.partition w [ [ 0; 1; 2 ]; [ 3 ] ]);
+  Kernel.set_ncopies p2 1;
+  ignore (Kernel.creat k2 p2 "/d/x");
+  ignore (World.settle w);
+  let stats = count_stats w in
+  let _, recon = World.heal_and_merge w in
+  check Alcotest.int "no stat sent" 0 !stats;
+  check Alcotest.int "directory merged" 1 (total (fun r -> r.Reconcile.dir_merges) recon);
+  check Alcotest.int "nothing propagated as a plain file" 0
+    (total (fun r -> r.Reconcile.propagations) recon);
+  let k3 = World.kernel w 3 and p3 = World.proc w 3 in
+  check Alcotest.(list string) "entry reached the dominated copy" [ "."; ".."; "x" ]
+    (List.sort String.compare
+       (List.map (fun (e : Catalog.Dir.entry) -> e.Catalog.Dir.name) (Kernel.readdir k3 p3 "/d")))
+
 let test_demand_recovery_single_file () =
   let w, k0, p0 = conflict_world () in
   ignore (Kernel.creat k0 p0 "/hot");
@@ -606,6 +679,9 @@ let () =
           Alcotest.test_case "untyped conflict" `Quick
             test_untyped_conflict_marked_and_resolvable;
           Alcotest.test_case "demand recovery" `Quick test_demand_recovery_single_file;
+          Alcotest.test_case "heal sends no type probe" `Quick test_heal_sends_no_type_probe;
+          Alcotest.test_case "unstored directory merges by type" `Quick
+            test_unstored_directory_merges_by_type;
           Alcotest.test_case "full reconfigure entry" `Quick test_full_reconfigure_entry;
           Alcotest.test_case "hidden directory merge" `Quick test_hidden_directory_merge;
           Alcotest.test_case "reconciliation moves windows" `Quick test_reconcile_moves_windows;

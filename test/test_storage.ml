@@ -258,7 +258,7 @@ let test_cache_invalidate_if () =
   Cache.insert c ("f", 0) (Page.of_string "x");
   Cache.insert c ("f", 1) (Page.of_string "y");
   Cache.insert c ("g", 0) (Page.of_string "z");
-  Cache.invalidate_if c ~notify:false (fun (name, _) -> name = "f");
+  Cache.invalidate_if c (fun (name, _) -> name = "f");
   check Alcotest.int "only g left" 1 (Cache.length c);
   check Alcotest.bool "g survives" true (Cache.find c ("g", 0) <> None)
 
@@ -293,29 +293,21 @@ let test_cache_eviction_counters () =
   check Alcotest.int "no hits from mem" 0 (Cache.hits c);
   check Alcotest.int "no misses from mem" 0 (Cache.misses c)
 
-(* The scrub paths choose their on_evict policy explicitly: a hook that
-   carries a liveness obligation (the lease cache's deferred closes)
-   leaks it under a silent scrub, so ~notify:true must fire per dropped
-   entry and ~notify:false must fire nothing — and neither may count as a
+(* Bulk removal is silent: [on_evict] reports capacity pressure only, so
+   neither an invalidation nor a clear fires it, and neither counts as a
    capacity eviction. *)
 let test_cache_notify_policy () =
   let evicted = ref [] in
   let c = Cache.create ~on_evict:(fun k -> evicted := k :: !evicted) ~capacity:8 () in
   List.iter (fun k -> Cache.insert c k (Page.of_string k)) [ "a"; "b"; "c" ];
-  Cache.invalidate_if c ~notify:false (fun k -> k = "a");
+  Cache.invalidate_if c (fun k -> k = "a");
   check Alcotest.int "silently dropped" 2 (Cache.length c);
   check Alcotest.(list string) "silent drop fires nothing" [] !evicted;
-  Cache.invalidate_if c ~notify:true (fun k -> k = "b");
-  check Alcotest.(list string) "notified drop fires on_evict" [ "b" ] !evicted;
   check Alcotest.int "not a capacity eviction" 0 (Cache.evictions c);
   Cache.insert c "d" (Page.of_string "D");
-  Cache.clear c ~notify:true;
-  (* Per entry, LRU first: "c" is older than "d". *)
-  check Alcotest.(list string) "notified clear, LRU first" [ "d"; "c"; "b" ] !evicted;
+  Cache.clear c;
   check Alcotest.int "cleared" 0 (Cache.length c);
-  Cache.insert c "e" (Page.of_string "E");
-  Cache.clear c ~notify:false;
-  check Alcotest.(list string) "silent clear fires nothing" [ "d"; "c"; "b" ] !evicted;
+  check Alcotest.(list string) "silent clear fires nothing" [] !evicted;
   check Alcotest.int "evictions still zero" 0 (Cache.evictions c)
 
 (* The list/table structure must stay consistent over a long mixed
