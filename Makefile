@@ -37,7 +37,9 @@ bench:
 # after the merge must read the committed bytes, and E22's striped reads must
 # return the file's bytes, width 4 must give at least twice width 1's
 # throughput, and the per-client read cost at 512 sites must stay within
-# 1.25x of 8 sites'.
+# 1.25x of 8 sites', and e24smoke's read oracle must find no read that
+# returned a body no write sent (wrong) or a body older than the last
+# committed one (stale).
 # E20 onward also leave BENCH_<experiment>.json behind for machine
 # comparison (micro records the heap speedup and words/event; the
 # full-scale flood dashboard is `-- e24`).

@@ -23,7 +23,7 @@ module Merge = Recovery.Merge
 module Reconcile = Recovery.Reconcile
 module Dir = Catalog.Dir
 module Mbox = Catalog.Mailbox
-module Flood = Locus.Flood
+module Opstream = Locus.Opstream
 module Trace = Sim.Trace
 
 let make_world ?(n = 5) ?packs ?(machine_type = fun _ -> "vax") ?kconfig () =
@@ -138,13 +138,13 @@ let e1 () =
 (* ---------------------------------------------------------------- E2 *)
 (* Section 2.2.1 footnote: "the cpu overhead of accessing a remote page
    is twice local access". Sequential whole-file reads, local vs remote,
-   with the readahead ablation. *)
+   with and without the US cache. *)
 let e2 () =
   Report.section "E2  Local vs remote page access cost"
-    "paper: remote page ~= 2x local page; readahead ablation included";
+    "paper: remote page ~= 2x local page; US cache ablation included";
   let pages = 32 in
   let body = String.make (pages * Page.size) 'd' in
-  let read_seq ~readahead ~cache ~open_at =
+  let read_seq ~cache ~open_at =
     let base = World.default_config ~n_sites:3 () in
     let config =
       {
@@ -153,8 +153,7 @@ let e2 () =
         kernel_config =
           {
             K.default_config with
-            K.readahead;
-            us_cache_pages = (if cache then K.default_config.K.us_cache_pages else 0);
+            K.us_cache_pages = (if cache then K.default_config.K.us_cache_pages else 0);
           };
       }
     in
@@ -180,10 +179,9 @@ let e2 () =
     Us.close k o;
     (per_page, m)
   in
-  let local, _ = read_seq ~readahead:true ~cache:true ~open_at:0 in
-  let remote, m_remote = read_seq ~readahead:true ~cache:true ~open_at:2 in
-  let remote_nora, m_nora = read_seq ~readahead:false ~cache:true ~open_at:2 in
-  let remote_nocache, m_nc = read_seq ~readahead:false ~cache:false ~open_at:2 in
+  let local, _ = read_seq ~cache:true ~open_at:0 in
+  let remote, m_remote = read_seq ~cache:true ~open_at:2 in
+  let remote_nocache, m_nc = read_seq ~cache:false ~open_at:2 in
   let row label v m =
     [ label; Report.f2 v; Report.f2 (v /. local); Report.i m ]
   in
@@ -192,14 +190,13 @@ let e2 () =
     ~header:[ "configuration"; "ms/page"; "vs local"; "messages" ]
     [
       row "local (US = SS)" local 0;
-      row "remote, readahead on" remote m_remote;
-      row "remote, readahead off" remote_nora m_nora;
+      row "remote, readahead" remote m_remote;
       row "remote, no cache at US" remote_nocache m_nc;
     ];
   Printf.printf
     "paper's claim: remote/local ~ 2.0; measured %.2f (raw remote access);\n\
     \ readahead hides the round trip on sequential reads (%.2fx local)\n"
-    (remote_nora /. local) (remote /. local)
+    (remote_nocache /. local) (remote /. local)
 
 (* ---------------------------------------------------------------- E3 *)
 (* Section 2.2.1: "the cost of a remote open is significantly more than
@@ -955,33 +952,34 @@ let e14 () =
 
 (* --------------------------------------------------------------- E15 *)
 (* Section 6: a production-like software-development workload mix, driven
-   by the Locus.Workload generator, as a whole-system shakeout. *)
+   by the op stream's development spec, as a whole-system shakeout. *)
 let e15 () =
   Report.section "E15  Mixed workload (the section 6 experience setting)"
     "edits, builds, mail and remote execution on a 6-site net";
   let w = make_world ~n:6 () in
-  let spec = { Locus.Workload.default_spec with Locus.Workload.ncopies = 3 } in
-  Locus.Workload.setup w spec;
+  let g = Opstream.setup w Opstream.dev_spec in
   let snap = Stats.snapshot (World.stats w) in
   let t0 = World.now w in
   let ops = 200 in
-  let r = Locus.Workload.run w spec ~ops in
+  let r = Opstream.run g ~ops in
   let dt = World.now w -. t0 in
   let m = msgs w snap in
   Report.table ~title:(Printf.sprintf "%d operations from random sites" ops)
     ~header:[ "metric"; "value" ]
     [
-      [ "reads"; Report.i r.Locus.Workload.reads ];
-      [ "edits (commit+propagate)"; Report.i r.Locus.Workload.edits ];
-      [ "remote execs"; Report.i r.Locus.Workload.execs ];
-      [ "mail deliveries"; Report.i r.Locus.Workload.mails ];
-      [ "namespace churn"; Report.i (r.Locus.Workload.creates + r.Locus.Workload.unlinks) ];
-      [ "refused (partition/busy)"; Report.i r.Locus.Workload.errors ];
+      [ "reads"; Report.i r.Opstream.reads ];
+      [ "edits (commit+propagate)"; Report.i r.Opstream.edits ];
+      [ "remote execs"; Report.i r.Opstream.execs ];
+      [ "mail deliveries"; Report.i r.Opstream.mails ];
+      [ "namespace churn"; Report.i r.Opstream.dirops ];
+      [ "refused (partition/busy)"; Report.i r.Opstream.errors ];
       [ "kernel messages"; Report.i m ];
       [ "messages / operation"; Report.f2 (float_of_int m /. float_of_int ops) ];
       [ "simulated ms"; Report.f1 dt ];
       [ "ms / operation"; Report.f2 (dt /. float_of_int ops) ];
     ];
+  Printf.printf "reads: %d wrong, %d stale: %s\n" r.Opstream.wrong r.Opstream.stale
+    (Report.check (r.Opstream.wrong = 0 && r.Opstream.stale = 0));
   Printf.printf
     "with 3x replication most reads are local: transparency without\n\
      performance loss, the headline experience of section 6\n"
@@ -1676,7 +1674,7 @@ let e21 () =
    in parallel, so elapsed time drops with the width (width 1 is the
    ablation: the classic single-SS protocol, byte-identical). (b) the same
    striped open/read at 8..512 installed sites, with the per-kernel tables
-   pre-sized from table_size_hint, shows the protocol cost stays flat as
+   pre-sized from the site count, shows the protocol cost stays flat as
    the installation grows. *)
 let e22 () =
   Report.section "E22  Scale-out storage: striped reads, growing site counts"
@@ -1771,13 +1769,11 @@ let e22 () =
     (Report.check (all_ok && speedup >= 2.0));
   (* (b) site-count sweep: the same striped file and width-4 map, at
      installations of 8..512 sites (packs stay at 4 sites; the hot kernel
-     tables are pre-sized via table_size_hint). The open and read cost
+     tables are pre-sized from the site count). The open and read cost
      must not grow with the number of installed sites: the protocols talk
      to the CSS and the stripe sites, never to the whole site table. *)
   let scale_run n =
-    let kconfig =
-      { K.default_config with K.stripe_width = 4; K.table_size_hint = n }
-    in
+    let kconfig = { K.default_config with K.stripe_width = 4 } in
     let w = make_world ~n ~packs:[ 0; 1; 2; 3 ] ~kconfig () in
     mk_file w ~at:0 ~ncopies:4 ~path:"/wide" ~body;
     let clients =
@@ -1886,8 +1882,8 @@ let e23 () =
     (List.map
        (fun oc ->
          [ Report.i oc.Soak.Driver.oc_seed;
-           Report.i oc.Soak.Driver.oc_report.Locus.Workload.ops;
-           Report.i oc.Soak.Driver.oc_report.Locus.Workload.errors;
+           Report.i oc.Soak.Driver.oc_report.Locus.Opstream.ops;
+           Report.i oc.Soak.Driver.oc_report.Locus.Opstream.errors;
            Report.i
              (List.fold_left (fun a (_, c) -> a + c) 0 oc.Soak.Driver.oc_injected);
            Report.i oc.Soak.Driver.oc_skipped;
@@ -1923,63 +1919,66 @@ let e23 () =
 
 (* Spans are for debugging single ops; at flood scale their formatting
    would dominate the host cost, so recording is off during the run. *)
-let flood_run w spec =
+let flood_run w spec ~ops =
+  let g = Opstream.setup w spec in
   let trace = Engine.trace (World.engine w) in
   Trace.set_recording trace false;
   let t0 = Unix.gettimeofday () in
-  let r = Flood.run w spec in
+  let r = Opstream.run g ~ops in
   let wall = Unix.gettimeofday () -. t0 in
   Trace.set_recording trace true;
   (r, wall)
 
-let flood_world ~n_sites =
-  let kconfig = { K.default_config with K.table_size_hint = max 64 n_sites } in
-  make_world ~n:n_sites ~packs:[ 0; 1; 2; 3 ] ~kconfig ()
+let flood_world ~n_sites = make_world ~n:n_sites ~packs:[ 0; 1; 2; 3 ] ()
 
-let flood_dashboard (r : Flood.report) =
+let flood_dashboard ~users (r : Opstream.report) =
   let row name (s : Stats.hist_summary) =
     [ name; Report.i s.Stats.n; Report.f2 s.Stats.p50; Report.f2 s.Stats.p95;
       Report.f2 s.Stats.p99; Report.f2 s.Stats.hmax ]
   in
   Report.table
     ~title:
-      (Printf.sprintf "op latency, %d users x %d ops (simulated ms)" r.Flood.fr_users
-         r.Flood.fr_ops)
+      (Printf.sprintf "op latency, %d users x %d ops (simulated ms)" users
+         r.Opstream.ops)
     ~header:[ "op class"; "ops"; "p50"; "p95"; "p99"; "max" ]
     [
-      row "open/read/close" r.Flood.fr_read_lat;
-      row "edit/commit" r.Flood.fr_edit_lat;
-      row "dir create/unlink" r.Flood.fr_dirop_lat;
+      row "open/read/close" r.Opstream.read_lat;
+      row "edit/commit" r.Opstream.edit_lat;
+      row "dir create/unlink" r.Opstream.dirop_lat;
     ];
   let pct v = Printf.sprintf "%.1f%%" (100.0 *. v) in
   Report.table ~title:"hit rates over the run"
     ~header:[ "open lease"; "buffer cache"; "name cache" ]
-    [ [ pct r.Flood.fr_lease_hit; pct r.Flood.fr_cache_hit; pct r.Flood.fr_name_hit ] ];
+    [ [ pct r.Opstream.lease_hit; pct r.Opstream.cache_hit; pct r.Opstream.name_hit ] ];
   Report.table ~title:"first pages with read opens"
     ~header:[ "pages delivered with opens"; "opens skipped: pages buffered" ]
-    [ [ Report.i r.Flood.fr_open_pages; Report.i r.Flood.fr_open_buffered ] ];
+    [ [ Report.i r.Opstream.open_pages; Report.i r.Opstream.open_buffered ] ];
   Printf.printf
     "(the buffer-cache hit rate counts a page delivered with an open as a hit\n\
-    \ when it is read)\n"
+    \ when it is read)\n";
+  Printf.printf "read oracle: %d wrong, %d stale of %d reads\n" r.Opstream.wrong
+    r.Opstream.stale r.Opstream.reads
 
-let flood_metrics metric prefix (r : Flood.report) =
+let flood_metrics metric prefix ~users (r : Opstream.report) =
   let m name v = metric (prefix ^ name) v in
-  m "users" (float_of_int r.Flood.fr_users);
-  m "ops" (float_of_int r.Flood.fr_ops);
-  m "errors" (float_of_int r.Flood.fr_errors);
-  m "migrations" (float_of_int r.Flood.fr_migrations);
-  m "sim.ms" r.Flood.fr_sim_ms;
+  m "users" (float_of_int users);
+  m "ops" (float_of_int r.Opstream.ops);
+  m "errors" (float_of_int r.Opstream.errors);
+  m "reads.wrong" (float_of_int r.Opstream.wrong);
+  m "reads.stale" (float_of_int r.Opstream.stale);
+  m "migrations" (float_of_int r.Opstream.migrations);
+  m "sim.ms" r.Opstream.sim_ms;
   let lat cls (s : Stats.hist_summary) =
     m (Printf.sprintf "lat.%s.p50" cls) s.Stats.p50;
     m (Printf.sprintf "lat.%s.p95" cls) s.Stats.p95;
     m (Printf.sprintf "lat.%s.p99" cls) s.Stats.p99
   in
-  lat "read" r.Flood.fr_read_lat;
-  lat "edit" r.Flood.fr_edit_lat;
-  lat "dirop" r.Flood.fr_dirop_lat;
-  m "hit.lease" r.Flood.fr_lease_hit;
-  m "hit.cache" r.Flood.fr_cache_hit;
-  m "hit.name" r.Flood.fr_name_hit
+  lat "read" r.Opstream.read_lat;
+  lat "edit" r.Opstream.edit_lat;
+  lat "dirop" r.Opstream.dirop_lat;
+  m "hit.lease" r.Opstream.lease_hit;
+  m "hit.cache" r.Opstream.cache_hit;
+  m "hit.name" r.Opstream.name_hit
 
 let e24 () =
   Report.section "E24  Million-user flood (Zipfian traffic engine)"
@@ -1987,26 +1986,25 @@ let e24 () =
   let metric = Report.metric ~experiment:"e24" in
   let spec =
     {
-      Flood.default_spec with
-      Flood.users = 100_000;
+      Opstream.flood_spec with
+      Opstream.users = 100_000;
       files = 2_048;
       hot_dirs = 16;
-      ops = 60_000;
       settle_every = 500;
     }
   in
+  let ops = 60_000 in
   let w = flood_world ~n_sites:64 in
-  Flood.setup w spec;
-  let r, wall = flood_run w spec in
-  flood_dashboard r;
-  flood_metrics metric "flood." r;
+  let r, wall = flood_run w spec ~ops in
+  flood_dashboard ~users:spec.Opstream.users r;
+  flood_metrics metric "flood." ~users:spec.Opstream.users r;
   metric "flood.wall.s" wall;
-  metric "flood.host.ops_per_sec" (float_of_int spec.Flood.ops /. wall);
+  metric "flood.host.ops_per_sec" (float_of_int ops /. wall);
   Printf.printf
     "%d users, %d ops in %.1fs host (%.0f ops/sec); %d errors, %d migrations\n"
-    spec.Flood.users spec.Flood.ops wall
-    (float_of_int spec.Flood.ops /. wall)
-    r.Flood.fr_errors r.Flood.fr_migrations;
+    spec.Opstream.users ops wall
+    (float_of_int ops /. wall)
+    r.Opstream.errors r.Opstream.migrations;
   (* site-count sweep: same per-site op pressure (users and ops scale
      with the installation, so per-site cache locality is held fixed).
      The op stream talks to the CSS and the storage sites, never to the
@@ -2014,31 +2012,24 @@ let e24 () =
   let sweep =
     List.map
       (fun n ->
-        let sweep_spec =
-          {
-            spec with
-            Flood.users = 400 * n;
-            ops = 60 * n;
-            settle_every = 400;
-          }
-        in
+        let sweep_spec = { spec with Opstream.users = 400 * n; settle_every = 400 } in
         let w = flood_world ~n_sites:n in
-        Flood.setup w sweep_spec;
-        let r, _ = flood_run w sweep_spec in
-        metric (Printf.sprintf "sweep.read.p50.n%d" n) r.Flood.fr_read_lat.Stats.p50;
-        metric (Printf.sprintf "sweep.read.p99.n%d" n) r.Flood.fr_read_lat.Stats.p99;
+        let r, _ = flood_run w sweep_spec ~ops:(60 * n) in
+        metric (Printf.sprintf "sweep.read.p50.n%d" n) r.Opstream.read_lat.Stats.p50;
+        metric (Printf.sprintf "sweep.read.p99.n%d" n) r.Opstream.read_lat.Stats.p99;
         (n, r))
       [ 8; 64; 512 ]
   in
   Report.table ~title:"read latency vs installed sites (400 users, 60 ops per site)"
-    ~header:[ "sites"; "reads"; "p50"; "p99"; "lease hit"; "cache hit" ]
+    ~header:[ "sites"; "reads"; "p50"; "p99"; "lease hit"; "cache hit"; "wrong"; "stale" ]
     (List.map
-       (fun (n, (r : Flood.report)) ->
-         [ Report.i n; Report.i r.Flood.fr_read_lat.Stats.n;
-           Report.f2 r.Flood.fr_read_lat.Stats.p50;
-           Report.f2 r.Flood.fr_read_lat.Stats.p99;
-           Printf.sprintf "%.1f%%" (100.0 *. r.Flood.fr_lease_hit);
-           Printf.sprintf "%.1f%%" (100.0 *. r.Flood.fr_cache_hit) ])
+       (fun (n, (r : Opstream.report)) ->
+         [ Report.i n; Report.i r.Opstream.read_lat.Stats.n;
+           Report.f2 r.Opstream.read_lat.Stats.p50;
+           Report.f2 r.Opstream.read_lat.Stats.p99;
+           Printf.sprintf "%.1f%%" (100.0 *. r.Opstream.lease_hit);
+           Printf.sprintf "%.1f%%" (100.0 *. r.Opstream.cache_hit);
+           Report.i r.Opstream.wrong; Report.i r.Opstream.stale ])
        sweep);
   (* p50 tracks the hit rate, and hit rates sag a little with scale for a
      real reason: the Zipf-hot files are edited somewhere in the world at
@@ -2046,44 +2037,44 @@ let e24 () =
      everywhere. The protocol-cost claim is the miss path: p99 must not
      grow with installation size. *)
   let p_of p n =
-    let s = (List.assoc n sweep).Flood.fr_read_lat in
+    let s = (List.assoc n sweep).Opstream.read_lat in
     if p = 99 then s.Stats.p99 else s.Stats.p50
   in
   Printf.printf "read p50, 512 vs 8 sites: %.2f vs %.2f ms (hit-rate drift)\n"
     (p_of 50 512) (p_of 50 8);
   Printf.printf "read p99, 512 vs 8 sites: %.2f vs %.2f ms (flat): %s\n"
     (p_of 99 512) (p_of 99 8)
-    (Report.check (p_of 99 512 <= p_of 99 8 *. 1.25))
+    (Report.check (p_of 99 512 <= p_of 99 8 *. 1.25));
+  let checked = List.for_all (fun (r : Opstream.report) ->
+      r.Opstream.wrong = 0 && r.Opstream.stale = 0) (r :: List.map snd sweep) in
+  Printf.printf "every read returned the last committed body: %s\n"
+    (Report.check checked)
 
 (* Small-scale flood for `make bench-smoke`: same machinery, sized to run
-   in seconds, with the bookkeeping identities checked. *)
+   in seconds, with the bookkeeping identities and the read oracle
+   checked. *)
 let e24smoke () =
   Report.section "E24s  Flood smoke (small world)"
     "2k users over 5 sites; bookkeeping identities + dashboard";
   let metric = Report.metric ~experiment:"e24smoke" in
-  let spec =
-    {
-      Flood.default_spec with
-      Flood.users = 2_000;
-      files = 128;
-      ops = 3_000;
-      settle_every = 250;
-    }
-  in
+  let spec = { Opstream.flood_spec with Opstream.users = 2_000; files = 128 } in
   let w = flood_world ~n_sites:5 in
-  Flood.setup w spec;
-  let r, _ = flood_run w spec in
-  flood_dashboard r;
-  flood_metrics metric "flood." r;
+  let r, _ = flood_run w spec ~ops:3_000 in
+  flood_dashboard ~users:spec.Opstream.users r;
+  flood_metrics metric "flood." ~users:spec.Opstream.users r;
   (* no faults are injected here, so every issued op either lands in one
      of the three classes or was refused *)
   let accounted =
-    r.Flood.fr_reads + r.Flood.fr_edits + r.Flood.fr_dirops + r.Flood.fr_errors
+    r.Opstream.reads + r.Opstream.edits + r.Opstream.dirops + r.Opstream.errors
   in
-  Printf.printf "ops accounted for: %d/%d: %s\n" accounted r.Flood.fr_ops
-    (Report.check (accounted = r.Flood.fr_ops));
+  Printf.printf "ops accounted for: %d/%d: %s\n" accounted r.Opstream.ops
+    (Report.check (accounted = r.Opstream.ops));
   Printf.printf "latency ordering p50 <= p99 (reads): %s\n"
-    (Report.check (r.Flood.fr_read_lat.Stats.p50 <= r.Flood.fr_read_lat.Stats.p99))
+    (Report.check (r.Opstream.read_lat.Stats.p50 <= r.Opstream.read_lat.Stats.p99));
+  if r.Opstream.wrong > 0 || r.Opstream.stale > 0 then
+    failwith
+      (Printf.sprintf "E24s: %d wrong and %d stale reads" r.Opstream.wrong
+         r.Opstream.stale)
 
 let all =
   [ e1; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e12; e13; e14; e15; e16; e17;

@@ -411,7 +411,7 @@ let run_soak args =
                oc.Soak.Driver.oc_injected)
         in
         Printf.printf "seed %d: FAIL (%d ops, %d faults: %s)\n%!"
-          sc.Soak.Shrink.sc_seed oc.Soak.Driver.oc_report.Locus.Workload.ops
+          sc.Soak.Shrink.sc_seed oc.Soak.Driver.oc_report.Locus.Opstream.ops
           faults labels;
         List.iter
           (fun v -> Printf.printf "  %s\n" (Format.asprintf "%a" Soak.Invariant.pp_violation v))
@@ -422,7 +422,7 @@ let run_soak args =
       end
       else
         Printf.printf "seed %d: ok (%d ops, %d faults, %d events)\n%!"
-          sc.Soak.Shrink.sc_seed oc.Soak.Driver.oc_report.Locus.Workload.ops
+          sc.Soak.Shrink.sc_seed oc.Soak.Driver.oc_report.Locus.Opstream.ops
           faults oc.Soak.Driver.oc_events)
     scenarios;
   if !failures > 0 then begin

@@ -14,7 +14,7 @@ let fg_state k fg =
   match Hashtbl.find_opt k.css_state fg with
   | Some s -> s
   | None ->
-    let s = { css_files = Hashtbl.create (max 16 k.config.table_size_hint) } in
+    let s = { css_files = Hashtbl.create (table_size k.net) } in
     Hashtbl.add k.css_state fg s;
     s
 

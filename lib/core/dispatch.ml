@@ -69,6 +69,10 @@ let handle k ~src (req : Proto.req) : Proto.resp =
       Proto.R_ok
     | Proto.Reclaim_req { gf } -> Ss.handle_reclaim k gf
     | Proto.Page_invalidate { gf; first; count } ->
+      (* Pages of the file are being rewritten, so a retained grant on it
+         names a superseded version, whether or not its break arrived: a
+         ride on it would file the new bytes under the old version. *)
+      Openlease.kill k.open_leases gf;
       Cache.invalidate_if k.us_cache (fun (g, p, _) ->
           Gfile.equal g gf && p >= first && p < first + count);
       Proto.R_ok

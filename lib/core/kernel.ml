@@ -22,9 +22,7 @@ let create ~site ~machine_type ~engine ~net ~mount ~fg_table ?(config = default_
       ~on_evict:(fun _ -> Sim.Stats.incr stats counter)
       ~capacity:(max 1 capacity) ()
   in
-  (* Hot tables are pre-sized from the configured hint: a large world
-     would otherwise pay repeated rehashing on every site's tables. *)
-  let hint = max 8 config.table_size_hint in
+  let hint = table_size net in
   let k =
     {
       site;

@@ -29,7 +29,6 @@ let () =
     | _ -> None)
 
 type config = {
-  readahead : bool;          (* one-page readahead on sequential reads (2.3.3) *)
   us_cache_pages : int;      (* US page-cache entries; 0 disables the US cache *)
   ss_cache_pages : int;      (* SS buffer-cache entries; 0 disables the tier *)
   cache_retention : bool;    (* keep version-keyed US pages across opens *)
@@ -50,15 +49,10 @@ type config = {
      sites holding latest copies: page p lives at stripes.(p mod width).
      A modify open is never striped. 1 disables striping and keeps the
      classic protocol byte-identical. *)
-  table_size_hint : int;
-  (* initial bucket count for the hot per-kernel hashtables (open files,
-     SS serving state, slots, descriptors); sized up front so large runs
-     don't pay repeated rehashing *)
 }
 
 let default_config =
   {
-    readahead = true;
     us_cache_pages = 256;
     ss_cache_pages = 512;
     cache_retention = true;
@@ -68,8 +62,12 @@ let default_config =
     bulk_window = 8;
     open_lease_entries = 64;
     stripe_width = 1;
-    table_size_hint = 64;
   }
+
+(* Initial bucket count for the hot per-kernel hashtables (open files, SS
+   serving state, slots, CSS files), from the installation's site count,
+   so large worlds don't pay repeated rehashing. *)
+let table_size net = max 64 (Net.Topology.n_sites (Net.Netsim.topology net))
 
 (* ---- CSS state: synchronization and version bookkeeping (2.3.1) ---- *)
 

@@ -33,7 +33,6 @@ val err : Proto.errno -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** {1 Configuration} *)
 
 type config = {
-  readahead : bool;          (** one-page readahead on sequential reads (§2.3.3) *)
   us_cache_pages : int;      (** US page-cache entries; 0 disables the US cache *)
   ss_cache_pages : int;      (** SS buffer-cache entries; 0 disables the tier *)
   cache_retention : bool;    (** keep version-keyed US pages across opens *)
@@ -55,12 +54,14 @@ type config = {
           storage sites holding latest copies; a modify open is never
           striped (one storage site per writer, §2.3.6). 1 disables
           striping and keeps the classic protocol byte-identical *)
-  table_size_hint : int;
-      (** initial bucket count for the hot per-kernel hashtables, so
-          large runs don't pay repeated rehashing *)
 }
 
 val default_config : config
+
+val table_size : ('req, 'resp) Net.Netsim.t -> int
+(** Initial bucket count for the hot per-kernel hashtables: [max 64] the
+    installation's site count, so large worlds don't pay repeated
+    rehashing. *)
 
 (** {1 CSS state: synchronization and version bookkeeping (§2.3.1)} *)
 

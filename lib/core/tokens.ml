@@ -147,7 +147,7 @@ let acquire k fd =
    local process references them, so no close will ever arrive; without
    the sweep they leak in [shared_fds] forever. *)
 let handle_site_failure k dead =
-  let referenced = Hashtbl.create (max 16 k.config.table_size_hint) in
+  let referenced = Hashtbl.create (table_size k.net) in
   Hashtbl.iter
     (fun _ p ->
       match p.p_status with

@@ -399,7 +399,7 @@ let fetch_uncached k o lpage =
 let schedule_window k o ~lpage =
   let npages = npages_of o in
   let first = lpage + 1 in
-  if k.config.readahead && o.o_ra_frontier <= first && first < npages then begin
+  if o.o_ra_frontier <= first && first < npages then begin
     let w = width o in
     let count = run_length k o ~from:first ~limit:(min (o.o_window * w) (npages - first)) in
     if count > 0 then begin

@@ -1,12 +1,14 @@
 (* The fault-soak driver: replay a schedule against a live cluster.
 
-   One run = one world, one seeded workload generator, one seeded fault
-   schedule. Segments alternate a batch of workload operations with one
-   injected fault; fault payloads are interpreted against the cluster
-   state of the moment (deterministic, since the whole run is). After the
-   last segment the driver quiesces — message loss off, every dead site
-   restarted and scavenged, network healed, merge + reconciliation run,
-   engine settled — and hands the world to the invariant checker.
+   One run = one world, one seeded op stream (Locus.Opstream), one seeded
+   fault schedule. Segments alternate a batch of stream operations with
+   one injected fault; fault payloads are interpreted against the cluster
+   state of the moment (deterministic, since the whole run is), and the
+   faults' own writes are recorded in the stream. After the last segment
+   the driver quiesces — message loss off, every dead site restarted and
+   scavenged, network healed, merge + reconciliation run, engine settled
+   — and hands the world and the stream's records to the invariant
+   checker. A read the stream's oracle found wrong is a violation too.
 
    Two deliberate ordering rules keep the invariants meaningful:
    - loss bursts cover exactly one workload batch and are always cleared
@@ -18,7 +20,7 @@
      un-reclaimed shadow pages would show up as false fsck orphans. *)
 
 module World = Locus.World
-module Workload = Locus.Workload
+module Opstream = Locus.Opstream
 module Kernel = Locus_core.Kernel
 module Us = Locus_core.Us
 module K = Locus_core.Ktypes
@@ -50,7 +52,7 @@ type bug = Bug_silent_scrub | Bug_abandoned_open
 type outcome = {
   oc_seed : int;
   oc_ops : int;
-  oc_report : Workload.report;
+  oc_report : Opstream.report;
   oc_injected : (string * int) list; (* fault label -> times injected *)
   oc_skipped : int; (* faults skipped because preconditions failed *)
   oc_violations : Invariant.violation list;
@@ -87,17 +89,10 @@ let run ?(drop = []) ?bug ~seed ~ops () =
   let w = World.create ~config () in
   let net = World.net w in
   let spec =
-    { Workload.default_spec with Workload.seed = Int64.of_int (0xBEEF00 + seed) }
+    { Opstream.dev_spec with Opstream.seed = Int64.of_int (0xBEEF00 + seed) }
   in
-  let model = Invariant.model_create () in
-  let observe = function
-    | Workload.Wrote { path; body; ok; _ } ->
-      Invariant.model_wrote model ~path ~body ~ok
-    | Workload.Dirop _ -> ()
-  in
-  (* The model starts from the bodies setup wrote. *)
-  Workload.setup ~observe w spec;
-  let g = Workload.make_gen ~observe spec in
+  let g = Opstream.setup w spec in
+  let file fsel = Opstream.file_path spec (fsel mod spec.Opstream.files) in
   let injected : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let skipped = ref 0 in
   let events = ref 0 in
@@ -106,18 +101,6 @@ let run ?(drop = []) ?bug ~seed ~ops () =
   let count_injected f =
     let l = Schedule.fault_label f in
     Hashtbl.replace injected l (1 + Option.value ~default:0 (Hashtbl.find_opt injected l))
-  in
-  (* A write issued by a fault goes through the same durability model as a
-     workload write: an ambiguous failure may still have committed. *)
-  let model_write k path body =
-    let p = World.proc w (Kernel.site k) in
-    let ok =
-      match Kernel.write_file k p path body with
-      | () -> true
-      | exception K.Error _ -> false
-    in
-    Invariant.model_wrote model ~path ~body ~ok;
-    ok
   in
   let detect_from_survivors () =
     match lowest (alive_sites w) with
@@ -176,10 +159,9 @@ let run ?(drop = []) ?bug ~seed ~ops () =
       | [] -> incr skipped
       | alive ->
         let site = List.nth alive (ssel mod List.length alive) in
-        let k = World.kernel w site in
         incr fault_serial;
         let body = Printf.sprintf "int main(){/* fault %d */}" !fault_serial in
-        ignore (model_write k (Workload.file_path (fsel mod spec.Workload.n_files)) body);
+        ignore (Opstream.write g ~site (file fsel) body);
         count_injected f)
     | Schedule.Mid_commit_kill (ssel, fsel) ->
       let alive = alive_sites w in
@@ -188,7 +170,7 @@ let run ?(drop = []) ?bug ~seed ~ops () =
         let site = List.nth alive (ssel mod List.length alive) in
         let k = World.kernel w site in
         let p = World.proc w site in
-        let path = Workload.file_path (fsel mod spec.Workload.n_files) in
+        let path = file fsel in
         (match Kernel.open_path k p path Proto.Mode_modify with
         | exception K.Error _ -> incr skipped
         | fd ->
@@ -216,10 +198,10 @@ let run ?(drop = []) ?bug ~seed ~ops () =
       else begin
         let site = List.nth alive (ssel mod List.length alive) in
         let k = World.kernel w site in
-        let path = Workload.file_path (fsel mod spec.Workload.n_files) in
+        let path = file fsel in
         incr fault_serial;
         let body = Printf.sprintf "int main(){/* fault %d */}" !fault_serial in
-        if model_write k path body then begin
+        if Opstream.write g ~site path body then begin
           (* Kill the site that just committed the latest version before
              the other copy holders manage to pull it. *)
           count_injected f;
@@ -257,7 +239,7 @@ let run ?(drop = []) ?bug ~seed ~ops () =
   List.iter
     (fun seg ->
       for _ = 1 to seg.Schedule.seg_ops do
-        Workload.gen_step w g
+        Opstream.step g
       done;
       (* Let background machinery (notifications, write-behind timers,
          propagation pulls) churn between batches. *)
@@ -283,9 +265,7 @@ let run ?(drop = []) ?bug ~seed ~ops () =
           let k = World.kernel w s in
           let p = World.proc w s in
           incr fault_serial;
-          let path =
-            Workload.file_path (!fault_serial mod spec.Workload.n_files)
-          in
+          let path = file !fault_serial in
           match Kernel.resolve k p path with
           | gf -> (
             try ignore (Us.open_gf k gf Proto.Mode_read) with K.Error _ -> ())
@@ -307,7 +287,19 @@ let run ?(drop = []) ?bug ~seed ~ops () =
       [ { Invariant.v_code = "livelock";
           v_detail = "World.settle exhausted its event budget after quiesce" } ]
   in
-  let violations = settle_violation @ Invariant.check w model in
+  let report = Opstream.report g in
+  events := !events + report.Opstream.events;
+  let oracle_violation =
+    if report.Opstream.wrong = 0 then []
+    else
+      [ { Invariant.v_code = "read-oracle";
+          v_detail =
+            Printf.sprintf "%d read(s) returned a body no write to the file sent"
+              report.Opstream.wrong } ]
+  in
+  let violations =
+    settle_violation @ oracle_violation @ Invariant.check w (Opstream.records g)
+  in
   (match Sys.getenv_opt "SOAK_TRACE" with
   | Some sub ->
     List.iter
@@ -324,7 +316,7 @@ let run ?(drop = []) ?bug ~seed ~ops () =
   {
     oc_seed = seed;
     oc_ops = ops;
-    oc_report = Workload.gen_report g;
+    oc_report = report;
     oc_injected =
       Hashtbl.fold (fun l c acc -> (l, c) :: acc) injected []
       |> List.sort compare;

@@ -1,12 +1,14 @@
 (** The fault-soak driver.
 
     One run = one world (5 sites, one filegroup packed everywhere), one
-    seeded workload generator, one seeded fault schedule; segments
-    alternate a batch of operations with one injected fault. After the
-    last segment the driver quiesces (loss off, dead sites restarted and
-    scavenged, network healed, merge run, engine settled) and hands the
-    world to {!Invariant.check}. Fully deterministic in [(seed, ops,
-    drop)]. *)
+    seeded op stream ({!Locus.Opstream.dev_spec}), one seeded fault
+    schedule; segments alternate a batch of operations with one injected
+    fault. After the last segment the driver quiesces (loss off, dead
+    sites restarted and scavenged, network healed, merge run, engine
+    settled) and hands the world and the stream's records to
+    {!Invariant.check}. A read the stream's oracle found wrong (a body no
+    write sent) is a [read-oracle] violation. Fully deterministic in
+    [(seed, ops, drop)]. *)
 
 type bug =
   | Bug_silent_scrub
@@ -26,7 +28,7 @@ type bug =
 type outcome = {
   oc_seed : int;
   oc_ops : int;
-  oc_report : Locus.Workload.report;
+  oc_report : Locus.Opstream.report;
   oc_injected : (string * int) list;  (** fault label -> times injected *)
   oc_skipped : int;  (** faults skipped because preconditions failed *)
   oc_violations : Invariant.violation list;

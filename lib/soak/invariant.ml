@@ -12,6 +12,7 @@
    workload committed. *)
 
 module World = Locus.World
+module Opstream = Locus.Opstream
 module Kernel = Locus_core.Kernel
 module Css = Locus_core.Css
 module Openlease = Locus_core.Openlease
@@ -28,39 +29,27 @@ type violation = { v_code : string; v_detail : string }
 let pp_violation ppf v = Format.fprintf ppf "[%s] %s" v.v_code v.v_detail
 
 (* ---- the durability model ----
-   Per path: the body of the last write that definitely committed, plus
-   the bodies of later attempts that failed ambiguously (an error at the
-   US does not prove the commit did not execute at the SS — e.g. a lost
-   commit reply). The final content of a non-conflicted file must be one
-   of these. *)
+   Folded from the op stream's write records. Per path: the digest of the
+   last write that definitely committed, plus those of later attempts
+   that failed ambiguously (an error at the US does not prove the commit
+   did not execute at the SS — e.g. a lost commit reply). The final
+   content of a non-conflicted file must be one of these. *)
 
-type file_model = {
-  mutable fm_definite : string;
-  mutable fm_possible : string list;
-}
+type model = (string, Digest.t list) Hashtbl.t
 
-type model = (string, file_model) Hashtbl.t
+let model_of records : model =
+  let m = Hashtbl.create 32 in
+  List.iter
+    (fun (r : Opstream.record) ->
+      if r.Opstream.kind = Opstream.Edit then
+        Hashtbl.replace m r.Opstream.path
+          (match r.Opstream.errno, Hashtbl.find_opt m r.Opstream.path with
+          | None, _ | Some _, None -> [ r.Opstream.digest ]
+          | Some _, Some l -> r.Opstream.digest :: l))
+    records;
+  m
 
-let model_create () : model = Hashtbl.create 32
-
-let model_wrote (m : model) ~path ~body ~ok =
-  let fm =
-    match Hashtbl.find_opt m path with
-    | Some fm -> fm
-    | None ->
-      let fm = { fm_definite = ""; fm_possible = [] } in
-      Hashtbl.add m path fm;
-      fm
-  in
-  if ok then begin
-    fm.fm_definite <- body;
-    fm.fm_possible <- []
-  end
-  else fm.fm_possible <- body :: fm.fm_possible
-
-let model_admissible fm body =
-  String.equal body fm.fm_definite
-  || List.exists (String.equal body) fm.fm_possible
+let model_admissible admissible body = List.mem (Digest.string body) admissible
 
 (* ---- helpers ---- *)
 
@@ -253,7 +242,7 @@ let check_model w (m : model) =
   let add v = out := v :: !out in
   let ks = alive_kernels w in
   Hashtbl.iter
-    (fun path fm ->
+    (fun path admissible ->
       (* Locate the file to read its conflict flag. *)
       let gf =
         match ks with
@@ -305,7 +294,7 @@ let check_model w (m : model) =
               add (vf "unreadable" "%s: read failed at site %d: %s" path site
                      (Proto.errno_to_string e))
             | Ok body ->
-              if not (model_admissible fm body) then
+              if not (model_admissible admissible body) then
                 add (vf "committed-write-lost"
                        "%s at site %d: %S is neither the last committed body \
                         nor any ambiguous later write" path site
@@ -322,11 +311,17 @@ let check_model w (m : model) =
 
 (* ---- namespace convergence: create/unlink churn agrees everywhere ---- *)
 
-let check_namespace w =
+let check_namespace w records =
   let out = ref [] in
   let ks = alive_kernels w in
-  for i = 0 to 15 do
-    let path = Printf.sprintf "/work/extra%d" i in
+  let churned =
+    List.sort_uniq String.compare
+      (List.filter_map
+         (fun (r : Opstream.record) ->
+           if r.Opstream.kind = Opstream.Dirop then Some r.Opstream.path else None)
+         records)
+  in
+  List.iter (fun path ->
     let states =
       List.map
         (fun k ->
@@ -350,11 +345,11 @@ let check_namespace w =
                 (fun (s, b) -> if b then None else Some (string_of_int s))
                 states))
         :: !out
-    | _ -> ()
-  done;
+    | _ -> ())
+    churned;
   !out
 
-let check w (m : model) =
+let check w records =
   (* Order is load-bearing: [check_model] / [check_namespace] issue real
      reads and stats, and a read plants a fresh retained lease (plus CSS
      reader/holder entries) by design — so the residue checks must walk
@@ -362,6 +357,6 @@ let check w (m : model) =
      list literals right-to-left; bind explicitly. *)
   let site_v = List.concat_map (check_site w) (alive_kernels w) in
   let copies_v = check_copies w in
-  let model_v = check_model w m in
-  let namespace_v = check_namespace w in
+  let model_v = check_model w (model_of records) in
+  let namespace_v = check_namespace w records in
   List.concat [ site_v; copies_v; model_v; namespace_v ]

@@ -17,17 +17,10 @@ type violation = { v_code : string; v_detail : string }
 
 val pp_violation : Format.formatter -> violation -> unit
 
-(** {1 Durability model}
-
-    Maintained by the driver from {!Locus.Workload.event}s: per path, the
-    body of the last write that definitely committed plus the bodies of
-    later ambiguous attempts (an error at the US does not prove the commit
-    did not execute at the SS). *)
-
-type model
-
-val model_create : unit -> model
-
-val model_wrote : model -> path:string -> body:string -> ok:bool -> unit
-
-val check : Locus.World.t -> model -> violation list
+val check : Locus.World.t -> Locus.Opstream.record list -> violation list
+(** Check the quiesced world against the op stream's records. The
+    durability model folds the write records: per path, the body of the
+    last write that definitely committed plus the bodies of later
+    ambiguous attempts (an error at the US does not prove the commit did
+    not execute at the SS). The namespace check covers every name the
+    stream's dirops touched. *)

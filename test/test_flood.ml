@@ -1,9 +1,10 @@
-(* The flood traffic engine: deterministic under its seed, conserved op
-   bookkeeping, ordered percentiles, and an actually-skewed popularity
-   draw (the Zipf sampler's empirical rank-frequency curve). *)
+(* The op stream at flood shape: deterministic under its seed, conserved
+   op bookkeeping, ordered percentiles, every read checked by the oracle,
+   and an actually-skewed popularity draw (the Zipf sampler's empirical
+   rank-frequency curve). *)
 
 module World = Locus.World
-module Flood = Locus.Flood
+module Opstream = Locus.Opstream
 module Zipf = Locus.Zipf
 module Kernel = Locus_core.Kernel
 module Rng = Sim.Rng
@@ -12,27 +13,17 @@ module Stats = Sim.Stats
 let mk_world () = World.create ~config:(World.default_config ~n_sites:5 ()) ()
 
 let spec =
-  {
-    Flood.default_spec with
-    Flood.users = 300;
-    files = 64;
-    ops = 800;
-    settle_every = 100;
-  }
+  { Opstream.flood_spec with Opstream.users = 300; files = 64; settle_every = 100 }
 
-let run_once () =
-  let w = mk_world ()
-  in
-  Flood.setup w spec;
-  Flood.run w spec
+let run_once () = Opstream.run (Opstream.setup (mk_world ()) spec) ~ops:800
 
 let test_setup_readable () =
   let w = mk_world () in
-  Flood.setup w spec;
+  ignore (Opstream.setup w spec);
   (* the whole working set is readable from a site that holds no pack *)
   let k = World.kernel w 4 and p = World.proc w 4 in
-  for r = 0 to spec.Flood.files - 1 do
-    let body = Kernel.read_file k p (Flood.file_path spec r) in
+  for r = 0 to spec.Opstream.files - 1 do
+    let body = Kernel.read_file k p (Opstream.file_path spec r) in
     Alcotest.(check int) "seeded body" 200 (String.length body)
   done
 
@@ -43,16 +34,16 @@ let test_deterministic () =
 let test_accounting () =
   let r = run_once () in
   Alcotest.(check int) "every op lands in one class or errors"
-    r.Flood.fr_ops
-    (r.Flood.fr_reads + r.Flood.fr_edits + r.Flood.fr_dirops + r.Flood.fr_errors);
+    r.Opstream.ops
+    (r.Opstream.reads + r.Opstream.edits + r.Opstream.dirops + r.Opstream.errors);
   Alcotest.(check bool) "reads dominate at default mix" true
-    (r.Flood.fr_reads > r.Flood.fr_edits + r.Flood.fr_dirops);
-  Alcotest.(check bool) "simulated time advanced" true (r.Flood.fr_sim_ms > 0.0);
+    (r.Opstream.reads > r.Opstream.edits + r.Opstream.dirops);
+  Alcotest.(check bool) "simulated time advanced" true (r.Opstream.sim_ms > 0.0);
   List.iter
     (fun ratio ->
       Alcotest.(check bool) "hit ratio in [0,1]" true
         (ratio >= 0.0 && ratio <= 1.0))
-    [ r.Flood.fr_lease_hit; r.Flood.fr_cache_hit; r.Flood.fr_name_hit ]
+    [ r.Opstream.lease_hit; r.Opstream.cache_hit; r.Opstream.name_hit ]
 
 let test_percentiles_ordered () =
   let r = run_once () in
@@ -61,11 +52,20 @@ let test_percentiles_ordered () =
     && s.Stats.p99 <= s.Stats.hmax
   in
   Alcotest.(check bool) "read latency percentiles ordered" true
-    (ordered r.Flood.fr_read_lat);
+    (ordered r.Opstream.read_lat);
   Alcotest.(check bool) "edit latency percentiles ordered" true
-    (ordered r.Flood.fr_edit_lat);
+    (ordered r.Opstream.edit_lat);
   Alcotest.(check bool) "read count matches histogram population" true
-    (r.Flood.fr_read_lat.Stats.n = r.Flood.fr_reads)
+    (r.Opstream.read_lat.Stats.n = r.Opstream.reads)
+
+(* Every read returns the body of the file's last committed write: a lease
+   break or commit notification sent during one op has arrived before the
+   next op starts, and a stale lease never serves a read. *)
+let test_reads_checked () =
+  let r = run_once () in
+  Alcotest.(check bool) "some reads ran" true (r.Opstream.reads > 0);
+  Alcotest.(check int) "no read returned a body never written" 0 r.Opstream.wrong;
+  Alcotest.(check int) "no read returned a superseded body" 0 r.Opstream.stale
 
 (* Empirical rank-frequency curve of the sampler, under a fixed seed so
    the check is deterministic: the head rank is the argmax, and the top
@@ -100,6 +100,7 @@ let () =
           Alcotest.test_case "op accounting conserved" `Quick test_accounting;
           Alcotest.test_case "percentiles ordered" `Quick
             test_percentiles_ordered;
+          Alcotest.test_case "every read checked" `Quick test_reads_checked;
           Alcotest.test_case "zipf rank-frequency skew" `Quick
             test_zipf_rank_frequency;
         ] );

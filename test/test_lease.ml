@@ -140,6 +140,24 @@ let test_break_on_own_commit () =
       (Option.value ~default:0 (K.Site.Map.find_opt 3 f.K.readers))
   | None -> Alcotest.fail "css record missing"
 
+(* A lost [Lease_break] must not tear a read. The holder (site 3) stores
+   no copy; the SS's page invalidation still empties its cache, so an
+   open riding the stale lease would miss, fetch the new bytes and file
+   them under the old version's key, where the read after trims them to
+   the old size. The invalidation kills the lease too. *)
+let test_lost_break_no_torn_read () =
+  let w = make_world () in
+  mk_file w ~at:1 ~path:"/f" ~body:"short";
+  let k3 = World.kernel w 3 and p3 = World.proc w 3 in
+  check Alcotest.string "first read" "short" (Kernel.read_file k3 p3 "/f");
+  ignore (World.settle w);
+  Net.Netsim.fail_next_message (World.net w) ~src:0 ~dst:3;
+  Kernel.write_file (World.kernel w 4) (World.proc w 4) "/f" "a-longer-body";
+  ignore (World.settle w);
+  check Alcotest.string "read after the lost break" "a-longer-body"
+    (Kernel.read_file k3 p3 "/f");
+  check Alcotest.string "read again" "a-longer-body" (Kernel.read_file k3 p3 "/f")
+
 (* ---- deferred close ---- *)
 
 (* With a single-entry lease table, registering a second grant evicts the
@@ -343,6 +361,7 @@ let () =
           Alcotest.test_case "writer open" `Quick test_break_on_writer_open;
           Alcotest.test_case "commit notify" `Quick test_break_on_commit_notify;
           Alcotest.test_case "own commit" `Quick test_break_on_own_commit;
+          Alcotest.test_case "lost break tears no read" `Quick test_lost_break_no_torn_read;
         ] );
       ( "deferred close",
         [

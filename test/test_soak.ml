@@ -44,6 +44,19 @@ let test_setup_bodies_modelled () =
         Alcotest.failf "seed %d: %s" seed (pp_violations oc.Driver.oc_violations))
     [ 39; 25 ]
 
+(* Two shrunk repros of torn reads: a loss burst dropped a
+   [Lease_break], the holder kept riding the dead lease, and a fetch
+   filed the new bytes under the old version, so a later read returned a
+   body no write sent ([read-oracle]). The SS's page invalidation now
+   kills the lease. *)
+let test_lost_break_repros () =
+  List.iter
+    (fun (seed, ops, drop) ->
+      let oc = Driver.run ~drop ~seed ~ops () in
+      if Driver.failed oc then
+        Alcotest.failf "seed %d: %s" seed (pp_violations oc.Driver.oc_violations))
+    [ (189, 250, [ 2 ]); (99, 500, [ 2; 3; 4; 5; 6 ]) ]
+
 let test_determinism () =
   let a = Driver.run ~seed:3 ~ops:300 () in
   let b = Driver.run ~seed:3 ~ops:300 () in
@@ -52,8 +65,8 @@ let test_determinism () =
   check
     Alcotest.(list (pair string int))
     "fault mix replays" a.Driver.oc_injected b.Driver.oc_injected;
-  check Alcotest.int "errors replay" a.Driver.oc_report.Locus.Workload.errors
-    b.Driver.oc_report.Locus.Workload.errors
+  check Alcotest.int "errors replay" a.Driver.oc_report.Locus.Opstream.errors
+    b.Driver.oc_report.Locus.Opstream.errors
 
 (* Masking every fault out of a failing schedule must reproduce a clean
    run: the workload stream is independent of the fault stream, which is
@@ -130,6 +143,8 @@ let () =
           Alcotest.test_case "clean seeds pass invariants" `Slow test_clean_seeds;
           Alcotest.test_case "setup bodies are in the durability model" `Slow
             test_setup_bodies_modelled;
+          Alcotest.test_case "lost-break repros read no torn body" `Quick
+            test_lost_break_repros;
           Alcotest.test_case "same seed replays identically" `Quick
             test_determinism;
           Alcotest.test_case "masking all faults is clean" `Quick

@@ -1,7 +1,7 @@
-(* Tests of the World builder and the Workload generator. *)
+(* Tests of the World builder and the op stream at its section 6 shape. *)
 
 module World = Locus.World
-module Workload = Locus.Workload
+module Opstream = Locus.Opstream
 module Kernel = Locus_core.Kernel
 module K = Locus_core.Ktypes
 
@@ -27,15 +27,13 @@ let test_world_shape () =
 let test_world_deterministic () =
   let run () =
     let w = World.create ~config:(World.default_config ~n_sites:4 ()) () in
-    let spec = Workload.default_spec in
-    Workload.setup w spec;
-    let r = Workload.run w spec ~ops:60 in
+    let r = Opstream.run (Opstream.setup w Opstream.dev_spec) ~ops:60 in
     (r, Sim.Stats.get (World.stats w) "net.msg", World.now w)
   in
   let r1, m1, t1 = run () in
   let r2, m2, t2 = run () in
-  check Alcotest.int "same reads" r1.Workload.reads r2.Workload.reads;
-  check Alcotest.int "same edits" r1.Workload.edits r2.Workload.edits;
+  check Alcotest.int "same reads" r1.Opstream.reads r2.Opstream.reads;
+  check Alcotest.int "same edits" r1.Opstream.edits r2.Opstream.edits;
   check Alcotest.int "same messages" m1 m2;
   check (Alcotest.float 1e-9) "same simulated time" t1 t2
 
@@ -60,26 +58,36 @@ let test_workload_under_partition () =
   (* The generator must survive a partition: refused operations are
      counted, not raised. *)
   let w = World.create ~config:(World.default_config ~n_sites:4 ()) () in
-  let spec = { Workload.default_spec with Workload.ncopies = 1 } in
-  Workload.setup w spec;
+  let g = Opstream.setup w { Opstream.dev_spec with Opstream.ncopies = 1 } in
   ignore (World.partition w [ [ 0 ]; [ 1; 2; 3 ] ]);
-  let r = Workload.run w spec ~ops:80 in
-  check Alcotest.bool "some operations refused" true (r.Workload.errors > 0);
-  check Alcotest.bool "some operations served" true (r.Workload.reads > 0);
+  let r = Opstream.run g ~ops:80 in
+  check Alcotest.bool "some operations refused" true (r.Opstream.errors > 0);
+  check Alcotest.bool "some operations served" true (r.Opstream.reads > 0);
+  (* Each side of the split reads what its own copies hold: never a body
+     no write sent. *)
+  check Alcotest.int "no read returned a body never written" 0 r.Opstream.wrong;
   ignore (World.heal_and_merge w)
 
 let test_workload_mix_respected () =
   let w = World.create ~config:(World.default_config ~n_sites:3 ()) () in
   let spec =
-    { Workload.default_spec with
-      Workload.mix = { Workload.read = 100; edit = 0; exec = 0; mail = 0; namespace = 0 }
+    { Opstream.dev_spec with
+      Opstream.mix = { Opstream.read = 100; edit = 0; exec = 0; mail = 0; dirop = 0 }
     }
   in
-  Workload.setup w spec;
-  let r = Workload.run w spec ~ops:50 in
-  check Alcotest.int "only reads" 50 r.Workload.reads;
-  check Alcotest.int "no edits" 0 r.Workload.edits;
-  check Alcotest.int "no execs" 0 r.Workload.execs
+  let r = Opstream.run (Opstream.setup w spec) ~ops:50 in
+  check Alcotest.int "only reads" 50 r.Opstream.reads;
+  check Alcotest.int "no edits" 0 r.Opstream.edits;
+  check Alcotest.int "no execs" 0 r.Opstream.execs
+
+(* The development mix, whole: every read returns the body of the file's
+   last committed write. *)
+let test_workload_reads_checked () =
+  let w = World.create ~config:(World.default_config ~n_sites:4 ()) () in
+  let r = Opstream.run (Opstream.setup w Opstream.dev_spec) ~ops:300 in
+  check Alcotest.bool "some reads ran" true (r.Opstream.reads > 0);
+  check Alcotest.int "no read returned a body never written" 0 r.Opstream.wrong;
+  check Alcotest.int "no read returned a superseded body" 0 r.Opstream.stale
 
 let () =
   Alcotest.run "world"
@@ -95,5 +103,6 @@ let () =
         [
           Alcotest.test_case "under partition" `Quick test_workload_under_partition;
           Alcotest.test_case "mix respected" `Quick test_workload_mix_respected;
+          Alcotest.test_case "every read checked" `Quick test_workload_reads_checked;
         ] );
     ]
