@@ -250,7 +250,7 @@ let e4 () =
     Us.flush_wb k1 o;
     World.crash_site w 1;
     ignore (World.detect_failures w ~initiator:0);
-    let aborted = Stats.get (World.stats w) "cleanup.ss.aborted" >= 1 in
+    let aborted = Stats.get (World.stats w) "ss.orphan_abort" >= 1 in
     let intact =
       Kernel.read_file (World.kernel w 0) (World.proc w 0) "/f" = "stable"
     in

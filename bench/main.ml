@@ -100,10 +100,11 @@ let micro_tests () =
            ignore (Kernel.creat kd2 pd2 "/dops/f");
            Kernel.unlink kd2 pd2 "/dops/f"))
   in
-  (* One directory update at the SS plus its commit, on a directory of
-     [n] entries stored only at the using site: the host cost the SS pays
-     per dirop. Runs alternate an enter and a remove of one name, so the
-     directory keeps its size (the enter re-enters the tombstone). *)
+  (* One directory intent at the SS, its record change and commit, on a
+     directory of [n] entries stored only at the using site: the host
+     cost the SS pays per dirop. Runs alternate an enter and a remove of
+     one name, so the directory keeps its size (the enter re-enters the
+     tombstone). *)
   let ss_dirop n =
     let w = Experiments.make_world ~n:2 ~packs:[ 0 ] () in
     Sim.Trace.set_recording (Sim.Engine.trace (World.engine w)) false;
@@ -117,16 +118,19 @@ let micro_tests () =
     done;
     Us.set_contents k o (Catalog.Dir.encode dir);
     Us.commit k o;
+    Us.close k o;
     Experiments.settle_ok w;
     let present = ref false in
     Test.make ~name:(Printf.sprintf "SS dirop (%d entries)" n)
       (Staged.stage (fun () ->
            let op =
-             if !present then Proto.Remove { name = "x"; stamp = 1.0; origin = 0 }
-             else Proto.Enter { name = "x"; ino = 7; stamp = 1.0; origin = 0 }
+             if !present then Proto.Unlink { name = "x"; links = false }
+             else Proto.Link { name = "x"; ino = 7; links = false }
            in
-           ignore (Locus_core.Ss.handle_dir_update k ~src:0 gf op);
-           Us.commit k o;
+           ignore
+             (Locus_core.Ss.apply_intent k ~us:0 gf op ~others:[]
+                ~guard:(fun _ -> Ok ())
+                ~links_here:(fun _ -> false));
            present := not !present))
   in
   (* The next two run with trace recording off, as locus-bench runs: a

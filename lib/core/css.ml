@@ -187,8 +187,7 @@ let handle_open k ~src gf mode ~shared us_vv =
             | Some info
               when List.mem k.site candidates
                    && Vvec.dominates_or_equal info.Proto.i_vv f.latest_vv ->
-              let s = ss_get_open k gf in
-              ss_add_us s src;
+              let s = ss_register k gf ~us:src ~mode in
               s.s_others <- others k.site;
               Some (k.site, info, s.s_slot)
             | Some _ | None -> None

@@ -25,8 +25,8 @@ let handle k ~src (req : Proto.req) : Proto.resp =
         | Proto.R_pages { pages; _ } -> Proto.R_open { r with pages }
         | _ -> Proto.R_open r)
       | resp -> resp)
-    | Proto.Storage_req { gf; vv; us; mode = _; others } ->
-      Ss.handle_storage_req k gf ~vv ~us ~others
+    | Proto.Storage_req { gf; vv; us; mode; others } ->
+      Ss.handle_storage_req k gf ~vv ~us ~mode ~others
     (* data transfer *)
     | Proto.Read_pages { gf; first; count; guess; stride; committed; stat } ->
       Ss.handle_read_pages ~guess ~stride ~committed ~stat k gf ~first ~count

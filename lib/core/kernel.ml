@@ -435,37 +435,23 @@ let handle_site_failure k dead =
             Sim.Stats.incr (stats k) "cleanup.us.read_lost")
       end)
     k.open_files;
-  (* SS side: opens served to USs at the failed site. *)
-  let to_drop = ref [] in
-  Hashtbl.iter
-    (fun gf (s : ss_open) ->
-      if Site.Map.mem dead s.s_uss then begin
-        s.s_uss <- Site.Map.remove dead s.s_uss;
-        if Site.Map.is_empty s.s_uss then begin
-          (match s.s_shadow with
-          | Some session ->
-            (* Discard pages, close file and abort updates. *)
-            Storage.Shadow.abort session;
-            s.s_shadow <- None;
-            Sim.Stats.incr (stats k) "cleanup.ss.aborted";
-            record k ~tag:"cleanup" "aborted update %a" Gfile.pp gf
-          | None -> ());
-          to_drop := gf :: !to_drop
-        end
-      end)
-    k.ss_opens;
-  List.iter (fun gf -> Hashtbl.remove k.ss_opens gf) !to_drop;
+  (* SS side: opens served to USs at the failed site end as their closes
+     would: discard pages, close the file and abort its updates. *)
+  let served =
+    Hashtbl.fold
+      (fun _ (s : ss_open) acc -> if Site.Map.mem dead s.s_uss then s :: acc else acc)
+      k.ss_opens []
+  in
+  List.iter
+    (fun (s : ss_open) ->
+      let count m = Option.value ~default:0 (Site.Map.find_opt dead m) in
+      ss_end k s ~us:dead ~opens:(count s.s_uss) ~writes:(count s.s_writers))
+    served;
   (* CSS side: lock table entries owned by the failed site. *)
   Css.drop_site k dead;
   (* Tokens and processes. *)
   Tokens.handle_site_failure k dead;
   Process.handle_site_failure k dead
-
-let cache_stats k =
-  (Storage.Cache.hits k.us_cache, Storage.Cache.misses k.us_cache)
-
-let ss_cache_stats k =
-  (Storage.Cache.hits k.ss_cache, Storage.Cache.misses k.ss_cache)
 
 (* ---- crash and restart ---- *)
 
@@ -474,6 +460,14 @@ let ss_cache_stats k =
    processes, tokens, and CSS bookkeeping. The packs (the disks) survive. *)
 let crash k =
   k.alive <- false;
+  (* The incore inodes die with their pending write-behind runs and
+     readahead: a timer armed before the crash finds its open closed and
+     does nothing, even once the site is back. *)
+  Hashtbl.iter
+    (fun _ (o : ofile) ->
+      o.o_wb <- None;
+      o.o_closed <- true)
+    k.open_files;
   Hashtbl.iter
     (fun _ (s : ss_open) ->
       match s.s_shadow with

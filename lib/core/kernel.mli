@@ -170,9 +170,3 @@ val crash : t -> unit
 val restart : t -> int
 (** Bring the kernel back up; scavenges orphaned shadow pages and returns
     how many were reclaimed. *)
-
-val cache_stats : t -> int * int
-(** US page-cache (hits, misses). *)
-
-val ss_cache_stats : t -> int * int
-(** SS buffer-cache (hits, misses). *)

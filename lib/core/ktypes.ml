@@ -156,6 +156,7 @@ type ss_open = {
   s_slot : int; (* incore-inode slot; shipped to USs as their read guess (2.3.3) *)
   mutable s_shadow : Storage.Shadow.t option;
   mutable s_uss : int Site.Map.t; (* using sites currently served, with counts *)
+  mutable s_writers : int Site.Map.t; (* the modify opens among them *)
   mutable s_others : Site.t list; (* other storing sites, for commit notifications *)
 }
 
@@ -462,8 +463,8 @@ let notify k dst req =
     Net.Rpc.send k.net ~tag:(Proto.req_tag req) ~src:k.site ~dst
       ~bytes:(Proto.req_bytes req) req
 
-(* SS serving-state bookkeeping, shared by the SS handlers and the CSS
-   (which must register remote using sites when it selects itself). *)
+(* SS serving state, shared by the SS handlers and the CSS (which
+   registers a remote using site when it selects itself). *)
 let ss_find_open k gf = Hashtbl.find_opt k.ss_opens gf
 
 let ss_get_open k gf =
@@ -472,15 +473,53 @@ let ss_get_open k gf =
   | None ->
     let slot = fresh_serial k in
     let s =
-      { s_gf = gf; s_slot = slot; s_shadow = None; s_uss = Site.Map.empty; s_others = [] }
+      {
+        s_gf = gf;
+        s_slot = slot;
+        s_shadow = None;
+        s_uss = Site.Map.empty;
+        s_writers = Site.Map.empty;
+        s_others = [];
+      }
     in
     Hashtbl.add k.ss_opens gf s;
     Hashtbl.replace k.ss_slots slot gf;
     s
 
-let ss_add_us s us =
-  let n = match Site.Map.find_opt us s.s_uss with Some n -> n | None -> 0 in
-  s.s_uss <- Site.Map.add us (n + 1) s.s_uss
+let count_add us n counts =
+  let m = n + Option.value ~default:0 (Site.Map.find_opt us counts) in
+  if m <= 0 then Site.Map.remove us counts else Site.Map.add us m counts
+
+(* Register an open of [gf] in [mode] by [us]: the serving state the open
+   protocol leaves at the SS it selected. *)
+let ss_register k gf ~us ~mode =
+  let s = ss_get_open k gf in
+  s.s_uss <- count_add us 1 s.s_uss;
+  if mode = Proto.Mode_modify then s.s_writers <- count_add us 1 s.s_writers;
+  s
+
+(* End [opens] of [us]'s registrations on [s], [writes] of them modify
+   opens: a close, a revalidation or the cleanup after [us] failed. A
+   shadow session no writer is left to commit is aborted, with the
+   directory index its record changes went through: when a modify
+   registration ended and none remains, or when no registration remains
+   at all. Serving state no open registers goes, with its incore slot. *)
+let ss_end k s ~us ~opens ~writes =
+  s.s_uss <- count_add us (-opens) s.s_uss;
+  s.s_writers <- count_add us (-writes) s.s_writers;
+  let idle = Site.Map.is_empty s.s_uss in
+  (match s.s_shadow with
+  | Some session when idle || (writes > 0 && Site.Map.is_empty s.s_writers) ->
+    Storage.Shadow.abort session;
+    s.s_shadow <- None;
+    ss_dir_drop k s.s_gf;
+    Sim.Stats.incr (Engine.stats k.engine) "ss.orphan_abort";
+    record k ~tag:"ss.abort" "%a orphaned" Gfile.pp s.s_gf
+  | Some _ | None -> ());
+  if idle then begin
+    Hashtbl.remove k.ss_opens s.s_gf;
+    Hashtbl.remove k.ss_slots s.s_slot
+  end
 
 let expect_ok = function
   | Proto.R_ok -> ()

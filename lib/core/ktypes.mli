@@ -147,6 +147,7 @@ type ss_open = {
   s_slot : int; (** incore-inode slot; shipped to USs as their read guess *)
   mutable s_shadow : Storage.Shadow.t option;
   mutable s_uss : int Site.Map.t; (** using sites currently served, with counts *)
+  mutable s_writers : int Site.Map.t; (** the modify opens among them *)
   mutable s_others : Site.t list; (** other storing sites, for commit notifications *)
 }
 
@@ -391,7 +392,18 @@ val ss_find_open : t -> Gfile.t -> ss_open option
 val ss_get_open : t -> Gfile.t -> ss_open
 (** Find-or-create the SS serving state (allocating its incore slot). *)
 
-val ss_add_us : ss_open -> Site.t -> unit
+val ss_register : t -> Gfile.t -> us:Site.t -> mode:Proto.open_mode -> ss_open
+(** Register an open of the file in [mode] by [us] at this SS: the serving
+    state the open protocol leaves at the storage site it selected. *)
+
+val ss_end : t -> ss_open -> us:Site.t -> opens:int -> writes:int -> unit
+(** End [opens] of [us]'s registrations, [writes] of them modify opens
+    (a close, a revalidation, the cleanup after [us] failed; 0 and 0 just
+    tears down state nothing registers). The shadow session is aborted,
+    with the directory index its record changes went through, when a
+    modify registration ended and none remains, or when no registration
+    remains at all; serving state with no registration left is freed with
+    its incore slot. The one way serving state ends. *)
 
 val expect_ok : Proto.resp -> unit
 (** Raise on [R_err]; accept [R_ok]. *)

@@ -47,8 +47,6 @@ let create ~stats ~capacity () =
   in
   { cache; stats }
 
-let enabled t = t.cache <> None
-
 let find t ~dir ~comp ~current_vv =
   match t.cache with
   | None -> None

@@ -26,8 +26,6 @@ type t
 val create : stats:Sim.Stats.t -> capacity:int -> unit -> t
 (** [capacity <= 0] disables the cache entirely (the ablation switch). *)
 
-val enabled : t -> bool
-
 val find :
   t ->
   dir:Catalog.Gfile.t ->

@@ -21,17 +21,9 @@ let find_open = ss_find_open
 
 let get_open = ss_get_open
 
-let add_us = ss_add_us
-
-let drop_us s us =
-  match Site.Map.find_opt us s.s_uss with
-  | None -> ()
-  | Some 1 -> s.s_uss <- Site.Map.remove us s.s_uss
-  | Some n -> s.s_uss <- Site.Map.add us (n - 1) s.s_uss
-
 (* CSS asks: will you act as storage site for this open? Refuse when we do
    not store the file at (at least) the requested version (section 2.3.3). *)
-let handle_storage_req k gf ~vv ~us ~others =
+let handle_storage_req k gf ~vv ~us ~mode ~others =
   match local_pack k gf.Gfile.fg with
   | None -> Proto.R_storage { accept = false; info = None; slot = 0 }
   | Some pack -> (
@@ -43,8 +35,7 @@ let handle_storage_req k gf ~vv ~us ~others =
         (* We store only an out-of-date copy: refuse. *)
         Proto.R_storage { accept = false; info = None; slot = 0 }
       else begin
-        let s = get_open k gf in
-        add_us s us;
+        let s = ss_register k gf ~us ~mode in
         s.s_others <- others;
         charge_disk_read k;
         Proto.R_storage
@@ -412,22 +403,6 @@ let dir_change k ~src gf name change =
             end;
             r))))
 
-let handle_dir_update k ~src gf op =
-  let result =
-    match op with
-    | Proto.Enter { name; ino; stamp; origin } ->
-      dir_change k ~src gf name (function
-        | Some { Dir.status = Dir.Live; _ } -> Stdlib.Error Proto.Eexist
-        | Some { Dir.status = Dir.Tombstone; _ } | None ->
-          Ok { Dir.name; ino; status = Dir.Live; stamp; origin })
-    | Proto.Remove { name; stamp; origin } ->
-      dir_change k ~src gf name (function
-        | Some ({ Dir.status = Dir.Live; _ } as e) ->
-          Ok { e with Dir.status = Dir.Tombstone; stamp; origin }
-        | Some { Dir.status = Dir.Tombstone; _ } | None -> Stdlib.Error Proto.Enoent)
-  in
-  match result with Ok ino -> Proto.R_entry { ino } | Stdlib.Error e -> Proto.R_err e
-
 (* Install [session] as the committed version of [gf] (section 2.3.6):
    bump the version vector (or take recovery's [force_vv]), switch the
    incore inode in, and keep every cache coherent with the new version.
@@ -583,19 +558,10 @@ let handle_us_close k ~src gf ~mode =
   (match find_open k gf with
   | None -> ()
   | Some s ->
-    drop_us s src;
-    (match s.s_shadow with
-    | Some session when Site.Map.is_empty s.s_uss ->
-      (* The last user vanished without committing: abort the session so
-         the previous version stays coherent. *)
-      Shadow.abort session;
-      s.s_shadow <- None;
-      ss_dir_drop k gf
-    | Some _ | None -> ());
-    if Site.Map.is_empty s.s_uss then begin
-      Hashtbl.remove k.ss_opens gf;
-      Hashtbl.remove k.ss_slots s.s_slot
-    end);
+    (* A writer that closes without committing (its commit and abort
+       replies lost) leaves a session no one will commit: [ss_end] aborts
+       it, even while lease riders keep the file served. *)
+    ss_end k s ~us:src ~opens:1 ~writes:(if mode = Proto.Mode_modify then 1 else 0));
   let fi = fg_info k gf.Gfile.fg in
   if Site.equal fi.css_site k.site then Css.handle_ss_close k gf ~us:src ~mode
   else
@@ -607,20 +573,20 @@ let handle_us_close k ~src gf ~mode =
 (* Revalidate this site's serving registrations against the using sites'
    actual open files, part of the post-merge rebuild (the SS-side analogue
    of the section 5.6 lock-table scrub). A registration outlives its open
-   in two ways. Partition and merge drop every retained lease silently,
+   in two ways. A membership change drops every retained lease silently,
    so the deferred close of a lease no open rides never arrives. And when
    every attempt of an open lost its reply, the CSS registered the US
    here (poll or local add), but the US never learned the open
    succeeded, so no close will ever arrive. Each US in the partition is
    asked for its live opens (its leases are already gone: every member
-   drops its lease table on the merge announcement); counts are reset to
-   what the US reports, and emptied registrations are torn down exactly
-   as a last close would — abort the shadow session, free the incore
-   slot. An unreachable US keeps its registrations; the next merge
-   retries. *)
+   drops its lease table on the merge announcement); each count above
+   what the US reports, of opens or of modify opens, is ended down to it,
+   as that many closes would. An unreachable US keeps its registrations;
+   the next merge retries. *)
 let revalidate_serving k =
-  (* (us, fg) -> ino -> live open count at us, queried at most once. *)
-  let cache : (Site.t * int, (int, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
+  (* (us, fg) -> ino -> live (opens, modify opens) at us, queried at most
+     once. *)
+  let cache : (Site.t * int, (int, int * int) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
   let live_opens us fg =
     match Hashtbl.find_opt cache (us, fg) with
     | Some t -> Some t
@@ -637,9 +603,10 @@ let revalidate_serving k =
       | Some (Proto.R_open_files { files }) ->
         let t = Hashtbl.create 8 in
         List.iter
-          (fun (ino, _mode, _site) ->
-            Hashtbl.replace t ino
-              (1 + Option.value ~default:0 (Hashtbl.find_opt t ino)))
+          (fun (ino, mode, _site) ->
+            let opens, writes = Option.value ~default:(0, 0) (Hashtbl.find_opt t ino) in
+            let w = if mode = Proto.Mode_modify then 1 else 0 in
+            Hashtbl.replace t ino (opens + 1, writes + w))
           files;
         Hashtbl.add cache (us, fg) t;
         Some t
@@ -653,29 +620,17 @@ let revalidate_serving k =
           match live_opens us gf.Gfile.fg with
           | None -> ()
           | Some t ->
-            let actual =
-              Option.value ~default:0 (Hashtbl.find_opt t gf.Gfile.ino)
-            in
-            if actual < n then stale := (gf, s, us, actual) :: !stale)
+            let opens, writes = Option.value ~default:(0, 0) (Hashtbl.find_opt t gf.Gfile.ino) in
+            let w = Option.value ~default:0 (Site.Map.find_opt us s.s_writers) in
+            if opens < n || writes < w then
+              stale := (s, us, max 0 (n - opens), max 0 (w - writes)) :: !stale)
         s.s_uss)
     k.ss_opens;
   List.iter
-    (fun (gf, (s : ss_open), us, actual) ->
+    (fun ((s : ss_open), us, opens, writes) ->
       Sim.Stats.incr (stats k) "ss.revalidate.dropped";
-      record k ~tag:"ss.revalidate" "%a us=%a -> %d" Gfile.pp gf Site.pp us actual;
-      s.s_uss <-
-        (if actual = 0 then Site.Map.remove us s.s_uss
-         else Site.Map.add us actual s.s_uss);
-      (match s.s_shadow with
-      | Some session when Site.Map.is_empty s.s_uss ->
-        Shadow.abort session;
-        s.s_shadow <- None;
-        ss_dir_drop k gf
-      | Some _ | None -> ());
-      if Site.Map.is_empty s.s_uss then begin
-        Hashtbl.remove k.ss_opens gf;
-        Hashtbl.remove k.ss_slots s.s_slot
-      end)
+      record k ~tag:"ss.revalidate" "%a us=%a -%d" Gfile.pp s.s_gf Site.pp us opens;
+      ss_end k s ~us ~opens ~writes)
     !stale
 
 (* ---- directory intents: the storage site's half ---- *)
@@ -697,11 +652,7 @@ let alloc_inode k pack ~ftype ~owner ~perms =
   inode
 
 (* Serving state an intent opened, and no open uses, goes with it. *)
-let drop_if_idle k (s : ss_open) =
-  if s.s_shadow = None && Site.Map.is_empty s.s_uss then begin
-    Hashtbl.remove k.ss_opens s.s_gf;
-    Hashtbl.remove k.ss_slots s.s_slot
-  end
+let drop_if_idle k (s : ss_open) = ss_end k s ~us:k.site ~opens:0 ~writes:0
 
 (* Metadata-only change: mutate descriptor fields and bump the version (the
    "just inode information changed" case of section 2.3.6). No data page

@@ -10,19 +10,17 @@
 
 val find_open : Ktypes.t -> Catalog.Gfile.t -> Ktypes.ss_open option
 
-val get_open : Ktypes.t -> Catalog.Gfile.t -> Ktypes.ss_open
-
-val add_us : Ktypes.ss_open -> Net.Site.t -> unit
-
 val handle_storage_req :
   Ktypes.t ->
   Catalog.Gfile.t ->
   vv:Vv.Version_vector.t ->
   us:Net.Site.t ->
+  mode:Proto.open_mode ->
   others:Net.Site.t list ->
   Proto.resp
 (** "Will you act as storage site?" Refused when this pack does not store
-    the file at (at least) the requested version. *)
+    the file at (at least) the requested version; an acceptance registers
+    [us]'s open in [mode] ({!Ktypes.ss_register}). *)
 
 val handle_read_pages :
   ?guess:int ->
@@ -122,21 +120,6 @@ val lookup_name :
     every page. No read is charged: the caller charges the directory read.
     Raises [Failure] on a body that does not decode. *)
 
-val handle_dir_update :
-  Ktypes.t -> src:Net.Site.t -> Catalog.Gfile.t -> Proto.dir_op -> Proto.resp
-(** Apply one entry change to a directory stored here, into its shadow
-    session (begun if none is open). The directory's index locates the
-    name's record; the one page holding it is read through the same page
-    source as a page read (the session if open, else the buffer cache or
-    disk; no [cpu_page] charge), and the one changed record is written
-    into the session: a remove or a re-entry of a tombstoned name in
-    place, a new name after the last record. The first update of a
-    version reads every page to build the index. Answers [R_entry] with
-    the inode entered or removed, or [R_err] [Eexist], [Enoent],
-    [Einval] (a name or origin the record format refuses), [Enospc] (the
-    directory is at its largest size) or [Eio] (the body does not
-    decode). *)
-
 val handle_commit :
   ?force_vv:Vv.Version_vector.t ->
   Ktypes.t ->
@@ -153,13 +136,14 @@ val handle_commit :
 val handle_us_close :
   Ktypes.t -> src:Net.Site.t -> Catalog.Gfile.t -> mode:Proto.open_mode -> Proto.resp
 (** US→SS leg of the race-free three-message close (§2.3.3 footnote);
-    forwards SS→CSS. *)
+    forwards SS→CSS. Ends the registration through {!Ktypes.ss_end}, so
+    a writer's close aborts a session it left uncommitted. *)
 
 val revalidate_serving : Ktypes.t -> unit
 (** Post-merge SS-side analogue of the §5.6 lock-table scrub: ask every
-    using site in the partition for its live opens and reset each serving
-    registration's count to what the US reports, tearing emptied ones down
-    like a last close (abort shadow session, free the slot). Cleans up
+    using site in the partition for its live opens and end every serving
+    registration, of an open or a modify open, beyond what the US reports,
+    through {!Ktypes.ss_end} as a close would. Cleans up
     the registrations of leases that partition and merge dropped without
     a close, and those stranded by an open whose every attempt lost its
     reply — the CSS registered the US here, but the US never learned its
@@ -231,15 +215,23 @@ val apply_intent :
   links_here:(int -> bool) ->
   Proto.resp
 (** The storage site's half of a directory intent from using site [us]:
-    change the one record through {!handle_dir_update}'s machinery and
-    commit the directory, in one handler, notifying [others], the other
-    sites holding its latest copy (the CSS learns the version from the
-    reply). A create
+    change the one record and commit the directory, in one handler,
+    notifying [others], the other sites holding its latest copy (the CSS
+    learns the version from the reply). The directory's index locates the
+    name's record; the one page holding it is read through the same page
+    source as a page read (the session if open, else the buffer cache or
+    disk; no [cpu_page] charge), and the one changed record is written: a
+    remove or a re-entry of a tombstoned name in place, a new name after
+    the last record. The first change of a version reads every page to
+    build the index. A create
     without an inode allocates one here after the name check; [guard]
     vets the inode of a counted unlink before anything changes; a counted
     unlink or link also changes the file's link count here when
     [links_here] holds for its inode. Answers [R_intent], or [R_err] with
-    nothing changed. No serving registration or session outlives it. *)
+    nothing changed: [Eexist], [Enoent], [Einval] (a name or origin the
+    record format refuses), [Enospc] (the directory is at its largest
+    size) or [Eio] (the body does not decode). No serving registration or
+    session outlives it. *)
 
 val handle_intent_step : Ktypes.t -> us:Net.Site.t -> Proto.intent_step -> Proto.resp
 (** A step the CSS forwarded: {!apply_intent} with the step's refuse and

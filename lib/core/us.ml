@@ -214,8 +214,7 @@ and open_cold ~shared ~asks k fi gf mode =
        already counts this open — adding again would need two closes to
        balance and leaks a serving entry forever. *)
     if Site.equal ss k.site && not registered then begin
-      let s = Ss.get_open k gf in
-      Ss.add_us s k.site;
+      let s = ss_register k gf ~us:k.site ~mode in
       s.s_others <- others
     end;
     let lease_entry =
@@ -652,15 +651,15 @@ let retire_lease k gf vv =
   | Some _ | None -> ()
 
 (* Commit or abort the modifications of this open (section 2.3.6). *)
-let commit_gen k o ~abort ~delete =
+let commit_gen k o ~abort =
   (* The write-behind run is part of what commits: flush it into the SS
      shadow session first. Aborting just drops it. *)
   if abort then o.o_wb <- None else if o.o_wb <> None then flush_wb k o;
   let resp =
-    if Site.equal o.o_ss k.site then Ss.handle_commit k o.o_gf ~abort ~delete
+    if Site.equal o.o_ss k.site then Ss.handle_commit k o.o_gf ~abort ~delete:false
     else
       rpc k o.o_ss
-        (Proto.Commit_req { gf = o.o_gf; us = k.site; abort; delete; force_vv = None })
+        (Proto.Commit_req { gf = o.o_gf; us = k.site; abort; delete = false; force_vv = None })
   in
   match resp with
   | Proto.R_committed { vv } ->
@@ -674,9 +673,9 @@ let commit_gen k o ~abort ~delete =
   | Proto.R_err e -> err e "commit failed"
   | _ -> err Proto.Eio "unexpected commit response"
 
-let commit k o = ignore (commit_gen k o ~abort:false ~delete:false)
+let commit k o = ignore (commit_gen k o ~abort:false)
 
-let abort k o = ignore (commit_gen k o ~abort:true ~delete:false)
+let abort k o = ignore (commit_gen k o ~abort:true)
 
 (* Close: flush (commit) any modification, then run the close protocol
    US -> SS -> CSS (section 2.3.3). A lease-backed read open defers the
@@ -702,8 +701,6 @@ let close k o =
     record k ~tag:"us.close" "%a" Gfile.pp o.o_gf
   end
 
-(* Delete the file body: mark the inode deleted and commit (section 2.3.7). *)
-let delete_file k o = ignore (commit_gen k o ~abort:false ~delete:true)
 
 (* Best-effort release of [o] after a failed operation: drop uncommitted
    modification state, abort any shadow session, run the close protocol —
@@ -715,7 +712,7 @@ let release k o =
   if not o.o_closed then begin
     o.o_wb <- None;
     if o.o_dirty then
-      (try ignore (commit_gen k o ~abort:true ~delete:false) with Error _ -> ());
+      (try ignore (commit_gen k o ~abort:true) with Error _ -> ());
     (* Whether or not the abort reached the SS, this open must not try to
        commit on close. *)
     o.o_dirty <- false;

@@ -98,8 +98,6 @@ val lease_drop_rider : Ktypes.t -> Openlease.entry -> unit
 (** One local open stops riding the lease; the last rider of a broken
     lease sends the deferred close. *)
 
-val delete_file : Ktypes.t -> Ktypes.ofile -> unit
-(** Mark the inode deleted and commit (§2.3.7). *)
 
 val release : Ktypes.t -> Ktypes.ofile -> unit
 (** Best-effort cleanup of an open after a failed operation: discard any

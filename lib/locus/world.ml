@@ -177,7 +177,7 @@ let create ?(config = default_config ()) () =
   List.iter
     (fun spec ->
       let css = css_of spec in
-      Recovery.Merge.rebuild_css (kernel world css) spec.fg ~members:all_sites)
+      Recovery.Membership.rebuild_css (kernel world css) spec.fg ~members:all_sites)
     config.filegroups;
   world
 

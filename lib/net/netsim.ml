@@ -272,5 +272,3 @@ let send t ?tag ~src ~dst ~bytes req =
   send_tagged t ~ts ~src ~dst ~bytes req
 
 let messages_sent t = Stats.cget t.hot.hs_msg
-
-let bytes_sent t = Stats.cget t.hot.hs_bytes

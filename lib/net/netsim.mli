@@ -170,5 +170,3 @@ val on_circuit_failure : ('req, 'resp) t -> (Site.t -> Site.t -> unit) -> unit
 val circuits_open : ('req, 'resp) t -> int
 
 val messages_sent : ('req, 'resp) t -> int
-
-val bytes_sent : ('req, 'resp) t -> int

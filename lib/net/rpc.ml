@@ -19,9 +19,6 @@ let pp_error ppf = function
     Format.fprintf ppf "call to %a from %a timed out after %.1f ms (%d attempts)" Site.pp dst
       Site.pp src waited attempts
 
-let error_attempts = function
-  | Unreachable { attempts; _ } | Lost_reply { attempts; _ } | Timeout { attempts; _ } -> attempts
-
 type policy = {
   max_attempts : int;
   backoff : float list;

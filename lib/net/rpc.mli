@@ -31,8 +31,6 @@ type rpc_error =
 
 val pp_error : Format.formatter -> rpc_error -> unit
 
-val error_attempts : rpc_error -> int
-
 type policy = {
   max_attempts : int;  (** Total attempts, including the first (>= 1). *)
   backoff : float list;

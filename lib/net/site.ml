@@ -10,5 +10,3 @@ let to_string s = Format.asprintf "%a" pp s
 
 module Set = Set.Make (Int)
 module Map = Map.Make (Int)
-
-let set_of_list = Set.of_list

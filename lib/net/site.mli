@@ -16,5 +16,3 @@ val to_string : t -> string
 module Set : Set.S with type elt = t
 
 module Map : Map.S with type key = t
-
-val set_of_list : t list -> Set.t

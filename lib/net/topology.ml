@@ -18,10 +18,6 @@ let check t s =
 
 let bump t = t.version <- t.version + 1
 
-let site_up t s =
-  check t s;
-  t.up.(s)
-
 let set_site_up t s b =
   check t s;
   t.up.(s) <- b;

@@ -16,8 +16,6 @@ val n_sites : t -> int
 
 val sites : t -> Site.t list
 
-val site_up : t -> Site.t -> bool
-
 val set_site_up : t -> Site.t -> bool -> unit
 (** Crash or restart a site. Links are unaffected. *)
 

@@ -125,14 +125,6 @@ type lookup_step = {
   l_ftype : Storage.Inode.ftype option; (* child's type, when stored at the SS *)
 }
 
-(* One name-space change shipped to a directory's storage site: enter a
-   binding, or turn a live one into a tombstone. [stamp] and [origin] are
-   the time and site of the change, which the entry keeps for the
-   reconciliation rules of section 4.4. *)
-type dir_op =
-  | Enter of { name : string; ino : int; stamp : float; origin : Net.Site.t }
-  | Remove of { name : string; stamp : float; origin : Net.Site.t }
-
 (* One name-space change a using site asks the directory's CSS for, as a
    single intent (sections 2.3.4, 2.3.7). [links] is false only for the
    two halves of a rename, which move a name and leave the file's link
@@ -310,7 +302,7 @@ type req =
     (* partition protocol poll: here is my partition set; send me yours *)
   | Part_announce of { active : Net.Site.t; members : Net.Site.t list }
   | Merge_poll of { initiator : Net.Site.t }
-  | Merge_announce of { members : Net.Site.t list; css_map : (int * Net.Site.t) list }
+  | Merge_announce of { members : Net.Site.t list }
   | Status_check of { asker : Net.Site.t }
     (* protocol-synchronization probe of section 5.7 *)
   | Open_files_query of { fg : int }
@@ -354,7 +346,6 @@ type resp =
        page returned contains end of file (or that [first] was past it).
        [info] is the committed copy's inode, when the request set [stat]. *)
   | R_committed of { vv : Vvec.t }
-  | R_entry of { ino : int } (* the inode a directory record change entered or removed *)
   | R_intent of { ino : int; dir_vv : Vvec.t; file : (Vvec.t * bool) option }
     (* an intent's inode, the directory's new version, and the file's new
        version and deleted flag when the replying site changed its links
@@ -373,7 +364,7 @@ type resp =
   | R_token of { granted : bool; state : string }
   | R_pid of { pid : int }
   | R_pset of { pset : Net.Site.t list }
-  | R_merge_info of { believed_up : Net.Site.t list; fgs : int list }
+  | R_merge_info of { believed_up : Net.Site.t list }
   | R_busy of { active : Net.Site.t }
   | R_status of { stage : int; site : Net.Site.t }
   | R_open_files of { files : (int * open_mode * Net.Site.t) list }
@@ -483,8 +474,7 @@ let req_bytes = function
   | Part_poll { pset; _ } -> header + 4 + site_list_bytes pset
   | Part_announce { members; _ } -> header + 4 + site_list_bytes members
   | Merge_poll _ -> header + 4
-  | Merge_announce { members; css_map } ->
-    header + site_list_bytes members + (8 * List.length css_map)
+  | Merge_announce { members } -> header + site_list_bytes members
   | Status_check _ -> header + 4
   | Open_files_query _ -> header + 4
   | Pack_inventory _ -> header + 4
@@ -507,7 +497,6 @@ let resp_bytes = function
     header + pages_bytes pages
     + (match info with Some i -> info_bytes i | None -> 0)
   | R_committed { vv } -> header + vv_bytes vv
-  | R_entry _ -> header + 4
   | R_intent { dir_vv; file; _ } ->
     header + 5 + vv_bytes dir_vv
     + (match file with Some (vv, _) -> 1 + vv_bytes vv | None -> 0)
@@ -522,8 +511,7 @@ let resp_bytes = function
   | R_token { state; _ } -> header + 1 + String.length state
   | R_pid _ -> header + 4
   | R_pset { pset } -> header + site_list_bytes pset
-  | R_merge_info { believed_up; fgs } ->
-    header + site_list_bytes believed_up + (4 * List.length fgs)
+  | R_merge_info { believed_up } -> header + site_list_bytes believed_up
   | R_busy _ -> header + 4
   | R_status _ -> header + 8
   | R_open_files { files } -> header + (9 * List.length files)

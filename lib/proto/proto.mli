@@ -108,15 +108,6 @@ type lookup_step = {
       (** the child's type, when its inode is stored at the serving site *)
 }
 
-(** {1 Directory updates at the storage site} *)
-
-(** One directory record change, applied where the directory is stored.
-    [stamp] and [origin] are the time and site of the change, kept in the
-    entry for reconciliation (§4.4). *)
-type dir_op =
-  | Enter of { name : string; ino : int; stamp : float; origin : Net.Site.t }
-  | Remove of { name : string; stamp : float; origin : Net.Site.t }
-
 (** {1 Directory intents} *)
 
 (** One name-space change a using site asks the directory's CSS for, in
@@ -316,10 +307,10 @@ type req =
       (** partition protocol poll (§5.4) *)
   | Part_announce of { active : Net.Site.t; members : Net.Site.t list }
   | Merge_poll of { initiator : Net.Site.t }
-  | Merge_announce of {
-      members : Net.Site.t list;
-      css_map : (int * Net.Site.t) list;
-    }
+  | Merge_announce of { members : Net.Site.t list }
+      (** the merge's new partition (§5.5); each member places every
+          filegroup's CSS itself, by the replicated placement function
+          over the members holding its pack, so no assignment travels *)
   | Status_check of { asker : Net.Site.t }
       (** the §5.7 synchronization probe *)
   | Open_files_query of { fg : int }
@@ -363,7 +354,6 @@ type resp =
           when the request set [stat], at the size a stat reply's inode
           costs; [None] costs nothing. *)
   | R_committed of { vv : Vv.Version_vector.t }
-  | R_entry of { ino : int }  (** the inode a directory record change entered or removed *)
   | R_intent of {
       ino : int;
       dir_vv : Vv.Version_vector.t;
@@ -387,7 +377,8 @@ type resp =
   | R_token of { granted : bool; state : string }
   | R_pid of { pid : int }
   | R_pset of { pset : Net.Site.t list }
-  | R_merge_info of { believed_up : Net.Site.t list; fgs : int list }
+  | R_merge_info of { believed_up : Net.Site.t list }
+      (** a merge poll's answer: the sites the polled site believes up *)
   | R_busy of { active : Net.Site.t }
   | R_status of { stage : int; site : Net.Site.t }
   | R_open_files of { files : (int * open_mode * Net.Site.t) list }

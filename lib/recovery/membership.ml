@@ -1,0 +1,86 @@
+(* Installing an agreed membership (sections 5.4 to 5.6).
+
+   The partition protocol and the merge protocol end the same way: every
+   member installs the membership its active site announced (and the
+   active site installs it locally). One procedure does it for both, so a
+   site that left is cleaned up the same way whichever protocol noticed,
+   and every member places every filegroup's synchronization site by the
+   same rule. *)
+
+open Locus_core.Ktypes
+module Css = Locus_core.Css
+module Ss = Locus_core.Ss
+module Kernel = Locus_core.Kernel
+module Site = Net.Site
+
+(* New CSS for [fg]: rebuild version bookkeeping and the lock table from
+   the members (section 5.6). *)
+let rebuild_css k fg ~members =
+  Css.drop_fg k fg;
+  List.iter
+    (fun m ->
+      (match
+         if Site.equal m k.site then Ok (Ss.handle_inventory k fg)
+         else rpc_result k m (Proto.Pack_inventory { fg })
+       with
+      | Ok (Proto.R_inventory { files }) ->
+        List.iter
+          (fun (ino, vv, ftype, deleted) ->
+            Css.seed_copy k (Gfile.make ~fg ~ino) ~site:m ~vv ~ftype ~deleted)
+          files
+      | Ok _ | Stdlib.Error _ -> ());
+      match
+        if Site.equal m k.site then Ok (Css.handle_open_files_query k fg)
+        else rpc_result k m (Proto.Open_files_query { fg })
+      with
+      | Ok (Proto.R_open_files { files }) ->
+        List.iter (fun entry -> Css.register_open k fg entry) files
+      | Ok _ | Stdlib.Error _ -> ())
+    members
+
+(* Place [fi]'s CSS by the replicated placement function over the members
+   holding its pack, which every member evaluates to the same site with no
+   message, spreading the roles of many filegroups over the partition. A
+   site that became CSS rebuilds its tables, as does one that stays CSS
+   when [rebuild]; one that lost the role drops its state. With no pack
+   holder among the members the filegroup is unavailable here: no CSS is
+   elected, so its opens find the old one unreachable (ENET), where a
+   packless CSS would know no copy and answer ENOENT. *)
+let place k ~rebuild fi =
+  match place_css ~fg:fi.fg (List.filter (in_partition k) fi.pack_sites) with
+  | None -> record k ~tag:"member.unavailable" "fg %d: no pack holder" fi.fg
+  | Some css ->
+    let old = fi.css_site in
+    fi.css_site <- css;
+    if Site.equal css k.site then begin
+      if rebuild || not (Site.equal old k.site) then rebuild_css k fi.fg ~members:k.site_table
+    end
+    else if Site.equal old k.site then Css.drop_fg k fi.fg
+
+let install k ~members ~merge =
+  let departed = List.filter (fun s -> not (List.mem s members)) k.site_table in
+  set_sites k members;
+  (* No lease survives a membership change: the CSS that granted it may
+     no longer be reachable, or no longer the CSS, so its break callbacks
+     can no longer be trusted to arrive. Leases die silently, as at a
+     crash; the merge's rebuild and revalidation below restore what their
+     deferred closes would have updated. *)
+  Locus_core.Openlease.clear k.open_leases;
+  (* Directories may have changed arbitrarily in another partition, and
+     deletions there produced no notification here: start the name cache
+     cold rather than audit it. *)
+  if merge then Locus_core.Namecache.clear k.name_cache;
+  (* Place the synchronization sites first: the cleanup procedure's
+     attempt to reopen lost files at another copy needs a live CSS. *)
+  List.iter (place k ~rebuild:merge) k.fg_table;
+  List.iter
+    (fun dead ->
+      ignore (Txn.handle_site_failure k dead);
+      Kernel.handle_site_failure k dead)
+    departed;
+  (* SS-side half of the merge's rebuild: serving registrations are
+     revalidated against the members' actual open files. *)
+  if merge then Ss.revalidate_serving k;
+  record k ~tag:"member.install" "members=[%a] departed=[%a]%s" pp_sites members pp_sites
+    departed
+    (if merge then " merge" else "")

@@ -6,9 +6,11 @@
     composition. The waiting strategy is the paper's two-level timeout:
     long while a site believed up by some member has not answered, short
     once all such sites have replied — so a small partition of a large
-    network merges quickly. After the announcement, a new CSS is selected
-    for every filegroup, and each rebuilds its version bookkeeping (from
-    pack inventories) and its lock table (from members' open-file lists). *)
+    network merges quickly. After the announcement every member installs
+    the new partition with {!Membership.install}, as at a partition, with
+    [~merge:true]: each places every filegroup's CSS itself, and each CSS
+    rebuilds its version bookkeeping (from pack inventories) and its lock
+    table (from the members' open-file lists). *)
 
 type timeout_policy =
   | Fixed_timeout of float  (** ms: always wait this long for missing sites *)
@@ -23,15 +25,13 @@ type report = {
   busy : int;
   skipped : int;        (** sites not polled: no gateway vouched for them *)
   wait_charged : float; (** simulated ms spent in timeouts *)
-  css_map : (int * Net.Site.t) list;
 }
 
 exception Yield of Net.Site.t
 (** Raised when a lower-numbered site is already coordinating a merge
-    (the arbitration of the paper's pseudocode). *)
-
-val merging : (Net.Site.t, unit) Hashtbl.t
-(** Sites currently acting as merge initiator (exposed for tests). *)
+    (the arbitration of the paper's pseudocode): a site whose
+    [recon_stage] is 3 while it initiates one answers a higher site's
+    poll busy. *)
 
 val run_initiator :
   ?policy:timeout_policy ->
@@ -45,13 +45,3 @@ val run_initiator :
     are skipped without a timeout. *)
 
 val handle_poll : Locus_core.Ktypes.t -> src:Net.Site.t -> Proto.resp
-
-val handle_announce :
-  Locus_core.Ktypes.t ->
-  members:Net.Site.t list ->
-  css_map:(int * Net.Site.t) list ->
-  Proto.resp
-
-val rebuild_css : Locus_core.Ktypes.t -> int -> members:Net.Site.t list -> unit
-(** New CSS for a filegroup: reconstruct version bookkeeping and the lock
-    table from the members (§5.6). *)

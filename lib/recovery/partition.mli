@@ -9,9 +9,10 @@
     partition set. The result is a maximal fully-connected sub-network —
     a single communication failure never splits the net into three parts.
 
-    After agreement, each member installs the membership, re-elects the
-    CSS for every filegroup it supports, and runs the cleanup procedure
-    (§5.6) for departed sites. *)
+    After agreement, each member installs the membership with
+    {!Membership.install}, the procedure the merge protocol ends with
+    too: it places every filegroup's CSS and runs the cleanup procedure
+    (§5.6) for the departed sites. *)
 
 type report = {
   members : Net.Site.t list;
@@ -24,16 +25,6 @@ val run_active : Locus_core.Ktypes.t -> report
 (** Run the protocol as the active site and announce the consensus. *)
 
 val handle_poll : Locus_core.Ktypes.t -> src:Net.Site.t -> Proto.resp
-
-val handle_announce : Locus_core.Ktypes.t -> members:Net.Site.t list -> Proto.resp
-
-val apply_membership : Locus_core.Ktypes.t -> Net.Site.t list -> Net.Site.t list
-(** Install an agreed membership: re-elect CSSs, then run cleanup for each
-    departed site. Returns the departed sites. *)
-
-val reelect_css : Locus_core.Ktypes.t -> Net.Site.t list -> unit
-(** Select a new synchronization site per filegroup: the lowest member
-    holding a physical container; the new CSS rebuilds its tables. *)
 
 val check_active_and_takeover :
   Locus_core.Ktypes.t -> active:Net.Site.t -> report option

@@ -20,10 +20,12 @@ let install k =
       match req with
       | Proto.Part_poll _ -> Some (Partition.handle_poll k ~src)
       | Proto.Part_announce { members; active = _ } ->
-        Some (Partition.handle_announce k ~members)
+        Membership.install k ~members ~merge:false;
+        Some Proto.R_ok
       | Proto.Merge_poll { initiator } -> Some (Merge.handle_poll k ~src:initiator)
-      | Proto.Merge_announce { members; css_map } ->
-        Some (Merge.handle_announce k ~members ~css_map)
+      | Proto.Merge_announce { members } ->
+        Membership.install k ~members ~merge:true;
+        Some Proto.R_ok
       | Proto.Status_check _ ->
         Some (Proto.R_status { stage = k.recon_stage; site = k.site })
       | Proto.Open_req _ | Proto.Storage_req _ | Proto.Read_pages _ | Proto.Write_pages _

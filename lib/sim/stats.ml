@@ -6,14 +6,12 @@ type hist = {
 
 type t = {
   counters : (string, int ref) Hashtbl.t;
-  series : (string, float list ref) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
 }
 
 let create () =
   {
     counters = Hashtbl.create 64;
-    series = Hashtbl.create 16;
     hists = Hashtbl.create 16;
   }
 
@@ -43,35 +41,6 @@ let add t name n =
   r := !r + n
 
 let get t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
-
-let series t name =
-  match Hashtbl.find_opt t.series name with
-  | Some r -> r
-  | None ->
-    let r = ref [] in
-    Hashtbl.add t.series name r;
-    r
-
-let observe t name v =
-  let r = series t name in
-  r := v :: !r
-
-let samples t name =
-  match Hashtbl.find_opt t.series name with Some r -> List.rev !r | None -> []
-
-let count_samples t name = List.length (samples t name)
-
-let mean t name =
-  match samples t name with
-  | [] -> 0.0
-  | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
-
-let max_sample t name =
-  (* Fold from neg_infinity so an all-negative series reports its true
-     maximum; 0.0 is returned only for an empty series. *)
-  match samples t name with
-  | [] -> 0.0
-  | l -> List.fold_left Float.max neg_infinity l
 
 (* ---- histograms ---- *)
 
@@ -160,7 +129,6 @@ let hist_names t =
 
 let reset t =
   Hashtbl.reset t.counters;
-  Hashtbl.reset t.series;
   Hashtbl.reset t.hists
 
 let counters t =

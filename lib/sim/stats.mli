@@ -36,21 +36,6 @@ val cadd : counter -> int -> unit
 
 val cget : counter -> int
 
-val observe : t -> string -> float -> unit
-(** Record one sample of the named series. *)
-
-val mean : t -> string -> float
-(** Mean of a series; 0 if empty. *)
-
-val samples : t -> string -> float list
-(** All recorded samples, oldest first. *)
-
-val count_samples : t -> string -> int
-
-val max_sample : t -> string -> float
-(** Largest recorded sample (correct for all-negative series); 0.0 when no
-    samples have been recorded. *)
-
 (** {1 Histograms}
 
     Named latency/size distributions with percentile accessors. The RPC

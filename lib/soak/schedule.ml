@@ -42,16 +42,6 @@ let fault_label = function
   | Mid_commit_kill _ -> "mid_commit_kill"
   | Prop_stall _ -> "prop_stall"
 
-let pp_fault ppf = function
-  | Crash s -> Format.fprintf ppf "crash[%d]" s
-  | Restart s -> Format.fprintf ppf "restart[%d]" s
-  | Partition_split s -> Format.fprintf ppf "partition[%d]" s
-  | Heal -> Format.fprintf ppf "heal"
-  | Loss_burst p -> Format.fprintf ppf "loss[%.2f]" p
-  | Lease_break (s, f) -> Format.fprintf ppf "lease_break[%d,%d]" s f
-  | Mid_commit_kill (s, f) -> Format.fprintf ppf "mid_commit_kill[%d,%d]" s f
-  | Prop_stall (s, f) -> Format.fprintf ppf "prop_stall[%d,%d]" s f
-
 (* Weighted fault choice. Heal gets real weight so long schedules keep
    cycling through whole partition/merge epochs instead of grinding to a
    fully-crashed halt. *)

@@ -35,8 +35,6 @@ val generate : seed:int -> ops:int -> t
 val fault_label : fault -> string
 (** Stable short name, used for injected/survived accounting. *)
 
-val pp_fault : Format.formatter -> fault -> unit
-
 val fault_count : t -> int
 (** Number of segments carrying a fault. *)
 

@@ -26,8 +26,6 @@ let pack_id t = t.pack_id
 
 let disk t = t.disk
 
-let ino_range t = (t.ino_lo, t.ino_hi)
-
 let alloc_ino t =
   let rec find i =
     if i > t.ino_hi then failwith "Pack.alloc_ino: inode space exhausted"

@@ -16,8 +16,6 @@ val pack_id : t -> int
 
 val disk : t -> Disk.t
 
-val ino_range : t -> int * int
-
 val alloc_ino : t -> int
 (** Next inode number from this pack's partition of the space. *)
 

@@ -330,12 +330,13 @@ let test_commit_visibility () =
   ignore (World.settle w);
   check Alcotest.string "abort undoes" "committed" (Kernel.read_file k0 p0 "/t")
 
-(* A directory update at the SS ([Ss.handle_dir_update]) writes exactly
-   the page that holds the changed record, with no page on the wire: an
+(* A directory intent at the SS ([Ss.apply_intent]) writes exactly the
+   page that holds the changed record, with no page on the wire: an
    unlink and a re-entry patch the record in place, a new name lands on
    the last page, or starts the next page when it does not fit there —
    the old last page's padding reads as zeroes and is never written. The
-   body stays what the codec encodes. *)
+   commit notification names the pages written; the body stays what the
+   codec encodes. *)
 let test_record_patch_writes_one_page () =
   let w = asym_world_nobulk () in
   let k0 = World.kernel w 0 and p0 = World.proc w 0 in
@@ -343,27 +344,32 @@ let test_record_patch_writes_one_page () =
   ignore (World.settle w);
   let k2 = World.kernel w 2 and p2 = World.proc w 2 in
   let size () = (Kernel.stat k2 p2 "/r").Proto.i_size in
+  (* Site 4 stores no copy: it only hears which pages each commit wrote. *)
+  let written = ref [] in
+  Net.Netsim.set_handler (World.net w) 4 (fun ~src req ->
+      match req with
+      | Proto.Commit_notify { gf; modified; _ } when Catalog.Gfile.equal gf dir_gf ->
+        written := modified;
+        Proto.R_ok
+      | _ -> (World.kernel w 4).K.dispatch src req);
   let update op =
-    let o = Us.open_gf k2 dir_gf Proto.Mode_modify in
-    let ss = World.kernel w o.K.o_ss in
     let snap = Stats.snapshot (stats w) in
-    (match Locus_core.Ss.handle_dir_update ss ~src:2 dir_gf op with
-    | Proto.R_entry _ -> ()
-    | _ -> Alcotest.fail "the update was refused");
-    check Alcotest.int "no page crosses the wire" 0 (msg_delta w snap);
-    let written =
-      match Locus_core.Ss.find_open ss dir_gf with
-      | Some { K.s_shadow = Some session; _ } -> Storage.Shadow.modified_lpages session
-      | Some { K.s_shadow = None; _ } | None -> []
-    in
-    Us.commit k2 o;
-    Us.close k2 o;
+    (match
+       Locus_core.Ss.apply_intent k0 ~us:2 dir_gf op ~others:[ 4 ]
+         ~guard:(fun _ -> Ok ())
+         ~links_here:(fun _ -> false)
+     with
+    | Proto.R_intent { dir_vv; _ } ->
+      Locus_core.Css.handle_commit_notify k0 dir_gf ~origin:0 ~vv:dir_vv ~deleted:false
+    | _ -> Alcotest.fail "the change was refused");
+    check Alcotest.int "no page crosses the wire" 0
+      (Stats.delta_of (stats w) snap "net.msg.read" + Stats.delta_of (stats w) snap "net.msg.write");
     ignore (World.settle w);
     let body = Kernel.read_file k2 p2 "/r" in
     check Alcotest.string "the body re-encodes to itself" body (Dir.encode (Dir.decode body));
-    written
+    !written
   in
-  let enter name = Proto.Enter { name; ino = 77; stamp = 1.0; origin = 2 } in
+  let enter name = Proto.Link { name; ino = 77; links = false } in
   let page = Storage.Page.size in
   (* "." and ".." take 45 bytes: a 957-byte name (a 978-byte record) ends
      the first page 1 byte short of full. *)
@@ -374,7 +380,7 @@ let test_record_patch_writes_one_page () =
     (update (enter "b"));
   check Alcotest.int "the record starts the second page" (page + 22) (size ());
   check Alcotest.(list int) "an unlink patches in place" [ 0 ]
-    (update (Proto.Remove { name = long; stamp = 2.0; origin = 2 }));
+    (update (Proto.Unlink { name = long; links = false }));
   check Alcotest.(list int) "a re-entry patches in place" [ 0 ] (update (enter long));
   check Alcotest.int "the size is unchanged" (page + 22) (size ());
   let names = List.map (fun (e : Dir.entry) -> e.Dir.name) (Kernel.readdir k2 p2 "/r") in
@@ -688,18 +694,21 @@ let dir_update_words n =
   Us.close k0 o;
   ignore (World.settle w);
   let update op =
-    let o = Us.open_gf k0 gf Proto.Mode_modify in
     let before = Gc.minor_words () in
-    let resp = Locus_core.Ss.handle_dir_update k0 ~src:0 gf op in
+    let resp =
+      Locus_core.Ss.apply_intent k0 ~us:0 gf op ~others:[]
+        ~guard:(fun _ -> Ok ())
+        ~links_here:(fun _ -> false)
+    in
     let words = Gc.minor_words () -. before in
-    (match resp with Proto.R_entry _ -> () | _ -> Alcotest.fail "the update was refused");
-    Us.commit k0 o;
-    Us.close k0 o;
+    (match resp with
+    | Proto.R_intent _ -> ()
+    | _ -> Alcotest.fail "the change was refused");
     words
   in
-  let enter name = Proto.Enter { name; ino = 7; stamp = 1.0; origin = 0 } in
+  let enter name = Proto.Link { name; ino = 7; links = false } in
   ignore (update (enter "warm-up"));
-  update (enter "fresh") +. update (Proto.Remove { name = "00050"; stamp = 2.0; origin = 0 })
+  update (enter "fresh") +. update (Proto.Unlink { name = "00050"; links = false })
 
 (* Allocation is deterministic, so this pins exactly what the SS's host
    cost of a dirop does not do: grow with the directory. *)

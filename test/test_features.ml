@@ -271,59 +271,6 @@ let test_restart_rejoins_and_catches_up () =
   check Alcotest.string "restarted site caught up" "v2 while 3 down"
     (Kernel.read_file k3 p3 "/news")
 
-(* ---- protocol synchronization and wait ordering (5.7) ---- *)
-
-let test_wait_ordering_total () =
-  let open Recovery.Sync in
-  (* Earlier stage: always waitable. *)
-  check Alcotest.bool "earlier stage" true
-    (may_wait_for ~my_stage:Merging ~my_site:0 ~their_stage:Partition_polling
-       ~their_site:5);
-  (* Later stage: never waitable. *)
-  check Alcotest.bool "later stage" false
-    (may_wait_for ~my_stage:Partition_polling ~my_site:0 ~their_stage:Merging
-       ~their_site:5);
-  (* Same stage: lower site number only. *)
-  check Alcotest.bool "same stage, lower site" true
-    (may_wait_for ~my_stage:Merging ~my_site:4 ~their_stage:Merging ~their_site:2);
-  check Alcotest.bool "same stage, higher site" false
-    (may_wait_for ~my_stage:Merging ~my_site:2 ~their_stage:Merging ~their_site:4);
-  (* No circular waits: for any pair, at most one direction is legal. *)
-  let stages = [ Idle; Partition_polling; Partition_announce; Merging ] in
-  List.iter
-    (fun sa ->
-      List.iter
-        (fun sb ->
-          List.iter
-            (fun (a, b) ->
-              let ab = may_wait_for ~my_stage:sa ~my_site:a ~their_stage:sb ~their_site:b in
-              let ba = may_wait_for ~my_stage:sb ~my_site:b ~their_stage:sa ~their_site:a in
-              if ab && ba then Alcotest.fail "circular wait possible")
-            [ (0, 1); (1, 0); (2, 5) ])
-        stages)
-    stages
-
-let test_check_peer_outcomes () =
-  let w = make_world () in
-  let k0 = World.kernel w 0 and k1 = World.kernel w 1 in
-  (* Peer in a later stage than ours: waiting for it would be illegal
-     (it is ahead; it will not act for us). *)
-  k0.K.recon_stage <- 1;
-  k1.K.recon_stage <- 3;
-  check Alcotest.bool "proceed past later-stage peer" true
-    (Recovery.Sync.check_peer k0 1 = `Proceed);
-  (* Peer in an earlier stage: legal wait. *)
-  k0.K.recon_stage <- 3;
-  k1.K.recon_stage <- 1;
-  check Alcotest.bool "wait for earlier stage" true
-    (Recovery.Sync.check_peer k0 1 = `Wait);
-  k0.K.recon_stage <- 0;
-  k1.K.recon_stage <- 0;
-  (* Peer dead: restart. *)
-  World.crash_site w 1;
-  check Alcotest.bool "restart on dead peer" true
-    (Recovery.Sync.check_peer k0 1 = `Restart)
-
 (* ---- protocol synchronization probe (5.7) ---- *)
 
 let test_status_check_stage () =
@@ -373,7 +320,5 @@ let () =
       ( "sync-probe",
         [
           Alcotest.test_case "status check" `Quick test_status_check_stage;
-          Alcotest.test_case "wait ordering total" `Quick test_wait_ordering_total;
-          Alcotest.test_case "check_peer outcomes" `Quick test_check_peer_outcomes;
         ] );
     ]

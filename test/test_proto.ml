@@ -69,7 +69,7 @@ let some_reqs =
     Proto.Part_poll { initiator = 0; pset = [ 0; 1 ] };
     Proto.Part_announce { active = 0; members = [ 0; 1 ] };
     Proto.Merge_poll { initiator = 0 };
-    Proto.Merge_announce { members = [ 0; 1 ]; css_map = [ (0, 0) ] };
+    Proto.Merge_announce { members = [ 0; 1 ] };
     Proto.Status_check { asker = 0 };
     Proto.Open_files_query { fg = 0 };
     Proto.Pack_inventory { fg = 0 };
@@ -147,7 +147,6 @@ let test_resp_sizes () =
       Proto.R_pset { pset = [ 0; 1; 2 ] };
       Proto.R_inventory { files = [ (2, vv_small, Storage.Inode.Regular, false) ] };
       Proto.R_data { data = "x" };
-      Proto.R_entry { ino = 7 };
       Proto.R_intent { ino = 7; dir_vv = vv_small; file = Some (vv_small, true) };
       Proto.R_linked { vv = vv_small; deleted = false };
     ];

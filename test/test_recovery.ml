@@ -149,11 +149,10 @@ let test_merge_busy_arbitration () =
   let w = make_world ~n:3 () in
   (* Site 0 is already coordinating a merge; a poll from a higher site is
      refused, and the higher site yields. *)
-  Hashtbl.replace Merge.merging 0 ();
-  (match Merge.run_initiator (World.kernel w 1) ~all_sites:(World.sites w) with
+  (World.kernel w 0).K.recon_stage <- 3;
+  match Merge.run_initiator (World.kernel w 1) ~all_sites:(World.sites w) with
   | _ -> Alcotest.fail "higher-numbered initiator should yield"
-  | exception Merge.Yield active -> check Alcotest.int "yields to lower site" 0 active);
-  Hashtbl.remove Merge.merging 0
+  | exception Merge.Yield active -> check Alcotest.int "yields to lower site" 0 active
 
 (* ---- cleanup procedure (section 5.6 table) ---- *)
 
@@ -229,9 +228,126 @@ let test_cleanup_ss_aborts_orphan_session () =
   World.crash_site w 1;
   ignore (World.detect_failures w ~initiator:0);
   check Alcotest.bool "ss aborted the session" true
-    (Sim.Stats.get (World.stats w) "cleanup.ss.aborted" >= 1);
+    (Sim.Stats.get (World.stats w) "ss.orphan_abort" >= 1);
   (* The committed version is what remains. *)
   check Alcotest.string "old version intact" "stable" (Kernel.read_file k0 p0 "/victim")
+
+(* Four sites, packs at 0 and 1 (CSS at 0). *)
+let two_pack_world () =
+  let base = World.default_config ~n_sites:4 () in
+  World.create
+    ~config:
+      {
+        base with
+        World.filegroups = [ { World.fg = 0; pack_sites = [ 0; 1 ]; mount_path = None } ];
+      }
+    ()
+
+(* A writer that crashes and is seen gone only by the next merge leaves
+   its shadow session at its storage site: the merge runs the cleanup
+   procedure too, so the next writer's session starts from the committed
+   version. *)
+let test_merge_cleans_departed_writer () =
+  let w = two_pack_world () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  ignore (Kernel.creat k0 p0 "/f");
+  Kernel.write_file k0 p0 "/f" "v1";
+  ignore (World.settle w);
+  let k3 = World.kernel w 3 and p3 = World.proc w 3 in
+  let fd = Kernel.open_path k3 p3 "/f" Proto.Mode_modify in
+  Kernel.write_fd k3 p3 fd "dirty";
+  World.crash_site w 3;
+  ignore (World.heal_and_merge w);
+  let fd0 = Kernel.open_path k0 p0 "/f" Proto.Mode_modify in
+  Kernel.write_fd k0 p0 fd0 "Z";
+  Kernel.close_fd k0 p0 fd0;
+  ignore (World.settle w);
+  check Alcotest.string "dead writer's pages gone" "Z1" (Kernel.read_file k0 p0 "/f")
+
+(* The same writer, flushed and then down for good, seen gone first by a
+   merge: the merge runs the cleanup procedure for it, as a partition
+   would, and its storage site aborts the session. *)
+let test_merge_cleans_writer_that_stays_down () =
+  let w = two_pack_world () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  ignore (Kernel.creat k0 p0 "/f");
+  Kernel.write_file k0 p0 "/f" "v1";
+  ignore (World.settle w);
+  let k3 = World.kernel w 3 in
+  let gf =
+    Locus_core.Pathname.resolve_from k3 ~cwd:(Catalog.Mount.root k3.K.mount) ~context:[] "/f"
+  in
+  let o = Us.open_gf k3 gf Proto.Mode_modify in
+  Us.write k3 o ~off:0 "dirty";
+  Us.flush_wb k3 o;
+  World.crash_site w 3;
+  let r = Merge.run_initiator (World.kernel w 0) ~all_sites:(World.sites w) in
+  check Alcotest.(list int) "site 3 left" [ 0; 1; 2 ] r.Merge.members;
+  ignore (World.settle w);
+  let fd0 = Kernel.open_path k0 p0 "/f" Proto.Mode_modify in
+  Kernel.write_fd k0 p0 fd0 "Z";
+  Kernel.close_fd k0 p0 fd0;
+  ignore (World.settle w);
+  check Alcotest.string "dead writer's pages gone" "Z1" (Kernel.read_file k0 p0 "/f")
+
+(* A partition that keeps no pack of a filegroup elects no CSS for it:
+   its files are unreachable (ENET), not absent (ENOENT). *)
+let test_partition_without_pack_answers_enet () =
+  let base = World.default_config ~n_sites:4 () in
+  let w =
+    World.create
+      ~config:
+        {
+          base with
+          World.filegroups =
+            [
+              { World.fg = 0; pack_sites = [ 0; 1; 2; 3 ]; mount_path = None };
+              { World.fg = 1; pack_sites = [ 2; 3 ]; mount_path = Some "/usr" };
+              { World.fg = 2; pack_sites = [ 1 ]; mount_path = Some "/scratch" };
+            ];
+        }
+      ()
+  in
+  World.mount_filegroups w;
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  ignore (Kernel.creat k0 p0 "/scratch/only_on_1");
+  Kernel.write_file k0 p0 "/scratch/only_on_1" "fg2";
+  ignore (World.settle w);
+  World.crash_site w 1;
+  ignore (World.detect_failures w ~initiator:0);
+  match Kernel.read_file k0 p0 "/scratch/only_on_1" with
+  | _ -> Alcotest.fail "read of an unreachable filegroup succeeded"
+  | exception K.Error (e, _) ->
+    check Alcotest.string "unreachable" (Proto.errno_to_string Proto.Enet)
+      (Proto.errno_to_string e)
+
+(* The cleanup procedure ends a failed using site's serving registrations
+   whole: no open and no incore slot stays behind at its storage site. *)
+let test_site_failure_frees_slots () =
+  let w = two_pack_world () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  Kernel.set_ncopies p0 1;
+  let paths = List.init 10 (Printf.sprintf "/r%d") in
+  List.iter
+    (fun path ->
+      ignore (Kernel.creat k0 p0 path);
+      Kernel.write_file k0 p0 path path)
+    paths;
+  ignore (World.settle w);
+  let k3 = World.kernel w 3 in
+  List.iter
+    (fun path ->
+      let gf =
+        Locus_core.Pathname.resolve_from k3 ~cwd:(Catalog.Mount.root k3.K.mount)
+          ~context:[] path
+      in
+      ignore (Us.open_gf k3 gf Proto.Mode_read))
+    paths;
+  check Alcotest.int "SS 0 serves site 3" 10 (Hashtbl.length k0.K.ss_opens);
+  World.crash_site w 3;
+  ignore (World.detect_failures w ~initiator:0);
+  check Alcotest.int "no serving state" 0 (Hashtbl.length k0.K.ss_opens);
+  check Alcotest.int "no incore slot" 0 (Hashtbl.length k0.K.ss_slots)
 
 (* ---- reconciliation (section 4) ---- *)
 
@@ -663,6 +779,14 @@ let () =
           Alcotest.test_case "reader reopens" `Quick test_cleanup_reader_reopens_other_copy;
           Alcotest.test_case "writer loses update" `Quick test_cleanup_writer_loses_update;
           Alcotest.test_case "ss aborts orphan" `Quick test_cleanup_ss_aborts_orphan_session;
+          Alcotest.test_case "a merge cleans up a departed writer" `Quick
+            test_merge_cleans_departed_writer;
+          Alcotest.test_case "a merge cleans up a writer that stays down" `Quick
+            test_merge_cleans_writer_that_stays_down;
+          Alcotest.test_case "a partition with no pack holder answers ENET" `Quick
+            test_partition_without_pack_answers_enet;
+          Alcotest.test_case "site failure frees incore slots" `Quick
+            test_site_failure_frees_slots;
         ] );
       ( "reconciliation",
         [

@@ -166,23 +166,22 @@ let test_stats_snapshot_delta () =
   let d = Stats.delta s snap in
   check Alcotest.int "two changed counters" 2 (List.length d)
 
+(* A distribution is a histogram: its count, mean and maximum. *)
 let test_stats_series () =
   let s = Stats.create () in
-  List.iter (Stats.observe s "lat") [ 1.0; 2.0; 3.0 ];
-  check (Alcotest.float 1e-9) "mean" 2.0 (Stats.mean s "lat");
-  check (Alcotest.float 1e-9) "max" 3.0 (Stats.max_sample s "lat");
-  check Alcotest.int "count" 3 (Stats.count_samples s "lat");
-  check Alcotest.(list (float 0.0)) "samples in order" [ 1.0; 2.0; 3.0 ]
-    (Stats.samples s "lat")
+  List.iter (Stats.hist_observe s "lat") [ 1.0; 2.0; 3.0 ];
+  let h = Stats.hist_summary s "lat" in
+  check (Alcotest.float 1e-9) "mean" 2.0 h.Stats.mean;
+  check (Alcotest.float 1e-9) "max" 3.0 h.Stats.hmax;
+  check Alcotest.int "count" 3 h.Stats.n
 
-(* Regression: max_sample used to fold from 0.0, reporting 0.0 for an
-   all-negative series (and making empty indistinguishable from a series
-   whose maximum is zero). *)
+(* The maximum of an all-negative distribution is its largest sample, and
+   an empty one reads 0. *)
 let test_stats_max_negative () =
   let s = Stats.create () in
-  List.iter (Stats.observe s "skew") [ -5.0; -2.0; -9.0 ];
-  check (Alcotest.float 1e-9) "all-negative max" (-2.0) (Stats.max_sample s "skew");
-  check (Alcotest.float 1e-9) "empty series is 0" 0.0 (Stats.max_sample s "none")
+  List.iter (Stats.hist_observe s "skew") [ -5.0; -2.0; -9.0 ];
+  check (Alcotest.float 1e-9) "all-negative max" (-2.0) (Stats.hist_percentile s "skew" 100.0);
+  check (Alcotest.float 1e-9) "empty histogram is 0" 0.0 (Stats.hist_percentile s "none" 100.0)
 
 (* ---- trace ---- *)
 

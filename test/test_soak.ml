@@ -57,6 +57,16 @@ let test_lost_break_repros () =
         Alcotest.failf "seed %d: %s" seed (pp_violations oc.Driver.oc_violations))
     [ (189, 250, [ 2 ]); (99, 500, [ 2; 3; 4; 5; 6 ]) ]
 
+(* A shrunk repro of a writer's lost session: its write reply and its
+   abort were both lost, then its close arrived while lease holders'
+   deferred closes kept the storage site's registration, so the session
+   stayed and the SS served the dead writer's uncommitted pages to every
+   later read. The close of the last modify registration now aborts it. *)
+let test_writer_close_repro () =
+  let oc = Driver.run ~drop:[ 2; 3; 4 ] ~seed:922 ~ops:250 () in
+  if Driver.failed oc then
+    Alcotest.failf "seed 922: %s" (pp_violations oc.Driver.oc_violations)
+
 let test_determinism () =
   let a = Driver.run ~seed:3 ~ops:300 () in
   let b = Driver.run ~seed:3 ~ops:300 () in
@@ -145,6 +155,8 @@ let () =
             test_setup_bodies_modelled;
           Alcotest.test_case "lost-break repros read no torn body" `Quick
             test_lost_break_repros;
+          Alcotest.test_case "a writer's close ends its session" `Quick
+            test_writer_close_repro;
           Alcotest.test_case "same seed replays identically" `Quick
             test_determinism;
           Alcotest.test_case "masking all faults is clean" `Quick
