@@ -15,7 +15,7 @@ bench:
 # pathname-resolution experiments (E13 baseline, E19 fast path), update
 # propagation (E14, which asserts that every copy holds the committed
 # bytes), the RPC transport under loss (E17), the bulk-transfer sweep
-# (E20), the open-lease sweep (E21), the striping sweep (E22), the
+# (E20), the open-lease sweep (E21), the site-count sweep (E22), the
 # fault-soak smoke (E23), the small-world flood (e24smoke), and the
 # event-core micro suite must run to completion. Their PASS/FAIL cells
 # are human-read; this asserts the experiments themselves stay runnable,
@@ -34,10 +34,9 @@ bench:
 # first), E20's 8-page remote whole-file write must be one write
 # round trip with no truncate message, E21's partition and merge must
 # send no close for the leases a site holds across them and a re-open
-# after the merge must read the committed bytes, and E22's striped reads must
-# return the file's bytes, width 4 must give at least twice width 1's
-# throughput, and the per-client read cost at 512 sites must stay within
-# 1.25x of 8 sites', and e24smoke's read oracle must find no read that
+# after the merge must read the committed bytes, and E22's reads must
+# return the file's bytes and the per-client read cost at 512 sites must
+# stay within 1.25x of 8 sites', and e24smoke's read oracle must find no read that
 # returned a body no write sent (wrong) or a body older than the last
 # committed one (stale).
 # E20 onward also leave BENCH_<experiment>.json behind for machine

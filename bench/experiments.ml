@@ -1149,7 +1149,7 @@ let e18 () =
     "sequential read + re-read of a hot remote file, cache tiers toggled";
   let pages = 16 in
   let body = String.make (pages * Page.size) 'h' in
-  let run ~label ~us ~ss ~retention =
+  let run ~label ~us ~ss =
     let base = World.default_config ~n_sites:3 () in
     let config =
       {
@@ -1160,7 +1160,6 @@ let e18 () =
             K.default_config with
             K.us_cache_pages = (if us then K.default_config.K.us_cache_pages else 0);
             ss_cache_pages = (if ss then K.default_config.K.ss_cache_pages else 0);
-            cache_retention = retention;
             (* This experiment ablates the cache tiers under the classic
                one-page protocol; its per-page readahead count assumes an
                unbatched read path (E20 sweeps the bulk window). *)
@@ -1197,11 +1196,10 @@ let e18 () =
   in
   let results =
     [
-      run ~label:"no cache at all" ~us:false ~ss:false ~retention:true;
-      run ~label:"SS tier only" ~us:false ~ss:true ~retention:true;
-      run ~label:"US tier only" ~us:true ~ss:false ~retention:true;
-      run ~label:"US + SS, no retention" ~us:true ~ss:true ~retention:false;
-      run ~label:"US + SS, retention" ~us:true ~ss:true ~retention:true;
+      run ~label:"no cache at all" ~us:false ~ss:false;
+      run ~label:"SS tier only" ~us:false ~ss:true;
+      run ~label:"US tier only" ~us:true ~ss:false;
+      run ~label:"US + SS, retention" ~us:true ~ss:true;
     ]
   in
   let rows =
@@ -1219,7 +1217,7 @@ let e18 () =
   let nth n = let (r, _) = List.nth results n in r in
   let _, off_first, off_reread, _, _ = nth 0 in
   let _, _, ss_reread, _, _ = nth 1 in
-  let _, _, ret_reread, _, ret_ra = nth 4 in
+  let _, _, ret_reread, _, ret_ra = nth 3 in
   (* Readahead fires on every sequential page of both passes except after
      the last: pass 1 readaheads pages 1..15, pass 2 re-reads hit warm
      (already cached => no refetch), so the count stays pages-1. *)
@@ -1231,7 +1229,7 @@ let e18 () =
     (Report.check (ss_reread < off_reread));
   Printf.printf "re-read improved vs cache-off: %.2f -> %.2f ms/page\n"
     off_first ret_reread;
-  let _, stats_full = List.nth results 4 in
+  let _, stats_full = List.nth results 3 in
   Report.cache_table ~title:"cache counters, US + SS with retention" stats_full;
   (* With the US tier on, repeats never reach the SS; the SS-only run shows
      the second tier absorbing the disk traffic of re-reads on its own. *)
@@ -1668,17 +1666,15 @@ let e21 () =
      callback before the next read can observe stale data.\n"
 
 (* --------------------------------------------------------------- E22 *)
-(* Scale-out storage: files striped across storage sites, and opens at
-   growing site counts. (a) one US reads a 64-page file whose pages are
-   striped over up to 8 latest-copy holders; the per-stripe windows travel
-   in parallel, so elapsed time drops with the width (width 1 is the
-   ablation: the classic single-SS protocol, byte-identical). (b) the same
-   striped open/read at 8..512 installed sites, with the per-kernel tables
-   pre-sized from the site count, shows the protocol cost stays flat as
-   the installation grows. *)
+(* Scale-out storage: opens at growing site counts. The same open and
+   64-page read of a file with copies at 4 packs, at 8..512 installed
+   sites, with the per-kernel tables pre-sized from the site count: the
+   protocol cost stays flat as the installation grows, because an open
+   talks to its CSS and the one SS the CSS chose (section 2.3.3), never
+   to the whole site table. *)
 let e22 () =
-  Report.section "E22  Scale-out storage: striped reads, growing site counts"
-    "64-page read vs stripe width (1 = ablation); open/read cost vs n_sites";
+  Report.section "E22  Scale-out storage: growing site counts"
+    "open/read cost vs n_sites";
   let metric = Report.metric ~experiment:"e22" in
   let pages = 64 in
   let body =
@@ -1686,95 +1682,8 @@ let e22 () =
         Char.chr (Char.code 'a' + (i / Page.size mod 26)))
   in
   let bytes = float_of_int (pages * Page.size) in
-  (* (a) width sweep: packs at 8 sites, all holding the latest version;
-     the reader at a packless site gets a stripe map of [width] sites.
-     The sweep runs on a period-realistic 10 Mbit Ethernet (~1 ms per
-     page on the wire) — the workload striping is for is transfer-bound;
-     the default model's 80 Mbit wire would hide the transfer behind the
-     US's fixed per-page buffer cost. Same model at every width. *)
-  let enet = { Net.Latency.default with Net.Latency.per_byte = 0.001 } in
-  let width_run width =
-    let base = World.default_config ~n_sites:10 () in
-    let config =
-      {
-        base with
-        World.latency = enet;
-        filegroups =
-          [ { World.fg = 0;
-              pack_sites = [ 0; 1; 2; 3; 4; 5; 6; 7 ];
-              mount_path = None } ];
-        kernel_config = { K.default_config with K.stripe_width = width };
-      }
-    in
-    let w = World.create ~config () in
-    mk_file w ~at:8 ~ncopies:8 ~path:"/wide" ~body;
-    let k = World.kernel w 9 in
-    let snap = Stats.snapshot (World.stats w) in
-    let t0 = World.now w in
-    let o = Us.open_gf k (gf_of k "/wide") Proto.Mode_read in
-    let open_ms = World.now w -. t0 in
-    let granted = List.length o.K.o_stripes in
-    let buf = Buffer.create (pages * Page.size) in
-    let t1 = World.now w in
-    for lpage = 0 to pages - 1 do
-      let data, _ = Us.read_page k o lpage in
-      Buffer.add_string buf data;
-      (* Let streamed fetches land while the application processes the
-         page, as in E20 — the width-1 baseline is the bulk layer at its
-         best, not a strawman. *)
-      drain w
-    done;
-    let read_ms = World.now w -. t1 in
-    let m = msgs w snap in
-    Us.close k o;
-    settle_ok w;
-    let ok = String.equal (Buffer.contents buf) body in
-    (* Throughput over open and read together: an unstriped open served
-       by the CSS carries the first window, so its read alone would flatter
-       width 1. *)
-    (width, granted, open_ms, read_ms, bytes /. (open_ms +. read_ms), m, ok)
-  in
-  let widths = [ 1; 2; 4; 8 ] in
-  let results = List.map width_run widths in
-  List.iter
-    (fun (width, _, open_ms, read_ms, tput, m, _) ->
-      metric (Printf.sprintf "read64.open.ms.w%d" width) open_ms;
-      metric (Printf.sprintf "read64.ms.w%d" width) read_ms;
-      metric (Printf.sprintf "read64.tput.w%d" width) tput;
-      metric (Printf.sprintf "read64.msgs.w%d" width) (float_of_int m))
-    results;
-  Report.table
-    ~title:
-      (Printf.sprintf "remote sequential %d-page read vs stripe width" pages)
-    ~header:
-      [ "width"; "map"; "open ms"; "read ms"; "KB/ms (open+read)"; "msgs"; "contents" ]
-    (List.map
-       (fun (width, granted, open_ms, read_ms, tput, m, ok) ->
-         [ Report.i width; Report.i granted; Report.f2 open_ms;
-           Report.f2 read_ms; Report.f2 (tput /. 1024.); Report.i m;
-           Report.check ok ])
-       results);
-  let tput_of width =
-    let _, _, _, _, tput, _, _ =
-      List.find (fun (w', _, _, _, _, _, _) -> w' = width) results
-    in
-    tput
-  in
-  let all_ok = List.for_all (fun (_, _, _, _, _, _, ok) -> ok) results in
-  let speedup = tput_of 4 /. tput_of 1 in
-  metric "read64.speedup.w4_over_w1" speedup;
-  Printf.printf
-    "aggregate open + read throughput, width 4 vs width 1: %.1fx (need >= 2x): %s\n"
-    speedup
-    (Report.check (all_ok && speedup >= 2.0));
-  (* (b) site-count sweep: the same striped file and width-4 map, at
-     installations of 8..512 sites (packs stay at 4 sites; the hot kernel
-     tables are pre-sized from the site count). The open and read cost
-     must not grow with the number of installed sites: the protocols talk
-     to the CSS and the stripe sites, never to the whole site table. *)
   let scale_run n =
-    let kconfig = { K.default_config with K.stripe_width = 4 } in
-    let w = make_world ~n ~packs:[ 0; 1; 2; 3 ] ~kconfig () in
+    let w = make_world ~n ~packs:[ 0; 1; 2; 3 ] () in
     mk_file w ~at:0 ~ncopies:4 ~path:"/wide" ~body;
     let clients =
       List.sort_uniq Int.compare [ 4; n / 2; n - 2; n - 1 ]
@@ -1820,7 +1729,7 @@ let e22 () =
       metric (Printf.sprintf "scale.msgs.n%d" n) m)
     scale;
   Report.table
-    ~title:"width-4 striped open + 64-page read vs installed sites"
+    ~title:"open + 64-page read vs installed sites"
     ~header:
       [ "sites"; "clients"; "open ms"; "read ms"; "KB/ms"; "msgs/client";
         "contents" ]
@@ -1840,13 +1749,11 @@ let e22 () =
     (ms_of 512) (ms_of 8)
     (Report.check (ms_of 512 <= ms_of 8 *. 1.25));
   Printf.printf
-    "page service spreads over the stripe sites; width 1 is the classic\n\
-     single-SS protocol, and cost per open does not grow with the size of\n\
-     the installation.\n";
+    "one SS serves every page of an open, and cost per open does not grow\n\
+     with the size of the installation.\n";
   (* A gate, not just a cell: bench-smoke fails when any check fails. *)
-  if not (all_ok && List.for_all (fun (_, _, _, _, _, _, ok) -> ok) scale) then
-    failwith "E22: a striped read returned the wrong bytes";
-  if speedup < 2.0 then failwith "E22: width 4 is not twice width 1's throughput";
+  if not (List.for_all (fun (_, _, _, _, _, _, ok) -> ok) scale) then
+    failwith "E22: a read returned the wrong bytes";
   if ms_of 512 > ms_of 8 *. 1.25 then failwith "E22: read cost grows with the site count"
 
 (* ---------------------------------------------------------------- E23 *)

@@ -176,7 +176,6 @@ let handle_open k ~src gf mode ~shared us_vv =
               i_mtime = 0.0;
               i_vv = vv;
               i_deleted = false;
-              i_stripes = [];
             }
           in
           (* Optimization 2 of section 2.3.3: the CSS stores the latest
@@ -199,7 +198,7 @@ let handle_open k ~src gf mode ~shared us_vv =
              distinction the US double-registers a polled self-serve open
              and one close can never balance two registrations. *)
           let reg (ss, info, slot) = (ss, info, slot, true) in
-          let classic_choice () =
+          let choice =
             (* While a writer is active only one storage site may be
                involved (section 2.3.6 footnote): every open is directed to
                writer_ss. *)
@@ -221,32 +220,6 @@ let handle_open k ~src gf mode ~shared us_vv =
                   in
                   Option.map reg (try_sites candidates)
               end
-          in
-          (* Stripe only a solitary read open: a striped read wants an
-             undisturbed whole-version copy at every stripe site, so a
-             writer or any concurrent sharing falls back to the classic
-             single-SS protocol. A modify open is never striped: while a
-             writer is active only one storage site may be involved
-             (section 2.3.6 footnote). stripe_width = 1 disables the
-             machinery. *)
-          let stripes =
-            if
-              k.config.stripe_width > 1 && (not shared) && mode = Proto.Mode_read
-              && f.writer = None && f.writer_ss = None && not us_is_current
-            then stripe_map ~width:k.config.stripe_width ~ino candidates
-            else []
-          in
-          (* Only the primary is polled and registered: peers serve
-             strided reads statelessly from their packs, so a striped read
-             open costs the same messages as a classic one. *)
-          let choice, stripes =
-            match stripes with
-            | [] -> (classic_choice (), [])
-            | primary :: _ -> (
-              let prim = if Site.equal primary k.site then css_self () else poll primary in
-              match prim with
-              | Some x -> (Some (reg x), stripes)
-              | None -> (classic_choice (), []))
           in
           match choice with
           | None -> Proto.R_err Proto.Enet
@@ -272,16 +245,12 @@ let handle_open k ~src gf mode ~shared us_vv =
             | Proto.Mode_read | Proto.Mode_internal ->
               count_reader f src;
               if lease then f.leases <- Site.Set.add src f.leases);
-            record k ~tag:"css.open" "%a %a by %a -> ss %a%a" Gfile.pp gf Proto.pp_mode mode
-              Site.pp src Site.pp ss
-              (fun ppf -> function
-                | [] -> ()
-                | stripes -> Format.fprintf ppf " stripes [%a]" pp_sites stripes)
-              stripes;
+            record k ~tag:"css.open" "%a %a by %a -> ss %a" Gfile.pp gf Proto.pp_mode mode
+              Site.pp src Site.pp ss;
             Proto.R_open
               {
                 ss;
-                info = { info with Proto.i_stripes = stripes };
+                info;
                 others = others ss;
                 nocache = f.writer <> None;
                 slot;

@@ -14,13 +14,11 @@ let handle k ~src (req : Proto.req) : Proto.resp =
          first [want] pages, read from the inode its [info] names, so the
          US's first [Read_pages] never goes out. Not when a writer exists
          (its session's bytes are not the committed copy's), not to a
-         collocated US, not for a polled SS (the pages would cross the wire
-         twice) and not for a striped open (one owner per page). *)
+         collocated US and not for a polled SS (the pages would cross the
+         wire twice). *)
       match Css.handle_open k ~src gf mode ~shared us_vv with
-      | Proto.R_open ({ ss; info; nocache = false; slot; _ } as r)
-        when want > 0 && Site.equal ss k.site
-             && (not (Site.equal src k.site))
-             && info.Proto.i_stripes = [] -> (
+      | Proto.R_open ({ ss; nocache = false; slot; _ } as r)
+        when want > 0 && Site.equal ss k.site && not (Site.equal src k.site) -> (
         match Ss.handle_read_pages ~guess:slot ~committed:true k gf ~first:0 ~count:want with
         | Proto.R_pages { pages; _ } -> Proto.R_open { r with pages }
         | _ -> Proto.R_open r)
@@ -28,8 +26,8 @@ let handle k ~src (req : Proto.req) : Proto.resp =
     | Proto.Storage_req { gf; vv; us; mode; others } ->
       Ss.handle_storage_req k gf ~vv ~us ~mode ~others
     (* data transfer *)
-    | Proto.Read_pages { gf; first; count; guess; stride; committed; stat } ->
-      Ss.handle_read_pages ~guess ~stride ~committed ~stat k gf ~first ~count
+    | Proto.Read_pages { gf; first; count; guess; committed; stat } ->
+      Ss.handle_read_pages ~guess ~committed ~stat k gf ~first ~count
     | Proto.Write_pages { gf; trunc; first; off; data } ->
       Ss.handle_write_pages ?trunc k ~src gf ~first ~off ~data
     | Proto.Commit_req { gf; us = _; abort; delete; force_vv } ->

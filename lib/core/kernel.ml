@@ -389,13 +389,10 @@ let mailbox_read k (proc : proc) path =
 
 (* Local resources in use remotely / remote resources in use locally. *)
 let handle_site_failure k dead =
-  (* US side: open files served by the failed SS, or striped across it. *)
+  (* US side: open files served by the failed SS. *)
   Hashtbl.iter
     (fun _ (o : ofile) ->
-      if
-        (not o.o_closed)
-        && (Site.equal o.o_ss dead || List.exists (Site.equal dead) o.o_stripes)
-      then begin
+      if (not o.o_closed) && Site.equal o.o_ss dead then begin
         match o.o_mode with
         | Proto.Mode_modify ->
           (* Discard pages, set error in the local file descriptor. *)
@@ -405,16 +402,8 @@ let handle_site_failure k dead =
           Us.drop_private k o;
           Sim.Stats.incr (stats k) "cleanup.us.update_lost";
           record k ~tag:"cleanup" "update lost %a" Gfile.pp o.o_gf
-        | Proto.Mode_read | Proto.Mode_internal
-          when (not (Site.equal o.o_ss dead)) && in_partition k o.o_ss ->
-          (* Only a stripe peer died; the primary still serves a complete
-             copy, so the open degrades to the classic protocol in place. *)
-          o.o_stripes <- [];
-          Sim.Stats.incr (stats k) "cleanup.us.stripe_degraded";
-          record k ~tag:"cleanup" "stripe degraded %a" Gfile.pp o.o_gf
         | Proto.Mode_read | Proto.Mode_internal -> (
           (* Internal close, attempt to reopen at another site. *)
-          o.o_stripes <- [];
           match Us.open_gf k o.o_gf o.o_mode with
           | o' ->
             (* The open now rides the new grant (if any); stop riding the
@@ -423,7 +412,6 @@ let handle_site_failure k dead =
             o.o_ss <- o'.o_ss;
             o.o_info <- o'.o_info;
             o.o_key <- o'.o_key;
-            o.o_stripes <- o'.o_stripes;
             o.o_lease <- o'.o_lease;
             Hashtbl.remove k.open_files (o'.o_gf, o'.o_serial);
             Sim.Stats.incr (stats k) "cleanup.us.reopened";

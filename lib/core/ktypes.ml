@@ -31,7 +31,6 @@ let () =
 type config = {
   us_cache_pages : int;      (* US page-cache entries; 0 disables the US cache *)
   ss_cache_pages : int;      (* SS buffer-cache entries; 0 disables the tier *)
-  cache_retention : bool;    (* keep version-keyed US pages across opens *)
   propagation_delay : float; (* ms before the kernel propagation process runs a pull *)
   name_cache_entries : int;  (* pathname name-cache entries; 0 disables (2.3.4) *)
   remote_lookup : bool;      (* ship partial pathnames to a storage site (2.3.4) *)
@@ -44,24 +43,17 @@ type config = {
      leases on open: the US retains the whole open grant across close and
      re-opens with zero messages until a callback break. 0 disables the
      lease layer and keeps the classic open/close protocol byte-identical. *)
-  stripe_width : int;
-  (* stripe a read open's logical pages across up to this many storage
-     sites holding latest copies: page p lives at stripes.(p mod width).
-     A modify open is never striped. 1 disables striping and keeps the
-     classic protocol byte-identical. *)
 }
 
 let default_config =
   {
     us_cache_pages = 256;
     ss_cache_pages = 512;
-    cache_retention = true;
     propagation_delay = 2.0;
     name_cache_entries = 512;
     remote_lookup = true;
     bulk_window = 8;
     open_lease_entries = 64;
-    stripe_width = 1;
   }
 
 (* Initial bucket count for the hot per-kernel hashtables (open files, SS
@@ -118,8 +110,8 @@ type ofile = {
   mutable o_info : Proto.inode_info;
   mutable o_nocache : bool;
   (* another open is writing the file: bypass the US cache. A writer's own
-     open caches under a private key instead, unless it is striped or its
-     descriptor has been shared with another site *)
+     open caches under a private key instead, unless its descriptor has
+     been shared with another site *)
   mutable o_key : string;
   (* the version part of this open's US cache keys, computed once: the
      committed version for a read open, a key private to the open for a
@@ -138,11 +130,6 @@ type ofile = {
   (* readahead batches scheduled and not yet run, to dedup overlapping
      fetches; a demand miss inside one takes it over and retires it *)
   mutable o_wb : wb_run option; (* pending write-behind run, if any *)
-  mutable o_stripes : Site.t list;
-  (* stripe map for this read open: page p is served by
-     stripes.(p mod width); [] = unstriped, as every modify open is:
-     everything goes to [o_ss]. [o_ss] is always the primary (first)
-     stripe site when striped. *)
   mutable o_closed : bool;
   mutable o_lease : Openlease.entry option;
   (* the lease grant this open rides: its close is deferred while the
@@ -344,29 +331,6 @@ let place_css ~fg candidates =
     let n = List.length sorted in
     let idx = fg * 2654435761 land max_int mod n in
     Some (List.nth sorted idx)
-
-(* Deterministic stripe map for a file: up to [width] distinct sites, all
-   holding the latest version, rotated by inode number so different files
-   spread load across the same holders. Striping only engages when at
-   least two latest-copy holders exist; otherwise the classic single-SS
-   protocol applies ([]). *)
-let stripe_map ~width ~ino candidates =
-  if width <= 1 then []
-  else
-    match List.sort_uniq Site.compare candidates with
-    | [] | [ _ ] -> []
-    | sorted ->
-      let n = List.length sorted in
-      let w = min width n in
-      let arr = Array.of_list sorted in
-      let rot = ino mod n in
-      List.init w (fun i -> arr.((rot + i) mod n))
-
-(* Which stripe site serves logical page [lpage] under map [stripes]. *)
-let stripe_owner stripes lpage =
-  match stripes with
-  | [] -> invalid_arg "stripe_owner: unstriped file"
-  | _ -> List.nth stripes (lpage mod List.length stripes)
 
 (* US cache keys carry the version vector rendered to a string, so a new
    committed version naturally misses (coherence for free). *)

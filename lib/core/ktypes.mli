@@ -35,7 +35,6 @@ val err : Proto.errno -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 type config = {
   us_cache_pages : int;      (** US page-cache entries; 0 disables the US cache *)
   ss_cache_pages : int;      (** SS buffer-cache entries; 0 disables the tier *)
-  cache_retention : bool;    (** keep version-keyed US pages across opens *)
   propagation_delay : float; (** ms before the propagation kernel process runs *)
   name_cache_entries : int;  (** pathname name-cache entries; 0 disables (§2.3.4) *)
   remote_lookup : bool;      (** ship partial pathnames to a storage site (§2.3.4) *)
@@ -49,11 +48,6 @@ type config = {
           close and re-opens with zero messages until a callback break. 0
           disables the lease layer and keeps the classic open/close
           protocol byte-identical. *)
-  stripe_width : int;
-      (** stripe a read open's logical pages across up to this many
-          storage sites holding latest copies; a modify open is never
-          striped (one storage site per writer, §2.3.6). 1 disables
-          striping and keeps the classic protocol byte-identical *)
 }
 
 val default_config : config
@@ -108,8 +102,8 @@ type ofile = {
   mutable o_info : Proto.inode_info;
   mutable o_nocache : bool;
       (** another open is writing the file: bypass the US cache. A
-          writer's own open caches under a private key instead, unless it
-          is striped or its descriptor has been shared with another site *)
+          writer's own open caches under a private key instead, unless its
+          descriptor has been shared with another site *)
   mutable o_key : string;
       (** the version part of this open's US cache keys, computed once:
           the committed version for a read open; for a writer, a key
@@ -130,10 +124,6 @@ type ofile = {
       (** readahead batches scheduled and not yet run, deduping overlaps;
           a demand miss inside one takes it over and retires it *)
   mutable o_wb : wb_run option; (** pending write-behind run *)
-  mutable o_stripes : Site.t list;
-      (** stripe map for this read open: page p is served by
-          [stripes.(p mod width)]; [[]] = unstriped, as every modify open
-          is. When striped, [o_ss] is the primary (first) stripe site. *)
   mutable o_closed : bool;
   mutable o_lease : Openlease.entry option;
       (** the lease grant this open rides: its close is deferred while
@@ -327,15 +317,6 @@ val place_css : fg:int -> Site.t list -> Site.t option
     for [fg] from the sorted pack-holder candidates alone. Filegroup 0
     maps to the lowest candidate (the classic layout); distinct
     filegroups spread across their holders. [None] iff no candidates. *)
-
-val stripe_map : width:int -> ino:int -> Site.t list -> Site.t list
-(** Deterministic stripe map: up to [width] distinct latest-copy holders,
-    rotated by [ino]. [[]] (unstriped) when [width <= 1] or fewer than
-    two candidates. *)
-
-val stripe_owner : Site.t list -> int -> Site.t
-(** The stripe site serving logical page [lpage]. Raises on an unstriped
-    ([[]]) map. *)
 
 val vv_key : Vvec.t -> string
 (** The version vector as a cache-key component: a new committed version

@@ -86,20 +86,18 @@ let note_guess k gf guess =
   | Some g when Gfile.equal g gf -> Sim.Stats.incr (stats k) "ss.guess.hit"
   | Some _ | None -> Sim.Stats.incr (stats k) "ss.guess.miss"
 
-(* Serve up to [count] pages, every [stride]-th from [first], in one
-   response: the network read protocol (section 2.3.3), one page at
-   [count] = 1. The guess locates the incore inode without a lookup when
-   it is still valid. Each page costs what a single read does; only the
-   message count changes. A stride above 1 is a striped US asking this
-   site for just its own stripe's pages. The reply is trimmed at end of
-   file, and a page at or past it is not read at all, with [eof] telling
-   the US this site's share of the stream is done. A background read sets
-   [committed]; with [stat] the reply also carries the committed inode,
-   at the disk read a stat costs, and a count of 0 reads only that. *)
-let handle_read_pages ?(guess = 0) ?(stride = 1) ?(committed = false) ?(stat = false) k gf
-    ~first ~count =
+(* Serve up to [count] pages from [first] in one response: the network
+   read protocol (section 2.3.3), one page at [count] = 1. The guess
+   locates the incore inode without a lookup when it is still valid. Each
+   page costs what a single read does; only the message count changes.
+   The reply is trimmed at end of file, and a page at or past it is not
+   read at all, with [eof] telling the US the file ends in this reply. A
+   background read sets [committed]; with [stat] the reply also carries
+   the committed inode, at the disk read a stat costs, and a count of 0
+   reads only that. *)
+let handle_read_pages ?(guess = 0) ?(committed = false) ?(stat = false) k gf ~first ~count =
   note_guess k gf guess;
-  if first < 0 || count < 0 || (count = 0 && not stat) || stride <= 0 then
+  if first < 0 || count < 0 || (count = 0 && not stat) then
     Proto.R_err Proto.Einval
   else
     match local_pack k gf.Gfile.fg with
@@ -119,7 +117,7 @@ let handle_read_pages ?(guess = 0) ?(stride = 1) ?(committed = false) ?(stat = f
         let npages = (size + Page.size - 1) / Page.size in
         let pages = ref [] in
         for i = count - 1 downto 0 do
-          let lpage = first + (i * stride) in
+          let lpage = first + i in
           if lpage < npages then begin
             let page = read_page lpage in
             let remaining = size - (lpage * Page.size) in
@@ -127,33 +125,31 @@ let handle_read_pages ?(guess = 0) ?(stride = 1) ?(committed = false) ?(stat = f
             pages := Page.sub page 0 len :: !pages
           end
         done;
-        Proto.R_pages { pages = !pages; eof = first + (count * stride) >= npages; info })
+        Proto.R_pages { pages = !pages; eof = first + count >= npages; info })
 
 (* The client half: read pages of [gf] from [site], by a procedure call
    when this site serves itself. Raises [Error] on a refusal or a network
    failure. *)
-let read_request k site gf ~first ~count ~stride ~guess ~committed ~stat =
+let read_request k site gf ~first ~count ~guess ~committed ~stat =
   let resp =
     if Site.equal site k.site then begin
       charge k (latency k).Net.Latency.local_call;
-      handle_read_pages ~guess ~stride ~committed ~stat k gf ~first ~count
+      handle_read_pages ~guess ~committed ~stat k gf ~first ~count
     end
-    else rpc k site (Proto.Read_pages { gf; first; count; guess; stride; committed; stat })
+    else rpc k site (Proto.Read_pages { gf; first; count; guess; committed; stat })
   in
   match resp with
   | Proto.R_pages { pages; eof; info } -> (pages, eof, info)
   | Proto.R_err e -> err e "read %a pages %d+%d failed" Gfile.pp gf first count
   | _ -> err Proto.Eio "unexpected read response"
 
-let read_pages k site gf ~first ~count ~stride ~guess =
-  let pages, eof, _ =
-    read_request k site gf ~first ~count ~stride ~guess ~committed:false ~stat:false
-  in
+let read_pages k site gf ~first ~count ~guess =
+  let pages, eof, _ = read_request k site gf ~first ~count ~guess ~committed:false ~stat:false in
   (pages, eof)
 
 let read_committed k site gf ~first ~count ~stat =
   let pages, _, info =
-    read_request k site gf ~first ~count ~stride:1 ~guess:0 ~committed:true ~stat
+    read_request k site gf ~first ~count ~guess:0 ~committed:true ~stat
   in
   (pages, info)
 
@@ -571,18 +567,19 @@ let handle_us_close k ~src gf ~mode =
     send_close k fi.css_site (Proto.Ss_close { gf; ss = k.site; us = src; mode })
 
 (* Revalidate this site's serving registrations against the using sites'
-   actual open files, part of the post-merge rebuild (the SS-side analogue
-   of the section 5.6 lock-table scrub). A registration outlives its open
-   in two ways. A membership change drops every retained lease silently,
+   actual open files, part of every membership install (the SS-side
+   analogue of the section 5.6 lock-table scrub). A registration outlives
+   its open in two ways. A membership change drops every retained lease silently,
    so the deferred close of a lease no open rides never arrives. And when
    every attempt of an open lost its reply, the CSS registered the US
    here (poll or local add), but the US never learned the open
    succeeded, so no close will ever arrive. Each US in the partition is
-   asked for its live opens (its leases are already gone: every member
-   drops its lease table on the merge announcement); each count above
-   what the US reports, of opens or of modify opens, is ended down to it,
-   as that many closes would. An unreachable US keeps its registrations;
-   the next merge retries. *)
+   asked for its live opens, which count no lease (a member drops its
+   lease table when it installs the membership, and the query reports
+   only open files, riders of a lease included); each count above what
+   the US reports, of opens or of modify opens, is ended down to it, as
+   that many closes would. An unreachable US keeps its registrations;
+   the next membership change retries. *)
 let revalidate_serving k =
   (* (us, fg) -> ino -> live (opens, modify opens) at us, queried at most
      once. *)

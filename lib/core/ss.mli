@@ -1,6 +1,7 @@
 (** Storage Site logic (§2.3.3, §2.3.5, §2.3.6).
 
-    The SS serves pages to using sites, receives modification pages and
+    The SS the CSS chose for an open serves every page of it to the using
+    site (§2.3.3), receives modification pages and
     truncates into shadow pages, invalidates the other using sites'
     buffers of what each write changed (one ranged message per write),
     and performs the atomic commit — after which it notifies
@@ -24,7 +25,6 @@ val handle_storage_req :
 
 val handle_read_pages :
   ?guess:int ->
-  ?stride:int ->
   ?committed:bool ->
   ?stat:bool ->
   Ktypes.t ->
@@ -32,8 +32,7 @@ val handle_read_pages :
   first:int ->
   count:int ->
   Proto.resp
-(** Serve up to [count] pages, every [stride]-th from [first], in one
-    response: the network read protocol (§2.3.3), a single page at
+(** Serve up to [count] pages from [first] in one response: the network read protocol (§2.3.3), a single page at
     [count] = 1. Pages come through the open shadow session when one
     exists, giving Unix shared-file read semantics, unless the read is
     [committed] (a background read: a pull, reconciliation), which sees
@@ -42,9 +41,7 @@ val handle_read_pages :
     costs; only with it may [count] be 0. [guess] is the US's hint for
     locating the incore inode; hits and misses are counted in the
     statistics. Each page costs what a single read does; the reply is
-    trimmed at end of file, and a page at or past it is not read. A stride
-    above 1 is a striped US asking for just this site's own stripe's
-    pages. *)
+    trimmed at end of file, and a page at or past it is not read. *)
 
 val read_pages :
   Ktypes.t ->
@@ -52,10 +49,9 @@ val read_pages :
   Catalog.Gfile.t ->
   first:int ->
   count:int ->
-  stride:int ->
   guess:int ->
   string list * bool
-(** [read_pages k site gf ~first ~count ~stride ~guess]: the client half
+(** [read_pages k site gf ~first ~count ~guess]: the client half
     of [handle_read_pages] — the pages [site] returns and its eof flag. A
     procedure call (charged [local_call]) when [site] is this site, else
     one [Read_pages] RPC. Raises {!Ktypes.Error} on a refusal or a network
@@ -130,8 +126,8 @@ val handle_commit :
 (** The atomic commit (§2.3.6): switch the incore inode in, bump the
     version vector (or install [force_vv], recovery's merged vector), and
     send commit notifications. [abort] discards instead; [delete] marks
-    the inode deleted first (§2.3.7). A modify open is never striped, so
-    this one site holds the whole session. *)
+    the inode deleted first (§2.3.7). The open's one SS holds the whole
+    session. *)
 
 val handle_us_close :
   Ktypes.t -> src:Net.Site.t -> Catalog.Gfile.t -> mode:Proto.open_mode -> Proto.resp
@@ -140,7 +136,8 @@ val handle_us_close :
     a writer's close aborts a session it left uncommitted. *)
 
 val revalidate_serving : Ktypes.t -> unit
-(** Post-merge SS-side analogue of the §5.6 lock-table scrub: ask every
+(** SS-side analogue of the §5.6 lock-table scrub, run at every
+    membership install, a partition's as a merge's: ask every
     using site in the partition for its live opens and end every serving
     registration, of an open or a modify open, beyond what the US reports,
     through {!Ktypes.ss_end} as a close would. Cleans up
@@ -148,7 +145,7 @@ val revalidate_serving : Ktypes.t -> unit
     a close, and those stranded by an open whose every attempt lost its
     reply — the CSS registered the US here, but the US never learned its
     open succeeded, so no close will ever arrive. Unreachable USes keep
-    their registrations for the next merge to retry. *)
+    their registrations for the next membership change to retry. *)
 
 val alloc_inode :
   Ktypes.t ->

@@ -12,8 +12,8 @@
    file and version, so a new committed version naturally misses; a
    writer's pages go under a key private to its open). One windowed
    fetcher fills the cache for every remote read, a reader's or a
-   writer's: a window of up to [bulk_window] pages per page owner, over
-   [width] owners (the stripe count, 1 when unstriped). A read call tells
+   writer's: a window of up to [bulk_window] pages from the one SS the
+   CSS chose for the open, which serves every page of it. A read call tells
    the fetcher its extent, so a demand miss fetches the call's pages up to
    a full window at once, and readahead starts only past the call's last
    page. A demand miss on a page whose readahead batch has not run yet
@@ -22,8 +22,8 @@
    open asks for the file's first window, and a CSS that serves the open
    itself returns those pages in its [R_open]: they are filed like a
    fetch's, so a file of up to a window is read with no read message.
-   Window 1 and width 1 is the paper's one-page readahead on sequential
-   reads, and its open, which asks for no pages. *)
+   Window 1 is the paper's one-page readahead on sequential reads, and
+   its open, which asks for no pages. *)
 
 open Ktypes
 module Inode = Storage.Inode
@@ -132,9 +132,7 @@ let rec open_gf ?(shared = false) k gf mode =
   let asks = asks_first_pages k fi mode ~shared in
   let tag, ss, info, nocache, slot, lease, pages =
     match lease_ride with
-    (* Leases only exist while no writer does. A striped grant rides too:
-       the peers serve their stripes statelessly, so the map stays valid as
-       long as the lease does. *)
+    (* Leases only exist while no writer does. *)
     | Some e ->
       ( "us.open.lease",
         e.Openlease.le_ss,
@@ -152,7 +150,6 @@ let rec open_gf ?(shared = false) k gf mode =
       o_mode = mode;
       o_ss = ss;
       o_info = info;
-      o_stripes = info.Proto.i_stripes;
       (* The CSS reports any writer, this open included. The writer's own
          open caches under its private key unless a shared descriptor's
          other holders write behind its back (the original open stops
@@ -200,9 +197,7 @@ and open_cold ~shared ~asks k fi gf mode =
         match local_pack k gf.Gfile.fg with
         | Some pack -> (
           match Pack.find_inode pack gf.Gfile.ino with
-          | Some inode ->
-            (* The stripe map is CSS state, not disk state: keep it. *)
-            { (Proto.info_of_inode inode) with Proto.i_stripes = info.Proto.i_stripes }
+          | Some inode -> Proto.info_of_inode inode
           | None -> info)
         | None -> info
       end
@@ -240,27 +235,6 @@ and open_cold ~shared ~asks k fi gf mode =
     ("us.open", ss, info, nocache, slot, lease_entry, pages)
   | Proto.R_err e -> err e "open %a failed" Gfile.pp gf
   | _ -> err Proto.Eio "unexpected open response"
-
-(* ---- page owners: striping (section: scale-out storage) ----
-
-   A striped read open carries a stripe map from the CSS: logical page
-   [p] is served by [o_stripes.(p mod width)]. An empty map is width 1:
-   every page lives at [o_ss], the classic single-SS protocol, as it does
-   for every modify open. *)
-
-let striped o = o.o_stripes <> []
-
-let width o = match o.o_stripes with [] -> 1 | stripes -> List.length stripes
-
-let page_site o lpage =
-  match o.o_stripes with [] -> o.o_ss | stripes -> stripe_owner stripes lpage
-
-(* A stripe peer stopped answering: drop back to the classic protocol
-   against the primary, which holds a complete latest copy. *)
-let stripe_degrade k o =
-  record k ~tag:"us.stripe.degrade" "%a" Gfile.pp o.o_gf;
-  Sim.Stats.incr (stats k) "us.stripe.degrade";
-  o.o_stripes <- []
 
 (* The bulk-transfer layer batches write traffic with a remote SS; local
    access and a window of one page keep the original protocol exactly. *)
@@ -305,14 +279,13 @@ let start_wb_run k o ~off data =
         match flush_wb k o with () -> () | exception Error _ -> ())
       | Some _ | None -> ())
 
-(* ---- the windowed page fetcher (section 2.3.3; bulk reads; striping) ----
+(* ---- the windowed page fetcher (section 2.3.3; bulk reads) ----
 
    One fetcher serves every cacheable read. A sequential reader keeps a
-   window of up to [bulk_window] pages per owner requested ahead of it,
-   and the [width] owners of a striped file serve their shares in
-   parallel, so a round trip moves up to [width * window] pages. The
-   paper's protocol is the degenerate setting: window 1 and width 1 fetch
-   one page per one-page [Read_pages] with one-page readahead. *)
+   window of up to [bulk_window] pages requested ahead of it from the
+   open's SS, so a round trip moves up to a window of pages. The paper's
+   protocol is the degenerate setting: window 1 fetches one page per
+   one-page [Read_pages] with one-page readahead. *)
 
 let npages_of o = (o.o_info.Proto.i_size + Page.size - 1) / Page.size
 
@@ -334,73 +307,40 @@ let run_length k o ~from ~limit =
   in
   len 0
 
-(* One owner's share of a run: [cnt] of its pages from [f], every [w]-th,
-   in one [Read_pages]. Only a request of two or more pages counts as a
-   bulk read. *)
-let fetch_share k o ~w site ~f ~cnt =
-  let guess = if w = 1 && Site.equal site o.o_ss then o.o_guess else 0 in
+(* [count] pages from [first] in one [Read_pages] to the open's SS. Only
+   a request of two or more pages counts as a bulk read. *)
+let fetch k o ~first ~count =
   let ((pages, _) as reply) =
-    Ss.read_pages k site o.o_gf ~first:f ~count:cnt ~stride:w ~guess
+    Ss.read_pages k o.o_ss o.o_gf ~first ~count ~guess:o.o_guess
   in
-  if w > 1 then begin
-    Sim.Stats.incr (stats k) "us.stripe.read";
-    Sim.Stats.add (stats k) "us.stripe.read.pages" (List.length pages)
-  end
-  else if cnt > 1 then begin
+  if count > 1 then begin
     Sim.Stats.incr (stats k) "us.bulk.read";
     Sim.Stats.add (stats k) "us.bulk.read.pages" (List.length pages)
   end;
   reply
 
-(* Whether page [lpage] ends a striped file. An owner's eof speaks for
-   the last page of its own share, not for [lpage], so the open's size
-   decides. *)
-let stripe_eof o lpage = (lpage + 1) * Page.size >= o.o_info.Proto.i_size
-
-(* Fetch the run [first, first+count) into the US cache: each owner gets
-   the arithmetic subsequence of its own pages as one strided request, and
-   the requests travel in parallel, so the elapsed cost is the slowest
-   share, not the sum. Returns page [first] and whether it ends the file. *)
+(* Fetch the run [first, first+count) into the US cache. Returns page
+   [first] and whether it ends the file. *)
 let fetch_range k o ~first ~count =
-  let w = width o in
-  let head = ref ("", true) in
-  let share site ~f ~cnt () =
-    let pages, eof = fetch_share k o ~w site ~f ~cnt in
-    List.iteri (fun i d -> file_page k o (f + (i * w)) d) pages;
-    match pages with
-    | d :: rest when f = first ->
-      head := (d, if w = 1 then rest = [] && eof else stripe_eof o first)
-    | _ -> ()
-  in
-  if w = 1 || count = 1 then share (page_site o first) ~f:first ~cnt:count ()
-  else
-    Engine.parallel k.engine
-      (List.init w Fun.id
-      |> List.filter_map (fun j ->
-             let f = first + ((j - (first mod w) + w) mod w) in
-             let cnt = (first + count - f + w - 1) / w in
-             if f >= first + count then None
-             else Some (share (stripe_owner o.o_stripes f) ~f ~cnt)));
-  !head
+  let pages, eof = fetch k o ~first ~count in
+  List.iteri (fun i d -> file_page k o (first + i) d) pages;
+  match pages with d :: rest -> (d, rest = [] && eof) | [] -> ("", true)
 
-(* One page straight from its owner, past the US cache. *)
+(* One page straight from the SS, past the US cache. *)
 let fetch_uncached k o lpage =
-  let pages, eof = fetch_share k o ~w:1 (page_site o lpage) ~f:lpage ~cnt:1 in
-  ( (match pages with d :: _ -> d | [] -> ""),
-    if striped o then stripe_eof o lpage else eof )
+  let pages, eof = fetch k o ~first:lpage ~count:1 in
+  ((match pages with d :: _ -> d | [] -> ""), eof)
 
 (* Keep a full window requested ahead of a sequential reader. The frontier
    is the first page no fetch has been issued for; a new batch goes out
    only when the reader has caught up with it, so steady-state sequential
-   reading issues one request per owner per window of pages. A readahead
-   failure is silent: the next demand fetch surfaces the error (and the
-   degrade path handles a failed stripe peer). *)
+   reading issues one request per window of pages. A readahead failure is
+   silent: the next demand fetch surfaces the error. *)
 let schedule_window k o ~lpage =
   let npages = npages_of o in
   let first = lpage + 1 in
   if o.o_ra_frontier <= first && first < npages then begin
-    let w = width o in
-    let count = run_length k o ~from:first ~limit:(min (o.o_window * w) (npages - first)) in
+    let count = run_length k o ~from:first ~limit:(min o.o_window (npages - first)) in
     if count > 0 then begin
       let serial = next_gen o and key = o.o_key in
       o.o_inflight <- { ra_serial = serial; ra_first = first; ra_count = count } :: o.o_inflight;
@@ -409,12 +349,8 @@ let schedule_window k o ~lpage =
           (* A batch no longer pending was taken over by a demand miss. *)
           let pending = List.exists (fun b -> b.ra_serial = serial) o.o_inflight in
           retire o serial;
-          (* A degrade changed the owners, or a write the bytes, under us:
-             drop the batch. *)
-          if
-            pending && (not o.o_closed) && k.alive && width o = w
-            && String.equal o.o_key key
-          then begin
+          (* A write changed the bytes under us: drop the batch. *)
+          if pending && (not o.o_closed) && k.alive && String.equal o.o_key key then begin
             (* A demand fetch may have overtaken us: re-scan and fetch only
                the still-missing tail of the scheduled range. *)
             let rec first_missing p =
@@ -435,7 +371,7 @@ let schedule_window k o ~lpage =
 (* A cacheable read: a hit is served from the US cache, a miss fetches
    the run of missing pages the window or the call's extent allows. The
    read call wants [want] pages from [lpage] on; a miss fetches that many,
-   or the window if it is larger, capped at a full window per owner. A
+   or the window if it is larger, capped at a full window. A
    miss on a page whose readahead batch is scheduled but has not run
    models the reader sleeping on the buffer until that batch's reply
    lands: it fetches the batch's still-missing pages from the demanded
@@ -458,8 +394,7 @@ let read_cached k o lpage ~sequential ~want =
       (Page.sub page 0 len, (lpage + 1) * Page.size >= size)
     | None ->
       Sim.Stats.incr (stats k) "cache.us.miss";
-      let w = width o in
-      let want = min want (k.config.bulk_window * w) in
+      let want = min want k.config.bulk_window in
       let run limit =
         max 1 (run_length k o ~from:lpage ~limit:(min limit (npages_of o - lpage)))
       in
@@ -471,7 +406,7 @@ let read_cached k o lpage ~sequential ~want =
             if p > lpage && Cache.mem k.us_cache (cache_key o p) then last (p - 1) else p
           in
           max (last (b.ra_first + b.ra_count - 1) - lpage + 1) (run want)
-        | None -> run (max (o.o_window * w) want)
+        | None -> run (max o.o_window want)
       in
       let result = fetch_range k o ~first:lpage ~count in
       if o.o_ra_frontier < lpage + count then o.o_ra_frontier <- lpage + count;
@@ -481,14 +416,12 @@ let read_cached k o lpage ~sequential ~want =
   (data, eof)
 
 (* Read one logical page through the kernel buffers (section 2.3.3). An
-   unstriped open served by this site reads its own pack, at the cost of
+   open served by this site reads its own pack, at the cost of
    conventional Unix; a cacheable open, a writer's included, goes through
    the fetcher; an open that must bypass the cache (another open is
-   writing) reads the page from its owner. When a stripe peer fails under
-   a read open whose primary is still up, the open drops to the classic
-   protocol and the read retries. [want] is how many pages the read call
-   covers from [lpage] on. *)
-let rec read_page ?(want = 1) k o lpage =
+   writing) reads the page from its SS. [want] is how many pages the read
+   call covers from [lpage] on. *)
+let read_page ?(want = 1) k o lpage =
   if o.o_closed then err Proto.Einval "read on closed file";
   (* Read-your-writes: anything buffered for write-behind must reach the
      SS shadow session before a page can be read back. *)
@@ -496,15 +429,9 @@ let rec read_page ?(want = 1) k o lpage =
   charge_cpu_page k;
   let sequential = lpage = o.o_last_lpage + 1 in
   o.o_last_lpage <- lpage;
-  match
-    if cacheable k o && (striped o || not (Site.equal o.o_ss k.site)) then
-      read_cached k o lpage ~sequential ~want
-    else fetch_uncached k o lpage
-  with
-  | result -> result
-  | exception Error _ when striped o && in_partition k o.o_ss ->
-    stripe_degrade k o;
-    read_page ~want k o lpage
+  if cacheable k o && not (Site.equal o.o_ss k.site) then
+    read_cached k o lpage ~sequential ~want
+  else fetch_uncached k o lpage
 
 (* Whole-body read, following the SS's eof indications. Each page read
    wants the pages left to eof. *)
@@ -694,10 +621,8 @@ let close k o =
       if not e.Openlease.le_broken then Sim.Stats.incr (stats k) "open.lease.defer";
       lease_drop_rider k e
     | None -> close_at k o.o_ss o.o_gf o.o_mode);
-    (* Without retention the buffered pages die with the open; with it they
-       stay, version-keyed, so a re-open of the same version hits warm. *)
-    if not k.config.cache_retention then
-      Cache.invalidate_if k.us_cache (fun (g, _, _) -> Gfile.equal g o.o_gf);
+    (* The buffered pages stay, version-keyed, so a re-open of the same
+       version hits warm. *)
     record k ~tag:"us.close" "%a" Gfile.pp o.o_gf
   end
 

@@ -1,8 +1,9 @@
 (** Using Site file access (§2.3.3, §2.3.5).
 
     The US carries out the user-visible half of every file operation: it
-    contacts the CSS to open (Figure 2), exchanges pages with the selected
-    SS, and runs the close protocol. Remote pages are cached at the US,
+    contacts the CSS to open (Figure 2), exchanges pages with the one SS
+    the CSS selected, which serves every page of the open, and runs the
+    close protocol. Remote pages are cached at the US,
     keyed by file and version (a writer's under a key private to its
     open), and one windowed fetcher reads them, a writer's included; at
     window 1 it is the paper's one-page readahead on sequential reads. *)
@@ -27,20 +28,18 @@ val drop_private : Ktypes.t -> Ktypes.ofile -> unit
 val read_page : ?want:int -> Ktypes.t -> Ktypes.ofile -> int -> string * bool
 (** [read_page ~want k o lpage] returns the page data (possibly short at
     end of file) and an eof flag. [want] (default 1) is how many pages the
-    read call covers from [lpage] on. An unstriped open served by this
-    site reads its own pack; only a read open is ever striped. A cacheable open, a writer's own included,
-    goes through the windowed fetcher: a miss fetches a run of pages, one
-    request per page owner, as many as [want] or the open's window,
-    whichever is more, up to [config.bulk_window] pages per owner. On the
-    call's last page ([want <= 1]) a sequential reader keeps a window of
-    up to [config.bulk_window] pages per owner scheduled ahead of it. A
-    miss inside a scheduled batch that has not run yet takes the batch
-    over, so a page-at-a-time sequential read moves one window per round
-    trip even with nothing run between reads. Window 1 over one owner is
-    the classic one-page readahead. An open that must bypass the cache (another open
-    is writing the file) reads the page from its owner, uncached. A read
-    open whose stripe peer fails degrades to the classic protocol and
-    retries. *)
+    read call covers from [lpage] on. An open served by this site reads
+    its own pack. A cacheable open, a writer's own included, goes through
+    the windowed fetcher: a miss fetches a run of pages from the open's
+    SS in one request, as many as [want] or the open's window, whichever
+    is more, up to [config.bulk_window] pages. On the call's last page
+    ([want <= 1]) a sequential reader keeps a window of up to
+    [config.bulk_window] pages scheduled ahead of it. A miss inside a
+    scheduled batch that has not run yet takes the batch over, so a
+    page-at-a-time sequential read moves one window per round trip even
+    with nothing run between reads. Window 1 is the classic one-page
+    readahead. An open that must bypass the cache (another open is
+    writing the file) reads the page from its SS, uncached. *)
 
 val read_all : Ktypes.t -> Ktypes.ofile -> string
 (** Whole-body read following the SS's eof indications; each page read

@@ -246,10 +246,11 @@ let partition t groups =
         if k.K.alive then Some (Recovery.Partition.run_active k) else None)
     groups
 
-(* Heal the physical network and run the merge protocol + recovery. *)
+(* Heal the physical network, restart every crashed site (scavenging its
+   packs, as [restart_site] does), and run the merge protocol + recovery. *)
 let heal_and_merge ?policy t =
   Topology.heal t.topo;
-  List.iter (fun k -> k.K.alive <- true) t.kernels;
+  List.iter (fun k -> if not k.K.alive then ignore (Kernel.restart k)) t.kernels;
   let initiator =
     match List.sort Site.compare (sites t) with s :: _ -> s | [] -> 0
   in

@@ -77,8 +77,10 @@ val heal_and_merge :
   ?policy:Recovery.Merge.timeout_policy ->
   t ->
   Recovery.Merge.report * (int * Recovery.Reconcile.report) list
-(** Repair the network, run the merge protocol from the lowest site, then
-    the recovery procedure (reconciliation + propagation). *)
+(** Repair the network, restart every crashed site (scavenging its
+    orphaned pages, as {!restart_site} does), run the merge protocol from
+    the lowest site, then the recovery procedure (reconciliation +
+    propagation). *)
 
 val crash_site : t -> Net.Site.t -> unit
 (** Power the site off: all volatile kernel state is lost; disks survive. *)

@@ -69,11 +69,6 @@ type inode_info = {
   i_mtime : float;
   i_vv : Vvec.t;
   i_deleted : bool;
-  i_stripes : Net.Site.t list;
-  (* stripe map assigned by the CSS to a read open: logical page p is
-     served by stripes.(p mod width). [] = unstriped (classic single-SS
-     service, and every modify open) and costs zero wire bytes, keeping
-     stripe_width = 1 byte-identical to the classic protocol. *)
 }
 
 let info_of_inode (i : Storage.Inode.t) =
@@ -86,7 +81,6 @@ let info_of_inode (i : Storage.Inode.t) =
     i_mtime = i.mtime;
     i_vv = i.vv;
     i_deleted = i.deleted;
-    i_stripes = [];
   }
 
 type token_key =
@@ -191,17 +185,14 @@ type req =
       first : int;
       count : int;
       guess : int;
-      stride : int;
       committed : bool;
       stat : bool;
     }
-    (* US -> SS: up to [count] pages starting at [first], every [stride]-th
-       logical page, in one round trip — the network read protocol, for a
-       using site, a propagation pull and reconciliation alike. [count] = 1
-       is the paper's one-page read. [guess] is the hint for locating the
-       incore inode. [stride] = 1 is the classic consecutive window; a
-       striped US sends stride = width to each stripe SS so each serves
-       only its own pages. A using site reads an open modification
+    (* US -> SS: up to [count] consecutive pages starting at [first], in
+       one round trip — the network read protocol, for a using site, a
+       propagation pull and reconciliation alike. [count] = 1 is the
+       paper's one-page read. [guess] is the hint for locating the incore
+       inode. A using site reads an open modification
        session's pages when one exists; a background read (a pull,
        reconciliation) sets [committed] and reads only the committed copy.
        [stat] also asks for that copy's inode in the reply, in place of a
@@ -335,8 +326,8 @@ type resp =
            its own serving registration. Packs into the flag byte. *)
       pages : string list;
         (* the committed copy's first pages, up to the request's [want],
-           when the CSS serves a remote read open itself with no writer
-           and no stripes; otherwise none, and the reply is the paper's.
+           when the CSS serves a remote read open itself with no writer;
+           otherwise none, and the reply is the paper's.
            Framed like [R_pages]'s. *)
     }
   | R_storage of { accept : bool; info : inode_info option; slot : int }
@@ -384,7 +375,7 @@ let vv_bytes v = 8 * max 1 (List.length (Vvec.to_list v))
 let site_list_bytes l = 4 * List.length l
 
 let info_bytes i =
-  40 + String.length i.i_owner + vv_bytes i.i_vv + site_list_bytes i.i_stripes
+  40 + String.length i.i_owner + vv_bytes i.i_vv
 
 let env_bytes e =
   16 + String.length e.e_uid + gfile_bytes
@@ -417,14 +408,12 @@ let req_bytes = function
   | Storage_req { vv; others; _ } ->
     header + gfile_bytes + vv_bytes vv + 5 + site_list_bytes others
   (* The one-page forms cost what the paper's one-page messages do: a
-     count travels only when it is not 1, a stride only when it is not 1,
-     and a write within one page carries a page number, an offset and a
+     count travels only when it is not 1, and a write within one page carries a page number, an offset and a
      whole-page flag, not a run header. A background read's flags travel
      in one byte, only when set. *)
-  | Read_pages { count; stride; committed; stat; _ } ->
+  | Read_pages { count; committed; stat; _ } ->
     header + gfile_bytes + 8
     + (if count <> 1 then 4 else 0)
-    + (if stride > 1 then 2 else 0)
     + if committed || stat then 1 else 0
   (* A truncate alone carries just the size; a run pays 4 bytes for one
      only when it carries one. *)

@@ -57,11 +57,6 @@ type inode_info = {
   i_mtime : float;
   i_vv : Vv.Version_vector.t;
   i_deleted : bool;
-  i_stripes : Net.Site.t list;
-      (** stripe map assigned by the CSS to a read open: logical page p
-          is served by [stripes.(p mod width)]. [[]] = unstriped, as every
-          modify open is, and costs zero wire bytes (classic ablation
-          stays byte-identical). *)
 }
 
 val info_of_inode : Storage.Inode.t -> inode_info
@@ -174,17 +169,13 @@ type req =
       first : int;
       count : int;
       guess : int;
-      stride : int;
       committed : bool;
       stat : bool;
-    }  (** US → SS: up to [count] pages, every [stride]-th logical page
-           from [first], in one round trip — the network read protocol
-           (§2.3.3), used alike by the using site, propagation pulls and
-           reconciliation. [count] = 1 is the paper's one-page read and
-           costs what it did on the wire. [guess] locates the incore
-           inode. [stride] = 1 is the classic consecutive window; a
-           striped US sends [stride] = width so each stripe SS serves
-           only its own pages. A using site reads an open modification
+    }  (** US → SS: up to [count] consecutive pages from [first], in one
+           round trip — the network read protocol (§2.3.3), used alike by
+           the using site, propagation pulls and reconciliation. [count] =
+           1 is the paper's one-page read and costs what it did on the
+           wire. [guess] locates the incore inode. A using site reads an open modification
            session's pages when one exists; a background read (a pull,
            reconciliation) sets [committed] and reads only the committed
            copy. [stat] also asks for that copy's inode in the reply, in
@@ -223,8 +214,7 @@ type req =
       force_vv : Vv.Version_vector.t option;
     }  (** US → SS: commit/abort the open modification; [delete] marks
            the inode deleted (§2.3.7); [force_vv] installs recovery's
-           merged vector. A modify open is never striped, so the commit
-           goes to its one SS. *)
+           merged vector. The commit goes to the open's one SS. *)
   | Us_close of { gf : Catalog.Gfile.t; mode : open_mode }
   | Ss_close of {
       gf : Catalog.Gfile.t;
@@ -343,7 +333,7 @@ type resp =
       pages : string list;
         (** the committed copy's first pages, up to the request's [want]:
             only when the CSS is itself the SS of a remote US's read open,
-            with no writer and no stripe map. Empty otherwise, and then the
+            with no writer. Empty otherwise, and then the
             reply costs what the paper's does; framed like [R_pages]. *)
     }
   | R_storage of { accept : bool; info : inode_info option; slot : int }

@@ -63,7 +63,7 @@ let install k ~members ~merge =
   (* No lease survives a membership change: the CSS that granted it may
      no longer be reachable, or no longer the CSS, so its break callbacks
      can no longer be trusted to arrive. Leases die silently, as at a
-     crash; the merge's rebuild and revalidation below restore what their
+     crash; the rebuild and revalidation below restore what their
      deferred closes would have updated. *)
   Locus_core.Openlease.clear k.open_leases;
   (* Directories may have changed arbitrarily in another partition, and
@@ -78,9 +78,10 @@ let install k ~members ~merge =
       ignore (Txn.handle_site_failure k dead);
       Kernel.handle_site_failure k dead)
     departed;
-  (* SS-side half of the merge's rebuild: serving registrations are
-     revalidated against the members' actual open files. *)
-  if merge then Ss.revalidate_serving k;
+  (* SS-side half of the rebuild, at a partition as at a merge: serving
+     registrations are revalidated against the members' actual open files,
+     so those of the leases dropped above draw no more invalidations. *)
+  Ss.revalidate_serving k;
   record k ~tag:"member.install" "members=[%a] departed=[%a]%s" pp_sites members pp_sites
     departed
     (if merge then " merge" else "")

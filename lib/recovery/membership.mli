@@ -10,12 +10,12 @@ val install : Locus_core.Ktypes.t -> members:Net.Site.t list -> merge:bool -> un
     one that lost the role drops them, and a filegroup no member holds a
     pack of gets no CSS (its opens answer [ENET]); then run the §5.6
     cleanup ([Txn.handle_site_failure], [Kernel.handle_site_failure]) for
-    every site that left. [merge] says partitions joined, so the
-    members' histories apart are unknown, and a member that crashed and
-    restarted may rejoin without having left this site's table: the name
-    cache starts cold, every CSS rebuilds whether or not it moved, and
-    the SS registrations are revalidated against the members' open files
-    ({!Locus_core.Ss.revalidate_serving}). *)
+    every site that left; last, revalidate the SS registrations against
+    the members' open files ({!Locus_core.Ss.revalidate_serving}). [merge]
+    says partitions joined, so the members' histories apart are unknown,
+    and a member that crashed and restarted may rejoin without having left
+    this site's table: the name cache starts cold and every CSS rebuilds
+    whether or not it moved. *)
 
 val rebuild_css : Locus_core.Ktypes.t -> int -> members:Net.Site.t list -> unit
 (** New CSS for a filegroup: reconstruct version bookkeeping (from the

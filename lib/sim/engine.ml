@@ -33,24 +33,6 @@ let schedule t ~delay thunk =
   assert (delay >= 0.0);
   schedule_at t ~time:(t.clock.(0) +. delay) thunk
 
-(* Fork/join accounting for foreground work that proceeds in parallel
-   (e.g. a using site fanning one bulk read out to several storage
-   sites). Each thunk runs with the clock rewound to the fork point; the
-   clock afterwards sits at the latest finish time. Events scheduled by a
-   thunk carry absolute times, and [step] never moves the clock
-   backwards, so the event queue is unaffected. *)
-let parallel t thunks =
-  let t0 = t.clock.(0) in
-  let finish =
-    List.fold_left
-      (fun acc thunk ->
-        t.clock.(0) <- t0;
-        thunk ();
-        Float.max acc t.clock.(0))
-      t0 thunks
-  in
-  t.clock.(0) <- finish
-
 let step t =
   if Eheap.is_empty t.queue then false
   else begin

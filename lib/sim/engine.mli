@@ -23,11 +23,6 @@ val charge : t -> float -> unit
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** Run a thunk [delay] ms from now, when the engine next runs. *)
 
-val parallel : t -> (unit -> unit) list -> unit
-(** Run each thunk as a parallel branch of foreground work: every thunk
-    starts at the current clock, and afterwards the clock holds the
-    latest branch finish time (fork/join). *)
-
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
 
 val run_until_idle : ?limit:int -> t -> int * [ `Idle | `Limit ]

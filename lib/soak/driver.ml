@@ -5,19 +5,17 @@
    one injected fault; fault payloads are interpreted against the cluster
    state of the moment (deterministic, since the whole run is), and the
    faults' own writes are recorded in the stream. After the last segment
-   the driver quiesces — message loss off, every dead site restarted and
-   scavenged, network healed, merge + reconciliation run, engine settled
-   — and hands the world and the stream's records to the invariant
-   checker. A read the stream's oracle found wrong is a violation too.
+   the driver quiesces — message loss off, network healed and every dead
+   site restarted and scavenged ([World.heal_and_merge]), merge +
+   reconciliation run, engine settled — and hands the world and the
+   stream's records to the invariant checker. A read the stream's oracle
+   found wrong is a violation too.
 
-   Two deliberate ordering rules keep the invariants meaningful:
-   - loss bursts cover exactly one workload batch and are always cleared
-     before a membership fault or the quiesce, so the recovery protocols
-     themselves never run under injected loss (the paper's reconfiguration
-     protocols assume fail-stop sites, not lossy links mid-merge);
-   - every dead site is restarted (scavenging its packs) before the final
-     heal: [World.heal_and_merge] revives kernels without scavenging, and
-     un-reclaimed shadow pages would show up as false fsck orphans. *)
+   One deliberate ordering rule keeps the invariants meaningful: loss
+   bursts cover exactly one workload batch and are always cleared before
+   a membership fault or the quiesce, so the recovery protocols
+   themselves never run under injected loss (the paper's reconfiguration
+   protocols assume fail-stop sites, not lossy links mid-merge). *)
 
 module World = Locus.World
 module Opstream = Locus.Opstream
@@ -145,7 +143,6 @@ let run ?(drop = []) ?bug ~seed ~ops () =
         count_injected f
       end
     | Schedule.Heal ->
-      List.iter (World.restart_site w) (dead_sites w);
       ignore (World.heal_and_merge w);
       count_injected f
     | Schedule.Loss_burst p ->
@@ -276,7 +273,6 @@ let run ?(drop = []) ?bug ~seed ~ops () =
   (* ---- quiesce ---- *)
   Netsim.set_drop_probability net 0.0;
   loss_active := false;
-  List.iter (World.restart_site w) (dead_sites w);
   ignore (World.heal_and_merge w);
   let n, status = World.settle w in
   events := !events + n;

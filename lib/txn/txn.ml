@@ -220,7 +220,7 @@ let commit t =
 let rec touched_sites t =
   (* Closed handles still count: cleanup may have closed them just before
      asking which transactions the failure dooms. A lock is a modify
-     open, never striped: it touches its one SS. *)
+     open: it touches its one SS. *)
   let own = List.map (fun l -> l.l_ofile.K.o_ss) t.t_locks in
   let kids = List.concat_map touched_sites t.t_children in
   List.sort_uniq Site.compare (own @ kids)

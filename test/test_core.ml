@@ -299,8 +299,7 @@ let test_read_at_eof_reads_no_page () =
   check Alcotest.bool "no buffer for page 2" false (Storage.Cache.mem ss.K.ss_cache (gf, 2));
   let lat = K.latency k3 in
   let request =
-    Proto.Read_pages
-      { gf; first = 2; count = 1; guess = 0; stride = 1; committed = false; stat = false }
+    Proto.Read_pages { gf; first = 2; count = 1; guess = 0; committed = false; stat = false }
   in
   let reply = Proto.R_pages { pages = []; eof = true; info = None } in
   let round_trip =

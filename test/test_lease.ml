@@ -217,20 +217,20 @@ let hold_three w site =
   take_leases w k gfs;
   gfs
 
-(* The SS (site 1) serves [site] for [gf], or the CSS (site 0) counts
-   [site] as a reader of it. *)
+(* The SS (site 1) serves [site] for [gf]. *)
+let serving w site gf =
+  match Hashtbl.find_opt (World.kernel w 1).K.ss_opens gf with
+  | Some s -> Net.Site.Map.mem site s.K.s_uss
+  | None -> false
+
+(* ... or the CSS (site 0) counts [site] as a reader of it. *)
 let registered w site gf =
-  let serving =
-    match Hashtbl.find_opt (World.kernel w 1).K.ss_opens gf with
-    | Some s -> Net.Site.Map.mem site s.K.s_uss
-    | None -> false
-  in
   let reading =
     match Css.find_file (World.kernel w 0) gf.Gfile.fg gf.Gfile.ino with
     | Some f -> Net.Site.Map.mem site f.K.readers
     | None -> false
   in
-  serving || reading
+  serving w site gf || reading
 
 let test_scrub_across_partition_and_merge () =
   let w = make_world () in
@@ -259,9 +259,10 @@ let test_scrub_across_partition_and_merge () =
   ignore (World.settle w)
 
 (* The partition that keeps the holder with both CSS and SS drops its
-   leases too: a lease must never survive any membership change. Their
-   registrations outlive the partition, one per dropped lease, until the
-   merge's rebuild removes them. *)
+   leases too: a lease must never survive any membership change. The
+   partition's revalidation ends their SS registrations at once, so the
+   SS sends the former holder no more invalidations; the CSS's reader
+   counts go at the merge's rebuild. *)
 let test_scrub_even_in_surviving_partition () =
   let w = make_world () in
   let k3 = World.kernel w 3 in
@@ -271,7 +272,11 @@ let test_scrub_even_in_surviving_partition () =
   ignore (World.partition w [ [ 0; 1; 3 ]; [ 2; 4 ] ]);
   ignore (World.settle w);
   check Alcotest.int "no close at the partition" 0 (closes w snap);
-  List.iter (fun gf -> check Alcotest.bool "dropped anyway" false (held k3 gf)) gfs;
+  List.iter
+    (fun gf ->
+      check Alcotest.bool "dropped anyway" false (held k3 gf);
+      check Alcotest.bool "no registration after the partition" false (serving w 3 gf))
+    gfs;
   let o2 = Us.open_gf k3 (List.hd gfs) Proto.Mode_read in
   check Alcotest.string "still readable" "/f" (Us.read_all k3 o2);
   Us.close k3 o2;

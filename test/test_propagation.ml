@@ -476,6 +476,57 @@ let test_wide_commit_pulls () =
     check Alcotest.string "equal bytes" body body'
   | l -> Alcotest.failf "expected two copies, found %d" (List.length l)
 
+(* While a writer is active only one storage site may be involved
+   (section 2.3.6 footnote). A writer on a file with copies at three
+   packs reads its own bytes after a commit, a read open while it writes
+   is served by the writer's SS and sees what the writer pushed there, and
+   the commit reaches every copy. *)
+let test_modify_open_one_ss () =
+  let base = World.default_config ~n_sites:5 () in
+  let w =
+    World.create
+      ~config:
+        {
+          base with
+          World.filegroups = [ { World.fg = 0; pack_sites = [ 0; 1; 2 ]; mount_path = None } ];
+        }
+      ()
+  in
+  let page = Storage.Page.size in
+  let body tag pages =
+    String.init (pages * page) (fun i -> Char.chr (Char.code 'a' + (((i / page) + tag) mod 26)))
+  in
+  let k3 = World.kernel w 3 and p3 = World.proc w 3 in
+  Kernel.set_ncopies p3 3;
+  ignore (Kernel.creat k3 p3 "/big");
+  Kernel.write_file k3 p3 "/big" (body 3 12);
+  ignore (World.settle w);
+  let gf = Kernel.resolve k3 p3 "/big" in
+  let o = Us.open_gf k3 gf Proto.Mode_modify in
+  let v2 = body 7 12 and patch = body 11 3 in
+  Us.write k3 o ~off:0 v2;
+  Us.commit k3 o;
+  Us.write k3 o ~off:(5 * page) patch;
+  let final = String.sub v2 0 (5 * page) ^ patch ^ String.sub v2 (8 * page) (4 * page) in
+  check Alcotest.string "the writer reads its own bytes after a commit" final
+    (Us.read_bytes k3 o ~off:0 ~len:(12 * page));
+  Us.flush_wb k3 o;
+  let k4 = World.kernel w 4 in
+  let r = Us.open_gf k4 gf Proto.Mode_read in
+  check Alcotest.bool "the reader shares the writer's SS" true (Net.Site.equal r.K.o_ss o.K.o_ss);
+  check Alcotest.string "a read open while the writer is open" final (Us.read_all k4 r);
+  Us.close k4 r;
+  Us.close k3 o;
+  ignore (World.settle w);
+  List.iter
+    (fun site ->
+      let pack = Hashtbl.find (World.kernel w site).K.packs 0 in
+      check Alcotest.string
+        (Printf.sprintf "copy at pack %d" site)
+        final
+        (Pack.read_string pack (Pack.get_inode pack gf.Catalog.Gfile.ino)))
+    [ 0; 1; 2 ]
+
 let () =
   Alcotest.run "propagation"
     [
@@ -501,5 +552,6 @@ let () =
           Alcotest.test_case "carried pages ignore an open session" `Quick
             test_carried_ignores_open_session;
           Alcotest.test_case "wide commit carries nothing" `Quick test_wide_commit_pulls;
+          Alcotest.test_case "a modify open uses one storage site" `Quick test_modify_open_one_ss;
         ] );
     ]

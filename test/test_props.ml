@@ -12,18 +12,17 @@
      membership is fully connected and unanimous
    - directory updates at the storage site: random creates and unlinks
      from packed and packless sites, mixed with lost replies, whole-body
-     rewrites and settled lookups, in directories of one page or 10+, at
-     stripe width 1 and 3, give the errnos of a name model, leave
+     rewrites and settled lookups, in directories of one page or 10+,
+     give the errnos of a name model, leave
      byte-identical copies that re-encode to themselves, and list and
      resolve the model's names at every site
    - end-to-end: after random divergent updates and a merge, all copies of
      every file converge to identical version vectors and contents (or the
      file is explicitly marked in conflict)
-   - page fetcher: random read traces at every window x stripe width
-     return the file's bytes, leave nothing in flight, and at window 1 x
-     width 1 are the classic one-page protocol; a writer, never
-     striped, commits at every width and its traces read its own
-     writes, no other open finds its uncommitted bytes in a US
+   - page fetcher: random read traces at every window return the file's
+     bytes, leave nothing in flight, and at window 1 are the classic
+     one-page protocol; a writer's traces read its own writes, no other
+     open finds its uncommitted bytes in a US
      cache, and its privately keyed pages leave the cache when its key is
      renewed and at close. *)
 
@@ -524,8 +523,8 @@ let prop_fs_matches_model =
 (* A random sequence of creates and unlinks over a small name pool, so
    that duplicate creates, unlinks of missing names and re-creates of
    tombstoned names all occur, issued from packed sites (0-2) and the
-   packless site 3 against a directory with a copy at every pack, at
-   stripe width 1 and 3. Each errno must match a model of the live names.
+   packless site 3 against a directory with a copy at every pack. Each
+   errno must match a model of the live names.
    After a settle, every copy's body must be byte-identical and re-encode
    to itself, and every site must list exactly the model's names.
 
@@ -564,12 +563,12 @@ let arb_dirop_case =
     | Lookup (site, n) -> Printf.sprintf "lookup n%d at s%d" n site
   in
   QCheck.make
-    ~print:(fun (width, big, ops) ->
-      Printf.sprintf "width %d%s: %s" width (if big then ", big" else "")
+    ~print:(fun (big, ops) ->
+      Printf.sprintf "%s: %s" (if big then "big" else "small")
         (String.concat "; " (List.map print_op ops)))
     QCheck.Gen.(
       let site = int_bound 3 and name = int_bound 4 in
-      triple (oneofl [ 1; 3 ]) bool
+      pair bool
         (list_size (int_range 1 16)
            (frequency
               [
@@ -624,13 +623,12 @@ let rewrite_reversed w site dir_gf =
 
 let prop_dir_updates_match_model =
   QCheck.Test.make ~name:"directory updates at the SS match a name model" ~count:60
-    arb_dirop_case (fun (width, big, ops) ->
+    arb_dirop_case (fun (big, ops) ->
       let base = World.default_config ~n_sites:4 () in
       let config =
         {
           base with
           World.filegroups = [ { World.fg = 0; pack_sites = [ 0; 1; 2 ]; mount_path = None } ];
-          kernel_config = { base.World.kernel_config with K.stripe_width = width };
         }
       in
       let w = World.create ~config () in
@@ -850,7 +848,7 @@ let prop_convergence_despite_message_loss =
    so readahead either lands first or is taken over by demand fetches, or
    as one [Us.read_bytes] call that tells the fetcher its extent. The open
    (site 3) stores no pack and the file's latest version lives at three
-   packs, so a width above 1 engages striping. A writer's trace also writes,
+   packs. A writer's trace also writes,
    truncates and commits between its reads, and read opens at other sites
    look at the file in between. After each commit, and after the writer
    closes, a read open at site 4, another site with no pack, looks too:
@@ -871,7 +869,6 @@ type fetch_op =
 
 type fetch_case = {
   window : int;
-  width : int;
   pages : int;
   tail : int;
   writer : bool;
@@ -909,17 +906,17 @@ let arb_fetch_case ~writer =
   in
   QCheck.make
     ~print:(fun c ->
-      Printf.sprintf "%s window %d width %d, %d pages + %d bytes: %s"
+      Printf.sprintf "%s window %d, %d pages + %d bytes: %s"
         (if c.writer then "writer" else "reader")
-        c.window c.width c.pages c.tail
+        c.window c.pages c.tail
         (String.concat "; " (List.map show_fetch_op c.ops)))
-    (quad (oneofl [ 1; 2; 8 ]) (oneofl [ 1; 3 ]) (int_range 1 40) (int_bound 200)
-    >>= fun (window, width, pages, tail) ->
+    (triple (oneofl [ 1; 2; 8 ]) (int_range 1 40) (int_bound 200)
+    >>= fun (window, pages, tail) ->
     let op = if writer then writer_op else read in
-    list_size (int_range 1 10) op >|= fun ops -> { window; width; pages; tail; writer; ops })
+    list_size (int_range 1 10) op >|= fun ops -> { window; pages; tail; writer; ops })
 
-(* A reader's trace must return the file's bytes and, at window 1 x width
-   1, be the classic one-page protocol. A writer's reads must return its
+(* A reader's trace must return the file's bytes and, at window 1, be the
+   classic one-page protocol. A writer's reads must return its
    own uncommitted bytes (read-your-writes, against a byte model); no US
    cache entry filed under one of its earlier keys may outlive the step
    that renewed the key, and after the writer closes none under any of its
@@ -937,7 +934,7 @@ let run_fetch_case c =
       base with
       World.filegroups = [ { World.fg = 0; pack_sites = [ 0; 1; 2 ]; mount_path = None } ];
       kernel_config =
-        { base.World.kernel_config with K.bulk_window = c.window; stripe_width = c.width };
+        { base.World.kernel_config with K.bulk_window = c.window };
     }
   in
   let w = World.create ~config () in
@@ -954,7 +951,6 @@ let run_fetch_case c =
   let gf = Kernel.resolve k3 p3 "/f" in
   let mode = if c.writer then Proto.Mode_modify else Proto.Mode_read in
   let o = Locus_core.Us.open_gf k3 gf mode in
-  let owners = max 1 (List.length o.K.o_stripes) in
   let drain () = ignore (Sim.Engine.run_until_idle (World.engine w)) in
   let stats = World.stats w in
   let snap = Stats.snapshot stats in
@@ -1049,8 +1045,8 @@ let run_fetch_case c =
   let inflight = o.K.o_inflight in
   let delta = Stats.delta_of stats snap in
   let classic =
-    c.window > 1 || c.width > 1
-    || c.writer && delta "us.bulk.read" = 0 && delta "us.stripe.read" = 0
+    c.window > 1
+    || c.writer && delta "us.bulk.read" = 0
     || delta "net.msg.read" = 2 * (delta "cache.us.miss" + delta "us.readahead")
        && delta "us.bulk.read" = 0
   in
@@ -1062,16 +1058,15 @@ let run_fetch_case c =
     peek 4;
     if not (versions_committed ()) then ok := false
   end;
-  (* A writer has one page owner: a modify open is never striped. *)
-  !ok && owners = (if c.writer then 1 else c.width) && inflight = [] && classic
+  !ok && inflight = [] && classic
   && not (c.writer && cached_under !keys)
 
 let prop_fetcher_reads_file_bytes =
-  QCheck.Test.make ~name:"page fetcher: every window x width reads the file's bytes"
+  QCheck.Test.make ~name:"page fetcher: every window reads the file's bytes"
     ~count:60 (arb_fetch_case ~writer:false) run_fetch_case
 
 let prop_fetcher_writer_reads_own_writes =
-  QCheck.Test.make ~name:"page fetcher: a writer reads its own writes at every window x width"
+  QCheck.Test.make ~name:"page fetcher: a writer reads its own writes at every window"
     ~count:60 (arb_fetch_case ~writer:true) run_fetch_case
 
 (* ---- the two structures the soak harness leans on hardest ---- *)

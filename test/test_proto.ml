@@ -20,7 +20,7 @@ let some_reqs =
     Proto.Storage_req
       { gf; vv = vv_small; us = 1; mode = Proto.Mode_read; others = [ 2; 3 ] };
     Proto.Read_pages
-      { gf; first = 0; count = 1; guess = 0; stride = 1; committed = false; stat = false };
+      { gf; first = 0; count = 1; guess = 0; committed = false; stat = false };
     Proto.Write_pages { gf; trunc = None; first = 0; off = 0; data = String.make 1024 'x' };
     Proto.Write_pages { gf; trunc = Some 0; first = 0; off = 0; data = "" };
     Proto.Commit_req { gf; us = 0; abort = false; delete = false; force_vv = None };
@@ -125,7 +125,6 @@ let info =
     i_mtime = 0.0;
     i_vv = vv_small;
     i_deleted = false;
-    i_stripes = [];
   }
 
 let test_resp_sizes () =
@@ -161,24 +160,21 @@ let test_resp_sizes () =
    simulated number moves because the one-page messages went away. *)
 let test_one_page_forms () =
   let page = String.make 1024 'p' in
-  let read ~count ~stride =
+  let read ~count =
     Proto.req_bytes
-      (Proto.Read_pages
-         { gf; first = 3; count; guess = 0; stride; committed = false; stat = false })
+      (Proto.Read_pages { gf; first = 3; count; guess = 0; committed = false; stat = false })
   in
   let reply pages = Proto.resp_bytes (Proto.R_pages { pages; eof = false; info = None }) in
   let write ~off data = Proto.req_bytes (Proto.Write_pages { gf; trunc = None; first = 3; off; data }) in
   (* One page: header + file + 8, header + 1 + data, header + file + 9 + data. *)
-  check Alcotest.int "one-page request" 40 (read ~count:1 ~stride:1);
+  check Alcotest.int "one-page request" 40 (read ~count:1);
   check Alcotest.int "one-page reply" (25 + 1024) (reply [ page ]);
   check Alcotest.int "short one-page reply" (25 + 100) (reply [ String.sub page 0 100 ]);
   check Alcotest.int "past-eof reply" 25 (reply []);
   check Alcotest.int "whole-page write" (41 + 1024) (write ~off:0 page);
   check Alcotest.int "patch write" (41 + 24) (write ~off:1000 (String.sub page 0 24));
   (* Two pages: a count, a length frame per page, a run header. *)
-  check Alcotest.int "two-page request" 44 (read ~count:2 ~stride:1);
-  check Alcotest.int "two-page strided request" 46 (read ~count:2 ~stride:4);
-  check Alcotest.int "one-page strided request" 42 (read ~count:1 ~stride:4);
+  check Alcotest.int "two-page request" 44 (read ~count:2);
   check Alcotest.int "two-page reply" (25 + (2 * (2 + 1024))) (reply [ page; page ]);
   check Alcotest.int "two-page write" (44 + 2048) (write ~off:0 (page ^ page));
   check Alcotest.int "write crossing a page" (44 + 48) (write ~off:1000 (String.sub page 0 48));
@@ -186,7 +182,7 @@ let test_one_page_forms () =
      for an inode what a stat reply does, only when it carries one. *)
   let background ~count ~committed ~stat =
     Proto.req_bytes
-      (Proto.Read_pages { gf; first = 0; count; guess = 0; stride = 1; committed; stat })
+      (Proto.Read_pages { gf; first = 0; count; guess = 0; committed; stat })
   in
   check Alcotest.int "committed one-page request" 41
     (background ~count:1 ~committed:true ~stat:false);

@@ -154,6 +154,47 @@ let test_merge_busy_arbitration () =
   | _ -> Alcotest.fail "higher-numbered initiator should yield"
   | exception Merge.Yield active -> check Alcotest.int "yields to lower site" 0 active
 
+(* An open file stays readable across a partition that cuts one of its
+   copies away (the open rode a lease, which the partition drops), and an
+   update made in the majority reaches the isolated pack once the merge
+   heals the split. *)
+let test_partition_merge_open_file () =
+  let base = World.default_config ~n_sites:5 () in
+  let w =
+    World.create
+      ~config:
+        {
+          base with
+          World.filegroups = [ { World.fg = 0; pack_sites = [ 0; 1; 2 ]; mount_path = None } ];
+        }
+      ()
+  in
+  let body tag =
+    String.init (24 * Storage.Page.size) (fun i ->
+        Char.chr (Char.code 'a' + (((i / Storage.Page.size) + tag) mod 26)))
+  in
+  let k3 = World.kernel w 3 and p3 = World.proc w 3 in
+  Kernel.set_ncopies p3 3;
+  ignore (Kernel.creat k3 p3 "/big");
+  let v1 = body 5 in
+  Kernel.write_file k3 p3 "/big" v1;
+  ignore (World.settle w);
+  let k4 = World.kernel w 4 and p4 = World.proc w 4 in
+  let o = Us.open_gf k4 (Kernel.resolve k4 p4 "/big") Proto.Mode_read in
+  check Alcotest.bool "the isolated pack does not serve the open" false
+    (Net.Site.equal o.K.o_ss 2);
+  ignore (World.partition w [ [ 0; 1; 3; 4 ]; [ 2 ] ]);
+  check Alcotest.string "read in partition" v1 (Us.read_all k4 o);
+  Us.close k4 o;
+  let v2 = body 9 in
+  Kernel.write_file k4 p4 "/big" v2;
+  ignore (World.settle w);
+  ignore (World.heal_and_merge w);
+  ignore (World.settle w);
+  let k2 = World.kernel w 2 and p2 = World.proc w 2 in
+  check Alcotest.string "merge converged at the isolated pack" v2
+    (Kernel.read_file k2 p2 "/big")
+
 (* ---- cleanup procedure (section 5.6 table) ---- *)
 
 let test_cleanup_reader_reopens_other_copy () =
@@ -289,6 +330,28 @@ let test_merge_cleans_writer_that_stays_down () =
   Kernel.close_fd k0 p0 fd0;
   ignore (World.settle w);
   check Alcotest.string "dead writer's pages gone" "Z1" (Kernel.read_file k0 p0 "/f")
+
+(* A site that crashes mid-write at its own pack leaves the session's
+   shadow pages allocated on disk and reachable from no inode. The heal
+   that brings it back restarts it, and the restart scavenges them. *)
+let test_heal_restarts_crashed_site () =
+  let w = two_pack_world () in
+  let k1 = World.kernel w 1 and p1 = World.proc w 1 in
+  Kernel.set_ncopies p1 1;
+  ignore (Kernel.creat k1 p1 "/mine");
+  Kernel.write_file k1 p1 "/mine" "committed";
+  ignore (World.settle w);
+  let o = Us.open_gf k1 (Kernel.resolve k1 p1 "/mine") Proto.Mode_modify in
+  check Alcotest.bool "served by its own pack" true (Net.Site.equal o.K.o_ss 1);
+  Us.write k1 o ~off:0 (String.make (4 * Storage.Page.size) 'x');
+  Us.flush_wb k1 o;
+  let pack = Hashtbl.find k1.K.packs 0 in
+  check Alcotest.bool "shadow pages on disk" true (Storage.Pack.fsck pack <> []);
+  World.crash_site w 1;
+  ignore (World.heal_and_merge w);
+  check Alcotest.bool "orphan pages reclaimed" true (Storage.Pack.fsck pack = []);
+  check Alcotest.string "the commit survives" "committed"
+    (Kernel.read_file (World.kernel w 0) (World.proc w 0) "/mine")
 
 (* A partition that keeps no pack of a filegroup elects no CSS for it:
    its files are unreachable (ENET), not absent (ENOENT). *)
@@ -773,6 +836,7 @@ let () =
           Alcotest.test_case "busy arbitration" `Quick test_merge_busy_arbitration;
           Alcotest.test_case "gateway optimization" `Quick
             test_merge_gateway_optimization;
+          Alcotest.test_case "partition + merge" `Quick test_partition_merge_open_file;
         ] );
       ( "cleanup",
         [
@@ -787,6 +851,8 @@ let () =
             test_partition_without_pack_answers_enet;
           Alcotest.test_case "site failure frees incore slots" `Quick
             test_site_failure_frees_slots;
+          Alcotest.test_case "a heal restarts a crashed site" `Quick
+            test_heal_restarts_crashed_site;
         ] );
       ( "reconciliation",
         [
