@@ -27,12 +27,16 @@ bench:
 # (notify, read round trip, report) and 2 at window 8 (a notify carrying
 # the commit, report),
 # E17 must recover every injected loss, and a lost reply to an open and
-# to a commit must each leave the handler run once and the write done,
+# to a commit that carries the write must each leave the handler run once
+# and the write done, with no write message,
 # E20's inline 32-page remote read must send exactly as
-# many messages as its write at window 1 and one round trip fewer above
-# it (a full window per round trip, after an open that carried the
-# first), E20's 8-page remote whole-file write must be one write
-# round trip with no truncate message, E21's partition and merge must
+# many messages as its write sends before the commit at every window (a
+# full window per round trip; above window 1 the open carries the first
+# window as the commit carries the last), E20's 8-page remote whole-file
+# write plus its commit must be one round trip at window 8 (0 write,
+# 2 commit, 0 truncate messages) and 16 write + 2 commit messages at
+# window 1, and a 12-page one one write round trip and a commit
+# carrying the 4-page tail, E21's partition and merge must
 # send no close for the leases a site holds across them and a re-open
 # after the merge must read the committed bytes, and E22's reads must
 # return the file's bytes and the per-client read cost at 512 sites must

@@ -1117,19 +1117,27 @@ let e17 () =
   settle_ok w;
   let wrote = written && String.equal (Kernel.read_file k3 p3 "/data1") body in
   let ran tag = Option.value ~default:0 (Hashtbl.find_opt runs tag) in
+  (* The 300-byte body rides the commit (window 8), so the commit whose
+     reply is lost carries the write: no write message goes out, and the
+     resend must not write the run a second time. *)
   Report.table ~title:"one lost reply to a state-changing request (write from site 3)"
-    ~header:[ "request"; "handler runs"; "rpc.replay"; "rpc.fail" ]
+    ~header:
+      [ "request"; "handler runs"; "rpc.replay"; "rpc.fail"; "commits with a run"; "write msgs" ]
     [
       [ "open + commit"; Printf.sprintf "%d + %d" (ran "open") (ran "commit");
-        Report.i (d "rpc.replay"); Report.i (d "rpc.fail") ];
+        Report.i (d "rpc.replay"); Report.i (d "rpc.fail"); Report.i (d "us.commit.run");
+        Report.i (d "net.msg.write") ];
     ];
   let state_ok =
     wrote && ran "open" = 1 && ran "commit" = 1 && d "rpc.replay" = 2 && d "rpc.fail" = 0
+    && d "us.commit.run" = 1 && d "net.msg.write" = 0
   in
   Report.rpc_latency_table stats;
   let pct p = Stats.hist_percentile stats "rpc.latency.stat" p in
   Printf.printf "recovered every injected stat loss: %s\n" (Report.check stat_ok);
-  Printf.printf "lost open and commit replies recovered, each handler ran once: %s\n"
+  Printf.printf
+    "lost open and commit replies recovered, each handler ran once, the commit carrying \
+     the write: %s\n"
     (Report.check state_ok);
   if not (stat_ok && state_ok) then
     failwith "E17: a lost message was not recovered exactly once";
@@ -1444,25 +1452,21 @@ let e20 () =
   (* A read call tells the fetcher its extent, so an inline read moves a
      full window per round trip from the first page, and above window 1
      the open (served by the CSS at site 0 itself) already carried the
-     first window: the write column's message count less one round trip,
-     and exactly that count at window 1. A gate, like (d) below. *)
-  let inline_expected wnd wm = if wnd > 1 then wm - 2 else wm in
+     first window, as the write's commit carried its last: the write
+     column's message count, at every window. A gate, like (d) below. *)
   let inline_ok =
     List.for_all
-      (fun (wnd, (_, (im, _, _, iok, _)), (wm, _, _, _, _), _) ->
-        iok && im = inline_expected wnd wm)
+      (fun (_, (_, (im, _, _, iok, _)), (wm, _, _, _, _), _) -> iok && im = wm)
       results
   in
   metric "inline.gate" (if inline_ok then 1. else 0.);
   Printf.printf
-    "inline read-class messages after the open = write-class less one round trip above \
-     window 1 (%s vs %s): %s\n"
+    "inline read-class messages after the open = write-class messages before the commit \
+     (%s vs %s): %s\n"
     (String.concat "/"
        (List.map (fun (_, (_, (im, _, _, _, _)), _, _) -> string_of_int im) results))
     (String.concat "/"
-       (List.map
-          (fun (wnd, _, (wm, _, _, _, _), _) -> string_of_int (inline_expected wnd wm))
-          results))
+       (List.map (fun (_, _, (wm, _, _, _, _), _) -> string_of_int wm) results))
     (Report.check inline_ok);
   if not inline_ok then failwith "E20: an inline read does not move a window per round trip";
   Printf.printf "write-class messages, window 8 vs 1: %d vs %d (%.1fx): %s\n" wm8 wm1
@@ -1472,27 +1476,57 @@ let e20 () =
     "propagation round trips drop by the window factor: %d vs %d msgs: %s\n"
     pm8 pm1
     (Report.check (pm1 >= 4 * pm8));
-  (* (d) a whole-file overwrite of 8 pages from site 2 at window 8: the
-     truncate rides in the one [Write_pages], so it is one round trip. *)
-  let whole_msgs, whole_truncs =
-    let w = make_world ~n:3 ~packs:[ 0 ] ~kconfig:(kconfig 8) () in
-    mk_file w ~at:0 ~ncopies:1 ~path:"/eight" ~body:"";
+  (* (d) a whole-file overwrite and its commit from site 2. At window 8 an
+     8-page body rides the commit with its truncate, so the write and the
+     commit are one round trip; a 12-page body sends its first window in
+     one write round trip and the commit carries the 4-page tail. At
+     window 1 every page is a write round trip of its own. *)
+  let whole_run window pages =
+    let w = make_world ~n:3 ~packs:[ 0 ] ~kconfig:(kconfig window) () in
+    mk_file w ~at:0 ~ncopies:1 ~path:"/whole" ~body:"";
     let k = World.kernel w 2 and p = World.proc w 2 in
     let snap = Stats.snapshot (World.stats w) in
-    Kernel.write_file k p "/eight" (String.sub body 0 (8 * Page.size));
+    let written = String.sub body 0 (pages * Page.size) in
+    Kernel.write_file k p "/whole" written;
     settle_ok w;
-    let delta tag = Stats.delta_of (World.stats w) snap ("net.msg." ^ tag) in
-    (delta "write", delta "truncate")
+    let delta tag = Stats.delta_of (World.stats w) snap tag in
+    let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+    ( delta "net.msg.write",
+      delta "net.msg.commit",
+      delta "net.msg.truncate",
+      delta "us.commit.run.pages",
+      String.equal (Kernel.read_file k0 p0 "/whole") written )
   in
-  metric "whole.write.msgs.w8" (float_of_int whole_msgs);
-  metric "whole.truncate.msgs.w8" (float_of_int whole_truncs);
-  let whole_ok = whole_msgs = 2 && whole_truncs = 0 in
+  (* window, pages, then the exact write, commit, truncate and carried
+     page counts *)
+  let whole_rows = [ (8, 8, (0, 2, 0, 8)); (1, 8, (16, 2, 0, 0)); (8, 12, (2, 2, 0, 4)) ] in
+  let whole =
+    List.map
+      (fun (window, pages, want) ->
+        let wm, cm, tm, carried, ok = whole_run window pages in
+        metric (Printf.sprintf "whole.%dp.write.msgs.w%d" pages window) (float_of_int wm);
+        metric (Printf.sprintf "whole.%dp.commit.msgs.w%d" pages window) (float_of_int cm);
+        metric (Printf.sprintf "whole.%dp.truncate.msgs.w%d" pages window) (float_of_int tm);
+        (window, pages, (wm, cm, tm, carried), ok && (wm, cm, tm, carried) = want))
+      whole_rows
+  in
+  Report.table ~title:"remote whole-file write plus its commit"
+    ~header:
+      [ "window"; "pages"; "write msgs"; "commit msgs"; "truncate msgs"; "pages in commit";
+        "exact" ]
+    (List.map
+       (fun (window, pages, (wm, cm, tm, carried), ok) ->
+         [ Report.i window; Report.i pages; Report.i wm; Report.i cm; Report.i tm;
+           Report.i carried; Report.check ok ])
+       whole);
+  let whole_ok = List.for_all (fun (_, _, _, ok) -> ok) whole in
   Printf.printf
-    "8-page whole-file write at window 8: %d write msgs, %d truncate msgs (need one round \
-     trip, no truncate): %s\n"
-    whole_msgs whole_truncs (Report.check whole_ok);
+    "8-page whole-file write plus commit at window 8 is one round trip (0 write, 2 commit, \
+     0 truncate msgs); 16 write + 2 commit at window 1; a 12-page one is one write round \
+     trip and a commit carrying 4 pages: %s\n"
+    (Report.check whole_ok);
   (* A gate, not just a cell: bench-smoke fails when this does. *)
-  if not whole_ok then failwith "E20: a whole-file write is not one write round trip";
+  if not whole_ok then failwith "E20: a whole-file write plus its commit is not one round trip";
   Printf.printf
     "a window of 1 reproduces the unbatched protocols exactly; the window\n\
      sweep shows the per-page round trips collapsing into streamed batches.\n"

@@ -30,8 +30,8 @@ let handle k ~src (req : Proto.req) : Proto.resp =
       Ss.handle_read_pages ~guess ~committed ~stat k gf ~first ~count
     | Proto.Write_pages { gf; trunc; first; off; data } ->
       Ss.handle_write_pages ?trunc k ~src gf ~first ~off ~data
-    | Proto.Commit_req { gf; us = _; abort; delete; force_vv } ->
-      Ss.handle_commit ?force_vv k gf ~abort ~delete
+    | Proto.Commit_req { gf; us = _; abort; delete; force_vv; run } ->
+      Ss.handle_commit ?force_vv ?run k ~src gf ~abort ~delete
     (* close protocol *)
     | Proto.Us_close { gf; mode } -> Ss.handle_us_close k ~src gf ~mode
     | Proto.Ss_close { gf; ss = _; us; mode } -> Css.handle_ss_close k gf ~us ~mode

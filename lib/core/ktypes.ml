@@ -82,11 +82,14 @@ type css_fg = { css_files : (int, css_file) Hashtbl.t }
 
 (* ---- US state: incore inodes for open files (2.3.3) ---- *)
 
-(* A write-behind run: adjacent write chunks coalesce into one buffer and
-   travel to the SS as a single [Write_pages] batch. *)
+(* A write-behind run: an optional truncate, then adjacent write chunks,
+   travelling to the SS as a single [Write_pages] batch or inside the
+   commit. The first chunk is held as given, never copied. *)
 type wb_run = {
+  wb_trunc : int option; (* truncate to this size before the bytes land *)
   wb_off : int; (* absolute byte offset of the run's start *)
-  wb_buf : Buffer.t;
+  wb_head : string; (* the run's first chunk *)
+  wb_rest : Buffer.t; (* the adjacent chunks after it *)
   wb_serial : int;
   (* ties the flush timer to the run it was armed for: a timer whose run
      has already been flushed (and possibly replaced) is a no-op *)

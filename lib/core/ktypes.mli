@@ -83,10 +83,20 @@ type css_fg = { css_files : (int, css_file) Hashtbl.t }
 
 (** {1 US state: incore inodes for open files (§2.3.3)} *)
 
-type wb_run = { wb_off : int; wb_buf : Buffer.t; wb_serial : int }
-(** A write-behind run: adjacent write chunks coalesced at the US, sent to
-    the SS as one [Write_pages] batch at the next flush point.
-    [wb_serial] ties the flush timer to the run it was armed for. *)
+type wb_run = {
+  wb_trunc : int option;
+  wb_off : int;
+  wb_head : string;
+  wb_rest : Buffer.t;
+  wb_serial : int;
+}
+(** A write-behind run, held at the US until the next flush point: a
+    truncate to [wb_trunc] when set, then the bytes [wb_head] followed by
+    [wb_rest] from byte [wb_off]. [wb_head] is the run's first chunk (a
+    write's data or a whole-file write's last window) held as given;
+    adjacent chunks coalesce into [wb_rest]. It travels as one
+    [Write_pages], or inside the commit when the commit is the flush
+    point. [wb_serial] ties the flush timer to the run it was armed for. *)
 
 type ra_batch = { ra_serial : int; ra_first : int; ra_count : int }
 (** A readahead batch: pages [[ra_first, ra_first + ra_count)] requested

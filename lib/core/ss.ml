@@ -45,11 +45,12 @@ let handle_storage_req k gf ~vv ~us ~mode ~others =
 (* A committed page through the SS buffer cache, which holds pages of the
    local copy as it is now: a commit or pull drops the buffers of the
    pages it replaced, so the cache can never serve a stale version. A hit
-   skips the disk. *)
-let cached_pack_page k pack gf (inode : Inode.t) lpage =
+   skips the disk; a miss reads the page with [read], the request's
+   {!Pack.reader}. *)
+let cached_pack_page k ~read gf lpage =
   if not (ss_cache_enabled k) then begin
     charge_disk_read k;
-    Pack.read_page pack inode lpage
+    read lpage
   end
   else begin
     let key = (gf, lpage) in
@@ -60,7 +61,7 @@ let cached_pack_page k pack gf (inode : Inode.t) lpage =
     | None ->
       Sim.Stats.incr (stats k) "cache.ss.miss";
       charge_disk_read k;
-      let page = Pack.read_page pack inode lpage in
+      let page = read lpage in
       Cache.insert k.ss_cache key page;
       page
   end
@@ -70,7 +71,8 @@ let cached_pack_page k pack gf (inode : Inode.t) lpage =
    must see its uncommitted pages, Unix shared-file semantics), else the
    committed copy through the buffer cache. A [committed] read (a pull,
    reconciliation) never sees the session. Returns the page reader and
-   the size it reads against. *)
+   the size it reads against. One source serves one request, so a file
+   past the direct slots costs one indirect-page read per request. *)
 let page_source ?(committed = false) k pack gf (inode : Inode.t) =
   match find_open k gf with
   | Some { s_shadow = Some session; _ } when not committed ->
@@ -79,7 +81,8 @@ let page_source ?(committed = false) k pack gf (inode : Inode.t) =
         Shadow.read_page session lpage),
       (Shadow.incore session).Inode.size )
   | Some _ | None ->
-    ((fun lpage -> cached_pack_page k pack gf inode lpage), inode.Inode.size)
+    let read = Pack.reader pack inode in
+    (cached_pack_page k ~read gf, inode.Inode.size)
 
 let note_guess k gf guess =
   match Hashtbl.find_opt k.ss_slots guess with
@@ -238,15 +241,20 @@ let write_span ?trunc k ~src gf ~first ~off data ~pos ~len =
 let handle_write_pages ?trunc k ~src gf ~first ~off ~data =
   write_span ?trunc k ~src gf ~first ~off data ~pos:0 ~len:(String.length data)
 
+(* The pages a request carrying [len] bytes at offset [poff] of its first
+   page covers. *)
+let run_pages ~poff len = (poff + len + Page.size - 1) / Page.size
+
 (* The client half: truncate [gf] at [site] to [trunc] when set, then
-   write the run [data] at byte [off], in requests of at most a window of
-   pages each; the truncate rides in the first. A procedure call when
-   this site serves itself, charged as one call per request, hands the
-   handler its span of [data] without a copy. [sent] hears the page count
-   of each request that carried data once it is answered. Raises [Error]
-   on a refusal or a network failure. *)
-let write_run ?(sent = ignore) ?trunc k site gf ~off data =
-  let len = String.length data in
+   write the run of the first [len] bytes of [data] (all of it by
+   default) at byte [off], in requests of at most a window of pages each;
+   the truncate rides in the first. A procedure call when this site
+   serves itself, charged as one call per request, hands the handler its
+   span of [data] without a copy. [sent] hears the page count of each
+   request that carried data once it is answered. Raises [Error] on a
+   refusal or a network failure. *)
+let write_run ?(sent = ignore) ?trunc ?len k site gf ~off data =
+  let len = match len with Some len -> len | None -> String.length data in
   let window_bytes = max 1 k.config.bulk_window * Page.size in
   let rec loop trunc pos =
     let abs = off + pos in
@@ -259,9 +267,9 @@ let write_run ?(sent = ignore) ?trunc k site gf ~off data =
          write_span ?trunc k ~src:k.site gf ~first ~off:poff data ~pos ~len:n
        end
        else
-         let data = if n = len then data else String.sub data pos n in
+         let data = if n = String.length data then data else String.sub data pos n in
          rpc k site (Proto.Write_pages { gf; trunc; first; off = poff; data }));
-    if n > 0 then sent ((poff + n + Page.size - 1) / Page.size);
+    if n > 0 then sent (run_pages ~poff n);
     if pos + n < len then loop None (pos + n)
   in
   if len > 0 || trunc <> None then loop trunc 0
@@ -332,7 +340,7 @@ let find_dir_index k gf (inode : Inode.t) =
    not charged: the caller charges one read for the directory, as for the
    whole-body read this replaces. Raises [Failure] on a corrupt body. *)
 let lookup_name k pack gf (inode : Inode.t) name =
-  let read lpage = Pack.read_page pack inode lpage in
+  let read = Pack.reader pack inode in
   let size = inode.Inode.size in
   let d =
     match find_dir_index k gf inode with
@@ -462,13 +470,12 @@ let carried_pages k gf ~vv ~modified =
   | Some pack -> (
     match Pack.find_inode pack gf.Gfile.ino with
     | Some inode when Vvec.equal inode.Inode.vv vv ->
-      let size = inode.Inode.size in
+      let read, size = page_source ~committed:true k pack gf inode in
       let pages =
         List.filter_map
           (fun lpage ->
             let len = min Page.size (size - (lpage * Page.size)) in
-            if len <= 0 then None
-            else Some (Page.sub (cached_pack_page k pack gf inode lpage) 0 len))
+            if len <= 0 then None else Some (Page.sub (read lpage) 0 len))
           modified
       in
       Some (Proto.info_of_inode inode, pages)
@@ -502,7 +509,7 @@ let notify_others k gf ~vv ~modified ~deleted ~meta_only sites =
 (* The atomic commit (section 2.3.6): move the incore inode to the disk
    inode, then notify the CSS and all other storage sites so they bring
    their copies up to date. *)
-let handle_commit ?force_vv k gf ~abort ~delete =
+let commit_session ?force_vv k gf ~abort ~delete =
   match local_pack k gf.Gfile.fg with
   | None -> Proto.R_err Proto.Eio
   | Some pack -> (
@@ -547,6 +554,20 @@ let handle_commit ?force_vv k gf ~abort ~delete =
       else (match rpc_result k fi.css_site message with Ok _ | Stdlib.Error _ -> ());
       notify_others k gf ~vv ~modified ~deleted:delete ~meta_only:false s.s_others;
       Proto.R_committed { vv })
+
+(* A commit request: a [run] the commit carries is written into the
+   session first, exactly as a [Write_pages] from [src] would write it; a
+   refused run is the answer, and nothing commits. *)
+let handle_commit ?force_vv ?run k ~src gf ~abort ~delete =
+  let written =
+    match run with
+    | Some { Proto.run_trunc = trunc; run_first = first; run_off = off; run_data = data } ->
+      handle_write_pages ?trunc k ~src gf ~first ~off ~data
+    | None -> Proto.R_ok
+  in
+  match written with
+  | Proto.R_ok -> commit_session ?force_vv k gf ~abort ~delete
+  | refused -> refused
 
 (* US close at the SS, then SS close at the CSS — the three-message close
    protocol adopted after the reopen race was found (section 2.3.3 note). *)

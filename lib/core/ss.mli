@@ -91,15 +91,17 @@ val handle_write_pages :
 val write_run :
   ?sent:(int -> unit) ->
   ?trunc:int ->
+  ?len:int ->
   Ktypes.t ->
   Net.Site.t ->
   Catalog.Gfile.t ->
   off:int ->
   string ->
   unit
-(** [write_run ?trunc k site gf ~off data]: the client half of
+(** [write_run ?trunc ?len k site gf ~off data]: the client half of
     [handle_write_pages] — truncate [gf] at [site] to [trunc] when set,
-    then write [data] at byte [off], in requests of at most
+    then write the first [len] bytes of [data] (all of it by default) at
+    byte [off], in requests of at most
     [config.bulk_window] pages each, the truncate riding in the first. A
     truncate with no data is one request. A procedure call (charged
     [local_call]) per request when [site] is this site, handing the
@@ -116,9 +118,15 @@ val lookup_name :
     every page. No read is charged: the caller charges the directory read.
     Raises [Failure] on a body that does not decode. *)
 
+val run_pages : poff:int -> int -> int
+(** [run_pages ~poff len]: the pages a request carrying [len] bytes from
+    offset [poff] of its first page covers. *)
+
 val handle_commit :
   ?force_vv:Vv.Version_vector.t ->
+  ?run:Proto.run ->
   Ktypes.t ->
+  src:Net.Site.t ->
   Catalog.Gfile.t ->
   abort:bool ->
   delete:bool ->
@@ -127,7 +135,9 @@ val handle_commit :
     version vector (or install [force_vv], recovery's merged vector), and
     send commit notifications. [abort] discards instead; [delete] marks
     the inode deleted first (§2.3.7). The open's one SS holds the whole
-    session. *)
+    session. A [run] is written into the session first, as
+    {!handle_write_pages} from [src] writes it, with the same ranged
+    invalidation; a refused run is the answer, and nothing commits. *)
 
 val handle_us_close :
   Ktypes.t -> src:Net.Site.t -> Catalog.Gfile.t -> mode:Proto.open_mode -> Proto.resp

@@ -6,8 +6,9 @@
    message, [Read_pages] and [Write_pages], whose one-page forms are the
    paper's network read and write; [Ss.read_pages] and [Ss.write_run] send
    them, for propagation and reconciliation too. A truncate rides in a
-   [Write_pages], so a whole-file overwrite of up to a window of pages is
-   one write round trip. All page traffic goes
+   [Write_pages], and above a window of 1 the last window of a write rides
+   in the commit, so a whole-file overwrite of up to a window of pages
+   and its commit are one round trip. All page traffic goes
    through kernel buffers; remote pages are cached at the US (keyed by
    file and version, so a new committed version naturally misses; a
    writer's pages go under a key private to its open). One windowed
@@ -252,31 +253,49 @@ let bulk_sent k pages =
   Sim.Stats.incr (stats k) "us.bulk.write";
   Sim.Stats.add (stats k) "us.bulk.write.pages" pages
 
+let wb_length run = String.length run.wb_head + Buffer.length run.wb_rest
+
+let wb_contents run =
+  if Buffer.length run.wb_rest = 0 then run.wb_head
+  else run.wb_head ^ Buffer.contents run.wb_rest
+
 (* Flush the pending write-behind run to the SS as [Write_pages] batches of
-   at most a window of pages each. Every path that makes the modification
-   externally visible — commit, close, truncate, a read on this open, a
-   file-offset token moving away — must come through here first, so the
-   SS shadow session always holds the data before anyone can look. *)
+   at most a window of pages each, its truncate riding the first. Every
+   path that makes the modification externally visible — a read on this
+   open, a truncate, a file-offset token moving away, the timer — must
+   come through here first, so the SS shadow session always holds the
+   data before anyone can look. The commit is the one flush point that
+   carries the run itself (see [commit_gen]). *)
 let flush_wb k o =
   match o.o_wb with
   | None -> ()
   | Some run ->
     o.o_wb <- None;
-    Ss.write_run k o.o_ss o.o_gf ~off:run.wb_off (Buffer.contents run.wb_buf)
+    Ss.write_run ?trunc:run.wb_trunc k o.o_ss o.o_gf ~off:run.wb_off (wb_contents run)
       ~sent:(bulk_sent k)
 
-let start_wb_run k o ~off data =
-  let buf = Buffer.create (max 64 (String.length data)) in
-  Buffer.add_string buf data;
+(* Hold [data] at byte [off], after a truncate to [trunc] when set, as the
+   open's write-behind run. The run holds [data] itself, not a copy. *)
+let hold_run ?trunc k o ~off data =
   let serial = fresh_serial k in
-  o.o_wb <- Some { wb_off = off; wb_buf = buf; wb_serial = serial };
+  o.o_wb <-
+    Some
+      { wb_trunc = trunc; wb_off = off; wb_head = data; wb_rest = Buffer.create 64;
+        wb_serial = serial };
   (* The timer is tied to this run by serial: if the run was already pushed
      out (and possibly replaced by a later one) the timer is a no-op rather
      than flushing somebody else's half-built run early. *)
   Engine.schedule k.engine ~delay:wb_flush_delay (fun () ->
       match o.o_wb with
       | Some run when run.wb_serial = serial && k.alive && not o.o_closed -> (
-        match flush_wb k o with () -> () | exception Error _ -> ())
+        match flush_wb k o with
+        | () -> ()
+        | exception Error _ ->
+          (* No caller hears a timer's flush fail: the run is kept, so the
+             next flush point, the commit at the latest, sends it again.
+             The resend is harmless: it truncates first and writes at
+             absolute positions. *)
+          if o.o_wb = None && not o.o_closed then o.o_wb <- Some run)
       | Some _ | None -> ())
 
 (* ---- the windowed page fetcher (section 2.3.3; bulk reads) ----
@@ -494,17 +513,15 @@ let write k o ~off data =
   let len = String.length data in
   let write_behind () =
     (match o.o_wb with
-    | Some run when run.wb_off + Buffer.length run.wb_buf = off ->
-      Buffer.add_string run.wb_buf data
+    | Some run when run.wb_off + wb_length run = off -> Buffer.add_string run.wb_rest data
     | Some _ ->
       (* Non-adjacent write: push the old run out first, in order. *)
       flush_wb k o;
-      start_wb_run k o ~off data
-    | None -> start_wb_run k o ~off data);
+      hold_run k o ~off data
+    | None -> hold_run k o ~off data);
     match o.o_wb with
     | Some run
-      when (run.wb_off mod Page.size) + Buffer.length run.wb_buf
-           >= k.config.bulk_window * Page.size ->
+      when (run.wb_off mod Page.size) + wb_length run >= k.config.bulk_window * Page.size ->
       flush_wb k o
     | _ -> ()
   in
@@ -527,14 +544,25 @@ let truncate k o size =
 
 (* A whole-file overwrite. The truncate rides in the first [Write_pages]
    of the run, and any pending write-behind run is dropped: the truncate
-   would discard it. The open is dirty before anything is sent, so a
-   failure part-way through aborts the session. *)
+   would discard it. With the bulk layer on, the body's last window (all
+   of it, with the truncate, when it fits in one) is held as the
+   write-behind run, so the commit carries it; the leading windows go
+   now. The open is dirty before anything is sent, so a failure part-way
+   through aborts the session. *)
 let set_contents k o body =
   writable o;
   o.o_wb <- None;
   o.o_dirty <- true;
-  Ss.write_run ~trunc:0 k o.o_ss o.o_gf ~off:0 body
-    ~sent:(if bulk_enabled k o then bulk_sent k else ignore);
+  if bulk_enabled k o then begin
+    let len = String.length body and window_bytes = k.config.bulk_window * Page.size in
+    let tail = if len = 0 then 0 else (len - 1) / window_bytes * window_bytes in
+    if tail = 0 then hold_run ~trunc:0 k o ~off:0 body
+    else begin
+      Ss.write_run ~trunc:0 ~len:tail k o.o_ss o.o_gf ~off:0 body ~sent:(bulk_sent k);
+      hold_run k o ~off:tail (String.sub body tail (len - tail))
+    end
+  end
+  else Ss.write_run ~trunc:0 k o.o_ss o.o_gf ~off:0 body;
   renew_key k o;
   o.o_info <- { o.o_info with Proto.i_size = String.length body }
 
@@ -577,19 +605,38 @@ let retire_lease k gf vv =
     Engine.schedule k.engine ~delay:0.0 (fun () -> lease_drop_rider k e)
   | Some _ | None -> ()
 
-(* Commit or abort the modifications of this open (section 2.3.6). *)
+(* Commit or abort the modifications of this open (section 2.3.6). The
+   write-behind run is part of what commits: it rides in the commit, which
+   the SS writes into the shadow session before committing, so the write
+   costs no round trip of its own. A held run never exceeds a window, so
+   it fits the one request. Aborting just drops it. *)
 let commit_gen k o ~abort =
-  (* The write-behind run is part of what commits: flush it into the SS
-     shadow session first. Aborting just drops it. *)
-  if abort then o.o_wb <- None else if o.o_wb <> None then flush_wb k o;
+  let run =
+    match o.o_wb with
+    | Some run when not abort ->
+      Some
+        { Proto.run_trunc = run.wb_trunc; run_first = run.wb_off / Page.size;
+          run_off = run.wb_off mod Page.size; run_data = wb_contents run }
+    | Some _ | None -> None
+  in
+  o.o_wb <- None;
   let resp =
-    if Site.equal o.o_ss k.site then Ss.handle_commit k o.o_gf ~abort ~delete:false
+    if Site.equal o.o_ss k.site then
+      Ss.handle_commit ?run k ~src:k.site o.o_gf ~abort ~delete:false
     else
       rpc k o.o_ss
-        (Proto.Commit_req { gf = o.o_gf; us = k.site; abort; delete = false; force_vv = None })
+        (Proto.Commit_req
+           { gf = o.o_gf; us = k.site; abort; delete = false; force_vv = None; run })
   in
   match resp with
   | Proto.R_committed { vv } ->
+    (match run with
+    | Some { Proto.run_off; run_data; _ } ->
+      let pages = Ss.run_pages ~poff:run_off (String.length run_data) in
+      Sim.Stats.incr (stats k) "us.commit.run";
+      Sim.Stats.add (stats k) "us.commit.run.pages" pages;
+      if pages > 0 then bulk_sent k pages
+    | None -> ());
     o.o_dirty <- false;
     if not (Vvec.equal vv Vvec.zero) then begin
       o.o_info <- { o.o_info with Proto.i_vv = vv };

@@ -56,7 +56,8 @@ val write : Ktypes.t -> Ktypes.ofile -> off:int -> string -> unit
     [config.bulk_window > 1] and a remote SS, adjacent chunks coalesce
     into a write-behind run sent as one [Write_pages] batch at the next
     flush point (window full, non-adjacent write, read-back, truncate,
-    commit, close, token release, or a short timer). *)
+    token release, or a short timer), or carried by the commit (or a
+    dirty close's commit) when that comes first. *)
 
 val flush_wb : Ktypes.t -> Ktypes.ofile -> unit
 (** Push any pending write-behind run to the SS now. Called wherever the
@@ -71,10 +72,15 @@ val truncate : Ktypes.t -> Ktypes.ofile -> int -> unit
 val set_contents : Ktypes.t -> Ktypes.ofile -> string -> unit
 (** Whole-file overwrite: drops any pending write-behind run and sends
     the body in one [Ss.write_run], the truncate to 0 riding in its first
-    [Write_pages]. *)
+    [Write_pages]. With [config.bulk_window > 1] and a remote SS the
+    body's last window (all of it, with the truncate, when it fits in
+    one) is held as the write-behind run instead, for the commit to
+    carry. *)
 
 val commit : Ktypes.t -> Ktypes.ofile -> unit
 (** Atomically commit this open's modifications at the SS (§2.3.6). A
+    held write-behind run rides in the [Commit_req], written into the
+    session before the commit in one round trip. A
     read lease this site holds on the file's older version dies with the
     commit, so a re-open here cannot read the old bytes before the CSS's
     [Lease_break] arrives; the lease's deferred close goes out from a

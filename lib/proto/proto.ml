@@ -155,6 +155,11 @@ type intent_step =
     }
   | Step_link of { gf : Catalog.Gfile.t; delta : int }
 
+(* A write run riding a [Commit_req]: the fields of a [Write_pages] — an
+   optional truncate, then [data] at byte [off] of page [first], at most a
+   window of pages. *)
+type run = { run_trunc : int option; run_first : int; run_off : int; run_data : string }
+
 type req =
   (* --- open protocol (Figure 2) --- *)
   | Open_req of {
@@ -226,6 +231,10 @@ type req =
         (* recovery only: install this exact version vector (the pointwise
            maximum of the merged copies, bumped at the merge site) instead
            of bumping the local one *)
+      run : run option;
+        (* the write the commit follows: the US's last run of modified
+           bytes, written into the session before it commits, in place of
+           a [Write_pages] round trip of its own *)
     } (* US -> SS: commit (or abort) the open modification session; [delete]
          marks the inode deleted before committing (section 2.3.7) *)
   (* --- close protocol (3 messages; see the race note in section 2.3.3) --- *)
@@ -400,6 +409,19 @@ let pages_bytes = function
   | [ data ] -> 1 + String.length data
   | pages -> List.fold_left (fun a p -> a + 2 + String.length p) 1 pages
 
+(* The body of a write run, past the header and file: a truncate alone
+   carries just the size; a run carries a page number, an offset and a
+   whole-page flag within one page and a run header across several, and
+   pays 4 bytes for a truncate only when it carries one. *)
+let run_bytes ~trunc ~off data =
+  match (trunc, data) with
+  | Some _, "" -> 4
+  | _ ->
+    let len = String.length data in
+    (if off + len <= Storage.Page.size then 9 else 12)
+    + (if Option.is_some trunc then 4 else 0)
+    + len
+
 let req_bytes = function
   | Open_req { us_vv; want; _ } ->
     header + gfile_bytes + 2
@@ -415,22 +437,19 @@ let req_bytes = function
     header + gfile_bytes + 8
     + (if count <> 1 then 4 else 0)
     + if committed || stat then 1 else 0
-  (* A truncate alone carries just the size; a run pays 4 bytes for one
-     only when it carries one. *)
-  | Write_pages { trunc = Some _; data = ""; _ } -> header + gfile_bytes + 4
-  | Write_pages { trunc; off; data; _ } ->
-    let len = String.length data in
-    header + gfile_bytes
-    + (if off + len <= Storage.Page.size then 9 else 12)
-    + (if Option.is_some trunc then 4 else 0)
-    + len
+  | Write_pages { trunc; off; data; _ } -> header + gfile_bytes + run_bytes ~trunc ~off data
   | Dir_intent { op; _ } -> header + gfile_bytes + intent_bytes op
   | Intent_step { step = Step_dir { op; others; refuse; stale; _ }; _ } ->
     header + 4 + gfile_bytes + intent_bytes op + site_list_bytes others
     + (5 * List.length refuse) + (4 * List.length stale)
   | Intent_step { step = Step_link _; _ } -> header + 4 + gfile_bytes + 4
-  | Commit_req { force_vv; _ } ->
-    header + gfile_bytes + 5 + (match force_vv with Some v -> vv_bytes v | None -> 0)
+  | Commit_req { force_vv; run; _ } ->
+    header + gfile_bytes + 5
+    + (match force_vv with Some v -> vv_bytes v | None -> 0)
+    + (match run with
+      | Some { run_trunc; run_off; run_data; _ } ->
+        run_bytes ~trunc:run_trunc ~off:run_off run_data
+      | None -> 0)
   | Us_close _ -> header + gfile_bytes + 1
   | Ss_close _ -> header + gfile_bytes + 9
   | Commit_notify { vv; modified; replicas; carried; _ } ->

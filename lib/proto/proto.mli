@@ -141,6 +141,10 @@ type intent_step =
   | Step_link of { gf : Catalog.Gfile.t; delta : int }
       (** change a file's link count; at zero links, a delete commit *)
 
+(** A write run riding a {!Commit_req}: the fields of a {!Write_pages},
+    at most a window of pages. *)
+type run = { run_trunc : int option; run_first : int; run_off : int; run_data : string }
+
 (** {1 Requests} *)
 
 type req =
@@ -212,9 +216,14 @@ type req =
       abort : bool;
       delete : bool;
       force_vv : Vv.Version_vector.t option;
+      run : run option;
     }  (** US → SS: commit/abort the open modification; [delete] marks
            the inode deleted (§2.3.7); [force_vv] installs recovery's
-           merged vector. The commit goes to the open's one SS. *)
+           merged vector. The commit goes to the open's one SS. [run] is
+           the write the commit follows: the SS writes it into the session
+           as a [Write_pages] would, then commits, in one round trip. It
+           is sized as a [Write_pages] body, and only when present. The
+           transport keeps the reply, so a resend never writes it twice. *)
   | Us_close of { gf : Catalog.Gfile.t; mode : open_mode }
   | Ss_close of {
       gf : Catalog.Gfile.t;

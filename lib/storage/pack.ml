@@ -56,24 +56,24 @@ let load_table t (inode : Inode.t) =
   end;
   table
 
-let page_addr t inode lpage =
+(* The disk address of logical page [lpage], 0 when it has none. The
+   indirect page is forced only for a page past the direct slots. *)
+let addr_in (inode : Inode.t) ~indirect lpage =
   if lpage < 0 || lpage >= Inode.max_pages then
     invalid_arg "Pack.page_addr: logical page out of range";
-  if lpage < Inode.n_direct then begin
-    let a = inode.Inode.direct.(lpage) in
-    if a = 0 then None else Some a
-  end
-  else if inode.Inode.indirect = 0 then None
-  else begin
-    let page = Disk.read t.disk inode.Inode.indirect in
-    let a = Page.get_u32 page (4 * (lpage - Inode.n_direct)) in
-    if a = 0 then None else Some a
-  end
+  if lpage < Inode.n_direct then inode.Inode.direct.(lpage)
+  else if inode.Inode.indirect = 0 then 0
+  else Page.get_u32 (Lazy.force indirect) (4 * (lpage - Inode.n_direct))
 
-let read_page t inode lpage =
-  match page_addr t inode lpage with
-  | Some addr -> Disk.read t.disk addr
-  | None -> Page.blank ()
+let indirect_page t (inode : Inode.t) = lazy (Disk.read t.disk inode.Inode.indirect)
+
+let page_addr t inode lpage =
+  match addr_in inode ~indirect:(indirect_page t inode) lpage with 0 -> None | a -> Some a
+
+let reader t inode =
+  let indirect = indirect_page t inode in
+  fun lpage ->
+    match addr_in inode ~indirect lpage with 0 -> Page.blank () | a -> Disk.read t.disk a
 
 let write_indirect t table_tail =
   if Array.length table_tail <> Inode.indirect_capacity then
@@ -87,8 +87,9 @@ let write_indirect t table_tail =
 let read_string t inode =
   let buf = Buffer.create inode.Inode.size in
   let npages = Inode.npages inode in
+  let read = reader t inode in
   for lpage = 0 to npages - 1 do
-    let page = read_page t inode lpage in
+    let page = read lpage in
     let remaining = inode.Inode.size - (lpage * Page.size) in
     let len = min Page.size remaining in
     Buffer.add_string buf (Page.sub page 0 len)

@@ -42,15 +42,19 @@ val load_table : t -> Inode.t -> int array
 val page_addr : t -> Inode.t -> int -> int option
 (** Physical address of logical page [i], if allocated. *)
 
-val read_page : t -> Inode.t -> int -> Page.t
-(** Read logical page [i]; absent pages read as zeroes. *)
+val reader : t -> Inode.t -> int -> Page.t
+(** [reader t inode] reads logical pages of [inode]; absent pages read as
+    zeroes. The first page past the direct slots also reads the indirect
+    page, once over all the reader's calls: one reader serves one request
+    against one version of the inode. *)
 
 val write_indirect : t -> int array -> int
 (** Allocate and write a fresh indirect page holding the given addresses
     (length {!Inode.indirect_capacity}); returns its disk address. *)
 
 val read_string : t -> Inode.t -> string
-(** Whole-file contents ([size] bytes), assembled from pages. *)
+(** Whole-file contents ([size] bytes), assembled from pages through one
+    {!reader}. *)
 
 val free_file_pages : t -> Inode.t -> unit
 (** Free every data page and the indirect page of this descriptor. *)

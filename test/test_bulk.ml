@@ -353,48 +353,89 @@ let test_buffered_reopen_asks_nothing () =
 
 (* A read open of a file another site is writing carries no pages: the
    committed copy is not what the reader must see. It reads the writer's
-   session bytes from the SS instead. *)
+   session bytes from the SS instead, once they are there: at window 1 at
+   once, and above it once the engine has run past the write-behind bound
+   that flushes the held run. A reader that opens before that flush reads
+   the committed body whole, never a mix of the two. *)
 let test_open_under_writer_carries_nothing () =
-  let w = world ~window:8 () in
-  mk_file w ~path:"/busy" ~body:(body_of_pages 2);
-  let k3 = World.kernel w 3 and k2 = World.kernel w 2 in
-  let writer = Us.open_gf k3 (gf_of k3 "/busy") Proto.Mode_modify in
-  let fresh = String.make (2 * Page.size) 'W' in
-  Us.set_contents k3 writer fresh;
-  let s = World.stats w in
-  let snap = Stats.snapshot s in
-  let o = Us.open_gf k2 (gf_of k2 "/busy") Proto.Mode_read in
-  check Alcotest.int "no pages carried" 0 (Stats.delta_of s snap "us.open.pages");
-  check Alcotest.string "reads the writer's session" fresh (Us.read_all k2 o);
-  Us.close k2 o;
-  Us.abort k3 writer;
-  Us.close k3 writer
+  List.iter
+    (fun window ->
+      let label what = Printf.sprintf "window %d: %s" window what in
+      let w = world ~window () in
+      let old = body_of_pages 2 in
+      mk_file w ~path:"/busy" ~body:old;
+      let k3 = World.kernel w 3 and k2 = World.kernel w 2 in
+      let s = World.stats w in
+      let writer = Us.open_gf k3 (gf_of k3 "/busy") Proto.Mode_modify in
+      let fresh = String.make (2 * Page.size) 'W' in
+      let snap = Stats.snapshot s in
+      Us.set_contents k3 writer fresh;
+      let read_now () =
+        let snap = Stats.snapshot s in
+        let o = Us.open_gf k2 (gf_of k2 "/busy") Proto.Mode_read in
+        check Alcotest.int (label "no pages carried") 0 (Stats.delta_of s snap "us.open.pages");
+        let got = Us.read_all k2 o in
+        Us.close k2 o;
+        got
+      in
+      if window = 1 then begin
+        check Alcotest.int (label "the write went at once, page by page") 4
+          (Stats.delta_of s snap "net.msg.write");
+        check Alcotest.string (label "reads the writer's session") fresh (read_now ())
+      end
+      else begin
+        check Alcotest.int (label "the write is held") 0 (Stats.delta_of s snap "net.msg.write");
+        check Alcotest.string (label "before the flush, the committed body whole") old
+          (read_now ());
+        ignore (Engine.run_for (World.engine w) 1.0);
+        check Alcotest.int (label "the bound flushed it in one round trip") 2
+          (Stats.delta_of s snap "net.msg.write");
+        check Alcotest.int (label "its truncate rode along") 0
+          (Stats.delta_of s snap "net.msg.truncate");
+        check Alcotest.string (label "then reads the writer's session") fresh (read_now ())
+      end;
+      Us.abort k3 writer;
+      Us.close k3 writer)
+    [ 1; 8 ]
 
 (* ---- write-behind flush points ---- *)
 
-(* Small adjacent writes coalesce in the write-behind buffer (no traffic),
-   and commit flushes them before the commit itself goes out. *)
-let test_write_behind_flushes_before_commit () =
-  let w = world ~window:8 () in
-  mk_file w ~path:"/wb" ~body:"";
-  let k2 = World.kernel w 2 in
-  let o = Us.open_gf k2 (gf_of k2 "/wb") Proto.Mode_modify in
-  let snap = Stats.snapshot (World.stats w) in
-  Us.write k2 o ~off:0 "one ";
-  Us.write k2 o ~off:4 "two ";
-  Us.write k2 o ~off:8 "three";
-  check Alcotest.int "adjacent writes buffered, no traffic yet" 0
-    (Stats.delta_of (World.stats w) snap "net.msg.write");
-  Us.commit k2 o;
-  check Alcotest.bool "commit pushed the buffered run first" true
-    (Stats.delta_of (World.stats w) snap "net.msg.write" >= 2);
-  check Alcotest.bool "run went out as one bulk write" true
-    (Stats.get (World.stats w) "us.bulk.write" >= 1);
-  Us.close k2 o;
-  ignore (World.settle w);
-  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
-  check Alcotest.string "committed bytes visible at the SS" "one two three"
-    (Kernel.read_file k0 p0 "/wb")
+(* Small adjacent writes coalesce in the write-behind buffer (no traffic)
+   and ride the commit: above window 1 the commit carries the run, so the
+   writes and the commit are one round trip. At window 1 each write goes
+   at once, a one-page round trip each. *)
+let test_write_behind_rides_the_commit () =
+  List.iter
+    (fun window ->
+      let label what = Printf.sprintf "window %d: %s" window what in
+      let w = world ~window () in
+      mk_file w ~path:"/wb" ~body:"";
+      let k2 = World.kernel w 2 in
+      let s = World.stats w in
+      let o = Us.open_gf k2 (gf_of k2 "/wb") Proto.Mode_modify in
+      let snap = Stats.snapshot s in
+      Us.write k2 o ~off:0 "one ";
+      Us.write k2 o ~off:4 "two ";
+      Us.write k2 o ~off:8 "three";
+      let writes = if window = 1 then 6 else 0 in
+      check Alcotest.int (label "write messages before the commit") writes
+        (Stats.delta_of s snap "net.msg.write");
+      Us.commit k2 o;
+      check Alcotest.int (label "no write message after them") writes
+        (Stats.delta_of s snap "net.msg.write");
+      check Alcotest.int (label "one commit round trip") 2 (Stats.delta_of s snap "net.msg.commit");
+      check Alcotest.int (label "commits carrying the run")
+        (if window = 1 then 0 else 1)
+        (Stats.delta_of s snap "us.commit.run");
+      check Alcotest.int (label "bulk write requests")
+        (if window = 1 then 0 else 1)
+        (Stats.delta_of s snap "us.bulk.write");
+      Us.close k2 o;
+      ignore (World.settle w);
+      let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+      check Alcotest.string (label "committed bytes visible at the SS") "one two three"
+        (Kernel.read_file k0 p0 "/wb"))
+    [ 1; 8 ]
 
 (* Reading back your own uncommitted write forces the buffer out first:
    read-your-writes holds across the write-behind layer. *)
@@ -438,22 +479,78 @@ let test_write_behind_flushes_on_token_release () =
 
 (* ---- whole-file writes ---- *)
 
-(* A remote whole-file write of two pages is one write round trip: its
-   truncate rides in the [Write_pages] instead of a message of its own. *)
+(* A remote whole-file write and its commit: at window 1, one one-page
+   write round trip per page, the truncate riding the first, then the
+   commit. Above it, a body of up to a window rides the commit with its
+   truncate, so the write is one round trip in all; a longer body sends
+   its leading windows and the commit carries the last. *)
 let test_whole_file_write_one_trip () =
+  List.iter
+    (fun (window, pages, writes, carried) ->
+      let label what = Printf.sprintf "window %d, %d pages: %s" window pages what in
+      let w = world ~window () in
+      mk_file w ~path:"/whole" ~body:(body_of_pages (pages + 1));
+      let k2 = World.kernel w 2 and p2 = World.proc w 2 in
+      let body = body_of_pages pages in
+      let snap = Stats.snapshot (World.stats w) in
+      Kernel.write_file k2 p2 "/whole" body;
+      let delta tag = Stats.delta_of (World.stats w) snap tag in
+      check Alcotest.int (label "write messages") writes (delta "net.msg.write");
+      check Alcotest.int (label "no truncate message") 0 (delta "net.msg.truncate");
+      check Alcotest.int (label "one commit round trip") 2 (delta "net.msg.commit");
+      check Alcotest.int (label "pages the commit carried") carried
+        (delta "us.commit.run.pages");
+      ignore (World.settle w);
+      let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+      check Alcotest.string (label "the overwrite replaced the longer body") body
+        (Kernel.read_file k0 p0 "/whole"))
+    [ (1, 2, 4, 0); (8, 2, 0, 2); (8, 8, 0, 8); (8, 12, 2, 4) ]
+
+(* A whole-file write the open then aborts sends nothing: its held run
+   dies with the abort, and the committed body stays. *)
+let test_aborted_whole_file_write_sends_nothing () =
   let w = world ~window:8 () in
-  mk_file w ~path:"/whole" ~body:(body_of_pages 3);
-  let k2 = World.kernel w 2 and p2 = World.proc w 2 in
-  let body = body_of_pages 2 in
-  let snap = Stats.snapshot (World.stats w) in
-  Kernel.write_file k2 p2 "/whole" body;
-  let delta tag = Stats.delta_of (World.stats w) snap ("net.msg." ^ tag) in
-  check Alcotest.int "one write round trip" 2 (delta "write");
-  check Alcotest.int "no truncate message" 0 (delta "truncate");
+  let old = body_of_pages 3 in
+  mk_file w ~path:"/kept" ~body:old;
+  let k2 = World.kernel w 2 in
+  let s = World.stats w in
+  let o = Us.open_gf k2 (gf_of k2 "/kept") Proto.Mode_modify in
+  let snap = Stats.snapshot s in
+  Us.set_contents k2 o (body_of_pages 2);
+  Us.abort k2 o;
+  Us.close k2 o;
+  ignore (World.settle w);
+  check Alcotest.int "no write message" 0 (Stats.delta_of s snap "net.msg.write");
+  check Alcotest.int "no truncate message" 0 (Stats.delta_of s snap "net.msg.truncate");
+  check Alcotest.int "no commit carried a run" 0 (Stats.delta_of s snap "us.commit.run");
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  check Alcotest.string "the committed body stays" old (Kernel.read_file k0 p0 "/kept")
+
+(* The write-behind timer's flush fails (each of its attempts is lost),
+   and no caller hears it: the run is kept, and the commit carries it, so
+   the commit installs the new body rather than reporting success for a
+   session that never got it. *)
+let test_failed_timer_flush_rides_the_commit () =
+  let w = world ~window:8 () in
+  mk_file w ~path:"/lost" ~body:(body_of_pages 3);
+  let k2 = World.kernel w 2 in
+  let s = World.stats w in
+  let o = Us.open_gf k2 (gf_of k2 "/lost") Proto.Mode_modify in
+  let fresh = String.make 100 'N' in
+  Us.set_contents k2 o fresh;
+  for _ = 1 to 3 do
+    Net.Netsim.fail_next_message (World.net w) ~src:2 ~dst:0
+  done;
+  let snap = Stats.snapshot s in
+  ignore (Engine.run_for (World.engine w) 1.0);
+  check Alcotest.int "the timer's flush failed" 1 (Stats.delta_of s snap "rpc.fail");
+  check Alcotest.bool "the run is still held" true (o.K.o_wb <> None);
+  Us.commit k2 o;
+  check Alcotest.int "the commit carried it" 1 (Stats.delta_of s snap "us.commit.run");
+  Us.close k2 o;
   ignore (World.settle w);
   let k0 = World.kernel w 0 and p0 = World.proc w 0 in
-  check Alcotest.string "the overwrite replaced the longer body" body
-    (Kernel.read_file k0 p0 "/whole")
+  check Alcotest.string "the new body committed" fresh (Kernel.read_file k0 p0 "/lost")
 
 (* Two other using sites read the file while a third writes 8 pages in
    one request: the SS sends each reader one ranged invalidation, not one
@@ -564,14 +661,18 @@ let () =
             test_buffered_reopen_asks_nothing;
           Alcotest.test_case "open under a writer carries no pages" `Quick
             test_open_under_writer_carries_nothing;
-          Alcotest.test_case "write-behind flushes before commit" `Quick
-            test_write_behind_flushes_before_commit;
+          Alcotest.test_case "write-behind rides the commit" `Quick
+            test_write_behind_rides_the_commit;
           Alcotest.test_case "write-behind flushes on read-back" `Quick
             test_write_behind_flushes_on_read_back;
           Alcotest.test_case "write-behind flushes on token release" `Quick
             test_write_behind_flushes_on_token_release;
           Alcotest.test_case "whole-file write is one round trip" `Quick
             test_whole_file_write_one_trip;
+          Alcotest.test_case "aborted whole-file write sends nothing" `Quick
+            test_aborted_whole_file_write_sends_nothing;
+          Alcotest.test_case "failed timer flush rides the commit" `Quick
+            test_failed_timer_flush_rides_the_commit;
           Alcotest.test_case "one ranged invalidation per write" `Quick
             test_one_ranged_invalidation;
           Alcotest.test_case "propagation pulls in batches" `Quick

@@ -806,7 +806,10 @@ let test_lost_intent_messages () =
    chmod, sent from site 3 to site 0, which stores the file's one copy and
    is its CSS. The operation succeeds, and the file holds its new state
    under one version bump. The SS keeps no serving registration, and a
-   writer at site 2 is not locked out. *)
+   writer at site 2 is not locked out. At the default window of 8 the
+   write's body rides its commit, so no write message goes out at all,
+   and the commit whose reply is lost carries the run: the handler that
+   writes it runs once, and the resend is answered from the kept reply. *)
 let test_lost_file_replies () =
   let lose (label, picks, op, holds) =
     let w = asym_world () in
@@ -827,6 +830,8 @@ let test_lost_file_replies () =
     | exception K.Error (e, msg) -> Alcotest.failf "%s: %s (%s)" label (Proto.errno_to_string e) msg);
     disarm w 0;
     check_one_resend w snap ~label ~reply:true runs;
+    check Alcotest.int (label ^ ": no write message") 0
+      (Stats.delta_of (stats w) snap "net.msg.write");
     check Alcotest.bool (label ^ ": one version bump") true
       (Vv.Version_vector.equal (inode ()).Inode.vv (Vv.Version_vector.bump before 0));
     check Alcotest.bool (label ^ ": no serving registration at the SS") true
@@ -845,7 +850,10 @@ let test_lost_file_replies () =
   List.iter lose
     [
       ("open", (function Proto.Open_req _ -> true | _ -> false), write, wrote);
-      ("commit", (function Proto.Commit_req _ -> true | _ -> false), write, wrote);
+      ( "commit carrying the run",
+        (function Proto.Commit_req { run = Some _; _ } -> true | _ -> false),
+        write,
+        wrote );
       ("close", (function Proto.Us_close _ -> true | _ -> false), write, wrote);
       ("set_attr", (function Proto.Set_attr _ -> true | _ -> false), chmod, chmodded);
     ]

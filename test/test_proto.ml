@@ -23,7 +23,7 @@ let some_reqs =
       { gf; first = 0; count = 1; guess = 0; committed = false; stat = false };
     Proto.Write_pages { gf; trunc = None; first = 0; off = 0; data = String.make 1024 'x' };
     Proto.Write_pages { gf; trunc = Some 0; first = 0; off = 0; data = "" };
-    Proto.Commit_req { gf; us = 0; abort = false; delete = false; force_vv = None };
+    Proto.Commit_req { gf; us = 0; abort = false; delete = false; force_vv = None; run = None };
     Proto.Us_close { gf; mode = Proto.Mode_read };
     Proto.Ss_close { gf; ss = 0; us = 1; mode = Proto.Mode_read };
     Proto.Commit_notify
@@ -212,6 +212,46 @@ let test_fused_forms () =
   check Alcotest.int "one-page invalidation" 36 (inval 1);
   check Alcotest.int "ranged invalidation" 40 (inval 8)
 
+(* The commit request: one that carries no run costs exactly what the
+   paper's commit did (header, file, the using site and two flag bytes).
+   A run is sized exactly as a [Write_pages] body: a page number, offset
+   and flag within one page, a run header across several, 4 bytes for a
+   truncate, and a truncate alone just the size. *)
+let test_commit_forms () =
+  let commit ?force_vv run =
+    Proto.req_bytes
+      (Proto.Commit_req { gf; us = 0; abort = false; delete = false; force_vv; run })
+  in
+  let run ?trunc ?(first = 0) ?(off = 0) data =
+    Some { Proto.run_trunc = trunc; run_first = first; run_off = off; run_data = data }
+  in
+  let write ?trunc ?(first = 0) ?(off = 0) data =
+    Proto.req_bytes (Proto.Write_pages { gf; trunc; first; off; data })
+  in
+  let page = String.make 1024 'p' in
+  let eight = String.make (8 * 1024) 'p' in
+  check Alcotest.int "paper commit" 37 (commit None);
+  check Alcotest.int "paper commit with a forced version" (37 + 8)
+    (commit ~force_vv:vv_small None);
+  check Alcotest.int "a one-page run" (37 + 9 + 1024) (commit (run page));
+  check Alcotest.int "a patch within a page" (37 + 9 + 5) (commit (run ~first:3 ~off:10 "patch"));
+  check Alcotest.int "a window with its truncate" (37 + 12 + 4 + (8 * 1024))
+    (commit (run ~trunc:0 eight));
+  check Alcotest.int "a truncate alone" (37 + 4) (commit (run ~trunc:0 ""));
+  List.iter
+    (fun (name, trunc, first, off, data) ->
+      check Alcotest.int name
+        (write ?trunc ~first ~off data - 36 + 4)
+        (commit (run ?trunc ~first ~off data) - 37))
+    [ ("run priced as a write: page", None, 0, 0, page);
+      ("run priced as a write: truncate and window", Some 0, 0, 0, eight);
+      ("run priced as a write: ragged", None, 2, 1000, page);
+      ("run priced as a write: truncate alone", Some 5, 0, 0, "") ];
+  check Alcotest.string "a run-carrying commit is tagged commit" "commit"
+    (Proto.req_tag
+       (Proto.Commit_req
+          { gf; us = 0; abort = false; delete = false; force_vv = None; run = run page }))
+
 (* The open exchange: an open that asks for no pages and a reply that
    carries none cost exactly what the paper's open and reply did (header,
    file, two flag bytes and the US's version; header, five bytes, the
@@ -308,6 +348,7 @@ let () =
           Alcotest.test_case "one-page forms" `Quick test_one_page_forms;
           Alcotest.test_case "fused truncate and ranged invalidation" `Quick test_fused_forms;
           Alcotest.test_case "open forms" `Quick test_open_forms;
+          Alcotest.test_case "commit forms" `Quick test_commit_forms;
           Alcotest.test_case "commit notification forms" `Quick test_commit_notify_forms;
           Alcotest.test_case "inventory forms" `Quick test_inventory_forms;
           Alcotest.test_case "errno strings" `Quick test_errno_strings;

@@ -103,6 +103,57 @@ let test_pack_large_file_indirect () =
   check Alcotest.int "no indirect" 0 inode.Inode.indirect;
   check Alcotest.string "shrunk" "tiny" (Pack.read_string pack inode)
 
+(* A file past the direct slots maps its pages through the indirect page.
+   One reader, or one SS request, reads that page once: a whole read of a
+   16-page file costs its 16 data pages and one indirect read, where a
+   reader per page pays it again for each of the 8 pages past the direct
+   slots. *)
+let test_pack_one_indirect_read_per_request () =
+  let pack = make_pack () in
+  let pages = 16 in
+  let body = String.init (pages * Page.size) (fun i -> Char.chr (65 + (i / Page.size))) in
+  let inode = install pack ~ino:2 body in
+  let disk = Pack.disk pack in
+  let reads f =
+    let before = Disk.reads disk in
+    f ();
+    Disk.reads disk - before
+  in
+  let read_with read = for lpage = 0 to pages - 1 do ignore (read lpage) done in
+  check Alcotest.int "read_string: 16 data pages, 1 indirect" (pages + 1)
+    (reads (fun () -> check Alcotest.string "contents" body (Pack.read_string pack inode)));
+  check Alcotest.int "one reader: 16 data pages, 1 indirect" (pages + 1)
+    (reads (fun () -> read_with (Pack.reader pack inode)));
+  check Alcotest.int "the direct pages need no indirect read" Inode.n_direct
+    (reads (fun () ->
+         let read = Pack.reader pack inode in
+         for lpage = 0 to Inode.n_direct - 1 do ignore (read lpage) done));
+  check Alcotest.int "a reader per page pays it per page" (pages + (pages - Inode.n_direct))
+    (reads (fun () -> read_with (fun lpage -> Pack.reader pack inode lpage)));
+  (* The same file read whole by one [Read_pages] at its storage site,
+     with the SS buffer cache off so every page comes from the disk. *)
+  let base = Locus.World.default_config ~n_sites:2 () in
+  let config =
+    { base with
+      Locus.World.kernel_config =
+        { base.Locus.World.kernel_config with Locus_core.Ktypes.ss_cache_pages = 0 } }
+  in
+  let w = Locus.World.create ~config () in
+  let k0 = Locus.World.kernel w 0 and p0 = Locus.World.proc w 0 in
+  let gf = Locus_core.Kernel.creat k0 p0 "/sixteen" in
+  Locus_core.Kernel.write_file k0 p0 "/sixteen" body;
+  ignore (Locus.World.settle w);
+  let disk = Pack.disk (Hashtbl.find k0.Locus_core.Ktypes.packs gf.Catalog.Gfile.fg) in
+  let before = Disk.reads disk in
+  (match
+     Locus_core.Ss.handle_read_pages ~committed:true k0 gf ~first:0 ~count:pages
+   with
+  | Proto.R_pages { pages = got; _ } ->
+    check Alcotest.string "the request reads the file" body (String.concat "" got)
+  | _ -> Alcotest.fail "the read request failed");
+  check Alcotest.int "one request: 16 data pages, 1 indirect" (pages + 1)
+    (Disk.reads disk - before)
+
 let test_pack_remove_frees_pages () =
   let pack = make_pack () in
   let _ = install pack ~ino:2 (String.make 5000 'z') in
@@ -345,6 +396,8 @@ let () =
           Alcotest.test_case "inode space partition" `Quick test_pack_alloc_ino_partitioned;
           Alcotest.test_case "small file" `Quick test_pack_small_file_roundtrip;
           Alcotest.test_case "indirect pages" `Quick test_pack_large_file_indirect;
+          Alcotest.test_case "one indirect read per request" `Quick
+            test_pack_one_indirect_read_per_request;
           Alcotest.test_case "remove frees" `Quick test_pack_remove_frees_pages;
         ] );
       ( "shadow",
