@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke soak soak-smoke simdiff check lint fmt clean
+.PHONY: all build test bench bench-smoke soak soak-smoke simdiff loc check lint fmt clean
 
 all: build
 
@@ -76,6 +76,13 @@ simdiff:
 		git archive HEAD | tar x -C "$$dir" && \
 		python3 bench/simdiff.py --parent "$$dir"; \
 	fi
+
+# Source size: the .ml + .mli line count of lib/, bench/ and test/, the
+# figures a change that deletes code quotes before and after.
+loc:
+	@for d in lib bench test; do \
+		printf '%-6s %6d\n' "$$d/" "$$(find $$d \( -name '*.ml' -o -name '*.mli' \) -type f -exec cat {} + | wc -l)"; \
+	done
 
 # Warning-as-error gate: a cold build must produce no compiler output at
 # all. dune only prints warnings when it (re)compiles, so the gate cleans

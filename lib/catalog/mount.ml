@@ -1,75 +1,25 @@
 type t = {
   root_fg : int;
   mutable mounts : (Gfile.t * int) list; (* mount point -> child fg *)
-  mutable shards : (Gfile.t * int list) list;
-  (* sharded mount point -> member fgs: one logical subtree whose entries
-     are spread across several filegroups (and hence several CSSs) by
-     hashing the first component under the point *)
 }
 
 let root_ino = 1
 
-let create ~root_fg = { root_fg; mounts = []; shards = [] }
+let create ~root_fg = { root_fg; mounts = [] }
 
 let root t = Gfile.make ~fg:t.root_fg ~ino:root_ino
 
-let root_fg t = t.root_fg
+let fg_in_use t fg = fg = t.root_fg || List.exists (fun (_, g) -> g = fg) t.mounts
 
-let fg_in_use t fg =
-  fg = t.root_fg
-  || List.exists (fun (_, g) -> g = fg) t.mounts
-  || List.exists (fun (_, fgs) -> List.mem fg fgs) t.shards
-
-let point_in_use t point =
-  List.exists (fun (p, _) -> Gfile.equal p point) t.mounts
-  || List.exists (fun (p, _) -> Gfile.equal p point) t.shards
+let point_in_use t point = List.exists (fun (p, _) -> Gfile.equal p point) t.mounts
 
 let add t ~mount_point ~child_fg =
   if fg_in_use t child_fg then invalid_arg "Mount.add: filegroup already mounted";
   if point_in_use t mount_point then invalid_arg "Mount.add: mount point already in use";
   t.mounts <- (mount_point, child_fg) :: t.mounts
 
-let add_sharded t ~mount_point ~shard_fgs =
-  if shard_fgs = [] then invalid_arg "Mount.add_sharded: no shard filegroups";
-  List.iter
-    (fun fg -> if fg_in_use t fg then invalid_arg "Mount.add_sharded: filegroup already mounted")
-    shard_fgs;
-  if List.length (List.sort_uniq Int.compare shard_fgs) <> List.length shard_fgs then
-    invalid_arg "Mount.add_sharded: duplicate shard filegroup";
-  if point_in_use t mount_point then
-    invalid_arg "Mount.add_sharded: mount point already in use";
-  t.shards <- (mount_point, shard_fgs) :: t.shards
-
 let mounted_at t point =
   List.find_opt (fun (p, _) -> Gfile.equal p point) t.mounts |> Option.map snd
 
-let sharded_at t point =
-  List.find_opt (fun (p, _) -> Gfile.equal p point) t.shards |> Option.map snd
-
-(* Deterministic component hash: every site must route a name to the same
-   shard with no negotiation, so the function is part of the replicated
-   mount state just like the table itself. *)
-let shard_hash comp =
-  String.fold_left (fun h c -> ((h * 33) + Char.code c) land 0x3FFFFFFF) 5381 comp
-
-let shard_for t point comp =
-  match sharded_at t point with
-  | None -> None
-  | Some fgs -> Some (List.nth fgs (shard_hash comp mod List.length fgs))
-
 let mount_point_of t fg =
-  match List.find_opt (fun (_, child) -> child = fg) t.mounts with
-  | Some (p, _) -> Some p
-  | None ->
-    List.find_opt (fun (_, fgs) -> List.mem fg fgs) t.shards |> Option.map fst
-
-let filegroups t =
-  (t.root_fg :: List.map snd t.mounts) @ List.concat_map snd t.shards
-  |> List.sort_uniq Int.compare
-
-let copy t = { t with mounts = t.mounts; shards = t.shards }
-
-let equal a b =
-  let norm_m t = List.sort (fun (p1, _) (p2, _) -> Gfile.compare p1 p2) t.mounts in
-  let norm_s t = List.sort (fun (p1, _) (p2, _) -> Gfile.compare p1 p2) t.shards in
-  a.root_fg = b.root_fg && norm_m a = norm_m b && norm_s a = norm_s b
+  List.find_opt (fun (_, child) -> child = fg) t.mounts |> Option.map fst

@@ -16,38 +16,13 @@ val create : root_fg:int -> t
 val root : t -> Gfile.t
 (** The global root directory <root_fg, 1>. *)
 
-val root_fg : t -> int
-
 val add : t -> mount_point:Gfile.t -> child_fg:int -> unit
 (** Mount [child_fg] at directory [mount_point]. Raises [Invalid_argument]
     if that filegroup is already mounted or the point is in use. *)
 
-val add_sharded : t -> mount_point:Gfile.t -> shard_fgs:int list -> unit
-(** Mount a group of filegroups as one sharded subtree at [mount_point]:
-    a name directly under the point is routed to
-    [shard_fgs.(hash name mod n)]'s root directory, so the subtree's
-    synchronization load spreads across the shards' CSSs. Raises
-    [Invalid_argument] on reuse, duplicates, or an empty list. *)
-
 val mounted_at : t -> Gfile.t -> int option
 (** If the directory is a mount point, the filegroup mounted on it. *)
 
-val sharded_at : t -> Gfile.t -> int list option
-(** If the directory is a sharded mount point, its member filegroups. *)
-
-val shard_for : t -> Gfile.t -> string -> int option
-(** Route component [comp] under a sharded mount point to its shard
-    filegroup; [None] if the directory is not sharded. Deterministic:
-    every site computes the same shard. *)
-
 val mount_point_of : t -> int -> Gfile.t option
-(** Reverse lookup for ".." traversal out of a filegroup root (shard
-    members answer with the shared sharded point). [None] for the root
-    filegroup. *)
-
-val filegroups : t -> int list
-(** All mounted filegroups including the root, sorted. *)
-
-val copy : t -> t
-
-val equal : t -> t -> bool
+(** Reverse lookup for ".." traversal out of a filegroup root. [None]
+    for the root filegroup. *)

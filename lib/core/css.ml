@@ -75,6 +75,11 @@ let seed_copy k gf ~site ~vv ~ftype ~deleted =
   else if not (Vvec.dominates_or_equal f.latest_vv vv) then f.latest_vv <- vv;
   if deleted then f.css_deleted <- true
 
+(* Whether every pack of [fg] is in this partition. A CSS rebuilt in a
+   partition knows only the members' copies: while a pack is away, a file
+   may be stored there though the CSS knows no copy of it. *)
+let all_packs_here k fg = List.for_all (in_partition k) (fg_info k fg).pack_sites
+
 let sites_with_latest k f =
   Site.Map.fold
     (fun site vv acc ->
@@ -145,7 +150,8 @@ let handle_open k ~src gf mode ~shared us_vv =
     if f.css_deleted then Proto.R_err Proto.Enoent
     else if f.css_conflict && mode <> Proto.Mode_internal then
       Proto.R_err Proto.Econflict
-    else if Site.Map.is_empty f.site_vv then Proto.R_err Proto.Enoent
+    else if Site.Map.is_empty f.site_vv then
+      Proto.R_err (if all_packs_here k fg then Proto.Enoent else Proto.Enet)
     else begin
       match mode with
       | Proto.Mode_modify when f.writer <> None && not shared -> Proto.R_err Proto.Ebusy
@@ -352,22 +358,30 @@ let handle_ss_close k gf ~us ~mode =
       Proto.R_ok
   end
 
-(* Reclaim check: once every storing site has seen a delete, tell them all
+(* Reclaim check: once every storing site has seen a delete, and no pack
+   that may store a copy the CSS does not know of is away, tell them all
    to release the inode number for reallocation (section 2.3.7). *)
 let maybe_reclaim k gf f =
   if f.css_deleted then begin
     let all_seen =
       Site.Map.for_all (fun _ vv -> Vvec.dominates_or_equal vv f.latest_vv) f.site_vv
     in
-    let all_reachable =
-      Site.Map.for_all (fun site _ -> in_partition k site) f.site_vv
-    in
-    if all_seen && all_reachable then begin
+    if all_seen && all_packs_here k gf.Gfile.fg then begin
       Site.Map.iter (fun site _ -> notify k site (Proto.Reclaim_req { gf })) f.site_vv;
       Hashtbl.remove (fg_state k gf.Gfile.fg).css_files gf.Gfile.ino;
       record k ~tag:"css.reclaim" "%a" Gfile.pp gf
     end
   end
+
+(* The reclaim check over every deleted file of [fg], for a CSS that has
+   just rebuilt its tables: a delete every copy saw before the rebuild
+   draws no further notification. The files are collected first, since a
+   reclaim removes its entry from the table. *)
+let reclaim_deleted k fg =
+  Hashtbl.fold
+    (fun ino f acc -> if f.css_deleted then (ino, f) :: acc else acc)
+    (fg_state k fg).css_files []
+  |> List.iter (fun (ino, f) -> maybe_reclaim k (Gfile.make ~fg ~ino) f)
 
 (* Commit notification bookkeeping at the CSS. *)
 let handle_commit_notify ?(replicas = []) k gf ~origin ~vv ~deleted =
@@ -397,9 +411,7 @@ let handle_where k gf =
   match find_file k gf.Gfile.fg gf.Gfile.ino with
   | None -> Proto.R_err Proto.Enoent
   | Some f ->
-    let sites = sites_with_latest k f in
-    let all_sites = List.map fst (Site.Map.bindings f.site_vv) in
-    Proto.R_where { sites; all_sites; vv = f.latest_vv }
+    Proto.R_where { sites = sites_with_latest k f }
 
 (* Lock-table contents for a rebuilding CSS (section 5.6). *)
 let handle_open_files_query k fg =

@@ -87,8 +87,13 @@ val handle_commit_notify :
   deleted:bool ->
   unit
 (** Version bookkeeping on a commit notification; triggers inode
-    reclamation once every storing site has seen a delete (§2.3.7).
-    [replicas] registers create-time designated storage sites. *)
+    reclamation once every storing site has seen a delete and every pack
+    of the filegroup is in the partition (§2.3.7). [replicas] registers
+    create-time designated storage sites. *)
+
+val reclaim_deleted : Ktypes.t -> int -> unit
+(** The reclaim check over every deleted file of a filegroup, run by a
+    CSS that has just rebuilt its tables. *)
 
 val handle_where : Ktypes.t -> Catalog.Gfile.t -> Proto.resp
 

@@ -360,16 +360,19 @@ let pipe_read k (proc : proc) path ~max =
 
 (* ---- mailbox delivery (used for conflict notification, section 4.6) ---- *)
 
+(* A body that does not decode is an error, never an empty mailbox: a
+   delivery over it would commit one message in place of all of them. *)
+let decode_mailbox body =
+  match Mbox.decode body with
+  | mbox -> mbox
+  | exception Failure _ -> err Proto.Eio "corrupt mailbox"
+
 let mailbox_deliver k ~path ~from ~body =
   let root = Mount.root k.mount in
   let gf = Pathname.resolve_from k ~cwd:root ~context:[] path in
   let o = Us.open_gf k gf Proto.Mode_modify in
   match
-    let mbox =
-      match Mbox.decode (Us.read_all k o) with
-      | mbox -> mbox
-      | exception Failure _ -> Mbox.empty ()
-    in
+    let mbox = decode_mailbox (Us.read_all k o) in
     let id = Printf.sprintf "%d.%d" k.site (fresh_serial k) in
     Mbox.insert mbox ~id ~stamp:(now k) ~from ~body;
     Us.set_contents k o (Mbox.encode mbox);
@@ -380,10 +383,7 @@ let mailbox_deliver k ~path ~from ~body =
     Us.release k o;
     raise e
 
-let mailbox_read k (proc : proc) path =
-  match Mbox.decode (read_file k proc path) with
-  | mbox -> Mbox.live mbox
-  | exception Failure _ -> []
+let mailbox_read k (proc : proc) path = Mbox.live (decode_mailbox (read_file k proc path))
 
 (* ---- cleanup after partition change (section 5.6's table) ---- *)
 

@@ -157,7 +157,6 @@ let handle_lookup k gf comps =
     let fg = gf.Gfile.fg in
     let searchable cur =
       if Mount.mounted_at k.mount cur <> None then None
-      else if Mount.sharded_at k.mount cur <> None then None
       else if Gfile.Set.mem cur k.prop_pending then None
       else
         match Pack.find_inode pack cur.Gfile.ino with
@@ -251,18 +250,6 @@ let walk_comps k ~context start comps ~finish =
     | [] -> finish gf ~hint ~edge
     | comp :: rest -> step gf ~edge comp rest
   and step gf ~edge comp rest =
-    match if cacheable_comp comp then Mount.shard_for k.mount gf comp else None with
-    | Some shard_fg ->
-      (* A sharded mount point: the component is routed to its shard's
-         root directory, so the entry (and its synchronization) lives at
-         that shard's CSS rather than at one coordinator for the whole
-         subtree. The walk re-runs the component there. *)
-      remote_ok := true;
-      walk
-        (Gfile.make ~fg:shard_fg ~ino:Mount.root_ino)
-        ~hint:(Some Inode.Directory) ~edge:None (comp :: rest)
-    | None -> step_unsharded gf ~edge comp rest
-  and step_unsharded gf ~edge comp rest =
     match
       if cacheable_comp comp then
         Namecache.find k.name_cache ~dir:gf ~comp
@@ -471,36 +458,12 @@ let resolve_parent k ~cwd ~context path =
         String.sub last 1 (String.length last - 1)
       else last
     in
-    (* A final name directly under a sharded mount point belongs in its
-       shard's root directory: create/unlink/link must edit that shard. *)
-    let dir_gf =
-      match Mount.shard_for k.mount dir_gf last with
-      | Some shard_fg -> Gfile.make ~fg:shard_fg ~ino:Mount.root_ino
-      | None -> dir_gf
-    in
     (dir_gf, last)
 
-(* Read a directory's live entries (for readdir / ls). A sharded mount
-   point reads as the union of its shards' root directories: the listing
-   is one logical directory even though its entries are spread. *)
+(* Read a directory's live entries (for readdir / ls). *)
 let read_directory k gf =
   let ftype, body = load_dir k gf in
   match ftype with
-  | Inode.Directory | Inode.Hidden_directory -> (
-    let dir = dir_of_body body in
-    match Mount.sharded_at k.mount gf with
-    | None -> dir
-    | Some fgs ->
-      List.iter
-        (fun fg ->
-          let _, body = load_dir k (Gfile.make ~fg ~ino:Mount.root_ino) in
-          List.iter
-            (fun (e : Dir.entry) ->
-              if e.Dir.name <> "." && e.Dir.name <> ".." then
-                Dir.insert dir ~name:e.Dir.name ~ino:e.Dir.ino ~stamp:e.Dir.stamp
-                  ~origin:e.Dir.origin)
-            (Dir.live_entries (dir_of_body body)))
-        fgs;
-      dir)
+  | Inode.Directory | Inode.Hidden_directory -> dir_of_body body
   | Inode.Regular | Inode.Mailbox | Inode.Database | Inode.Fifo ->
     err Proto.Enotdir "%a is not a directory" Gfile.pp gf

@@ -812,13 +812,13 @@ let handle_set_attr k gf ~perms ~owner =
 
 let handle_stat k gf =
   match local_pack k gf.Gfile.fg with
-  | None -> Proto.R_stat { info = None; stored_here = false }
+  | None -> Proto.R_stat { info = None }
   | Some pack -> (
     match Pack.find_inode pack gf.Gfile.ino with
-    | None -> Proto.R_stat { info = None; stored_here = false }
+    | None -> Proto.R_stat { info = None }
     | Some inode ->
       charge_disk_read k;
-      Proto.R_stat { info = Some (Proto.info_of_inode inode); stored_here = true })
+      Proto.R_stat { info = Some (Proto.info_of_inode inode) })
 
 let handle_inventory k fg =
   match local_pack k fg with

@@ -34,10 +34,6 @@ type config = {
   kernel_config : K.config;
   machine_type : int -> string;
   filegroups : fg_spec list;
-  shard_mounts : (string * int list) list;
-      (* path -> member fgs: mount those filegroups as one sharded subtree
-         at the path, spreading its CSS load (the fgs must appear in
-         [filegroups] with [mount_path = None] aside from the root) *)
 }
 
 let default_config ?(n_sites = 5) () =
@@ -49,7 +45,6 @@ let default_config ?(n_sites = 5) () =
     machine_type = (fun _ -> "vax");
     filegroups =
       [ { fg = 0; pack_sites = List.init n_sites Fun.id; mount_path = None } ];
-    shard_mounts = [];
   }
 
 type t = {
@@ -113,18 +108,8 @@ let create ?(config = default_config ()) () =
   let net = Netsim.create engine topo config.latency in
   Netsim.set_error_classifier net (function Proto.R_err _ -> true | _ -> false);
   Netsim.set_idempotent_classifier net Proto.req_idempotent;
-  (* Shard members are mounted collectively via [shard_mounts], so they
-     carry no mount path of their own; the root is the remaining pathless
-     filegroup. *)
-  let shard_member fg =
-    List.exists (fun (_, fgs) -> List.mem fg fgs) config.shard_mounts
-  in
   let root_spec =
-    match
-      List.find_opt
-        (fun s -> s.mount_path = None && not (shard_member s.fg))
-        config.filegroups
-    with
+    match List.find_opt (fun s -> s.mount_path = None) config.filegroups with
     | Some s -> s
     | None -> invalid_arg "World.create: no root filegroup (mount_path = None)"
   in
@@ -184,28 +169,22 @@ let create ?(config = default_config ()) () =
 (* Mount the non-root filegroups at their configured paths; call once after
    [create], when the mount-point directories exist (it creates them). *)
 let mount_filegroups t =
-  let point_gf spec_sites path =
-    let k = kernel t (List.hd (List.sort Site.compare spec_sites)) in
-    let p = proc t (Kernel.site k) in
-    match Kernel.stat k p path with
-    | _ ->
-      Locus_core.Pathname.resolve_from k ~cwd:(Mount.root t.mount) ~context:[]
-        ~follow_hidden:false path
-    | exception K.Error (Proto.Enoent, _) -> Kernel.mkdir k p path
-  in
   List.iter
     (fun spec ->
       match spec.mount_path with
       | None -> ()
       | Some path ->
-        let gf = point_gf spec.pack_sites path in
+        let k = kernel t (List.hd (List.sort Site.compare spec.pack_sites)) in
+        let p = proc t (Kernel.site k) in
+        let gf =
+          match Kernel.stat k p path with
+          | _ ->
+            Locus_core.Pathname.resolve_from k ~cwd:(Mount.root t.mount) ~context:[]
+              ~follow_hidden:false path
+          | exception K.Error (Proto.Enoent, _) -> Kernel.mkdir k p path
+        in
         Mount.add t.mount ~mount_point:gf ~child_fg:spec.fg)
-    t.config.filegroups;
-  List.iter
-    (fun (path, fgs) ->
-      let gf = point_gf (sites t) path in
-      Mount.add_sharded t.mount ~mount_point:gf ~shard_fgs:fgs)
-    t.config.shard_mounts
+    t.config.filegroups
 
 (* Drain all background activity (propagation pulls, notifications). A round
    that exhausts the event budget aborts the drain with [`Limit] — a

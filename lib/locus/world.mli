@@ -20,11 +20,6 @@ type config = {
   kernel_config : Locus_core.Ktypes.config;
   machine_type : int -> string; (** cpu type per site (§2.4.1) *)
   filegroups : fg_spec list;
-  shard_mounts : (string * int list) list;
-      (** path -> member filegroups, mounted as one sharded subtree: names
-          directly under the path are spread across the members (and hence
-          across their CSSs) by a replicated hash. The member filegroups
-          are listed in [filegroups] with [mount_path = None]. *)
 }
 
 val default_config : ?n_sites:int -> unit -> config

@@ -352,15 +352,12 @@ type resp =
        (or, for a create, allocated it) *)
   | R_linked of { vv : Vvec.t; deleted : bool }
     (* a [Step_link]'s new version of the file; [deleted] at the last link *)
-  | R_stat of { info : inode_info option; stored_here : bool }
+  | R_stat of { info : inode_info option }
   | R_lookup of { gf : Catalog.Gfile.t; consumed : int; trail : lookup_step list }
     (* where the server-side walk stopped, how many components it
        consumed, and one trail step per consumed component *)
-  | R_where of {
-      sites : Net.Site.t list;     (* reachable sites holding the latest version *)
-      all_sites : Net.Site.t list; (* every site holding any copy, even stale or unreachable *)
-      vv : Vvec.t;
-    }
+  | R_where of { sites : Net.Site.t list }
+    (* reachable sites holding the latest version *)
   | R_token of { granted : bool; state : string }
   | R_pid of { pid : int }
   | R_pset of { pset : Net.Site.t list }
@@ -514,8 +511,7 @@ let resp_bytes = function
   | R_lookup { trail; _ } ->
     header + gfile_bytes + 4
     + List.fold_left (fun a s -> a + (2 * gfile_bytes) + vv_bytes s.l_vv + 1) 0 trail
-  | R_where { sites; all_sites; vv } ->
-    header + site_list_bytes sites + site_list_bytes all_sites + vv_bytes vv
+  | R_where { sites } -> header + site_list_bytes sites
   | R_token { state; _ } -> header + 1 + String.length state
   | R_pid _ -> header + 4
   | R_pset { pset } -> header + site_list_bytes pset

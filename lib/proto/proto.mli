@@ -364,15 +364,12 @@ type resp =
   | R_linked of { vv : Vv.Version_vector.t; deleted : bool }
       (** a [Step_link]'s new version of the file; [deleted] when the last
           link went *)
-  | R_stat of { info : inode_info option; stored_here : bool }
+  | R_stat of { info : inode_info option }
   | R_lookup of { gf : Catalog.Gfile.t; consumed : int; trail : lookup_step list }
       (** where the server-side walk stopped, how many components it
           consumed, and one trail step per consumed component *)
-  | R_where of {
-      sites : Net.Site.t list;
-      all_sites : Net.Site.t list;
-      vv : Vv.Version_vector.t;
-    }
+  | R_where of { sites : Net.Site.t list }
+      (** the reachable sites holding the latest version *)
   | R_token of { granted : bool; state : string }
   | R_pid of { pid : int }
   | R_pset of { pset : Net.Site.t list }

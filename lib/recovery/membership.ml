@@ -36,25 +36,25 @@ let rebuild_css k fg ~members =
       | Ok (Proto.R_open_files { files }) ->
         List.iter (fun entry -> Css.register_open k fg entry) files
       | Ok _ | Stdlib.Error _ -> ())
-    members
+    members;
+  Css.reclaim_deleted k fg
 
 (* Place [fi]'s CSS by the replicated placement function over the members
    holding its pack, which every member evaluates to the same site with no
-   message, spreading the roles of many filegroups over the partition. A
-   site that became CSS rebuilds its tables, as does one that stays CSS
-   when [rebuild]; one that lost the role drops its state. With no pack
+   message, spreading the roles of many filegroups over the partition. The
+   CSS rebuilds its tables at every install, whether it became CSS or
+   stays one, so no reader count or lease holder of a dropped lease
+   survives; a site that lost the role drops its state. With no pack
    holder among the members the filegroup is unavailable here: no CSS is
    elected, so its opens find the old one unreachable (ENET), where a
    packless CSS would know no copy and answer ENOENT. *)
-let place k ~rebuild fi =
+let place k fi =
   match place_css ~fg:fi.fg (List.filter (in_partition k) fi.pack_sites) with
   | None -> record k ~tag:"member.unavailable" "fg %d: no pack holder" fi.fg
   | Some css ->
     let old = fi.css_site in
     fi.css_site <- css;
-    if Site.equal css k.site then begin
-      if rebuild || not (Site.equal old k.site) then rebuild_css k fi.fg ~members:k.site_table
-    end
+    if Site.equal css k.site then rebuild_css k fi.fg ~members:k.site_table
     else if Site.equal old k.site then Css.drop_fg k fi.fg
 
 let install k ~members ~merge =
@@ -72,7 +72,7 @@ let install k ~members ~merge =
   if merge then Locus_core.Namecache.clear k.name_cache;
   (* Place the synchronization sites first: the cleanup procedure's
      attempt to reopen lost files at another copy needs a live CSS. *)
-  List.iter (place k ~rebuild:merge) k.fg_table;
+  List.iter (place k) k.fg_table;
   List.iter
     (fun dead ->
       ignore (Txn.handle_site_failure k dead);

@@ -5,19 +5,18 @@
 val install : Locus_core.Ktypes.t -> members:Net.Site.t list -> merge:bool -> unit
 (** Install [members] as this site's partition. In order: set the site
     table and drop every retained lease; place every filegroup's CSS by
-    {!Locus_core.Ktypes.place_css} over the members holding its pack — a
-    site that became CSS rebuilds the filegroup's tables from the members,
-    one that lost the role drops them, and a filegroup no member holds a
-    pack of gets no CSS (its opens answer [ENET]); then run the §5.6
-    cleanup ([Txn.handle_site_failure], [Kernel.handle_site_failure]) for
-    every site that left; last, revalidate the SS registrations against
-    the members' open files ({!Locus_core.Ss.revalidate_serving}). [merge]
-    says partitions joined, so the members' histories apart are unknown,
-    and a member that crashed and restarted may rejoin without having left
-    this site's table: the name cache starts cold and every CSS rebuilds
-    whether or not it moved. *)
+    {!Locus_core.Ktypes.place_css} over the members holding its pack — the
+    CSS, whether it moved or stayed, rebuilds the filegroup's tables from
+    the members, a site that lost the role drops them, and a filegroup no
+    member holds a pack of gets no CSS (its opens answer [ENET]); then run
+    the §5.6 cleanup ([Txn.handle_site_failure],
+    [Kernel.handle_site_failure]) for every site that left; last,
+    revalidate the SS registrations against the members' open files
+    ({!Locus_core.Ss.revalidate_serving}). [merge] says partitions joined,
+    so directories may have changed apart: the name cache starts cold. *)
 
 val rebuild_css : Locus_core.Ktypes.t -> int -> members:Net.Site.t list -> unit
 (** New CSS for a filegroup: reconstruct version bookkeeping (from the
     members' pack inventories) and the lock table (from their open files,
-    §5.6). *)
+    §5.6), then run the reclaim check over the filegroup's deleted
+    files. *)

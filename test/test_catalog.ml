@@ -173,8 +173,7 @@ let test_mount_basics () =
   | Some p -> check Alcotest.bool "reverse lookup" true (Gfile.equal p point)
   | None -> Alcotest.fail "reverse lookup failed");
   check Alcotest.(option Alcotest.reject) "root has no mount point" None
-    (Mount.mount_point_of m 0 |> Option.map (fun _ -> ()));
-  check Alcotest.(list int) "filegroups" [ 0; 1 ] (Mount.filegroups m)
+    (Mount.mount_point_of m 0 |> Option.map (fun _ -> ()))
 
 let test_mount_rejects_duplicates () =
   let m = Mount.create ~root_fg:0 in

@@ -1133,6 +1133,26 @@ let test_mailbox_deliver_read () =
   let msgs = Kernel.mailbox_read k0 p0 "/mail/root" in
   check Alcotest.int "two messages" 2 (List.length msgs)
 
+(* A mailbox whose body does not decode is EIO to a delivery, which
+   leaves the bytes as they were, and to a read; an empty one takes mail. *)
+let test_mailbox_corrupt_is_eio () =
+  let w = full_world () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  ignore (Kernel.mkdir k0 p0 "/mail");
+  ignore (Kernel.creat ~ftype:Inode.Mailbox k0 p0 "/mail/bad");
+  ignore (Kernel.creat ~ftype:Inode.Mailbox k0 p0 "/mail/empty");
+  Kernel.write_file k0 p0 "/mail/bad" "garbage\n";
+  ignore (World.settle w);
+  let is_eio f = match f () with _ -> false | exception K.Error (Proto.Eio, _) -> true in
+  check Alcotest.bool "delivery fails EIO" true
+    (is_eio (fun () -> Kernel.mailbox_deliver k0 ~path:"/mail/bad" ~from:"s" ~body:"hi"));
+  check Alcotest.string "bytes unchanged" "garbage\n" (Kernel.read_file k0 p0 "/mail/bad");
+  check Alcotest.bool "read fails EIO" true
+    (is_eio (fun () -> Kernel.mailbox_read k0 p0 "/mail/bad"));
+  Kernel.mailbox_deliver k0 ~path:"/mail/empty" ~from:"s" ~body:"hi";
+  check Alcotest.int "empty mailbox takes mail" 1
+    (List.length (Kernel.mailbox_read k0 p0 "/mail/empty"))
+
 let () =
   Alcotest.run "core"
     [
@@ -1206,5 +1226,6 @@ let () =
         [
           Alcotest.test_case "named pipe" `Quick test_named_pipe_across_sites;
           Alcotest.test_case "mailbox" `Quick test_mailbox_deliver_read;
+          Alcotest.test_case "corrupt mailbox is EIO" `Quick test_mailbox_corrupt_is_eio;
         ] );
     ]

@@ -166,6 +166,52 @@ let test_reclaim_waits_for_partitioned_site () =
         (Pack.stores pack gf.Catalog.Gfile.ino))
     [ 0; 1; 2; 3 ]
 
+(* The partition moves the filegroup's CSS away from site 0: the new CSS
+   knows only the members' copies, yet site 0's pack still stores the
+   inode, so the delete must not reclaim it until site 0 has seen it. *)
+let test_reclaim_waits_under_new_css () =
+  let w = make_world () in
+  let k1 = World.kernel w 1 and p1 = World.proc w 1 in
+  Kernel.set_ncopies p1 4;
+  ignore (Kernel.creat k1 p1 "/doomed");
+  Kernel.write_file k1 p1 "/doomed" "x";
+  ignore (World.settle w);
+  let gf = Kernel.resolve k1 p1 "/doomed" in
+  check Alcotest.int "CSS starts at site 0" 0 (K.fg_info k1 0).K.css_site;
+  ignore (World.partition w [ [ 1; 2; 3 ]; [ 0 ] ]);
+  Kernel.unlink k1 p1 "/doomed";
+  ignore (World.settle w);
+  ignore (World.heal_and_merge w);
+  ignore (World.settle w);
+  List.iter
+    (fun s ->
+      let pack = Hashtbl.find (World.kernel w s).K.packs 0 in
+      check Alcotest.bool
+        (Printf.sprintf "reclaimed at %d" s)
+        false
+        (Pack.stores pack gf.Catalog.Gfile.ino))
+    [ 0; 1; 2; 3 ]
+
+(* A file whose only copy left with the partition is unavailable, not
+   missing, whether the CSS stays (it rebuilds from the members) or
+   moves. *)
+let test_departed_copy_is_enet () =
+  List.iter
+    (fun split ->
+      let w = make_world () in
+      let k1 = World.kernel w 1 and p1 = World.proc w 1 in
+      Kernel.set_ncopies p1 1;
+      ignore (Kernel.creat k1 p1 "/lone");
+      Kernel.write_file k1 p1 "/lone" "x";
+      ignore (World.settle w);
+      ignore (World.partition w split);
+      let k2 = World.kernel w 2 and p2 = World.proc w 2 in
+      match Kernel.read_file k2 p2 "/lone" with
+      | _ -> Alcotest.fail "read a copy outside the partition"
+      | exception K.Error (e, _) ->
+        check Alcotest.bool "ENET" true (e = Proto.Enet))
+    [ [ [ 0; 2; 3 ]; [ 1 ] ]; [ [ 2; 3 ]; [ 0; 1 ] ] ]
+
 (* ---- nested mounts ---- *)
 
 let test_nested_mount_points () =
@@ -248,7 +294,12 @@ let () =
         [ Alcotest.test_case "machine-specific subtrees" `Quick test_hidden_dir_with_subtrees ] );
       ( "reclaim",
         [ Alcotest.test_case "waits for partitioned site" `Quick
-            test_reclaim_waits_for_partitioned_site ] );
+            test_reclaim_waits_for_partitioned_site;
+          Alcotest.test_case "a CSS elected in a partition waits" `Quick
+            test_reclaim_waits_under_new_css ] );
+      ( "availability",
+        [ Alcotest.test_case "a departed copy is ENET" `Quick
+            test_departed_copy_is_enet ] );
       ( "mounts",
         [ Alcotest.test_case "nested mount points" `Quick test_nested_mount_points ] );
       ( "bookkeeping",

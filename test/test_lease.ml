@@ -223,14 +223,14 @@ let serving w site gf =
   | Some s -> Net.Site.Map.mem site s.K.s_uss
   | None -> false
 
-(* ... or the CSS (site 0) counts [site] as a reader of it. *)
-let registered w site gf =
-  let reading =
-    match Css.find_file (World.kernel w 0) gf.Gfile.fg gf.Gfile.ino with
-    | Some f -> Net.Site.Map.mem site f.K.readers
-    | None -> false
-  in
-  serving w site gf || reading
+(* The CSS (site 0) counts [site] as a reader of [gf] or a lease holder. *)
+let css_counts w site gf =
+  match Css.find_file (World.kernel w 0) gf.Gfile.fg gf.Gfile.ino with
+  | Some f -> Net.Site.Map.mem site f.K.readers || Net.Site.Set.mem site f.K.leases
+  | None -> false
+
+(* [site] is registered for [gf] at the SS or counted at the CSS. *)
+let registered w site gf = serving w site gf || css_counts w site gf
 
 let test_scrub_across_partition_and_merge () =
   let w = make_world () in
@@ -275,7 +275,9 @@ let test_scrub_even_in_surviving_partition () =
   List.iter
     (fun gf ->
       check Alcotest.bool "dropped anyway" false (held k3 gf);
-      check Alcotest.bool "no registration after the partition" false (serving w 3 gf))
+      check Alcotest.bool "no registration after the partition" false (serving w 3 gf);
+      check Alcotest.bool "no reader or lease holder at the CSS" false
+        (css_counts w 3 gf))
     gfs;
   let o2 = Us.open_gf k3 (List.hd gfs) Proto.Mode_read in
   check Alcotest.string "still readable" "/f" (Us.read_all k3 o2);

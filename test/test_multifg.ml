@@ -142,90 +142,6 @@ let test_partition_and_merge_multifg () =
     (Kernel.read_file k0 p0 "/usr/doc");
   ignore (Topology.fully_connected (World.topology w) (World.sites w))
 
-(* ---- sharded mount points: one subtree spread across filegroups ---- *)
-
-let make_sharded_world () =
-  let base = World.default_config ~n_sites:4 () in
-  let config =
-    { base with
-      World.filegroups =
-        [
-          { World.fg = 0; pack_sites = [ 0; 1; 2; 3 ]; mount_path = None };
-          { World.fg = 1; pack_sites = [ 0; 1 ]; mount_path = None };
-          { World.fg = 2; pack_sites = [ 2; 3 ]; mount_path = None };
-          { World.fg = 3; pack_sites = [ 1; 2 ]; mount_path = None };
-        ];
-      shard_mounts = [ ("/shared", [ 1; 2; 3 ]) ]
-    }
-  in
-  let w = World.create ~config () in
-  World.mount_filegroups w;
-  w
-
-let test_shard_spread_and_distinct_css () =
-  let w = make_sharded_world () in
-  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
-  let names = List.init 24 (Printf.sprintf "f%d") in
-  List.iter
-    (fun n ->
-      ignore (Kernel.creat k0 p0 ("/shared/" ^ n));
-      Kernel.write_file k0 p0 ("/shared/" ^ n) ("body of " ^ n))
-    names;
-  ignore (World.settle w);
-  (* Entries spread across the member filegroups... *)
-  let fgs_used =
-    List.map (fun n -> (Kernel.resolve k0 p0 ("/shared/" ^ n)).Catalog.Gfile.fg) names
-    |> List.sort_uniq Int.compare
-  in
-  check Alcotest.bool "entries hash across shards" true (List.length fgs_used >= 2);
-  List.iter
-    (fun fg -> check Alcotest.bool "only member fgs" true (List.mem fg [ 1; 2; 3 ]))
-    fgs_used;
-  (* ...and the shard filegroups answer to more than one CSS, so the
-     subtree is no longer synchronized by a single coordinator. *)
-  let css_sites =
-    List.map (fun fg -> (K.fg_info k0 fg).K.css_site) [ 1; 2; 3 ]
-    |> List.sort_uniq Int.compare
-  in
-  check Alcotest.bool "distinct CSS sites" true (List.length css_sites >= 2);
-  (* Content read back from another site, routed per component. *)
-  let k3 = World.kernel w 3 and p3 = World.proc w 3 in
-  List.iter
-    (fun n ->
-      check Alcotest.string ("content " ^ n) ("body of " ^ n)
-        (Kernel.read_file k3 p3 ("/shared/" ^ n)))
-    names
-
-let test_shard_readdir_union_and_unlink () =
-  let w = make_sharded_world () in
-  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
-  let names = List.init 12 (Printf.sprintf "g%d") in
-  List.iter (fun n -> ignore (Kernel.creat k0 p0 ("/shared/" ^ n))) names;
-  ignore (World.settle w);
-  let listed =
-    List.map (fun (e : Catalog.Dir.entry) -> e.Catalog.Dir.name)
-      (Kernel.readdir k0 p0 "/shared")
-  in
-  List.iter
-    (fun n -> check Alcotest.bool ("listed " ^ n) true (List.mem n listed))
-    names;
-  (* Unlink routes to the owning shard. *)
-  Kernel.unlink k0 p0 "/shared/g3";
-  ignore (World.settle w);
-  (match Kernel.read_file k0 p0 "/shared/g3" with
-  | _ -> Alcotest.fail "unlinked entry still resolves"
-  | exception K.Error (Proto.Enoent, _) -> ());
-  let listed' =
-    List.map (fun (e : Catalog.Dir.entry) -> e.Catalog.Dir.name)
-      (Kernel.readdir k0 p0 "/shared")
-  in
-  check Alcotest.bool "unlinked gone from listing" false (List.mem "g3" listed');
-  (* ".." out of the sharded subtree names the covering root. *)
-  check Alcotest.bool "dotdot out of shard" true
-    (Catalog.Gfile.equal
-       (Kernel.resolve k0 p0 "/shared/..")
-       (Catalog.Mount.root k0.K.mount))
-
 let () =
   Alcotest.run "multifg"
     [
@@ -243,12 +159,5 @@ let () =
           Alcotest.test_case "independent availability" `Quick
             test_fg_availability_is_independent;
           Alcotest.test_case "partition+merge" `Quick test_partition_and_merge_multifg;
-        ] );
-      ( "sharded-mounts",
-        [
-          Alcotest.test_case "spread + distinct css" `Quick
-            test_shard_spread_and_distinct_css;
-          Alcotest.test_case "readdir union + unlink" `Quick
-            test_shard_readdir_union_and_unlink;
         ] );
     ]

@@ -140,8 +140,8 @@ let test_resp_sizes () =
       Proto.R_storage { accept = true; info = Some info; slot = 1 };
       Proto.R_pages { pages = [ String.make 512 'd' ]; eof = true; info = None };
       Proto.R_committed { vv = vv_small };
-      Proto.R_stat { info = Some info; stored_here = true };
-      Proto.R_where { sites = [ 0 ]; all_sites = [ 0; 1 ]; vv = vv_small };
+      Proto.R_stat { info = Some info };
+      Proto.R_where { sites = [ 0 ] };
       Proto.R_token { granted = true; state = "17" };
       Proto.R_pset { pset = [ 0; 1; 2 ] };
       Proto.R_inventory { files = [ (2, vv_small, Storage.Inode.Regular, false) ] };
@@ -151,7 +151,10 @@ let test_resp_sizes () =
     ];
   check Alcotest.bool "page response dominated by data" true
     (Proto.resp_bytes (Proto.R_pages { pages = [ String.make 1024 'd' ]; eof = false; info = None })
-     > 1024)
+     > 1024);
+  (* A where reply names the sites holding the latest version: the
+     header and 4 bytes per site. *)
+  check Alcotest.int "where reply" (24 + 8) (Proto.resp_bytes (Proto.R_where { sites = [ 0; 1 ] }))
 
 (* One read message and one write message carry every page. Their
    one-page forms cost exactly what the paper's one-page read, reply and
@@ -189,10 +192,10 @@ let test_one_page_forms () =
   check Alcotest.int "stat window request" 45 (background ~count:8 ~committed:true ~stat:true);
   check Alcotest.int "stat-only request" 45 (background ~count:0 ~committed:false ~stat:true);
   check Alcotest.int "inode-only reply"
-    (Proto.resp_bytes (Proto.R_stat { info = Some info; stored_here = true }))
+    (Proto.resp_bytes (Proto.R_stat { info = Some info }))
     (Proto.resp_bytes (Proto.R_pages { pages = []; eof = true; info = Some info }));
   check Alcotest.int "one page and an inode"
-    (reply [ page ] + Proto.resp_bytes (Proto.R_stat { info = Some info; stored_here = true }) - 25)
+    (reply [ page ] + Proto.resp_bytes (Proto.R_stat { info = Some info }) - 25)
     (Proto.resp_bytes (Proto.R_pages { pages = [ page ]; eof = false; info = Some info }))
 
 (* The fused forms: a truncate alone costs and is tagged what the
