@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke soak soak-smoke simdiff loc check lint fmt clean
+.PHONY: all build test bench bench-smoke soak soak-smoke simdiff loc unused check lint fmt clean
 
 all: build
 
@@ -82,6 +82,20 @@ simdiff:
 loc:
 	@for d in lib bench test; do \
 		printf '%-6s %6d\n' "$$d/" "$$(find $$d \( -name '*.ml' -o -name '*.mli' \) -type f -exec cat {} + | wc -l)"; \
+	done
+
+# Exports nothing else reads: each `val` of a lib/ interface that no .ml in
+# lib/, bench/, test/, bin/ or benchmark/ other than its own module's
+# names, printed as Module.name. A name is matched as a whole word, so a
+# same-named value elsewhere hides one. Informational; not part of check.
+unused:
+	@for mli in $$(find lib -name '*.mli' | sort); do \
+		ml=$${mli%i}; \
+		mod=$$(basename "$$ml" .ml | sed 's/^./\U&/'); \
+		for v in $$(sed -n "s/^val \([a-z_][A-Za-z0-9_']*\).*/\1/p" "$$mli"); do \
+			grep -rlw --include='*.ml' -- "$$v" lib bench test bin benchmark | grep -qvx "$$ml" \
+				|| echo "$$mod.$$v"; \
+		done; \
 	done
 
 # Warning-as-error gate: a cold build must produce no compiler output at

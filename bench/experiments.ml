@@ -1059,8 +1059,9 @@ let e17 () =
   done;
   let stats = World.stats w in
   let snap = Stats.snapshot stats in
-  (* Every fourth stat has its request forced lost. Stat_req is idempotent,
-     so the transport resends after backoff and the caller never notices. *)
+  (* Every fourth stat has its request forced lost. A stat is a read, which
+     is idempotent, so the transport resends after backoff and the caller
+     never notices. *)
   let losses = ref 0 in
   for i = 1 to nfiles do
     let gf = gf_of k0 (Printf.sprintf "/data%d" i) in
@@ -1068,7 +1069,7 @@ let e17 () =
       incr losses;
       Net.Netsim.fail_next_message (World.net w) ~src:3 ~dst:0
     end;
-    ignore (K.rpc k3 0 (Proto.Stat_req { gf }))
+    ignore (Locus_core.Ss.read_committed k3 0 gf ~first:0 ~count:0 ~stat:true)
   done;
   let d name = Stats.delta_of stats snap name in
   Report.table ~title:"transport counters over the stat run"

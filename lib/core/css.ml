@@ -140,8 +140,9 @@ let uncount_reader f us =
 
 (* The CSS half of the open protocol. Returns R_open { ss; info } or an
    error. Implements both optimizations of section 2.3.3: the US's own copy
-   is used when it is current, and the CSS picks itself without message
-   overhead when it stores the latest version. *)
+   is used when it is current (with no [info]: the US has its own inode),
+   and the CSS picks itself without message overhead when it stores the
+   latest version. *)
 let handle_open k ~src gf mode ~shared us_vv =
   let fg = gf.Gfile.fg and ino = gf.Gfile.ino in
   if not (is_css k fg) then Proto.R_err Proto.Estale
@@ -163,26 +164,12 @@ let handle_open k ~src gf mode ~shared us_vv =
           let poll ss =
             poll_storage_site k ~gf ~vv:f.latest_vv ~us:src ~mode
               ~others:(others ss) ss
-            |> Option.map (fun (info, slot) -> (ss, info, slot))
+            |> Option.map (fun (info, slot) -> (ss, Some info, slot))
           in
           let us_is_current =
             match us_vv with
             | Some vv -> Vvec.dominates_or_equal vv f.latest_vv
             | None -> false
-          in
-          (* Dummy descriptor returned when the US serves itself: the US
-             already holds the real disk inode and ignores this field. *)
-          let own_inode vv =
-            {
-              Proto.i_ftype = Inode.Regular;
-              i_size = 0;
-              i_nlink = 1;
-              i_owner = "";
-              i_perms = 0o644;
-              i_mtime = 0.0;
-              i_vv = vv;
-              i_deleted = false;
-            }
           in
           (* Optimization 2 of section 2.3.3: the CSS stores the latest
              version itself — select it with no message overhead,
@@ -194,42 +181,36 @@ let handle_open k ~src gf mode ~shared us_vv =
                    && Vvec.dominates_or_equal info.Proto.i_vv f.latest_vv ->
               let s = ss_register k gf ~us:src ~mode in
               s.s_others <- others k.site;
-              Some (k.site, info, s.s_slot)
+              Some (k.site, Some info, s.s_slot)
             | Some _ | None -> None
           in
-          (* Every choice records whether serving state for this open
-             already exists at the chosen SS (storage poll or CSS-local
-             registration). Only the US-is-current shortcut skips the
-             registration — the US creates it on receipt; without the
-             distinction the US double-registers a polled self-serve open
-             and one close can never balance two registrations. *)
-          let reg (ss, info, slot) = (ss, info, slot, true) in
           let choice =
             (* While a writer is active only one storage site may be
                involved (section 2.3.6 footnote): every open is directed to
                writer_ss. *)
             match f.writer_ss with
-            | Some ss when List.mem ss candidates -> Option.map reg (poll ss)
+            | Some ss when List.mem ss candidates -> poll ss
             | Some _ | None ->
               if us_is_current then
                 (* Optimization 1: the US stores the latest version; pick it
-                   with no storage poll. *)
-                Some (src, own_inode (Option.get us_vv), 0, false)
+                   with no storage poll. The US reads its own inode and
+                   registers the open itself. *)
+                Some (src, None, 0)
               else begin
                 match css_self () with
-                | Some x -> Some (reg x)
+                | Some x -> Some x
                 | None ->
                   let rec try_sites = function
                     | [] -> None
                     | c :: rest -> (
                       match poll c with Some x -> Some x | None -> try_sites rest)
                   in
-                  Option.map reg (try_sites candidates)
+                  try_sites candidates
               end
           in
           match choice with
           | None -> Proto.R_err Proto.Enet
-          | Some (ss, info, slot, registered) ->
+          | Some (ss, info, slot) ->
             let lease =
               (* Grant a revocable read lease when nothing threatens the
                  version the grant names: no writer, no conflict, not a
@@ -261,7 +242,6 @@ let handle_open k ~src gf mode ~shared us_vv =
                 nocache = f.writer <> None;
                 slot;
                 lease;
-                registered;
                 pages = [];
               }
         end
@@ -422,25 +402,6 @@ let handle_open_files_query k fg =
         files := (gf.Gfile.ino, o.o_mode, k.site) :: !files)
     k.open_files;
   Proto.R_open_files { files = !files }
-
-(* Clear synchronization state owned by a site that left the partition: the
-   cleanup procedure's lock-table scrub (section 5.6). *)
-let drop_site k dead =
-  Hashtbl.iter
-    (fun _fg st ->
-      Hashtbl.iter
-        (fun _ino f ->
-          if f.writer = Some dead then begin
-            f.writer <- None;
-            f.writer_ss <- None
-          end;
-          f.readers <- Site.Map.remove dead f.readers;
-          (* A lease must never survive a partition event (the holders
-             drop their own side; no callback can reach a departed
-             site). *)
-          f.leases <- Site.Set.remove dead f.leases)
-        st.css_files)
-    k.css_state
 
 (* Re-register an open reported by a member site during lock-table rebuild
    (section 5.6). *)

@@ -9,8 +9,6 @@
 
 val is_css : Ktypes.t -> int -> bool
 
-val fg_state : Ktypes.t -> int -> Ktypes.css_fg
-
 val find_file : Ktypes.t -> int -> int -> Ktypes.css_file option
 
 val get_file : Ktypes.t -> int -> int -> Ktypes.css_file
@@ -74,10 +72,6 @@ val handle_ss_close :
   Ktypes.t -> Catalog.Gfile.t -> us:Net.Site.t -> mode:Proto.open_mode -> Proto.resp
 (** SS→CSS leg of the close protocol. *)
 
-val break_leases : Ktypes.t -> Catalog.Gfile.t -> Ktypes.css_file -> unit
-(** Revoke every outstanding read lease on a file by [Lease_break]
-    callback (writer open, version advance, conflict, delete). *)
-
 val handle_commit_notify :
   ?replicas:Net.Site.t list ->
   Ktypes.t ->
@@ -102,9 +96,6 @@ val handle_open_files_query : Ktypes.t -> int -> Proto.resp
 
 val register_open : Ktypes.t -> int -> int * Proto.open_mode * Net.Site.t -> unit
 (** Re-enter one reported open during lock-table rebuild. *)
-
-val drop_site : Ktypes.t -> Net.Site.t -> unit
-(** Scrub lock-table entries owned by a departed site (§5.6). *)
 
 val drop_fg : Ktypes.t -> int -> unit
 (** This site lost the CSS role for a filegroup. *)

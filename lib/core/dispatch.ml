@@ -85,7 +85,6 @@ let handle k ~src (req : Proto.req) : Proto.resp =
     | Proto.Intent_step { us; step } -> Ss.handle_intent_step k ~us step
     (* metadata *)
     | Proto.Set_attr { gf; perms; owner } -> Ss.handle_set_attr k gf ~perms ~owner
-    | Proto.Stat_req { gf } -> Ss.handle_stat k gf
     | Proto.Where_stored { gf } -> Css.handle_where k gf
     | Proto.Lookup_req { gf; comps } -> Pathname.handle_lookup k gf comps
     (* tokens *)

@@ -76,12 +76,14 @@ let site_table k = k.site_table
 let resolve k (proc : proc) path =
   Pathname.resolve_from k ~cwd:proc.p_cwd ~context:proc.p_context path
 
+(* Like [resolve], but a final hidden directory is not expanded. *)
 let resolve_raw k (proc : proc) path =
   Pathname.resolve_from k ~cwd:proc.p_cwd ~context:proc.p_context
     ~follow_hidden:false path
 
 (* ---- protection (2.3.3: "protection checks are made") ---- *)
 
+(* Unix-style owner/other permission bits; uid "root" bypasses. *)
 let may_access (proc : proc) (info : Proto.inode_info) ~write =
   let bit = if write then 0o200 else 0o400 in
   let other_bit = if write then 0o002 else 0o004 in
@@ -423,21 +425,9 @@ let handle_site_failure k dead =
             Sim.Stats.incr (stats k) "cleanup.us.read_lost")
       end)
     k.open_files;
-  (* SS side: opens served to USs at the failed site end as their closes
-     would: discard pages, close the file and abort its updates. *)
-  let served =
-    Hashtbl.fold
-      (fun _ (s : ss_open) acc -> if Site.Map.mem dead s.s_uss then s :: acc else acc)
-      k.ss_opens []
-  in
-  List.iter
-    (fun (s : ss_open) ->
-      let count m = Option.value ~default:0 (Site.Map.find_opt dead m) in
-      ss_end k s ~us:dead ~opens:(count s.s_uss) ~writes:(count s.s_writers))
-    served;
-  (* CSS side: lock table entries owned by the failed site. *)
-  Css.drop_site k dead;
-  (* Tokens and processes. *)
+  (* The SS side (opens served to the failed site) is ended by
+     [Ss.revalidate_serving], and the CSS side (its lock-table entries)
+     by the rebuild, both part of every membership install. *)
   Tokens.handle_site_failure k dead;
   Process.handle_site_failure k dead
 

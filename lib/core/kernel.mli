@@ -41,13 +41,7 @@ val resolve : t -> Ktypes.proc -> string -> Catalog.Gfile.t
 (** Resolve a pathname under the process's cwd and context; a final hidden
     directory is expanded. Raises {!Ktypes.Error} [ENOENT] etc. *)
 
-val resolve_raw : t -> Ktypes.proc -> string -> Catalog.Gfile.t
-(** Like {!resolve} but does not expand a final hidden directory. *)
-
 (** {1 Protection (§2.3.3: "protection checks are made")} *)
-
-val may_access : Ktypes.proc -> Proto.inode_info -> write:bool -> bool
-(** Unix-style owner/other permission bits; uid "root" bypasses. *)
 
 val open_checked : t -> Ktypes.proc -> Catalog.Gfile.t -> Proto.open_mode -> Ktypes.ofile
 (** Open with the caller's credentials checked; raises [EACCES]. *)
@@ -79,8 +73,6 @@ val close_fd : t -> Ktypes.proc -> int -> unit
     (which commits, as in Unix LOCUS: "closing a file commits it"). *)
 
 val fd_of : t -> Ktypes.proc -> int -> Ktypes.shared_fd
-
-val ensure_ofile : t -> Ktypes.shared_fd -> Ktypes.ofile
 
 (** {1 Name-space calls} *)
 
@@ -160,8 +152,10 @@ val mailbox_read : t -> Ktypes.proc -> string -> Catalog.Mailbox.msg list
 (** {1 Failure handling} *)
 
 val handle_site_failure : t -> Net.Site.t -> unit
-(** The cleanup procedure of §5.6: run the failure-action table against
-    every resource shared with the departed site. *)
+(** The cleanup procedure of §5.6 for the resources this site uses at the
+    departed site (its opens there, tokens and processes). The resources
+    the departed site used here are the membership install's: the CSS
+    rebuild and {!Ss.revalidate_serving}. *)
 
 val crash : t -> unit
 (** Destroy all volatile state (incore inodes, shadow sessions, caches,

@@ -68,6 +68,8 @@ let load_dir_checked k gf =
     let ftype, body, vv = load_dir_remote k gf in
     (ftype, body, false, vv)
 
+(* A directory's type and raw contents, via the local fast path or an
+   internal open. *)
 let load_dir k gf =
   let ftype, body, _, _ = load_dir_checked k gf in
   (ftype, body)

@@ -15,16 +15,6 @@
     (the trail it returns also fills the name cache). Both are
     independently switchable via {!Ktypes.config}. *)
 
-val split_path : string -> string list
-
-val load_dir : Ktypes.t -> Catalog.Gfile.t -> Storage.Inode.ftype * string
-(** A directory's type and raw contents, via the local fast path or an
-    internal open. *)
-
-val dir_of_body : string -> Catalog.Dir.t
-(** Decode a directory body. Raises {!Ktypes.Error} [Eio] when the body is
-    not a directory encoding (a corrupt directory). *)
-
 val resolve_from :
   Ktypes.t ->
   cwd:Catalog.Gfile.t ->
@@ -48,10 +38,6 @@ val resolve_parent :
 
 val read_directory : Ktypes.t -> Catalog.Gfile.t -> Catalog.Dir.t
 (** Parse a directory's contents; raises [ENOTDIR] on other types. *)
-
-val select_context :
-  Ktypes.t -> context:string list -> Catalog.Gfile.t -> Catalog.Dir.t -> Catalog.Gfile.t
-(** First context name bound in a hidden directory. *)
 
 val handle_lookup : Ktypes.t -> Catalog.Gfile.t -> string list -> Proto.resp
 (** The storage-site half of partial-pathname lookup: walk as many of the

@@ -12,8 +12,6 @@ val sigchld : int
 val sigerr : int
 (** The error signal reflecting a remote failure (§3.3). *)
 
-val find_proc : Ktypes.t -> int -> Ktypes.proc option
-
 val get_proc : Ktypes.t -> int -> Ktypes.proc
 (** Raises [ESRCH]. *)
 
@@ -21,14 +19,9 @@ val create_process : Ktypes.t -> uid:string -> Ktypes.proc
 (** A fresh (init-like) process at this site, context = the site's machine
     type, cwd = the global root. *)
 
-val choose_site : Ktypes.t -> Ktypes.proc -> Net.Site.t
-(** Consult the advice list: first reachable entry, else local. *)
-
 val fork : Ktypes.t -> Ktypes.proc -> int * Net.Site.t
 (** Fork at the advised site; a remote fork ships the parent's image pages
     and the shared descriptors' identities. Returns (pid, site). *)
-
-val fork_local : Ktypes.t -> Ktypes.proc -> Ktypes.proc
 
 val exec : Ktypes.t -> Ktypes.proc -> string -> Net.Site.t
 (** Install a load module; under remote advice the process is effectively
@@ -95,8 +88,6 @@ val handle_run :
 
 val handle_exit_notify :
   Ktypes.t -> pid:int -> status:int -> child_site:Net.Site.t -> Proto.resp
-
-val env_of : Ktypes.t -> Ktypes.proc -> Proto.process_env
 
 val handle_site_failure : Ktypes.t -> Net.Site.t -> unit
 (** Reflect a machine failure into the local halves of cross-machine

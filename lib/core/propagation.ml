@@ -274,6 +274,7 @@ let service_item k (p : pull) ~backoff =
 
 let earliest_retry k = Queue.fold (fun acc p -> min acc p.pull_not_before) infinity k.prop_queue
 
+(* Run one queued request; reschedules itself while work remains. *)
 let rec service_queue k =
   (* Rotate past items still backing off after a failed pull — servicing
      them at the normal delay would defeat the 10x backoff. *)

@@ -40,9 +40,6 @@ val enqueue :
 val attempt : Ktypes.t -> Ktypes.pull -> bool
 (** One pull attempt (exposed for tests); true when no retry is needed. *)
 
-val service_queue : Ktypes.t -> unit
-(** Run one queued request; reschedules itself while work remains. *)
-
 val drain : Ktypes.t -> unit
 (** Synchronously service the whole queue (recovery uses this to complete
     the update propagation it schedules at merge). *)

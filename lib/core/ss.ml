@@ -599,8 +599,10 @@ let handle_us_close k ~src gf ~mode =
    lease table when it installs the membership, and the query reports
    only open files, riders of a lease included); each count above what
    the US reports, of opens or of modify opens, is ended down to it, as
-   that many closes would. An unreachable US keeps its registrations;
-   the next membership change retries. *)
+   that many closes would. A US outside the partition has no open here
+   (section 5.6: its pages are discarded, its updates aborted). A member
+   the query cannot reach keeps its registrations; the next membership
+   change retries. *)
 let revalidate_serving k =
   (* (us, fg) -> ino -> live (opens, modify opens) at us, queried at most
      once. *)
@@ -615,7 +617,7 @@ let revalidate_serving k =
           match rpc_result k us (Proto.Open_files_query { fg }) with
           | Ok r -> Some r
           | Stdlib.Error _ -> None
-        else None
+        else Some (Proto.R_open_files { files = [] })
       in
       (match resp with
       | Some (Proto.R_open_files { files }) ->
@@ -809,16 +811,6 @@ let handle_set_attr k gf ~perms ~owner =
   metadata_commit k gf (fun inode ->
       (match perms with Some p -> inode.Inode.perms <- p land 0o7777 | None -> ());
       match owner with Some o -> inode.Inode.owner <- o | None -> ())
-
-let handle_stat k gf =
-  match local_pack k gf.Gfile.fg with
-  | None -> Proto.R_stat { info = None }
-  | Some pack -> (
-    match Pack.find_inode pack gf.Gfile.ino with
-    | None -> Proto.R_stat { info = None }
-    | Some inode ->
-      charge_disk_read k;
-      Proto.R_stat { info = Some (Proto.info_of_inode inode) })
 
 let handle_inventory k fg =
   match local_pack k fg with

@@ -37,8 +37,8 @@ val handle_read_pages :
     exists, giving Unix shared-file read semantics, unless the read is
     [committed] (a background read: a pull, reconciliation), which sees
     only the committed copy. [stat] implies [committed] and puts the
-    committed inode in the reply, at the one disk read a [Stat_req]
-    costs; only with it may [count] be 0. [guess] is the US's hint for
+    committed inode in the reply, at one disk read; only with it may
+    [count] be 0, which makes the request a stat. [guess] is the US's hint for
     locating the incore inode; hits and misses are counted in the
     statistics. Each page costs what a single read does; the reply is
     trimmed at end of file, and a page at or past it is not read. *)
@@ -154,8 +154,10 @@ val revalidate_serving : Ktypes.t -> unit
     the registrations of leases that partition and merge dropped without
     a close, and those stranded by an open whose every attempt lost its
     reply — the CSS registered the US here, but the US never learned its
-    open succeeded, so no close will ever arrive. Unreachable USes keep
-    their registrations for the next membership change to retry. *)
+    open succeeded, so no close will ever arrive. A using site outside
+    the partition counts as having no open, so all its registrations end
+    (§5.6). Members the query cannot reach keep theirs for the next
+    membership change to retry. *)
 
 val alloc_inode :
   Ktypes.t ->
@@ -248,8 +250,6 @@ val handle_intent_step : Ktypes.t -> us:Net.Site.t -> Proto.intent_step -> Proto
 val handle_set_attr :
   Ktypes.t -> Catalog.Gfile.t -> perms:int option -> owner:string option -> Proto.resp
 (** Metadata-only commits (the "just inode information changed" case). *)
-
-val handle_stat : Ktypes.t -> Catalog.Gfile.t -> Proto.resp
 
 val handle_inventory : Ktypes.t -> int -> Proto.resp
 (** Every inode this pack stores, with versions — recovery's rebuild

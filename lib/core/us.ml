@@ -78,6 +78,7 @@ let share k o =
     renew_key k o
   end
 
+(* The version of this site's own copy, if it stores one. *)
 let local_vv_of k gf =
   match local_pack k gf.Gfile.fg with
   | None -> None
@@ -191,28 +192,22 @@ and open_cold ~shared ~asks k fi gf mode =
   let us_vv = local_vv_of k gf in
   let want = if asks && not (first_page_buffered k gf) then k.config.bulk_window else 0 in
   match rpc k fi.css_site (Proto.Open_req { gf; mode; us_vv; shared; want }) with
-  | Proto.R_open { ss; info; others; nocache; slot; lease; registered; pages } ->
+  | Proto.R_open { ss; info; others; nocache; slot; lease; pages } ->
     let info =
-      if Site.equal ss k.site then begin
-        (* We serve ourselves: the real disk inode is local. *)
+      match info with
+      | Some info -> info
+      | None -> (
+        (* The US-is-current shortcut: no storage poll registered this
+           open here, so this site does, once (a polled or CSS-local
+           serve is already registered, and two registrations would
+           need two closes). *)
         match local_pack k gf.Gfile.fg with
-        | Some pack -> (
-          match Pack.find_inode pack gf.Gfile.ino with
-          | Some inode -> Proto.info_of_inode inode
-          | None -> info)
-        | None -> info
-      end
-      else info
+        | Some pack when Pack.stores pack gf.Gfile.ino ->
+          let s = ss_register k gf ~us:k.site ~mode in
+          s.s_others <- others;
+          Proto.info_of_inode (Pack.get_inode pack gf.Gfile.ino)
+        | Some _ | None -> err Proto.Eio "open %a: no local copy to serve" Gfile.pp gf)
     in
-    (* When the CSS chose this site as SS without a storage poll (the US-is-
-       current optimization), create the serving state locally. When the
-       CSS *did* poll (or registered a CSS-local serve), the registration
-       already counts this open — adding again would need two closes to
-       balance and leaks a serving entry forever. *)
-    if Site.equal ss k.site && not registered then begin
-      let s = ss_register k gf ~us:k.site ~mode in
-      s.s_others <- others
-    end;
     let lease_entry =
       if lease && Openlease.enabled k.open_leases then begin
         let e =
@@ -710,13 +705,9 @@ let stat_gf k gf =
         let rec try_sites = function
           | [] -> err Proto.Enoent "stat %a: no reachable copy answered" Gfile.pp gf
           | s :: rest -> (
-            match rpc_result k s (Proto.Stat_req { gf }) with
-            | Ok (Proto.R_stat { info = Some info; _ }) -> info
-            | Ok (Proto.R_stat { info = None; _ })
-            | Ok (Proto.R_err _)
-            | Stdlib.Error _ ->
-              try_sites rest
-            | Ok _ -> err Proto.Eio "unexpected stat response")
+            match Ss.read_committed k s gf ~first:0 ~count:0 ~stat:true with
+            | _, Some info -> info
+            | _, None | (exception Error _) -> try_sites rest)
         in
         try_sites reachable)
     | Proto.R_err e -> err e "stat: CSS lookup failed"

@@ -114,6 +114,3 @@ val release : Ktypes.t -> Ktypes.ofile -> unit
 val stat_gf : Ktypes.t -> Catalog.Gfile.t -> Proto.inode_info
 (** Descriptor information, from the local pack when possible, else from a
     reachable site holding the latest version. *)
-
-val local_vv_of : Ktypes.t -> Catalog.Gfile.t -> Vv.Version_vector.t option
-(** The version of this site's own copy, if it stores one. *)

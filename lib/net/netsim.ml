@@ -15,7 +15,6 @@ let pp_failure ppf = function
 type tag_stats = {
   ts_msg : Stats.counter option; (* net.msg.<tag>; None for untagged *)
   ts_latency : Stats.histogram;  (* rpc.latency.<tag> *)
-  ts_bytes : Stats.histogram;    (* rpc.bytes.<tag> *)
   ts_retry : Stats.counter;      (* rpc.retry.<tag> *)
 }
 
@@ -24,8 +23,6 @@ type hot_stats = {
   hs_msg : Stats.counter;           (* net.msg *)
   hs_bytes : Stats.counter;         (* net.bytes *)
   hs_send_err : Stats.counter;      (* net.send.err *)
-  hs_circuit_open : Stats.counter;  (* net.circuit.open *)
-  hs_circuit_close : Stats.counter; (* net.circuit.close *)
   hs_rpc_call : Stats.counter;      (* rpc.call *)
   hs_rpc_send : Stats.counter;      (* rpc.send *)
   hs_rpc_retry : Stats.counter;     (* rpc.retry *)
@@ -39,10 +36,8 @@ type ('req, 'resp) t = {
   topo : Topology.t;
   latency : Latency.t;
   mutable handlers : (src:Site.t -> 'req -> 'resp) Site.Map.t;
-  circuits : (Site.t * Site.t, unit) Hashtbl.t; (* key is ordered pair (min,max) *)
   mutable drop_prob : float;
   mutable forced_failures : (Site.t * Site.t) list;
-  mutable failure_observers : (Site.t -> Site.t -> unit) list;
   mutable error_resp : 'resp -> bool;
       (* classifies handler responses that signal an error, so that {!send}
          can count the ones it silently discards *)
@@ -63,7 +58,6 @@ let make_tag_stats ?(count_msg = true) stats tag =
     ts_msg =
       (if count_msg then Some (Stats.counter stats ("net.msg." ^ tag)) else None);
     ts_latency = Stats.histogram stats ("rpc.latency." ^ tag);
-    ts_bytes = Stats.histogram stats ("rpc.bytes." ^ tag);
     ts_retry = Stats.counter stats ("rpc.retry." ^ tag);
   }
 
@@ -74,10 +68,8 @@ let create engine topo latency =
     topo;
     latency;
     handlers = Site.Map.empty;
-    circuits = Hashtbl.create 64;
     drop_prob = 0.0;
     forced_failures = [];
-    failure_observers = [];
     error_resp = (fun _ -> false);
     idempotent = (fun _ -> false);
     next_id = 0;
@@ -87,8 +79,6 @@ let create engine topo latency =
         hs_msg = Stats.counter stats "net.msg";
         hs_bytes = Stats.counter stats "net.bytes";
         hs_send_err = Stats.counter stats "net.send.err";
-        hs_circuit_open = Stats.counter stats "net.circuit.open";
-        hs_circuit_close = Stats.counter stats "net.circuit.close";
         hs_rpc_call = Stats.counter stats "rpc.call";
         hs_rpc_send = Stats.counter stats "rpc.send";
         hs_rpc_retry = Stats.counter stats "rpc.retry";
@@ -149,27 +139,6 @@ let set_drop_probability t p = t.drop_prob <- p
 
 let fail_next_message t ~src ~dst = t.forced_failures <- (src, dst) :: t.forced_failures
 
-let on_circuit_failure t f = t.failure_observers <- f :: t.failure_observers
-
-let circuit_key a b = if Site.compare a b <= 0 then (a, b) else (b, a)
-
-let circuits_open t = Hashtbl.length t.circuits
-
-let open_circuit t a b =
-  let key = circuit_key a b in
-  if not (Hashtbl.mem t.circuits key) then begin
-    Hashtbl.add t.circuits key ();
-    Stats.cincr t.hot.hs_circuit_open
-  end
-
-let close_circuit t ~observer ~peer =
-  let key = circuit_key observer peer in
-  if Hashtbl.mem t.circuits key then begin
-    Hashtbl.remove t.circuits key;
-    Stats.cincr t.hot.hs_circuit_close
-  end;
-  List.iter (fun f -> f observer peer) t.failure_observers
-
 let handler_of t site =
   match Site.Map.find_opt site t.handlers with
   | Some f -> f
@@ -221,26 +190,17 @@ let call_tagged t ~ts ~id ~src ~dst ~req_bytes ~resp_bytes req =
     Engine.charge t.engine t.latency.Latency.local_call;
     Ok ((handler_of t dst) ~src req)
   end
+  else if not (message_delivered t ~src ~dst) then Error Request_lost
   else begin
-    open_circuit t src dst;
-    if not (message_delivered t ~src ~dst) then begin
-      close_circuit t ~observer:src ~peer:dst;
-      Error Request_lost
-    end
+    account t ~ts ~bytes:req_bytes;
+    Engine.charge t.engine (Latency.msg_cost t.latency ~bytes:req_bytes);
+    let resp = run_handler t ~id ~src ~dst req in
+    if not (message_delivered t ~src:dst ~dst:src) then Error Reply_lost
     else begin
-      account t ~ts ~bytes:req_bytes;
-      Engine.charge t.engine (Latency.msg_cost t.latency ~bytes:req_bytes);
-      let resp = run_handler t ~id ~src ~dst req in
-      if not (message_delivered t ~src:dst ~dst:src) then begin
-        close_circuit t ~observer:src ~peer:dst;
-        Error Reply_lost
-      end
-      else begin
-        let rbytes = resp_bytes resp in
-        account t ~ts ~bytes:rbytes;
-        Engine.charge t.engine (Latency.msg_cost t.latency ~bytes:rbytes);
-        Ok resp
-      end
+      let rbytes = resp_bytes resp in
+      account t ~ts ~bytes:rbytes;
+      Engine.charge t.engine (Latency.msg_cost t.latency ~bytes:rbytes);
+      Ok resp
     end
   end
 
@@ -259,12 +219,10 @@ let send_tagged t ~ts ~src ~dst ~bytes req =
     Engine.schedule t.engine ~delay:t.latency.Latency.local_call (fun () ->
         deliver_oneway t ~src ~dst req)
   else begin
-    open_circuit t src dst;
     account t ~ts ~bytes;
     let delay = Latency.msg_cost t.latency ~bytes in
     Engine.schedule t.engine ~delay (fun () ->
-        if message_delivered t ~src ~dst then deliver_oneway t ~src ~dst req
-        else close_circuit t ~observer:src ~peer:dst)
+        if message_delivered t ~src ~dst then deliver_oneway t ~src ~dst req)
   end
 
 let send t ?tag ~src ~dst ~bytes req =

@@ -8,17 +8,17 @@
     {!send} is a one-way datagram (used for commit notifications and the
     reconfiguration polls).
 
-    Virtual circuits (§5.1) connect pairs of sites, deliver in order, and
-    are closed by any delivery failure; closure is reported to registered
-    observers, which is how kernels detect that reconfiguration is needed.
+    The layer keeps no connection state: a lost message fails the one
+    exchange it belongs to, and nothing else. Noticing that a site is
+    gone is the partition protocol's job (§5.4), not the transport's.
 
     One exchange is one attempt. Retry and backoff policy, typed transport
     errors, and per-call accounting live one layer up in {!Rpc}, which is
     what every kernel path goes through. What makes its resends harmless
-    lives here, as the circuits' sequence numbers do in LOCUS: every call
-    carries an id, and for each (receiver, sender) pair the receiver keeps
-    the last state-changing call's id and reply, so a resend of that call
-    is answered without running the handler again. *)
+    lives here, as the virtual circuits' sequence numbers do in LOCUS
+    (§5.1): every call carries an id, and for each (receiver, sender) pair
+    the receiver keeps the last state-changing call's id and reply, so a
+    resend of that call is answered without running the handler again. *)
 
 type ('req, 'resp) t
 
@@ -49,7 +49,6 @@ type tag_stats = {
       (** ["net.msg.<tag>"]; [None] on the untagged sentinel, which counts
           no per-tag messages (untagged calls never did) *)
   ts_latency : Sim.Stats.histogram;  (** ["rpc.latency.<tag>"] *)
-  ts_bytes : Sim.Stats.histogram;    (** ["rpc.bytes.<tag>"] *)
   ts_retry : Sim.Stats.counter;      (** ["rpc.retry.<tag>"] *)
 }
 
@@ -60,8 +59,6 @@ type hot_stats = {
   hs_msg : Sim.Stats.counter;
   hs_bytes : Sim.Stats.counter;
   hs_send_err : Sim.Stats.counter;
-  hs_circuit_open : Sim.Stats.counter;
-  hs_circuit_close : Sim.Stats.counter;
   hs_rpc_call : Sim.Stats.counter;
   hs_rpc_send : Sim.Stats.counter;
   hs_rpc_retry : Sim.Stats.counter;
@@ -111,8 +108,7 @@ val call :
     [src = dst] this is a local procedure call: it charges only
     {!Latency.local_call}, counts no messages, and cannot fail. Otherwise
     it counts two messages (request and response) and charges their wire
-    cost. On failure the circuit is closed (observers run) and the typed
-    failure is returned. *)
+    cost. On failure the typed failure is returned. *)
 
 val call_tagged :
   ('req, 'resp) t ->
@@ -155,18 +151,12 @@ val send :
 (** One-way datagram, delivered asynchronously via the engine queue. The
     handler's response is discarded; responses the error classifier flags
     are counted under ["net.send.err"]. Delivery is checked at delivery
-    time; a failed delivery closes the circuit silently. *)
+    time; a failed delivery is silent. *)
 
 val set_drop_probability : ('req, 'resp) t -> float -> unit
 (** Inject random message loss (checked per message). *)
 
 val fail_next_message : ('req, 'resp) t -> src:Site.t -> dst:Site.t -> unit
 (** Force exactly the next message from [src] to [dst] to be lost. *)
-
-val on_circuit_failure : ('req, 'resp) t -> (Site.t -> Site.t -> unit) -> unit
-(** [f observer peer] is called when a circuit fails; [observer] is the site
-    that noticed. *)
-
-val circuits_open : ('req, 'resp) t -> int
 
 val messages_sent : ('req, 'resp) t -> int

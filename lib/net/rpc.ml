@@ -5,7 +5,6 @@ module Trace = Sim.Trace
 type rpc_error =
   | Unreachable of { src : Site.t; dst : Site.t; attempts : int }
   | Lost_reply of { src : Site.t; dst : Site.t; attempts : int }
-  | Timeout of { src : Site.t; dst : Site.t; attempts : int; waited : float }
 
 let pp_error ppf = function
   | Unreachable { src; dst; attempts } ->
@@ -15,19 +14,15 @@ let pp_error ppf = function
   | Lost_reply { src; dst; attempts } ->
     Format.fprintf ppf "reply lost from %a to %a (%d attempt%s)" Site.pp dst Site.pp src attempts
       (if attempts = 1 then "" else "s")
-  | Timeout { src; dst; attempts; waited } ->
-    Format.fprintf ppf "call to %a from %a timed out after %.1f ms (%d attempts)" Site.pp dst
-      Site.pp src waited attempts
 
 type policy = {
   max_attempts : int;
   backoff : float list;
-  timeout : float;
 }
 
-let probe = { max_attempts = 1; backoff = []; timeout = 0.0 }
+let probe = { max_attempts = 1; backoff = [] }
 
-let default_policy = { max_attempts = 3; backoff = [ 0.5; 2.0; 8.0 ]; timeout = 0.0 }
+let default_policy = { max_attempts = 3; backoff = [ 0.5; 2.0; 8.0 ] }
 
 (* Delay before retry number [n+1], after [n] failed attempts: last backoff
    entry repeats if the schedule is shorter than the attempt budget. *)
@@ -74,7 +69,6 @@ let call net ?(policy = default_policy) ?(tag = "untagged") ~src ~dst ~req_bytes
   let rec attempt n ~ran =
     match Netsim.call_tagged net ~ts ~id ~src ~dst ~req_bytes ~resp_bytes req with
     | Ok resp ->
-      Stats.hobserve ts.Netsim.ts_bytes (float_of_int (req_bytes + resp_bytes resp));
       if n > 1 then Stats.cincr hot.Netsim.hs_rpc_recovered;
       finish "ok" (Ok resp)
     | Error failure ->
@@ -83,16 +77,10 @@ let call net ?(policy = default_policy) ?(tag = "untagged") ~src ~dst ~req_bytes
         if ran then fail "lost_reply" (Lost_reply { src; dst; attempts = n })
         else fail "unreachable" (Unreachable { src; dst; attempts = n })
       else begin
-        let delay = backoff_delay policy n in
-        let waited = Engine.now engine -. start in
-        if policy.timeout > 0.0 && waited +. delay > policy.timeout then
-          fail "timeout" (Timeout { src; dst; attempts = n; waited })
-        else begin
-          Stats.cincr hot.Netsim.hs_rpc_retry;
-          Stats.cincr ts.Netsim.ts_retry;
-          Engine.charge engine delay;
-          attempt (n + 1) ~ran
-        end
+        Stats.cincr hot.Netsim.hs_rpc_retry;
+        Stats.cincr ts.Netsim.ts_retry;
+        Engine.charge engine (backoff_delay policy n);
+        attempt (n + 1) ~ran
       end
   in
   attempt 1 ~ran:false

@@ -3,7 +3,9 @@
     Every kernel-to-kernel exchange in the system goes through this module:
     it turns {!Netsim}'s single-attempt, failure-returning exchange into a
     policy-driven call with typed errors, bounded retries with simulated-time
-    backoff, per-call trace spans, and per-tag latency/byte histograms.
+    backoff, per-call trace spans, and per-tag latency histograms. Bytes
+    are counted once, by {!Netsim}, per message (["net.bytes"]) and per
+    tag (["net.msg.<tag>"] counts the messages).
 
     LOCUS runs its protocols directly on a problem-oriented transport
     (§2.3.3): no connection setup, no transport-level acknowledgements —
@@ -25,9 +27,6 @@ type rpc_error =
   | Lost_reply of { src : Site.t; dst : Site.t; attempts : int }
       (** Some attempt's request was delivered and processed, but no reply
           came back. Remote state may have changed, once. *)
-  | Timeout of { src : Site.t; dst : Site.t; attempts : int; waited : float }
-      (** Retrying was abandoned because the next backoff would exceed the
-          policy's [timeout]; [waited] is the simulated time already spent. *)
 
 val pp_error : Format.formatter -> rpc_error -> unit
 
@@ -37,9 +36,6 @@ type policy = {
       (** Delay in simulated ms before retry [i] ([backoff]'s last entry
           repeats if there are more retries than entries; empty = no delay).
           Charged to the simulation clock. *)
-  timeout : float;
-      (** Upper bound on total simulated time spent in the call, checked
-          before each backoff; 0 = no bound. *)
 }
 
 val probe : policy
@@ -47,7 +43,7 @@ val probe : policy
     answer, not an error to mask. *)
 
 val default_policy : policy
-(** Three attempts, backoff [0.5; 2.0; 8.0] ms, no timeout. For every
+(** Three attempts, backoff [0.5; 2.0; 8.0] ms. For every
     request but the probes. *)
 
 val call :
@@ -63,11 +59,11 @@ val call :
 (** Synchronous request/response under [policy] (default {!default_policy}),
     every attempt under one call id from {!Netsim.fresh_call_id}. Opens a
     trace span (tag ["rpc"]) covering all attempts and records a sample in
-    the ["rpc.latency.<tag>"] histogram on every outcome, plus
-    ["rpc.bytes.<tag>"] on success. Counters: ["rpc.call"], ["rpc.retry"]
-    (and ["rpc.retry.<tag>"]), ["rpc.recovered"] (succeeded after >= 1
-    retry), ["rpc.fail"] (and ["rpc.fail.unreachable" / ".lost_reply" /
-    ".timeout"]). Backoff delays are charged to the simulated clock. *)
+    the ["rpc.latency.<tag>"] histogram on every outcome. Counters:
+    ["rpc.call"], ["rpc.retry"] (and ["rpc.retry.<tag>"]),
+    ["rpc.recovered"] (succeeded after >= 1 retry), ["rpc.fail"] (and
+    ["rpc.fail.unreachable"] / [".lost_reply"]). Backoff delays are
+    charged to the simulated clock. *)
 
 val send :
   ('req, 'resp) Netsim.t ->

@@ -19,8 +19,6 @@ val sites : t -> Site.t list
 val set_site_up : t -> Site.t -> bool -> unit
 (** Crash or restart a site. Links are unaffected. *)
 
-val link_up : t -> Site.t -> Site.t -> bool
-
 val set_link : t -> Site.t -> Site.t -> bool -> unit
 (** Break or repair the (symmetric) link between two sites. *)
 

@@ -200,8 +200,8 @@ type req =
        inode. A using site reads an open modification
        session's pages when one exists; a background read (a pull,
        reconciliation) sets [committed] and reads only the committed copy.
-       [stat] also asks for that copy's inode in the reply, in place of a
-       [Stat_req]; it implies [committed], and with it [count] may be 0. *)
+       [stat] also asks for that copy's inode in the reply; it implies
+       [committed]. With [count] 0 it is the stat message. *)
   | Write_pages of {
       gf : Catalog.Gfile.t;
       trunc : int option;
@@ -276,7 +276,6 @@ type req =
   | Set_attr of { gf : Catalog.Gfile.t; perms : int option; owner : string option }
     (* US -> SS: chmod/chown; a metadata-only commit (section 2.3.6's
        "just inode information changed" case) *)
-  | Stat_req of { gf : Catalog.Gfile.t }
   | Where_stored of { gf : Catalog.Gfile.t } (* CSS bookkeeping query *)
   | Lookup_req of { gf : Catalog.Gfile.t; comps : string list }
     (* US -> SS: walk as many of the remaining pathname components from
@@ -317,7 +316,9 @@ type resp =
   | R_err of errno
   | R_open of {
       ss : Net.Site.t;
-      info : inode_info;
+      info : inode_info option;
+        (* [None] on the US-is-current shortcut: the US serves itself from
+           its own inode and registers the open there itself *)
       others : Net.Site.t list;
       nocache : bool; (* a writer is active: using sites must not buffer pages *)
       slot : int;     (* the SS's incore-inode slot: the US's read guess *)
@@ -327,12 +328,6 @@ type resp =
            messages until a [Lease_break] arrives. Packs into the same
            flag byte as [nocache], so the wire size is unchanged and the
            [open_lease_entries = 0] ablation is byte-identical. *)
-      registered : bool;
-        (* the serving state at [ss] already counts this open (the CSS
-           polled it with [Storage_req], or registered it locally as
-           CSS = SS). False only on the US-is-current shortcut, where the
-           CSS names the US itself without a poll: the US must then create
-           its own serving registration. Packs into the flag byte. *)
       pages : string list;
         (* the committed copy's first pages, up to the request's [want],
            when the CSS serves a remote read open itself with no writer;
@@ -352,7 +347,6 @@ type resp =
        (or, for a create, allocated it) *)
   | R_linked of { vv : Vvec.t; deleted : bool }
     (* a [Step_link]'s new version of the file; [deleted] at the last link *)
-  | R_stat of { info : inode_info option }
   | R_lookup of { gf : Catalog.Gfile.t; consumed : int; trail : lookup_step list }
     (* where the server-side walk stopped, how many components it
        consumed, and one trail step per consumed component *)
@@ -426,6 +420,9 @@ let req_bytes = function
     + if want > 0 then 4 else 0
   | Storage_req { vv; others; _ } ->
     header + gfile_bytes + vv_bytes vv + 5 + site_list_bytes others
+  (* A stat is the header and the file: at count 0 the page number, the
+     guess and the flags carry nothing. *)
+  | Read_pages { count = 0; stat = true; _ } -> header + gfile_bytes
   (* The one-page forms cost what the paper's one-page messages do: a
      count travels only when it is not 1, and a write within one page carries a page number, an offset and a
      whole-page flag, not a run header. A background read's flags travel
@@ -459,7 +456,7 @@ let req_bytes = function
   | Set_attr { owner; _ } ->
     header + gfile_bytes + 6
     + (match owner with Some o -> String.length o | None -> 0)
-  | Stat_req _ | Where_stored _ -> header + gfile_bytes
+  | Where_stored _ -> header + gfile_bytes
   | Lookup_req { comps; _ } ->
     header + gfile_bytes
     + List.fold_left (fun a c -> a + 1 + String.length c) 0 comps
@@ -490,15 +487,17 @@ let resp_bytes = function
   | R_ok -> header
   | R_err _ -> header + 4
   | R_open { info; others; pages; _ } ->
-    header + 5 + info_bytes info + site_list_bytes others
+    header + 5
+    + (match info with Some i -> info_bytes i | None -> 0)
+    + site_list_bytes others
     + if pages = [] then 0 else pages_bytes pages
   | R_storage { info; _ } ->
     header + 1 + (match info with Some i -> info_bytes i | None -> 0)
   | R_pages { pages; info; _ } ->
     (* One header for the whole batch; each page pays only a small length
        frame plus its payload — the honest accounting that makes the bulk
-       win fewer headers and RTTs, not free bytes. An inode costs what it
-       does in a stat reply. *)
+       win fewer headers and RTTs, not free bytes. With no pages and an
+       inode it is the stat reply. *)
     header + pages_bytes pages
     + (match info with Some i -> info_bytes i | None -> 0)
   | R_committed { vv } -> header + vv_bytes vv
@@ -506,8 +505,6 @@ let resp_bytes = function
     header + 5 + vv_bytes dir_vv
     + (match file with Some (vv, _) -> 1 + vv_bytes vv | None -> 0)
   | R_linked { vv; _ } -> header + 1 + vv_bytes vv
-  | R_stat { info; _ } ->
-    header + 1 + (match info with Some i -> info_bytes i | None -> 0)
   | R_lookup { trail; _ } ->
     header + gfile_bytes + 4
     + List.fold_left (fun a s -> a + (2 * gfile_bytes) + vv_bytes s.l_vv + 1) 0 trail
@@ -528,6 +525,7 @@ let resp_bytes = function
 let req_tag = function
   | Open_req _ -> "open"
   | Storage_req _ -> "storage"
+  | Read_pages { count = 0; stat = true; _ } -> "stat"
   | Read_pages _ -> "read"
   | Write_pages { trunc = Some _; data = ""; _ } -> "truncate"
   | Write_pages _ -> "write"
@@ -541,7 +539,6 @@ let req_tag = function
   | Dir_intent _ -> "dirop"
   | Intent_step _ -> "dirop.step"
   | Set_attr _ -> "setattr"
-  | Stat_req _ -> "stat"
   | Where_stored _ -> "where"
   | Lookup_req _ -> "lookup"
   | Token_req _ -> "token"
@@ -566,7 +563,7 @@ let req_tag = function
    notifications. The transport keeps the reply of every other request,
    so a resend of it is answered without running it again. *)
 let req_idempotent = function
-  | Read_pages _ | Stat_req _ | Where_stored _ | Lookup_req _
+  | Read_pages _ | Where_stored _ | Lookup_req _
   | Open_files_query _ | Pack_inventory _ | Token_state_req _ | Token_req _
   | Page_invalidate _ | Lease_break _ | Reclaim_req _ | Commit_notify _
   | Write_pages _ | Part_poll _ | Part_announce _ | Merge_poll _ | Merge_announce _

@@ -182,9 +182,12 @@ type req =
            wire. [guess] locates the incore inode. A using site reads an open modification
            session's pages when one exists; a background read (a pull,
            reconciliation) sets [committed] and reads only the committed
-           copy. [stat] also asks for that copy's inode in the reply, in
-           place of a [Stat_req]; it implies [committed], and with it
-           [count] may be 0. The flags cost one byte, only when set. *)
+           copy. [stat] also asks for that copy's inode in the reply; it
+           implies [committed]. The flags cost one byte, only when set.
+           With [stat] and a [count] of 0 it is the stat message: tagged
+           ["stat"] and priced as the header and the file, since [first],
+           [guess] and the flags then carry nothing. A site with no copy
+           answers [R_err]. *)
   | Write_pages of {
       gf : Catalog.Gfile.t;
       trunc : int option;
@@ -269,7 +272,6 @@ type req =
           sends any deferred close. *)
   | Set_attr of { gf : Catalog.Gfile.t; perms : int option; owner : string option }
       (** metadata-only commits (§2.3.6's "just inode information") *)
-  | Stat_req of { gf : Catalog.Gfile.t }
   | Where_stored of { gf : Catalog.Gfile.t }
   | Lookup_req of { gf : Catalog.Gfile.t; comps : string list }
       (** US → SS: walk as many of the remaining pathname components from
@@ -325,7 +327,11 @@ type resp =
   | R_err of errno
   | R_open of {
       ss : Net.Site.t;
-      info : inode_info;
+      info : inode_info option;
+        (** the chosen copy's inode; [None] on the US-is-current shortcut
+            (§2.3.3, optimization 1), where [ss] is the US itself: it
+            reads its own inode and registers its own serving state,
+            which no storage poll made. [None] costs no bytes. *)
       others : Net.Site.t list;
       nocache : bool;
       slot : int;
@@ -334,11 +340,6 @@ type resp =
             may retain the whole grant across close and re-open with zero
             messages until a [Lease_break] arrives. Packs into the same
             flag byte as [nocache] (wire size unchanged). *)
-      registered : bool;
-        (** the serving state at [ss] already counts this open (storage
-            poll or CSS-local registration). False only on the
-            US-is-current shortcut, where the US must create its own
-            serving registration. Packs into the flag byte. *)
       pages : string list;
         (** the committed copy's first pages, up to the request's [want]:
             only when the CSS is itself the SS of a remote US's read open,
@@ -350,8 +351,8 @@ type resp =
       (** the pages answering a [Read_pages]; fewer than asked when
           the file ends mid-window, [eof] when the batch reaches end of
           file (or started past it). [info] is the committed copy's inode
-          when the request set [stat], at the size a stat reply's inode
-          costs; [None] costs nothing. *)
+          when the request set [stat], at [info_bytes]; [None] costs
+          nothing. The stat reply is this with no pages. *)
   | R_committed of { vv : Vv.Version_vector.t }
   | R_intent of {
       ino : int;
@@ -364,7 +365,6 @@ type resp =
   | R_linked of { vv : Vv.Version_vector.t; deleted : bool }
       (** a [Step_link]'s new version of the file; [deleted] when the last
           link went *)
-  | R_stat of { info : inode_info option }
   | R_lookup of { gf : Catalog.Gfile.t; consumed : int; trail : lookup_step list }
       (** where the server-side walk stopped, how many components it
           consumed, and one trail step per consumed component *)

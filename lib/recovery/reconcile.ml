@@ -73,11 +73,9 @@ let merge_manager_for ftype = Hashtbl.find_opt merge_managers ftype
 (* ---- copy access ---- *)
 
 let fetch_info k site gf =
-  match rpc_result k site (Proto.Stat_req { gf }) with
-  | Ok (Proto.R_stat { info = Some info; _ }) -> Some info
-  | Ok (Proto.R_stat { info = None; _ } | Proto.R_err _) -> None
-  | Ok _ -> None
-  | Stdlib.Error _ -> None
+  match Ss.read_committed k site gf ~first:0 ~count:0 ~stat:true with
+  | _, info -> info
+  | exception Error _ -> None
 
 (* A copy as reconciliation reads it: its committed inode, which came
    with the first window of its body, and the body, whose other windows

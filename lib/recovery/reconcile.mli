@@ -54,7 +54,3 @@ val fetch_content : Locus_core.Ktypes.t -> Net.Site.t -> Catalog.Gfile.t -> stri
 val merge_two_dirs :
   Locus_core.Ktypes.t -> int -> Catalog.Dir.t -> Catalog.Dir.t -> report -> Catalog.Dir.t
 (** The directory-merge rules of §4.4 (exposed for tests). *)
-
-val modified_since : Locus_core.Ktypes.t -> int -> int -> since:float -> bool
-(** Rule 2b/2d inode interrogation: was the file's data modified after the
-    given deletion time? *)

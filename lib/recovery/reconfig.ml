@@ -1,5 +1,6 @@
 (* Reconfiguration orchestration (section 5.3): wire the protocol handlers
-   into each kernel and drive the partition -> merge -> recovery sequence.
+   into each kernel and drive the merge -> recovery sequence (each
+   partition protocol is run from its own initiator, {!Partition.run_active}).
 
    The reconfiguration procedure has three components: the partition
    protocol finds fully-connected sub-networks, the merge protocol joins
@@ -32,30 +33,13 @@ let install k =
       | Proto.Dir_intent _ | Proto.Intent_step _ | Proto.Commit_req _
       | Proto.Us_close _ | Proto.Ss_close _ | Proto.Commit_notify _
       | Proto.Reclaim_req _ | Proto.Page_invalidate _ | Proto.Lease_break _
-      | Proto.Set_attr _ | Proto.Stat_req _
+      | Proto.Set_attr _
       | Proto.Where_stored _ | Proto.Lookup_req _
       | Proto.Token_req _ | Proto.Token_state_req _ | Proto.Fork_req _
       | Proto.Exec_req _ | Proto.Run_req _ | Proto.Signal_req _
       | Proto.Exit_notify _ | Proto.Open_files_query _ | Proto.Pack_inventory _
       | Proto.Pipe_write _ | Proto.Pipe_read _ ->
         None)
-
-type full_report = {
-  partition_reports : Partition.report list;
-  merge_report : Merge.report option;
-  reconcile_reports : (int * Reconcile.report) list; (* per filegroup *)
-}
-
-(* Run the partition protocol in each sub-network after a topology change.
-   [initiators] is one site per suspected sub-partition (in reality the
-   site that noticed the circuit failure). *)
-let run_partitions kernels ~initiators =
-  List.filter_map
-    (fun site ->
-      match List.find_opt (fun k -> Site.equal k.site site) kernels with
-      | Some k when k.alive -> Some (Partition.run_active k)
-      | Some _ | None -> None)
-    initiators
 
 (* Run the merge protocol from [initiator], then the recovery procedure:
    every new CSS reconciles its filegroups, and the resulting update
@@ -85,16 +69,3 @@ let run_merge_and_recover ?policy ?gateways kernels ~initiator =
     List.iter (fun k -> if k.alive then Locus_core.Propagation.drain k) kernels;
     ignore (Sim.Engine.run_until_idle ki.engine);
     (merge_report, reconcile_reports)
-
-(* Full reconfiguration: partition protocols (one initiator per group),
-   then merge + recovery from the lowest live site. *)
-let reconfigure ?policy kernels ~initiators ~merge_initiator =
-  let partition_reports = run_partitions kernels ~initiators in
-  let merge_report, reconcile_reports =
-    run_merge_and_recover ?policy kernels ~initiator:merge_initiator
-  in
-  {
-    partition_reports;
-    merge_report = Some merge_report;
-    reconcile_reports;
-  }

@@ -1,22 +1,13 @@
 (** Reconfiguration orchestration (§5.3).
 
     Wires the protocol handlers into each kernel and drives the
-    partition → merge → recovery sequence. Normal processing continues
+    merge → recovery sequence; each partition protocol runs from its own
+    initiator ({!Partition.run_active}). Normal processing continues
     underneath; file reconciliation supports demand recovery. *)
 
 val install : Locus_core.Ktypes.t -> unit
 (** Install the reconfiguration-protocol handlers on a kernel (once, at
     boot). *)
-
-type full_report = {
-  partition_reports : Partition.report list;
-  merge_report : Merge.report option;
-  reconcile_reports : (int * Reconcile.report) list;
-}
-
-val run_partitions :
-  Locus_core.Ktypes.t list -> initiators:Net.Site.t list -> Partition.report list
-(** One partition protocol per suspected sub-network. *)
 
 val run_merge_and_recover :
   ?policy:Merge.timeout_policy ->
@@ -26,10 +17,3 @@ val run_merge_and_recover :
   Merge.report * (int * Reconcile.report) list
 (** Merge, then the recovery procedure: every new CSS reconciles its
     filegroups and the scheduled update propagations are drained. *)
-
-val reconfigure :
-  ?policy:Merge.timeout_policy ->
-  Locus_core.Ktypes.t list ->
-  initiators:Net.Site.t list ->
-  merge_initiator:Net.Site.t ->
-  full_report

@@ -40,7 +40,7 @@ val cget : counter -> int
 
     Named latency/size distributions with percentile accessors. The RPC
     transport layer feeds one histogram per request tag
-    (["rpc.latency.<tag>"], ["rpc.bytes.<tag>"]); the benchmark harness
+    (["rpc.latency.<tag>"]); the benchmark harness
     reports p50/p95/p99 from them. *)
 
 val hist_observe : t -> string -> float -> unit

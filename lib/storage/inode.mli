@@ -50,6 +50,4 @@ val is_directory : t -> bool
 
 val pp_ftype : Format.formatter -> ftype -> unit
 
-val ftype_to_string : ftype -> string
-
 val pp : Format.formatter -> t -> unit

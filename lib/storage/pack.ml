@@ -96,6 +96,7 @@ let read_string t inode =
   done;
   Buffer.contents buf
 
+(* Free every data page and the indirect page of this descriptor. *)
 let free_file_pages t inode =
   let table = load_table t inode in
   Array.iter (fun a -> if a <> 0 then Disk.free t.disk a) table;

@@ -56,9 +56,6 @@ val read_string : t -> Inode.t -> string
 (** Whole-file contents ([size] bytes), assembled from pages through one
     {!reader}. *)
 
-val free_file_pages : t -> Inode.t -> unit
-(** Free every data page and the indirect page of this descriptor. *)
-
 val scavenge : t -> int
 (** Free any allocated page not reachable from the inode table (orphans left
     by a crash between shadow-page writes and commit). Returns the number

@@ -342,8 +342,8 @@ let test_buffered_reopen_asks_nothing () =
       (Proto.Open_req { gf; mode = Proto.Mode_read; us_vv = None; shared = false; want = 0 })
     + Proto.resp_bytes
         (Proto.R_open
-           { ss = 0; info = o.K.o_info; others = []; nocache = false; slot = 0; lease = false;
-             registered = true; pages = [] })
+           { ss = 0; info = Some o.K.o_info; others = []; nocache = false; slot = 0;
+             lease = false; pages = [] })
   in
   check Alcotest.int "the paper's open bytes" paper_open (delta "net.bytes");
   let snap = Stats.snapshot s in

@@ -84,7 +84,8 @@ let test_open_fully_remote_four_messages () =
   Us.close k2 o
 
 (* US = SS optimization: the US stores the latest copy; two messages
-   (request and response to the CSS), no storage poll. *)
+   (request and response to the CSS), no storage poll. The reply carries
+   no inode, and the US registers its own open, once. *)
 let test_open_us_is_ss_two_messages () =
   let w = asym_world () in
   let k1 = World.kernel w 1 and p1 = World.proc w 1 in
@@ -92,11 +93,38 @@ let test_open_us_is_ss_two_messages () =
   Kernel.write_file k1 p1 "/g" "y";
   ignore (World.settle w);
   let gf = gf_of k1 "/g" in
+  let exchanges = ref [] in
+  List.iter
+    (fun site ->
+      let k = World.kernel w site in
+      Net.Netsim.set_handler (World.net w) site (fun ~src req ->
+          let resp = k.K.dispatch src req in
+          exchanges := (req, resp) :: !exchanges;
+          resp))
+    (World.sites w);
   let snap = Stats.snapshot (stats w) in
   let o = Us.open_gf k1 gf Proto.Mode_read in
   check Alcotest.int "US-current open = 2 messages" 2 (msg_delta w snap);
   check Alcotest.bool "US serves itself" true (Net.Site.equal o.K.o_ss 1);
-  Us.close k1 o
+  (match !exchanges with
+  | [ (req, (Proto.R_open { info = None; others; _ } as resp)) ] ->
+    check Alcotest.int "reply: header, 5 bytes, the other sites"
+      (24 + 5 + (4 * List.length others))
+      (Proto.resp_bytes resp);
+    check Alcotest.int "exchange bytes"
+      (Proto.req_bytes req + Proto.resp_bytes resp)
+      (Stats.delta_of (stats w) snap "net.bytes")
+  | _ -> Alcotest.fail "expected one open exchange whose reply carries no inode");
+  let registrations () =
+    match K.ss_find_open k1 gf with
+    | Some s -> Option.value ~default:0 (Net.Site.Map.find_opt 1 s.K.s_uss)
+    | None -> 0
+  in
+  check Alcotest.int "one registration for the US" 1 (registrations ());
+  Us.close k1 o;
+  (* The read lease defers the close until the lease goes. *)
+  Locus_core.Openlease.kill k1.K.open_leases gf;
+  check Alcotest.int "the close removes it" 0 (registrations ())
 
 (* CSS = SS optimization: CSS stores the latest version and picks itself
    without message overhead — still 2 messages total from the US. *)

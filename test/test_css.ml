@@ -120,10 +120,7 @@ let test_register_open_rebuild () =
   Css.register_open k0 0 (gf.Catalog.Gfile.ino, Proto.Mode_read, 1);
   let f = Css.get_file k0 0 gf.Catalog.Gfile.ino in
   check Alcotest.(option int) "writer rebuilt" (Some 3) f.K.writer;
-  check Alcotest.(option int) "reader rebuilt" (Some 1) (Site.Map.find_opt 1 f.K.readers);
-  (* Scrub on departure. *)
-  Css.drop_site k0 3;
-  check Alcotest.(option int) "writer scrubbed" None f.K.writer
+  check Alcotest.(option int) "reader rebuilt" (Some 1) (Site.Map.find_opt 1 f.K.readers)
 
 let test_shared_open_bypasses_single_writer () =
   let w = make_world () in

@@ -1,5 +1,5 @@
-(* Unit tests for the network substrate: topology, message layer, virtual
-   circuits, fault injection. *)
+(* Unit tests for the network substrate: topology, message layer, fault
+   injection. *)
 
 module Engine = Sim.Engine
 module Topology = Net.Topology
@@ -102,20 +102,6 @@ let test_unreachable_fails () =
   | Error Netsim.Request_lost -> ()
   | Error Netsim.Reply_lost -> Alcotest.fail "handler never ran: must be request-lost"
 
-let test_circuit_failure_observer () =
-  let _, topo, net = make_net 2 in
-  Netsim.set_handler net 1 (echo_handler net 1);
-  let failures = ref [] in
-  Netsim.on_circuit_failure net (fun obs peer -> failures := (obs, peer) :: !failures);
-  ignore (Netsim.call net ~src:0 ~dst:1 ~req_bytes:1 ~resp_bytes:String.length "a");
-  check Alcotest.int "circuit open" 1 (Netsim.circuits_open net);
-  Topology.set_link topo 0 1 false;
-  ignore (Netsim.call net ~src:0 ~dst:1 ~req_bytes:1 ~resp_bytes:String.length "b");
-  check Alcotest.int "circuit closed" 0 (Netsim.circuits_open net);
-  check
-    Alcotest.(list (pair int int))
-    "observer notified" [ (0, 1) ] !failures
-
 let test_forced_failure () =
   let _, _, net = make_net 2 in
   Netsim.set_handler net 1 (echo_handler net 1);
@@ -213,7 +199,6 @@ let () =
           Alcotest.test_case "unreachable" `Quick test_unreachable_fails;
           Alcotest.test_case "lost reply distinguished" `Quick test_lost_reply_distinguished;
           Alcotest.test_case "send error counted" `Quick test_send_error_counted;
-          Alcotest.test_case "circuit failure observer" `Quick test_circuit_failure_observer;
           Alcotest.test_case "forced failure" `Quick test_forced_failure;
           Alcotest.test_case "async send" `Quick test_send_async;
           Alcotest.test_case "send dropped" `Quick test_send_dropped_when_cut;

@@ -17,7 +17,7 @@ let deltas w snap =
   let counts =
     List.map
       (fun key -> (key, Sim.Stats.delta_of (World.stats w) snap key))
-      [ "net.msg.read"; "prop.carried"; "prop.carried.pages"; "prop.bulk.pages" ]
+      [ "net.msg.read"; "net.msg.stat"; "prop.carried"; "prop.carried.pages"; "prop.bulk.pages" ]
   in
   fun key -> List.assoc key counts
 
@@ -153,7 +153,7 @@ let pull_requests log gf =
   List.filter_map
     (fun (_, req) ->
       match req with
-      | Proto.Read_pages { gf = g; _ } | Proto.Stat_req { gf = g } | Proto.Where_stored { gf = g }
+      | Proto.Read_pages { gf = g; _ } | Proto.Where_stored { gf = g }
         when Catalog.Gfile.equal g gf ->
         Some (Proto.req_tag req)
       | _ -> None)
@@ -266,7 +266,8 @@ let meta_only_commit ~window =
 
 let test_meta_only_commit_moves_no_page () =
   let chmod, _ = meta_only_commit ~window:1 in
-  check Alcotest.int "chmod: one read round trip" 2 (chmod "net.msg.read");
+  check Alcotest.int "chmod: one stat round trip" 2 (chmod "net.msg.stat");
+  check Alcotest.int "chmod: no read" 0 (chmod "net.msg.read");
   let chmod, link = meta_only_commit ~window:8 in
   check Alcotest.int "window 8, chmod: no read" 0 (chmod "net.msg.read");
   check Alcotest.int "window 8, chmod: the inode was carried" 1 (chmod "prop.carried");

@@ -60,7 +60,6 @@ let some_reqs =
     Proto.Reclaim_req { gf };
     Proto.Page_invalidate { gf; first = 3; count = 1 };
     Proto.Set_attr { gf; perms = Some 0o600; owner = None };
-    Proto.Stat_req { gf };
     Proto.Where_stored { gf };
     Proto.Token_req { key = Proto.Tok_fd (0, 1); for_site = 2 };
     Proto.Token_state_req { key = Proto.Tok_fd (0, 1) };
@@ -135,12 +134,11 @@ let test_resp_sizes () =
       Proto.R_ok;
       Proto.R_err Proto.Enoent;
       Proto.R_open
-        { ss = 0; info; others = []; nocache = false; slot = 1; lease = false;
-          registered = true; pages = [] };
+        { ss = 0; info = Some info; others = []; nocache = false; slot = 1; lease = false;
+          pages = [] };
       Proto.R_storage { accept = true; info = Some info; slot = 1 };
       Proto.R_pages { pages = [ String.make 512 'd' ]; eof = true; info = None };
       Proto.R_committed { vv = vv_small };
-      Proto.R_stat { info = Some info };
       Proto.R_where { sites = [ 0 ] };
       Proto.R_token { granted = true; state = "17" };
       Proto.R_pset { pset = [ 0; 1; 2 ] };
@@ -182,7 +180,10 @@ let test_one_page_forms () =
   check Alcotest.int "two-page write" (44 + 2048) (write ~off:0 (page ^ page));
   check Alcotest.int "write crossing a page" (44 + 48) (write ~off:1000 (String.sub page 0 48));
   (* A background read's flags cost one byte together, and a reply pays
-     for an inode what a stat reply does, only when it carries one. *)
+     for an inode (55 bytes here) only when it carries one. A stat is the
+     count-0 read: the header and the file, as the separate stat request
+     cost, and its reply the header, the empty batch's byte and the inode,
+     as the separate stat reply did. *)
   let background ~count ~committed ~stat =
     Proto.req_bytes
       (Proto.Read_pages { gf; first = 0; count; guess = 0; committed; stat })
@@ -190,12 +191,15 @@ let test_one_page_forms () =
   check Alcotest.int "committed one-page request" 41
     (background ~count:1 ~committed:true ~stat:false);
   check Alcotest.int "stat window request" 45 (background ~count:8 ~committed:true ~stat:true);
-  check Alcotest.int "stat-only request" 45 (background ~count:0 ~committed:false ~stat:true);
-  check Alcotest.int "inode-only reply"
-    (Proto.resp_bytes (Proto.R_stat { info = Some info }))
+  check Alcotest.int "stat request" 32 (background ~count:0 ~committed:false ~stat:true);
+  check Alcotest.int "committed stat request" 32 (background ~count:0 ~committed:true ~stat:true);
+  check Alcotest.string "stat tag" "stat"
+    (Proto.req_tag
+       (Proto.Read_pages { gf; first = 0; count = 0; guess = 0; committed = true; stat = true }));
+  check Alcotest.int "inode-only reply" (25 + 55)
     (Proto.resp_bytes (Proto.R_pages { pages = []; eof = true; info = Some info }));
   check Alcotest.int "one page and an inode"
-    (reply [ page ] + Proto.resp_bytes (Proto.R_stat { info = Some info }) - 25)
+    (reply [ page ] + 55)
     (Proto.resp_bytes (Proto.R_pages { pages = [ page ]; eof = false; info = Some info }))
 
 (* The fused forms: a truncate alone costs and is tagged what the
@@ -259,22 +263,24 @@ let test_commit_forms () =
    carries none cost exactly what the paper's open and reply did (header,
    file, two flag bytes and the US's version; header, five bytes, the
    inode and the other sites). Asking costs a 4-byte count, and carried
-   pages are framed as in a [Read_pages] reply. *)
+   pages are framed as in a [Read_pages] reply. A reply that names the US
+   itself from its own current copy carries no inode. *)
 let test_open_forms () =
   let page = String.make 1024 'p' in
   let open_req ?us_vv want =
     Proto.req_bytes (Proto.Open_req { gf; mode = Proto.Mode_read; us_vv; shared = false; want })
   in
-  let r_open ?(others = []) pages =
+  let r_open ?(info = Some info) ?(others = []) pages =
     Proto.resp_bytes
-      (Proto.R_open
-         { ss = 0; info; others; nocache = false; slot = 1; lease = true; registered = true;
-           pages })
+      (Proto.R_open { ss = 0; info; others; nocache = false; slot = 1; lease = true; pages })
   in
   check Alcotest.int "paper open request" 34 (open_req 0);
   check Alcotest.int "paper open request with a copy" 42 (open_req ~us_vv:vv_small 0);
   check Alcotest.int "paper open reply" 84 (r_open []);
   check Alcotest.int "paper open reply naming others" 92 (r_open ~others:[ 1; 2 ] []);
+  check Alcotest.int "US-is-current reply" (24 + 5) (r_open ~info:None []);
+  check Alcotest.int "US-is-current reply naming others" (24 + 5 + 8)
+    (r_open ~info:None ~others:[ 1; 2 ] []);
   check Alcotest.int "asking open request" 38 (open_req 8);
   check Alcotest.int "open reply with a lone page" (84 + 1 + 1024) (r_open [ page ]);
   check Alcotest.int "open reply with a short page" (84 + 1 + 100)

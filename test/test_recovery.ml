@@ -670,8 +670,8 @@ let test_failed_copy_read_stops () =
     (Reconcile.fetch_content k0 2 gf);
   check Alcotest.int "no request after the short reply" 1 !asked
 
-(* The one-call orchestration: partition protocols per group, then merge
-   and recovery. *)
+(* The whole reconfiguration: a partition protocol per group, then, once
+   the network heals, merge and recovery. *)
 let test_full_reconfigure_entry () =
   let w = make_world () in
   let k0 = World.kernel w 0 and p0 = World.proc w 0 in
@@ -679,23 +679,10 @@ let test_full_reconfigure_entry () =
   ignore (Kernel.creat k0 p0 "/o");
   Kernel.write_file k0 p0 "/o" "v1";
   ignore (World.settle w);
-  Topology.partition (World.topology w) [ [ 0; 1; 2 ]; [ 3; 4; 5 ] ];
-  let report =
-    Recovery.Reconfig.reconfigure (World.kernels w) ~initiators:[ 0; 3 ]
-      ~merge_initiator:0
-  in
-  check Alcotest.int "two partition reports" 2
-    (List.length report.Recovery.Reconfig.partition_reports);
-  (* Sub-partitions formed... but the physical net is still split, so the
-     merge only rejoins what is reachable. Heal and do it again. *)
-  Topology.heal (World.topology w);
-  let report2 =
-    Recovery.Reconfig.reconfigure (World.kernels w) ~initiators:[ 0 ]
-      ~merge_initiator:0
-  in
-  (match report2.Recovery.Reconfig.merge_report with
-  | Some m -> check Alcotest.int "all merged" 6 (List.length m.Merge.members)
-  | None -> Alcotest.fail "missing merge report");
+  let reports = World.partition w [ [ 0; 1; 2 ]; [ 3; 4; 5 ] ] in
+  check Alcotest.int "two partition reports" 2 (List.length reports);
+  let m, _ = World.heal_and_merge w in
+  check Alcotest.int "all merged" 6 (List.length m.Merge.members);
   check Alcotest.string "file intact" "v1" (Kernel.read_file k0 p0 "/o")
 
 (* Hidden directories reconcile by the same rules as ordinary ones: load

@@ -24,7 +24,7 @@ let call ?policy net req =
   Rpc.call net ?policy ~tag:"test" ~src:0 ~dst:1 ~req_bytes:10
     ~resp_bytes:String.length req
 
-let retry3 = { Rpc.default_policy with Rpc.backoff = [ 5.0; 20.0 ]; max_attempts = 3 }
+let retry3 = { Rpc.backoff = [ 5.0; 20.0 ]; max_attempts = 3 }
 
 let test_ok_roundtrip () =
   let e, _, net = make_net 2 in
@@ -37,8 +37,7 @@ let test_ok_roundtrip () =
   check Alcotest.int "one call" 1 (Stats.get stats "rpc.call");
   check Alcotest.int "no retries" 0 (Stats.get stats "rpc.retry");
   check Alcotest.int "handler ran once" 1 !calls;
-  check Alcotest.int "latency sample" 1 (Stats.hist_count stats "rpc.latency.test");
-  check Alcotest.int "bytes sample" 1 (Stats.hist_count stats "rpc.bytes.test")
+  check Alcotest.int "latency sample" 1 (Stats.hist_count stats "rpc.latency.test")
 
 let test_retry_recovers_forced_loss () =
   let e, _, net = make_net 2 in
@@ -173,22 +172,6 @@ let test_lost_reply_distinguished () =
   | Error e -> Alcotest.failf "wrong error %a" Rpc.pp_error e);
   check Alcotest.int "handler ran" 1 !calls
 
-let test_timeout_bounds_retries () =
-  let e, topo, net = make_net 2 in
-  Netsim.set_handler net 1 (counting_echo (ref 0));
-  Topology.set_link topo 0 1 false;
-  let policy =
-    { Rpc.max_attempts = 100; backoff = [ 10.0 ]; timeout = 35.0 }
-  in
-  (match call ~policy net "x" with
-  | Ok _ -> Alcotest.fail "link is down"
-  | Error (Rpc.Timeout { attempts; waited; _ }) ->
-    (* 3 backoffs of 10 ms fit under 35 ms; the 4th would not. *)
-    check Alcotest.int "attempts until timeout" 4 attempts;
-    check (Alcotest.float 1e-9) "waited" 30.0 waited
-  | Error e -> Alcotest.failf "wrong error %a" Rpc.pp_error e);
-  check Alcotest.int "timeout counted" 1 (Stats.get (Engine.stats e) "rpc.fail.timeout")
-
 let test_call_traced () =
   let e, _, net = make_net 2 in
   Netsim.set_handler net 1 (counting_echo (ref 0));
@@ -258,7 +241,6 @@ let () =
           Alcotest.test_case "idempotent reply not kept" `Quick test_idempotent_reply_not_kept;
           Alcotest.test_case "lost reply distinguished" `Quick
             test_lost_reply_distinguished;
-          Alcotest.test_case "timeout bounds retries" `Quick test_timeout_bounds_retries;
           Alcotest.test_case "call traced" `Quick test_call_traced;
         ] );
       ( "histograms",
