@@ -87,7 +87,8 @@ loc:
 # Exports nothing else reads: each `val` of a lib/ interface that no .ml in
 # lib/, bench/, test/, bin/ or benchmark/ other than its own module's
 # names, printed as Module.name. A name is matched as a whole word, so a
-# same-named value elsewhere hides one. Informational; not part of check.
+# same-named value elsewhere hides one. `make check` fails on any name it
+# prints.
 unused:
 	@for mli in $$(find lib -name '*.mli' | sort); do \
 		ml=$${mli%i}; \
@@ -112,9 +113,18 @@ lint:
 		echo "lint: OK (cold build is warning-clean)"; \
 	fi
 
-# Everything a change must pass before review: warning-clean build, tests,
-# and (when ocamlformat is installed) formatting.
+# Everything a change must pass before review: warning-clean build, no
+# export only its own module names, tests, and (when ocamlformat is
+# installed) formatting.
 check: lint
+	@out=$$($(MAKE) --no-print-directory -s unused); \
+	if [ -n "$$out" ]; then \
+		printf '%s\n' "$$out"; \
+		echo "unused: FAIL (exports no other module names)"; \
+		exit 1; \
+	else \
+		echo "unused: OK (every lib/ export is named outside its module)"; \
+	fi
 	dune runtest
 	$(MAKE) bench-smoke
 	$(MAKE) soak-smoke

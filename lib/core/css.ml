@@ -120,7 +120,8 @@ let break_leases k gf (f : css_file) =
     List.iter
       (fun h ->
         if Site.equal h k.site then
-          (* Collocated holder: direct procedure call (section 2.3.2). *)
+          (* In process: a remote holder gets a one-way notify, a
+             collocated one its break synchronously. *)
           ignore (k.dispatch k.site (Proto.Lease_break { gf }))
         else notify k h (Proto.Lease_break { gf }))
       holders
@@ -173,7 +174,9 @@ let handle_open k ~src gf mode ~shared us_vv =
           in
           (* Optimization 2 of section 2.3.3: the CSS stores the latest
              version itself — select it with no message overhead,
-             registering the serving state a Storage_req would have. *)
+             registering the serving state a Storage_req would have. In
+             process, not a Storage_req to itself: it needs no storage
+             poll and no disk read. *)
           let css_self () =
             match local_info k gf with
             | Some info

@@ -43,8 +43,8 @@ let links_changed k gf (f : css_file) ~fss ~vv ~deleted =
     List.iter (fun site -> notify k site message) others
 
 (* Change the link count of [gf] at the site holding its latest copy, when
-   the site that changed the directory could not: in process here, or one
-   forward. [None] when no copy is known to drop a link of. *)
+   the site that changed the directory could not. [None] when no copy is
+   known to drop a link of. *)
 let change_links_at k ~us gf ~delta =
   let f = Css.get_file k gf.Gfile.fg gf.Gfile.ino in
   if f.css_deleted || Site.Map.is_empty f.site_vv then None
@@ -52,20 +52,12 @@ let change_links_at k ~us gf ~delta =
     match Css.intent_site k gf f with
     | None -> err Proto.Enet "no reachable copy of %a to change its links" Gfile.pp gf
     | Some fss -> (
-      let result =
-        if Site.equal fss k.site then Ss.change_links k gf ~delta
-        else
-          let step = Proto.Step_link { gf; delta } in
-          match rpc k fss (Proto.Intent_step { us; step }) with
-          | Proto.R_linked { vv; deleted } -> Ok (vv, deleted)
-          | Proto.R_err e -> Stdlib.Error e
-          | _ -> err Proto.Eio "unexpected link-step response"
-      in
-      match result with
-      | Ok (vv, deleted) ->
+      match rpc k fss (Proto.Intent_step { us; step = Proto.Step_link { gf; delta } }) with
+      | Proto.R_linked { vv; deleted } ->
         links_changed k gf f ~fss ~vv ~deleted;
         Some (vv, deleted)
-      | Stdlib.Error e -> err e "link count of %a at %a" Gfile.pp gf Site.pp fss)
+      | Proto.R_err e -> err e "link count of %a at %a" Gfile.pp gf Site.pp fss
+      | _ -> err Proto.Eio "unexpected link-step response")
 
 (* The CSS half of an intent (sections 2.3.4, 2.3.7): take the directory's
    modification lock, and for a counted unlink or link the target's; pick
@@ -100,6 +92,8 @@ let run_intent k ~us dir (op : Proto.intent) =
       let dir_step ss ~guard ~fences =
         let others = List.filter (fun s -> not (Site.equal s ss)) (Css.sites_with_latest k f) in
         if Site.equal ss k.site then
+          (* In process: [guard] and [links_here] read this CSS's live lock
+             table, where a remote SS is sent [fences]. *)
           Ss.apply_intent k ~us dir op ~others ~guard
             ~links_here:(fun ino -> latest_here (Gfile.make ~fg ~ino))
         else begin
@@ -202,23 +196,14 @@ let run_intent k ~us dir (op : Proto.intent) =
 let name_of = function
   | Proto.Create { name; _ } | Proto.Unlink { name; _ } | Proto.Link { name; _ } -> name
 
-(* Send one intent to the directory's CSS — a procedure call when that is
-   this site — retrying a few times while another site holds the
-   directory's (or the target's) modification lock. The transport resends
-   a lost request or reply, and answers a resend from the CSS's kept
-   reply. Returns the inode and the file's new version, if the link count
-   changed. *)
+(* Send one intent to the directory's CSS, retrying a few times while
+   another site holds the directory's (or the target's) modification
+   lock. The transport resends a lost request or reply, and answers a
+   resend from the CSS's kept reply. Returns the inode and the file's new
+   version, if the link count changed. *)
 let intent k dir op =
   let rec attempt tries =
-    let css = (fg_info k dir.Gfile.fg).css_site in
-    let resp =
-      if Site.equal css k.site then begin
-        charge k (latency k).Net.Latency.local_call;
-        run_intent k ~us:k.site dir op
-      end
-      else rpc k css (Proto.Dir_intent { dir; op })
-    in
-    match resp with
+    match rpc k (fg_info k dir.Gfile.fg).css_site (Proto.Dir_intent { dir; op }) with
     | Proto.R_intent { ino; dir_vv; file } ->
       (* This site just changed the directory (and maybe the file), and
          neither the commit notification nor the CSS's lease break has

@@ -28,41 +28,48 @@ let handle k ~src (req : Proto.req) : Proto.resp =
     (* data transfer *)
     | Proto.Read_pages { gf; first; count; guess; committed; stat } ->
       Ss.handle_read_pages ~guess ~committed ~stat k gf ~first ~count
-    | Proto.Write_pages { gf; trunc; first; off; data } ->
-      Ss.handle_write_pages ?trunc k ~src gf ~first ~off ~data
-    | Proto.Commit_req { gf; us = _; abort; delete; force_vv; run } ->
+    | Proto.Write_pages { gf; trunc; first; off; data; pos; len } ->
+      Ss.handle_write_pages ?trunc k ~src gf ~first ~off data ~pos ~len
+    | Proto.Commit_req { gf; abort; delete; force_vv; run } ->
       Ss.handle_commit ?force_vv ?run k ~src gf ~abort ~delete
     (* close protocol *)
     | Proto.Us_close { gf; mode } -> Ss.handle_us_close k ~src gf ~mode
-    | Proto.Ss_close { gf; ss = _; us; mode } -> Css.handle_ss_close k gf ~us ~mode
+    | Proto.Ss_close { gf; us; mode } -> Css.handle_ss_close k gf ~us ~mode
     (* commit notifications: CSS bookkeeping and/or propagation pull *)
     | Proto.Commit_notify
-        { gf; vv; meta_only; modified; origin; fresh; deleted; designate; replicas; carried }
+        { gf; vv; meta_only; modified; origin; fresh; deleted; designate; carried }
       ->
-      (* A new committed version exists: buffered pages of any other
-         version of this file can never hit again — drop them from both
-         cache tiers. The SS buffers hold the local copy's version. *)
-      let key = vv_key vv in
-      Cache.invalidate_if k.us_cache (fun (g, _, v) ->
-          Gfile.equal g gf && not (String.equal v key));
-      let local_key =
-        Option.bind (local_pack k gf.Gfile.fg) (fun pack ->
-            Storage.Pack.find_inode pack gf.Gfile.ino)
-        |> Option.map (fun (i : Storage.Inode.t) -> vv_key i.Storage.Inode.vv)
-      in
-      if local_key <> Some key then
-        Cache.invalidate_if k.ss_cache (fun (g, _) -> Gfile.equal g gf);
-      (* Name-cache coherence rides the same notification: links read from
-         an older version of this directory are dead, and if the file was
-         deleted no link may keep resolving to it. *)
-      Namecache.note_dir_vv k.name_cache ~dir:gf vv;
-      if deleted then Namecache.invalidate_child k.name_cache gf;
-      (* A locally-observed commit kills any lease granted on an older
-         version without waiting for the CSS break callback. *)
-      Openlease.note_commit k.open_leases gf vv;
+      (* A site's notification of its own commit, the CSS leg when the
+         CSS is collocated, skips the cache and coherence work: its install
+         already retired the links and leases, and as at any committing
+         site its buffered pages of older versions age out. *)
+      let own = Net.Site.equal origin k.site in
+      if not own then begin
+        (* A new committed version exists: buffered pages of any other
+           version of this file can never hit again — drop them from both
+           cache tiers. The SS buffers hold the local copy's version. *)
+        let key = vv_key vv in
+        Cache.invalidate_if k.us_cache (fun (g, _, v) ->
+            Gfile.equal g gf && not (String.equal v key));
+        let local_key =
+          Option.bind (local_pack k gf.Gfile.fg) (fun pack ->
+              Storage.Pack.find_inode pack gf.Gfile.ino)
+          |> Option.map (fun (i : Storage.Inode.t) -> vv_key i.Storage.Inode.vv)
+        in
+        if local_key <> Some key then
+          Cache.invalidate_if k.ss_cache (fun (g, _) -> Gfile.equal g gf);
+        (* Name-cache coherence rides the same notification: links read
+           from an older version of this directory are dead, and if the
+           file was deleted no link may keep resolving to it. *)
+        Namecache.note_dir_vv k.name_cache ~dir:gf vv;
+        if deleted then Namecache.invalidate_child k.name_cache gf;
+        (* A locally-observed commit kills any lease granted on an older
+           version without waiting for the CSS break callback. *)
+        Openlease.note_commit k.open_leases gf vv
+      end;
       if (fg_info k gf.Gfile.fg).css_site = k.site then
-        Css.handle_commit_notify ~replicas k gf ~origin ~vv ~deleted;
-      if fresh && not (Net.Site.equal origin k.site) then
+        Css.handle_commit_notify k gf ~origin ~vv ~deleted;
+      if fresh && not own then
         Propagation.enqueue ?carried k gf ~vv ~origin ~modified ~meta_only ~deleted ~designate;
       Proto.R_ok
     | Proto.Reclaim_req { gf } -> Ss.handle_reclaim k gf
@@ -100,8 +107,7 @@ let handle k ~src (req : Proto.req) : Proto.resp =
     | Proto.Run_req { child_pid; path; env; parent; context_override } ->
       Process.handle_run ?context_override k ~child_pid ~path ~env ~parent
     | Proto.Signal_req { pid; signo } -> Process.deliver_signal k pid signo
-    | Proto.Exit_notify { pid; status; child_site } ->
-      Process.handle_exit_notify k ~pid ~status ~child_site
+    | Proto.Exit_notify { pid; status } -> Process.handle_exit_notify k ~pid ~status
     (* pipes *)
     | Proto.Pipe_write { gf; data } -> Ss.handle_pipe_write k gf data
     | Proto.Pipe_read { gf; max } -> Ss.handle_pipe_read k gf max
@@ -109,8 +115,8 @@ let handle k ~src (req : Proto.req) : Proto.resp =
     | Proto.Open_files_query { fg } -> Css.handle_open_files_query k fg
     | Proto.Pack_inventory { fg } -> Ss.handle_inventory k fg
     (* reconfiguration protocols: handled by the recovery layer's hook *)
-    | Proto.Part_poll _ | Proto.Part_announce _ | Proto.Merge_poll _
-    | Proto.Merge_announce _ | Proto.Status_check _ -> (
+    | Proto.Part_poll | Proto.Part_announce _ | Proto.Merge_poll _
+    | Proto.Merge_announce _ | Proto.Status_check -> (
       match k.extra_handler src req with
       | Some resp -> resp
       | None -> Proto.R_err Proto.Einval)

@@ -294,10 +294,7 @@ let set_attr k (proc : proc) path ~perms ~owner =
   (* Serialize against writers via the normal open protocol. *)
   let o = Us.open_gf k gf Proto.Mode_modify in
   let resp =
-    match
-      if Site.equal o.o_ss k.site then Ss.handle_set_attr k gf ~perms ~owner
-      else rpc k o.o_ss (Proto.Set_attr { gf; perms; owner })
-    with
+    match rpc k o.o_ss (Proto.Set_attr { gf; perms; owner }) with
     | resp -> resp
     | exception e ->
       Us.release k o;
@@ -344,18 +341,11 @@ let pipe_storage_site k gf =
 
 let pipe_write k (proc : proc) path data =
   let gf = resolve k proc path in
-  let ss = pipe_storage_site k gf in
-  if Site.equal ss k.site then expect_ok (Ss.handle_pipe_write k gf data)
-  else expect_ok (rpc k ss (Proto.Pipe_write { gf; data }))
+  expect_ok (rpc k (pipe_storage_site k gf) (Proto.Pipe_write { gf; data }))
 
 let pipe_read k (proc : proc) path ~max =
   let gf = resolve k proc path in
-  let ss = pipe_storage_site k gf in
-  let resp =
-    if Site.equal ss k.site then Ss.handle_pipe_read k gf max
-    else rpc k ss (Proto.Pipe_read { gf; max })
-  in
-  match resp with
+  match rpc k (pipe_storage_site k gf) (Proto.Pipe_read { gf; max }) with
   | Proto.R_data { data } -> data
   | Proto.R_err e -> err e "pipe read failed"
   | _ -> err Proto.Eio "unexpected pipe response"

@@ -311,6 +311,13 @@ let local_pack_exn k fg =
   | Some p -> p
   | None -> err Proto.Eio "site %a has no pack for filegroup %d" Site.pp k.site fg
 
+let local_vv k gf =
+  match local_pack k gf.Gfile.fg with
+  | None -> None
+  | Some pack ->
+    Storage.Pack.find_inode pack gf.Gfile.ino
+    |> Option.map (fun (i : Storage.Inode.t) -> i.Storage.Inode.vv)
+
 let in_partition k site = Site.Set.mem site k.site_set
 
 (* The only sanctioned way to change the partition membership: keeps the
@@ -374,7 +381,8 @@ let fresh_serial k =
 
 (* Remote procedure call to another kernel, through the transport layer:
    typed errors, one exactly-once retry policy, per-call tracing.
-   Collocated roles short-circuit to a procedure call (section 2.3.2). *)
+   The transport makes a call to this site a procedure call (section
+   2.3.2). *)
 let rpc_result k dst req =
   if not k.alive then Stdlib.Error (Net.Rpc.Unreachable { src = k.site; dst; attempts = 0 })
   else

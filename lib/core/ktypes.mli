@@ -316,6 +316,9 @@ val local_pack : t -> int -> Storage.Pack.t option
 
 val local_pack_exn : t -> int -> Storage.Pack.t
 
+val local_vv : t -> Gfile.t -> Vvec.t option
+(** The version of this site's own copy of the file, if it stores one. *)
+
 val in_partition : t -> Site.t -> bool
 
 val set_sites : t -> Site.t list -> unit
@@ -354,11 +357,11 @@ val fresh_serial : t -> int
 val rpc_result : t -> Site.t -> Proto.req -> (Proto.resp, Net.Rpc.rpc_error) result
 (** Remote procedure call to another kernel through the {!Net.Rpc}
     transport layer, under the request's retry policy
-    ({!Proto.req_policy}); collocated roles short-circuit to a procedure
-    call (§2.3.2). Returns the typed transport error; callers that can
-    tolerate or interpret failure (close paths, recovery polls, token
-    reclamation) match on it. If this kernel is down the error carries
-    [attempts = 0]. *)
+    ({!Proto.req_policy}); the transport makes a call to this site a
+    procedure call (§2.3.2). Returns the typed transport error; callers
+    that can tolerate or interpret failure (close paths, recovery polls,
+    token reclamation) match on it. If this kernel is down the error
+    carries [attempts = 0]. *)
 
 val rpc : t -> Site.t -> Proto.req -> Proto.resp
 (** Like {!rpc_result}, but any transport failure raises [ENET] — for the

@@ -120,10 +120,7 @@ let select_context k ~context gf dir =
    a pending propagation means the local copy lags the version a cache
    entry may have been filled from, so it proves nothing. *)
 let trusted_local_vv k gf =
-  match local_pack k gf.Gfile.fg with
-  | Some pack when not (Gfile.Set.mem gf k.prop_pending) ->
-    Pack.find_inode pack gf.Gfile.ino |> Option.map (fun (i : Inode.t) -> i.Inode.vv)
-  | Some _ | None -> None
+  if Gfile.Set.mem gf k.prop_pending then None else local_vv k gf
 
 (* Would the local fast path serve this directory? If not, a remote
    partial-pathname lookup is worth a round trip. *)

@@ -172,6 +172,8 @@ let handle_fork k ~child_pid ~env ~image_pages ~parent =
    Remote fork ships the parent's image pages. *)
 let fork k proc =
   let dest = choose_site k proc in
+  (* In process: a local child shares the parent's descriptors, where a
+     remote one is shipped an environment. *)
   if Site.equal dest k.site then begin
     let child = fork_local k proc in
     (child.pid, k.site)
@@ -241,6 +243,8 @@ let handle_exec k ~pid ~path ~env ~image_pages:_ ~parent =
 (* Exec under advice: a remote destination moves the process there. *)
 let exec k proc path =
   let dest = choose_site k proc in
+  (* In process: a local exec keeps the process and its descriptors, where
+     a remote one is shipped an environment. *)
   if Site.equal dest k.site then begin
     exec_local k proc path;
     k.site
@@ -301,6 +305,8 @@ let run ?uid ?cwd ?ncopies ?context k proc path =
       e_ncopies = Option.value ncopies ~default:env.Proto.e_ncopies;
     }
   in
+  (* In process: a local child shares the parent's descriptors, where a
+     remote one is shipped an environment. *)
   if Site.equal dest k.site then begin
     let child = fork_local k proc in
     (match uid with Some u -> child.p_uid <- u | None -> ());
@@ -341,13 +347,11 @@ let deliver_signal k pid signo =
     Proto.R_ok
   | Some { p_status = Exited _; _ } | None -> Proto.R_err Proto.Esrch
 
-let signal k ~site ~pid signo =
-  if Site.equal site k.site then expect_ok (deliver_signal k pid signo)
-  else expect_ok (rpc k site (Proto.Signal_req { pid; signo }))
+let signal k ~site ~pid signo = expect_ok (rpc k site (Proto.Signal_req { pid; signo }))
 
 (* ---- exit and wait ---- *)
 
-let handle_exit_notify k ~pid ~status ~child_site =
+let handle_exit_notify k ~pid ~status =
   (* Find the parent that listed this child. *)
   Hashtbl.iter
     (fun _ p ->
@@ -357,7 +361,6 @@ let handle_exit_notify k ~pid ~status ~child_site =
         p.p_signals <- sigchld :: p.p_signals
       end)
     k.procs;
-  ignore child_site;
   Proto.R_ok
 
 let exit_proc k proc status =
@@ -379,10 +382,11 @@ let exit_proc k proc status =
   Hashtbl.reset proc.p_fds;
   match proc.p_parent with
   | Some (_ppid, psite) ->
+    (* In process: a remote parent gets a one-way notify, a collocated one
+       the exit synchronously. *)
     if Site.equal psite k.site then
-      ignore (handle_exit_notify k ~pid:proc.pid ~status ~child_site:k.site)
-    else
-      notify k psite (Proto.Exit_notify { pid = proc.pid; status; child_site = k.site })
+      ignore (handle_exit_notify k ~pid:proc.pid ~status)
+    else notify k psite (Proto.Exit_notify { pid = proc.pid; status })
   | None -> ()
 
 let wait k proc =

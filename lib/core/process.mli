@@ -86,8 +86,7 @@ val handle_run :
   parent:int * Net.Site.t ->
   Proto.resp
 
-val handle_exit_notify :
-  Ktypes.t -> pid:int -> status:int -> child_site:Net.Site.t -> Proto.resp
+val handle_exit_notify : Ktypes.t -> pid:int -> status:int -> Proto.resp
 
 val handle_site_failure : Ktypes.t -> Net.Site.t -> unit
 (** Reflect a machine failure into the local halves of cross-machine

@@ -27,24 +27,19 @@ module Cache = Storage.Cache
 let one_commit_behind ~local ~target ~origin =
   Vvec.equal (Vvec.bump local origin) target
 
-let local_vv k gf =
-  match local_pack k gf.Gfile.fg with
-  | None -> None
-  | Some pack ->
-    Pack.find_inode pack gf.Gfile.ino
-    |> Option.map (fun (i : Inode.t) -> i.Inode.vv)
-
 (* Tell the CSS that this site now stores [vv] (fresh=false: a completed
    propagation, not a new commit). *)
 let report_to_css k gf vv ~deleted =
   let fi = fg_info k gf.Gfile.fg in
+  (* In process: a remote CSS gets a one-way notify, a collocated one the
+     report synchronously. *)
   if Site.equal fi.css_site k.site then
     Css.handle_commit_notify k gf ~origin:k.site ~vv ~deleted
   else
     notify k fi.css_site
       (Proto.Commit_notify
          { gf; vv; meta_only = false; modified = []; origin = k.site; fresh = false;
-           deleted; designate = false; replicas = []; carried = None })
+           deleted; designate = false; carried = None })
 
 let apply_delete k pack gf ~vv =
   match Pack.find_inode pack gf.Gfile.ino with

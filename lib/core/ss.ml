@@ -130,18 +130,10 @@ let handle_read_pages ?(guess = 0) ?(committed = false) ?(stat = false) k gf ~fi
         done;
         Proto.R_pages { pages = !pages; eof = first + count >= npages; info })
 
-(* The client half: read pages of [gf] from [site], by a procedure call
-   when this site serves itself. Raises [Error] on a refusal or a network
-   failure. *)
+(* The client half: read pages of [gf] from [site]. Raises [Error] on a
+   refusal or a network failure. *)
 let read_request k site gf ~first ~count ~guess ~committed ~stat =
-  let resp =
-    if Site.equal site k.site then begin
-      charge k (latency k).Net.Latency.local_call;
-      handle_read_pages ~guess ~committed ~stat k gf ~first ~count
-    end
-    else rpc k site (Proto.Read_pages { gf; first; count; guess; committed; stat })
-  in
-  match resp with
+  match rpc k site (Proto.Read_pages { gf; first; count; guess; committed; stat }) with
   | Proto.R_pages { pages; eof; info } -> (pages, eof, info)
   | Proto.R_err e -> err e "read %a pages %d+%d failed" Gfile.pp gf first count
   | _ -> err Proto.Eio "unexpected read response"
@@ -192,9 +184,11 @@ let page_written k gf lpage =
    head or tail patches. Then one [Page_invalidate] to each other using
    site covers every page written or cut. Absolute positioning makes the
    request idempotent and safe to retry. *)
-let write_span ?trunc k ~src gf ~first ~off data ~pos ~len =
+let handle_write_pages ?trunc k ~src gf ~first ~off data ~pos ~len =
   let trunc_ok = match trunc with Some size -> size >= 0 | None -> true in
-  if first < 0 || off < 0 || off >= Page.size || not trunc_ok then Proto.R_err Proto.Einval
+  if first < 0 || off < 0 || off >= Page.size || (not trunc_ok) || pos < 0 || len < 0
+     || pos + len > String.length data
+  then Proto.R_err Proto.Einval
   else if len = 0 && trunc = None then Proto.R_ok
   else
     match local_pack k gf.Gfile.fg with
@@ -238,9 +232,6 @@ let write_span ?trunc k ~src gf ~first ~off data ~pos ~len =
         invalidate_others k gf ~writer:src ~first:lo ~count:(hi - lo);
         Proto.R_ok)
 
-let handle_write_pages ?trunc k ~src gf ~first ~off ~data =
-  write_span ?trunc k ~src gf ~first ~off data ~pos:0 ~len:(String.length data)
-
 (* The pages a request carrying [len] bytes at offset [poff] of its first
    page covers. *)
 let run_pages ~poff len = (poff + len + Page.size - 1) / Page.size
@@ -248,9 +239,8 @@ let run_pages ~poff len = (poff + len + Page.size - 1) / Page.size
 (* The client half: truncate [gf] at [site] to [trunc] when set, then
    write the run of the first [len] bytes of [data] (all of it by
    default) at byte [off], in requests of at most a window of pages each;
-   the truncate rides in the first. A procedure call when this site
-   serves itself, charged as one call per request, hands the handler its
-   span of [data] without a copy. [sent] hears the page count of each
+   the truncate rides in the first. Each request names its window of
+   [data] rather than carrying a copy. [sent] hears the page count of each
    request that carried data once it is answered. Raises [Error] on a
    refusal or a network failure. *)
 let write_run ?(sent = ignore) ?trunc ?len k site gf ~off data =
@@ -262,13 +252,7 @@ let write_run ?(sent = ignore) ?trunc ?len k site gf ~off data =
     let poff = abs mod Page.size in
     let n = min (window_bytes - poff) (len - pos) in
     expect_ok
-      (if Site.equal site k.site then begin
-         charge k (latency k).Net.Latency.local_call;
-         write_span ?trunc k ~src:k.site gf ~first ~off:poff data ~pos ~len:n
-       end
-       else
-         let data = if n = String.length data then data else String.sub data pos n in
-         rpc k site (Proto.Write_pages { gf; trunc; first; off = poff; data }));
+      (rpc k site (Proto.Write_pages { gf; trunc; first; off = poff; data; pos; len = n }));
     if n > 0 then sent (run_pages ~poff n);
     if pos + n < len then loop None (pos + n)
   in
@@ -457,8 +441,7 @@ let commit_message ?carried ?origin ?(designate = false) k gf ~vv ~modified ~del
     ~meta_only =
   let origin = Option.value origin ~default:k.site in
   Proto.Commit_notify
-    { gf; vv; meta_only; modified; origin; fresh = true; deleted; designate; replicas = [];
-      carried }
+    { gf; vv; meta_only; modified; origin; fresh = true; deleted; designate; carried }
 
 (* What a notification of version [vv] of [gf] carries: the committed
    inode and the [modified] pages below its eof, read through the buffer
@@ -506,6 +489,17 @@ let notify_others k gf ~vv ~modified ~deleted ~meta_only sites =
         in
         List.iter (fun site -> notify k site message) sites)
 
+(* A commit's tail (section 2.3.6): notify the CSS, then the file's other
+   storing sites [others]. The CSS message is synchronous: the commit is
+   not complete until the synchronization site knows the new version,
+   which is what keeps the latest version the only one visible within a
+   partition. *)
+let announce_commit k gf ~vv ~modified ~deleted ~meta_only others =
+  let css = (fg_info k gf.Gfile.fg).css_site in
+  ignore (rpc_result k css (commit_message k gf ~vv ~modified ~deleted ~meta_only));
+  notify_others k gf ~vv ~modified ~deleted ~meta_only others;
+  Proto.R_committed { vv }
+
 (* The atomic commit (section 2.3.6): move the incore inode to the disk
    inode, then notify the CSS and all other storage sites so they bring
    their copies up to date. *)
@@ -543,17 +537,7 @@ let commit_session ?force_vv k gf ~abort ~delete =
         | None -> ensure_session k pack gf
       in
       let vv, modified = install k pack gf s session ?force_vv ~delete in
-      (* Notify the CSS and the other storage sites (section 2.3.6). The
-         CSS message is synchronous: the commit is not complete until the
-         synchronization site knows the new version, which is what keeps
-         the latest version the only one visible within a partition. *)
-      let fi = fg_info k gf.Gfile.fg in
-      let message = commit_message k gf ~vv ~modified ~deleted:delete ~meta_only:false in
-      if Site.equal fi.css_site k.site then
-        Css.handle_commit_notify k gf ~origin:k.site ~vv ~deleted:delete
-      else (match rpc_result k fi.css_site message with Ok _ | Stdlib.Error _ -> ());
-      notify_others k gf ~vv ~modified ~deleted:delete ~meta_only:false s.s_others;
-      Proto.R_committed { vv })
+      announce_commit k gf ~vv ~modified ~deleted:delete ~meta_only:false s.s_others)
 
 (* A commit request: a [run] the commit carries is written into the
    session first, exactly as a [Write_pages] from [src] would write it; a
@@ -562,7 +546,7 @@ let handle_commit ?force_vv ?run k ~src gf ~abort ~delete =
   let written =
     match run with
     | Some { Proto.run_trunc = trunc; run_first = first; run_off = off; run_data = data } ->
-      handle_write_pages ?trunc k ~src gf ~first ~off ~data
+      handle_write_pages ?trunc k ~src gf ~first ~off data ~pos:0 ~len:(String.length data)
     | None -> Proto.R_ok
   in
   match written with
@@ -579,13 +563,10 @@ let handle_us_close k ~src gf ~mode =
        replies lost) leaves a session no one will commit: [ss_end] aborts
        it, even while lease riders keep the file served. *)
     ss_end k s ~us:src ~opens:1 ~writes:(if mode = Proto.Mode_modify then 1 else 0));
-  let fi = fg_info k gf.Gfile.fg in
-  if Site.equal fi.css_site k.site then Css.handle_ss_close k gf ~us:src ~mode
-  else
-    (* A CSS that can never be reached has its lock table rebuilt by the
-       next partition/merge pass: this SS's side of the close is complete
-       either way. *)
-    send_close k fi.css_site (Proto.Ss_close { gf; ss = k.site; us = src; mode })
+  (* A CSS that can never be reached has its lock table rebuilt by the
+     next partition/merge pass: this SS's side of the close is complete
+     either way. *)
+  send_close k (fg_info k gf.Gfile.fg).css_site (Proto.Ss_close { gf; us = src; mode })
 
 (* Revalidate this site's serving registrations against the using sites'
    actual open files, part of every membership install (the SS-side
@@ -612,8 +593,7 @@ let revalidate_serving k =
     | Some t -> Some t
     | None ->
       let resp =
-        if Site.equal us k.site then Some (Css.handle_open_files_query k fg)
-        else if in_partition k us then
+        if in_partition k us then
           match rpc_result k us (Proto.Open_files_query { fg }) with
           | Ok r -> Some r
           | Stdlib.Error _ -> None
@@ -797,15 +777,8 @@ let metadata_commit k gf mutate =
     | None -> Proto.R_err Proto.Enoent
     | Some inode ->
       let vv = metadata_install k gf inode mutate in
-      let fi = fg_info k gf.Gfile.fg in
-      let message = commit_message k gf ~vv ~modified:[] ~deleted:false ~meta_only:true in
-      if Site.equal fi.css_site k.site then
-        Css.handle_commit_notify k gf ~origin:k.site ~vv ~deleted:false
-      else (match rpc_result k fi.css_site message with Ok _ | Stdlib.Error _ -> ());
-      (match find_open k gf with
-      | Some s -> notify_others k gf ~vv ~modified:[] ~deleted:false ~meta_only:true s.s_others
-      | None -> ());
-      Proto.R_committed { vv })
+      let others = match find_open k gf with Some s -> s.s_others | None -> [] in
+      announce_commit k gf ~vv ~modified:[] ~deleted:false ~meta_only:true others)
 
 let handle_set_attr k gf ~perms ~owner =
   metadata_commit k gf (fun inode ->

@@ -52,9 +52,8 @@ val read_pages :
   guess:int ->
   string list * bool
 (** [read_pages k site gf ~first ~count ~guess]: the client half
-    of [handle_read_pages] — the pages [site] returns and its eof flag. A
-    procedure call (charged [local_call]) when [site] is this site, else
-    one [Read_pages] RPC. Raises {!Ktypes.Error} on a refusal or a network
+    of [handle_read_pages] — the pages [site] returns and its eof flag,
+    by one [Read_pages] RPC. Raises {!Ktypes.Error} on a refusal or a network
     failure. *)
 
 val read_committed :
@@ -78,10 +77,13 @@ val handle_write_pages :
   Catalog.Gfile.t ->
   first:int ->
   off:int ->
-  data:string ->
+  string ->
+  pos:int ->
+  len:int ->
   Proto.resp
-(** Shrink the shadow session to [trunc] bytes when set, then write a
-    contiguous byte run from offset [off] within page [first] — one page
+(** Shrink the shadow session to [trunc] bytes when set, then write the
+    run of [len] bytes of the string from [pos], from offset [off] within
+    page [first] — one page
     of modification, a coalesced write-behind batch, or a window of a
     whole-file overwrite — as per-page shadow writes. One
     [Page_invalidate] to each other using site then covers every page
@@ -103,9 +105,8 @@ val write_run :
     then write the first [len] bytes of [data] (all of it by default) at
     byte [off], in requests of at most
     [config.bulk_window] pages each, the truncate riding in the first. A
-    truncate with no data is one request. A procedure call (charged
-    [local_call]) per request when [site] is this site, handing the
-    handler its span of [data] without a copy; else one [Write_pages] RPC.
+    truncate with no data is one request. Each request is one
+    [Write_pages] RPC naming its window of [data], not a copy of it.
     [sent] hears the page count of each answered request that carried
     data. Raises {!Ktypes.Error} on a refusal or a network failure. *)
 
@@ -171,16 +172,6 @@ val alloc_inode :
     version of one commit here. Registering it with the CSS and
     designating the other storage sites happen once its name is entered. *)
 
-val change_links :
-  Ktypes.t ->
-  Catalog.Gfile.t ->
-  delta:int ->
-  (Vv.Version_vector.t * bool, Proto.errno) result
-(** Add [delta] to the link count of this site's copy of a file: a
-    metadata-only commit, or a delete commit when the last link goes.
-    Returns the new version and whether the file was deleted. Notifies
-    nobody: the CSS that asked does. *)
-
 val commit_message :
   ?carried:Proto.inode_info * string list ->
   ?origin:Net.Site.t ->
@@ -244,8 +235,9 @@ val apply_intent :
 
 val handle_intent_step : Ktypes.t -> us:Net.Site.t -> Proto.intent_step -> Proto.resp
 (** A step the CSS forwarded: {!apply_intent} with the step's refuse and
-    stale lists as guard and link test, or a {!change_links}
-    ([R_linked]). *)
+    stale lists as guard and link test, or a link-count change of this
+    site's copy ([R_linked]): a metadata-only commit, or a delete commit
+    when the last link goes. Notifies nobody: the CSS that asked does. *)
 
 val handle_set_attr :
   Ktypes.t -> Catalog.Gfile.t -> perms:int option -> owner:string option -> Proto.resp

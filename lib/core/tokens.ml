@@ -78,23 +78,13 @@ let handle_token_req k key ~for_site =
       Proto.R_token { granted = true; state = string_of_int fd.f_offset }
     else begin
       let offset =
-        if Site.equal fd.f_holder k.site then begin
-          flush_before_yield k fd;
-          fd.f_valid <- false;
-          Some fd.f_offset
-        end
-        else begin
-          match
-            rpc_result k fd.f_holder
-              (Proto.Token_state_req { key = Proto.Tok_fd (fst key, snd key) })
-          with
-          | Ok (Proto.R_token { granted = true; state }) -> int_of_string_opt state
-          | Ok (Proto.R_token _ | Proto.R_err _) -> None
-          | Ok _ -> None
-          | Stdlib.Error _ -> None
-          (* Transport failure here becomes EDEADTOKEN below: the holder of
-             the offset token is unreachable (section 3.2). *)
-        end
+        let req = Proto.Token_state_req { key = Proto.Tok_fd (fst key, snd key) } in
+        match rpc_result k fd.f_holder req with
+        | Ok (Proto.R_token { granted = true; state }) -> int_of_string_opt state
+        | Ok _ -> None
+        | Stdlib.Error _ -> None
+        (* Transport failure here becomes EDEADTOKEN below: the holder of
+           the offset token is unreachable (section 3.2). *)
       in
       match offset with
       | None -> Proto.R_err Proto.Edeadtoken
@@ -120,14 +110,8 @@ let handle_token_state_req k key =
    valid one before using the file position. *)
 let acquire k fd =
   if not fd.f_valid then begin
-    let manager = manager_of fd.f_key in
-    let resp =
-      if Site.equal manager k.site then
-        handle_token_req k fd.f_key ~for_site:k.site
-      else
-        rpc k manager (Proto.Token_req { key = Proto.Tok_fd (fst fd.f_key, snd fd.f_key); for_site = k.site })
-    in
-    match resp with
+    let key = Proto.Tok_fd (fst fd.f_key, snd fd.f_key) in
+    match rpc k (manager_of fd.f_key) (Proto.Token_req { key; for_site = k.site }) with
     | Proto.R_token { granted = true; state } ->
       fd.f_offset <- (match int_of_string_opt state with Some v -> v | None -> 0);
       fd.f_valid <- true;

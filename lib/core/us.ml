@@ -78,14 +78,6 @@ let share k o =
     renew_key k o
   end
 
-(* The version of this site's own copy, if it stores one. *)
-let local_vv_of k gf =
-  match local_pack k gf.Gfile.fg with
-  | None -> None
-  | Some pack ->
-    Pack.find_inode pack gf.Gfile.ino
-    |> Option.map (fun (i : Inode.t) -> i.Inode.vv)
-
 (* Whether a cold open asks its CSS for the file's first pages: a
    non-shared read open through a remote CSS, whose pages this site would
    buffer, with windows of more than one page. At window 1 no open asks,
@@ -189,7 +181,7 @@ let rec open_gf ?(shared = false) k gf mode =
    read open asks for a window of first pages unless page 0 is still
    buffered. *)
 and open_cold ~shared ~asks k fi gf mode =
-  let us_vv = local_vv_of k gf in
+  let us_vv = local_vv k gf in
   let want = if asks && not (first_page_buffered k gf) then k.config.bulk_window else 0 in
   match rpc k fi.css_site (Proto.Open_req { gf; mode; us_vv; shared; want }) with
   | Proto.R_open { ss; info; others; nocache; slot; lease; pages } ->
@@ -561,16 +553,11 @@ let set_contents k o body =
   renew_key k o;
   o.o_info <- { o.o_info with Proto.i_size = String.length body }
 
-(* Run the close protocol's first leg at [ss]: in process, or one
-   [Us_close] handed off to {!Ktypes.send_close}. A close that can never
-   reach the SS is handled by cleanup when the membership change is
-   observed. *)
+(* Run the close protocol's first leg at [ss]: one [Us_close] handed off
+   to {!Ktypes.send_close}. A close that can never reach the SS is handled
+   by cleanup when the membership change is observed. *)
 let close_at k ss gf mode =
-  try
-    ignore
-      (if Site.equal ss k.site then Ss.handle_us_close k ~src:k.site gf ~mode
-       else send_close k ss (Proto.Us_close { gf; mode }))
-  with Error _ -> ()
+  try ignore (send_close k ss (Proto.Us_close { gf; mode })) with Error _ -> ()
 
 (* Send the one batched close a dead lease owes: the [Us_close] the cold
    open deferred. Installed as [Openlease.on_dead] by [Kernel.create], so
@@ -615,15 +602,9 @@ let commit_gen k o ~abort =
     | Some _ | None -> None
   in
   o.o_wb <- None;
-  let resp =
-    if Site.equal o.o_ss k.site then
-      Ss.handle_commit ?run k ~src:k.site o.o_gf ~abort ~delete:false
-    else
-      rpc k o.o_ss
-        (Proto.Commit_req
-           { gf = o.o_gf; us = k.site; abort; delete = false; force_vv = None; run })
-  in
-  match resp with
+  match
+    rpc k o.o_ss (Proto.Commit_req { gf = o.o_gf; abort; delete = false; force_vv = None; run })
+  with
   | Proto.R_committed { vv } ->
     (match run with
     | Some { Proto.run_off; run_data; _ } ->

@@ -139,7 +139,7 @@ let set_drop_probability t p = t.drop_prob <- p
 
 let fail_next_message t ~src ~dst = t.forced_failures <- (src, dst) :: t.forced_failures
 
-let handler_of t site =
+let handler t site =
   match Site.Map.find_opt site t.handlers with
   | Some f -> f
   | None -> invalid_arg (Printf.sprintf "Netsim: no handler registered for site %d" site)
@@ -181,16 +181,12 @@ let run_handler t ~id ~src ~dst req =
     resp
   | kept ->
     if Option.is_some kept then Hashtbl.remove t.replies key;
-    let resp = (handler_of t dst) ~src req in
+    let resp = (handler t dst) ~src req in
     if not (t.idempotent req) then Hashtbl.replace t.replies key (id, resp);
     resp
 
 let call_tagged t ~ts ~id ~src ~dst ~req_bytes ~resp_bytes req =
-  if Site.equal src dst then begin
-    Engine.charge t.engine t.latency.Latency.local_call;
-    Ok ((handler_of t dst) ~src req)
-  end
-  else if not (message_delivered t ~src ~dst) then Error Request_lost
+  if not (message_delivered t ~src ~dst) then Error Request_lost
   else begin
     account t ~ts ~bytes:req_bytes;
     Engine.charge t.engine (Latency.msg_cost t.latency ~bytes:req_bytes);
@@ -211,7 +207,7 @@ let call t ?tag ~src ~dst ~req_bytes ~resp_bytes req =
 (* Run a one-way message's handler, counting discarded error responses:
    {!send} has nobody to give them to. *)
 let deliver_oneway t ~src ~dst req =
-  let resp = (handler_of t dst) ~src req in
+  let resp = (handler t dst) ~src req in
   if t.error_resp resp then Stats.cincr t.hot.hs_send_err
 
 let send_tagged t ~ts ~src ~dst ~bytes req =

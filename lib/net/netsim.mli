@@ -79,6 +79,11 @@ val latency : ('req, 'resp) t -> Latency.t
 val set_handler : ('req, 'resp) t -> Site.t -> (src:Site.t -> 'req -> 'resp) -> unit
 (** Install the kernel dispatch function for a site. *)
 
+val handler : ('req, 'resp) t -> Site.t -> src:Site.t -> 'req -> 'resp
+(** The site's installed dispatch function: what a delivered message runs,
+    and what {!Rpc.call} runs in process for a collocated call. Raises
+    [Invalid_argument] when the site has none. *)
+
 val set_error_classifier : ('req, 'resp) t -> ('resp -> bool) -> unit
 (** Teach the layer which responses denote errors, so {!send} can count the
     error responses it silently discards (under ["net.send.err"]). Default:
@@ -104,11 +109,11 @@ val call :
   resp_bytes:('resp -> int) ->
   'req ->
   ('resp, failure) result
-(** Synchronous exchange, one attempt, under a fresh call id. When
-    [src = dst] this is a local procedure call: it charges only
-    {!Latency.local_call}, counts no messages, and cannot fail. Otherwise
-    it counts two messages (request and response) and charges their wire
-    cost. On failure the typed failure is returned. *)
+(** Synchronous exchange between two sites, one attempt, under a fresh
+    call id: it counts two messages (request and response) and charges
+    their wire cost. On failure the typed failure is returned. A call
+    between collocated roles is no exchange: {!Rpc.call} makes it a
+    procedure call and never comes here. *)
 
 val call_tagged :
   ('req, 'resp) t ->

@@ -31,7 +31,7 @@ let backoff_delay policy n =
   | [] -> 0.0
   | l -> List.nth l (min (n - 1) (List.length l - 1))
 
-let call net ?(policy = default_policy) ?(tag = "untagged") ~src ~dst ~req_bytes ~resp_bytes req =
+let remote_call net ~policy ~tag ~src ~dst ~req_bytes ~resp_bytes req =
   let engine = Netsim.engine net in
   let stats = Engine.stats engine in
   let trace = Engine.trace engine in
@@ -84,6 +84,17 @@ let call net ?(policy = default_policy) ?(tag = "untagged") ~src ~dst ~req_bytes
       end
   in
   attempt 1 ~ran:false
+
+(* A call between roles on one site is a procedure call (section 2.3.2):
+   the handler runs in process at the cost of [local_call]. No message,
+   retry, kept reply, latency sample or span: none of them can say
+   anything about a call that cannot be lost. *)
+let call net ?(policy = default_policy) ?(tag = "untagged") ~src ~dst ~req_bytes ~resp_bytes req =
+  if Site.equal src dst then begin
+    Engine.charge (Netsim.engine net) (Netsim.latency net).Latency.local_call;
+    Ok (Netsim.handler net dst ~src req)
+  end
+  else remote_call net ~policy ~tag ~src ~dst ~req_bytes ~resp_bytes req
 
 let send net ?tag ~src ~dst ~bytes req =
   Stats.cincr (Netsim.hot_stats net).Netsim.hs_rpc_send;

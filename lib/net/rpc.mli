@@ -56,10 +56,17 @@ val call :
   resp_bytes:('resp -> int) ->
   'req ->
   ('resp, rpc_error) result
-(** Synchronous request/response under [policy] (default {!default_policy}),
-    every attempt under one call id from {!Netsim.fresh_call_id}. Opens a
-    trace span (tag ["rpc"]) covering all attempts and records a sample in
-    the ["rpc.latency.<tag>"] histogram on every outcome. Counters:
+(** Synchronous request/response. When [src = dst] the roles are
+    collocated and the call is a procedure call (§2.3.2): [dst]'s handler
+    runs in process, the clock is charged {!Latency.local_call}, and
+    nothing else happens: no message, no retry, no kept reply, no span,
+    no sample, no counter. It cannot fail. This is the one place the
+    system decides whether a call is local.
+
+    Otherwise the call runs under [policy] (default {!default_policy}),
+    every attempt under one call id from {!Netsim.fresh_call_id}. It opens
+    a trace span (tag ["rpc"]) covering all attempts and records a sample
+    in the ["rpc.latency.<tag>"] histogram on every outcome. Counters:
     ["rpc.call"], ["rpc.retry"] (and ["rpc.retry.<tag>"]),
     ["rpc.recovered"] (succeeded after >= 1 retry), ["rpc.fail"] (and
     ["rpc.fail.unreachable"] / [".lost_reply"]). Backoff delays are

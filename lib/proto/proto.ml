@@ -208,15 +208,19 @@ type req =
       first : int;
       off : int;
       data : string;
+      pos : int;
+      len : int;
     }
     (* US -> SS: first shrink the open modification session's file to
        [trunc] bytes, when set, then write one contiguous run of modified
        bytes starting at byte [off] within page [first], possibly spanning
        several pages — one page of modification (whole page or patch), a
        coalesced write-behind batch, or the first window of a whole-file
-       overwrite, whose truncate to 0 rides along. With no data it is the
-       network truncate alone. Absolute positioning keeps the request
-       idempotent. *)
+       overwrite, whose truncate to 0 rides along. The run is the [len]
+       bytes of [data] from [pos]: a window of the sender's body travels
+       without a copy, and only those bytes count on the wire. With no data
+       it is the network truncate alone. Absolute positioning keeps the
+       request idempotent. *)
   | Dir_intent of { dir : Catalog.Gfile.t; op : intent }
     (* US -> CSS: one name-space change, serialized at the CSS and run as
        one atomic directory modification at a storage site *)
@@ -224,7 +228,6 @@ type req =
     (* CSS -> SS: the forwarded work of using site [us]'s intent *)
   | Commit_req of {
       gf : Catalog.Gfile.t;
-      us : Net.Site.t;
       abort : bool;
       delete : bool;
       force_vv : Vvec.t option;
@@ -239,7 +242,7 @@ type req =
          marks the inode deleted before committing (section 2.3.7) *)
   (* --- close protocol (3 messages; see the race note in section 2.3.3) --- *)
   | Us_close of { gf : Catalog.Gfile.t; mode : open_mode }
-  | Ss_close of { gf : Catalog.Gfile.t; ss : Net.Site.t; us : Net.Site.t; mode : open_mode }
+  | Ss_close of { gf : Catalog.Gfile.t; us : Net.Site.t; mode : open_mode }
   (* --- commit notification and propagation (section 2.3.6) --- *)
   | Commit_notify of {
       gf : Catalog.Gfile.t;
@@ -252,9 +255,6 @@ type req =
       designate : bool;
         (* create-time designation: pull a first copy even though this
            site does not store the file yet (section 2.3.7) *)
-      replicas : Net.Site.t list;
-        (* create -> CSS only: the designated initial storage sites, so
-           the CSS records them as (stale) copy holders immediately *)
       carried : (inode_info * string list) option;
         (* the committed inode and the modified pages below its eof, in
            [modified] order: a copy at the version this commit replaced
@@ -295,15 +295,13 @@ type req =
         (* caller-specified hidden-directory context, applied after exec *)
     }
   | Signal_req of { pid : int; signo : int }
-  | Exit_notify of { pid : int; status : int; child_site : Net.Site.t }
+  | Exit_notify of { pid : int; status : int }
   (* --- reconfiguration (section 5) --- *)
-  | Part_poll of { initiator : Net.Site.t; pset : Net.Site.t list }
-    (* partition protocol poll: here is my partition set; send me yours *)
-  | Part_announce of { active : Net.Site.t; members : Net.Site.t list }
+  | Part_poll (* partition protocol poll: send me your partition set *)
+  | Part_announce of { members : Net.Site.t list }
   | Merge_poll of { initiator : Net.Site.t }
   | Merge_announce of { members : Net.Site.t list }
-  | Status_check of { asker : Net.Site.t }
-    (* protocol-synchronization probe of section 5.7 *)
+  | Status_check (* protocol-synchronization probe of section 5.7 *)
   | Open_files_query of { fg : int }
     (* new CSS rebuilding its lock table after reconfiguration (section 5.6) *)
   | Pack_inventory of { fg : int }
@@ -404,11 +402,10 @@ let pages_bytes = function
    carries just the size; a run carries a page number, an offset and a
    whole-page flag within one page and a run header across several, and
    pays 4 bytes for a truncate only when it carries one. *)
-let run_bytes ~trunc ~off data =
-  match (trunc, data) with
-  | Some _, "" -> 4
+let run_bytes ~trunc ~off len =
+  match (trunc, len) with
+  | Some _, 0 -> 4
   | _ ->
-    let len = String.length data in
     (if off + len <= Storage.Page.size then 9 else 12)
     + (if Option.is_some trunc then 4 else 0)
     + len
@@ -431,24 +428,23 @@ let req_bytes = function
     header + gfile_bytes + 8
     + (if count <> 1 then 4 else 0)
     + if committed || stat then 1 else 0
-  | Write_pages { trunc; off; data; _ } -> header + gfile_bytes + run_bytes ~trunc ~off data
+  | Write_pages { trunc; off; len; _ } -> header + gfile_bytes + run_bytes ~trunc ~off len
   | Dir_intent { op; _ } -> header + gfile_bytes + intent_bytes op
   | Intent_step { step = Step_dir { op; others; refuse; stale; _ }; _ } ->
     header + 4 + gfile_bytes + intent_bytes op + site_list_bytes others
     + (5 * List.length refuse) + (4 * List.length stale)
   | Intent_step { step = Step_link _; _ } -> header + 4 + gfile_bytes + 4
   | Commit_req { force_vv; run; _ } ->
-    header + gfile_bytes + 5
+    header + gfile_bytes + 1
     + (match force_vv with Some v -> vv_bytes v | None -> 0)
     + (match run with
       | Some { run_trunc; run_off; run_data; _ } ->
-        run_bytes ~trunc:run_trunc ~off:run_off run_data
+        run_bytes ~trunc:run_trunc ~off:run_off (String.length run_data)
       | None -> 0)
   | Us_close _ -> header + gfile_bytes + 1
-  | Ss_close _ -> header + gfile_bytes + 9
-  | Commit_notify { vv; modified; replicas; carried; _ } ->
+  | Ss_close _ -> header + gfile_bytes + 5
+  | Commit_notify { vv; modified; carried; _ } ->
     header + gfile_bytes + vv_bytes vv + 3 + (4 * List.length modified) + 4
-    + site_list_bytes replicas
     + (match carried with Some (info, pages) -> info_bytes info + pages_bytes pages | None -> 0)
   | Reclaim_req _ -> header + gfile_bytes
   | Page_invalidate { count; _ } -> header + gfile_bytes + 4 + if count <> 1 then 4 else 0
@@ -472,12 +468,12 @@ let req_bytes = function
       | Some c -> List.fold_left (fun a s -> a + 1 + String.length s) 0 c
       | None -> 0)
   | Signal_req _ -> header + 8
-  | Exit_notify _ -> header + 12
-  | Part_poll { pset; _ } -> header + 4 + site_list_bytes pset
-  | Part_announce { members; _ } -> header + 4 + site_list_bytes members
+  | Exit_notify _ -> header + 8
+  | Part_poll -> header
+  | Part_announce { members } -> header + site_list_bytes members
   | Merge_poll _ -> header + 4
   | Merge_announce { members } -> header + site_list_bytes members
-  | Status_check _ -> header + 4
+  | Status_check -> header
   | Open_files_query _ -> header + 4
   | Pack_inventory _ -> header + 4
   | Pipe_write { data; _ } -> header + gfile_bytes + String.length data
@@ -527,7 +523,7 @@ let req_tag = function
   | Storage_req _ -> "storage"
   | Read_pages { count = 0; stat = true; _ } -> "stat"
   | Read_pages _ -> "read"
-  | Write_pages { trunc = Some _; data = ""; _ } -> "truncate"
+  | Write_pages { trunc = Some _; len = 0; _ } -> "truncate"
   | Write_pages _ -> "write"
   | Commit_req _ -> "commit"
   | Us_close _ -> "close.us"
@@ -548,11 +544,11 @@ let req_tag = function
   | Run_req _ -> "run"
   | Signal_req _ -> "signal"
   | Exit_notify _ -> "exit"
-  | Part_poll _ -> "part.poll"
+  | Part_poll -> "part.poll"
   | Part_announce _ -> "part.announce"
   | Merge_poll _ -> "merge.poll"
   | Merge_announce _ -> "merge.announce"
-  | Status_check _ -> "status"
+  | Status_check -> "status"
   | Open_files_query _ -> "lock.rebuild"
   | Pack_inventory _ -> "inventory"
   | Pipe_write _ -> "pipe.write"
@@ -566,8 +562,8 @@ let req_idempotent = function
   | Read_pages _ | Where_stored _ | Lookup_req _
   | Open_files_query _ | Pack_inventory _ | Token_state_req _ | Token_req _
   | Page_invalidate _ | Lease_break _ | Reclaim_req _ | Commit_notify _
-  | Write_pages _ | Part_poll _ | Part_announce _ | Merge_poll _ | Merge_announce _
-  | Status_check _ ->
+  | Write_pages _ | Part_poll | Part_announce _ | Merge_poll _ | Merge_announce _
+  | Status_check ->
     true
   | Open_req _ | Storage_req _ | Commit_req _ | Us_close _ | Ss_close _
   | Dir_intent _ | Intent_step _ | Set_attr _ | Fork_req _ | Exec_req _
@@ -577,7 +573,7 @@ let req_idempotent = function
 (* Reconfiguration probes are single-shot because unreachability is the
    information being gathered (section 5.4); everything else may resend. *)
 let req_policy = function
-  | Part_poll _ | Part_announce _ | Merge_poll _ | Merge_announce _
-  | Status_check _ ->
+  | Part_poll | Part_announce _ | Merge_poll _ | Merge_announce _
+  | Status_check ->
     Net.Rpc.probe
   | _ -> Net.Rpc.default_policy

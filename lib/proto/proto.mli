@@ -194,13 +194,17 @@ type req =
       first : int;
       off : int;
       data : string;
+      pos : int;
+      len : int;
     }
       (** US → SS: shrink the open modification session's file to
           [trunc] bytes when set, then write a contiguous run of modified
           bytes starting at byte [off] within page [first] — one page of
           modification (whole or patch), a coalesced write-behind batch
           over several pages, or the first window of a whole-file
-          overwrite with its truncate to 0. With [trunc] and no data it is
+          overwrite with its truncate to 0. The run is the [len] bytes of
+          [data] from [pos]: a window of the sender's body travels without
+          a copy, and only those bytes are priced. With [trunc] and no data it is
           the truncate alone, tagged ["truncate"] and sized as the old
           separate truncate message; a run pays 4 bytes for [trunc] only
           when it is set. Absolute positioning keeps the request
@@ -215,7 +219,6 @@ type req =
           [R_intent] ([Step_dir]) or [R_linked] ([Step_link]). *)
   | Commit_req of {
       gf : Catalog.Gfile.t;
-      us : Net.Site.t;
       abort : bool;
       delete : bool;
       force_vv : Vv.Version_vector.t option;
@@ -230,7 +233,6 @@ type req =
   | Us_close of { gf : Catalog.Gfile.t; mode : open_mode }
   | Ss_close of {
       gf : Catalog.Gfile.t;
-      ss : Net.Site.t;
       us : Net.Site.t;
       mode : open_mode;
     }  (** the race-free three-message close (§2.3.3 footnote) *)
@@ -243,12 +245,10 @@ type req =
       fresh : bool;
       deleted : bool;
       designate : bool;
-      replicas : Net.Site.t list;
       carried : (inode_info * string list) option;
     }  (** SS → CSS and other storage sites after a commit (§2.3.6).
            [modified] lets receivers pull just the changes; [designate]
-           makes a site pull its first copy; [replicas] registers
-           create-time designations at the CSS. Above a window of 1, the
+           makes a site pull its first copy. Above a window of 1, the
            notification of a fresh commit to the other storing sites
            [carried] the committed inode and the modified pages below
            its eof, in [modified] order, when the commit modified 1 to
@@ -303,17 +303,17 @@ type req =
     }  (** the optimized fork+exec: no image copy; the override is the
            caller's environment parameterization *)
   | Signal_req of { pid : int; signo : int }
-  | Exit_notify of { pid : int; status : int; child_site : Net.Site.t }
-  | Part_poll of { initiator : Net.Site.t; pset : Net.Site.t list }
-      (** partition protocol poll (§5.4) *)
-  | Part_announce of { active : Net.Site.t; members : Net.Site.t list }
+  | Exit_notify of { pid : int; status : int }
+  | Part_poll
+      (** partition protocol poll (§5.4): the answer is the polled site's
+          partition set, and the transport names the poller *)
+  | Part_announce of { members : Net.Site.t list }
   | Merge_poll of { initiator : Net.Site.t }
   | Merge_announce of { members : Net.Site.t list }
       (** the merge's new partition (§5.5); each member places every
           filegroup's CSS itself, by the replicated placement function
           over the members holding its pack, so no assignment travels *)
-  | Status_check of { asker : Net.Site.t }
-      (** the §5.7 synchronization probe *)
+  | Status_check  (** the §5.7 synchronization probe *)
   | Open_files_query of { fg : int }
       (** lock-table rebuild input (§5.6) *)
   | Pack_inventory of { fg : int }

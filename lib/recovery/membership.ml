@@ -19,20 +19,14 @@ let rebuild_css k fg ~members =
   Css.drop_fg k fg;
   List.iter
     (fun m ->
-      (match
-         if Site.equal m k.site then Ok (Ss.handle_inventory k fg)
-         else rpc_result k m (Proto.Pack_inventory { fg })
-       with
+      (match rpc_result k m (Proto.Pack_inventory { fg }) with
       | Ok (Proto.R_inventory { files }) ->
         List.iter
           (fun (ino, vv, ftype, deleted) ->
             Css.seed_copy k (Gfile.make ~fg ~ino) ~site:m ~vv ~ftype ~deleted)
           files
       | Ok _ | Stdlib.Error _ -> ());
-      match
-        if Site.equal m k.site then Ok (Css.handle_open_files_query k fg)
-        else rpc_result k m (Proto.Open_files_query { fg })
-      with
+      match rpc_result k m (Proto.Open_files_query { fg }) with
       | Ok (Proto.R_open_files { files }) ->
         List.iter (fun entry -> Css.register_open k fg entry) files
       | Ok _ | Stdlib.Error _ -> ())

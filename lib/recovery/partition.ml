@@ -55,7 +55,7 @@ let run_active k =
       let target = Sset.min_elt remaining in
       incr polls;
       match
-        rpc_result k target (Proto.Part_poll { initiator = k.site; pset = Sset.elements !pa })
+        rpc_result k target Proto.Part_poll
       with
       | Ok (Proto.R_pset { pset }) ->
         pa := Sset.inter !pa (Sset.of_list (target :: pset));
@@ -73,7 +73,7 @@ let run_active k =
   List.iter
     (fun s ->
       if not (Site.equal s k.site) then
-        match rpc_result k s (Proto.Part_announce { active = k.site; members }) with
+        match rpc_result k s (Proto.Part_announce { members }) with
         | Ok _ | Stdlib.Error _ -> ())
     members;
   Membership.install k ~members ~merge:false;
@@ -84,6 +84,6 @@ let run_active k =
    site has failed, the passive site restarts the protocol itself. Returns
    the report when this site had to take over. *)
 let check_active_and_takeover k ~active =
-  match rpc_result k active (Proto.Status_check { asker = k.site }) with
+  match rpc_result k active Proto.Status_check with
   | Ok (Proto.R_status _) -> None
   | Ok _ | Stdlib.Error _ -> Some (run_active k)

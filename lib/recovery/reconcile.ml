@@ -128,7 +128,7 @@ let write_version k ~target gf ~content ~vv ~others =
     match
       rpc k target
         (Proto.Commit_req
-           { gf; us = k.site; abort = false; delete = false; force_vv = Some vv; run = None })
+           { gf; abort = false; delete = false; force_vv = Some vv; run = None })
     with
     | Proto.R_committed _ ->
       List.iter

@@ -19,15 +19,15 @@ let install k =
   k.extra_handler <-
     (fun src req ->
       match req with
-      | Proto.Part_poll _ -> Some (Partition.handle_poll k ~src)
-      | Proto.Part_announce { members; active = _ } ->
+      | Proto.Part_poll -> Some (Partition.handle_poll k ~src)
+      | Proto.Part_announce { members } ->
         Membership.install k ~members ~merge:false;
         Some Proto.R_ok
       | Proto.Merge_poll { initiator } -> Some (Merge.handle_poll k ~src:initiator)
       | Proto.Merge_announce { members } ->
         Membership.install k ~members ~merge:true;
         Some Proto.R_ok
-      | Proto.Status_check _ ->
+      | Proto.Status_check ->
         Some (Proto.R_status { stage = k.recon_stage; site = k.site })
       | Proto.Open_req _ | Proto.Storage_req _ | Proto.Read_pages _ | Proto.Write_pages _
       | Proto.Dir_intent _ | Proto.Intent_step _ | Proto.Commit_req _

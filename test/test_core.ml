@@ -62,6 +62,30 @@ let test_open_all_local () =
   check Alcotest.int "local open needs no messages" 0 (msg_delta w snap);
   Us.close k0 o
 
+(* All roles collocated: every leg of a commit and a close is a procedure
+   call through the transport, charged one local call each and sending
+   nothing. A commit with nothing written is the one US -> SS leg; the
+   close of the modify open is US -> SS, then SS -> CSS. *)
+let test_collocated_legs_charged () =
+  let w = asym_world () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  ignore (Kernel.creat k0 p0 "/f");
+  Kernel.write_file k0 p0 "/f" "x";
+  ignore (World.settle w);
+  let gf = gf_of k0 "/f" in
+  let o = Us.open_gf k0 gf Proto.Mode_modify in
+  check Alcotest.int "the CSS chose the US's own copy" 0 o.K.o_ss;
+  let local_call = (Net.Netsim.latency (World.net w)).Net.Latency.local_call in
+  let leg what n f =
+    let snap = Stats.snapshot (stats w) and t0 = World.now w in
+    f ();
+    check (Alcotest.float 1e-9) (what ^ ": clock") (float_of_int n *. local_call)
+      (World.now w -. t0);
+    check Alcotest.int (what ^ ": messages") 0 (msg_delta w snap)
+  in
+  leg "empty commit" 1 (fun () -> Us.commit k0 o);
+  leg "close" 2 (fun () -> Us.close k0 o)
+
 (* Fully remote: US=2, CSS=0, SS=1 — the general protocol is 4 messages
    (open request, storage request, storage response, open response). *)
 let test_open_fully_remote_four_messages () =
@@ -263,7 +287,7 @@ let test_cross_open_cache_retention () =
   let notify =
     Proto.Commit_notify
       { gf; vv; meta_only = false; modified = []; origin = 0; fresh = false;
-        deleted = false; designate = false; replicas = []; carried = None }
+        deleted = false; designate = false; carried = None }
   in
   ignore (k3.K.dispatch 0 notify);
   check Alcotest.bool "current version kept" true
@@ -1192,6 +1216,8 @@ let () =
           Alcotest.test_case "US-is-SS optimization" `Quick
             test_open_us_is_ss_two_messages;
           Alcotest.test_case "CSS-is-SS optimization" `Quick test_open_css_is_ss;
+          Alcotest.test_case "collocated legs pay a local call" `Quick
+            test_collocated_legs_charged;
         ] );
       ( "read",
         [

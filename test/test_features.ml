@@ -279,7 +279,7 @@ let test_status_check_stage () =
   let k1 = World.kernel w 1 in
   k1.K.recon_stage <- 2;
   match
-    Locus_core.Ktypes.rpc k0 1 (Proto.Status_check { asker = 0 })
+    Locus_core.Ktypes.rpc k0 1 Proto.Status_check
   with
   | Proto.R_status { stage; site } ->
     check Alcotest.int "stage" 2 stage;

@@ -84,15 +84,6 @@ let test_call_roundtrip () =
   check Alcotest.int "two messages" 2 (Netsim.messages_sent net);
   check Alcotest.bool "time advanced" true (Engine.now e > 0.0)
 
-let test_local_call_free () =
-  let _, _, net = make_net 2 in
-  Netsim.set_handler net 0 (echo_handler net 0);
-  let resp =
-    ok "local" (Netsim.call net ~src:0 ~dst:0 ~req_bytes:10 ~resp_bytes:String.length "x")
-  in
-  check Alcotest.string "local result" "0:x" resp;
-  check Alcotest.int "no messages for local call" 0 (Netsim.messages_sent net)
-
 let test_unreachable_fails () =
   let _, topo, net = make_net 2 in
   Netsim.set_handler net 1 (echo_handler net 1);
@@ -195,7 +186,6 @@ let () =
       ( "messages",
         [
           Alcotest.test_case "call roundtrip" `Quick test_call_roundtrip;
-          Alcotest.test_case "local call free" `Quick test_local_call_free;
           Alcotest.test_case "unreachable" `Quick test_unreachable_fails;
           Alcotest.test_case "lost reply distinguished" `Quick test_lost_reply_distinguished;
           Alcotest.test_case "send error counted" `Quick test_send_error_counted;

@@ -21,11 +21,12 @@ let some_reqs =
       { gf; vv = vv_small; us = 1; mode = Proto.Mode_read; others = [ 2; 3 ] };
     Proto.Read_pages
       { gf; first = 0; count = 1; guess = 0; committed = false; stat = false };
-    Proto.Write_pages { gf; trunc = None; first = 0; off = 0; data = String.make 1024 'x' };
-    Proto.Write_pages { gf; trunc = Some 0; first = 0; off = 0; data = "" };
-    Proto.Commit_req { gf; us = 0; abort = false; delete = false; force_vv = None; run = None };
+    Proto.Write_pages
+      { gf; trunc = None; first = 0; off = 0; data = String.make 1024 'x'; pos = 0; len = 1024 };
+    Proto.Write_pages { gf; trunc = Some 0; first = 0; off = 0; data = ""; pos = 0; len = 0 };
+    Proto.Commit_req { gf; abort = false; delete = false; force_vv = None; run = None };
     Proto.Us_close { gf; mode = Proto.Mode_read };
-    Proto.Ss_close { gf; ss = 0; us = 1; mode = Proto.Mode_read };
+    Proto.Ss_close { gf; us = 1; mode = Proto.Mode_read };
     Proto.Commit_notify
       {
         gf;
@@ -36,7 +37,6 @@ let some_reqs =
         fresh = true;
         deleted = false;
         designate = false;
-        replicas = [];
         carried = None;
       };
     Proto.Dir_intent
@@ -64,12 +64,12 @@ let some_reqs =
     Proto.Token_req { key = Proto.Tok_fd (0, 1); for_site = 2 };
     Proto.Token_state_req { key = Proto.Tok_fd (0, 1) };
     Proto.Signal_req { pid = 1; signo = 9 };
-    Proto.Exit_notify { pid = 1; status = 0; child_site = 2 };
-    Proto.Part_poll { initiator = 0; pset = [ 0; 1 ] };
-    Proto.Part_announce { active = 0; members = [ 0; 1 ] };
+    Proto.Exit_notify { pid = 1; status = 0 };
+    Proto.Part_poll;
+    Proto.Part_announce { members = [ 0; 1 ] };
     Proto.Merge_poll { initiator = 0 };
     Proto.Merge_announce { members = [ 0; 1 ] };
-    Proto.Status_check { asker = 0 };
+    Proto.Status_check;
     Proto.Open_files_query { fg = 0 };
     Proto.Pack_inventory { fg = 0 };
     Proto.Pipe_write { gf; data = "abc" };
@@ -91,7 +91,9 @@ let test_tags_nonempty_and_distinctive () =
 
 let test_payload_monotone () =
   let size data =
-    Proto.req_bytes (Proto.Write_pages { gf; trunc = None; first = 0; off = 0; data })
+    Proto.req_bytes
+      (Proto.Write_pages
+         { gf; trunc = None; first = 0; off = 0; data; pos = 0; len = String.length data })
   in
   check Alcotest.bool "write grows with data" true (size (String.make 1024 'x') > size "x");
   let vv_size v =
@@ -166,7 +168,11 @@ let test_one_page_forms () =
       (Proto.Read_pages { gf; first = 3; count; guess = 0; committed = false; stat = false })
   in
   let reply pages = Proto.resp_bytes (Proto.R_pages { pages; eof = false; info = None }) in
-  let write ~off data = Proto.req_bytes (Proto.Write_pages { gf; trunc = None; first = 3; off; data }) in
+  let write ~off data =
+    Proto.req_bytes
+      (Proto.Write_pages
+         { gf; trunc = None; first = 3; off; data; pos = 0; len = String.length data })
+  in
   (* One page: header + file + 8, header + 1 + data, header + file + 9 + data. *)
   check Alcotest.int "one-page request" 40 (read ~count:1);
   check Alcotest.int "one-page reply" (25 + 1024) (reply [ page ]);
@@ -207,7 +213,9 @@ let test_one_page_forms () =
    bytes for a truncate only when it carries one, and a one-page
    invalidation keeps its size while a ranged one adds a count. *)
 let test_fused_forms () =
-  let write ?trunc data = Proto.Write_pages { gf; trunc; first = 0; off = 0; data } in
+  let write ?trunc data =
+    Proto.Write_pages { gf; trunc; first = 0; off = 0; data; pos = 0; len = String.length data }
+  in
   let page = String.make 1024 'p' in
   check Alcotest.int "truncate alone" 36 (Proto.req_bytes (write ~trunc:0 ""));
   check Alcotest.string "truncate tag" "truncate" (Proto.req_tag (write ~trunc:0 ""));
@@ -215,41 +223,52 @@ let test_fused_forms () =
     (Proto.req_bytes (write page) + 4)
     (Proto.req_bytes (write ~trunc:0 page));
   check Alcotest.string "run tag" "write" (Proto.req_tag (write ~trunc:0 page));
+  (* A window of a larger body is priced and tagged as a run of its own
+     bytes: the rest of the body does not travel. *)
+  let window ?trunc len =
+    Proto.Write_pages
+      { gf; trunc; first = 0; off = 0; data = page ^ page; pos = String.length page; len }
+  in
+  check Alcotest.int "window priced by its bytes" (Proto.req_bytes (write page))
+    (Proto.req_bytes (window 1024));
+  check Alcotest.string "empty window with a truncate" "truncate"
+    (Proto.req_tag (window ~trunc:0 0));
   let inval count = Proto.req_bytes (Proto.Page_invalidate { gf; first = 2; count }) in
   check Alcotest.int "one-page invalidation" 36 (inval 1);
   check Alcotest.int "ranged invalidation" 40 (inval 8)
 
-(* The commit request: one that carries no run costs exactly what the
-   paper's commit did (header, file, the using site and two flag bytes).
-   A run is sized exactly as a [Write_pages] body: a page number, offset
-   and flag within one page, a run header across several, 4 bytes for a
-   truncate, and a truncate alone just the size. *)
+(* The commit request: one that carries no run costs the header, the
+   file and its flag byte; the transport names the using site. A run is
+   sized exactly as a [Write_pages] body: a page number, offset and flag
+   within one page, a run header across several, 4 bytes for a truncate,
+   and a truncate alone just the size. *)
 let test_commit_forms () =
   let commit ?force_vv run =
     Proto.req_bytes
-      (Proto.Commit_req { gf; us = 0; abort = false; delete = false; force_vv; run })
+      (Proto.Commit_req { gf; abort = false; delete = false; force_vv; run })
   in
   let run ?trunc ?(first = 0) ?(off = 0) data =
     Some { Proto.run_trunc = trunc; run_first = first; run_off = off; run_data = data }
   in
   let write ?trunc ?(first = 0) ?(off = 0) data =
-    Proto.req_bytes (Proto.Write_pages { gf; trunc; first; off; data })
+    Proto.req_bytes
+      (Proto.Write_pages { gf; trunc; first; off; data; pos = 0; len = String.length data })
   in
   let page = String.make 1024 'p' in
   let eight = String.make (8 * 1024) 'p' in
-  check Alcotest.int "paper commit" 37 (commit None);
-  check Alcotest.int "paper commit with a forced version" (37 + 8)
+  check Alcotest.int "bare commit" 33 (commit None);
+  check Alcotest.int "bare commit with a forced version" (33 + 8)
     (commit ~force_vv:vv_small None);
-  check Alcotest.int "a one-page run" (37 + 9 + 1024) (commit (run page));
-  check Alcotest.int "a patch within a page" (37 + 9 + 5) (commit (run ~first:3 ~off:10 "patch"));
-  check Alcotest.int "a window with its truncate" (37 + 12 + 4 + (8 * 1024))
+  check Alcotest.int "a one-page run" (33 + 9 + 1024) (commit (run page));
+  check Alcotest.int "a patch within a page" (33 + 9 + 5) (commit (run ~first:3 ~off:10 "patch"));
+  check Alcotest.int "a window with its truncate" (33 + 12 + 4 + (8 * 1024))
     (commit (run ~trunc:0 eight));
-  check Alcotest.int "a truncate alone" (37 + 4) (commit (run ~trunc:0 ""));
+  check Alcotest.int "a truncate alone" (33 + 4) (commit (run ~trunc:0 ""));
   List.iter
     (fun (name, trunc, first, off, data) ->
       check Alcotest.int name
         (write ?trunc ~first ~off data - 36 + 4)
-        (commit (run ?trunc ~first ~off data) - 37))
+        (commit (run ?trunc ~first ~off data) - 33))
     [ ("run priced as a write: page", None, 0, 0, page);
       ("run priced as a write: truncate and window", Some 0, 0, 0, eight);
       ("run priced as a write: ragged", None, 2, 1000, page);
@@ -257,7 +276,22 @@ let test_commit_forms () =
   check Alcotest.string "a run-carrying commit is tagged commit" "commit"
     (Proto.req_tag
        (Proto.Commit_req
-          { gf; us = 0; abort = false; delete = false; force_vv = None; run = run page }))
+          { gf; abort = false; delete = false; force_vv = None; run = run page }))
+
+(* A request names no site the transport already names: the sender is the
+   call's source. The SS's close leg carries the file, the using site it
+   closes for and the mode; an exit notification the pid and status; the
+   partition poll and the section 5.7 probe only the header; the
+   partition announcement its members. *)
+let test_sender_free_forms () =
+  check Alcotest.int "SS close" 37
+    (Proto.req_bytes (Proto.Ss_close { gf; us = 1; mode = Proto.Mode_read }));
+  check Alcotest.int "exit notification" 32
+    (Proto.req_bytes (Proto.Exit_notify { pid = 1; status = 0 }));
+  check Alcotest.int "partition poll" 24 (Proto.req_bytes Proto.Part_poll);
+  check Alcotest.int "status probe" 24 (Proto.req_bytes Proto.Status_check);
+  check Alcotest.int "partition announcement" (24 + 8)
+    (Proto.req_bytes (Proto.Part_announce { members = [ 0; 1 ] }))
 
 (* The open exchange: an open that asks for no pages and a reply that
    carries none cost exactly what the paper's open and reply did (header,
@@ -303,7 +337,7 @@ let test_commit_notify_forms () =
     Proto.req_bytes
       (Proto.Commit_notify
          { gf; vv = vv_small; meta_only = false; modified; origin = 0; fresh = true;
-           deleted = false; designate = false; replicas = []; carried })
+           deleted = false; designate = false; carried })
   in
   check Alcotest.int "paper notification" 55 (notify [ 0; 1 ]);
   check Alcotest.int "paper notification of a metadata commit" 47 (notify []);
@@ -358,6 +392,7 @@ let () =
           Alcotest.test_case "fused truncate and ranged invalidation" `Quick test_fused_forms;
           Alcotest.test_case "open forms" `Quick test_open_forms;
           Alcotest.test_case "commit forms" `Quick test_commit_forms;
+          Alcotest.test_case "sender-free forms" `Quick test_sender_free_forms;
           Alcotest.test_case "commit notification forms" `Quick test_commit_notify_forms;
           Alcotest.test_case "inventory forms" `Quick test_inventory_forms;
           Alcotest.test_case "errno strings" `Quick test_errno_strings;

@@ -182,6 +182,46 @@ let test_call_traced () =
       (String.length ev.Trace.detail > 0)
   | l -> Alcotest.failf "expected one rpc span, got %d" (List.length l)
 
+(* ---- collocated calls: the one self-call rule ---- *)
+
+(* A call whose source is its destination runs the handler in process,
+   charging exactly one local call and sending nothing. *)
+let test_local_call_free () =
+  let e, _, net = make_net 2 in
+  let calls = ref 0 in
+  Netsim.set_handler net 0 (counting_echo calls);
+  let t0 = Engine.now e in
+  (match Rpc.call net ~tag:"test" ~src:0 ~dst:0 ~req_bytes:10 ~resp_bytes:String.length "x" with
+  | Ok resp -> check Alcotest.string "local result" "re:x" resp
+  | Error e -> Alcotest.failf "unexpected %a" Rpc.pp_error e);
+  check Alcotest.int "handler ran once" 1 !calls;
+  check Alcotest.int "no messages for local call" 0 (Netsim.messages_sent net);
+  check (Alcotest.float 1e-9) "one local call charged" Latency.default.Latency.local_call
+    (Engine.now e -. t0)
+
+(* Nothing the transport keeps for a remote call describes a procedure
+   call: no latency sample, span, counter or kept reply, and loss
+   injection does not touch it. *)
+let test_self_call_unaccounted () =
+  let e, _, net = make_net 2 in
+  let calls = ref 0 in
+  Netsim.set_handler net 0 (numbered_echo calls);
+  Trace.set_recording (Engine.trace e) true;
+  Netsim.set_drop_probability net 1.0;
+  let self () =
+    Rpc.call net ~tag:"test" ~src:0 ~dst:0 ~req_bytes:10 ~resp_bytes:String.length "x"
+  in
+  check Alcotest.(result string reject) "first call" (Ok "x#1") (Result.map_error ignore (self ()));
+  check Alcotest.(result string reject) "second call runs again" (Ok "x#2")
+    (Result.map_error ignore (self ()));
+  let stats = Engine.stats e in
+  check Alcotest.int "no latency sample" 0 (Stats.hist_count stats "rpc.latency.test");
+  check Alcotest.int "no call counted" 0 (Stats.get stats "rpc.call");
+  check Alcotest.int "no retry" 0 (Stats.get stats "rpc.retry");
+  check Alcotest.int "no replay" 0 (replays e);
+  check Alcotest.int "no span" 0 (List.length (Trace.find_all (Engine.trace e) ~tag:"rpc"));
+  check Alcotest.int "no message" 0 (Netsim.messages_sent net)
+
 (* ---- Stats histograms ---- *)
 
 let test_histogram_percentiles_monotone () =
@@ -242,6 +282,8 @@ let () =
           Alcotest.test_case "lost reply distinguished" `Quick
             test_lost_reply_distinguished;
           Alcotest.test_case "call traced" `Quick test_call_traced;
+          Alcotest.test_case "local call free" `Quick test_local_call_free;
+          Alcotest.test_case "self-call keeps no accounting" `Quick test_self_call_unaccounted;
         ] );
       ( "histograms",
         [
