@@ -219,7 +219,28 @@ let micro_tests () =
              (Recovery.Reconcile.merge_two_dirs kn0 0 a b
                 (Recovery.Reconcile.empty_report ()))))
   in
+  (* A commit notification's drop of one file's pages from a US cache that
+     also holds [others] pages of 16-page files: the file's two pages are
+     filed, then dropped as a newer version's notification drops them.
+     The per-file index makes the cost independent of [others]; a scan
+     of the whole cache grows with it ([drop_flatness] checks). *)
+  let drop_file others =
+    let c = K.Us_cache.create ~capacity:(others + 2) () in
+    let page = Page.of_string "p" and old = "<1:1>" in
+    for i = 0 to others - 1 do
+      K.Us_cache.insert c (Catalog.Gfile.make ~fg:1 ~ino:(100 + (i / 16)), i mod 16, old) page
+    done;
+    let gf = Catalog.Gfile.make ~fg:1 ~ino:2 in
+    Test.make ~name:(Printf.sprintf "drop one file's pages (%d others)" others)
+      (Staged.stage (fun () ->
+           K.Us_cache.insert c (gf, 0, old) page;
+           K.Us_cache.insert c (gf, 1, old) page;
+           ignore
+             (K.Us_cache.drop_file c (Catalog.Gfile.id gf) ~only:(fun (_, _, v) _ ->
+                  not (String.equal v "<1:2>")))))
+  in
   [
+    ("drop_file_256", drop_file 256); ("drop_file_4096", drop_file 4096);
     ("open_close_local", local_open); ("open_close_remote", remote_open);
     ("resolve_name_cache_hit", name_hit); ("resolve_name_cache_miss", name_miss);
     ("leased_reopen", leased_reopen);
@@ -341,6 +362,20 @@ let run_heap_micro () =
   Printf.printf "  engine step+dispatch: %.0f events/sec, %.1f words/event\n%!"
     eng_eps eng_wpe
 
+(* Dropping a file's pages must not grow with the rest of the cache: 16
+   times the other entries may cost at most 4 times as much (a scan of
+   the whole cache costs about 16 times). Aborts the micro suite, and so
+   bench-smoke, otherwise. *)
+let drop_flatness estimates =
+  match (Hashtbl.find_opt estimates "drop_file_256", Hashtbl.find_opt estimates "drop_file_4096") with
+  | Some small, Some large ->
+    let ratio = large /. small in
+    Report.metric ~experiment:"micro" "drop_file.ratio_4096_to_256" ratio;
+    Printf.printf "  drop one file's pages, 4096 vs 256 others: %.2fx (need <= 4x)\n%!" ratio;
+    if ratio > 4.0 then
+      failwith (Printf.sprintf "micro: dropping one file's pages grows with the cache (%.2fx)" ratio)
+  | _ -> failwith "micro: the drop-one-file rows were not measured"
+
 let run_micro () =
   run_heap_micro ();
   let open Bechamel in
@@ -352,6 +387,7 @@ let run_micro () =
     Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
   in
   let metric = Report.metric ~experiment:"micro" in
+  let estimates = Hashtbl.create 32 in
   List.iter
     (fun (key, test) ->
       let results = Benchmark.all cfg [ instance ] test in
@@ -360,11 +396,13 @@ let run_micro () =
         (fun name ols_result ->
           match Analyze.OLS.estimates ols_result with
           | Some [ est ] ->
+            Hashtbl.replace estimates key est;
             metric (Printf.sprintf "host.ns_per_op.%s" key) est;
             Printf.printf "  %-40s %10.0f ns/op\n%!" name est
           | Some _ | None -> Printf.printf "  %-40s (no estimate)\n%!" name)
         stats)
-    tests
+    tests;
+  drop_flatness estimates
 
 (* ---- fault soak ---- *)
 

@@ -5,7 +5,21 @@ let make ~fg ~ino = { fg; ino }
 let compare a b =
   match Int.compare a.fg b.fg with 0 -> Int.compare a.ino b.ino | c -> c
 
-let equal a b = compare a b = 0
+let equal a b = a.fg = b.fg && a.ino = b.ino
+
+let id t = (t.fg lsl 32) lor t.ino
+
+module Key = struct
+  type nonrec t = t
+
+  let equal = equal
+
+  let hash = id
+
+  (* These tables never drop by file: one ring holds every entry, so an
+     entry costs no index of its own. *)
+  let file _ = 0
+end
 
 let pp ppf t = Format.fprintf ppf "<%d,%d>" t.fg t.ino
 

@@ -12,6 +12,14 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
+val id : t -> int
+(** One integer per file (inode numbers stay below 2{^32}): the file's
+    number in the per-file cache indexes ({!Storage.Lru.KEY.file}). *)
+
+module Key : Storage.Lru.KEY with type t = t
+(** A file as the key of its own entry in an LRU table that never drops
+    by file (every entry is in file 0). *)
+
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

@@ -2,7 +2,6 @@
    site's system call (Figure 1's "serving site" column). *)
 
 open Ktypes
-module Cache = Storage.Cache
 
 let handle k ~src (req : Proto.req) : Proto.resp =
   if not k.alive then Proto.R_err Proto.Enet
@@ -26,8 +25,8 @@ let handle k ~src (req : Proto.req) : Proto.resp =
     | Proto.Storage_req { gf; vv; us; mode; others } ->
       Ss.handle_storage_req k gf ~vv ~us ~mode ~others
     (* data transfer *)
-    | Proto.Read_pages { gf; first; count; guess; committed; stat } ->
-      Ss.handle_read_pages ~guess ~committed ~stat k gf ~first ~count
+    | Proto.Read_pages { gf; first; count; guess; committed; stat; vv } ->
+      Ss.handle_read_pages ~guess ~committed ~stat ?vv k gf ~first ~count
     | Proto.Write_pages { gf; trunc; first; off; data; pos; len } ->
       Ss.handle_write_pages ?trunc k ~src gf ~first ~off data ~pos ~len
     | Proto.Commit_req { gf; abort; delete; force_vv; run } ->
@@ -49,15 +48,15 @@ let handle k ~src (req : Proto.req) : Proto.resp =
            version of this file can never hit again — drop them from both
            cache tiers. The SS buffers hold the local copy's version. *)
         let key = vv_key vv in
-        Cache.invalidate_if k.us_cache (fun (g, _, v) ->
-            Gfile.equal g gf && not (String.equal v key));
+        ignore
+          (Us_cache.drop_file k.us_cache (Gfile.id gf) ~only:(fun (_, _, v) _ ->
+               not (String.equal v key)));
         let local_key =
           Option.bind (local_pack k gf.Gfile.fg) (fun pack ->
               Storage.Pack.find_inode pack gf.Gfile.ino)
           |> Option.map (fun (i : Storage.Inode.t) -> vv_key i.Storage.Inode.vv)
         in
-        if local_key <> Some key then
-          Cache.invalidate_if k.ss_cache (fun (g, _) -> Gfile.equal g gf);
+        if local_key <> Some key then ss_cache_drop k gf;
         (* Name-cache coherence rides the same notification: links read
            from an older version of this directory are dead, and if the
            file was deleted no link may keep resolving to it. *)
@@ -78,8 +77,9 @@ let handle k ~src (req : Proto.req) : Proto.resp =
          names a superseded version, whether or not its break arrived: a
          ride on it would file the new bytes under the old version. *)
       Openlease.kill k.open_leases gf;
-      Cache.invalidate_if k.us_cache (fun (g, p, _) ->
-          Gfile.equal g gf && p >= first && p < first + count);
+      ignore
+        (Us_cache.drop_file k.us_cache (Gfile.id gf) ~only:(fun (_, p, _) _ ->
+             p >= first && p < first + count));
       Proto.R_ok
     | Proto.Lease_break { gf } ->
       (* CSS callback: drop the retained grant; the deferred close (if one

@@ -17,11 +17,7 @@ type t = Ktypes.t
 let create ~site ~machine_type ~engine ~net ~mount ~fg_table ?(config = default_config)
     () =
   let stats = Sim.Engine.stats engine in
-  let mk_cache counter ~capacity =
-    Storage.Cache.create
-      ~on_evict:(fun _ -> Sim.Stats.incr stats counter)
-      ~capacity:(max 1 capacity) ()
-  in
+  let on_evict counter _ = Sim.Stats.incr stats counter in
   let hint = table_size net in
   let k =
     {
@@ -37,9 +33,13 @@ let create ~site ~machine_type ~engine ~net ~mount ~fg_table ?(config = default_
       open_files = Hashtbl.create hint;
       ss_opens = Hashtbl.create hint;
       ss_slots = Hashtbl.create hint;
-      us_cache = mk_cache "cache.us.evict" ~capacity:config.us_cache_pages;
+      us_cache =
+        Us_cache.create ~on_evict:(on_evict "cache.us.evict")
+          ~capacity:(max 1 config.us_cache_pages) ();
       us_open_keys = Keys.create ~capacity:(max 1 config.us_cache_pages) ();
-      ss_cache = mk_cache "cache.ss.evict" ~capacity:config.ss_cache_pages;
+      ss_cache =
+        Ss_cache.create ~on_evict:(on_evict "cache.ss.evict")
+          ~capacity:(max 1 config.ss_cache_pages) ();
       ss_dirs = Hashtbl.create 16;
       ss_dirs_tick = 0;
       name_cache = Namecache.create ~stats ~capacity:config.name_cache_entries ();
@@ -452,9 +452,9 @@ let crash k =
   Net.Netsim.forget_replies k.net k.site;
   (* A dead kernel fires no hooks: pages just vanish, and Openlease.clear
      below likewise drops leases without deferred closes. *)
-  Storage.Cache.clear k.us_cache;
+  Us_cache.clear k.us_cache;
   Keys.clear k.us_open_keys;
-  Storage.Cache.clear k.ss_cache;
+  Ss_cache.clear k.ss_cache;
   Hashtbl.reset k.ss_dirs;
   Namecache.clear k.name_cache;
   Openlease.clear k.open_leases;

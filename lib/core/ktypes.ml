@@ -12,10 +12,37 @@ module Site = Net.Site
 module Gfile = Catalog.Gfile
 
 (* An LRU of version keys, one per file. *)
-module Keys = Storage.Lru.Make (struct
-  type t = string
+module Keys =
+  Storage.Lru.Make
+    (Gfile.Key)
+    (struct
+      type t = string
 
-  let copy s = s
+      let copy s = s
+    end)
+
+(* The US page cache: (file, logical page, version key) -> page. The
+   version is left out of the hash: a page is rarely buffered under more
+   than one version at once. *)
+module Us_cache = Storage.Cache.Make (struct
+  type t = Gfile.t * int * string
+
+  let equal (g, p, v) (g', p', v') = p = p' && Gfile.equal g g' && String.equal v v'
+
+  let hash (g, p, _) = (Gfile.id g * 65599) + p
+
+  let file (g, _, _) = Gfile.id g
+end)
+
+(* The SS buffer cache: (file, logical page) -> the local copy's page. *)
+module Ss_cache = Storage.Cache.Make (struct
+  type t = Gfile.t * int
+
+  let equal (g, p) (g', p') = p = p' && Gfile.equal g g'
+
+  let hash (g, p) = (Gfile.id g * 65599) + p
+
+  let file (g, _) = Gfile.id g
 end)
 
 exception Error of Proto.errno * string
@@ -90,9 +117,7 @@ type wb_run = {
   wb_off : int; (* absolute byte offset of the run's start *)
   wb_head : string; (* the run's first chunk *)
   wb_rest : Buffer.t; (* the adjacent chunks after it *)
-  wb_serial : int;
-  (* ties the flush timer to the run it was armed for: a timer whose run
-     has already been flushed (and possibly replaced) is a no-op *)
+  wb_due : float; (* when the open's timer pushes the run out *)
 }
 
 (* A readahead batch: pages [ra_first, ra_first + ra_count) requested
@@ -119,9 +144,6 @@ type ofile = {
   (* the version part of this open's US cache keys, computed once: the
      committed version for a read open, a key private to the open for a
      writer, renewed on every write, truncate, commit and abort *)
-  mutable o_private : int list;
-  (* pages a writer filed under its current private key, dropped when the
-     key is renewed and at close *)
   mutable o_gen : int; (* numbers this open's readahead batches and private keys *)
   mutable o_dirty : bool;   (* uncommitted modifications have been sent to the SS *)
   mutable o_last_lpage : int; (* last page read, drives sequential readahead *)
@@ -133,6 +155,7 @@ type ofile = {
   (* readahead batches scheduled and not yet run, to dedup overlapping
      fetches; a demand miss inside one takes it over and retires it *)
   mutable o_wb : wb_run option; (* pending write-behind run, if any *)
+  mutable o_wb_timer : bool; (* the open's write-behind timer is pending *)
   mutable o_closed : bool;
   mutable o_lease : Openlease.entry option;
   (* the lease grant this open rides: its close is deferred while the
@@ -237,12 +260,12 @@ type t = {
   open_files : (Gfile.t * int, ofile) Hashtbl.t; (* US incore inodes, by (file, serial) *)
   ss_opens : (Gfile.t, ss_open) Hashtbl.t;       (* SS-side serving state *)
   ss_slots : (int, Gfile.t) Hashtbl.t;           (* incore-inode slot -> file *)
-  us_cache : (Gfile.t * int * string) Storage.Cache.t; (* (file, lpage, vv) -> page *)
-  us_open_keys : Gfile.t Keys.t;
+  us_cache : Us_cache.t; (* (file, lpage, vv) -> page *)
+  us_open_keys : Keys.t;
     (* file -> the version key of this site's last cold read open of it: a
        hint that its first pages may still be buffered. No more entries
        than the US cache has pages. *)
-  ss_cache : (Gfile.t * int) Storage.Cache.t;
+  ss_cache : Ss_cache.t;
   (* SS buffer cache fronting pack/disk page reads: (file, page) -> the
      local copy's page. Whatever installs a new version of the copy
      carries the buffers ([ss_cache_carry]) or drops the file's. *)
@@ -356,10 +379,12 @@ let ss_cache_enabled k = k.config.ss_cache_pages > 0
    stays true until a commit writes the page, and so replaces it. *)
 let ss_cache_carry k gf ~old_size ~size ~replaced =
   let npages size = (size + Storage.Page.size - 1) / Storage.Page.size in
-  List.iter (fun p -> Storage.Cache.invalidate k.ss_cache (gf, p)) replaced;
+  List.iter (fun p -> Ss_cache.invalidate k.ss_cache (gf, p)) replaced;
   for p = npages size to npages old_size - 1 do
-    Storage.Cache.invalidate k.ss_cache (gf, p)
+    Ss_cache.invalidate k.ss_cache (gf, p)
   done
+
+let ss_cache_drop k gf = ignore (Ss_cache.drop_file k.ss_cache (Gfile.id gf))
 
 (* Forget [gf]'s directory index: its session aborted or took a raw page
    write, or another version of the directory was installed. *)

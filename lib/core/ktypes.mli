@@ -13,16 +13,23 @@ module Gfile = Catalog.Gfile
 
 (** An LRU of version keys, one per file. *)
 module Keys : sig
-  type 'k t
+  type t
 
-  val create : ?on_evict:('k -> unit) -> capacity:int -> unit -> 'k t
+  val create : ?on_evict:(Gfile.t -> unit) -> capacity:int -> unit -> t
 
-  val find : 'k t -> 'k -> string option
+  val find : t -> Gfile.t -> string option
 
-  val insert : 'k t -> 'k -> string -> unit
+  val insert : t -> Gfile.t -> string -> unit
 
-  val clear : 'k t -> unit
+  val clear : t -> unit
 end
+
+(** The US page cache: (file, logical page, version key) → page. *)
+module Us_cache :
+  Storage.Lru.S with type key = Gfile.t * int * string and type value = Storage.Page.t
+
+(** The SS buffer cache: (file, logical page) → the local copy's page. *)
+module Ss_cache : Storage.Lru.S with type key = Gfile.t * int and type value = Storage.Page.t
 
 exception Error of Proto.errno * string
 (** Every kernel failure, local or reflected from a remote site (§3.3). *)
@@ -88,7 +95,7 @@ type wb_run = {
   wb_off : int;
   wb_head : string;
   wb_rest : Buffer.t;
-  wb_serial : int;
+  wb_due : float;
 }
 (** A write-behind run, held at the US until the next flush point: a
     truncate to [wb_trunc] when set, then the bytes [wb_head] followed by
@@ -96,7 +103,7 @@ type wb_run = {
     write's data or a whole-file write's last window) held as given;
     adjacent chunks coalesce into [wb_rest]. It travels as one
     [Write_pages], or inside the commit when the commit is the flush
-    point. [wb_serial] ties the flush timer to the run it was armed for. *)
+    point, or when the open's timer finds it at [wb_due]. *)
 
 type ra_batch = { ra_serial : int; ra_first : int; ra_count : int }
 (** A readahead batch: pages [[ra_first, ra_first + ra_count)] requested
@@ -119,9 +126,6 @@ type ofile = {
           the committed version for a read open; for a writer, a key
           private to the open, renewed on every write, truncate, commit
           and abort, so no other open can hit uncommitted bytes *)
-  mutable o_private : int list;
-      (** pages a writer filed under its current private key, dropped
-          when the key is renewed and at close *)
   mutable o_gen : int; (** numbers this open's readahead batches and private keys *)
   mutable o_dirty : bool;   (** uncommitted modifications sent to the SS *)
   mutable o_last_lpage : int; (** drives the sequential readahead *)
@@ -134,6 +138,11 @@ type ofile = {
       (** readahead batches scheduled and not yet run, deduping overlaps;
           a demand miss inside one takes it over and retires it *)
   mutable o_wb : wb_run option; (** pending write-behind run *)
+  mutable o_wb_timer : bool;
+      (** the open's one write-behind timer is pending: it is armed when
+          a run is still held as the engine next runs events and none
+          is, and re-armed only when it fires before the held run is
+          due *)
   mutable o_closed : bool;
   mutable o_lease : Openlease.entry option;
       (** the lease grant this open rides: its close is deferred while
@@ -246,14 +255,14 @@ type t = {
   open_files : (Gfile.t * int, ofile) Hashtbl.t;
   ss_opens : (Gfile.t, ss_open) Hashtbl.t;
   ss_slots : (int, Gfile.t) Hashtbl.t; (** incore-inode slot → file *)
-  us_cache : (Gfile.t * int * string) Storage.Cache.t;
+  us_cache : Us_cache.t;
       (** (file, page, version) → page: stale versions miss naturally *)
-  us_open_keys : Gfile.t Keys.t;
+  us_open_keys : Keys.t;
       (** file → the version key of this site's last cold read open of it:
           a hint, checked against [us_cache], that the file's first pages
           are still buffered, so the open need not ask for them. Holds no
           more files than [us_cache] holds pages. *)
-  ss_cache : (Gfile.t * int) Storage.Cache.t;
+  ss_cache : Ss_cache.t;
       (** SS buffer cache fronting pack/disk page reads: (file, page) → the
           local copy's page. Whatever installs a new version of the copy
           carries the buffers ({!ss_cache_carry}) or drops the file's. *)
@@ -342,6 +351,9 @@ val ss_cache_carry : t -> Gfile.t -> old_size:int -> size:int -> replaced:int li
 (** After a shadow commit took the local copy of a file from [old_size]
     to [size] bytes, drop the SS buffers of the pages it [replaced] and of
     the pages it cut off; every other buffer still holds its page. *)
+
+val ss_cache_drop : t -> Gfile.t -> unit
+(** Drop every SS buffer of a file, in time proportional to their number. *)
 
 val ss_dir_drop : t -> Gfile.t -> unit
 (** Forget a directory's index: its session aborted or took a raw page

@@ -9,7 +9,13 @@
    key that bounds the staleness to what commit notification has not yet
    delivered. Entries are filled by local directory walks and by the
    trails of server-side partial-pathname lookups ([Proto.lookup_step]),
-   and live in the same O(1) recency-list structure as the buffer caches.
+   and live in the same recency-list structure as the buffer caches, with
+   the directory as each link's file: a directory's commit drops its own
+   links in time proportional to their number, and the commit of a file
+   that is not a cached directory finds nothing to drop at once. Only a
+   deletion visits every link ([invalidate_child]: a hard-linked child
+   can be named from any directory); deletions are rare beside commits,
+   and their scans a small share of the links visited.
 
    Counters exported through [Sim.Stats]: name.cache.hit, name.cache.miss,
    name.cache.fill, name.cache.invalidate, name.cache.evict. *)
@@ -23,14 +29,25 @@ type entry = {
   nc_ftype : Storage.Inode.ftype option; (* the child's type, when known *)
 }
 
-module Lru = Storage.Lru.Make (struct
-  type t = entry
+module Lru =
+  Storage.Lru.Make
+    (struct
+      type t = Gfile.t * string (* directory, component *)
 
-  let copy e = e (* entries are immutable *)
-end)
+      let equal (d, c) (d', c') = Gfile.equal d d' && String.equal c c'
+
+      let hash (d, c) = (Gfile.id d * 65599) + Hashtbl.hash c
+
+      let file (d, _) = Gfile.id d
+    end)
+    (struct
+      type t = entry
+
+      let copy e = e (* entries are immutable *)
+    end)
 
 type t = {
-  cache : (Gfile.t * string) Lru.t option; (* None: disabled (capacity 0) *)
+  cache : Lru.t option; (* None: disabled (capacity 0) *)
   stats : Sim.Stats.t;
 }
 
@@ -87,25 +104,27 @@ let note_ftype t ~dir ~comp ftype =
     | None -> ()
     | Some e -> Lru.insert c (dir, comp) { e with nc_ftype = Some ftype })
 
-let drop t pred =
+(* The name cache's on_evict only counts capacity pressure; invalidations
+   are accounted right here. *)
+let drop t how =
   match t.cache with
   | None -> ()
   | Some c ->
-    (* The name cache's on_evict only counts capacity pressure;
-       invalidations are accounted right here. *)
-    let dropped = Lru.filter_out c pred in
+    let dropped = how c in
     if dropped > 0 then Sim.Stats.add t.stats "name.cache.invalidate" dropped
 
 (* The directory committed at [vv]: every link recorded under a different
    version is superseded. Links already recorded under [vv] stay. *)
 let note_dir_vv t ~dir vv =
-  drop t (fun (d, _) e -> Gfile.equal d dir && not (Vvec.equal e.nc_vv vv))
+  drop t (fun c ->
+      Lru.drop_file c (Gfile.id dir) ~only:(fun _ e -> not (Vvec.equal e.nc_vv vv)))
 
-let invalidate_dir t dir = drop t (fun (d, _) _ -> Gfile.equal d dir)
+let invalidate_dir t dir = drop t (fun c -> Lru.drop_file c (Gfile.id dir))
 
 (* The file is deleted (or its inode number reclaimed): no cached link may
    keep resolving to it, whichever directory named it (hard links). *)
-let invalidate_child t child = drop t (fun _ e -> Gfile.equal e.nc_child child)
+let invalidate_child t child =
+  drop t (fun c -> Lru.filter_out c (fun _ e -> Gfile.equal e.nc_child child))
 
 let clear t =
   match t.cache with

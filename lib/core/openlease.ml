@@ -42,14 +42,17 @@ type entry = {
   mutable le_broken : bool;  (* lease dead: no reuse; close on last drain *)
 }
 
-module Lru = Storage.Lru.Make (struct
-  type t = entry
+module Lru =
+  Storage.Lru.Make
+    (Gfile.Key)
+    (struct
+      type t = entry
 
-  let copy e = e (* shared by reference: riders mutate the same record *)
-end)
+      let copy e = e (* shared by reference: riders mutate the same record *)
+    end)
 
 type t = {
-  cache : Gfile.t Lru.t option; (* None: disabled (0 entries) *)
+  cache : Lru.t option; (* None: disabled (0 entries) *)
   tbl : (Gfile.t, entry) Hashtbl.t; (* mirror, for value recovery on eviction *)
   stats : Sim.Stats.t;
   on_dead : (entry -> unit) ref;

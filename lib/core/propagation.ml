@@ -20,7 +20,6 @@ module Inode = Storage.Inode
 module Pack = Storage.Pack
 module Shadow = Storage.Shadow
 module Page = Storage.Page
-module Cache = Storage.Cache
 
 (* Is [local] exactly the version [target] was derived from by one commit at
    [origin]? Then pulling just the modified pages is sufficient. *)
@@ -57,7 +56,7 @@ let apply_delete k pack gf ~vv =
       Shadow.commit session ~vv ~mtime:(now k);
       (* A pull commits below the SS handlers, so it keeps the SS cache
          itself: nothing of a deleted file stays buffered. *)
-      Cache.invalidate_if k.ss_cache (fun (g, _) -> Gfile.equal g gf);
+      ss_cache_drop k gf;
       ss_dir_drop k gf;
       (* The file is gone and the inode may be reclaimed: drop both the
          links to it and any links read out of it. *)

@@ -14,7 +14,6 @@ module Inode = Storage.Inode
 module Pack = Storage.Pack
 module Shadow = Storage.Shadow
 module Page = Storage.Page
-module Cache = Storage.Cache
 module Dir = Catalog.Dir
 
 let find_open = ss_find_open
@@ -54,7 +53,7 @@ let cached_pack_page k ~read gf lpage =
   end
   else begin
     let key = (gf, lpage) in
-    match Cache.find k.ss_cache key with
+    match Ss_cache.find k.ss_cache key with
     | Some page ->
       Sim.Stats.incr (stats k) "cache.ss.hit";
       page
@@ -62,7 +61,7 @@ let cached_pack_page k ~read gf lpage =
       Sim.Stats.incr (stats k) "cache.ss.miss";
       charge_disk_read k;
       let page = read lpage in
-      Cache.insert k.ss_cache key page;
+      Ss_cache.insert k.ss_cache key page;
       page
   end
 
@@ -97,8 +96,12 @@ let note_guess k gf guess =
    read at all, with [eof] telling the US the file ends in this reply. A
    background read sets [committed]; with [stat] the reply also carries
    the committed inode, at the disk read a stat costs, and a count of 0
-   reads only that. *)
-let handle_read_pages ?(guess = 0) ?(committed = false) ?(stat = false) k gf ~first ~count =
+   reads only that. A using site's request names the version it files
+   the pages under; when the committed copy is another version, the reply
+   carries the copy's inode, so the using site never files a page under a
+   version this site did not serve. *)
+let handle_read_pages ?(guess = 0) ?(committed = false) ?(stat = false) ?vv k gf ~first
+    ~count =
   note_guess k gf guess;
   if first < 0 || count < 0 || (count = 0 && not stat) then
     Proto.R_err Proto.Einval
@@ -114,7 +117,10 @@ let handle_read_pages ?(guess = 0) ?(committed = false) ?(stat = false) k gf ~fi
             charge_disk_read k;
             Some (Proto.info_of_inode inode)
           end
-          else None
+          else
+            match vv with
+            | Some vv when not (Vvec.equal vv inode.Inode.vv) -> Some (Proto.info_of_inode inode)
+            | Some _ | None -> None
         in
         let read_page, size = page_source ~committed:(committed || stat) k pack gf inode in
         let npages = (size + Page.size - 1) / Page.size in
@@ -132,15 +138,14 @@ let handle_read_pages ?(guess = 0) ?(committed = false) ?(stat = false) k gf ~fi
 
 (* The client half: read pages of [gf] from [site]. Raises [Error] on a
    refusal or a network failure. *)
-let read_request k site gf ~first ~count ~guess ~committed ~stat =
-  match rpc k site (Proto.Read_pages { gf; first; count; guess; committed; stat }) with
+let read_request ?vv k site gf ~first ~count ~guess ~committed ~stat =
+  match rpc k site (Proto.Read_pages { gf; first; count; guess; committed; stat; vv }) with
   | Proto.R_pages { pages; eof; info } -> (pages, eof, info)
   | Proto.R_err e -> err e "read %a pages %d+%d failed" Gfile.pp gf first count
   | _ -> err Proto.Eio "unexpected read response"
 
-let read_pages k site gf ~first ~count ~guess =
-  let pages, eof, _ = read_request k site gf ~first ~count ~guess ~committed:false ~stat:false in
-  (pages, eof)
+let read_pages ?vv k site gf ~first ~count ~guess =
+  read_request ?vv k site gf ~first ~count ~guess ~committed:false ~stat:false
 
 let read_committed k site gf ~first ~count ~stat =
   let pages, _, info =
@@ -175,7 +180,7 @@ let invalidate_others k gf ~writer ~first ~count =
    copy of the page dropped (the session, not the cache, now owns it). *)
 let page_written k gf lpage =
   charge_disk_write k;
-  Cache.invalidate k.ss_cache (gf, lpage)
+  Ss_cache.invalidate k.ss_cache (gf, lpage)
 
 (* Receive a write request whose run is the [len] bytes of [data] from
    [pos], to land at offset [off] within page [first]: truncate the
@@ -420,7 +425,7 @@ let install ?force_vv k pack gf s session ~delete =
      so is the directory index, which made the session's changes. A
      delete leaves nothing. *)
   if delete then begin
-    Cache.invalidate_if k.ss_cache (fun (g, _) -> Gfile.equal g gf);
+    ss_cache_drop k gf;
     ss_dir_drop k gf
   end
   else begin
@@ -800,7 +805,7 @@ let handle_reclaim k gf =
   (match local_pack k gf.Gfile.fg with
   | Some pack -> Pack.remove_inode pack gf.Gfile.ino
   | None -> ());
-  Cache.invalidate_if k.ss_cache (fun (g, _) -> Gfile.equal g gf);
+  ss_cache_drop k gf;
   ss_dir_drop k gf;
   (* A reclaimed inode number can be reallocated: drop every name-cache
      link into or out of it, and any retained open grant on it. *)

@@ -27,6 +27,7 @@ val handle_read_pages :
   ?guess:int ->
   ?committed:bool ->
   ?stat:bool ->
+  ?vv:Vv.Version_vector.t ->
   Ktypes.t ->
   Catalog.Gfile.t ->
   first:int ->
@@ -41,19 +42,23 @@ val handle_read_pages :
     [count] be 0, which makes the request a stat. [guess] is the US's hint for
     locating the incore inode; hits and misses are counted in the
     statistics. Each page costs what a single read does; the reply is
-    trimmed at end of file, and a page at or past it is not read. *)
+    trimmed at end of file, and a page at or past it is not read. [vv] is
+    the version the reader files the pages under: when the committed copy
+    is another version, the reply carries the copy's inode. *)
 
 val read_pages :
+  ?vv:Vv.Version_vector.t ->
   Ktypes.t ->
   Net.Site.t ->
   Catalog.Gfile.t ->
   first:int ->
   count:int ->
   guess:int ->
-  string list * bool
+  string list * bool * Proto.inode_info option
 (** [read_pages k site gf ~first ~count ~guess]: the client half
-    of [handle_read_pages] — the pages [site] returns and its eof flag,
-    by one [Read_pages] RPC. Raises {!Ktypes.Error} on a refusal or a network
+    of [handle_read_pages] — the pages [site] returns, its eof flag and,
+    when the request named a [vv] the copy does not hold, the copy's
+    inode, by one [Read_pages] RPC. Raises {!Ktypes.Error} on a refusal or a network
     failure. *)
 
 val read_committed :

@@ -30,7 +30,6 @@ open Ktypes
 module Inode = Storage.Inode
 module Pack = Storage.Pack
 module Page = Storage.Page
-module Cache = Storage.Cache
 
 (* ---- US cache keys ----
 
@@ -49,17 +48,22 @@ let next_gen o =
 
 let cache_key o lpage = (o.o_gf, lpage, o.o_key)
 
-(* File a fetched page in the US cache, remembering a writer's pages so
-   they can be dropped without a scan of the whole cache. *)
 let file_page k o lpage data =
-  Cache.insert k.us_cache (cache_key o lpage) (Page.of_string data);
-  if o.o_mode = Proto.Mode_modify then o.o_private <- lpage :: o.o_private
+  Us_cache.insert k.us_cache (cache_key o lpage) (Page.of_string data)
 
 let cacheable k o = k.config.us_cache_pages > 0 && not o.o_nocache
 
-let drop_private k o =
-  List.iter (fun p -> Cache.invalidate k.us_cache (cache_key o p)) o.o_private;
-  o.o_private <- []
+(* Drop the pages filed under the open's current key, visiting the file's
+   entries only. *)
+let drop_keyed k o =
+  let key = o.o_key in
+  ignore
+    (Us_cache.drop_file k.us_cache (Gfile.id o.o_gf) ~only:(fun (_, _, v) _ ->
+         String.equal v key))
+
+(* A read open's key is shared with every open of its version; only a
+   writer's is its own to drop. *)
+let drop_private k o = if o.o_mode = Proto.Mode_modify then drop_keyed k o
 
 let renew_key k o =
   drop_private k o;
@@ -94,7 +98,7 @@ let asks_first_pages k fi mode ~shared =
    bytes. *)
 let first_page_buffered k gf =
   match Keys.find k.us_open_keys gf with
-  | Some key when Cache.mem k.us_cache (gf, 0, key) ->
+  | Some key when Us_cache.mem k.us_cache (gf, 0, key) ->
     Sim.Stats.incr (stats k) "us.open.buffered";
     true
   | Some _ | None -> false
@@ -150,7 +154,6 @@ let rec open_gf ?(shared = false) k gf mode =
          caching once its descriptor leaves the site: see [share]). *)
       o_nocache = nocache && (shared || mode <> Proto.Mode_modify);
       o_key = "";
-      o_private = [];
       o_gen = 0;
       o_dirty = false;
       (* -1 so a scan starting at page 0 counts as sequential and primes
@@ -161,6 +164,7 @@ let rec open_gf ?(shared = false) k gf mode =
       o_ra_frontier = 0;
       o_inflight = [];
       o_wb = None;
+      o_wb_timer = false;
       o_closed = false;
       o_lease = lease;
     }
@@ -261,28 +265,44 @@ let flush_wb k o =
     Ss.write_run ?trunc:run.wb_trunc k o.o_ss o.o_gf ~off:run.wb_off (wb_contents run)
       ~sent:(bulk_sent k)
 
-(* Hold [data] at byte [off], after a truncate to [trunc] when set, as the
-   open's write-behind run. The run holds [data] itself, not a copy. *)
-let hold_run ?trunc k o ~off data =
-  let serial = fresh_serial k in
-  o.o_wb <-
-    Some
-      { wb_trunc = trunc; wb_off = off; wb_head = data; wb_rest = Buffer.create 64;
-        wb_serial = serial };
-  (* The timer is tied to this run by serial: if the run was already pushed
-     out (and possibly replaced by a later one) the timer is a no-op rather
-     than flushing somebody else's half-built run early. *)
-  Engine.schedule k.engine ~delay:wb_flush_delay (fun () ->
+(* The open's one write-behind timer, pending at [time]. It pushes out a
+   run that is due; a run held since it was armed (the one it was armed
+   for was pushed out and replaced) is not, and the timer waits on for
+   it. A timer that finds no run is done, and the next run held arms it
+   again. *)
+let rec arm_wb k o ~time =
+  o.o_wb_timer <- true;
+  Engine.schedule_at k.engine ~time (fun () ->
+      o.o_wb_timer <- false;
       match o.o_wb with
-      | Some run when run.wb_serial = serial && k.alive && not o.o_closed -> (
-        match flush_wb k o with
-        | () -> ()
-        | exception Error _ ->
-          (* No caller hears a timer's flush fail: the run is kept, so the
-             next flush point, the commit at the latest, sends it again.
-             The resend is harmless: it truncates first and writes at
-             absolute positions. *)
-          if o.o_wb = None && not o.o_closed then o.o_wb <- Some run)
+      | Some run when k.alive && not o.o_closed -> (
+        if run.wb_due > Engine.now k.engine then arm_wb k o ~time:run.wb_due
+        else
+          match flush_wb k o with
+          | () -> ()
+          | exception Error _ ->
+            (* No caller hears a timer's flush fail: the run is kept, so
+               the next flush point, the commit at the latest, sends it
+               again. The resend is harmless: it truncates first and
+               writes at absolute positions. *)
+            if o.o_wb = None && not o.o_closed then o.o_wb <- Some run)
+      | Some _ | None -> ())
+
+(* Hold [data] at byte [off], after a truncate to [trunc] when set, as the
+   open's write-behind run, due [wb_flush_delay] from now. The run holds
+   [data] itself, not a copy. The timer is armed only if the run is still
+   held when the simulation next runs events: a whole-file write's run
+   is nearly always carried by the commit that follows it in the same
+   call sequence, and then costs no event. *)
+let hold_run ?trunc k o ~off data =
+  let due = Engine.now k.engine +. wb_flush_delay in
+  let run =
+    { wb_trunc = trunc; wb_off = off; wb_head = data; wb_rest = Buffer.create 64; wb_due = due }
+  in
+  o.o_wb <- Some run;
+  Engine.defer k.engine (fun () ->
+      match o.o_wb with
+      | Some r when r == run && not o.o_wb_timer -> arm_wb k o ~time:due
       | Some _ | None -> ())
 
 (* ---- the windowed page fetcher (section 2.3.3; bulk reads) ----
@@ -308,16 +328,16 @@ let run_length k o ~from ~limit =
   let npages = npages_of o in
   let rec len i =
     if i >= limit || from + i >= npages then i
-    else if Cache.mem k.us_cache (cache_key o (from + i)) || in_flight o (from + i) then i
+    else if Us_cache.mem k.us_cache (cache_key o (from + i)) || in_flight o (from + i) then i
     else len (i + 1)
   in
   len 0
 
 (* [count] pages from [first] in one [Read_pages] to the open's SS. Only
    a request of two or more pages counts as a bulk read. *)
-let fetch k o ~first ~count =
-  let ((pages, _) as reply) =
-    Ss.read_pages k o.o_ss o.o_gf ~first ~count ~guess:o.o_guess
+let fetch ?vv k o ~first ~count =
+  let ((pages, _, _) as reply) =
+    Ss.read_pages ?vv k o.o_ss o.o_gf ~first ~count ~guess:o.o_guess
   in
   if count > 1 then begin
     Sim.Stats.incr (stats k) "us.bulk.read";
@@ -325,16 +345,33 @@ let fetch k o ~first ~count =
   end;
   reply
 
+(* The open's SS holds another committed version than the one the open
+   files its pages under: a commit reached that copy, but neither its
+   lease break nor a page invalidation reached this site. The pages
+   buffered under the old version and any lease on it are stale: drop
+   them, and move the open to the version the SS served. *)
+let rebase k o (info : Proto.inode_info) =
+  Sim.Stats.incr (stats k) "us.read.rebase";
+  record k ~tag:"us.rebase" "%a vv=%a" Gfile.pp o.o_gf Vvec.pp info.Proto.i_vv;
+  Openlease.note_commit k.open_leases o.o_gf info.Proto.i_vv;
+  drop_keyed k o;
+  o.o_info <- info;
+  renew_key k o
+
 (* Fetch the run [first, first+count) into the US cache. Returns page
-   [first] and whether it ends the file. *)
+   [first] and whether it ends the file. A read open names its version,
+   so its pages are filed under the version the SS served; a writer's
+   are filed under its private key. *)
 let fetch_range k o ~first ~count =
-  let pages, eof = fetch k o ~first ~count in
+  let vv = if o.o_mode = Proto.Mode_modify then None else Some o.o_info.Proto.i_vv in
+  let pages, eof, info = fetch ?vv k o ~first ~count in
+  Option.iter (rebase k o) info;
   List.iteri (fun i d -> file_page k o (first + i) d) pages;
   match pages with d :: rest -> (d, rest = [] && eof) | [] -> ("", true)
 
 (* One page straight from the SS, past the US cache. *)
 let fetch_uncached k o lpage =
-  let pages, eof = fetch k o ~first:lpage ~count:1 in
+  let pages, eof, _ = fetch k o ~first:lpage ~count:1 in
   ((match pages with d :: _ -> d | [] -> ""), eof)
 
 (* Keep a full window requested ahead of a sequential reader. The frontier
@@ -361,7 +398,7 @@ let schedule_window k o ~lpage =
                the still-missing tail of the scheduled range. *)
             let rec first_missing p =
               if p >= first + count then None
-              else if Cache.mem k.us_cache (cache_key o p) then first_missing (p + 1)
+              else if Us_cache.mem k.us_cache (cache_key o p) then first_missing (p + 1)
               else Some p
             in
             match first_missing first with
@@ -392,7 +429,7 @@ let read_cached k o lpage ~sequential ~want =
     o.o_ra_frontier <- lpage + 1
   end;
   let data, eof =
-    match Cache.find k.us_cache (cache_key o lpage) with
+    match Us_cache.find k.us_cache (cache_key o lpage) with
     | Some page ->
       Sim.Stats.incr (stats k) "cache.us.hit";
       let size = o.o_info.Proto.i_size in
@@ -409,7 +446,7 @@ let read_cached k o lpage ~sequential ~want =
         | Some b ->
           retire o b.ra_serial;
           let rec last p =
-            if p > lpage && Cache.mem k.us_cache (cache_key o p) then last (p - 1) else p
+            if p > lpage && Us_cache.mem k.us_cache (cache_key o p) then last (p - 1) else p
           in
           max (last (b.ra_first + b.ra_count - 1) - lpage + 1) (run want)
         | None -> run (max o.o_window want)
@@ -439,17 +476,26 @@ let read_page ?(want = 1) k o lpage =
     read_cached k o lpage ~sequential ~want
   else fetch_uncached k o lpage
 
+(* A read of one version: when a fetch moved the open to another version
+   part-way ([rebase]), the read starts over, so it never joins pages of
+   two versions. *)
+let rec one_version o read =
+  let vv = o.o_info.Proto.i_vv in
+  let r = read () in
+  if Vvec.equal vv o.o_info.Proto.i_vv then r else one_version o read
+
 (* Whole-body read, following the SS's eof indications. Each page read
    wants the pages left to eof. *)
 let read_all k o =
-  let buf = Buffer.create 1024 in
-  let rec loop lpage =
-    let data, eof = read_page ~want:(npages_of o - lpage) k o lpage in
-    Buffer.add_string buf data;
-    if (not eof) && String.length data > 0 then loop (lpage + 1)
-  in
-  if o.o_info.Proto.i_size > 0 || Site.equal o.o_ss k.site then loop 0;
-  Buffer.contents buf
+  one_version o (fun () ->
+      let buf = Buffer.create 1024 in
+      let rec loop lpage =
+        let data, eof = read_page ~want:(npages_of o - lpage) k o lpage in
+        Buffer.add_string buf data;
+        if (not eof) && String.length data > 0 then loop (lpage + 1)
+      in
+      if o.o_info.Proto.i_size > 0 || Site.equal o.o_ss k.site then loop 0;
+      Buffer.contents buf)
 
 (* One page of zeroes, shared by every sparse/short-page gap below: a gap
    never exceeds the page size, so [Buffer.add_substring] of this covers
@@ -460,7 +506,8 @@ let blank_page = String.make Page.size '\000'
    page read wants the pages left in the range. *)
 let read_bytes k o ~off ~len =
   if len <= 0 then ""
-  else begin
+  else
+    one_version o @@ fun () ->
     let buf = Buffer.create len in
     let last = (off + len - 1) / Page.size in
     let rec loop abs remaining =
@@ -484,7 +531,6 @@ let read_bytes k o ~off ~len =
     in
     loop off len;
     Buffer.contents buf
-  end
 
 let writable o =
   if o.o_closed then err Proto.Einval "write on closed file";

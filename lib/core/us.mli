@@ -75,7 +75,8 @@ val set_contents : Ktypes.t -> Ktypes.ofile -> string -> unit
     [Write_pages]. With [config.bulk_window > 1] and a remote SS the
     body's last window (all of it, with the truncate, when it fits in
     one) is held as the write-behind run instead, for the commit to
-    carry. *)
+    carry, and the open's write-behind timer pushes it out if no flush
+    point comes first. *)
 
 val commit : Ktypes.t -> Ktypes.ofile -> unit
 (** Atomically commit this open's modifications at the SS (§2.3.6). A

@@ -192,6 +192,7 @@ type req =
       guess : int;
       committed : bool;
       stat : bool;
+      vv : Vvec.t option;
     }
     (* US -> SS: up to [count] consecutive pages starting at [first], in
        one round trip — the network read protocol, for a using site, a
@@ -201,7 +202,9 @@ type req =
        session's pages when one exists; a background read (a pull,
        reconciliation) sets [committed] and reads only the committed copy.
        [stat] also asks for that copy's inode in the reply; it implies
-       [committed]. With [count] 0 it is the stat message. *)
+       [committed]. With [count] 0 it is the stat message. [vv] is the
+       version a using site files the pages under; an SS whose committed
+       copy is another version also returns that copy's inode. *)
   | Write_pages of {
       gf : Catalog.Gfile.t;
       trunc : int option;
@@ -337,7 +340,8 @@ type resp =
     (* the pages of a [Read_pages]; fewer than asked when the file ends
        mid-window, none when [first] is past it. [eof] marks that the last
        page returned contains end of file (or that [first] was past it).
-       [info] is the committed copy's inode, when the request set [stat]. *)
+       [info] is the committed copy's inode, when the request set [stat]
+       or named another version than the copy's. *)
   | R_committed of { vv : Vvec.t }
   | R_intent of { ino : int; dir_vv : Vvec.t; file : (Vvec.t * bool) option }
     (* an intent's inode, the directory's new version, and the file's new
@@ -424,10 +428,11 @@ let req_bytes = function
      count travels only when it is not 1, and a write within one page carries a page number, an offset and a
      whole-page flag, not a run header. A background read's flags travel
      in one byte, only when set. *)
-  | Read_pages { count; committed; stat; _ } ->
+  | Read_pages { count; committed; stat; vv; _ } ->
     header + gfile_bytes + 8
     + (if count <> 1 then 4 else 0)
-    + if committed || stat then 1 else 0
+    + (if committed || stat then 1 else 0)
+    + (match vv with Some v -> vv_bytes v | None -> 0)
   | Write_pages { trunc; off; len; _ } -> header + gfile_bytes + run_bytes ~trunc ~off len
   | Dir_intent { op; _ } -> header + gfile_bytes + intent_bytes op
   | Intent_step { step = Step_dir { op; others; refuse; stale; _ }; _ } ->

@@ -175,6 +175,7 @@ type req =
       guess : int;
       committed : bool;
       stat : bool;
+      vv : Vv.Version_vector.t option;
     }  (** US → SS: up to [count] consecutive pages from [first], in one
            round trip — the network read protocol (§2.3.3), used alike by
            the using site, propagation pulls and reconciliation. [count] =
@@ -187,7 +188,10 @@ type req =
            With [stat] and a [count] of 0 it is the stat message: tagged
            ["stat"] and priced as the header and the file, since [first],
            [guess] and the flags then carry nothing. A site with no copy
-           answers [R_err]. *)
+           answers [R_err]. A using site's read open names its version in
+           [vv], at [vv_bytes] ([None] costs nothing): a copy at another
+           version answers with its inode, so the using site never files
+           a page under a version its SS did not serve. *)
   | Write_pages of {
       gf : Catalog.Gfile.t;
       trunc : int option;
@@ -351,8 +355,8 @@ type resp =
       (** the pages answering a [Read_pages]; fewer than asked when
           the file ends mid-window, [eof] when the batch reaches end of
           file (or started past it). [info] is the committed copy's inode
-          when the request set [stat], at [info_bytes]; [None] costs
-          nothing. The stat reply is this with no pages. *)
+          when the request set [stat] or named another version, at
+          [info_bytes]; [None] costs nothing. The stat reply is this with no pages. *)
   | R_committed of { vv : Vv.Version_vector.t }
   | R_intent of {
       ino : int;

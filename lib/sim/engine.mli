@@ -25,6 +25,12 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
 
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
 
+val defer : t -> (unit -> unit) -> unit
+(** Run a thunk when the engine next runs events, before it takes any
+    from the queue: not an event itself, it may schedule one. Foreground
+    work that may be undone before then (a write-behind run its commit
+    carries) arms its timer this way, and costs no event when it is. *)
+
 val run_until_idle : ?limit:int -> t -> int * [ `Idle | `Limit ]
 (** Execute pending events in timestamp order until none remain (or [limit]
     events have run; default 100_000). Returns the number executed, paired

@@ -1,10 +1,23 @@
-(** Generic O(1) LRU recency-list structure.
+(** Generic LRU recency-list structure with a per-file index.
 
-    A hashtable keyed on caller-chosen keys plus an intrusive doubly-linked
-    recency list. {!Cache} (the buffer caches) and the kernel's pathname
-    name cache are both instances of {!Make}; they differ only in the
-    cached value type. All operations are O(1) except {!Make.filter_out} /
-    {!Make.invalidate_if} and {!Make.clear}. *)
+    A hashtable keyed on caller-chosen keys, an intrusive doubly-linked
+    recency list, and a ring per file through that file's entries. {!Cache}
+    (the buffer caches), the kernel's pathname name cache and its small
+    per-file tables are all instances of {!Make}; they differ in the key
+    and the cached value type. Every operation is O(1), except
+    {!S.drop_file}, which is O(entries of that file), and {!S.filter_out}
+    and {!S.clear}, which are O(n). *)
+
+module type KEY = sig
+  type t
+
+  val equal : t -> t -> bool
+
+  val hash : t -> int
+
+  val file : t -> int
+  (** The file the entry belongs to: {!S.drop_file} drops entries by it. *)
+end
 
 module type VALUE = sig
   type t
@@ -14,49 +27,56 @@ module type VALUE = sig
       mutable buffers); the identity for immutable values. *)
 end
 
-module Make (V : VALUE) : sig
-  type 'k t
+module type S = sig
+  type key
 
-  val create : ?on_evict:('k -> unit) -> capacity:int -> unit -> 'k t
+  type value
+
+  type t
+
+  val create : ?on_evict:(key -> unit) -> capacity:int -> unit -> t
   (** [on_evict] is called with the key of every entry dropped by capacity
       pressure (not by explicit invalidation). Raises [Invalid_argument]
       on non-positive capacity. *)
 
-  val find : 'k t -> 'k -> V.t option
+  val find : t -> key -> value option
   (** Hit moves the entry to most-recently-used and returns a copy. Counts
       toward {!hits}/{!misses}. *)
 
-  val mem : 'k t -> 'k -> bool
+  val mem : t -> key -> bool
   (** Presence probe: no recency update, no counter update. *)
 
-  val insert : 'k t -> 'k -> V.t -> unit
+  val insert : t -> key -> value -> unit
   (** Insert (or refresh) a copy of the value, evicting the least recently
       used entry if over capacity. *)
 
-  val invalidate : 'k t -> 'k -> unit
+  val invalidate : t -> key -> unit
 
-  val filter_out : 'k t -> ('k -> V.t -> bool) -> int
-  (** Drop all entries satisfying the predicate; returns how many were
-      dropped (for invalidation accounting). Silent: no [on_evict], no
-      {!evictions} count. O(n). *)
+  val drop_file : ?only:(key -> value -> bool) -> t -> int -> int
+  (** [drop_file t file] drops the entries of [file] (those satisfying
+      [only], when given) and returns how many it dropped. Silent: no
+      [on_evict], no {!evictions} count. O(entries of [file]). *)
 
-  val invalidate_if : 'k t -> ('k -> bool) -> unit
-  (** {!filter_out} on the key alone, discarding the count. O(n). *)
+  val filter_out : t -> (key -> value -> bool) -> int
+  (** Drop all entries satisfying the predicate, silently, and return how
+      many were dropped. O(n): for drops that no file bounds. *)
 
-  val clear : 'k t -> unit
+  val clear : t -> unit
   (** Drop everything, silently. *)
 
-  val length : 'k t -> int
+  val length : t -> int
 
-  val capacity : 'k t -> int
+  val capacity : t -> int
 
-  val keys_mru : 'k t -> 'k list
+  val keys_mru : t -> key list
   (** Keys in recency order, most recently used first (test/debug aid). *)
 
-  val hits : 'k t -> int
+  val hits : t -> int
 
-  val misses : 'k t -> int
+  val misses : t -> int
 
-  val evictions : 'k t -> int
+  val evictions : t -> int
   (** Entries dropped by capacity pressure since creation. *)
 end
+
+module Make (K : KEY) (V : VALUE) : S with type key = K.t and type value = V.t

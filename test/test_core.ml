@@ -264,7 +264,7 @@ let test_cross_open_cache_retention () =
   Us.close k3 o1;
   ignore (World.settle w);
   check Alcotest.bool "pages retained across close" true
-    (Storage.Cache.length k3.K.us_cache > 0);
+    (K.Us_cache.length k3.K.us_cache > 0);
   let o2 = Us.open_gf k3 gf Proto.Mode_read in
   let snap = Stats.snapshot (stats w) in
   check Alcotest.string "re-open served warm" body (Us.read_all k3 o2);
@@ -281,9 +281,9 @@ let test_cross_open_cache_retention () =
      at the announced version, from both cache tiers: an SS buffer holds
      the local copy's version, and this site stores none. *)
   let vv = (Us.stat_gf k0 gf).Proto.i_vv in
-  Storage.Cache.insert k3.K.us_cache (gf, 0, K.vv_key vv) (Storage.Page.of_string "cur");
-  Storage.Cache.insert k3.K.us_cache (gf, 1, "stale-vv") (Storage.Page.of_string "old");
-  Storage.Cache.insert k3.K.ss_cache (gf, 2) (Storage.Page.of_string "old");
+  K.Us_cache.insert k3.K.us_cache (gf, 0, K.vv_key vv) (Storage.Page.of_string "cur");
+  K.Us_cache.insert k3.K.us_cache (gf, 1, "stale-vv") (Storage.Page.of_string "old");
+  K.Ss_cache.insert k3.K.ss_cache (gf, 2) (Storage.Page.of_string "old");
   let notify =
     Proto.Commit_notify
       { gf; vv; meta_only = false; modified = []; origin = 0; fresh = false;
@@ -291,11 +291,11 @@ let test_cross_open_cache_retention () =
   in
   ignore (k3.K.dispatch 0 notify);
   check Alcotest.bool "current version kept" true
-    (Storage.Cache.mem k3.K.us_cache (gf, 0, K.vv_key vv));
+    (K.Us_cache.mem k3.K.us_cache (gf, 0, K.vv_key vv));
   check Alcotest.bool "stale US entry dropped" false
-    (Storage.Cache.mem k3.K.us_cache (gf, 1, "stale-vv"));
+    (K.Us_cache.mem k3.K.us_cache (gf, 1, "stale-vv"));
   check Alcotest.bool "stale SS entry dropped" false
-    (Storage.Cache.mem k3.K.ss_cache (gf, 2))
+    (K.Ss_cache.mem k3.K.ss_cache (gf, 2))
 
 (* Regression: a short mid-file page (a lying or sparse SS) used to stop
    the read_bytes loop, silently returning short data. It must read as
@@ -348,10 +348,13 @@ let test_read_at_eof_reads_no_page () =
   let elapsed = World.now w -. t0 in
   check Alcotest.string "nothing past eof" "" data;
   check Alcotest.int "no SS cache miss" 0 (Stats.delta_of (stats w) snap "cache.ss.miss");
-  check Alcotest.bool "no buffer for page 2" false (Storage.Cache.mem ss.K.ss_cache (gf, 2));
+  check Alcotest.bool "no buffer for page 2" false (K.Ss_cache.mem ss.K.ss_cache (gf, 2));
   let lat = K.latency k3 in
   let request =
-    Proto.Read_pages { gf; first = 2; count = 1; guess = 0; committed = false; stat = false }
+    (* A read open names its version. *)
+    Proto.Read_pages
+      { gf; first = 2; count = 1; guess = 0; committed = false; stat = false;
+        vv = Some o.K.o_info.Proto.i_vv }
   in
   let reply = Proto.R_pages { pages = []; eof = true; info = None } in
   let round_trip =
@@ -535,8 +538,8 @@ let test_corrupt_directory_is_eio () =
           | None -> Alcotest.fail "directory has no first page")
         | None -> ())
       | None -> ());
-      Storage.Cache.clear k.K.us_cache;
-      Storage.Cache.clear k.K.ss_cache;
+      K.Us_cache.clear k.K.us_cache;
+      K.Ss_cache.clear k.K.ss_cache;
       Locus_core.Namecache.clear k.K.name_cache)
     (World.kernels w);
   List.iter

@@ -195,8 +195,8 @@ let corrupt_copy w site (gf : Catalog.Gfile.t) =
   | Some addr ->
     Storage.Disk.write (Storage.Pack.disk pack) addr (Storage.Page.of_string "\255garbage")
   | None -> Alcotest.fail "directory has no first page");
-  Storage.Cache.clear k.K.ss_cache;
-  Storage.Cache.clear k.K.us_cache;
+  K.Ss_cache.clear k.K.ss_cache;
+  K.Us_cache.clear k.K.us_cache;
   Locus_core.Namecache.clear k.K.name_cache
 
 let dir_vv w site (gf : Catalog.Gfile.t) =

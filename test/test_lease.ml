@@ -158,6 +158,44 @@ let test_lost_break_no_torn_read () =
     (Kernel.read_file k3 p3 "/f");
   check Alcotest.string "read again" "a-longer-body" (Kernel.read_file k3 p3 "/f")
 
+(* The same lost break, with the grant from a copy the writer's SS does
+   not serve: site 0's copy pulls the new version, so no page
+   invalidation reaches the holder, and after an eviction its open riding
+   the stale lease fetches a page of the new version. The page reply
+   names the version it holds, so the holder drops the lease and the old
+   version's pages instead of filing the new bytes under the old key:
+   each read returns one whole body. *)
+let test_lost_break_from_another_copy () =
+  let kconfig = { K.default_config with K.us_cache_pages = 1 } in
+  let w = make_world ~kconfig () in
+  let k1 = World.kernel w 1 and p1 = World.proc w 1 in
+  Kernel.set_ncopies p1 2;
+  List.iter
+    (fun (path, body) ->
+      ignore (Kernel.creat k1 p1 path);
+      Kernel.write_file k1 p1 path body)
+    [ ("/f", "short"); ("/g", "other") ];
+  ignore (World.settle w);
+  let k3 = World.kernel w 3 and p3 = World.proc w 3 in
+  check Alcotest.string "first read" "short" (Kernel.read_file k3 p3 "/f");
+  ignore (World.settle w);
+  let gf = gf_of k3 "/f" in
+  let lease_vv () =
+    Option.map (fun e -> e.Openlease.le_vv) (Openlease.find_entry k3.K.open_leases gf)
+  in
+  let old = lease_vv () in
+  check Alcotest.bool "lease held" true (old <> None);
+  Net.Netsim.fail_next_message (World.net w) ~src:0 ~dst:3;
+  Kernel.write_file k1 p1 "/f" "a-longer-body";
+  ignore (World.settle w);
+  check Alcotest.string "other file" "other" (Kernel.read_file k3 p3 "/g");
+  let whole body = body = "short" || body = "a-longer-body" in
+  let first = Kernel.read_file k3 p3 "/f" in
+  check Alcotest.bool ("read after the lost break: " ^ first) true (whole first);
+  let again = Kernel.read_file k3 p3 "/f" in
+  check Alcotest.bool ("read again: " ^ again) true (whole again);
+  check Alcotest.bool "lease on the old version dropped" true (lease_vv () <> old)
+
 (* ---- deferred close ---- *)
 
 (* With a single-entry lease table, registering a second grant evicts the
@@ -369,6 +407,8 @@ let () =
           Alcotest.test_case "commit notify" `Quick test_break_on_commit_notify;
           Alcotest.test_case "own commit" `Quick test_break_on_own_commit;
           Alcotest.test_case "lost break tears no read" `Quick test_lost_break_no_torn_read;
+          Alcotest.test_case "lost break from another copy" `Quick
+            test_lost_break_from_another_copy;
         ] );
       ( "deferred close",
         [

@@ -291,11 +291,23 @@ let test_ablation_neither () =
 
 (* ---- the generic LRU core ---- *)
 
-module Slru = Storage.Lru.Make (struct
-  type t = int
+(* Integer keys; a key's tens digit is its file. *)
+module Slru =
+  Storage.Lru.Make
+    (struct
+      type t = int
 
-  let copy v = v
-end)
+      let equal = Int.equal
+
+      let hash x = x
+
+      let file x = x / 10
+    end)
+    (struct
+      type t = int
+
+      let copy v = v
+    end)
 
 let test_lru_filter_out () =
   let c = Slru.create ~capacity:8 () in
@@ -307,6 +319,57 @@ let test_lru_filter_out () =
     (Slru.find c 3 = Some 30 && Slru.find c 5 = Some 50 && Slru.find c 1 = Some 10);
   check Alcotest.bool "dropped keys gone" true
     (Slru.find c 2 = None && Slru.find c 4 = None)
+
+(* Dropping a file with no entries drops nothing; dropping the most and
+   the least recently used entries keeps the recency order of the rest,
+   and the next eviction takes the right victim. *)
+let test_lru_drop_file_ends () =
+  let evicted = ref [] in
+  let c = Slru.create ~on_evict:(fun k -> evicted := k :: !evicted) ~capacity:4 () in
+  check Alcotest.int "empty cache" 0 (Slru.drop_file c 1);
+  List.iter (fun k -> Slru.insert c k k) [ 10; 20; 21; 30 ];
+  check Alcotest.int "file with no entries" 0 (Slru.drop_file c 4);
+  check Alcotest.int "the MRU entry's file" 1 (Slru.drop_file c 3);
+  check Alcotest.(list int) "MRU gone" [ 21; 20; 10 ] (Slru.keys_mru c);
+  check Alcotest.int "the LRU entry's file" 1 (Slru.drop_file c 1);
+  check Alcotest.(list int) "LRU gone" [ 21; 20 ] (Slru.keys_mru c);
+  List.iter (fun k -> Slru.insert c k k) [ 40; 41; 42 ];
+  check Alcotest.(list int) "new LRU evicted" [ 20 ] !evicted;
+  check Alcotest.int "a drop is not an eviction" 1 (Slru.evictions c)
+
+(* A clear empties the per-file index with the table: a drop afterwards
+   finds nothing, and refilled entries drop as before. *)
+let test_lru_drop_after_clear () =
+  let c = Slru.create ~capacity:8 () in
+  List.iter (fun k -> Slru.insert c k k) [ 10; 11; 20 ];
+  Slru.clear c;
+  check Alcotest.int "nothing to drop" 0 (Slru.drop_file c 1);
+  Slru.insert c 12 12;
+  Slru.insert c 21 21;
+  check Alcotest.int "refilled file dropped" 1 (Slru.drop_file c 1);
+  check Alcotest.(list int) "other file kept" [ 21 ] (Slru.keys_mru c)
+
+(* A child hard-linked from two directories: deleting it drops both
+   links, whichever directory holds them, and no other link. *)
+let test_invalidate_child_two_dirs () =
+  let stats = Sim.Stats.create () in
+  let nc = Namecache.create ~stats ~capacity:8 () in
+  let gf ino = Gfile.make ~fg:0 ~ino in
+  let link dir comp child =
+    Namecache.insert nc ~dir:(gf dir) ~comp
+      { Namecache.nc_child = gf child; nc_vv = Vv.Version_vector.zero; nc_ftype = None }
+  in
+  link 2 "a" 7;
+  link 3 "b" 7;
+  link 2 "c" 8;
+  Namecache.invalidate_child nc (gf 7);
+  let cached dir comp =
+    Namecache.find nc ~dir:(gf dir) ~comp ~current_vv:None <> None
+  in
+  check Alcotest.bool "first link gone" false (cached 2 "a");
+  check Alcotest.bool "second link gone" false (cached 3 "b");
+  check Alcotest.bool "other child kept" true (cached 2 "c");
+  check Alcotest.int "two invalidations" 2 (Sim.Stats.get stats "name.cache.invalidate")
 
 let test_lru_eviction_order () =
   let evicted = ref [] in
@@ -356,5 +419,9 @@ let () =
         [
           Alcotest.test_case "filter_out" `Quick test_lru_filter_out;
           Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
+          Alcotest.test_case "drop a file at either end" `Quick test_lru_drop_file_ends;
+          Alcotest.test_case "drop after clear" `Quick test_lru_drop_after_clear;
+          Alcotest.test_case "invalidate_child across two directories" `Quick
+            test_invalidate_child_two_dirs;
         ] );
     ]

@@ -963,7 +963,7 @@ let run_fetch_case c =
   let cached_under keys =
     List.exists
       (fun (g, _, v) -> Catalog.Gfile.equal g gf && List.mem v keys)
-      (Storage.Cache.keys_mru k3.K.us_cache)
+      (K.Us_cache.keys_mru k3.K.us_cache)
   in
   let peek site =
     Locus_core.Us.flush_wb k3 o;
@@ -981,12 +981,12 @@ let run_fetch_case c =
           (fun ((g, p, v) as ck) ->
             (not (Catalog.Gfile.equal g gf && String.equal v key))
             ||
-            match Storage.Cache.find cache ck with
+            match K.Us_cache.find cache ck with
             | None -> true
             | Some page ->
               let len = max 0 (min Page.size (String.length !committed - (p * Page.size))) in
               String.equal (Page.sub page 0 len) (String.sub !committed (p * Page.size) len))
-          (Storage.Cache.keys_mru cache))
+          (K.Us_cache.keys_mru cache))
       (World.sites w)
   in
   List.iter
@@ -1203,11 +1203,22 @@ let prop_zipf_deterministic =
       in
       stream () = stream ())
 
-module Ilru = Storage.Lru.Make (struct
-  type t = int
+module Ilru =
+  Storage.Lru.Make
+    (struct
+      type t = int
 
-  let copy x = x
-end)
+      let equal = Int.equal
+
+      let hash x = x
+
+      let file x = x mod 3
+    end)
+    (struct
+      type t = int
+
+      let copy x = x
+    end)
 
 (* Lru against an MRU-ordered list model with explicit capacity: recency
    order, hit promotion, refresh-without-eviction, capacity victims (and
@@ -1260,6 +1271,69 @@ let prop_lru_matches_model =
         ops;
       !ok && Ilru.keys_mru c = !model && !evicted = !model_evicted)
 
+(* Lru's per-file drops against a whole-scan model: random inserts,
+   finds, invalidations, capacity evictions, drops of a file's entries
+   (all of them, or those a predicate on the value picks) and clears, over
+   three files (a key's file is the key mod 3). Survivors, recency order,
+   capacity victims and every drop's count must match a model that finds
+   a file's entries by scanning all of them. *)
+let prop_lru_drop_file_matches_scan =
+  QCheck.Test.make ~count:300
+    ~name:"lru: drop by file matches a whole-scan model"
+    QCheck.(
+      make
+        Gen.(
+          pair (int_range 1 8)
+            (list_size (int_bound 200)
+               (triple (int_bound 11) (int_bound 9) (int_bound 6)))))
+    (fun (cap, ops) ->
+      let evicted = ref [] in
+      let c =
+        Ilru.create ~on_evict:(fun k -> evicted := k :: !evicted) ~capacity:cap ()
+      in
+      let model = ref [] (* (key, value), MRU first *) in
+      let model_evicted = ref [] in
+      let ok = ref true in
+      let without key = List.filter (fun (k, _) -> k <> key) !model in
+      let drop file keep =
+        let victim (k, v) = k mod 3 = file && keep v in
+        let n = List.length (List.filter victim !model) in
+        model := List.filter (fun e -> not (victim e)) !model;
+        n
+      in
+      List.iter
+        (fun (key, v, op) ->
+          (match op with
+          | 0 | 1 ->
+            Ilru.insert c key v;
+            let fresh = not (List.mem_assoc key !model) in
+            model := (key, v) :: without key;
+            if fresh && List.length !model > cap then begin
+              let victim, _ = List.nth !model cap in
+              model := List.filteri (fun i _ -> i < cap) !model;
+              model_evicted := victim :: !model_evicted
+            end
+          | 2 -> (
+            match (Ilru.find c key, List.assoc_opt key !model) with
+            | Some got, Some want when got = want -> model := (key, want) :: without key
+            | None, None -> ()
+            | _ -> ok := false)
+          | 3 ->
+            Ilru.invalidate c key;
+            model := without key
+          | 4 -> if Ilru.drop_file c (key mod 3) <> drop (key mod 3) (fun _ -> true) then ok := false
+          | 5 ->
+            let got = Ilru.drop_file c (key mod 3) ~only:(fun _ value -> value < v) in
+            if got <> drop (key mod 3) (fun value -> value < v) then ok := false
+          | _ ->
+            if v = 0 then begin
+              Ilru.clear c;
+              model := []
+            end);
+          if Ilru.length c <> List.length !model then ok := false)
+        ops;
+      !ok && Ilru.keys_mru c = List.map fst !model && !evicted = !model_evicted)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1284,6 +1358,7 @@ let props =
       prop_zipf_pmf;
       prop_zipf_deterministic;
       prop_lru_matches_model;
+      prop_lru_drop_file_matches_scan;
     ]
 
 let () = Alcotest.run "props" [ ("invariants", props) ]

@@ -20,7 +20,7 @@ let some_reqs =
     Proto.Storage_req
       { gf; vv = vv_small; us = 1; mode = Proto.Mode_read; others = [ 2; 3 ] };
     Proto.Read_pages
-      { gf; first = 0; count = 1; guess = 0; committed = false; stat = false };
+      { gf; first = 0; count = 1; guess = 0; committed = false; stat = false; vv = None };
     Proto.Write_pages
       { gf; trunc = None; first = 0; off = 0; data = String.make 1024 'x'; pos = 0; len = 1024 };
     Proto.Write_pages { gf; trunc = Some 0; first = 0; off = 0; data = ""; pos = 0; len = 0 };
@@ -165,7 +165,7 @@ let test_one_page_forms () =
   let page = String.make 1024 'p' in
   let read ~count =
     Proto.req_bytes
-      (Proto.Read_pages { gf; first = 3; count; guess = 0; committed = false; stat = false })
+      (Proto.Read_pages { gf; first = 3; count; guess = 0; committed = false; stat = false; vv = None })
   in
   let reply pages = Proto.resp_bytes (Proto.R_pages { pages; eof = false; info = None }) in
   let write ~off data =
@@ -192,7 +192,7 @@ let test_one_page_forms () =
      as the separate stat reply did. *)
   let background ~count ~committed ~stat =
     Proto.req_bytes
-      (Proto.Read_pages { gf; first = 0; count; guess = 0; committed; stat })
+      (Proto.Read_pages { gf; first = 0; count; guess = 0; committed; stat; vv = None })
   in
   check Alcotest.int "committed one-page request" 41
     (background ~count:1 ~committed:true ~stat:false);
@@ -201,7 +201,7 @@ let test_one_page_forms () =
   check Alcotest.int "committed stat request" 32 (background ~count:0 ~committed:true ~stat:true);
   check Alcotest.string "stat tag" "stat"
     (Proto.req_tag
-       (Proto.Read_pages { gf; first = 0; count = 0; guess = 0; committed = true; stat = true }));
+       (Proto.Read_pages { gf; first = 0; count = 0; guess = 0; committed = true; stat = true; vv = None }));
   check Alcotest.int "inode-only reply" (25 + 55)
     (Proto.resp_bytes (Proto.R_pages { pages = []; eof = true; info = Some info }));
   check Alcotest.int "one page and an inode"

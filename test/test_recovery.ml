@@ -475,8 +475,8 @@ let diverged_mailbox ~corrupt =
       | Some addr ->
         Storage.Disk.write (Storage.Pack.disk pack) addr (Storage.Page.of_string "\255garbage")
       | None -> Alcotest.fail "mailbox has no first page");
-      Storage.Cache.clear k.K.ss_cache;
-      Storage.Cache.clear k.K.us_cache)
+      K.Ss_cache.clear k.K.ss_cache;
+      K.Us_cache.clear k.K.us_cache)
     corrupt;
   (w, k0, p0, gf)
 

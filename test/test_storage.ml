@@ -7,7 +7,38 @@ module Disk = Storage.Disk
 module Inode = Storage.Inode
 module Pack = Storage.Pack
 module Shadow = Storage.Shadow
-module Cache = Storage.Cache
+
+(* Buffer caches for the tests. A name's first letter is its file. *)
+module Cache = Storage.Cache.Make (struct
+  type t = string
+
+  let equal = String.equal
+
+  let hash = Hashtbl.hash
+
+  let file name = Char.code name.[0]
+end)
+
+module Pcache = Storage.Cache.Make (struct
+  type t = string * int (* file name, page *)
+
+  let equal (f, p) (f', p') = String.equal f f' && p = p'
+
+  let hash = Hashtbl.hash
+
+  let file (name, _) = Char.code name.[0]
+end)
+
+module Icache = Storage.Cache.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash x = x
+
+  let file x = x
+end)
+
 module Vvec = Vv.Version_vector
 
 let check = Alcotest.check
@@ -304,14 +335,18 @@ let test_cache_lru_eviction () =
   check Alcotest.bool "b evicted" true (Cache.find c "b" = None);
   check Alcotest.bool "c kept" true (Cache.find c "c" <> None)
 
-let test_cache_invalidate_if () =
-  let c = Cache.create ~capacity:8 () in
-  Cache.insert c ("f", 0) (Page.of_string "x");
-  Cache.insert c ("f", 1) (Page.of_string "y");
-  Cache.insert c ("g", 0) (Page.of_string "z");
-  Cache.invalidate_if c (fun (name, _) -> name = "f");
-  check Alcotest.int "only g left" 1 (Cache.length c);
-  check Alcotest.bool "g survives" true (Cache.find c ("g", 0) <> None)
+let test_cache_drop_file () =
+  let c = Pcache.create ~capacity:8 () in
+  Pcache.insert c ("f", 0) (Page.of_string "x");
+  Pcache.insert c ("g", 0) (Page.of_string "z");
+  Pcache.insert c ("f", 1) (Page.of_string "y");
+  Pcache.insert c ("f", 2) (Page.of_string "w");
+  check Alcotest.int "one page of f dropped" 1
+    (Pcache.drop_file c (Char.code 'f') ~only:(fun (_, p) _ -> p = 1));
+  check Alcotest.int "the rest of f dropped" 2 (Pcache.drop_file c (Char.code 'f'));
+  check Alcotest.int "nothing left of f" 0 (Pcache.drop_file c (Char.code 'f'));
+  check Alcotest.int "only g left" 1 (Pcache.length c);
+  check Alcotest.bool "g survives" true (Pcache.find c ("g", 0) <> None)
 
 let test_cache_lru_order () =
   let c = Cache.create ~capacity:3 () in
@@ -351,8 +386,9 @@ let test_cache_notify_policy () =
   let evicted = ref [] in
   let c = Cache.create ~on_evict:(fun k -> evicted := k :: !evicted) ~capacity:8 () in
   List.iter (fun k -> Cache.insert c k (Page.of_string k)) [ "a"; "b"; "c" ];
-  Cache.invalidate_if c (fun k -> k = "a");
-  check Alcotest.int "silently dropped" 2 (Cache.length c);
+  check Alcotest.int "one dropped" 1 (Cache.drop_file c (Char.code 'a'));
+  check Alcotest.int "one filtered" 1 (Cache.filter_out c (fun k _ -> k = "b"));
+  check Alcotest.int "silently dropped" 1 (Cache.length c);
   check Alcotest.(list string) "silent drop fires nothing" [] !evicted;
   check Alcotest.int "not a capacity eviction" 0 (Cache.evictions c);
   Cache.insert c "d" (Page.of_string "D");
@@ -364,18 +400,18 @@ let test_cache_notify_policy () =
 (* The list/table structure must stay consistent over a long mixed
    workload (and complete fast: every operation here is O(1)). *)
 let test_cache_churn () =
-  let c = Cache.create ~capacity:64 () in
+  let c = Icache.create ~capacity:64 () in
   for i = 0 to 9_999 do
     let key = i mod 200 in
-    (match Cache.find c key with
+    (match Icache.find c key with
     | Some _ -> ()
-    | None -> Cache.insert c key (Page.of_string (string_of_int key)));
-    if i mod 17 = 0 then Cache.invalidate c ((i * 7) mod 200)
+    | None -> Icache.insert c key (Page.of_string (string_of_int key)));
+    if i mod 17 = 0 then Icache.invalidate c ((i * 7) mod 200)
   done;
-  check Alcotest.bool "bounded" true (Cache.length c <= 64);
-  check Alcotest.int "list mirrors table" (Cache.length c)
-    (List.length (Cache.keys_mru c));
-  check Alcotest.int "accounting closes" 10_000 (Cache.hits c + Cache.misses c)
+  check Alcotest.bool "bounded" true (Icache.length c <= 64);
+  check Alcotest.int "list mirrors table" (Icache.length c)
+    (List.length (Icache.keys_mru c));
+  check Alcotest.int "accounting closes" 10_000 (Icache.hits c + Icache.misses c)
 
 let () =
   Alcotest.run "storage"
@@ -420,7 +456,7 @@ let () =
         [
           Alcotest.test_case "hit/miss" `Quick test_cache_hit_miss;
           Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
-          Alcotest.test_case "invalidate_if" `Quick test_cache_invalidate_if;
+          Alcotest.test_case "drop_file" `Quick test_cache_drop_file;
           Alcotest.test_case "lru order" `Quick test_cache_lru_order;
           Alcotest.test_case "eviction counters" `Quick test_cache_eviction_counters;
           Alcotest.test_case "notify policy" `Quick test_cache_notify_policy;
