@@ -362,6 +362,72 @@ let run_heap_micro () =
   Printf.printf "  engine step+dispatch: %.0f events/sec, %.1f words/event\n%!"
     eng_eps eng_wpe
 
+(* ---- allocation on the remote read path (BENCH_micro.json) ---- *)
+
+(* Words the program has allocated, in the minor heap and directly in the
+   major one. The minor collection first brings the counters up to date
+   (OCaml 5 updates them at collections). *)
+let allocated_words () =
+  Gc.minor ();
+  let s = Gc.quick_stat () in
+  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+
+(* Words allocated per page on the remote read path, trace recording off:
+   a reader at a packless site reads each page of a 128-page file that
+   neither cache holds, a window of 8 per [Read_pages] (an SS cache miss
+   and a disk read, the reply, the US cache fill, and a US hit for the
+   window's other pages), then reads every page again from the US cache.
+   A page is one value from the disk to the reader, so what remains is
+   the bookkeeping of the two cache entries, the reply and the transport;
+   a copy of the page at any tier adds 129 words. *)
+let read_path_words () =
+  let pages = 128 in
+  let w = Experiments.make_world ~n:2 ~packs:[ 0 ] () in
+  Sim.Trace.set_recording (Sim.Engine.trace (World.engine w)) false;
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  let gf = Kernel.creat k0 p0 "/pages" in
+  Kernel.write_file k0 p0 "/pages"
+    (String.init (pages * Page.size) (fun i -> Char.chr (65 + (i / Page.size mod 26))));
+  Experiments.settle_ok w;
+  let k1 = World.kernel w 1 in
+  let o = Us.open_gf k1 gf Proto.Mode_read in
+  let count k name = Sim.Stats.get (K.stats k) name in
+  let round () =
+    K.Ss_cache.clear k0.K.ss_cache;
+    K.Us_cache.clear k1.K.us_cache;
+    let ss_miss = count k0 "cache.ss.miss" and us_hit = count k1 "cache.us.hit" in
+    let before = allocated_words () in
+    for _ = 1 to 2 do
+      for lpage = 0 to pages - 1 do
+        ignore (Us.read_page ~want:(pages - lpage) k1 o lpage)
+      done
+    done;
+    let words = allocated_words () -. before in
+    (* Every page missed the SS cache once; all reads but the first of
+       each window hit the US cache. *)
+    if count k0 "cache.ss.miss" - ss_miss <> pages
+       || count k1 "cache.us.hit" - us_hit <> (2 * pages) - (pages / 8)
+    then failwith "micro: the read path row did not miss and hit the caches as planned";
+    words /. float_of_int pages
+  in
+  ignore (round ());
+  let words = round () in
+  Us.close k1 o;
+  words
+
+(* A page copied anywhere on the read path again fails the micro suite,
+   and so bench-smoke: the path costs about 130 words per page without a
+   copy, and each copy adds 129. *)
+let read_path_bound = 192.0
+
+let check_read_path () =
+  let words = read_path_words () in
+  Report.metric ~experiment:"micro" "read_path.words_per_page" words;
+  Printf.printf "  remote read path: %.1f words per page (need <= %.0f; a page copy is 129)\n%!"
+    words read_path_bound;
+  if words > read_path_bound then
+    failwith (Printf.sprintf "micro: the remote read path allocates %.1f words per page" words)
+
 (* Dropping a file's pages must not grow with the rest of the cache: 16
    times the other entries may cost at most 4 times as much (a scan of
    the whole cache costs about 16 times). Aborts the micro suite, and so
@@ -378,6 +444,7 @@ let drop_flatness estimates =
 
 let run_micro () =
   run_heap_micro ();
+  check_read_path ();
   let open Bechamel in
   Printf.printf "\n== Bechamel micro-benchmarks (host CPU) ==\n%!";
   let tests = micro_tests () in

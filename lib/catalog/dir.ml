@@ -134,13 +134,13 @@ let encode t =
 
 (* The record at byte [at] of [b], which [scan] has checked. *)
 let entry_at b at =
-  let nlen = Bytes.get_uint16_be b (at + 1) in
+  let nlen = String.get_uint16_be b (at + 1) in
   {
-    name = Bytes.sub_string b (at + header) nlen;
-    ino = Int64.to_int (Bytes.get_int64_be b (at + 5));
-    status = (if Bytes.get_uint8 b at = 1 then Live else Tombstone);
-    stamp = Int64.float_of_bits (Bytes.get_int64_be b (at + 13));
-    origin = Bytes.get_uint16_be b (at + 3);
+    name = String.sub b (at + header) nlen;
+    ino = Int64.to_int (String.get_int64_be b (at + 5));
+    status = (if String.get_uint8 b at = 1 then Live else Tombstone);
+    stamp = Int64.float_of_bits (String.get_int64_be b (at + 13));
+    origin = String.get_uint16_be b (at + 3);
   }
 
 (* [f at] for each record among the first [len] bytes of [b], whose byte 0
@@ -149,11 +149,11 @@ let scan b len f =
   let rec go off =
     if off < len then begin
       let page_end = min len ((off / Page.size + 1) * Page.size) in
-      match Bytes.get_uint8 b off with
+      match String.get_uint8 b off with
       | 0 -> go page_end
       | 1 | 2 ->
         if off + header > page_end then failwith "Dir.decode: truncated record";
-        let nlen = Bytes.get_uint16_be b (off + 1) in
+        let nlen = String.get_uint16_be b (off + 1) in
         let stop = off + header + nlen in
         if nlen = 0 || stop > page_end then failwith "Dir.decode: truncated record";
         f off;
@@ -172,9 +172,8 @@ let decode s =
   let len = String.length s in
   (* A record is at least 22 bytes: size the index once. *)
   let t = create (16 + (len / 22)) in
-  let b = Bytes.unsafe_of_string s in
-  scan b len (fun off ->
-      let e = entry_at b off in
+  scan s len (fun off ->
+      let e = entry_at s off in
       if Hashtbl.mem t.index e.name then failwith "Dir.decode: duplicate name";
       append t e);
   t
@@ -198,18 +197,18 @@ module Index = struct
   let hash b off len =
     let h = ref 0x811c9dc5 in
     for i = off to off + len - 1 do
-      h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x100000001b3
+      h := (!h lxor Char.code (String.unsafe_get b i)) * 0x100000001b3
     done;
     !h land (max_int lsr off_bits)
 
   (* Is the record at byte [at] of [page] named by the [n] bytes at [boff]
      of [b]? *)
   let has_name page at b boff n =
-    Bytes.get_uint16_be page (at + 1) = n
+    String.get_uint16_be page (at + 1) = n
     &&
     let rec same i =
       i >= n
-      || Char.equal (Bytes.unsafe_get page (at + header + i)) (Bytes.unsafe_get b (boff + i))
+      || Char.equal (String.unsafe_get page (at + header + i)) (String.unsafe_get b (boff + i))
          && same (i + 1)
     in
     same 0
@@ -256,14 +255,14 @@ module Index = struct
     t.log_end <- max t.log_end (off + header + n)
 
   let find t ~read ~limit name =
-    let b = Bytes.unsafe_of_string name and n = String.length name in
-    probe t ~read ~limit (hash b 0 n) b 0 n
+    let n = String.length name in
+    probe t ~read ~limit (hash name 0 n) name 0 n
 
   let next t name = place t.log_end (record_length name)
 
   let add t name off =
-    let b = Bytes.unsafe_of_string name and n = String.length name in
-    enter t (hash b 0 n) off n
+    let n = String.length name in
+    enter t (hash name 0 n) off n
 
   let build ~read ~size =
     let pages = Array.init ((size + Page.size - 1) / Page.size) read in
@@ -274,7 +273,7 @@ module Index = struct
         scan page
           (min Page.size (size - (lpage * Page.size)))
           (fun at ->
-            let n = Bytes.get_uint16_be page (at + 1) in
+            let n = String.get_uint16_be page (at + 1) in
             let h = hash page (at + header) n in
             if probe t ~read:(Array.get pages) ~limit:size h page (at + header) n <> None
             then failwith "Dir.decode: duplicate name";

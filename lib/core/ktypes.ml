@@ -17,8 +17,6 @@ module Keys =
     (Gfile.Key)
     (struct
       type t = string
-
-      let copy s = s
     end)
 
 (* The US page cache: (file, logical page, version key) -> page. The

@@ -42,8 +42,6 @@ module Lru =
     end)
     (struct
       type t = entry
-
-      let copy e = e (* entries are immutable *)
     end)
 
 type t = {

@@ -46,9 +46,7 @@ module Lru =
   Storage.Lru.Make
     (Gfile.Key)
     (struct
-      type t = entry
-
-      let copy e = e (* shared by reference: riders mutate the same record *)
+      type t = entry (* shared by reference: riders mutate the same record *)
     end)
 
 type t = {

@@ -485,22 +485,22 @@ let rec one_version o read =
   if Vvec.equal vv o.o_info.Proto.i_vv then r else one_version o read
 
 (* Whole-body read, following the SS's eof indications. Each page read
-   wants the pages left to eof. *)
+   wants the pages left to eof. The body goes into one buffer sized from
+   the open's inode, which becomes the result without a copy when the
+   pages fill it exactly; it grows only if the SS serves more. *)
 let read_all k o =
   one_version o (fun () ->
-      let buf = Buffer.create 1024 in
-      let rec loop lpage =
+      let buf = ref (Bytes.create o.o_info.Proto.i_size) in
+      let rec loop lpage at =
         let data, eof = read_page ~want:(npages_of o - lpage) k o lpage in
-        Buffer.add_string buf data;
-        if (not eof) && String.length data > 0 then loop (lpage + 1)
+        let n = String.length data in
+        if at + n > Bytes.length !buf then
+          buf := Bytes.extend !buf 0 (max (at + n) (2 * Bytes.length !buf) - Bytes.length !buf);
+        Bytes.blit_string data 0 !buf at n;
+        if (not eof) && n > 0 then loop (lpage + 1) (at + n) else at + n
       in
-      if o.o_info.Proto.i_size > 0 || Site.equal o.o_ss k.site then loop 0;
-      Buffer.contents buf)
-
-(* One page of zeroes, shared by every sparse/short-page gap below: a gap
-   never exceeds the page size, so [Buffer.add_substring] of this covers
-   any gap without allocating a fresh string per hole. *)
-let blank_page = String.make Page.size '\000'
+      let len = if o.o_info.Proto.i_size > 0 || Site.equal o.o_ss k.site then loop 0 0 else 0 in
+      if len = Bytes.length !buf then Bytes.unsafe_to_string !buf else Bytes.sub_string !buf 0 len)
 
 (* Read up to [len] bytes starting at byte [off] (fd-style read). Each
    page read wants the pages left in the range. *)
@@ -517,14 +517,14 @@ let read_bytes k o ~off ~len =
         let data, eof = read_page ~want:(last - lpage + 1) k o lpage in
         let avail = max 0 (String.length data - poff) in
         let take = min remaining avail in
-        if take > 0 then Buffer.add_string buf (String.sub data poff take);
+        if take > 0 then Buffer.add_substring buf data poff take;
         if not eof then begin
           (* A short or sparse mid-file page reads as zeroes out to the page
              boundary; keep going into the next page rather than silently
              returning short data. *)
           let page_room = Page.size - poff in
           let gap = min (remaining - take) (page_room - avail) in
-          if gap > 0 then Buffer.add_substring buf blank_page 0 gap;
+          if gap > 0 then Buffer.add_substring buf Page.blank 0 gap;
           loop (abs + take + gap) (remaining - take - gap)
         end
       end

@@ -1,5 +1,5 @@
 (* LRU buffer cache: the generic recency-list core of {!Lru} instantiated
-   at whole pages. [Page.copy] on the way in and out keeps the cache's
-   buffers isolated from the caller's. *)
+   at whole pages. Pages are immutable, so the cache holds the page it was
+   given and a hit returns that same value: no tier copies a page. *)
 
 module Make (K : Lru.KEY) = Lru.Make (K) (Page)

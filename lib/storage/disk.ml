@@ -37,7 +37,7 @@ let alloc t =
         a
       end
   in
-  t.pages.(addr) <- Some (Page.blank ());
+  t.pages.(addr) <- Some (Page.blank);
   t.used <- t.used + 1;
   addr
 
@@ -60,7 +60,7 @@ let read t addr =
   | None -> invalid_arg "Disk.read: page not allocated"
   | Some p ->
     t.reads <- t.reads + 1;
-    Page.copy p
+    p
 
 let write t addr page =
   check t addr;
@@ -68,7 +68,7 @@ let write t addr page =
   | None -> invalid_arg "Disk.write: page not allocated"
   | Some _ ->
     t.writes <- t.writes + 1;
-    t.pages.(addr) <- Some (Page.copy page)
+    t.pages.(addr) <- Some page
 
 let is_allocated t addr =
   addr > 0 && addr < Array.length t.pages && t.pages.(addr) <> None

@@ -19,9 +19,10 @@ val free : t -> addr -> unit
 (** Release a page. Double frees raise [Invalid_argument]. *)
 
 val read : t -> addr -> Page.t
-(** Returns a copy of the page contents. *)
+(** The stored page itself: pages are immutable, so no copy is taken. *)
 
 val write : t -> addr -> Page.t -> unit
+(** Stores the page it is given, not a copy. *)
 
 val is_allocated : t -> addr -> bool
 

@@ -10,8 +10,8 @@
    The core is generic over the key and the cached value: the buffer
    caches ({!Cache}, holding pages), the pathname name cache (holding
    directory links) and the kernel's per-file tables are all instances.
-   [V.copy] isolates the cache's copy of a value from the caller's —
-   identity for immutable values. *)
+   A value is held and returned by reference, never copied: pages are
+   immutable, and the other instances share their records on purpose. *)
 
 module type KEY = sig
   type t
@@ -25,8 +25,6 @@ end
 
 module type VALUE = sig
   type t
-
-  val copy : t -> t
 end
 
 module type S = sig
@@ -149,7 +147,7 @@ module Make (K : KEY) (V : VALUE) = struct
     | Some n ->
       t.hits <- t.hits + 1;
       touch t n;
-      Some (V.copy n.n_value)
+      Some n.n_value
     | None ->
       t.misses <- t.misses + 1;
       None
@@ -194,10 +192,10 @@ module Make (K : KEY) (V : VALUE) = struct
   let insert t key value =
     match Tbl.find_opt t.table key with
     | Some n ->
-      n.n_value <- V.copy value;
+      n.n_value <- value;
       touch t n
     | None ->
-      let n = make_node t key (V.copy value) in
+      let n = make_node t key value in
       Tbl.add t.table key n;
       push_front t n;
       while Tbl.length t.table > t.capacity do

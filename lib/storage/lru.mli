@@ -21,10 +21,8 @@ end
 
 module type VALUE = sig
   type t
-
-  val copy : t -> t
-  (** Isolates the cache's copy of a value from the caller's (pages are
-      mutable buffers); the identity for immutable values. *)
+  (** Held and returned by reference, never copied: a page is immutable,
+      and the other instances share their records on purpose. *)
 end
 
 module type S = sig
@@ -40,15 +38,16 @@ module type S = sig
       on non-positive capacity. *)
 
   val find : t -> key -> value option
-  (** Hit moves the entry to most-recently-used and returns a copy. Counts
-      toward {!hits}/{!misses}. *)
+  (** Hit moves the entry to most-recently-used and returns the value
+      inserted (the same value, not a copy). Counts toward
+      {!hits}/{!misses}. *)
 
   val mem : t -> key -> bool
   (** Presence probe: no recency update, no counter update. *)
 
   val insert : t -> key -> value -> unit
-  (** Insert (or refresh) a copy of the value, evicting the least recently
-      used entry if over capacity. *)
+  (** Insert (or refresh) the value, evicting the least recently used
+      entry if over capacity. *)
 
   val invalidate : t -> key -> unit
 

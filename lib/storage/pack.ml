@@ -73,15 +73,13 @@ let page_addr t inode lpage =
 let reader t inode =
   let indirect = indirect_page t inode in
   fun lpage ->
-    match addr_in inode ~indirect lpage with 0 -> Page.blank () | a -> Disk.read t.disk a
+    match addr_in inode ~indirect lpage with 0 -> Page.blank | a -> Disk.read t.disk a
 
 let write_indirect t table_tail =
   if Array.length table_tail <> Inode.indirect_capacity then
     invalid_arg "Pack.write_indirect: wrong table length";
   let addr = Disk.alloc t.disk in
-  let page = Page.blank () in
-  Array.iteri (fun i a -> Page.set_u32 page (4 * i) a) table_tail;
-  Disk.write t.disk addr page;
+  Disk.write t.disk addr (Page.of_u32s table_tail);
   addr
 
 let read_string t inode =

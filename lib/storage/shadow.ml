@@ -45,7 +45,7 @@ let read_page t lpage =
   check_active t;
   check_lpage lpage;
   let addr = t.table.(lpage) in
-  if addr = 0 then Page.blank () else Disk.read (disk t) addr
+  if addr = 0 then Page.blank else Disk.read (disk t) addr
 
 (* Ensure lpage has a shadow page; returns its address. After the first
    modification the shadow page is reused in place (section 2.3.6). *)
@@ -74,8 +74,7 @@ let patch_page t ~lpage ~off data =
   check_lpage lpage;
   if off < 0 || off + String.length data > Page.size then
     invalid_arg "Shadow.patch_page: out of page bounds";
-  let page = read_page t lpage in
-  Page.blit_string data page off;
+  let page = Page.patch (read_page t lpage) off data in
   let addr = shadow_addr t lpage in
   Disk.write (disk t) addr page;
   let wanted = (lpage * Page.size) + off + String.length data in
@@ -124,8 +123,9 @@ let truncate t size =
     if tail_off > 0 then begin
       let lpage = size / Page.size in
       if t.table.(lpage) <> 0 then begin
-        let page = read_page t lpage in
-        Page.blit_string (String.make (Page.size - tail_off) '\000') page tail_off;
+        let page =
+          Page.patch (read_page t lpage) tail_off (String.make (Page.size - tail_off) '\000')
+        in
         let addr = shadow_addr t lpage in
         Disk.write (disk t) addr page
       end

@@ -30,8 +30,10 @@ val write_page : t -> lpage:int -> Page.t -> unit
     file. *)
 
 val patch_page : t -> lpage:int -> off:int -> string -> unit
-(** Partial-page change: the old page is read, the changed bytes entered,
-    and the result written to the shadow page. *)
+(** Partial-page change: the old page is read and a new page, the old one
+    with the changed bytes entered ({!Page.patch}), is written to the
+    shadow page. The committed page is left as it was, so a reader holding
+    it keeps the old bytes. *)
 
 val set_contents : t -> string -> unit
 (** Replace the whole file body (the common Unix whole-file overwrite). *)

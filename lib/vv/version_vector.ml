@@ -47,13 +47,22 @@ let conflict a b = compare_vv a b = Concurrent
 
 let equal a b = compare_vv a b = Equal
 
-let pp ppf t =
-  let comps = to_list t in
-  Format.fprintf ppf "<%a>"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-       (fun ppf (s, n) -> Format.fprintf ppf "%d:%d" s n))
-    comps
+(* Rendered with a [Buffer], not a formatter: it keys caches on every
+   open and commit. *)
+let to_string t =
+  let b = Buffer.create 16 in
+  Buffer.add_char b '<';
+  Imap.iter
+    (fun s n ->
+      if Buffer.length b > 1 then Buffer.add_char b ',';
+      Buffer.add_string b (string_of_int s);
+      Buffer.add_char b ':';
+      Buffer.add_string b (string_of_int n))
+    t;
+  Buffer.add_char b '>';
+  Buffer.contents b
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let pp_order ppf = function
   | Equal -> Format.pp_print_string ppf "equal"
@@ -61,4 +70,3 @@ let pp_order ppf = function
   | Dominated -> Format.pp_print_string ppf "dominated"
   | Concurrent -> Format.pp_print_string ppf "concurrent"
 
-let to_string t = Format.asprintf "%a" pp t

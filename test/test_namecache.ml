@@ -305,8 +305,6 @@ module Slru =
     end)
     (struct
       type t = int
-
-      let copy v = v
     end)
 
 let test_lru_filter_out () =

@@ -1216,8 +1216,6 @@ module Ilru =
     end)
     (struct
       type t = int
-
-      let copy x = x
     end)
 
 (* Lru against an MRU-ordered list model with explicit capacity: recency

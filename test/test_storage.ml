@@ -46,21 +46,30 @@ let check = Alcotest.check
 (* ---- pages ---- *)
 
 let test_page_codec () =
-  let p = Page.blank () in
-  Page.set_u32 p 0 0;
-  Page.set_u32 p 4 123456789;
-  Page.set_u32 p 8 0xFFFFFFFF;
+  let p = Page.of_u32s [| 0; 123456789; 0xFFFFFFFF |] in
+  check Alcotest.int "page size" Page.size (String.length p);
   check Alcotest.int "zero" 0 (Page.get_u32 p 0);
   check Alcotest.int "value" 123456789 (Page.get_u32 p 4);
-  check Alcotest.int "max" 0xFFFFFFFF (Page.get_u32 p 8)
+  check Alcotest.int "max" 0xFFFFFFFF (Page.get_u32 p 8);
+  check Alcotest.int "zero past the words" 0 (Page.get_u32 p 12)
+
+let test_page_patch () =
+  let p = Page.of_string "hello" in
+  let q = Page.patch p 1 "ip" in
+  check Alcotest.string "patched" "hiplo" (Page.sub q 0 5);
+  check Alcotest.string "original kept" "hello" (Page.sub p 0 5);
+  check Alcotest.int "page size" Page.size (String.length q);
+  match Page.patch p (Page.size - 1) "xy" with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a patch past the page must raise"
 
 let test_page_of_string () =
   let p = Page.of_string "hello" in
   check Alcotest.string "prefix" "hello" (Page.sub p 0 5);
-  check Alcotest.int "padded to size" Page.size (String.length (Page.to_string p));
+  check Alcotest.int "padded to size" Page.size (String.length p);
   let long = String.make (Page.size + 100) 'x' in
   let p2 = Page.of_string long in
-  check Alcotest.int "truncated" Page.size (String.length (Page.to_string p2))
+  check Alcotest.int "truncated" Page.size (String.length p2)
 
 (* ---- disk ---- *)
 
@@ -279,6 +288,85 @@ let test_shadow_modified_lpages () =
   check Alcotest.(list int) "modified pages sorted" [ 0; 2 ] (Shadow.modified_lpages s);
   Shadow.abort s
 
+(* A file with no indirect page grown past its direct slots in one
+   session maps every page through a new indirect page. *)
+let test_shadow_grow_past_direct () =
+  let pack = make_pack () in
+  let page i = String.make Page.size (Char.chr (65 + i)) in
+  let _ = install pack ~ino:2 (String.concat "" (List.init 8 page)) in
+  check Alcotest.int "no indirect yet" 0 (Pack.get_inode pack 2).Inode.indirect;
+  let s = Shadow.begin_modify pack 2 in
+  for lpage = 8 to 19 do
+    Shadow.write_page s ~lpage (page lpage)
+  done;
+  Shadow.patch_page s ~lpage:3 ~off:1 "x";
+  Shadow.commit s ~vv:(Vvec.bump Vvec.zero 0) ~mtime:2.0;
+  let inode = Pack.get_inode pack 2 in
+  check Alcotest.bool "indirect allocated" true (inode.Inode.indirect <> 0);
+  let want = Bytes.of_string (String.concat "" (List.init 20 page)) in
+  Bytes.set want ((3 * Page.size) + 1) 'x';
+  check Alcotest.string "20 pages read back" (Bytes.to_string want)
+    (Pack.read_string pack inode);
+  check Alcotest.int "fsck clean" 0 (List.length (Pack.fsck pack))
+
+let test_shadow_truncate_to_direct () =
+  let pack = make_pack () in
+  let body = String.init (20 * Page.size) (fun i -> Char.chr (65 + (i / Page.size))) in
+  let _ = install pack ~ino:2 body in
+  let size = (4 * Page.size) - 100 in
+  let s = Shadow.begin_modify pack 2 in
+  Shadow.truncate s size;
+  Shadow.commit s ~vv:(Vvec.bump Vvec.zero 0) ~mtime:2.0;
+  let inode = Pack.get_inode pack 2 in
+  check Alcotest.int "indirect released" 0 inode.Inode.indirect;
+  check Alcotest.string "4 pages read back" (String.sub body 0 size) (Pack.read_string pack inode);
+  check Alcotest.int "fsck clean" 0 (List.length (Pack.fsck pack));
+  (* The cut tail of the last page reads as zeroes once the file grows. *)
+  let s = Shadow.begin_modify pack 2 in
+  Shadow.set_size s (4 * Page.size);
+  Shadow.commit s ~vv:(Vvec.bump Vvec.zero 0) ~mtime:3.0;
+  check Alcotest.string "zeroed tail" (String.sub body 0 size ^ String.make 100 '\000')
+    (Pack.read_string pack (Pack.get_inode pack 2));
+  check Alcotest.int "fsck clean after growing" 0 (List.length (Pack.fsck pack))
+
+(* ---- shared pages ---- *)
+
+(* Pages are immutable values: the disk stores the page it is given and a
+   cache hit returns the page inserted, so no tier copies one. *)
+let test_pages_shared () =
+  let d = Disk.create ~pages:4 () in
+  let a = Disk.alloc d in
+  let p = Page.of_string (String.make Page.size 'p') in
+  check Alcotest.bool "a whole page is not copied in" true (Page.of_string p == p);
+  Disk.write d a p;
+  check Alcotest.bool "disk read returns the page written" true (Disk.read d a == p);
+  check Alcotest.bool "a whole-page sub is the page" true (Page.sub p 0 Page.size == p);
+  let c = Pcache.create ~capacity:4 () in
+  Pcache.insert c ("f", 0) p;
+  match Pcache.find c ("f", 0) with
+  | Some q -> check Alcotest.bool "cache find returns the page inserted" true (q == p)
+  | None -> Alcotest.fail "expected a hit"
+
+(* A patch makes a new shadow page: a committed page a reader already
+   holds keeps its bytes, and readers of the committed inode see the old
+   bytes until the commit. *)
+let test_patch_keeps_committed_page () =
+  let pack = make_pack () in
+  let inode = install pack ~ino:2 "abcdefghij" in
+  let held = Pack.reader pack inode 0 in
+  let s = Shadow.begin_modify pack 2 in
+  Shadow.patch_page s ~lpage:0 ~off:3 "XYZ";
+  check Alcotest.string "session sees the patch" "abcXYZghij"
+    (Page.sub (Shadow.read_page s 0) 0 10);
+  check Alcotest.string "the held page keeps its bytes" "abcdefghij" (Page.sub held 0 10);
+  check Alcotest.string "readers see the old bytes before the commit" "abcdefghij"
+    (Pack.read_string pack (Pack.get_inode pack 2));
+  Shadow.commit s ~vv:(Vvec.bump Vvec.zero 0) ~mtime:2.0;
+  check Alcotest.string "readers see the patch after it" "abcXYZghij"
+    (Pack.read_string pack (Pack.get_inode pack 2));
+  check Alcotest.string "the held page still keeps its bytes" "abcdefghij"
+    (Page.sub held 0 10)
+
 (* ---- cache ---- *)
 
 let test_fsck_clean_pack () =
@@ -420,6 +508,10 @@ let () =
         [
           Alcotest.test_case "u32 codec" `Quick test_page_codec;
           Alcotest.test_case "of_string" `Quick test_page_of_string;
+          Alcotest.test_case "patch" `Quick test_page_patch;
+          Alcotest.test_case "pages are shared, not copied" `Quick test_pages_shared;
+          Alcotest.test_case "a patch leaves the committed page as it was" `Quick
+            test_patch_keeps_committed_page;
         ] );
       ( "disk",
         [
@@ -445,6 +537,8 @@ let () =
           Alcotest.test_case "crash before switch" `Quick test_shadow_crash_before_switch;
           Alcotest.test_case "delete mark" `Quick test_shadow_delete_mark;
           Alcotest.test_case "modified pages" `Quick test_shadow_modified_lpages;
+          Alcotest.test_case "grow 8 pages to 20" `Quick test_shadow_grow_past_direct;
+          Alcotest.test_case "truncate 20 pages to 4" `Quick test_shadow_truncate_to_direct;
         ] );
       ( "fsck",
         [

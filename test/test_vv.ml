@@ -44,6 +44,12 @@ let test_paper_example () =
   let f2 = Vvec.bump base 2 in
   check Alcotest.bool "independent updates conflict" true (Vvec.conflict f1 f2)
 
+(* The printed form keys the kernel's caches, so it must not drift. *)
+let test_to_string () =
+  check Alcotest.string "empty" "<>" (Vvec.to_string Vvec.zero);
+  let v = Vvec.of_list [ (12, 3); (0, 1_000_000); (5, 0) ] in
+  check Alcotest.string "sorted, zeroes dropped" "<0:1000000,12:3>" (Vvec.to_string v)
+
 (* ---- properties ---- *)
 
 let sites = QCheck.Gen.oneofl [ 0; 1; 2; 3; 4 ]
@@ -124,6 +130,7 @@ let () =
           Alcotest.test_case "merge resolves" `Quick test_merge_resolves;
           Alcotest.test_case "of_list" `Quick test_of_list_roundtrip;
           Alcotest.test_case "paper example" `Quick test_paper_example;
+          Alcotest.test_case "to_string" `Quick test_to_string;
         ] );
       ("properties", props);
     ]
