@@ -428,6 +428,42 @@ let check_read_path () =
   if words > read_path_bound then
     failwith (Printf.sprintf "micro: the remote read path allocates %.1f words per page" words)
 
+(* Words allocated per insert into a full US cache, each evicting the
+   least recent page. The keys are built before the loop, so what the
+   loop allocates is the cache's own: a slot of the slab is reused in
+   place, while a pointer node and a hashtable bucket cell per entry are
+   at least 12 words. Over 4 aborts the micro suite, and so bench-smoke. *)
+let insert_evict_bound = 4.0
+
+let insert_evict_words () =
+  let capacity = 1024 and n = 4096 and rounds = 8 in
+  let c = K.Us_cache.create ~capacity () in
+  let page = Page.of_string "p" and old = "<1:1>" in
+  let keys =
+    Array.init n (fun i -> (Catalog.Gfile.make ~fg:1 ~ino:(100 + (i / 16)), i mod 16, old))
+  in
+  (* Fill the cache: every later insert finds it full and its key gone. *)
+  Array.iter (fun key -> K.Us_cache.insert c key page) keys;
+  let evictions = K.Us_cache.evictions c in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    for i = 0 to n - 1 do
+      K.Us_cache.insert c keys.(i) page
+    done
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if K.Us_cache.evictions c - evictions <> rounds * n then
+    failwith "micro: the insert row did not evict on every insert";
+  words /. float_of_int (rounds * n)
+
+let check_insert_evict () =
+  let words = insert_evict_words () in
+  Report.metric ~experiment:"micro" "lru.insert_evict.words" words;
+  Printf.printf "  US cache insert that evicts: %.1f words (need <= %.0f)\n%!" words
+    insert_evict_bound;
+  if words > insert_evict_bound then
+    failwith (Printf.sprintf "micro: a cache insert that evicts allocates %.1f words" words)
+
 (* Dropping a file's pages must not grow with the rest of the cache: 16
    times the other entries may cost at most 4 times as much (a scan of
    the whole cache costs about 16 times). Aborts the micro suite, and so
@@ -445,6 +481,7 @@ let drop_flatness estimates =
 let run_micro () =
   run_heap_micro ();
   check_read_path ();
+  check_insert_evict ();
   let open Bechamel in
   Printf.printf "\n== Bechamel micro-benchmarks (host CPU) ==\n%!";
   let tests = micro_tests () in

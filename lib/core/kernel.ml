@@ -17,7 +17,11 @@ type t = Ktypes.t
 let create ~site ~machine_type ~engine ~net ~mount ~fg_table ?(config = default_config)
     () =
   let stats = Sim.Engine.stats engine in
-  let on_evict counter _ = Sim.Stats.incr stats counter in
+  let counter = Sim.Stats.counter stats in
+  let on_evict name =
+    let c = counter name in
+    fun _ _ -> Sim.Stats.cincr c
+  in
   let hint = table_size net in
   let k =
     {
@@ -56,6 +60,13 @@ let create ~site ~machine_type ~engine ~net ~mount ~fg_table ?(config = default_
       site_set = Site.Set.singleton site;
       alive = true;
       recon_stage = 0;
+      hot =
+        {
+          hc_us_hit = counter "cache.us.hit";
+          hc_us_miss = counter "cache.us.miss";
+          hc_ss_hit = counter "cache.ss.hit";
+          hc_ss_miss = counter "cache.ss.miss";
+        };
     }
   in
   k.dispatch <- (fun src req -> Dispatch.handle k ~src req);

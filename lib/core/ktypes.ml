@@ -245,6 +245,15 @@ type pull = {
 
 (* ---- the kernel ---- *)
 
+(* Counters the per-page paths bump, resolved once (see Netsim's
+   [hot_stats]): [Stats.incr] hashes its name on every call. *)
+type hot_counters = {
+  hc_us_hit : Sim.Stats.counter;  (* cache.us.hit *)
+  hc_us_miss : Sim.Stats.counter; (* cache.us.miss *)
+  hc_ss_hit : Sim.Stats.counter;  (* cache.ss.hit *)
+  hc_ss_miss : Sim.Stats.counter; (* cache.ss.miss *)
+}
+
 type t = {
   site : Site.t;
   machine_type : string; (* cpu type, selects hidden-directory entries (2.4.1) *)
@@ -292,6 +301,7 @@ type t = {
                                        [set_sites] *)
   mutable alive : bool;
   mutable recon_stage : int; (* reconfiguration stage, for section 5.7 ordering *)
+  hot : hot_counters;
 }
 
 let now k = Engine.now k.engine

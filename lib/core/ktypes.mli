@@ -15,7 +15,7 @@ module Gfile = Catalog.Gfile
 module Keys : sig
   type t
 
-  val create : ?on_evict:(Gfile.t -> unit) -> capacity:int -> unit -> t
+  val create : ?on_evict:(Gfile.t -> string -> unit) -> capacity:int -> unit -> t
 
   val find : t -> Gfile.t -> string option
 
@@ -242,6 +242,15 @@ type pull = {
 
 (** {1 The kernel} *)
 
+(** Counters the per-page paths bump, resolved once when the kernel is
+    created: {!Sim.Stats.incr} hashes its name on every call. *)
+type hot_counters = {
+  hc_us_hit : Sim.Stats.counter; (** [cache.us.hit] *)
+  hc_us_miss : Sim.Stats.counter; (** [cache.us.miss] *)
+  hc_ss_hit : Sim.Stats.counter; (** [cache.ss.hit] *)
+  hc_ss_miss : Sim.Stats.counter; (** [cache.ss.miss] *)
+}
+
 type t = {
   site : Site.t;
   machine_type : string; (** cpu type; selects hidden-directory entries *)
@@ -291,6 +300,7 @@ type t = {
           through {!set_sites} only *)
   mutable alive : bool;
   mutable recon_stage : int; (** reconfiguration stage, for §5.7 ordering *)
+  hot : hot_counters;
 }
 
 (** {1 Helpers} *)

@@ -46,21 +46,22 @@ module Lru =
 
 type t = {
   cache : Lru.t option; (* None: disabled (capacity 0) *)
-  stats : Sim.Stats.t;
+  hit : Sim.Stats.counter;
+  miss : Sim.Stats.counter;
+  fill : Sim.Stats.counter;
+  invalidate : Sim.Stats.counter;
 }
 
-let count t what = Sim.Stats.incr t.stats ("name.cache." ^ what)
-
 let create ~stats ~capacity () =
+  let counter what = Sim.Stats.counter stats ("name.cache." ^ what) in
   let cache =
     if capacity <= 0 then None
     else
-      Some
-        (Lru.create
-           ~on_evict:(fun _ -> Sim.Stats.incr stats "name.cache.evict")
-           ~capacity ())
+      let evict = counter "evict" in
+      Some (Lru.create ~on_evict:(fun _ _ -> Sim.Stats.cincr evict) ~capacity ())
   in
-  { cache; stats }
+  { cache; hit = counter "hit"; miss = counter "miss"; fill = counter "fill";
+    invalidate = counter "invalidate" }
 
 let find t ~dir ~comp ~current_vv =
   match t.cache with
@@ -68,7 +69,7 @@ let find t ~dir ~comp ~current_vv =
   | Some c -> (
     match Lru.find c (dir, comp) with
     | None ->
-      count t "miss";
+      Sim.Stats.cincr t.miss;
       None
     | Some e -> (
       (* [current_vv] is the directory's version as locally known (None
@@ -77,18 +78,18 @@ let find t ~dir ~comp ~current_vv =
       match current_vv with
       | Some vv when not (Vvec.equal vv e.nc_vv) ->
         Lru.invalidate c (dir, comp);
-        count t "invalidate";
-        count t "miss";
+        Sim.Stats.cincr t.invalidate;
+        Sim.Stats.cincr t.miss;
         None
       | Some _ | None ->
-        count t "hit";
+        Sim.Stats.cincr t.hit;
         Some e))
 
 let insert t ~dir ~comp entry =
   match t.cache with
   | None -> ()
   | Some c ->
-    count t "fill";
+    Sim.Stats.cincr t.fill;
     Lru.insert c (dir, comp) entry
 
 (* Annotate an existing link with the child's type, learned later in the
@@ -109,7 +110,7 @@ let drop t how =
   | None -> ()
   | Some c ->
     let dropped = how c in
-    if dropped > 0 then Sim.Stats.add t.stats "name.cache.invalidate" dropped
+    if dropped > 0 then Sim.Stats.cadd t.invalidate dropped
 
 (* The directory committed at [vv]: every link recorded under a different
    version is superseded. Links already recorded under [vv] stay. *)
@@ -129,7 +130,7 @@ let clear t =
   | None -> ()
   | Some c ->
     let n = Lru.length c in
-    if n > 0 then Sim.Stats.add t.stats "name.cache.invalidate" n;
+    if n > 0 then Sim.Stats.cadd t.invalidate n;
     Lru.clear c
 
 let length t = match t.cache with None -> 0 | Some c -> Lru.length c

@@ -51,37 +51,33 @@ module Lru =
 
 type t = {
   cache : Lru.t option; (* None: disabled (0 entries) *)
-  tbl : (Gfile.t, entry) Hashtbl.t; (* mirror, for value recovery on eviction *)
-  stats : Sim.Stats.t;
+  hit : Sim.Stats.counter;
+  miss : Sim.Stats.counter;
+  break : Sim.Stats.counter;
   on_dead : (entry -> unit) ref;
   (* deferred-close sender, installed by [Kernel.create]; called exactly
      once per entry, when the lease is dead and no local open rides it *)
 }
 
-let count t what = Sim.Stats.incr t.stats ("open.lease." ^ what)
-
 let create ~stats ~capacity () =
-  let tbl = Hashtbl.create 32 in
+  let counter what = Sim.Stats.counter stats ("open.lease." ^ what) in
   let on_dead = ref (fun (_ : entry) -> ()) in
   let cache =
     if capacity <= 0 then None
     else
+      let evict = counter "evict" in
       Some
         (Lru.create
-           ~on_evict:(fun gf ->
+           ~on_evict:(fun _ e ->
              (* Capacity eviction: one batched close travels now — unless
                 an open still rides the grant, in which case the last
                 riding close sends it. *)
-             Sim.Stats.incr stats "open.lease.evict";
-             match Hashtbl.find_opt tbl gf with
-             | None -> ()
-             | Some e ->
-               Hashtbl.remove tbl gf;
-               e.le_broken <- true;
-               if e.le_active <= 0 then !on_dead e)
+             Sim.Stats.cincr evict;
+             e.le_broken <- true;
+             if e.le_active <= 0 then !on_dead e)
            ~capacity ())
   in
-  { cache; tbl; stats; on_dead }
+  { cache; hit = counter "hit"; miss = counter "miss"; break = counter "break"; on_dead }
 
 let enabled t = t.cache <> None
 
@@ -89,7 +85,7 @@ let set_on_dead t f = t.on_dead := f
 
 let length t = match t.cache with None -> 0 | Some c -> Lru.length c
 
-let find_entry t gf = Hashtbl.find_opt t.tbl gf
+let find_entry t gf = match t.cache with None -> None | Some c -> Lru.peek c gf
 
 (* Warm re-open: take a ride on a live lease. Touches recency and counts
    hit/miss. The caller is responsible for only asking on lease-eligible
@@ -101,24 +97,26 @@ let acquire t gf =
   | Some c -> (
     match Lru.find c gf with
     | None ->
-      count t "miss";
+      Sim.Stats.cincr t.miss;
       None
     | Some e ->
-      count t "hit";
+      Sim.Stats.cincr t.hit;
       e.le_active <- e.le_active + 1;
       Some e)
 
 (* Kill the lease on [gf]: remove it so no re-open can ride it, and send
    the deferred close now (idle) or at the last riding close (active). *)
 let kill t gf =
-  match Hashtbl.find_opt t.tbl gf with
+  match t.cache with
   | None -> ()
-  | Some e ->
-    Hashtbl.remove t.tbl gf;
-    (match t.cache with Some c -> Lru.invalidate c gf | None -> ());
-    count t "break";
-    e.le_broken <- true;
-    if e.le_active <= 0 then !(t.on_dead) e
+  | Some c -> (
+    match Lru.peek c gf with
+    | None -> ()
+    | Some e ->
+      Lru.invalidate c gf;
+      Sim.Stats.cincr t.break;
+      e.le_broken <- true;
+      if e.le_active <= 0 then !(t.on_dead) e)
 
 (* Register a fresh grant (the cold open that carried it is its first
    rider). A live entry under the same key would mean a lost break
@@ -128,7 +126,6 @@ let insert t e =
   | None -> ()
   | Some c ->
     kill t e.le_gf;
-    Hashtbl.replace t.tbl e.le_gf e;
     Lru.insert c e.le_gf e
 
 (* A commit notification for [gf] observed locally: any lease granted on
@@ -146,6 +143,10 @@ let note_commit t gf vv =
    SS registrations no open backs. An open still riding a dropped lease sees
    it broken and sends its one close when it closes. *)
 let clear t =
-  Hashtbl.iter (fun _ e -> e.le_broken <- true) t.tbl;
-  Hashtbl.reset t.tbl;
-  match t.cache with None -> () | Some c -> Lru.clear c
+  match t.cache with
+  | None -> ()
+  | Some c ->
+    ignore
+      (Lru.filter_out c (fun _ e ->
+           e.le_broken <- true;
+           true))

@@ -55,10 +55,10 @@ let cached_pack_page k ~read gf lpage =
     let key = (gf, lpage) in
     match Ss_cache.find k.ss_cache key with
     | Some page ->
-      Sim.Stats.incr (stats k) "cache.ss.hit";
+      Sim.Stats.cincr k.hot.hc_ss_hit;
       page
     | None ->
-      Sim.Stats.incr (stats k) "cache.ss.miss";
+      Sim.Stats.cincr k.hot.hc_ss_miss;
       charge_disk_read k;
       let page = read lpage in
       Ss_cache.insert k.ss_cache key page;

@@ -431,12 +431,12 @@ let read_cached k o lpage ~sequential ~want =
   let data, eof =
     match Us_cache.find k.us_cache (cache_key o lpage) with
     | Some page ->
-      Sim.Stats.incr (stats k) "cache.us.hit";
+      Sim.Stats.cincr k.hot.hc_us_hit;
       let size = o.o_info.Proto.i_size in
       let len = max 0 (min Page.size (size - (lpage * Page.size))) in
       (Page.sub page 0 len, (lpage + 1) * Page.size >= size)
     | None ->
-      Sim.Stats.incr (stats k) "cache.us.miss";
+      Sim.Stats.cincr k.hot.hc_us_miss;
       let want = min want k.config.bulk_window in
       let run limit =
         max 1 (run_length k o ~from:lpage ~limit:(min limit (npages_of o - lpage)))

@@ -20,10 +20,12 @@ let create () =
    API below stays for reports and cold paths. *)
 type counter = int ref
 
+(* [find], not [find_opt]: a by-name bump of an existing counter then
+   allocates no option. *)
 let counter t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r
-  | None ->
+  match Hashtbl.find t.counters name with
+  | r -> r
+  | exception Not_found ->
     let r = ref 0 in
     Hashtbl.add t.counters name r;
     r

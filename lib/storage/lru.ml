@@ -1,17 +1,40 @@
-(* O(1) LRU with a per-file index: a hashtable from key to node, an
-   intrusive doubly linked recency ring (the most recent entry's newer
-   neighbour is the least recent, the next eviction victim), and a ring
-   per file through that file's entries, found by the file's number in a
-   second table. A node alone in a ring links to itself, so keeping the
-   rings allocates nothing but a file's first entry. Every operation is
-   constant time except [drop_file], which walks one file's ring,
-   [filter_out], which walks the recency ring, and [clear].
+(* O(1) LRU with a per-file index, laid out as a slab: the layout of
+   {!Sim.Eheap}. An entry is a slot, an index into parallel arrays: its
+   key and value, its neighbours in the recency ring ([older]/[newer]:
+   the most recent entry's newer neighbour is the least recent, the next
+   eviction victim) and in its file's ring ([fprev]/[fnext]), and the
+   mixed hashes of its key and of its file. Two open-addressing [int]
+   tables find a slot: the key index, by key, and the file index, from a
+   file's number to one entry of that file's ring. So a hit, an insert
+   that evicts, an invalidation or a drop relinks [int]s only: it
+   allocates nothing but [find]'s [Some], and the only pointers it stores
+   are the new key and value and the filler that clears a vacated slot.
 
-   The core is generic over the key and the cached value: the buffer
-   caches ({!Cache}, holding pages), the pathname name cache (holding
-   directory links) and the kernel's per-file tables are all instances.
-   A value is held and returned by reference, never copied: pages are
-   immutable, and the other instances share their records on purpose. *)
+   The slot arrays are created at the first insert, filled with that
+   entry's key and value (the filler: one key and value kept alive for
+   the cache's lifetime), and a vacated slot is reset to the filler, so an
+   evicted page is not retained. They start at 8 slots and double up to
+   one more than the capacity (an insert files the new entry, then
+   evicts), rebuilding both tables at each doubling; a cache that never
+   fills never pays for its capacity. Freed slots are a free list
+   threaded through [newer].
+
+   Both tables probe linearly from the top bits of the hash times a
+   63-bit Fibonacci constant (a [Gfile.id]'s low bits are the inode's
+   alone), hold [slot + 1] with 0 for empty, are at least twice the
+   slots, and delete by shifting later cells of the probe run back
+   instead of leaving tombstones, so a probe run never outgrows the
+   entries in it. Multiplying by an odd constant is a bijection, so equal
+   mixed file hashes are equal files.
+
+   Every operation is constant time except [drop_file], which walks one
+   file's ring, [filter_out], which walks the recency ring, and [clear],
+   O(slots). The core is generic over the key and the cached value: the
+   buffer caches ({!Cache}, holding pages), the pathname name cache
+   (holding directory links) and the kernel's per-file tables are all
+   instances. A value is held and returned by reference, never copied:
+   pages are immutable, and the other instances share their records on
+   purpose. *)
 
 module type KEY = sig
   type t
@@ -34,9 +57,11 @@ module type S = sig
 
   type t
 
-  val create : ?on_evict:(key -> unit) -> capacity:int -> unit -> t
+  val create : ?on_evict:(key -> value -> unit) -> capacity:int -> unit -> t
 
   val find : t -> key -> value option
+
+  val peek : t -> key -> value option
 
   val mem : t -> key -> bool
 
@@ -63,202 +88,367 @@ module type S = sig
   val evictions : t -> int
 end
 
+let mix h = h * 0x4F1BBCDCBFA53E0B
+
+let initial_slots = 8
+
+(* The smallest table of at least twice [slots] cells, as its size and
+   the shift that takes a mixed hash to its home cell. *)
+let table_for slots =
+  let rec go size bits = if size >= 2 * slots then (size, 63 - bits) else go (2 * size) (bits + 1) in
+  go 1 0
+
+(* The cell of [index] holding the slot whose mixed hash in [hashes] is
+   [h], or -1. Only for the file index, where the hash is the file. *)
+let lookup index hashes shift h =
+  let mask = Array.length index - 1 in
+  let i = ref (h lsr shift) and found = ref (-2) in
+  while !found = -2 do
+    let c = index.(!i) in
+    if c = 0 then found := -1
+    else if hashes.(c - 1) = h then found := !i
+    else i := (!i + 1) land mask
+  done;
+  !found
+
+(* Files [cell] (a slot + 1, whose mixed hash is in [hashes]) in the first
+   empty cell of its probe run. *)
+let place index hashes shift cell =
+  let mask = Array.length index - 1 in
+  let i = ref (hashes.(cell - 1) lsr shift) in
+  while index.(!i) <> 0 do
+    i := (!i + 1) land mask
+  done;
+  index.(!i) <- cell
+
+(* Empties cell [i], moving back each later cell of the probe run whose
+   home does not lie between the hole and itself, so no lookup meets a
+   hole before the cell it seeks. *)
+let unindex index hashes shift i =
+  let mask = Array.length index - 1 in
+  let hole = ref i and j = ref ((i + 1) land mask) in
+  while index.(!j) <> 0 do
+    let c = index.(!j) in
+    let home = hashes.(c - 1) lsr shift in
+    if (!j - home) land mask >= (!j - !hole) land mask then begin
+      index.(!hole) <- c;
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  index.(!hole) <- 0
+
 module Make (K : KEY) (V : VALUE) = struct
   type key = K.t
 
   type value = V.t
 
-  module Tbl = Hashtbl.Make (K)
-
-  module Files = Hashtbl.Make (struct
-    type t = int
-
-    let equal = Int.equal
-
-    let hash x = x
-  end)
-
-  type node = {
-    n_key : key;
-    mutable n_value : value;
-    mutable n_older : node; (* recency ring *)
-    mutable n_newer : node;
-    mutable n_fprev : node; (* the file's ring *)
-    mutable n_fnext : node;
-    n_file : file;
-  }
-
-  and file = { f_id : int; mutable f_node : node (* any entry of the file *) }
-
   type t = {
     capacity : int;
-    table : node Tbl.t;
-    files : file Files.t;
-    mutable mru : node option;
-    on_evict : key -> unit;
+    on_evict : key -> value -> unit;
+    mutable keys : key array; (* the slot arrays: empty until the first insert *)
+    mutable values : value array;
+    mutable older : int array; (* recency ring *)
+    mutable newer : int array; (* recency ring; a free slot's next free slot *)
+    mutable fprev : int array; (* the file's ring *)
+    mutable fnext : int array;
+    mutable hashes : int array; (* mixed [K.hash] of the slot's key *)
+    mutable fhashes : int array; (* mixed [K.file] of the slot's key *)
+    mutable index : int array; (* key index *)
+    mutable findex : int array; (* file index: one entry of each file *)
+    mutable shift : int; (* both tables' *)
+    mutable filler : (key * value) option; (* the first entry inserted *)
+    mutable mru : int; (* -1: empty *)
+    mutable free : int; (* -1: no free slot *)
+    mutable length : int;
     mutable hits : int;
     mutable misses : int;
     mutable evictions : int;
   }
 
-  let create ?(on_evict = fun _ -> ()) ~capacity () =
+  let create ?(on_evict = fun _ _ -> ()) ~capacity () =
     if capacity <= 0 then invalid_arg "Lru.create: capacity must be positive";
     {
       capacity;
-      table = Tbl.create capacity;
-      files = Files.create capacity;
-      mru = None;
       on_evict;
+      keys = [||];
+      values = [||];
+      older = [||];
+      newer = [||];
+      fprev = [||];
+      fnext = [||];
+      hashes = [||];
+      fhashes = [||];
+      index = [||];
+      findex = [||];
+      shift = 0;
+      filler = None;
+      mru = -1;
+      free = -1;
+      length = 0;
       hits = 0;
       misses = 0;
       evictions = 0;
     }
 
-  let unlink t n =
-    if n.n_older == n then t.mru <- None
+  (* Puts slots [from] to [upto - 1] on the free list, lowest first. *)
+  let free_slots t from upto =
+    for s = upto - 1 downto from do
+      t.newer.(s) <- t.free;
+      t.free <- s
+    done
+
+  (* Doubles the slots (the first call creates them, filled with the
+     entry being inserted), threads the new ones onto the free list and
+     rebuilds both tables at the new size. *)
+  let grow t key value =
+    let n = Array.length t.keys in
+    let m = min (max initial_slots (2 * n)) (t.capacity + 1) in
+    let fill_key, fill_value =
+      match t.filler with
+      | Some f -> f
+      | None ->
+        t.filler <- Some (key, value);
+        (key, value)
+    in
+    let extend a fill =
+      let b = Array.make m fill in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    t.keys <- extend t.keys fill_key;
+    t.values <- extend t.values fill_value;
+    t.older <- extend t.older 0;
+    t.newer <- extend t.newer 0;
+    t.fprev <- extend t.fprev 0;
+    t.fnext <- extend t.fnext 0;
+    t.hashes <- extend t.hashes 0;
+    t.fhashes <- extend t.fhashes 0;
+    free_slots t n m;
+    let size, shift = table_for m in
+    let index = Array.make size 0 and findex = Array.make size 0 in
+    Array.iter (fun c -> if c <> 0 then place index t.hashes shift c) t.index;
+    Array.iter (fun c -> if c <> 0 then place findex t.fhashes shift c) t.findex;
+    t.index <- index;
+    t.findex <- findex;
+    t.shift <- shift
+
+  (* The slot holding [key], whose mixed hash is [h], or -1. *)
+  let slot_of t key h =
+    if t.length = 0 then -1
     else begin
-      n.n_newer.n_older <- n.n_older;
-      n.n_older.n_newer <- n.n_newer;
-      (match t.mru with Some m when m == n -> t.mru <- Some n.n_older | _ -> ());
-      n.n_older <- n;
-      n.n_newer <- n
+      let index = t.index and hashes = t.hashes and keys = t.keys in
+      let mask = Array.length index - 1 in
+      let i = ref (h lsr t.shift) and found = ref (-2) in
+      while !found = -2 do
+        let c = index.(!i) in
+        if c = 0 then found := -1
+        else if hashes.(c - 1) = h && K.equal keys.(c - 1) key then found := c - 1
+        else i := (!i + 1) land mask
+      done;
+      !found
     end
 
-  let push_front t n =
-    (match t.mru with
-    | None -> ()
-    | Some m ->
-      let lru = m.n_newer in
-      n.n_older <- m;
-      n.n_newer <- lru;
-      lru.n_older <- n;
-      m.n_newer <- n);
-    t.mru <- Some n
+  let find_slot t key = slot_of t key (mix (K.hash key))
 
-  let touch t n =
-    match t.mru with
-    | Some m when m == n -> ()
-    | Some _ | None ->
-      unlink t n;
-      push_front t n
+  let unlink t s =
+    let older = t.older and newer = t.newer in
+    if older.(s) = s then t.mru <- -1
+    else begin
+      newer.(older.(s)) <- newer.(s);
+      older.(newer.(s)) <- older.(s);
+      if t.mru = s then t.mru <- older.(s)
+    end
+
+  let push_front t s =
+    let older = t.older and newer = t.newer in
+    let m = t.mru in
+    if m < 0 then begin
+      older.(s) <- s;
+      newer.(s) <- s
+    end
+    else begin
+      let lru = newer.(m) in
+      older.(s) <- m;
+      newer.(s) <- lru;
+      older.(lru) <- s;
+      newer.(m) <- s
+    end;
+    t.mru <- s
+
+  (* The least recent entry becomes the most recent by turning the ring. *)
+  let touch t s =
+    if s <> t.mru then
+      if t.newer.(t.mru) = s then t.mru <- s
+      else begin
+        unlink t s;
+        push_front t s
+      end
 
   let find t key =
-    match Tbl.find_opt t.table key with
-    | Some n ->
+    let s = find_slot t key in
+    if s >= 0 then begin
       t.hits <- t.hits + 1;
-      touch t n;
-      Some n.n_value
-    | None ->
+      touch t s;
+      Some t.values.(s)
+    end
+    else begin
       t.misses <- t.misses + 1;
       None
-
-  let mem t key = Tbl.mem t.table key
-
-  let remove_node t n =
-    unlink t n;
-    Tbl.remove t.table n.n_key;
-    let f = n.n_file in
-    if n.n_fnext == n then Files.remove t.files f.f_id
-    else begin
-      n.n_fprev.n_fnext <- n.n_fnext;
-      n.n_fnext.n_fprev <- n.n_fprev;
-      if f.f_node == n then f.f_node <- n.n_fnext
     end
 
-  (* A new node, linked into its file's ring (a new one when it is the
-     file's first entry). *)
-  let make_node t key value =
-    let id = K.file key in
-    match Files.find_opt t.files id with
-    | Some f ->
-      let rec n =
-        { n_key = key; n_value = value; n_older = n; n_newer = n; n_fprev = n; n_fnext = n;
-          n_file = f }
-      in
-      let next = f.f_node.n_fnext in
-      n.n_fprev <- f.f_node;
-      n.n_fnext <- next;
-      next.n_fprev <- n;
-      f.f_node.n_fnext <- n;
-      n
-    | None ->
-      let rec n =
-        { n_key = key; n_value = value; n_older = n; n_newer = n; n_fprev = n; n_fnext = n;
-          n_file = f }
-      and f = { f_id = id; f_node = n } in
-      Files.add t.files id f;
-      n
+  let peek t key =
+    let s = find_slot t key in
+    if s >= 0 then Some t.values.(s) else None
+
+  let mem t key = find_slot t key >= 0
+
+  let remove t s =
+    unlink t s;
+    let index = t.index and shift = t.shift in
+    let mask = Array.length index - 1 in
+    let i = ref (t.hashes.(s) lsr shift) in
+    while index.(!i) <> s + 1 do
+      i := (!i + 1) land mask
+    done;
+    unindex index t.hashes shift !i;
+    let fi = lookup t.findex t.fhashes shift t.fhashes.(s) in
+    let next = t.fnext.(s) in
+    if next = s then unindex t.findex t.fhashes shift fi
+    else begin
+      let prev = t.fprev.(s) in
+      t.fnext.(prev) <- next;
+      t.fprev.(next) <- prev;
+      if t.findex.(fi) = s + 1 then t.findex.(fi) <- next + 1
+    end;
+    (match t.filler with
+    | Some (k, v) ->
+      t.keys.(s) <- k;
+      t.values.(s) <- v
+    | None -> ());
+    t.newer.(s) <- t.free;
+    t.free <- s;
+    t.length <- t.length - 1
 
   let insert t key value =
-    match Tbl.find_opt t.table key with
-    | Some n ->
-      n.n_value <- value;
-      touch t n
-    | None ->
-      let n = make_node t key value in
-      Tbl.add t.table key n;
-      push_front t n;
-      while Tbl.length t.table > t.capacity do
-        match t.mru with
-        | Some m ->
-          let victim = m.n_newer in
-          remove_node t victim;
-          t.evictions <- t.evictions + 1;
-          t.on_evict victim.n_key
-        | None -> Tbl.reset t.table (* unreachable: the ring mirrors the table *)
-      done
+    let h = mix (K.hash key) in
+    let s = slot_of t key h in
+    if s >= 0 then begin
+      t.values.(s) <- value;
+      touch t s
+    end
+    else begin
+      if t.free < 0 then grow t key value;
+      let s = t.free in
+      t.free <- t.newer.(s);
+      t.keys.(s) <- key;
+      t.values.(s) <- value;
+      t.hashes.(s) <- h;
+      let fh = mix (K.file key) in
+      t.fhashes.(s) <- fh;
+      place t.index t.hashes t.shift (s + 1);
+      let fi = lookup t.findex t.fhashes t.shift fh in
+      if fi < 0 then begin
+        t.fprev.(s) <- s;
+        t.fnext.(s) <- s;
+        place t.findex t.fhashes t.shift (s + 1)
+      end
+      else begin
+        let first = t.findex.(fi) - 1 in
+        let next = t.fnext.(first) in
+        t.fprev.(s) <- first;
+        t.fnext.(s) <- next;
+        t.fprev.(next) <- s;
+        t.fnext.(first) <- s
+      end;
+      t.length <- t.length + 1;
+      push_front t s;
+      if t.length > t.capacity then begin
+        let victim = t.newer.(t.mru) in
+        let key = t.keys.(victim) and value = t.values.(victim) in
+        remove t victim;
+        t.evictions <- t.evictions + 1;
+        t.on_evict key value
+      end
+    end
 
   let invalidate t key =
-    match Tbl.find_opt t.table key with
-    | Some n -> remove_node t n
-    | None -> ()
+    let s = find_slot t key in
+    if s >= 0 then remove t s
 
   (* Drops are silent: [on_evict] reports capacity pressure only, so an
-     invalidation or a clear fires no hook and counts no eviction. *)
-  let drop_file ?only t id =
-    match Files.find_opt t.files id with
-    | None -> 0
-    | Some f ->
-      let first = f.f_node in
-      let rec victims n acc =
-        let acc =
-          match only with Some keep when not (keep n.n_key n.n_value) -> acc | _ -> n :: acc
+     invalidation or a clear fires no hook and counts no eviction. A walk
+     removes as it goes: it reads a slot's successor first, and stops
+     after the slot that was last when it started. *)
+  let drop_file ?only t file =
+    let fi = if t.length = 0 then -1 else lookup t.findex t.fhashes t.shift (mix file) in
+    if fi < 0 then 0
+    else begin
+      let first = t.findex.(fi) - 1 in
+      let last = t.fprev.(first) in
+      let s = ref first and fin = ref false and dropped = ref 0 in
+      while not !fin do
+        let cur = !s in
+        fin := cur = last;
+        s := t.fnext.(cur);
+        let victim =
+          match only with Some keep -> keep t.keys.(cur) t.values.(cur) | None -> true
         in
-        if n.n_fnext == first then acc else victims n.n_fnext acc
-      in
-      let victims = victims first [] in
-      List.iter (remove_node t) victims;
-      List.length victims
+        if victim then begin
+          remove t cur;
+          incr dropped
+        end
+      done;
+      !dropped
+    end
 
-  (* A walk of the recency ring: its cost follows the entries held, not
-     the table's size. *)
+  (* A walk of the recency ring, most recent first: its cost follows the
+     entries held, not the slots. *)
   let filter_out t pred =
-    match t.mru with
-    | None -> 0
-    | Some m ->
-      let rec victims n acc =
-        let acc = if pred n.n_key n.n_value then n :: acc else acc in
-        if n.n_older == m then acc else victims n.n_older acc
-      in
-      let victims = victims m [] in
-      List.iter (remove_node t) victims;
-      List.length victims
+    if t.length = 0 then 0
+    else begin
+      let last = t.newer.(t.mru) in
+      let s = ref t.mru and fin = ref false and dropped = ref 0 in
+      while not !fin do
+        let cur = !s in
+        fin := cur = last;
+        s := t.older.(cur);
+        if pred t.keys.(cur) t.values.(cur) then begin
+          remove t cur;
+          incr dropped
+        end
+      done;
+      !dropped
+    end
 
   let clear t =
-    Tbl.reset t.table;
-    Files.reset t.files;
-    t.mru <- None
+    let n = Array.length t.keys in
+    (match t.filler with
+    | Some (k, v) ->
+      Array.fill t.keys 0 n k;
+      Array.fill t.values 0 n v
+    | None -> ());
+    Array.fill t.index 0 (Array.length t.index) 0;
+    Array.fill t.findex 0 (Array.length t.findex) 0;
+    t.free <- -1;
+    free_slots t 0 n;
+    t.mru <- -1;
+    t.length <- 0
 
-  let length t = Tbl.length t.table
+  let length t = t.length
 
   let capacity t = t.capacity
 
   let keys_mru t =
-    match t.mru with
-    | None -> []
-    | Some m ->
-      let rec go acc n = if n == m then List.rev acc else go (n.n_key :: acc) n.n_older in
-      go [ m.n_key ] m.n_older
+    if t.length = 0 then []
+    else begin
+      let lru = t.newer.(t.mru) in
+      let rec go acc s =
+        let acc = t.keys.(s) :: acc in
+        if s = lru then List.rev acc else go acc t.older.(s)
+      in
+      go [] t.mru
+    end
 
   let hits t = t.hits
 

@@ -1,12 +1,22 @@
 (** Generic LRU recency-list structure with a per-file index.
 
-    A hashtable keyed on caller-chosen keys, an intrusive doubly-linked
-    recency list, and a ring per file through that file's entries. {!Cache}
-    (the buffer caches), the kernel's pathname name cache and its small
-    per-file tables are all instances of {!Make}; they differ in the key
-    and the cached value type. Every operation is O(1), except
-    {!S.drop_file}, which is O(entries of that file), and {!S.filter_out}
-    and {!S.clear}, which are O(n). *)
+    A slab: each entry is a slot of parallel arrays, its place in the
+    recency order and in its file's ring are [int] links between slots,
+    and open-addressing [int] tables find an entry by key and a file's
+    entries by file. {!Cache} (the buffer caches), the kernel's pathname
+    name cache and its small per-file tables are all instances of {!Make};
+    they differ in the key and the cached value type. Every operation is
+    O(1), except {!S.drop_file}, which is O(entries of that file),
+    {!S.filter_out}, O(entries), and {!S.clear}, O(slots). Once the slots
+    have grown, a hit, an insert, an eviction, an invalidation or a drop
+    allocates nothing beyond what the caller passes and {!S.find}'s
+    [Some].
+
+    The slots start at 8 and double, up to one more than the capacity, so
+    a cache that never fills never pays for its capacity. The first entry
+    inserted fills the slot arrays and clears every vacated slot (so an
+    evicted value is not retained): that one key and value stay alive as
+    long as the cache. *)
 
 module type KEY = sig
   type t
@@ -32,15 +42,18 @@ module type S = sig
 
   type t
 
-  val create : ?on_evict:(key -> unit) -> capacity:int -> unit -> t
-  (** [on_evict] is called with the key of every entry dropped by capacity
-      pressure (not by explicit invalidation). Raises [Invalid_argument]
-      on non-positive capacity. *)
+  val create : ?on_evict:(key -> value -> unit) -> capacity:int -> unit -> t
+  (** [on_evict] is called with the key and value of every entry dropped
+      by capacity pressure (not by explicit invalidation), after the entry
+      has left. Raises [Invalid_argument] on non-positive capacity. *)
 
   val find : t -> key -> value option
   (** Hit moves the entry to most-recently-used and returns the value
       inserted (the same value, not a copy). Counts toward
       {!hits}/{!misses}. *)
+
+  val peek : t -> key -> value option
+  (** Lookup without recency or counter effects. *)
 
   val mem : t -> key -> bool
   (** Presence probe: no recency update, no counter update. *)

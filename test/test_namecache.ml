@@ -323,7 +323,7 @@ let test_lru_filter_out () =
    and the next eviction takes the right victim. *)
 let test_lru_drop_file_ends () =
   let evicted = ref [] in
-  let c = Slru.create ~on_evict:(fun k -> evicted := k :: !evicted) ~capacity:4 () in
+  let c = Slru.create ~on_evict:(fun k _ -> evicted := k :: !evicted) ~capacity:4 () in
   check Alcotest.int "empty cache" 0 (Slru.drop_file c 1);
   List.iter (fun k -> Slru.insert c k k) [ 10; 20; 21; 30 ];
   check Alcotest.int "file with no entries" 0 (Slru.drop_file c 4);
@@ -371,7 +371,7 @@ let test_invalidate_child_two_dirs () =
 
 let test_lru_eviction_order () =
   let evicted = ref [] in
-  let c = Slru.create ~on_evict:(fun k -> evicted := k :: !evicted) ~capacity:2 () in
+  let c = Slru.create ~on_evict:(fun k _ -> evicted := k :: !evicted) ~capacity:2 () in
   Slru.insert c 1 1;
   Slru.insert c 2 2;
   ignore (Slru.find c 1); (* 1 becomes MRU *)

@@ -1233,7 +1233,7 @@ let prop_lru_matches_model =
     (fun (cap, ops) ->
       let evicted = ref [] in
       let c =
-        Ilru.create ~on_evict:(fun k -> evicted := k :: !evicted) ~capacity:cap ()
+        Ilru.create ~on_evict:(fun k _ -> evicted := k :: !evicted) ~capacity:cap ()
       in
       let model = ref [] (* keys, MRU first *) in
       let model_evicted = ref [] in
@@ -1287,7 +1287,7 @@ let prop_lru_drop_file_matches_scan =
     (fun (cap, ops) ->
       let evicted = ref [] in
       let c =
-        Ilru.create ~on_evict:(fun k -> evicted := k :: !evicted) ~capacity:cap ()
+        Ilru.create ~on_evict:(fun k _ -> evicted := k :: !evicted) ~capacity:cap ()
       in
       let model = ref [] (* (key, value), MRU first *) in
       let model_evicted = ref [] in
@@ -1332,6 +1332,104 @@ let prop_lru_drop_file_matches_scan =
         ops;
       !ok && Ilru.keys_mru c = List.map fst !model && !evicted = !model_evicted)
 
+(* An Lru whose hashes collide on purpose: every key hashes to one of
+   three values, so the key index holds long probe runs, and a deletion
+   must shift the rest of a run back for later keys to be found. Keys
+   belong to five files. *)
+module Clru =
+  Storage.Lru.Make
+    (struct
+      type t = int
+
+      let equal = Int.equal
+
+      let hash x = x mod 3
+
+      let file x = x mod 5
+    end)
+    (struct
+      type t = int
+    end)
+
+(* The slab's own edges against an MRU-ordered list model: colliding
+   hashes, and capacities that keep the first 8 slots (1, 7), double them
+   once (9) or three times (64), rebuilding both tables with entries of
+   every file in them. Random inserts, finds, presence probes, peeks,
+   invalidations, drops of a file's entries (all, or those a predicate
+   picks), filter_outs and clears must keep the model's entries, recency
+   order, counters and every drop's count, and capacity pressure must
+   evict the model's victims with their values, in order. *)
+let prop_lru_slab_edges =
+  QCheck.Test.make ~count:300
+    ~name:"lru: colliding hashes, slot growth and table rebuilds match a list model"
+    QCheck.(
+      make
+        Gen.(
+          pair (oneofl [ 1; 7; 9; 64 ])
+            (list_size (int_bound 400)
+               (triple (int_bound 99) (int_bound 9) (int_bound 9)))))
+    (fun (cap, ops) ->
+      let evicted = ref [] in
+      let c = Clru.create ~on_evict:(fun k v -> evicted := (k, v) :: !evicted) ~capacity:cap () in
+      let model = ref [] (* (key, value), MRU first *) in
+      let model_evicted = ref [] in
+      let hits = ref 0 and misses = ref 0 in
+      let ok = ref true in
+      let without key = List.filter (fun (k, _) -> k <> key) !model in
+      let drop victim =
+        let n = List.length (List.filter victim !model) in
+        model := List.filter (fun e -> not (victim e)) !model;
+        n
+      in
+      List.iter
+        (fun (key, v, op) ->
+          (match op with
+          | 0 | 1 | 2 ->
+            Clru.insert c key v;
+            let fresh = not (List.mem_assoc key !model) in
+            model := (key, v) :: without key;
+            if fresh && List.length !model > cap then begin
+              model_evicted := List.nth !model cap :: !model_evicted;
+              model := List.filteri (fun i _ -> i < cap) !model
+            end
+          | 3 -> (
+            match (Clru.find c key, List.assoc_opt key !model) with
+            | Some got, Some want when got = want ->
+              incr hits;
+              model := (key, want) :: without key
+            | None, None -> incr misses
+            | _ -> ok := false)
+          | 4 -> if Clru.mem c key <> List.mem_assoc key !model then ok := false
+          | 5 -> if Clru.peek c key <> List.assoc_opt key !model then ok := false
+          | 6 ->
+            Clru.invalidate c key;
+            model := without key
+          | 7 ->
+            let file = key mod 5 in
+            let got, want =
+              if v mod 2 = 0 then (Clru.drop_file c file, drop (fun (k, _) -> k mod 5 = file))
+              else
+                ( Clru.drop_file c file ~only:(fun _ value -> value < v),
+                  drop (fun (k, value) -> k mod 5 = file && value < v) )
+            in
+            if got <> want then ok := false
+          | 8 ->
+            let pick k value = (k + value) mod 4 = v mod 4 in
+            if Clru.filter_out c pick <> drop (fun (k, value) -> pick k value) then ok := false
+          | _ ->
+            if v = 0 then begin
+              Clru.clear c;
+              model := []
+            end);
+          if Clru.length c <> List.length !model || Clru.keys_mru c <> List.map fst !model then
+            ok := false)
+        ops;
+      !ok
+      && !evicted = !model_evicted
+      && Clru.hits c = !hits
+      && Clru.misses c = !misses
+      && Clru.evictions c = List.length !model_evicted)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1357,6 +1455,7 @@ let props =
       prop_zipf_deterministic;
       prop_lru_matches_model;
       prop_lru_drop_file_matches_scan;
+      prop_lru_slab_edges;
     ]
 
 let () = Alcotest.run "props" [ ("invariants", props) ]

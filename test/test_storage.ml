@@ -452,7 +452,7 @@ let test_cache_lru_order () =
 
 let test_cache_eviction_counters () =
   let evicted = ref [] in
-  let c = Cache.create ~on_evict:(fun k -> evicted := k :: !evicted) ~capacity:2 () in
+  let c = Cache.create ~on_evict:(fun k _ -> evicted := k :: !evicted) ~capacity:2 () in
   Cache.insert c "a" (Page.of_string "A");
   Cache.insert c "b" (Page.of_string "B");
   Cache.insert c "c" (Page.of_string "C");
@@ -472,7 +472,7 @@ let test_cache_eviction_counters () =
    capacity eviction. *)
 let test_cache_notify_policy () =
   let evicted = ref [] in
-  let c = Cache.create ~on_evict:(fun k -> evicted := k :: !evicted) ~capacity:8 () in
+  let c = Cache.create ~on_evict:(fun k _ -> evicted := k :: !evicted) ~capacity:8 () in
   List.iter (fun k -> Cache.insert c k (Page.of_string k)) [ "a"; "b"; "c" ];
   check Alcotest.int "one dropped" 1 (Cache.drop_file c (Char.code 'a'));
   check Alcotest.int "one filtered" 1 (Cache.filter_out c (fun k _ -> k = "b"));
