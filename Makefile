@@ -78,10 +78,20 @@ simdiff:
 	fi
 
 # Source size: the .ml + .mli line count of lib/, bench/ and test/, the
-# figures a change that deletes code quotes before and after.
+# figures a change that deletes code quotes before and after. With PARENT,
+# each line gives that checkout's count, this tree's and the difference.
+# Usage: make loc [PARENT=<dir>]
 loc:
-	@for d in lib bench test; do \
-		printf '%-6s %6d\n' "$$d/" "$$(find $$d \( -name '*.ml' -o -name '*.mli' \) -type f -exec cat {} + | wc -l)"; \
+	@count() { find $$1 \( -name '*.ml' -o -name '*.mli' \) -type f -exec cat {} + | wc -l; }; \
+	if [ -n "$(PARENT)" ]; then printf '%-6s %7s %7s %7s\n' '' parent change diff; fi; \
+	for d in lib bench test; do \
+		n=$$(count $$d); \
+		if [ -n "$(PARENT)" ]; then \
+			p=$$(cd "$(PARENT)" && count $$d); \
+			printf '%-6s %7d %7d %+7d\n' "$$d/" "$$p" "$$n" "$$((n - p))"; \
+		else \
+			printf '%-6s %6d\n' "$$d/" "$$n"; \
+		fi; \
 	done
 
 # Exports nothing else reads: each `val` of a lib/ interface that no .ml in

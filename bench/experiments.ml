@@ -265,7 +265,7 @@ let e4 () =
     World.crash_site w 1;
     ignore (World.detect_failures w ~initiator:0);
     let k0 = World.kernel w 0 in
-    add "local file, remote read" "close file" (Hashtbl.length k0.K.ss_opens = 0)
+    add "local file, remote read" "close file" (K.Gfile.Tbl.length k0.K.ss_opens = 0)
   in
   (* Row: remote resource open for update locally -> discard, error fd. *)
   let () =

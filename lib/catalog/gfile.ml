@@ -16,10 +16,12 @@ module Key = struct
 
   let hash = id
 
-  (* These tables never drop by file: one ring holds every entry, so an
-     entry costs no index of its own. *)
+  (* The LRU tables keyed by a file never drop by file: one ring holds
+     every entry, so an entry costs no index of its own. *)
   let file _ = 0
 end
+
+module Tbl = Hashtbl.Make (Key)
 
 let pp ppf t = Format.fprintf ppf "<%d,%d>" t.fg t.ino
 

@@ -17,8 +17,12 @@ val id : t -> int
     number in the per-file cache indexes ({!Storage.Lru.KEY.file}). *)
 
 module Key : Storage.Lru.KEY with type t = t
-(** A file as the key of its own entry in an LRU table that never drops
-    by file (every entry is in file 0). *)
+(** A file as a hashed key: of its own entry in an LRU table that never
+    drops by file (every entry is in file 0), and of {!Tbl}. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Tables keyed by a file, hashed by {!id}: no polymorphic hash or
+    compare of the record. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -400,9 +400,9 @@ let handle_where k gf =
 let handle_open_files_query k fg =
   let files = ref [] in
   Hashtbl.iter
-    (fun (gf, _serial) (o : ofile) ->
-      if Int.equal gf.Gfile.fg fg && not o.o_closed then
-        files := (gf.Gfile.ino, o.o_mode, k.site) :: !files)
+    (fun _ (o : ofile) ->
+      if Int.equal o.o_gf.Gfile.fg fg && not o.o_closed then
+        files := (o.o_gf.Gfile.ino, o.o_mode, k.site) :: !files)
     k.open_files;
   Proto.R_open_files { files = !files }
 

@@ -47,16 +47,13 @@ let handle k ~src (req : Proto.req) : Proto.resp =
         (* A new committed version exists: buffered pages of any other
            version of this file can never hit again — drop them from both
            cache tiers. The SS buffers hold the local copy's version. *)
-        let key = vv_key vv in
+        let key = Committed vv in
         ignore
           (Us_cache.drop_file k.us_cache (Gfile.id gf) ~only:(fun (_, _, v) _ ->
-               not (String.equal v key)));
-        let local_key =
-          Option.bind (local_pack k gf.Gfile.fg) (fun pack ->
-              Storage.Pack.find_inode pack gf.Gfile.ino)
-          |> Option.map (fun (i : Storage.Inode.t) -> vv_key i.Storage.Inode.vv)
-        in
-        if local_key <> Some key then ss_cache_drop k gf;
+               not (vkey_equal v key)));
+        (match local_vv k gf with
+        | Some local when Vvec.equal local vv -> ()
+        | Some _ | None -> ss_cache_drop k gf);
         (* Name-cache coherence rides the same notification: links read
            from an older version of this directory are dead, and if the
            file was deleted no link may keep resolving to it. *)

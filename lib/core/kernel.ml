@@ -35,8 +35,7 @@ let create ~site ~machine_type ~engine ~net ~mount ~fg_table ?(config = default_
       packs = Hashtbl.create (min hint 64);
       css_state = Hashtbl.create (min hint 64);
       open_files = Hashtbl.create hint;
-      ss_opens = Hashtbl.create hint;
-      ss_slots = Hashtbl.create hint;
+      ss_opens = Gfile.Tbl.create hint;
       us_cache =
         Us_cache.create ~on_evict:(on_evict "cache.us.evict")
           ~capacity:(max 1 config.us_cache_pages) ();
@@ -44,7 +43,7 @@ let create ~site ~machine_type ~engine ~net ~mount ~fg_table ?(config = default_
       ss_cache =
         Ss_cache.create ~on_evict:(on_evict "cache.ss.evict")
           ~capacity:(max 1 config.ss_cache_pages) ();
-      ss_dirs = Hashtbl.create 16;
+      ss_dirs = Gfile.Tbl.create 16;
       ss_dirs_tick = 0;
       name_cache = Namecache.create ~stats ~capacity:config.name_cache_entries ();
       open_leases = Openlease.create ~stats ~capacity:config.open_lease_entries ();
@@ -52,7 +51,7 @@ let create ~site ~machine_type ~engine ~net ~mount ~fg_table ?(config = default_
       prop_queue = Queue.create ();
       shared_fds = Hashtbl.create (min hint 64);
       procs = Hashtbl.create (min hint 64);
-      pipe_bufs = Hashtbl.create 8;
+      pipe_bufs = Gfile.Tbl.create 8;
       next_serial = 1;
       dispatch = (fun _ _ -> Proto.R_err Proto.Eio);
       extra_handler = (fun _ _ -> None);
@@ -416,7 +415,7 @@ let handle_site_failure k dead =
             o.o_info <- o'.o_info;
             o.o_key <- o'.o_key;
             o.o_lease <- o'.o_lease;
-            Hashtbl.remove k.open_files (o'.o_gf, o'.o_serial);
+            Hashtbl.remove k.open_files o'.o_serial;
             Sim.Stats.incr (stats k) "cleanup.us.reopened";
             record k ~tag:"cleanup" "reopened %a at %a" Gfile.pp o.o_gf Site.pp o'.o_ss
           | exception Error _ ->
@@ -447,26 +446,25 @@ let crash k =
       o.o_wb <- None;
       o.o_closed <- true)
     k.open_files;
-  Hashtbl.iter
+  Gfile.Tbl.iter
     (fun _ (s : ss_open) ->
       match s.s_shadow with
       | Some session -> Storage.Shadow.crash_before_switch session
       | None -> ())
     k.ss_opens;
-  Hashtbl.reset k.ss_opens;
-  Hashtbl.reset k.ss_slots;
+  Gfile.Tbl.reset k.ss_opens;
   Hashtbl.reset k.open_files;
   Hashtbl.reset k.css_state;
   Hashtbl.reset k.shared_fds;
   Hashtbl.reset k.procs;
-  Hashtbl.reset k.pipe_bufs;
+  Gfile.Tbl.reset k.pipe_bufs;
   Net.Netsim.forget_replies k.net k.site;
   (* A dead kernel fires no hooks: pages just vanish, and Openlease.clear
      below likewise drops leases without deferred closes. *)
   Us_cache.clear k.us_cache;
   Keys.clear k.us_open_keys;
   Ss_cache.clear k.ss_cache;
-  Hashtbl.reset k.ss_dirs;
+  Gfile.Tbl.reset k.ss_dirs;
   Namecache.clear k.name_cache;
   Openlease.clear k.open_leases;
   Queue.clear k.prop_queue;

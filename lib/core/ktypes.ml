@@ -11,37 +11,54 @@ module Vvec = Vv.Version_vector
 module Site = Net.Site
 module Gfile = Catalog.Gfile
 
-(* An LRU of version keys, one per file. *)
+(* An LRU of versions, one per file. *)
 module Keys =
   Storage.Lru.Make
     (Gfile.Key)
     (struct
-      type t = string
+      type t = Vvec.t
     end)
 
-(* The US page cache: (file, logical page, version key) -> page. The
-   version is left out of the hash: a page is rarely buffered under more
-   than one version at once. *)
-module Us_cache = Storage.Cache.Make (struct
-  type t = Gfile.t * int * string
+(* The version a US cache page is filed under: a committed version,
+   shared by every open of it, so a new one misses naturally (coherence
+   for free); or a writer's private key, a [fresh_serial]. *)
+type vkey = Committed of Vvec.t | Private of int
 
-  let equal (g, p, v) (g', p', v') = p = p' && Gfile.equal g g' && String.equal v v'
+let vkey_equal a b =
+  match (a, b) with
+  | Committed v, Committed v' -> Vvec.equal v v'
+  | Private n, Private n' -> n = n'
+  | Committed _, Private _ | Private _, Committed _ -> false
 
-  let hash (g, p, _) = (Gfile.id g * 65599) + p
+(* The US page cache: (file, logical page, version) -> page. The version
+   is left out of the hash: a page is rarely buffered under more than one
+   version at once. *)
+module Us_cache =
+  Storage.Lru.Make
+    (struct
+      type t = Gfile.t * int * vkey
 
-  let file (g, _, _) = Gfile.id g
-end)
+      let equal (g, p, v) (g', p', v') = p = p' && Gfile.equal g g' && vkey_equal v v'
+
+      let hash (g, p, _) = (Gfile.id g * 65599) + p
+
+      let file (g, _, _) = Gfile.id g
+    end)
+    (Storage.Page)
 
 (* The SS buffer cache: (file, logical page) -> the local copy's page. *)
-module Ss_cache = Storage.Cache.Make (struct
-  type t = Gfile.t * int
+module Ss_cache =
+  Storage.Lru.Make
+    (struct
+      type t = Gfile.t * int
 
-  let equal (g, p) (g', p') = p = p' && Gfile.equal g g'
+      let equal (g, p) (g', p') = p = p' && Gfile.equal g g'
 
-  let hash (g, p) = (Gfile.id g * 65599) + p
+      let hash (g, p) = (Gfile.id g * 65599) + p
 
-  let file (g, _) = Gfile.id g
-end)
+      let file (g, _) = Gfile.id g
+    end)
+    (Storage.Page)
 
 exception Error of Proto.errno * string
 
@@ -82,7 +99,7 @@ let default_config =
   }
 
 (* Initial bucket count for the hot per-kernel hashtables (open files, SS
-   serving state, slots, CSS files), from the installation's site count,
+   serving state, CSS files), from the installation's site count,
    so large worlds don't pay repeated rehashing. *)
 let table_size net = max 64 (Net.Topology.n_sites (Net.Netsim.topology net))
 
@@ -138,11 +155,10 @@ type ofile = {
   (* another open is writing the file: bypass the US cache. A writer's own
      open caches under a private key instead, unless its descriptor has
      been shared with another site *)
-  mutable o_key : string;
-  (* the version part of this open's US cache keys, computed once: the
-     committed version for a read open, a key private to the open for a
-     writer, renewed on every write, truncate, commit and abort *)
-  mutable o_gen : int; (* numbers this open's readahead batches and private keys *)
+  mutable o_key : vkey;
+  (* the version part of this open's US cache keys: the committed version
+     for a read open, a key private to the open for a writer, renewed on
+     every write, truncate, commit and abort *)
   mutable o_dirty : bool;   (* uncommitted modifications have been sent to the SS *)
   mutable o_last_lpage : int; (* last page read, drives sequential readahead *)
   mutable o_guess : int; (* the SS's incore-inode slot, sent with page reads *)
@@ -172,10 +188,10 @@ type ss_open = {
 }
 
 (* A directory's record index at the SS: where each name's record lies
-   in the committed version [di_key], plus the records the open session
+   in the committed version [di_vv], plus the records the open session
    on the directory, if any, has patched or appended through it. *)
 type dir_index = {
-  mutable di_key : string;
+  mutable di_vv : Vvec.t;
   di_index : Catalog.Dir.Index.t;
   mutable di_used : int; (* recency tick, for eviction *)
 }
@@ -264,19 +280,18 @@ type t = {
   mutable fg_table : fg_info list;
   packs : (int, Storage.Pack.t) Hashtbl.t;       (* fg -> local physical container *)
   css_state : (int, css_fg) Hashtbl.t;           (* fgs this site is CSS for *)
-  open_files : (Gfile.t * int, ofile) Hashtbl.t; (* US incore inodes, by (file, serial) *)
-  ss_opens : (Gfile.t, ss_open) Hashtbl.t;       (* SS-side serving state *)
-  ss_slots : (int, Gfile.t) Hashtbl.t;           (* incore-inode slot -> file *)
-  us_cache : Us_cache.t; (* (file, lpage, vv) -> page *)
+  open_files : (int, ofile) Hashtbl.t; (* US incore inodes, by serial *)
+  ss_opens : ss_open Gfile.Tbl.t;      (* SS-side serving state *)
+  us_cache : Us_cache.t; (* (file, lpage, version) -> page *)
   us_open_keys : Keys.t;
-    (* file -> the version key of this site's last cold read open of it: a
+    (* file -> the version of this site's last cold read open of it: a
        hint that its first pages may still be buffered. No more entries
        than the US cache has pages. *)
   ss_cache : Ss_cache.t;
   (* SS buffer cache fronting pack/disk page reads: (file, page) -> the
      local copy's page. Whatever installs a new version of the copy
      carries the buffers ([ss_cache_carry]) or drops the file's. *)
-  ss_dirs : (Gfile.t, dir_index) Hashtbl.t;
+  ss_dirs : dir_index Gfile.Tbl.t;
   (* SS directory indexes, together covering at most as many directory
      pages as the buffer cache holds pages *)
   mutable ss_dirs_tick : int;
@@ -289,7 +304,7 @@ type t = {
   prop_queue : pull Queue.t;
   shared_fds : (fd_key, shared_fd) Hashtbl.t;
   procs : (int, proc) Hashtbl.t;
-  pipe_bufs : (Gfile.t, string ref) Hashtbl.t;   (* SS-side fifo contents *)
+  pipe_bufs : string ref Gfile.Tbl.t; (* SS-side fifo contents *)
   mutable next_serial : int;
   mutable dispatch : Site.t -> Proto.req -> Proto.resp;
   (* local fast path into this kernel's own message handler *)
@@ -373,10 +388,6 @@ let place_css ~fg candidates =
     let idx = fg * 2654435761 land max_int mod n in
     Some (List.nth sorted idx)
 
-(* US cache keys carry the version vector rendered to a string, so a new
-   committed version naturally misses (coherence for free). *)
-let vv_key vv = Vvec.to_string vv
-
 let ss_cache_enabled k = k.config.ss_cache_pages > 0
 
 (* The local copy of [gf] went from [old_size] to [size] bytes by a shadow
@@ -396,14 +407,14 @@ let ss_cache_drop k gf = ignore (Ss_cache.drop_file k.ss_cache (Gfile.id gf))
 
 (* Forget [gf]'s directory index: its session aborted or took a raw page
    write, or another version of the directory was installed. *)
-let ss_dir_drop k gf = Hashtbl.remove k.ss_dirs gf
+let ss_dir_drop k gf = Gfile.Tbl.remove k.ss_dirs gf
 
 (* A commit took the local copy of [gf] from [old_vv] to [vv]. An index of
    [old_vv] already holds the session's record changes, so it now locates
    [vv]'s records; an index of any other version is stale. *)
 let ss_dir_carry k gf ~old_vv ~vv =
-  match Hashtbl.find_opt k.ss_dirs gf with
-  | Some d when String.equal d.di_key (vv_key old_vv) -> d.di_key <- vv_key vv
+  match Gfile.Tbl.find_opt k.ss_dirs gf with
+  | Some d when Vvec.equal d.di_vv old_vv -> d.di_vv <- vv
   | Some _ -> ss_dir_drop k gf
   | None -> ()
 
@@ -473,25 +484,23 @@ let notify k dst req =
 
 (* SS serving state, shared by the SS handlers and the CSS (which
    registers a remote using site when it selects itself). *)
-let ss_find_open k gf = Hashtbl.find_opt k.ss_opens gf
+let ss_find_open k gf = Gfile.Tbl.find_opt k.ss_opens gf
 
 let ss_get_open k gf =
   match ss_find_open k gf with
   | Some s -> s
   | None ->
-    let slot = fresh_serial k in
     let s =
       {
         s_gf = gf;
-        s_slot = slot;
+        s_slot = fresh_serial k;
         s_shadow = None;
         s_uss = Site.Map.empty;
         s_writers = Site.Map.empty;
         s_others = [];
       }
     in
-    Hashtbl.add k.ss_opens gf s;
-    Hashtbl.replace k.ss_slots slot gf;
+    Gfile.Tbl.add k.ss_opens gf s;
     s
 
 let count_add us n counts =
@@ -524,10 +533,7 @@ let ss_end k s ~us ~opens ~writes =
     Sim.Stats.incr (Engine.stats k.engine) "ss.orphan_abort";
     record k ~tag:"ss.abort" "%a orphaned" Gfile.pp s.s_gf
   | Some _ | None -> ());
-  if idle then begin
-    Hashtbl.remove k.ss_opens s.s_gf;
-    Hashtbl.remove k.ss_slots s.s_slot
-  end
+  if idle then Gfile.Tbl.remove k.ss_opens s.s_gf
 
 let expect_ok = function
   | Proto.R_ok -> ()

@@ -11,22 +11,34 @@ module Vvec = Vv.Version_vector
 module Site = Net.Site
 module Gfile = Catalog.Gfile
 
-(** An LRU of version keys, one per file. *)
+(** An LRU of versions, one per file. *)
 module Keys : sig
   type t
 
-  val create : ?on_evict:(Gfile.t -> string -> unit) -> capacity:int -> unit -> t
+  val create : ?on_evict:(Gfile.t -> Vvec.t -> unit) -> capacity:int -> unit -> t
 
-  val find : t -> Gfile.t -> string option
+  val find : t -> Gfile.t -> Vvec.t option
 
-  val insert : t -> Gfile.t -> string -> unit
+  val insert : t -> Gfile.t -> Vvec.t -> unit
 
   val clear : t -> unit
 end
 
-(** The US page cache: (file, logical page, version key) → page. *)
+(** The version a US cache page is filed under. *)
+type vkey =
+  | Committed of Vvec.t
+      (** a committed version, shared by every open of it: a new one
+          changes the key, so stale buffered pages miss naturally *)
+  | Private of int
+      (** a writer's key, a {!fresh_serial}: no other open can hit its
+          uncommitted bytes *)
+
+val vkey_equal : vkey -> vkey -> bool
+(** Structural: committed versions compare by {!Vvec.equal}. *)
+
+(** The US page cache: (file, logical page, version) → page. *)
 module Us_cache :
-  Storage.Lru.S with type key = Gfile.t * int * string and type value = Storage.Page.t
+  Storage.Lru.S with type key = Gfile.t * int * vkey and type value = Storage.Page.t
 
 (** The SS buffer cache: (file, logical page) → the local copy's page. *)
 module Ss_cache : Storage.Lru.S with type key = Gfile.t * int and type value = Storage.Page.t
@@ -121,12 +133,10 @@ type ofile = {
       (** another open is writing the file: bypass the US cache. A
           writer's own open caches under a private key instead, unless its
           descriptor has been shared with another site *)
-  mutable o_key : string;
-      (** the version part of this open's US cache keys, computed once:
-          the committed version for a read open; for a writer, a key
-          private to the open, renewed on every write, truncate, commit
-          and abort, so no other open can hit uncommitted bytes *)
-  mutable o_gen : int; (** numbers this open's readahead batches and private keys *)
+  mutable o_key : vkey;
+      (** the version part of this open's US cache keys: the committed
+          version for a read open; for a writer, a key private to the
+          open, renewed on every write, truncate, commit and abort *)
   mutable o_dirty : bool;   (** uncommitted modifications sent to the SS *)
   mutable o_last_lpage : int; (** drives the sequential readahead *)
   mutable o_guess : int; (** the SS's incore-inode slot, sent with page reads *)
@@ -161,13 +171,12 @@ type ss_open = {
 }
 
 type dir_index = {
-  mutable di_key : string;
-      (** {!vv_key} of the committed version whose records it locates *)
+  mutable di_vv : Vvec.t; (** the committed version whose records it locates *)
   di_index : Catalog.Dir.Index.t;
   mutable di_used : int; (** recency tick, for eviction *)
 }
 (** A directory's record index at the SS: where each name's record lies in
-    the committed version [di_key], plus the records that the session open
+    the committed version [di_vv], plus the records that the session open
     on the directory, if any, has patched or appended through it. *)
 
 (** {1 Shared file descriptors and their offset tokens (§3.2)} *)
@@ -261,13 +270,12 @@ type t = {
   mutable fg_table : fg_info list;
   packs : (int, Storage.Pack.t) Hashtbl.t;
   css_state : (int, css_fg) Hashtbl.t;
-  open_files : (Gfile.t * int, ofile) Hashtbl.t;
-  ss_opens : (Gfile.t, ss_open) Hashtbl.t;
-  ss_slots : (int, Gfile.t) Hashtbl.t; (** incore-inode slot → file *)
+  open_files : (int, ofile) Hashtbl.t; (** US incore inodes, by serial *)
+  ss_opens : ss_open Gfile.Tbl.t;
   us_cache : Us_cache.t;
       (** (file, page, version) → page: stale versions miss naturally *)
   us_open_keys : Keys.t;
-      (** file → the version key of this site's last cold read open of it:
+      (** file → the version of this site's last cold read open of it:
           a hint, checked against [us_cache], that the file's first pages
           are still buffered, so the open need not ask for them. Holds no
           more files than [us_cache] holds pages. *)
@@ -275,7 +283,7 @@ type t = {
       (** SS buffer cache fronting pack/disk page reads: (file, page) → the
           local copy's page. Whatever installs a new version of the copy
           carries the buffers ({!ss_cache_carry}) or drops the file's. *)
-  ss_dirs : (Gfile.t, dir_index) Hashtbl.t;
+  ss_dirs : dir_index Gfile.Tbl.t;
       (** SS directory indexes, together covering at most as many
           directory pages as the buffer cache holds pages *)
   mutable ss_dirs_tick : int;
@@ -288,7 +296,7 @@ type t = {
   prop_queue : pull Queue.t;
   shared_fds : (fd_key, shared_fd) Hashtbl.t;
   procs : (int, proc) Hashtbl.t;
-  pipe_bufs : (Gfile.t, string ref) Hashtbl.t;
+  pipe_bufs : string ref Gfile.Tbl.t;
   mutable next_serial : int;
   mutable dispatch : Site.t -> Proto.req -> Proto.resp;
       (** local fast path into this kernel's own message handler *)
@@ -349,10 +357,6 @@ val place_css : fg:int -> Site.t list -> Site.t option
     for [fg] from the sorted pack-holder candidates alone. Filegroup 0
     maps to the lowest candidate (the classic layout); distinct
     filegroups spread across their holders. [None] iff no candidates. *)
-
-val vv_key : Vvec.t -> string
-(** The version vector as a cache-key component: a new committed version
-    changes the key, so stale buffered pages miss naturally. *)
 
 val ss_cache_enabled : t -> bool
 (** Whether the SS-side buffer-cache tier is on ([ss_cache_pages > 0]). *)

@@ -16,10 +16,6 @@ module Shadow = Storage.Shadow
 module Page = Storage.Page
 module Dir = Catalog.Dir
 
-let find_open = ss_find_open
-
-let get_open = ss_get_open
-
 (* CSS asks: will you act as storage site for this open? Refuse when we do
    not store the file at (at least) the requested version (section 2.3.3). *)
 let handle_storage_req k gf ~vv ~us ~mode ~others =
@@ -73,7 +69,7 @@ let cached_pack_page k ~read gf lpage =
    the size it reads against. One source serves one request, so a file
    past the direct slots costs one indirect-page read per request. *)
 let page_source ?(committed = false) k pack gf (inode : Inode.t) =
-  match find_open k gf with
+  match ss_find_open k gf with
   | Some { s_shadow = Some session; _ } when not committed ->
     ( (fun lpage ->
         charge_disk_read k;
@@ -84,8 +80,8 @@ let page_source ?(committed = false) k pack gf (inode : Inode.t) =
     (cached_pack_page k ~read gf, inode.Inode.size)
 
 let note_guess k gf guess =
-  match Hashtbl.find_opt k.ss_slots guess with
-  | Some g when Gfile.equal g gf -> Sim.Stats.incr (stats k) "ss.guess.hit"
+  match ss_find_open k gf with
+  | Some s when s.s_slot = guess -> Sim.Stats.incr (stats k) "ss.guess.hit"
   | Some _ | None -> Sim.Stats.incr (stats k) "ss.guess.miss"
 
 (* Serve up to [count] pages from [first] in one response: the network
@@ -154,7 +150,7 @@ let read_committed k site gf ~first ~count ~stat =
   (pages, info)
 
 let ensure_session k pack gf =
-  let s = get_open k gf in
+  let s = ss_get_open k gf in
   match s.s_shadow with
   | Some session -> session
   | None ->
@@ -166,7 +162,7 @@ let ensure_session k pack gf =
    the other using sites we serve: the page-valid token mechanism (section
    3.2), one message per site for the whole range. *)
 let invalidate_others k gf ~writer ~first ~count =
-  match find_open k gf with
+  match ss_find_open k gf with
   | Some s when count > 0 ->
     Site.Map.iter
       (fun us _ ->
@@ -272,7 +268,7 @@ let dir_index_pages d = (Dir.Index.log_end d.di_index + Page.size - 1) / Page.si
 let rec dir_index_fit k =
   let budget = if ss_cache_enabled k then k.config.ss_cache_pages else 0 in
   let total, lru =
-    Hashtbl.fold
+    Gfile.Tbl.fold
       (fun gf d (n, lru) ->
         let lru =
           match lru with
@@ -301,10 +297,10 @@ let touch k d =
 let build_dir_index k gf (inode : Inode.t) ~read ~size =
   Sim.Stats.incr (stats k) "ss.dir.index_builds";
   let d =
-    { di_key = vv_key inode.Inode.vv; di_index = Dir.Index.build ~read ~size; di_used = 0 }
+    { di_vv = inode.Inode.vv; di_index = Dir.Index.build ~read ~size; di_used = 0 }
   in
   let changed =
-    match find_open k gf with
+    match ss_find_open k gf with
     | Some { s_shadow = Some session; _ } ->
       Shadow.modified_lpages session <> []
       || (Shadow.incore session).Inode.size <> inode.Inode.size
@@ -312,14 +308,14 @@ let build_dir_index k gf (inode : Inode.t) ~read ~size =
   in
   if not changed then begin
     touch k d;
-    Hashtbl.replace k.ss_dirs gf d;
+    Gfile.Tbl.replace k.ss_dirs gf d;
     dir_index_fit k
   end;
   d
 
 let find_dir_index k gf (inode : Inode.t) =
-  match Hashtbl.find_opt k.ss_dirs gf with
-  | Some d when String.equal d.di_key (vv_key inode.Inode.vv) ->
+  match Gfile.Tbl.find_opt k.ss_dirs gf with
+  | Some d when Vvec.equal d.di_vv inode.Inode.vv ->
     touch k d;
     Some d
   | Some _ | None -> None
@@ -512,7 +508,7 @@ let commit_session ?force_vv k gf ~abort ~delete =
   match local_pack k gf.Gfile.fg with
   | None -> Proto.R_err Proto.Eio
   | Some pack -> (
-    let s = get_open k gf in
+    let s = ss_get_open k gf in
     match s.s_shadow with
     | None when abort -> Proto.R_committed { vv = Vvec.zero }
     | None when not delete ->
@@ -561,7 +557,7 @@ let handle_commit ?force_vv ?run k ~src gf ~abort ~delete =
 (* US close at the SS, then SS close at the CSS — the three-message close
    protocol adopted after the reopen race was found (section 2.3.3 note). *)
 let handle_us_close k ~src gf ~mode =
-  (match find_open k gf with
+  (match ss_find_open k gf with
   | None -> ()
   | Some s ->
     (* A writer that closes without committing (its commit and abort
@@ -618,7 +614,7 @@ let revalidate_serving k =
       | Some _ | None -> None)
   in
   let stale = ref [] in
-  Hashtbl.iter
+  Gfile.Tbl.iter
     (fun gf (s : ss_open) ->
       Site.Map.iter
         (fun us n ->
@@ -683,7 +679,7 @@ let change_links k gf ~delta =
     | None -> Stdlib.Error Proto.Enoent
     | Some { Inode.deleted = true; _ } -> Stdlib.Error Proto.Enoent
     | Some inode when inode.Inode.nlink + delta <= 0 ->
-      let s = get_open k gf in
+      let s = ss_get_open k gf in
       let session = ensure_session k pack gf in
       let vv, _ = install k pack gf s session ~delete:true in
       drop_if_idle k s;
@@ -739,7 +735,7 @@ let apply_intent k ~us dir (op : Proto.intent) ~others ~guard ~links_here =
     Proto.R_err e
   | Ok ino ->
     let pack = local_pack_exn k dir.Gfile.fg in
-    let s = get_open k dir in
+    let s = ss_get_open k dir in
     let session = ensure_session k pack dir in
     let dir_vv, modified = install k pack dir s session ~delete:false in
     drop_if_idle k s;
@@ -782,7 +778,7 @@ let metadata_commit k gf mutate =
     | None -> Proto.R_err Proto.Enoent
     | Some inode ->
       let vv = metadata_install k gf inode mutate in
-      let others = match find_open k gf with Some s -> s.s_others | None -> [] in
+      let others = match ss_find_open k gf with Some s -> s.s_others | None -> [] in
       announce_commit k gf ~vv ~modified:[] ~deleted:false ~meta_only:true others)
 
 let handle_set_attr k gf ~perms ~owner =
@@ -817,11 +813,11 @@ let handle_reclaim k gf =
 (* ---- named pipes (section 2.4.2): the fifo's single SS serializes ---- *)
 
 let pipe_buf k gf =
-  match Hashtbl.find_opt k.pipe_bufs gf with
+  match Gfile.Tbl.find_opt k.pipe_bufs gf with
   | Some b -> b
   | None ->
     let b = ref "" in
-    Hashtbl.add k.pipe_bufs gf b;
+    Gfile.Tbl.add k.pipe_bufs gf b;
     b
 
 let handle_pipe_write k gf data =

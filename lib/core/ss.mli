@@ -9,8 +9,6 @@
     bring their copies up to date in background: from the commit the
     notification carried ({!notify_others}), or by pulling. *)
 
-val find_open : Ktypes.t -> Catalog.Gfile.t -> Ktypes.ss_open option
-
 val handle_storage_req :
   Ktypes.t ->
   Catalog.Gfile.t ->

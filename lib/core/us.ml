@@ -36,15 +36,10 @@ module Page = Storage.Page
    A read open files its pages under the committed version it reads,
    shared with every other open of that version. A writer's pages may hold
    its own uncommitted bytes, so it files them under a key private to the
-   open ("w<serial>.<n>", never a version key, which prints as "<...>"),
-   renewed whenever its bytes change: on every write, truncate, commit and
-   abort. No other open can hit them, and neither can this one once they
-   are stale, so a renewal drops them, as does close. The key is computed
-   here, not on every cache probe. *)
-
-let next_gen o =
-  o.o_gen <- o.o_gen + 1;
-  o.o_gen
+   open, [Private] of a fresh serial, renewed whenever its bytes change: on
+   every write, truncate, commit and abort. No other open can hit them,
+   and neither can this one once they are stale, so a renewal drops them,
+   as does close. *)
 
 let cache_key o lpage = (o.o_gf, lpage, o.o_key)
 
@@ -59,7 +54,7 @@ let drop_keyed k o =
   let key = o.o_key in
   ignore
     (Us_cache.drop_file k.us_cache (Gfile.id o.o_gf) ~only:(fun (_, _, v) _ ->
-         String.equal v key))
+         vkey_equal v key))
 
 (* A read open's key is shared with every open of its version; only a
    writer's is its own to drop. *)
@@ -69,8 +64,8 @@ let renew_key k o =
   drop_private k o;
   o.o_key <-
     (match o.o_mode with
-    | Proto.Mode_modify -> "w" ^ string_of_int o.o_serial ^ "." ^ string_of_int (next_gen o)
-    | Proto.Mode_read | Proto.Mode_internal -> vv_key o.o_info.Proto.i_vv)
+    | Proto.Mode_modify -> Private (fresh_serial k)
+    | Proto.Mode_read | Proto.Mode_internal -> Committed o.o_info.Proto.i_vv)
 
 (* A writer's descriptor is leaving for another site (fork, exec, run).
    Its holders there write, truncate and abort the same SS session behind
@@ -98,7 +93,7 @@ let asks_first_pages k fi mode ~shared =
    bytes. *)
 let first_page_buffered k gf =
   match Keys.find k.us_open_keys gf with
-  | Some key when Us_cache.mem k.us_cache (gf, 0, key) ->
+  | Some vv when Us_cache.mem k.us_cache (gf, 0, Committed vv) ->
     Sim.Stats.incr (stats k) "us.open.buffered";
     true
   | Some _ | None -> false
@@ -153,8 +148,7 @@ let rec open_gf ?(shared = false) k gf mode =
          other holders write behind its back (the original open stops
          caching once its descriptor leaves the site: see [share]). *)
       o_nocache = nocache && (shared || mode <> Proto.Mode_modify);
-      o_key = "";
-      o_gen = 0;
+      o_key = Private 0; (* set by [renew_key] below; no serial is 0 *)
       o_dirty = false;
       (* -1 so a scan starting at page 0 counts as sequential and primes
          the readahead window immediately. *)
@@ -176,8 +170,8 @@ let rec open_gf ?(shared = false) k gf mode =
     List.iteri (file_page k o) pages;
     Sim.Stats.add (stats k) "us.open.pages" (List.length pages)
   end;
-  if asks && Option.is_none lease_ride then Keys.insert k.us_open_keys gf o.o_key;
-  Hashtbl.add k.open_files (gf, o.o_serial) o;
+  if asks && Option.is_none lease_ride then Keys.insert k.us_open_keys gf o.o_info.Proto.i_vv;
+  Hashtbl.add k.open_files o.o_serial o;
   record k ~tag "%a %a ss=%a" Gfile.pp gf Proto.pp_mode mode Site.pp ss;
   o
 
@@ -385,7 +379,7 @@ let schedule_window k o ~lpage =
   if o.o_ra_frontier <= first && first < npages then begin
     let count = run_length k o ~from:first ~limit:(min o.o_window (npages - first)) in
     if count > 0 then begin
-      let serial = next_gen o and key = o.o_key in
+      let serial = fresh_serial k and key = o.o_key in
       o.o_inflight <- { ra_serial = serial; ra_first = first; ra_count = count } :: o.o_inflight;
       o.o_ra_frontier <- first + count;
       Engine.schedule k.engine ~delay:0.01 (fun () ->
@@ -393,7 +387,7 @@ let schedule_window k o ~lpage =
           let pending = List.exists (fun b -> b.ra_serial = serial) o.o_inflight in
           retire o serial;
           (* A write changed the bytes under us: drop the batch. *)
-          if pending && (not o.o_closed) && k.alive && String.equal o.o_key key then begin
+          if pending && (not o.o_closed) && k.alive && vkey_equal o.o_key key then begin
             (* A demand fetch may have overtaken us: re-scan and fetch only
                the still-missing tail of the scheduled range. *)
             let rec first_missing p =
@@ -684,7 +678,7 @@ let close k o =
     drop_private k o;
     if o.o_dirty then commit k o;
     o.o_closed <- true;
-    Hashtbl.remove k.open_files (o.o_gf, o.o_serial);
+    Hashtbl.remove k.open_files o.o_serial;
     (match o.o_lease with
     | Some e ->
       if not e.Openlease.le_broken then Sim.Stats.incr (stats k) "open.lease.defer";

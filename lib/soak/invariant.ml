@@ -98,7 +98,7 @@ let check_site w k =
            site nleases);
   (* SS side: no shadow sessions, and every serving registration must be
      backed by an actual open (or lease) at the using site it names. *)
-  Hashtbl.iter
+  Gfile.Tbl.iter
     (fun gf (s : K.ss_open) ->
       if s.K.s_shadow <> None then
         add (vf "orphan-shadow" "site %d: %a has a live shadow session" site

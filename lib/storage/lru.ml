@@ -30,7 +30,7 @@
    Every operation is constant time except [drop_file], which walks one
    file's ring, [filter_out], which walks the recency ring, and [clear],
    O(slots). The core is generic over the key and the cached value: the
-   buffer caches ({!Cache}, holding pages), the pathname name cache
+   kernel's two buffer caches (holding pages), the pathname name cache
    (holding directory links) and the kernel's per-file tables are all
    instances. A value is held and returned by reference, never copied:
    pages are immutable, and the other instances share their records on
@@ -77,15 +77,7 @@ module type S = sig
 
   val length : t -> int
 
-  val capacity : t -> int
-
   val keys_mru : t -> key list
-
-  val hits : t -> int
-
-  val misses : t -> int
-
-  val evictions : t -> int
 end
 
 let mix h = h * 0x4F1BBCDCBFA53E0B
@@ -161,9 +153,6 @@ module Make (K : KEY) (V : VALUE) = struct
     mutable mru : int; (* -1: empty *)
     mutable free : int; (* -1: no free slot *)
     mutable length : int;
-    mutable hits : int;
-    mutable misses : int;
-    mutable evictions : int;
   }
 
   let create ?(on_evict = fun _ _ -> ()) ~capacity () =
@@ -186,9 +175,6 @@ module Make (K : KEY) (V : VALUE) = struct
       mru = -1;
       free = -1;
       length = 0;
-      hits = 0;
-      misses = 0;
-      evictions = 0;
     }
 
   (* Puts slots [from] to [upto - 1] on the free list, lowest first. *)
@@ -288,14 +274,10 @@ module Make (K : KEY) (V : VALUE) = struct
   let find t key =
     let s = find_slot t key in
     if s >= 0 then begin
-      t.hits <- t.hits + 1;
       touch t s;
       Some t.values.(s)
     end
-    else begin
-      t.misses <- t.misses + 1;
-      None
-    end
+    else None
 
   let peek t key =
     let s = find_slot t key in
@@ -367,7 +349,6 @@ module Make (K : KEY) (V : VALUE) = struct
         let victim = t.newer.(t.mru) in
         let key = t.keys.(victim) and value = t.values.(victim) in
         remove t victim;
-        t.evictions <- t.evictions + 1;
         t.on_evict key value
       end
     end
@@ -377,7 +358,7 @@ module Make (K : KEY) (V : VALUE) = struct
     if s >= 0 then remove t s
 
   (* Drops are silent: [on_evict] reports capacity pressure only, so an
-     invalidation or a clear fires no hook and counts no eviction. A walk
+     invalidation or a clear fires no hook. A walk
      removes as it goes: it reads a slot's successor first, and stops
      after the slot that was last when it started. *)
   let drop_file ?only t file =
@@ -437,8 +418,6 @@ module Make (K : KEY) (V : VALUE) = struct
 
   let length t = t.length
 
-  let capacity t = t.capacity
-
   let keys_mru t =
     if t.length = 0 then []
     else begin
@@ -449,10 +428,4 @@ module Make (K : KEY) (V : VALUE) = struct
       in
       go [] t.mru
     end
-
-  let hits t = t.hits
-
-  let misses t = t.misses
-
-  let evictions t = t.evictions
 end

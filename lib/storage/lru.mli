@@ -3,14 +3,16 @@
     A slab: each entry is a slot of parallel arrays, its place in the
     recency order and in its file's ring are [int] links between slots,
     and open-addressing [int] tables find an entry by key and a file's
-    entries by file. {!Cache} (the buffer caches), the kernel's pathname
-    name cache and its small per-file tables are all instances of {!Make};
-    they differ in the key and the cached value type. Every operation is
-    O(1), except {!S.drop_file}, which is O(entries of that file),
-    {!S.filter_out}, O(entries), and {!S.clear}, O(slots). Once the slots
-    have grown, a hit, an insert, an eviction, an invalidation or a drop
-    allocates nothing beyond what the caller passes and {!S.find}'s
-    [Some].
+    entries by file. The kernel's two buffer caches (of {!Page.t}), its
+    pathname name cache and its small per-file tables are all instances
+    of {!Make}; they differ in the key and the cached value type. Every
+    operation is O(1), except {!S.drop_file}, which is O(entries of that
+    file), {!S.filter_out}, O(entries), and {!S.clear}, O(slots). Once
+    the slots have grown, a hit, an insert, an eviction, an invalidation
+    or a drop allocates nothing beyond what the caller passes and
+    {!S.find}'s [Some]. An instance keeps no counters: its user counts
+    hits and misses from {!S.find}'s result and evictions through
+    [on_evict].
 
     The slots start at 8 and double, up to one more than the capacity, so
     a cache that never fills never pays for its capacity. The first entry
@@ -49,14 +51,13 @@ module type S = sig
 
   val find : t -> key -> value option
   (** Hit moves the entry to most-recently-used and returns the value
-      inserted (the same value, not a copy). Counts toward
-      {!hits}/{!misses}. *)
+      inserted (the same value, not a copy). *)
 
   val peek : t -> key -> value option
-  (** Lookup without recency or counter effects. *)
+  (** Lookup without a recency update. *)
 
   val mem : t -> key -> bool
-  (** Presence probe: no recency update, no counter update. *)
+  (** Presence probe: no recency update. *)
 
   val insert : t -> key -> value -> unit
   (** Insert (or refresh) the value, evicting the least recently used
@@ -67,7 +68,7 @@ module type S = sig
   val drop_file : ?only:(key -> value -> bool) -> t -> int -> int
   (** [drop_file t file] drops the entries of [file] (those satisfying
       [only], when given) and returns how many it dropped. Silent: no
-      [on_evict], no {!evictions} count. O(entries of [file]). *)
+      [on_evict]. O(entries of [file]). *)
 
   val filter_out : t -> (key -> value -> bool) -> int
   (** Drop all entries satisfying the predicate, silently, and return how
@@ -78,17 +79,8 @@ module type S = sig
 
   val length : t -> int
 
-  val capacity : t -> int
-
   val keys_mru : t -> key list
   (** Keys in recency order, most recently used first (test/debug aid). *)
-
-  val hits : t -> int
-
-  val misses : t -> int
-
-  val evictions : t -> int
-  (** Entries dropped by capacity pressure since creation. *)
 end
 
 module Make (K : KEY) (V : VALUE) : S with type key = K.t and type value = V.t

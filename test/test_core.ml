@@ -219,6 +219,33 @@ let test_cache_keyed_by_version () =
   check Alcotest.string "fresh read after update" "new contents"
     (Kernel.read_file k3 p3 "/c")
 
+(* A version key compares by value: a page filed under a committed
+   version is found through an equal vector built another way, and never
+   under a writer's private key. The simulator passes reply values by
+   reference, so a physical comparison would pass every end-to-end test. *)
+let test_version_key_structural () =
+  let module Vvec = Vv.Version_vector in
+  let c = K.Us_cache.create ~capacity:8 () in
+  let gf = Catalog.Gfile.make ~fg:0 ~ino:7 in
+  let page = Storage.Page.of_string "v" in
+  K.Us_cache.insert c (gf, 0, K.Committed (Vvec.of_list [ (0, 2); (3, 1) ])) page;
+  let equal_vv = Vvec.bump (Vvec.bump (Vvec.bump Vvec.zero 3) 0) 0 in
+  check Alcotest.bool "found through an equal vector" true
+    (match K.Us_cache.find c (gf, 0, K.Committed equal_vv) with
+    | Some p -> p == page
+    | None -> false);
+  check Alcotest.bool "and through one with a zero component" true
+    (K.Us_cache.mem c (gf, 0, K.Committed (Vvec.of_list [ (3, 1); (1, 0); (0, 2) ])));
+  check Alcotest.bool "not under another version" false
+    (K.Us_cache.mem c (gf, 0, K.Committed (Vvec.bump equal_vv 1)));
+  check Alcotest.bool "not under a private key" false
+    (List.exists (fun n -> K.Us_cache.mem c (gf, 0, K.Private n)) [ 0; 1; 2; 3 ]);
+  K.Us_cache.insert c (gf, 1, K.Private 5) page;
+  check Alcotest.bool "a private key is found by its serial" true
+    (K.Us_cache.mem c (gf, 1, K.Private 5));
+  check Alcotest.bool "and by no committed version" false
+    (K.Us_cache.mem c (gf, 1, K.Committed Vvec.zero))
+
 (* Regression: a cache hit must extend the readahead window too. With the
    old code only misses scheduled readahead, so a sequential scan settled
    into miss/hit/miss/hit — every other page paid the network round trip. *)
@@ -281,8 +308,9 @@ let test_cross_open_cache_retention () =
      at the announced version, from both cache tiers: an SS buffer holds
      the local copy's version, and this site stores none. *)
   let vv = (Us.stat_gf k0 gf).Proto.i_vv in
-  K.Us_cache.insert k3.K.us_cache (gf, 0, K.vv_key vv) (Storage.Page.of_string "cur");
-  K.Us_cache.insert k3.K.us_cache (gf, 1, "stale-vv") (Storage.Page.of_string "old");
+  let stale = K.Committed Vv.Version_vector.zero in
+  K.Us_cache.insert k3.K.us_cache (gf, 0, K.Committed vv) (Storage.Page.of_string "cur");
+  K.Us_cache.insert k3.K.us_cache (gf, 1, stale) (Storage.Page.of_string "old");
   K.Ss_cache.insert k3.K.ss_cache (gf, 2) (Storage.Page.of_string "old");
   let notify =
     Proto.Commit_notify
@@ -291,9 +319,9 @@ let test_cross_open_cache_retention () =
   in
   ignore (k3.K.dispatch 0 notify);
   check Alcotest.bool "current version kept" true
-    (K.Us_cache.mem k3.K.us_cache (gf, 0, K.vv_key vv));
+    (K.Us_cache.mem k3.K.us_cache (gf, 0, K.Committed vv));
   check Alcotest.bool "stale US entry dropped" false
-    (K.Us_cache.mem k3.K.us_cache (gf, 1, "stale-vv"));
+    (K.Us_cache.mem k3.K.us_cache (gf, 1, stale));
   check Alcotest.bool "stale SS entry dropped" false
     (K.Ss_cache.mem k3.K.ss_cache (gf, 2))
 
@@ -833,7 +861,7 @@ let test_lost_intent_messages () =
     check Alcotest.bool (label ^ ": the directory committed once") true
       (Vv.Version_vector.equal (vv ()) (Vv.Version_vector.bump before 1));
     check Alcotest.bool (label ^ ": no serving registration at the SS") true
-      (Locus_core.Ss.find_open k1 dir_gf = None);
+      (K.ss_find_open k1 dir_gf = None);
     check Alcotest.bool (label ^ ": no shadow pages left") true (Storage.Pack.fsck pack = []);
     check Alcotest.bool (label ^ ": the locks are free") true
       (List.for_all
@@ -890,7 +918,7 @@ let test_lost_file_replies () =
     check Alcotest.bool (label ^ ": one version bump") true
       (Vv.Version_vector.equal (inode ()).Inode.vv (Vv.Version_vector.bump before 0));
     check Alcotest.bool (label ^ ": no serving registration at the SS") true
-      (Locus_core.Ss.find_open k0 gf = None);
+      (K.ss_find_open k0 gf = None);
     check Alcotest.bool (label ^ ": the new state is there") true (holds k0 p0 (inode ()));
     let k2 = World.kernel w 2 and p2 = World.proc w 2 in
     match Kernel.write_file k2 p2 "/f" "two" with
@@ -1228,6 +1256,8 @@ let () =
             test_remote_read_two_messages_per_page;
           Alcotest.test_case "readahead" `Quick test_readahead_fills_cache;
           Alcotest.test_case "cache keyed by version" `Quick test_cache_keyed_by_version;
+          Alcotest.test_case "version keys compare by value" `Quick
+            test_version_key_structural;
           Alcotest.test_case "readahead on cache hit" `Quick test_readahead_on_cache_hit;
           Alcotest.test_case "cross-open retention" `Quick test_cross_open_cache_retention;
           Alcotest.test_case "read_bytes zero fill" `Quick

@@ -257,7 +257,7 @@ let hold_three w site =
 
 (* The SS (site 1) serves [site] for [gf]. *)
 let serving w site gf =
-  match Hashtbl.find_opt (World.kernel w 1).K.ss_opens gf with
+  match K.ss_find_open (World.kernel w 1) gf with
   | Some s -> Net.Site.Map.mem site s.K.s_uss
   | None -> false
 

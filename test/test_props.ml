@@ -962,7 +962,7 @@ let run_fetch_case c =
   let fill = ref 0 in
   let cached_under keys =
     List.exists
-      (fun (g, _, v) -> Catalog.Gfile.equal g gf && List.mem v keys)
+      (fun (g, _, v) -> Catalog.Gfile.equal g gf && List.exists (K.vkey_equal v) keys)
       (K.Us_cache.keys_mru k3.K.us_cache)
   in
   let peek site =
@@ -973,13 +973,13 @@ let run_fetch_case c =
     Locus_core.Us.close k r
   in
   let versions_committed () =
-    let key = K.vv_key !committed_vv in
+    let key = K.Committed !committed_vv in
     List.for_all
       (fun s ->
         let cache = (World.kernel w s).K.us_cache in
         List.for_all
           (fun ((g, p, v) as ck) ->
-            (not (Catalog.Gfile.equal g gf && String.equal v key))
+            (not (Catalog.Gfile.equal g gf && K.vkey_equal v key))
             ||
             match K.Us_cache.find cache ck with
             | None -> true
@@ -1038,7 +1038,8 @@ let run_fetch_case c =
       | Drain -> drain ()
       | Peek same -> peek (if same then 3 else 1));
       if not (versions_committed ()) then ok := false;
-      if c.writer && cached_under (List.filter (( <> ) o.K.o_key) !keys) then ok := false;
+      if c.writer && cached_under (List.filter (fun v -> not (K.vkey_equal v o.K.o_key)) !keys)
+      then ok := false;
       keys := o.K.o_key :: !keys)
     c.ops;
   drain ();
@@ -1357,8 +1358,9 @@ module Clru =
    every file in them. Random inserts, finds, presence probes, peeks,
    invalidations, drops of a file's entries (all, or those a predicate
    picks), filter_outs and clears must keep the model's entries, recency
-   order, counters and every drop's count, and capacity pressure must
-   evict the model's victims with their values, in order. *)
+   order and every drop's count, every find must hit or miss as the model
+   does, and capacity pressure must evict the model's victims with their
+   values, in order. *)
 let prop_lru_slab_edges =
   QCheck.Test.make ~count:300
     ~name:"lru: colliding hashes, slot growth and table rebuilds match a list model"
@@ -1373,7 +1375,6 @@ let prop_lru_slab_edges =
       let c = Clru.create ~on_evict:(fun k v -> evicted := (k, v) :: !evicted) ~capacity:cap () in
       let model = ref [] (* (key, value), MRU first *) in
       let model_evicted = ref [] in
-      let hits = ref 0 and misses = ref 0 in
       let ok = ref true in
       let without key = List.filter (fun (k, _) -> k <> key) !model in
       let drop victim =
@@ -1394,10 +1395,8 @@ let prop_lru_slab_edges =
             end
           | 3 -> (
             match (Clru.find c key, List.assoc_opt key !model) with
-            | Some got, Some want when got = want ->
-              incr hits;
-              model := (key, want) :: without key
-            | None, None -> incr misses
+            | Some got, Some want when got = want -> model := (key, want) :: without key
+            | None, None -> ()
             | _ -> ok := false)
           | 4 -> if Clru.mem c key <> List.mem_assoc key !model then ok := false
           | 5 -> if Clru.peek c key <> List.assoc_opt key !model then ok := false
@@ -1424,11 +1423,7 @@ let prop_lru_slab_edges =
           if Clru.length c <> List.length !model || Clru.keys_mru c <> List.map fst !model then
             ok := false)
         ops;
-      !ok
-      && !evicted = !model_evicted
-      && Clru.hits c = !hits
-      && Clru.misses c = !misses
-      && Clru.evictions c = List.length !model_evicted)
+      !ok && !evicted = !model_evicted)
 
 let props =
   List.map QCheck_alcotest.to_alcotest

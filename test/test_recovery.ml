@@ -406,11 +406,10 @@ let test_site_failure_frees_slots () =
       in
       ignore (Us.open_gf k3 gf Proto.Mode_read))
     paths;
-  check Alcotest.int "SS 0 serves site 3" 10 (Hashtbl.length k0.K.ss_opens);
+  check Alcotest.int "SS 0 serves site 3" 10 (K.Gfile.Tbl.length k0.K.ss_opens);
   World.crash_site w 3;
   ignore (World.detect_failures w ~initiator:0);
-  check Alcotest.int "no serving state" 0 (Hashtbl.length k0.K.ss_opens);
-  check Alcotest.int "no incore slot" 0 (Hashtbl.length k0.K.ss_slots)
+  check Alcotest.int "no serving state" 0 (K.Gfile.Tbl.length k0.K.ss_opens)
 
 (* ---- reconciliation (section 4) ---- *)
 

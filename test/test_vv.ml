@@ -107,6 +107,31 @@ let prop_conflict_iff_incomparable =
       Vvec.conflict a b
       = ((not (Vvec.dominates_or_equal a b)) && not (Vvec.dominates_or_equal b a)))
 
+(* [equal] compares the maps, which the no-zero-component invariant makes
+   agree with [compare_vv]: over vectors built from the same bumps in
+   another order, merged with a vector they dominate, rebuilt by [of_list]
+   with zero components, and from other bumps. *)
+let prop_equal_is_compare_equal =
+  QCheck.Test.make ~name:"equal iff compare_vv says Equal" ~count:300
+    QCheck.(pair (small_list (make sites)) (small_list (make sites)))
+    (fun (bumps, others) ->
+      let build l = List.fold_left Vvec.bump Vvec.zero l in
+      let a = build bumps in
+      let zeros = List.map (fun s -> (s, 0)) [ 0; 1; 2; 3; 4 ] in
+      let vs =
+        [
+          a;
+          build (List.rev bumps);
+          Vvec.merge (build (List.filteri (fun i _ -> i mod 2 = 0) bumps)) a;
+          Vvec.of_list (zeros @ List.rev (Vvec.to_list a));
+          build others;
+          Vvec.merge a (build others);
+        ]
+      in
+      List.for_all
+        (fun x -> List.for_all (fun y -> Vvec.equal x y = (Vvec.compare_vv x y = Vvec.Equal)) vs)
+        vs)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -117,6 +142,7 @@ let props =
       prop_compare_antisymmetric;
       prop_bump_strictly_dominates;
       prop_conflict_iff_incomparable;
+      prop_equal_is_compare_equal;
     ]
 
 let () =
