@@ -1676,6 +1676,44 @@ let e21 () =
   (* A gate, not just a cell: bench-smoke fails when this does. *)
   if not membership_ok then
     failwith "E21: a membership change sent lease closes or lost the committed bytes";
+  (* Eviction at capacity: site 3 opens and closes twice as many files as
+     its lease table holds, every one stored at the CSS alone. Each open
+     past the capacity evicts an idle grant the CSS serves, and that
+     grant's close rides the open: the open is its one round trip. *)
+  let capacity = 8 in
+  let w =
+    make_world ~n:5 ~packs:[ 0; 1 ]
+      ~kconfig:{ K.default_config with K.open_lease_entries = capacity } ()
+  in
+  let files = List.init (2 * capacity) (Printf.sprintf "/e%d") in
+  List.iter (fun path -> mk_file w ~at:0 ~ncopies:1 ~path ~body:path) files;
+  let k3 = World.kernel w 3 in
+  let costs =
+    List.map
+      (fun path ->
+        let gf = gf_of k3 path in
+        let snap = Stats.snapshot (World.stats w) in
+        Us.close k3 (Us.open_gf k3 gf Proto.Mode_read);
+        let delta = Stats.delta_of (World.stats w) snap in
+        (delta "open.lease.evict", delta "net.msg", delta "net.msg.close.us"))
+      files
+  in
+  settle_ok w;
+  let evicting = List.filter (fun (evict, _, _) -> evict > 0) costs in
+  let max_msgs = List.fold_left (fun a (_, m, _) -> max a m) 0 evicting in
+  let closes = List.fold_left (fun a (_, _, c) -> a + c) 0 evicting in
+  metric "evict.opens" (float_of_int (List.length evicting));
+  metric "evict.open.max_msgs" (float_of_int max_msgs);
+  metric "evict.close.msgs" (float_of_int closes);
+  let evict_ok = List.length evicting = capacity && max_msgs <= 2 && closes = 0 in
+  Report.table ~title:"eviction at capacity (site 3, CSS-stored files)"
+    ~header:[ "event"; "opens"; "evicting"; "max msgs/open"; "close.us msgs"; "ok" ]
+    [
+      [ "eviction at capacity"; Report.i (List.length files); Report.i (List.length evicting);
+        Report.i max_msgs; Report.i closes; Report.check evict_ok ];
+    ];
+  if not evict_ok then
+    failwith "E21: an evicting cold open sent a close of its own or more than one round trip";
   (* Ablation: with the layer off every open repeats the cold exchange,
      reproducing E1's counts exactly. *)
   let ablation name kconfig =

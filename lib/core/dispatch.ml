@@ -8,7 +8,10 @@ let handle k ~src (req : Proto.req) : Proto.resp =
   else begin
     match req with
     (* open protocol *)
-    | Proto.Open_req { gf; mode; us_vv; shared; want } -> (
+    | Proto.Open_req { gf; mode; us_vv; shared; want; release } -> (
+      (* The close of a lease the open evicted at the US, served here,
+         rides the request: it runs first, whatever the open answers. *)
+      Option.iter (fun (victim, mode) -> ignore (Ss.handle_us_close k ~src victim ~mode)) release;
       (* A read open the CSS serves itself carries the committed copy's
          first [want] pages, read from the inode its [info] names, so the
          US's first [Read_pages] never goes out. Not when a writer exists

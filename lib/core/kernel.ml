@@ -391,40 +391,46 @@ let mailbox_read k (proc : proc) path = Mbox.live (decode_mailbox (read_file k p
 
 (* Local resources in use remotely / remote resources in use locally. *)
 let handle_site_failure k dead =
-  (* US side: open files served by the failed SS. *)
-  Hashtbl.iter
-    (fun _ (o : ofile) ->
-      if (not o.o_closed) && Site.equal o.o_ss dead then begin
-        match o.o_mode with
-        | Proto.Mode_modify ->
-          (* Discard pages, set error in the local file descriptor. *)
-          o.o_wb <- None;
-          o.o_dirty <- false;
+  (* US side: open files served by the failed SS. A reopen adds an entry
+     to [k.open_files] and removes it again, so the opens are taken first,
+     in the table's order, and handled after. *)
+  let served =
+    Hashtbl.fold
+      (fun _ (o : ofile) acc ->
+        if (not o.o_closed) && Site.equal o.o_ss dead then o :: acc else acc)
+      k.open_files []
+  in
+  List.iter
+    (fun (o : ofile) ->
+      match o.o_mode with
+      | Proto.Mode_modify ->
+        (* Discard pages, set error in the local file descriptor. *)
+        o.o_wb <- None;
+        o.o_dirty <- false;
+        o.o_closed <- true;
+        Us.drop_private k o;
+        Sim.Stats.incr (stats k) "cleanup.us.update_lost";
+        record k ~tag:"cleanup" "update lost %a" Gfile.pp o.o_gf
+      | Proto.Mode_read | Proto.Mode_internal -> (
+        (* Internal close, attempt to reopen at another site. *)
+        match Us.open_gf k o.o_gf o.o_mode with
+        | o' ->
+          (* The open now rides the new grant (if any); stop riding the
+             dead one. *)
+          (match o.o_lease with Some e -> Us.lease_drop_rider k e | None -> ());
+          o.o_ss <- o'.o_ss;
+          o.o_info <- o'.o_info;
+          o.o_key <- o'.o_key;
+          o.o_lease <- o'.o_lease;
+          Hashtbl.remove k.open_files o'.o_serial;
+          Sim.Stats.incr (stats k) "cleanup.us.reopened";
+          record k ~tag:"cleanup" "reopened %a at %a" Gfile.pp o.o_gf Site.pp o'.o_ss
+        | exception Error _ ->
           o.o_closed <- true;
-          Us.drop_private k o;
-          Sim.Stats.incr (stats k) "cleanup.us.update_lost";
-          record k ~tag:"cleanup" "update lost %a" Gfile.pp o.o_gf
-        | Proto.Mode_read | Proto.Mode_internal -> (
-          (* Internal close, attempt to reopen at another site. *)
-          match Us.open_gf k o.o_gf o.o_mode with
-          | o' ->
-            (* The open now rides the new grant (if any); stop riding the
-               dead one. *)
-            (match o.o_lease with Some e -> Us.lease_drop_rider k e | None -> ());
-            o.o_ss <- o'.o_ss;
-            o.o_info <- o'.o_info;
-            o.o_key <- o'.o_key;
-            o.o_lease <- o'.o_lease;
-            Hashtbl.remove k.open_files o'.o_serial;
-            Sim.Stats.incr (stats k) "cleanup.us.reopened";
-            record k ~tag:"cleanup" "reopened %a at %a" Gfile.pp o.o_gf Site.pp o'.o_ss
-          | exception Error _ ->
-            o.o_closed <- true;
-            (match o.o_lease with Some e -> Us.lease_drop_rider k e | None -> ());
-            o.o_lease <- None;
-            Sim.Stats.incr (stats k) "cleanup.us.read_lost")
-      end)
-    k.open_files;
+          (match o.o_lease with Some e -> Us.lease_drop_rider k e | None -> ());
+          o.o_lease <- None;
+          Sim.Stats.incr (stats k) "cleanup.us.read_lost"))
+    (List.rev served);
   (* The SS side (opens served to the failed site) is ended by
      [Ss.revalidate_serving], and the CSS side (its lock-table entries)
      by the rebuild, both part of every membership install. *)

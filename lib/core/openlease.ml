@@ -8,7 +8,9 @@
    of a lease-backed read open is *deferred*: the SS serving state stays
    registered and the Us_close/Ss_close legs are elided until the lease
    dies. A lease dies one of two ways. A break (the CSS callback, an own
-   commit, a capacity eviction) sends exactly one batched close. A crash,
+   commit, a capacity eviction) sends exactly one batched close; an
+   eviction's rides the cold open that displaced it when the CSS that
+   open asks is the lease's SS ([make_room]). A crash,
    partition or merge drops the whole table silently: the next merge's
    §5.6 rebuild restores the CSS lock tables from the members' open
    files, and [Ss.revalidate_serving] drops SS registrations no open
@@ -51,9 +53,11 @@ module Lru =
 
 type t = {
   cache : Lru.t option; (* None: disabled (0 entries) *)
+  capacity : int;
   hit : Sim.Stats.counter;
   miss : Sim.Stats.counter;
   break : Sim.Stats.counter;
+  evicted : entry -> unit; (* counts a capacity eviction, kills the entry *)
   on_dead : (entry -> unit) ref;
   (* deferred-close sender, installed by [Kernel.create]; called exactly
      once per entry, when the lease is dead and no local open rides it *)
@@ -62,22 +66,34 @@ type t = {
 let create ~stats ~capacity () =
   let counter what = Sim.Stats.counter stats ("open.lease." ^ what) in
   let on_dead = ref (fun (_ : entry) -> ()) in
-  let cache =
-    if capacity <= 0 then None
+  let cache, evicted =
+    if capacity <= 0 then (None, ignore)
     else
       let evict = counter "evict" in
-      Some
-        (Lru.create
-           ~on_evict:(fun _ e ->
-             (* Capacity eviction: one batched close travels now — unless
-                an open still rides the grant, in which case the last
-                riding close sends it. *)
-             Sim.Stats.cincr evict;
-             e.le_broken <- true;
-             if e.le_active <= 0 then !on_dead e)
-           ~capacity ())
+      let evicted e =
+        Sim.Stats.cincr evict;
+        e.le_broken <- true
+      in
+      ( Some
+          (Lru.create
+             ~on_evict:(fun _ e ->
+               (* Capacity eviction: one batched close travels now — unless
+                  an open still rides the grant, in which case the last
+                  riding close sends it. *)
+               evicted e;
+               if e.le_active <= 0 then !on_dead e)
+             ~capacity ()),
+        evicted )
   in
-  { cache; hit = counter "hit"; miss = counter "miss"; break = counter "break"; on_dead }
+  {
+    cache;
+    capacity;
+    hit = counter "hit";
+    miss = counter "miss";
+    break = counter "break";
+    evicted;
+    on_dead;
+  }
 
 let enabled t = t.cache <> None
 
@@ -117,6 +133,22 @@ let kill t gf =
       Sim.Stats.cincr t.break;
       e.le_broken <- true;
       if e.le_active <= 0 then !(t.on_dead) e)
+
+(* A cold open about to ask the CSS at [ss] finds the table full: when
+   the least recent grant is idle and [ss] is its SS, evict it now and
+   return it, so that its close rides the open request instead of
+   travelling on its own after the reply. The caller owes that close. Any
+   other victim stays for [insert] to evict as before. *)
+let make_room t ~ss =
+  match t.cache with
+  | Some c when Lru.length c >= t.capacity -> (
+    match Lru.oldest c with
+    | Some (gf, e) when e.le_active <= 0 && Site.equal e.le_ss ss ->
+      Lru.invalidate c gf;
+      t.evicted e;
+      Some e
+    | Some _ | None -> None)
+  | Some _ | None -> None
 
 (* Register a fresh grant (the cold open that carried it is its first
    rider). A live entry under the same key would mean a lost break

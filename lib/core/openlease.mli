@@ -6,7 +6,8 @@
     with zero messages; the close of a lease-backed open is deferred
     until the lease dies. A break (callback, local commit observation,
     capacity eviction) sends exactly one batched close via the [on_dead]
-    callback installed by [Kernel.create]; a crash, partition or merge
+    callback installed by [Kernel.create], except an eviction's that rides
+    the cold open displacing it ({!make_room}); a crash, partition or merge
     drops every lease silently ({!clear}), as the §5.6 rebuild restores
     the lock tables the closes would have updated.
 
@@ -44,6 +45,13 @@ val find_entry : t -> Catalog.Gfile.t -> entry option
 val acquire : t -> Catalog.Gfile.t -> entry option
 (** Warm re-open: returns the live entry with its rider count bumped, or
     [None] (counted as a miss). *)
+
+val make_room : t -> ss:Net.Site.t -> entry option
+(** Before a cold open asks the CSS at [ss]: when the table is full and its
+    least recent grant is idle and served by [ss], evict that grant
+    (counted as [open.lease.evict]) and return it. Its close is then the
+    caller's to send, in the open request. [None] otherwise: any victim is
+    left to {!insert}. *)
 
 val insert : t -> entry -> unit
 (** Register a fresh grant; may evict the LRU entry (one batched close). *)

@@ -98,6 +98,22 @@ let first_page_buffered k gf =
     true
   | Some _ | None -> false
 
+(* Run the close protocol's first leg at [ss]: one [Us_close] handed off
+   to {!Ktypes.send_close}. A close that can never reach the SS is handled
+   by cleanup when the membership change is observed. *)
+let close_at k ss gf mode =
+  try ignore (send_close k ss (Proto.Us_close { gf; mode })) with Error _ -> ()
+
+(* Send the one batched close a dead lease owes: the [Us_close] the cold
+   open deferred. Installed as [Openlease.on_dead] by [Kernel.create], so
+   breaks arriving through dispatch, eviction or recovery all route here,
+   as does an eviction's close that could not ride its open. *)
+let lease_send_close k (e : Openlease.entry) =
+  if k.alive then begin
+    record k ~tag:"us.lease.close" "%a" Gfile.pp e.Openlease.le_gf;
+    close_at k e.Openlease.le_ss e.Openlease.le_gf e.Openlease.le_mode
+  end
+
 (* Open <filegroup, inode>: interrogate the CSS, which selects the SS
    (Figure 2). Returns the US incore inode.
 
@@ -177,12 +193,34 @@ let rec open_gf ?(shared = false) k gf mode =
 
 (* The full exchange with the CSS; returns what the open record needs. A
    read open asks for a window of first pages unless page 0 is still
-   buffered. *)
+   buffered. A lease-eligible open that finds the lease table full evicts
+   the least recent grant first when it is idle and the CSS is its SS:
+   that grant's close rides the request. The request's handler runs once
+   or not at all, so the close is sent again only when no attempt reached
+   the CSS. *)
 and open_cold ~shared ~asks k fi gf mode =
   let us_vv = local_vv k gf in
   let want = if asks && not (first_page_buffered k gf) then k.config.bulk_window else 0 in
-  match rpc k fi.css_site (Proto.Open_req { gf; mode; us_vv; shared; want }) with
-  | Proto.R_open { ss; info; others; nocache; slot; lease; pages } ->
+  let victim =
+    match mode with
+    | (Proto.Mode_read | Proto.Mode_internal) when not shared ->
+      Openlease.make_room k.open_leases ~ss:fi.css_site
+    | Proto.Mode_read | Proto.Mode_internal | Proto.Mode_modify -> None
+  in
+  let release =
+    Option.map
+      (fun (e : Openlease.entry) ->
+        record k ~tag:"us.lease.release" "%a" Gfile.pp e.Openlease.le_gf;
+        (e.Openlease.le_gf, e.Openlease.le_mode))
+      victim
+  in
+  match rpc_result k fi.css_site (Proto.Open_req { gf; mode; us_vv; shared; want; release }) with
+  | Stdlib.Error e ->
+    (match (e, victim) with
+    | Net.Rpc.Unreachable _, Some v -> lease_send_close k v
+    | (Net.Rpc.Unreachable _ | Net.Rpc.Lost_reply _), _ -> ());
+    err Proto.Enet "%a" Net.Rpc.pp_error e
+  | Ok (Proto.R_open { ss; info; others; nocache; slot; lease; pages }) ->
     let info =
       match info with
       | Some info -> info
@@ -219,8 +257,8 @@ and open_cold ~shared ~asks k fi gf mode =
       else None
     in
     ("us.open", ss, info, nocache, slot, lease_entry, pages)
-  | Proto.R_err e -> err e "open %a failed" Gfile.pp gf
-  | _ -> err Proto.Eio "unexpected open response"
+  | Ok (Proto.R_err e) -> err e "open %a failed" Gfile.pp gf
+  | Ok _ -> err Proto.Eio "unexpected open response"
 
 (* The bulk-transfer layer batches write traffic with a remote SS; local
    access and a window of one page keep the original protocol exactly. *)
@@ -592,21 +630,6 @@ let set_contents k o body =
   else Ss.write_run ~trunc:0 k o.o_ss o.o_gf ~off:0 body;
   renew_key k o;
   o.o_info <- { o.o_info with Proto.i_size = String.length body }
-
-(* Run the close protocol's first leg at [ss]: one [Us_close] handed off
-   to {!Ktypes.send_close}. A close that can never reach the SS is handled
-   by cleanup when the membership change is observed. *)
-let close_at k ss gf mode =
-  try ignore (send_close k ss (Proto.Us_close { gf; mode })) with Error _ -> ()
-
-(* Send the one batched close a dead lease owes: the [Us_close] the cold
-   open deferred. Installed as [Openlease.on_dead] by [Kernel.create], so
-   breaks arriving through dispatch, eviction or recovery all route here. *)
-let lease_send_close k (e : Openlease.entry) =
-  if k.alive then begin
-    record k ~tag:"us.lease.close" "%a" Gfile.pp e.Openlease.le_gf;
-    close_at k e.Openlease.le_ss e.Openlease.le_gf e.Openlease.le_mode
-  end
 
 (* One local open stops riding the lease. If the lease already died while
    it was open, the last rider out sends the deferred close. *)

@@ -174,6 +174,10 @@ type req =
            carry in its reply, should the CSS serve the open itself; 0 (the
            paper's open, and every open at window 1) asks for none. Costs 4
            bytes only when nonzero. *)
+      release : (Catalog.Gfile.t * open_mode) option;
+        (* the close of the lease this open evicted at the US, when the
+           CSS is that lease's SS: the [Us_close] rides the open instead of
+           travelling on its own. Costs a file and a mode only when set. *)
     } (* US -> CSS: open request; carries the US's copy version if it stores one *)
   | Storage_req of {
       gf : Catalog.Gfile.t;
@@ -415,10 +419,11 @@ let run_bytes ~trunc ~off len =
     + len
 
 let req_bytes = function
-  | Open_req { us_vv; want; _ } ->
+  | Open_req { us_vv; want; release; _ } ->
     header + gfile_bytes + 2
     + (match us_vv with Some v -> vv_bytes v | None -> 0)
-    + if want > 0 then 4 else 0
+    + (if want > 0 then 4 else 0)
+    + if Option.is_some release then gfile_bytes + 1 else 0
   | Storage_req { vv; others; _ } ->
     header + gfile_bytes + vv_bytes vv + 5 + site_list_bytes others
   (* A stat is the header and the file: at count 0 the page number, the

@@ -154,12 +154,16 @@ type req =
       us_vv : Vv.Version_vector.t option;
       shared : bool;
       want : int;
+      release : (Catalog.Gfile.t * open_mode) option;
     }  (** US → CSS: the open request of Figure 2; carries the US's copy
            version for the US-is-current optimization. [shared] joins an
            existing open through a forked descriptor. [want] asks a CSS
            that serves a read open itself to carry up to that many of the
            file's first pages in its [R_open]; 0, the paper's open, asks
-           for none and costs no bytes. *)
+           for none and costs no bytes. [release] is the [Us_close] of a
+           lease the open evicted at the using site, whose SS is this CSS:
+           it runs before the open, whatever the open answers, and costs
+           9 bytes (a file and a mode) only when present. *)
   | Storage_req of {
       gf : Catalog.Gfile.t;
       vv : Vv.Version_vector.t;

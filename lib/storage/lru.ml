@@ -65,6 +65,8 @@ module type S = sig
 
   val mem : t -> key -> bool
 
+  val oldest : t -> (key * value) option
+
   val insert : t -> key -> value -> unit
 
   val invalidate : t -> key -> unit
@@ -284,6 +286,12 @@ module Make (K : KEY) (V : VALUE) = struct
     if s >= 0 then Some t.values.(s) else None
 
   let mem t key = find_slot t key >= 0
+
+  let oldest t =
+    if t.length = 0 then None
+    else
+      let s = t.newer.(t.mru) in
+      Some (t.keys.(s), t.values.(s))
 
   let remove t s =
     unlink t s;

@@ -59,6 +59,10 @@ module type S = sig
   val mem : t -> key -> bool
   (** Presence probe: no recency update. *)
 
+  val oldest : t -> (key * value) option
+  (** The least recently used entry, the next eviction victim, without a
+      recency update; [None] when empty. *)
+
   val insert : t -> key -> value -> unit
   (** Insert (or refresh) the value, evicting the least recently used
       entry if over capacity. *)

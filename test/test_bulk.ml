@@ -339,7 +339,8 @@ let test_buffered_reopen_asks_nothing () =
   check Alcotest.int "no pages carried" 0 (delta "us.open.pages");
   let paper_open =
     Proto.req_bytes
-      (Proto.Open_req { gf; mode = Proto.Mode_read; us_vv = None; shared = false; want = 0 })
+      (Proto.Open_req
+         { gf; mode = Proto.Mode_read; us_vv = None; shared = false; want = 0; release = None })
     + Proto.resp_bytes
         (Proto.R_open
            { ss = 0; info = Some o.K.o_info; others = []; nocache = false; slot = 0;

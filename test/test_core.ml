@@ -1174,7 +1174,9 @@ let test_stale_css_detected () =
   let gf = gf_of k0 "/s" in
   let k3 = World.kernel w 3 in
   match
-    k3.K.dispatch 0 (Proto.Open_req { gf; mode = Proto.Mode_read; us_vv = None; shared = false; want = 0 })
+    k3.K.dispatch 0
+      (Proto.Open_req
+         { gf; mode = Proto.Mode_read; us_vv = None; shared = false; want = 0; release = None })
   with
   | Proto.R_err Proto.Estale -> ()
   | _ -> Alcotest.fail "non-CSS site should answer ESTALE"

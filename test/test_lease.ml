@@ -1,7 +1,8 @@
 (* Open leases: CSS-granted read leases with callback invalidation and
    deferred close. Warm re-opens cost zero messages; a writer open or a
    version advance breaks the lease by callback before the next read can
-   observe stale data; eviction sends exactly one deferred close; no lease
+   observe stale data; eviction sends exactly one deferred close, which
+   rides the displacing open when that open's CSS is the lease's SS; no lease
    survives a partition event; both ablations reproduce the classic
    protocol's message counts exactly. *)
 
@@ -226,6 +227,102 @@ let test_eviction_sends_one_close () =
   Us.close k3 ob;
   ignore (World.settle w)
 
+(* An evicted grant whose SS is the CSS the displacing open asks: its
+   close rides that open's request. Files at 0 (CSS and only copy), leased
+   at 3, which stores no pack, in a one-entry table: /a is leased and
+   idle, and the open of /b evicts it. [shared] is held open on /a
+   besides, through a shared descriptor, so that /a's registrations at
+   site 3 count two, and a close run twice would show. *)
+
+let ride_world () =
+  let kconfig = { K.default_config with K.open_lease_entries = 1 } in
+  let w = make_world ~kconfig () in
+  mk_file w ~at:0 ~path:"/a" ~body:"a";
+  mk_file w ~at:0 ~path:"/b" ~body:"b";
+  let k3 = World.kernel w 3 in
+  let gfa = gf_of k3 "/a" and gfb = gf_of k3 "/b" in
+  Us.close k3 (Us.open_gf k3 gfa Proto.Mode_read);
+  ignore (World.settle w);
+  check Alcotest.bool "/a leased" true (held k3 gfa);
+  (w, k3, gfa, gfb)
+
+(* Site 3's registrations for [gf]: at the SS (site 0) and as a reader at
+   the CSS (site 0). *)
+let registrations w gf =
+  let k0 = World.kernel w 0 in
+  let at_ss =
+    match K.ss_find_open k0 gf with
+    | Some s -> Option.value ~default:0 (Net.Site.Map.find_opt 3 s.K.s_uss)
+    | None -> 0
+  in
+  let at_css =
+    match Css.find_file k0 gf.Gfile.fg gf.Gfile.ino with
+    | Some f -> Option.value ~default:0 (Net.Site.Map.find_opt 3 f.K.readers)
+    | None -> 0
+  in
+  (at_ss, at_css)
+
+let test_eviction_close_rides_the_open () =
+  let w, k3, gfa, gfb = ride_world () in
+  check Alcotest.(pair int int) "/a registered once" (1, 1) (registrations w gfa);
+  let stats = World.stats w in
+  let snap = Stats.snapshot stats in
+  let ob = Us.open_gf k3 gfb Proto.Mode_read in
+  let delta = Stats.delta_of stats snap in
+  check Alcotest.int "one open round trip" 2 (delta "net.msg.open");
+  check Alcotest.int "no Us_close" 0 (delta "net.msg.close.us");
+  check Alcotest.int "nothing else" 2 (delta "net.msg");
+  check Alcotest.int "one eviction" 1 (delta "open.lease.evict");
+  ignore (World.settle w);
+  check Alcotest.int "no Us_close after the settle" 0 (delta "net.msg.close.us");
+  check Alcotest.(pair int int) "/a closed at the SS and the CSS" (0, 0) (registrations w gfa);
+  check Alcotest.bool "/a's serving state gone" true (K.ss_find_open (World.kernel w 0) gfa = None);
+  check Alcotest.bool "evicted grant gone" false (held k3 gfa);
+  check Alcotest.bool "new grant live" true (held k3 gfb);
+  Us.close k3 ob;
+  ignore (World.settle w)
+
+(* Every attempt of the displacing open is lost, so its handler never
+   ran: the open fails, and the evicted grant's close goes out on its own
+   and gets through. *)
+let test_eviction_close_after_unreachable_open () =
+  let w, k3, gfa, gfb = ride_world () in
+  for _ = 1 to 3 do
+    Net.Netsim.fail_next_message (World.net w) ~src:3 ~dst:0
+  done;
+  (match Us.open_gf k3 gfb Proto.Mode_read with
+  | _ -> Alcotest.fail "open with every attempt lost succeeded"
+  | exception K.Error (Proto.Enet, _) -> ());
+  ignore (World.settle w);
+  check Alcotest.bool "/a's lease gone" false (held k3 gfa);
+  check Alcotest.(pair int int) "/a closed at the SS and the CSS" (0, 0) (registrations w gfa)
+
+(* The displacing open's reply is lost [lost] times: the resends are
+   answered from the kept reply, so the carried close runs once, whether
+   a resend's reply gets through (1) or none does (3: the open fails and
+   the close is not sent again). *)
+let test_eviction_close_runs_once lost () =
+  let w, k3, gfa, gfb = ride_world () in
+  let shared = Us.open_gf ~shared:true k3 gfa Proto.Mode_read in
+  check Alcotest.(pair int int) "/a registered twice" (2, 2) (registrations w gfa);
+  let stats = World.stats w in
+  let snap = Stats.snapshot stats in
+  for _ = 1 to lost do
+    Net.Netsim.fail_next_message (World.net w) ~src:0 ~dst:3
+  done;
+  (match Us.open_gf k3 gfb Proto.Mode_read with
+  | ob ->
+    check Alcotest.int "opened after one lost reply" 1 lost;
+    Us.close k3 ob
+  | exception K.Error (Proto.Enet, _) -> check Alcotest.int "failed after every reply lost" 3 lost);
+  check Alcotest.int "resends answered from the kept reply" (min lost 2)
+    (Stats.delta_of stats snap "rpc.replay");
+  ignore (World.settle w);
+  check Alcotest.(pair int int) "/a's registrations down by one" (1, 1) (registrations w gfa);
+  Us.close k3 shared;
+  ignore (World.settle w);
+  check Alcotest.(pair int int) "/a closed" (0, 0) (registrations w gfa)
+
 (* ---- partition events ---- *)
 
 (* No lease survives a partition or a merge: the grantor may be
@@ -414,6 +511,14 @@ let () =
         [
           Alcotest.test_case "eviction sends one close" `Quick
             test_eviction_sends_one_close;
+          Alcotest.test_case "eviction's close rides the open" `Quick
+            test_eviction_close_rides_the_open;
+          Alcotest.test_case "eviction's close after an unreachable open" `Quick
+            test_eviction_close_after_unreachable_open;
+          Alcotest.test_case "eviction's close runs once after a lost reply" `Quick
+            (test_eviction_close_runs_once 1);
+          Alcotest.test_case "eviction's close runs once after every reply lost" `Quick
+            (test_eviction_close_runs_once 3);
         ] );
       ( "partition",
         [

@@ -1222,7 +1222,8 @@ module Ilru =
 (* Lru against an MRU-ordered list model with explicit capacity: recency
    order, hit promotion, refresh-without-eviction, capacity victims (and
    their on_evict callbacks) must all match the model, and occupancy may
-   never exceed capacity. *)
+   never exceed capacity. [oldest] names the model's last key, or nothing
+   when it is empty, and leaves the order as it was. *)
 let prop_lru_matches_model =
   QCheck.Test.make ~count:200
     ~name:"lru: matches MRU-list model, capacity never exceeded"
@@ -1230,7 +1231,7 @@ let prop_lru_matches_model =
       make
         Gen.(
           pair (int_range 1 8)
-            (list_size (int_bound 200) (pair (int_bound 12) (int_bound 3)))))
+            (list_size (int_bound 200) (pair (int_bound 12) (int_bound 4)))))
     (fun (cap, ops) ->
       let evicted = ref [] in
       let c =
@@ -1263,12 +1264,17 @@ let prop_lru_matches_model =
               if (not mhit) || v <> key then ok := false
               else model := key :: List.filter (fun k -> k <> key) !model
             | None -> if mhit then ok := false)
+          | 3 -> (
+            match (Ilru.oldest c, List.rev !model) with
+            | Some (k, v), last :: _ -> if k <> last || v <> last then ok := false
+            | None, [] -> ()
+            | Some _, [] | None, _ :: _ -> ok := false)
           | _ ->
             Ilru.invalidate c key;
             model := List.filter (fun k -> k <> key) !model);
-          if Ilru.length c > cap then ok := false)
+          if Ilru.length c > cap || Ilru.keys_mru c <> !model then ok := false)
         ops;
-      !ok && Ilru.keys_mru c = !model && !evicted = !model_evicted)
+      !ok && !evicted = !model_evicted)
 
 (* Lru's per-file drops against a whole-scan model: random inserts,
    finds, invalidations, capacity evictions, drops of a file's entries

@@ -16,7 +16,8 @@ let vv_big = List.fold_left Vvec.bump Vvec.zero [ 0; 1; 2; 3; 4; 5; 6; 7 ]
 
 let some_reqs =
   [
-    Proto.Open_req { gf; mode = Proto.Mode_read; us_vv = None; shared = false; want = 0 };
+    Proto.Open_req
+      { gf; mode = Proto.Mode_read; us_vv = None; shared = false; want = 0; release = None };
     Proto.Storage_req
       { gf; vv = vv_small; us = 1; mode = Proto.Mode_read; others = [ 2; 3 ] };
     Proto.Read_pages
@@ -298,12 +299,16 @@ let test_sender_free_forms () =
    file, two flag bytes and the US's version; header, five bytes, the
    inode and the other sites). Asking costs a 4-byte count, and carried
    pages are framed as in a [Read_pages] reply. A reply that names the US
-   itself from its own current copy carries no inode. *)
+   itself from its own current copy carries no inode. An evicted lease's
+   close riding the request costs its file and mode, 9 bytes, on top of
+   whatever else the request carries. *)
 let test_open_forms () =
   let page = String.make 1024 'p' in
-  let open_req ?us_vv want =
-    Proto.req_bytes (Proto.Open_req { gf; mode = Proto.Mode_read; us_vv; shared = false; want })
+  let open_req ?us_vv ?release want =
+    Proto.req_bytes
+      (Proto.Open_req { gf; mode = Proto.Mode_read; us_vv; shared = false; want; release })
   in
+  let release = (Gfile.make ~fg:0 ~ino:9, Proto.Mode_read) in
   let r_open ?(info = Some info) ?(others = []) pages =
     Proto.resp_bytes
       (Proto.R_open { ss = 0; info; others; nocache = false; slot = 1; lease = true; pages })
@@ -316,6 +321,10 @@ let test_open_forms () =
   check Alcotest.int "US-is-current reply naming others" (24 + 5 + 8)
     (r_open ~info:None ~others:[ 1; 2 ] []);
   check Alcotest.int "asking open request" 38 (open_req 8);
+  check Alcotest.int "open request carrying a close" (34 + 9) (open_req ~release 0);
+  check Alcotest.int "asking open request carrying a close" (38 + 9) (open_req ~release 8);
+  check Alcotest.int "open request with a copy carrying a close" (42 + 9)
+    (open_req ~us_vv:vv_small ~release 0);
   check Alcotest.int "open reply with a lone page" (84 + 1 + 1024) (r_open [ page ]);
   check Alcotest.int "open reply with a short page" (84 + 1 + 100)
     (r_open [ String.sub page 0 100 ]);

@@ -221,6 +221,44 @@ let test_cleanup_reader_reopens_other_copy () =
   check Alcotest.string "data intact" "replicated" (String.sub data 0 10);
   Us.close k3 o
 
+(* Many read opens at one site, all served by the SS that fails. Each
+   reopen adds an entry to the site's open-file table and removes it
+   again, and the table grows past 128 entries from its 64 initial
+   buckets: at 128 opens the first reopen's entry grows it, at 256 it
+   grows once more. Every open is reopened exactly once, elsewhere. *)
+let test_cleanup_reopens_many_opens_once () =
+  List.iter
+    (fun n ->
+      let w = make_world ~n:4 () in
+      let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+      Kernel.set_ncopies p0 2;
+      ignore (Kernel.creat k0 p0 "/multi");
+      Kernel.write_file k0 p0 "/multi" "replicated";
+      ignore (World.settle w);
+      let k3 = World.kernel w 3 in
+      let gf =
+        Locus_core.Pathname.resolve_from k3 ~cwd:(Catalog.Mount.root k3.K.mount)
+          ~context:[] "/multi"
+      in
+      let opens = List.init n (fun _ -> Us.open_gf k3 gf Proto.Mode_read) in
+      let ss = (List.hd opens).K.o_ss in
+      check Alcotest.bool "one SS serves every open" true
+        (List.for_all (fun o -> Net.Site.equal o.K.o_ss ss) opens);
+      check Alcotest.int "open-file entries" n (Hashtbl.length k3.K.open_files);
+      let before = Sim.Stats.get (World.stats w) "cleanup.us.reopened" in
+      World.crash_site w ss;
+      ignore (World.detect_failures w ~initiator:3);
+      let label what = Printf.sprintf "%d opens: %s" n what in
+      check Alcotest.int (label "each reopened once") n
+        (Sim.Stats.get (World.stats w) "cleanup.us.reopened" - before);
+      check Alcotest.int (label "open-file entries") n (Hashtbl.length k3.K.open_files);
+      check Alcotest.bool (label "all served elsewhere, still open") true
+        (List.for_all
+           (fun o -> (not o.K.o_closed) && not (Net.Site.equal o.K.o_ss ss))
+           opens);
+      List.iter (Us.close k3) opens)
+    [ 128; 256 ]
+
 let test_cleanup_writer_loses_update () =
   let w = make_world ~n:4 () in
   let k0 = World.kernel w 0 and p0 = World.proc w 0 in
@@ -827,6 +865,8 @@ let () =
       ( "cleanup",
         [
           Alcotest.test_case "reader reopens" `Quick test_cleanup_reader_reopens_other_copy;
+          Alcotest.test_case "many reader opens reopen once each" `Quick
+            test_cleanup_reopens_many_opens_once;
           Alcotest.test_case "writer loses update" `Quick test_cleanup_writer_loses_update;
           Alcotest.test_case "ss aborts orphan" `Quick test_cleanup_ss_aborts_orphan_session;
           Alcotest.test_case "a merge cleans up a departed writer" `Quick
