@@ -26,6 +26,10 @@ bench:
 # and each additional copy must cost exactly 4 messages at window 1
 # (notify, read round trip, report) and 2 at window 8 (a notify carrying
 # the commit, report),
+# E19's resolutions with the name cache and the server-side lookup both
+# on must each cost exactly 2 messages with a cold name cache and 0 warm,
+# the leaf stored away from the lookup site included (its type comes from
+# its directory entry: no where-stored and no stat after the lookup),
 # E17 must recover every injected loss, and a lost reply to an open and
 # to a commit that carries the write must each leave the handler run once
 # and the write done, with no write message,

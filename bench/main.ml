@@ -79,7 +79,7 @@ let micro_tests () =
     let dir = Catalog.Dir.empty () in
     for i = 0 to n - 1 do
       Catalog.Dir.insert dir ~name:(Printf.sprintf "entry%d" i) ~ino:(i + 2)
-        ~stamp:0.0 ~origin:0
+        ~ftype:Storage.Inode.Regular ~stamp:0.0 ~origin:0
     done;
     Test.make ~name:(Printf.sprintf "directory encode+decode (%d entries)" n)
       (Staged.stage (fun () ->
@@ -113,8 +113,8 @@ let micro_tests () =
     let o = Us.open_gf k gf Proto.Mode_modify in
     let dir = Catalog.Dir.decode (Us.read_all k o) in
     for i = 0 to n - 1 do
-      Catalog.Dir.insert dir ~name:(Printf.sprintf "%05d" i) ~ino:(100 + i) ~stamp:0.0
-        ~origin:0
+      Catalog.Dir.insert dir ~name:(Printf.sprintf "%05d" i) ~ino:(100 + i)
+        ~ftype:Storage.Inode.Regular ~stamp:0.0 ~origin:0
     done;
     Us.set_contents k o (Catalog.Dir.encode dir);
     Us.commit k o;
@@ -125,7 +125,7 @@ let micro_tests () =
       (Staged.stage (fun () ->
            let op =
              if !present then Proto.Unlink { name = "x"; links = false }
-             else Proto.Link { name = "x"; ino = 7; links = false }
+             else Proto.Link { name = "x"; ino = 7; ftype = Storage.Inode.Regular; links = false }
            in
            ignore
              (Locus_core.Ss.apply_intent k ~us:0 gf op ~others:[]
@@ -208,7 +208,7 @@ let micro_tests () =
       let d = Catalog.Dir.empty () in
       for i = lo to hi - 1 do
         Catalog.Dir.insert d ~name:(Printf.sprintf "entry%d" i) ~ino:(i + 2)
-          ~stamp:(float_of_int i) ~origin:0
+          ~ftype:Storage.Inode.Regular ~stamp:(float_of_int i) ~origin:0
       done;
       d
     in

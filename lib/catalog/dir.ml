@@ -9,7 +9,14 @@ module Page = Storage.Page
 
 type status = Live | Tombstone
 
-type entry = { name : string; ino : int; status : status; stamp : float; origin : int }
+type entry = {
+  name : string;
+  ino : int;
+  ftype : Storage.Inode.ftype;
+  status : status;
+  stamp : float;
+  origin : int;
+}
 
 type t = {
   index : (string, int) Hashtbl.t; (* name -> position in [log] *)
@@ -28,10 +35,12 @@ let empty () = create 16
 
 let find_entry t name = Option.map (fun i -> t.log.(i)) (Hashtbl.find_opt t.index name)
 
-let lookup t name =
+let lookup_typed t name =
   match find_entry t name with
-  | Some { status = Live; ino; _ } -> Some ino
+  | Some { status = Live; ino; ftype; _ } -> Some (ino, ftype)
   | Some { status = Tombstone; _ } | None -> None
+
+let lookup t name = Option.map fst (lookup_typed t name)
 
 let valid_name name =
   let n = String.length name in
@@ -52,10 +61,10 @@ let append t e =
   Hashtbl.add t.index e.name t.len;
   t.len <- t.len + 1
 
-let insert t ~name ~ino ~stamp ~origin =
+let insert t ~name ~ino ~ftype ~stamp ~origin =
   if not (valid_name name) then invalid_arg "Dir.insert: invalid name";
   check_origin "Dir.insert" origin;
-  let e = { name; ino; status = Live; stamp; origin } in
+  let e = { name; ino; ftype; status = Live; stamp; origin } in
   match Hashtbl.find_opt t.index name with
   | Some i -> t.log.(i) <- e
   | None -> append t e
@@ -101,8 +110,33 @@ let place off n =
 
 let record_length name = header + String.length name
 
+(* The status byte: the status in the low two bits (1 live, 2 tombstone;
+   a whole byte of 0 is padding), the child's type code above them. *)
+let ftype_code : Storage.Inode.ftype -> int = function
+  | Regular -> 0
+  | Directory -> 1
+  | Hidden_directory -> 2
+  | Mailbox -> 3
+  | Database -> 4
+  | Fifo -> 5
+
+let ftype_of_code : int -> Storage.Inode.ftype = function
+  | 0 -> Regular
+  | 1 -> Directory
+  | 2 -> Hidden_directory
+  | 3 -> Mailbox
+  | 4 -> Database
+  | 5 -> Fifo
+  | _ -> failwith "Dir.decode: bad status"
+
+(* Does a nonzero status byte start a record? *)
+let valid_status byte =
+  let st = byte land 3 in
+  (st = 1 || st = 2) && byte lsr 2 < 6
+
 let blit_record b at e =
-  Bytes.set_uint8 b at (match e.status with Live -> 1 | Tombstone -> 2);
+  Bytes.set_uint8 b at
+    ((match e.status with Live -> 1 | Tombstone -> 2) lor (ftype_code e.ftype lsl 2));
   Bytes.set_uint16_be b (at + 1) (String.length e.name);
   Bytes.set_uint16_be b (at + 3) e.origin;
   Bytes.set_int64_be b (at + 5) (Int64.of_int e.ino);
@@ -135,10 +169,12 @@ let encode t =
 (* The record at byte [at] of [b], which [scan] has checked. *)
 let entry_at b at =
   let nlen = String.get_uint16_be b (at + 1) in
+  let byte = String.get_uint8 b at in
   {
     name = String.sub b (at + header) nlen;
     ino = Int64.to_int (String.get_int64_be b (at + 5));
-    status = (if String.get_uint8 b at = 1 then Live else Tombstone);
+    ftype = ftype_of_code (byte lsr 2);
+    status = (if byte land 3 = 1 then Live else Tombstone);
     stamp = Int64.float_of_bits (String.get_int64_be b (at + 13));
     origin = String.get_uint16_be b (at + 3);
   }
@@ -151,7 +187,7 @@ let scan b len f =
       let page_end = min len ((off / Page.size + 1) * Page.size) in
       match String.get_uint8 b off with
       | 0 -> go page_end
-      | 1 | 2 ->
+      | byte when valid_status byte ->
         if off + header > page_end then failwith "Dir.decode: truncated record";
         let nlen = String.get_uint16_be b (off + 1) in
         let stop = off + header + nlen in

@@ -8,22 +8,32 @@
     §4.4 require.
 
     The directory file's body is a binary record log. Each entry is one
-    record of 21 bytes plus the name: a status byte (1 = live,
-    2 = tombstone), the name length (u16, big-endian), the origin site
-    (u16), the inode number (i64), the bits of the stamp (i64), then the
-    name bytes. Records are in log order: a new name goes after the last
+    record of 21 bytes plus the name: a status byte (below), the name
+    length (u16, big-endian), the origin site (u16), the inode number
+    (i64), the bits of the stamp (i64), then the name bytes. Records are in log order: a new name goes after the last
     record, while a remove or a re-insert of a tombstoned name rewrites the
     entry's record in place, since the record keeps its length. A record
     never straddles a page: one that does not fit in the rest of the
     current page starts the next, and the tail is padded with zero bytes
     (status 0 means "padding to the end of this page"). So a create
-    changes only the last page or adds one, and an unlink changes one. *)
+    changes only the last page or adds one, and an unlink changes one.
+
+    The status byte of a record packs two fields. Its low two bits are
+    the status: 1 live, 2 tombstone. The next three bits are the child's
+    type (its [d_type]): 0 regular, 1 directory, 2 hidden directory,
+    3 mailbox, 4 database, 5 fifo. The top three bits are 0. So a
+    nonzero status byte whose low two bits are 0 or 3, whose type code is
+    6 or 7 or whose top bits are set is corrupt: 13 of the 256 byte
+    values are valid, 0 among them. A tombstone keeps the type of the
+    entry it removed. *)
 
 type status = Live | Tombstone
 
 type entry = {
   name : string;
   ino : int;           (** inode number within the directory's filegroup *)
+  ftype : Storage.Inode.ftype;
+      (** the child's type, so a lookup needs no stat of the child *)
   status : status;
   stamp : float;       (** simulated time of the last change to this entry *)
   origin : int;        (** site that performed the change *)
@@ -32,6 +42,9 @@ type entry = {
 type t
 
 val empty : unit -> t
+
+val lookup_typed : t -> string -> (int * Storage.Inode.ftype) option
+(** Inode number and type of a live entry. *)
 
 val lookup : t -> string -> int option
 (** Inode number bound to a live entry. *)
@@ -43,7 +56,8 @@ val max_name : int
 (** Longest valid name in bytes: [Page.size - 21], so a record always
     fits in one page. *)
 
-val insert : t -> name:string -> ino:int -> stamp:float -> origin:int -> unit
+val insert :
+  t -> name:string -> ino:int -> ftype:Storage.Inode.ftype -> stamp:float -> origin:int -> unit
 (** Add or resurrect a binding. Raises [Invalid_argument] on an empty
     name, one longer than {!max_name} or containing "/", a tab or a
     newline, and on an [origin] outside u16. *)
@@ -75,8 +89,8 @@ val encode : t -> string
 val decode : string -> t
 (** Inverse of {!encode}: [encode (decode b) = b] for every [b] that
     {!encode} produced. Raises [Failure] on a record cut short, one that
-    crosses a page boundary, a status byte outside 0..2 or a repeated
-    name. *)
+    crosses a page boundary, a status byte that is not valid (see the
+    layout above) or a repeated name. *)
 
 val decode_count : unit -> int
 (** Calls of {!decode} in this process so far: how a test shows that a

@@ -106,9 +106,9 @@ let run_intent k ~us dir (op : Proto.intent) =
       let no_guard _ = Ok () and no_fences () = ([], []) in
       let finish ss resp ~after =
         match resp with
-        | Proto.R_intent { ino; dir_vv; file } ->
+        | Proto.R_intent { ino; ftype; dir_vv; file } ->
           Css.handle_commit_notify k dir ~origin:ss ~vv:dir_vv ~deleted:false;
-          Proto.R_intent { ino; dir_vv; file = after ino file }
+          Proto.R_intent { ino; ftype; dir_vv; file = after ino file }
         | Proto.R_err _ as refused -> refused
         | _ -> err Proto.Eio "unexpected intent-step response"
       in
@@ -199,12 +199,12 @@ let name_of = function
 (* Send one intent to the directory's CSS, retrying a few times while
    another site holds the directory's (or the target's) modification
    lock. The transport resends a lost request or reply, and answers a
-   resend from the CSS's kept reply. Returns the inode and the file's new
-   version, if the link count changed. *)
+   resend from the CSS's kept reply. Returns the inode, the type its
+   entry records and the file's new version, if the link count changed. *)
 let intent k dir op =
   let rec attempt tries =
     match rpc k (fg_info k dir.Gfile.fg).css_site (Proto.Dir_intent { dir; op }) with
-    | Proto.R_intent { ino; dir_vv; file } ->
+    | Proto.R_intent { ino; ftype; dir_vv; file } ->
       (* This site just changed the directory (and maybe the file), and
          neither the commit notification nor the CSS's lease break has
          reached it yet: retire name-cache links read under the old
@@ -215,7 +215,7 @@ let intent k dir op =
       | Some (vv, _) ->
         Openlease.note_commit k.open_leases (Gfile.make ~fg:dir.Gfile.fg ~ino) vv
       | None -> ());
-      (ino, file)
+      (ino, ftype, file)
     | Proto.R_err Proto.Ebusy when tries > 0 ->
       charge k 1.0;
       attempt (tries - 1)
@@ -243,7 +243,7 @@ let create_in k dir_gf ~name ~ftype ~owner ~perms ~ncopies =
   in
   let ino = Option.map (fun (_, (i : Inode.t)) -> i.Inode.ino) own in
   match intent k dir_gf (Proto.Create { name; ftype; owner; perms; ncopies; ino }) with
-  | ino, _ ->
+  | ino, _, _ ->
     let gf = Gfile.make ~fg ~ino in
     record k ~tag:"us.create" "%s -> %a" name Gfile.pp gf;
     gf
@@ -260,8 +260,10 @@ let init_directory k gf ~parent_ino =
   let o = Us.open_gf k gf Proto.Mode_modify in
   match
     let dir = Dir.empty () in
-    Dir.insert dir ~name:"." ~ino:gf.Gfile.ino ~stamp:(now k) ~origin:k.site;
-    Dir.insert dir ~name:".." ~ino:parent_ino ~stamp:(now k) ~origin:k.site;
+    Dir.insert dir ~name:"." ~ino:gf.Gfile.ino ~ftype:Inode.Directory ~stamp:(now k)
+      ~origin:k.site;
+    Dir.insert dir ~name:".." ~ino:parent_ino ~ftype:Inode.Directory ~stamp:(now k)
+      ~origin:k.site;
     Us.set_contents k o (Dir.encode dir);
     Us.commit k o
   with
@@ -272,7 +274,7 @@ let init_directory k gf ~parent_ino =
 
 (* Remove a name; the file body is deleted once the last link is gone. *)
 let unlink_gf k dir_gf ~name =
-  let ino, file = intent k dir_gf (Proto.Unlink { name; links = true }) in
+  let ino, _, file = intent k dir_gf (Proto.Unlink { name; links = true }) in
   let gf = Gfile.make ~fg:dir_gf.Gfile.fg ~ino in
   (match file with
   | Some (_, true) ->
@@ -283,12 +285,12 @@ let unlink_gf k dir_gf ~name =
   | Some (_, false) | None -> ());
   gf
 
-(* Add a hard link: a second name for an existing inode in the same
-   filegroup. *)
-let link_gf k ~target ~dir_gf ~name =
+(* Add a hard link: a second name for an existing inode of type [ftype]
+   in the same filegroup. *)
+let link_gf k ~target ~ftype ~dir_gf ~name =
   if target.Gfile.fg <> dir_gf.Gfile.fg then
     err Proto.Einval "hard links cannot cross filegroup boundaries";
-  ignore (intent k dir_gf (Proto.Link { name; ino = target.Gfile.ino; links = true }))
+  ignore (intent k dir_gf (Proto.Link { name; ino = target.Gfile.ino; ftype; links = true }))
 
 (* Rename within a filegroup: remove the old entry, enter the new one —
    two intents, neither of which touches the link count. If the new entry
@@ -297,11 +299,11 @@ let link_gf k ~target ~dir_gf ~name =
 let rename_gf k ~old_dir ~old_name ~new_dir ~new_name =
   if old_dir.Gfile.fg <> new_dir.Gfile.fg then
     err Proto.Einval "rename cannot cross filegroup boundaries";
-  let ino, _ = intent k old_dir (Proto.Unlink { name = old_name; links = false }) in
-  (match intent k new_dir (Proto.Link { name = new_name; ino; links = false }) with
+  let ino, ftype, _ = intent k old_dir (Proto.Unlink { name = old_name; links = false }) in
+  (match intent k new_dir (Proto.Link { name = new_name; ino; ftype; links = false }) with
   | _ -> ()
   | exception e -> (
-    match intent k old_dir (Proto.Link { name = old_name; ino; links = false }) with
+    match intent k old_dir (Proto.Link { name = old_name; ino; ftype; links = false }) with
     | _ -> raise e
     | exception Error (_, why) ->
       err Proto.Eio "rename: %s is lost (inode %d): putting it back failed: %s" old_name ino

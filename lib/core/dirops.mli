@@ -46,9 +46,14 @@ val unlink_gf : Ktypes.t -> Catalog.Gfile.t -> name:string -> Catalog.Gfile.t
     directory or the file is open for modification. *)
 
 val link_gf :
-  Ktypes.t -> target:Catalog.Gfile.t -> dir_gf:Catalog.Gfile.t -> name:string -> unit
-(** Hard link with one intent; raises [EINVAL] across filegroup
-    boundaries. *)
+  Ktypes.t ->
+  target:Catalog.Gfile.t ->
+  ftype:Storage.Inode.ftype ->
+  dir_gf:Catalog.Gfile.t ->
+  name:string ->
+  unit
+(** Hard link with one intent; the new entry records [ftype], the
+    target's type. Raises [EINVAL] across filegroup boundaries. *)
 
 val rename_gf :
   Ktypes.t ->

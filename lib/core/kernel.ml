@@ -227,11 +227,13 @@ let unlink k (proc : proc) path =
   ignore (Dirops.unlink_gf k dir_gf ~name)
 
 let link k (proc : proc) ~target ~path =
-  let target_gf = resolve k proc target in
+  let target_gf, ftype =
+    Pathname.resolve_typed k ~cwd:proc.p_cwd ~context:proc.p_context target
+  in
   let dir_gf, name =
     Pathname.resolve_parent k ~cwd:proc.p_cwd ~context:proc.p_context path
   in
-  Dirops.link_gf k ~target:target_gf ~dir_gf ~name
+  Dirops.link_gf k ~target:target_gf ~ftype ~dir_gf ~name
 
 let rename k (proc : proc) ~from_path ~to_path =
   let old_dir, old_name =

@@ -26,7 +26,7 @@ module Vvec = Vv.Version_vector
 type entry = {
   nc_child : Gfile.t;
   nc_vv : Vvec.t; (* the directory's version when the link was read *)
-  nc_ftype : Storage.Inode.ftype option; (* the child's type, when known *)
+  nc_ftype : Storage.Inode.ftype; (* the child's type, as its entry records it *)
 }
 
 module Lru =
@@ -91,17 +91,6 @@ let insert t ~dir ~comp entry =
   | Some c ->
     Sim.Stats.cincr t.fill;
     Lru.insert c (dir, comp) entry
-
-(* Annotate an existing link with the child's type, learned later in the
-   walk (when the child itself is loaded or stat'ed). Not a fill: the
-   link is already cached, only its terminal-stat shortcut improves. *)
-let note_ftype t ~dir ~comp ftype =
-  match t.cache with
-  | None -> ()
-  | Some c -> (
-    match Lru.find c (dir, comp) with
-    | None -> ()
-    | Some e -> Lru.insert c (dir, comp) { e with nc_ftype = Some ftype })
 
 (* The name cache's on_evict only counts capacity pressure; invalidations
    are accounted right here. *)

@@ -2,7 +2,7 @@
     fast path).
 
     Maps (directory gfile, component) → (child gfile, directory version,
-    child type if known). §2.3.4's pathname searching reads directories
+    child type). §2.3.4's pathname searching reads directories
     unsynchronized, so a cached link is no weaker than the slow path; the
     recorded version vector is the invalidation key. Filled by local
     directory walks and by server-side partial-pathname lookup trails;
@@ -16,9 +16,10 @@ type entry = {
   nc_child : Catalog.Gfile.t;
   nc_vv : Vv.Version_vector.t;
       (** the directory's version vector when the link was read *)
-  nc_ftype : Storage.Inode.ftype option;
-      (** the child's type when known — lets a terminal component skip the
-          hidden-directory stat *)
+  nc_ftype : Storage.Inode.ftype;
+      (** the child's type, which the directory entry records: a warm walk
+          knows whether its last component is a hidden directory without
+          asking anyone *)
 }
 
 type t
@@ -38,10 +39,6 @@ val find :
     invalidation plus a miss. *)
 
 val insert : t -> dir:Catalog.Gfile.t -> comp:string -> entry -> unit
-
-val note_ftype : t -> dir:Catalog.Gfile.t -> comp:string -> Storage.Inode.ftype -> unit
-(** Annotate an existing link with the child's type learned later in the
-    walk; a no-op when the link is not cached. *)
 
 val note_dir_vv : t -> dir:Catalog.Gfile.t -> Vv.Version_vector.t -> unit
 (** The directory committed at this version: drop every link recorded

@@ -81,26 +81,27 @@ let dir_of_body body =
   try Dir.decode body with Failure _ -> err Proto.Eio "corrupt directory"
 
 (* One name in a locally stored directory, through the directory's index
-   at this site's SS: one page read, no decode. The caller charges one
-   directory read, as for the whole-body read this replaces. *)
+   at this site's SS: one page read, no decode, charged only when the
+   page is not in the SS buffer cache. The inode number and the type the
+   entry records. *)
 let lookup_local k pack gf inode name =
   try Ss.lookup_name k pack gf inode name
   with Failure _ -> err Proto.Eio "corrupt directory"
 
-(* Descend one link: apply mount crossing after a successful lookup. *)
-let enter k ~fg ino =
+(* Descend one link to an entry of type [ftype]: apply mount crossing
+   after a successful lookup. A mounted filegroup's root is a directory. *)
+let enter k ~fg ino ftype =
   let gf = Gfile.make ~fg ~ino in
   match Mount.mounted_at k.mount gf with
-  | Some child_fg -> Gfile.make ~fg:child_fg ~ino:Mount.root_ino
-  | None -> gf
+  | Some child_fg -> (Gfile.make ~fg:child_fg ~ino:Mount.root_ino, Inode.Directory)
+  | None -> (gf, ftype)
 
-let dotdot k gf dir =
-  match Dir.lookup dir ".." with
-  | Some ino -> Gfile.make ~fg:gf.Gfile.fg ~ino
-  | None -> ignore k; gf
+let dotdot gf dir =
+  match Dir.lookup dir ".." with Some ino -> Gfile.make ~fg:gf.Gfile.fg ~ino | None -> gf
 
 (* Select the entry of a hidden directory using the per-process context
-   list; the first context name bound in the directory wins. *)
+   list; the first context name bound in the directory wins. Returns the
+   entry's gfile and type. *)
 let select_context k ~context gf dir =
   let rec first = function
     | [] ->
@@ -108,8 +109,8 @@ let select_context k ~context gf dir =
         Gfile.pp gf
         (String.concat "," context)
     | ctx :: rest -> (
-      match Dir.lookup dir ctx with
-      | Some ino -> enter k ~fg:gf.Gfile.fg ino
+      match Dir.lookup_typed dir ctx with
+      | Some (ino, ftype) -> enter k ~fg:gf.Gfile.fg ino ftype
       | None -> first rest)
   in
   first context
@@ -145,7 +146,9 @@ let cache_fill k ~dir ~vv ~comp ~child ~ftype =
    job), hidden directories (likewise consumed; context expansion is
    per-process), "..", deleted inodes, directories awaiting propagation,
    and pack boundaries. One trail step is returned per consumed
-   component, in order, so the US can zip them back together. *)
+   component, in order, so the US can zip them back together. A step's
+   type is the one its directory entry records, so the child need not be
+   stored here. *)
 let handle_lookup k gf comps =
   let stop cur consumed trail =
     Proto.R_lookup { gf = cur; consumed; trail = List.rev trail }
@@ -174,26 +177,22 @@ let handle_lookup k gf comps =
           if comp = "." then begin
             let step =
               { Proto.l_dir = cur; l_vv = inode.Inode.vv; l_child = cur;
-                l_ftype = Some Inode.Directory }
+                l_ftype = Inode.Directory }
             in
             go cur (consumed + 1) (step :: trail) rest
           end
           else if comp = ".." then stop cur consumed trail
           else begin
-            charge_disk_read k;
             match lookup_local k pack cur inode comp with
             | None -> stop cur consumed trail
-            | Some ino -> (
+            | Some (ino, l_ftype) -> (
               let child = Gfile.make ~fg ~ino in
               match Pack.find_inode pack ino with
               | Some ci when ci.Inode.deleted ->
                 (* A live link to a deleted inode: transiently possible
                    under unsynchronized reads. Never hand it out. *)
                 stop cur consumed trail
-              | child_inode ->
-                let l_ftype =
-                  Option.map (fun (i : Inode.t) -> i.Inode.ftype) child_inode
-                in
+              | Some _ | None ->
                 let step =
                   { Proto.l_dir = cur; l_vv = inode.Inode.vv; l_child = child;
                     l_ftype }
@@ -230,25 +229,22 @@ let rec take n = function
 
 let rec drop n l = match l with _ :: rest when n > 0 -> drop (n - 1) rest | _ -> l
 
-(* One resolution walk, shared by [resolve_from] and [resolve_parent].
-
-   [hint] is the current gfile's type when the walk already knows it (from
-   a cache hit or a lookup trail) — it lets a terminal component skip the
-   hidden-directory stat. [edge] is the (directory, component) link that
-   produced the current gfile, so a type learned later can be recorded
-   back onto the cached link ([Namecache.note_ftype]). [finish] consumes
-   the terminal gfile together with both. *)
+(* One resolution walk, shared by [resolve_typed], [resolve_from] and
+   [resolve_parent]. Every step learns the type of the gfile it moves to
+   from the directory entry that named it (a cached link, a lookup trail,
+   a local search), so [finish] gets the terminal gfile with its type:
+   [None] only when the walk consumed no component or ended on "..". *)
 let walk_comps k ~context start comps ~finish =
   (* One zero-component server-side lookup is evidence enough that the
      chosen site does not store this part of the tree: stop trying until a
      mount crossing moves the walk into another filegroup. Bounds the
      wasted traffic to one round trip per filegroup per walk. *)
   let remote_ok = ref true in
-  let rec walk gf ~hint ~edge comps =
+  let rec walk gf ftype comps =
     match comps with
-    | [] -> finish gf ~hint ~edge
-    | comp :: rest -> step gf ~edge comp rest
-  and step gf ~edge comp rest =
+    | [] -> finish gf (Some ftype)
+    | comp :: rest -> step gf comp rest
+  and step gf comp rest =
     match
       if cacheable_comp comp then
         Namecache.find k.name_cache ~dir:gf ~comp
@@ -262,18 +258,14 @@ let walk_comps k ~context start comps ~finish =
       match Mount.mounted_at k.mount e.Namecache.nc_child with
       | Some child_fg ->
         remote_ok := true;
-        walk
-          (Gfile.make ~fg:child_fg ~ino:Mount.root_ino)
-          ~hint:(Some Inode.Directory) ~edge:None rest
-      | None ->
-        walk e.Namecache.nc_child ~hint:e.Namecache.nc_ftype
-          ~edge:(Some (gf, comp)) rest)
+        walk (Gfile.make ~fg:child_fg ~ino:Mount.root_ino) Inode.Directory rest
+      | None -> walk e.Namecache.nc_child e.Namecache.nc_ftype rest)
     | None ->
-      if !remote_ok && not (locally_searchable k gf) then remote_step gf ~edge comp rest
-      else local_step gf ~edge comp rest
-  and remote_step gf ~edge comp rest =
+      if !remote_ok && not (locally_searchable k gf) then remote_step gf comp rest
+      else local_step gf comp rest
+  and remote_step gf comp rest =
     match lookup_site k gf.Gfile.fg with
-    | None -> local_step gf ~edge comp rest
+    | None -> local_step gf comp rest
     | Some ss -> (
       let comps = comp :: rest in
       Sim.Stats.incr (stats k) "name.remote_walks";
@@ -282,77 +274,53 @@ let walk_comps k ~context start comps ~finish =
         when consumed > 0
              && consumed <= List.length comps
              && List.length trail = consumed ->
-        let consumed_comps = take consumed comps in
         List.iter2
           (fun c (s : Proto.lookup_step) ->
             cache_fill k ~dir:s.Proto.l_dir ~vv:s.Proto.l_vv ~comp:c
               ~child:s.Proto.l_child ~ftype:s.Proto.l_ftype)
-          consumed_comps trail;
+          (take consumed comps) trail;
         let remaining = drop consumed comps in
         (* The server-side walk never descends through a mount point;
            crossing the one it may have stopped on is this site's job. *)
         (match Mount.mounted_at k.mount final with
         | Some child_fg ->
-          walk
-            (Gfile.make ~fg:child_fg ~ino:Mount.root_ino)
-            ~hint:(Some Inode.Directory) ~edge:None remaining
-        | None ->
-          let hint, edge =
-            match (List.rev trail, List.rev consumed_comps) with
-            | s :: _, c :: _ -> (s.Proto.l_ftype, Some (s.Proto.l_dir, c))
-            | _ -> (None, None)
-          in
-          walk final ~hint ~edge remaining)
+          walk (Gfile.make ~fg:child_fg ~ino:Mount.root_ino) Inode.Directory remaining
+        | None -> walk final (List.nth trail (consumed - 1)).Proto.l_ftype remaining)
       | Ok _ | Error _ ->
         remote_ok := false;
-        local_step gf ~edge comp rest)
-  and local_step gf ~edge comp rest =
-    (* Whatever link led here can be annotated with the type it resolved
-       to, sparing the terminal stat on the next warm walk. *)
-    let note_ftype ftype =
-      match edge with
-      | Some (d, c) -> Namecache.note_ftype k.name_cache ~dir:d ~comp:c ftype
-      | None -> ()
-    in
+        local_step gf comp rest)
+  and local_step gf comp rest =
     (* A miss against a fast-path (possibly stale) local copy is retried
        once against a synchronized copy before reporting ENOENT. *)
     let refresh name =
       let _, body, vv = load_dir_remote k gf in
-      Option.map (fun ino -> (ino, vv)) (Dir.lookup (dir_of_body body) name)
+      Option.map (fun found -> (found, vv)) (Dir.lookup_typed (dir_of_body body) name)
     in
     (* Descend through a looked-up entry, filling the cache and applying
        the mount crossing. *)
-    let descend ~comp ino vv rest =
+    let descend ~comp (ino, ftype) vv rest =
       let raw = Gfile.make ~fg:gf.Gfile.fg ~ino in
-      let next = enter k ~fg:gf.Gfile.fg ino in
-      if Gfile.equal next raw then begin
-        cache_fill k ~dir:gf ~vv ~comp ~child:raw ~ftype:None;
-        walk next ~hint:None ~edge:(Some (gf, comp)) rest
-      end
-      else begin
-        (* crossed a mount point into another filegroup *)
-        remote_ok := true;
-        walk next ~hint:(Some Inode.Directory) ~edge:None rest
-      end
+      let next, ftype = enter k ~fg:gf.Gfile.fg ino ftype in
+      (* a crossed mount point leads into another filegroup *)
+      if Gfile.equal next raw then cache_fill k ~dir:gf ~vv ~comp ~child:raw ~ftype
+      else remote_ok := true;
+      walk next ftype rest
     in
     let missing () = err Proto.Enoent "%s: no such entry in %a" comp Gfile.pp gf in
     match local_copy k gf with
     | Some (pack, inode) when inode.Inode.ftype = Inode.Directory && cacheable_comp comp -> (
       (* A name in a local directory: through its index, one page. *)
-      charge_disk_read k;
-      note_ftype Inode.Directory;
       match lookup_local k pack gf inode comp with
-      | Some ino -> descend ~comp ino inode.Inode.vv rest
+      | Some found -> descend ~comp found inode.Inode.vv rest
       | None -> (
         match refresh comp with
-        | Some (ino, vv) -> descend ~comp ino vv rest
+        | Some (found, vv) -> descend ~comp found vv rest
         | None -> missing ()))
     | Some _ | None -> (
       let ftype, body, fast, vv = load_dir_checked k gf in
-      note_ftype ftype;
       let lookup_refreshing dir name =
-        match Dir.lookup dir name with
-        | Some ino -> Some (ino, vv)
+        match Dir.lookup_typed dir name with
+        | Some found -> Some (found, vv)
         | None when fast -> refresh name
         | None -> None
       in
@@ -362,21 +330,25 @@ let walk_comps k ~context start comps ~finish =
       | Inode.Directory -> (
         let dir = dir_of_body body in
         match comp with
-        | "." -> walk gf ~hint:(Some Inode.Directory) ~edge:None rest
+        | "." -> walk gf Inode.Directory rest
         | ".." when gf.Gfile.ino = Mount.root_ino -> (
           (* ".." out of a filegroup root crosses the mount boundary: it
              names the *parent of the mount point* in the covering
              filegroup, so resolution restarts at the mount point with the
              ".." still pending. *)
           match Mount.mount_point_of k.mount gf.Gfile.fg with
-          | Some point -> walk point ~hint:None ~edge:None (comp :: rest)
+          | Some point -> walk point Inode.Directory (comp :: rest)
           | None ->
             (* ".." of the global root is itself *)
-            walk gf ~hint:(Some Inode.Directory) ~edge:None rest)
-        | ".." -> walk (dotdot k gf dir) ~hint:None ~edge:None rest
+            walk gf Inode.Directory rest)
+        | ".." -> (
+          (* A ".." entry does not vouch for the parent's type: mkdir
+             records a directory, even under a hidden one. *)
+          let up = dotdot gf dir in
+          match rest with [] -> finish up None | comp :: rest -> step up comp rest)
         | _ -> (
           match lookup_refreshing dir comp with
-          | Some (ino, vv) -> descend ~comp ino vv rest
+          | Some (found, vv) -> descend ~comp found vv rest
           | None -> missing ()))
       | Inode.Hidden_directory ->
         (* The escape mechanism: an explicit '@name' component picks an
@@ -385,55 +357,45 @@ let walk_comps k ~context start comps ~finish =
         let dir = dir_of_body body in
         if String.length comp > 0 && comp.[0] = '@' then begin
           let name = String.sub comp 1 (String.length comp - 1) in
-          match Dir.lookup dir name with
-          | Some ino -> descend ~comp ino vv rest
+          match Dir.lookup_typed dir name with
+          | Some found -> descend ~comp found vv rest
           | None -> err Proto.Enoent "@%s: no such hidden entry" name
         end
-        else
+        else begin
           (* context selection is per-process and never cached *)
-          walk (select_context k ~context gf dir) ~hint:None ~edge:None (comp :: rest)
+          let chosen, ftype = select_context k ~context gf dir in
+          walk chosen ftype (comp :: rest)
+        end
       | Inode.Regular | Inode.Mailbox | Inode.Database | Inode.Fifo ->
         err Proto.Enotdir "%a is not a directory" Gfile.pp gf)
   in
-  walk start ~hint:None ~edge:None comps
+  match comps with [] -> finish start None | comp :: rest -> step start comp rest
 
-(* Resolve [path] to a gfile. [context] is the hidden-directory context of
-   the calling process; [follow_hidden] controls whether a *final* hidden
-   directory is transparently expanded (commands want the load module;
-   administrative tools escape to see the directory itself). *)
+let start_of k ~cwd path =
+  if String.length path > 0 && path.[0] = '/' then Mount.root k.mount else cwd
+
+(* Resolve [path] to a gfile and its type. [context] is the
+   hidden-directory context of the calling process, under which a final
+   hidden directory expands (commands want the load module). The type
+   comes from the directory entry the walk last read; only a walk that
+   consumes no component, or ends on "..", asks the descriptor. *)
+let resolve_typed k ~cwd ~context path =
+  walk_comps k ~context (start_of k ~cwd path) (split_path path) ~finish:(fun gf ftype ->
+      let ftype = match ftype with Some t -> t | None -> (Us.stat_gf k gf).Proto.i_ftype in
+      match ftype with
+      | Inode.Hidden_directory ->
+        let _, body = load_dir k gf in
+        select_context k ~context gf (dir_of_body body)
+      | Inode.Directory | Inode.Regular | Inode.Mailbox | Inode.Database | Inode.Fifo ->
+        (gf, ftype))
+
+(* Resolve [path] to a gfile; [follow_hidden] controls whether a *final*
+   hidden directory is transparently expanded (administrative tools
+   escape to see the directory itself). *)
 let resolve_from k ~cwd ~context ?(follow_hidden = true) path =
-  let start =
-    if String.length path > 0 && path.[0] = '/' then Mount.root k.mount else cwd
-  in
-  walk_comps k ~context start (split_path path) ~finish:(fun gf ~hint ~edge ->
-      if not follow_hidden then gf
-      else begin
-        (* A final hidden directory expands under the process context; the
-           check interrogates only the descriptor — and not even that when
-           the walk already learned the type. *)
-        let ftype =
-          match hint with
-          | Some t -> Some t
-          | None -> (
-            match Us.stat_gf k gf with
-            | info ->
-              (match edge with
-              | Some (d, c) ->
-                Namecache.note_ftype k.name_cache ~dir:d ~comp:c info.Proto.i_ftype
-              | None -> ());
-              Some info.Proto.i_ftype
-            | exception Error (Proto.Enoent, _) ->
-              (* Only "no such file" may fall through to "not hidden"; any
-                 other failure (say, a storage site going unreachable
-                 mid-stat) must surface, not masquerade as a plain file. *)
-              None)
-        in
-        match ftype with
-        | Some Inode.Hidden_directory ->
-          let _, body = load_dir k gf in
-          select_context k ~context gf (dir_of_body body)
-        | Some _ | None -> gf
-      end)
+  if follow_hidden then fst (resolve_typed k ~cwd ~context path)
+  else
+    walk_comps k ~context (start_of k ~cwd path) (split_path path) ~finish:(fun gf _ -> gf)
 
 (* Resolve all but the last component — in the same single walk, not by
    re-resolving a reassembled prefix string — and return the parent
@@ -445,12 +407,9 @@ let resolve_parent k ~cwd ~context path =
   match List.rev (split_path path) with
   | [] -> err Proto.Einval "empty pathname"
   | last :: rev_prefix ->
-    let start =
-      if String.length path > 0 && path.[0] = '/' then Mount.root k.mount else cwd
-    in
     let dir_gf =
-      walk_comps k ~context start (List.rev rev_prefix)
-        ~finish:(fun gf ~hint:_ ~edge:_ -> gf)
+      walk_comps k ~context (start_of k ~cwd path) (List.rev rev_prefix)
+        ~finish:(fun gf _ -> gf)
     in
     let last =
       if String.length last > 1 && last.[0] = '@' then

@@ -27,6 +27,17 @@ val resolve_from :
     [follow_hidden] (default true), a *final* hidden directory expands
     under the context — commands resolve to their machine's load module. *)
 
+val resolve_typed :
+  Ktypes.t ->
+  cwd:Catalog.Gfile.t ->
+  context:string list ->
+  string ->
+  Catalog.Gfile.t * Storage.Inode.ftype
+(** [resolve_from] with a final hidden directory expanded, and the type
+    of the gfile it resolves to. The type is the one the directory entry
+    the walk last read records (its [d_type]): no stat is sent, except
+    for a path that consumes no component or ends on [".."]. *)
+
 val resolve_parent :
   Ktypes.t ->
   cwd:Catalog.Gfile.t ->

@@ -321,11 +321,11 @@ let find_dir_index k gf (inode : Inode.t) =
   | Some _ | None -> None
 
 (* Resolve [name] in the committed copy of directory [gf] through its
-   index, reading the one page that holds the name's record. The reads are
-   not charged: the caller charges one read for the directory, as for the
-   whole-body read this replaces. Raises [Failure] on a corrupt body. *)
+   index, reading the one page that holds the name's record. Every page,
+   the index build's too, comes through the buffer cache, so only a miss
+   is charged a disk read. Raises [Failure] on a corrupt body. *)
 let lookup_name k pack gf (inode : Inode.t) name =
-  let read = Pack.reader pack inode in
+  let read = cached_pack_page k ~read:(Pack.reader pack inode) gf in
   let size = inode.Inode.size in
   let d =
     match find_dir_index k gf inode with
@@ -335,7 +335,7 @@ let lookup_name k pack gf (inode : Inode.t) name =
   match Dir.Index.find d.di_index ~read ~limit:size name with
   | Some (at, page) -> (
     match Dir.entry_at page (at mod Page.size) with
-    | { Dir.status = Dir.Live; ino; _ } -> Some ino
+    | { Dir.status = Dir.Live; ino; ftype; _ } -> Some (ino, ftype)
     | { Dir.status = Dir.Tombstone; _ } -> None)
   | None -> None
 
@@ -350,7 +350,7 @@ let lookup_name k pack gf (inode : Inode.t) name =
    server-side lookup. A body that does not decode is [Eio], never an
    empty directory. [change] sees the record that holds [name] now, if
    any, and returns the record to write in its place, or refuses. Returns
-   the inode of the record written. *)
+   the entry written. *)
 let dir_change k ~src gf name change =
   match local_pack k gf.Gfile.fg with
   | None -> Stdlib.Error Proto.Eio
@@ -375,7 +375,7 @@ let dir_change k ~src gf name change =
             Shadow.patch_page (ensure_session k pack gf) ~lpage ~off:(at mod Page.size) data;
             page_written k gf lpage;
             invalidate_others k gf ~writer:src ~first:lpage ~count:1;
-            Ok e.Dir.ino
+            Ok e
         in
         match Dir.Index.find d.di_index ~read ~limit:size name with
         | Some (at, page) ->
@@ -701,7 +701,7 @@ let change_links k gf ~delta =
 let apply_intent k ~us dir (op : Proto.intent) ~others ~guard ~links_here =
   let stamp = now k and origin = us in
   let allocated = ref None in
-  let live ino name = Ok { Dir.name; ino; status = Dir.Live; stamp; origin } in
+  let live ino ftype name = Ok { Dir.name; ino; ftype; status = Dir.Live; stamp; origin } in
   let tombstone (e : Dir.entry) = Ok { e with Dir.status = Dir.Tombstone; stamp; origin } in
   let result =
     match op with
@@ -710,20 +710,20 @@ let apply_intent k ~us dir (op : Proto.intent) ~others ~guard ~links_here =
         | Some { Dir.status = Dir.Live; _ } -> Stdlib.Error Proto.Eexist
         | Some { Dir.status = Dir.Tombstone; _ } | None -> (
           match ino with
-          | Some ino -> live ino name
+          | Some ino -> live ino ftype name
           | None ->
             let inode = alloc_inode k (local_pack_exn k dir.Gfile.fg) ~ftype ~owner ~perms in
             allocated := Some inode;
-            live inode.Inode.ino name))
+            live inode.Inode.ino ftype name))
     | Proto.Unlink { name; links } ->
       dir_change k ~src:us dir name (function
         | Some ({ Dir.status = Dir.Live; ino; _ } as e) ->
           if links then Result.bind (guard ino) (fun () -> tombstone e) else tombstone e
         | Some { Dir.status = Dir.Tombstone; _ } | None -> Stdlib.Error Proto.Enoent)
-    | Proto.Link { name; ino; links = _ } ->
+    | Proto.Link { name; ino; ftype; links = _ } ->
       dir_change k ~src:us dir name (function
         | Some { Dir.status = Dir.Live; _ } -> Stdlib.Error Proto.Eexist
-        | Some { Dir.status = Dir.Tombstone; _ } | None -> live ino name)
+        | Some { Dir.status = Dir.Tombstone; _ } | None -> live ino ftype name)
   in
   match result with
   | Stdlib.Error e ->
@@ -733,7 +733,7 @@ let apply_intent k ~us dir (op : Proto.intent) ~others ~guard ~links_here =
     | Some inode -> Pack.remove_inode (local_pack_exn k dir.Gfile.fg) inode.Inode.ino
     | None -> ());
     Proto.R_err e
-  | Ok ino ->
+  | Ok { Dir.ino; ftype; _ } ->
     let pack = local_pack_exn k dir.Gfile.fg in
     let s = ss_get_open k dir in
     let session = ensure_session k pack dir in
@@ -754,7 +754,7 @@ let apply_intent k ~us dir (op : Proto.intent) ~others ~guard ~links_here =
       | Proto.Unlink { links = false; _ } | Proto.Link { links = false; _ } -> None
     in
     record k ~tag:"ss.intent" "%a ino %d vv=%a" Gfile.pp dir ino Vvec.pp dir_vv;
-    Proto.R_intent { ino; dir_vv; file }
+    Proto.R_intent { ino; ftype; dir_vv; file }
 
 let handle_intent_step k ~us (step : Proto.intent_step) =
   match step with

@@ -114,13 +114,19 @@ val write_run :
     data. Raises {!Ktypes.Error} on a refusal or a network failure. *)
 
 val lookup_name :
-  Ktypes.t -> Storage.Pack.t -> Catalog.Gfile.t -> Storage.Inode.t -> string -> int option
+  Ktypes.t ->
+  Storage.Pack.t ->
+  Catalog.Gfile.t ->
+  Storage.Inode.t ->
+  string ->
+  (int * Storage.Inode.ftype) option
 (** [lookup_name k pack gf inode name]: the inode a live entry binds
-    [name] to in the committed copy of directory [gf], found through the
-    directory's index ({!Ktypes.dir_index}) by reading the one page that
-    holds the record. The first lookup of a version builds the index from
-    every page. No read is charged: the caller charges the directory read.
-    Raises [Failure] on a body that does not decode. *)
+    [name] to in the committed copy of directory [gf], and the type the
+    entry records, found through the directory's index
+    ({!Ktypes.dir_index}) by reading the one page that holds the record.
+    The first lookup of a version builds the index from every page. Each
+    page is read through the SS buffer cache and charged a disk read only
+    on a miss. Raises [Failure] on a body that does not decode. *)
 
 val run_pages : poff:int -> int -> int
 (** [run_pages ~poff len]: the pages a request carrying [len] bytes from

@@ -98,8 +98,8 @@ let preinstall_file pack ~ino ~ftype ~content =
 
 let root_dir_content () =
   let dir = Dir.empty () in
-  Dir.insert dir ~name:"." ~ino:Mount.root_ino ~stamp:0.0 ~origin:0;
-  Dir.insert dir ~name:".." ~ino:Mount.root_ino ~stamp:0.0 ~origin:0;
+  Dir.insert dir ~name:"." ~ino:Mount.root_ino ~ftype:Inode.Directory ~stamp:0.0 ~origin:0;
+  Dir.insert dir ~name:".." ~ino:Mount.root_ino ~ftype:Inode.Directory ~stamp:0.0 ~origin:0;
   Dir.encode dir
 
 let create ?(config = default_config ()) () =

@@ -116,7 +116,7 @@ type lookup_step = {
   l_dir : Catalog.Gfile.t;
   l_vv : Vvec.t; (* the directory's version vector at search time *)
   l_child : Catalog.Gfile.t;
-  l_ftype : Storage.Inode.ftype option; (* child's type, when stored at the SS *)
+  l_ftype : Storage.Inode.ftype; (* the child's type, from the directory entry *)
 }
 
 (* One name-space change a using site asks the directory's CSS for, as a
@@ -135,7 +135,7 @@ type intent =
            otherwise the storage site that enters the name allocates it *)
     }
   | Unlink of { name : string; links : bool }
-  | Link of { name : string; ino : int; links : bool }
+  | Link of { name : string; ino : int; ftype : Storage.Inode.ftype; links : bool }
 
 (* The work a CSS forwards to a storage site for an intent: the record
    change and commit of the directory, or a file's link-count change. *)
@@ -347,10 +347,15 @@ type resp =
        [info] is the committed copy's inode, when the request set [stat]
        or named another version than the copy's. *)
   | R_committed of { vv : Vvec.t }
-  | R_intent of { ino : int; dir_vv : Vvec.t; file : (Vvec.t * bool) option }
-    (* an intent's inode, the directory's new version, and the file's new
-       version and deleted flag when the replying site changed its links
-       (or, for a create, allocated it) *)
+  | R_intent of {
+      ino : int;
+      ftype : Storage.Inode.ftype;
+      dir_vv : Vvec.t;
+      file : (Vvec.t * bool) option;
+    }
+    (* an intent's inode and the type its entry records, the directory's
+       new version, and the file's new version and deleted flag when the
+       replying site changed its links (or, for a create, allocated it) *)
   | R_linked of { vv : Vvec.t; deleted : bool }
     (* a [Step_link]'s new version of the file; [deleted] at the last link *)
   | R_lookup of { gf : Catalog.Gfile.t; consumed : int; trail : lookup_step list }
@@ -398,7 +403,7 @@ let intent_bytes = function
     2 + String.length name + String.length owner + 4
     + (match ino with Some _ -> 4 | None -> 0)
   | Unlink { name; _ } -> 2 + String.length name
-  | Link { name; _ } -> 2 + 4 + String.length name
+  | Link { name; _ } -> 2 + 4 + 1 + String.length name
 
 (* A batch of pages costs one byte, then a small length frame plus its
    payload per page; a lone page needs no frame. *)
@@ -508,7 +513,7 @@ let resp_bytes = function
     + (match info with Some i -> info_bytes i | None -> 0)
   | R_committed { vv } -> header + vv_bytes vv
   | R_intent { dir_vv; file; _ } ->
-    header + 5 + vv_bytes dir_vv
+    header + 6 + vv_bytes dir_vv
     + (match file with Some (vv, _) -> 1 + vv_bytes vv | None -> 0)
   | R_linked { vv; _ } -> header + 1 + vv_bytes vv
   | R_lookup { trail; _ } ->

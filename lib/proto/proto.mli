@@ -99,8 +99,9 @@ type lookup_step = {
   l_dir : Catalog.Gfile.t;
   l_vv : Vv.Version_vector.t;
   l_child : Catalog.Gfile.t;
-  l_ftype : Storage.Inode.ftype option;
-      (** the child's type, when its inode is stored at the serving site *)
+  l_ftype : Storage.Inode.ftype;
+      (** the child's type, as the directory entry records it: known
+          whether or not the serving site stores the child *)
 }
 
 (** {1 Directory intents} *)
@@ -121,7 +122,8 @@ type intent =
               allocate it, after the name check *)
     }
   | Unlink of { name : string; links : bool }
-  | Link of { name : string; ino : int; links : bool }
+  | Link of { name : string; ino : int; ftype : Storage.Inode.ftype; links : bool }
+      (** [ftype] is the target's type, which the new entry records *)
 
 (** What a CSS forwards to a storage site for an intent. *)
 type intent_step =
@@ -364,10 +366,13 @@ type resp =
   | R_committed of { vv : Vv.Version_vector.t }
   | R_intent of {
       ino : int;
+      ftype : Storage.Inode.ftype;
       dir_vv : Vv.Version_vector.t;
       file : (Vv.Version_vector.t * bool) option;
     }
-      (** an intent's inode and the directory's new version; [file] is
+      (** an intent's inode, the type its entry records (a rename's
+          unlink half hands it to the link half) and the directory's new
+          version, at one byte for the type; [file] is
           the file's new version and deleted flag when the replying site
           changed its link count (or, for a create, allocated it) *)
   | R_linked of { vv : Vv.Version_vector.t; deleted : bool }

@@ -232,9 +232,12 @@ let merge_two_dirs k fg a b report =
   in
   let put (e : Dir.entry) =
     match e.Dir.status with
-    | Dir.Live -> Dir.insert out ~name:e.Dir.name ~ino:e.Dir.ino ~stamp:e.Dir.stamp ~origin:e.Dir.origin
+    | Dir.Live ->
+      Dir.insert out ~name:e.Dir.name ~ino:e.Dir.ino ~ftype:e.Dir.ftype ~stamp:e.Dir.stamp
+        ~origin:e.Dir.origin
     | Dir.Tombstone ->
-      Dir.insert out ~name:e.Dir.name ~ino:e.Dir.ino ~stamp:e.Dir.stamp ~origin:e.Dir.origin;
+      Dir.insert out ~name:e.Dir.name ~ino:e.Dir.ino ~ftype:e.Dir.ftype ~stamp:e.Dir.stamp
+        ~origin:e.Dir.origin;
       ignore (Dir.remove out ~name:e.Dir.name ~stamp:e.Dir.stamp ~origin:e.Dir.origin)
   in
   List.iter
@@ -247,7 +250,8 @@ let merge_two_dirs k fg a b report =
         (match e.Dir.status with
         | Dir.Tombstone when modified_since k fg e.Dir.ino ~since:e.Dir.stamp ->
           report.deletes_undone <- report.deletes_undone + 1;
-          Dir.insert out ~name ~ino:e.Dir.ino ~stamp:e.Dir.stamp ~origin:e.Dir.origin
+          Dir.insert out ~name ~ino:e.Dir.ino ~ftype:e.Dir.ftype ~stamp:e.Dir.stamp
+            ~origin:e.Dir.origin
         | Dir.Tombstone | Dir.Live -> put e)
       | Some ea, Some eb -> (
         match (ea.Dir.status, eb.Dir.status) with
@@ -257,7 +261,7 @@ let merge_two_dirs k fg a b report =
           report.name_conflicts <- report.name_conflicts + 1;
           let alter (e : Dir.entry) =
             Dir.insert out ~name:(Dir.conflict_name name ~ino:e.Dir.ino) ~ino:e.Dir.ino
-              ~stamp:e.Dir.stamp ~origin:e.Dir.origin
+              ~ftype:e.Dir.ftype ~stamp:e.Dir.stamp ~origin:e.Dir.origin
           in
           alter ea;
           alter eb;

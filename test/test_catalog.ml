@@ -3,6 +3,7 @@
 
 module Gfile = Catalog.Gfile
 module Dir = Catalog.Dir
+module Inode = Storage.Inode
 module Mbox = Catalog.Mailbox
 module Mount = Catalog.Mount
 
@@ -23,14 +24,14 @@ let test_gfile_compare () =
 
 let test_dir_insert_lookup () =
   let d = Dir.empty () in
-  Dir.insert d ~name:"file.txt" ~ino:7 ~stamp:1.0 ~origin:0;
+  Dir.insert d ~name:"file.txt" ~ino:7 ~ftype:Inode.Regular ~stamp:1.0 ~origin:0;
   check Alcotest.(option int) "lookup" (Some 7) (Dir.lookup d "file.txt");
   check Alcotest.(option int) "missing" None (Dir.lookup d "nope");
   check Alcotest.int "cardinal" 1 (Dir.cardinal d)
 
 let test_dir_remove_leaves_tombstone () =
   let d = Dir.empty () in
-  Dir.insert d ~name:"x" ~ino:3 ~stamp:1.0 ~origin:0;
+  Dir.insert d ~name:"x" ~ino:3 ~ftype:Inode.Regular ~stamp:1.0 ~origin:0;
   check Alcotest.bool "removed" true (Dir.remove d ~name:"x" ~stamp:2.0 ~origin:1);
   check Alcotest.(option int) "gone" None (Dir.lookup d "x");
   (match Dir.find_entry d "x" with
@@ -44,16 +45,16 @@ let test_dir_remove_leaves_tombstone () =
 
 let test_dir_resurrect () =
   let d = Dir.empty () in
-  Dir.insert d ~name:"x" ~ino:3 ~stamp:1.0 ~origin:0;
+  Dir.insert d ~name:"x" ~ino:3 ~ftype:Inode.Regular ~stamp:1.0 ~origin:0;
   ignore (Dir.remove d ~name:"x" ~stamp:2.0 ~origin:0);
-  Dir.insert d ~name:"x" ~ino:9 ~stamp:3.0 ~origin:0;
+  Dir.insert d ~name:"x" ~ino:9 ~ftype:Inode.Regular ~stamp:3.0 ~origin:0;
   check Alcotest.(option int) "resurrected with new ino" (Some 9) (Dir.lookup d "x")
 
 let test_dir_invalid_names () =
   let d = Dir.empty () in
   List.iter
     (fun name ->
-      match Dir.insert d ~name ~ino:1 ~stamp:0.0 ~origin:0 with
+      match Dir.insert d ~name ~ino:1 ~ftype:Inode.Regular ~stamp:0.0 ~origin:0 with
       | exception Invalid_argument _ -> ()
       | () -> Alcotest.fail (Printf.sprintf "name %S should be rejected" name))
     [ ""; "a/b"; "a\tb"; "a\nb" ]
@@ -64,9 +65,9 @@ let test_dir_name_bound () =
   let d = Dir.empty () in
   let longest = String.make Dir.max_name 'n' in
   check Alcotest.int "bound is a page less the header" (Storage.Page.size - 21) Dir.max_name;
-  Dir.insert d ~name:longest ~ino:4 ~stamp:1.0 ~origin:0;
+  Dir.insert d ~name:longest ~ino:4 ~ftype:Inode.Regular ~stamp:1.0 ~origin:0;
   check Alcotest.(option int) "longest name accepted" (Some 4) (Dir.lookup d longest);
-  (match Dir.insert d ~name:(longest ^ "n") ~ino:5 ~stamp:1.0 ~origin:0 with
+  (match Dir.insert d ~name:(longest ^ "n") ~ino:5 ~ftype:Inode.Regular ~stamp:1.0 ~origin:0 with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "a name past the bound was accepted");
   check Alcotest.int "one record fills one page" Storage.Page.size
@@ -81,18 +82,18 @@ let test_dir_conflict_name_fits () =
   check Alcotest.string "short names keep the classic form" "f!conflict!7"
     (Dir.conflict_name "f" ~ino:7);
   let d = Dir.empty () in
-  Dir.insert d ~name:a ~ino:7 ~stamp:1.0 ~origin:0;
-  Dir.insert d ~name:b ~ino:8 ~stamp:1.0 ~origin:0;
+  Dir.insert d ~name:a ~ino:7 ~ftype:Inode.Regular ~stamp:1.0 ~origin:0;
+  Dir.insert d ~name:b ~ino:8 ~ftype:Inode.Regular ~stamp:1.0 ~origin:0;
   check Alcotest.int "both renamed entries live" 2 (Dir.cardinal d)
 
 (* The origin is stored as a u16: anything outside is refused, not
    truncated on the way to disk. *)
 let test_dir_origin_bound () =
   let d = Dir.empty () in
-  Dir.insert d ~name:"x" ~ino:3 ~stamp:1.0 ~origin:0xffff;
+  Dir.insert d ~name:"x" ~ino:3 ~ftype:Inode.Regular ~stamp:1.0 ~origin:0xffff;
   List.iter
     (fun origin ->
-      (match Dir.insert d ~name:"y" ~ino:3 ~stamp:1.0 ~origin with
+      (match Dir.insert d ~name:"y" ~ino:3 ~ftype:Inode.Regular ~stamp:1.0 ~origin with
       | exception Invalid_argument _ -> ()
       | () -> Alcotest.failf "insert accepted origin %d" origin);
       match Dir.remove d ~name:"x" ~stamp:2.0 ~origin with
@@ -104,8 +105,8 @@ let test_dir_origin_bound () =
 
 let test_dir_codec_roundtrip () =
   let d = Dir.empty () in
-  Dir.insert d ~name:"alpha" ~ino:2 ~stamp:1.5 ~origin:0;
-  Dir.insert d ~name:"beta" ~ino:3 ~stamp:2.5 ~origin:1;
+  Dir.insert d ~name:"alpha" ~ino:2 ~ftype:Inode.Regular ~stamp:1.5 ~origin:0;
+  Dir.insert d ~name:"beta" ~ino:3 ~ftype:Inode.Regular ~stamp:2.5 ~origin:1;
   ignore (Dir.remove d ~name:"beta" ~stamp:3.5 ~origin:1);
   let d' = Dir.decode (Dir.encode d) in
   check Alcotest.bool "roundtrip equal" true (Dir.equal d d');
@@ -114,10 +115,75 @@ let test_dir_codec_roundtrip () =
   | Some e -> check Alcotest.bool "tombstone survives" true (e.Dir.status = Dir.Tombstone)
   | None -> Alcotest.fail "tombstone lost in codec"
 
+let all_ftypes =
+  Inode.[ Regular; Directory; Hidden_directory; Mailbox; Database; Fifo ]
+
+(* Each entry keeps its child's type through the codec, live or
+   tombstoned: the type shares the status byte. *)
+let test_dir_codec_types () =
+  let d = Dir.empty () in
+  List.iteri
+    (fun i ftype ->
+      let live = Printf.sprintf "live%d" i and dead = Printf.sprintf "dead%d" i in
+      Dir.insert d ~name:live ~ino:(10 + i) ~ftype ~stamp:1.0 ~origin:0;
+      Dir.insert d ~name:dead ~ino:(20 + i) ~ftype ~stamp:1.0 ~origin:0;
+      ignore (Dir.remove d ~name:dead ~stamp:2.0 ~origin:0))
+    all_ftypes;
+  let d' = Dir.decode (Dir.encode d) in
+  check Alcotest.bool "roundtrip equal" true (Dir.equal d d');
+  List.iteri
+    (fun i ftype ->
+      (match Dir.find_entry d' (Printf.sprintf "live%d" i) with
+      | Some { Dir.status = Dir.Live; ftype = got; ino; _ } ->
+        check Alcotest.bool "live type kept" true (got = ftype);
+        check Alcotest.int "live inode kept" (10 + i) ino
+      | Some _ | None -> Alcotest.fail "live entry lost");
+      match Dir.find_entry d' (Printf.sprintf "dead%d" i) with
+      | Some { Dir.status = Dir.Tombstone; ftype = got; _ } ->
+        check Alcotest.bool "tombstone type kept" true (got = ftype)
+      | Some _ | None -> Alcotest.fail "tombstone lost")
+    all_ftypes
+
+(* A nonzero status byte must hold status 1 or 2 in its low two bits and
+   a type code 0..5 in the next three: anything else is a corrupt record,
+   never an entry of some type. *)
+let test_dir_decode_bad_status () =
+  let d = Dir.empty () in
+  Dir.insert d ~name:"x" ~ino:3 ~ftype:Inode.Directory ~stamp:1.0 ~origin:0;
+  let good = Dir.encode d in
+  check Alcotest.int "live directory byte" (1 lor (1 lsl 2)) (Char.code good.[0]);
+  let refused byte =
+    let b = Bytes.of_string good in
+    Bytes.set_uint8 b 0 byte;
+    match Dir.decode (Bytes.to_string b) with
+    | _ -> false
+    | exception Failure _ -> true
+  in
+  List.iter
+    (fun (what, byte) -> check Alcotest.bool what true (refused byte))
+    [ ("status 0 with a type", 1 lsl 2);
+      ("status 3", 3);
+      ("status 3 with a type", 3 lor (4 lsl 2));
+      ("type code 6", 1 lor (6 lsl 2));
+      ("type code 7", 2 lor (7 lsl 2));
+      ("top bits set", 1 lor (1 lsl 5)) ];
+  (* The type codes, in the order of [all_ftypes]. *)
+  List.iteri
+    (fun code ftype ->
+      List.iter
+        (fun st ->
+          let b = Bytes.of_string good in
+          Bytes.set_uint8 b 0 (st lor (code lsl 2));
+          match Dir.find_entry (Dir.decode (Bytes.to_string b)) "x" with
+          | Some e -> check Alcotest.bool "type code read" true (e.Dir.ftype = ftype)
+          | None -> Alcotest.fail "valid record lost")
+        [ 1; 2 ])
+    all_ftypes
+
 let test_dir_hard_links () =
   let d = Dir.empty () in
-  Dir.insert d ~name:"one" ~ino:5 ~stamp:1.0 ~origin:0;
-  Dir.insert d ~name:"two" ~ino:5 ~stamp:1.0 ~origin:0;
+  Dir.insert d ~name:"one" ~ino:5 ~ftype:Inode.Regular ~stamp:1.0 ~origin:0;
+  Dir.insert d ~name:"two" ~ino:5 ~ftype:Inode.Regular ~stamp:1.0 ~origin:0;
   check Alcotest.(list string) "names of ino" [ "one"; "two" ] (Dir.names_of_ino d 5)
 
 (* ---- mailboxes ---- *)
@@ -200,6 +266,9 @@ let () =
           Alcotest.test_case "conflict name fits" `Quick test_dir_conflict_name_fits;
           Alcotest.test_case "origin bound" `Quick test_dir_origin_bound;
           Alcotest.test_case "codec roundtrip" `Quick test_dir_codec_roundtrip;
+          Alcotest.test_case "codec keeps each entry's type" `Quick test_dir_codec_types;
+          Alcotest.test_case "decode refuses a bad status byte" `Quick
+            test_dir_decode_bad_status;
           Alcotest.test_case "hard links" `Quick test_dir_hard_links;
         ] );
       ( "mailbox",

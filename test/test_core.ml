@@ -451,7 +451,7 @@ let test_record_patch_writes_one_page () =
     check Alcotest.string "the body re-encodes to itself" body (Dir.encode (Dir.decode body));
     !written
   in
-  let enter name = Proto.Link { name; ino = 77; links = false } in
+  let enter name = Proto.Link { name; ino = 77; ftype = Inode.Regular; links = false } in
   let page = Storage.Page.size in
   (* "." and ".." take 45 bytes: a 957-byte name (a 978-byte record) ends
      the first page 1 byte short of full. *)
@@ -669,7 +669,8 @@ let remote_dirop_moves_one_page ~window =
   let o = Us.open_gf k0 dir_gf Proto.Mode_modify in
   let dir = Dir.decode (Us.read_all k0 o) in
   for i = 1 to 160 do
-    Dir.insert dir ~name:(Printf.sprintf "%0200d" i) ~ino:(1000 + i) ~stamp:0.0 ~origin:0
+    Dir.insert dir ~name:(Printf.sprintf "%0200d" i) ~ino:(1000 + i) ~ftype:Inode.Regular
+      ~stamp:0.0 ~origin:0
   done;
   Us.set_contents k0 o (Dir.encode dir);
   Us.commit k0 o;
@@ -769,7 +770,8 @@ let dir_update_words n =
   let o = Us.open_gf k0 gf Proto.Mode_modify in
   let dir = Dir.decode (Us.read_all k0 o) in
   for i = 0 to n - 1 do
-    Dir.insert dir ~name:(Printf.sprintf "%05d" i) ~ino:(100 + i) ~stamp:0.0 ~origin:0
+    Dir.insert dir ~name:(Printf.sprintf "%05d" i) ~ino:(100 + i) ~ftype:Inode.Regular ~stamp:0.0
+      ~origin:0
   done;
   Us.set_contents k0 o (Dir.encode dir);
   Us.commit k0 o;
@@ -788,7 +790,7 @@ let dir_update_words n =
     | _ -> Alcotest.fail "the change was refused");
     words
   in
-  let enter name = Proto.Link { name; ino = 7; links = false } in
+  let enter name = Proto.Link { name; ino = 7; ftype = Inode.Regular; links = false } in
   ignore (update (enter "warm-up"));
   update (enter "fresh") +. update (Proto.Unlink { name = "00050"; links = false })
 

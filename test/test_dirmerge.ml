@@ -7,6 +7,7 @@ module World = Locus.World
 module Kernel = Locus_core.Kernel
 module K = Locus_core.Ktypes
 module Dir = Catalog.Dir
+module Inode = Storage.Inode
 module Reconcile = Recovery.Reconcile
 
 let check = Alcotest.check
@@ -27,11 +28,11 @@ let merge w a b =
   let merged = Reconcile.merge_two_dirs k0 0 a b report in
   (merged, report)
 
-let dir entries =
+let dir ?(ftype = Inode.Regular) entries =
   let d = Dir.empty () in
   List.iter
     (fun (name, ino, stamp, dead) ->
-      Dir.insert d ~name ~ino ~stamp ~origin:0;
+      Dir.insert d ~name ~ino ~ftype ~stamp ~origin:0;
       if dead then ignore (Dir.remove d ~name ~stamp:(stamp +. 0.1) ~origin:0))
     entries;
   d
@@ -105,7 +106,7 @@ let test_rule_2d_modification_saves () =
   let a = dir [ ("f", ino, 0.5, false) ] in
   let b =
     let d = Dir.empty () in
-    Dir.insert d ~name:"f" ~ino ~stamp:0.5 ~origin:1;
+    Dir.insert d ~name:"f" ~ino ~ftype:Inode.Regular ~stamp:0.5 ~origin:1;
     ignore (Dir.remove d ~name:"f" ~stamp:(file_mtime -. 1.0) ~origin:1);
     d
   in
@@ -129,6 +130,28 @@ let test_rule_1_name_conflict () =
       if not (String.length e.Dir.name > 5 && String.sub e.Dir.name 0 5 = "clash")
       then Alcotest.failf "altered name %s should derive from 'clash'" e.Dir.name)
     live
+
+(* Every entry the merge writes keeps the type of the entry it came
+   from: a kept entry, a propagated tombstone, and both names a conflict
+   alters. *)
+let test_types_survive_merge () =
+  let w, _, ino = make_env () in
+  let a = dir ~ftype:Inode.Directory [ ("clash", ino, 1.0, false); ("sub", ino, 1.0, false) ] in
+  let b =
+    dir ~ftype:Inode.Hidden_directory [ ("clash", ino + 1, 1.0, false); ("gone", ino, 0.5, true) ]
+  in
+  let m, _ = merge w a b in
+  let type_of name =
+    match Dir.find_entry m name with
+    | Some e -> e.Dir.ftype
+    | None -> Alcotest.failf "%s missing from the merge" name
+  in
+  check Alcotest.bool "kept entry" true (type_of "sub" = Inode.Directory);
+  check Alcotest.bool "propagated tombstone" true (type_of "gone" = Inode.Hidden_directory);
+  check Alcotest.bool "altered name, left" true
+    (type_of (Dir.conflict_name "clash" ~ino) = Inode.Directory);
+  check Alcotest.bool "altered name, right" true
+    (type_of (Dir.conflict_name "clash" ~ino:(ino + 1)) = Inode.Hidden_directory)
 
 (* Both tombstoned -> newest tombstone kept, still deleted. *)
 let test_both_tombstones () =
@@ -256,6 +279,7 @@ let () =
           Alcotest.test_case "1 name conflict" `Quick test_rule_1_name_conflict;
           Alcotest.test_case "tombstone vs tombstone" `Quick test_both_tombstones;
           Alcotest.test_case "links survive" `Quick test_links_survive;
+          Alcotest.test_case "entry types survive" `Quick test_types_survive_merge;
         ] );
       ( "laws",
         [

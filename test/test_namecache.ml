@@ -164,7 +164,7 @@ let test_lookup_stops_at_hidden_directory () =
     check Alcotest.int "stopped on the hidden directory" 2 consumed;
     let last = List.nth trail (List.length trail - 1) in
     check Alcotest.bool "trail marks it hidden" true
-      (last.Proto.l_ftype = Some Storage.Inode.Hidden_directory);
+      (last.Proto.l_ftype = Storage.Inode.Hidden_directory);
     check Alcotest.bool "returned the hidden directory" true
       (Gfile.equal gf last.Proto.l_child)
   | _ -> Alcotest.fail "expected R_lookup"
@@ -289,6 +289,163 @@ let test_ablation_neither () =
   let k2 = World.kernel w 2 and p2 = World.proc w 2 in
   check Alcotest.string "slow path still correct" "x" (Kernel.read_file k2 p2 path)
 
+(* ---- entry types: no stat of the leaf ---- *)
+
+(* Packs at sites 0 (the CSS, which a remote lookup asks) and 1; sites 2
+   and 3 store nothing. *)
+let split_world ?(machine_type = fun _ -> "vax") () =
+  let base = World.default_config ~n_sites:4 () in
+  World.create
+    ~config:
+      { base with
+        World.filegroups = [ { World.fg = 0; pack_sites = [ 0; 1 ]; mount_path = None } ];
+        machine_type;
+      }
+    ()
+
+let stored_at w site gf =
+  Storage.Pack.find_inode (Hashtbl.find (World.kernel w site).K.packs 0) gf.Gfile.ino <> None
+
+(* Creates [dir] on both packs, then runs [make] at site 1 with one copy
+   per file, so what it makes is stored at site 1 only. *)
+let split_tree w ~dir make =
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  Kernel.set_ncopies p0 2;
+  ignore (Kernel.mkdir k0 p0 dir);
+  ignore (World.settle w);
+  let k1 = World.kernel w 1 and p1 = World.proc w 1 in
+  Kernel.set_ncopies p1 1;
+  make k1 p1;
+  ignore (World.settle w)
+
+let no_where_or_stat w snap =
+  check Alcotest.int "no where message" 0 (Stats.delta_of (World.stats w) snap "net.msg.where");
+  check Alcotest.int "no stat message" 0 (Stats.delta_of (World.stats w) snap "net.msg.stat")
+
+(* The lookup site (0) stores the directory but not the leaf, which lives
+   at site 1 only: the trail's last step still carries the leaf's type,
+   read from its directory entry, so the packless site sends no
+   [Where_stored] and no stat after the lookup. *)
+let test_leaf_stored_away_needs_no_stat () =
+  let w = split_world () in
+  split_tree w ~dir:"/d" (fun k p ->
+      ignore (Kernel.creat k p "/d/f");
+      Kernel.write_file k p "/d/f" "away");
+  let k3 = World.kernel w 3 and p3 = World.proc w 3 in
+  let snap = Stats.snapshot (World.stats w) in
+  let cold = resolve_msgs w 3 "/d/f" in
+  let warm = resolve_msgs w 3 "/d/f" in
+  check Alcotest.int "cold: one lookup round trip" 2 cold;
+  check Alcotest.int "warm: nothing" 0 warm;
+  no_where_or_stat w snap;
+  let gf = Kernel.resolve k3 p3 "/d/f" in
+  check Alcotest.bool "the lookup site does not store the leaf" false (stored_at w 0 gf);
+  check Alcotest.string "and it reads" "away" (Kernel.read_file k3 p3 "/d/f")
+
+(* A hidden directory stored away from the lookup site: its entry tells
+   the packless site it is hidden, so the walk expands it by context, or
+   takes the '@' escape, without asking anyone its type. *)
+let test_hidden_dir_stored_away_expands () =
+  let w = split_world ~machine_type:(fun s -> if s = 3 then "pdp11" else "vax") () in
+  split_tree w ~dir:"/bin" (fun k p ->
+      ignore (Kernel.mkdir ~hidden:true k p "/bin/who");
+      List.iter
+        (fun m ->
+          ignore (Kernel.creat k p ("/bin/who/@" ^ m));
+          Kernel.write_file k p ("/bin/who/@" ^ m) (m ^ " load module"))
+        [ "vax"; "pdp11" ]);
+  let k1 = World.kernel w 1 in
+  let who =
+    Pathname.resolve_from k1 ~cwd:(Mount.root k1.K.mount) ~context:[] ~follow_hidden:false
+      "/bin/who"
+  in
+  check Alcotest.bool "the lookup site does not store the hidden directory" false
+    (stored_at w 0 who);
+  let k3 = World.kernel w 3 and p3 = World.proc w 3 in
+  let snap = Stats.snapshot (World.stats w) in
+  for _ = 1 to 2 do
+    check Alcotest.string "context selects the pdp11 module" "pdp11 load module"
+      (Kernel.read_file k3 p3 "/bin/who");
+    check Alcotest.string "escape overrides the context" "vax load module"
+      (Kernel.read_file k3 p3 "/bin/who/@vax")
+  done;
+  no_where_or_stat w snap
+
+(* Each writer of an entry records the child's type: a create its own, a
+   rename's link half the type its unlink half removed, a hard link the
+   type its target resolved to; mkdir's "." and ".." are directories. *)
+let test_writers_record_types () =
+  let w = full_world () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  ignore (Kernel.mkdir k0 p0 "/d");
+  ignore (Kernel.mkdir ~hidden:true k0 p0 "/d/h");
+  ignore (Kernel.creat ~ftype:Storage.Inode.Mailbox k0 p0 "/d/box");
+  Kernel.rename k0 p0 ~from_path:"/d/box" ~to_path:"/d/moved";
+  Kernel.rename k0 p0 ~from_path:"/d/h" ~to_path:"/d/hidden";
+  Kernel.link k0 p0 ~target:"/d/moved" ~path:"/d/again";
+  ignore (World.settle w);
+  let k2 = World.kernel w 2 and p2 = World.proc w 2 in
+  let types =
+    List.map
+      (fun (e : Catalog.Dir.entry) -> (e.Catalog.Dir.name, e.Catalog.Dir.ftype))
+      (Kernel.readdir k2 p2 "/d")
+  in
+  check Alcotest.bool "entry types" true
+    (types
+    = Storage.Inode.
+        [ (".", Directory); ("..", Directory); ("again", Mailbox);
+          ("hidden", Hidden_directory); ("moved", Mailbox) ])
+
+(* A walk that ends on ".." takes no type from the ".." entry, which
+   mkdir writes as a directory even under a hidden one: the hidden
+   parent still expands under the context. *)
+let test_dotdot_into_hidden_dir_expands () =
+  let w = full_world () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  ignore (Kernel.mkdir k0 p0 "/bin");
+  ignore (Kernel.mkdir ~hidden:true k0 p0 "/bin/who");
+  ignore (Kernel.mkdir k0 p0 "/bin/who/@vax");
+  ignore (World.settle w);
+  check Alcotest.bool "expanded like the hidden directory itself" true
+    (Gfile.equal (Kernel.resolve k0 p0 "/bin/who") (Kernel.resolve k0 p0 "/bin/who/@vax/.."))
+
+(* ---- name lookups through the SS buffer cache ---- *)
+
+(* A storing site (2, not the CSS) with the name cache off: each walk
+   searches its local directories through the SS index, whose pages come
+   through the buffer cache. A second name of the same directory version
+   costs nothing. Then site 1 creates a name, which the CSS enters, and
+   site 2's copy installs the commit: the page it replaced left the
+   cache, so the next lookup reads it, one disk read. *)
+let test_lookup_reads_through_buffer_cache () =
+  let kconfig = { K.default_config with K.name_cache_entries = 0 } in
+  let w = full_world ~kconfig () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  Kernel.set_ncopies p0 4;
+  ignore (Kernel.mkdir k0 p0 "/d");
+  ignore (Kernel.creat k0 p0 "/d/a");
+  ignore (Kernel.creat k0 p0 "/d/b");
+  ignore (World.settle w);
+  let k2 = World.kernel w 2 and p2 = World.proc w 2 in
+  let timed path =
+    let snap = Stats.snapshot (World.stats w) in
+    let t0 = World.now w in
+    let gf = Kernel.resolve k2 p2 path in
+    (gf, World.now w -. t0, msgs w snap)
+  in
+  ignore (timed "/d/a");
+  let _, t, m = timed "/d/b" in
+  check Alcotest.int "a local walk sends nothing" 0 m;
+  check (Alcotest.float 0.0) "the second name reads no page from disk" 0.0 t;
+  let k1 = World.kernel w 1 and p1 = World.proc w 1 in
+  let created = Kernel.creat k1 p1 "/d/c" in
+  ignore (World.settle w);
+  let gf, t, m = timed "/d/c" in
+  check Alcotest.bool "the installed version's name is found" true (Gfile.equal gf created);
+  check Alcotest.int "still no message" 0 m;
+  check (Alcotest.float 1e-9) "the replaced page is read once"
+    (K.latency k2).Net.Latency.disk_read t
+
 (* ---- the generic LRU core ---- *)
 
 (* Integer keys; a key's tens digit is its file. *)
@@ -354,7 +511,8 @@ let test_invalidate_child_two_dirs () =
   let gf ino = Gfile.make ~fg:0 ~ino in
   let link dir comp child =
     Namecache.insert nc ~dir:(gf dir) ~comp
-      { Namecache.nc_child = gf child; nc_vv = Vv.Version_vector.zero; nc_ftype = None }
+      { Namecache.nc_child = gf child; nc_vv = Vv.Version_vector.zero;
+        nc_ftype = Storage.Inode.Regular }
   in
   link 2 "a" 7;
   link 3 "b" 7;
@@ -411,6 +569,21 @@ let () =
             test_ablation_no_remote_lookup;
           Alcotest.test_case "ablation: cache off" `Quick test_ablation_no_cache;
           Alcotest.test_case "ablation: both off" `Quick test_ablation_neither;
+        ] );
+      ( "entry types",
+        [
+          Alcotest.test_case "a leaf stored away needs no stat" `Quick
+            test_leaf_stored_away_needs_no_stat;
+          Alcotest.test_case "a hidden directory stored away expands" `Quick
+            test_hidden_dir_stored_away_expands;
+          Alcotest.test_case "every writer records the type" `Quick test_writers_record_types;
+          Alcotest.test_case "a walk ending on .. into a hidden directory expands" `Quick
+            test_dotdot_into_hidden_dir_expands;
+        ] );
+      ( "buffer cache",
+        [
+          Alcotest.test_case "lookups read through the SS buffer cache" `Quick
+            test_lookup_reads_through_buffer_cache;
         ] );
       ( "lru core",
         [

@@ -69,18 +69,22 @@ let apply_mbox_ops site base ops =
    again, so the log holds tombstones and records rewritten in place. *)
 let gen_long_name = QCheck.Gen.(string_size ~gen:(char_range 'a' 'z') (int_range 1 300))
 
+let gen_ftype =
+  QCheck.Gen.oneofl
+    Storage.Inode.[ Regular; Directory; Hidden_directory; Mailbox; Database; Fifo ]
+
 let gen_dir =
   QCheck.Gen.(
     list_size (int_bound 80)
-      (triple (oneof [ gen_name; gen_long_name ]) (int_range 2 1000) (int_bound 2))
+      (quad (oneof [ gen_name; gen_long_name ]) (int_range 2 1000) (int_bound 2) gen_ftype)
     >|= fun entries ->
     let d = Dir.empty () in
     List.iteri
-      (fun i (name, ino, life) ->
+      (fun i (name, ino, life, ftype) ->
         let stamp = float_of_int i in
-        Dir.insert d ~name ~ino ~stamp ~origin:(i mod 7);
+        Dir.insert d ~name ~ino ~ftype ~stamp ~origin:(i mod 7);
         if life >= 1 then ignore (Dir.remove d ~name ~stamp:(stamp +. 0.25) ~origin:1);
-        if life = 2 then Dir.insert d ~name ~ino:(ino + 1) ~stamp:(stamp +. 0.5) ~origin:2)
+        if life = 2 then Dir.insert d ~name ~ino:(ino + 1) ~ftype ~stamp:(stamp +. 0.5) ~origin:2)
       entries;
     d)
 
@@ -156,7 +160,7 @@ let prop_dir_one_page_change =
         | 0 ->
           let name = if Dir.find_entry d name = None then name else "fresh" in
           if Dir.find_entry d name = None then begin
-            Dir.insert d ~name ~ino:7 ~stamp:1e6 ~origin:3;
+            Dir.insert d ~name ~ino:7 ~ftype:Storage.Inode.Regular ~stamp:1e6 ~origin:3;
             Some (name, true)
           end
           else None
@@ -167,7 +171,7 @@ let prop_dir_one_page_change =
         | _ -> (
           match pick_from Dir.Tombstone with
           | Some name ->
-            Dir.insert d ~name ~ino:9 ~stamp:1e6 ~origin:3;
+            Dir.insert d ~name ~ino:9 ~ftype:Storage.Inode.Regular ~stamp:1e6 ~origin:3;
             Some (name, false)
           | None -> None)
       in
@@ -197,15 +201,27 @@ let prop_dir_one_page_change =
       && (op = 0 || String.length b = String.length old)
       && patched = Some b)
 
-(* A body cut inside a record, or with a record's status byte outside
-   0..2, is refused whole: never a directory missing some entries. *)
+(* The status bytes that start no record and pad no page: a nonzero byte
+   whose low two bits (the status) are 0 or 3, whose next three (the
+   type) are 6 or 7, or whose top three are set. 243 of the 256. *)
+let bad_status_bytes =
+  List.filter
+    (fun b ->
+      b <> 0 && not ((b land 3 = 1 || b land 3 = 2) && (b lsr 2) land 7 < 6 && b lsr 5 = 0))
+    (List.init 256 Fun.id)
+
+let () = assert (List.length bad_status_bytes = 243)
+
+(* A body cut inside a record, or with a record's status byte replaced by
+   one the layout refuses, is refused whole: never a directory missing
+   some entries. *)
 let prop_dir_decode_rejects_damage =
   QCheck.Test.make ~name:"dir decode rejects a cut or bad record" ~count:300
     (QCheck.make
        ~print:(fun (d, pick, cut, status) ->
          Printf.sprintf "%d bytes, pick %d, cut %d, status %d" (String.length (Dir.encode d))
            pick cut status)
-       QCheck.Gen.(quad gen_dir nat nat (int_range 3 255)))
+       QCheck.Gen.(quad gen_dir nat nat (oneofl bad_status_bytes)))
     (fun (d, pick, cut, status) ->
       let b = Dir.encode d in
       let spans = record_spans b in
@@ -613,7 +629,8 @@ let rewrite_reversed w site dir_gf =
   let reversed = Dir.empty () in
   List.iter
     (fun (e : Dir.entry) ->
-      Dir.insert reversed ~name:e.Dir.name ~ino:e.Dir.ino ~stamp:e.Dir.stamp ~origin:e.Dir.origin;
+      Dir.insert reversed ~name:e.Dir.name ~ino:e.Dir.ino ~ftype:e.Dir.ftype ~stamp:e.Dir.stamp
+        ~origin:e.Dir.origin;
       if e.Dir.status = Dir.Tombstone then
         ignore (Dir.remove reversed ~name:e.Dir.name ~stamp:e.Dir.stamp ~origin:e.Dir.origin))
     (List.rev (Dir.all_entries dir));
@@ -645,7 +662,9 @@ let prop_dir_updates_match_model =
         let o = Locus_core.Us.open_gf k0 dir_gf Proto.Mode_modify in
         let dir = Dir.decode (Locus_core.Us.read_all k0 o) in
         List.iteri
-          (fun i name -> Dir.insert dir ~name ~ino:(1000 + i) ~stamp:0.0 ~origin:0)
+          (fun i name ->
+            Dir.insert dir ~name ~ino:(1000 + i) ~ftype:Storage.Inode.Regular ~stamp:0.0
+              ~origin:0)
           prefill;
         Locus_core.Us.set_contents k0 o (Dir.encode dir);
         Locus_core.Us.commit k0 o;

@@ -54,8 +54,14 @@ let some_reqs =
         us = 2;
         step =
           Proto.Step_dir
-            { dir = gf; op = Proto.Link { name = "entry"; ino = 7; links = true };
-              others = [ 1 ]; refuse = []; stale = [ 7 ] };
+            {
+              dir = gf;
+              op =
+                Proto.Link { name = "entry"; ino = 7; ftype = Storage.Inode.Regular; links = true };
+              others = [ 1 ];
+              refuse = [];
+              stale = [ 7 ];
+            };
       };
     Proto.Intent_step { us = 2; step = Proto.Step_link { gf; delta = -1 } };
     Proto.Reclaim_req { gf };
@@ -147,7 +153,8 @@ let test_resp_sizes () =
       Proto.R_pset { pset = [ 0; 1; 2 ] };
       Proto.R_inventory { files = [ (2, vv_small, Storage.Inode.Regular, false) ] };
       Proto.R_data { data = "x" };
-      Proto.R_intent { ino = 7; dir_vv = vv_small; file = Some (vv_small, true) };
+      Proto.R_intent
+        { ino = 7; ftype = Storage.Inode.Regular; dir_vv = vv_small; file = Some (vv_small, true) };
       Proto.R_linked { vv = vv_small; deleted = false };
     ];
   check Alcotest.bool "page response dominated by data" true
@@ -294,6 +301,25 @@ let test_sender_free_forms () =
   check Alcotest.int "partition announcement" (24 + 8)
     (Proto.req_bytes (Proto.Part_announce { members = [ 0; 1 ] }))
 
+(* A directory intent: an unlink carries its name, a link the inode and
+   the type its entry records besides (one byte, 4.4BSD's d_type). The
+   reply carries the entry's inode and type and the directory's version,
+   so a rename's link half learns the type from its unlink half. *)
+let test_intent_forms () =
+  let intent op = Proto.req_bytes (Proto.Dir_intent { dir = gf; op }) in
+  check Alcotest.int "unlink intent" (24 + 8 + 2 + 5)
+    (intent (Proto.Unlink { name = "entry"; links = true }));
+  check Alcotest.int "link intent: inode and type" (24 + 8 + 2 + 4 + 1 + 5)
+    (intent
+       (Proto.Link { name = "entry"; ino = 7; ftype = Storage.Inode.Directory; links = true }));
+  let reply file =
+    Proto.resp_bytes
+      (Proto.R_intent { ino = 7; ftype = Storage.Inode.Regular; dir_vv = vv_small; file })
+  in
+  check Alcotest.int "intent reply: inode, type, flags" (24 + 6 + 8) (reply None);
+  check Alcotest.int "intent reply with the file's version" (24 + 6 + 8 + 1 + 8)
+    (reply (Some (vv_small, false)))
+
 (* The open exchange: an open that asks for no pages and a reply that
    carries none cost exactly what the paper's open and reply did (header,
    file, two flag bytes and the US's version; header, five bytes, the
@@ -399,6 +425,7 @@ let () =
           Alcotest.test_case "response sizes" `Quick test_resp_sizes;
           Alcotest.test_case "one-page forms" `Quick test_one_page_forms;
           Alcotest.test_case "fused truncate and ranged invalidation" `Quick test_fused_forms;
+          Alcotest.test_case "intent forms" `Quick test_intent_forms;
           Alcotest.test_case "open forms" `Quick test_open_forms;
           Alcotest.test_case "commit forms" `Quick test_commit_forms;
           Alcotest.test_case "sender-free forms" `Quick test_sender_free_forms;
