@@ -25,7 +25,11 @@ bench:
 # carries the pages), E14's copies must converge to the committed bytes
 # and each additional copy must cost exactly 4 messages at window 1
 # (notify, read round trip, report) and 2 at window 8 (a notify carrying
-# the commit, report),
+# the commit, report), and so must each additional initial copy of a new
+# file (at window 1 a designation, a read round trip and a report; at
+# window 8 a designation carrying the new inode and a report) over the
+# create's base of 7 such costs, the root directory's commit reaching its
+# 7 other copies,
 # E19's resolutions with the name cache and the server-side lookup both
 # on must each cost exactly 2 messages with a cold name cache and 0 warm,
 # the leaf stored away from the lookup site included (its type comes from

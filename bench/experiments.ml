@@ -874,7 +874,12 @@ let e13 () =
    an updated file is current, vs replication factor. At a window of 1
    each extra copy pulls the commit, a page per read round trip, so that
    table commits one page: notify, read round trip, report. Above it the
-   notification carries the 2-page commit, and the copy only reports. *)
+   notification carries the 2-page commit, and the copy only reports.
+   Section 2.3.7's create rows count a new file's initial copies the same
+   way: at a window of 1 each designated site pulls the empty file
+   (designation, read round trip, report); above it the designation
+   carries the new inode, and the site only reports. Each create row also
+   counts the root directory's commit reaching its other copies. *)
 let e14 () =
   Report.section "E14  Update propagation convergence"
     "time and messages until all copies are current after one commit";
@@ -919,15 +924,19 @@ let e14 () =
         (rf, t_commit, t_converged, m))
       [ 1; 2; 4; 8 ]
   in
-  let table ~title rows =
+  let table ?(op = "commit") ~title rows =
     Report.table ~title
-      ~header:[ "copies"; "commit ms (caller)"; "all-copies ms"; "messages" ]
+      ~header:[ "copies"; op ^ " ms (caller)"; "all-copies ms"; "messages" ]
       (List.map
-         (fun (rf, t_commit, t_converged, m) ->
-           [ Report.i rf; Report.f2 t_commit; Report.f2 t_converged; Report.i m ])
+         (fun (rf, t_op, t_converged, m) ->
+           [ Report.i rf; Report.f2 t_op; Report.f2 t_converged; Report.i m ])
          rows)
   in
-  let per_copy rows cost = List.for_all (fun (rf, _, _, m) -> m = cost * (rf - 1)) rows in
+  (* Whether each row costs [base] messages plus [cost] per additional
+     copy. *)
+  let per_copy ?(base = 0) rows cost =
+    List.for_all (fun (rf, _, _, m) -> m = base + (cost * (rf - 1))) rows
+  in
   let pulled = sweep ~window:1 ~bytes:1024 in
   table ~title:"window 1: one 1-page commit at site 0; background pulls to the other copies"
     pulled;
@@ -944,11 +953,63 @@ let e14 () =
   let carried_ok = per_copy carried 2 in
   Printf.printf "window %d: 2 messages per additional copy (notify carrying the pages, report): %s\n"
     default.K.bulk_window (Report.check carried_ok);
+  let create_sweep ~window =
+    List.map
+      (fun rf ->
+        let w = make_world ~n ~kconfig:{ default with K.bulk_window = window } () in
+        let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+        Kernel.set_ncopies p0 rf;
+        let snap = Stats.snapshot (World.stats w) in
+        let t0 = World.now w in
+        let gf = Kernel.creat k0 p0 "/new" in
+        let t_create = World.now w -. t0 in
+        settle_ok w;
+        let t_converged = World.now w -. t0 in
+        let m = msgs w snap in
+        (* Every initial copy exists, at the origin's version, and empty. *)
+        let stored =
+          List.filter_map
+            (fun s ->
+              Option.bind (Hashtbl.find_opt (World.kernel w s).K.packs 0) (fun pack ->
+                  Pack.find_inode pack gf.Catalog.Gfile.ino))
+            (World.sites w)
+        in
+        assert (List.length stored = rf);
+        List.iter
+          (fun (i : Inode.t) ->
+            assert (Vvec.equal i.Inode.vv (List.hd stored).Inode.vv);
+            assert (i.Inode.size = 0))
+          stored;
+        (rf, t_create, t_converged, m))
+      [ 1; 2; 4; 8 ]
+  in
+  let created_pull = create_sweep ~window:1 in
+  table ~op:"create" ~title:"create, window 1: each designated site pulls the new file"
+    created_pull;
+  (* A create at site 0, the CSS, sends nothing itself; the root
+     directory's commit reaches its [n - 1] other copies at the same cost
+     per copy as the new file's. *)
+  let create_pull_ok = per_copy ~base:(4 * (n - 1)) created_pull 4 in
+  Printf.printf
+    "create, window 1: 4 more messages per additional copy (designation, one read round trip, \
+     report): %s\n"
+    (Report.check create_pull_ok);
+  let created_carried = create_sweep ~window:default.K.bulk_window in
+  table ~op:"create"
+    ~title:
+      (Printf.sprintf "create, window %d: each designation carries the new inode"
+         default.K.bulk_window)
+    created_carried;
+  let create_carried_ok = per_copy ~base:(2 * (n - 1)) created_carried 2 in
+  Printf.printf "create, window %d: 2 more messages per additional copy (designation, report): %s\n"
+    default.K.bulk_window (Report.check create_carried_ok);
   Printf.printf
     "the committing caller pays a constant cost; replication happens in\n\
      the background (section 2.3.6's asynchronous propagation)\n";
   if not (pull_ok && carried_ok) then
-    failwith "E14: an additional copy does not cost the expected messages"
+    failwith "E14: an additional copy does not cost the expected messages";
+  if not (create_pull_ok && create_carried_ok) then
+    failwith "E14: an additional initial copy of a new file does not cost the expected messages"
 
 (* --------------------------------------------------------------- E15 *)
 (* Section 6: a production-like software-development workload mix, driven

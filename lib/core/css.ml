@@ -80,13 +80,37 @@ let seed_copy k gf ~site ~vv ~ftype ~deleted =
    may be stored there though the CSS knows no copy of it. *)
 let all_packs_here k fg = List.for_all (in_partition k) (fg_info k fg).pack_sites
 
-let sites_with_latest k f =
+(* The reachable sites whose copy of [f] is at a version [keep] accepts. *)
+let sites_at k f keep =
   Site.Map.fold
-    (fun site vv acc ->
-      if Vvec.dominates_or_equal vv f.latest_vv && in_partition k site then site :: acc
-      else acc)
+    (fun site vv acc -> if keep vv && in_partition k site then site :: acc else acc)
     f.site_vv []
   |> List.sort Site.compare
+
+let sites_with_latest k f = sites_at k f (fun vv -> Vvec.dominates_or_equal vv f.latest_vv)
+
+(* The sites a commit of [f] notifies: those holding the latest version,
+   and every reachable designated initial storage site of a new file that
+   has not reported a copy yet (it is at [Vvec.zero]). Such a site may
+   already have installed the designated version and only its report be
+   in flight: left out, it would miss the creator's first write. It is
+   never a candidate storage site. *)
+let sites_to_notify k f =
+  sites_at k f (fun vv -> Vvec.dominates_or_equal vv f.latest_vv || Vvec.equal vv Vvec.zero)
+
+(* The reachable designated sites of each live file of [fg] that have not
+   reported a copy, by inode. *)
+let unreported k fg =
+  match Hashtbl.find_opt k.css_state fg with
+  | None -> []
+  | Some st ->
+    Hashtbl.fold
+      (fun ino f acc ->
+        match sites_at k f (Vvec.equal Vvec.zero) with
+        | _ :: _ as sites when not f.css_deleted -> (ino, sites) :: acc
+        | _ -> acc)
+      st.css_files []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 (* Ask a candidate site whether it will act as SS. The version check — a
    site refuses if it does not store the latest version — happens at the
@@ -161,7 +185,8 @@ let handle_open k ~src gf mode ~shared us_vv =
         let candidates = sites_with_latest k f in
         if candidates = [] then Proto.R_err Proto.Enet
         else begin
-          let others ss = List.filter (fun s -> not (Site.equal s ss)) candidates in
+          let notified = sites_to_notify k f in
+          let others ss = List.filter (fun s -> not (Site.equal s ss)) notified in
           let poll ss =
             poll_storage_site k ~gf ~vv:f.latest_vv ~us:src ~mode
               ~others:(others ss) ss
@@ -390,11 +415,21 @@ let handle_commit_notify ?(replicas = []) k gf ~origin ~vv ~deleted =
     maybe_reclaim k gf f
   end
 
-let handle_where k gf =
+(* Which sites hold the latest version. A [stat] query is also answered
+   with this site's own inode when its copy is the latest, at the disk
+   read a stat costs at a storage site. *)
+let handle_where k gf ~stat =
   match find_file k gf.Gfile.fg gf.Gfile.ino with
   | None -> Proto.R_err Proto.Enoent
   | Some f ->
-    Proto.R_where { sites = sites_with_latest k f }
+    let info =
+      if stat && holds_latest k gf f then begin
+        charge_disk_read k;
+        local_info k gf
+      end
+      else None
+    in
+    Proto.R_where { sites = sites_with_latest k f; info }
 
 (* Lock-table contents for a rebuilding CSS (section 5.6). *)
 let handle_open_files_query k fg =

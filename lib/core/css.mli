@@ -30,6 +30,15 @@ val sites_with_latest : Ktypes.t -> Ktypes.css_file -> Net.Site.t list
 (** Reachable sites whose copy is at the latest version: the SS
     candidates. *)
 
+val sites_to_notify : Ktypes.t -> Ktypes.css_file -> Net.Site.t list
+(** The sites a commit notifies: [sites_with_latest], plus every reachable
+    designated initial storage site of a new file that has not reported
+    a copy yet. *)
+
+val unreported : Ktypes.t -> int -> (int * Net.Site.t list) list
+(** This CSS's live files of a filegroup, by inode, with their reachable
+    designated initial storage sites that have not reported a copy yet. *)
+
 val handle_open :
   Ktypes.t ->
   src:Net.Site.t ->
@@ -89,7 +98,9 @@ val reclaim_deleted : Ktypes.t -> int -> unit
 (** The reclaim check over every deleted file of a filegroup, run by a
     CSS that has just rebuilt its tables. *)
 
-val handle_where : Ktypes.t -> Catalog.Gfile.t -> Proto.resp
+val handle_where : Ktypes.t -> Catalog.Gfile.t -> stat:bool -> Proto.resp
+(** Which reachable sites hold the latest version; with [stat], also this
+    site's own inode when its copy is the latest, at a disk read. *)
 
 val handle_open_files_query : Ktypes.t -> int -> Proto.resp
 (** This site's open files of a filegroup, for a rebuilding CSS (§5.6). *)

@@ -16,23 +16,58 @@ module Dir = Catalog.Dir
 
 (* ---- the CSS's half ---- *)
 
-(* Register a new file with this CSS and designate its other initial
-   storage sites, which pull a first copy from [origin] (section 2.3.7).
-   Runs once the file's name has been entered. *)
-let register_file k gf ~origin ~vv ~sites =
-  let replicas = List.filter (fun s -> not (Site.equal s origin)) sites in
+(* Count [replicas] as copies of [gf] not yet reported, and designate
+   each a storage site of version [vv], which [origin] stores: each
+   installs [carried] on arrival or pulls a first copy from [origin]. *)
+let designate ?carried k gf ~origin ~vv ~replicas =
   Css.handle_commit_notify ~replicas k gf ~origin ~vv ~deleted:false;
   let message =
-    Ss.commit_message ~origin ~designate:true k gf ~vv ~modified:[] ~deleted:false
+    Ss.commit_message ?carried ~origin ~designate:true k gf ~vv ~modified:[] ~deleted:false
       ~meta_only:false
   in
   List.iter (fun site -> notify k site message) replicas
 
+(* Register a new file, whose inode [origin] built with [Inode.fresh] at
+   version [vv] and time [mtime], with this CSS, and designate its other
+   initial storage sites (section 2.3.7). Above a window of 1 the
+   designation carries that inode, and each site installs it on arrival;
+   at window 1 each pulls a first copy from [origin]. Runs once the
+   file's name has been entered. *)
+let register_file k gf ~origin ~vv ~sites ~ftype ~owner ~perms ~mtime =
+  let carried =
+    if k.config.bulk_window > 1 then
+      let inode = Inode.fresh ~ino:gf.Gfile.ino ~ftype ~owner ~perms ~vv ~mtime in
+      Some (Proto.info_of_inode inode, [])
+    else None
+  in
+  designate ?carried k gf ~origin ~vv
+    ~replicas:(List.filter (fun s -> not (Site.equal s origin)) sites)
+
+(* Designate again, once this CSS has rebuilt [fg]'s tables from the
+   members' inventories, each site of [unreported] (a [Css.unreported]
+   list taken before the membership changed) that is still a member and
+   stores no copy: its designation or its pull was lost. It pulls the
+   latest version from a site that holds it. *)
+let redesignate k fg unreported =
+  List.iter
+    (fun (ino, sites) ->
+      match Css.find_file k fg ino with
+      | Some f when not f.css_deleted -> (
+        let replicas =
+          List.filter (fun s -> in_partition k s && not (Site.Map.mem s f.site_vv)) sites
+        in
+        match Css.sites_with_latest k f with
+        | origin :: _ when replicas <> [] ->
+          designate k (Gfile.make ~fg ~ino) ~origin ~vv:f.latest_vv ~replicas
+        | _ -> ())
+      | Some _ | None -> ())
+    unreported
+
 (* Record a link-count change of [gf] that [fss] committed, and tell the
-   other sites that held the latest copy, as a commit does: with the
+   other sites the CSS lists for its commits, as a commit does: with the
    changed inode when [fss] is this site. *)
 let links_changed k gf (f : css_file) ~fss ~vv ~deleted =
-  let others = List.filter (fun s -> not (Site.equal s fss)) (Css.sites_with_latest k f) in
+  let others = List.filter (fun s -> not (Site.equal s fss)) (Css.sites_to_notify k f) in
   Css.handle_commit_notify k gf ~origin:fss ~vv ~deleted;
   if Site.equal fss k.site then
     Ss.notify_others k gf ~vv ~modified:[] ~deleted ~meta_only:(not deleted) others
@@ -87,10 +122,10 @@ let run_intent k ~us dir (op : Proto.intent) =
         (not tf.css_deleted) && Css.holds_latest k gf tf
       in
       (* Run the directory step at [ss], whose commit notifies the other
-         sites holding the latest copy; [fences] are what a remote site
-         must be told that only this CSS knows. *)
+         sites the CSS lists for the directory's commits; [fences] are
+         what a remote site must be told that only this CSS knows. *)
       let dir_step ss ~guard ~fences =
-        let others = List.filter (fun s -> not (Site.equal s ss)) (Css.sites_with_latest k f) in
+        let others = List.filter (fun s -> not (Site.equal s ss)) (Css.sites_to_notify k f) in
         if Site.equal ss k.site then
           (* In process: [guard] and [links_here] read this CSS's live lock
              table, where a remote SS is sent [fences]. *)
@@ -106,9 +141,9 @@ let run_intent k ~us dir (op : Proto.intent) =
       let no_guard _ = Ok () and no_fences () = ([], []) in
       let finish ss resp ~after =
         match resp with
-        | Proto.R_intent { ino; ftype; dir_vv; file } ->
+        | Proto.R_intent { ino; ftype; dir_vv; file; _ } ->
           Css.handle_commit_notify k dir ~origin:ss ~vv:dir_vv ~deleted:false;
-          Proto.R_intent { ino; ftype; dir_vv; file = after ino file }
+          Proto.R_intent { ino; ftype; dir_vv; file = after ino file; mtime = None }
         | Proto.R_err _ as refused -> refused
         | _ -> err Proto.Eio "unexpected intent-step response"
       in
@@ -125,7 +160,7 @@ let run_intent k ~us dir (op : Proto.intent) =
       let run () =
         match (op, Css.intent_site k dir f) with
         | _, None -> Proto.R_err Proto.Enet
-        | Proto.Create { ncopies; ino = given; _ }, Some latest -> (
+        | Proto.Create { ncopies; ino = given; ftype; owner; perms; _ }, Some latest -> (
           let parent_sites = List.map fst (Site.Map.bindings f.site_vv) in
           let parent_sites =
             if given <> None && not (List.mem us parent_sites) then parent_sites @ [ us ]
@@ -148,13 +183,22 @@ let run_intent k ~us dir (op : Proto.intent) =
                     (fun i _ -> i < ncopies)
                     (latest :: List.filter (fun s -> not (Site.equal s latest)) chosen) )
             in
-            finish ss (dir_step ss ~guard:no_guard ~fences:no_fences) ~after:(fun ino file ->
-                let origin, vv =
-                  match (given, file) with
-                  | None, Some (vv, _) -> (ss, vv)
-                  | Some _, _ | None, None -> (us, Vvec.bump Vvec.zero us)
+            let resp = dir_step ss ~guard:no_guard ~fences:no_fences in
+            (* The mtime of an inode the storing site allocated. *)
+            let allocated =
+              match resp with
+              | Proto.R_intent { mtime; _ } -> mtime
+              | _ -> None
+            in
+            finish ss resp ~after:(fun ino file ->
+                let origin, vv, mtime =
+                  match (given, file, allocated) with
+                  | Some (_, mtime), _, _ -> (us, Vvec.bump Vvec.zero us, mtime)
+                  | None, Some (vv, _), Some mtime -> (ss, vv, mtime)
+                  | None, _, _ -> err Proto.Eio "create reply without its inode"
                 in
-                register_file k (Gfile.make ~fg ~ino) ~origin ~vv ~sites;
+                register_file k (Gfile.make ~fg ~ino) ~origin ~vv ~sites ~ftype ~owner ~perms
+                  ~mtime;
                 None))
         | (Proto.Unlink { links = false; _ } | Proto.Link { links = false; _ }), Some ss ->
           finish ss (dir_step ss ~guard:no_guard ~fences:no_fences) ~after:(fun _ _ -> None)
@@ -204,7 +248,7 @@ let name_of = function
 let intent k dir op =
   let rec attempt tries =
     match rpc k (fg_info k dir.Gfile.fg).css_site (Proto.Dir_intent { dir; op }) with
-    | Proto.R_intent { ino; ftype; dir_vv; file } ->
+    | Proto.R_intent { ino; ftype; dir_vv; file; _ } ->
       (* This site just changed the directory (and maybe the file), and
          neither the commit notification nor the CSS's lease break has
          reached it yet: retire name-cache links read under the old
@@ -241,7 +285,7 @@ let create_in k dir_gf ~name ~ftype ~owner ~perms ~ncopies =
       Some (pack, Ss.alloc_inode k pack ~ftype ~owner ~perms)
     | Some _ | None -> None
   in
-  let ino = Option.map (fun (_, (i : Inode.t)) -> i.Inode.ino) own in
+  let ino = Option.map (fun (_, (i : Inode.t)) -> (i.Inode.ino, i.Inode.mtime)) own in
   match intent k dir_gf (Proto.Create { name; ftype; owner; perms; ncopies; ino }) with
   | ino, _, _ ->
     let gf = Gfile.make ~fg ~ino in

@@ -22,6 +22,13 @@ val run_intent :
     does (one more step). Locks are released before the reply. Answers
     [R_intent] or [R_err]. *)
 
+val redesignate : Ktypes.t -> int -> (int * Net.Site.t list) list -> unit
+(** After this CSS rebuilt a filegroup's tables at a membership change,
+    designate again every site of a [Css.unreported] list taken before
+    the change that is still a member and reported no copy: its
+    designation, or the pull it started, was lost. It pulls the latest
+    version from a site holding it. *)
+
 val create_in :
   Ktypes.t ->
   Catalog.Gfile.t ->

@@ -44,9 +44,17 @@ let handle k ~src (req : Proto.req) : Proto.resp =
       (* A site's notification of its own commit, the CSS leg when the
          CSS is collocated, skips the cache and coherence work: its install
          already retired the links and leases, and as at any committing
-         site its buffered pages of older versions age out. *)
+         site its buffered pages of older versions age out. So does a
+         notification of a version older than this site's copy, such as a
+         new file's designated copy reporting the empty version after the
+         creator's first write: it retires nothing here. *)
       let own = Net.Site.equal origin k.site in
-      if not own then begin
+      let older =
+        match local_vv k gf with
+        | Some local -> Vvec.dominates_or_equal local vv && not (Vvec.equal local vv)
+        | None -> false
+      in
+      if not (own || older) then begin
         (* A new committed version exists: buffered pages of any other
            version of this file can never hit again — drop them from both
            cache tiers. The SS buffers hold the local copy's version. *)
@@ -92,7 +100,7 @@ let handle k ~src (req : Proto.req) : Proto.resp =
     | Proto.Intent_step { us; step } -> Ss.handle_intent_step k ~us step
     (* metadata *)
     | Proto.Set_attr { gf; perms; owner } -> Ss.handle_set_attr k gf ~perms ~owner
-    | Proto.Where_stored { gf } -> Css.handle_where k gf
+    | Proto.Where_stored { gf; stat } -> Css.handle_where k gf ~stat
     | Proto.Lookup_req { gf; comps } -> Pathname.handle_lookup k gf comps
     (* tokens *)
     | Proto.Token_req { key = Proto.Tok_fd (a, b); for_site } ->

@@ -343,7 +343,7 @@ let set_context (proc : proc) context = proc.p_context <- context
 
 let pipe_storage_site k gf =
   let fi = fg_info k gf.Gfile.fg in
-  match rpc k fi.css_site (Proto.Where_stored { gf }) with
+  match rpc k fi.css_site (Proto.Where_stored { gf; stat = false }) with
   | Proto.R_where { sites; _ } -> (
     match List.filter (fun s -> in_partition k s) sites with
     | s :: _ -> s

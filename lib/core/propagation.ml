@@ -4,7 +4,9 @@
    requests, one per commit notification. Above a window of 1 the
    notification of a small commit carries it: the committed inode and the
    modified pages. A copy exactly one commit behind the notified version
-   installs them with no message. Every other copy pulls: it reads the
+   installs them with no message, and so does a designated initial
+   storage site of a new file, from a designation that carries the new
+   inode (section 2.3.7). Every other copy pulls: it reads the
    new version from the site that committed it, with the standard read
    message over that site's committed copy, and its first read also
    brings back the copy's inode, so a pull of one window is one round
@@ -210,7 +212,7 @@ let pull_from k pack (p : pull) ~source ~strict =
    the CSS's list. *)
 let source_from_css k gf =
   let fi = fg_info k gf.Gfile.fg in
-  match rpc_result k fi.css_site (Proto.Where_stored { gf }) with
+  match rpc_result k fi.css_site (Proto.Where_stored { gf; stat = false }) with
   | Ok (Proto.R_where { sites; _ }) ->
     List.find_opt (fun s -> (not (Site.equal s k.site)) && in_partition k s) sites
   | Ok _ | Stdlib.Error _ -> None
@@ -298,29 +300,45 @@ let rec service_queue k =
 
 (* A notification that carried its commit, the committed inode and the
    modified pages below eof, is installed on arrival, with no message,
-   when the local copy is exactly at the version the commit replaced. Any
-   other copy pulls. Not from the queue: a queued pull reads the origin's
-   newest version, but a carried commit is exactly the notified one, and
-   the CSS lists the copy for the origin's next commit only once the
-   copy's report has reached it. *)
-let install_carried k gf ~vv ~origin ~modified ~meta_only (info, pages) =
+   when the local copy is exactly at the version the commit replaced. A
+   create's designation that carried the new inode, and every page below
+   its eof, is installed likewise by a site with no copy yet. Any other
+   copy pulls. Not from the queue: a queued pull reads the origin's
+   newest version, but a carried commit is exactly the notified one. The
+   copy reports as a pull does: the CSS's view of it never runs ahead of
+   it. *)
+let install_carried k gf ~vv ~origin ~modified ~meta_only ~designate (info, pages) =
   match local_pack k gf.Gfile.fg with
-  | None -> ()
-  | Some pack -> (
-    match Pack.find_inode pack gf.Gfile.ino with
-    | Some local
-      when Vvec.equal info.Proto.i_vv vv
-           && one_commit_behind ~local:local.Inode.vv ~target:vv ~origin ->
-      let npages = npages_of info in
-      let wanted = if meta_only then [] else List.filter (fun pg -> pg < npages) modified in
-      if List.compare_lengths wanted pages = 0 then begin
-        Sim.Stats.incr (stats k) "prop.carried";
-        Sim.Stats.add (stats k) "prop.carried.pages" (List.length pages);
-        ignore
-          (install_version k pack gf ~source:origin local info ~npulled:(List.length pages)
-             (fun write -> List.iter2 (fun pg data -> write pg [ data ]) wanted pages))
-      end
+  | Some pack when Vvec.equal info.Proto.i_vv vv -> (
+    let npages = npages_of info in
+    let plan =
+      match Pack.find_inode pack gf.Gfile.ino with
+      | Some local when one_commit_behind ~local:local.Inode.vv ~target:vv ~origin ->
+        Some (Some local, if meta_only then [] else List.filter (fun pg -> pg < npages) modified)
+      | None when designate -> Some (None, List.init npages Fun.id)
+      | Some _ | None -> None
+    in
+    match plan with
+    | Some (local, wanted) when List.compare_lengths wanted pages = 0 ->
+      let local =
+        match local with
+        | Some local -> local
+        | None ->
+          (* The descriptor a pull would make first; the shadow commit
+             fills it in. *)
+          let local =
+            Inode.create ~ino:gf.Gfile.ino ~ftype:info.Proto.i_ftype ~owner:info.Proto.i_owner
+          in
+          Pack.install_inode pack local;
+          local
+      in
+      Sim.Stats.incr (stats k) "prop.carried";
+      Sim.Stats.add (stats k) "prop.carried.pages" (List.length pages);
+      ignore
+        (install_version k pack gf ~source:origin local info ~npulled:(List.length pages)
+           (fun write -> List.iter2 (fun pg data -> write pg [ data ]) wanted pages))
     | Some _ | None -> ())
+  | Some _ | None -> ()
 
 (* Called when a commit notification arrives at a storage site. A copy
    that installed the commit the notification carried is current. Else a
@@ -328,7 +346,7 @@ let install_carried k gf ~vv ~origin ~modified ~meta_only (info, pages) =
    filegroup — unless the notification designates it as an initial
    storage site for a new file. *)
 let enqueue ?carried k gf ~vv ~origin ~modified ~meta_only ~deleted ~designate =
-  Option.iter (install_carried k gf ~vv ~origin ~modified ~meta_only) carried;
+  Option.iter (install_carried k gf ~vv ~origin ~modified ~meta_only ~designate) carried;
   let interested =
     match local_pack k gf.Gfile.fg with
     | None -> false

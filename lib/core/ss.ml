@@ -641,10 +641,9 @@ let revalidate_serving k =
    its other storage sites is the CSS's job, once its name is entered. *)
 let alloc_inode k pack ~ftype ~owner ~perms =
   let ino = Pack.alloc_ino pack in
-  let inode = Inode.create ~ino ~ftype ~owner in
-  inode.Inode.perms <- perms;
-  inode.Inode.vv <- Vvec.bump Vvec.zero k.site;
-  inode.Inode.mtime <- now k;
+  let inode =
+    Inode.fresh ~ino ~ftype ~owner ~perms ~vv:(Vvec.bump Vvec.zero k.site) ~mtime:(now k)
+  in
   Pack.install_inode pack inode;
   charge_disk_write k;
   record k ~tag:"ss.create" "%a %a"
@@ -692,12 +691,14 @@ let change_links k gf ~delta =
 
 (* An intent's record change and the directory's commit, in one handler:
    the storage site's half of a create, unlink or link (sections 2.3.4,
-   2.3.7). The commit notifies [others], the other sites holding the
-   latest copy; version bookkeeping at the CSS rides the reply. [guard]
-   vets the inode a counted unlink would drop a link of, before anything
-   changes. A create without an inode allocates one here, after the name
-   check. A counted unlink or link also changes the file's link count
-   here when [links_here] says this site holds its latest copy. *)
+   2.3.7). The commit notifies [others], the sites the CSS lists for the
+   directory's commits; version bookkeeping at the CSS rides the reply.
+   [guard] vets the inode a counted unlink would drop a link of, before
+   anything changes. A create without an inode allocates one here, after
+   the name check, and the reply carries its version and mtime, from
+   which the CSS designates the other copies. A counted unlink or link
+   also changes the file's link count here when [links_here] says this
+   site holds its latest copy. *)
 let apply_intent k ~us dir (op : Proto.intent) ~others ~guard ~links_here =
   let stamp = now k and origin = us in
   let allocated = ref None in
@@ -710,7 +711,7 @@ let apply_intent k ~us dir (op : Proto.intent) ~others ~guard ~links_here =
         | Some { Dir.status = Dir.Live; _ } -> Stdlib.Error Proto.Eexist
         | Some { Dir.status = Dir.Tombstone; _ } | None -> (
           match ino with
-          | Some ino -> live ino ftype name
+          | Some (ino, _) -> live ino ftype name
           | None ->
             let inode = alloc_inode k (local_pack_exn k dir.Gfile.fg) ~ftype ~owner ~perms in
             allocated := Some inode;
@@ -753,8 +754,9 @@ let apply_intent k ~us dir (op : Proto.intent) ~others ~guard ~links_here =
       | Proto.Link { links = true; _ } -> links 1
       | Proto.Unlink { links = false; _ } | Proto.Link { links = false; _ } -> None
     in
+    let mtime = Option.map (fun (i : Inode.t) -> i.Inode.mtime) !allocated in
     record k ~tag:"ss.intent" "%a ino %d vv=%a" Gfile.pp dir ino Vvec.pp dir_vv;
-    Proto.R_intent { ino; ftype; dir_vv; file }
+    Proto.R_intent { ino; ftype; dir_vv; file; mtime }
 
 let handle_intent_step k ~us (step : Proto.intent_step) =
   match step with

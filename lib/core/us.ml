@@ -731,14 +731,16 @@ let release k o =
   end
 
 let stat_gf k gf =
-  (* Prefer the local copy; otherwise ask the CSS's believed-latest site. *)
+  (* Prefer the local copy; otherwise ask the CSS, which answers itself
+     when its own copy is the latest, else names the sites that hold it. *)
   match local_pack k gf.Gfile.fg with
   | Some pack when Pack.stores pack gf.Gfile.ino ->
     Proto.info_of_inode (Pack.get_inode pack gf.Gfile.ino)
   | Some _ | None -> (
     let fi = fg_info k gf.Gfile.fg in
-    match rpc k fi.css_site (Proto.Where_stored { gf }) with
-    | Proto.R_where { sites; _ } -> (
+    match rpc k fi.css_site (Proto.Where_stored { gf; stat = true }) with
+    | Proto.R_where { info = Some info; _ } -> info
+    | Proto.R_where { sites; info = None } -> (
       let reachable = List.filter (fun s -> in_partition k s) sites in
       match reachable with
       | [] -> err Proto.Enet "no reachable copy of %a" Gfile.pp gf

@@ -130,9 +130,10 @@ type intent =
       owner : string;
       perms : int;
       ncopies : int;
-      ino : int option;
-        (* allocated by the using site when it is the first storage site;
-           otherwise the storage site that enters the name allocates it *)
+      ino : (int * float) option;
+        (* the inode number and its allocation time, when the using site
+           is the first storage site and allocated it; otherwise the
+           storage site that enters the name allocates it *)
     }
   | Unlink of { name : string; links : bool }
   | Link of { name : string; ino : int; ftype : Storage.Inode.ftype; links : bool }
@@ -283,7 +284,9 @@ type req =
   | Set_attr of { gf : Catalog.Gfile.t; perms : int option; owner : string option }
     (* US -> SS: chmod/chown; a metadata-only commit (section 2.3.6's
        "just inode information changed" case) *)
-  | Where_stored of { gf : Catalog.Gfile.t } (* CSS bookkeeping query *)
+  | Where_stored of { gf : Catalog.Gfile.t; stat : bool }
+    (* CSS bookkeeping query; [stat] also asks for the inode, which a CSS
+       holding the latest copy returns itself *)
   | Lookup_req of { gf : Catalog.Gfile.t; comps : string list }
     (* US -> SS: walk as many of the remaining pathname components from
        [gf] as this site stores, in one round trip (section 2.3.4) *)
@@ -352,17 +355,21 @@ type resp =
       ftype : Storage.Inode.ftype;
       dir_vv : Vvec.t;
       file : (Vvec.t * bool) option;
+      mtime : float option;
     }
     (* an intent's inode and the type its entry records, the directory's
        new version, and the file's new version and deleted flag when the
-       replying site changed its links (or, for a create, allocated it) *)
+       replying site changed its links (or, for a create, allocated it),
+       with the allocated inode's [mtime] then; the CSS's reply to the
+       using site drops the [mtime] *)
   | R_linked of { vv : Vvec.t; deleted : bool }
     (* a [Step_link]'s new version of the file; [deleted] at the last link *)
   | R_lookup of { gf : Catalog.Gfile.t; consumed : int; trail : lookup_step list }
     (* where the server-side walk stopped, how many components it
        consumed, and one trail step per consumed component *)
-  | R_where of { sites : Net.Site.t list }
-    (* reachable sites holding the latest version *)
+  | R_where of { sites : Net.Site.t list; info : inode_info option }
+    (* reachable sites holding the latest version, and for a [stat] query
+       the CSS's own copy's inode when that copy is the latest *)
   | R_token of { granted : bool; state : string }
   | R_pid of { pid : int }
   | R_pset of { pset : Net.Site.t list }
@@ -401,7 +408,7 @@ let token_bytes = function Tok_fd _ -> 8
 let intent_bytes = function
   | Create { name; owner; ino; _ } ->
     2 + String.length name + String.length owner + 4
-    + (match ino with Some _ -> 4 | None -> 0)
+    + (match ino with Some _ -> 4 + 8 | None -> 0)
   | Unlink { name; _ } -> 2 + String.length name
   | Link { name; _ } -> 2 + 4 + 1 + String.length name
 
@@ -467,7 +474,7 @@ let req_bytes = function
   | Set_attr { owner; _ } ->
     header + gfile_bytes + 6
     + (match owner with Some o -> String.length o | None -> 0)
-  | Where_stored _ -> header + gfile_bytes
+  | Where_stored { stat; _ } -> header + gfile_bytes + if stat then 1 else 0
   | Lookup_req { comps; _ } ->
     header + gfile_bytes
     + List.fold_left (fun a c -> a + 1 + String.length c) 0 comps
@@ -512,14 +519,16 @@ let resp_bytes = function
     header + pages_bytes pages
     + (match info with Some i -> info_bytes i | None -> 0)
   | R_committed { vv } -> header + vv_bytes vv
-  | R_intent { dir_vv; file; _ } ->
+  | R_intent { dir_vv; file; mtime; _ } ->
     header + 6 + vv_bytes dir_vv
     + (match file with Some (vv, _) -> 1 + vv_bytes vv | None -> 0)
+    + if Option.is_some mtime then 8 else 0
   | R_linked { vv; _ } -> header + 1 + vv_bytes vv
   | R_lookup { trail; _ } ->
     header + gfile_bytes + 4
     + List.fold_left (fun a s -> a + (2 * gfile_bytes) + vv_bytes s.l_vv + 1) 0 trail
-  | R_where { sites } -> header + site_list_bytes sites
+  | R_where { sites; info } ->
+    header + site_list_bytes sites + (match info with Some i -> info_bytes i | None -> 0)
   | R_token { state; _ } -> header + 1 + String.length state
   | R_pid _ -> header + 4
   | R_pset { pset } -> header + site_list_bytes pset

@@ -116,10 +116,11 @@ type intent =
       owner : string;
       perms : int;
       ncopies : int;
-      ino : int option;
-          (** allocated by the using site when it is the first storage
-              site; [None] lets the storage site that enters the name
-              allocate it, after the name check *)
+      ino : (int * float) option;
+          (** the inode number and its allocation time, when the using
+              site is the first storage site and allocated it (12 bytes);
+              [None] lets the storage site that enters the name allocate
+              it, after the name check *)
     }
   | Unlink of { name : string; links : bool }
   | Link of { name : string; ino : int; ftype : Storage.Inode.ftype; links : bool }
@@ -282,7 +283,10 @@ type req =
           sends any deferred close. *)
   | Set_attr of { gf : Catalog.Gfile.t; perms : int option; owner : string option }
       (** metadata-only commits (§2.3.6's "just inode information") *)
-  | Where_stored of { gf : Catalog.Gfile.t }
+  | Where_stored of { gf : Catalog.Gfile.t; stat : bool }
+      (** US → CSS: which reachable sites hold the latest version? With
+          [stat] (1 byte) a CSS whose own copy is the latest also answers
+          with its inode: a stat in one round trip. *)
   | Lookup_req of { gf : Catalog.Gfile.t; comps : string list }
       (** US → SS: walk as many of the remaining pathname components from
           [gf] as this site stores, in one round trip — §2.3.4's remedy
@@ -369,20 +373,25 @@ type resp =
       ftype : Storage.Inode.ftype;
       dir_vv : Vv.Version_vector.t;
       file : (Vv.Version_vector.t * bool) option;
+      mtime : float option;
     }
       (** an intent's inode, the type its entry records (a rename's
           unlink half hands it to the link half) and the directory's new
           version, at one byte for the type; [file] is
           the file's new version and deleted flag when the replying site
-          changed its link count (or, for a create, allocated it) *)
+          changed its link count (or, for a create, allocated it), and
+          [mtime] the allocated inode's time, 8 bytes, which only a
+          storing site's reply to the CSS carries *)
   | R_linked of { vv : Vv.Version_vector.t; deleted : bool }
       (** a [Step_link]'s new version of the file; [deleted] when the last
           link went *)
   | R_lookup of { gf : Catalog.Gfile.t; consumed : int; trail : lookup_step list }
       (** where the server-side walk stopped, how many components it
           consumed, and one trail step per consumed component *)
-  | R_where of { sites : Net.Site.t list }
-      (** the reachable sites holding the latest version *)
+  | R_where of { sites : Net.Site.t list; info : inode_info option }
+      (** the reachable sites holding the latest version, and for a
+          [stat] query the CSS's own copy's inode when that copy is the
+          latest, at [info_bytes] *)
   | R_token of { granted : bool; state : string }
   | R_pid of { pid : int }
   | R_pset of { pset : Net.Site.t list }

@@ -14,8 +14,9 @@ module Kernel = Locus_core.Kernel
 module Site = Net.Site
 
 (* New CSS for [fg]: rebuild version bookkeeping and the lock table from
-   the members (section 5.6). *)
-let rebuild_css k fg ~members =
+   the members (section 5.6), and designate again the sites of
+   [unreported] whose designation was lost. *)
+let rebuild_css ?(unreported = []) k fg ~members =
   Css.drop_fg k fg;
   List.iter
     (fun m ->
@@ -31,6 +32,7 @@ let rebuild_css k fg ~members =
         List.iter (fun entry -> Css.register_open k fg entry) files
       | Ok _ | Stdlib.Error _ -> ())
     members;
+  Locus_core.Dirops.redesignate k fg unreported;
   Css.reclaim_deleted k fg
 
 (* Place [fi]'s CSS by the replicated placement function over the members
@@ -42,17 +44,21 @@ let rebuild_css k fg ~members =
    holder among the members the filegroup is unavailable here: no CSS is
    elected, so its opens find the old one unreachable (ENET), where a
    packless CSS would know no copy and answer ENOENT. *)
-let place k fi =
+let place k ~unreported fi =
   match place_css ~fg:fi.fg (List.filter (in_partition k) fi.pack_sites) with
   | None -> record k ~tag:"member.unavailable" "fg %d: no pack holder" fi.fg
   | Some css ->
     let old = fi.css_site in
     fi.css_site <- css;
-    if Site.equal css k.site then rebuild_css k fi.fg ~members:k.site_table
+    if Site.equal css k.site then
+      rebuild_css ?unreported:(List.assoc_opt fi.fg unreported) k fi.fg ~members:k.site_table
     else if Site.equal old k.site then Css.drop_fg k fi.fg
 
 let install k ~members ~merge =
   let departed = List.filter (fun s -> not (List.mem s members)) k.site_table in
+  (* Taken under the old membership: a site designated while it was
+     already away is not designated again. *)
+  let unreported = List.map (fun fi -> (fi.fg, Css.unreported k fi.fg)) k.fg_table in
   set_sites k members;
   (* No lease survives a membership change: the CSS that granted it may
      no longer be reachable, or no longer the CSS, so its break callbacks
@@ -66,7 +72,7 @@ let install k ~members ~merge =
   if merge then Locus_core.Namecache.clear k.name_cache;
   (* Place the synchronization sites first: the cleanup procedure's
      attempt to reopen lost files at another copy needs a live CSS. *)
-  List.iter (place k) k.fg_table;
+  List.iter (place k ~unreported) k.fg_table;
   List.iter
     (fun dead ->
       ignore (Txn.handle_site_failure k dead);

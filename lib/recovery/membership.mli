@@ -7,7 +7,9 @@ val install : Locus_core.Ktypes.t -> members:Net.Site.t list -> merge:bool -> un
     table and drop every retained lease; place every filegroup's CSS by
     {!Locus_core.Ktypes.place_css} over the members holding its pack — the
     CSS, whether it moved or stayed, rebuilds the filegroup's tables from
-    the members, a site that lost the role drops them, and a filegroup no
+    the members and designates again each initial storage site it had
+    designated that was reachable and unreported under the old
+    membership, is a member and stores no copy; a site that lost the role drops them, and a filegroup no
     member holds a pack of gets no CSS (its opens answer [ENET]); then run
     the §5.6 cleanup ([Txn.handle_site_failure],
     [Kernel.handle_site_failure]) for every site that left; last,
@@ -15,8 +17,14 @@ val install : Locus_core.Ktypes.t -> members:Net.Site.t list -> merge:bool -> un
     ({!Locus_core.Ss.revalidate_serving}). [merge] says partitions joined,
     so directories may have changed apart: the name cache starts cold. *)
 
-val rebuild_css : Locus_core.Ktypes.t -> int -> members:Net.Site.t list -> unit
+val rebuild_css :
+  ?unreported:(int * Net.Site.t list) list ->
+  Locus_core.Ktypes.t ->
+  int ->
+  members:Net.Site.t list ->
+  unit
 (** New CSS for a filegroup: reconstruct version bookkeeping (from the
     members' pack inventories) and the lock table (from their open files,
-    §5.6), then run the reclaim check over the filegroup's deleted
-    files. *)
+    §5.6), designate again each site of [unreported] (default none) that
+    is a member and reported no copy ({!Locus_core.Dirops.redesignate}),
+    then run the reclaim check over the filegroup's deleted files. *)

@@ -37,6 +37,13 @@ let create ~ino ~ftype ~owner =
     indirect = 0;
   }
 
+let fresh ~ino ~ftype ~owner ~perms ~vv ~mtime =
+  let t = create ~ino ~ftype ~owner in
+  t.perms <- perms;
+  t.vv <- vv;
+  t.mtime <- mtime;
+  t
+
 let clone t = { t with direct = Array.copy t.direct }
 
 let npages t = (t.size + Page.size - 1) / Page.size

@@ -40,6 +40,13 @@ type t = {
 
 val create : ino:int -> ftype:ftype -> owner:string -> t
 
+val fresh :
+  ino:int -> ftype:ftype -> owner:string -> perms:int -> vv:Vv.Version_vector.t -> mtime:float -> t
+(** A new file's first version: empty, one link, version [vv], allocated
+    at [mtime]. The site that numbers a new inode and the designation
+    that carries it to the file's other initial storage sites both build
+    it here, so the copies can never differ (§2.3.7). *)
+
 val clone : t -> t
 (** Deep copy, used as the incore inode of a shadow-page session. *)
 

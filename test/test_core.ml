@@ -1240,6 +1240,38 @@ let test_mailbox_corrupt_is_eio () =
   check Alcotest.int "empty mailbox takes mail" 1
     (List.length (Kernel.mailbox_read k0 p0 "/mail/empty"))
 
+(* A stat at a packless site asks the CSS once. A CSS whose own copy is
+   the latest answers with its inode: one round trip, and no stat message.
+   A CSS that holds no copy, or only an old one, names the sites that hold
+   the latest, and one of them answers the stat. *)
+let test_stat_asks_css_once () =
+  let w = asym_world_nobulk () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  let k1 = World.kernel w 1 and p1 = World.proc w 1 in
+  Kernel.set_ncopies p0 1;
+  Kernel.set_ncopies p1 1;
+  let here = Kernel.creat k0 p0 "/here" in
+  Kernel.write_file k0 p0 "/here" "at the CSS";
+  let there = Kernel.creat k1 p1 "/there" in
+  Kernel.write_file k1 p1 "/there" "elsewhere";
+  Kernel.set_ncopies p1 2;
+  let both = Kernel.creat k1 p1 "/both" in
+  Kernel.write_file k1 p1 "/both" "v1";
+  ignore (World.settle w);
+  let k3 = World.kernel w 3 in
+  let stat gf =
+    let snap = Stats.snapshot (stats w) in
+    let info = Us.stat_gf k3 gf in
+    (info.Proto.i_size, msg_delta w snap, Stats.delta_of (stats w) snap "net.msg.stat")
+  in
+  check Alcotest.(triple int int int) "the CSS holds the latest copy" (10, 2, 0) (stat here);
+  check Alcotest.(triple int int int) "the CSS holds no copy" (9, 4, 2) (stat there);
+  (* Site 1 commits again; site 0's pull of it has not run yet. *)
+  Kernel.write_file k1 p1 "/both" "v2 longer";
+  check Alcotest.(triple int int int) "the CSS's copy is behind" (9, 4, 2) (stat both);
+  ignore (World.settle w);
+  check Alcotest.(triple int int int) "and once it caught up" (9, 2, 0) (stat both)
+
 let () =
   Alcotest.run "core"
     [
@@ -1300,6 +1332,7 @@ let () =
           Alcotest.test_case "lost intent messages" `Quick test_lost_intent_messages;
           Alcotest.test_case "lost file-request replies" `Quick test_lost_file_replies;
           Alcotest.test_case "intent round trips" `Quick test_intent_round_trips;
+          Alcotest.test_case "a stat asks the CSS once" `Quick test_stat_asks_css_once;
           Alcotest.test_case "duplicate create leaves no inode" `Quick
             test_duplicate_create_no_orphan;
           Alcotest.test_case "unlink of a busy file changes nothing" `Quick test_unlink_busy_file;

@@ -107,8 +107,8 @@ let test_where_distinguishes_latest_from_all () =
   let k0 = World.kernel w 0 in
   let f = Css.get_file k0 0 gf.Catalog.Gfile.ino in
   f.K.site_vv <- Site.Map.add 3 Vvec.zero f.K.site_vv;
-  match Css.handle_where k0 gf with
-  | Proto.R_where { sites } ->
+  match Css.handle_where k0 gf ~stat:false with
+  | Proto.R_where { sites; info = _ } ->
     check Alcotest.bool "stale not in latest" false (List.mem 3 sites)
   | _ -> Alcotest.fail "expected where response"
 

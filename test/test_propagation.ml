@@ -153,7 +153,7 @@ let pull_requests log gf =
   List.filter_map
     (fun (_, req) ->
       match req with
-      | Proto.Read_pages { gf = g; _ } | Proto.Where_stored { gf = g }
+      | Proto.Read_pages { gf = g; _ } | Proto.Where_stored { gf = g; _ }
         when Catalog.Gfile.equal g gf ->
         Some (Proto.req_tag req)
       | _ -> None)
@@ -528,6 +528,174 @@ let test_modify_open_one_ss () =
         (Pack.read_string pack (Pack.get_inode pack gf.Catalog.Gfile.ino)))
     [ 0; 1; 2 ]
 
+(* ---- a create's designated copies ---- *)
+
+(* Inode information equal field by field, the version by [Vvec.equal]. *)
+let same_info (a : Proto.inode_info) (b : Proto.inode_info) =
+  Vvec.equal a.Proto.i_vv b.Proto.i_vv && { a with Proto.i_vv = b.Proto.i_vv } = b
+
+let css_of w = World.kernel w (K.fg_info (World.kernel w 0) 0).K.css_site
+
+(* Create [path] at [site] with [ncopies] copies and settle. Returns the
+   file, the pull traffic about it, the change of every counter over the
+   create, and the sites that hold a copy. *)
+let create_settled w ~site ~ncopies path =
+  let k = World.kernel w site and p = World.proc w site in
+  Kernel.set_ncopies p ncopies;
+  let log = log_requests w in
+  let snap = Sim.Stats.snapshot (World.stats w) in
+  let gf = Kernel.creat k p path in
+  ignore (World.settle w);
+  let delta key = Sim.Stats.delta_of (World.stats w) snap key in
+  (gf, pull_requests log gf, delta, List.map (fun (s, _, _) -> s) (copies w gf))
+
+(* Above a window of 1 a create's designation carries the new inode, and
+   each designated site installs it on arrival: no read, each copy's
+   inode exactly the origin's, and the CSS lists every copy at the new
+   version. The directory /d is stored at sites 0, 1 and 2. Site 0 numbers
+   /d/a's inode itself; /d/b is created from site 3, which does not store
+   /d, so the storage site that enters the name numbers it. *)
+let test_designation_installs_inode () =
+  let w = make_world ~window:8 () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  Kernel.set_ncopies p0 3;
+  let dir = Kernel.mkdir k0 p0 "/d" in
+  ignore (World.settle w);
+  check Alcotest.(list int) "/d at sites 0, 1 and 2" [ 0; 1; 2 ]
+    (List.map (fun (s, _, _) -> s) (copies w dir));
+  List.iter
+    (fun (site, path) ->
+      let gf, requests, delta, holders = create_settled w ~site ~ncopies:3 path in
+      check Alcotest.(list int) (path ^ ": three copies") [ 0; 1; 2 ] holders;
+      check Alcotest.(list string) (path ^ ": no read, stat or where") [] requests;
+      check Alcotest.int (path ^ ": no read message at all") 0 (delta "net.msg.read");
+      (* Two designations, and the directory commit at /d's two other copies. *)
+      check Alcotest.int (path ^ ": four notifications installed") 4 (delta "prop.carried");
+      let info site =
+        Proto.info_of_inode
+          (Pack.get_inode (Hashtbl.find (World.kernel w site).K.packs 0) gf.Catalog.Gfile.ino)
+      in
+      List.iter
+        (fun site ->
+          check Alcotest.bool
+            (Printf.sprintf "%s: the inode at site %d is the origin's, mtime included" path site)
+            true
+            (same_info (info 0) (info site)))
+        holders;
+      let css = css_of w in
+      let f = Locus_core.Css.get_file css 0 gf.Catalog.Gfile.ino in
+      check Alcotest.bool (path ^ ": a version exists") false (Vvec.equal f.K.latest_vv Vvec.zero);
+      check Alcotest.(list int) (path ^ ": the CSS lists every copy at the new version") holders
+        (Locus_core.Css.sites_with_latest css f))
+    [ (0, "/d/a"); (3, "/d/b") ]
+
+(* At a window of 1 the designation stays bare: each designated copy
+   pulls, one read round trip of the empty body. *)
+let test_designation_pulls_at_window_1 () =
+  let w = make_world ~window:1 () in
+  let _, requests, delta, holders = create_settled w ~site:0 ~ncopies:3 "/w1" in
+  check Alcotest.(list int) "three copies" [ 0; 1; 2 ] holders;
+  check Alcotest.(list string) "one read per designated copy" [ "read"; "read" ] requests;
+  check Alcotest.int "nothing carried" 0 (delta "prop.carried")
+
+(* A file written straight after its create, before any designation has
+   arrived, reaches every copy: the designated copies that have not yet
+   reported are on the write's notify list. *)
+let test_created_then_written_reaches_every_copy () =
+  let w = make_world ~window:8 () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  Kernel.set_ncopies p0 3;
+  let gf = Kernel.creat k0 p0 "/fresh" in
+  Kernel.write_file k0 p0 "/fresh" "written at once";
+  ignore (World.settle w);
+  let stored = copies w gf in
+  check Alcotest.int "three copies" 3 (List.length stored);
+  let latest = (Locus_core.Css.get_file (css_of w) 0 gf.Catalog.Gfile.ino).K.latest_vv in
+  List.iter
+    (fun (site, vv, body) ->
+      check Alcotest.bool (Printf.sprintf "site %d at the latest version" site) true
+        (Vvec.equal vv latest);
+      check Alcotest.string (Printf.sprintf "site %d holds the written bytes" site)
+        "written at once" body)
+    stored
+
+(* A designated copy reports the empty version it installed after the
+   creator's first write has committed. At the CSS, whose own copy is
+   newer, that report retires nothing: the buffered page the write's
+   notification read stays, so a read open the CSS serves costs no disk
+   read. *)
+let test_older_report_retires_nothing () =
+  let w = make_world ~window:8 () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  check Alcotest.int "site 0 is the CSS" 0 (css_of w).K.site;
+  Kernel.set_ncopies p0 2;
+  ignore (Kernel.creat k0 p0 "/first");
+  Kernel.write_file k0 p0 "/first" "written at once";
+  ignore (World.settle w);
+  let k3 = World.kernel w 3 and p3 = World.proc w 3 in
+  let gf = Kernel.resolve k3 p3 "/first" in
+  let snap = Sim.Stats.snapshot (World.stats w) in
+  let o = Us.open_gf k3 gf Proto.Mode_read in
+  check Alcotest.bool "the CSS serves" true (Net.Site.equal o.K.o_ss 0);
+  check Alcotest.string "a read from a site with no copy" "written at once" (Us.read_all k3 o);
+  Us.close k3 o;
+  check Alcotest.int "served from the CSS's buffer cache" 0
+    (Sim.Stats.delta_of (World.stats w) snap "cache.ss.miss")
+
+(* A designation that is lost leaves the designated site without a copy.
+   The CSS still counts that site as an unreported copy, but never offers
+   it as a storage site: every read is served elsewhere and returns the
+   written bytes. A heal and merge rebuilds the CSS's record from the
+   packs' inventories and designates the site again: it pulls the
+   latest version, and the file has its three copies. *)
+let test_lost_designation () =
+  let w = make_world ~window:8 () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  let css = css_of w in
+  Kernel.set_ncopies p0 3;
+  Net.Netsim.fail_next_message (World.net w) ~src:css.K.site ~dst:2;
+  let gf = Kernel.creat k0 p0 "/lostdes" in
+  Kernel.write_file k0 p0 "/lostdes" "body";
+  ignore (World.settle w);
+  check Alcotest.(list int) "no copy at site 2" [ 0; 1 ]
+    (List.map (fun (s, _, _) -> s) (copies w gf));
+  let polled = ref 0 in
+  let k2 = World.kernel w 2 in
+  Net.Netsim.set_handler (World.net w) 2 (fun ~src req ->
+      (match req with
+      | Proto.Storage_req { gf = g; _ } when Catalog.Gfile.equal g gf -> incr polled
+      | _ -> ());
+      k2.K.dispatch src req);
+  List.iter
+    (fun site ->
+      let k = World.kernel w site in
+      let o = Us.open_gf k gf Proto.Mode_read in
+      check Alcotest.bool (Printf.sprintf "site %d: not served by site 2" site) false
+        (Net.Site.equal o.K.o_ss 2);
+      check Alcotest.string (Printf.sprintf "site %d reads the written bytes" site) "body"
+        (Us.read_all k o);
+      Us.close k o)
+    (World.sites w);
+  check Alcotest.int "site 2 never polled" 0 !polled;
+  let listed () =
+    let f = Locus_core.Css.get_file (css_of w) 0 gf.Catalog.Gfile.ino in
+    List.map fst (Net.Site.Map.bindings f.K.site_vv)
+  in
+  check Alcotest.(list int) "before the merge: site 2 counted, unreported" [ 0; 1; 2 ] (listed ());
+  ignore (World.heal_and_merge w);
+  check Alcotest.(list int) "after the merge: three copies" [ 0; 1; 2 ] (listed ());
+  let f = Locus_core.Css.get_file (css_of w) 0 gf.Catalog.Gfile.ino in
+  check Alcotest.(list int) "all at the latest version" [ 0; 1; 2 ]
+    (Locus_core.Css.sites_with_latest (css_of w) f);
+  check Alcotest.(list int) "site 2 holds a copy" [ 0; 1; 2 ]
+    (List.map (fun (s, _, _) -> s) (copies w gf));
+  List.iter
+    (fun (site, _, body) ->
+      check Alcotest.string (Printf.sprintf "site %d holds the written bytes" site) "body" body)
+    (copies w gf);
+  check Alcotest.string "a read after the merge" "body"
+    (Kernel.read_file (World.kernel w 3) (World.proc w 3) "/lostdes")
+
 let () =
   Alcotest.run "propagation"
     [
@@ -554,5 +722,17 @@ let () =
             test_carried_ignores_open_session;
           Alcotest.test_case "wide commit carries nothing" `Quick test_wide_commit_pulls;
           Alcotest.test_case "a modify open uses one storage site" `Quick test_modify_open_one_ss;
+        ] );
+      ( "designation",
+        [
+          Alcotest.test_case "a designated copy installs from its designation" `Quick
+            test_designation_installs_inode;
+          Alcotest.test_case "window 1: a designated copy pulls" `Quick
+            test_designation_pulls_at_window_1;
+          Alcotest.test_case "a created file written at once reaches every copy" `Quick
+            test_created_then_written_reaches_every_copy;
+          Alcotest.test_case "a lost designation" `Quick test_lost_designation;
+          Alcotest.test_case "an older report retires nothing" `Quick
+            test_older_report_retires_nothing;
         ] );
     ]

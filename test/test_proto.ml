@@ -67,7 +67,7 @@ let some_reqs =
     Proto.Reclaim_req { gf };
     Proto.Page_invalidate { gf; first = 3; count = 1 };
     Proto.Set_attr { gf; perms = Some 0o600; owner = None };
-    Proto.Where_stored { gf };
+    Proto.Where_stored { gf; stat = false };
     Proto.Token_req { key = Proto.Tok_fd (0, 1); for_site = 2 };
     Proto.Token_state_req { key = Proto.Tok_fd (0, 1) };
     Proto.Signal_req { pid = 1; signo = 9 };
@@ -148,21 +148,29 @@ let test_resp_sizes () =
       Proto.R_storage { accept = true; info = Some info; slot = 1 };
       Proto.R_pages { pages = [ String.make 512 'd' ]; eof = true; info = None };
       Proto.R_committed { vv = vv_small };
-      Proto.R_where { sites = [ 0 ] };
+      Proto.R_where { sites = [ 0 ]; info = None };
       Proto.R_token { granted = true; state = "17" };
       Proto.R_pset { pset = [ 0; 1; 2 ] };
       Proto.R_inventory { files = [ (2, vv_small, Storage.Inode.Regular, false) ] };
       Proto.R_data { data = "x" };
       Proto.R_intent
-        { ino = 7; ftype = Storage.Inode.Regular; dir_vv = vv_small; file = Some (vv_small, true) };
+        { ino = 7; ftype = Storage.Inode.Regular; dir_vv = vv_small; file = Some (vv_small, true);
+          mtime = None };
       Proto.R_linked { vv = vv_small; deleted = false };
     ];
   check Alcotest.bool "page response dominated by data" true
     (Proto.resp_bytes (Proto.R_pages { pages = [ String.make 1024 'd' ]; eof = false; info = None })
      > 1024);
   (* A where reply names the sites holding the latest version: the
-     header and 4 bytes per site. *)
-  check Alcotest.int "where reply" (24 + 8) (Proto.resp_bytes (Proto.R_where { sites = [ 0; 1 ] }))
+     header and 4 bytes per site. A stat query costs one flag byte more,
+     and its reply the inode when the CSS answers it. *)
+  let where info = Proto.resp_bytes (Proto.R_where { sites = [ 0; 1 ]; info }) in
+  check Alcotest.int "where reply" (24 + 8) (where None);
+  check Alcotest.int "where reply with the inode" (24 + 8 + 55)
+    (where (Some info));
+  let query stat = Proto.req_bytes (Proto.Where_stored { gf; stat }) in
+  check Alcotest.int "where query" (24 + 8) (query false);
+  check Alcotest.int "where query asking for a stat" (24 + 8 + 1) (query true)
 
 (* One read message and one write message carry every page. Their
    one-page forms cost exactly what the paper's one-page read, reply and
@@ -312,13 +320,27 @@ let test_intent_forms () =
   check Alcotest.int "link intent: inode and type" (24 + 8 + 2 + 4 + 1 + 5)
     (intent
        (Proto.Link { name = "entry"; ino = 7; ftype = Storage.Inode.Directory; links = true }));
-  let reply file =
+  let reply ?mtime file =
     Proto.resp_bytes
-      (Proto.R_intent { ino = 7; ftype = Storage.Inode.Regular; dir_vv = vv_small; file })
+      (Proto.R_intent { ino = 7; ftype = Storage.Inode.Regular; dir_vv = vv_small; file; mtime })
   in
   check Alcotest.int "intent reply: inode, type, flags" (24 + 6 + 8) (reply None);
   check Alcotest.int "intent reply with the file's version" (24 + 6 + 8 + 1 + 8)
-    (reply (Some (vv_small, false)))
+    (reply (Some (vv_small, false)));
+  (* A storing site that allocated a create's inode adds its mtime. *)
+  check Alcotest.int "intent reply with the allocated inode's mtime" (24 + 6 + 8 + 1 + 8 + 8)
+    (reply ~mtime:1.5 (Some (vv_small, false)));
+  (* A create whose using site numbered the inode carries the number and
+     its allocation time. *)
+  let create ino =
+    intent
+      (Proto.Create
+         { name = "entry"; ftype = Storage.Inode.Regular; owner = "u"; perms = 0o644;
+           ncopies = 2; ino })
+  in
+  check Alcotest.int "create intent" (24 + 8 + 2 + 5 + 1 + 4) (create None);
+  check Alcotest.int "create intent with the inode and its mtime" (create None + 4 + 8)
+    (create (Some (7, 1.5)))
 
 (* The open exchange: an open that asks for no pages and a reply that
    carries none cost exactly what the paper's open and reply did (header,
@@ -368,12 +390,17 @@ let test_open_forms () =
    reply. *)
 let test_commit_notify_forms () =
   let page = String.make 1024 'p' in
-  let notify ?carried modified =
+  let notify ?(designate = false) ?carried modified =
     Proto.req_bytes
       (Proto.Commit_notify
          { gf; vv = vv_small; meta_only = false; modified; origin = 0; fresh = true;
-           deleted = false; designate = false; carried })
+           deleted = false; designate; carried })
   in
+  (* A create's designation carries the new, empty inode: the inode and
+     an empty batch's count byte. *)
+  check Alcotest.int "designation carrying the new inode"
+    (notify ~designate:true [] + 55 + 1)
+    (notify ~designate:true ~carried:(info, []) []);
   check Alcotest.int "paper notification" 55 (notify [ 0; 1 ]);
   check Alcotest.int "paper notification of a metadata commit" 47 (notify []);
   check Alcotest.int "carried inode alone" (47 + 55 + 1) (notify ~carried:(info, []) []);
