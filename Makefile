@@ -33,7 +33,9 @@ bench:
 # E19's resolutions with the name cache and the server-side lookup both
 # on must each cost exactly 2 messages with a cold name cache and 0 warm,
 # the leaf stored away from the lookup site included (its type comes from
-# its directory entry: no where-stored and no stat after the lookup),
+# its directory entry: no where-stored and no stat after the lookup), and
+# after a merge the first name in a directory the site had used must cost
+# 2 messages and a second name 0 (the first lookup re-warms the page),
 # E17 must recover every injected loss, and a lost reply to an open and
 # to a commit that carries the write must each leave the handler run once
 # and the write done, with no write message,
@@ -76,15 +78,18 @@ soak:
 # workload at seeds 1 and 2, traced; prints each simulated metric that
 # moved, exits 0 when none did. Without PARENT it compares the working
 # tree against HEAD, unpacked with `git archive` into a temporary
-# directory (under $TMPDIR) that is removed afterwards.
-# Usage: make simdiff [PARENT=<dir>]
+# directory (under $TMPDIR) that is removed afterwards. WORKLOADS, a
+# comma-separated list, runs only those workloads (default: all five),
+# e.g. WORKLOADS=partition_heal while iterating on one of them.
+# Usage: make simdiff [PARENT=<dir>] [WORKLOADS=<w>[,<w>...]]
+SIMDIFF_WORKLOADS = $(if $(WORKLOADS),--workloads "$(WORKLOADS)")
 simdiff:
 	@if [ -n "$(PARENT)" ]; then \
-		python3 bench/simdiff.py --parent "$(PARENT)"; \
+		python3 bench/simdiff.py --parent "$(PARENT)" $(SIMDIFF_WORKLOADS); \
 	else \
 		dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 		git archive HEAD | tar x -C "$$dir" && \
-		python3 bench/simdiff.py --parent "$$dir"; \
+		python3 bench/simdiff.py --parent "$$dir" $(SIMDIFF_WORKLOADS); \
 	fi
 
 # Source size: the .ml + .mli line count of lib/, bench/ and test/, the

@@ -1325,17 +1325,17 @@ let e19 () =
   let kconfig entries remote =
     { K.default_config with K.name_cache_entries = entries; remote_lookup = remote }
   in
+  (* Resolve [path] at [site]: its messages and simulated ms. *)
+  let resolve w site path =
+    let snap = Stats.snapshot (World.stats w) in
+    let t0 = World.now w in
+    ignore (gf_of (World.kernel w site) path);
+    (msgs w snap, World.now w -. t0)
+  in
   (* Resolve [path] at [site] twice: a cold name cache, then a warm one. *)
   let resolve_twice w site path =
-    let k = World.kernel w site in
-    let resolve () =
-      let snap = Stats.snapshot (World.stats w) in
-      let t0 = World.now w in
-      ignore (gf_of k path);
-      (msgs w snap, World.now w -. t0)
-    in
-    let cold = resolve () in
-    (cold, resolve ())
+    let cold = resolve w site path in
+    (cold, resolve w site path)
   in
   let full_stats = ref None in
   let checks = ref [] in
@@ -1382,10 +1382,29 @@ let e19 () =
     checks := ("leaf stored away", m_cold, m_warm) :: !checks;
     row "cache + remote lookup, leaf at site 1" "1" costs
   in
+  (* After a merge: site 2 used /d/a, /d/b and /d/c, stored at site 0
+     only, and the merge cleared its name cache. The first name re-warms
+     /d's page in its one round trip, so a second name costs nothing. *)
+  let merged =
+    let w = make_world ~n:3 ~packs:[ 0 ] ~kconfig:(kconfig 512 true) () in
+    let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+    ignore (Kernel.mkdir k0 p0 "/d");
+    let names = [ "/d/a"; "/d/b"; "/d/c" ] in
+    List.iter (fun path -> ignore (Kernel.creat k0 p0 path)) names;
+    settle_ok w;
+    List.iter (fun path -> ignore (resolve w 2 path)) names;
+    ignore (World.heal_and_merge w);
+    let ((m_first, _), (m_second, _)) as costs =
+      let first = resolve w 2 "/d/a" in
+      (first, resolve w 2 "/d/b")
+    in
+    checks := ("after a merge", m_first, m_second) :: !checks;
+    row "cache + remote lookup, after a merge" "1" costs
+  in
   Report.table
-    ~title:"site 2 resolves /d1/.../dN/leaf stored only at site 0, twice (last row: see below)"
+    ~title:"site 2 resolves /d1/.../dN/leaf stored only at site 0, twice (last rows: see below)"
     ~header:[ "configuration"; "depth"; "cold msgs"; "cold ms"; "warm msgs"; "warm ms" ]
-    (rows @ [ away ]);
+    (rows @ [ away; merged ]);
   let checks = List.rev !checks in
   List.iter
     (fun (what, m_cold, m_warm) ->
@@ -1400,10 +1419,13 @@ let e19 () =
   Printf.printf
     "one Lookup_req round trip replaces the per-component internal opens\n\
      (E13: 8/16/28 msgs at depth 1/3/6); the trail it returns fills the\n\
-     name cache, so the warm walk sends nothing at all. In the last row\n\
-     site 3 resolves /d/leaf of a 4-site world with packs at sites 0 and 1,\n\
+     name cache, so the warm walk sends nothing at all. In the \"leaf at\n\
+     site 1\" row site 3 resolves /d/leaf of a 4-site world with packs at sites 0 and 1,\n\
      /d on both and the leaf on site 1 only: the lookup at site 0 (the CSS)\n\
      reads the leaf's type from its directory entry, so no stat follows.\n\
+     In the \"after a merge\" row site 2 had used /d/a, /d/b and /d/c before\n\
+     a merge cleared its name cache: \"cold\" is /d/a, whose lookup re-warms\n\
+     /d's page, and \"warm\" is /d/b, a name it has not asked for since.\n\
      \"cold\" is a cold name cache; the storing site's buffer cache is warm.\n";
   if List.exists (fun (_, m_cold, m_warm) -> m_cold <> 2 || m_warm <> 0) checks then
     failwith "E19: a cached remote-lookup resolution is not one round trip cold and free warm"

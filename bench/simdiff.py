@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Diff locus-bench's simulated numbers between two checkouts.
 
-    python3 bench/simdiff.py --parent DIR
+    python3 bench/simdiff.py --parent DIR [--workloads W[,W...]]
 
 Builds benchmark/locus_bench.exe in DIR and in the tree this script
-lives in, runs every workload at seeds 1 and 2 with --seconds 1
+lives in, runs every workload (or only those --workloads names, in the
+order given) at seeds 1 and 2 with --seconds 1
 --traced on both, and prints each simulated number that moved: parent -> change, with the ratio. Simulated numbers are
 `correct`, `attempted`, `failed`, every end-to-end metric except the
 host ones (host_ops_per_s, setup_s, heap_peak_mb), every `layers` entry,
@@ -66,12 +67,19 @@ def simulated(root, workload, seed):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="checkout to compare against")
+    ap.add_argument("--workloads", default=",".join(WORKLOADS),
+                    help="comma-separated workloads to run (default: all five)")
     args = ap.parse_args()
+    workloads = [w for w in args.workloads.split(",") if w]
+    unknown = [w for w in workloads if w not in WORKLOADS]
+    if unknown or not workloads:
+        fail("unknown workload %s (one of %s)" % (",".join(unknown) or "list",
+                                                  ",".join(WORKLOADS)))
     parent = os.path.abspath(args.parent)
     for root in (parent, CHANGE):
         build(root)
     moved = 0
-    for w in WORKLOADS:
+    for w in workloads:
         for seed in SEEDS:
             a = simulated(parent, w, seed)
             b = simulated(CHANGE, w, seed)

@@ -180,7 +180,8 @@ let entry_at b at =
   }
 
 (* [f at] for each record among the first [len] bytes of [b], whose byte 0
-   starts a page: the one record walk that decoding and indexing share. *)
+   starts a page: the one record walk that decoding, indexing and a page's
+   links share. *)
 let scan b len f =
   let rec go off =
     if off < len then begin
@@ -198,6 +199,22 @@ let scan b len f =
     end
   in
   go 0
+
+(* The live records of one page that end by byte [limit] of the page,
+   folded as name, inode number and type: no entry record is built. *)
+let page_links page ~limit f acc =
+  let acc = ref acc in
+  scan page (String.length page) (fun at ->
+      let byte = String.get_uint8 page at in
+      let nlen = String.get_uint16_be page (at + 1) in
+      if byte land 3 = 1 && at + header + nlen <= limit then
+        acc :=
+          f
+            (String.sub page (at + header) nlen)
+            (Int64.to_int (String.get_int64_be page (at + 5)))
+            (ftype_of_code (byte lsr 2))
+            !acc);
+  !acc
 
 let decodes = ref 0
 

@@ -109,6 +109,19 @@ val record : entry -> string
 val entry_at : Storage.Page.t -> int -> entry
 (** The entry whose record starts at byte [at] of a page. *)
 
+val page_links :
+  Storage.Page.t ->
+  limit:int ->
+  (string -> int -> Storage.Inode.ftype -> 'a -> 'a) ->
+  'a ->
+  'a
+(** [page_links page ~limit f acc] folds [f name ino ftype] over the live
+    records of one page, in log order, that end by byte [limit] of the
+    page: padding and tombstones are skipped, and with [limit] the
+    committed size's offset into the page, so is a record an uncommitted
+    session appended. It walks the page as {!decode} does and builds no
+    entry. Raises [Failure] where {!decode} would. *)
+
 (** An offset index over the record log: name to the offset of its
     record, plus the log's end. It keeps no entry and no name — a lookup
     hashes the name, reads the page of each record the hash points at and

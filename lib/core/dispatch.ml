@@ -101,7 +101,7 @@ let handle k ~src (req : Proto.req) : Proto.resp =
     (* metadata *)
     | Proto.Set_attr { gf; perms; owner } -> Ss.handle_set_attr k gf ~perms ~owner
     | Proto.Where_stored { gf; stat } -> Css.handle_where k gf ~stat
-    | Proto.Lookup_req { gf; comps } -> Pathname.handle_lookup k gf comps
+    | Proto.Lookup_req { gf; comps; near } -> Pathname.handle_lookup k gf comps ~near
     (* tokens *)
     | Proto.Token_req { key = Proto.Tok_fd (a, b); for_site } ->
       Tokens.handle_token_req k (a, b) ~for_site

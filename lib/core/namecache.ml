@@ -17,8 +17,16 @@
    can be named from any directory); deletions are rare beside commits,
    and their scans a small share of the links visited.
 
+   A merge drops every link at once ([clear_merge]); the cache remembers
+   the directories they were in, at most one per link, so a remote walk
+   from one of them asks for its page's other links too and files them
+   into free slots ([insert_free]) until the walk's trail has passed
+   through it ([rewarmed]). A crash forgets those directories with the
+   links.
+
    Counters exported through [Sim.Stats]: name.cache.hit, name.cache.miss,
-   name.cache.fill, name.cache.invalidate, name.cache.evict. *)
+   name.cache.fill, name.cache.invalidate, name.cache.evict, and
+   name.rewarm.filed (the neighbour links [insert_free] filed). *)
 
 module Gfile = Catalog.Gfile
 module Vvec = Vv.Version_vector
@@ -46,10 +54,13 @@ module Lru =
 
 type t = {
   cache : Lru.t option; (* None: disabled (capacity 0) *)
+  capacity : int;
+  mutable rewarm : Gfile.Set.t; (* directories the last merge dropped links of *)
   hit : Sim.Stats.counter;
   miss : Sim.Stats.counter;
   fill : Sim.Stats.counter;
   invalidate : Sim.Stats.counter;
+  filed : Sim.Stats.counter;
 }
 
 let create ~stats ~capacity () =
@@ -60,8 +71,9 @@ let create ~stats ~capacity () =
       let evict = counter "evict" in
       Some (Lru.create ~on_evict:(fun _ _ -> Sim.Stats.cincr evict) ~capacity ())
   in
-  { cache; hit = counter "hit"; miss = counter "miss"; fill = counter "fill";
-    invalidate = counter "invalidate" }
+  { cache; capacity; rewarm = Gfile.Set.empty; hit = counter "hit"; miss = counter "miss";
+    fill = counter "fill"; invalidate = counter "invalidate";
+    filed = Sim.Stats.counter stats "name.rewarm.filed" }
 
 let find t ~dir ~comp ~current_vv =
   match t.cache with
@@ -92,6 +104,15 @@ let insert t ~dir ~comp entry =
     Sim.Stats.cincr t.fill;
     Lru.insert c (dir, comp) entry
 
+(* A neighbour link takes a free slot or nothing: it never evicts a link
+   a walk used, nor refreshes one already cached. *)
+let insert_free t ~dir ~comp entry =
+  match t.cache with
+  | Some c when Lru.length c < t.capacity && not (Lru.mem c (dir, comp)) ->
+    Sim.Stats.cincr t.filed;
+    insert t ~dir ~comp entry
+  | Some _ | None -> ()
+
 (* The name cache's on_evict only counts capacity pressure; invalidations
    are accounted right here. *)
 let drop t how =
@@ -114,12 +135,27 @@ let invalidate_dir t dir = drop t (fun c -> Lru.drop_file c (Gfile.id dir))
 let invalidate_child t child =
   drop t (fun c -> Lru.filter_out c (fun _ e -> Gfile.equal e.nc_child child))
 
+let drop_all c t =
+  let n = Lru.length c in
+  if n > 0 then Sim.Stats.cadd t.invalidate n;
+  Lru.clear c
+
 let clear t =
+  t.rewarm <- Gfile.Set.empty;
+  Option.iter (fun c -> drop_all c t) t.cache
+
+let clear_merge t =
   match t.cache with
   | None -> ()
   | Some c ->
-    let n = Lru.length c in
-    if n > 0 then Sim.Stats.cadd t.invalidate n;
-    Lru.clear c
+    t.rewarm <-
+      List.fold_left (fun set (dir, _) -> Gfile.Set.add dir set) Gfile.Set.empty (Lru.keys_mru c);
+    drop_all c t
+
+let wants_rewarm t dir = Gfile.Set.mem dir t.rewarm
+
+let rewarmed t dir = t.rewarm <- Gfile.Set.remove dir t.rewarm
 
 let length t = match t.cache with None -> 0 | Some c -> Lru.length c
+
+let keys_mru t = match t.cache with None -> [] | Some c -> Lru.keys_mru c

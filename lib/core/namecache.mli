@@ -7,10 +7,12 @@
     recorded version vector is the invalidation key. Filled by local
     directory walks and by server-side partial-pathname lookup trails;
     invalidated on commit notification, local directory operations,
-    propagation pulls, reclaim, and partition merge.
+    propagation pulls, reclaim, and partition merge. A merge's clear
+    remembers the directories whose links it dropped, so the site can
+    re-warm each one a page at a time ({!clear_merge}).
 
     Exports [name.cache.hit] / [miss] / [fill] / [invalidate] / [evict]
-    counters through {!Sim.Stats}. *)
+    and [name.rewarm.filed] counters through {!Sim.Stats}. *)
 
 type entry = {
   nc_child : Catalog.Gfile.t;
@@ -40,6 +42,12 @@ val find :
 
 val insert : t -> dir:Catalog.Gfile.t -> comp:string -> entry -> unit
 
+val insert_free : t -> dir:Catalog.Gfile.t -> comp:string -> entry -> unit
+(** {!insert} only into a free slot, and only a link not cached yet: the
+    cache is below capacity and holds no entry for the key. Otherwise
+    nothing changes, recency order included. Counts
+    [name.rewarm.filed]. *)
+
 val note_dir_vv : t -> dir:Catalog.Gfile.t -> Vv.Version_vector.t -> unit
 (** The directory committed at this version: drop every link recorded
     under a different one. *)
@@ -50,5 +58,21 @@ val invalidate_child : t -> Catalog.Gfile.t -> unit
 (** Drop every link resolving to this gfile (deleted/reclaimed files). *)
 
 val clear : t -> unit
+(** Drop every link and forget the directories {!clear_merge} noted: a
+    crash. *)
+
+val clear_merge : t -> unit
+(** Drop every link and note the directories they were in (at most one
+    per link), in place of those noted before: a merge. *)
+
+val wants_rewarm : t -> Catalog.Gfile.t -> bool
+(** Did the last merge drop links from this directory, and has no
+    re-warming walk passed through it since? *)
+
+val rewarmed : t -> Catalog.Gfile.t -> unit
+(** A re-warming walk's trail passed through the directory. *)
 
 val length : t -> int
+
+val keys_mru : t -> (Catalog.Gfile.t * string) list
+(** The cached (directory, component) keys, most recently used first. *)

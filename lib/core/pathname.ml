@@ -83,9 +83,9 @@ let dir_of_body body =
 (* One name in a locally stored directory, through the directory's index
    at this site's SS: one page read, no decode, charged only when the
    page is not in the SS buffer cache. The inode number and the type the
-   entry records. *)
-let lookup_local k pack gf inode name =
-  try Ss.lookup_name k pack gf inode name
+   entry records, and with [near] the page's other live links. *)
+let lookup_local ?(near = false) k pack gf inode name =
+  try Ss.lookup_name ~near k pack gf inode name
   with Failure _ -> err Proto.Eio "corrupt directory"
 
 (* Descend one link to an entry of type [ftype]: apply mount crossing
@@ -131,11 +131,11 @@ let cacheable_comp comp = comp <> "." && comp <> ".."
 
 (* Record one successful directory search. Children under a mount point
    are skipped: the link's target depends on the mount table, not only on
-   the directory's contents. Structural names ("." "..") never enter. *)
-let cache_fill k ~dir ~vv ~comp ~child ~ftype =
+   the directory's contents. Structural names ("." "..") never enter.
+   [insert] is [Namecache.insert_free] for a re-warming step's neighbours. *)
+let cache_fill ?(insert = Namecache.insert) k ~dir ~vv ~comp ~child ~ftype =
   if cacheable_comp comp && Mount.mounted_at k.mount child = None then
-    Namecache.insert k.name_cache ~dir ~comp
-      { Namecache.nc_child = child; nc_vv = vv; nc_ftype = ftype }
+    insert k.name_cache ~dir ~comp { Namecache.nc_child = child; nc_vv = vv; nc_ftype = ftype }
 
 (* ---- the server half: partial-pathname lookup ---- *)
 
@@ -148,8 +148,9 @@ let cache_fill k ~dir ~vv ~comp ~child ~ftype =
    and pack boundaries. One trail step is returned per consumed
    component, in order, so the US can zip them back together. A step's
    type is the one its directory entry records, so the child need not be
-   stored here. *)
-let handle_lookup k gf comps =
+   stored here. With [near], each step searched by name also carries the
+   other live links on the page the search read ([Ss.lookup_name]). *)
+let handle_lookup k gf comps ~near =
   let stop cur consumed trail =
     Proto.R_lookup { gf = cur; consumed; trail = List.rev trail }
   in
@@ -177,15 +178,15 @@ let handle_lookup k gf comps =
           if comp = "." then begin
             let step =
               { Proto.l_dir = cur; l_vv = inode.Inode.vv; l_child = cur;
-                l_ftype = Inode.Directory }
+                l_ftype = Inode.Directory; l_near = [] }
             in
             go cur (consumed + 1) (step :: trail) rest
           end
           else if comp = ".." then stop cur consumed trail
           else begin
-            match lookup_local k pack cur inode comp with
+            match lookup_local ~near k pack cur inode comp with
             | None -> stop cur consumed trail
-            | Some (ino, l_ftype) -> (
+            | Some (ino, l_ftype, l_near) -> (
               let child = Gfile.make ~fg ~ino in
               match Pack.find_inode pack ino with
               | Some ci when ci.Inode.deleted ->
@@ -195,7 +196,7 @@ let handle_lookup k gf comps =
               | Some _ | None ->
                 let step =
                   { Proto.l_dir = cur; l_vv = inode.Inode.vv; l_child = child;
-                    l_ftype }
+                    l_ftype; l_near }
                 in
                 go child (consumed + 1) (step :: trail) rest)
           end)
@@ -268,8 +269,13 @@ let walk_comps k ~context start comps ~finish =
     | None -> local_step gf comp rest
     | Some ss -> (
       let comps = comp :: rest in
+      (* A directory the last merge dropped links of: ask for the other
+         links on each page the walk reads, re-warming a page per round
+         trip instead of a name. *)
+      let near = Namecache.wants_rewarm k.name_cache gf in
       Sim.Stats.incr (stats k) "name.remote_walks";
-      match rpc_result k ss (Proto.Lookup_req { gf; comps }) with
+      if near then Sim.Stats.incr (stats k) "name.rewarm";
+      match rpc_result k ss (Proto.Lookup_req { gf; comps; near }) with
       | Ok (Proto.R_lookup { gf = final; consumed; trail })
         when consumed > 0
              && consumed <= List.length comps
@@ -279,6 +285,21 @@ let walk_comps k ~context start comps ~finish =
             cache_fill k ~dir:s.Proto.l_dir ~vv:s.Proto.l_vv ~comp:c
               ~child:s.Proto.l_child ~ftype:s.Proto.l_ftype)
           (take consumed comps) trail;
+        (* The trail's own links first: a neighbour only takes a slot left
+           free, and carries exactly a trail link's version key. *)
+        if near then
+          List.iter
+            (fun (s : Proto.lookup_step) ->
+              let dir = s.Proto.l_dir in
+              List.iter
+                (fun (n : Proto.near_link) ->
+                  cache_fill ~insert:Namecache.insert_free k ~dir ~vv:s.Proto.l_vv
+                    ~comp:n.Proto.n_name
+                    ~child:(Gfile.make ~fg:dir.Gfile.fg ~ino:n.Proto.n_ino)
+                    ~ftype:n.Proto.n_ftype)
+                s.Proto.l_near;
+              Namecache.rewarmed k.name_cache dir)
+            trail;
         let remaining = drop consumed comps in
         (* The server-side walk never descends through a mount point;
            crossing the one it may have stopped on is this site's job. *)
@@ -311,7 +332,7 @@ let walk_comps k ~context start comps ~finish =
     | Some (pack, inode) when inode.Inode.ftype = Inode.Directory && cacheable_comp comp -> (
       (* A name in a local directory: through its index, one page. *)
       match lookup_local k pack gf inode comp with
-      | Some found -> descend ~comp found inode.Inode.vv rest
+      | Some (ino, ftype, _) -> descend ~comp (ino, ftype) inode.Inode.vv rest
       | None -> (
         match refresh comp with
         | Some (found, vv) -> descend ~comp found vv rest

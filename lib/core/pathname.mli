@@ -50,7 +50,7 @@ val resolve_parent :
 val read_directory : Ktypes.t -> Catalog.Gfile.t -> Catalog.Dir.t
 (** Parse a directory's contents; raises [ENOTDIR] on other types. *)
 
-val handle_lookup : Ktypes.t -> Catalog.Gfile.t -> string list -> Proto.resp
+val handle_lookup : Ktypes.t -> Catalog.Gfile.t -> string list -> near:bool -> Proto.resp
 (** The storage-site half of partial-pathname lookup: walk as many of the
     components from the given directory as the local pack stores, in one
     request, and return the resulting gfile, the number of components
@@ -58,4 +58,6 @@ val handle_lookup : Ktypes.t -> Catalog.Gfile.t -> string list -> Proto.resp
     at mount points, "..", hidden directories (both consumed; crossing and
     context expansion stay with the using site), deleted inodes,
     directories awaiting propagation, and pack boundaries. Never fails:
-    zero components consumed is a valid answer. *)
+    zero components consumed is a valid answer. With [near], each step
+    that searched a page also carries that page's other live links
+    ({!Proto.lookup_step.l_near}). *)

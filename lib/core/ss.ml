@@ -320,11 +320,25 @@ let find_dir_index k gf (inode : Inode.t) =
     Some d
   | Some _ | None -> None
 
+(* The live links on [page], the directory's page at byte [first], other
+   than [name]: none past the committed [size], no "." or "..", and none
+   to an inode this pack marks deleted. *)
+let near_links pack page ~first ~size name =
+  Dir.page_links page ~limit:(size - first)
+    (fun n_name n_ino n_ftype acc ->
+      if String.equal n_name name || n_name = "." || n_name = ".." then acc
+      else
+        match Pack.find_inode pack n_ino with
+        | Some i when i.Inode.deleted -> acc
+        | Some _ | None -> { Proto.n_name; n_ino; n_ftype } :: acc)
+    []
+
 (* Resolve [name] in the committed copy of directory [gf] through its
    index, reading the one page that holds the name's record. Every page,
    the index build's too, comes through the buffer cache, so only a miss
-   is charged a disk read. Raises [Failure] on a corrupt body. *)
-let lookup_name k pack gf (inode : Inode.t) name =
+   is charged a disk read. With [near], also the other live links on that
+   page, which cost no further read. Raises [Failure] on a corrupt body. *)
+let lookup_name ~near k pack gf (inode : Inode.t) name =
   let read = cached_pack_page k ~read:(Pack.reader pack inode) gf in
   let size = inode.Inode.size in
   let d =
@@ -335,7 +349,12 @@ let lookup_name k pack gf (inode : Inode.t) name =
   match Dir.Index.find d.di_index ~read ~limit:size name with
   | Some (at, page) -> (
     match Dir.entry_at page (at mod Page.size) with
-    | { Dir.status = Dir.Live; ino; ftype; _ } -> Some (ino, ftype)
+    | { Dir.status = Dir.Live; ino; ftype; _ } ->
+      let links =
+        if near then near_links pack page ~first:(at - (at mod Page.size)) ~size name
+        else []
+      in
+      Some (ino, ftype, links)
     | { Dir.status = Dir.Tombstone; _ } -> None)
   | None -> None
 

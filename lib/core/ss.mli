@@ -114,19 +114,23 @@ val write_run :
     data. Raises {!Ktypes.Error} on a refusal or a network failure. *)
 
 val lookup_name :
+  near:bool ->
   Ktypes.t ->
   Storage.Pack.t ->
   Catalog.Gfile.t ->
   Storage.Inode.t ->
   string ->
-  (int * Storage.Inode.ftype) option
-(** [lookup_name k pack gf inode name]: the inode a live entry binds
+  (int * Storage.Inode.ftype * Proto.near_link list) option
+(** [lookup_name ~near k pack gf inode name]: the inode a live entry binds
     [name] to in the committed copy of directory [gf], and the type the
     entry records, found through the directory's index
     ({!Ktypes.dir_index}) by reading the one page that holds the record.
     The first lookup of a version builds the index from every page. Each
     page is read through the SS buffer cache and charged a disk read only
-    on a miss. Raises [Failure] on a body that does not decode. *)
+    on a miss. With [near], the list holds the other live links on the
+    page read (see {!Proto.lookup_step}), at no further read; without it,
+    the list is empty and no link is decoded. Raises [Failure] on a body
+    that does not decode. *)
 
 val run_pages : poff:int -> int -> int
 (** [run_pages ~poff len]: the pages a request carrying [len] bytes from

@@ -111,12 +111,17 @@ type process_env = {
 (* One directory-search step performed server-side by a partial-pathname
    lookup (the remedy named in section 2.3.4): which directory was
    searched, at which version, and which gfile the component named. The
-   using site turns each step into a name-cache entry. *)
+   using site turns each step into a name-cache entry. A re-warming
+   lookup's steps also carry the other live links on the directory page
+   the search read. *)
+type near_link = { n_name : string; n_ino : int; n_ftype : Storage.Inode.ftype }
+
 type lookup_step = {
   l_dir : Catalog.Gfile.t;
   l_vv : Vvec.t; (* the directory's version vector at search time *)
   l_child : Catalog.Gfile.t;
   l_ftype : Storage.Inode.ftype; (* the child's type, from the directory entry *)
+  l_near : near_link list; (* the page's other live links, when asked *)
 }
 
 (* One name-space change a using site asks the directory's CSS for, as a
@@ -287,9 +292,10 @@ type req =
   | Where_stored of { gf : Catalog.Gfile.t; stat : bool }
     (* CSS bookkeeping query; [stat] also asks for the inode, which a CSS
        holding the latest copy returns itself *)
-  | Lookup_req of { gf : Catalog.Gfile.t; comps : string list }
+  | Lookup_req of { gf : Catalog.Gfile.t; comps : string list; near : bool }
     (* US -> SS: walk as many of the remaining pathname components from
-       [gf] as this site stores, in one round trip (section 2.3.4) *)
+       [gf] as this site stores, in one round trip (section 2.3.4); with
+       [near], each step also returns its page's other live links *)
   (* --- tokens (section 3.2) --- *)
   | Token_req of { key : token_key; for_site : Net.Site.t }
   | Token_state_req of { key : token_key } (* fetch guarded state with the token *)
@@ -475,9 +481,10 @@ let req_bytes = function
     header + gfile_bytes + 6
     + (match owner with Some o -> String.length o | None -> 0)
   | Where_stored { stat; _ } -> header + gfile_bytes + if stat then 1 else 0
-  | Lookup_req { comps; _ } ->
+  | Lookup_req { comps; near; _ } ->
     header + gfile_bytes
     + List.fold_left (fun a c -> a + 1 + String.length c) 0 comps
+    + if near then 1 else 0
   | Token_req { key; _ } -> header + token_bytes key + 4
   | Token_state_req { key } -> header + token_bytes key
   | Fork_req { env; image_pages; _ } ->
@@ -526,7 +533,14 @@ let resp_bytes = function
   | R_linked { vv; _ } -> header + 1 + vv_bytes vv
   | R_lookup { trail; _ } ->
     header + gfile_bytes + 4
-    + List.fold_left (fun a s -> a + (2 * gfile_bytes) + vv_bytes s.l_vv + 1) 0 trail
+    + List.fold_left
+        (fun a s ->
+          (* a neighbour: name length u16, inode number, type byte *)
+          List.fold_left
+            (fun a n -> a + 7 + String.length n.n_name)
+            (a + (2 * gfile_bytes) + vv_bytes s.l_vv + 1)
+            s.l_near)
+        0 trail
   | R_where { sites; info } ->
     header + site_list_bytes sites + (match info with Some i -> info_bytes i | None -> 0)
   | R_token { state; _ } -> header + 1 + String.length state

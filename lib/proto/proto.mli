@@ -91,6 +91,12 @@ type process_env = {
 
 (** {1 Partial-pathname lookup (§2.3.4)} *)
 
+(** A live link on the directory page a server-side search read, other
+    than the one the component named: [n_ino] is in the directory's
+    filegroup. On the wire it costs 7 bytes plus the name (name length
+    u16, inode number 4 bytes, type 1 byte). *)
+type near_link = { n_name : string; n_ino : int; n_ftype : Storage.Inode.ftype }
+
 (** One directory-search step performed server-side by {!Lookup_req}: the
     directory searched, its version vector at search time, and the gfile
     the component named. The using site turns each step into a name-cache
@@ -102,6 +108,11 @@ type lookup_step = {
   l_ftype : Storage.Inode.ftype;
       (** the child's type, as the directory entry records it: known
           whether or not the serving site stores the child *)
+  l_near : near_link list;
+      (** for a [near] lookup, the other live links on the page the search
+          read (no tombstone, no ["."] or [".."], no record past the
+          committed size, no inode the serving pack marks deleted), filed
+          under the same [l_dir] and [l_vv]; empty otherwise *)
 }
 
 (** {1 Directory intents} *)
@@ -287,12 +298,15 @@ type req =
       (** US → CSS: which reachable sites hold the latest version? With
           [stat] (1 byte) a CSS whose own copy is the latest also answers
           with its inode: a stat in one round trip. *)
-  | Lookup_req of { gf : Catalog.Gfile.t; comps : string list }
+  | Lookup_req of { gf : Catalog.Gfile.t; comps : string list; near : bool }
       (** US → SS: walk as many of the remaining pathname components from
           [gf] as this site stores, in one round trip — §2.3.4's remedy
           for per-component internal opens. The walk stops at mount
           points, hidden directories, [".."], deleted inodes, and
-          pack/filegroup boundaries; the US resumes from there. *)
+          pack/filegroup boundaries; the US resumes from there. With
+          [near] (1 byte, only when set) each step also carries its
+          page's other live links ({!lookup_step.l_near}): a site re-warms
+          a directory a merge dropped from its name cache. *)
   | Token_req of { key : token_key; for_site : Net.Site.t }
   | Token_state_req of { key : token_key }
   | Fork_req of {

@@ -68,8 +68,10 @@ let install k ~members ~merge =
   Locus_core.Openlease.clear k.open_leases;
   (* Directories may have changed arbitrarily in another partition, and
      deletions there produced no notification here: start the name cache
-     cold rather than audit it. *)
-  if merge then Locus_core.Namecache.clear k.name_cache;
+     cold rather than audit it. The cache notes the directories it was
+     using, so the first remote walk from each one re-warms the page it
+     reads in the same round trip, not one name per round trip. *)
+  if merge then Locus_core.Namecache.clear_merge k.name_cache;
   (* Place the synchronization sites first: the cleanup procedure's
      attempt to reopen lost files at another copy needs a live CSS. *)
   List.iter (place k ~unreported) k.fg_table;

@@ -186,6 +186,29 @@ let test_dir_hard_links () =
   Dir.insert d ~name:"two" ~ino:5 ~ftype:Inode.Regular ~stamp:1.0 ~origin:0;
   check Alcotest.(list string) "names of ino" [ "one"; "two" ] (Dir.names_of_ino d 5)
 
+(* One page's links: its live records, in log order, that end by the
+   limit. A tombstone is skipped, so is the padding after the last record,
+   and a record the limit cuts is left out rather than refused. *)
+let test_dir_page_links () =
+  let d = Dir.empty () in
+  Dir.insert d ~name:"a" ~ino:2 ~ftype:Inode.Regular ~stamp:1.0 ~origin:0;
+  Dir.insert d ~name:"b" ~ino:3 ~ftype:Inode.Regular ~stamp:1.0 ~origin:0;
+  Dir.insert d ~name:"cc" ~ino:4 ~ftype:Inode.Directory ~stamp:1.0 ~origin:0;
+  ignore (Dir.remove d ~name:"b" ~stamp:2.0 ~origin:1);
+  let log = Dir.encode d in
+  let page = Storage.Page.of_string log in
+  let links limit =
+    Dir.page_links page ~limit (fun name ino ftype acc -> (name, ino, ftype) :: acc) []
+    |> List.rev
+  in
+  let both = [ ("a", 2, Inode.Regular); ("cc", 4, Inode.Directory) ] in
+  check Alcotest.int "padded to a page" Storage.Page.size (String.length page);
+  check Alcotest.bool "the whole page" true (links Storage.Page.size = both);
+  check Alcotest.bool "a limit at the log's end" true (links (String.length log) = both);
+  check Alcotest.bool "a limit cutting the last record" true
+    (links (String.length log - 1) = [ ("a", 2, Inode.Regular) ]);
+  check Alcotest.bool "a limit before any record ends" true (links 1 = [])
+
 (* ---- mailboxes ---- *)
 
 let test_mbox_insert_delete () =
@@ -270,6 +293,7 @@ let () =
           Alcotest.test_case "decode refuses a bad status byte" `Quick
             test_dir_decode_bad_status;
           Alcotest.test_case "hard links" `Quick test_dir_hard_links;
+          Alcotest.test_case "one page's links" `Quick test_dir_page_links;
         ] );
       ( "mailbox",
         [

@@ -138,7 +138,7 @@ let test_lookup_stops_at_mount_point () =
   ignore (Kernel.mkdir k0 p0 "/usr/sub");
   ignore (World.settle w);
   let root = Mount.root k0.K.mount in
-  match Pathname.handle_lookup k0 root [ "usr"; "sub" ] with
+  match Pathname.handle_lookup k0 root [ "usr"; "sub" ] ~near:false with
   | Proto.R_lookup { gf; consumed; trail } ->
     check Alcotest.int "consumed only the mount-point component" 1 consumed;
     check Alcotest.int "one trail step" 1 (List.length trail);
@@ -159,7 +159,7 @@ let test_lookup_stops_at_hidden_directory () =
   Kernel.write_file k0 p0 "/bin/who/@vax" "vax load module";
   ignore (World.settle w);
   let root = Mount.root k0.K.mount in
-  match Pathname.handle_lookup k0 root [ "bin"; "who"; "@vax" ] with
+  match Pathname.handle_lookup k0 root [ "bin"; "who"; "@vax" ] ~near:false with
   | Proto.R_lookup { gf; consumed; trail } ->
     check Alcotest.int "stopped on the hidden directory" 2 consumed;
     let last = List.nth trail (List.length trail - 1) in
@@ -183,7 +183,7 @@ let test_lookup_never_returns_deleted_inode () =
   let pack = Hashtbl.find k0.K.packs 0 in
   (Storage.Pack.get_inode pack gf.Gfile.ino).Storage.Inode.deleted <- true;
   let root = Mount.root k0.K.mount in
-  match Pathname.handle_lookup k0 root [ "d"; "f" ] with
+  match Pathname.handle_lookup k0 root [ "d"; "f" ] ~near:false with
   | Proto.R_lookup { consumed; trail; _ } ->
     check Alcotest.int "stopped before the dead inode" 1 consumed;
     List.iter
@@ -446,6 +446,159 @@ let test_lookup_reads_through_buffer_cache () =
   check (Alcotest.float 1e-9) "the replaced page is read once"
     (K.latency k2).Net.Latency.disk_read t
 
+(* ---- re-warming after a merge ---- *)
+
+(* Packs at site 0 only: site 2 resolves everything remotely. /d holds
+   a, b and c. *)
+let rewarm_world ?kconfig () =
+  let w = asym_world ?kconfig () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  ignore (Kernel.mkdir k0 p0 "/d");
+  List.iter (fun n -> ignore (Kernel.creat k0 p0 ("/d/" ^ n))) [ "a"; "b"; "c" ];
+  ignore (World.settle w);
+  w
+
+(* Every lookup [site] serves from now on, with its reply, newest first. *)
+let tap_lookups w site =
+  let log = ref [] in
+  let net = World.net w in
+  let serve = Net.Netsim.handler net site in
+  Net.Netsim.set_handler net site (fun ~src req ->
+      let resp = serve ~src req in
+      (match (req, resp) with
+      | Proto.Lookup_req { near; _ }, Proto.R_lookup { trail; _ } ->
+        log := (near, trail) :: !log
+      | _ -> ());
+      resp);
+  log
+
+let nears log = List.rev_map fst !log
+
+let neighbours (trail : Proto.lookup_step list) =
+  List.concat_map (fun (s : Proto.lookup_step) -> s.Proto.l_near) trail
+
+let root_of w site = Mount.root (World.kernel w site).K.mount
+
+(* The headline: site 2 used /d/a, /d/b and /d/c, and a merge dropped
+   its whole name cache. The first walk after it asks for the page's
+   other links and files them, so the next two names cost nothing, where
+   each used to cost a round trip of its own. *)
+let test_merge_rewarms_directory () =
+  let w = rewarm_world () in
+  List.iter (fun n -> ignore (resolve_msgs w 2 ("/d/" ^ n))) [ "a"; "b"; "c" ];
+  ignore (World.heal_and_merge w);
+  let k2 = World.kernel w 2 and p2 = World.proc w 2 in
+  check Alcotest.int "the merge dropped every link" 0 (Namecache.length k2.K.name_cache);
+  let log = tap_lookups w 0 in
+  let snap = Stats.snapshot (World.stats w) in
+  check Alcotest.int "/d/a: one round trip" 2 (resolve_msgs w 2 "/d/a");
+  check Alcotest.(list bool) "one lookup, asking for the neighbours" [ true ] (nears log);
+  check Alcotest.int "/d/b: nothing" 0 (resolve_msgs w 2 "/d/b");
+  check Alcotest.int "/d/c: nothing" 0 (resolve_msgs w 2 "/d/c");
+  check Alcotest.int "counted once" 1 (Stats.delta_of (World.stats w) snap "name.rewarm");
+  check Alcotest.int "two neighbours filed" 2
+    (Stats.delta_of (World.stats w) snap "name.rewarm.filed");
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  List.iter
+    (fun n ->
+      let path = "/d/" ^ n in
+      check Alcotest.bool (path ^ " names the storing site's gfile") true
+        (Gfile.equal (Kernel.resolve k2 p2 path) (Kernel.resolve k0 p0 path)))
+    [ "a"; "b"; "c" ]
+
+(* Without a merge nothing changes: a fresh site's first walk asks for
+   no neighbour, gets none, and costs the bytes it always did. *)
+let test_no_merge_no_neighbours () =
+  let w = rewarm_world () in
+  let log = tap_lookups w 0 in
+  let snap = Stats.snapshot (World.stats w) in
+  check Alcotest.int "one round trip" 2 (resolve_msgs w 2 "/d/a");
+  check Alcotest.(list bool) "no neighbours asked for" [ false ] (nears log);
+  List.iter
+    (fun (_, trail) -> check Alcotest.int "none sent" 0 (List.length (neighbours trail)))
+    !log;
+  check Alcotest.int "request and reply bytes, as before" 122
+    (Stats.delta_of (World.stats w) snap "net.bytes")
+
+(* A neighbour is a live link a trail could have carried: never a
+   tombstone, ".", "..", an inode the pack marks deleted, or a record an
+   open session appended past the committed size. *)
+let test_what_a_neighbour_never_is () =
+  let w = rewarm_world () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  Kernel.unlink k0 p0 "/d/b";
+  ignore (World.settle w);
+  let c = Kernel.resolve k0 p0 "/d/c" in
+  let pack = Hashtbl.find k0.K.packs 0 in
+  (Storage.Pack.get_inode pack c.Gfile.ino).Storage.Inode.deleted <- true;
+  let d = Kernel.resolve k0 p0 "/d" in
+  let o = Locus_core.Us.open_gf k0 d Proto.Mode_modify in
+  let size = o.K.o_info.Proto.i_size in
+  Locus_core.Us.write k0 o ~off:size
+    (Catalog.Dir.record
+       { Catalog.Dir.name = "pending"; ino = c.Gfile.ino; ftype = Storage.Inode.Regular;
+         status = Catalog.Dir.Live; stamp = 0.0; origin = 0 });
+  Locus_core.Us.flush_wb k0 o;
+  (match Pathname.handle_lookup k0 (root_of w 0) [ "d"; "a" ] ~near:true with
+  | Proto.R_lookup { consumed = 2; trail = [ _; in_d ]; _ } ->
+    check Alcotest.(list string) "no neighbour in /d" []
+      (List.map (fun (n : Proto.near_link) -> n.Proto.n_name) in_d.Proto.l_near)
+  | _ -> Alcotest.fail "expected a two-step trail");
+  Locus_core.Us.abort k0 o;
+  Locus_core.Us.close k0 o;
+  ignore (Kernel.creat k0 p0 "/d/e");
+  ignore (World.settle w);
+  match Pathname.handle_lookup k0 (root_of w 0) [ "d"; "a" ] ~near:true with
+  | Proto.R_lookup { trail = [ _; in_d ]; _ } ->
+    check Alcotest.(list string) "a live link is one" [ "e" ]
+      (List.map (fun (n : Proto.near_link) -> n.Proto.n_name) in_d.Proto.l_near)
+  | _ -> Alcotest.fail "expected a two-step trail"
+
+(* A neighbour only takes a free slot: with the cache full, a re-warming
+   walk changes the recency list by the trail's own links alone. *)
+let test_neighbour_never_evicts () =
+  let kconfig = { K.default_config with K.name_cache_entries = 6 } in
+  let w = rewarm_world ~kconfig () in
+  ignore (resolve_msgs w 2 "/d/a");
+  ignore (World.heal_and_merge w);
+  let k2 = World.kernel w 2 in
+  let nc = k2.K.name_cache in
+  let other i = Gfile.make ~fg:0 ~ino:(1000 + i) in
+  for i = 1 to 6 do
+    Namecache.insert nc ~dir:(other i) ~comp:"x"
+      { Namecache.nc_child = other (i + 10); nc_vv = Vv.Version_vector.zero;
+        nc_ftype = Storage.Inode.Regular }
+  done;
+  let before = Namecache.keys_mru nc in
+  let log = tap_lookups w 0 in
+  ignore (resolve_msgs w 2 "/d/a");
+  check Alcotest.(list bool) "a re-warming walk" [ true ] (nears log);
+  let root = root_of w 2 and d = Kernel.resolve (World.kernel w 0) (World.proc w 0) "/d" in
+  let expected =
+    [ (d, "a"); (root, "d") ] @ List.filteri (fun i _ -> i < List.length before - 2) before
+  in
+  check Alcotest.bool "the trail's two links in, the two oldest out" true
+    (List.equal
+       (fun (g, c) (g', c') -> Gfile.equal g g' && String.equal c c')
+       expected (Namecache.keys_mru nc))
+
+(* A crash loses the memory of what the cache held, so the first walk
+   after the site rejoins asks for no neighbour. *)
+let test_crash_forgets () =
+  let w = rewarm_world () in
+  ignore (resolve_msgs w 2 "/d/a");
+  ignore (World.heal_and_merge w);
+  let root = root_of w 2 in
+  check Alcotest.bool "the merge noted the root" true
+    (Namecache.wants_rewarm (World.kernel w 2).K.name_cache root);
+  World.crash_site w 2;
+  check Alcotest.bool "the crash forgot it" false
+    (Namecache.wants_rewarm (World.kernel w 2).K.name_cache root);
+  ignore (World.heal_and_merge w);
+  let log = tap_lookups w 0 in
+  check Alcotest.int "one round trip" 2 (resolve_msgs w 2 "/d/a");
+  check Alcotest.(list bool) "no neighbours asked for" [ false ] (nears log)
+
 (* ---- the generic LRU core ---- *)
 
 (* Integer keys; a key's tens digit is its file. *)
@@ -579,6 +732,16 @@ let () =
           Alcotest.test_case "every writer records the type" `Quick test_writers_record_types;
           Alcotest.test_case "a walk ending on .. into a hidden directory expands" `Quick
             test_dotdot_into_hidden_dir_expands;
+        ] );
+      ( "re-warm after a merge",
+        [
+          Alcotest.test_case "a merge re-warms a directory" `Quick
+            test_merge_rewarms_directory;
+          Alcotest.test_case "no merge, no neighbours" `Quick test_no_merge_no_neighbours;
+          Alcotest.test_case "what a neighbour never is" `Quick
+            test_what_a_neighbour_never_is;
+          Alcotest.test_case "a neighbour never evicts" `Quick test_neighbour_never_evicts;
+          Alcotest.test_case "a crash forgets" `Quick test_crash_forgets;
         ] );
       ( "buffer cache",
         [

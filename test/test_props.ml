@@ -116,6 +116,25 @@ let prop_dir_records_in_one_page =
         (fun (start, stop) -> start / Page.size = (stop - 1) / Page.size)
         (record_spans (Dir.encode d)))
 
+(* What a re-warming lookup can hand out: the links each page decodes to,
+   every page of the log taken in turn with the committed size as its
+   limit, are the directory's live entries, no more and no fewer. *)
+let prop_dir_page_links =
+  QCheck.Test.make ~name:"dir page links are the live entries" ~count:200 arb_dir (fun d ->
+      let b = Dir.encode d in
+      let size = String.length b in
+      let links =
+        List.concat_map
+          (fun lpage ->
+            let first = lpage * Page.size in
+            Dir.page_links (Page.of_string ~pos:first b) ~limit:(size - first)
+              (fun name ino ftype acc -> (name, ino, ftype) :: acc)
+              [])
+          (List.init ((size + Page.size - 1) / Page.size) Fun.id)
+      in
+      List.sort compare links
+      = List.map (fun (e : Dir.entry) -> (e.Dir.name, e.Dir.ino, e.Dir.ftype)) (Dir.live_entries d))
+
 (* One dirop on a decoded directory: enter a new name, remove a live one,
    or enter a tombstoned one again. Past the old end the file reads as
    zeroes, so the comparison zero-extends the old encoding. The same
@@ -1454,6 +1473,7 @@ let props =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_dir_codec;
+      prop_dir_page_links;
       prop_dir_records_in_one_page;
       prop_dir_one_page_change;
       prop_dir_decode_rejects_damage;

@@ -429,6 +429,36 @@ let test_inventory_forms () =
          (4, vv_small, Storage.Inode.Hidden_directory, false);
        ])
 
+(* A lookup names its components at one length byte each; asking for the
+   neighbours costs one flag byte, only when asked. A reply step costs the
+   two gfiles, the directory's version and a type byte, and each
+   neighbour link 7 bytes plus its name: the step's directory and version
+   are shared. *)
+let test_lookup_forms () =
+  let lookup near = Proto.req_bytes (Proto.Lookup_req { gf; comps = [ "d"; "ab" ]; near }) in
+  check Alcotest.int "lookup" (24 + 8 + 2 + 3) (lookup false);
+  check Alcotest.int "lookup asking for the neighbours" (24 + 8 + 2 + 3 + 1) (lookup true);
+  let link n_name = { Proto.n_name; n_ino = 9; n_ftype = Storage.Inode.Regular } in
+  let reply near =
+    Proto.resp_bytes
+      (Proto.R_lookup
+         {
+           gf;
+           consumed = 2;
+           trail =
+             [
+               { Proto.l_dir = gf; l_vv = vv_small; l_child = gf;
+                 l_ftype = Storage.Inode.Directory; l_near = [] };
+               { Proto.l_dir = gf; l_vv = vv_small; l_child = gf;
+                 l_ftype = Storage.Inode.Regular; l_near = near };
+             ];
+         })
+  in
+  let base = 24 + 8 + 4 + (2 * (16 + 8 + 1)) in
+  check Alcotest.int "reply" base (reply []);
+  check Alcotest.int "reply with neighbours" (base + (7 + 1) + (7 + 5))
+    (reply [ link "b"; link "carol" ])
+
 let test_errno_strings () =
   List.iter
     (fun e ->
@@ -458,6 +488,7 @@ let () =
           Alcotest.test_case "sender-free forms" `Quick test_sender_free_forms;
           Alcotest.test_case "commit notification forms" `Quick test_commit_notify_forms;
           Alcotest.test_case "inventory forms" `Quick test_inventory_forms;
+          Alcotest.test_case "lookup forms" `Quick test_lookup_forms;
           Alcotest.test_case "errno strings" `Quick test_errno_strings;
         ] );
     ]
