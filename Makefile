@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke soak soak-smoke simdiff loc unused check lint fmt clean
+.PHONY: all build test bench bench-smoke soak soak-smoke simdiff baseline baseline-write loc unused check lint fmt clean
 
 all: build
 
@@ -92,6 +92,19 @@ simdiff:
 		python3 bench/simdiff.py --parent "$$dir" $(SIMDIFF_WORKLOADS); \
 	fi
 
+# The simulated-number gate: the numbers `simdiff` collects (every workload
+# at seeds 1 and 2, --seconds 1, --traced) for this tree against the
+# committed bench/baseline/sim.json. It fails, printing every key that
+# moved, baseline -> this tree. A change that moves a key on purpose
+# rewrites the file in the same diff with `make baseline-write` and says
+# why. WORKLOADS limits either target to those workloads.
+SIM_BASELINE = bench/baseline/sim.json
+baseline:
+	@python3 bench/simdiff.py --baseline $(SIM_BASELINE) $(SIMDIFF_WORKLOADS)
+
+baseline-write:
+	python3 bench/simdiff.py --write-baseline $(SIM_BASELINE) $(SIMDIFF_WORKLOADS)
+
 # Source size: the .ml + .mli line count of lib/, bench/ and test/, the
 # figures a change that deletes code quotes before and after. With PARENT,
 # each line gives that checkout's count, this tree's and the difference.
@@ -139,8 +152,9 @@ lint:
 	fi
 
 # Everything a change must pass before review: warning-clean build, no
-# export only its own module names, tests, and (when ocamlformat is
-# installed) formatting.
+# export only its own module names, tests, the experiment and soak smokes,
+# no simulated number moved from the committed baseline, and (when
+# ocamlformat is installed) formatting.
 check: lint
 	@out=$$($(MAKE) --no-print-directory -s unused); \
 	if [ -n "$$out" ]; then \
@@ -153,6 +167,7 @@ check: lint
 	dune runtest
 	$(MAKE) bench-smoke
 	$(MAKE) soak-smoke
+	$(MAKE) baseline
 	@if command -v ocamlformat >/dev/null 2>&1; then \
 		dune build @fmt; \
 	else \

@@ -2,11 +2,17 @@
 """Diff locus-bench's simulated numbers between two checkouts.
 
     python3 bench/simdiff.py --parent DIR [--workloads W[,W...]]
+    python3 bench/simdiff.py --baseline FILE [--workloads W[,W...]]
+    python3 bench/simdiff.py --write-baseline FILE [--workloads W[,W...]]
 
 Builds benchmark/locus_bench.exe in DIR and in the tree this script
 lives in, runs every workload (or only those --workloads names, in the
 order given) at seeds 1 and 2 with --seconds 1
---traced on both, and prints each simulated number that moved: parent -> change, with the ratio. Simulated numbers are
+--traced on both, and prints each simulated number that moved: parent -> change, with the ratio.
+With --baseline the old side is FILE, a committed set of the same numbers
+(bench/baseline/sim.json), and only this tree is built and run;
+--write-baseline runs this tree and writes its numbers to FILE, replacing
+only the workloads run. Simulated numbers are
 `correct`, `attempted`, `failed`, every end-to-end metric except the
 host ones (host_ops_per_s, setup_s, heap_peak_mb), every `layers` entry,
 and the simulated boundary counts and means of the trace (`*.calls`,
@@ -64,9 +70,32 @@ def simulated(root, workload, seed):
     return out
 
 
+def load(path):
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError) as e:
+        fail("cannot read baseline %s: %s" % (path, e))
+
+
+def write_baseline(path, workloads):
+    build(CHANGE)
+    base = load(path) if os.path.exists(path) else {}
+    for w in workloads:
+        base[w] = {str(seed): simulated(CHANGE, w, seed) for seed in SEEDS}
+    with open(path, "w") as f:
+        json.dump(base, f, indent=1, sort_keys=True)
+        f.write("\n")
+    print("simdiff: wrote %s (%s)" % (path, ",".join(workloads)))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", required=True, help="checkout to compare against")
+    old_side = ap.add_mutually_exclusive_group(required=True)
+    old_side.add_argument("--parent", help="checkout to compare against")
+    old_side.add_argument("--baseline", metavar="FILE", help="baseline file to compare against")
+    old_side.add_argument("--write-baseline", metavar="FILE",
+                          help="write this tree's numbers to FILE instead of comparing")
     ap.add_argument("--workloads", default=",".join(WORKLOADS),
                     help="comma-separated workloads to run (default: all five)")
     args = ap.parse_args()
@@ -75,13 +104,28 @@ def main():
     if unknown or not workloads:
         fail("unknown workload %s (one of %s)" % (",".join(unknown) or "list",
                                                   ",".join(WORKLOADS)))
-    parent = os.path.abspath(args.parent)
-    for root in (parent, CHANGE):
-        build(root)
+    if args.write_baseline:
+        write_baseline(args.write_baseline, workloads)
+        return
+    if args.parent:
+        parent = os.path.abspath(args.parent)
+        build(parent)
+
+        def old(w, seed):
+            return simulated(parent, w, seed)
+    else:
+        base = load(args.baseline)
+        missing = [w for w in workloads if w not in base]
+        if missing:
+            fail("%s has no %s" % (args.baseline, ",".join(missing)))
+
+        def old(w, seed):
+            return base[w][str(seed)]
+    build(CHANGE)
     moved = 0
     for w in workloads:
         for seed in SEEDS:
-            a = simulated(parent, w, seed)
+            a = old(w, seed)
             b = simulated(CHANGE, w, seed)
             rows = []
             for key in sorted(set(a) | set(b)):
