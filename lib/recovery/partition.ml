@@ -69,14 +69,23 @@ let run_active k =
   done;
   k.recon_stage <- 2;
   let members = Sset.elements !pa in
-  (* Announce the consensus to every member. *)
+  (* Announce the consensus to every member and install it here, the new
+     CSS sites first: a member's cleanup reopens its lost files at the new
+     CSS (section 5.6), which must have rebuilt its tables by then. *)
+  let new_css =
+    List.filter_map
+      (fun fi -> place_css ~fg:fi.fg (List.filter (fun s -> Sset.mem s !pa) fi.pack_sites))
+      k.fg_table
+  in
+  let others = List.filter (fun s -> not (Site.equal s k.site)) members in
+  let first, rest = List.partition (fun s -> List.mem s new_css) (others @ [ k.site ]) in
   List.iter
     (fun s ->
-      if not (Site.equal s k.site) then
+      if Site.equal s k.site then Membership.install k ~members ~merge:false
+      else
         match rpc_result k s (Proto.Part_announce { members }) with
         | Ok _ | Stdlib.Error _ -> ())
-    members;
-  Membership.install k ~members ~merge:false;
+    (first @ rest);
   k.recon_stage <- 0;
   { members; polls = !polls; rounds = !rounds; failures = !failures }
 
