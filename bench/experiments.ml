@@ -9,6 +9,7 @@ module Us = Locus_core.Us
 module Process = Locus_core.Process
 module Pathname = Locus_core.Pathname
 module K = Locus_core.Ktypes
+module Dispatch = Locus_core.Dispatch
 module Stats = Sim.Stats
 module Engine = Sim.Engine
 module Page = Storage.Page
@@ -1159,7 +1160,7 @@ let e17 () =
             Hashtbl.replace runs tag n;
             if n = 1 then Net.Netsim.fail_next_message net ~src:site ~dst:src
           | _ -> ());
-          k.K.dispatch src req))
+          Dispatch.handle k ~src req))
     [ 0; 1 ];
   let snap = Stats.snapshot stats in
   let d name = Stats.delta_of stats snap name in
@@ -1172,7 +1173,7 @@ let e17 () =
   List.iter
     (fun site ->
       let k = World.kernel w site in
-      Net.Netsim.set_handler net site (fun ~src req -> k.K.dispatch src req))
+      Net.Netsim.set_handler net site (fun ~src req -> Dispatch.handle k ~src req))
     [ 0; 1 ];
   (* Settle first: site 3's read lease dies only when the CSS's one-way
      break arrives. *)

@@ -135,8 +135,8 @@ let micro_tests () =
   in
   (* The next two run with trace recording off, as locus-bench runs: a
      writer at a packless site overwriting one page of a 2-copy file and
-     committing it, and one bare round trip through [Rpc] and [Netsim]
-     to an echo handler. *)
+     committing it, and one bare round trip through [Netsim] to an echo
+     handler. *)
   let ww = Experiments.make_world ~n:4 ~packs:[ 0; 1 ] () in
   Sim.Trace.set_recording (Sim.Engine.trace (World.engine ww)) false;
   let kw0 = World.kernel ww 0 and pw0 = World.proc ww 0 in
@@ -155,14 +155,21 @@ let micro_tests () =
   in
   let engine = Sim.Engine.create () in
   Sim.Trace.set_recording (Sim.Engine.trace engine) false;
-  let net = Net.Netsim.create engine (Net.Topology.create ~n:2) Net.Latency.default in
+  let net =
+    Net.Netsim.create engine (Net.Topology.create ~n:2) Net.Latency.default
+      {
+        Net.Netsim.tag = (fun _ -> "read");
+        req_bytes = (fun _ -> 40);
+        resp_bytes = (fun _ -> 40);
+        idempotent = (fun _ -> false);
+        is_error = (fun _ -> false);
+        policy = (fun _ -> Net.Netsim.default_policy);
+      }
+  in
   Net.Netsim.set_handler net 1 (fun ~src:_ req -> req);
   let rpc_round_trip =
     Test.make ~name:"rpc round trip"
-      (Staged.stage (fun () ->
-           ignore
-             (Net.Rpc.call net ~tag:"read" ~src:0 ~dst:1 ~req_bytes:40
-                ~resp_bytes:(fun _ -> 40) 0)))
+      (Staged.stage (fun () -> ignore (Net.Netsim.call net ~src:0 ~dst:1 0)))
   in
   (* Pathname resolution at a packless site, trace recording off: a walk
      of three components served by the name cache, and the same walk

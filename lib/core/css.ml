@@ -143,10 +143,12 @@ let break_leases k gf (f : css_file) =
     record k ~tag:"css.lease.break" "%a -> [%a]" Gfile.pp gf pp_sites holders;
     List.iter
       (fun h ->
-        if Site.equal h k.site then
-          (* In process: a remote holder gets a one-way notify, a
-             collocated one its break synchronously. *)
-          ignore (k.dispatch k.site (Proto.Lease_break { gf }))
+        if Site.equal h k.site then begin
+          (* A remote holder gets a one-way notify; a collocated one
+             drops its grant here, synchronously, as its message would. *)
+          record k ~tag:"us.lease.breakcb" "%a" Gfile.pp gf;
+          Openlease.kill k.open_leases gf
+        end
         else notify k h (Proto.Lease_break { gf }))
       holders
   end

@@ -261,8 +261,8 @@ type pull = {
 
 (* ---- the kernel ---- *)
 
-(* Counters the per-page paths bump, resolved once (see Netsim's
-   [hot_stats]): [Stats.incr] hashes its name on every call. *)
+(* Counters the per-page paths bump, resolved once, as the transport's
+   are: [Stats.incr] hashes its name on every call. *)
 type hot_counters = {
   hc_us_hit : Sim.Stats.counter;  (* cache.us.hit *)
   hc_us_miss : Sim.Stats.counter; (* cache.us.miss *)
@@ -306,8 +306,6 @@ type t = {
   procs : (int, proc) Hashtbl.t;
   pipe_bufs : string ref Gfile.Tbl.t; (* SS-side fifo contents *)
   mutable next_serial : int;
-  mutable dispatch : Site.t -> Proto.req -> Proto.resp;
-  (* local fast path into this kernel's own message handler *)
   mutable extra_handler : Site.t -> Proto.req -> Proto.resp option;
   (* reconfiguration-protocol handlers, installed by the recovery layer *)
   mutable site_table : Site.t list; (* believed-up sites: this site's partition *)
@@ -428,10 +426,8 @@ let fresh_serial k =
    The transport makes a call to this site a procedure call (section
    2.3.2). *)
 let rpc_result k dst req =
-  if not k.alive then Stdlib.Error (Net.Rpc.Unreachable { src = k.site; dst; attempts = 0 })
-  else
-    Net.Rpc.call k.net ~policy:(Proto.req_policy req) ~tag:(Proto.req_tag req) ~src:k.site
-      ~dst ~req_bytes:(Proto.req_bytes req) ~resp_bytes:Proto.resp_bytes req
+  if not k.alive then Stdlib.Error (Net.Netsim.Unreachable { src = k.site; dst; attempts = 0 })
+  else Net.Netsim.call k.net ~src:k.site ~dst req
 
 (* Raising variant for the protocol paths where any transport failure means
    the operation fails with a network error. *)
@@ -439,7 +435,7 @@ let rpc k dst req =
   if not k.alive then err Proto.Enet "site %a is down" Site.pp k.site;
   match rpc_result k dst req with
   | Ok resp -> resp
-  | Stdlib.Error e -> err Proto.Enet "%a" Net.Rpc.pp_error e
+  | Stdlib.Error e -> err Proto.Enet "%a" Net.Netsim.pp_error e
 
 (* Send a close leg. A destination outside this site's partition is left
    to membership cleanup, which owns the state (section 5.6). A close that
@@ -461,7 +457,7 @@ let rec park_close k dst req ~tries =
         if k.alive && in_partition k dst then begin
           Sim.Stats.incr (Engine.stats k.engine) "net.close.park_retry";
           match rpc_result k dst req with
-          | Stdlib.Error (Net.Rpc.Unreachable _) -> park_close k dst req ~tries:(tries + 1)
+          | Stdlib.Error (Net.Netsim.Unreachable _) -> park_close k dst req ~tries:(tries + 1)
           | Ok _ | Stdlib.Error _ -> ()
         end)
 
@@ -470,17 +466,14 @@ let send_close k dst req =
   else
     match rpc_result k dst req with
     | Ok resp -> resp
-    | Stdlib.Error (Net.Rpc.Unreachable _) ->
+    | Stdlib.Error (Net.Netsim.Unreachable _) ->
       park_close k dst req ~tries:0;
       Proto.R_ok
     | Stdlib.Error _ -> Proto.R_ok
 
 (* One-way notification; losses are silent (the commit protocol tolerates
    them: recovery reconciles). *)
-let notify k dst req =
-  if k.alive then
-    Net.Rpc.send k.net ~tag:(Proto.req_tag req) ~src:k.site ~dst
-      ~bytes:(Proto.req_bytes req) req
+let notify k dst req = if k.alive then Net.Netsim.send k.net ~src:k.site ~dst req
 
 (* SS serving state, shared by the SS handlers and the CSS (which
    registers a remote using site when it selects itself). *)

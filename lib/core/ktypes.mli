@@ -298,8 +298,6 @@ type t = {
   procs : (int, proc) Hashtbl.t;
   pipe_bufs : string ref Gfile.Tbl.t;
   mutable next_serial : int;
-  mutable dispatch : Site.t -> Proto.req -> Proto.resp;
-      (** local fast path into this kernel's own message handler *)
   mutable extra_handler : Site.t -> Proto.req -> Proto.resp option;
       (** reconfiguration handlers, installed by the recovery layer *)
   mutable site_table : Site.t list; (** believed-up sites: this partition *)
@@ -380,14 +378,14 @@ val ss_dir_carry : t -> Gfile.t -> old_vv:Vvec.t -> vv:Vvec.t -> unit
 
 val fresh_serial : t -> int
 
-val rpc_result : t -> Site.t -> Proto.req -> (Proto.resp, Net.Rpc.rpc_error) result
-(** Remote procedure call to another kernel through the {!Net.Rpc}
-    transport layer, under the request's retry policy
-    ({!Proto.req_policy}); the transport makes a call to this site a
-    procedure call (§2.3.2). Returns the typed transport error; callers
-    that can tolerate or interpret failure (close paths, recovery polls,
-    token reclamation) match on it. If this kernel is down the error
-    carries [attempts = 0]. *)
+val rpc_result : t -> Site.t -> Proto.req -> (Proto.resp, Net.Netsim.error) result
+(** Remote procedure call to another kernel through the {!Net.Netsim}
+    transport, under the request's retry policy ({!Proto.protocol}); the
+    transport makes a call to this site a procedure call (§2.3.2).
+    Returns the typed transport error; callers that can tolerate or
+    interpret failure (close paths, recovery polls, token reclamation)
+    match on it. If this kernel is down the error carries
+    [attempts = 0]. *)
 
 val rpc : t -> Site.t -> Proto.req -> Proto.resp
 (** Like {!rpc_result}, but any transport failure raises [ENET] — for the

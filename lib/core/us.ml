@@ -217,9 +217,9 @@ and open_cold ~shared ~asks k fi gf mode =
   match rpc_result k fi.css_site (Proto.Open_req { gf; mode; us_vv; shared; want; release }) with
   | Stdlib.Error e ->
     (match (e, victim) with
-    | Net.Rpc.Unreachable _, Some v -> lease_send_close k v
-    | (Net.Rpc.Unreachable _ | Net.Rpc.Lost_reply _), _ -> ());
-    err Proto.Enet "%a" Net.Rpc.pp_error e
+    | Net.Netsim.Unreachable _, Some v -> lease_send_close k v
+    | (Net.Netsim.Unreachable _ | Net.Netsim.Lost_reply _), _ -> ());
+    err Proto.Enet "%a" Net.Netsim.pp_error e
   | Ok (Proto.R_open { ss; info; others; nocache; slot; lease; pages }) ->
     let info =
       match info with

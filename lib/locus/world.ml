@@ -105,9 +105,7 @@ let root_dir_content () =
 let create ?(config = default_config ()) () =
   let engine = Engine.create ~seed:config.seed () in
   let topo = Topology.create ~n:config.n_sites in
-  let net = Netsim.create engine topo config.latency in
-  Netsim.set_error_classifier net (function Proto.R_err _ -> true | _ -> false);
-  Netsim.set_idempotent_classifier net Proto.req_idempotent;
+  let net = Netsim.create engine topo config.latency Proto.protocol in
   let root_spec =
     match List.find_opt (fun s -> s.mount_path = None) config.filegroups with
     | Some s -> s

@@ -1,74 +1,79 @@
-(** Kernel-to-kernel message layer.
+(** Kernel-to-kernel transport.
 
     LOCUS uses specialized, minimal protocols: a remote service request is a
     single message and a single response, with no acknowledgements or flow
-    control underneath (§2.3.3). We model that directly: {!call} is a
-    synchronous request/response exchange that charges simulated time for
-    both messages and runs the destination site's handler in between;
-    {!send} is a one-way datagram (used for commit notifications and the
-    reconfiguration polls).
+    control underneath (§2.3.3). The response is the acknowledgement, and
+    recovery from a loss is the requesting kernel's resend. This module is
+    that whole exchange: {!call} is a synchronous request/response that
+    charges simulated time for both messages and runs the destination
+    site's handler in between, resending under the request's retry policy;
+    {!send} is a one-way datagram (commit notifications, lease breaks).
+
+    A call names only its sites and its request. Everything else the
+    transport needs to know about a request or a response (its tag, its
+    wire size, whether it is harmless to run twice, whether a response is
+    an error, its retry policy) comes from the {!protocol} given to
+    {!create}.
+
+    What makes a resend harmless lives here, as the virtual circuits'
+    sequence numbers do in LOCUS (§5.1): every call carries one id across
+    its attempts, and for each (receiver, sender) pair the receiver keeps
+    the last state-changing call's id and reply, so a resend of that call
+    is answered without running the handler again.
 
     The layer keeps no connection state: a lost message fails the one
-    exchange it belongs to, and nothing else. Noticing that a site is
-    gone is the partition protocol's job (§5.4), not the transport's.
-
-    One exchange is one attempt. Retry and backoff policy, typed transport
-    errors, and per-call accounting live one layer up in {!Rpc}, which is
-    what every kernel path goes through. What makes its resends harmless
-    lives here, as the virtual circuits' sequence numbers do in LOCUS
-    (§5.1): every call carries an id, and for each (receiver, sender) pair
-    the receiver keeps the last state-changing call's id and reply, so a
-    resend of that call is answered without running the handler again. *)
+    attempt it belongs to, and nothing else. Noticing that a site is gone
+    is the partition protocol's job (§5.4), not the transport's. *)
 
 type ('req, 'resp) t
 
-(** Why a single exchange failed. [Request_lost]: the request never reached
-    the destination (site down, link down, or injected loss) — the handler
-    did not run. [Reply_lost]: the handler ran (any side effect happened)
-    but the response was lost on the way back; a resend of a
-    state-changing call is answered from the receiver's kept reply, not
-    run again. *)
-type failure = Request_lost | Reply_lost
-
-val pp_failure : Format.formatter -> failure -> unit
-
-val create : Sim.Engine.t -> Topology.t -> Latency.t -> ('req, 'resp) t
-
-(** {1 Pre-resolved stat handles}
-
-    Message accounting used to build counter names (["net.msg." ^ tag],
-    ["rpc.latency." ^ tag], ...) on every message — a string allocation
-    and hash per event on the delivery path. Tags form a small static set
-    (one per protocol message class, {!Proto.req_tag}), so the network
-    interns one handle record per tag and the fixed global counters once
-    per network; {!Rpc} and the hot entry points below then update cells
-    directly. *)
-
-type tag_stats = {
-  ts_msg : Sim.Stats.counter option;
-      (** ["net.msg.<tag>"]; [None] on the untagged sentinel, which counts
-          no per-tag messages (untagged calls never did) *)
-  ts_latency : Sim.Stats.histogram;  (** ["rpc.latency.<tag>"] *)
-  ts_retry : Sim.Stats.counter;      (** ["rpc.retry.<tag>"] *)
+(** A retry policy. *)
+type policy = {
+  max_attempts : int;  (** Total attempts, including the first (>= 1). *)
+  backoff : float list;
+      (** Delay in simulated ms before retry [i] ([backoff]'s last entry
+          repeats if there are more retries than entries; empty = no delay).
+          Charged to the simulation clock. *)
 }
 
-val tag_stats : ('req, 'resp) t -> string -> tag_stats
-(** The interned handle record for a tag, created on first use. *)
+val probe : policy
+(** Single attempt. For failure-detection polls where unreachability is the
+    answer, not an error to mask. *)
 
-type hot_stats = {
-  hs_msg : Sim.Stats.counter;
-  hs_bytes : Sim.Stats.counter;
-  hs_send_err : Sim.Stats.counter;
-  hs_rpc_call : Sim.Stats.counter;
-  hs_rpc_send : Sim.Stats.counter;
-  hs_rpc_retry : Sim.Stats.counter;
-  hs_rpc_recovered : Sim.Stats.counter;
-  hs_rpc_fail : Sim.Stats.counter;
-  hs_rpc_replay : Sim.Stats.counter;
+val default_policy : policy
+(** Three attempts, backoff [0.5; 2.0; 8.0] ms. For every request but the
+    probes. *)
+
+(** What the transport knows about the protocol it carries, each fact a
+    function of the request or the response. *)
+type ('req, 'resp) protocol = {
+  tag : 'req -> string;
+      (** The message class: names the ["net.msg.<tag>"],
+          ["rpc.latency.<tag>"] and ["rpc.retry.<tag>"] stats. *)
+  req_bytes : 'req -> int;  (** Wire size of a request. *)
+  resp_bytes : 'resp -> int;  (** Wire size of a response. *)
+  idempotent : 'req -> bool;
+      (** Harmless to run twice: the receiver keeps no reply for it. *)
+  is_error : 'resp -> bool;
+      (** An error response, counted under ["net.send.err"] when {!send}
+          discards it. *)
+  policy : 'req -> policy;  (** The call's retry policy. *)
 }
 
-val hot_stats : ('req, 'resp) t -> hot_stats
-(** The transport stack's fixed counters, resolved at {!create}. *)
+(** Why a call failed. *)
+type error =
+  | Unreachable of { src : Site.t; dst : Site.t; attempts : int }
+      (** No attempt's request reached [dst]: the destination handler never
+          ran. [attempts = 0] means the calling site itself was down and
+          nothing was sent. *)
+  | Lost_reply of { src : Site.t; dst : Site.t; attempts : int }
+      (** Some attempt's request was delivered and processed, but no reply
+          came back. Remote state may have changed, once. *)
+
+val pp_error : Format.formatter -> error -> unit
+
+val create :
+  Sim.Engine.t -> Topology.t -> Latency.t -> ('req, 'resp) protocol -> ('req, 'resp) t
 
 val engine : ('req, 'resp) t -> Sim.Engine.t
 
@@ -79,84 +84,40 @@ val latency : ('req, 'resp) t -> Latency.t
 val set_handler : ('req, 'resp) t -> Site.t -> (src:Site.t -> 'req -> 'resp) -> unit
 (** Install the kernel dispatch function for a site. *)
 
-val handler : ('req, 'resp) t -> Site.t -> src:Site.t -> 'req -> 'resp
-(** The site's installed dispatch function: what a delivered message runs,
-    and what {!Rpc.call} runs in process for a collocated call. Raises
-    [Invalid_argument] when the site has none. *)
-
-val set_error_classifier : ('req, 'resp) t -> ('resp -> bool) -> unit
-(** Teach the layer which responses denote errors, so {!send} can count the
-    error responses it silently discards (under ["net.send.err"]). Default:
-    nothing is an error. *)
-
-val set_idempotent_classifier : ('req, 'resp) t -> ('req -> bool) -> unit
-(** Teach the layer which requests are harmless to run twice, so it keeps
-    no reply for them. Default: none is, and every reply is kept. *)
-
-val fresh_call_id : ('req, 'resp) t -> int
-(** The next call id, from one counter per network: ids are never reused,
-    so a site that restarts cannot match a reply kept before its crash. *)
-
 val forget_replies : ('req, 'resp) t -> Site.t -> unit
 (** Drop every reply the site keeps as a receiver: its crash loses them. *)
 
-val call :
-  ('req, 'resp) t ->
-  ?tag:string ->
-  src:Site.t ->
-  dst:Site.t ->
-  req_bytes:int ->
-  resp_bytes:('resp -> int) ->
-  'req ->
-  ('resp, failure) result
-(** Synchronous exchange between two sites, one attempt, under a fresh
-    call id: it counts two messages (request and response) and charges
-    their wire cost. On failure the typed failure is returned. A call
-    between collocated roles is no exchange: {!Rpc.call} makes it a
-    procedure call and never comes here. *)
+val call : ('req, 'resp) t -> src:Site.t -> dst:Site.t -> 'req -> ('resp, error) result
+(** Synchronous request/response. When [src = dst] the roles are
+    collocated and the call is a procedure call (§2.3.2): [dst]'s handler
+    runs in process, the clock is charged {!Latency.local_call}, and
+    nothing else happens: no message, no retry, no kept reply, no span,
+    no sample, no counter. It cannot fail. This is the one place the
+    system decides whether a call is local.
 
-val call_tagged :
-  ('req, 'resp) t ->
-  ts:tag_stats ->
-  id:int ->
-  src:Site.t ->
-  dst:Site.t ->
-  req_bytes:int ->
-  resp_bytes:('resp -> int) ->
-  'req ->
-  ('resp, failure) result
-(** {!call} with the tag already resolved to its handles, as attempt of
-    call [id] — the hash-free entry point {!Rpc.call} uses. A remote
-    state-changing request whose [id] matches the receiver's kept reply
-    from [src] gets that reply (counted as ["rpc.replay"]) and its handler
-    does not run. Any other request drops the kept reply, since its sender
-    has moved on; the handler runs, and a state-changing request's reply
-    is kept. One entry per pair suffices while a sender has one call in
-    flight to a receiver: a call is synchronous, and the simulated clock
-    runs no events between an attempt and its resend. *)
+    Otherwise the call runs under the request's policy, every attempt
+    under one call id; ids are never reused, so a site that restarts
+    cannot match a reply kept before its crash. An attempt whose request
+    is lost never ran the handler; one whose reply is lost did, and a
+    resend of a state-changing request is answered from the receiver's
+    kept reply. Any other request from the same sender drops the kept
+    reply. Each message delivered counts under ["net.msg"],
+    ["net.msg.<tag>"] and ["net.bytes"] and charges its wire cost. The
+    call opens a trace span (tag ["rpc"]) covering all attempts and
+    records a sample in the ["rpc.latency.<tag>"] histogram on every
+    outcome. Counters: ["rpc.call"], ["rpc.retry"] (and
+    ["rpc.retry.<tag>"]), ["rpc.recovered"] (succeeded after >= 1 retry),
+    ["rpc.replay"] (answered from a kept reply), ["rpc.fail"] (and
+    ["rpc.fail.unreachable"] / [".lost_reply"]). Backoff delays are
+    charged to the simulated clock. *)
 
-val send_tagged :
-  ('req, 'resp) t ->
-  ts:tag_stats ->
-  src:Site.t ->
-  dst:Site.t ->
-  bytes:int ->
-  'req ->
-  unit
-(** {!send} with the tag already resolved to its handles. *)
-
-val send :
-  ('req, 'resp) t ->
-  ?tag:string ->
-  src:Site.t ->
-  dst:Site.t ->
-  bytes:int ->
-  'req ->
-  unit
-(** One-way datagram, delivered asynchronously via the engine queue. The
-    handler's response is discarded; responses the error classifier flags
-    are counted under ["net.send.err"]. Delivery is checked at delivery
-    time; a failed delivery is silent. *)
+val send : ('req, 'resp) t -> src:Site.t -> dst:Site.t -> 'req -> unit
+(** One-way, best-effort datagram, delivered asynchronously via the engine
+    queue (counts ["rpc.send"]). No retries: one-way messages in LOCUS
+    (commit notifications, update propagation hints) are designed to be
+    safely lost. Delivery is checked at delivery time; a failed delivery
+    is silent. The handler's response is discarded; error responses are
+    counted under ["net.send.err"]. *)
 
 val set_drop_probability : ('req, 'resp) t -> float -> unit
 (** Inject random message loss (checked per message). *)

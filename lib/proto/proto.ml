@@ -613,5 +613,15 @@ let req_idempotent = function
 let req_policy = function
   | Part_poll | Part_announce _ | Merge_poll _ | Merge_announce _
   | Status_check ->
-    Net.Rpc.probe
-  | _ -> Net.Rpc.default_policy
+    Net.Netsim.probe
+  | _ -> Net.Netsim.default_policy
+
+let protocol =
+  {
+    Net.Netsim.tag = req_tag;
+    req_bytes;
+    resp_bytes;
+    idempotent = req_idempotent;
+    is_error = (function R_err _ -> true | _ -> false);
+    policy = req_policy;
+  }

@@ -430,14 +430,13 @@ val resp_bytes : resp -> int
 val req_tag : req -> string
 (** Short label for per-category message statistics. *)
 
-val req_idempotent : req -> bool
-(** Whether running the request twice has the effect of running it once
+val protocol : (req, resp) Net.Netsim.protocol
+(** What the transport knows about these messages: {!req_tag},
+    {!req_bytes}, {!resp_bytes}; [R_err] is an error response; a request
+    is idempotent when running it twice has the effect of running it once
     (reads, queries, token traffic, absolutely positioned writes,
-    re-sendable notifications). The transport keeps no reply for these
-    ({!Net.Netsim.set_idempotent_classifier}); it keeps the reply of every
-    other request, so a resend is answered without running it again. *)
-
-val req_policy : req -> Net.Rpc.policy
-(** Transport retry policy: {!Net.Rpc.probe} for the §5 reconfiguration
-    polls — those must not retry, since unreachability is their answer —
-    and {!Net.Rpc.default_policy} for everything else. *)
+    re-sendable notifications), and the transport keeps the reply of every
+    other request, so a resend is answered without running it again; the
+    retry policy is {!Net.Netsim.probe} for the §5 reconfiguration polls,
+    which must not retry since unreachability is their answer, and
+    {!Net.Netsim.default_policy} for everything else. *)

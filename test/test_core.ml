@@ -7,6 +7,7 @@ module Kernel = Locus_core.Kernel
 module Us = Locus_core.Us
 module Pathname = Locus_core.Pathname
 module K = Locus_core.Ktypes
+module Dispatch = Locus_core.Dispatch
 module Stats = Sim.Stats
 module Dir = Catalog.Dir
 module Inode = Storage.Inode
@@ -122,7 +123,7 @@ let test_open_us_is_ss_two_messages () =
     (fun site ->
       let k = World.kernel w site in
       Net.Netsim.set_handler (World.net w) site (fun ~src req ->
-          let resp = k.K.dispatch src req in
+          let resp = Dispatch.handle k ~src req in
           exchanges := (req, resp) :: !exchanges;
           resp))
     (World.sites w);
@@ -137,7 +138,9 @@ let test_open_us_is_ss_two_messages () =
       (Proto.resp_bytes resp);
     check Alcotest.int "exchange bytes"
       (Proto.req_bytes req + Proto.resp_bytes resp)
-      (Stats.delta_of (stats w) snap "net.bytes")
+      (Stats.delta_of (stats w) snap "net.bytes");
+    check Alcotest.int "two messages of the request's class" 2
+      (Stats.delta_of (stats w) snap ("net.msg." ^ Proto.req_tag req))
   | _ -> Alcotest.fail "expected one open exchange whose reply carries no inode");
   let registrations () =
     match K.ss_find_open k1 gf with
@@ -317,7 +320,7 @@ let test_cross_open_cache_retention () =
       { gf; vv; meta_only = false; modified = []; origin = 0; fresh = false;
         deleted = false; designate = false; carried = None }
   in
-  ignore (k3.K.dispatch 0 notify);
+  ignore (Dispatch.handle k3 ~src:0 notify);
   check Alcotest.bool "current version kept" true
     (K.Us_cache.mem k3.K.us_cache (gf, 0, K.Committed vv));
   check Alcotest.bool "stale US entry dropped" false
@@ -341,7 +344,7 @@ let test_read_bytes_zero_fills_short_page () =
       match req with
       | Proto.Read_pages { first = 1; count = 1; _ } ->
         Proto.R_pages { pages = [ "XY" ]; eof = false; info = None }
-      | _ -> k0.K.dispatch src req);
+      | _ -> Dispatch.handle k0 ~src req);
   let k3 = World.kernel w 3 in
   let o = Us.open_gf k3 (gf_of k3 "/sparse") Proto.Mode_read in
   let data = Us.read_bytes k3 o ~off:0 ~len:(3 * ps) in
@@ -433,7 +436,7 @@ let test_record_patch_writes_one_page () =
       | Proto.Commit_notify { gf; modified; _ } when Catalog.Gfile.equal gf dir_gf ->
         written := modified;
         Proto.R_ok
-      | _ -> (World.kernel w 4).K.dispatch src req);
+      | _ -> Dispatch.handle (World.kernel w 4) ~src req);
   let update op =
     let snap = Stats.snapshot (stats w) in
     (match
@@ -817,12 +820,12 @@ let arm_loss w ~site ~peer ~reply picks =
         incr runs;
         if reply && !runs = 1 then Net.Netsim.fail_next_message net ~src:site ~dst:peer
       end;
-      k.K.dispatch src req);
+      Dispatch.handle k ~src req);
   runs
 
 let disarm w site =
   let k = World.kernel w site in
-  Net.Netsim.set_handler (World.net w) site (fun ~src req -> k.K.dispatch src req)
+  Net.Netsim.set_handler (World.net w) site (fun ~src req -> Dispatch.handle k ~src req)
 
 (* The transport's share of a lost message: one resend, answered from the
    kept reply when the reply was what got lost, and one run. *)
@@ -1095,7 +1098,7 @@ let test_rename_lost_entry_is_eio () =
   Net.Netsim.set_handler (World.net w) 0 (fun ~src req ->
       match req with
       | Proto.Dir_intent _ when (incr intents; !intents = 3) -> Proto.R_err Proto.Enet
-      | _ -> k0.K.dispatch src req);
+      | _ -> Dispatch.handle k0 ~src req);
   (match Kernel.rename k3 p3 ~from_path:"/d1/a" ~to_path:"/d2/b" with
   | () -> Alcotest.fail "the rename succeeded"
   | exception K.Error (Proto.Eio, msg) ->
@@ -1176,7 +1179,7 @@ let test_stale_css_detected () =
   let gf = gf_of k0 "/s" in
   let k3 = World.kernel w 3 in
   match
-    k3.K.dispatch 0
+    Dispatch.handle k3 ~src:0
       (Proto.Open_req
          { gf; mode = Proto.Mode_read; us_vv = None; shared = false; want = 0; release = None })
   with

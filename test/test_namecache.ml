@@ -8,6 +8,7 @@ module Kernel = Locus_core.Kernel
 module Pathname = Locus_core.Pathname
 module Namecache = Locus_core.Namecache
 module K = Locus_core.Ktypes
+module Dispatch = Locus_core.Dispatch
 module Mount = Catalog.Mount
 module Gfile = Catalog.Gfile
 module Stats = Sim.Stats
@@ -462,9 +463,9 @@ let rewarm_world ?kconfig () =
 let tap_lookups w site =
   let log = ref [] in
   let net = World.net w in
-  let serve = Net.Netsim.handler net site in
+  let k = World.kernel w site in
   Net.Netsim.set_handler net site (fun ~src req ->
-      let resp = serve ~src req in
+      let resp = Dispatch.handle k ~src req in
       (match (req, resp) with
       | Proto.Lookup_req { near; _ }, Proto.R_lookup { trail; _ } ->
         log := (near, trail) :: !log

@@ -60,26 +60,35 @@ let test_topo_version_bumps () =
 
 (* ---- message layer ---- *)
 
+(* A protocol of strings: every message is tagged "test" and sized by its
+   length, "ERR" is an error response, and a call makes one attempt. *)
+let protocol =
+  {
+    Netsim.tag = (fun _ -> "test");
+    req_bytes = String.length;
+    resp_bytes = String.length;
+    idempotent = (fun _ -> false);
+    is_error = String.equal "ERR";
+    policy = (fun _ -> Netsim.probe);
+  }
+
 let make_net n =
   let e = Engine.create () in
   let topo = Topology.create ~n in
-  let net = Netsim.create e topo Latency.default in
+  let net = Netsim.create e topo Latency.default protocol in
   (e, topo, net)
 
 let echo_handler _net site = fun ~src:_ req -> Printf.sprintf "%d:%s" site req
 
 let ok what = function
   | Ok v -> v
-  | Error f -> Alcotest.failf "%s: unexpected failure %a" what Netsim.pp_failure f
+  | Error e -> Alcotest.failf "%s: unexpected failure %a" what Netsim.pp_error e
 
 let test_call_roundtrip () =
   let e, _, net = make_net 2 in
   Netsim.set_handler net 0 (echo_handler net 0);
   Netsim.set_handler net 1 (echo_handler net 1);
-  let resp =
-    ok "roundtrip"
-      (Netsim.call net ~src:0 ~dst:1 ~req_bytes:10 ~resp_bytes:String.length "ping")
-  in
+  let resp = ok "roundtrip" (Netsim.call net ~src:0 ~dst:1 "ping") in
   check Alcotest.string "echoed" "1:ping" resp;
   check Alcotest.int "two messages" 2 (Netsim.messages_sent net);
   check Alcotest.bool "time advanced" true (Engine.now e > 0.0)
@@ -88,24 +97,21 @@ let test_unreachable_fails () =
   let _, topo, net = make_net 2 in
   Netsim.set_handler net 1 (echo_handler net 1);
   Topology.set_link topo 0 1 false;
-  match Netsim.call net ~src:0 ~dst:1 ~req_bytes:1 ~resp_bytes:String.length "x" with
+  match Netsim.call net ~src:0 ~dst:1 "x" with
   | Ok _ -> Alcotest.fail "should be unreachable"
-  | Error Netsim.Request_lost -> ()
-  | Error Netsim.Reply_lost -> Alcotest.fail "handler never ran: must be request-lost"
+  | Error (Netsim.Unreachable _) -> ()
+  | Error (Netsim.Lost_reply _) -> Alcotest.fail "handler never ran: must be unreachable"
 
 let test_forced_failure () =
   let _, _, net = make_net 2 in
   Netsim.set_handler net 1 (echo_handler net 1);
   Netsim.fail_next_message net ~src:0 ~dst:1;
-  (match Netsim.call net ~src:0 ~dst:1 ~req_bytes:1 ~resp_bytes:String.length "a" with
+  (match Netsim.call net ~src:0 ~dst:1 "a" with
   | Ok _ -> Alcotest.fail "forced loss should fail"
-  | Error Netsim.Request_lost -> ()
-  | Error Netsim.Reply_lost -> Alcotest.fail "forced loss is on the request direction");
+  | Error (Netsim.Unreachable _) -> ()
+  | Error (Netsim.Lost_reply _) -> Alcotest.fail "forced loss is on the request direction");
   (* Only the next message is lost. *)
-  let resp =
-    ok "after forced loss"
-      (Netsim.call net ~src:0 ~dst:1 ~req_bytes:1 ~resp_bytes:String.length "b")
-  in
+  let resp = ok "after forced loss" (Netsim.call net ~src:0 ~dst:1 "b") in
   check Alcotest.string "subsequent message delivered" "1:b" resp
 
 let test_lost_reply_distinguished () =
@@ -116,18 +122,17 @@ let test_lost_reply_distinguished () =
       req);
   (* Force the reply direction: the handler runs, the response is lost. *)
   Netsim.fail_next_message net ~src:1 ~dst:0;
-  (match Netsim.call net ~src:0 ~dst:1 ~req_bytes:1 ~resp_bytes:String.length "x" with
+  (match Netsim.call net ~src:0 ~dst:1 "x" with
   | Ok _ -> Alcotest.fail "lost reply should fail"
-  | Error Netsim.Reply_lost -> ()
-  | Error Netsim.Request_lost -> Alcotest.fail "request was delivered");
+  | Error (Netsim.Lost_reply _) -> ()
+  | Error (Netsim.Unreachable _) -> Alcotest.fail "request was delivered");
   check Alcotest.int "handler ran exactly once" 1 !handled
 
 let test_send_error_counted () =
   let e, _, net = make_net 2 in
   Netsim.set_handler net 1 (fun ~src:_ req -> req);
-  Netsim.set_error_classifier net (fun resp -> String.equal resp "ERR");
-  Netsim.send net ~src:0 ~dst:1 ~bytes:4 "ERR";
-  Netsim.send net ~src:0 ~dst:1 ~bytes:4 "fine";
+  Netsim.send net ~src:0 ~dst:1 "ERR";
+  Netsim.send net ~src:0 ~dst:1 "fine";
   ignore (Engine.run_until_idle e);
   check Alcotest.int "one discarded error response" 1
     (Sim.Stats.get (Engine.stats e) "net.send.err")
@@ -138,7 +143,7 @@ let test_send_async () =
   Netsim.set_handler net 1 (fun ~src req ->
       got := (src, req) :: !got;
       "");
-  Netsim.send net ~src:0 ~dst:1 ~bytes:8 "hello";
+  Netsim.send net ~src:0 ~dst:1 "hello";
   check Alcotest.int "not yet delivered" 0 (List.length !got);
   ignore (Engine.run_until_idle e);
   check Alcotest.(list (pair int string)) "delivered" [ (0, "hello") ] !got
@@ -149,7 +154,7 @@ let test_send_dropped_when_cut () =
   Netsim.set_handler net 1 (fun ~src:_ _ ->
       incr got;
       "");
-  Netsim.send net ~src:0 ~dst:1 ~bytes:8 "x";
+  Netsim.send net ~src:0 ~dst:1 "x";
   (* Cut the link before delivery: the datagram vanishes silently. *)
   Topology.set_link topo 0 1 false;
   ignore (Engine.run_until_idle e);
@@ -160,7 +165,7 @@ let test_drop_probability () =
   ignore e;
   Netsim.set_handler net 1 (echo_handler net 1);
   Netsim.set_drop_probability net 1.0;
-  match Netsim.call net ~src:0 ~dst:1 ~req_bytes:1 ~resp_bytes:String.length "x" with
+  match Netsim.call net ~src:0 ~dst:1 "x" with
   | Ok _ -> Alcotest.fail "drop probability 1 should lose everything"
   | Error _ -> ()
 

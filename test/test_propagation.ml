@@ -5,6 +5,7 @@ module Kernel = Locus_core.Kernel
 module Propagation = Locus_core.Propagation
 module Us = Locus_core.Us
 module K = Locus_core.Ktypes
+module Dispatch = Locus_core.Dispatch
 module Pack = Storage.Pack
 module Inode = Storage.Inode
 module Vvec = Vv.Version_vector
@@ -143,7 +144,7 @@ let log_requests w =
       let k = World.kernel w site in
       Net.Netsim.set_handler (World.net w) site (fun ~src req ->
           log := (src, req) :: !log;
-          k.K.dispatch src req))
+          Dispatch.handle k ~src req))
     (World.sites w);
   log
 
@@ -164,7 +165,7 @@ let pull_requests log gf =
 let count_pulled_pages w ~site gf =
   let k = World.kernel w site and pages = ref 0 in
   Net.Netsim.set_handler (World.net w) site (fun ~src req ->
-      let resp = k.K.dispatch src req in
+      let resp = Dispatch.handle k ~src req in
       (match (req, resp) with
       | Proto.Read_pages { gf = g; _ }, Proto.R_pages { pages = p; _ }
         when Catalog.Gfile.equal g gf ->
@@ -665,7 +666,7 @@ let test_lost_designation () =
       (match req with
       | Proto.Storage_req { gf = g; _ } when Catalog.Gfile.equal g gf -> incr polled
       | _ -> ());
-      k2.K.dispatch src req);
+      Dispatch.handle k2 ~src req);
   List.iter
     (fun site ->
       let k = World.kernel w site in

@@ -29,6 +29,7 @@
 module World = Locus.World
 module Kernel = Locus_core.Kernel
 module K = Locus_core.Ktypes
+module Dispatch = Locus_core.Dispatch
 module Dir = Catalog.Dir
 module Mbox = Catalog.Mailbox
 module Page = Storage.Page
@@ -629,14 +630,14 @@ let lose_intent_replies w =
             armed := false;
             Net.Netsim.fail_next_message net ~src:ss ~dst:src
           | _ -> ());
-          k.K.dispatch src req))
+          Dispatch.handle k ~src req))
     [ 0; 1; 2 ]
 
 let restore_handlers w =
   List.iter
     (fun ss ->
       let k = World.kernel w ss in
-      Net.Netsim.set_handler (World.net w) ss (fun ~src req -> k.K.dispatch src req))
+      Net.Netsim.set_handler (World.net w) ss (fun ~src req -> Dispatch.handle k ~src req))
     [ 0; 1; 2 ]
 
 (* Rewrite [dir_gf] whole from [site]: the same entries, in reverse log

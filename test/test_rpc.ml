@@ -1,5 +1,6 @@
-(* Unit tests for the RPC transport layer: typed errors, retry/backoff
-   policies, simulated-time accounting, and the per-tag histograms. *)
+(* Unit tests for the RPC transport: typed errors, retry/backoff
+   policies, exactly-once resends, simulated-time accounting, the per-tag
+   histograms, and the protocol the world installs. *)
 
 module Engine = Sim.Engine
 module Stats = Sim.Stats
@@ -7,24 +8,38 @@ module Trace = Sim.Trace
 module Topology = Net.Topology
 module Latency = Net.Latency
 module Netsim = Net.Netsim
-module Rpc = Net.Rpc
+module World = Locus.World
+module Kernel = Locus_core.Kernel
+module Dispatch = Locus_core.Dispatch
+module K = Locus_core.Ktypes
 
 let check = Alcotest.check
 
-let make_net n =
+(* A protocol of strings, every message tagged "test": a request costs 10
+   bytes and a reply its length, only [idempotent]'s requests are
+   idempotent, and every call runs under [policy]. *)
+let make_net ?(policy = Netsim.default_policy) ?(idempotent = fun _ -> false) n =
   let e = Engine.create () in
   let topo = Topology.create ~n in
-  let net = Netsim.create e topo Latency.default in
+  let protocol =
+    {
+      Netsim.tag = (fun _ -> "test");
+      req_bytes = (fun _ -> 10);
+      resp_bytes = String.length;
+      idempotent;
+      is_error = (fun _ -> false);
+      policy = (fun _ -> policy);
+    }
+  in
+  let net = Netsim.create e topo Latency.default protocol in
   (e, topo, net)
 
 (* Echo handler that counts invocations: retries must be visible to it. *)
 let counting_echo calls = fun ~src:_ req -> incr calls; "re:" ^ req
 
-let call ?policy net req =
-  Rpc.call net ?policy ~tag:"test" ~src:0 ~dst:1 ~req_bytes:10
-    ~resp_bytes:String.length req
+let call net req = Netsim.call net ~src:0 ~dst:1 req
 
-let retry3 = { Rpc.backoff = [ 5.0; 20.0 ]; max_attempts = 3 }
+let retry3 = { Netsim.backoff = [ 5.0; 20.0 ]; max_attempts = 3 }
 
 let test_ok_roundtrip () =
   let e, _, net = make_net 2 in
@@ -32,7 +47,7 @@ let test_ok_roundtrip () =
   Netsim.set_handler net 1 (counting_echo calls);
   (match call net "ping" with
   | Ok resp -> check Alcotest.string "echoed" "re:ping" resp
-  | Error e -> Alcotest.failf "unexpected %a" Rpc.pp_error e);
+  | Error e -> Alcotest.failf "unexpected %a" Netsim.pp_error e);
   let stats = Engine.stats e in
   check Alcotest.int "one call" 1 (Stats.get stats "rpc.call");
   check Alcotest.int "no retries" 0 (Stats.get stats "rpc.retry");
@@ -40,13 +55,13 @@ let test_ok_roundtrip () =
   check Alcotest.int "latency sample" 1 (Stats.hist_count stats "rpc.latency.test")
 
 let test_retry_recovers_forced_loss () =
-  let e, _, net = make_net 2 in
+  let e, _, net = make_net ~policy:retry3 2 in
   let calls = ref 0 in
   Netsim.set_handler net 1 (counting_echo calls);
   Netsim.fail_next_message net ~src:0 ~dst:1;
-  (match call ~policy:retry3 net "x" with
+  (match call net "x" with
   | Ok resp -> check Alcotest.string "recovered" "re:x" resp
-  | Error e -> Alcotest.failf "unexpected %a" Rpc.pp_error e);
+  | Error e -> Alcotest.failf "unexpected %a" Netsim.pp_error e);
   let stats = Engine.stats e in
   check Alcotest.int "one retry" 1 (Stats.get stats "rpc.retry");
   check Alcotest.int "recovered" 1 (Stats.get stats "rpc.recovered");
@@ -54,15 +69,15 @@ let test_retry_recovers_forced_loss () =
   check Alcotest.int "handler ran once" 1 !calls
 
 let test_backoff_charges_simulated_time () =
-  let e, topo, net = make_net 2 in
+  let e, topo, net = make_net ~policy:retry3 2 in
   Netsim.set_handler net 1 (counting_echo (ref 0));
   Topology.set_link topo 0 1 false;
   let t0 = Engine.now e in
-  (match call ~policy:retry3 net "x" with
+  (match call net "x" with
   | Ok _ -> Alcotest.fail "link is down"
-  | Error (Rpc.Unreachable { attempts; _ }) ->
+  | Error (Netsim.Unreachable { attempts; _ }) ->
     check Alcotest.int "all attempts used" 3 attempts
-  | Error e -> Alcotest.failf "wrong error %a" Rpc.pp_error e);
+  | Error e -> Alcotest.failf "wrong error %a" Netsim.pp_error e);
   (* A lost request charges no wire time, so the clock moved by exactly the
      two backoff delays. *)
   check (Alcotest.float 1e-9) "clock advanced by backoff only" 25.0 (Engine.now e -. t0);
@@ -85,7 +100,7 @@ let test_lost_reply_answered_from_cache () =
   Netsim.fail_next_message net ~src:1 ~dst:0;
   (match call net "x" with
   | Ok resp -> check Alcotest.string "the resend gets the first reply" "x#1" resp
-  | Error e -> Alcotest.failf "unexpected %a" Rpc.pp_error e);
+  | Error e -> Alcotest.failf "unexpected %a" Netsim.pp_error e);
   check Alcotest.int "handler ran once" 1 !calls;
   check Alcotest.int "one resend" 1 (Stats.get (Engine.stats e) "rpc.retry");
   check Alcotest.int "answered from the kept reply" 1 (replays e)
@@ -100,33 +115,34 @@ let test_lost_request_runs_on_resend () =
   Netsim.fail_next_message net ~src:1 ~dst:0;
   (match call net "x" with
   | Ok resp -> check Alcotest.string "the run's reply" "x#1" resp
-  | Error e -> Alcotest.failf "unexpected %a" Rpc.pp_error e);
+  | Error e -> Alcotest.failf "unexpected %a" Netsim.pp_error e);
   check Alcotest.int "handler ran once" 1 !calls;
   check Alcotest.int "two resends" 2 (Stats.get (Engine.stats e) "rpc.retry");
   check Alcotest.int "the last resend replayed" 1 (replays e)
 
+(* A receiver's crash loses the replies it keeps: a kept reply is held by
+   nothing else, so once they are forgotten it is garbage. *)
 let test_receiver_crash_drops_replies () =
-  let e, _, net = make_net 2 in
+  let e, _, net = make_net ~policy:Netsim.probe 2 in
   let calls = ref 0 in
-  Netsim.set_handler net 1 (numbered_echo calls);
-  let ts = Netsim.tag_stats net "test" in
-  let attempt id =
-    Netsim.call_tagged net ~ts ~id ~src:0 ~dst:1 ~req_bytes:10 ~resp_bytes:String.length "x"
-  in
-  let id = Netsim.fresh_call_id net in
+  let last = Weak.create 1 in
+  Netsim.set_handler net 1 (fun ~src req ->
+      let resp = numbered_echo calls ~src req in
+      Weak.set last 0 (Some resp);
+      resp);
   Netsim.fail_next_message net ~src:1 ~dst:0;
-  (match attempt id with
-  | Error Netsim.Reply_lost -> ()
-  | _ -> Alcotest.fail "the reply should be lost");
-  check Alcotest.(result string reject) "a resend is answered from the kept reply" (Ok "x#1")
-    (Result.map_error ignore (attempt id));
-  Netsim.forget_replies net 1;
-  check Alcotest.(result string reject) "after the crash the handler runs" (Ok "x#2")
-    (Result.map_error ignore (attempt id));
   (match call net "x" with
-  | Ok resp -> check Alcotest.string "a new call runs its handler" "x#3" resp
-  | Error e -> Alcotest.failf "unexpected %a" Rpc.pp_error e);
-  check Alcotest.int "one replay in all" 1 (replays e)
+  | Error (Netsim.Lost_reply _) -> ()
+  | _ -> Alcotest.fail "the reply should be lost");
+  Gc.full_major ();
+  check Alcotest.bool "the lost reply is kept" true (Weak.check last 0);
+  Netsim.forget_replies net 1;
+  Gc.full_major ();
+  check Alcotest.bool "after the crash it is not" false (Weak.check last 0);
+  (match call net "x" with
+  | Ok resp -> check Alcotest.string "a new call runs its handler" "x#2" resp
+  | Error e -> Alcotest.failf "unexpected %a" Netsim.pp_error e);
+  check Alcotest.int "no replay" 0 (replays e)
 
 let test_restarted_sender_gets_fresh_reply () =
   let e, topo, net = make_net 2 in
@@ -138,38 +154,37 @@ let test_restarted_sender_gets_fresh_reply () =
     Netsim.fail_next_message net ~src:1 ~dst:0
   done;
   (match call net "x" with
-  | Error (Rpc.Lost_reply _) -> ()
+  | Error (Netsim.Lost_reply _) -> ()
   | _ -> Alcotest.fail "every reply should be lost");
   Topology.set_site_up topo 0 false;
   Topology.set_site_up topo 0 true;
   (match call net "x" with
   | Ok resp -> check Alcotest.string "the restarted sender's call ran" "x#2" resp
-  | Error e -> Alcotest.failf "unexpected %a" Rpc.pp_error e);
+  | Error e -> Alcotest.failf "unexpected %a" Netsim.pp_error e);
   check Alcotest.int "handler ran once per call" 2 !calls;
   check Alcotest.int "answered from the kept reply only within the first call" 2 (replays e)
 
 let test_idempotent_reply_not_kept () =
-  let e, _, net = make_net 2 in
+  let e, _, net = make_net ~idempotent:(String.equal "read") 2 in
   let calls = ref 0 in
   Netsim.set_handler net 1 (numbered_echo calls);
-  Netsim.set_idempotent_classifier net (String.equal "read");
   Netsim.fail_next_message net ~src:1 ~dst:0;
   (match call net "read" with
   | Ok resp -> check Alcotest.string "the resend ran" "read#2" resp
-  | Error e -> Alcotest.failf "unexpected %a" Rpc.pp_error e);
+  | Error e -> Alcotest.failf "unexpected %a" Netsim.pp_error e);
   check Alcotest.int "no replay" 0 (replays e)
 
 let test_lost_reply_distinguished () =
-  let _, _, net = make_net 2 in
+  let _, _, net = make_net ~policy:Netsim.probe 2 in
   let calls = ref 0 in
   Netsim.set_handler net 1 (counting_echo calls);
   (* Lose the reply direction: the handler runs, the caller must learn that
      remote state may have changed. *)
   Netsim.fail_next_message net ~src:1 ~dst:0;
-  (match call ~policy:Rpc.probe net "x" with
+  (match call net "x" with
   | Ok _ -> Alcotest.fail "lost reply should fail"
-  | Error (Rpc.Lost_reply { attempts; _ }) -> check Alcotest.int "one attempt" 1 attempts
-  | Error e -> Alcotest.failf "wrong error %a" Rpc.pp_error e);
+  | Error (Netsim.Lost_reply { attempts; _ }) -> check Alcotest.int "one attempt" 1 attempts
+  | Error e -> Alcotest.failf "wrong error %a" Netsim.pp_error e);
   check Alcotest.int "handler ran" 1 !calls
 
 let test_call_traced () =
@@ -191,9 +206,9 @@ let test_local_call_free () =
   let calls = ref 0 in
   Netsim.set_handler net 0 (counting_echo calls);
   let t0 = Engine.now e in
-  (match Rpc.call net ~tag:"test" ~src:0 ~dst:0 ~req_bytes:10 ~resp_bytes:String.length "x" with
+  (match Netsim.call net ~src:0 ~dst:0 "x" with
   | Ok resp -> check Alcotest.string "local result" "re:x" resp
-  | Error e -> Alcotest.failf "unexpected %a" Rpc.pp_error e);
+  | Error e -> Alcotest.failf "unexpected %a" Netsim.pp_error e);
   check Alcotest.int "handler ran once" 1 !calls;
   check Alcotest.int "no messages for local call" 0 (Netsim.messages_sent net);
   check (Alcotest.float 1e-9) "one local call charged" Latency.default.Latency.local_call
@@ -208,9 +223,7 @@ let test_self_call_unaccounted () =
   Netsim.set_handler net 0 (numbered_echo calls);
   Trace.set_recording (Engine.trace e) true;
   Netsim.set_drop_probability net 1.0;
-  let self () =
-    Rpc.call net ~tag:"test" ~src:0 ~dst:0 ~req_bytes:10 ~resp_bytes:String.length "x"
-  in
+  let self () = Netsim.call net ~src:0 ~dst:0 "x" in
   check Alcotest.(result string reject) "first call" (Ok "x#1") (Result.map_error ignore (self ()));
   check Alcotest.(result string reject) "second call runs again" (Ok "x#2")
     (Result.map_error ignore (self ()));
@@ -221,6 +234,53 @@ let test_self_call_unaccounted () =
   check Alcotest.int "no replay" 0 (replays e);
   check Alcotest.int "no span" 0 (List.length (Trace.find_all (Engine.trace e) ~tag:"rpc"));
   check Alcotest.int "no message" 0 (Netsim.messages_sent net)
+
+(* ---- the protocol the world installs ---- *)
+
+(* [Proto.protocol] is what [World.create] hands the transport: reads are
+   resent and run again, a reconfiguration poll makes one attempt and an
+   open three, under the default backoff. (A lost reply to a commit is
+   answered from the kept reply: test_core's "lost file replies".) *)
+let test_world_protocol () =
+  let w = World.create ~config:(World.default_config ~n_sites:4 ()) () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  Kernel.set_ncopies p0 1;
+  let gf = Kernel.creat k0 p0 "/f" in
+  Kernel.write_file k0 p0 "/f" "body";
+  ignore (World.settle w);
+  let net = World.net w and stats = World.stats w and k3 = World.kernel w 3 in
+  let runs = ref 0 in
+  Netsim.set_handler net 0 (fun ~src req ->
+      incr runs;
+      if !runs = 1 then Netsim.fail_next_message net ~src:0 ~dst:src;
+      Dispatch.handle k0 ~src req);
+  let replays = Stats.get stats "rpc.replay" in
+  let read =
+    Proto.Read_pages
+      { gf; first = 0; count = 1; guess = 0; committed = true; stat = false; vv = None }
+  in
+  (match K.rpc_result k3 0 read with
+  | Ok (Proto.R_pages _) -> ()
+  | Ok _ -> Alcotest.fail "a read answers with pages"
+  | Error e -> Alcotest.failf "unexpected %a" Netsim.pp_error e);
+  check Alcotest.int "a lost read reply runs the read again" 2 !runs;
+  check Alcotest.int "no replay" replays (Stats.get stats "rpc.replay");
+  Topology.set_site_up (World.topology w) 0 false;
+  let attempts req =
+    let t0 = World.now w in
+    match K.rpc_result k3 0 req with
+    | Error (Netsim.Unreachable { attempts; _ }) -> (attempts, World.now w -. t0)
+    | _ -> Alcotest.fail "site 0 is down"
+  in
+  check
+    Alcotest.(pair int (float 1e-9))
+    "a poll makes one attempt" (1, 0.0) (attempts Proto.Part_poll);
+  check
+    Alcotest.(pair int (float 1e-9))
+    "an open makes three, with 0.5 + 2 ms of backoff" (3, 2.5)
+    (attempts
+       (Proto.Open_req
+          { gf; mode = Proto.Mode_read; us_vv = None; shared = false; want = 0; release = None }))
 
 (* ---- Stats histograms ---- *)
 
@@ -284,6 +344,7 @@ let () =
           Alcotest.test_case "call traced" `Quick test_call_traced;
           Alcotest.test_case "local call free" `Quick test_local_call_free;
           Alcotest.test_case "self-call keeps no accounting" `Quick test_self_call_unaccounted;
+          Alcotest.test_case "the world's protocol" `Quick test_world_protocol;
         ] );
       ( "histograms",
         [
