@@ -94,10 +94,13 @@ simdiff:
 
 # The simulated-number gate: the numbers `simdiff` collects (every workload
 # at seeds 1 and 2, --seconds 1, --traced) for this tree against the
-# committed bench/baseline/sim.json. It fails, printing every key that
-# moved, baseline -> this tree. A change that moves a key on purpose
-# rewrites the file in the same diff with `make baseline-write` and says
-# why. WORKLOADS limits either target to those workloads.
+# committed bench/baseline/sim.json, and the stdout of the seeded E-series
+# experiments (E1-E6, E8-E22, e24smoke) against bench/baseline/<e>.txt.
+# It fails, printing every key that moved, baseline -> this tree, and each
+# experiment that differs with its first differing line. A change that
+# moves either on purpose rewrites the files in the same diff with
+# `make baseline-write` and says why. WORKLOADS limits either target's
+# workloads; the experiments always run (under a second).
 SIM_BASELINE = bench/baseline/sim.json
 baseline:
 	@python3 bench/simdiff.py --baseline $(SIM_BASELINE) $(SIMDIFF_WORKLOADS)

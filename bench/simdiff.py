@@ -12,7 +12,15 @@ order given) at seeds 1 and 2 with --seconds 1
 With --baseline the old side is FILE, a committed set of the same numbers
 (bench/baseline/sim.json), and only this tree is built and run;
 --write-baseline runs this tree and writes its numbers to FILE, replacing
-only the workloads run. Simulated numbers are
+only the workloads run.
+
+Every mode also runs the seeded E-series experiments of bench/main.exe
+that print no host time (E1-E6, E8-E22 and e24smoke; not E7, whose
+table has a host-ms column, nor E23, e24 or micro) and compares their
+stdout: with --parent against the parent's, with --baseline against the
+<experiment>.txt files beside FILE, naming each experiment that differs
+and its first differing line; --write-baseline rewrites those files.
+Simulated numbers are
 `correct`, `attempted`, `failed`, every end-to-end metric except the
 host ones (host_ops_per_s, setup_s, heap_peak_mb), every `layers` entry,
 and the simulated boundary counts and means of the trace (`*.calls`,
@@ -28,12 +36,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 WORKLOADS = ["read_hot", "scan_cold", "write_commit", "dir_churn", "partition_heal"]
 HOST_METRICS = {"host_ops_per_s", "setup_s", "heap_peak_mb"}
+EXPERIMENTS = ["e1", "e2", "e3", "e4", "e5", "e6", "e8", "e9", "e10", "e11", "e12", "e13",
+               "e14", "e15", "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e24smoke"]
 SEEDS = [1, 2]
 SECONDS = "1"
 EXE = os.path.join("_build", "default", "benchmark", "locus_bench.exe")
+HARNESS = os.path.join("_build", "default", "bench", "main.exe")
 CHANGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -44,8 +56,8 @@ def fail(msg):
 
 def build(root):
     env = dict(os.environ, DUNE_CACHE="disabled")
-    r = subprocess.run(["dune", "build", "--root", root, "./benchmark/locus_bench.exe"],
-                       stdout=sys.stderr, env=env)
+    r = subprocess.run(["dune", "build", "--root", root, "./benchmark/locus_bench.exe",
+                        "./bench/main.exe"], stdout=sys.stderr, env=env)
     if r.returncode != 0:
         fail("build failed in " + root)
 
@@ -70,6 +82,41 @@ def simulated(root, workload, seed):
     return out
 
 
+def experiment(root, name):
+    """The experiment's stdout, run in a scratch directory: experiments
+    leave BENCH_<name>.json in the current one."""
+    with tempfile.TemporaryDirectory() as cwd:
+        r = subprocess.run([os.path.join(root, HARNESS), name], cwd=cwd,
+                           stdout=subprocess.PIPE, text=True)
+    if r.returncode != 0:
+        fail("%s %s exited with %d" % (HARNESS, name, r.returncode))
+    return r.stdout
+
+
+def experiment_file(baseline, name):
+    return os.path.join(os.path.dirname(os.path.abspath(baseline)), name + ".txt")
+
+
+def diff_experiments(old):
+    """Compare each experiment's stdout in this tree with [old name];
+    print the first differing line of each that differs. Returns how many
+    differ."""
+    differ = 0
+    for name in EXPERIMENTS:
+        a, b = old(name).splitlines(), experiment(CHANGE, name).splitlines()
+        if a == b:
+            continue
+        differ += 1
+        line = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        print("%s: differs at line %d" % (name, line + 1))
+        print("  - %s" % (a[line] if line < len(a) else "(end of output)"))
+        print("  + %s" % (b[line] if line < len(b) else "(end of output)"))
+    print("experiments: %s" % ("%d of %d differ" % (differ, len(EXPERIMENTS)) if differ
+                               else "%d identical" % len(EXPERIMENTS)))
+    sys.stdout.flush()
+    return differ
+
+
 def load(path):
     try:
         with open(path) as f:
@@ -86,7 +133,11 @@ def write_baseline(path, workloads):
     with open(path, "w") as f:
         json.dump(base, f, indent=1, sort_keys=True)
         f.write("\n")
-    print("simdiff: wrote %s (%s)" % (path, ",".join(workloads)))
+    for name in EXPERIMENTS:
+        with open(experiment_file(path, name), "w") as f:
+            f.write(experiment(CHANGE, name))
+    print("simdiff: wrote %s (%s) and %d experiment outputs" % (path, ",".join(workloads),
+                                                                len(EXPERIMENTS)))
 
 
 def main():
@@ -113,6 +164,9 @@ def main():
 
         def old(w, seed):
             return simulated(parent, w, seed)
+
+        def old_experiment(name):
+            return experiment(parent, name)
     else:
         base = load(args.baseline)
         missing = [w for w in workloads if w not in base]
@@ -121,6 +175,13 @@ def main():
 
         def old(w, seed):
             return base[w][str(seed)]
+
+        def old_experiment(name):
+            try:
+                with open(experiment_file(args.baseline, name)) as f:
+                    return f.read()
+            except OSError as e:
+                fail("cannot read baseline %s" % e)
     build(CHANGE)
     moved = 0
     for w in workloads:
@@ -143,8 +204,14 @@ def main():
                 print(row)
             moved += len(rows)
             sys.stdout.flush()
-    print("simdiff: %s" % ("%d numbers moved" % moved if moved else "nothing moved"))
-    sys.exit(1 if moved else 0)
+    differ = diff_experiments(old_experiment)
+    summary = []
+    if moved:
+        summary.append("%d numbers moved" % moved)
+    if differ:
+        summary.append("%d experiments differ" % differ)
+    print("simdiff: %s" % (", ".join(summary) or "nothing moved"))
+    sys.exit(1 if summary else 0)
 
 
 if __name__ == "__main__":
