@@ -249,16 +249,13 @@ let intent k dir op =
   let rec attempt tries =
     match rpc k (fg_info k dir.Gfile.fg).css_site (Proto.Dir_intent { dir; op }) with
     | Proto.R_intent { ino; ftype; dir_vv; file; _ } ->
-      (* This site just changed the directory (and maybe the file), and
-         neither the commit notification nor the CSS's lease break has
-         reached it yet: retire name-cache links read under the old
-         version, and any retained open grant on an old version, now. *)
-      Namecache.note_dir_vv k.name_cache ~dir dir_vv;
-      Openlease.note_commit k.open_leases dir dir_vv;
-      (match file with
-      | Some (vv, _) ->
-        Openlease.note_commit k.open_leases (Gfile.make ~fg:dir.Gfile.fg ~ino) vv
-      | None -> ());
+      (* This site's change committed; the site need not store the
+         directory or the file, so no notification need ever reach it. *)
+      Coherence.announced k dir ~vv:dir_vv ~deleted:false ~origin:k.site;
+      Option.iter
+        (fun (vv, deleted) ->
+          Coherence.announced k (Gfile.make ~fg:dir.Gfile.fg ~ino) ~vv ~deleted ~origin:k.site)
+        file;
       (ino, ftype, file)
     | Proto.R_err Proto.Ebusy when tries > 0 ->
       charge k 1.0;
@@ -318,16 +315,8 @@ let init_directory k gf ~parent_ino =
 
 (* Remove a name; the file body is deleted once the last link is gone. *)
 let unlink_gf k dir_gf ~name =
-  let ino, _, file = intent k dir_gf (Proto.Unlink { name; links = true }) in
-  let gf = Gfile.make ~fg:dir_gf.Gfile.fg ~ino in
-  (match file with
-  | Some (_, true) ->
-    (* The unlinking site may never receive the deletion's commit
-       notification (it need not store the file): drop links to the dead
-       inode here as well. *)
-    Namecache.invalidate_child k.name_cache gf
-  | Some (_, false) | None -> ());
-  gf
+  let ino, _, _ = intent k dir_gf (Proto.Unlink { name; links = true }) in
+  Gfile.make ~fg:dir_gf.Gfile.fg ~ino
 
 (* Add a hard link: a second name for an existing inode of type [ftype]
    in the same filegroup. *)

@@ -465,14 +465,7 @@ let crash k =
   Hashtbl.reset k.procs;
   Gfile.Tbl.reset k.pipe_bufs;
   Net.Netsim.forget_replies k.net k.site;
-  (* A dead kernel fires no hooks: pages just vanish, and Openlease.clear
-     below likewise drops leases without deferred closes. *)
-  Us_cache.clear k.us_cache;
-  Keys.clear k.us_open_keys;
-  Ss_cache.clear k.ss_cache;
-  Gfile.Tbl.reset k.ss_dirs;
-  Namecache.clear k.name_cache;
-  Openlease.clear k.open_leases;
+  Coherence.forgotten k Coherence.Crash;
   Queue.clear k.prop_queue;
   k.prop_pending <- Gfile.Set.empty;
   set_sites k [ k.site ];

@@ -160,14 +160,6 @@ let insert t e =
     kill t e.le_gf;
     Lru.insert c e.le_gf e
 
-(* A commit notification for [gf] observed locally: any lease granted on
-   a different version is stale, whether or not the CSS callback has
-   arrived yet. *)
-let note_commit t gf vv =
-  match find_entry t gf with
-  | Some e when not (Vvec.equal e.le_vv vv) -> kill t gf
-  | Some _ | None -> ()
-
 (* Crash, partition or merge: drop every lease silently, sending nothing.
    A dead kernel sends no messages, and after a membership change the
    next merge's §5.6 rebuild does what the closes would: each CSS counts

@@ -61,10 +61,6 @@ val kill : t -> Catalog.Gfile.t -> unit
     close goes out now (idle) or at the last riding close. Counted as
     [open.lease.break]. *)
 
-val note_commit : t -> Catalog.Gfile.t -> Vv.Version_vector.t -> unit
-(** A commit at [vv] was observed locally: kill any lease granted on a
-    different version, ahead of the CSS callback. *)
-
 val clear : t -> unit
 (** Crash, partition or merge: drop every lease silently, sending nothing.
     An open still riding a dropped lease sends its one close when it

@@ -56,14 +56,8 @@ let apply_delete k pack gf ~vv =
       Shadow.mark_deleted session ~time:(now k);
       charge_disk_write k;
       Shadow.commit session ~vv ~mtime:(now k);
-      (* A pull commits below the SS handlers, so it keeps the SS cache
-         itself: nothing of a deleted file stays buffered. *)
-      ss_cache_drop k gf;
-      ss_dir_drop k gf;
-      (* The file is gone and the inode may be reclaimed: drop both the
-         links to it and any links read out of it. *)
-      Namecache.invalidate_dir k.name_cache gf;
-      Namecache.invalidate_child k.name_cache gf;
+      Coherence.installed k gf ~vv ~deleted:true ~old_size:inode.Inode.size ~size:0 ~replaced:[]
+        ~index:None;
       record k ~tag:"prop.delete" "%a" Gfile.pp gf;
       report_to_css k gf vv ~deleted:true
     end
@@ -115,13 +109,10 @@ let install_version k pack gf ~source (local : Inode.t) (info : Proto.inode_info
     Shadow.set_size session info.Proto.i_size;
     let replaced = Shadow.modified_lpages session in
     Shadow.commit session ~vv:info.Proto.i_vv ~mtime:info.Proto.i_mtime;
-    ss_cache_carry k gf ~old_size:local.Inode.size ~size:info.Proto.i_size ~replaced;
     (* The pulled pages were written whole: no index of the old version
        describes them. *)
-    ss_dir_drop k gf;
-    (* The local copy just jumped versions: links cached from any other
-       version of this directory are dead. *)
-    Namecache.note_dir_vv k.name_cache ~dir:gf info.Proto.i_vv;
+    Coherence.installed k gf ~vv:info.Proto.i_vv ~deleted:false ~old_size:local.Inode.size
+      ~size:info.Proto.i_size ~replaced ~index:None;
     record k ~tag:"prop.pull" "%a <- %a vv=%a (%d pages)" Gfile.pp gf Site.pp source Vvec.pp
       info.Proto.i_vv npulled;
     report_to_css k gf info.Proto.i_vv ~deleted:false;

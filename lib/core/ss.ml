@@ -413,7 +413,7 @@ let dir_change k ~src gf name change =
 
 (* Install [session] as the committed version of [gf] (section 2.3.6):
    bump the version vector (or take recovery's [force_vv]), switch the
-   incore inode in, and keep every cache coherent with the new version.
+   incore inode in, and retire what the new version made stale.
    [delete] marks the inode deleted first (section 2.3.7). Returns the new
    version and the pages the session modified. Notifying anyone is the
    caller's job. *)
@@ -431,28 +431,9 @@ let install ?force_vv k pack gf s session ~delete =
   charge_disk_write k;
   Shadow.commit session ~vv ~mtime:(now k);
   s.s_shadow <- None;
-  (* Local lease self-heal: this site just observed the version advance
-     first-hand, so its own US-side retained grant (if any, on the old
-     version) is stale *now* — killing it here closes the window before
-     the CSS's asynchronous [Lease_break] callback arrives. *)
-  Openlease.note_commit k.open_leases gf vv;
-  (* Buffered pages this commit did not replace are still current, and
-     so is the directory index, which made the session's changes. A
-     delete leaves nothing. *)
-  if delete then begin
-    ss_cache_drop k gf;
-    ss_dir_drop k gf
-  end
-  else begin
-    ss_cache_carry k gf ~old_size ~size:(Shadow.incore session).Inode.size
-      ~replaced:modified;
-    ss_dir_carry k gf ~old_vv ~vv
-  end;
-  (* Likewise name-cache links: if this was a directory, links read
-     from the old version are dead; if the file was deleted, no link
-     may keep resolving to it. *)
-  Namecache.note_dir_vv k.name_cache ~dir:gf vv;
-  if delete then Namecache.invalidate_child k.name_cache gf;
+  (* The session made its record changes through the directory index. *)
+  Coherence.installed k gf ~vv ~deleted:delete ~old_size ~size:(Shadow.incore session).Inode.size
+    ~replaced:modified ~index:(if delete then None else Some old_vv);
   record k ~tag:"ss.commit" "%a vv=%a%s" Gfile.pp gf Vvec.pp vv
     (if delete then " delete" else "");
   (vv, modified)
@@ -678,12 +659,12 @@ let drop_if_idle k (s : ss_open) = ss_end k s ~us:k.site ~opens:0 ~writes:0
    changed, so the buffers and the index carry over. *)
 let metadata_install k gf (inode : Inode.t) mutate =
   mutate inode;
-  let old_vv = inode.Inode.vv in
+  let old_vv = inode.Inode.vv and size = inode.Inode.size in
   inode.Inode.vv <- Vvec.bump old_vv k.site;
   inode.Inode.mtime <- now k;
   charge_disk_write k;
-  ss_dir_carry k gf ~old_vv ~vv:inode.Inode.vv;
-  Namecache.note_dir_vv k.name_cache ~dir:gf inode.Inode.vv;
+  Coherence.installed k gf ~vv:inode.Inode.vv ~deleted:false ~old_size:size ~size ~replaced:[]
+    ~index:(Some old_vv);
   inode.Inode.vv
 
 (* Add [delta] to the link count of this site's copy of [gf]; the last link
@@ -822,13 +803,7 @@ let handle_reclaim k gf =
   (match local_pack k gf.Gfile.fg with
   | Some pack -> Pack.remove_inode pack gf.Gfile.ino
   | None -> ());
-  ss_cache_drop k gf;
-  ss_dir_drop k gf;
-  (* A reclaimed inode number can be reallocated: drop every name-cache
-     link into or out of it, and any retained open grant on it. *)
-  Namecache.invalidate_dir k.name_cache gf;
-  Namecache.invalidate_child k.name_cache gf;
-  Openlease.kill k.open_leases gf;
+  Coherence.reclaimed k gf;
   Proto.R_ok
 
 (* ---- named pipes (section 2.4.2): the fifo's single SS serializes ---- *)

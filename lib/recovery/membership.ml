@@ -60,18 +60,9 @@ let install k ~members ~merge =
      already away is not designated again. *)
   let unreported = List.map (fun fi -> (fi.fg, Css.unreported k fi.fg)) k.fg_table in
   set_sites k members;
-  (* No lease survives a membership change: the CSS that granted it may
-     no longer be reachable, or no longer the CSS, so its break callbacks
-     can no longer be trusted to arrive. Leases die silently, as at a
-     crash; the rebuild and revalidation below restore what their
-     deferred closes would have updated. *)
-  Locus_core.Openlease.clear k.open_leases;
-  (* Directories may have changed arbitrarily in another partition, and
-     deletions there produced no notification here: start the name cache
-     cold rather than audit it. The cache notes the directories it was
-     using, so the first remote walk from each one re-warms the page it
-     reads in the same round trip, not one name per round trip. *)
-  if merge then Locus_core.Namecache.clear_merge k.name_cache;
+  (* Leases die silently, as at a crash: the rebuild and revalidation
+     below restore what their deferred closes would have updated. *)
+  Locus_core.Coherence.forgotten k (Locus_core.Coherence.Membership { merge });
   (* Place the synchronization sites first: the cleanup procedure's
      attempt to reopen lost files at another copy needs a live CSS. *)
   List.iter (place k ~unreported) k.fg_table;
