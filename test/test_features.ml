@@ -203,6 +203,108 @@ let test_page_invalidation () =
   Us.close k2 o_r;
   ignore (World.settle w)
 
+(* The page invalidation world with a 2-page file: its one copy at site 0
+   holds "a" x 1024 ^ "b" x 1024; the reader at [reader] opens it (and
+   reads page 1 into its cache) before site 1's writer opens it and
+   writes page 1, then a settle pushes the write to the SS. *)
+let committed_body = String.make 1024 'a' ^ String.make 1024 'b'
+
+(* A body as runs of one byte, "1024a 1024b", which a failed check
+   prints in place of the bytes. *)
+let runs s =
+  let b = Buffer.create 16 in
+  let rec go i =
+    if i < String.length s then begin
+      let j = ref i in
+      while !j < String.length s && s.[!j] = s.[i] do incr j done;
+      Printf.bprintf b "%d%c " (!j - i) s.[i];
+      go !j
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+let check_body msg want got = check Alcotest.string msg (runs want) (runs got)
+
+let session_world ~reader =
+  let w = make_world () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  Kernel.set_ncopies p0 1;
+  ignore (Kernel.creat k0 p0 "/two");
+  Kernel.write_file k0 p0 "/two" committed_body;
+  ignore (World.settle w);
+  let kr = World.kernel w reader in
+  let gf = Kernel.resolve kr (World.proc w reader) "/two" in
+  let o_r = Us.open_gf kr gf Proto.Mode_read in
+  ignore (Us.read_page kr o_r 1);
+  let k1 = World.kernel w 1 in
+  let o_w = Us.open_gf k1 gf Proto.Mode_modify in
+  Us.write k1 o_w ~off:1024 (String.make 1024 'W');
+  ignore (World.settle w);
+  (w, kr, o_r, k1, o_w)
+
+(* A reader elsewhere reads the session's bytes while the writer is
+   active (3.2), but they are the session's, not the committed
+   version's: once the writer aborts, every later read at that site
+   returns the committed bytes, whether the reader closed before the
+   abort or after it. *)
+let test_aborted_session_leaves_no_bytes ~close_first () =
+  let w, k2, o_r, k1, o_w = session_world ~reader:2 in
+  let data, _ = Us.read_page k2 o_r 1 in
+  check_body "reader sees the session's page" (String.make 1024 'W') data;
+  if close_first then Us.close k2 o_r;
+  Us.abort k1 o_w;
+  Us.close k1 o_w;
+  if not close_first then Us.close k2 o_r;
+  ignore (World.settle w);
+  check_body "the aborted bytes are gone" committed_body
+    (Kernel.read_file k2 (World.proc w 2) "/two");
+  check_body "and stay gone" committed_body
+    (Kernel.read_file k2 (World.proc w 2) "/two")
+
+(* The SS sends no page invalidation to the writer's own site: a reader
+   there must still read what the writer has pushed, not its cached
+   committed page. *)
+let test_writer_site_reader_sees_session () =
+  let w, k1, o_r, _, o_w = session_world ~reader:1 in
+  let data, _ = Us.read_page k1 o_r 1 in
+  check_body "reader at the writer's site sees the session's page"
+    (String.make 1024 'W') data;
+  Us.commit k1 o_w;
+  Us.close k1 o_w;
+  Us.close k1 o_r;
+  ignore (World.settle w);
+  check_body "the commit reads back"
+    (String.make 1024 'a' ^ String.make 1024 'W')
+    (Kernel.read_file k1 (World.proc w 1) "/two")
+
+(* A read open at the writer's site that rides a lease granted before the
+   writer opened, whose break is still on its way, reads the session's
+   pushed bytes too, and files none of them under the committed key. *)
+let test_lease_ride_at_writer_site () =
+  let w = make_world () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  Kernel.set_ncopies p0 1;
+  ignore (Kernel.creat k0 p0 "/two");
+  Kernel.write_file k0 p0 "/two" committed_body;
+  ignore (World.settle w);
+  let k1 = World.kernel w 1 and p1 = World.proc w 1 in
+  check_body "a read leaves a lease" committed_body (Kernel.read_file k1 p1 "/two");
+  let gf = Kernel.resolve k1 p1 "/two" in
+  let o_w = Us.open_gf k1 gf Proto.Mode_modify in
+  Us.write k1 o_w ~off:1024 (String.make 1024 'W');
+  Us.flush_wb k1 o_w;
+  let o_r = Us.open_gf k1 gf Proto.Mode_read in
+  check Alcotest.bool "the open rides the lease" true (o_r.K.o_lease <> None);
+  let data, _ = Us.read_page k1 o_r 1 in
+  check_body "the ride reads the session's page" (String.make 1024 'W') data;
+  Us.close k1 o_r;
+  Us.abort k1 o_w;
+  Us.close k1 o_w;
+  ignore (World.settle w);
+  check_body "the aborted bytes are gone" committed_body
+    (Kernel.read_file k1 p1 "/two")
+
 (* A truncate is a write too: the pages it cuts must leave the other
    using sites' buffers, or a reader that cached them keeps reading bytes
    the writer's session no longer holds. *)
@@ -309,6 +411,14 @@ let () =
         [
           Alcotest.test_case "delete reclaims inode" `Quick test_delete_reclaims_inode;
           Alcotest.test_case "page invalidation" `Quick test_page_invalidation;
+          Alcotest.test_case "aborted session, reader closed first" `Quick
+            (test_aborted_session_leaves_no_bytes ~close_first:true);
+          Alcotest.test_case "aborted session, reader closed after" `Quick
+            (test_aborted_session_leaves_no_bytes ~close_first:false);
+          Alcotest.test_case "writer's site reads the session" `Quick
+            test_writer_site_reader_sees_session;
+          Alcotest.test_case "lease ride at the writer's site" `Quick
+            test_lease_ride_at_writer_site;
           Alcotest.test_case "truncate invalidation" `Quick test_truncate_invalidation;
         ] );
       ( "durability",

@@ -888,11 +888,14 @@ let prop_convergence_despite_message_loss =
    as one [Us.read_bytes] call that tells the fetcher its extent. The open
    (site 3) stores no pack and the file's latest version lives at three
    packs. A writer's trace also writes,
-   truncates and commits between its reads, and read opens at other sites
+   truncates, commits and aborts between its reads, and read opens at other sites
    look at the file in between. After each commit, and after the writer
    closes, a read open at site 4, another site with no pack, looks too:
    the CSS serves that open itself, so once no writer is left its reply
-   carries the new version's first pages. *)
+   carries the new version's first pages. Two read opens made before the
+   writer's, at the writer's site and at site 4, read the file whole
+   in between; both are served by the CSS's copy, the writer's SS, and
+   cache what they read. *)
 
 type fetch_op =
   | Read of int * int * bool (* first page, length, drain after each read *)
@@ -900,11 +903,15 @@ type fetch_op =
   | Write of int * int (* byte offset, length *)
   | Truncate of int
   | Commit
+  | Abort
   | Drain
   | Peek of bool
       (* a read open reads the file whole: at the writer's site (sharing
          its US cache) or at a pack site; a commit is followed by one at a
          packless site *)
+  | Early of bool
+      (* once the engine has run, the read open made before the writer's
+         reads the file whole: the one at the writer's site, or at site 4 *)
 
 type fetch_case = {
   window : int;
@@ -920,8 +927,10 @@ let show_fetch_op = function
   | Write (off, n) -> Printf.sprintf "write %d+%d" off n
   | Truncate n -> Printf.sprintf "truncate %d" n
   | Commit -> "commit"
+  | Abort -> "abort"
   | Drain -> "drain"
   | Peek same -> if same then "peek here" else "peek there"
+  | Early here -> if here then "early reader here" else "early reader there"
 
 let arb_fetch_case ~writer =
   let open QCheck.Gen in
@@ -939,8 +948,10 @@ let arb_fetch_case ~writer =
         (3, map2 (fun off n -> Write (off, n)) (int_bound (44 * Page.size)) (int_range 1 (3 * Page.size)));
         (1, map (fun n -> Truncate n) (int_bound (44 * Page.size)));
         (1, return Commit);
+        (1, return Abort);
         (1, return Drain);
         (2, map (fun same -> Peek same) bool);
+        (2, map (fun here -> Early here) bool);
       ]
   in
   QCheck.make
@@ -964,8 +975,10 @@ let arb_fetch_case ~writer =
    pages to every reader, Unix shared-file semantics), never a page the
    writer cached, and after every step each site's US cache entries under
    the committed version's key hold that version's bytes, so no other open
-   can hit an uncommitted byte. Either way nothing is left in flight after
-   the final drain. *)
+   can hit an uncommitted byte. The read opens made before the writer's
+   read what it has pushed too, once the SS's page invalidations have
+   arrived, and an abort leaves the committed bytes readable everywhere.
+   Either way nothing is left in flight after the final drain. *)
 let run_fetch_case c =
   let base = World.default_config ~n_sites:5 () in
   let config =
@@ -988,9 +1001,18 @@ let run_fetch_case c =
   ignore (World.settle w);
   let k3 = World.kernel w 3 and p3 = World.proc w 3 in
   let gf = Kernel.resolve k3 p3 "/f" in
+  let k4 = World.kernel w 4 in
+  let early =
+    if c.writer then
+      List.map (fun k -> (k, Locus_core.Us.open_gf k gf Proto.Mode_read)) [ k3; k4 ]
+    else []
+  in
   let mode = if c.writer then Proto.Mode_modify else Proto.Mode_read in
   let o = Locus_core.Us.open_gf k3 gf mode in
   let drain () = ignore (Sim.Engine.run_until_idle (World.engine w)) in
+  (* The writer's open breaks the early opens' leases: once the breaks
+     arrive, a later open at their sites asks the CSS. *)
+  if early <> [] then drain ();
   let stats = World.stats w in
   let snap = Stats.snapshot stats in
   let ok = ref true in
@@ -1074,8 +1096,16 @@ let run_fetch_case c =
         committed := !body;
         committed_vv := o.K.o_info.Proto.i_vv;
         peek 4
+      | Abort ->
+        Locus_core.Us.abort k3 o;
+        body := !committed
       | Drain -> drain ()
-      | Peek same -> peek (if same then 3 else 1));
+      | Peek same -> peek (if same then 3 else 1)
+      | Early here ->
+        Locus_core.Us.flush_wb k3 o;
+        drain ();
+        let k, r = List.nth early (if here then 0 else 1) in
+        if not (String.equal (Locus_core.Us.read_all k r) !body) then ok := false);
       if not (versions_committed ()) then ok := false;
       if c.writer && cached_under (List.filter (fun v -> not (K.vkey_equal v o.K.o_key)) !keys)
       then ok := false;
@@ -1091,6 +1121,7 @@ let run_fetch_case c =
        && delta "us.bulk.read" = 0
   in
   Locus_core.Us.close k3 o;
+  List.iter (fun (k, r) -> Locus_core.Us.close k r) early;
   (* Close commits the writer's last modifications. *)
   if c.writer then begin
     committed := !body;
