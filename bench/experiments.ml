@@ -60,14 +60,17 @@ let drain w =
    which the lease layer (E21) deliberately short-circuits. *)
 let no_lease = { K.default_config with K.open_lease_entries = 0 }
 
-let mk_file w ~at ~ncopies ~path ~body =
+(* With [cold], the file's pages then leave site [at]'s buffers, where
+   the write left them, so a first read of each costs its disk read. *)
+let mk_file ?(cold = false) w ~at ~ncopies ~path ~body =
   let k = World.kernel w at and p = World.proc w at in
   let saved = Kernel.get_ncopies p in
   Kernel.set_ncopies p ncopies;
-  ignore (Kernel.creat k p path);
+  let gf = Kernel.creat k p path in
   if String.length body > 0 then Kernel.write_file k p path body;
   Kernel.set_ncopies p saved;
-  settle_ok w
+  settle_ok w;
+  if cold then ignore (K.Ss_cache.drop_file k.K.ss_cache (Catalog.Gfile.id gf))
 
 (* ---------------------------------------------------------------- E1 *)
 (* Figure 2 / section 2.3.3: the open protocol across the eight
@@ -159,7 +162,7 @@ let e2 () =
       }
     in
     let w = World.create ~config () in
-    mk_file w ~at:0 ~ncopies:1 ~path:"/seq" ~body;
+    mk_file ~cold:true w ~at:0 ~ncopies:1 ~path:"/seq" ~body;
     let k = World.kernel w open_at in
     let snap = Stats.snapshot (World.stats w) in
     (* Measure only the caller's synchronous stall, the open's included: a
@@ -1239,7 +1242,7 @@ let e18 () =
       }
     in
     let w = World.create ~config () in
-    mk_file w ~at:0 ~ncopies:1 ~path:"/hot" ~body;
+    mk_file ~cold:true w ~at:0 ~ncopies:1 ~path:"/hot" ~body;
     let k2 = World.kernel w 2 in
     let gf = gf_of k2 "/hot" in
     (* Pass 1: first sequential read; the engine drains between reads so

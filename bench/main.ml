@@ -473,6 +473,54 @@ let check_insert_evict () =
   if words > insert_evict_bound then
     failwith (Printf.sprintf "micro: a cache insert that evicts allocates %.1f words" words)
 
+(* Words a directory index allocates to follow a new version of a
+   16-page directory that replaced one page (an unlink's tombstone), and
+   a full build of the same body: both read the pages from an array, so
+   what is counted is the index's own, the slot array a build allocates
+   included. A re-index that allocates as much as the build is no longer
+   partial: it aborts the micro suite, and so bench-smoke. *)
+let reindex_words () =
+  let module Dir = Catalog.Dir in
+  let d = Dir.empty () in
+  let names = List.init 544 (Printf.sprintf "entry%04d") in
+  List.iteri
+    (fun i name -> Dir.insert d ~name ~ino:(i + 2) ~ftype:Inode.Regular ~stamp:0.0 ~origin:0)
+    names;
+  let pages_of body =
+    let size = String.length body in
+    ( Array.init ((size + Page.size - 1) / Page.size) (fun p ->
+          Page.of_string (String.sub body (p * Page.size) (min Page.size (size - (p * Page.size))))),
+      size )
+  in
+  let old, size = pages_of (Dir.encode d) in
+  if Array.length old <> 16 then failwith "micro: the directory row is not 16 pages";
+  ignore (Dir.remove d ~name:(List.nth names 250) ~stamp:1.0 ~origin:0);
+  let fresh, _ = pages_of (Dir.encode d) in
+  let replaced =
+    List.filter (fun p -> not (String.equal old.(p) fresh.(p))) (List.init 16 Fun.id)
+  in
+  if List.length replaced <> 1 then failwith "micro: the unlink did not replace one page";
+  let pages = List.map (fun p -> (p, fresh.(p))) replaced in
+  let measure f =
+    let before = allocated_words () in
+    let r = Sys.opaque_identity (f ()) in
+    (allocated_words () -. before, r)
+  in
+  let build_words, index = measure (fun () -> Dir.Index.build ~read:(Array.get old) ~size) in
+  let reindex_words, () =
+    measure (fun () -> Dir.Index.reindex index ~read:(Array.get fresh) ~pages ~size)
+  in
+  (reindex_words, build_words)
+
+let check_reindex () =
+  let reindex, build = reindex_words () in
+  Report.metric ~experiment:"micro" "dir.reindex.words" reindex;
+  Report.metric ~experiment:"micro" "dir.build.words" build;
+  Printf.printf "  dir index, 1 of 16 pages replaced: %.0f words to re-index, %.0f to build (need less)\n%!"
+    reindex build;
+  if reindex >= build then
+    failwith (Printf.sprintf "micro: a one-page re-index allocates %.0f words, a build %.0f" reindex build)
+
 (* Dropping a file's pages must not grow with the rest of the cache: 16
    times the other entries may cost at most 4 times as much (a scan of
    the whole cache costs about 16 times). Aborts the micro suite, and so
@@ -491,6 +539,7 @@ let run_micro () =
   run_heap_micro ();
   check_read_path ();
   check_insert_evict ();
+  check_reindex ();
   let open Bechamel in
   Printf.printf "\n== Bechamel micro-benchmarks (host CPU) ==\n%!";
   let tests = micro_tests () in

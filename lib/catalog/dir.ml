@@ -244,7 +244,14 @@ module Index = struct
 
   let off_mask = (1 lsl off_bits) - 1
 
-  type t = { mutable slots : int array; mutable count : int; mutable log_end : int }
+  type t = {
+    mutable slots : int array;
+    mutable count : int;
+    mutable per_page : int array; (* slots whose record starts in each page *)
+    mutable log_end : int;
+  }
+
+  let page_of v = ((v land off_mask) - 1) / Page.size
 
   (* FNV-1a, cut to the bits a slot has above the offset. *)
   let hash b off len =
@@ -305,7 +312,24 @@ module Index = struct
     reserve t (t.count + 1);
     put t.slots h ((h lsl off_bits) lor (off + 1));
     t.count <- t.count + 1;
+    let p = off / Page.size in
+    if p >= Array.length t.per_page then begin
+      let grown = Array.make (max (p + 1) (2 * Array.length t.per_page)) 0 in
+      Array.blit t.per_page 0 grown 0 (Array.length t.per_page);
+      t.per_page <- grown
+    end;
+    t.per_page.(p) <- t.per_page.(p) + 1;
     t.log_end <- max t.log_end (off + header + n)
+
+  (* Whether slot value [v] is in the index: a record with that hash
+     starts at that offset. *)
+  let mem_slot t v =
+    let mask = Array.length t.slots - 1 in
+    let rec go i =
+      let x = t.slots.(i) in
+      x <> 0 && (x = v || go ((i + 1) land mask))
+    in
+    go ((v lsr off_bits) land mask)
 
   let find t ~read ~limit name =
     let n = String.length name in
@@ -319,7 +343,7 @@ module Index = struct
 
   let build ~read ~size =
     let pages = Array.init ((size + Page.size - 1) / Page.size) read in
-    let t = { slots = Array.make 16 0; count = 0; log_end = 0 } in
+    let t = { slots = Array.make 16 0; count = 0; per_page = [||]; log_end = 0 } in
     reserve t (size / 22);
     Array.iteri
       (fun lpage page ->
@@ -333,6 +357,100 @@ module Index = struct
             enter t h ((lpage * Page.size) + at) n))
       pages;
     t
+
+  (* Empty slot [i] by shifting back each later slot of its probe run
+     that may sit earlier (backward-shift deletion): no marker is left,
+     and nothing is allocated. *)
+  let remove_at t i =
+    let slots = t.slots in
+    let mask = Array.length slots - 1 in
+    let p = page_of slots.(i) in
+    t.per_page.(p) <- t.per_page.(p) - 1;
+    t.count <- t.count - 1;
+    let rec shift hole j =
+      let j = (j + 1) land mask in
+      let v = slots.(j) in
+      if v = 0 then slots.(hole) <- 0
+      else
+        let home = (v lsr off_bits) land mask in
+        (* [v] may fill the hole unless its home lies in (hole, j]. *)
+        let stays = if hole <= j then home > hole && home <= j else home > hole || home <= j in
+        if stays then shift hole j
+        else begin
+          slots.(hole) <- v;
+          shift j j
+        end
+    in
+    shift i i
+
+  (* The hash of the name of the record at byte [at] of [page]. *)
+  let hash_at page at = hash page (at + header) (String.get_uint16_be page (at + 1))
+
+  let reindex t ~read ~pages ~size =
+    let npages = (size + Page.size - 1) / Page.size in
+    let scan_page (lpage, page) f = scan page (min Page.size (size - (lpage * Page.size))) f in
+    let slot lpage at h = (h lsl off_bits) lor ((lpage * Page.size) + at + 1) in
+    let cut = ref false in
+    for p = npages to Array.length t.per_page - 1 do
+      if t.per_page.(p) > 0 then cut := true
+    done;
+    (* A record change or an append leaves every record of a replaced
+       page at its offset: then no slot is stale, and only the new
+       records enter. Otherwise the slots of the replaced and cut pages
+       go first, found by one pass over the slots. *)
+    let stale =
+      !cut
+      || List.exists
+           (fun (lpage, page) ->
+             let kept = ref 0 in
+             scan_page (lpage, page) (fun at ->
+                 if mem_slot t (slot lpage at (hash_at page at)) then incr kept);
+             lpage < Array.length t.per_page && !kept < t.per_page.(lpage))
+           pages
+    in
+    let kept_max = ref (-1) in
+    if stale then begin
+      let rec replaced lpage = function
+        | (p, _) :: rest -> p = lpage || (p < lpage && replaced lpage rest)
+        | [] -> false
+      in
+      let gone lpage = lpage >= npages || replaced lpage pages in
+      let last = if t.log_end = 0 then -1 else (t.log_end - 1) / Page.size in
+      (* The old last record ends the log still when its page survives. *)
+      if last < 0 || gone last then t.log_end <- 0;
+      let i = ref 0 in
+      while !i < Array.length t.slots do
+        let v = t.slots.(!i) in
+        if v <> 0 && gone (page_of v) then remove_at t !i
+        else begin
+          if v <> 0 then kept_max := max !kept_max ((v land off_mask) - 1);
+          incr i
+        end
+      done
+    end;
+    let rec find_page lpage = function
+      | (p, page) :: rest -> if p = lpage then page else find_page lpage rest
+      | [] -> read lpage
+    in
+    let in_hand lpage = find_page lpage pages in
+    List.iter
+      (fun ((lpage, page) as p) ->
+        scan_page p (fun at ->
+            let h = hash_at page at in
+            if not (mem_slot t (slot lpage at h)) then begin
+              let n = String.get_uint16_be page (at + 1) in
+              if probe t ~read:in_hand ~limit:size h page (at + header) n <> None then
+                failwith "Dir.decode: duplicate name";
+              enter t h ((lpage * Page.size) + at) n
+            end))
+      pages;
+    (* When the old last record left and no new one lies past every kept
+       record, the last kept one ends the log: its length is on its page. *)
+    if t.log_end <= !kept_max then begin
+      let off = !kept_max in
+      let page = read (off / Page.size) in
+      t.log_end <- off + header + String.get_uint16_be page ((off mod Page.size) + 1)
+    end
 
   let log_end t = t.log_end
 end

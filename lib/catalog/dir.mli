@@ -126,7 +126,9 @@ val page_links :
     record, plus the log's end. It keeps no entry and no name — a lookup
     hashes the name, reads the page of each record the hash points at and
     compares the name bytes there — so it costs two to four words per
-    name, and status, inode and stamp are always the page's. *)
+    name and one per page (its count of records, which lets a re-index
+    skip the records it keeps), and status, inode and stamp are always
+    the page's. *)
 module Index : sig
   type t
 
@@ -147,6 +149,20 @@ module Index : sig
 
   val add : t -> string -> int -> unit
   (** Note that the name's record now starts at the offset. *)
+
+  val reindex :
+    t -> read:(int -> Storage.Page.t) -> pages:(int * Storage.Page.t) list -> size:int -> unit
+  (** Follow a new version of the log, [size] bytes long, that differs
+      from the indexed one only in [pages], its changed pages below
+      [size] as (logical page, page), ascending: drop the records that
+      lay in those pages or past the new last page, and index the
+      records of [pages]. The result equals {!build} of the new log. The
+      pages are in hand; [read] is called only for a page that is not
+      among them: a kept record whose name hash matches a new record's,
+      and the last kept record once the old last record left and no new
+      record lies past it. On
+      [Failure], where {!build} would raise, the index is left part done
+      and must be dropped. *)
 
   val log_end : t -> int
   (** The byte after the last record. *)

@@ -23,19 +23,47 @@ let retire_lease k gf vv =
   | Some e when not (Vvec.equal e.Openlease.le_vv vv) -> Openlease.kill k.open_leases gf
   | Some _ | None -> ()
 
-(* Every logical page the change did not replace stays on its disk page,
-   so its buffer holds its contents. Every buffer lies below the copy's
-   size, so the pages cut off cover a delete's. *)
-let installed k gf ~vv ~deleted ~old_size ~size ~replaced ~index =
+(* The committed page [lpage] of this site's copy, through the buffer
+   cache: what a re-index reads of a page it does not hold. *)
+let committed_page k gf lpage =
+  let pack = local_pack_exn k gf.Gfile.fg in
+  cached_pack_page k ~read:(Storage.Pack.reader pack (Storage.Pack.get_inode pack gf.Gfile.ino)) gf
+    lpage
+
+let has_session k gf =
+  match ss_find_open k gf with Some { s_shadow = Some _; _ } -> true | Some _ | None -> false
+
+type index_change = Followed | Reindex
+
+(* The install wrote each replaced page below the new size, so its
+   buffer holds the page the install holds (section 2.3.6: the network
+   buffer, or the session's page, goes to secondary storage), and every
+   page it did not replace stays on its disk page. Every buffer lies
+   below the copy's size, so the pages cut off cover a delete's. An index
+   of the old version that did not make the change follows it from the
+   replaced pages, unless a session on the file holds record changes of
+   its own. *)
+let installed k gf ~old_vv ~vv ~deleted ~old_size ~size ~replaced ~index =
   retire_lease k gf vv;
   let npages size = (size + Storage.Page.size - 1) / Storage.Page.size in
-  List.iter (fun p -> Ss_cache.invalidate k.ss_cache (gf, p)) replaced;
+  if ss_cache_enabled k then
+    List.iter (fun (p, page) -> Ss_cache.insert k.ss_cache (gf, p) page) replaced;
   for p = npages size to npages old_size - 1 do
     Ss_cache.invalidate k.ss_cache (gf, p)
   done;
   (match (Gfile.Tbl.find_opt k.ss_dirs gf, index) with
-  | Some d, Some old_vv when Vvec.equal d.di_vv old_vv -> d.di_vv <- vv
-  | Some _, _ -> ss_dir_drop k gf
+  | Some d, _ when deleted || not (Vvec.equal d.di_vv old_vv) -> ss_dir_drop k gf
+  | Some d, Followed -> d.di_vv <- vv
+  | Some _, Reindex when has_session k gf -> ss_dir_drop k gf
+  | Some d, Reindex -> (
+    let pages = dir_index_pages d in
+    match
+      Catalog.Dir.Index.reindex d.di_index ~read:(committed_page k gf) ~pages:replaced ~size
+    with
+    | exception Failure _ -> ss_dir_drop k gf
+    | () ->
+      d.di_vv <- vv;
+      if dir_index_pages d > pages then dir_index_fit k)
   | None, _ -> ());
   retire_links k gf ~vv ~deleted
 

@@ -5,15 +5,23 @@
 
 open Ktypes
 
+(** How a directory index of the copy's old version comes to locate the
+    new version's records. *)
+type index_change =
+  | Followed
+      (** it made the change's record changes itself: a commit of this
+          site's session on the directory, or a metadata-only commit *)
+  | Reindex  (** from the replaced pages: a pull or a carried install *)
+
 val installed :
-  t -> Gfile.t -> vv:Vvec.t -> deleted:bool -> old_size:int -> size:int -> replaced:int list ->
-  index:Vvec.t option -> unit
-(** This site's copy moved to [vv], replacing the pages [replaced] and
-    taking the size from [old_size] to [size]: a local or metadata-only
-    commit, a pull or carried install, or a propagated delete. [index] is
-    the version whose directory index followed the change, when its record
-    changes went through the index (a commit of this site's session, or a
-    metadata-only one); [None] when no index stays valid. *)
+  t -> Gfile.t -> old_vv:Vvec.t -> vv:Vvec.t -> deleted:bool -> old_size:int -> size:int ->
+  replaced:(int * Storage.Page.t) list -> index:index_change -> unit
+(** This site's copy moved from [old_vv] to [vv], replacing the pages
+    [replaced], given as (logical page, page) below [size], and taking
+    the size from [old_size] to [size]: a local or metadata-only commit,
+    a pull or carried install, or a propagated delete. The replaced pages
+    enter the SS buffer cache, and a directory index of [old_vv] follows
+    the change as [index] says. *)
 
 val announced : t -> Gfile.t -> vv:Vvec.t -> deleted:bool -> origin:Site.t -> unit
 (** A commit of [vv] became known here, from [origin], without this

@@ -290,8 +290,8 @@ type t = {
        than the US cache has pages. *)
   ss_cache : Ss_cache.t;
   (* SS buffer cache fronting pack/disk page reads: (file, page) -> the
-     local copy's page. [Coherence.installed] carries the buffers across
-     a new version of the copy or drops the file's. *)
+     local copy's page. [Coherence.installed] buffers the pages a new
+     version of the copy wrote and drops those it cut off. *)
   ss_dirs : dir_index Gfile.Tbl.t;
   (* SS directory indexes, together covering at most as many directory
      pages as the buffer cache holds pages *)
@@ -389,9 +389,58 @@ let place_css ~fg candidates =
 
 let ss_cache_enabled k = k.config.ss_cache_pages > 0
 
+(* A committed page through the SS buffer cache, which holds pages of the
+   local copy as it is now: a commit or pull buffers the pages it wrote
+   and drops those it cut off, so the cache can never serve a stale
+   version. A hit skips the disk; a miss reads the page with [read], a
+   {!Storage.Pack.reader}. *)
+let cached_pack_page k ~read gf lpage =
+  if not (ss_cache_enabled k) then begin
+    charge_disk_read k;
+    read lpage
+  end
+  else begin
+    let key = (gf, lpage) in
+    match Ss_cache.find k.ss_cache key with
+    | Some page ->
+      Sim.Stats.cincr k.hot.hc_ss_hit;
+      page
+    | None ->
+      Sim.Stats.cincr k.hot.hc_ss_miss;
+      charge_disk_read k;
+      let page = read lpage in
+      Ss_cache.insert k.ss_cache key page;
+      page
+  end
+
 (* Forget [gf]'s directory index: its session aborted or took a raw page
    write, or another version of the directory was installed. *)
 let ss_dir_drop k gf = Gfile.Tbl.remove k.ss_dirs gf
+
+let dir_index_pages d =
+  (Catalog.Dir.Index.log_end d.di_index + Storage.Page.size - 1) / Storage.Page.size
+
+(* Keep the indexes within as many directory pages as the buffer cache
+   holds pages, evicting the least recently used first. *)
+let rec dir_index_fit k =
+  let budget = if ss_cache_enabled k then k.config.ss_cache_pages else 0 in
+  let total, lru =
+    Gfile.Tbl.fold
+      (fun gf d (n, lru) ->
+        let lru =
+          match lru with
+          | Some (_, used) when used <= d.di_used -> lru
+          | Some _ | None -> Some (gf, d.di_used)
+        in
+        (n + dir_index_pages d, lru))
+      k.ss_dirs (0, None)
+  in
+  match lru with
+  | Some (gf, _) when total > budget ->
+    ss_dir_drop k gf;
+    Sim.Stats.incr (stats k) "ss.dir.index_evict";
+    dir_index_fit k
+  | Some _ | None -> ()
 
 let fresh_serial k =
   let n = k.next_serial in

@@ -284,8 +284,8 @@ type t = {
           more files than [us_cache] holds pages. *)
   ss_cache : Ss_cache.t;
       (** SS buffer cache fronting pack/disk page reads: (file, page) → the
-          local copy's page. [Coherence.installed] carries the buffers
-          across a new version of the copy or drops the file's. *)
+          local copy's page. [Coherence.installed] buffers the pages a
+          new version of the copy wrote and drops those it cut off. *)
   ss_dirs : dir_index Gfile.Tbl.t;
       (** SS directory indexes, together covering at most as many
           directory pages as the buffer cache holds pages *)
@@ -362,9 +362,22 @@ val place_css : fg:int -> Site.t list -> Site.t option
 val ss_cache_enabled : t -> bool
 (** Whether the SS-side buffer-cache tier is on ([ss_cache_pages > 0]). *)
 
+val cached_pack_page :
+  t -> read:(int -> Storage.Page.t) -> Gfile.t -> int -> Storage.Page.t
+(** [cached_pack_page k ~read gf lpage]: the committed page through the
+    SS buffer cache, a miss read with [read] (a {!Storage.Pack.reader})
+    at a disk read's charge. *)
+
 val ss_dir_drop : t -> Gfile.t -> unit
 (** Forget a directory's index: its session aborted or took a raw page
     write, or another version of it was installed. *)
+
+val dir_index_pages : dir_index -> int
+(** The directory pages an index covers. *)
+
+val dir_index_fit : t -> unit
+(** Evict the least recently used directory indexes until they together
+    cover at most as many pages as the SS buffer cache holds. *)
 
 val fresh_serial : t -> int
 

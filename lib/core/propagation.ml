@@ -56,8 +56,8 @@ let apply_delete k pack gf ~vv =
       Shadow.mark_deleted session ~time:(now k);
       charge_disk_write k;
       Shadow.commit session ~vv ~mtime:(now k);
-      Coherence.installed k gf ~vv ~deleted:true ~old_size:inode.Inode.size ~size:0 ~replaced:[]
-        ~index:None;
+      Coherence.installed k gf ~old_vv:inode.Inode.vv ~vv ~deleted:true ~old_size:inode.Inode.size
+        ~size:0 ~replaced:[] ~index:Coherence.Reindex;
       record k ~tag:"prop.delete" "%a" Gfile.pp gf;
       report_to_css k gf vv ~deleted:true
     end
@@ -107,12 +107,10 @@ let install_version k pack gf ~source (local : Inode.t) (info : Proto.inode_info
        a pure truncate at the source modified no page at all — either way
        the local copy must not keep a stale tail. *)
     Shadow.set_size session info.Proto.i_size;
-    let replaced = Shadow.modified_lpages session in
+    let replaced = Shadow.modified_pages session in
     Shadow.commit session ~vv:info.Proto.i_vv ~mtime:info.Proto.i_mtime;
-    (* The pulled pages were written whole: no index of the old version
-       describes them. *)
-    Coherence.installed k gf ~vv:info.Proto.i_vv ~deleted:false ~old_size:local.Inode.size
-      ~size:info.Proto.i_size ~replaced ~index:None;
+    Coherence.installed k gf ~old_vv:local.Inode.vv ~vv:info.Proto.i_vv ~deleted:false
+      ~old_size:local.Inode.size ~size:info.Proto.i_size ~replaced ~index:Coherence.Reindex;
     record k ~tag:"prop.pull" "%a <- %a vv=%a (%d pages)" Gfile.pp gf Site.pp source Vvec.pp
       info.Proto.i_vv npulled;
     report_to_css k gf info.Proto.i_vv ~deleted:false;

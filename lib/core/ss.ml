@@ -37,30 +37,6 @@ let handle_storage_req k gf ~vv ~us ~mode ~others =
           { accept = true; info = Some (Proto.info_of_inode inode); slot = s.s_slot }
       end)
 
-(* A committed page through the SS buffer cache, which holds pages of the
-   local copy as it is now: a commit or pull drops the buffers of the
-   pages it replaced, so the cache can never serve a stale version. A hit
-   skips the disk; a miss reads the page with [read], the request's
-   {!Pack.reader}. *)
-let cached_pack_page k ~read gf lpage =
-  if not (ss_cache_enabled k) then begin
-    charge_disk_read k;
-    read lpage
-  end
-  else begin
-    let key = (gf, lpage) in
-    match Ss_cache.find k.ss_cache key with
-    | Some page ->
-      Sim.Stats.cincr k.hot.hc_ss_hit;
-      page
-    | None ->
-      Sim.Stats.cincr k.hot.hc_ss_miss;
-      charge_disk_read k;
-      let page = read lpage in
-      Ss_cache.insert k.ss_cache key page;
-      page
-  end
-
 (* Where the SS reads [gf]'s pages from: an open shadow session's pages
    when one exists, at a disk read each (readers of a file being written
    must see its uncommitted pages, Unix shared-file semantics), else the
@@ -261,30 +237,6 @@ let write_run ?(sent = ignore) ?trunc ?len k site gf ~off data =
 
 (* ---- directory indexes: one record changed in place (section 4.4) ---- *)
 
-let dir_index_pages d = (Dir.Index.log_end d.di_index + Page.size - 1) / Page.size
-
-(* Keep the indexes within as many directory pages as the buffer cache
-   holds pages, evicting the least recently used first. *)
-let rec dir_index_fit k =
-  let budget = if ss_cache_enabled k then k.config.ss_cache_pages else 0 in
-  let total, lru =
-    Gfile.Tbl.fold
-      (fun gf d (n, lru) ->
-        let lru =
-          match lru with
-          | Some (_, used) when used <= d.di_used -> lru
-          | Some _ | None -> Some (gf, d.di_used)
-        in
-        (n + dir_index_pages d, lru))
-      k.ss_dirs (0, None)
-  in
-  match lru with
-  | Some (gf, _) when total > budget ->
-    ss_dir_drop k gf;
-    Sim.Stats.incr (stats k) "ss.dir.index_evict";
-    dir_index_fit k
-  | Some _ | None -> ()
-
 let touch k d =
   k.ss_dirs_tick <- k.ss_dirs_tick + 1;
   d.di_used <- k.ss_dirs_tick
@@ -429,11 +381,12 @@ let install ?force_vv k pack gf s session ~delete =
     match Pack.find_inode pack gf.Gfile.ino with Some i -> i.Inode.size | None -> 0
   in
   charge_disk_write k;
+  let replaced = Shadow.modified_pages session in
   Shadow.commit session ~vv ~mtime:(now k);
   s.s_shadow <- None;
   (* The session made its record changes through the directory index. *)
-  Coherence.installed k gf ~vv ~deleted:delete ~old_size ~size:(Shadow.incore session).Inode.size
-    ~replaced:modified ~index:(if delete then None else Some old_vv);
+  Coherence.installed k gf ~old_vv ~vv ~deleted:delete ~old_size
+    ~size:(Shadow.incore session).Inode.size ~replaced ~index:Coherence.Followed;
   record k ~tag:"ss.commit" "%a vv=%a%s" Gfile.pp gf Vvec.pp vv
     (if delete then " delete" else "");
   (vv, modified)
@@ -663,8 +616,8 @@ let metadata_install k gf (inode : Inode.t) mutate =
   inode.Inode.vv <- Vvec.bump old_vv k.site;
   inode.Inode.mtime <- now k;
   charge_disk_write k;
-  Coherence.installed k gf ~vv:inode.Inode.vv ~deleted:false ~old_size:size ~size ~replaced:[]
-    ~index:(Some old_vv);
+  Coherence.installed k gf ~old_vv ~vv:inode.Inode.vv ~deleted:false ~old_size:size ~size
+    ~replaced:[] ~index:Coherence.Followed;
   inode.Inode.vv
 
 (* Add [delta] to the link count of this site's copy of [gf]; the last link

@@ -1,4 +1,7 @@
-type slot = { old_addr : int; fresh_addr : int }
+(* A shadow page: the page it replaces, its own, and the page value
+   stored there, so a commit hands the new pages on without reading them
+   back. *)
+type slot = { old_addr : int; fresh_addr : int; mutable page : Page.t }
 
 type t = {
   pack : Pack.t;
@@ -47,16 +50,18 @@ let read_page t lpage =
   let addr = t.table.(lpage) in
   if addr = 0 then Page.blank else Disk.read (disk t) addr
 
-(* Ensure lpage has a shadow page; returns its address. After the first
-   modification the shadow page is reused in place (section 2.3.6). *)
-let shadow_addr t lpage =
+(* Store [page] as lpage's shadow page, allocating it on the first
+   modification; later ones reuse it in place (section 2.3.6). *)
+let store t lpage page =
   match Hashtbl.find_opt t.shadows lpage with
-  | Some slot -> slot.fresh_addr
+  | Some slot ->
+    Disk.write (disk t) slot.fresh_addr page;
+    slot.page <- page
   | None ->
     let fresh = Disk.alloc (disk t) in
-    Hashtbl.add t.shadows lpage { old_addr = t.table.(lpage); fresh_addr = fresh };
-    t.table.(lpage) <- fresh;
-    fresh
+    Disk.write (disk t) fresh page;
+    Hashtbl.add t.shadows lpage { old_addr = t.table.(lpage); fresh_addr = fresh; page };
+    t.table.(lpage) <- fresh
 
 let grow_size t lpage =
   let wanted = (lpage + 1) * Page.size in
@@ -65,8 +70,7 @@ let grow_size t lpage =
 let write_page t ~lpage page =
   check_active t;
   check_lpage lpage;
-  let addr = shadow_addr t lpage in
-  Disk.write (disk t) addr page;
+  store t lpage page;
   grow_size t lpage
 
 let patch_page t ~lpage ~off data =
@@ -74,9 +78,7 @@ let patch_page t ~lpage ~off data =
   check_lpage lpage;
   if off < 0 || off + String.length data > Page.size then
     invalid_arg "Shadow.patch_page: out of page bounds";
-  let page = Page.patch (read_page t lpage) off data in
-  let addr = shadow_addr t lpage in
-  Disk.write (disk t) addr page;
+  store t lpage (Page.patch (read_page t lpage) off data);
   let wanted = (lpage * Page.size) + off + String.length data in
   if t.incore.Inode.size < wanted then t.incore.Inode.size <- wanted
 
@@ -123,11 +125,8 @@ let truncate t size =
     if tail_off > 0 then begin
       let lpage = size / Page.size in
       if t.table.(lpage) <> 0 then begin
-        let page =
-          Page.patch (read_page t lpage) tail_off (String.make (Page.size - tail_off) '\000')
-        in
-        let addr = shadow_addr t lpage in
-        Disk.write (disk t) addr page
+        store t lpage
+          (Page.patch (read_page t lpage) tail_off (String.make (Page.size - tail_off) '\000'))
       end
     end;
     t.incore.Inode.size <- size
@@ -155,6 +154,17 @@ let modified_lpages t =
   let acc = Hashtbl.fold (fun lpage _ acc -> lpage :: acc) t.shadows [] in
   let acc = Hashtbl.fold (fun lpage () acc -> lpage :: acc) t.dropped acc in
   List.sort_uniq Int.compare acc
+
+let modified_pages t =
+  let npages = (t.incore.Inode.size + Page.size - 1) / Page.size in
+  List.filter_map
+    (fun lpage ->
+      if lpage >= npages then None
+      else
+        match Hashtbl.find_opt t.shadows lpage with
+        | Some slot -> Some (lpage, slot.page)
+        | None -> Some (lpage, Page.blank))
+    (modified_lpages t)
 
 let needs_indirect t =
   let rec check i = i < Inode.max_pages && (t.table.(i) <> 0 || check (i + 1)) in

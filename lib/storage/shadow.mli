@@ -58,6 +58,13 @@ val modified_lpages : t -> int list
     Includes pages released by truncation: they changed too (to zeroes),
     and omitting them would leave stale tails at incremental pullers. *)
 
+val modified_pages : t -> (int * Page.t) list
+(** The logical pages changed so far that lie below the session's size,
+    ascending, each with the page it now holds (a page released by
+    truncation and not written since holds {!Page.blank}): the pages a
+    commit replaces, as values already in hand, so no disk read is taken
+    to get them. *)
+
 val commit : t -> vv:Vv.Version_vector.t -> mtime:float -> unit
 (** Atomically publish: write the (new) indirect page, stamp the incore
     inode with [vv] and [mtime], switch the inode-table entry, then free

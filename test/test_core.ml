@@ -762,6 +762,102 @@ let test_dir_index_built_once () =
   check Alcotest.(list string) "every name is gone" [ "."; ".." ]
     (List.map (fun (e : Dir.entry) -> e.Dir.name) (Kernel.readdir k3 p3 "/d"))
 
+(* Packs at sites 0 and 1 (the CSS), at bulk window [window]: at 1 a
+   second copy pulls each commit, above 1 it installs the commit its
+   notification carries. *)
+let two_copy_world ?(kconfig = K.default_config) ~window () =
+  let base = World.default_config ~n_sites:5 () in
+  World.create
+    ~config:
+      { base with
+        World.filegroups = [ { World.fg = 0; pack_sites = [ 0; 1 ]; mount_path = None } ];
+        World.kernel_config = { kconfig with K.bulk_window = window };
+      }
+    ()
+
+(* Pages the disk of [site]'s pack has read so far. *)
+let disk_reads w site =
+  Storage.Disk.reads (Storage.Pack.disk (K.local_pack_exn (World.kernel w site) 0))
+
+(* An install leaves the pages it wrote in the SS buffer cache, at the
+   committing site and at the second copy alike, so another site's read
+   of them reads no disk at either; a shrink and a delete drop the pages
+   they cut off. *)
+let install_buffers_what_it_wrote ~window =
+  let w = two_copy_world ~window () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  Kernel.set_ncopies p0 2;
+  let gf = Kernel.creat k0 p0 "/f" in
+  ignore (World.settle w);
+  let ps = Storage.Page.size in
+  let body = String.init (3 * ps) (fun i -> Char.chr (97 + (i / ps))) in
+  let r0 = disk_reads w 0 and r1 = disk_reads w 1 in
+  let snap = Stats.snapshot (stats w) in
+  Kernel.write_file k0 p0 "/f" body;
+  ignore (World.settle w);
+  let k3 = World.kernel w 3 in
+  List.iter
+    (fun site ->
+      let pages, _, _ = Locus_core.Ss.read_pages k3 site gf ~first:0 ~count:3 ~guess:0 in
+      check Alcotest.string (Printf.sprintf "site %d serves the body" site) body
+        (String.concat "" pages))
+    [ 0; 1 ];
+  check Alcotest.int "no SS cache miss" 0 (Stats.delta_of (stats w) snap "cache.ss.miss");
+  check Alcotest.int "no disk read at the committing site" 0 (disk_reads w 0 - r0);
+  check Alcotest.int "no disk read at the second copy" 0 (disk_reads w 1 - r1);
+  let buffered site lpage = K.Ss_cache.mem (World.kernel w site).K.ss_cache (gf, lpage) in
+  Kernel.write_file k0 p0 "/f" (String.make ps 'z');
+  ignore (World.settle w);
+  List.iter
+    (fun site ->
+      check Alcotest.(list bool)
+        (Printf.sprintf "site %d buffers page 0 and drops the cut pages" site)
+        [ true; false; false ]
+        (List.map (buffered site) [ 0; 1; 2 ]))
+    [ 0; 1 ];
+  Kernel.unlink k0 p0 "/f";
+  ignore (World.settle w);
+  List.iter
+    (fun site ->
+      check Alcotest.bool (Printf.sprintf "site %d drops a deleted file's page" site) false
+        (buffered site 0))
+    [ 0; 1 ]
+
+let test_install_buffers_what_it_wrote () =
+  install_buffers_what_it_wrote ~window:1;
+  install_buffers_what_it_wrote ~window:8
+
+(* Site 1's copy of /d installs another site's create, pulled or carried;
+   its index follows the new version. With the name cache off, a lookup
+   there goes through that index, and so does the next, after a create
+   from site 1 that the CSS's copy runs and site 1 installs in turn:
+   neither builds an index anywhere. *)
+let pulled_directory_keeps_its_index ~window =
+  let kconfig = { K.default_config with K.name_cache_entries = 0 } in
+  let w = two_copy_world ~kconfig ~window () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  let k1 = World.kernel w 1 and p1 = World.proc w 1 in
+  let k2 = World.kernel w 2 and p2 = World.proc w 2 in
+  List.iter (fun p -> Kernel.set_ncopies p 2) [ p0; p1; p2 ];
+  ignore (Kernel.mkdir k0 p0 "/d");
+  ignore (Kernel.creat k0 p0 "/d/a");
+  ignore (World.settle w);
+  ignore (Kernel.resolve k1 p1 "/d/a");
+  let c = Kernel.creat k2 p2 "/d/c" in
+  ignore (World.settle w);
+  let snap = Stats.snapshot (stats w) in
+  check Alcotest.bool "the pulled name is found" true
+    (Catalog.Gfile.equal c (Kernel.resolve k1 p1 "/d/c"));
+  let e = Kernel.creat k1 p1 "/d/e" in
+  ignore (World.settle w);
+  check Alcotest.bool "the installed name is found" true
+    (Catalog.Gfile.equal e (Kernel.resolve k1 p1 "/d/e"));
+  check Alcotest.int "no index build" 0 (Stats.delta_of (stats w) snap "ss.dir.index_builds")
+
+let test_pulled_directory_keeps_its_index () =
+  pulled_directory_keeps_its_index ~window:1;
+  pulled_directory_keeps_its_index ~window:8
+
 (* Words the SS allocates for an append and a tombstone patch, once the
    directory's index exists, at a directory of [n] entries stored only at
    site 0, which is also the using site. *)
@@ -1302,6 +1398,8 @@ let () =
           Alcotest.test_case "read_bytes zero fill" `Quick
             test_read_bytes_zero_fills_short_page;
           Alcotest.test_case "read at eof reads no page" `Quick test_read_at_eof_reads_no_page;
+          Alcotest.test_case "an install buffers what it wrote" `Quick
+            test_install_buffers_what_it_wrote;
         ] );
       ( "write-commit",
         [
@@ -1340,6 +1438,8 @@ let () =
             test_duplicate_create_no_orphan;
           Alcotest.test_case "unlink of a busy file changes nothing" `Quick test_unlink_busy_file;
           Alcotest.test_case "dir index built once" `Quick test_dir_index_built_once;
+          Alcotest.test_case "a pulled directory keeps its index" `Quick
+            test_pulled_directory_keeps_its_index;
           Alcotest.test_case "dir update allocation flat" `Quick test_dir_update_allocation_flat;
         ] );
       ( "close-protocol",

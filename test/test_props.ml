@@ -221,6 +221,124 @@ let prop_dir_one_page_change =
       && (op = 0 || String.length b = String.length old)
       && patched = Some b)
 
+(* A re-index of a directory's index from the pages a new version
+   replaced equals an index built from the new body: every name of either
+   version is found at the same offset, the log ends at the same byte,
+   and a body with a repeated name is refused by both. The new version is
+   the old one after some record changes and appends (replacing only the
+   pages whose bytes changed), another directory written whole
+   (replacing every page, the old pages past its end cut off), the old
+   one cut after one of its records (a shrink), or the old one with a
+   record of a name it holds appended. The re-index reads no page it was
+   handed. *)
+let prop_dir_reindex =
+  QCheck.Test.make ~name:"dir re-index equals a fresh build" ~count:300
+    (QCheck.make
+       ~print:(fun (d, ops, mode, other) ->
+         Printf.sprintf "%d bytes, %d ops, mode %d, other %d bytes"
+           (String.length (Dir.encode d)) (List.length ops) mode
+           (String.length (Dir.encode other)))
+       QCheck.Gen.(
+         quad gen_dir
+           (list_size (int_range 1 6) (triple (int_bound 2) nat gen_long_name))
+           (int_bound 3) gen_dir))
+    (fun (d, ops, mode, other) ->
+      let old = Dir.encode d in
+      let pages_of b =
+        let size = String.length b in
+        fun lpage ->
+          let first = lpage * Page.size in
+          if first >= size then Page.blank
+          else Page.of_string (String.sub b first (min Page.size (size - first)))
+      in
+      let npages b = (String.length b + Page.size - 1) / Page.size in
+      let index = Dir.Index.build ~read:(pages_of old) ~size:(String.length old) in
+      let d' = Dir.decode old in
+      let pick_from status pick =
+        match List.filter (fun (e : Dir.entry) -> e.Dir.status = status) (Dir.all_entries d') with
+        | [] -> None
+        | es -> Some (List.nth es (pick mod List.length es)).Dir.name
+      in
+      let body =
+        match mode with
+        | 0 ->
+          List.iter
+            (fun (op, pick, name) ->
+              match op with
+              | 0 ->
+                if Dir.find_entry d' name = None then
+                  Dir.insert d' ~name ~ino:7 ~ftype:Storage.Inode.Regular ~stamp:1e6 ~origin:3
+              | 1 ->
+                Option.iter
+                  (fun name -> ignore (Dir.remove d' ~name ~stamp:1e6 ~origin:3))
+                  (pick_from Dir.Live pick)
+              | _ ->
+                Option.iter
+                  (fun name ->
+                    Dir.insert d' ~name ~ino:9 ~ftype:Storage.Inode.Regular ~stamp:1e6 ~origin:3)
+                  (pick_from Dir.Tombstone pick))
+            ops;
+          Dir.encode d'
+        | 1 -> Dir.encode other
+        | 3 -> (
+          match record_spans old with
+          | [] -> old
+          | spans ->
+            let _, pick, _ = List.hd ops in
+            String.sub old 0 (snd (List.nth spans (pick mod List.length spans))))
+        | _ -> (
+          match Dir.all_entries d' with
+          | [] -> old
+          | es ->
+            let _, pick, _ = List.hd ops in
+            let e = List.nth es (pick mod List.length es) in
+            let off = Dir.Index.next index e.Dir.name in
+            let r = Dir.record e in
+            let b = Bytes.make (off + String.length r) '\000' in
+            Bytes.blit_string old 0 b 0 (String.length old);
+            Bytes.blit_string r 0 b off (String.length r);
+            Bytes.to_string b)
+      in
+      let size = String.length body in
+      let read = pages_of body and read_old = pages_of old in
+      let replaced =
+        List.filter
+          (fun lpage -> mode = 1 || not (String.equal (read lpage) (read_old lpage)))
+          (List.init (npages body) Fun.id)
+      in
+      let handed = ref false in
+      let reread lpage =
+        if List.mem lpage replaced then handed := true;
+        read lpage
+      in
+      let built = match Dir.Index.build ~read ~size with i -> Some i | exception Failure _ -> None in
+      let reindexed =
+        match
+          Dir.Index.reindex index ~read:reread
+            ~pages:(List.map (fun lpage -> (lpage, read lpage)) replaced)
+            ~size
+        with
+        | () -> Some index
+        | exception Failure _ -> None
+      in
+      let names =
+        List.sort_uniq String.compare
+          (List.map (fun (e : Dir.entry) -> e.Dir.name)
+             (Dir.all_entries d @ Dir.all_entries d' @ Dir.all_entries other))
+      in
+      (not !handed)
+      &&
+      match (built, reindexed) with
+      | None, None -> mode = 2 && Dir.all_entries d <> []
+      | Some b, Some r ->
+        Dir.Index.log_end b = Dir.Index.log_end r
+        && List.for_all
+             (fun name ->
+               Option.map fst (Dir.Index.find b ~read ~limit:size name)
+               = Option.map fst (Dir.Index.find r ~read ~limit:size name))
+             names
+      | Some _, None | None, Some _ -> false)
+
 (* The status bytes that start no record and pad no page: a nonzero byte
    whose low two bits (the status) are 0 or 3, whose next three (the
    type) are 6 or 7, or whose top three are set. 243 of the 256. *)
@@ -1508,6 +1626,7 @@ let props =
       prop_dir_page_links;
       prop_dir_records_in_one_page;
       prop_dir_one_page_change;
+      prop_dir_reindex;
       prop_dir_decode_rejects_damage;
       prop_mbox_merge_commutative;
       prop_mbox_merge_idempotent;
