@@ -94,10 +94,13 @@ simdiff:
 
 # The simulated-number gate: the numbers `simdiff` collects (every workload
 # at seeds 1 and 2, --seconds 1, --traced) for this tree against the
-# committed bench/baseline/sim.json, and the stdout of the seeded E-series
-# experiments (E1-E6, E8-E22, e24smoke) against bench/baseline/<e>.txt.
+# committed bench/baseline/sim.json, the stdout of the seeded E-series
+# experiments (E1-E6, E8-E22, e24smoke) against bench/baseline/<e>.txt, and
+# micro's counted rows (`bench/main.exe micro-counts`: words allocated on
+# the remote read path, by an evicting cache insert, by a directory
+# re-index and by a build) against bench/baseline/counts.txt.
 # It fails, printing every key that moved, baseline -> this tree, and each
-# experiment that differs with its first differing line. A change that
+# output that differs with its first differing line. A change that
 # moves either on purpose rewrites the files in the same diff with
 # `make baseline-write` and says why. WORKLOADS limits either target's
 # workloads; the experiments always run (under a second).

@@ -4,6 +4,9 @@
    dune exec bench/main.exe -- e5 e6   -- run selected experiments
    dune exec bench/main.exe -- micro   -- Bechamel micro-benchmarks of the
                                           hot paths (host CPU time)
+   dune exec bench/main.exe -- micro-counts
+                                       -- micro's counted rows (words
+                                          allocated) alone, no banner
    dune exec bench/main.exe -- soak [--seeds K] [--seed N] [--ops M]
                                     [--drop i,j,...]
                                        -- deterministic fault soak; failing
@@ -521,6 +524,19 @@ let check_reindex () =
   if reindex >= build then
     failwith (Printf.sprintf "micro: a one-page re-index allocates %.0f words, a build %.0f" reindex build)
 
+(* micro's counted rows, one "name value" line each and nothing else:
+   words allocated, which the same program allocates alike on every run,
+   so `make baseline` compares them with bench/baseline/counts.txt
+   exactly. The timed rows and the bounds stay with `micro`. *)
+let run_micro_counts () =
+  let read_path = read_path_words () in
+  let insert_evict = insert_evict_words () in
+  let reindex, build = reindex_words () in
+  List.iter
+    (fun (name, v) -> Printf.printf "%s %.4f\n" name v)
+    [ ("read_path.words_per_page", read_path); ("lru.insert_evict.words", insert_evict);
+      ("dir.reindex.words", reindex); ("dir.build.words", build) ]
+
 (* Dropping a file's pages must not grow with the rest of the cache: 16
    times the other entries may cost at most 4 times as much (a scan of
    the whole cache costs about 16 times). Aborts the micro suite, and so
@@ -639,25 +655,27 @@ let run_soak args =
 (* ---- entry point ---- *)
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  Printf.printf
-    "LOCUS reproduction benchmark harness (see EXPERIMENTS.md for the index)\n";
-  (match args with
-  | [] ->
-    List.iter (fun e -> e ()) Experiments.all;
-    run_micro ()
-  | [ "micro" ] -> run_micro ()
-  | "soak" :: rest -> run_soak rest
-  | names ->
-    List.iter
-      (fun name ->
-        match List.assoc_opt (String.lowercase_ascii name) Experiments.by_name with
-        | Some e -> e ()
-        | None ->
-          if name = "micro" then run_micro ()
-          else
-            Printf.eprintf "unknown experiment %S (e1..e%d, micro)\n" name
-              (List.length Experiments.all))
-      names);
-  (* Experiments that recorded metrics get a BENCH_<n>.json for CI. *)
-  Report.write_metrics ()
+  match List.tl (Array.to_list Sys.argv) with
+  | [ "micro-counts" ] -> run_micro_counts ()
+  | args ->
+    Printf.printf
+      "LOCUS reproduction benchmark harness (see EXPERIMENTS.md for the index)\n";
+    (match args with
+    | [] ->
+      List.iter (fun e -> e ()) Experiments.all;
+      run_micro ()
+    | [ "micro" ] -> run_micro ()
+    | "soak" :: rest -> run_soak rest
+    | names ->
+      List.iter
+        (fun name ->
+          match List.assoc_opt (String.lowercase_ascii name) Experiments.by_name with
+          | Some e -> e ()
+          | None ->
+            if name = "micro" then run_micro ()
+            else
+              Printf.eprintf "unknown experiment %S (e1..e%d, micro)\n" name
+                (List.length Experiments.all))
+        names);
+    (* Experiments that recorded metrics get a BENCH_<n>.json for CI. *)
+    Report.write_metrics ()

@@ -16,10 +16,12 @@ only the workloads run.
 
 Every mode also runs the seeded E-series experiments of bench/main.exe
 that print no host time (E1-E6, E8-E22 and e24smoke; not E7, whose
-table has a host-ms column, nor E23, e24 or micro) and compares their
-stdout: with --parent against the parent's, with --baseline against the
-<experiment>.txt files beside FILE, naming each experiment that differs
-and its first differing line; --write-baseline rewrites those files.
+table has a host-ms column, nor E23, e24 or micro) and its micro-counts
+subcommand (micro's rows that count allocated words), and compares
+their stdout: with --parent against the parent's, with --baseline
+against the <experiment>.txt files and counts.txt beside FILE, naming
+each output that differs and its first differing line; --write-baseline
+rewrites those files.
 Simulated numbers are
 `correct`, `attempted`, `failed`, every end-to-end metric except the
 host ones (host_ops_per_s, setup_s, heap_peak_mb), every `layers` entry,
@@ -42,6 +44,9 @@ WORKLOADS = ["read_hot", "scan_cold", "write_commit", "dir_churn", "partition_he
 HOST_METRICS = {"host_ops_per_s", "setup_s", "heap_peak_mb"}
 EXPERIMENTS = ["e1", "e2", "e3", "e4", "e5", "e6", "e8", "e9", "e10", "e11", "e12", "e13",
                "e14", "e15", "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e24smoke"]
+# Each compared harness output: its baseline file's stem and the harness
+# argument that prints it.
+OUTPUTS = [(e, e) for e in EXPERIMENTS] + [("counts", "micro-counts")]
 SEEDS = [1, 2]
 SECONDS = "1"
 EXE = os.path.join("_build", "default", "benchmark", "locus_bench.exe")
@@ -82,14 +87,14 @@ def simulated(root, workload, seed):
     return out
 
 
-def experiment(root, name):
-    """The experiment's stdout, run in a scratch directory: experiments
-    leave BENCH_<name>.json in the current one."""
+def experiment(root, arg):
+    """The harness's stdout for [arg], run in a scratch directory:
+    experiments leave BENCH_<name>.json in the current one."""
     with tempfile.TemporaryDirectory() as cwd:
-        r = subprocess.run([os.path.join(root, HARNESS), name], cwd=cwd,
+        r = subprocess.run([os.path.join(root, HARNESS), arg], cwd=cwd,
                            stdout=subprocess.PIPE, text=True)
     if r.returncode != 0:
-        fail("%s %s exited with %d" % (HARNESS, name, r.returncode))
+        fail("%s %s exited with %d" % (HARNESS, arg, r.returncode))
     return r.stdout
 
 
@@ -98,12 +103,12 @@ def experiment_file(baseline, name):
 
 
 def diff_experiments(old):
-    """Compare each experiment's stdout in this tree with [old name];
+    """Compare each harness output in this tree with [old name arg];
     print the first differing line of each that differs. Returns how many
     differ."""
     differ = 0
-    for name in EXPERIMENTS:
-        a, b = old(name).splitlines(), experiment(CHANGE, name).splitlines()
+    for name, arg in OUTPUTS:
+        a, b = old(name, arg).splitlines(), experiment(CHANGE, arg).splitlines()
         if a == b:
             continue
         differ += 1
@@ -111,8 +116,8 @@ def diff_experiments(old):
         print("%s: differs at line %d" % (name, line + 1))
         print("  - %s" % (a[line] if line < len(a) else "(end of output)"))
         print("  + %s" % (b[line] if line < len(b) else "(end of output)"))
-    print("experiments: %s" % ("%d of %d differ" % (differ, len(EXPERIMENTS)) if differ
-                               else "%d identical" % len(EXPERIMENTS)))
+    print("experiments and counts: %s" % ("%d of %d differ" % (differ, len(OUTPUTS)) if differ
+                                          else "%d identical" % len(OUTPUTS)))
     sys.stdout.flush()
     return differ
 
@@ -133,11 +138,11 @@ def write_baseline(path, workloads):
     with open(path, "w") as f:
         json.dump(base, f, indent=1, sort_keys=True)
         f.write("\n")
-    for name in EXPERIMENTS:
+    for name, arg in OUTPUTS:
         with open(experiment_file(path, name), "w") as f:
-            f.write(experiment(CHANGE, name))
-    print("simdiff: wrote %s (%s) and %d experiment outputs" % (path, ",".join(workloads),
-                                                                len(EXPERIMENTS)))
+            f.write(experiment(CHANGE, arg))
+    print("simdiff: wrote %s (%s) and %d harness outputs" % (path, ",".join(workloads),
+                                                             len(OUTPUTS)))
 
 
 def main():
@@ -165,8 +170,8 @@ def main():
         def old(w, seed):
             return simulated(parent, w, seed)
 
-        def old_experiment(name):
-            return experiment(parent, name)
+        def old_experiment(name, arg):
+            return experiment(parent, arg)
     else:
         base = load(args.baseline)
         missing = [w for w in workloads if w not in base]
@@ -176,7 +181,7 @@ def main():
         def old(w, seed):
             return base[w][str(seed)]
 
-        def old_experiment(name):
+        def old_experiment(name, arg):
             try:
                 with open(experiment_file(args.baseline, name)) as f:
                     return f.read()
@@ -209,7 +214,7 @@ def main():
     if moved:
         summary.append("%d numbers moved" % moved)
     if differ:
-        summary.append("%d experiments differ" % differ)
+        summary.append("%d harness outputs differ" % differ)
     print("simdiff: %s" % (", ".join(summary) or "nothing moved"))
     sys.exit(1 if summary else 0)
 

@@ -762,6 +762,51 @@ let test_dir_index_built_once () =
   check Alcotest.(list string) "every name is gone" [ "."; ".." ]
     (List.map (fun (e : Dir.entry) -> e.Dir.name) (Kernel.readdir k3 p3 "/d"))
 
+(* The SS keeps its directory indexes within as many pages as its buffer
+   cache holds, dropping the least recently used first. With 5 pages and
+   the storing site's caches cold, a walk of /A, /B, /A and /C indexes the
+   1-page root and three 2-page directories: C's index pushes the total
+   to 7 pages, and B's, the least recent, goes. Each walk names a new
+   file, so only the root's links come from the name cache. *)
+let test_dir_index_evicts_least_recent () =
+  let base = World.default_config ~n_sites:2 () in
+  let w =
+    World.create
+      ~config:
+        { base with
+          World.filegroups = [ { World.fg = 0; pack_sites = [ 0 ]; mount_path = None } ];
+          World.kernel_config = { K.default_config with K.ss_cache_pages = 5 };
+        }
+      ()
+  in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  let file d i = Printf.sprintf "/%s/file%02d" d i in
+  List.iter
+    (fun d ->
+      ignore (Kernel.mkdir k0 p0 ("/" ^ d));
+      for i = 0 to 39 do
+        ignore (Kernel.creat k0 p0 (file d i))
+      done)
+    [ "A"; "B"; "C" ];
+  ignore (World.settle w);
+  let pages path =
+    ((Kernel.stat k0 p0 path).Proto.i_size + Storage.Page.size - 1) / Storage.Page.size
+  in
+  check Alcotest.(list int) "a 1-page root and 2-page directories" [ 1; 2; 2; 2 ]
+    (List.map pages [ "/"; "/A"; "/B"; "/C" ]);
+  Locus_core.Coherence.forgotten k0 Locus_core.Coherence.Crash;
+  let lookup path =
+    let snap = Stats.snapshot (stats w) in
+    ignore (Kernel.resolve k0 p0 path);
+    Stats.delta_of (stats w) snap "ss.dir.index_builds"
+  in
+  let snap = Stats.snapshot (stats w) in
+  check Alcotest.(list int) "A, B, A, C: the first of each builds" [ 2; 1; 0; 1 ]
+    (List.map lookup [ file "A" 0; file "B" 0; file "A" 1; file "C" 0 ]);
+  check Alcotest.int "one index evicted" 1 (Stats.delta_of (stats w) snap "ss.dir.index_evict");
+  check Alcotest.int "A's index stayed" 0 (lookup (file "A" 2));
+  check Alcotest.int "B's index went" 1 (lookup (file "B" 1))
+
 (* Packs at sites 0 and 1 (the CSS), at bulk window [window]: at 1 a
    second copy pulls each commit, above 1 it installs the commit its
    notification carries. *)
@@ -1438,6 +1483,8 @@ let () =
             test_duplicate_create_no_orphan;
           Alcotest.test_case "unlink of a busy file changes nothing" `Quick test_unlink_busy_file;
           Alcotest.test_case "dir index built once" `Quick test_dir_index_built_once;
+          Alcotest.test_case "dir index evicts the least recent" `Quick
+            test_dir_index_evicts_least_recent;
           Alcotest.test_case "a pulled directory keeps its index" `Quick
             test_pulled_directory_keeps_its_index;
           Alcotest.test_case "dir update allocation flat" `Quick test_dir_update_allocation_flat;
