@@ -46,12 +46,11 @@ type index_change = Followed | Reindex
 let installed k gf ~old_vv ~vv ~deleted ~old_size ~size ~replaced ~index =
   retire_lease k gf vv;
   let npages size = (size + Storage.Page.size - 1) / Storage.Page.size in
-  if ss_cache_enabled k then
-    List.iter (fun (p, page) -> Ss_cache.insert k.ss_cache (gf, p) page) replaced;
+  List.iter (fun (p, page) -> Ss_cache.insert k.ss_cache (gf, p) page) replaced;
   for p = npages size to npages old_size - 1 do
     Ss_cache.invalidate k.ss_cache (gf, p)
   done;
-  (match (Gfile.Tbl.find_opt k.ss_dirs gf, index) with
+  (match (Ss_dirs.peek k.ss_dirs gf, index) with
   | Some d, _ when deleted || not (Vvec.equal d.di_vv old_vv) -> ss_dir_drop k gf
   | Some d, Followed -> d.di_vv <- vv
   | Some _, Reindex when has_session k gf -> ss_dir_drop k gf
@@ -124,7 +123,7 @@ let forgotten k = function
     Us_cache.clear k.us_cache;
     Keys.clear k.us_open_keys;
     Ss_cache.clear k.ss_cache;
-    Gfile.Tbl.reset k.ss_dirs;
+    Ss_dirs.clear k.ss_dirs;
     Namecache.clear k.name_cache;
     Openlease.clear k.open_leases
   | Membership { merge } ->

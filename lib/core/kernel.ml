@@ -37,14 +37,12 @@ let create ~site ~machine_type ~engine ~net ~mount ~fg_table ?(config = default_
       open_files = Hashtbl.create hint;
       ss_opens = Gfile.Tbl.create hint;
       us_cache =
-        Us_cache.create ~on_evict:(on_evict "cache.us.evict")
-          ~capacity:(max 1 config.us_cache_pages) ();
-      us_open_keys = Keys.create ~capacity:(max 1 config.us_cache_pages) ();
+        Us_cache.create ~on_evict:(on_evict "cache.us.evict") ~capacity:config.us_cache_pages ();
+      us_open_keys = Keys.create ~capacity:config.us_cache_pages ();
       ss_cache =
-        Ss_cache.create ~on_evict:(on_evict "cache.ss.evict")
-          ~capacity:(max 1 config.ss_cache_pages) ();
-      ss_dirs = Gfile.Tbl.create 16;
-      ss_dirs_tick = 0;
+        Ss_cache.create ~on_evict:(on_evict "cache.ss.evict") ~capacity:config.ss_cache_pages ();
+      ss_dirs =
+        Ss_dirs.create ~on_evict:(on_evict "ss.dir.index_evict") ~capacity:config.ss_cache_pages ();
       name_cache = Namecache.create ~stats ~capacity:config.name_cache_entries ();
       open_leases = Openlease.create ~stats ~capacity:config.open_lease_entries ();
       prop_pending = Gfile.Set.empty;

@@ -71,10 +71,10 @@ let () =
     | _ -> None)
 
 type config = {
-  us_cache_pages : int;      (* US page-cache entries; 0 disables the US cache *)
-  ss_cache_pages : int;      (* SS buffer-cache entries; 0 disables the tier *)
+  us_cache_pages : int;      (* US page-cache entries; 0: an empty table, read past *)
+  ss_cache_pages : int;      (* SS buffer-cache entries; 0: an empty table *)
   propagation_delay : float; (* ms before the kernel propagation process runs a pull *)
-  name_cache_entries : int;  (* pathname name-cache entries; 0 disables (2.3.4) *)
+  name_cache_entries : int;  (* pathname name-cache entries; 0: an empty table (2.3.4) *)
   remote_lookup : bool;      (* ship partial pathnames to a storage site (2.3.4) *)
   bulk_window : int;
   (* maximum pages per bulk transfer: streaming-read fetch window,
@@ -83,8 +83,9 @@ type config = {
   open_lease_entries : int;
   (* retained open grants per site. Above 0, the CSS grants revocable read
      leases on open: the US retains the whole open grant across close and
-     re-opens with zero messages until a callback break. 0 disables the
-     lease layer and keeps the classic open/close protocol byte-identical. *)
+     re-opens with zero messages until a callback break. 0: an empty
+     table, and the CSS grants no lease, so the classic open/close
+     protocol is byte-identical. *)
 }
 
 let default_config =
@@ -194,8 +195,15 @@ type ss_open = {
 type dir_index = {
   mutable di_vv : Vvec.t;
   di_index : Catalog.Dir.Index.t;
-  mutable di_used : int; (* recency tick, for eviction *)
 }
+
+(* The SS directory indexes, by directory, least recently used first out. *)
+module Ss_dirs =
+  Storage.Lru.Make
+    (Gfile.Key)
+    (struct
+      type t = dir_index
+    end)
 
 (* ---- shared file descriptors and their offset tokens (3.2) ---- *)
 
@@ -292,10 +300,9 @@ type t = {
   (* SS buffer cache fronting pack/disk page reads: (file, page) -> the
      local copy's page. [Coherence.installed] buffers the pages a new
      version of the copy wrote and drops those it cut off. *)
-  ss_dirs : dir_index Gfile.Tbl.t;
+  ss_dirs : Ss_dirs.t;
   (* SS directory indexes, together covering at most as many directory
      pages as the buffer cache holds pages *)
-  mutable ss_dirs_tick : int;
   name_cache : Namecache.t;
   (* (directory, component) -> child links, vv-validated (section 2.3.4) *)
   open_leases : Openlease.t;
@@ -387,60 +394,43 @@ let place_css ~fg candidates =
     let idx = fg * 2654435761 land max_int mod n in
     Some (List.nth sorted idx)
 
-let ss_cache_enabled k = k.config.ss_cache_pages > 0
-
 (* A committed page through the SS buffer cache, which holds pages of the
    local copy as it is now: a commit or pull buffers the pages it wrote
    and drops those it cut off, so the cache can never serve a stale
    version. A hit skips the disk; a miss reads the page with [read], a
    {!Storage.Pack.reader}. *)
 let cached_pack_page k ~read gf lpage =
-  if not (ss_cache_enabled k) then begin
+  let key = (gf, lpage) in
+  match Ss_cache.find k.ss_cache key with
+  | Some page ->
+    Sim.Stats.cincr k.hot.hc_ss_hit;
+    page
+  | None ->
+    Sim.Stats.cincr k.hot.hc_ss_miss;
     charge_disk_read k;
-    read lpage
-  end
-  else begin
-    let key = (gf, lpage) in
-    match Ss_cache.find k.ss_cache key with
-    | Some page ->
-      Sim.Stats.cincr k.hot.hc_ss_hit;
-      page
-    | None ->
-      Sim.Stats.cincr k.hot.hc_ss_miss;
-      charge_disk_read k;
-      let page = read lpage in
-      Ss_cache.insert k.ss_cache key page;
-      page
-  end
+    let page = read lpage in
+    Ss_cache.insert k.ss_cache key page;
+    page
 
 (* Forget [gf]'s directory index: its session aborted or took a raw page
    write, or another version of the directory was installed. *)
-let ss_dir_drop k gf = Gfile.Tbl.remove k.ss_dirs gf
+let ss_dir_drop k gf = Ss_dirs.invalidate k.ss_dirs gf
 
 let dir_index_pages d =
   (Catalog.Dir.Index.log_end d.di_index + Storage.Page.size - 1) / Storage.Page.size
 
 (* Keep the indexes within as many directory pages as the buffer cache
    holds pages, evicting the least recently used first. *)
-let rec dir_index_fit k =
-  let budget = if ss_cache_enabled k then k.config.ss_cache_pages else 0 in
-  let total, lru =
-    Gfile.Tbl.fold
-      (fun gf d (n, lru) ->
-        let lru =
-          match lru with
-          | Some (_, used) when used <= d.di_used -> lru
-          | Some _ | None -> Some (gf, d.di_used)
-        in
-        (n + dir_index_pages d, lru))
-      k.ss_dirs (0, None)
+let dir_index_fit k =
+  let rec evict total =
+    match Ss_dirs.oldest k.ss_dirs with
+    | Some (gf, d) when total > k.config.ss_cache_pages ->
+      ss_dir_drop k gf;
+      Sim.Stats.incr (stats k) "ss.dir.index_evict";
+      evict (total - dir_index_pages d)
+    | Some _ | None -> ()
   in
-  match lru with
-  | Some (gf, _) when total > budget ->
-    ss_dir_drop k gf;
-    Sim.Stats.incr (stats k) "ss.dir.index_evict";
-    dir_index_fit k
-  | Some _ | None -> ()
+  evict (Ss_dirs.fold (fun _ d n -> n + dir_index_pages d) k.ss_dirs 0)
 
 let fresh_serial k =
   let n = k.next_serial in

@@ -52,10 +52,10 @@ val err : Proto.errno -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** {1 Configuration} *)
 
 type config = {
-  us_cache_pages : int;      (** US page-cache entries; 0 disables the US cache *)
-  ss_cache_pages : int;      (** SS buffer-cache entries; 0 disables the tier *)
+  us_cache_pages : int;      (** US page-cache entries; 0: an empty table, read past *)
+  ss_cache_pages : int;      (** SS buffer-cache entries; 0: an empty table *)
   propagation_delay : float; (** ms before the propagation kernel process runs *)
-  name_cache_entries : int;  (** pathname name-cache entries; 0 disables (§2.3.4) *)
+  name_cache_entries : int;  (** pathname name-cache entries; 0: an empty table (§2.3.4) *)
   remote_lookup : bool;      (** ship partial pathnames to a storage site (§2.3.4) *)
   bulk_window : int;
       (** maximum pages per bulk transfer: streaming-read fetch window,
@@ -64,9 +64,9 @@ type config = {
   open_lease_entries : int;
       (** retained open grants per site. Above 0, the CSS grants revocable
           read leases on open: the US retains the whole open grant across
-          close and re-opens with zero messages until a callback break. 0
-          disables the lease layer and keeps the classic open/close
-          protocol byte-identical. *)
+          close and re-opens with zero messages until a callback break. 0:
+          an empty table, and the CSS grants no lease, so the classic
+          open/close protocol is byte-identical. *)
 }
 
 val default_config : config
@@ -176,11 +176,13 @@ type ss_open = {
 type dir_index = {
   mutable di_vv : Vvec.t; (** the committed version whose records it locates *)
   di_index : Catalog.Dir.Index.t;
-  mutable di_used : int; (** recency tick, for eviction *)
 }
 (** A directory's record index at the SS: where each name's record lies in
     the committed version [di_vv], plus the records that the session open
     on the directory, if any, has patched or appended through it. *)
+
+(** The SS directory indexes: directory → its index. *)
+module Ss_dirs : Storage.Lru.S with type key = Gfile.t and type value = dir_index
 
 (** {1 Shared file descriptors and their offset tokens (§3.2)} *)
 
@@ -286,10 +288,9 @@ type t = {
       (** SS buffer cache fronting pack/disk page reads: (file, page) → the
           local copy's page. [Coherence.installed] buffers the pages a
           new version of the copy wrote and drops those it cut off. *)
-  ss_dirs : dir_index Gfile.Tbl.t;
+  ss_dirs : Ss_dirs.t;
       (** SS directory indexes, together covering at most as many
           directory pages as the buffer cache holds pages *)
-  mutable ss_dirs_tick : int;
   name_cache : Namecache.t;
       (** (directory, component) → child links, vv-validated (§2.3.4) *)
   open_leases : Openlease.t;
@@ -358,9 +359,6 @@ val place_css : fg:int -> Site.t list -> Site.t option
     for [fg] from the sorted pack-holder candidates alone. Filegroup 0
     maps to the lowest candidate (the classic layout); distinct
     filegroups spread across their holders. [None] iff no candidates. *)
-
-val ss_cache_enabled : t -> bool
-(** Whether the SS-side buffer-cache tier is on ([ss_cache_pages > 0]). *)
 
 val cached_pack_page :
   t -> read:(int -> Storage.Page.t) -> Gfile.t -> int -> Storage.Page.t

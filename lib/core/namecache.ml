@@ -53,8 +53,7 @@ module Lru =
     end)
 
 type t = {
-  cache : Lru.t option; (* None: disabled (capacity 0) *)
-  capacity : int;
+  cache : Lru.t;
   mutable rewarm : Gfile.Set.t; (* directories the last merge dropped links of *)
   hit : Sim.Stats.counter;
   miss : Sim.Stats.counter;
@@ -65,97 +64,75 @@ type t = {
 
 let create ~stats ~capacity () =
   let counter what = Sim.Stats.counter stats ("name.cache." ^ what) in
-  let cache =
-    if capacity <= 0 then None
-    else
-      let evict = counter "evict" in
-      Some (Lru.create ~on_evict:(fun _ _ -> Sim.Stats.cincr evict) ~capacity ())
-  in
-  { cache; capacity; rewarm = Gfile.Set.empty; hit = counter "hit"; miss = counter "miss";
-    fill = counter "fill"; invalidate = counter "invalidate";
-    filed = Sim.Stats.counter stats "name.rewarm.filed" }
+  let evict = counter "evict" in
+  { cache = Lru.create ~on_evict:(fun _ _ -> Sim.Stats.cincr evict) ~capacity ();
+    rewarm = Gfile.Set.empty; hit = counter "hit"; miss = counter "miss"; fill = counter "fill";
+    invalidate = counter "invalidate"; filed = Sim.Stats.counter stats "name.rewarm.filed" }
 
 let find t ~dir ~comp ~current_vv =
-  match t.cache with
-  | None -> None
-  | Some c -> (
-    match Lru.find c (dir, comp) with
-    | None ->
+  match Lru.find t.cache (dir, comp) with
+  | None ->
+    Sim.Stats.cincr t.miss;
+    None
+  | Some e -> (
+    (* [current_vv] is the directory's version as locally known (None
+       when this site stores no trustworthy copy). A mismatch proves
+       the link was read from a superseded directory version. *)
+    match current_vv with
+    | Some vv when not (Vvec.equal vv e.nc_vv) ->
+      Lru.invalidate t.cache (dir, comp);
+      Sim.Stats.cincr t.invalidate;
       Sim.Stats.cincr t.miss;
       None
-    | Some e -> (
-      (* [current_vv] is the directory's version as locally known (None
-         when this site stores no trustworthy copy). A mismatch proves
-         the link was read from a superseded directory version. *)
-      match current_vv with
-      | Some vv when not (Vvec.equal vv e.nc_vv) ->
-        Lru.invalidate c (dir, comp);
-        Sim.Stats.cincr t.invalidate;
-        Sim.Stats.cincr t.miss;
-        None
-      | Some _ | None ->
-        Sim.Stats.cincr t.hit;
-        Some e))
+    | Some _ | None ->
+      Sim.Stats.cincr t.hit;
+      Some e)
 
 let insert t ~dir ~comp entry =
-  match t.cache with
-  | None -> ()
-  | Some c ->
-    Sim.Stats.cincr t.fill;
-    Lru.insert c (dir, comp) entry
+  Sim.Stats.cincr t.fill;
+  Lru.insert t.cache (dir, comp) entry
 
 (* A neighbour link takes a free slot or nothing: it never evicts a link
    a walk used, nor refreshes one already cached. *)
 let insert_free t ~dir ~comp entry =
-  match t.cache with
-  | Some c when Lru.length c < t.capacity && not (Lru.mem c (dir, comp)) ->
+  if Lru.length t.cache < Lru.capacity t.cache && not (Lru.mem t.cache (dir, comp)) then begin
     Sim.Stats.cincr t.filed;
     insert t ~dir ~comp entry
-  | Some _ | None -> ()
+  end
 
 (* The name cache's on_evict only counts capacity pressure; invalidations
    are accounted right here. *)
-let drop t how =
-  match t.cache with
-  | None -> ()
-  | Some c ->
-    let dropped = how c in
-    if dropped > 0 then Sim.Stats.cadd t.invalidate dropped
+let count_dropped t dropped = if dropped > 0 then Sim.Stats.cadd t.invalidate dropped
 
 (* The directory committed at [vv]: every link recorded under a different
    version is superseded. Links already recorded under [vv] stay. *)
 let note_dir_vv t ~dir vv =
-  drop t (fun c ->
-      Lru.drop_file c (Gfile.id dir) ~only:(fun _ e -> not (Vvec.equal e.nc_vv vv)))
+  count_dropped t
+    (Lru.drop_file t.cache (Gfile.id dir) ~only:(fun _ e -> not (Vvec.equal e.nc_vv vv)))
 
-let invalidate_dir t dir = drop t (fun c -> Lru.drop_file c (Gfile.id dir))
+let invalidate_dir t dir = count_dropped t (Lru.drop_file t.cache (Gfile.id dir))
 
 (* The file is deleted (or its inode number reclaimed): no cached link may
    keep resolving to it, whichever directory named it (hard links). *)
 let invalidate_child t child =
-  drop t (fun c -> Lru.filter_out c (fun _ e -> Gfile.equal e.nc_child child))
+  count_dropped t (Lru.filter_out t.cache (fun _ e -> Gfile.equal e.nc_child child))
 
-let drop_all c t =
-  let n = Lru.length c in
-  if n > 0 then Sim.Stats.cadd t.invalidate n;
-  Lru.clear c
+let drop_all t =
+  count_dropped t (Lru.length t.cache);
+  Lru.clear t.cache
 
 let clear t =
   t.rewarm <- Gfile.Set.empty;
-  Option.iter (fun c -> drop_all c t) t.cache
+  drop_all t
 
 let clear_merge t =
-  match t.cache with
-  | None -> ()
-  | Some c ->
-    t.rewarm <-
-      List.fold_left (fun set (dir, _) -> Gfile.Set.add dir set) Gfile.Set.empty (Lru.keys_mru c);
-    drop_all c t
+  t.rewarm <- Lru.fold (fun (dir, _) _ set -> Gfile.Set.add dir set) t.cache Gfile.Set.empty;
+  drop_all t
 
 let wants_rewarm t dir = Gfile.Set.mem dir t.rewarm
 
 let rewarmed t dir = t.rewarm <- Gfile.Set.remove dir t.rewarm
 
-let length t = match t.cache with None -> 0 | Some c -> Lru.length c
+let length t = Lru.length t.cache
 
-let keys_mru t = match t.cache with None -> [] | Some c -> Lru.keys_mru c
+let keys_mru t = Lru.keys_mru t.cache

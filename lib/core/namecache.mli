@@ -27,7 +27,8 @@ type entry = {
 type t
 
 val create : stats:Sim.Stats.t -> capacity:int -> unit -> t
-(** [capacity <= 0] disables the cache entirely (the ablation switch). *)
+(** [capacity] 0 is an empty table, the ablation: every {!find} misses,
+    and a link inserted is evicted at once. *)
 
 val find :
   t ->

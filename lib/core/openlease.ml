@@ -52,8 +52,7 @@ module Lru =
     end)
 
 type t = {
-  cache : Lru.t option; (* None: disabled (0 entries) *)
-  capacity : int;
+  cache : Lru.t;
   hit : Sim.Stats.counter;
   miss : Sim.Stats.counter;
   break : Sim.Stats.counter;
@@ -66,73 +65,53 @@ type t = {
 let create ~stats ~capacity () =
   let counter what = Sim.Stats.counter stats ("open.lease." ^ what) in
   let on_dead = ref (fun (_ : entry) -> ()) in
-  let cache, evicted =
-    if capacity <= 0 then (None, ignore)
-    else
-      let evict = counter "evict" in
-      let evicted e =
-        Sim.Stats.cincr evict;
-        e.le_broken <- true
-      in
-      ( Some
-          (Lru.create
-             ~on_evict:(fun _ e ->
-               (* Capacity eviction: one batched close travels now — unless
-                  an open still rides the grant, in which case the last
-                  riding close sends it. *)
-               evicted e;
-               if e.le_active <= 0 then !on_dead e)
-             ~capacity ()),
-        evicted )
+  let evict = counter "evict" in
+  let evicted e =
+    Sim.Stats.cincr evict;
+    e.le_broken <- true
   in
-  {
-    cache;
-    capacity;
-    hit = counter "hit";
-    miss = counter "miss";
-    break = counter "break";
-    evicted;
-    on_dead;
-  }
-
-let enabled t = t.cache <> None
+  let cache =
+    Lru.create
+      ~on_evict:(fun _ e ->
+        (* Capacity eviction: one batched close travels now — unless an
+           open still rides the grant, in which case the last riding
+           close sends it. *)
+        evicted e;
+        if e.le_active <= 0 then !on_dead e)
+      ~capacity ()
+  in
+  { cache; hit = counter "hit"; miss = counter "miss"; break = counter "break"; evicted; on_dead }
 
 let set_on_dead t f = t.on_dead := f
 
-let length t = match t.cache with None -> 0 | Some c -> Lru.length c
+let length t = Lru.length t.cache
 
-let find_entry t gf = match t.cache with None -> None | Some c -> Lru.peek c gf
+let find_entry t gf = Lru.peek t.cache gf
 
 (* Warm re-open: take a ride on a live lease. Touches recency and counts
    hit/miss. The caller is responsible for only asking on lease-eligible
    opens (read/internal, not shared), so the miss counter means "eligible
    open that had to go cold". *)
 let acquire t gf =
-  match t.cache with
-  | None -> None
-  | Some c -> (
-    match Lru.find c gf with
-    | None ->
-      Sim.Stats.cincr t.miss;
-      None
-    | Some e ->
-      Sim.Stats.cincr t.hit;
-      e.le_active <- e.le_active + 1;
-      Some e)
+  match Lru.find t.cache gf with
+  | None ->
+    Sim.Stats.cincr t.miss;
+    None
+  | Some e ->
+    Sim.Stats.cincr t.hit;
+    e.le_active <- e.le_active + 1;
+    Some e
 
 (* Kill the lease on [gf]: remove it so no re-open can ride it, and send
    the deferred close now (idle) or at the last riding close (active). *)
 let kill t gf =
-  match t.cache with
+  match Lru.peek t.cache gf with
   | None -> ()
-  | Some c -> (
-    match Lru.peek c gf with
-    | None -> ()
-    | Some e ->
-      Lru.invalidate c gf;
-      Sim.Stats.cincr t.break;
-      e.le_broken <- true;
-      if e.le_active <= 0 then !(t.on_dead) e)
+  | Some e ->
+    Lru.invalidate t.cache gf;
+    Sim.Stats.cincr t.break;
+    e.le_broken <- true;
+    if e.le_active <= 0 then !(t.on_dead) e
 
 (* A cold open about to ask the CSS at [ss] finds the table full: when
    the least recent grant is idle and [ss] is its SS, evict it now and
@@ -140,25 +119,21 @@ let kill t gf =
    travelling on its own after the reply. The caller owes that close. Any
    other victim stays for [insert] to evict as before. *)
 let make_room t ~ss =
-  match t.cache with
-  | Some c when Lru.length c >= t.capacity -> (
-    match Lru.oldest c with
+  if Lru.length t.cache < Lru.capacity t.cache then None
+  else
+    match Lru.oldest t.cache with
     | Some (gf, e) when e.le_active <= 0 && Site.equal e.le_ss ss ->
-      Lru.invalidate c gf;
+      Lru.invalidate t.cache gf;
       t.evicted e;
       Some e
-    | Some _ | None -> None)
-  | Some _ | None -> None
+    | Some _ | None -> None
 
 (* Register a fresh grant (the cold open that carried it is its first
    rider). A live entry under the same key would mean a lost break
    callback: kill it first so its registered open still gets closed. *)
 let insert t e =
-  match t.cache with
-  | None -> ()
-  | Some c ->
-    kill t e.le_gf;
-    Lru.insert c e.le_gf e
+  kill t e.le_gf;
+  Lru.insert t.cache e.le_gf e
 
 (* Crash, partition or merge: drop every lease silently, sending nothing.
    A dead kernel sends no messages, and after a membership change the
@@ -167,10 +142,7 @@ let insert t e =
    SS registrations no open backs. An open still riding a dropped lease sees
    it broken and sends its one close when it closes. *)
 let clear t =
-  match t.cache with
-  | None -> ()
-  | Some c ->
-    ignore
-      (Lru.filter_out c (fun _ e ->
-           e.le_broken <- true;
-           true))
+  ignore
+    (Lru.filter_out t.cache (fun _ e ->
+         e.le_broken <- true;
+         true))

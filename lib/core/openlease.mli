@@ -29,9 +29,8 @@ type entry = {
 type t
 
 val create : stats:Sim.Stats.t -> capacity:int -> unit -> t
-(** Disabled (never grants rides, ignores inserts) when [capacity <= 0]. *)
-
-val enabled : t -> bool
+(** [capacity] 0 is an empty table: no re-open finds a grant to ride, and
+    a grant inserted is evicted at once. *)
 
 val set_on_dead : t -> (entry -> unit) -> unit
 (** Install the deferred-close sender: called exactly once per entry when

@@ -237,10 +237,6 @@ let write_run ?(sent = ignore) ?trunc ?len k site gf ~off data =
 
 (* ---- directory indexes: one record changed in place (section 4.4) ---- *)
 
-let touch k d =
-  k.ss_dirs_tick <- k.ss_dirs_tick + 1;
-  d.di_used <- k.ss_dirs_tick
-
 (* Index [gf]'s log of [size] bytes, each page read with [read]. It is
    kept under the committed version's key unless a shadow session holds
    changes: those came as raw page writes, since record changes keep an
@@ -248,9 +244,7 @@ let touch k d =
    session's. Raises [Failure] on a body that does not decode. *)
 let build_dir_index k gf (inode : Inode.t) ~read ~size =
   Sim.Stats.incr (stats k) "ss.dir.index_builds";
-  let d =
-    { di_vv = inode.Inode.vv; di_index = Dir.Index.build ~read ~size; di_used = 0 }
-  in
+  let d = { di_vv = inode.Inode.vv; di_index = Dir.Index.build ~read ~size } in
   let changed =
     match ss_find_open k gf with
     | Some { s_shadow = Some session; _ } ->
@@ -259,16 +253,17 @@ let build_dir_index k gf (inode : Inode.t) ~read ~size =
     | Some { s_shadow = None; _ } | None -> false
   in
   if not changed then begin
-    touch k d;
-    Gfile.Tbl.replace k.ss_dirs gf d;
+    Ss_dirs.insert k.ss_dirs gf d;
     dir_index_fit k
   end;
   d
 
+(* The index of [gf]'s version [inode], which becomes the most recently
+   used; an index of another version keeps its place. *)
 let find_dir_index k gf (inode : Inode.t) =
-  match Gfile.Tbl.find_opt k.ss_dirs gf with
+  match Ss_dirs.peek k.ss_dirs gf with
   | Some d when Vvec.equal d.di_vv inode.Inode.vv ->
-    touch k d;
+    ignore (Ss_dirs.find k.ss_dirs gf);
     Some d
   | Some _ | None -> None
 

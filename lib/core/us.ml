@@ -243,7 +243,7 @@ and open_cold ~shared ~asks k fi gf mode =
         | Some _ | None -> err Proto.Eio "open %a: no local copy to serve" Gfile.pp gf)
     in
     let lease_entry =
-      if lease && Openlease.enabled k.open_leases then begin
+      if lease then begin
         let e =
           {
             Openlease.le_gf = gf;

@@ -16,8 +16,9 @@
    evicted page is not retained. They start at 8 slots and double up to
    one more than the capacity (an insert files the new entry, then
    evicts), rebuilding both tables at each doubling; a cache that never
-   fills never pays for its capacity. Freed slots are a free list
-   threaded through [newer].
+   fills never pays for its capacity. A capacity of 0 is the same path
+   with one slot: an insert files the entry and evicts it at once. Freed
+   slots are a free list threaded through [newer].
 
    Both tables probe linearly from the top bits of the hash times a
    63-bit Fibonacci constant (a [Gfile.id]'s low bits are the inode's
@@ -28,10 +29,11 @@
    mixed file hashes are equal files.
 
    Every operation is constant time except [drop_file], which walks one
-   file's ring, [filter_out], which walks the recency ring, and [clear],
-   O(slots). The core is generic over the key and the cached value: the
+   file's ring, [filter_out] and [fold], which walk the recency ring, and
+   [clear], O(slots). The core is generic over the key and the cached value: the
    kernel's two buffer caches (holding pages), the pathname name cache
-   (holding directory links) and the kernel's per-file tables are all
+   (holding directory links), the open-lease table, the storage site's
+   directory indexes and the kernel's per-file tables are all
    instances. A value is held and returned by reference, never copied:
    pages are immutable, and the other instances share their records on
    purpose. *)
@@ -78,6 +80,10 @@ module type S = sig
   val clear : t -> unit
 
   val length : t -> int
+
+  val capacity : t -> int
+
+  val fold : (key -> value -> 'acc -> 'acc) -> t -> 'acc -> 'acc
 
   val keys_mru : t -> key list
 end
@@ -158,7 +164,7 @@ module Make (K : KEY) (V : VALUE) = struct
   }
 
   let create ?(on_evict = fun _ _ -> ()) ~capacity () =
-    if capacity <= 0 then invalid_arg "Lru.create: capacity must be positive";
+    if capacity < 0 then invalid_arg "Lru.create: capacity must not be negative";
     {
       capacity;
       on_evict;
@@ -426,14 +432,19 @@ module Make (K : KEY) (V : VALUE) = struct
 
   let length t = t.length
 
-  let keys_mru t =
-    if t.length = 0 then []
+  let capacity t = t.capacity
+
+  (* The recency ring, least recent first. *)
+  let fold f t acc =
+    if t.length = 0 then acc
     else begin
-      let lru = t.newer.(t.mru) in
+      let mru = t.mru in
       let rec go acc s =
-        let acc = t.keys.(s) :: acc in
-        if s = lru then List.rev acc else go acc t.older.(s)
+        let acc = f t.keys.(s) t.values.(s) acc in
+        if s = mru then acc else go acc t.newer.(s)
       in
-      go [] t.mru
+      go acc t.newer.(mru)
     end
+
+  let keys_mru t = fold (fun key _ keys -> key :: keys) t []
 end

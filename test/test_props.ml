@@ -1418,7 +1418,7 @@ let prop_lru_matches_model =
     QCheck.(
       make
         Gen.(
-          pair (int_range 1 8)
+          pair (int_range 0 8)
             (list_size (int_bound 200) (pair (int_bound 12) (int_bound 4)))))
     (fun (cap, ops) ->
       let evicted = ref [] in
@@ -1476,7 +1476,7 @@ let prop_lru_drop_file_matches_scan =
     QCheck.(
       make
         Gen.(
-          pair (int_range 1 8)
+          pair (int_range 0 8)
             (list_size (int_bound 200)
                (triple (int_bound 11) (int_bound 9) (int_bound 6)))))
     (fun (cap, ops) ->

@@ -462,6 +462,21 @@ let test_cache_lru_order () =
   Cache.invalidate c "a";
   check Alcotest.(list string) "invalidate unlinks" [ "b"; "c" ] (Cache.keys_mru c)
 
+(* Capacity 0 is an empty table, not an error: each insert is reported
+   evicted at once. Only a negative capacity is refused. *)
+let test_cache_capacity_zero () =
+  let evicted = ref [] in
+  let c = Cache.create ~on_evict:(fun k _ -> evicted := k :: !evicted) ~capacity:0 () in
+  Cache.insert c "a" (Page.of_string "A");
+  Cache.insert c "b" (Page.of_string "B");
+  check Alcotest.(list string) "every insert evicted" [ "b"; "a" ] !evicted;
+  check Alcotest.int "nothing held" 0 (Cache.length c);
+  check Alcotest.bool "nothing found" true (Cache.find c "a" = None);
+  check Alcotest.int "capacity" 0 (Cache.capacity c);
+  match Cache.create ~capacity:(-1) () with
+  | _ -> Alcotest.fail "a negative capacity was accepted"
+  | exception Invalid_argument _ -> ()
+
 let test_cache_eviction_counters () =
   let evicted = ref [] in
   let c = Cache.create ~on_evict:(fun k _ -> evicted := k :: !evicted) ~capacity:2 () in
@@ -568,6 +583,7 @@ let () =
           Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
           Alcotest.test_case "drop_file" `Quick test_cache_drop_file;
           Alcotest.test_case "lru order" `Quick test_cache_lru_order;
+          Alcotest.test_case "lru capacity 0 holds nothing" `Quick test_cache_capacity_zero;
           Alcotest.test_case "eviction counters" `Quick test_cache_eviction_counters;
           Alcotest.test_case "notify policy" `Quick test_cache_notify_policy;
           Alcotest.test_case "churn consistency" `Quick test_cache_churn;
