@@ -9,7 +9,7 @@ module Us = Locus_core.Us
 module Process = Locus_core.Process
 module Pathname = Locus_core.Pathname
 module K = Locus_core.Ktypes
-module Dispatch = Locus_core.Dispatch
+module Dispatch = Locus.Dispatch
 module Stats = Sim.Stats
 module Engine = Sim.Engine
 module Page = Storage.Page

@@ -22,6 +22,19 @@ val run_intent :
     does (one more step). Locks are released before the reply. Answers
     [R_intent] or [R_err]. *)
 
+val designate :
+  ?carried:Proto.inode_info * string list ->
+  Ktypes.t ->
+  Catalog.Gfile.t ->
+  origin:Net.Site.t ->
+  vv:Vv.Version_vector.t ->
+  replicas:Net.Site.t list ->
+  unit
+(** The one place a designation is built. At this CSS, count [replicas]
+    as (stale) copies of [gf] and record that [origin] stores version
+    [vv]; then designate each replica, in list order, a storage site of
+    [vv]: it installs [carried] on arrival, or pulls from [origin]. *)
+
 val redesignate : Ktypes.t -> int -> (int * Net.Site.t list) list -> unit
 (** After this CSS rebuilt a filegroup's tables at a membership change,
     designate again every site of a [Css.unreported] list taken before

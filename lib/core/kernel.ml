@@ -51,7 +51,6 @@ let create ~site ~machine_type ~engine ~net ~mount ~fg_table ?(config = default_
       procs = Hashtbl.create (min hint 64);
       pipe_bufs = Gfile.Tbl.create 8;
       next_serial = 1;
-      extra_handler = (fun _ _ -> None);
       site_table = [ site ];
       site_set = Site.Set.singleton site;
       alive = true;
@@ -65,7 +64,6 @@ let create ~site ~machine_type ~engine ~net ~mount ~fg_table ?(config = default_
         };
     }
   in
-  Net.Netsim.set_handler net site (fun ~src req -> Dispatch.handle k ~src req);
   Openlease.set_on_dead k.open_leases (fun e -> Us.lease_send_close k e);
   k
 

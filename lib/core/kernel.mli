@@ -22,8 +22,10 @@ val create :
   ?config:Ktypes.config ->
   unit ->
   t
-(** Create a kernel and register its message handler with the network.
-    [machine_type] selects hidden-directory entries (§2.4.1). *)
+(** Create a kernel. It serves no message until its caller registers a
+    handler for its site with the network, as [World.create] registers
+    [Dispatch.handle]. [machine_type] selects hidden-directory entries
+    (§2.4.1). *)
 
 val site : t -> Net.Site.t
 

@@ -314,7 +314,6 @@ type t = {
   procs : (int, proc) Hashtbl.t;
   pipe_bufs : string ref Gfile.Tbl.t; (* SS-side fifo contents *)
   mutable next_serial : int;
-  mutable extra_handler : Site.t -> Proto.req -> Proto.resp option;
   (* reconfiguration-protocol handlers, installed by the recovery layer *)
   mutable site_table : Site.t list; (* believed-up sites: this site's partition *)
   mutable site_set : Site.Set.t;    (* same membership as [site_table], for O(log n)

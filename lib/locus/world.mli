@@ -1,9 +1,10 @@
 (** World: build and drive a simulated LOCUS network.
 
     A world is one engine, one topology, one message layer, and one kernel
-    per site, with the filegroups' physical containers distributed per
-    configuration and the replicated state (mount table, site tables, CSS
-    assignments) seeded consistently — the state a real installation
+    per site, whose messages {!Dispatch.handle} serves ({!create}
+    registers it), with the filegroups' physical containers distributed
+    per configuration and the replicated state (mount table, site tables,
+    CSS assignments) seeded consistently — the state a real installation
     reaches after boot. All runs are deterministic under the configured
     seed. *)
 
@@ -68,14 +69,13 @@ val partition : t -> Net.Site.t list list -> Recovery.Partition.report list
 (** Split the physical network into groups; each group runs the partition
     protocol (initiated by its lowest site). *)
 
-val heal_and_merge :
-  ?policy:Recovery.Merge.timeout_policy ->
-  t ->
-  Recovery.Merge.report * (int * Recovery.Reconcile.report) list
+val heal_and_merge : t -> Recovery.Merge.report * (int * Recovery.Reconcile.report) list
 (** Repair the network, restart every crashed site (scavenging its
-    orphaned pages, as {!restart_site} does), run the merge protocol from
-    the lowest site, then the recovery procedure (reconciliation +
-    propagation). *)
+    orphaned pages, as {!restart_site} does), and reconfigure (§5.3): run
+    the merge protocol from the lowest site with its default timeout
+    policy and no gateways, then the recovery procedure, in which each
+    filegroup's new CSS reconciles it ({!Recovery.Reconcile.reconcile_fg},
+    whose reports come back by filegroup), then {!settle}. *)
 
 val crash_site : t -> Net.Site.t -> unit
 (** Power the site off: all volatile kernel state is lost; disks survive. *)

@@ -1,8 +1,8 @@
 (* Installing an agreed membership (sections 5.4 to 5.6).
 
-   The partition protocol and the merge protocol end the same way: every
-   member installs the membership its active site announced (and the
-   active site installs it locally). One procedure does it for both, so a
+   The partition protocol and the merge protocol end the same way: the
+   active site announces the membership, and every member installs it
+   (the active site locally). One procedure does each for both, so a
    site that left is cleaned up the same way whichever protocol noticed,
    and every member places every filegroup's synchronization site by the
    same rule. *)
@@ -78,3 +78,24 @@ let install k ~members ~merge =
   record k ~tag:"member.install" "members=[%a] departed=[%a]%s" pp_sites members pp_sites
     departed
     (if merge then " merge" else "")
+
+(* Announce the agreed membership to every other member and install it
+   here, the new CSS sites first: a member's cleanup reopens its lost
+   files at the new CSS (section 5.6), which must have rebuilt its tables
+   by then. *)
+let announce k ~members ~merge =
+  let new_css =
+    List.filter_map
+      (fun fi -> place_css ~fg:fi.fg (List.filter (fun s -> List.mem s members) fi.pack_sites))
+      k.fg_table
+  in
+  let others = List.filter (fun s -> not (Site.equal s k.site)) members in
+  let first, rest = List.partition (fun s -> List.mem s new_css) (others @ [ k.site ]) in
+  let message =
+    if merge then Proto.Merge_announce { members } else Proto.Part_announce { members }
+  in
+  List.iter
+    (fun s ->
+      if Site.equal s k.site then install k ~members ~merge
+      else match rpc_result k s message with Ok _ | Stdlib.Error _ -> ())
+    (first @ rest)

@@ -1,6 +1,8 @@
-(** Installing an agreed membership (§5.4–§5.6): the one procedure the
-    partition protocol and the merge protocol both end with, at every
-    member on the announcement and locally at the active site. *)
+(** Announcing and installing an agreed membership (§5.4–§5.6): the one
+    procedure the partition protocol and the merge protocol both end with.
+    The active site announces ({!announce}); every member installs
+    ({!install}) on the announcement, which [Dispatch] serves, and the
+    active site installs locally. *)
 
 val install : Locus_core.Ktypes.t -> members:Net.Site.t list -> merge:bool -> unit
 (** Install [members] as this site's partition. In order: set the site
@@ -16,6 +18,16 @@ val install : Locus_core.Ktypes.t -> members:Net.Site.t list -> merge:bool -> un
     revalidate the SS registrations against the members' open files
     ({!Locus_core.Ss.revalidate_serving}). [merge] says partitions joined,
     so directories may have changed apart: the name cache starts cold. *)
+
+val announce : Locus_core.Ktypes.t -> members:Net.Site.t list -> merge:bool -> unit
+(** The active site's end of either protocol: send [members] to every
+    other member ([Merge_announce] when [merge], else [Part_announce]),
+    each of which runs {!install}, and run {!install} here. The sites that
+    {!Locus_core.Ktypes.place_css} makes a CSS over [members] install
+    first, this site last among its group, so each new CSS has rebuilt its
+    tables before another member's §5.6 cleanup reopens its lost files
+    there. A member the announcement does not reach is left to the next
+    reconfiguration. *)
 
 val rebuild_css :
   ?unreported:(int * Net.Site.t list) list ->

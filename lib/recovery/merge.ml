@@ -8,11 +8,11 @@
    have replied, it is short — so a small partition of a large network
    merges quickly. A fixed long timeout is kept as an ablation.
 
-   After the announcement each member installs the new partition with
-   [Membership.install], the procedure the partition protocol ends with
-   too: it places the CSS of every filegroup, and each CSS reconstructs
-   its version bookkeeping (from pack inventories) and its lock table
-   (from the members' open-file lists). *)
+   The initiator announces the new partition with [Membership.announce],
+   and each member installs it with [Membership.install], as at the end of
+   the partition protocol: the install places the CSS of every filegroup,
+   and each CSS reconstructs its version bookkeeping (from pack
+   inventories) and its lock table (from the members' open-file lists). *)
 
 open Locus_core.Ktypes
 module Site = Net.Site
@@ -111,13 +111,7 @@ let run_initiator ?(policy = default_policy) ?(gateways = []) k ~all_sites =
     k.site :: List.map fst !respondents |> List.sort_uniq Site.compare
   in
   (* Declare the new partition and broadcast its composition. *)
-  List.iter
-    (fun m ->
-      if not (Site.equal m k.site) then
-        match rpc_result k m (Proto.Merge_announce { members }) with
-        | Ok _ | Stdlib.Error _ -> ())
-    members;
-  Membership.install k ~members ~merge:true;
+  Membership.announce k ~members ~merge:true;
   k.recon_stage <- 0;
   {
     members;

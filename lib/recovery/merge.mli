@@ -6,8 +6,9 @@
     composition. The waiting strategy is the paper's two-level timeout:
     long while a site believed up by some member has not answered, short
     once all such sites have replied — so a small partition of a large
-    network merges quickly. After the announcement every member installs
-    the new partition with {!Membership.install}, as at a partition, with
+    network merges quickly. The initiator announces the new partition with
+    {!Membership.announce}, the new CSS sites first, and every member
+    installs it with {!Membership.install}, as at a partition, with
     [~merge:true]: each places every filegroup's CSS itself, and each CSS
     rebuilds its version bookkeeping (from pack inventories) and its lock
     table (from the members' open-file lists). *)

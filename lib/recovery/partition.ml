@@ -10,8 +10,9 @@
    communication failure never splits the net into three parts needlessly.
 
    Consensus criterion: for every a, b in P, Pa = Pb. The active site
-   announces the agreed membership; every member installs it with
-   [Membership.install], which the merge protocol ends with too. *)
+   announces the agreed membership with [Membership.announce], and every
+   member installs it with [Membership.install], as at the end of the
+   merge protocol. *)
 
 open Locus_core.Ktypes
 module Site = Net.Site
@@ -69,23 +70,7 @@ let run_active k =
   done;
   k.recon_stage <- 2;
   let members = Sset.elements !pa in
-  (* Announce the consensus to every member and install it here, the new
-     CSS sites first: a member's cleanup reopens its lost files at the new
-     CSS (section 5.6), which must have rebuilt its tables by then. *)
-  let new_css =
-    List.filter_map
-      (fun fi -> place_css ~fg:fi.fg (List.filter (fun s -> Sset.mem s !pa) fi.pack_sites))
-      k.fg_table
-  in
-  let others = List.filter (fun s -> not (Site.equal s k.site)) members in
-  let first, rest = List.partition (fun s -> List.mem s new_css) (others @ [ k.site ]) in
-  List.iter
-    (fun s ->
-      if Site.equal s k.site then Membership.install k ~members ~merge:false
-      else
-        match rpc_result k s (Proto.Part_announce { members }) with
-        | Ok _ | Stdlib.Error _ -> ())
-    (first @ rest);
+  Membership.announce k ~members ~merge:false;
   k.recon_stage <- 0;
   { members; polls = !polls; rounds = !rounds; failures = !failures }
 

@@ -9,7 +9,8 @@
     partition set. The result is a maximal fully-connected sub-network —
     a single communication failure never splits the net into three parts.
 
-    After agreement, each member installs the membership with
+    After agreement, the active site announces the membership with
+    {!Membership.announce}, and each member installs it with
     {!Membership.install}, the procedure the merge protocol ends with
     too: it places every filegroup's CSS and runs the cleanup procedure
     (§5.6) for the departed sites. *)

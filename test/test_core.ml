@@ -7,7 +7,7 @@ module Kernel = Locus_core.Kernel
 module Us = Locus_core.Us
 module Pathname = Locus_core.Pathname
 module K = Locus_core.Ktypes
-module Dispatch = Locus_core.Dispatch
+module Dispatch = Locus.Dispatch
 module Stats = Sim.Stats
 module Dir = Catalog.Dir
 module Inode = Storage.Inode

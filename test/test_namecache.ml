@@ -8,7 +8,7 @@ module Kernel = Locus_core.Kernel
 module Pathname = Locus_core.Pathname
 module Namecache = Locus_core.Namecache
 module K = Locus_core.Ktypes
-module Dispatch = Locus_core.Dispatch
+module Dispatch = Locus.Dispatch
 module Mount = Catalog.Mount
 module Gfile = Catalog.Gfile
 module Stats = Sim.Stats

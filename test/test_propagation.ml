@@ -5,7 +5,7 @@ module Kernel = Locus_core.Kernel
 module Propagation = Locus_core.Propagation
 module Us = Locus_core.Us
 module K = Locus_core.Ktypes
-module Dispatch = Locus_core.Dispatch
+module Dispatch = Locus.Dispatch
 module Pack = Storage.Pack
 module Inode = Storage.Inode
 module Vvec = Vv.Version_vector

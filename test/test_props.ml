@@ -29,7 +29,7 @@
 module World = Locus.World
 module Kernel = Locus_core.Kernel
 module K = Locus_core.Ktypes
-module Dispatch = Locus_core.Dispatch
+module Dispatch = Locus.Dispatch
 module Dir = Catalog.Dir
 module Mbox = Catalog.Mailbox
 module Page = Storage.Page

@@ -10,7 +10,7 @@ module Latency = Net.Latency
 module Netsim = Net.Netsim
 module World = Locus.World
 module Kernel = Locus_core.Kernel
-module Dispatch = Locus_core.Dispatch
+module Dispatch = Locus.Dispatch
 module K = Locus_core.Ktypes
 
 let check = Alcotest.check
