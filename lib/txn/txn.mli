@@ -60,6 +60,10 @@ val touched_sites : t -> Net.Site.t list
 val handle_site_failure : Locus_core.Kernel.t -> Net.Site.t -> int
 (** Abort every active transaction at this kernel that depends on the
     failed site (the "Distributed Transaction" row of the section 5.6
-    table). Returns the number of transactions aborted. *)
+    table), scanning this kernel's active transactions with
+    {!touched_sites}. Another kernel's transactions are never touched,
+    even one of another world at the same site number. Returns the number
+    of transactions aborted. *)
 
 val active_count : Locus_core.Kernel.t -> int
+(** Active top-level transactions begun at this kernel. *)

@@ -148,6 +148,33 @@ let test_partition_aborts_distributed_txn () =
   check Alcotest.string "local leg rolled back" "l"
     (Kernel.read_file k0 p0 "/local_leg")
 
+(* Transactions belong to their world: a membership change in one world
+   neither aborts another world's transaction at the same site number nor
+   sends a message on that world's network. *)
+let test_failure_stays_in_its_world () =
+  let a = make_world () in
+  let ka0 = World.kernel a 0 and pa0 = World.proc a 0 in
+  (* A file stored only at site 2, locked by a transaction at site 0. *)
+  let ka2 = World.kernel a 2 and pa2 = World.proc a 2 in
+  Kernel.set_ncopies pa2 1;
+  ignore (Kernel.creat ka2 pa2 "/leg");
+  Kernel.write_file ka2 pa2 "/leg" "x";
+  ignore (World.settle a);
+  let t = Txn.begin_top ka0 pa0 in
+  Txn.write t "/leg" "txn x";
+  check Alcotest.bool "touches site 2" true (List.mem 2 (Txn.touched_sites t));
+  let sent = Net.Netsim.messages_sent (World.net a) in
+  let b = make_world () in
+  World.crash_site b 2;
+  ignore (World.detect_failures b ~initiator:0);
+  check Alcotest.int "no transaction in the other world" 0 (Txn.active_count (World.kernel b 0));
+  check Alcotest.bool "still active" true (Txn.status t = Txn.Active);
+  check Alcotest.int "one active txn" 1 (Txn.active_count ka0);
+  check Alcotest.int "no message in its world" sent (Net.Netsim.messages_sent (World.net a));
+  Txn.commit t;
+  ignore (World.settle a);
+  check Alcotest.string "committed" "txn x" (Kernel.read_file ka0 pa0 "/leg")
+
 let () =
   Alcotest.run "txn"
     [
@@ -171,5 +198,7 @@ let () =
         [
           Alcotest.test_case "partition aborts distributed txn" `Quick
             test_partition_aborts_distributed_txn;
+          Alcotest.test_case "failure stays in its world" `Quick
+            test_failure_stays_in_its_world;
         ] );
     ]
