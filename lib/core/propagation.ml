@@ -78,6 +78,17 @@ let max_retries = 3
 
 let npages_of (info : Proto.inode_info) = (info.Proto.i_size + Page.size - 1) / Page.size
 
+(* Read the run [first, first + count) of [site]'s committed copy of [gf],
+   and its inode when [stat]. A reply with fewer pages than the file has
+   in the run, by the inode that came back or else by [npages], fails
+   with [Eio]: no reader takes a short body. *)
+let read_run k site gf ~npages ~first ~count ~stat =
+  let pages, info = Ss.read_committed k site gf ~first ~count ~stat in
+  let npages = match info with Some i -> npages_of i | None -> npages in
+  if List.length pages <> min count (max 0 (npages - first)) then
+    err Proto.Eio "short read of %a from %a" Gfile.pp gf Site.pp site;
+  (pages, info)
+
 (* Write the pulled pages of version [info] of [gf] over the local copy
    [local] in a shadow session and commit it. [read] yields the pages, in
    (first page, pages) runs; an [Error] from it aborts the session. *)
@@ -139,18 +150,14 @@ let pull_from k pack (p : pull) ~source ~strict =
     else match runs_of ~cap modified with run :: _ -> run | [] -> (0, 0)
   in
   (* Only a request that returned two or more pages counts as a bulk
-     pull. A reply with fewer pages than the file has in the run fails the
-     pull: the copy never takes a short body. *)
+     pull. A short reply fails the pull. *)
   let fetch ~npages ~first ~count ~stat =
-    let pages, info = Ss.read_committed k source gf ~first ~count ~stat in
+    let pages, info = read_run k source gf ~npages ~first ~count ~stat in
     let n = List.length pages in
     if n > 1 then begin
       Sim.Stats.incr (stats k) "prop.bulk";
       Sim.Stats.add (stats k) "prop.bulk.pages" n
     end;
-    let npages = match info with Some i -> npages_of i | None -> npages in
-    if n <> min count (max 0 (npages - first)) then
-      err Proto.Eio "short read of %a from %a" Gfile.pp gf Site.pp source;
     (pages, info)
   in
   match fetch ~npages:0 ~first ~count ~stat:true with

@@ -50,6 +50,22 @@ val one_commit_behind :
   origin:Net.Site.t ->
   bool
 
+val read_run :
+  Ktypes.t ->
+  Net.Site.t ->
+  Catalog.Gfile.t ->
+  npages:int ->
+  first:int ->
+  count:int ->
+  stat:bool ->
+  string list * Proto.inode_info option
+(** [read_run k site gf ~npages ~first ~count ~stat]: the committed pages
+    [first] to [first + count - 1] of [site]'s copy ({!Ss.read_committed}),
+    and its inode when [stat]. A reply with fewer pages than the copy has
+    in the run — by the inode that came back, else by [npages] — raises
+    {!Ktypes.Error} [EIO]. A pull and reconciliation's copy reads both read
+    through it. *)
+
 val runs_of : cap:int -> int list -> (int * int) list
 (** [runs_of ~cap pages] groups an ascending page list into [(first,
     count)] runs of consecutive pages, each at most [cap] long: the
