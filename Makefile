@@ -66,7 +66,8 @@ bench-smoke:
 # soak-smoke is the CI gate: a handful of seeds, bounded ops, seconds not
 # minutes; the subcommand exits non-zero on any invariant violation and
 # prints a shrunken one-line repro for every failing seed. The full sweep
-# is `make soak` (50 seeds x 2000 ops).
+# is `make soak` (50 seeds x 2000 ops); `make check` runs it after the
+# smoke, which fails faster.
 soak-smoke:
 	@dune exec bench/main.exe -- soak --seeds 8 --ops 500
 	@echo "soak-smoke: OK (8 seeds, zero invariant violations)"
@@ -158,8 +159,9 @@ lint:
 	fi
 
 # Everything a change must pass before review: warning-clean build, no
-# export only its own module names, tests, the experiment and soak smokes,
-# no simulated number moved from the committed baseline, and (when
+# export only its own module names, tests, the experiment smoke, the soak
+# smoke and then the full soak (50 seeds x 2000 ops, a few seconds), no
+# simulated number moved from the committed baseline, and (when
 # ocamlformat is installed) formatting.
 check: lint
 	@out=$$($(MAKE) --no-print-directory -s unused); \
@@ -173,6 +175,7 @@ check: lint
 	dune runtest
 	$(MAKE) bench-smoke
 	$(MAKE) soak-smoke
+	$(MAKE) soak
 	$(MAKE) baseline
 	@if command -v ocamlformat >/dev/null 2>&1; then \
 		dune build @fmt; \
