@@ -50,7 +50,10 @@ bench:
 # send no close for the leases a site holds across them and a re-open
 # after the merge must read the committed bytes, E21's eviction at
 # capacity must cost each evicting cold open at most 2 messages and no
-# close.us message (the evicted lease's close rides the open), and E22's reads must
+# close.us message (the evicted lease's close rides the open), E21's break
+# of a read lease the CSS serves must add exactly 2 messages to the write
+# that breaks it, the acknowledged break's call and reply (no close.us,
+# close.ss or page.invalidate: the break is the close), and E22's reads must
 # return the file's bytes and the per-client read cost at 512 sites must
 # stay within 1.25x of 8 sites', and e24smoke's read oracle must find no read that
 # returned a body no write sent (wrong) or a body older than the last

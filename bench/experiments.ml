@@ -1830,6 +1830,46 @@ let e21 () =
     ];
   if not evict_ok then
     failwith "E21: an evicting cold open sent a close of its own or more than one round trip";
+  (* The break is the close: a write from site 2 to a file site 3 holds a
+     lease on, against the same write with no lease held. The difference
+     is what breaking the grant costs. Served by the CSS (file at 0), the
+     CSS releases the grant whole: the acknowledged break's call and
+     reply, and no close leg or page invalidation. Served by another SS
+     (file at 1), the holder's close ends only that SS's registration. *)
+  let classes = [ "lease.break"; "close.us"; "close.ss"; "page.invalidate" ] in
+  let write_cost ~at ~leased =
+    let w = make_world ~n:5 ~packs:[ 0; 1 ] () in
+    mk_file w ~at ~ncopies:1 ~path:"/b" ~body:"old";
+    let k3 = World.kernel w 3 in
+    if leased then begin
+      Us.close k3 (Us.open_gf k3 (gf_of k3 "/b") Proto.Mode_read);
+      settle_ok w
+    end;
+    let snap = Stats.snapshot (World.stats w) in
+    Kernel.write_file (World.kernel w 2) (World.proc w 2) "/b" "new";
+    settle_ok w;
+    let delta = Stats.delta_of (World.stats w) snap in
+    (delta "net.msg", List.map (fun c -> delta ("net.msg." ^ c)) classes)
+  in
+  let break_cost ~at =
+    let total, per = write_cost ~at ~leased:true in
+    let total0, per0 = write_cost ~at ~leased:false in
+    (total - total0, List.map2 ( - ) per per0)
+  in
+  let css_total, css_per = break_cost ~at:0 in
+  let ss_total, ss_per = break_cost ~at:1 in
+  metric "break.css.msgs" (float_of_int css_total);
+  metric "break.ss.msgs" (float_of_int ss_total);
+  let break_ok = css_total = 2 && css_per = [ 2; 0; 0; 0 ] in
+  Report.table ~title:"what breaking a lease adds to a write (site 3 holds it, site 2 writes)"
+    ~header:([ "grant served by"; "msgs" ] @ classes @ [ "ok" ])
+    [
+      [ "the CSS (file at 0)"; Report.i css_total ] @ List.map Report.i css_per
+      @ [ Report.check break_ok ];
+      [ "another SS (file at 1)"; Report.i ss_total ] @ List.map Report.i ss_per @ [ "-" ];
+    ];
+  if not break_ok then
+    failwith "E21: breaking a grant the CSS serves cost more than the break's call and reply";
   (* Ablation: with the layer off every open repeats the cold exchange,
      reproducing E1's counts exactly. *)
   let ablation name kconfig =

@@ -16,7 +16,7 @@ let retire_links k gf ~vv ~deleted =
   Namecache.note_dir_vv k.name_cache ~dir:gf vv;
   if deleted then Namecache.invalidate_child k.name_cache gf
 
-(* A grant on another version is dead now, before the CSS's one-way break
+(* A grant on another version is dead now, before the CSS's break
    arrives. *)
 let retire_lease k gf vv =
   match Openlease.find_entry k.open_leases gf with
@@ -85,10 +85,20 @@ let announced k gf ~vv ~deleted ~origin =
 
 type writer = Here of ofile | Elsewhere of { first : int; count : int }
 
+(* An open that stops caching drops its readahead in flight, as if it had
+   never cached. *)
+let stop_caching k keep =
+  Hashtbl.iter
+    (fun _ o ->
+      if keep o then begin
+        o.o_nocache <- true;
+        o.o_inflight <- []
+      end)
+    k.open_files
+
 (* From elsewhere, a retained grant names a superseded version whether or
    not its break arrived: a ride on it would file the new bytes under the
-   old key. Here, the lease protocol retires it. An open that stops
-   caching drops its readahead in flight, as if it had never cached. *)
+   old key. Here, the lease protocol retires it. *)
 let rewritten k gf writer =
   (match writer with
   | Here _ -> ()
@@ -97,14 +107,23 @@ let rewritten k gf writer =
     ignore
       (Us_cache.drop_file k.us_cache (Gfile.id gf) ~only:(fun (_, p, _) _ ->
            p >= first && p < first + count)));
-  Hashtbl.iter
-    (fun _ o ->
+  stop_caching k (fun o ->
       let other = match writer with Here w -> o != w | Elsewhere _ -> true in
-      if other && Gfile.equal o.o_gf gf then begin
-        o.o_nocache <- true;
-        o.o_inflight <- []
-      end)
-    k.open_files
+      other && Gfile.equal o.o_gf gf)
+
+(* The CSS broke grant [id] and released it: the grant dies here, if this
+   site still holds it. When the CSS also ended its SS registration, no
+   page invalidation reaches this site any more, so the break does its
+   work: the file's committed pages go, under every version, and the
+   opens riding the grant stop caching. *)
+let lease_broken k gf ~id ~closed =
+  match Openlease.revoke k.open_leases gf ~id ~closed with
+  | Some e when closed ->
+    ignore
+      (Us_cache.drop_file k.us_cache (Gfile.id gf) ~only:(fun (_, _, v) _ ->
+           match v with Committed _ -> true | Private _ -> false));
+    stop_caching k (fun o -> match o.o_lease with Some r -> r == e | None -> false)
+  | Some _ | None -> ()
 
 let reclaimed k gf =
   drop_buffers k gf;
@@ -116,8 +135,10 @@ let reclaimed k gf =
 type loss = Crash | Membership of { merge : bool }
 
 (* A crash loses every cache. A membership change drops every lease,
-   whose break callbacks can no longer be trusted to arrive; a merge also
-   starts the name cache cold, noting its directories for re-warming. *)
+   whose break callbacks can no longer be trusted to arrive, dead ones
+   still ridden included: the rebuild counts their riders as plain opens.
+   A merge also starts the name cache cold, noting its directories for
+   re-warming. *)
 let forgotten k = function
   | Crash ->
     Us_cache.clear k.us_cache;
@@ -128,4 +149,5 @@ let forgotten k = function
     Openlease.clear k.open_leases
   | Membership { merge } ->
     Openlease.clear k.open_leases;
+    Hashtbl.iter (fun _ o -> Option.iter Openlease.drop o.o_lease) k.open_files;
     if merge then Namecache.clear_merge k.name_cache

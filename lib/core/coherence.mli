@@ -42,6 +42,13 @@ val rewritten : t -> Gfile.t -> writer -> unit
     would: the SS serves the session's pages, which no open may file under
     the committed version's key. *)
 
+val lease_broken : t -> Gfile.t -> id:int -> closed:bool -> unit
+(** The CSS broke read lease [id] on the file and released it, with its SS
+    registration when [closed]: the grant dies here if this site still
+    holds it, owing no close or only the SS's half, and with [closed] the
+    opens riding it stop caching, as a page invalidation would make
+    them. *)
+
 val reclaimed : t -> Gfile.t -> unit
 (** The inode number was released and may be reallocated. *)
 

@@ -30,7 +30,7 @@ let new_file_state () =
     css_deleted = false;
     css_conflict = false;
     css_ftype = Inode.Regular;
-    leases = Site.Set.empty;
+    leases = [];
   }
 
 let find_file k fg ino = Hashtbl.find_opt (fg_state k fg).css_files ino
@@ -130,29 +130,6 @@ let local_info k gf =
   | Some pack ->
     Pack.find_inode pack gf.Gfile.ino |> Option.map Proto.info_of_inode
 
-(* Break every outstanding read lease on a file by callback: a writer
-   opened, the version advanced, a conflict or delete was recorded. Each
-   holder drops its retained grant and sends its deferred close, which is
-   what eventually uncounts it as a reader; losses are silent — a stale
-   entry is caught by the version-keyed page cache and self-cleans at the
-   next break or eviction. *)
-let break_leases k gf (f : css_file) =
-  if not (Site.Set.is_empty f.leases) then begin
-    let holders = Site.Set.elements f.leases in
-    f.leases <- Site.Set.empty;
-    record k ~tag:"css.lease.break" "%a -> [%a]" Gfile.pp gf pp_sites holders;
-    List.iter
-      (fun h ->
-        if Site.equal h k.site then begin
-          (* A remote holder gets a one-way notify; a collocated one
-             drops its grant here, synchronously, as its message would. *)
-          record k ~tag:"us.lease.breakcb" "%a" Gfile.pp gf;
-          Openlease.kill k.open_leases gf
-        end
-        else notify k h (Proto.Lease_break { gf }))
-      holders
-  end
-
 let lease_config_on k = k.config.open_lease_entries > 0
 
 let count_reader f us =
@@ -164,6 +141,62 @@ let uncount_reader f us =
   | None -> ()
   | Some 1 -> f.readers <- Site.Map.remove us f.readers
   | Some n -> f.readers <- Site.Map.add us (n - 1) f.readers
+
+(* The CSS half of a read close: the reader goes, and with no reader and
+   no writer left, so does the single SS. *)
+let close_reader f us =
+  uncount_reader f us;
+  if Site.Map.is_empty f.readers && f.writer = None then f.writer_ss <- None
+
+(* Break every outstanding read lease on a file: a writer opened, the
+   version advanced, a conflict or delete was recorded. The break is the
+   grant's close. The CSS releases each grant here, at once: its reader
+   count, and its SS registration when this site serves it, so that SS
+   sends the holder no more page invalidations. Each holder then hears of
+   it by an acknowledged [Lease_break] naming the grant, sent from a
+   zero-delay event so the open that broke it does not wait; a loss is
+   resent by the transport. A holder here kills its grant at once. *)
+let break_leases k gf (f : css_file) =
+  match f.leases with
+  | [] -> ()
+  | grants ->
+    f.leases <- [];
+    record k ~tag:"css.lease.break" "%a -> [%a]" Gfile.pp gf pp_sites
+      (List.map (fun g -> g.g_holder) grants);
+    let breaks =
+      List.filter_map
+        (fun g ->
+          close_reader f g.g_holder;
+          let closed = Site.equal g.g_ss k.site in
+          (if closed then
+             match ss_find_open k gf with
+             | Some s -> ss_end k s ~us:g.g_holder ~opens:1 ~writes:0
+             | None -> ());
+          if Site.equal g.g_holder k.site then begin
+            record k ~tag:"us.lease.breakcb" "%a" Gfile.pp gf;
+            Coherence.lease_broken k gf ~id:g.g_id ~closed;
+            None
+          end
+          else Some (g.g_holder, Proto.Lease_break { gf; id = g.g_id; closed }))
+        grants
+    in
+    if breaks <> [] then
+      Engine.schedule k.engine ~delay:0.0 (fun () ->
+          List.iter
+            (fun (h, req) -> if k.alive && in_partition k h then ignore (rpc_result k h req))
+            breaks)
+
+let holds_grant f id = List.exists (fun g -> g.g_id = id) f.leases
+
+(* Whether a close naming [grant] on [gf] comes too late to this site, the
+   CSS: the grant's break released it already, and its SS registration
+   with it, since the grant's SS is the site its close goes to. *)
+let grant_broken k gf ~grant =
+  grant <> 0 && is_css k gf.Gfile.fg
+  &&
+  match find_file k gf.Gfile.fg gf.Gfile.ino with
+  | Some f -> not (holds_grant f grant)
+  | None -> true
 
 (* The CSS half of the open protocol. Returns R_open { ss; info } or an
    error. Implements both optimizations of section 2.3.3: the US's own copy
@@ -252,6 +285,14 @@ let handle_open k ~src gf mode ~shared us_vv =
                 && not f.css_conflict
               | Proto.Mode_modify -> false
             in
+            let id =
+              if lease then begin
+                let id = k.next_grant in
+                k.next_grant <- id + 1;
+                id
+              end
+              else 0
+            in
             (match mode with
             | Proto.Mode_modify ->
               if f.writer = None then f.writer <- Some src;
@@ -261,7 +302,7 @@ let handle_open k ~src gf mode ~shared us_vv =
               break_leases k gf f
             | Proto.Mode_read | Proto.Mode_internal ->
               count_reader f src;
-              if lease then f.leases <- Site.Set.add src f.leases);
+              if lease then f.leases <- { g_holder = src; g_id = id; g_ss = ss } :: f.leases);
             record k ~tag:"css.open" "%a %a by %a -> ss %a" Gfile.pp gf Proto.pp_mode mode
               Site.pp src Site.pp ss;
             Proto.R_open
@@ -271,7 +312,7 @@ let handle_open k ~src gf mode ~shared us_vv =
                 others = others ss;
                 nocache = f.writer <> None;
                 slot;
-                lease;
+                lease = id;
                 pages = [];
               }
         end
@@ -348,8 +389,9 @@ let unlink_fences k fg ~ss =
       (refuse, stale))
     (fg_state k fg).css_files ([], [])
 
-(* SS -> CSS leg of the close protocol. *)
-let handle_ss_close k gf ~us ~mode =
+(* SS -> CSS leg of the close protocol. A close naming a grant releases
+   that grant, and nothing when the grant's break already did. *)
+let handle_ss_close k gf ~us ~mode ~grant =
   let fg = gf.Gfile.fg in
   if not (is_css k fg) then Proto.R_err Proto.Estale
   else begin
@@ -363,8 +405,11 @@ let handle_ss_close k gf ~us ~mode =
           if Site.Map.is_empty f.readers then f.writer_ss <- None
         end
       | Proto.Mode_read | Proto.Mode_internal ->
-        uncount_reader f us;
-        if Site.Map.is_empty f.readers && f.writer = None then f.writer_ss <- None);
+        if grant = 0 then close_reader f us
+        else if holds_grant f grant then begin
+          f.leases <- List.filter (fun g -> g.g_id <> grant) f.leases;
+          close_reader f us
+        end);
       Proto.R_ok
   end
 

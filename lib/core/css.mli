@@ -78,8 +78,14 @@ val unlink_fences :
     does not hold. *)
 
 val handle_ss_close :
-  Ktypes.t -> Catalog.Gfile.t -> us:Net.Site.t -> mode:Proto.open_mode -> Proto.resp
-(** SS→CSS leg of the close protocol. *)
+  Ktypes.t -> Catalog.Gfile.t -> us:Net.Site.t -> mode:Proto.open_mode -> grant:int -> Proto.resp
+(** SS→CSS leg of the close protocol. A close naming a [grant] releases
+    that read lease, and nothing once its break has. *)
+
+val grant_broken : Ktypes.t -> Catalog.Gfile.t -> grant:int -> bool
+(** A close naming [grant] reached this site, the file's CSS, after the
+    grant's break released it, and released its SS registration too: the
+    grant's SS is this site. The close then releases nothing. *)
 
 val handle_commit_notify :
   ?replicas:Net.Site.t list ->

@@ -51,6 +51,7 @@ let create ~site ~machine_type ~engine ~net ~mount ~fg_table ?(config = default_
       procs = Hashtbl.create (min hint 64);
       pipe_bufs = Gfile.Tbl.create 8;
       next_serial = 1;
+      next_grant = 1;
       site_table = [ site ];
       site_set = Site.Set.singleton site;
       alive = true;
@@ -64,7 +65,7 @@ let create ~site ~machine_type ~engine ~net ~mount ~fg_table ?(config = default_
         };
     }
   in
-  Openlease.set_on_dead k.open_leases (fun e -> Us.lease_send_close k e);
+  Openlease.set_on_dead k.open_leases (Us.lease_dead k);
   k
 
 let site k = k.site

@@ -106,6 +106,10 @@ let table_size net = max 64 (Net.Topology.n_sites (Net.Netsim.topology net))
 
 (* ---- CSS state: synchronization and version bookkeeping (2.3.1) ---- *)
 
+(* A read lease the CSS granted: to [g_holder], under the id its R_open
+   carried, on the open [g_ss] serves. *)
+type grant = { g_holder : Site.t; g_id : int; g_ss : Site.t }
+
 type css_file = {
   mutable latest_vv : Vvec.t;
   mutable site_vv : Vvec.t Site.Map.t; (* every site storing a copy, with its version *)
@@ -115,10 +119,9 @@ type css_file = {
   mutable css_deleted : bool;
   mutable css_conflict : bool; (* unresolved version conflict: normal opens fail (4.6) *)
   mutable css_ftype : Storage.Inode.ftype; (* from the local pack or the rebuild's inventories *)
-  mutable leases : Site.Set.t;
-  (* sites granted a read lease on this file; broken by callback
-     (Lease_break) when a writer opens, the version advances, a conflict
-     or delete is recorded, or the partition changes *)
+  mutable leases : grant list;
+  (* the live read leases on this file, each released once: at its
+     close or at its break, whichever reaches the CSS first *)
 }
 
 type css_fg = { css_files : (int, css_file) Hashtbl.t }
@@ -314,7 +317,7 @@ type t = {
   procs : (int, proc) Hashtbl.t;
   pipe_bufs : string ref Gfile.Tbl.t; (* SS-side fifo contents *)
   mutable next_serial : int;
-  (* reconfiguration-protocol handlers, installed by the recovery layer *)
+  mutable next_grant : int; (* the id of the next read lease this CSS grants *)
   mutable site_table : Site.t list; (* believed-up sites: this site's partition *)
   mutable site_set : Site.Set.t;    (* same membership as [site_table], for O(log n)
                                        partition tests on hot paths; keep in sync via

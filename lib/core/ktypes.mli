@@ -78,6 +78,11 @@ val table_size : ('req, 'resp) Net.Netsim.t -> int
 
 (** {1 CSS state: synchronization and version bookkeeping (§2.3.1)} *)
 
+(** A read lease the CSS granted: to [g_holder], under the id [g_id]
+    that its [R_open] carried and every close or break of it names, on
+    the open that [g_ss] serves. *)
+type grant = { g_holder : Site.t; g_id : int; g_ss : Site.t }
+
 type css_file = {
   mutable latest_vv : Vvec.t;
   mutable site_vv : Vvec.t Site.Map.t;
@@ -92,10 +97,11 @@ type css_file = {
       (** the file's type, from the local pack or the pack inventories of
           the last lock-table rebuild: reconciliation merges directories
           and mailboxes by type (§4.4, §4.5) *)
-  mutable leases : Site.Set.t;
-      (** sites granted a read lease on this file; broken by callback
-          ([Lease_break]) when a writer opens, the version advances, a
-          conflict or delete is recorded, or the partition changes *)
+  mutable leases : grant list;
+      (** the live read leases on this file. Each is released once: by
+          its holder's close, or by its break ([Lease_break]) when a
+          writer opens, the version advances, or a conflict or delete is
+          recorded, whichever reaches the CSS first *)
 }
 
 type css_fg = { css_files : (int, css_file) Hashtbl.t }
@@ -302,6 +308,7 @@ type t = {
   procs : (int, proc) Hashtbl.t;
   pipe_bufs : string ref Gfile.Tbl.t;
   mutable next_serial : int;
+  mutable next_grant : int; (** the id of the next read lease this CSS grants *)
   mutable site_table : Site.t list; (** believed-up sites: this partition *)
   mutable site_set : Site.Set.t;
       (** same membership as [site_table] for O(log n) tests; update both

@@ -503,8 +503,10 @@ let handle_commit ?force_vv ?run k ~src gf ~abort ~delete =
   | refused -> refused
 
 (* US close at the SS, then SS close at the CSS — the three-message close
-   protocol adopted after the reopen race was found (section 2.3.3 note). *)
-let handle_us_close k ~src gf ~mode =
+   protocol adopted after the reopen race was found (section 2.3.3 note).
+   The CSS leg names the [grant] a lease's close releases; a grant the
+   CSS [released] at its break needs none. *)
+let handle_us_close k ~src gf ~mode ~grant ~released =
   (match ss_find_open k gf with
   | None -> ()
   | Some s ->
@@ -515,7 +517,8 @@ let handle_us_close k ~src gf ~mode =
   (* A CSS that can never be reached has its lock table rebuilt by the
      next partition/merge pass: this SS's side of the close is complete
      either way. *)
-  send_close k (fg_info k gf.Gfile.fg).css_site (Proto.Ss_close { gf; us = src; mode })
+  if released then Proto.R_ok
+  else send_close k (fg_info k gf.Gfile.fg).css_site (Proto.Ss_close { gf; us = src; mode; grant })
 
 (* Revalidate this site's serving registrations against the using sites'
    actual open files, part of every membership install (the SS-side

@@ -154,10 +154,18 @@ val handle_commit :
     invalidation; a refused run is the answer, and nothing commits. *)
 
 val handle_us_close :
-  Ktypes.t -> src:Net.Site.t -> Catalog.Gfile.t -> mode:Proto.open_mode -> Proto.resp
+  Ktypes.t ->
+  src:Net.Site.t ->
+  Catalog.Gfile.t ->
+  mode:Proto.open_mode ->
+  grant:int ->
+  released:bool ->
+  Proto.resp
 (** US→SS leg of the race-free three-message close (§2.3.3 footnote);
-    forwards SS→CSS. Ends the registration through {!Ktypes.ss_end}, so
-    a writer's close aborts a session it left uncommitted. *)
+    forwards SS→CSS, naming the lease [grant] the close releases (0: no
+    lease), unless the CSS [released] the grant at its break. Ends the
+    registration through {!Ktypes.ss_end}, so a writer's close aborts a
+    session it left uncommitted. *)
 
 val revalidate_serving : Ktypes.t -> unit
 (** SS-side analogue of the §5.6 lock-table scrub, run at every

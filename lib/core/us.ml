@@ -101,18 +101,34 @@ let first_page_buffered k gf =
 (* Run the close protocol's first leg at [ss]: one [Us_close] handed off
    to {!Ktypes.send_close}. A close that can never reach the SS is handled
    by cleanup when the membership change is observed. *)
-let close_at k ss gf mode =
-  try ignore (send_close k ss (Proto.Us_close { gf; mode })) with Error _ -> ()
+let close_at ?(grant = 0) ?(released = false) k ss gf mode =
+  try ignore (send_close k ss (Proto.Us_close { gf; mode; grant; released }))
+  with Error _ -> ()
 
 (* Send the one batched close a dead lease owes: the [Us_close] the cold
-   open deferred. Installed as [Openlease.on_dead] by [Kernel.create], so
-   breaks arriving through dispatch, eviction or recovery all route here,
-   as does an eviction's close that could not ride its open. *)
+   open deferred, naming the grant, or only its SS half when the CSS's
+   break released the rest. Kills arriving through dispatch, eviction or
+   recovery all route here ([lease_dead]), as does an eviction's close
+   that could not ride its open. *)
 let lease_send_close k (e : Openlease.entry) =
   if k.alive then begin
-    record k ~tag:"us.lease.close" "%a" Gfile.pp e.Openlease.le_gf;
-    close_at k e.Openlease.le_ss e.Openlease.le_gf e.Openlease.le_mode
+    let send ~grant ~released =
+      record k ~tag:"us.lease.close" "%a" Gfile.pp e.Openlease.le_gf;
+      close_at ~grant ~released k e.Openlease.le_ss e.Openlease.le_gf e.Openlease.le_mode
+    in
+    match e.Openlease.le_owed with
+    | Openlease.Grant_close -> send ~grant:e.Openlease.le_id ~released:false
+    | Openlease.Plain_close -> send ~grant:0 ~released:false
+    | Openlease.Ss_half -> send ~grant:0 ~released:true
+    | Openlease.No_close -> ()
   end
+
+(* The deferred-close sender [Kernel.create] installs. The close of an
+   idle grant a capacity eviction displaced leaves the foreground, from a
+   zero-delay event. *)
+let lease_dead k ~evicted e =
+  if evicted then Engine.schedule k.engine ~delay:0.0 (fun () -> lease_send_close k e)
+  else lease_send_close k e
 
 (* Open <filegroup, inode>: interrogate the CSS, which selects the SS
    (Figure 2). Returns the US incore inode.
@@ -217,7 +233,7 @@ and open_cold ~shared ~asks k fi gf mode =
     Option.map
       (fun (e : Openlease.entry) ->
         record k ~tag:"us.lease.release" "%a" Gfile.pp e.Openlease.le_gf;
-        (e.Openlease.le_gf, e.Openlease.le_mode))
+        (e.Openlease.le_gf, e.Openlease.le_mode, e.Openlease.le_id))
       victim
   in
   match rpc_result k fi.css_site (Proto.Open_req { gf; mode; us_vv; shared; want; release }) with
@@ -243,7 +259,7 @@ and open_cold ~shared ~asks k fi gf mode =
         | Some _ | None -> err Proto.Eio "open %a: no local copy to serve" Gfile.pp gf)
     in
     let lease_entry =
-      if lease then begin
+      if lease <> 0 then begin
         let e =
           {
             Openlease.le_gf = gf;
@@ -252,8 +268,10 @@ and open_cold ~shared ~asks k fi gf mode =
             le_info = info;
             le_slot = slot;
             le_vv = info.Proto.i_vv;
+            le_id = lease;
             le_active = 1;
             le_broken = false;
+            le_owed = Openlease.Grant_close;
           }
         in
         Openlease.insert k.open_leases e;
@@ -649,7 +667,7 @@ let lease_drop_rider k (e : Openlease.entry) =
   if e.Openlease.le_broken && e.Openlease.le_active <= 0 then lease_send_close k e
 
 (* A commit of [gf] at [vv] from this site: any lease this site holds on
-   another version is dead now, before the CSS's one-way [Lease_break]
+   another version is dead now, before the CSS's [Lease_break]
    arrives, as [Ss.install] kills it at a storing site. The commit rides
    the lease across the kill, so its deferred close goes out from a
    scheduled event rather than in the foreground. *)

@@ -96,9 +96,12 @@ val close : Ktypes.t -> Ktypes.ofile -> unit
     keeps the SS serving state registered, and the protocol runs once
     when the lease dies. *)
 
-val lease_send_close : Ktypes.t -> Openlease.entry -> unit
-(** Send the deferred [Us_close] a dead lease owes. Installed as the
-    {!Openlease} [on_dead] callback by [Kernel.create]. *)
+val lease_dead : Ktypes.t -> evicted:bool -> Openlease.entry -> unit
+(** The {!Openlease} [on_dead] callback [Kernel.create] installs: send the
+    deferred [Us_close] a dead lease owes, naming the grant, or only the
+    SS's half when the CSS's break released the rest, or nothing when it
+    released the whole grant. It goes at once, or from a zero-delay event
+    for an idle grant a capacity eviction displaced. *)
 
 val lease_drop_rider : Ktypes.t -> Openlease.entry -> unit
 (** One local open stops riding the lease; the last rider of a broken

@@ -8,6 +8,13 @@ module Partition = Recovery.Partition
 module Merge = Recovery.Merge
 module Membership = Recovery.Membership
 
+(* The SS leg of a close. A lease's close that reaches its CSS after
+   the grant's break releases nothing: the break ended this registration
+   too. *)
+let us_close k ~src gf ~mode ~grant ~released =
+  if Css.grant_broken k gf ~grant then Proto.R_ok
+  else Ss.handle_us_close k ~src gf ~mode ~grant ~released
+
 let handle k ~src (req : Proto.req) : Proto.resp =
   if not k.alive then Proto.R_err Proto.Enet
   else begin
@@ -16,7 +23,10 @@ let handle k ~src (req : Proto.req) : Proto.resp =
     | Proto.Open_req { gf; mode; us_vv; shared; want; release } -> (
       (* The close of a lease the open evicted at the US, served here,
          rides the request: it runs first, whatever the open answers. *)
-      Option.iter (fun (victim, mode) -> ignore (Ss.handle_us_close k ~src victim ~mode)) release;
+      Option.iter
+        (fun (victim, mode, grant) ->
+          ignore (us_close k ~src victim ~mode ~grant ~released:false))
+        release;
       (* A read open the CSS serves itself carries the committed copy's
          first [want] pages, read from the inode its [info] names, so the
          US's first [Read_pages] never goes out. Not when a writer exists
@@ -40,8 +50,8 @@ let handle k ~src (req : Proto.req) : Proto.resp =
     | Proto.Commit_req { gf; abort; delete; force_vv; run } ->
       Ss.handle_commit ?force_vv ?run k ~src gf ~abort ~delete
     (* close protocol *)
-    | Proto.Us_close { gf; mode } -> Ss.handle_us_close k ~src gf ~mode
-    | Proto.Ss_close { gf; us; mode } -> Css.handle_ss_close k gf ~us ~mode
+    | Proto.Us_close { gf; mode; grant; released } -> us_close k ~src gf ~mode ~grant ~released
+    | Proto.Ss_close { gf; us; mode; grant } -> Css.handle_ss_close k gf ~us ~mode ~grant
     (* commit notifications: CSS bookkeeping and/or propagation pull *)
     | Proto.Commit_notify
         { gf; vv; meta_only; modified; origin; fresh; deleted; designate; carried }
@@ -56,11 +66,11 @@ let handle k ~src (req : Proto.req) : Proto.resp =
     | Proto.Page_invalidate { gf; first; count } ->
       Coherence.rewritten k gf (Coherence.Elsewhere { first; count });
       Proto.R_ok
-    | Proto.Lease_break { gf } ->
-      (* CSS callback: drop the retained grant; the deferred close (if one
-         is owed and no open still rides the lease) goes out now. *)
+    | Proto.Lease_break { gf; id; closed } ->
+      (* CSS callback: the grant dies, already released at the CSS; only
+         an SS it does not serve is owed a close. *)
       record k ~tag:"us.lease.breakcb" "%a" Gfile.pp gf;
-      Openlease.kill k.open_leases gf;
+      Coherence.lease_broken k gf ~id ~closed;
       Proto.R_ok
     (* name-space changes *)
     | Proto.Dir_intent { dir; op } -> Dirops.run_intent k ~us:src dir op

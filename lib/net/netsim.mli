@@ -7,7 +7,7 @@
     that whole exchange: {!call} is a synchronous request/response that
     charges simulated time for both messages and runs the destination
     site's handler in between, resending under the request's retry policy;
-    {!send} is a one-way datagram (commit notifications, lease breaks).
+    {!send} is a one-way datagram (commit notifications, page invalidations).
 
     A call names only its sites and its request. Everything else the
     transport needs to know about a request or a response (its tag, its

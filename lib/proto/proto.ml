@@ -180,10 +180,11 @@ type req =
            carry in its reply, should the CSS serve the open itself; 0 (the
            paper's open, and every open at window 1) asks for none. Costs 4
            bytes only when nonzero. *)
-      release : (Catalog.Gfile.t * open_mode) option;
+      release : (Catalog.Gfile.t * open_mode * int) option;
         (* the close of the lease this open evicted at the US, when the
-           CSS is that lease's SS: the [Us_close] rides the open instead of
-           travelling on its own. Costs a file and a mode only when set. *)
+           CSS is that lease's SS: the [Us_close] of that grant id rides
+           the open instead of travelling on its own. Costs a file, a mode
+           and the id only when set. *)
     } (* US -> CSS: open request; carries the US's copy version if it stores one *)
   | Storage_req of {
       gf : Catalog.Gfile.t;
@@ -254,8 +255,15 @@ type req =
     } (* US -> SS: commit (or abort) the open modification session; [delete]
          marks the inode deleted before committing (section 2.3.7) *)
   (* --- close protocol (3 messages; see the race note in section 2.3.3) --- *)
-  | Us_close of { gf : Catalog.Gfile.t; mode : open_mode }
-  | Ss_close of { gf : Catalog.Gfile.t; us : Net.Site.t; mode : open_mode }
+  | Us_close of { gf : Catalog.Gfile.t; mode : open_mode; grant : int; released : bool }
+    (* US -> SS. [grant] names the read lease whose deferred close this
+       is (0: no lease, the paper's close); it costs 4 bytes only when
+       nonzero. [released]: the CSS released the grant at its break, so
+       the SS ends its registration and sends no [Ss_close]; it packs
+       into the mode byte. *)
+  | Ss_close of { gf : Catalog.Gfile.t; us : Net.Site.t; mode : open_mode; grant : int }
+    (* SS -> CSS: the close leg; a nonzero [grant] (4 bytes) releases
+       that grant, and nothing once its break already has *)
   (* --- commit notification and propagation (section 2.3.6) --- *)
   | Commit_notify of {
       gf : Catalog.Gfile.t;
@@ -280,11 +288,13 @@ type req =
     (* SS -> other USs it serves: your buffered copies of pages [first] to
        [first + count - 1] are no longer valid (the page-valid tokens of
        section 3.2). One covers every page a [Write_pages] wrote or cut. *)
-  | Lease_break of { gf : Catalog.Gfile.t }
-    (* CSS -> lease-holding US: the read lease granted on this file is
-       revoked (a writer opened, a new version committed, a conflict or
-       delete was recorded, or the partition changed). The holder drops
-       its retained open grant and sends any deferred close. *)
+  | Lease_break of { gf : Catalog.Gfile.t; id : int; closed : bool }
+    (* CSS -> lease holder, a call: grant [id] on this file is revoked (a
+       writer opened, a new version committed, a conflict or delete was
+       recorded). The CSS released the grant's reader count itself, and
+       with [closed] its SS registration too, served at the CSS: the
+       holder kills its grant [id] (a newer grant stays) and sends no
+       close, or with [closed] false only the SS half. *)
   (* --- interrogation --- *)
   | Set_attr of { gf : Catalog.Gfile.t; perms : int option; owner : string option }
     (* US -> SS: chmod/chown; a metadata-only commit (section 2.3.6's
@@ -336,12 +346,12 @@ type resp =
       others : Net.Site.t list;
       nocache : bool; (* a writer is active: using sites must not buffer pages *)
       slot : int;     (* the SS's incore-inode slot: the US's read guess *)
-      lease : bool;
-        (* the CSS granted a revocable read lease on (gf, vv): the US may
-           retain the whole grant across close and re-open with no
-           messages until a [Lease_break] arrives. Packs into the same
-           flag byte as [nocache], so the wire size is unchanged and the
-           [open_lease_entries = 0] ablation is byte-identical. *)
+      lease : int;
+        (* nonzero: the id of a revocable read lease the CSS granted on
+           (gf, vv). The US may retain the whole grant across close and
+           re-open with no messages until a [Lease_break] names the id.
+           4 bytes only when nonzero, so the [open_lease_entries = 0]
+           ablation is byte-identical. *)
       pages : string list;
         (* the committed copy's first pages, up to the request's [want],
            when the CSS serves a remote read open itself with no writer;
@@ -436,12 +446,15 @@ let run_bytes ~trunc ~off len =
     + (if Option.is_some trunc then 4 else 0)
     + len
 
+(* A lease grant id travels only when there is one. *)
+let grant_bytes id = if id = 0 then 0 else 4
+
 let req_bytes = function
   | Open_req { us_vv; want; release; _ } ->
     header + gfile_bytes + 2
     + (match us_vv with Some v -> vv_bytes v | None -> 0)
     + (if want > 0 then 4 else 0)
-    + if Option.is_some release then gfile_bytes + 1 else 0
+    + if Option.is_some release then gfile_bytes + 5 else 0
   | Storage_req { vv; others; _ } ->
     header + gfile_bytes + vv_bytes vv + 5 + site_list_bytes others
   (* A stat is the header and the file: at count 0 the page number, the
@@ -469,14 +482,14 @@ let req_bytes = function
       | Some { run_trunc; run_off; run_data; _ } ->
         run_bytes ~trunc:run_trunc ~off:run_off (String.length run_data)
       | None -> 0)
-  | Us_close _ -> header + gfile_bytes + 1
-  | Ss_close _ -> header + gfile_bytes + 5
+  | Us_close { grant; _ } -> header + gfile_bytes + 1 + grant_bytes grant
+  | Ss_close { grant; _ } -> header + gfile_bytes + 5 + grant_bytes grant
   | Commit_notify { vv; modified; carried; _ } ->
     header + gfile_bytes + vv_bytes vv + 3 + (4 * List.length modified) + 4
     + (match carried with Some (info, pages) -> info_bytes info + pages_bytes pages | None -> 0)
   | Reclaim_req _ -> header + gfile_bytes
   | Page_invalidate { count; _ } -> header + gfile_bytes + 4 + if count <> 1 then 4 else 0
-  | Lease_break _ -> header + gfile_bytes
+  | Lease_break _ -> header + gfile_bytes + 5
   | Set_attr { owner; _ } ->
     header + gfile_bytes + 6
     + (match owner with Some o -> String.length o | None -> 0)
@@ -511,8 +524,8 @@ let req_bytes = function
 let resp_bytes = function
   | R_ok -> header
   | R_err _ -> header + 4
-  | R_open { info; others; pages; _ } ->
-    header + 5
+  | R_open { info; others; pages; lease; _ } ->
+    header + 5 + grant_bytes lease
     + (match info with Some i -> info_bytes i | None -> 0)
     + site_list_bytes others
     + if pages = [] then 0 else pages_bytes pages

@@ -168,16 +168,17 @@ type req =
       us_vv : Vv.Version_vector.t option;
       shared : bool;
       want : int;
-      release : (Catalog.Gfile.t * open_mode) option;
+      release : (Catalog.Gfile.t * open_mode * int) option;
     }  (** US → CSS: the open request of Figure 2; carries the US's copy
            version for the US-is-current optimization. [shared] joins an
            existing open through a forked descriptor. [want] asks a CSS
            that serves a read open itself to carry up to that many of the
            file's first pages in its [R_open]; 0, the paper's open, asks
            for none and costs no bytes. [release] is the [Us_close] of a
-           lease the open evicted at the using site, whose SS is this CSS:
-           it runs before the open, whatever the open answers, and costs
-           9 bytes (a file and a mode) only when present. *)
+           lease the open evicted at the using site, whose SS is this CSS,
+           naming its grant id: it runs before the open, whatever the open
+           answers, and costs 13 bytes (a file, a mode and the id) only
+           when present. *)
   | Storage_req of {
       gf : Catalog.Gfile.t;
       vv : Vv.Version_vector.t;
@@ -252,12 +253,20 @@ type req =
            as a [Write_pages] would, then commits, in one round trip. It
            is sized as a [Write_pages] body, and only when present. The
            transport keeps the reply, so a resend never writes it twice. *)
-  | Us_close of { gf : Catalog.Gfile.t; mode : open_mode }
+  | Us_close of { gf : Catalog.Gfile.t; mode : open_mode; grant : int; released : bool }
+      (** US → SS, the first leg of the close. A lease's deferred close
+          names its [grant] id (4 bytes, only when nonzero; 0 is the
+          paper's close). [released] (in the mode byte) says the CSS
+          released the grant at its break: the SS ends its registration
+          and sends no [Ss_close]. *)
   | Ss_close of {
       gf : Catalog.Gfile.t;
       us : Net.Site.t;
       mode : open_mode;
-    }  (** the race-free three-message close (§2.3.3 footnote) *)
+      grant : int;
+    }  (** the race-free three-message close (§2.3.3 footnote). A nonzero
+           [grant] (4 bytes) releases that grant at the CSS, and nothing
+           when its break already did. *)
   | Commit_notify of {
       gf : Catalog.Gfile.t;
       vv : Vv.Version_vector.t;
@@ -287,11 +296,15 @@ type req =
           [first + count - 1] are no longer valid (§3.2). The SS sends one
           per [Write_pages], covering every page it wrote or its truncate
           cut. A count travels only when it is not 1. *)
-  | Lease_break of { gf : Catalog.Gfile.t }
-      (** CSS → lease-holding US: the read lease on this file is revoked
-          (writer open, new committed version, conflict/delete, or a
-          partition event). The holder drops its retained open grant and
-          sends any deferred close. *)
+  | Lease_break of { gf : Catalog.Gfile.t; id : int; closed : bool }
+      (** CSS → lease holder, a call the transport retries: grant [id] on
+          this file is revoked (writer open, new committed version,
+          conflict/delete). The break is the close: the CSS already
+          uncounted the reader, and with [closed] it also ended the
+          grant's SS registration, which it serves itself. The holder
+          kills its entry only when it holds grant [id], and then sends no
+          close ([closed]) or only the [Us_close] that ends the remote
+          SS's registration. *)
   | Set_attr of { gf : Catalog.Gfile.t; perms : int option; owner : string option }
       (** metadata-only commits (§2.3.6's "just inode information") *)
   | Where_stored of { gf : Catalog.Gfile.t; stat : bool }
@@ -363,11 +376,12 @@ type resp =
       others : Net.Site.t list;
       nocache : bool;
       slot : int;
-      lease : bool;
-        (** the CSS granted a revocable read lease on [(gf, vv)]: the US
-            may retain the whole grant across close and re-open with zero
-            messages until a [Lease_break] arrives. Packs into the same
-            flag byte as [nocache] (wire size unchanged). *)
+      lease : int;
+        (** nonzero: the id of a revocable read lease the CSS granted on
+            [(gf, vv)]. The US may retain the whole grant across close and
+            re-open with zero messages until a [Lease_break] names the id.
+            4 bytes only when nonzero, so the [open_lease_entries = 0]
+            ablation is byte-identical. *)
       pages : string list;
         (** the committed copy's first pages, up to the request's [want]:
             only when the CSS is itself the SS of a remote US's read open,

@@ -146,10 +146,10 @@ let check_site w k =
               add (vf "css-stale-reader"
                      "CSS %d: (%d,%d) has %d reader entrie(s) at quiesce" site fg
                      ino (Site.Map.cardinal cf.K.readers));
-            if not (Site.Set.is_empty cf.K.leases) then
+            if cf.K.leases <> [] then
               add (vf "css-stale-lease"
-                     "CSS %d: (%d,%d) has %d lease holder(s) at quiesce" site fg
-                     ino (Site.Set.cardinal cf.K.leases)))
+                     "CSS %d: (%d,%d) has %d lease grant(s) at quiesce" site fg
+                     ino (List.length cf.K.leases)))
           cfg.K.css_files)
     k.K.css_state;
   (* Disk allocation maps: no orphan shadow pages, no double allocation. *)

@@ -344,7 +344,7 @@ let test_buffered_reopen_asks_nothing () =
     + Proto.resp_bytes
         (Proto.R_open
            { ss = 0; info = Some o.K.o_info; others = []; nocache = false; slot = 0;
-             lease = false; pages = [] })
+             lease = 0; pages = [] })
   in
   check Alcotest.int "the paper's open bytes" paper_open (delta "net.bytes");
   let snap = Stats.snapshot s in
@@ -554,19 +554,23 @@ let test_failed_timer_flush_rides_the_commit () =
   check Alcotest.string "the new body committed" fresh (Kernel.read_file k0 p0 "/lost")
 
 (* Two other using sites read the file while a third writes 8 pages in
-   one request: the SS sends each reader one ranged invalidation, not one
-   per page, and neither reader sees its stale buffers again. *)
+   one request. Site 3's open holds no lease (a shared open gets none):
+   the SS sends it one ranged invalidation, not one per page. Site 2's
+   open rides a read lease that the CSS, which is also the SS, closed at
+   the writer's open: the SS serves site 2 no longer and sends it none,
+   and the break made the open stop caching instead. Neither reader sees
+   its stale buffers again. *)
 let test_one_ranged_invalidation () =
   let w = world ~window:8 () in
   mk_file w ~path:"/shared" ~body:(body_of_pages 8);
   let readers =
     List.map
-      (fun site ->
+      (fun (site, shared) ->
         let k = World.kernel w site in
-        let o = Us.open_gf k (gf_of k "/shared") Proto.Mode_read in
+        let o = Us.open_gf ~shared k (gf_of k "/shared") Proto.Mode_read in
         ignore (read_streamed w k o ~pages:8);
         (k, o))
-      [ 2; 3 ]
+      [ (2, false); (3, true) ]
   in
   let k4 = World.kernel w 4 in
   let o = Us.open_gf k4 (gf_of k4 "/shared") Proto.Mode_modify in
@@ -574,8 +578,14 @@ let test_one_ranged_invalidation () =
   let snap = Stats.snapshot (World.stats w) in
   Us.write k4 o ~off:0 fresh;
   ignore (World.settle w);
-  check Alcotest.int "one invalidation per other using site" 2
+  check Alcotest.int "one invalidation, to the reader without a lease" 1
     (Stats.delta_of (World.stats w) snap "net.msg.page.invalidate");
+  (match K.ss_find_open (World.kernel w 0) (gf_of k4 "/shared") with
+  | Some s ->
+    check Alcotest.bool "the closed grant's holder is not served" false
+      (Net.Site.Map.mem 2 s.K.s_uss);
+    check Alcotest.bool "the reader without a lease is" true (Net.Site.Map.mem 3 s.K.s_uss)
+  | None -> Alcotest.fail "the SS serves no one");
   List.iter
     (fun (k, r) ->
       let data, _ = Us.read_page k r 7 in

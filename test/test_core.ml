@@ -110,7 +110,8 @@ let test_open_fully_remote_four_messages () =
 
 (* US = SS optimization: the US stores the latest copy; two messages
    (request and response to the CSS), no storage poll. The reply carries
-   no inode, and the US registers its own open, once. *)
+   no inode, only the read lease's grant id, and the US registers its own
+   open, once. *)
 let test_open_us_is_ss_two_messages () =
   let w = asym_world () in
   let k1 = World.kernel w 1 and p1 = World.proc w 1 in
@@ -133,8 +134,8 @@ let test_open_us_is_ss_two_messages () =
   check Alcotest.bool "US serves itself" true (Net.Site.equal o.K.o_ss 1);
   (match !exchanges with
   | [ (req, (Proto.R_open { info = None; others; _ } as resp)) ] ->
-    check Alcotest.int "reply: header, 5 bytes, the other sites"
-      (24 + 5 + (4 * List.length others))
+    check Alcotest.int "reply: header, 5 bytes, the grant id, the other sites"
+      (24 + 5 + 4 + (4 * List.length others))
       (Proto.resp_bytes resp);
     check Alcotest.int "exchange bytes"
       (Proto.req_bytes req + Proto.resp_bytes resp)

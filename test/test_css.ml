@@ -58,7 +58,7 @@ let test_writer_bookkeeping () =
   check Alcotest.(option int) "writer recorded" (Some 2) f.K.writer;
   check Alcotest.bool "writer_ss set" true (f.K.writer_ss <> None);
   (* Close clears it. *)
-  (match Css.handle_ss_close k0 gf ~us:2 ~mode:Proto.Mode_modify with
+  (match Css.handle_ss_close k0 gf ~us:2 ~mode:Proto.Mode_modify ~grant:0 with
   | Proto.R_ok -> ()
   | _ -> Alcotest.fail "close failed");
   check Alcotest.(option int) "writer cleared" None f.K.writer
@@ -73,7 +73,7 @@ let test_readers_counted_per_site () =
   ignore (Css.handle_open k0 ~src:3 gf Proto.Mode_read ~shared:false None);
   check Alcotest.(option int) "site 2 count" (Some 2) (Site.Map.find_opt 2 f.K.readers);
   check Alcotest.(option int) "site 3 count" (Some 1) (Site.Map.find_opt 3 f.K.readers);
-  ignore (Css.handle_ss_close k0 gf ~us:2 ~mode:Proto.Mode_read);
+  ignore (Css.handle_ss_close k0 gf ~us:2 ~mode:Proto.Mode_read ~grant:0);
   check Alcotest.(option int) "decremented" (Some 1) (Site.Map.find_opt 2 f.K.readers)
 
 let test_sites_with_latest_excludes_stale_and_unreachable () =

@@ -48,6 +48,22 @@ let msgs w snap = Stats.delta_of (World.stats w) snap "net.msg"
 
 let held k gf = Openlease.find_entry k.K.open_leases gf <> None
 
+(* Site 3's registrations for [gf]: at the SS (site 0) and as a reader at
+   the CSS (site 0). *)
+let registrations w gf =
+  let k0 = World.kernel w 0 in
+  let at_ss =
+    match K.ss_find_open k0 gf with
+    | Some s -> Option.value ~default:0 (Net.Site.Map.find_opt 3 s.K.s_uss)
+    | None -> 0
+  in
+  let at_css =
+    match Css.find_file k0 gf.Gfile.fg gf.Gfile.ino with
+    | Some f -> Option.value ~default:0 (Net.Site.Map.find_opt 3 f.K.readers)
+    | None -> 0
+  in
+  (at_ss, at_css)
+
 (* ---- warm re-open ---- *)
 
 (* All roles distinct (file at 1, CSS at 0, US at 3): the cold open costs
@@ -121,25 +137,90 @@ let test_break_on_commit_notify () =
   check Alcotest.bool "broken by version advance" false (held k3 gf)
 
 (* A holder's own commit kills its lease at once: a read at the same
-   instant, before the CSS's one-way [Lease_break] arrives, goes cold and
-   reads the new bytes. The dead lease's deferred close still goes out,
-   and so does the new lease's once the late break kills it too, so the
-   CSS ends with no reader registration for the site. *)
+   instant, before the CSS's [Lease_break] arrives, goes cold and reads
+   the new bytes under a new grant. The late break names the old grant,
+   so the new one survives it, and so does the dead grant's late close,
+   which the break already released: the CSS counts exactly the new
+   grant. A write from another site breaks that one in turn. *)
 let test_break_on_own_commit () =
   let w = make_world () in
   mk_file w ~at:1 ~path:"/f" ~body:"old!";
-  let k0 = World.kernel w 0 and k3 = World.kernel w 3 and p3 = World.proc w 3 in
+  let k3 = World.kernel w 3 and p3 = World.proc w 3 in
   let gf = gf_of k3 "/f" in
   check Alcotest.string "first read" "old!" (Kernel.read_file k3 p3 "/f");
   check Alcotest.bool "lease held" true (held k3 gf);
   Kernel.write_file k3 p3 "/f" "new!";
   check Alcotest.string "own bytes at the same instant" "new!" (Kernel.read_file k3 p3 "/f");
   ignore (World.settle w);
-  match Css.find_file k0 0 gf.Gfile.ino with
-  | Some f ->
-    check Alcotest.int "reader registrations closed" 0
-      (Option.value ~default:0 (K.Site.Map.find_opt 3 f.K.readers))
-  | None -> Alcotest.fail "css record missing"
+  check Alcotest.bool "the new grant survives the late break" true (held k3 gf);
+  check Alcotest.int "the CSS counts the new grant" 1 (snd (registrations w gf));
+  Kernel.write_file (World.kernel w 4) (World.proc w 4) "/f" "later";
+  ignore (World.settle w);
+  check Alcotest.bool "a write elsewhere breaks it" false (held k3 gf);
+  check Alcotest.int "reader registrations closed" 0 (snd (registrations w gf));
+  check Alcotest.string "the holder reads the write" "later" (Kernel.read_file k3 p3 "/f")
+
+(* A grant's close is parked (every attempt lost), the CSS breaks the
+   grant, and the holder takes a new one before the parked close gets
+   through. The break released the old grant, at the CSS and at its SS,
+   the CSS itself; so the late close releases nothing, and the new grant
+   stays live, counted once, until the next write breaks it. Files at 0
+   (CSS and SS), leased at 3. *)
+let test_parked_close_after_new_grant () =
+  let w = make_world () in
+  mk_file w ~at:0 ~path:"/f" ~body:"old!";
+  let k3 = World.kernel w 3 and p3 = World.proc w 3 in
+  let gf = gf_of k3 "/f" in
+  check Alcotest.string "first read" "old!" (Kernel.read_file k3 p3 "/f");
+  ignore (World.settle w);
+  let stats = World.stats w in
+  let snap = Stats.snapshot stats in
+  for _ = 1 to 3 do
+    Net.Netsim.fail_next_message (World.net w) ~src:3 ~dst:0
+  done;
+  Openlease.kill k3.K.open_leases gf;
+  check Alcotest.int "every attempt of the close lost" 1 (Stats.delta_of stats snap "rpc.fail");
+  let k4 = World.kernel w 4 and p4 = World.proc w 4 in
+  Kernel.write_file k4 p4 "/f" "new!";
+  check Alcotest.string "the holder reads the write" "new!" (Kernel.read_file k3 p3 "/f");
+  check Alcotest.bool "under a new grant" true (held k3 gf);
+  ignore (World.settle w);
+  check Alcotest.int "the parked close got through" 1
+    (Stats.delta_of stats snap "net.close.park_retry");
+  check Alcotest.bool "the new grant survives" true (held k3 gf);
+  check Alcotest.(pair int int) "registered once, at the SS and the CSS" (1, 1)
+    (registrations w gf);
+  Kernel.write_file k4 p4 "/f" "newer";
+  ignore (World.settle w);
+  check Alcotest.bool "the next write breaks it" false (held k3 gf);
+  check Alcotest.(pair int int) "released" (0, 0) (registrations w gf);
+  check Alcotest.string "the holder reads the next write" "newer" (Kernel.read_file k3 p3 "/f")
+
+(* A lost break is resent. Site 4 holds a lease; the next message from
+   each of sites 0-3 to site 4 is lost, the break and any invalidation
+   among them, while site 3 writes. The transport resends the
+   acknowledged break, so after the settle site 4 reads the new body, not
+   the leased old one. *)
+let test_lost_break_resent () =
+  let w = make_world () in
+  mk_file w ~at:1 ~path:"/f" ~body:"old";
+  let k4 = World.kernel w 4 and p4 = World.proc w 4 in
+  check Alcotest.string "first read" "old" (Kernel.read_file k4 p4 "/f");
+  ignore (World.settle w);
+  check Alcotest.bool "lease held" true (held k4 (gf_of k4 "/f"));
+  for src = 0 to 3 do
+    Net.Netsim.fail_next_message (World.net w) ~src ~dst:4
+  done;
+  Kernel.write_file (World.kernel w 3) (World.proc w 3) "/f" "new-body";
+  ignore (World.settle w);
+  check Alcotest.string "read after the settle" "new-body" (Kernel.read_file k4 p4 "/f")
+
+(* Lose every attempt of the CSS's (site 0's) next call to site 3: a
+   break lost for good. *)
+let lose_break w =
+  for _ = 1 to 3 do
+    Net.Netsim.fail_next_message (World.net w) ~src:0 ~dst:3
+  done
 
 (* A lost [Lease_break] must not tear a read. The holder (site 3) stores
    no copy; the SS's page invalidation still empties its cache, so an
@@ -152,7 +233,7 @@ let test_lost_break_no_torn_read () =
   let k3 = World.kernel w 3 and p3 = World.proc w 3 in
   check Alcotest.string "first read" "short" (Kernel.read_file k3 p3 "/f");
   ignore (World.settle w);
-  Net.Netsim.fail_next_message (World.net w) ~src:0 ~dst:3;
+  lose_break w;
   Kernel.write_file (World.kernel w 4) (World.proc w 4) "/f" "a-longer-body";
   ignore (World.settle w);
   check Alcotest.string "read after the lost break" "a-longer-body"
@@ -186,7 +267,7 @@ let test_lost_break_from_another_copy () =
   in
   let old = lease_vv () in
   check Alcotest.bool "lease held" true (old <> None);
-  Net.Netsim.fail_next_message (World.net w) ~src:0 ~dst:3;
+  lose_break w;
   Kernel.write_file k1 p1 "/f" "a-longer-body";
   ignore (World.settle w);
   check Alcotest.string "other file" "other" (Kernel.read_file k3 p3 "/g");
@@ -200,8 +281,9 @@ let test_lost_break_from_another_copy () =
 (* ---- deferred close ---- *)
 
 (* With a single-entry lease table, registering a second grant evicts the
-   first, which sends its deferred close — exactly one [Us_close] RPC —
-   and drains the reader registration at the CSS. *)
+   first, which sends its deferred close — exactly one [Us_close] RPC,
+   from a zero-delay event, not in the open's foreground — and drains the
+   reader registration at the CSS. *)
 let test_eviction_sends_one_close () =
   let kconfig = { K.default_config with K.open_lease_entries = 1 } in
   let w = make_world ~kconfig () in
@@ -216,9 +298,10 @@ let test_eviction_sends_one_close () =
   let snap = Stats.snapshot stats in
   let ob = Us.open_gf k3 gfb Proto.Mode_read in
   check Alcotest.int "one eviction" 1 (Stats.delta_of stats snap "open.lease.evict");
+  check Alcotest.int "the open sends no Us_close" 0 (Stats.delta_of stats snap "net.msg.close.us");
+  ignore (World.settle w);
   check Alcotest.int "exactly one deferred Us_close" 2
     (Stats.delta_of stats snap "net.msg.close.us");
-  ignore (World.settle w);
   (match Css.find_file k0 0 gfa.Gfile.ino with
   | Some f -> check Alcotest.int "reader registration drained" 0 (K.Site.Map.cardinal f.K.readers)
   | None -> Alcotest.fail "css record missing");
@@ -245,22 +328,6 @@ let ride_world () =
   ignore (World.settle w);
   check Alcotest.bool "/a leased" true (held k3 gfa);
   (w, k3, gfa, gfb)
-
-(* Site 3's registrations for [gf]: at the SS (site 0) and as a reader at
-   the CSS (site 0). *)
-let registrations w gf =
-  let k0 = World.kernel w 0 in
-  let at_ss =
-    match K.ss_find_open k0 gf with
-    | Some s -> Option.value ~default:0 (Net.Site.Map.find_opt 3 s.K.s_uss)
-    | None -> 0
-  in
-  let at_css =
-    match Css.find_file k0 gf.Gfile.fg gf.Gfile.ino with
-    | Some f -> Option.value ~default:0 (Net.Site.Map.find_opt 3 f.K.readers)
-    | None -> 0
-  in
-  (at_ss, at_css)
 
 let test_eviction_close_rides_the_open () =
   let w, k3, gfa, gfb = ride_world () in
@@ -361,7 +428,8 @@ let serving w site gf =
 (* The CSS (site 0) counts [site] as a reader of [gf] or a lease holder. *)
 let css_counts w site gf =
   match Css.find_file (World.kernel w 0) gf.Gfile.fg gf.Gfile.ino with
-  | Some f -> Net.Site.Map.mem site f.K.readers || Net.Site.Set.mem site f.K.leases
+  | Some f -> Net.Site.Map.mem site f.K.readers
+    || List.exists (fun g -> Net.Site.equal g.K.g_holder site) f.K.leases
   | None -> false
 
 (* [site] is registered for [gf] at the SS or counted at the CSS. *)
@@ -503,6 +571,9 @@ let () =
           Alcotest.test_case "writer open" `Quick test_break_on_writer_open;
           Alcotest.test_case "commit notify" `Quick test_break_on_commit_notify;
           Alcotest.test_case "own commit" `Quick test_break_on_own_commit;
+          Alcotest.test_case "parked close after a new grant" `Quick
+            test_parked_close_after_new_grant;
+          Alcotest.test_case "lost break is resent" `Quick test_lost_break_resent;
           Alcotest.test_case "lost break tears no read" `Quick test_lost_break_no_torn_read;
           Alcotest.test_case "lost break from another copy" `Quick
             test_lost_break_from_another_copy;

@@ -26,8 +26,8 @@ let some_reqs =
       { gf; trunc = None; first = 0; off = 0; data = String.make 1024 'x'; pos = 0; len = 1024 };
     Proto.Write_pages { gf; trunc = Some 0; first = 0; off = 0; data = ""; pos = 0; len = 0 };
     Proto.Commit_req { gf; abort = false; delete = false; force_vv = None; run = None };
-    Proto.Us_close { gf; mode = Proto.Mode_read };
-    Proto.Ss_close { gf; us = 1; mode = Proto.Mode_read };
+    Proto.Us_close { gf; mode = Proto.Mode_read; grant = 0; released = false };
+    Proto.Ss_close { gf; us = 1; mode = Proto.Mode_read; grant = 0 };
     Proto.Commit_notify
       {
         gf;
@@ -143,7 +143,7 @@ let test_resp_sizes () =
       Proto.R_ok;
       Proto.R_err Proto.Enoent;
       Proto.R_open
-        { ss = 0; info = Some info; others = []; nocache = false; slot = 1; lease = false;
+        { ss = 0; info = Some info; others = []; nocache = false; slot = 1; lease = 0;
           pages = [] };
       Proto.R_storage { accept = true; info = Some info; slot = 1 };
       Proto.R_pages { pages = [ String.make 512 'd' ]; eof = true; info = None };
@@ -301,7 +301,9 @@ let test_commit_forms () =
    partition announcement its members. *)
 let test_sender_free_forms () =
   check Alcotest.int "SS close" 37
-    (Proto.req_bytes (Proto.Ss_close { gf; us = 1; mode = Proto.Mode_read }));
+    (Proto.req_bytes (Proto.Ss_close { gf; us = 1; mode = Proto.Mode_read; grant = 0 }));
+  check Alcotest.int "SS close naming a lease grant" (37 + 4)
+    (Proto.req_bytes (Proto.Ss_close { gf; us = 1; mode = Proto.Mode_read; grant = 5 }));
   check Alcotest.int "exit notification" 32
     (Proto.req_bytes (Proto.Exit_notify { pid = 1; status = 0 }));
   check Alcotest.int "partition poll" 24 (Proto.req_bytes Proto.Part_poll);
@@ -313,6 +315,22 @@ let test_sender_free_forms () =
    the type its entry records besides (one byte, 4.4BSD's d_type). The
    reply carries the entry's inode and type and the directory's version,
    so a rename's link half learns the type from its unlink half. *)
+(* A lease's close and its break. The US close is the paper's (header,
+   file, mode byte) when it names no grant; a grant id adds 4 bytes, and
+   the flag saying the CSS released the grant rides the mode byte. A
+   break carries the file, the grant id and the closed flag. *)
+let test_lease_forms () =
+  let us_close grant released =
+    Proto.req_bytes (Proto.Us_close { gf; mode = Proto.Mode_read; grant; released })
+  in
+  check Alcotest.int "US close" 33 (us_close 0 false);
+  check Alcotest.int "US close naming a grant" (33 + 4) (us_close 5 false);
+  check Alcotest.int "US close of a released grant" 33 (us_close 0 true);
+  check Alcotest.int "lease break" (24 + 8 + 4 + 1)
+    (Proto.req_bytes (Proto.Lease_break { gf; id = 5; closed = true }));
+  check Alcotest.string "a break is tagged lease.break" "lease.break"
+    (Proto.req_tag (Proto.Lease_break { gf; id = 5; closed = false }))
+
 let test_intent_forms () =
   let intent op = Proto.req_bytes (Proto.Dir_intent { dir = gf; op }) in
   check Alcotest.int "unlink intent" (24 + 8 + 2 + 5)
@@ -347,19 +365,19 @@ let test_intent_forms () =
    file, two flag bytes and the US's version; header, five bytes, the
    inode and the other sites). Asking costs a 4-byte count, and carried
    pages are framed as in a [Read_pages] reply. A reply that names the US
-   itself from its own current copy carries no inode. An evicted lease's
-   close riding the request costs its file and mode, 9 bytes, on top of
-   whatever else the request carries. *)
+   itself from its own current copy carries no inode. A reply granting a
+   read lease carries the grant's 4-byte id. An evicted lease's close
+   riding the request costs its file, mode and grant id, 13 bytes, on top
+   of whatever else the request carries. *)
 let test_open_forms () =
   let page = String.make 1024 'p' in
   let open_req ?us_vv ?release want =
     Proto.req_bytes
       (Proto.Open_req { gf; mode = Proto.Mode_read; us_vv; shared = false; want; release })
   in
-  let release = (Gfile.make ~fg:0 ~ino:9, Proto.Mode_read) in
-  let r_open ?(info = Some info) ?(others = []) pages =
-    Proto.resp_bytes
-      (Proto.R_open { ss = 0; info; others; nocache = false; slot = 1; lease = true; pages })
+  let release = (Gfile.make ~fg:0 ~ino:9, Proto.Mode_read, 5) in
+  let r_open ?(info = Some info) ?(others = []) ?(lease = 0) pages =
+    Proto.resp_bytes (Proto.R_open { ss = 0; info; others; nocache = false; slot = 1; lease; pages })
   in
   check Alcotest.int "paper open request" 34 (open_req 0);
   check Alcotest.int "paper open request with a copy" 42 (open_req ~us_vv:vv_small 0);
@@ -368,10 +386,13 @@ let test_open_forms () =
   check Alcotest.int "US-is-current reply" (24 + 5) (r_open ~info:None []);
   check Alcotest.int "US-is-current reply naming others" (24 + 5 + 8)
     (r_open ~info:None ~others:[ 1; 2 ] []);
+  check Alcotest.int "open reply granting a lease" (84 + 4) (r_open ~lease:5 []);
+  check Alcotest.int "US-is-current reply granting a lease" (24 + 5 + 4)
+    (r_open ~info:None ~lease:5 []);
   check Alcotest.int "asking open request" 38 (open_req 8);
-  check Alcotest.int "open request carrying a close" (34 + 9) (open_req ~release 0);
-  check Alcotest.int "asking open request carrying a close" (38 + 9) (open_req ~release 8);
-  check Alcotest.int "open request with a copy carrying a close" (42 + 9)
+  check Alcotest.int "open request carrying a close" (34 + 13) (open_req ~release 0);
+  check Alcotest.int "asking open request carrying a close" (38 + 13) (open_req ~release 8);
+  check Alcotest.int "open request with a copy carrying a close" (42 + 13)
     (open_req ~us_vv:vv_small ~release 0);
   check Alcotest.int "open reply with a lone page" (84 + 1 + 1024) (r_open [ page ]);
   check Alcotest.int "open reply with a short page" (84 + 1 + 100)
@@ -486,6 +507,7 @@ let () =
           Alcotest.test_case "open forms" `Quick test_open_forms;
           Alcotest.test_case "commit forms" `Quick test_commit_forms;
           Alcotest.test_case "sender-free forms" `Quick test_sender_free_forms;
+          Alcotest.test_case "lease forms" `Quick test_lease_forms;
           Alcotest.test_case "commit notification forms" `Quick test_commit_notify_forms;
           Alcotest.test_case "inventory forms" `Quick test_inventory_forms;
           Alcotest.test_case "lookup forms" `Quick test_lookup_forms;
