@@ -102,7 +102,8 @@ simdiff:
 # experiments (E1-E6, E8-E22, e24smoke) against bench/baseline/<e>.txt, and
 # micro's counted rows (`bench/main.exe micro-counts`: words allocated on
 # the remote read path, by an evicting cache insert, by a directory
-# re-index and by a build) against bench/baseline/counts.txt.
+# re-index and by a build, and by a remote write plus commit) against
+# bench/baseline/counts.txt.
 # It fails, printing every key that moved, baseline -> this tree, and each
 # output that differs with its first differing line. A change that
 # moves either on purpose rewrites the files in the same diff with

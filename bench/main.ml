@@ -426,6 +426,40 @@ let read_path_words () =
   Us.close k1 o;
   words
 
+(* Words allocated by one remote write plus commit, trace recording off:
+   a writer at a packless site overwrites one page of a 2-copy file and
+   commits it, the commit carrying the write. The commit is not
+   idempotent, so the transport keeps its reply; the background work the
+   commit leaves (notifications, the other copy's install) runs between
+   rounds and is not counted. *)
+let commit_remote_words () =
+  let rounds = 16 in
+  let w = Experiments.make_world ~n:4 ~packs:[ 0; 1 ] () in
+  Sim.Trace.set_recording (Sim.Engine.trace (World.engine w)) false;
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  Kernel.set_ncopies p0 2;
+  let page = String.make Page.size 'w' in
+  let gf = Kernel.creat k0 p0 "/wc" in
+  Kernel.write_file k0 p0 "/wc" page;
+  Experiments.settle_ok w;
+  let k2 = World.kernel w 2 in
+  let o = Us.open_gf k2 gf Proto.Mode_modify in
+  let round () =
+    let before = allocated_words () in
+    Us.write k2 o ~off:0 page;
+    Us.commit k2 o;
+    let words = allocated_words () -. before in
+    Experiments.settle_ok w;
+    words
+  in
+  ignore (round ());
+  let total = ref 0.0 in
+  for _ = 1 to rounds do
+    total := !total +. round ()
+  done;
+  Us.close k2 o;
+  !total /. float_of_int rounds
+
 (* A page copied anywhere on the read path again fails the micro suite,
    and so bench-smoke: the path costs about 130 words per page without a
    copy, and each copy adds 129. *)
@@ -532,10 +566,12 @@ let run_micro_counts () =
   let read_path = read_path_words () in
   let insert_evict = insert_evict_words () in
   let reindex, build = reindex_words () in
+  let commit_remote = commit_remote_words () in
   List.iter
     (fun (name, v) -> Printf.printf "%s %.4f\n" name v)
     [ ("read_path.words_per_page", read_path); ("lru.insert_evict.words", insert_evict);
-      ("dir.reindex.words", reindex); ("dir.build.words", build) ]
+      ("dir.reindex.words", reindex); ("dir.build.words", build);
+      ("rpc.commit_remote.words", commit_remote) ]
 
 (* Dropping a file's pages must not grow with the rest of the cache: 16
    times the other entries may cost at most 4 times as much (a scan of
