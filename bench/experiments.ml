@@ -10,6 +10,7 @@ module Process = Locus_core.Process
 module Pathname = Locus_core.Pathname
 module K = Locus_core.Ktypes
 module Dispatch = Locus.Dispatch
+module Transport = K.Transport
 module Stats = Sim.Stats
 module Engine = Sim.Engine
 module Page = Storage.Page
@@ -1132,7 +1133,7 @@ let e17 () =
     let gf = gf_of k0 (Printf.sprintf "/data%d" i) in
     if i mod 4 = 0 then begin
       incr losses;
-      Net.Netsim.fail_next_message (World.net w) ~src:3 ~dst:0
+      Transport.fail_next_message (World.net w) ~src:3 ~dst:0
     end;
     ignore (Locus_core.Ss.read_committed k3 0 gf ~first:0 ~count:0 ~stat:true)
   done;
@@ -1155,15 +1156,17 @@ let e17 () =
   List.iter
     (fun site ->
       let k = World.kernel w site in
-      Net.Netsim.set_handler net site (fun ~src req ->
-          (match req with
-          | Proto.Open_req _ | Proto.Commit_req _ ->
-            let tag = Proto.req_tag req in
-            let n = 1 + Option.value ~default:0 (Hashtbl.find_opt runs tag) in
-            Hashtbl.replace runs tag n;
-            if n = 1 then Net.Netsim.fail_next_message net ~src:site ~dst:src
-          | _ -> ());
-          Dispatch.handle k ~src req))
+      let handle (type a) ~src (req : a Proto.req) : a =
+        (match req with
+        | Proto.Open_req _ | Proto.Commit_req _ ->
+          let tag = Proto.tag req in
+          let n = 1 + Option.value ~default:0 (Hashtbl.find_opt runs tag) in
+          Hashtbl.replace runs tag n;
+          if n = 1 then Transport.fail_next_message net ~src:site ~dst:src
+        | _ -> ());
+        Dispatch.handle k ~src req
+      in
+      Transport.set_handler net site { handle })
     [ 0; 1 ];
   let snap = Stats.snapshot stats in
   let d name = Stats.delta_of stats snap name in
@@ -1176,7 +1179,7 @@ let e17 () =
   List.iter
     (fun site ->
       let k = World.kernel w site in
-      Net.Netsim.set_handler net site (fun ~src req -> Dispatch.handle k ~src req))
+      Transport.set_handler net site { handle = (fun ~src req -> Dispatch.handle k ~src req) })
     [ 0; 1 ];
   (* Settle first: site 3's read lease dies only when the CSS's one-way
      break arrives. *)

@@ -25,6 +25,32 @@ module Vvec = Vv.Version_vector
 
 (* ---- Bechamel micro-benchmarks ---- *)
 
+(* The transport alone: one request kind, an int echoed back, priced as
+   40 bytes each way and recorded as a state-changing call is. *)
+module Echo_protocol = struct
+  type _ req = Echo : int -> int req
+
+  type errno = unit
+
+  exception Error of errno * string
+
+  let pp_errno ppf () = Format.pp_print_string ppf "refused"
+
+  let tag _ = "read"
+
+  let req_bytes _ = 40
+
+  let resp_bytes _ _ = 40
+
+  let refused_bytes = 28
+
+  let idempotent _ = false
+
+  let policy _ = Net.Netsim.default_policy
+end
+
+module Echo = Net.Netsim.Make (Echo_protocol)
+
 let micro_tests () =
   let open Bechamel in
   (* Persistent worlds reused across iterations (the benchmarks measure
@@ -158,21 +184,12 @@ let micro_tests () =
   in
   let engine = Sim.Engine.create () in
   Sim.Trace.set_recording (Sim.Engine.trace engine) false;
-  let net =
-    Net.Netsim.create engine (Net.Topology.create ~n:2) Net.Latency.default
-      {
-        Net.Netsim.tag = (fun _ -> "read");
-        req_bytes = (fun _ -> 40);
-        resp_bytes = (fun _ -> 40);
-        idempotent = (fun _ -> false);
-        is_error = (fun _ -> false);
-        policy = (fun _ -> Net.Netsim.default_policy);
-      }
-  in
-  Net.Netsim.set_handler net 1 (fun ~src:_ req -> req);
+  let net = Echo.create engine (Net.Topology.create ~n:2) Net.Latency.default in
+  Echo.set_handler net 1
+    { handle = (fun (type a) ~src:_ (Echo_protocol.Echo n : a Echo_protocol.req) : a -> n) };
   let rpc_round_trip =
     Test.make ~name:"rpc round trip"
-      (Staged.stage (fun () -> ignore (Net.Netsim.call net ~src:0 ~dst:1 0)))
+      (Staged.stage (fun () -> ignore (Echo.call net ~src:0 ~dst:1 (Echo_protocol.Echo 0))))
   in
   (* Pathname resolution at a packless site, trace recording off: a walk
      of three components served by the name cache, and the same walk

@@ -116,13 +116,8 @@ let unreported k fg =
    site refuses if it does not store the latest version — happens at the
    candidate against the vv we send (section 2.3.3). *)
 let poll_storage_site k ~gf ~vv ~us ~mode ~others candidate =
-  match
-    rpc_result k candidate (Proto.Storage_req { gf; vv; us; mode; others })
-  with
-  | Ok (Proto.R_storage { accept = true; info = Some info; slot }) -> Some (info, slot)
-  | Ok (Proto.R_storage _ | Proto.R_err _) -> None
-  | Ok _ -> None
-  | Stdlib.Error _ -> None
+  rpc_result k candidate (Proto.Storage_req { gf; vv; us; mode; others })
+  |> Result.value ~default:None
 
 let local_info k gf =
   match local_pack k gf.Gfile.fg with
@@ -198,27 +193,29 @@ let grant_broken k gf ~grant =
   | Some f -> not (holds_grant f grant)
   | None -> true
 
-(* The CSS half of the open protocol. Returns R_open { ss; info } or an
-   error. Implements both optimizations of section 2.3.3: the US's own copy
+(* The CSS half of the open protocol: the grant, or a refusal. Implements both optimizations of section 2.3.3: the US's own copy
    is used when it is current (with no [info]: the US has its own inode),
    and the CSS picks itself without message overhead when it stores the
    latest version. *)
 let handle_open k ~src gf mode ~shared us_vv =
   let fg = gf.Gfile.fg and ino = gf.Gfile.ino in
-  if not (is_css k fg) then Proto.R_err Proto.Estale
+  if not (is_css k fg) then err Proto.Estale "open %a: not its CSS" Gfile.pp gf
   else begin
     let f = get_file k fg ino in
-    if f.css_deleted then Proto.R_err Proto.Enoent
+    if f.css_deleted then err Proto.Enoent "open %a: deleted" Gfile.pp gf
     else if f.css_conflict && mode <> Proto.Mode_internal then
-      Proto.R_err Proto.Econflict
+      err Proto.Econflict "open %a: copies conflict" Gfile.pp gf
     else if Site.Map.is_empty f.site_vv then
-      Proto.R_err (if all_packs_here k fg then Proto.Enoent else Proto.Enet)
+      err
+        (if all_packs_here k fg then Proto.Enoent else Proto.Enet)
+        "open %a: no copy known" Gfile.pp gf
     else begin
       match mode with
-      | Proto.Mode_modify when f.writer <> None && not shared -> Proto.R_err Proto.Ebusy
+      | Proto.Mode_modify when f.writer <> None && not shared ->
+        err Proto.Ebusy "open %a: a writer exists" Gfile.pp gf
       | Proto.Mode_read | Proto.Mode_internal | Proto.Mode_modify ->
         let candidates = sites_with_latest k f in
-        if candidates = [] then Proto.R_err Proto.Enet
+        if candidates = [] then err Proto.Enet "open %a: no latest copy reachable" Gfile.pp gf
         else begin
           let notified = sites_to_notify k f in
           let others ss = List.filter (fun s -> not (Site.equal s ss)) notified in
@@ -272,7 +269,7 @@ let handle_open k ~src gf mode ~shared us_vv =
               end
           in
           match choice with
-          | None -> Proto.R_err Proto.Enet
+          | None -> err Proto.Enet "open %a: no storage site accepted" Gfile.pp gf
           | Some (ss, info, slot) ->
             let lease =
               (* Grant a revocable read lease when nothing threatens the
@@ -305,16 +302,15 @@ let handle_open k ~src gf mode ~shared us_vv =
               if lease then f.leases <- { g_holder = src; g_id = id; g_ss = ss } :: f.leases);
             record k ~tag:"css.open" "%a %a by %a -> ss %a" Gfile.pp gf Proto.pp_mode mode
               Site.pp src Site.pp ss;
-            Proto.R_open
-              {
-                ss;
-                info;
-                others = others ss;
-                nocache = f.writer <> None;
-                slot;
-                lease = id;
-                pages = [];
-              }
+            {
+              Proto.ss;
+              info;
+              others = others ss;
+              nocache = f.writer <> None;
+              slot;
+              lease = id;
+              pages = [];
+            }
         end
     end
   end
@@ -393,12 +389,12 @@ let unlink_fences k fg ~ss =
    that grant, and nothing when the grant's break already did. *)
 let handle_ss_close k gf ~us ~mode ~grant =
   let fg = gf.Gfile.fg in
-  if not (is_css k fg) then Proto.R_err Proto.Estale
+  if not (is_css k fg) then err Proto.Estale "close %a: not its CSS" Gfile.pp gf
   else begin
     match find_file k fg gf.Gfile.ino with
-    | None -> Proto.R_ok
-    | Some f ->
-      (match mode with
+    | None -> ()
+    | Some f -> (
+      match mode with
       | Proto.Mode_modify ->
         if f.writer = Some us then begin
           f.writer <- None;
@@ -409,8 +405,7 @@ let handle_ss_close k gf ~us ~mode ~grant =
         else if holds_grant f grant then begin
           f.leases <- List.filter (fun g -> g.g_id <> grant) f.leases;
           close_reader f us
-        end);
-      Proto.R_ok
+        end)
   end
 
 (* Reclaim check: once every storing site has seen a delete, and no pack
@@ -467,7 +462,7 @@ let handle_commit_notify ?(replicas = []) k gf ~origin ~vv ~deleted =
    read a stat costs at a storage site. *)
 let handle_where k gf ~stat =
   match find_file k gf.Gfile.fg gf.Gfile.ino with
-  | None -> Proto.R_err Proto.Enoent
+  | None -> err Proto.Enoent "where is %a: unknown" Gfile.pp gf
   | Some f ->
     let info =
       if stat && holds_latest k gf f then begin
@@ -476,7 +471,7 @@ let handle_where k gf ~stat =
       end
       else None
     in
-    Proto.R_where { sites = sites_with_latest k f; info }
+    { Proto.sites = sites_with_latest k f; info }
 
 (* Lock-table contents for a rebuilding CSS (section 5.6). *)
 let handle_open_files_query k fg =
@@ -486,7 +481,7 @@ let handle_open_files_query k fg =
       if Int.equal o.o_gf.Gfile.fg fg && not o.o_closed then
         files := (o.o_gf.Gfile.ino, o.o_mode, k.site) :: !files)
     k.open_files;
-  Proto.R_open_files { files = !files }
+  !files
 
 (* Re-register an open reported by a member site during lock-table rebuild
    (section 5.6). *)

@@ -46,8 +46,9 @@ val handle_open :
   Proto.open_mode ->
   shared:bool ->
   Vv.Version_vector.t option ->
-  Proto.resp
-(** The CSS half of the open protocol (Figure 2). *)
+  Proto.open_grant
+(** The CSS half of the open protocol (Figure 2): the grant, or
+    {!Ktypes.Error}. *)
 
 (** {1 Directory intents} *)
 
@@ -78,7 +79,7 @@ val unlink_fences :
     does not hold. *)
 
 val handle_ss_close :
-  Ktypes.t -> Catalog.Gfile.t -> us:Net.Site.t -> mode:Proto.open_mode -> grant:int -> Proto.resp
+  Ktypes.t -> Catalog.Gfile.t -> us:Net.Site.t -> mode:Proto.open_mode -> grant:int -> unit
 (** SS→CSS leg of the close protocol. A close naming a [grant] releases
     that read lease, and nothing once its break has. *)
 
@@ -104,11 +105,11 @@ val reclaim_deleted : Ktypes.t -> int -> unit
 (** The reclaim check over every deleted file of a filegroup, run by a
     CSS that has just rebuilt its tables. *)
 
-val handle_where : Ktypes.t -> Catalog.Gfile.t -> stat:bool -> Proto.resp
+val handle_where : Ktypes.t -> Catalog.Gfile.t -> stat:bool -> Proto.where
 (** Which reachable sites hold the latest version; with [stat], also this
     site's own inode when its copy is the latest, at a disk read. *)
 
-val handle_open_files_query : Ktypes.t -> int -> Proto.resp
+val handle_open_files_query : Ktypes.t -> int -> (int * Proto.open_mode * Net.Site.t) list
 (** This site's open files of a filegroup, for a rebuilding CSS (§5.6). *)
 
 val register_open : Ktypes.t -> int -> int * Proto.open_mode * Net.Site.t -> unit

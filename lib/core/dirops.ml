@@ -86,13 +86,10 @@ let change_links_at k ~us gf ~delta =
   else
     match Css.intent_site k gf f with
     | None -> err Proto.Enet "no reachable copy of %a to change its links" Gfile.pp gf
-    | Some fss -> (
-      match rpc k fss (Proto.Intent_step { us; step = Proto.Step_link { gf; delta } }) with
-      | Proto.R_linked { vv; deleted } ->
-        links_changed k gf f ~fss ~vv ~deleted;
-        Some (vv, deleted)
-      | Proto.R_err e -> err e "link count of %a at %a" Gfile.pp gf Site.pp fss
-      | _ -> err Proto.Eio "unexpected link-step response")
+    | Some fss ->
+      let vv, deleted = rpc k fss (Proto.Intent_step { us; step = Proto.Step_link { gf; delta } }) in
+      links_changed k gf f ~fss ~vv ~deleted;
+      Some (vv, deleted)
 
 (* The CSS half of an intent (sections 2.3.4, 2.3.7): take the directory's
    modification lock, and for a counted unlink or link the target's; pick
@@ -102,11 +99,11 @@ let change_links_at k ~us gf ~delta =
    designate its replicas. Every lock is released before the reply. *)
 let run_intent k ~us dir (op : Proto.intent) =
   let fg = dir.Gfile.fg in
-  if not (Css.is_css k fg) then Proto.R_err Proto.Estale
+  if not (Css.is_css k fg) then err Proto.Estale "intent on %a: not its CSS" Gfile.pp dir
   else
     match Css.lock k dir ~us with
-    | Stdlib.Error e -> Proto.R_err e
-    | Ok f -> (
+    | Stdlib.Error e -> err e "intent on %a: not locked" Gfile.pp dir
+    | Ok f ->
       let locked = ref [ f ] in
       (* A target whose link count no reachable copy can change is
          refused before anything changes. *)
@@ -124,7 +121,7 @@ let run_intent k ~us dir (op : Proto.intent) =
       (* Run the directory step at [ss], whose commit notifies the other
          sites the CSS lists for the directory's commits; [fences] are
          what a remote site must be told that only this CSS knows. *)
-      let dir_step ss ~guard ~fences =
+      let dir_step ss ~guard ~fences : Proto.intent_reply =
         let others = List.filter (fun s -> not (Site.equal s ss)) (Css.sites_to_notify k f) in
         if Site.equal ss k.site then
           (* In process: [guard] and [links_here] read this CSS's live lock
@@ -139,13 +136,9 @@ let run_intent k ~us dir (op : Proto.intent) =
         end
       in
       let no_guard _ = Ok () and no_fences () = ([], []) in
-      let finish ss resp ~after =
-        match resp with
-        | Proto.R_intent { ino; ftype; dir_vv; file; _ } ->
-          Css.handle_commit_notify k dir ~origin:ss ~vv:dir_vv ~deleted:false;
-          Proto.R_intent { ino; ftype; dir_vv; file = after ino file; mtime = None }
-        | Proto.R_err _ as refused -> refused
-        | _ -> err Proto.Eio "unexpected intent-step response"
+      let finish ss (reply : Proto.intent_reply) ~after =
+        Css.handle_commit_notify k dir ~origin:ss ~vv:reply.dir_vv ~deleted:false;
+        { reply with file = after reply.ino reply.file; mtime = None }
       in
       (* A counted unlink or link whose storing site left the link count
          to this CSS. *)
@@ -159,7 +152,7 @@ let run_intent k ~us dir (op : Proto.intent) =
       in
       let run () =
         match (op, Css.intent_site k dir f) with
-        | _, None -> Proto.R_err Proto.Enet
+        | _, None -> err Proto.Enet "intent on %a: no latest copy reachable" Gfile.pp dir
         | Proto.Create { ncopies; ino = given; ftype; owner; perms; _ }, Some latest -> (
           let parent_sites = List.map fst (Site.Map.bindings f.site_vv) in
           let parent_sites =
@@ -168,7 +161,7 @@ let run_intent k ~us dir (op : Proto.intent) =
           in
           let ncopies = max 1 (min ncopies (List.length parent_sites)) in
           match Css.initial_storage_sites k ~us ~parent_sites ~ncopies with
-          | [] -> Proto.R_err Proto.Enet
+          | [] -> err Proto.Enet "create in %a: no storage site" Gfile.pp dir
           | first :: _ as chosen ->
             (* The first chosen site numbers the inode: the using site
                itself, or the storage site that enters the name — the
@@ -183,14 +176,10 @@ let run_intent k ~us dir (op : Proto.intent) =
                     (fun i _ -> i < ncopies)
                     (latest :: List.filter (fun s -> not (Site.equal s latest)) chosen) )
             in
-            let resp = dir_step ss ~guard:no_guard ~fences:no_fences in
+            let reply = dir_step ss ~guard:no_guard ~fences:no_fences in
             (* The mtime of an inode the storing site allocated. *)
-            let allocated =
-              match resp with
-              | Proto.R_intent { mtime; _ } -> mtime
-              | _ -> None
-            in
-            finish ss resp ~after:(fun ino file ->
+            let allocated = reply.mtime in
+            finish ss reply ~after:(fun ino file ->
                 let origin, vv, mtime =
                   match (given, file, allocated) with
                   | Some (_, mtime), _, _ -> (us, Vvec.bump Vvec.zero us, mtime)
@@ -205,7 +194,7 @@ let run_intent k ~us dir (op : Proto.intent) =
         | Proto.Link { ino; links = true; _ }, Some ss -> (
           let target = Gfile.make ~fg ~ino in
           match lock_target target with
-          | Stdlib.Error e -> Proto.R_err e
+          | Stdlib.Error e -> err e "link to %a: not locked" Gfile.pp target
           | Ok () ->
             let fences () =
               let tf = Css.get_file k fg ino in
@@ -226,14 +215,9 @@ let run_intent k ~us dir (op : Proto.intent) =
             ~after:(links ~delta:(-1) ss)
       in
       let release () = List.iter (fun (f : css_file) -> f.writer <- None) !locked in
-      match run () with
-      | resp ->
-        release ();
-        record k ~tag:"css.intent" "%a from %a" Gfile.pp dir Site.pp us;
-        resp
-      | exception Error (e, _) ->
-        release ();
-        Proto.R_err e)
+      let reply = Fun.protect ~finally:release run in
+      record k ~tag:"css.intent" "%a from %a" Gfile.pp dir Site.pp us;
+      reply
 
 (* ---- the using site's half ---- *)
 
@@ -243,12 +227,12 @@ let name_of = function
 (* Send one intent to the directory's CSS, retrying a few times while
    another site holds the directory's (or the target's) modification
    lock. The transport resends a lost request or reply, and answers a
-   resend from the CSS's kept reply. Returns the inode, the type its
+   resend from the reply the CSS's run gave. Returns the inode, the type its
    entry records and the file's new version, if the link count changed. *)
 let intent k dir op =
   let rec attempt tries =
     match rpc k (fg_info k dir.Gfile.fg).css_site (Proto.Dir_intent { dir; op }) with
-    | Proto.R_intent { ino; ftype; dir_vv; file; _ } ->
+    | { Proto.ino; ftype; dir_vv; file; _ } ->
       (* This site's change committed; the site need not store the
          directory or the file, so no notification need ever reach it. *)
       Coherence.announced k dir ~vv:dir_vv ~deleted:false ~origin:k.site;
@@ -257,16 +241,15 @@ let intent k dir op =
           Coherence.announced k (Gfile.make ~fg:dir.Gfile.fg ~ino) ~vv ~deleted ~origin:k.site)
         file;
       (ino, ftype, file)
-    | Proto.R_err Proto.Ebusy when tries > 0 ->
+    | exception Error (Proto.Ebusy, _) when tries > 0 ->
       charge k 1.0;
       attempt (tries - 1)
-    | Proto.R_err e -> (
+    | exception Error (e, why) -> (
       let name = name_of op in
       match e with
       | Proto.Eexist -> err e "%s already exists" name
       | Proto.Enoent -> err e "%s: no such entry" name
-      | _ -> err e "update of %s in %a failed" name Gfile.pp dir)
-    | _ -> err Proto.Eio "unexpected intent response"
+      | _ -> err e "update of %s in %a failed: %s" name Gfile.pp dir why)
   in
   attempt 5
 

@@ -9,7 +9,7 @@
     first, inaccessible sites last. *)
 
 val run_intent :
-  Ktypes.t -> us:Net.Site.t -> Catalog.Gfile.t -> Proto.intent -> Proto.resp
+  Ktypes.t -> us:Net.Site.t -> Catalog.Gfile.t -> Proto.intent -> Proto.intent_reply
 (** The CSS half of using site [us]'s intent on a directory: take
     the directory's modification lock ([EBUSY] while held; its leases are
     broken) and, for a counted unlink or link, the target file's; run the
@@ -19,8 +19,8 @@ val run_intent :
     file and designate its other initial storage sites. A counted unlink
     or link changes the file's link count where the directory changed
     when that site holds the file's latest copy, otherwise at a site that
-    does (one more step). Locks are released before the reply. Answers
-    [R_intent] or [R_err]. *)
+    does (one more step). Locks are released before the reply, a
+    refusal's ({!Ktypes.Error}) included. *)
 
 val designate :
   ?carried:Proto.inode_info * string list ->

@@ -300,20 +300,11 @@ let set_attr k (proc : proc) path ~perms ~owner =
   then err Proto.Eaccess "only the owner may change attributes";
   (* Serialize against writers via the normal open protocol. *)
   let o = Us.open_gf k gf Proto.Mode_modify in
-  let resp =
-    match rpc k o.o_ss (Proto.Set_attr { gf; perms; owner }) with
-    | resp -> resp
-    | exception e ->
-      Us.release k o;
-      raise e
-  in
-  (match resp with
-  | Proto.R_committed _ -> ()
-  | Proto.R_err e ->
+  match rpc k o.o_ss (Proto.Set_attr { gf; perms; owner }) with
+  | (_ : Vvec.t) -> Us.close k o
+  | exception e ->
     Us.release k o;
-    err e "attribute change failed"
-  | _ -> ());
-  Us.close k o
+    raise e
 
 let chmod k (proc : proc) path perms = set_attr k proc path ~perms:(Some perms) ~owner:None
 
@@ -338,24 +329,18 @@ let set_context (proc : proc) context = proc.p_context <- context
 
 let pipe_storage_site k gf =
   let fi = fg_info k gf.Gfile.fg in
-  match rpc k fi.css_site (Proto.Where_stored { gf; stat = false }) with
-  | Proto.R_where { sites; _ } -> (
-    match List.filter (fun s -> in_partition k s) sites with
-    | s :: _ -> s
-    | [] -> err Proto.Enet "no reachable site stores the pipe")
-  | Proto.R_err e -> err e "pipe lookup failed"
-  | _ -> err Proto.Eio "unexpected where response"
+  let { Proto.sites; _ } = rpc k fi.css_site (Proto.Where_stored { gf; stat = false }) in
+  match List.filter (fun s -> in_partition k s) sites with
+  | s :: _ -> s
+  | [] -> err Proto.Enet "no reachable site stores the pipe"
 
 let pipe_write k (proc : proc) path data =
   let gf = resolve k proc path in
-  expect_ok (rpc k (pipe_storage_site k gf) (Proto.Pipe_write { gf; data }))
+  rpc k (pipe_storage_site k gf) (Proto.Pipe_write { gf; data })
 
 let pipe_read k (proc : proc) path ~max =
   let gf = resolve k proc path in
-  match rpc k (pipe_storage_site k gf) (Proto.Pipe_read { gf; max }) with
-  | Proto.R_data { data } -> data
-  | Proto.R_err e -> err e "pipe read failed"
-  | _ -> err Proto.Eio "unexpected pipe response"
+  rpc k (pipe_storage_site k gf) (Proto.Pipe_read { gf; max })
 
 (* ---- mailbox delivery (used for conflict notification, section 4.6) ---- *)
 
@@ -461,7 +446,7 @@ let crash k =
   Hashtbl.reset k.shared_fds;
   Hashtbl.reset k.procs;
   Gfile.Tbl.reset k.pipe_bufs;
-  Net.Netsim.forget_replies k.net k.site;
+  Transport.forget_replies k.net k.site;
   Coherence.forgotten k Coherence.Crash;
   Queue.clear k.prop_queue;
   k.prop_pending <- Gfile.Set.empty;

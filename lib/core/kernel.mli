@@ -16,7 +16,7 @@ val create :
   site:Net.Site.t ->
   machine_type:string ->
   engine:Sim.Engine.t ->
-  net:(Proto.req, Proto.resp) Net.Netsim.t ->
+  net:Ktypes.Transport.t ->
   mount:Catalog.Mount.t ->
   fg_table:Ktypes.fg_info list ->
   ?config:Ktypes.config ->

@@ -60,15 +60,11 @@ module Ss_cache =
     end)
     (Storage.Page)
 
-exception Error of Proto.errno * string
+exception Error = Proto.Error
 
 let err errno fmt = Format.kasprintf (fun s -> raise (Error (errno, s))) fmt
 
-let () =
-  Printexc.register_printer (function
-    | Error (e, s) ->
-      Some (Printf.sprintf "Locus error %s: %s" (Proto.errno_to_string e) s)
-    | _ -> None)
+module Transport = Net.Netsim.Make (Proto)
 
 type config = {
   us_cache_pages : int;      (* US page-cache entries; 0: an empty table, read past *)
@@ -102,11 +98,11 @@ let default_config =
 (* Initial bucket count for the hot per-kernel hashtables (open files, SS
    serving state, CSS files), from the installation's site count,
    so large worlds don't pay repeated rehashing. *)
-let table_size net = max 64 (Net.Topology.n_sites (Net.Netsim.topology net))
+let table_size net = max 64 (Net.Topology.n_sites (Transport.topology net))
 
 (* ---- CSS state: synchronization and version bookkeeping (2.3.1) ---- *)
 
-(* A read lease the CSS granted: to [g_holder], under the id its R_open
+(* A read lease the CSS granted: to [g_holder], under the id its open grant
    carried, on the open [g_ss] serves. *)
 type grant = { g_holder : Site.t; g_id : int; g_ss : Site.t }
 
@@ -286,7 +282,7 @@ type t = {
   site : Site.t;
   machine_type : string; (* cpu type, selects hidden-directory entries (2.4.1) *)
   engine : Engine.t;
-  net : (Proto.req, Proto.resp) Net.Netsim.t;
+  net : Transport.t;
   config : config;
   mount : Catalog.Mount.t;
   mutable fg_table : fg_info list;
@@ -331,7 +327,7 @@ let now k = Engine.now k.engine
 
 let stats k = Engine.stats k.engine
 
-let latency k = Net.Netsim.latency k.net
+let latency k = Transport.latency k.net
 
 let charge k dt = Engine.charge k.engine dt
 
@@ -440,20 +436,22 @@ let fresh_serial k =
   n
 
 (* Remote procedure call to another kernel, through the transport layer:
-   typed errors, one exactly-once retry policy, per-call tracing.
-   The transport makes a call to this site a procedure call (section
-   2.3.2). *)
+   typed replies and errors, one exactly-once retry policy, per-call
+   tracing. The transport makes a call to this site a procedure call
+   (section 2.3.2). *)
 let rpc_result k dst req =
   if not k.alive then Stdlib.Error (Net.Netsim.Unreachable { src = k.site; dst; attempts = 0 })
-  else Net.Netsim.call k.net ~src:k.site ~dst req
+  else Transport.call k.net ~src:k.site ~dst req
 
-(* Raising variant for the protocol paths where any transport failure means
-   the operation fails with a network error. *)
+(* Raising variant for the protocol paths where a refusal fails the
+   operation with its errno and any transport failure with a network
+   error. *)
 let rpc k dst req =
   if not k.alive then err Proto.Enet "site %a is down" Site.pp k.site;
   match rpc_result k dst req with
-  | Ok resp -> resp
-  | Stdlib.Error e -> err Proto.Enet "%a" Net.Netsim.pp_error e
+  | Ok reply -> reply
+  | Stdlib.Error (Net.Netsim.Refused e) -> err e "%s refused by site %a" (Proto.tag req) Site.pp dst
+  | Stdlib.Error e -> err Proto.Enet "%a" Transport.pp_error e
 
 (* Send a close leg. A destination outside this site's partition is left
    to membership cleanup, which owns the state (section 5.6). A close that
@@ -462,7 +460,7 @@ let rpc k dst req =
    partition, or the backoff budget runs out (the destination is down but
    not yet detected; restart scavenging owns the state): dropped, it would
    leak serving state for as long as both ends stay up. A close handed
-   off either way is answered [R_ok]. *)
+   off either way is done; only a refusal is raised. *)
 let close_park_base_delay = 4.0
 
 let close_park_max_tries = 8
@@ -476,22 +474,20 @@ let rec park_close k dst req ~tries =
           Sim.Stats.incr (Engine.stats k.engine) "net.close.park_retry";
           match rpc_result k dst req with
           | Stdlib.Error (Net.Netsim.Unreachable _) -> park_close k dst req ~tries:(tries + 1)
-          | Ok _ | Stdlib.Error _ -> ()
+          | Ok () | Stdlib.Error _ -> ()
         end)
 
 let send_close k dst req =
-  if not (in_partition k dst) then Proto.R_ok
-  else
+  if in_partition k dst then
     match rpc_result k dst req with
-    | Ok resp -> resp
-    | Stdlib.Error (Net.Netsim.Unreachable _) ->
-      park_close k dst req ~tries:0;
-      Proto.R_ok
-    | Stdlib.Error _ -> Proto.R_ok
+    | Ok () | Stdlib.Error (Net.Netsim.Lost_reply _) -> ()
+    | Stdlib.Error (Net.Netsim.Unreachable _) -> park_close k dst req ~tries:0
+    | Stdlib.Error (Net.Netsim.Refused e) ->
+      err e "%s refused by site %a" (Proto.tag req) Site.pp dst
 
 (* One-way notification; losses are silent (the commit protocol tolerates
    them: recovery reconciles). *)
-let notify k dst req = if k.alive then Net.Netsim.send k.net ~src:k.site ~dst req
+let notify k dst req = if k.alive then Transport.send k.net ~src:k.site ~dst req
 
 (* SS serving state, shared by the SS handlers and the CSS (which
    registers a remote using site when it selects itself). *)
@@ -545,8 +541,3 @@ let ss_end k s ~us ~opens ~writes =
     record k ~tag:"ss.abort" "%a orphaned" Gfile.pp s.s_gf
   | Some _ | None -> ());
   if idle then Gfile.Tbl.remove k.ss_opens s.s_gf
-
-let expect_ok = function
-  | Proto.R_ok -> ()
-  | Proto.R_err e -> err e "remote operation failed"
-  | _ -> err Proto.Eio "unexpected response"

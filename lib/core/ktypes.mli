@@ -44,10 +44,14 @@ module Us_cache :
 module Ss_cache : Storage.Lru.S with type key = Gfile.t * int and type value = Storage.Page.t
 
 exception Error of Proto.errno * string
-(** Every kernel failure, local or reflected from a remote site (§3.3). *)
+(** {!Proto.Error}: every kernel failure, local or reflected from a
+    remote site (§3.3). *)
 
 val err : Proto.errno -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Raise {!Error} with a formatted message. *)
+
+(** The transport, carrying {!Proto}'s requests. *)
+module Transport : module type of Net.Netsim.Make (Proto)
 
 (** {1 Configuration} *)
 
@@ -71,7 +75,7 @@ type config = {
 
 val default_config : config
 
-val table_size : ('req, 'resp) Net.Netsim.t -> int
+val table_size : Transport.t -> int
 (** Initial bucket count for the hot per-kernel hashtables: [max 64] the
     installation's site count, so large worlds don't pay repeated
     rehashing. *)
@@ -79,7 +83,7 @@ val table_size : ('req, 'resp) Net.Netsim.t -> int
 (** {1 CSS state: synchronization and version bookkeeping (§2.3.1)} *)
 
 (** A read lease the CSS granted: to [g_holder], under the id [g_id]
-    that its [R_open] carried and every close or break of it names, on
+    that its {!Proto.open_grant} carried and every close or break of it names, on
     the open that [g_ss] serves. *)
 type grant = { g_holder : Site.t; g_id : int; g_ss : Site.t }
 
@@ -275,7 +279,7 @@ type t = {
   site : Site.t;
   machine_type : string; (** cpu type; selects hidden-directory entries *)
   engine : Engine.t;
-  net : (Proto.req, Proto.resp) Net.Netsim.t;
+  net : Transport.t;
   config : config;
   mount : Catalog.Mount.t; (** the replicated mount table (§2.1) *)
   mutable fg_table : fg_info list;
@@ -384,20 +388,21 @@ val dir_index_fit : t -> unit
 
 val fresh_serial : t -> int
 
-val rpc_result : t -> Site.t -> Proto.req -> (Proto.resp, Net.Netsim.error) result
-(** Remote procedure call to another kernel through the {!Net.Netsim}
-    transport, under the request's retry policy ({!Proto.protocol}); the
-    transport makes a call to this site a procedure call (§2.3.2).
-    Returns the typed transport error; callers that can tolerate or
-    interpret failure (close paths, recovery polls, token reclamation)
-    match on it. If this kernel is down the error carries
-    [attempts = 0]. *)
+val rpc_result : t -> Site.t -> 'a Proto.req -> ('a, Proto.errno Net.Netsim.error) result
+(** Remote procedure call to another kernel through the {!Transport},
+    under the request's retry policy ({!Proto.policy}); the transport
+    makes a call to this site a procedure call (§2.3.2). Returns the
+    reply, or the handler's refusal or the transport failure as a typed
+    error; callers that can tolerate or interpret failure (close paths,
+    recovery polls, token reclamation) match on it. If this kernel is
+    down the error carries [attempts = 0]. *)
 
-val rpc : t -> Site.t -> Proto.req -> Proto.resp
-(** Like {!rpc_result}, but any transport failure raises [ENET] — for the
-    protocol paths where unreachability simply fails the operation. *)
+val rpc : t -> Site.t -> 'a Proto.req -> 'a
+(** Like {!rpc_result}, but a refusal raises its errno and any transport
+    failure raises [ENET] — for the protocol paths where either simply
+    fails the operation. *)
 
-val send_close : t -> Site.t -> Proto.req -> Proto.resp
+val send_close : t -> Site.t -> unit Proto.req -> unit
 (** {!rpc_result} for a close leg ([Us_close]/[Ss_close]), with two
     hand-offs. A destination outside this site's partition is not sent to:
     membership cleanup owns that state. A close whose every attempt was
@@ -406,9 +411,9 @@ val send_close : t -> Site.t -> Proto.req -> Proto.resp
     destination, the destination leaves the partition, or the backoff
     budget runs out (an undetected dead site; restart scavenging owns the
     state). A close handed off — skipped, parked, or run with every reply
-    lost — is answered [R_ok]. *)
+    lost — is done; a refusal raises its errno. *)
 
-val notify : t -> Site.t -> Proto.req -> unit
+val notify : t -> Site.t -> 'a Proto.req -> unit
 (** One-way message; losses are silent (recovery reconciles). *)
 
 val ss_find_open : t -> Gfile.t -> ss_open option
@@ -428,6 +433,3 @@ val ss_end : t -> ss_open -> us:Site.t -> opens:int -> writes:int -> unit
     modify registration ended and none remains, or when no registration
     remains at all; serving state with no registration left is freed with
     its incore slot. The one way serving state ends. *)
-
-val expect_ok : Proto.resp -> unit
-(** Raise on [R_err]; accept [R_ok]. *)

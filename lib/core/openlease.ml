@@ -1,7 +1,7 @@
 (* Per-site cache of CSS-granted open leases.
 
    On a successful read/internal open the CSS may grant a revocable read
-   lease on (gf, vv), carried in [R_open]. The using site retains the
+   lease on (gf, vv), carried in its open grant. The using site retains the
    whole open grant — serving SS, inode information, incore-inode slot —
    in this LRU across [close], so a re-open of the unchanged file
    completes with zero messages: no [Open_req], no [Storage_req]. Close

@@ -33,7 +33,7 @@ type entry = {
   le_info : Proto.inode_info;
   le_slot : int;
   le_vv : Vv.Version_vector.t;
-  le_id : int;  (** the CSS's grant id, from [R_open.lease] *)
+  le_id : int;  (** the CSS's grant id, from {!Proto.open_grant}'s [lease] *)
   mutable le_active : int;  (** local opens currently riding this grant *)
   mutable le_broken : bool; (** dead: no reuse; close sent at last drain *)
   mutable le_owed : owed;

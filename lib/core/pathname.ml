@@ -152,7 +152,7 @@ let cache_fill ?(insert = Namecache.insert) k ~dir ~vv ~comp ~child ~ftype =
    other live links on the page the search read ([Ss.lookup_name]). *)
 let handle_lookup k gf comps ~near =
   let stop cur consumed trail =
-    Proto.R_lookup { gf = cur; consumed; trail = List.rev trail }
+    { Proto.gf = cur; consumed; trail = List.rev trail }
   in
   match local_pack k gf.Gfile.fg with
   | None -> stop gf 0 []
@@ -201,13 +201,10 @@ let handle_lookup k gf comps ~near =
                 go child (consumed + 1) (step :: trail) rest)
           end)
     in
-    let resp = go gf 0 [] comps in
-    (match resp with
-    | Proto.R_lookup { consumed; _ } ->
-      record k ~tag:"ss.lookup" "%a %d/%d components" Gfile.pp gf consumed
-        (List.length comps)
-    | _ -> ());
-    resp
+    let reply = go gf 0 [] comps in
+    record k ~tag:"ss.lookup" "%a %d/%d components" Gfile.pp gf reply.consumed
+      (List.length comps);
+    reply
 
 (* ---- resolution ---- *)
 
@@ -276,7 +273,7 @@ let walk_comps k ~context start comps ~finish =
       Sim.Stats.incr (stats k) "name.remote_walks";
       if near then Sim.Stats.incr (stats k) "name.rewarm";
       match rpc_result k ss (Proto.Lookup_req { gf; comps; near }) with
-      | Ok (Proto.R_lookup { gf = final; consumed; trail })
+      | Ok { Proto.gf = final; consumed; trail }
         when consumed > 0
              && consumed <= List.length comps
              && List.length trail = consumed ->

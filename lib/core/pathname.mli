@@ -50,7 +50,7 @@ val resolve_parent :
 val read_directory : Ktypes.t -> Catalog.Gfile.t -> Catalog.Dir.t
 (** Parse a directory's contents; raises [ENOTDIR] on other types. *)
 
-val handle_lookup : Ktypes.t -> Catalog.Gfile.t -> string list -> near:bool -> Proto.resp
+val handle_lookup : Ktypes.t -> Catalog.Gfile.t -> string list -> near:bool -> Proto.lookup_reply
 (** The storage-site half of partial-pathname lookup: walk as many of the
     components from the given directory as the local pack stores, in one
     request, and return the resulting gfile, the number of components

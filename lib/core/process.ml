@@ -166,7 +166,7 @@ let handle_fork k ~child_pid ~env ~image_pages ~parent =
   install_env k p env;
   Hashtbl.add k.procs p.pid p;
   record k ~tag:"proc.fork.in" "pid %d from %a" child_pid Site.pp (snd parent);
-  Proto.R_pid { pid = child_pid }
+  child_pid
 
 (* Fork, at the site chosen by the advice list (or locally by default).
    Remote fork ships the parent's image pages. *)
@@ -180,7 +180,7 @@ let fork k proc =
   end
   else begin
     let child_pid = fresh_pid k in
-    match
+    let pid =
       rpc k dest
         (Proto.Fork_req
            {
@@ -189,13 +189,10 @@ let fork k proc =
              image_pages = proc.p_image_pages;
              parent = (proc.pid, k.site);
            })
-    with
-    | Proto.R_pid { pid } ->
-      proc.p_children <- (pid, dest) :: proc.p_children;
-      record k ~tag:"proc.fork.out" "pid %d -> %a" pid Site.pp dest;
-      (pid, dest)
-    | Proto.R_err e -> err e "remote fork failed"
-    | _ -> err Proto.Eio "unexpected fork response"
+    in
+    proc.p_children <- (pid, dest) :: proc.p_children;
+    record k ~tag:"proc.fork.out" "pid %d -> %a" pid Site.pp dest;
+    (pid, dest)
   end
 
 (* ---- exec ---- *)
@@ -235,10 +232,10 @@ let handle_exec k ~pid ~path ~env ~image_pages:_ ~parent =
   install_env k p env;
   Hashtbl.add k.procs p.pid p;
   match exec_local k p path with
-  | () -> Proto.R_pid { pid }
-  | exception Error (e, _) ->
+  | () -> pid
+  | exception (Error _ as refused) ->
     Hashtbl.remove k.procs pid;
-    Proto.R_err e
+    raise refused
 
 (* Exec under advice: a remote destination moves the process there. *)
 let exec k proc path =
@@ -250,7 +247,7 @@ let exec k proc path =
     k.site
   end
   else begin
-    match
+    let (_ : int) =
       rpc k dest
         (Proto.Exec_req
            {
@@ -260,38 +257,31 @@ let exec k proc path =
              image_pages = proc.p_image_pages;
              parent = (match proc.p_parent with Some p -> p | None -> (0, k.site));
            })
-    with
-    | Proto.R_pid _ ->
-      Hashtbl.remove k.procs proc.pid;
-      proc.p_site <- dest;
-      (* Tell the parent where its child now lives. *)
-      (match proc.p_parent with
-      | Some (ppid, psite) when Site.equal psite k.site -> (
-        match find_proc k ppid with
-        | Some parent ->
-          parent.p_children <-
-            (proc.pid, dest) :: List.remove_assoc proc.pid parent.p_children
-        | None -> ())
-      | Some _ | None -> ());
-      dest
-    | Proto.R_err e -> err e "remote exec failed"
-    | _ -> err Proto.Eio "unexpected exec response"
+    in
+    Hashtbl.remove k.procs proc.pid;
+    proc.p_site <- dest;
+    (* Tell the parent where its child now lives. *)
+    (match proc.p_parent with
+    | Some (ppid, psite) when Site.equal psite k.site -> (
+      match find_proc k ppid with
+      | Some parent ->
+        parent.p_children <- (proc.pid, dest) :: List.remove_assoc proc.pid parent.p_children
+      | None -> ())
+    | Some _ | None -> ());
+    dest
   end
 
 (* ---- run: the optimized fork+exec (section 3.1) ---- *)
 
 let handle_run ?context_override k ~child_pid ~path ~env ~parent =
-  match handle_fork k ~child_pid ~env ~image_pages:1 ~parent with
-  | Proto.R_pid _ -> (
-    let p = get_proc k child_pid in
-    match exec_local k p path with
-    | () ->
-      (match context_override with Some c -> p.p_context <- c | None -> ());
-      Proto.R_pid { pid = child_pid }
-    | exception Error (e, _) ->
-      Hashtbl.remove k.procs child_pid;
-      Proto.R_err e)
-  | other -> other
+  let p = get_proc k (handle_fork k ~child_pid ~env ~image_pages:1 ~parent) in
+  match exec_local k p path with
+  | () ->
+    (match context_override with Some c -> p.p_context <- c | None -> ());
+    child_pid
+  | exception (Error _ as refused) ->
+    Hashtbl.remove k.procs child_pid;
+    raise refused
 
 (* Run includes parameterization that permits the caller to set up the
    environment of the new process, local or remote (section 3.1). *)
@@ -319,7 +309,7 @@ let run ?uid ?cwd ?ncopies ?context k proc path =
   end
   else begin
     let child_pid = fresh_pid k in
-    match
+    let pid =
       rpc k dest
         (Proto.Run_req
            {
@@ -329,13 +319,10 @@ let run ?uid ?cwd ?ncopies ?context k proc path =
              parent = (proc.pid, k.site);
              context_override = context;
            })
-    with
-    | Proto.R_pid { pid } ->
-      proc.p_children <- (pid, dest) :: proc.p_children;
-      record k ~tag:"proc.run" "pid %d %s -> %a" pid path Site.pp dest;
-      (pid, dest)
-    | Proto.R_err e -> err e "remote run failed"
-    | _ -> err Proto.Eio "unexpected run response"
+    in
+    proc.p_children <- (pid, dest) :: proc.p_children;
+    record k ~tag:"proc.run" "pid %d %s -> %a" pid path Site.pp dest;
+    (pid, dest)
   end
 
 (* ---- signals (section 2.4.2, 3.3) ---- *)
@@ -343,11 +330,10 @@ let run ?uid ?cwd ?ncopies ?context k proc path =
 let deliver_signal k pid signo =
   match find_proc k pid with
   | Some ({ p_status = Running; _ } as p) ->
-    p.p_signals <- signo :: p.p_signals;
-    Proto.R_ok
-  | Some { p_status = Exited _; _ } | None -> Proto.R_err Proto.Esrch
+    p.p_signals <- signo :: p.p_signals
+  | Some { p_status = Exited _; _ } | None -> err Proto.Esrch "no process %d" pid
 
-let signal k ~site ~pid signo = expect_ok (rpc k site (Proto.Signal_req { pid; signo }))
+let signal k ~site ~pid signo = rpc k site (Proto.Signal_req { pid; signo })
 
 (* ---- exit and wait ---- *)
 
@@ -360,8 +346,7 @@ let handle_exit_notify k ~pid ~status =
         p.p_zombies <- (pid, status) :: p.p_zombies;
         p.p_signals <- sigchld :: p.p_signals
       end)
-    k.procs;
-  Proto.R_ok
+    k.procs
 
 let exit_proc k proc status =
   proc.p_status <- Exited status;
@@ -385,7 +370,7 @@ let exit_proc k proc status =
     (* In process: a remote parent gets a one-way notify, a collocated one
        the exit synchronously. *)
     if Site.equal psite k.site then
-      ignore (handle_exit_notify k ~pid:proc.pid ~status)
+      handle_exit_notify k ~pid:proc.pid ~status
     else notify k psite (Proto.Exit_notify { pid = proc.pid; status })
   | None -> ()
 

@@ -47,7 +47,7 @@ val run :
 val signal : Ktypes.t -> site:Net.Site.t -> pid:int -> int -> unit
 (** Deliver a signal across machines. Raises [ESRCH]. *)
 
-val deliver_signal : Ktypes.t -> int -> int -> Proto.resp
+val deliver_signal : Ktypes.t -> int -> int -> unit
 
 val exit_proc : Ktypes.t -> Ktypes.proc -> int -> unit
 (** Terminate: release descriptors, notify the parent (across the net if
@@ -66,7 +66,7 @@ val handle_fork :
   env:Proto.process_env ->
   image_pages:int ->
   parent:int * Net.Site.t ->
-  Proto.resp
+  int
 
 val handle_exec :
   Ktypes.t ->
@@ -75,7 +75,7 @@ val handle_exec :
   env:Proto.process_env ->
   image_pages:int ->
   parent:int * Net.Site.t ->
-  Proto.resp
+  int
 
 val handle_run :
   ?context_override:string list ->
@@ -84,9 +84,9 @@ val handle_run :
   path:string ->
   env:Proto.process_env ->
   parent:int * Net.Site.t ->
-  Proto.resp
+  int
 
-val handle_exit_notify : Ktypes.t -> pid:int -> status:int -> Proto.resp
+val handle_exit_notify : Ktypes.t -> pid:int -> status:int -> unit
 
 val handle_site_failure : Ktypes.t -> Net.Site.t -> unit
 (** Reflect a machine failure into the local halves of cross-machine

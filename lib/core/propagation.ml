@@ -209,9 +209,9 @@ let pull_from k pack (p : pull) ~source ~strict =
 let source_from_css k gf =
   let fi = fg_info k gf.Gfile.fg in
   match rpc_result k fi.css_site (Proto.Where_stored { gf; stat = false }) with
-  | Ok (Proto.R_where { sites; _ }) ->
+  | Ok { Proto.sites; _ } ->
     List.find_opt (fun s -> (not (Site.equal s k.site)) && in_partition k s) sites
-  | Ok _ | Stdlib.Error _ -> None
+  | Stdlib.Error _ -> None
 
 (* One queued propagation request. Returns true when no retry is needed.
    A delete needs no read. The first attempt reads from the committing

@@ -20,21 +20,20 @@ module Dir = Catalog.Dir
    not store the file at (at least) the requested version (section 2.3.3). *)
 let handle_storage_req k gf ~vv ~us ~mode ~others =
   match local_pack k gf.Gfile.fg with
-  | None -> Proto.R_storage { accept = false; info = None; slot = 0 }
+  | None -> None
   | Some pack -> (
     match Pack.find_inode pack gf.Gfile.ino with
-    | None -> Proto.R_storage { accept = false; info = None; slot = 0 }
+    | None -> None
     | Some inode ->
-      if inode.Inode.deleted then Proto.R_storage { accept = false; info = None; slot = 0 }
+      if inode.Inode.deleted then None
       else if not (Vvec.dominates_or_equal inode.Inode.vv vv) then
         (* We store only an out-of-date copy: refuse. *)
-        Proto.R_storage { accept = false; info = None; slot = 0 }
+        None
       else begin
         let s = ss_register k gf ~us ~mode in
         s.s_others <- others;
         charge_disk_read k;
-        Proto.R_storage
-          { accept = true; info = Some (Proto.info_of_inode inode); slot = s.s_slot }
+        Some (Proto.info_of_inode inode, s.s_slot)
       end)
 
 (* Where the SS reads [gf]'s pages from: an open shadow session's pages
@@ -76,13 +75,13 @@ let handle_read_pages ?(guess = 0) ?(committed = false) ?(stat = false) ?vv k gf
     ~count =
   note_guess k gf guess;
   if first < 0 || count < 0 || (count = 0 && not stat) then
-    Proto.R_err Proto.Einval
+    err Proto.Einval "read %a pages %d+%d" Gfile.pp gf first count
   else
     match local_pack k gf.Gfile.fg with
-    | None -> Proto.R_err Proto.Eio
+    | None -> err Proto.Eio "read %a: no pack here" Gfile.pp gf
     | Some pack -> (
       match Pack.find_inode pack gf.Gfile.ino with
-      | None -> Proto.R_err Proto.Enoent
+      | None -> err Proto.Enoent "read %a: no inode here" Gfile.pp gf
       | Some inode ->
         let info =
           if stat then begin
@@ -106,15 +105,15 @@ let handle_read_pages ?(guess = 0) ?(committed = false) ?(stat = false) ?vv k gf
             pages := Page.sub page 0 len :: !pages
           end
         done;
-        Proto.R_pages { pages = !pages; eof = first + count >= npages; info })
+        { Proto.pages = !pages; eof = first + count >= npages; info })
 
 (* The client half: read pages of [gf] from [site]. Raises [Error] on a
    refusal or a network failure. *)
 let read_request ?vv k site gf ~first ~count ~guess ~committed ~stat =
-  match rpc k site (Proto.Read_pages { gf; first; count; guess; committed; stat; vv }) with
-  | Proto.R_pages { pages; eof; info } -> (pages, eof, info)
-  | Proto.R_err e -> err e "read %a pages %d+%d failed" Gfile.pp gf first count
-  | _ -> err Proto.Eio "unexpected read response"
+  let { Proto.pages; eof; info } =
+    rpc k site (Proto.Read_pages { gf; first; count; guess; committed; stat; vv })
+  in
+  (pages, eof, info)
 
 let read_pages ?vv k site gf ~first ~count ~guess =
   read_request ?vv k site gf ~first ~count ~guess ~committed:false ~stat:false
@@ -165,14 +164,14 @@ let handle_write_pages ?trunc k ~src gf ~first ~off data ~pos ~len =
   let trunc_ok = match trunc with Some size -> size >= 0 | None -> true in
   if first < 0 || off < 0 || off >= Page.size || (not trunc_ok) || pos < 0 || len < 0
      || pos + len > String.length data
-  then Proto.R_err Proto.Einval
-  else if len = 0 && trunc = None then Proto.R_ok
+  then err Proto.Einval "write %a page %d+%d" Gfile.pp gf first off
+  else if len = 0 && trunc = None then ()
   else
     match local_pack k gf.Gfile.fg with
-    | None -> Proto.R_err Proto.Eio
+    | None -> err Proto.Eio "write %a: no pack here" Gfile.pp gf
     | Some pack -> (
       match Pack.find_inode pack gf.Gfile.ino with
-      | None -> Proto.R_err Proto.Enoent
+      | None -> err Proto.Enoent "write %a: no inode here" Gfile.pp gf
       | Some _ ->
         let session = ensure_session k pack gf in
         ss_dir_drop k gf;
@@ -206,8 +205,7 @@ let handle_write_pages ?trunc k ~src gf ~first ~off data ~pos ~len =
         let lo, hi =
           if len = 0 then (lo, hi) else (min lo (base / Page.size), max hi (npages (base + len)))
         in
-        invalidate_others k gf ~writer:src ~first:lo ~count:(hi - lo);
-        Proto.R_ok)
+        invalidate_others k gf ~writer:src ~first:lo ~count:(hi - lo))
 
 (* The pages a request carrying [len] bytes at offset [poff] of its first
    page covers. *)
@@ -228,8 +226,7 @@ let write_run ?(sent = ignore) ?trunc ?len k site gf ~off data =
     let first = abs / Page.size in
     let poff = abs mod Page.size in
     let n = min (window_bytes - poff) (len - pos) in
-    expect_ok
-      (rpc k site (Proto.Write_pages { gf; trunc; first; off = poff; data; pos; len = n }));
+    rpc k site (Proto.Write_pages { gf; trunc; first; off = poff; data; pos; len = n });
     if n > 0 then sent (run_pages ~poff n);
     if pos + n < len then loop None (pos + n)
   in
@@ -447,18 +444,18 @@ let announce_commit k gf ~vv ~modified ~deleted ~meta_only others =
   let css = (fg_info k gf.Gfile.fg).css_site in
   ignore (rpc_result k css (commit_message k gf ~vv ~modified ~deleted ~meta_only));
   notify_others k gf ~vv ~modified ~deleted ~meta_only others;
-  Proto.R_committed { vv }
+  vv
 
 (* The atomic commit (section 2.3.6): move the incore inode to the disk
    inode, then notify the CSS and all other storage sites so they bring
    their copies up to date. *)
 let commit_session ?force_vv k gf ~abort ~delete =
   match local_pack k gf.Gfile.fg with
-  | None -> Proto.R_err Proto.Eio
+  | None -> err Proto.Eio "commit %a: no pack here" Gfile.pp gf
   | Some pack -> (
     let s = ss_get_open k gf in
     match s.s_shadow with
-    | None when abort -> Proto.R_committed { vv = Vvec.zero }
+    | None when abort -> Vvec.zero
     | None when not delete ->
       (* Nothing was modified: no new version is created. *)
       let vv =
@@ -466,7 +463,7 @@ let commit_session ?force_vv k gf ~abort ~delete =
         | Some inode -> inode.Inode.vv
         | None -> Vvec.zero
       in
-      Proto.R_committed { vv }
+      vv
     | Some session when abort ->
       Shadow.abort session;
       s.s_shadow <- None;
@@ -478,7 +475,7 @@ let commit_session ?force_vv k gf ~abort ~delete =
         | Some inode -> inode.Inode.vv
         | None -> Vvec.zero
       in
-      Proto.R_committed { vv }
+      vv
     | _ ->
       let session =
         match s.s_shadow with
@@ -492,15 +489,11 @@ let commit_session ?force_vv k gf ~abort ~delete =
    session first, exactly as a [Write_pages] from [src] would write it; a
    refused run is the answer, and nothing commits. *)
 let handle_commit ?force_vv ?run k ~src gf ~abort ~delete =
-  let written =
-    match run with
-    | Some { Proto.run_trunc = trunc; run_first = first; run_off = off; run_data = data } ->
-      handle_write_pages ?trunc k ~src gf ~first ~off data ~pos:0 ~len:(String.length data)
-    | None -> Proto.R_ok
-  in
-  match written with
-  | Proto.R_ok -> commit_session ?force_vv k gf ~abort ~delete
-  | refused -> refused
+  (match run with
+  | Some { Proto.run_trunc = trunc; run_first = first; run_off = off; run_data = data } ->
+    handle_write_pages ?trunc k ~src gf ~first ~off data ~pos:0 ~len:(String.length data)
+  | None -> ());
+  commit_session ?force_vv k gf ~abort ~delete
 
 (* US close at the SS, then SS close at the CSS — the three-message close
    protocol adopted after the reopen race was found (section 2.3.3 note).
@@ -517,8 +510,8 @@ let handle_us_close k ~src gf ~mode ~grant ~released =
   (* A CSS that can never be reached has its lock table rebuilt by the
      next partition/merge pass: this SS's side of the close is complete
      either way. *)
-  if released then Proto.R_ok
-  else send_close k (fg_info k gf.Gfile.fg).css_site (Proto.Ss_close { gf; us = src; mode; grant })
+  if not released then
+    send_close k (fg_info k gf.Gfile.fg).css_site (Proto.Ss_close { gf; us = src; mode; grant })
 
 (* Revalidate this site's serving registrations against the using sites'
    actual open files, part of every membership install (the SS-side
@@ -544,15 +537,12 @@ let revalidate_serving k =
     match Hashtbl.find_opt cache (us, fg) with
     | Some t -> Some t
     | None ->
-      let resp =
-        if in_partition k us then
-          match rpc_result k us (Proto.Open_files_query { fg }) with
-          | Ok r -> Some r
-          | Stdlib.Error _ -> None
-        else Some (Proto.R_open_files { files = [] })
+      let files =
+        if in_partition k us then Result.to_option (rpc_result k us (Proto.Open_files_query { fg }))
+        else Some []
       in
-      (match resp with
-      | Some (Proto.R_open_files { files }) ->
+      (match files with
+      | Some files ->
         let t = Hashtbl.create 8 in
         List.iter
           (fun (ino, mode, _site) ->
@@ -562,7 +552,7 @@ let revalidate_serving k =
           files;
         Hashtbl.add cache (us, fg) t;
         Some t
-      | Some _ | None -> None)
+      | None -> None)
   in
   let stale = ref [] in
   Gfile.Tbl.iter
@@ -684,7 +674,7 @@ let apply_intent k ~us dir (op : Proto.intent) ~others ~guard ~links_here =
     (match !allocated with
     | Some inode -> Pack.remove_inode (local_pack_exn k dir.Gfile.fg) inode.Inode.ino
     | None -> ());
-    Proto.R_err e
+    err e "intent on %a refused" Gfile.pp dir
   | Ok { Dir.ino; ftype; _ } ->
     let pack = local_pack_exn k dir.Gfile.fg in
     let s = ss_get_open k dir in
@@ -707,9 +697,10 @@ let apply_intent k ~us dir (op : Proto.intent) ~others ~guard ~links_here =
     in
     let mtime = Option.map (fun (i : Inode.t) -> i.Inode.mtime) !allocated in
     record k ~tag:"ss.intent" "%a ino %d vv=%a" Gfile.pp dir ino Vvec.pp dir_vv;
-    Proto.R_intent { ino; ftype; dir_vv; file; mtime }
+    { Proto.ino; ftype; dir_vv; file; mtime }
 
-let handle_intent_step k ~us (step : Proto.intent_step) =
+let handle_intent_step : type a. Ktypes.t -> us:Site.t -> a Proto.intent_step -> a =
+ fun k ~us step ->
   match step with
   | Proto.Step_dir { dir; op; others; refuse; stale } ->
     apply_intent k ~us dir op ~others
@@ -718,17 +709,17 @@ let handle_intent_step k ~us (step : Proto.intent_step) =
       ~links_here:(fun ino -> not (List.mem ino stale))
   | Proto.Step_link { gf; delta } -> (
     match change_links k gf ~delta with
-    | Ok (vv, deleted) -> Proto.R_linked { vv; deleted }
-    | Stdlib.Error e -> Proto.R_err e)
+    | Ok linked -> linked
+    | Stdlib.Error e -> err e "link count of %a" Gfile.pp gf)
 
 (* Metadata-only commit: change descriptor fields and notify the CSS and
    the file's other storing sites. *)
 let metadata_commit k gf mutate =
   match local_pack k gf.Gfile.fg with
-  | None -> Proto.R_err Proto.Eio
+  | None -> err Proto.Eio "attributes of %a: no pack here" Gfile.pp gf
   | Some pack -> (
     match Pack.find_inode pack gf.Gfile.ino with
-    | None -> Proto.R_err Proto.Enoent
+    | None -> err Proto.Enoent "attributes of %a: no inode here" Gfile.pp gf
     | Some inode ->
       let vv = metadata_install k gf inode mutate in
       let others = match ss_find_open k gf with Some s -> s.s_others | None -> [] in
@@ -741,21 +732,16 @@ let handle_set_attr k gf ~perms ~owner =
 
 let handle_inventory k fg =
   match local_pack k fg with
-  | None -> Proto.R_inventory { files = [] }
+  | None -> []
   | Some pack ->
-    let files =
-      Pack.inodes pack
-      |> List.map (fun (i : Inode.t) ->
-             (i.Inode.ino, i.Inode.vv, i.Inode.ftype, i.Inode.deleted))
-    in
-    Proto.R_inventory { files }
+    Pack.inodes pack
+    |> List.map (fun (i : Inode.t) -> (i.Inode.ino, i.Inode.vv, i.Inode.ftype, i.Inode.deleted))
 
 let handle_reclaim k gf =
   (match local_pack k gf.Gfile.fg with
   | Some pack -> Pack.remove_inode pack gf.Gfile.ino
   | None -> ());
-  Coherence.reclaimed k gf;
-  Proto.R_ok
+  Coherence.reclaimed k gf
 
 (* ---- named pipes (section 2.4.2): the fifo's single SS serializes ---- *)
 
@@ -769,19 +755,18 @@ let pipe_buf k gf =
 
 let handle_pipe_write k gf data =
   match local_pack k gf.Gfile.fg with
-  | None -> Proto.R_err Proto.Eio
+  | None -> err Proto.Eio "pipe %a: no pack here" Gfile.pp gf
   | Some pack -> (
     match Pack.find_inode pack gf.Gfile.ino with
     | Some { Inode.ftype = Inode.Fifo; _ } ->
       let b = pipe_buf k gf in
-      b := !b ^ data;
-      Proto.R_ok
-    | Some _ -> Proto.R_err Proto.Einval
-    | None -> Proto.R_err Proto.Enoent)
+      b := !b ^ data
+    | Some _ -> err Proto.Einval "%a is not a pipe" Gfile.pp gf
+    | None -> err Proto.Enoent "pipe %a: no inode here" Gfile.pp gf)
 
 let handle_pipe_read k gf max =
   match local_pack k gf.Gfile.fg with
-  | None -> Proto.R_err Proto.Eio
+  | None -> err Proto.Eio "pipe %a: no pack here" Gfile.pp gf
   | Some pack -> (
     match Pack.find_inode pack gf.Gfile.ino with
     | Some { Inode.ftype = Inode.Fifo; _ } ->
@@ -789,6 +774,6 @@ let handle_pipe_read k gf max =
       let n = min max (String.length !b) in
       let data = String.sub !b 0 n in
       b := String.sub !b n (String.length !b - n);
-      Proto.R_data { data }
-    | Some _ -> Proto.R_err Proto.Einval
-    | None -> Proto.R_err Proto.Enoent)
+      data
+    | Some _ -> err Proto.Einval "%a is not a pipe" Gfile.pp gf
+    | None -> err Proto.Enoent "pipe %a: no inode here" Gfile.pp gf)

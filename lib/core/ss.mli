@@ -16,8 +16,8 @@ val handle_storage_req :
   us:Net.Site.t ->
   mode:Proto.open_mode ->
   others:Net.Site.t list ->
-  Proto.resp
-(** "Will you act as storage site?" Refused when this pack does not store
+  (Proto.inode_info * int) option
+(** "Will you act as storage site?" Declined ([None]) when this pack does not store
     the file at (at least) the requested version; an acceptance registers
     [us]'s open in [mode] ({!Ktypes.ss_register}). *)
 
@@ -30,7 +30,7 @@ val handle_read_pages :
   Catalog.Gfile.t ->
   first:int ->
   count:int ->
-  Proto.resp
+  Proto.pages
 (** Serve up to [count] pages from [first] in one response: the network read protocol (§2.3.3), a single page at
     [count] = 1. Pages come through the open shadow session when one
     exists, giving Unix shared-file read semantics, unless the read is
@@ -83,7 +83,7 @@ val handle_write_pages :
   string ->
   pos:int ->
   len:int ->
-  Proto.resp
+  unit
 (** Shrink the shadow session to [trunc] bytes when set, then write the
     run of [len] bytes of the string from [pos], from offset [off] within
     page [first] — one page
@@ -144,7 +144,7 @@ val handle_commit :
   Catalog.Gfile.t ->
   abort:bool ->
   delete:bool ->
-  Proto.resp
+  Vv.Version_vector.t
 (** The atomic commit (§2.3.6): switch the incore inode in, bump the
     version vector (or install [force_vv], recovery's merged vector), and
     send commit notifications. [abort] discards instead; [delete] marks
@@ -160,7 +160,7 @@ val handle_us_close :
   mode:Proto.open_mode ->
   grant:int ->
   released:bool ->
-  Proto.resp
+  unit
 (** US→SS leg of the race-free three-message close (§2.3.3 footnote);
     forwards SS→CSS, naming the lease [grant] the close releases (0: no
     lease), unless the CSS [released] the grant at its break. Ends the
@@ -203,7 +203,7 @@ val commit_message :
   modified:int list ->
   deleted:bool ->
   meta_only:bool ->
-  Proto.req
+  unit Proto.req
 (** The fresh-commit notification of version [vv] of a file, committed at
     [origin] (default: this site). [~designate:true] makes a receiver
     whose pack does not store the file yet pull its first copy, as a new
@@ -234,7 +234,7 @@ val apply_intent :
   others:Net.Site.t list ->
   guard:(int -> (unit, Proto.errno) result) ->
   links_here:(int -> bool) ->
-  Proto.resp
+  Proto.intent_reply
 (** The storage site's half of a directory intent from using site [us]:
     change the one record and commit the directory, in one handler,
     notifying [others], the other sites holding its latest copy (the CSS
@@ -248,29 +248,30 @@ val apply_intent :
     without an inode allocates one here after the name check; [guard]
     vets the inode of a counted unlink before anything changes; a counted
     unlink or link also changes the file's link count here when
-    [links_here] holds for its inode. Answers [R_intent], or [R_err] with
-    nothing changed: [Eexist], [Enoent], [Einval] (a name or origin the
+    [links_here] holds for its inode. Answers the intent's reply, or raises
+    {!Ktypes.Error} with nothing changed: [Eexist], [Enoent], [Einval] (a name or origin the
     record format refuses), [Enospc] (the directory is at its largest
     size) or [Eio] (the body does not decode). No serving registration or
     session outlives it. *)
 
-val handle_intent_step : Ktypes.t -> us:Net.Site.t -> Proto.intent_step -> Proto.resp
+val handle_intent_step : Ktypes.t -> us:Net.Site.t -> 'a Proto.intent_step -> 'a
 (** A step the CSS forwarded: {!apply_intent} with the step's refuse and
     stale lists as guard and link test, or a link-count change of this
-    site's copy ([R_linked]): a metadata-only commit, or a delete commit
+    site's copy (its new version, and whether it was deleted): a metadata-only commit, or a delete commit
     when the last link goes. Notifies nobody: the CSS that asked does. *)
 
 val handle_set_attr :
-  Ktypes.t -> Catalog.Gfile.t -> perms:int option -> owner:string option -> Proto.resp
+  Ktypes.t -> Catalog.Gfile.t -> perms:int option -> owner:string option -> Vv.Version_vector.t
 (** Metadata-only commits (the "just inode information changed" case). *)
 
-val handle_inventory : Ktypes.t -> int -> Proto.resp
+val handle_inventory :
+  Ktypes.t -> int -> (int * Vv.Version_vector.t * Storage.Inode.ftype * bool) list
 (** Every inode this pack stores, with versions — recovery's rebuild
     input. *)
 
-val handle_reclaim : Ktypes.t -> Catalog.Gfile.t -> Proto.resp
+val handle_reclaim : Ktypes.t -> Catalog.Gfile.t -> unit
 (** Release a fully-deleted inode for reallocation. *)
 
-val handle_pipe_write : Ktypes.t -> Catalog.Gfile.t -> string -> Proto.resp
+val handle_pipe_write : Ktypes.t -> Catalog.Gfile.t -> string -> unit
 
-val handle_pipe_read : Ktypes.t -> Catalog.Gfile.t -> int -> Proto.resp
+val handle_pipe_read : Ktypes.t -> Catalog.Gfile.t -> int -> string

@@ -72,56 +72,54 @@ let flush_before_yield k fd =
    current holder first. *)
 let handle_token_req k key ~for_site =
   match find_fd k key with
-  | None -> Proto.R_err Proto.Einval
+  | None -> err Proto.Einval "no descriptor for the token"
   | Some fd ->
-    if Site.equal fd.f_holder for_site then
-      Proto.R_token { granted = true; state = string_of_int fd.f_offset }
+    if Site.equal fd.f_holder for_site then string_of_int fd.f_offset
     else begin
       let offset =
         let req = Proto.Token_state_req { key = Proto.Tok_fd (fst key, snd key) } in
         match rpc_result k fd.f_holder req with
-        | Ok (Proto.R_token { granted = true; state }) -> int_of_string_opt state
-        | Ok _ -> None
+        | Ok state -> int_of_string_opt state
         | Stdlib.Error _ -> None
         (* Transport failure here becomes EDEADTOKEN below: the holder of
            the offset token is unreachable (section 3.2). *)
       in
       match offset with
-      | None -> Proto.R_err Proto.Edeadtoken
+      | None -> err Proto.Edeadtoken "the token holder did not yield"
       | Some off ->
         fd.f_holder <- for_site;
         fd.f_offset <- off;
         Sim.Stats.incr (stats k) "token.flip";
         record k ~tag:"token.grant" "%a -> %a off=%d" Proto.pp_token
           (Proto.Tok_fd (fst key, snd key)) Site.pp for_site off;
-        Proto.R_token { granted = true; state = string_of_int off }
+        string_of_int off
     end
 
 (* Holder side: yield the token, returning the guarded state. *)
 let handle_token_state_req k key =
   match find_fd k key with
-  | None -> Proto.R_err Proto.Einval
+  | None -> err Proto.Einval "no descriptor for the token"
   | Some fd ->
     flush_before_yield k fd;
     fd.f_valid <- false;
-    Proto.R_token { granted = true; state = string_of_int fd.f_offset }
+    string_of_int fd.f_offset
 
 (* Using-site side: make sure this site's copy of the descriptor is the
    valid one before using the file position. *)
 let acquire k fd =
   if not fd.f_valid then begin
     let key = Proto.Tok_fd (fst fd.f_key, snd fd.f_key) in
-    match rpc k (manager_of fd.f_key) (Proto.Token_req { key; for_site = k.site }) with
-    | Proto.R_token { granted = true; state } ->
+    match rpc_result k (manager_of fd.f_key) (Proto.Token_req { key; for_site = k.site }) with
+    | Ok state ->
       fd.f_offset <- (match int_of_string_opt state with Some v -> v | None -> 0);
       fd.f_valid <- true;
       (* The token came from elsewhere: another site touched this shared
          open since we last did. Any retained lease grant on the file must
          revalidate through the CSS rather than short-circuit the open. *)
       Openlease.kill k.open_leases fd.f_gf
-    | Proto.R_token { granted = false; _ } | Proto.R_err _ ->
+    | Stdlib.Error (Net.Netsim.Refused _) ->
       err Proto.Edeadtoken "could not acquire descriptor token"
-    | _ -> err Proto.Eio "unexpected token response"
+    | Stdlib.Error e -> err Proto.Enet "%a" Transport.pp_error e
   end
 
 (* Recovery hook: a site left the partition. Reclaim tokens it held (the

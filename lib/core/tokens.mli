@@ -33,10 +33,10 @@ val acquire : Ktypes.t -> Ktypes.shared_fd -> unit
 (** Make this site's copy the valid one before using the file position.
     Raises [EDEADTOKEN] when the holder is unreachable. *)
 
-val handle_token_req : Ktypes.t -> Ktypes.fd_key -> for_site:Net.Site.t -> Proto.resp
+val handle_token_req : Ktypes.t -> Ktypes.fd_key -> for_site:Net.Site.t -> string
 (** Manager side: recall from the holder, grant to the requester. *)
 
-val handle_token_state_req : Ktypes.t -> Ktypes.fd_key -> Proto.resp
+val handle_token_state_req : Ktypes.t -> Ktypes.fd_key -> string
 (** Holder side: yield the token, returning the guarded offset. *)
 
 val handle_site_failure : Ktypes.t -> Net.Site.t -> unit

@@ -21,7 +21,7 @@
    waits for that batch, so a page-at-a-time sequential read moves one
    window per round trip even when nothing runs between reads. A read
    open asks for the file's first window, and a CSS that serves the open
-   itself returns those pages in its [R_open]: they are filed like a
+   itself returns those pages in its grant: they are filed like a
    fetch's, so a file of up to a window is read with no read message.
    Window 1 is the paper's one-page readahead on sequential reads, and
    its open, which asks for no pages. *)
@@ -237,12 +237,12 @@ and open_cold ~shared ~asks k fi gf mode =
       victim
   in
   match rpc_result k fi.css_site (Proto.Open_req { gf; mode; us_vv; shared; want; release }) with
-  | Stdlib.Error e ->
-    (match (e, victim) with
-    | Net.Netsim.Unreachable _, Some v -> lease_send_close k v
-    | (Net.Netsim.Unreachable _ | Net.Netsim.Lost_reply _), _ -> ());
-    err Proto.Enet "%a" Net.Netsim.pp_error e
-  | Ok (Proto.R_open { ss; info; others; nocache; slot; lease; pages }) ->
+  | Stdlib.Error (Net.Netsim.Refused e) -> err e "open %a refused" Gfile.pp gf
+  | Stdlib.Error (Net.Netsim.Unreachable _ as e) ->
+    Option.iter (lease_send_close k) victim;
+    err Proto.Enet "%a" Transport.pp_error e
+  | Stdlib.Error (Net.Netsim.Lost_reply _ as e) -> err Proto.Enet "%a" Transport.pp_error e
+  | Ok { Proto.ss; info; others; nocache; slot; lease; pages } ->
     let info =
       match info with
       | Some info -> info
@@ -281,8 +281,6 @@ and open_cold ~shared ~asks k fi gf mode =
       else None
     in
     ("us.open", ss, info, nocache, slot, lease_entry, pages)
-  | Ok (Proto.R_err e) -> err e "open %a failed" Gfile.pp gf
-  | Ok _ -> err Proto.Eio "unexpected open response"
 
 (* The bulk-transfer layer batches write traffic with a remote SS; local
    access and a window of one page keep the original protocol exactly. *)
@@ -694,28 +692,25 @@ let commit_gen k o ~abort =
     | Some _ | None -> None
   in
   o.o_wb <- None;
-  match
+  let vv =
     rpc k o.o_ss (Proto.Commit_req { gf = o.o_gf; abort; delete = false; force_vv = None; run })
-  with
-  | Proto.R_committed { vv } ->
-    (match run with
-    | Some { Proto.run_off; run_data; _ } ->
-      let pages = Ss.run_pages ~poff:run_off (String.length run_data) in
-      Sim.Stats.incr (stats k) "us.commit.run";
-      Sim.Stats.add (stats k) "us.commit.run.pages" pages;
-      if pages > 0 then bulk_sent k pages
-    | None -> ());
-    o.o_dirty <- false;
-    if abort then o.o_info <- { o.o_info with Proto.i_size = o.o_committed_size }
-    else o.o_committed_size <- o.o_info.Proto.i_size;
-    if not (Vvec.equal vv Vvec.zero) then begin
-      o.o_info <- { o.o_info with Proto.i_vv = vv };
-      retire_lease k o.o_gf vv
-    end;
-    renew_key k o;
-    vv
-  | Proto.R_err e -> err e "commit failed"
-  | _ -> err Proto.Eio "unexpected commit response"
+  in
+  (match run with
+  | Some { Proto.run_off; run_data; _ } ->
+    let pages = Ss.run_pages ~poff:run_off (String.length run_data) in
+    Sim.Stats.incr (stats k) "us.commit.run";
+    Sim.Stats.add (stats k) "us.commit.run.pages" pages;
+    if pages > 0 then bulk_sent k pages
+  | None -> ());
+  o.o_dirty <- false;
+  if abort then o.o_info <- { o.o_info with Proto.i_size = o.o_committed_size }
+  else o.o_committed_size <- o.o_info.Proto.i_size;
+  if not (Vvec.equal vv Vvec.zero) then begin
+    o.o_info <- { o.o_info with Proto.i_vv = vv };
+    retire_lease k o.o_gf vv
+  end;
+  renew_key k o;
+  vv
 
 let commit k o = ignore (commit_gen k o ~abort:false)
 
@@ -770,8 +765,8 @@ let stat_gf k gf =
   | Some _ | None -> (
     let fi = fg_info k gf.Gfile.fg in
     match rpc k fi.css_site (Proto.Where_stored { gf; stat = true }) with
-    | Proto.R_where { info = Some info; _ } -> info
-    | Proto.R_where { sites; info = None } -> (
+    | { Proto.info = Some info; _ } -> info
+    | { Proto.sites; info = None } -> (
       let reachable = List.filter (fun s -> in_partition k s) sites in
       match reachable with
       | [] -> err Proto.Enet "no reachable copy of %a" Gfile.pp gf
@@ -786,6 +781,4 @@ let stat_gf k gf =
             | _, Some info -> info
             | _, None | (exception Error _) -> try_sites rest)
         in
-        try_sites reachable)
-    | Proto.R_err e -> err e "stat: CSS lookup failed"
-    | _ -> err Proto.Eio "unexpected where response")
+        try_sites reachable))

@@ -12,11 +12,14 @@ module Membership = Recovery.Membership
    the grant's break releases nothing: the break ended this registration
    too. *)
 let us_close k ~src gf ~mode ~grant ~released =
-  if Css.grant_broken k gf ~grant then Proto.R_ok
-  else Ss.handle_us_close k ~src gf ~mode ~grant ~released
+  if not (Css.grant_broken k gf ~grant) then
+    Ss.handle_us_close k ~src gf ~mode ~grant ~released
 
-let handle k ~src (req : Proto.req) : Proto.resp =
-  if not k.alive then Proto.R_err Proto.Enet
+(* Every request's reply, or its refusal ([Error]), which the transport
+   carries back as the error reply. *)
+let handle : type a. Ktypes.t -> src:Site.t -> a Proto.req -> a =
+ fun k ~src req ->
+  if not k.alive then err Proto.Enet "site %a is down" Site.pp k.site
   else begin
     match req with
     (* open protocol *)
@@ -25,21 +28,21 @@ let handle k ~src (req : Proto.req) : Proto.resp =
          rides the request: it runs first, whatever the open answers. *)
       Option.iter
         (fun (victim, mode, grant) ->
-          ignore (us_close k ~src victim ~mode ~grant ~released:false))
+          try us_close k ~src victim ~mode ~grant ~released:false with Error _ -> ())
         release;
       (* A read open the CSS serves itself carries the committed copy's
          first [want] pages, read from the inode its [info] names, so the
          US's first [Read_pages] never goes out. Not when a writer exists
          (its session's bytes are not the committed copy's), not to a
          collocated US and not for a polled SS (the pages would cross the
-         wire twice). *)
+         wire twice). A refused read leaves the grant as it is. *)
       match Css.handle_open k ~src gf mode ~shared us_vv with
-      | Proto.R_open ({ ss; nocache = false; slot; _ } as r)
+      | { ss; nocache = false; slot; _ } as grant
         when want > 0 && Site.equal ss k.site && not (Site.equal src k.site) -> (
         match Ss.handle_read_pages ~guess:slot ~committed:true k gf ~first:0 ~count:want with
-        | Proto.R_pages { pages; _ } -> Proto.R_open { r with pages }
-        | _ -> Proto.R_open r)
-      | resp -> resp)
+        | { pages; _ } -> { grant with pages }
+        | exception Error _ -> grant)
+      | grant -> grant)
     | Proto.Storage_req { gf; vv; us; mode; others } ->
       Ss.handle_storage_req k gf ~vv ~us ~mode ~others
     (* data transfer *)
@@ -60,18 +63,15 @@ let handle k ~src (req : Proto.req) : Proto.resp =
       if (fg_info k gf.Gfile.fg).css_site = k.site then
         Css.handle_commit_notify k gf ~origin ~vv ~deleted;
       if fresh && not (Net.Site.equal origin k.site) then
-        Propagation.enqueue ?carried k gf ~vv ~origin ~modified ~meta_only ~deleted ~designate;
-      Proto.R_ok
+        Propagation.enqueue ?carried k gf ~vv ~origin ~modified ~meta_only ~deleted ~designate
     | Proto.Reclaim_req { gf } -> Ss.handle_reclaim k gf
     | Proto.Page_invalidate { gf; first; count } ->
-      Coherence.rewritten k gf (Coherence.Elsewhere { first; count });
-      Proto.R_ok
+      Coherence.rewritten k gf (Coherence.Elsewhere { first; count })
     | Proto.Lease_break { gf; id; closed } ->
       (* CSS callback: the grant dies, already released at the CSS; only
          an SS it does not serve is owed a close. *)
       record k ~tag:"us.lease.breakcb" "%a" Gfile.pp gf;
-      Coherence.lease_broken k gf ~id ~closed;
-      Proto.R_ok
+      Coherence.lease_broken k gf ~id ~closed
     (* name-space changes *)
     | Proto.Dir_intent { dir; op } -> Dirops.run_intent k ~us:src dir op
     | Proto.Intent_step { us; step } -> Ss.handle_intent_step k ~us step
@@ -101,12 +101,8 @@ let handle k ~src (req : Proto.req) : Proto.resp =
     | Proto.Pack_inventory { fg } -> Ss.handle_inventory k fg
     (* reconfiguration protocols *)
     | Proto.Part_poll -> Partition.handle_poll k ~src
-    | Proto.Part_announce { members } ->
-      Membership.install k ~members ~merge:false;
-      Proto.R_ok
+    | Proto.Part_announce { members } -> Membership.install k ~members ~merge:false
     | Proto.Merge_poll { initiator } -> Merge.handle_poll k ~src:initiator
-    | Proto.Merge_announce { members } ->
-      Membership.install k ~members ~merge:true;
-      Proto.R_ok
-    | Proto.Status_check -> Proto.R_status { stage = k.recon_stage; site = k.site }
+    | Proto.Merge_announce { members } -> Membership.install k ~members ~merge:true
+    | Proto.Status_check -> (k.recon_stage, k.site)
   end

@@ -4,6 +4,8 @@
     reconfiguration message to the partition or merge protocol's passive
     side ({!Recovery.Partition}, {!Recovery.Merge},
     {!Recovery.Membership.install}). {!World.create} installs it as each
-    kernel's handler. *)
+    kernel's handler. A request is answered with its reply, or refused
+    by raising {!Locus_core.Ktypes.Error}, which the transport carries
+    back as the error reply. *)
 
-val handle : Locus_core.Ktypes.t -> src:Net.Site.t -> Proto.req -> Proto.resp
+val handle : Locus_core.Ktypes.t -> src:Net.Site.t -> 'a Proto.req -> 'a

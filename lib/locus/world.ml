@@ -10,7 +10,7 @@ module Engine = Sim.Engine
 module Site = Net.Site
 module Topology = Net.Topology
 module Latency = Net.Latency
-module Netsim = Net.Netsim
+module Transport = Locus_core.Ktypes.Transport
 module Gfile = Catalog.Gfile
 module Mount = Catalog.Mount
 module Dir = Catalog.Dir
@@ -52,7 +52,7 @@ type t = {
   config : config;
   engine : Engine.t;
   topo : Topology.t;
-  net : (Proto.req, Proto.resp) Netsim.t;
+  net : Transport.t;
   mount : Mount.t;
   kernels : Kernel.t list;
   procs : (Site.t, K.proc) Hashtbl.t; (* one init process per site *)
@@ -106,7 +106,7 @@ let root_dir_content () =
 let create ?(config = default_config ()) () =
   let engine = Engine.create ~seed:config.seed () in
   let topo = Topology.create ~n:config.n_sites in
-  let net = Netsim.create engine topo config.latency Proto.protocol in
+  let net = Transport.create engine topo config.latency in
   let root_spec =
     match List.find_opt (fun s -> s.mount_path = None) config.filegroups with
     | Some s -> s
@@ -137,7 +137,7 @@ let create ?(config = default_config ()) () =
             ~mount ~fg_table ~config:config.kernel_config ()
         in
         Kernel.set_site_table k all_sites;
-        Netsim.set_handler net site (fun ~src req -> Dispatch.handle k ~src req);
+        Transport.set_handler net site { handle = (fun ~src req -> Dispatch.handle k ~src req) };
         k)
       all_sites
   in

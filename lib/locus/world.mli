@@ -49,7 +49,7 @@ val engine : t -> Sim.Engine.t
 
 val topology : t -> Net.Topology.t
 
-val net : t -> (Proto.req, Proto.resp) Net.Netsim.t
+val net : t -> Locus_core.Ktypes.Transport.t
 
 val stats : t -> Sim.Stats.t
 

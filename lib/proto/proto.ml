@@ -2,11 +2,14 @@
 
    These are the lowest-level protocols in the system: single
    request/response exchanges with no layered acknowledgements (section
-   2.3.3 of the paper). Each constructor corresponds to one message of the
-   paper's open / read / write / commit / close / create protocols, the
-   remote-process machinery (section 3), or the reconfiguration protocols
-   (section 5). [req_bytes] and [resp_bytes] give the wire-size model used
-   for latency charging and byte accounting. *)
+   2.3.3 of the paper), each request with exactly one kind of reply. Each
+   constructor of [req] is one message of the paper's open / read / write
+   / commit / close / create protocols, the remote-process machinery
+   (section 3), or the reconfiguration protocols (section 5), and its type
+   index is its reply. A refusal is not a reply of its own: a handler
+   raises [Error], and the transport answers with the errno. [req_bytes]
+   and [resp_bytes] give the wire-size model used for latency charging and
+   byte accounting. *)
 
 module Vvec = Vv.Version_vector
 
@@ -56,6 +59,15 @@ let errno_to_string = function
   | Einval -> "EINVAL"
 
 let pp_errno ppf e = Format.pp_print_string ppf (errno_to_string e)
+
+(* Every kernel failure, local or reflected from a remote site (section
+   3.3); raised by a handler, it is the request's refusal. *)
+exception Error of errno * string
+
+let () =
+  Printexc.register_printer (function
+    | Error (e, s) -> Some (Printf.sprintf "Locus error %s: %s" (errno_to_string e) s)
+    | _ -> None)
 
 (* Disk-inode information shipped in open/stat responses: "all the disk
    inode information (eg. file size, ownership, permissions) is obtained
@@ -143,10 +155,24 @@ type intent =
   | Unlink of { name : string; links : bool }
   | Link of { name : string; ino : int; ftype : Storage.Inode.ftype; links : bool }
 
+(* The reply to an intent: its inode and the type its entry records, the
+   directory's new version, and the file's new version and deleted flag
+   when the replying site changed its links (or, for a create, allocated
+   it), with the allocated inode's [mtime] then; the CSS's reply to the
+   using site drops the [mtime]. *)
+type intent_reply = {
+  ino : int;
+  ftype : Storage.Inode.ftype;
+  dir_vv : Vvec.t;
+  file : (Vvec.t * bool) option;
+  mtime : float option;
+}
+
 (* The work a CSS forwards to a storage site for an intent: the record
-   change and commit of the directory, or a file's link-count change. *)
-type intent_step =
-  | Step_dir of {
+   change and commit of the directory, or a file's link-count change,
+   answered with the file's new version and whether its last link went. *)
+type _ intent_step =
+  | Step_dir : {
       dir : Catalog.Gfile.t;
       op : intent;
       others : Net.Site.t list;
@@ -159,16 +185,49 @@ type intent_step =
         (* inodes whose link count this site must leave to the CSS: its copy
            is not the latest *)
     }
-  | Step_link of { gf : Catalog.Gfile.t; delta : int }
+      -> intent_reply intent_step
+  | Step_link : { gf : Catalog.Gfile.t; delta : int } -> (Vvec.t * bool) intent_step
 
 (* A write run riding a [Commit_req]: the fields of a [Write_pages] — an
    optional truncate, then [data] at byte [off] of page [first], at most a
    window of pages. *)
 type run = { run_trunc : int option; run_first : int; run_off : int; run_data : string }
 
-type req =
+(* ---- replies: each request's one kind of response ---- *)
+
+(* The CSS's answer to an open (Figure 2); the interface details each
+   field. *)
+type open_grant = {
+  ss : Net.Site.t;
+  info : inode_info option; (* [None]: the US-is-current shortcut *)
+  others : Net.Site.t list;
+  nocache : bool; (* a writer is active: using sites must not buffer pages *)
+  slot : int;     (* the SS's incore-inode slot: the US's read guess *)
+  lease : int;    (* nonzero: a revocable read lease's grant id *)
+  pages : string list; (* the committed copy's first pages, up to [want] *)
+}
+
+(* The pages of a [Read_pages], and the committed copy's inode when the
+   request set [stat] or named another version than the copy's. *)
+type pages = { pages : string list; eof : bool; info : inode_info option }
+
+(* Where a server-side walk stopped, how many components it consumed, and
+   one trail step per consumed component. *)
+type lookup_reply = { gf : Catalog.Gfile.t; consumed : int; trail : lookup_step list }
+
+(* Reachable sites holding the latest version, and for a [stat] query the
+   CSS's own copy's inode when that copy is the latest. *)
+type where = { sites : Net.Site.t list; info : inode_info option }
+
+(* A merge poll's answer: the sites the polled site believes up, or the
+   higher-numbered merge it is already taking part in. *)
+type merge_answer =
+  | Believed_up of Net.Site.t list
+  | Busy of Net.Site.t
+
+type _ req =
   (* --- open protocol (Figure 2) --- *)
-  | Open_req of {
+  | Open_req : {
       gf : Catalog.Gfile.t;
       mode : open_mode;
       us_vv : Vvec.t option;
@@ -185,8 +244,8 @@ type req =
            CSS is that lease's SS: the [Us_close] of that grant id rides
            the open instead of travelling on its own. Costs a file, a mode
            and the id only when set. *)
-    } (* US -> CSS: open request; carries the US's copy version if it stores one *)
-  | Storage_req of {
+    } -> open_grant req (* US -> CSS: open request; carries the US's copy version if it stores one *)
+  | Storage_req : {
       gf : Catalog.Gfile.t;
       vv : Vvec.t;
       us : Net.Site.t;
@@ -194,9 +253,9 @@ type req =
       others : Net.Site.t list;
         (* the other sites storing the file, so that the SS can send its
            commit notifications directly to them (section 2.3.6) *)
-    } (* CSS -> candidate SS: will you serve this open at this version? *)
+    } -> (inode_info * int) option req (* CSS -> candidate SS: will you serve this open at this version? *)
   (* --- data transfer --- *)
-  | Read_pages of {
+  | Read_pages : {
       gf : Catalog.Gfile.t;
       first : int;
       count : int;
@@ -204,7 +263,7 @@ type req =
       committed : bool;
       stat : bool;
       vv : Vvec.t option;
-    }
+    } -> pages req
     (* US -> SS: up to [count] consecutive pages starting at [first], in
        one round trip — the network read protocol, for a using site, a
        propagation pull and reconciliation alike. [count] = 1 is the
@@ -216,7 +275,7 @@ type req =
        [committed]. With [count] 0 it is the stat message. [vv] is the
        version a using site files the pages under; an SS whose committed
        copy is another version also returns that copy's inode. *)
-  | Write_pages of {
+  | Write_pages : {
       gf : Catalog.Gfile.t;
       trunc : int option;
       first : int;
@@ -224,7 +283,7 @@ type req =
       data : string;
       pos : int;
       len : int;
-    }
+    } -> unit req
     (* US -> SS: first shrink the open modification session's file to
        [trunc] bytes, when set, then write one contiguous run of modified
        bytes starting at byte [off] within page [first], possibly spanning
@@ -235,12 +294,12 @@ type req =
        without a copy, and only those bytes count on the wire. With no data
        it is the network truncate alone. Absolute positioning keeps the
        request idempotent. *)
-  | Dir_intent of { dir : Catalog.Gfile.t; op : intent }
+  | Dir_intent : { dir : Catalog.Gfile.t; op : intent } -> intent_reply req
     (* US -> CSS: one name-space change, serialized at the CSS and run as
        one atomic directory modification at a storage site *)
-  | Intent_step of { us : Net.Site.t; step : intent_step }
+  | Intent_step : { us : Net.Site.t; step : 'a intent_step } -> 'a req
     (* CSS -> SS: the forwarded work of using site [us]'s intent *)
-  | Commit_req of {
+  | Commit_req : {
       gf : Catalog.Gfile.t;
       abort : bool;
       delete : bool;
@@ -252,20 +311,20 @@ type req =
         (* the write the commit follows: the US's last run of modified
            bytes, written into the session before it commits, in place of
            a [Write_pages] round trip of its own *)
-    } (* US -> SS: commit (or abort) the open modification session; [delete]
+    } -> Vvec.t req (* US -> SS: commit (or abort) the open modification session; [delete]
          marks the inode deleted before committing (section 2.3.7) *)
   (* --- close protocol (3 messages; see the race note in section 2.3.3) --- *)
-  | Us_close of { gf : Catalog.Gfile.t; mode : open_mode; grant : int; released : bool }
+  | Us_close : { gf : Catalog.Gfile.t; mode : open_mode; grant : int; released : bool } -> unit req
     (* US -> SS. [grant] names the read lease whose deferred close this
        is (0: no lease, the paper's close); it costs 4 bytes only when
        nonzero. [released]: the CSS released the grant at its break, so
        the SS ends its registration and sends no [Ss_close]; it packs
        into the mode byte. *)
-  | Ss_close of { gf : Catalog.Gfile.t; us : Net.Site.t; mode : open_mode; grant : int }
+  | Ss_close : { gf : Catalog.Gfile.t; us : Net.Site.t; mode : open_mode; grant : int } -> unit req
     (* SS -> CSS: the close leg; a nonzero [grant] (4 bytes) releases
        that grant, and nothing once its break already has *)
   (* --- commit notification and propagation (section 2.3.6) --- *)
-  | Commit_notify of {
+  | Commit_notify : {
       gf : Catalog.Gfile.t;
       vv : Vvec.t;
       meta_only : bool;
@@ -280,15 +339,15 @@ type req =
         (* the committed inode and the modified pages below its eof, in
            [modified] order: a copy at the version this commit replaced
            installs them without pulling *)
-    }
-  | Reclaim_req of { gf : Catalog.Gfile.t }
+    } -> unit req
+  | Reclaim_req : { gf : Catalog.Gfile.t } -> unit req
     (* CSS -> SS: every storage site has seen the delete; the inode number
        can be reallocated (section 2.3.7) *)
-  | Page_invalidate of { gf : Catalog.Gfile.t; first : int; count : int }
+  | Page_invalidate : { gf : Catalog.Gfile.t; first : int; count : int } -> unit req
     (* SS -> other USs it serves: your buffered copies of pages [first] to
        [first + count - 1] are no longer valid (the page-valid tokens of
        section 3.2). One covers every page a [Write_pages] wrote or cut. *)
-  | Lease_break of { gf : Catalog.Gfile.t; id : int; closed : bool }
+  | Lease_break : { gf : Catalog.Gfile.t; id : int; closed : bool } -> unit req
     (* CSS -> lease holder, a call: grant [id] on this file is revoked (a
        writer opened, a new version committed, a conflict or delete was
        recorded). The CSS released the grant's reader count itself, and
@@ -296,106 +355,46 @@ type req =
        holder kills its grant [id] (a newer grant stays) and sends no
        close, or with [closed] false only the SS half. *)
   (* --- interrogation --- *)
-  | Set_attr of { gf : Catalog.Gfile.t; perms : int option; owner : string option }
+  | Set_attr : { gf : Catalog.Gfile.t; perms : int option; owner : string option } -> Vvec.t req
     (* US -> SS: chmod/chown; a metadata-only commit (section 2.3.6's
        "just inode information changed" case) *)
-  | Where_stored of { gf : Catalog.Gfile.t; stat : bool }
+  | Where_stored : { gf : Catalog.Gfile.t; stat : bool } -> where req
     (* CSS bookkeeping query; [stat] also asks for the inode, which a CSS
        holding the latest copy returns itself *)
-  | Lookup_req of { gf : Catalog.Gfile.t; comps : string list; near : bool }
+  | Lookup_req : { gf : Catalog.Gfile.t; comps : string list; near : bool } -> lookup_reply req
     (* US -> SS: walk as many of the remaining pathname components from
        [gf] as this site stores, in one round trip (section 2.3.4); with
        [near], each step also returns its page's other live links *)
   (* --- tokens (section 3.2) --- *)
-  | Token_req of { key : token_key; for_site : Net.Site.t }
-  | Token_state_req of { key : token_key } (* fetch guarded state with the token *)
+  | Token_req : { key : token_key; for_site : Net.Site.t } -> string req
+  | Token_state_req : { key : token_key } -> string req (* fetch guarded state with the token *)
   (* --- remote processes (section 3) --- *)
-  | Fork_req of { child_pid : int; env : process_env; image_pages : int; parent : int * Net.Site.t }
-  | Exec_req of { pid : int; path : string; env : process_env; image_pages : int; parent : int * Net.Site.t }
-  | Run_req of {
+  | Fork_req : { child_pid : int; env : process_env; image_pages : int; parent : int * Net.Site.t } -> int req
+  | Exec_req : { pid : int; path : string; env : process_env; image_pages : int; parent : int * Net.Site.t } -> int req
+  | Run_req : {
       child_pid : int;
       path : string;
       env : process_env;
       parent : int * Net.Site.t;
       context_override : string list option;
         (* caller-specified hidden-directory context, applied after exec *)
-    }
-  | Signal_req of { pid : int; signo : int }
-  | Exit_notify of { pid : int; status : int }
+    } -> int req
+  | Signal_req : { pid : int; signo : int } -> unit req
+  | Exit_notify : { pid : int; status : int } -> unit req
   (* --- reconfiguration (section 5) --- *)
-  | Part_poll (* partition protocol poll: send me your partition set *)
-  | Part_announce of { members : Net.Site.t list }
-  | Merge_poll of { initiator : Net.Site.t }
-  | Merge_announce of { members : Net.Site.t list }
-  | Status_check (* protocol-synchronization probe of section 5.7 *)
-  | Open_files_query of { fg : int }
+  | Part_poll : Net.Site.t list req (* partition protocol poll: send me your partition set *)
+  | Part_announce : { members : Net.Site.t list } -> unit req
+  | Merge_poll : { initiator : Net.Site.t } -> merge_answer req
+  | Merge_announce : { members : Net.Site.t list } -> unit req
+  | Status_check : (int * Net.Site.t) req
+  (* protocol-synchronization probe of section 5.7: the answering site and
+     its reconfiguration stage *)
+  | Open_files_query : { fg : int } -> (int * open_mode * Net.Site.t) list req
     (* new CSS rebuilding its lock table after reconfiguration (section 5.6) *)
-  | Pack_inventory of { fg : int }
+  | Pack_inventory : { fg : int } -> (int * Vvec.t * Storage.Inode.ftype * bool) list req
     (* recovery: which inodes does your pack store, at which versions? *)
-  | Pipe_write of { gf : Catalog.Gfile.t; data : string }
-  | Pipe_read of { gf : Catalog.Gfile.t; max : int }
-
-type resp =
-  | R_ok
-  | R_err of errno
-  | R_open of {
-      ss : Net.Site.t;
-      info : inode_info option;
-        (* [None] on the US-is-current shortcut: the US serves itself from
-           its own inode and registers the open there itself *)
-      others : Net.Site.t list;
-      nocache : bool; (* a writer is active: using sites must not buffer pages *)
-      slot : int;     (* the SS's incore-inode slot: the US's read guess *)
-      lease : int;
-        (* nonzero: the id of a revocable read lease the CSS granted on
-           (gf, vv). The US may retain the whole grant across close and
-           re-open with no messages until a [Lease_break] names the id.
-           4 bytes only when nonzero, so the [open_lease_entries = 0]
-           ablation is byte-identical. *)
-      pages : string list;
-        (* the committed copy's first pages, up to the request's [want],
-           when the CSS serves a remote read open itself with no writer;
-           otherwise none, and the reply is the paper's.
-           Framed like [R_pages]'s. *)
-    }
-  | R_storage of { accept : bool; info : inode_info option; slot : int }
-  | R_pages of { pages : string list; eof : bool; info : inode_info option }
-    (* the pages of a [Read_pages]; fewer than asked when the file ends
-       mid-window, none when [first] is past it. [eof] marks that the last
-       page returned contains end of file (or that [first] was past it).
-       [info] is the committed copy's inode, when the request set [stat]
-       or named another version than the copy's. *)
-  | R_committed of { vv : Vvec.t }
-  | R_intent of {
-      ino : int;
-      ftype : Storage.Inode.ftype;
-      dir_vv : Vvec.t;
-      file : (Vvec.t * bool) option;
-      mtime : float option;
-    }
-    (* an intent's inode and the type its entry records, the directory's
-       new version, and the file's new version and deleted flag when the
-       replying site changed its links (or, for a create, allocated it),
-       with the allocated inode's [mtime] then; the CSS's reply to the
-       using site drops the [mtime] *)
-  | R_linked of { vv : Vvec.t; deleted : bool }
-    (* a [Step_link]'s new version of the file; [deleted] at the last link *)
-  | R_lookup of { gf : Catalog.Gfile.t; consumed : int; trail : lookup_step list }
-    (* where the server-side walk stopped, how many components it
-       consumed, and one trail step per consumed component *)
-  | R_where of { sites : Net.Site.t list; info : inode_info option }
-    (* reachable sites holding the latest version, and for a [stat] query
-       the CSS's own copy's inode when that copy is the latest *)
-  | R_token of { granted : bool; state : string }
-  | R_pid of { pid : int }
-  | R_pset of { pset : Net.Site.t list }
-  | R_merge_info of { believed_up : Net.Site.t list }
-  | R_busy of { active : Net.Site.t }
-  | R_status of { stage : int; site : Net.Site.t }
-  | R_open_files of { files : (int * open_mode * Net.Site.t) list }
-  | R_inventory of { files : (int * Vvec.t * Storage.Inode.ftype * bool) list }
-    (* ino, version, type, deleted? for every inode the pack stores *)
-  | R_data of { data : string }
+  | Pipe_write : { gf : Catalog.Gfile.t; data : string } -> unit req
+  | Pipe_read : { gf : Catalog.Gfile.t; max : int } -> string req
 
 (* ---- wire-size model ---- *)
 
@@ -449,7 +448,7 @@ let run_bytes ~trunc ~off len =
 (* A lease grant id travels only when there is one. *)
 let grant_bytes id = if id = 0 then 0 else 4
 
-let req_bytes = function
+let req_bytes : type a. a req -> int = function
   | Open_req { us_vv; want; release; _ } ->
     header + gfile_bytes + 2
     + (match us_vv with Some v -> vv_bytes v | None -> 0)
@@ -521,30 +520,34 @@ let req_bytes = function
   | Pipe_write { data; _ } -> header + gfile_bytes + String.length data
   | Pipe_read _ -> header + gfile_bytes + 4
 
-let resp_bytes = function
-  | R_ok -> header
-  | R_err _ -> header + 4
-  | R_open { info; others; pages; lease; _ } ->
-    header + 5 + grant_bytes lease
-    + (match info with Some i -> info_bytes i | None -> 0)
-    + site_list_bytes others
+let intent_reply_bytes { dir_vv; file; mtime; _ } =
+  header + 6 + vv_bytes dir_vv
+  + (match file with Some (vv, _) -> 1 + vv_bytes vv | None -> 0)
+  + if Option.is_some mtime then 8 else 0
+
+(* A reply's wire size, by the request it answers. *)
+let resp_bytes : type a. a req -> a -> int =
+ fun req reply ->
+  let info_opt = function Some i -> info_bytes i | None -> 0 in
+  match req with
+  | Open_req _ ->
+    let { info; others; pages; lease; _ } : open_grant = reply in
+    header + 5 + grant_bytes lease + info_opt info + site_list_bytes others
     + if pages = [] then 0 else pages_bytes pages
-  | R_storage { info; _ } ->
-    header + 1 + (match info with Some i -> info_bytes i | None -> 0)
-  | R_pages { pages; info; _ } ->
+  | Storage_req _ -> header + 1 + (match reply with Some (i, _) -> info_bytes i | None -> 0)
+  | Read_pages _ ->
     (* One header for the whole batch; each page pays only a small length
        frame plus its payload — the honest accounting that makes the bulk
        win fewer headers and RTTs, not free bytes. With no pages and an
        inode it is the stat reply. *)
-    header + pages_bytes pages
-    + (match info with Some i -> info_bytes i | None -> 0)
-  | R_committed { vv } -> header + vv_bytes vv
-  | R_intent { dir_vv; file; mtime; _ } ->
-    header + 6 + vv_bytes dir_vv
-    + (match file with Some (vv, _) -> 1 + vv_bytes vv | None -> 0)
-    + if Option.is_some mtime then 8 else 0
-  | R_linked { vv; _ } -> header + 1 + vv_bytes vv
-  | R_lookup { trail; _ } ->
+    let { pages; info; _ } : pages = reply in
+    header + pages_bytes pages + info_opt info
+  | Commit_req _ -> header + vv_bytes reply
+  | Set_attr _ -> header + vv_bytes reply
+  | Dir_intent _ -> intent_reply_bytes reply
+  | Intent_step { step = Step_dir _; _ } -> intent_reply_bytes reply
+  | Intent_step { step = Step_link _; _ } -> header + 1 + vv_bytes (fst reply)
+  | Lookup_req _ ->
     header + gfile_bytes + 4
     + List.fold_left
         (fun a s ->
@@ -553,23 +556,34 @@ let resp_bytes = function
             (fun a n -> a + 7 + String.length n.n_name)
             (a + (2 * gfile_bytes) + vv_bytes s.l_vv + 1)
             s.l_near)
-        0 trail
-  | R_where { sites; info } ->
-    header + site_list_bytes sites + (match info with Some i -> info_bytes i | None -> 0)
-  | R_token { state; _ } -> header + 1 + String.length state
-  | R_pid _ -> header + 4
-  | R_pset { pset } -> header + site_list_bytes pset
-  | R_merge_info { believed_up } -> header + site_list_bytes believed_up
-  | R_busy _ -> header + 4
-  | R_status _ -> header + 8
-  | R_open_files { files } -> header + (9 * List.length files)
-  | R_inventory { files } ->
+        0 reply.trail
+  | Where_stored _ -> header + site_list_bytes reply.sites + info_opt reply.info
+  | Token_req _ -> header + 1 + String.length reply
+  | Token_state_req _ -> header + 1 + String.length reply
+  | Fork_req _ -> header + 4
+  | Exec_req _ -> header + 4
+  | Run_req _ -> header + 4
+  | Part_poll -> header + site_list_bytes reply
+  | Merge_poll _ -> (
+    match reply with
+    | Believed_up sites -> header + site_list_bytes sites
+    | Busy _ -> header + 4)
+  | Status_check -> header + 8
+  | Open_files_query _ -> header + (9 * List.length reply)
+  | Pack_inventory _ ->
     (* 4 bytes of inode number and one flag byte holding the type and the
        deleted bit *)
-    header + List.fold_left (fun a (_, vv, _, _) -> a + 5 + vv_bytes vv) 0 files
-  | R_data { data } -> header + String.length data
+    header + List.fold_left (fun a (_, vv, _, _) -> a + 5 + vv_bytes vv) 0 reply
+  | Pipe_read _ -> header + String.length reply
+  | Write_pages _ | Us_close _ | Ss_close _ | Commit_notify _ | Reclaim_req _
+  | Page_invalidate _ | Lease_break _ | Signal_req _ | Exit_notify _ | Part_announce _
+  | Merge_announce _ | Pipe_write _ ->
+    header
 
-let req_tag = function
+(* The one error reply, whatever the request: the header and the errno. *)
+let refused_bytes = header + 4
+
+let tag : type a. a req -> string = function
   | Open_req _ -> "open"
   | Storage_req _ -> "storage"
   | Read_pages { count = 0; stat = true; _ } -> "stat"
@@ -607,9 +621,9 @@ let req_tag = function
 
 (* Requests whose handler has the same effect run twice as once: reads,
    queries, token traffic, absolutely positioned writes and re-sendable
-   notifications. The transport keeps the reply of every other request,
-   so a resend of it is answered without running it again. *)
-let req_idempotent = function
+   notifications. The transport records every other request it ran, so a
+   resend of it is answered from the first run's reply. *)
+let idempotent : type a. a req -> bool = function
   | Read_pages _ | Where_stored _ | Lookup_req _
   | Open_files_query _ | Pack_inventory _ | Token_state_req _ | Token_req _
   | Page_invalidate _ | Lease_break _ | Reclaim_req _ | Commit_notify _
@@ -623,18 +637,8 @@ let req_idempotent = function
 
 (* Reconfiguration probes are single-shot because unreachability is the
    information being gathered (section 5.4); everything else may resend. *)
-let req_policy = function
+let policy : type a. a req -> Net.Netsim.policy = function
   | Part_poll | Part_announce _ | Merge_poll _ | Merge_announce _
   | Status_check ->
     Net.Netsim.probe
   | _ -> Net.Netsim.default_policy
-
-let protocol =
-  {
-    Net.Netsim.tag = req_tag;
-    req_bytes;
-    resp_bytes;
-    idempotent = req_idempotent;
-    is_error = (function R_err _ -> true | _ -> false);
-    policy = req_policy;
-  }

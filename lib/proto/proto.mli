@@ -4,13 +4,21 @@
     request/response exchanges with no layered acknowledgements, flow
     control, or retransmission stack underneath — "this specialized
     protocol is an important contributor to LOCUS performance" (§2.3.3).
-    Each constructor corresponds to one message of the paper's
-    open / read / write / commit / close / create protocols, the
-    remote-process machinery (§3), or the reconfiguration protocols (§5).
+    Each constructor of {!req} is one message of the paper's open / read /
+    write / commit / close / create protocols, the remote-process
+    machinery (§3), or the reconfiguration protocols (§5). A request has
+    exactly one kind of response, and its type index names it: an
+    [Open_req] is answered by an {!open_grant}, a [Read_pages] by
+    {!pages}, a close or a one-way message by [unit]. A refusal is no
+    reply of its own: the handler raises {!Error}, and the transport
+    answers any request with the errno, the one error reply, at
+    {!refused_bytes}.
 
+    This module is the protocol {!Net.Netsim.Make} is applied to:
     {!req_bytes} and {!resp_bytes} define the wire-size model used for
-    latency charging and byte accounting; {!req_tag} labels messages in
-    the per-category statistics. *)
+    latency charging and byte accounting, {!tag} labels messages in the
+    per-category statistics, and {!idempotent} and {!policy} tell the
+    transport what a resend may do. *)
 
 (** {1 Open modes} *)
 
@@ -42,6 +50,11 @@ type errno =
 val errno_to_string : errno -> string
 
 val pp_errno : Format.formatter -> errno -> unit
+
+exception Error of errno * string
+(** Every kernel failure, local or reflected from a remote site (§3.3).
+    Raised by a handler, it is the request's refusal: the caller's
+    transport returns {!Net.Netsim.Refused} with the errno. *)
 
 (** {1 Shipped descriptor information} *)
 
@@ -137,9 +150,24 @@ type intent =
   | Link of { name : string; ino : int; ftype : Storage.Inode.ftype; links : bool }
       (** [ftype] is the target's type, which the new entry records *)
 
-(** What a CSS forwards to a storage site for an intent. *)
-type intent_step =
-  | Step_dir of {
+(** An intent's reply: its inode, the type its entry records (a rename's
+    unlink half hands it to the link half) and the directory's new
+    version, at one byte for the type; [file] is the file's new version
+    and deleted flag when the replying site changed its link count (or,
+    for a create, allocated it), and [mtime] the allocated inode's time, 8
+    bytes, which only a storing site's reply to the CSS carries. *)
+type intent_reply = {
+  ino : int;
+  ftype : Storage.Inode.ftype;
+  dir_vv : Vv.Version_vector.t;
+  file : (Vv.Version_vector.t * bool) option;
+  mtime : float option;
+}
+
+(** What a CSS forwards to a storage site for an intent, indexed by the
+    step's reply. *)
+type _ intent_step =
+  | Step_dir : {
       dir : Catalog.Gfile.t;
       op : intent;
       others : Net.Site.t list;
@@ -151,43 +179,93 @@ type intent_step =
       stale : int list;
           (** inodes whose link count the step must leave to the CSS: this
               site's copy is not the latest *)
-    }  (** apply the record change, commit the directory *)
-  | Step_link of { gf : Catalog.Gfile.t; delta : int }
-      (** change a file's link count; at zero links, a delete commit *)
+    }
+      -> intent_reply intent_step  (** apply the record change, commit the directory *)
+  | Step_link : { gf : Catalog.Gfile.t; delta : int } -> (Vv.Version_vector.t * bool) intent_step
+      (** change a file's link count; at zero links, a delete commit. The
+          reply is the file's new version, and whether its last link
+          went. *)
 
 (** A write run riding a {!Commit_req}: the fields of a {!Write_pages},
     at most a window of pages. *)
 type run = { run_trunc : int option; run_first : int; run_off : int; run_data : string }
 
+(** {1 Replies} *)
+
+(** The CSS's answer to an open. *)
+type open_grant = {
+  ss : Net.Site.t;
+  info : inode_info option;
+    (** the chosen copy's inode; [None] on the US-is-current shortcut
+        (§2.3.3, optimization 1), where [ss] is the US itself: it reads
+        its own inode and registers its own serving state, which no
+        storage poll made. [None] costs no bytes. *)
+  others : Net.Site.t list;
+  nocache : bool;
+  slot : int;
+  lease : int;
+    (** nonzero: the id of a revocable read lease the CSS granted on
+        [(gf, vv)]. The US may retain the whole grant across close and
+        re-open with zero messages until a [Lease_break] names the id. 4
+        bytes only when nonzero, so the [open_lease_entries = 0] ablation
+        is byte-identical. *)
+  pages : string list;
+    (** the committed copy's first pages, up to the request's [want]:
+        only when the CSS is itself the SS of a remote US's read open,
+        with no writer. Empty otherwise, and then the reply costs what the
+        paper's does; framed like {!pages}. *)
+}
+
+(** The pages answering a [Read_pages]; fewer than asked when the file
+    ends mid-window, [eof] when the batch reaches end of file (or started
+    past it). [info] is the committed copy's inode when the request set
+    [stat] or named another version, at [info_bytes]; [None] costs
+    nothing. The stat reply is this with no pages. *)
+type pages = { pages : string list; eof : bool; info : inode_info option }
+
+(** Where the server-side walk stopped, how many components it consumed,
+    and one trail step per consumed component. *)
+type lookup_reply = { gf : Catalog.Gfile.t; consumed : int; trail : lookup_step list }
+
+(** The reachable sites holding the latest version, and for a [stat] query
+    the CSS's own copy's inode when that copy is the latest, at
+    [info_bytes]. *)
+type where = { sites : Net.Site.t list; info : inode_info option }
+
+(** A merge poll's answer. *)
+type merge_answer =
+  | Believed_up of Net.Site.t list  (** the sites the polled site believes up *)
+  | Busy of Net.Site.t  (** the polled site takes part in this site's merge *)
+
 (** {1 Requests} *)
 
-type req =
-  | Open_req of {
+type _ req =
+  | Open_req : {
       gf : Catalog.Gfile.t;
       mode : open_mode;
       us_vv : Vv.Version_vector.t option;
       shared : bool;
       want : int;
       release : (Catalog.Gfile.t * open_mode * int) option;
-    }  (** US → CSS: the open request of Figure 2; carries the US's copy
+    } -> open_grant req  (** US → CSS: the open request of Figure 2; carries the US's copy
            version for the US-is-current optimization. [shared] joins an
            existing open through a forked descriptor. [want] asks a CSS
            that serves a read open itself to carry up to that many of the
-           file's first pages in its [R_open]; 0, the paper's open, asks
+           file's first pages in its {!open_grant}; 0, the paper's open, asks
            for none and costs no bytes. [release] is the [Us_close] of a
            lease the open evicted at the using site, whose SS is this CSS,
            naming its grant id: it runs before the open, whatever the open
            answers, and costs 13 bytes (a file, a mode and the id) only
            when present. *)
-  | Storage_req of {
+  | Storage_req : {
       gf : Catalog.Gfile.t;
       vv : Vv.Version_vector.t;
       us : Net.Site.t;
       mode : open_mode;
       others : Net.Site.t list;
-    }  (** CSS → candidate SS: will you serve this open at this version?
+    } -> (inode_info * int) option req  (** CSS → candidate SS: will you serve this open at this version?
            [others] lets the SS send its commit notifications directly. *)
-  | Read_pages of {
+  | Read_pages : {
       gf : Catalog.Gfile.t;
       first : int;
       count : int;
@@ -195,7 +273,7 @@ type req =
       committed : bool;
       stat : bool;
       vv : Vv.Version_vector.t option;
-    }  (** US → SS: up to [count] consecutive pages from [first], in one
+    } -> pages req  (** US → SS: up to [count] consecutive pages from [first], in one
            round trip — the network read protocol (§2.3.3), used alike by
            the using site, propagation pulls and reconciliation. [count] =
            1 is the paper's one-page read and costs what it did on the
@@ -207,11 +285,11 @@ type req =
            With [stat] and a [count] of 0 it is the stat message: tagged
            ["stat"] and priced as the header and the file, since [first],
            [guess] and the flags then carry nothing. A site with no copy
-           answers [R_err]. A using site's read open names its version in
+           refuses. A using site's read open names its version in
            [vv], at [vv_bytes] ([None] costs nothing): a copy at another
            version answers with its inode, so the using site never files
            a page under a version its SS did not serve. *)
-  | Write_pages of {
+  | Write_pages : {
       gf : Catalog.Gfile.t;
       trunc : int option;
       first : int;
@@ -219,7 +297,7 @@ type req =
       data : string;
       pos : int;
       len : int;
-    }
+    } -> unit req
       (** US → SS: shrink the open modification session's file to
           [trunc] bytes when set, then write a contiguous run of modified
           bytes starting at byte [off] within page [first] — one page of
@@ -231,43 +309,44 @@ type req =
           the truncate alone, tagged ["truncate"] and sized as the old
           separate truncate message; a run pays 4 bytes for [trunc] only
           when it is set. Absolute positioning keeps the request
-          idempotent: the transport keeps no reply for it. *)
-  | Dir_intent of { dir : Catalog.Gfile.t; op : intent }
+          idempotent: a resend runs it again. *)
+  | Dir_intent : { dir : Catalog.Gfile.t; op : intent } -> intent_reply req
       (** US → CSS: one name-space change. The CSS takes the directory's
           modification lock (and the target file's, for a counted unlink
           or link), has a storage site change the record and commit, and
-          answers [R_intent]. *)
-  | Intent_step of { us : Net.Site.t; step : intent_step }
-      (** CSS → SS: the forwarded work of [us]'s intent, answered
-          [R_intent] ([Step_dir]) or [R_linked] ([Step_link]). *)
-  | Commit_req of {
+          answers with the {!intent_reply}. *)
+  | Intent_step : { us : Net.Site.t; step : 'a intent_step } -> 'a req
+      (** CSS → SS: the forwarded work of [us]'s intent, answered as its
+          step says. *)
+  | Commit_req : {
       gf : Catalog.Gfile.t;
       abort : bool;
       delete : bool;
       force_vv : Vv.Version_vector.t option;
       run : run option;
-    }  (** US → SS: commit/abort the open modification; [delete] marks
+    } -> Vv.Version_vector.t req  (** US → SS: commit/abort the open modification; [delete] marks
            the inode deleted (§2.3.7); [force_vv] installs recovery's
            merged vector. The commit goes to the open's one SS. [run] is
            the write the commit follows: the SS writes it into the session
            as a [Write_pages] would, then commits, in one round trip. It
            is sized as a [Write_pages] body, and only when present. The
-           transport keeps the reply, so a resend never writes it twice. *)
-  | Us_close of { gf : Catalog.Gfile.t; mode : open_mode; grant : int; released : bool }
+           transport answers a resend from the first run's reply, so it never
+           writes the run twice. *)
+  | Us_close : { gf : Catalog.Gfile.t; mode : open_mode; grant : int; released : bool } -> unit req
       (** US → SS, the first leg of the close. A lease's deferred close
           names its [grant] id (4 bytes, only when nonzero; 0 is the
           paper's close). [released] (in the mode byte) says the CSS
           released the grant at its break: the SS ends its registration
           and sends no [Ss_close]. *)
-  | Ss_close of {
+  | Ss_close : {
       gf : Catalog.Gfile.t;
       us : Net.Site.t;
       mode : open_mode;
       grant : int;
-    }  (** the race-free three-message close (§2.3.3 footnote). A nonzero
+    } -> unit req  (** the race-free three-message close (§2.3.3 footnote). A nonzero
            [grant] (4 bytes) releases that grant at the CSS, and nothing
            when its break already did. *)
-  | Commit_notify of {
+  | Commit_notify : {
       gf : Catalog.Gfile.t;
       vv : Vv.Version_vector.t;
       meta_only : bool;
@@ -277,7 +356,7 @@ type req =
       deleted : bool;
       designate : bool;
       carried : (inode_info * string list) option;
-    }  (** SS → CSS and other storage sites after a commit (§2.3.6).
+    } -> unit req  (** SS → CSS and other storage sites after a commit (§2.3.6).
            [modified] lets receivers pull just the changes; [designate]
            makes a site pull its first copy. Above a window of 1, the
            notification of a fresh commit to the other storing sites
@@ -288,15 +367,15 @@ type req =
            and any other copy pulls. The payload costs [info_bytes] plus
            [pages_bytes] only when present, so a notification carrying
            nothing keeps the paper's size. *)
-  | Reclaim_req of { gf : Catalog.Gfile.t }
+  | Reclaim_req : { gf : Catalog.Gfile.t } -> unit req
       (** CSS → SS: all storage sites saw the delete; release the inode
           number (§2.3.7). *)
-  | Page_invalidate of { gf : Catalog.Gfile.t; first : int; count : int }
+  | Page_invalidate : { gf : Catalog.Gfile.t; first : int; count : int } -> unit req
       (** SS → other USs: buffered copies of pages [first] to
           [first + count - 1] are no longer valid (§3.2). The SS sends one
           per [Write_pages], covering every page it wrote or its truncate
           cut. A count travels only when it is not 1. *)
-  | Lease_break of { gf : Catalog.Gfile.t; id : int; closed : bool }
+  | Lease_break : { gf : Catalog.Gfile.t; id : int; closed : bool } -> unit req
       (** CSS → lease holder, a call the transport retries: grant [id] on
           this file is revoked (writer open, new committed version,
           conflict/delete). The break is the close: the CSS already
@@ -305,13 +384,13 @@ type req =
           kills its entry only when it holds grant [id], and then sends no
           close ([closed]) or only the [Us_close] that ends the remote
           SS's registration. *)
-  | Set_attr of { gf : Catalog.Gfile.t; perms : int option; owner : string option }
+  | Set_attr : { gf : Catalog.Gfile.t; perms : int option; owner : string option } -> Vv.Version_vector.t req
       (** metadata-only commits (§2.3.6's "just inode information") *)
-  | Where_stored of { gf : Catalog.Gfile.t; stat : bool }
+  | Where_stored : { gf : Catalog.Gfile.t; stat : bool } -> where req
       (** US → CSS: which reachable sites hold the latest version? With
           [stat] (1 byte) a CSS whose own copy is the latest also answers
           with its inode: a stat in one round trip. *)
-  | Lookup_req of { gf : Catalog.Gfile.t; comps : string list; near : bool }
+  | Lookup_req : { gf : Catalog.Gfile.t; comps : string list; near : bool } -> lookup_reply req
       (** US → SS: walk as many of the remaining pathname components from
           [gf] as this site stores, in one round trip — §2.3.4's remedy
           for per-component internal opens. The walk stops at mount
@@ -320,137 +399,72 @@ type req =
           [near] (1 byte, only when set) each step also carries its
           page's other live links ({!lookup_step.l_near}): a site re-warms
           a directory a merge dropped from its name cache. *)
-  | Token_req of { key : token_key; for_site : Net.Site.t }
-  | Token_state_req of { key : token_key }
-  | Fork_req of {
+  | Token_req : { key : token_key; for_site : Net.Site.t } -> string req
+  | Token_state_req : { key : token_key } -> string req
+  | Fork_req : {
       child_pid : int;
       env : process_env;
       image_pages : int;
       parent : int * Net.Site.t;
-    }  (** remote fork ships the process image (§3.1) *)
-  | Exec_req of {
+    } -> int req  (** remote fork ships the process image (§3.1) *)
+  | Exec_req : {
       pid : int;
       path : string;
       env : process_env;
       image_pages : int;
       parent : int * Net.Site.t;
-    }
-  | Run_req of {
+    } -> int req
+  | Run_req : {
       child_pid : int;
       path : string;
       env : process_env;
       parent : int * Net.Site.t;
       context_override : string list option;
-    }  (** the optimized fork+exec: no image copy; the override is the
+    } -> int req  (** the optimized fork+exec: no image copy; the override is the
            caller's environment parameterization *)
-  | Signal_req of { pid : int; signo : int }
-  | Exit_notify of { pid : int; status : int }
-  | Part_poll
+  | Signal_req : { pid : int; signo : int } -> unit req
+  | Exit_notify : { pid : int; status : int } -> unit req
+  | Part_poll : Net.Site.t list req
       (** partition protocol poll (§5.4): the answer is the polled site's
           partition set, and the transport names the poller *)
-  | Part_announce of { members : Net.Site.t list }
-  | Merge_poll of { initiator : Net.Site.t }
-  | Merge_announce of { members : Net.Site.t list }
+  | Part_announce : { members : Net.Site.t list } -> unit req
+  | Merge_poll : { initiator : Net.Site.t } -> merge_answer req
+  | Merge_announce : { members : Net.Site.t list } -> unit req
       (** the merge's new partition (§5.5); each member places every
           filegroup's CSS itself, by the replicated placement function
           over the members holding its pack, so no assignment travels *)
-  | Status_check  (** the §5.7 synchronization probe *)
-  | Open_files_query of { fg : int }
+  | Status_check : (int * Net.Site.t) req
+      (** the §5.7 synchronization probe: the polled site's stage, and the
+          site *)
+  | Open_files_query : { fg : int } -> (int * open_mode * Net.Site.t) list req
       (** lock-table rebuild input (§5.6) *)
-  | Pack_inventory of { fg : int }
-  | Pipe_write of { gf : Catalog.Gfile.t; data : string }
-  | Pipe_read of { gf : Catalog.Gfile.t; max : int }
+  | Pack_inventory : { fg : int } -> (int * Vv.Version_vector.t * Storage.Inode.ftype * bool) list req
+  | Pipe_write : { gf : Catalog.Gfile.t; data : string } -> unit req
+  | Pipe_read : { gf : Catalog.Gfile.t; max : int } -> string req
 
-(** {1 Responses} *)
+(** {1 Wire-size model and transport facts} *)
 
-type resp =
-  | R_ok
-  | R_err of errno
-  | R_open of {
-      ss : Net.Site.t;
-      info : inode_info option;
-        (** the chosen copy's inode; [None] on the US-is-current shortcut
-            (§2.3.3, optimization 1), where [ss] is the US itself: it
-            reads its own inode and registers its own serving state,
-            which no storage poll made. [None] costs no bytes. *)
-      others : Net.Site.t list;
-      nocache : bool;
-      slot : int;
-      lease : int;
-        (** nonzero: the id of a revocable read lease the CSS granted on
-            [(gf, vv)]. The US may retain the whole grant across close and
-            re-open with zero messages until a [Lease_break] names the id.
-            4 bytes only when nonzero, so the [open_lease_entries = 0]
-            ablation is byte-identical. *)
-      pages : string list;
-        (** the committed copy's first pages, up to the request's [want]:
-            only when the CSS is itself the SS of a remote US's read open,
-            with no writer. Empty otherwise, and then the
-            reply costs what the paper's does; framed like [R_pages]. *)
-    }
-  | R_storage of { accept : bool; info : inode_info option; slot : int }
-  | R_pages of { pages : string list; eof : bool; info : inode_info option }
-      (** the pages answering a [Read_pages]; fewer than asked when
-          the file ends mid-window, [eof] when the batch reaches end of
-          file (or started past it). [info] is the committed copy's inode
-          when the request set [stat] or named another version, at
-          [info_bytes]; [None] costs nothing. The stat reply is this with no pages. *)
-  | R_committed of { vv : Vv.Version_vector.t }
-  | R_intent of {
-      ino : int;
-      ftype : Storage.Inode.ftype;
-      dir_vv : Vv.Version_vector.t;
-      file : (Vv.Version_vector.t * bool) option;
-      mtime : float option;
-    }
-      (** an intent's inode, the type its entry records (a rename's
-          unlink half hands it to the link half) and the directory's new
-          version, at one byte for the type; [file] is
-          the file's new version and deleted flag when the replying site
-          changed its link count (or, for a create, allocated it), and
-          [mtime] the allocated inode's time, 8 bytes, which only a
-          storing site's reply to the CSS carries *)
-  | R_linked of { vv : Vv.Version_vector.t; deleted : bool }
-      (** a [Step_link]'s new version of the file; [deleted] when the last
-          link went *)
-  | R_lookup of { gf : Catalog.Gfile.t; consumed : int; trail : lookup_step list }
-      (** where the server-side walk stopped, how many components it
-          consumed, and one trail step per consumed component *)
-  | R_where of { sites : Net.Site.t list; info : inode_info option }
-      (** the reachable sites holding the latest version, and for a
-          [stat] query the CSS's own copy's inode when that copy is the
-          latest, at [info_bytes] *)
-  | R_token of { granted : bool; state : string }
-  | R_pid of { pid : int }
-  | R_pset of { pset : Net.Site.t list }
-  | R_merge_info of { believed_up : Net.Site.t list }
-      (** a merge poll's answer: the sites the polled site believes up *)
-  | R_busy of { active : Net.Site.t }
-  | R_status of { stage : int; site : Net.Site.t }
-  | R_open_files of { files : (int * open_mode * Net.Site.t) list }
-  | R_inventory of {
-      files : (int * Vv.Version_vector.t * Storage.Inode.ftype * bool) list;
-    }  (** ino, version, type, deleted? for every inode the pack stores *)
-  | R_data of { data : string }
-
-(** {1 Wire-size model} *)
-
-val req_bytes : req -> int
+val req_bytes : 'a req -> int
 (** Modelled wire size of a request, bytes (header + scaled payload; a
     remote fork includes the shipped image). *)
 
-val resp_bytes : resp -> int
+val resp_bytes : 'a req -> 'a -> int
+(** Modelled wire size of the reply to a request. *)
 
-val req_tag : req -> string
+val refused_bytes : int
+(** The error reply's size, whatever the request: the header and the
+    errno. *)
+
+val tag : 'a req -> string
 (** Short label for per-category message statistics. *)
 
-val protocol : (req, resp) Net.Netsim.protocol
-(** What the transport knows about these messages: {!req_tag},
-    {!req_bytes}, {!resp_bytes}; [R_err] is an error response; a request
-    is idempotent when running it twice has the effect of running it once
-    (reads, queries, token traffic, absolutely positioned writes,
-    re-sendable notifications), and the transport keeps the reply of every
-    other request, so a resend is answered without running it again; the
-    retry policy is {!Net.Netsim.probe} for the §5 reconfiguration polls,
-    which must not retry since unreachability is their answer, and
+val idempotent : 'a req -> bool
+(** Running the request twice has the effect of running it once (reads,
+    queries, token traffic, absolutely positioned writes, re-sendable
+    notifications). For every other request the transport records the
+    call, and a resend is answered from its first run's reply. *)
+
+val policy : 'a req -> Net.Netsim.policy
+(** {!Net.Netsim.probe} for the §5 reconfiguration polls, which must not
+    retry since unreachability is their answer, and
     {!Net.Netsim.default_policy} for everything else. *)

@@ -21,16 +21,15 @@ let rebuild_css ?(unreported = []) k fg ~members =
   List.iter
     (fun m ->
       (match rpc_result k m (Proto.Pack_inventory { fg }) with
-      | Ok (Proto.R_inventory { files }) ->
+      | Ok files ->
         List.iter
           (fun (ino, vv, ftype, deleted) ->
             Css.seed_copy k (Gfile.make ~fg ~ino) ~site:m ~vv ~ftype ~deleted)
           files
-      | Ok _ | Stdlib.Error _ -> ());
+      | Stdlib.Error _ -> ());
       match rpc_result k m (Proto.Open_files_query { fg }) with
-      | Ok (Proto.R_open_files { files }) ->
-        List.iter (fun entry -> Css.register_open k fg entry) files
-      | Ok _ | Stdlib.Error _ -> ())
+      | Ok files -> List.iter (fun entry -> Css.register_open k fg entry) files
+      | Stdlib.Error _ -> ())
     members;
   Locus_core.Dirops.redesignate k fg unreported;
   Css.reclaim_deleted k fg
@@ -97,5 +96,5 @@ let announce k ~members ~merge =
   List.iter
     (fun s ->
       if Site.equal s k.site then install k ~members ~merge
-      else match rpc_result k s message with Ok _ | Stdlib.Error _ -> ())
+      else ignore (rpc_result k s message))
     (first @ rest)

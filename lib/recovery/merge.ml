@@ -40,8 +40,8 @@ let merging_stage = 3
 (* Passive side of the poll, following the paper's arbitration: a site
    already running its own merge yields only to a lower-numbered site. *)
 let handle_poll k ~src =
-  if k.recon_stage = merging_stage && src > k.site then Proto.R_busy { active = k.site }
-  else Proto.R_merge_info { believed_up = k.site_table }
+  if k.recon_stage = merging_stage && src > k.site then Proto.Busy k.site
+  else Proto.Believed_up k.site_table
 
 exception Yield of Site.t
 
@@ -62,12 +62,11 @@ let run_initiator ?(policy = default_policy) ?(gateways = []) k ~all_sites =
       Hashtbl.add polled_set s ();
       incr polled;
       match rpc_result k s (Proto.Merge_poll { initiator = k.site }) with
-      | Ok (Proto.R_merge_info { believed_up }) ->
-        respondents := (s, believed_up) :: !respondents
-      | Ok (Proto.R_busy { active }) ->
+      | Ok (Proto.Believed_up believed_up) -> respondents := (s, believed_up) :: !respondents
+      | Ok (Proto.Busy active) ->
         incr busy;
         if active < k.site then raise (Yield active)
-      | Ok _ | Stdlib.Error _ -> missing := s :: !missing
+      | Stdlib.Error _ -> missing := s :: !missing
     end
   in
   (try

@@ -45,4 +45,4 @@ val run_initiator :
     this partition) believes up are polled individually; unvouched sites
     are skipped without a timeout. *)
 
-val handle_poll : Locus_core.Ktypes.t -> src:Net.Site.t -> Proto.resp
+val handle_poll : Locus_core.Ktypes.t -> src:Net.Site.t -> Proto.merge_answer

@@ -32,14 +32,14 @@ type report = {
    with it. Polling implies the initiator and we communicate, so it
    belongs in the answer. *)
 let handle_poll k ~src =
-  let topo = Net.Netsim.topology k.net in
+  let topo = Transport.topology k.net in
   let believed =
     List.filter
       (fun s -> Site.equal s k.site || Topology.reachable topo k.site s)
       k.site_table
   in
   let pset = List.sort_uniq Site.compare (src :: believed) in
-  Proto.R_pset { pset }
+  pset
 
 (* Run the protocol as the active site. *)
 let run_active k =
@@ -55,15 +55,13 @@ let run_active k =
       incr rounds;
       let target = Sset.min_elt remaining in
       incr polls;
-      match
-        rpc_result k target Proto.Part_poll
-      with
-      | Ok (Proto.R_pset { pset }) ->
+      match rpc_result k target Proto.Part_poll with
+      | Ok pset ->
         pa := Sset.inter !pa (Sset.of_list (target :: pset));
         (* Keep ourselves: we are definitionally in our own partition. *)
         pa := Sset.add k.site !pa;
         joined := Sset.add target (Sset.inter !joined !pa)
-      | Ok _ | Stdlib.Error _ ->
+      | Stdlib.Error _ ->
         incr failures;
         pa := Sset.remove target !pa
     end
@@ -79,5 +77,5 @@ let run_active k =
    the report when this site had to take over. *)
 let check_active_and_takeover k ~active =
   match rpc_result k active Proto.Status_check with
-  | Ok (Proto.R_status _) -> None
-  | Ok _ | Stdlib.Error _ -> Some (run_active k)
+  | Ok _ -> None
+  | Stdlib.Error _ -> Some (run_active k)

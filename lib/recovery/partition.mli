@@ -25,7 +25,7 @@ type report = {
 val run_active : Locus_core.Ktypes.t -> report
 (** Run the protocol as the active site and announce the consensus. *)
 
-val handle_poll : Locus_core.Ktypes.t -> src:Net.Site.t -> Proto.resp
+val handle_poll : Locus_core.Ktypes.t -> src:Net.Site.t -> Net.Site.t list
 
 val check_active_and_takeover :
   Locus_core.Ktypes.t -> active:Net.Site.t -> report option

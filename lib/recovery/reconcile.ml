@@ -121,15 +121,15 @@ let write_version k ~target gf ~content ~vv ~others =
   let push () =
     Ss.write_run ~trunc:0 k target gf ~off:0 content;
     match
-      rpc k target
+      rpc_result k target
         (Proto.Commit_req
            { gf; abort = false; delete = false; force_vv = Some vv; run = None })
     with
-    | Proto.R_committed _ ->
+    | Ok _ ->
       Dirops.designate k gf ~origin:target ~vv
         ~replicas:(List.filter (fun s -> not (Site.equal s target)) others);
       true
-    | Proto.R_err _ | _ -> false
+    | Stdlib.Error _ -> false
   in
   try push () with Error (Proto.Enet, _) -> false
 

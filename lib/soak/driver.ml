@@ -25,7 +25,7 @@ module K = Locus_core.Ktypes
 module Css = Locus_core.Css
 module Openlease = Locus_core.Openlease
 module Engine = Sim.Engine
-module Netsim = Net.Netsim
+module Transport = Locus_core.Ktypes.Transport
 module Site = Net.Site
 module Page = Storage.Page
 
@@ -148,7 +148,7 @@ let run ?(drop = []) ?bug ~seed ~ops () =
     | Schedule.Loss_burst p ->
       (* Covers exactly the next workload batch; cleared before any
          recovery protocol runs. *)
-      Netsim.set_drop_probability net p;
+      Transport.set_drop_probability net p;
       loss_active := true;
       count_injected f
     | Schedule.Lease_break (ssel, fsel) -> (
@@ -242,7 +242,7 @@ let run ?(drop = []) ?bug ~seed ~ops () =
          propagation pulls) churn between batches. *)
       events := !events + Engine.run_for (World.engine w) 5.0;
       if !loss_active then begin
-        Netsim.set_drop_probability net 0.0;
+        Transport.set_drop_probability net 0.0;
         loss_active := false
       end;
       (match bug with
@@ -271,7 +271,7 @@ let run ?(drop = []) ?bug ~seed ~ops () =
       Option.iter apply_fault seg.Schedule.seg_fault)
     sched.Schedule.segments;
   (* ---- quiesce ---- *)
-  Netsim.set_drop_probability net 0.0;
+  Transport.set_drop_probability net 0.0;
   loss_active := false;
   ignore (World.heal_and_merge w);
   let n, status = World.settle w in

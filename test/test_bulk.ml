@@ -338,13 +338,14 @@ let test_buffered_reopen_asks_nothing () =
   check Alcotest.int "skipped as buffered" 1 (delta "us.open.buffered");
   check Alcotest.int "no pages carried" 0 (delta "us.open.pages");
   let paper_open =
-    Proto.req_bytes
-      (Proto.Open_req
-         { gf; mode = Proto.Mode_read; us_vv = None; shared = false; want = 0; release = None })
-    + Proto.resp_bytes
-        (Proto.R_open
-           { ss = 0; info = Some o.K.o_info; others = []; nocache = false; slot = 0;
-             lease = 0; pages = [] })
+    let req =
+      Proto.Open_req
+        { gf; mode = Proto.Mode_read; us_vv = None; shared = false; want = 0; release = None }
+    in
+    Proto.req_bytes req
+    + Proto.resp_bytes req
+        { ss = 0; info = Some o.K.o_info; others = []; nocache = false; slot = 0; lease = 0;
+          pages = [] }
   in
   check Alcotest.int "the paper's open bytes" paper_open (delta "net.bytes");
   let snap = Stats.snapshot s in
@@ -540,7 +541,7 @@ let test_failed_timer_flush_rides_the_commit () =
   let fresh = String.make 100 'N' in
   Us.set_contents k2 o fresh;
   for _ = 1 to 3 do
-    Net.Netsim.fail_next_message (World.net w) ~src:2 ~dst:0
+    Locus_core.Ktypes.Transport.fail_next_message (World.net w) ~src:2 ~dst:0
   done;
   let snap = Stats.snapshot s in
   ignore (Engine.run_for (World.engine w) 1.0);
@@ -638,7 +639,7 @@ let test_propagation_survives_message_loss () =
   (* Kill the next message from the puller to the SS — the first read of
      the background pull. Read_pages is idempotent, so the transport
      retries and the pull completes anyway. *)
-  Net.Netsim.fail_next_message (World.net w) ~src:1 ~dst:0;
+  Locus_core.Ktypes.Transport.fail_next_message (World.net w) ~src:1 ~dst:0;
   ignore (World.settle w);
   let k1 = World.kernel w 1 and p1 = World.proc w 1 in
   check Alcotest.string "replica converged despite losses" body

@@ -8,6 +8,7 @@ module Us = Locus_core.Us
 module Pathname = Locus_core.Pathname
 module K = Locus_core.Ktypes
 module Dispatch = Locus.Dispatch
+module Transport = K.Transport
 module Stats = Sim.Stats
 module Dir = Catalog.Dir
 module Inode = Storage.Inode
@@ -76,7 +77,7 @@ let test_collocated_legs_charged () =
   let gf = gf_of k0 "/f" in
   let o = Us.open_gf k0 gf Proto.Mode_modify in
   check Alcotest.int "the CSS chose the US's own copy" 0 o.K.o_ss;
-  let local_call = (Net.Netsim.latency (World.net w)).Net.Latency.local_call in
+  let local_call = (Transport.latency (World.net w)).Net.Latency.local_call in
   let leg what n f =
     let snap = Stats.snapshot (stats w) and t0 = World.now w in
     f ();
@@ -119,29 +120,35 @@ let test_open_us_is_ss_two_messages () =
   Kernel.write_file k1 p1 "/g" "y";
   ignore (World.settle w);
   let gf = gf_of k1 "/g" in
-  let exchanges = ref [] in
+  let exchanges = ref 0 and opens : (Proto.open_grant Proto.req * Proto.open_grant) list ref = ref [] in
   List.iter
     (fun site ->
       let k = World.kernel w site in
-      Net.Netsim.set_handler (World.net w) site (fun ~src req ->
-          let resp = Dispatch.handle k ~src req in
-          exchanges := (req, resp) :: !exchanges;
-          resp))
+      let handle (type a) ~src (req : a Proto.req) : a =
+        let resp = Dispatch.handle k ~src req in
+        incr exchanges;
+        (match req with
+        | Proto.Open_req _ ->
+          opens := ((req : Proto.open_grant Proto.req), (resp : Proto.open_grant)) :: !opens
+        | _ -> ());
+        resp
+      in
+      Transport.set_handler (World.net w) site { handle })
     (World.sites w);
   let snap = Stats.snapshot (stats w) in
   let o = Us.open_gf k1 gf Proto.Mode_read in
   check Alcotest.int "US-current open = 2 messages" 2 (msg_delta w snap);
   check Alcotest.bool "US serves itself" true (Net.Site.equal o.K.o_ss 1);
-  (match !exchanges with
-  | [ (req, (Proto.R_open { info = None; others; _ } as resp)) ] ->
+  (match (!exchanges, !opens) with
+  | 1, [ (req, ({ info = None; others; _ } as resp)) ] ->
     check Alcotest.int "reply: header, 5 bytes, the grant id, the other sites"
       (24 + 5 + 4 + (4 * List.length others))
-      (Proto.resp_bytes resp);
+      (Proto.resp_bytes req resp);
     check Alcotest.int "exchange bytes"
-      (Proto.req_bytes req + Proto.resp_bytes resp)
+      (Proto.req_bytes req + Proto.resp_bytes req resp)
       (Stats.delta_of (stats w) snap "net.bytes");
     check Alcotest.int "two messages of the request's class" 2
-      (Stats.delta_of (stats w) snap ("net.msg." ^ Proto.req_tag req))
+      (Stats.delta_of (stats w) snap ("net.msg." ^ Proto.tag req))
   | _ -> Alcotest.fail "expected one open exchange whose reply carries no inode");
   let registrations () =
     match K.ss_find_open k1 gf with
@@ -341,11 +348,12 @@ let test_read_bytes_zero_fills_short_page () =
     (String.make ps 'A' ^ String.make ps 'B' ^ String.make ps 'C');
   ignore (World.settle w);
   (* Serve page 1 short and non-eof; everything else takes the normal path. *)
-  Net.Netsim.set_handler (World.net w) 0 (fun ~src req ->
-      match req with
-      | Proto.Read_pages { first = 1; count = 1; _ } ->
-        Proto.R_pages { pages = [ "XY" ]; eof = false; info = None }
-      | _ -> Dispatch.handle k0 ~src req);
+  let handle (type a) ~src (req : a Proto.req) : a =
+    match req with
+    | Proto.Read_pages { first = 1; count = 1; _ } -> { pages = [ "XY" ]; eof = false; info = None }
+    | _ -> Dispatch.handle k0 ~src req
+  in
+  Transport.set_handler (World.net w) 0 { handle };
   let k3 = World.kernel w 3 in
   let o = Us.open_gf k3 (gf_of k3 "/sparse") Proto.Mode_read in
   let data = Us.read_bytes k3 o ~off:0 ~len:(3 * ps) in
@@ -388,10 +396,10 @@ let test_read_at_eof_reads_no_page () =
       { gf; first = 2; count = 1; guess = 0; committed = false; stat = false;
         vv = Some o.K.o_info.Proto.i_vv }
   in
-  let reply = Proto.R_pages { pages = []; eof = true; info = None } in
+  let reply = { Proto.pages = []; eof = true; info = None } in
   let round_trip =
     Net.Latency.msg_cost lat ~bytes:(Proto.req_bytes request)
-    +. Net.Latency.msg_cost lat ~bytes:(Proto.resp_bytes reply)
+    +. Net.Latency.msg_cost lat ~bytes:(Proto.resp_bytes request reply)
   in
   check (Alcotest.float 1e-9) "one round trip, no disk read"
     (lat.Net.Latency.cpu_page +. round_trip)
@@ -432,12 +440,13 @@ let test_record_patch_writes_one_page () =
   let size () = (Kernel.stat k2 p2 "/r").Proto.i_size in
   (* Site 4 stores no copy: it only hears which pages each commit wrote. *)
   let written = ref [] in
-  Net.Netsim.set_handler (World.net w) 4 (fun ~src req ->
-      match req with
-      | Proto.Commit_notify { gf; modified; _ } when Catalog.Gfile.equal gf dir_gf ->
-        written := modified;
-        Proto.R_ok
-      | _ -> Dispatch.handle (World.kernel w 4) ~src req);
+  let handle (type a) ~src (req : a Proto.req) : a =
+    match req with
+    | Proto.Commit_notify { gf; modified; _ } when Catalog.Gfile.equal gf dir_gf ->
+      written := modified
+    | _ -> Dispatch.handle (World.kernel w 4) ~src req
+  in
+  Transport.set_handler (World.net w) 4 { handle };
   let update op =
     let snap = Stats.snapshot (stats w) in
     (match
@@ -445,9 +454,9 @@ let test_record_patch_writes_one_page () =
          ~guard:(fun _ -> Ok ())
          ~links_here:(fun _ -> false)
      with
-    | Proto.R_intent { dir_vv; _ } ->
+    | { dir_vv; _ } ->
       Locus_core.Css.handle_commit_notify k0 dir_gf ~origin:0 ~vv:dir_vv ~deleted:false
-    | _ -> Alcotest.fail "the change was refused");
+    | exception K.Error _ -> Alcotest.fail "the change was refused");
     check Alcotest.int "no page crosses the wire" 0
       (Stats.delta_of (stats w) snap "net.msg.read" + Stats.delta_of (stats w) snap "net.msg.write");
     ignore (World.settle w);
@@ -924,16 +933,14 @@ let dir_update_words n =
   ignore (World.settle w);
   let update op =
     let before = Gc.minor_words () in
-    let resp =
-      Locus_core.Ss.apply_intent k0 ~us:0 gf op ~others:[]
-        ~guard:(fun _ -> Ok ())
-        ~links_here:(fun _ -> false)
-    in
-    let words = Gc.minor_words () -. before in
-    (match resp with
-    | Proto.R_intent _ -> ()
-    | _ -> Alcotest.fail "the change was refused");
-    words
+    (match
+       Locus_core.Ss.apply_intent k0 ~us:0 gf op ~others:[]
+         ~guard:(fun _ -> Ok ())
+         ~links_here:(fun _ -> false)
+     with
+    | (_ : Proto.intent_reply) -> ()
+    | exception K.Error _ -> Alcotest.fail "the change was refused");
+    Gc.minor_words () -. before
   in
   let enter name = Proto.Link { name; ino = 7; ftype = Inode.Regular; links = false } in
   ignore (update (enter "warm-up"));
@@ -949,6 +956,9 @@ let test_dir_update_allocation_flat () =
 
 (* ---- one lost message of a state-changing request ---- *)
 
+(* A request of any reply type, for [picks] to look at. *)
+type any_req = Any : 'a Proto.req -> any_req
+
 (* Lose one message of the first request at [site] that [picks] selects:
    its request, sent from [peer], or its reply to [peer], armed inside
    [site]'s handler. Returns how many times [site] ran a selected request;
@@ -956,18 +966,20 @@ let test_dir_update_allocation_flat () =
 let arm_loss w ~site ~peer ~reply picks =
   let net = World.net w and k = World.kernel w site in
   let runs = ref 0 in
-  if not reply then Net.Netsim.fail_next_message net ~src:peer ~dst:site;
-  Net.Netsim.set_handler net site (fun ~src req ->
-      if picks req then begin
-        incr runs;
-        if reply && !runs = 1 then Net.Netsim.fail_next_message net ~src:site ~dst:peer
-      end;
-      Dispatch.handle k ~src req);
+  if not reply then Transport.fail_next_message net ~src:peer ~dst:site;
+  let handle ~src req =
+    if picks (Any req) then begin
+      incr runs;
+      if reply && !runs = 1 then Transport.fail_next_message net ~src:site ~dst:peer
+    end;
+    Dispatch.handle k ~src req
+  in
+  Transport.set_handler net site { handle };
   runs
 
 let disarm w site =
   let k = World.kernel w site in
-  Net.Netsim.set_handler (World.net w) site (fun ~src req -> Dispatch.handle k ~src req)
+  Transport.set_handler (World.net w) site { handle = (fun ~src req -> Dispatch.handle k ~src req) }
 
 (* The transport's share of a lost message: one resend, answered from the
    kept reply when the reply was what got lost, and one run. *)
@@ -984,8 +996,8 @@ let check_one_resend w snap ~label ~reply runs =
    Afterwards the SS keeps no serving registration and no shadow pages,
    the locks are free, and a second create of the name is [EEXIST]. *)
 let test_lost_intent_messages () =
-  let is_intent = function Proto.Dir_intent _ -> true | _ -> false in
-  let is_step = function Proto.Intent_step _ -> true | _ -> false in
+  let is_intent = function Any (Proto.Dir_intent _) -> true | Any _ -> false in
+  let is_step = function Any (Proto.Intent_step _) -> true | Any _ -> false in
   let lose (label, site, peer, reply, picks) =
     let w = asym_world () in
     let k1 = World.kernel w 1 and p1 = World.proc w 1 in
@@ -1079,13 +1091,13 @@ let test_lost_file_replies () =
   let chmodded _ _ (i : Inode.t) = i.Inode.perms = 0o600 in
   List.iter lose
     [
-      ("open", (function Proto.Open_req _ -> true | _ -> false), write, wrote);
+      ("open", (function Any (Proto.Open_req _) -> true | Any _ -> false), write, wrote);
       ( "commit carrying the run",
-        (function Proto.Commit_req { run = Some _; _ } -> true | _ -> false),
+        (function Any (Proto.Commit_req { run = Some _; _ }) -> true | Any _ -> false),
         write,
         wrote );
-      ("close", (function Proto.Us_close _ -> true | _ -> false), write, wrote);
-      ("set_attr", (function Proto.Set_attr _ -> true | _ -> false), chmod, chmodded);
+      ("close", (function Any (Proto.Us_close _) -> true | Any _ -> false), write, wrote);
+      ("set_attr", (function Any (Proto.Set_attr _) -> true | Any _ -> false), chmod, chmodded);
     ]
 
 (* Foreground round trips of a create and an unlink from a packless site:
@@ -1237,10 +1249,12 @@ let test_rename_lost_entry_is_eio () =
   let k3 = World.kernel w 3 and p3 = World.proc w 3 in
   (* The CSS (site 0) refuses the third intent: the put-back. *)
   let intents = ref 0 in
-  Net.Netsim.set_handler (World.net w) 0 (fun ~src req ->
-      match req with
-      | Proto.Dir_intent _ when (incr intents; !intents = 3) -> Proto.R_err Proto.Enet
-      | _ -> Dispatch.handle k0 ~src req);
+  let handle (type a) ~src (req : a Proto.req) : a =
+    match req with
+    | Proto.Dir_intent _ when (incr intents; !intents = 3) -> K.err Proto.Enet "refused"
+    | _ -> Dispatch.handle k0 ~src req
+  in
+  Transport.set_handler (World.net w) 0 { handle };
   (match Kernel.rename k3 p3 ~from_path:"/d1/a" ~to_path:"/d2/b" with
   | () -> Alcotest.fail "the rename succeeded"
   | exception K.Error (Proto.Eio, msg) ->
@@ -1325,7 +1339,7 @@ let test_stale_css_detected () =
       (Proto.Open_req
          { gf; mode = Proto.Mode_read; us_vv = None; shared = false; want = 0; release = None })
   with
-  | Proto.R_err Proto.Estale -> ()
+  | exception K.Error (Proto.Estale, _) -> ()
   | _ -> Alcotest.fail "non-CSS site should answer ESTALE"
 
 (* ---- the incore-inode guess (2.3.3) ---- *)

@@ -29,7 +29,7 @@ let test_open_deleted_file_refused () =
   let f = Css.get_file k0 0 gf.Catalog.Gfile.ino in
   f.K.css_deleted <- true;
   match Css.handle_open k0 ~src:1 gf Proto.Mode_read ~shared:false None with
-  | Proto.R_err Proto.Enoent -> ()
+  | exception K.Error (Proto.Enoent, _) -> ()
   | _ -> Alcotest.fail "deleted file should refuse opens"
 
 let test_conflicted_file_internal_only () =
@@ -38,13 +38,13 @@ let test_conflicted_file_internal_only () =
   let k0 = World.kernel w 0 in
   Css.mark_conflict k0 gf;
   (match Css.handle_open k0 ~src:1 gf Proto.Mode_read ~shared:false None with
-  | Proto.R_err Proto.Econflict -> ()
+  | exception K.Error (Proto.Econflict, _) -> ()
   | _ -> Alcotest.fail "conflicted file should refuse normal opens");
   (* Internal (pathname-search) opens still work: directories above a
      conflicted file must stay traversable. *)
   (match Css.handle_open k0 ~src:1 gf Proto.Mode_internal ~shared:false None with
-  | Proto.R_open _ -> ()
-  | _ -> Alcotest.fail "internal open should pass");
+  | _ -> ()
+  | exception K.Error _ -> Alcotest.fail "internal open should pass");
   Css.clear_conflict k0 gf
 
 let test_writer_bookkeeping () =
@@ -53,14 +53,14 @@ let test_writer_bookkeeping () =
   let k0 = World.kernel w 0 in
   let f = Css.get_file k0 0 gf.Catalog.Gfile.ino in
   (match Css.handle_open k0 ~src:2 gf Proto.Mode_modify ~shared:false None with
-  | Proto.R_open _ -> ()
-  | _ -> Alcotest.fail "first writer should open");
+  | _ -> ()
+  | exception K.Error _ -> Alcotest.fail "first writer should open");
   check Alcotest.(option int) "writer recorded" (Some 2) f.K.writer;
   check Alcotest.bool "writer_ss set" true (f.K.writer_ss <> None);
   (* Close clears it. *)
   (match Css.handle_ss_close k0 gf ~us:2 ~mode:Proto.Mode_modify ~grant:0 with
-  | Proto.R_ok -> ()
-  | _ -> Alcotest.fail "close failed");
+  | () -> ()
+  | exception K.Error _ -> Alcotest.fail "close failed");
   check Alcotest.(option int) "writer cleared" None f.K.writer
 
 let test_readers_counted_per_site () =
@@ -108,9 +108,8 @@ let test_where_distinguishes_latest_from_all () =
   let f = Css.get_file k0 0 gf.Catalog.Gfile.ino in
   f.K.site_vv <- Site.Map.add 3 Vvec.zero f.K.site_vv;
   match Css.handle_where k0 gf ~stat:false with
-  | Proto.R_where { sites; info = _ } ->
-    check Alcotest.bool "stale not in latest" false (List.mem 3 sites)
-  | _ -> Alcotest.fail "expected where response"
+  | { sites; info = _ } -> check Alcotest.bool "stale not in latest" false (List.mem 3 sites)
+  | exception K.Error _ -> Alcotest.fail "expected where response"
 
 let test_register_open_rebuild () =
   let w = make_world () in
@@ -128,12 +127,12 @@ let test_shared_open_bypasses_single_writer () =
   let k0 = World.kernel w 0 in
   ignore (Css.handle_open k0 ~src:1 gf Proto.Mode_modify ~shared:false None);
   (match Css.handle_open k0 ~src:2 gf Proto.Mode_modify ~shared:false None with
-  | Proto.R_err Proto.Ebusy -> ()
+  | exception K.Error (Proto.Ebusy, _) -> ()
   | _ -> Alcotest.fail "second writer should be busy");
   match Css.handle_open k0 ~src:2 gf Proto.Mode_modify ~shared:true None with
-  | Proto.R_open { nocache = true; _ } -> ()
-  | Proto.R_open _ -> Alcotest.fail "shared second writer must disable caching"
-  | _ -> Alcotest.fail "shared open should be admitted"
+  | { nocache = true; _ } -> ()
+  | _ -> Alcotest.fail "shared second writer must disable caching"
+  | exception K.Error _ -> Alcotest.fail "shared open should be admitted"
 
 let () =
   Alcotest.run "css"

@@ -176,7 +176,7 @@ let test_parked_close_after_new_grant () =
   let stats = World.stats w in
   let snap = Stats.snapshot stats in
   for _ = 1 to 3 do
-    Net.Netsim.fail_next_message (World.net w) ~src:3 ~dst:0
+    Locus_core.Ktypes.Transport.fail_next_message (World.net w) ~src:3 ~dst:0
   done;
   Openlease.kill k3.K.open_leases gf;
   check Alcotest.int "every attempt of the close lost" 1 (Stats.delta_of stats snap "rpc.fail");
@@ -209,7 +209,7 @@ let test_lost_break_resent () =
   ignore (World.settle w);
   check Alcotest.bool "lease held" true (held k4 (gf_of k4 "/f"));
   for src = 0 to 3 do
-    Net.Netsim.fail_next_message (World.net w) ~src ~dst:4
+    Locus_core.Ktypes.Transport.fail_next_message (World.net w) ~src ~dst:4
   done;
   Kernel.write_file (World.kernel w 3) (World.proc w 3) "/f" "new-body";
   ignore (World.settle w);
@@ -219,7 +219,7 @@ let test_lost_break_resent () =
    break lost for good. *)
 let lose_break w =
   for _ = 1 to 3 do
-    Net.Netsim.fail_next_message (World.net w) ~src:0 ~dst:3
+    Locus_core.Ktypes.Transport.fail_next_message (World.net w) ~src:0 ~dst:3
   done
 
 (* A lost [Lease_break] must not tear a read. The holder (site 3) stores
@@ -355,7 +355,7 @@ let test_eviction_close_rides_the_open () =
 let test_eviction_close_after_unreachable_open () =
   let w, k3, gfa, gfb = ride_world () in
   for _ = 1 to 3 do
-    Net.Netsim.fail_next_message (World.net w) ~src:3 ~dst:0
+    Locus_core.Ktypes.Transport.fail_next_message (World.net w) ~src:3 ~dst:0
   done;
   (match Us.open_gf k3 gfb Proto.Mode_read with
   | _ -> Alcotest.fail "open with every attempt lost succeeded"
@@ -375,7 +375,7 @@ let test_eviction_close_runs_once lost () =
   let stats = World.stats w in
   let snap = Stats.snapshot stats in
   for _ = 1 to lost do
-    Net.Netsim.fail_next_message (World.net w) ~src:0 ~dst:3
+    Locus_core.Ktypes.Transport.fail_next_message (World.net w) ~src:0 ~dst:3
   done;
   (match Us.open_gf k3 gfb Proto.Mode_read with
   | ob ->

@@ -140,13 +140,13 @@ let test_lookup_stops_at_mount_point () =
   ignore (World.settle w);
   let root = Mount.root k0.K.mount in
   match Pathname.handle_lookup k0 root [ "usr"; "sub" ] ~near:false with
-  | Proto.R_lookup { gf; consumed; trail } ->
+  | { Proto.gf; consumed; trail } ->
     check Alcotest.int "consumed only the mount-point component" 1 consumed;
     check Alcotest.int "one trail step" 1 (List.length trail);
     check Alcotest.int "stopped in the covering filegroup" 0 gf.Gfile.fg;
     check Alcotest.bool "on the mount point itself" true
       (Mount.mounted_at k0.K.mount gf = Some 1)
-  | _ -> Alcotest.fail "expected R_lookup"
+  | exception K.Error _ -> Alcotest.fail "expected a lookup reply"
 
 (* The walk consumes the component naming a hidden directory and stops on
    it: the '@' escape and context expansion are per-process, using-site
@@ -161,14 +161,14 @@ let test_lookup_stops_at_hidden_directory () =
   ignore (World.settle w);
   let root = Mount.root k0.K.mount in
   match Pathname.handle_lookup k0 root [ "bin"; "who"; "@vax" ] ~near:false with
-  | Proto.R_lookup { gf; consumed; trail } ->
+  | { Proto.gf; consumed; trail } ->
     check Alcotest.int "stopped on the hidden directory" 2 consumed;
     let last = List.nth trail (List.length trail - 1) in
     check Alcotest.bool "trail marks it hidden" true
       (last.Proto.l_ftype = Storage.Inode.Hidden_directory);
     check Alcotest.bool "returned the hidden directory" true
       (Gfile.equal gf last.Proto.l_child)
-  | _ -> Alcotest.fail "expected R_lookup"
+  | exception K.Error _ -> Alcotest.fail "expected a lookup reply"
 
 (* A dangling entry (live link, deleted inode — transiently possible under
    unsynchronized reads) must stop the walk unconsumed, so no trail step
@@ -185,14 +185,14 @@ let test_lookup_never_returns_deleted_inode () =
   (Storage.Pack.get_inode pack gf.Gfile.ino).Storage.Inode.deleted <- true;
   let root = Mount.root k0.K.mount in
   match Pathname.handle_lookup k0 root [ "d"; "f" ] ~near:false with
-  | Proto.R_lookup { consumed; trail; _ } ->
+  | { Proto.consumed; trail; _ } ->
     check Alcotest.int "stopped before the dead inode" 1 consumed;
     List.iter
       (fun (s : Proto.lookup_step) ->
         check Alcotest.bool "no trail step names the dead inode" false
           (Gfile.equal s.Proto.l_child gf))
       trail
-  | _ -> Alcotest.fail "expected R_lookup"
+  | exception K.Error _ -> Alcotest.fail "expected a lookup reply"
 
 (* End-to-end: a packless site resolves through a hidden directory, both
    by context and by escape, with the fast path on. *)
@@ -463,13 +463,14 @@ let tap_lookups w site =
   let log = ref [] in
   let net = World.net w in
   let k = World.kernel w site in
-  Net.Netsim.set_handler net site (fun ~src req ->
-      let resp = Dispatch.handle k ~src req in
-      (match (req, resp) with
-      | Proto.Lookup_req { near; _ }, Proto.R_lookup { trail; _ } ->
-        log := (near, trail) :: !log
-      | _ -> ());
-      resp);
+  let handle (type a) ~src (req : a Proto.req) : a =
+    let resp = Dispatch.handle k ~src req in
+    (match req with
+    | Proto.Lookup_req { near; _ } -> log := (near, resp.Proto.trail) :: !log
+    | _ -> ());
+    resp
+  in
+  K.Transport.set_handler net site { handle };
   log
 
 let nears log = List.rev_map fst !log
@@ -540,7 +541,7 @@ let test_what_a_neighbour_never_is () =
          status = Catalog.Dir.Live; stamp = 0.0; origin = 0 });
   Locus_core.Us.flush_wb k0 o;
   (match Pathname.handle_lookup k0 (root_of w 0) [ "d"; "a" ] ~near:true with
-  | Proto.R_lookup { consumed = 2; trail = [ _; in_d ]; _ } ->
+  | { Proto.consumed = 2; trail = [ _; in_d ]; _ } ->
     check Alcotest.(list string) "no neighbour in /d" []
       (List.map (fun (n : Proto.near_link) -> n.Proto.n_name) in_d.Proto.l_near)
   | _ -> Alcotest.fail "expected a two-step trail");
@@ -549,7 +550,7 @@ let test_what_a_neighbour_never_is () =
   ignore (Kernel.creat k0 p0 "/d/e");
   ignore (World.settle w);
   match Pathname.handle_lookup k0 (root_of w 0) [ "d"; "a" ] ~near:true with
-  | Proto.R_lookup { trail = [ _; in_d ]; _ } ->
+  | { Proto.trail = [ _; in_d ]; _ } ->
     check Alcotest.(list string) "a live link is one" [ "e" ]
       (List.map (fun (n : Proto.near_link) -> n.Proto.n_name) in_d.Proto.l_near)
   | _ -> Alcotest.fail "expected a two-step trail"

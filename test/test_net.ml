@@ -4,7 +4,6 @@
 module Engine = Sim.Engine
 module Topology = Net.Topology
 module Latency = Net.Latency
-module Netsim = Net.Netsim
 module Site = Net.Site
 
 let check = Alcotest.check
@@ -61,24 +60,46 @@ let test_topo_version_bumps () =
 (* ---- message layer ---- *)
 
 (* A protocol of strings: every message is tagged "test" and sized by its
-   length, "ERR" is an error response, and a call makes one attempt. *)
-let protocol =
-  {
-    Netsim.tag = (fun _ -> "test");
-    req_bytes = String.length;
-    resp_bytes = String.length;
-    idempotent = (fun _ -> false);
-    is_error = String.equal "ERR";
-    policy = (fun _ -> Netsim.probe);
-  }
+   length, a handler refuses by raising [Error], and a call makes one
+   attempt. *)
+module Strings = struct
+  type _ req = Msg : string -> string req
+
+  type errno = unit
+
+  exception Error of errno * string
+
+  let pp_errno ppf () = Format.pp_print_string ppf "refused"
+
+  let tag _ = "test"
+
+  let req_bytes : type a. a req -> int = fun (Msg s) -> String.length s
+
+  let resp_bytes : type a. a req -> a -> int = fun (Msg _) reply -> String.length reply
+
+  let refused_bytes = 3
+
+  let idempotent _ = false
+
+  let policy _ = Net.Netsim.probe
+end
+
+module Netsim = struct
+  include Net.Netsim
+  include Net.Netsim.Make (Strings)
+end
 
 let make_net n =
   let e = Engine.create () in
   let topo = Topology.create ~n in
-  let net = Netsim.create e topo Latency.default protocol in
+  let net = Netsim.create e topo Latency.default in
   (e, topo, net)
 
-let echo_handler _net site = fun ~src:_ req -> Printf.sprintf "%d:%s" site req
+(* A site's handler from a function of the message's string. *)
+let handler (f : src:Site.t -> string -> string) =
+  { Netsim.handle = (fun (type a) ~src (Strings.Msg s : a Strings.req) : a -> f ~src s) }
+
+let echo_handler _net site = handler (fun ~src:_ req -> Printf.sprintf "%d:%s" site req)
 
 let ok what = function
   | Ok v -> v
@@ -88,7 +109,7 @@ let test_call_roundtrip () =
   let e, _, net = make_net 2 in
   Netsim.set_handler net 0 (echo_handler net 0);
   Netsim.set_handler net 1 (echo_handler net 1);
-  let resp = ok "roundtrip" (Netsim.call net ~src:0 ~dst:1 "ping") in
+  let resp = ok "roundtrip" (Netsim.call net ~src:0 ~dst:1 (Strings.Msg "ping")) in
   check Alcotest.string "echoed" "1:ping" resp;
   check Alcotest.int "two messages" 2 (Netsim.messages_sent net);
   check Alcotest.bool "time advanced" true (Engine.now e > 0.0)
@@ -97,53 +118,59 @@ let test_unreachable_fails () =
   let _, topo, net = make_net 2 in
   Netsim.set_handler net 1 (echo_handler net 1);
   Topology.set_link topo 0 1 false;
-  match Netsim.call net ~src:0 ~dst:1 "x" with
+  match Netsim.call net ~src:0 ~dst:1 (Strings.Msg "x") with
   | Ok _ -> Alcotest.fail "should be unreachable"
   | Error (Netsim.Unreachable _) -> ()
-  | Error (Netsim.Lost_reply _) -> Alcotest.fail "handler never ran: must be unreachable"
+  | Error (Netsim.Lost_reply _ | Netsim.Refused ()) ->
+    Alcotest.fail "handler never ran: must be unreachable"
 
 let test_forced_failure () =
   let _, _, net = make_net 2 in
   Netsim.set_handler net 1 (echo_handler net 1);
   Netsim.fail_next_message net ~src:0 ~dst:1;
-  (match Netsim.call net ~src:0 ~dst:1 "a" with
+  (match Netsim.call net ~src:0 ~dst:1 (Strings.Msg "a") with
   | Ok _ -> Alcotest.fail "forced loss should fail"
   | Error (Netsim.Unreachable _) -> ()
-  | Error (Netsim.Lost_reply _) -> Alcotest.fail "forced loss is on the request direction");
+  | Error (Netsim.Lost_reply _ | Netsim.Refused ()) ->
+    Alcotest.fail "forced loss is on the request direction");
   (* Only the next message is lost. *)
-  let resp = ok "after forced loss" (Netsim.call net ~src:0 ~dst:1 "b") in
+  let resp = ok "after forced loss" (Netsim.call net ~src:0 ~dst:1 (Strings.Msg "b")) in
   check Alcotest.string "subsequent message delivered" "1:b" resp
 
 let test_lost_reply_distinguished () =
   let _, _, net = make_net 2 in
   let handled = ref 0 in
-  Netsim.set_handler net 1 (fun ~src:_ req ->
-      incr handled;
-      req);
+  Netsim.set_handler net 1
+    (handler (fun ~src:_ req ->
+         incr handled;
+         req));
   (* Force the reply direction: the handler runs, the response is lost. *)
   Netsim.fail_next_message net ~src:1 ~dst:0;
-  (match Netsim.call net ~src:0 ~dst:1 "x" with
+  (match Netsim.call net ~src:0 ~dst:1 (Strings.Msg "x") with
   | Ok _ -> Alcotest.fail "lost reply should fail"
   | Error (Netsim.Lost_reply _) -> ()
-  | Error (Netsim.Unreachable _) -> Alcotest.fail "request was delivered");
+  | Error (Netsim.Unreachable _ | Netsim.Refused ()) -> Alcotest.fail "request was delivered");
   check Alcotest.int "handler ran exactly once" 1 !handled
 
 let test_send_error_counted () =
   let e, _, net = make_net 2 in
-  Netsim.set_handler net 1 (fun ~src:_ req -> req);
-  Netsim.send net ~src:0 ~dst:1 "ERR";
-  Netsim.send net ~src:0 ~dst:1 "fine";
+  Netsim.set_handler net 1
+    (handler (fun ~src:_ req ->
+         if String.equal req "ERR" then raise (Strings.Error ((), req)) else req));
+  Netsim.send net ~src:0 ~dst:1 (Strings.Msg "ERR");
+  Netsim.send net ~src:0 ~dst:1 (Strings.Msg "fine");
   ignore (Engine.run_until_idle e);
-  check Alcotest.int "one discarded error response" 1
+  check Alcotest.int "one discarded refusal" 1
     (Sim.Stats.get (Engine.stats e) "net.send.err")
 
 let test_send_async () =
   let e, _, net = make_net 2 in
   let got = ref [] in
-  Netsim.set_handler net 1 (fun ~src req ->
-      got := (src, req) :: !got;
-      "");
-  Netsim.send net ~src:0 ~dst:1 "hello";
+  Netsim.set_handler net 1
+    (handler (fun ~src req ->
+         got := (src, req) :: !got;
+         ""));
+  Netsim.send net ~src:0 ~dst:1 (Strings.Msg "hello");
   check Alcotest.int "not yet delivered" 0 (List.length !got);
   ignore (Engine.run_until_idle e);
   check Alcotest.(list (pair int string)) "delivered" [ (0, "hello") ] !got
@@ -151,10 +178,11 @@ let test_send_async () =
 let test_send_dropped_when_cut () =
   let e, topo, net = make_net 2 in
   let got = ref 0 in
-  Netsim.set_handler net 1 (fun ~src:_ _ ->
-      incr got;
-      "");
-  Netsim.send net ~src:0 ~dst:1 "x";
+  Netsim.set_handler net 1
+    (handler (fun ~src:_ _ ->
+         incr got;
+         ""));
+  Netsim.send net ~src:0 ~dst:1 (Strings.Msg "x");
   (* Cut the link before delivery: the datagram vanishes silently. *)
   Topology.set_link topo 0 1 false;
   ignore (Engine.run_until_idle e);
@@ -165,7 +193,7 @@ let test_drop_probability () =
   ignore e;
   Netsim.set_handler net 1 (echo_handler net 1);
   Netsim.set_drop_probability net 1.0;
-  match Netsim.call net ~src:0 ~dst:1 "x" with
+  match Netsim.call net ~src:0 ~dst:1 (Strings.Msg "x") with
   | Ok _ -> Alcotest.fail "drop probability 1 should lose everything"
   | Error _ -> ()
 

@@ -136,15 +136,20 @@ let test_retries_give_up_cleanly () =
   let p1 = World.proc w 1 in
   check Alcotest.string "caught up after merge" "v2" (Kernel.read_file k1 p1 "/r")
 
+(* A request of any reply type, as a log keeps it. *)
+type any_req = Any : 'a Proto.req -> any_req
+
 (* Every request a site receives over the network, newest first. *)
 let log_requests w =
   let log = ref [] in
   List.iter
     (fun site ->
       let k = World.kernel w site in
-      Net.Netsim.set_handler (World.net w) site (fun ~src req ->
-          log := (src, req) :: !log;
-          Dispatch.handle k ~src req))
+      let handle ~src req =
+        log := (src, Any req) :: !log;
+        Dispatch.handle k ~src req
+      in
+      K.Transport.set_handler (World.net w) site { handle })
     (World.sites w);
   log
 
@@ -152,11 +157,11 @@ let log_requests w =
    where-stored queries. *)
 let pull_requests log gf =
   List.filter_map
-    (fun (_, req) ->
+    (fun (_, Any req) ->
       match req with
-      | Proto.Read_pages { gf = g; _ } | Proto.Where_stored { gf = g; _ }
+      | (Proto.Read_pages { gf = g; _ } | Proto.Where_stored { gf = g; _ })
         when Catalog.Gfile.equal g gf ->
-        Some (Proto.req_tag req)
+        Some (Proto.tag req)
       | _ -> None)
     !log
 
@@ -164,14 +169,15 @@ let pull_requests log gf =
    about [gf] that [site] sent. *)
 let count_pulled_pages w ~site gf =
   let k = World.kernel w site and pages = ref 0 in
-  Net.Netsim.set_handler (World.net w) site (fun ~src req ->
-      let resp = Dispatch.handle k ~src req in
-      (match (req, resp) with
-      | Proto.Read_pages { gf = g; _ }, Proto.R_pages { pages = p; _ }
-        when Catalog.Gfile.equal g gf ->
-        pages := !pages + List.length p
-      | _ -> ());
-      resp);
+  let handle (type a) ~src (req : a Proto.req) : a =
+    let resp = Dispatch.handle k ~src req in
+    (match req with
+    | Proto.Read_pages { gf = g; _ } when Catalog.Gfile.equal g gf ->
+      pages := !pages + List.length resp.Proto.pages
+    | _ -> ());
+    resp
+  in
+  K.Transport.set_handler (World.net w) site { handle };
   pages
 
 (* Every stored copy of [gf]: site, version and bytes. *)
@@ -370,7 +376,7 @@ let pull_without_origin ~window ~npages ~patched =
   let carried = Sim.Stats.delta_of (World.stats w) snap "prop.carried" in
   let reads =
     List.filter_map
-      (fun (src, req) ->
+      (fun (src, Any req) ->
         match req with
         | Proto.Read_pages { gf = g; first; count; _ } when src = 2 && Catalog.Gfile.equal g gf ->
           Some (first, count)
@@ -408,7 +414,7 @@ let test_lost_notify_pulls_whole () =
   ignore (World.settle w);
   let o = Us.open_gf k0 gf Proto.Mode_modify in
   Us.write k0 o ~off:0 "first";
-  Net.Netsim.fail_next_message (World.net w) ~src:0 ~dst:1;
+  Locus_core.Ktypes.Transport.fail_next_message (World.net w) ~src:0 ~dst:1;
   Us.commit k0 o;
   ignore (World.settle w);
   let vv_at site = List.find_map (fun (s, vv, _) -> if s = site then Some vv else None) (copies w gf) in
@@ -654,7 +660,7 @@ let test_lost_designation () =
   let k0 = World.kernel w 0 and p0 = World.proc w 0 in
   let css = css_of w in
   Kernel.set_ncopies p0 3;
-  Net.Netsim.fail_next_message (World.net w) ~src:css.K.site ~dst:2;
+  Locus_core.Ktypes.Transport.fail_next_message (World.net w) ~src:css.K.site ~dst:2;
   let gf = Kernel.creat k0 p0 "/lostdes" in
   Kernel.write_file k0 p0 "/lostdes" "body";
   ignore (World.settle w);
@@ -662,11 +668,13 @@ let test_lost_designation () =
     (List.map (fun (s, _, _) -> s) (copies w gf));
   let polled = ref 0 in
   let k2 = World.kernel w 2 in
-  Net.Netsim.set_handler (World.net w) 2 (fun ~src req ->
-      (match req with
-      | Proto.Storage_req { gf = g; _ } when Catalog.Gfile.equal g gf -> incr polled
-      | _ -> ());
-      Dispatch.handle k2 ~src req);
+  let handle (type a) ~src (req : a Proto.req) : a =
+    (match req with
+    | Proto.Storage_req { gf = g; _ } when Catalog.Gfile.equal g gf -> incr polled
+    | _ -> ());
+    Dispatch.handle k2 ~src req
+  in
+  K.Transport.set_handler (World.net w) 2 { handle };
   List.iter
     (fun site ->
       let k = World.kernel w site in

@@ -742,20 +742,23 @@ let lose_intent_replies w =
   List.iter
     (fun ss ->
       let k = World.kernel w ss in
-      Net.Netsim.set_handler net ss (fun ~src req ->
-          (match req with
-          | (Proto.Dir_intent _ | Proto.Intent_step _) when !armed ->
-            armed := false;
-            Net.Netsim.fail_next_message net ~src:ss ~dst:src
-          | _ -> ());
-          Dispatch.handle k ~src req))
+      let handle (type a) ~src (req : a Proto.req) : a =
+        (match req with
+        | (Proto.Dir_intent _ | Proto.Intent_step _) when !armed ->
+          armed := false;
+          Locus_core.Ktypes.Transport.fail_next_message net ~src:ss ~dst:src
+        | _ -> ());
+        Dispatch.handle k ~src req
+      in
+      Locus_core.Ktypes.Transport.set_handler net ss { handle })
     [ 0; 1; 2 ]
 
 let restore_handlers w =
   List.iter
     (fun ss ->
       let k = World.kernel w ss in
-      Net.Netsim.set_handler (World.net w) ss (fun ~src req -> Dispatch.handle k ~src req))
+      Locus_core.Ktypes.Transport.set_handler (World.net w) ss
+        { handle = (fun ~src req -> Dispatch.handle k ~src req) })
     [ 0; 1; 2 ]
 
 (* Rewrite [dir_gf] whole from [site]: the same entries, in reverse log
@@ -977,7 +980,7 @@ let prop_convergence_despite_message_loss =
       (* One-way notifications (commit notify, propagation) now get lost
          sometimes; synchronous calls that fail surface as ENET and are
          tolerated. *)
-      Net.Netsim.set_drop_probability (World.net w) 0.3;
+      Locus_core.Ktypes.Transport.set_drop_probability (World.net w) 0.3;
       ignore seed;
       let last_committed = ref "v0" in
       for i = 1 to writes do
@@ -988,7 +991,7 @@ let prop_convergence_despite_message_loss =
       done;
       ignore (World.settle w);
       (* Heal: recovery reconciles whatever the lost messages broke. *)
-      Net.Netsim.set_drop_probability (World.net w) 0.0;
+      Locus_core.Ktypes.Transport.set_drop_probability (World.net w) 0.0;
       ignore (World.heal_and_merge w);
       ignore (World.settle w);
       List.for_all

@@ -14,84 +14,96 @@ let vv_small = Vvec.bump Vvec.zero 1
 
 let vv_big = List.fold_left Vvec.bump Vvec.zero [ 0; 1; 2; 3; 4; 5; 6; 7 ]
 
+(* A request of any reply type. *)
+type any_req = Any : 'a Proto.req -> any_req
+
+(* A request and a reply to it. *)
+type exchange = Exchange : 'a Proto.req * 'a -> exchange
+
+let read_req =
+  Proto.Read_pages { gf; first = 0; count = 1; guess = 0; committed = false; stat = false; vv = None }
+
+let paper_open =
+  Proto.Open_req { gf; mode = Proto.Mode_read; us_vv = None; shared = false; want = 0; release = None }
+
 let some_reqs =
   [
-    Proto.Open_req
-      { gf; mode = Proto.Mode_read; us_vv = None; shared = false; want = 0; release = None };
-    Proto.Storage_req
-      { gf; vv = vv_small; us = 1; mode = Proto.Mode_read; others = [ 2; 3 ] };
-    Proto.Read_pages
-      { gf; first = 0; count = 1; guess = 0; committed = false; stat = false; vv = None };
-    Proto.Write_pages
-      { gf; trunc = None; first = 0; off = 0; data = String.make 1024 'x'; pos = 0; len = 1024 };
-    Proto.Write_pages { gf; trunc = Some 0; first = 0; off = 0; data = ""; pos = 0; len = 0 };
-    Proto.Commit_req { gf; abort = false; delete = false; force_vv = None; run = None };
-    Proto.Us_close { gf; mode = Proto.Mode_read; grant = 0; released = false };
-    Proto.Ss_close { gf; us = 1; mode = Proto.Mode_read; grant = 0 };
-    Proto.Commit_notify
-      {
-        gf;
-        vv = vv_small;
-        meta_only = false;
-        modified = [ 0; 1 ];
-        origin = 0;
-        fresh = true;
-        deleted = false;
-        designate = false;
-        carried = None;
-      };
-    Proto.Dir_intent
-      {
-        dir = gf;
-        op =
-          Proto.Create
-            { name = "entry"; ftype = Storage.Inode.Regular; owner = "u"; perms = 0o644;
-              ncopies = 2; ino = None };
-      };
-    Proto.Dir_intent { dir = gf; op = Proto.Unlink { name = "entry"; links = true } };
-    Proto.Intent_step
-      {
-        us = 2;
-        step =
-          Proto.Step_dir
-            {
-              dir = gf;
-              op =
-                Proto.Link { name = "entry"; ino = 7; ftype = Storage.Inode.Regular; links = true };
-              others = [ 1 ];
-              refuse = [];
-              stale = [ 7 ];
-            };
-      };
-    Proto.Intent_step { us = 2; step = Proto.Step_link { gf; delta = -1 } };
-    Proto.Reclaim_req { gf };
-    Proto.Page_invalidate { gf; first = 3; count = 1 };
-    Proto.Set_attr { gf; perms = Some 0o600; owner = None };
-    Proto.Where_stored { gf; stat = false };
-    Proto.Token_req { key = Proto.Tok_fd (0, 1); for_site = 2 };
-    Proto.Token_state_req { key = Proto.Tok_fd (0, 1) };
-    Proto.Signal_req { pid = 1; signo = 9 };
-    Proto.Exit_notify { pid = 1; status = 0 };
-    Proto.Part_poll;
-    Proto.Part_announce { members = [ 0; 1 ] };
-    Proto.Merge_poll { initiator = 0 };
-    Proto.Merge_announce { members = [ 0; 1 ] };
-    Proto.Status_check;
-    Proto.Open_files_query { fg = 0 };
-    Proto.Pack_inventory { fg = 0 };
-    Proto.Pipe_write { gf; data = "abc" };
-    Proto.Pipe_read { gf; max = 10 };
+    Any (Proto.Open_req
+        { gf; mode = Proto.Mode_read; us_vv = None; shared = false; want = 0; release = None });
+    Any (Proto.Storage_req
+        { gf; vv = vv_small; us = 1; mode = Proto.Mode_read; others = [ 2; 3 ] });
+    Any (Proto.Read_pages
+        { gf; first = 0; count = 1; guess = 0; committed = false; stat = false; vv = None });
+    Any (Proto.Write_pages
+        { gf; trunc = None; first = 0; off = 0; data = String.make 1024 'x'; pos = 0; len = 1024 });
+    Any (Proto.Write_pages { gf; trunc = Some 0; first = 0; off = 0; data = ""; pos = 0; len = 0 });
+    Any (Proto.Commit_req { gf; abort = false; delete = false; force_vv = None; run = None });
+    Any (Proto.Us_close { gf; mode = Proto.Mode_read; grant = 0; released = false });
+    Any (Proto.Ss_close { gf; us = 1; mode = Proto.Mode_read; grant = 0 });
+    Any (Proto.Commit_notify
+        {
+          gf;
+          vv = vv_small;
+          meta_only = false;
+          modified = [ 0; 1 ];
+          origin = 0;
+          fresh = true;
+          deleted = false;
+          designate = false;
+          carried = None;
+        });
+    Any (Proto.Dir_intent
+        {
+          dir = gf;
+          op =
+            Proto.Create
+              { name = "entry"; ftype = Storage.Inode.Regular; owner = "u"; perms = 0o644;
+                ncopies = 2; ino = None };
+        });
+    Any (Proto.Dir_intent { dir = gf; op = Proto.Unlink { name = "entry"; links = true } });
+    Any (Proto.Intent_step
+        {
+          us = 2;
+          step =
+            Proto.Step_dir
+              {
+                dir = gf;
+                op =
+                  Proto.Link { name = "entry"; ino = 7; ftype = Storage.Inode.Regular; links = true };
+                others = [ 1 ];
+                refuse = [];
+                stale = [ 7 ];
+              };
+        });
+    Any (Proto.Intent_step { us = 2; step = Proto.Step_link { gf; delta = -1 } });
+    Any (Proto.Reclaim_req { gf });
+    Any (Proto.Page_invalidate { gf; first = 3; count = 1 });
+    Any (Proto.Set_attr { gf; perms = Some 0o600; owner = None });
+    Any (Proto.Where_stored { gf; stat = false });
+    Any (Proto.Token_req { key = Proto.Tok_fd (0, 1); for_site = 2 });
+    Any (Proto.Token_state_req { key = Proto.Tok_fd (0, 1) });
+    Any (Proto.Signal_req { pid = 1; signo = 9 });
+    Any (Proto.Exit_notify { pid = 1; status = 0 });
+    Any (Proto.Part_poll);
+    Any (Proto.Part_announce { members = [ 0; 1 ] });
+    Any (Proto.Merge_poll { initiator = 0 });
+    Any (Proto.Merge_announce { members = [ 0; 1 ] });
+    Any (Proto.Status_check);
+    Any (Proto.Open_files_query { fg = 0 });
+    Any (Proto.Pack_inventory { fg = 0 });
+    Any (Proto.Pipe_write { gf; data = "abc" });
+    Any (Proto.Pipe_read { gf; max = 10 });
   ]
 
 let test_sizes_positive () =
   List.iter
-    (fun req ->
+    (fun (Any req) ->
       let n = Proto.req_bytes req in
-      if n <= 0 then Alcotest.failf "non-positive size for %s" (Proto.req_tag req))
+      if n <= 0 then Alcotest.failf "non-positive size for %s" (Proto.tag req))
     some_reqs
 
 let test_tags_nonempty_and_distinctive () =
-  let tags = List.map Proto.req_tag some_reqs in
+  let tags = List.map (fun (Any req) -> Proto.tag req) some_reqs in
   List.iter (fun t -> if t = "" then Alcotest.fail "empty tag") tags;
   check Alcotest.bool "plenty of distinct tags" true
     (List.length (List.sort_uniq compare tags) > 20)
@@ -136,35 +148,40 @@ let info =
   }
 
 let test_resp_sizes () =
+  if Proto.refused_bytes <= 0 then Alcotest.fail "non-positive refusal size";
   List.iter
-    (fun resp ->
-      if Proto.resp_bytes resp <= 0 then Alcotest.fail "non-positive response size")
+    (fun (Exchange (req, reply)) ->
+      if Proto.resp_bytes req reply <= 0 then Alcotest.fail "non-positive response size")
     [
-      Proto.R_ok;
-      Proto.R_err Proto.Enoent;
-      Proto.R_open
-        { ss = 0; info = Some info; others = []; nocache = false; slot = 1; lease = 0;
-          pages = [] };
-      Proto.R_storage { accept = true; info = Some info; slot = 1 };
-      Proto.R_pages { pages = [ String.make 512 'd' ]; eof = true; info = None };
-      Proto.R_committed { vv = vv_small };
-      Proto.R_where { sites = [ 0 ]; info = None };
-      Proto.R_token { granted = true; state = "17" };
-      Proto.R_pset { pset = [ 0; 1; 2 ] };
-      Proto.R_inventory { files = [ (2, vv_small, Storage.Inode.Regular, false) ] };
-      Proto.R_data { data = "x" };
-      Proto.R_intent
-        { ino = 7; ftype = Storage.Inode.Regular; dir_vv = vv_small; file = Some (vv_small, true);
-          mtime = None };
-      Proto.R_linked { vv = vv_small; deleted = false };
+      Exchange (Proto.Reclaim_req { gf }, ());
+      Exchange
+        ( paper_open,
+          { ss = 0; info = Some info; others = []; nocache = false; slot = 1; lease = 0;
+            pages = [] } );
+      Exchange
+        ( Proto.Storage_req { gf; vv = vv_small; us = 1; mode = Proto.Mode_read; others = [] },
+          Some (info, 1) );
+      Exchange (read_req, { pages = [ String.make 512 'd' ]; eof = true; info = None });
+      Exchange
+        (Proto.Commit_req { gf; abort = false; delete = false; force_vv = None; run = None }, vv_small);
+      Exchange (Proto.Where_stored { gf; stat = false }, { sites = [ 0 ]; info = None });
+      Exchange (Proto.Token_req { key = Proto.Tok_fd (0, 1); for_site = 2 }, "17");
+      Exchange (Proto.Part_poll, [ 0; 1; 2 ]);
+      Exchange (Proto.Pack_inventory { fg = 0 }, [ (2, vv_small, Storage.Inode.Regular, false) ]);
+      Exchange (Proto.Pipe_read { gf; max = 10 }, "x");
+      Exchange
+        ( Proto.Dir_intent { dir = gf; op = Proto.Unlink { name = "entry"; links = true } },
+          { ino = 7; ftype = Storage.Inode.Regular; dir_vv = vv_small; file = Some (vv_small, true);
+            mtime = None } );
+      Exchange (Proto.Intent_step { us = 2; step = Proto.Step_link { gf; delta = -1 } }, (vv_small, false));
     ];
   check Alcotest.bool "page response dominated by data" true
-    (Proto.resp_bytes (Proto.R_pages { pages = [ String.make 1024 'd' ]; eof = false; info = None })
+    (Proto.resp_bytes read_req { pages = [ String.make 1024 'd' ]; eof = false; info = None }
      > 1024);
   (* A where reply names the sites holding the latest version: the
      header and 4 bytes per site. A stat query costs one flag byte more,
      and its reply the inode when the CSS answers it. *)
-  let where info = Proto.resp_bytes (Proto.R_where { sites = [ 0; 1 ]; info }) in
+  let where info = Proto.resp_bytes (Proto.Where_stored { gf; stat = true }) { sites = [ 0; 1 ]; info } in
   check Alcotest.int "where reply" (24 + 8) (where None);
   check Alcotest.int "where reply with the inode" (24 + 8 + 55)
     (where (Some info));
@@ -183,7 +200,7 @@ let test_one_page_forms () =
     Proto.req_bytes
       (Proto.Read_pages { gf; first = 3; count; guess = 0; committed = false; stat = false; vv = None })
   in
-  let reply pages = Proto.resp_bytes (Proto.R_pages { pages; eof = false; info = None }) in
+  let reply pages = Proto.resp_bytes read_req { pages; eof = false; info = None } in
   let write ~off data =
     Proto.req_bytes
       (Proto.Write_pages
@@ -216,13 +233,13 @@ let test_one_page_forms () =
   check Alcotest.int "stat request" 32 (background ~count:0 ~committed:false ~stat:true);
   check Alcotest.int "committed stat request" 32 (background ~count:0 ~committed:true ~stat:true);
   check Alcotest.string "stat tag" "stat"
-    (Proto.req_tag
+    (Proto.tag
        (Proto.Read_pages { gf; first = 0; count = 0; guess = 0; committed = true; stat = true; vv = None }));
   check Alcotest.int "inode-only reply" (25 + 55)
-    (Proto.resp_bytes (Proto.R_pages { pages = []; eof = true; info = Some info }));
+    (Proto.resp_bytes read_req { pages = []; eof = true; info = Some info });
   check Alcotest.int "one page and an inode"
     (reply [ page ] + 55)
-    (Proto.resp_bytes (Proto.R_pages { pages = [ page ]; eof = false; info = Some info }))
+    (Proto.resp_bytes read_req { pages = [ page ]; eof = false; info = Some info })
 
 (* The fused forms: a truncate alone costs and is tagged what the
    separate truncate message was (header + file + size), a run pays 4
@@ -234,11 +251,11 @@ let test_fused_forms () =
   in
   let page = String.make 1024 'p' in
   check Alcotest.int "truncate alone" 36 (Proto.req_bytes (write ~trunc:0 ""));
-  check Alcotest.string "truncate tag" "truncate" (Proto.req_tag (write ~trunc:0 ""));
+  check Alcotest.string "truncate tag" "truncate" (Proto.tag (write ~trunc:0 ""));
   check Alcotest.int "truncate riding a run"
     (Proto.req_bytes (write page) + 4)
     (Proto.req_bytes (write ~trunc:0 page));
-  check Alcotest.string "run tag" "write" (Proto.req_tag (write ~trunc:0 page));
+  check Alcotest.string "run tag" "write" (Proto.tag (write ~trunc:0 page));
   (* A window of a larger body is priced and tagged as a run of its own
      bytes: the rest of the body does not travel. *)
   let window ?trunc len =
@@ -248,7 +265,7 @@ let test_fused_forms () =
   check Alcotest.int "window priced by its bytes" (Proto.req_bytes (write page))
     (Proto.req_bytes (window 1024));
   check Alcotest.string "empty window with a truncate" "truncate"
-    (Proto.req_tag (window ~trunc:0 0));
+    (Proto.tag (window ~trunc:0 0));
   let inval count = Proto.req_bytes (Proto.Page_invalidate { gf; first = 2; count }) in
   check Alcotest.int "one-page invalidation" 36 (inval 1);
   check Alcotest.int "ranged invalidation" 40 (inval 8)
@@ -290,7 +307,7 @@ let test_commit_forms () =
       ("run priced as a write: ragged", None, 2, 1000, page);
       ("run priced as a write: truncate alone", Some 5, 0, 0, "") ];
   check Alcotest.string "a run-carrying commit is tagged commit" "commit"
-    (Proto.req_tag
+    (Proto.tag
        (Proto.Commit_req
           { gf; abort = false; delete = false; force_vv = None; run = run page }))
 
@@ -329,7 +346,7 @@ let test_lease_forms () =
   check Alcotest.int "lease break" (24 + 8 + 4 + 1)
     (Proto.req_bytes (Proto.Lease_break { gf; id = 5; closed = true }));
   check Alcotest.string "a break is tagged lease.break" "lease.break"
-    (Proto.req_tag (Proto.Lease_break { gf; id = 5; closed = false }))
+    (Proto.tag (Proto.Lease_break { gf; id = 5; closed = false }))
 
 let test_intent_forms () =
   let intent op = Proto.req_bytes (Proto.Dir_intent { dir = gf; op }) in
@@ -340,7 +357,8 @@ let test_intent_forms () =
        (Proto.Link { name = "entry"; ino = 7; ftype = Storage.Inode.Directory; links = true }));
   let reply ?mtime file =
     Proto.resp_bytes
-      (Proto.R_intent { ino = 7; ftype = Storage.Inode.Regular; dir_vv = vv_small; file; mtime })
+      (Proto.Dir_intent { dir = gf; op = Proto.Unlink { name = "entry"; links = true } })
+      { ino = 7; ftype = Storage.Inode.Regular; dir_vv = vv_small; file; mtime }
   in
   check Alcotest.int "intent reply: inode, type, flags" (24 + 6 + 8) (reply None);
   check Alcotest.int "intent reply with the file's version" (24 + 6 + 8 + 1 + 8)
@@ -377,7 +395,7 @@ let test_open_forms () =
   in
   let release = (Gfile.make ~fg:0 ~ino:9, Proto.Mode_read, 5) in
   let r_open ?(info = Some info) ?(others = []) ?(lease = 0) pages =
-    Proto.resp_bytes (Proto.R_open { ss = 0; info; others; nocache = false; slot = 1; lease; pages })
+    Proto.resp_bytes paper_open { ss = 0; info; others; nocache = false; slot = 1; lease; pages }
   in
   check Alcotest.int "paper open request" 34 (open_req 0);
   check Alcotest.int "paper open request with a copy" 42 (open_req ~us_vv:vv_small 0);
@@ -399,7 +417,7 @@ let test_open_forms () =
     (r_open [ String.sub page 0 100 ]);
   check Alcotest.int "open reply with two pages" (84 + 1 + (2 * (2 + 1024)))
     (r_open [ page; page ]);
-  let reply pages = Proto.resp_bytes (Proto.R_pages { pages; eof = false; info = None }) in
+  let reply pages = Proto.resp_bytes read_req { pages; eof = false; info = None } in
   check Alcotest.int "pages framed as a read reply"
     (reply [ page; page; page ] - 24)
     (r_open [ page; page; page ] - r_open [])
@@ -428,7 +446,7 @@ let test_commit_notify_forms () =
   check Alcotest.int "carried page" (51 + 55 + 1 + 1024) (notify ~carried:(info, [ page ]) [ 0 ]);
   check Alcotest.int "carried pages" (55 + 55 + 1 + (2 * (2 + 1024)))
     (notify ~carried:(info, [ page; page ]) [ 0; 1 ]);
-  let reply pages = Proto.resp_bytes (Proto.R_pages { pages; eof = false; info = Some info }) in
+  let reply pages = Proto.resp_bytes read_req { pages; eof = false; info = Some info } in
   check Alcotest.int "inode and pages priced as a read reply"
     (reply [ page; page; page ] - 24)
     (notify ~carried:(info, [ page; page; page ]) [ 0; 1; 2 ] - notify [ 0; 1; 2 ])
@@ -438,7 +456,7 @@ let test_commit_notify_forms () =
    what it did before it carried a type: 4 bytes of inode number, one
    flag byte, the version. *)
 let test_inventory_forms () =
-  let inventory files = Proto.resp_bytes (Proto.R_inventory { files }) in
+  let inventory files = Proto.resp_bytes (Proto.Pack_inventory { fg = 0 }) files in
   let vv = Vvec.bump vv_small 2 in
   check Alcotest.int "empty inventory" 24 (inventory []);
   check Alcotest.int "one entry" (24 + 5 + 8) (inventory [ (2, vv_small, Storage.Inode.Regular, false) ]);
@@ -462,18 +480,18 @@ let test_lookup_forms () =
   let link n_name = { Proto.n_name; n_ino = 9; n_ftype = Storage.Inode.Regular } in
   let reply near =
     Proto.resp_bytes
-      (Proto.R_lookup
-         {
-           gf;
-           consumed = 2;
-           trail =
-             [
-               { Proto.l_dir = gf; l_vv = vv_small; l_child = gf;
-                 l_ftype = Storage.Inode.Directory; l_near = [] };
-               { Proto.l_dir = gf; l_vv = vv_small; l_child = gf;
-                 l_ftype = Storage.Inode.Regular; l_near = near };
-             ];
-         })
+      (Proto.Lookup_req { gf; comps = [ "d"; "ab" ]; near = true })
+      {
+        gf;
+        consumed = 2;
+        trail =
+          [
+            { Proto.l_dir = gf; l_vv = vv_small; l_child = gf;
+              l_ftype = Storage.Inode.Directory; l_near = [] };
+            { Proto.l_dir = gf; l_vv = vv_small; l_child = gf;
+              l_ftype = Storage.Inode.Regular; l_near = near };
+          ];
+      }
   in
   let base = 24 + 8 + 4 + (2 * (16 + 8 + 1)) in
   check Alcotest.int "reply" base (reply []);

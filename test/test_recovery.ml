@@ -295,11 +295,13 @@ let test_merge_reopen_finds_installed_css () =
   List.iter
     (fun site ->
       let k = World.kernel w site in
-      Net.Netsim.set_handler (World.net w) site (fun ~src req ->
-          (match req with
-          | Proto.Merge_announce _ -> announced := site :: !announced
-          | _ -> ());
-          Dispatch.handle k ~src req))
+      let handle (type a) ~src (req : a Proto.req) : a =
+        (match req with
+        | Proto.Merge_announce _ -> announced := site :: !announced
+        | _ -> ());
+        Dispatch.handle k ~src req
+      in
+      K.Transport.set_handler (World.net w) site { handle })
     (World.sites w);
   World.crash_site w 1;
   let r = Merge.run_initiator (World.kernel w 0) ~all_sites:(World.sites w) in
@@ -747,14 +749,16 @@ let reconcile_requests ~window =
   List.iter
     (fun site ->
       let k = World.kernel w site in
-      Net.Netsim.set_handler (World.net w) site (fun ~src req ->
-          if src = 0 then begin
-            match Proto.req_tag req with
-            | "read" -> incr reads
-            | "write" -> incr writes
-            | _ -> ()
-          end;
-          Dispatch.handle k ~src req))
+      let handle ~src req =
+        if src = 0 then begin
+          match Proto.tag req with
+          | "read" -> incr reads
+          | "write" -> incr writes
+          | _ -> ()
+        end;
+        Dispatch.handle k ~src req
+      in
+      K.Transport.set_handler (World.net w) site { handle })
     [ 1; 2; 3; 4 ];
   Reconcile.register_merge_manager Inode.Database (List.fold_left max "");
   let report = Reconcile.empty_report () in
@@ -791,12 +795,18 @@ let test_failed_copy_read_stops () =
   check Alcotest.int "one failed request" 1
     (Sim.Stats.delta_of (World.stats w) snap "rpc.fail");
   let k2 = World.kernel w 2 and asked = ref 0 in
-  Net.Netsim.set_handler (World.net w) 2 (fun ~src req ->
-      match Dispatch.handle k2 ~src req with
-      | Proto.R_pages { pages = _ :: rest; eof; info } ->
+  let handle (type a) ~src (req : a Proto.req) : a =
+    let resp = Dispatch.handle k2 ~src req in
+    match req with
+    | Proto.Read_pages _ -> (
+      match resp with
+      | { pages = _ :: rest; _ } ->
         incr asked;
-        Proto.R_pages { pages = rest; eof; info }
-      | resp -> resp);
+        { resp with pages = rest }
+      | _ -> resp)
+    | _ -> resp
+  in
+  K.Transport.set_handler (World.net w) 2 { handle };
   check Alcotest.(option string) "a short reply fails the copy" None
     (Reconcile.fetch_content k0 2 gf);
   check Alcotest.int "no request after the short reply" 1 !asked
@@ -843,9 +853,11 @@ let count_stats w =
   List.iter
     (fun site ->
       let k = World.kernel w site in
-      Net.Netsim.set_handler (World.net w) site (fun ~src req ->
-          if Proto.req_tag req = "stat" then incr stats;
-          Dispatch.handle k ~src req))
+      let handle ~src req =
+        if Proto.tag req = "stat" then incr stats;
+        Dispatch.handle k ~src req
+      in
+      K.Transport.set_handler (World.net w) site { handle })
     (World.sites w);
   stats
 

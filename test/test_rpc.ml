@@ -7,7 +7,6 @@ module Stats = Sim.Stats
 module Trace = Sim.Trace
 module Topology = Net.Topology
 module Latency = Net.Latency
-module Netsim = Net.Netsim
 module World = Locus.World
 module Kernel = Locus_core.Kernel
 module Dispatch = Locus.Dispatch
@@ -17,27 +16,54 @@ let check = Alcotest.check
 
 (* A protocol of strings, every message tagged "test": a request costs 10
    bytes and a reply its length, only [idempotent]'s requests are
-   idempotent, and every call runs under [policy]. *)
+   idempotent, and every call runs under [policy] ({!make_net} sets both). *)
+module Strings = struct
+  type _ req = Msg : string -> string req
+
+  type errno = unit
+
+  exception Error of errno * string
+
+  let pp_errno ppf () = Format.pp_print_string ppf "refused"
+
+  let tag _ = "test"
+
+  let req_bytes _ = 10
+
+  let resp_bytes : type a. a req -> a -> int = fun (Msg _) reply -> String.length reply
+
+  let refused_bytes = 4
+
+  let idempotent_of = ref (fun _ -> false)
+
+  let idempotent : type a. a req -> bool = fun (Msg s) -> !idempotent_of s
+
+  let policy_of = ref Net.Netsim.default_policy
+
+  let policy _ = !policy_of
+end
+
+module Netsim = struct
+  include Net.Netsim
+  include Net.Netsim.Make (Strings)
+end
+
 let make_net ?(policy = Netsim.default_policy) ?(idempotent = fun _ -> false) n =
+  Strings.policy_of := policy;
+  Strings.idempotent_of := idempotent;
   let e = Engine.create () in
   let topo = Topology.create ~n in
-  let protocol =
-    {
-      Netsim.tag = (fun _ -> "test");
-      req_bytes = (fun _ -> 10);
-      resp_bytes = String.length;
-      idempotent;
-      is_error = (fun _ -> false);
-      policy = (fun _ -> policy);
-    }
-  in
-  let net = Netsim.create e topo Latency.default protocol in
+  let net = Netsim.create e topo Latency.default in
   (e, topo, net)
 
-(* Echo handler that counts invocations: retries must be visible to it. *)
-let counting_echo calls = fun ~src:_ req -> incr calls; "re:" ^ req
+(* A site's handler from a function of the message's string. *)
+let handler (f : src:Net.Site.t -> string -> string) =
+  { Netsim.handle = (fun (type a) ~src (Strings.Msg s : a Strings.req) : a -> f ~src s) }
 
-let call net req = Netsim.call net ~src:0 ~dst:1 req
+(* Echo handler that counts invocations: retries must be visible to it. *)
+let counting_echo calls = handler (fun ~src:_ req -> incr calls; "re:" ^ req)
+
+let call net req = Netsim.call net ~src:0 ~dst:1 (Strings.Msg req)
 
 let retry3 = { Netsim.backoff = [ 5.0; 20.0 ]; max_attempts = 3 }
 
@@ -89,7 +115,7 @@ let test_backoff_charges_simulated_time () =
 
 (* Handler whose reply names the run that produced it, so a second run of
    the same call would show in the reply as well as in the count. *)
-let numbered_echo calls = fun ~src:_ req -> incr calls; Printf.sprintf "%s#%d" req !calls
+let numbered_echo calls = handler (fun ~src:_ req -> incr calls; Printf.sprintf "%s#%d" req !calls)
 
 let replays e = Stats.get (Engine.stats e) "rpc.replay"
 
@@ -120,22 +146,26 @@ let test_lost_request_runs_on_resend () =
   check Alcotest.int "two resends" 2 (Stats.get (Engine.stats e) "rpc.retry");
   check Alcotest.int "the last resend replayed" 1 (replays e)
 
-(* A receiver's crash loses the replies it keeps: a kept reply is held by
-   nothing else, so once they are forgotten it is garbage. *)
+(* No reply outlives its call: the reply a lost attempt left is held by
+   the calling frame alone, so once the call returns it is garbage. A
+   receiver's crash forgets the calls it ran, and a later call runs its
+   handler. *)
 let test_receiver_crash_drops_replies () =
   let e, _, net = make_net ~policy:Netsim.probe 2 in
   let calls = ref 0 in
   let last = Weak.create 1 in
-  Netsim.set_handler net 1 (fun ~src req ->
-      let resp = numbered_echo calls ~src req in
-      Weak.set last 0 (Some resp);
-      resp);
+  Netsim.set_handler net 1
+    (handler (fun ~src:_ req ->
+         incr calls;
+         let resp = Printf.sprintf "%s#%d" req !calls in
+         Weak.set last 0 (Some resp);
+         resp));
   Netsim.fail_next_message net ~src:1 ~dst:0;
   (match call net "x" with
   | Error (Netsim.Lost_reply _) -> ()
   | _ -> Alcotest.fail "the reply should be lost");
   Gc.full_major ();
-  check Alcotest.bool "the lost reply is kept" true (Weak.check last 0);
+  check Alcotest.bool "the lost reply is not held past its call" false (Weak.check last 0);
   Netsim.forget_replies net 1;
   Gc.full_major ();
   check Alcotest.bool "after the crash it is not" false (Weak.check last 0);
@@ -206,7 +236,7 @@ let test_local_call_free () =
   let calls = ref 0 in
   Netsim.set_handler net 0 (counting_echo calls);
   let t0 = Engine.now e in
-  (match Netsim.call net ~src:0 ~dst:0 "x" with
+  (match Netsim.call net ~src:0 ~dst:0 (Strings.Msg "x") with
   | Ok resp -> check Alcotest.string "local result" "re:x" resp
   | Error e -> Alcotest.failf "unexpected %a" Netsim.pp_error e);
   check Alcotest.int "handler ran once" 1 !calls;
@@ -223,7 +253,7 @@ let test_self_call_unaccounted () =
   Netsim.set_handler net 0 (numbered_echo calls);
   Trace.set_recording (Engine.trace e) true;
   Netsim.set_drop_probability net 1.0;
-  let self () = Netsim.call net ~src:0 ~dst:0 "x" in
+  let self () = Netsim.call net ~src:0 ~dst:0 (Strings.Msg "x") in
   check Alcotest.(result string reject) "first call" (Ok "x#1") (Result.map_error ignore (self ()));
   check Alcotest.(result string reject) "second call runs again" (Ok "x#2")
     (Result.map_error ignore (self ()));
@@ -237,7 +267,7 @@ let test_self_call_unaccounted () =
 
 (* ---- the protocol the world installs ---- *)
 
-(* [Proto.protocol] is what [World.create] hands the transport: reads are
+(* [Proto] is the protocol [World.create]'s transport carries: reads are
    resent and run again, a reconfiguration poll makes one attempt and an
    open three, under the default backoff. (A lost reply to a commit is
    answered from the kept reply: test_core's "lost file replies".) *)
@@ -250,19 +280,21 @@ let test_world_protocol () =
   ignore (World.settle w);
   let net = World.net w and stats = World.stats w and k3 = World.kernel w 3 in
   let runs = ref 0 in
-  Netsim.set_handler net 0 (fun ~src req ->
-      incr runs;
-      if !runs = 1 then Netsim.fail_next_message net ~src:0 ~dst:src;
-      Dispatch.handle k0 ~src req);
+  let handle ~src req =
+    incr runs;
+    if !runs = 1 then K.Transport.fail_next_message net ~src:0 ~dst:src;
+    Dispatch.handle k0 ~src req
+  in
+  K.Transport.set_handler net 0 { handle };
   let replays = Stats.get stats "rpc.replay" in
   let read =
     Proto.Read_pages
       { gf; first = 0; count = 1; guess = 0; committed = true; stat = false; vv = None }
   in
   (match K.rpc_result k3 0 read with
-  | Ok (Proto.R_pages _) -> ()
-  | Ok _ -> Alcotest.fail "a read answers with pages"
-  | Error e -> Alcotest.failf "unexpected %a" Netsim.pp_error e);
+  | Ok { Proto.pages = [ _ ]; _ } -> ()
+  | Ok _ -> Alcotest.fail "a read answers with its page"
+  | Error e -> Alcotest.failf "unexpected %a" K.Transport.pp_error e);
   check Alcotest.int "a lost read reply runs the read again" 2 !runs;
   check Alcotest.int "no replay" replays (Stats.get stats "rpc.replay");
   Topology.set_site_up (World.topology w) 0 false;
@@ -281,6 +313,37 @@ let test_world_protocol () =
     (attempts
        (Proto.Open_req
           { gf; mode = Proto.Mode_read; us_vv = None; shared = false; want = 0; release = None }))
+
+(* A refusal is a reply: the handler's [Error] travels back as the one
+   error reply, priced at the header and the errno, and a resend of a
+   state-changing call is answered from it rather than run again. *)
+let test_refusal_is_a_reply () =
+  let w = World.create ~config:(World.default_config ~n_sites:4 ()) () in
+  let net = World.net w and stats = World.stats w in
+  let k0 = World.kernel w 0 and k3 = World.kernel w 3 in
+  let runs = ref 0 in
+  let handle (type a) ~src (req : a Proto.req) : a =
+    match req with
+    | Proto.Signal_req { pid; _ } ->
+      incr runs;
+      if !runs = 1 then K.Transport.fail_next_message net ~src:0 ~dst:src;
+      K.err Proto.Esrch "no process %d" pid
+    | _ -> Dispatch.handle k0 ~src req
+  in
+  K.Transport.set_handler net 0 { handle };
+  let req = Proto.Signal_req { pid = 99; signo = 9 } in
+  let replays = Stats.get stats "rpc.replay" and bytes = Stats.get stats "net.bytes" in
+  (match K.rpc_result k3 0 req with
+  | Error (Net.Netsim.Refused Proto.Esrch) -> ()
+  | Ok () -> Alcotest.fail "the signal was refused"
+  | Error e -> Alcotest.failf "unexpected %a" K.Transport.pp_error e);
+  check Alcotest.int "the handler ran once" 1 !runs;
+  check Alcotest.int "the resend was answered from the kept refusal" (replays + 1)
+    (Stats.get stats "rpc.replay");
+  check Alcotest.int "a refusal costs the header and the errno" 28 Proto.refused_bytes;
+  check Alcotest.int "two requests and one refusal on the wire"
+    ((2 * Proto.req_bytes req) + Proto.refused_bytes)
+    (Stats.get stats "net.bytes" - bytes)
 
 (* ---- Stats histograms ---- *)
 
@@ -345,6 +408,7 @@ let () =
           Alcotest.test_case "local call free" `Quick test_local_call_free;
           Alcotest.test_case "self-call keeps no accounting" `Quick test_self_call_unaccounted;
           Alcotest.test_case "the world's protocol" `Quick test_world_protocol;
+          Alcotest.test_case "a refusal is a reply" `Quick test_refusal_is_a_reply;
         ] );
       ( "histograms",
         [

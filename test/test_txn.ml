@@ -163,14 +163,14 @@ let test_failure_stays_in_its_world () =
   let t = Txn.begin_top ka0 pa0 in
   Txn.write t "/leg" "txn x";
   check Alcotest.bool "touches site 2" true (List.mem 2 (Txn.touched_sites t));
-  let sent = Net.Netsim.messages_sent (World.net a) in
+  let sent = Locus_core.Ktypes.Transport.messages_sent (World.net a) in
   let b = make_world () in
   World.crash_site b 2;
   ignore (World.detect_failures b ~initiator:0);
   check Alcotest.int "no transaction in the other world" 0 (Txn.active_count (World.kernel b 0));
   check Alcotest.bool "still active" true (Txn.status t = Txn.Active);
   check Alcotest.int "one active txn" 1 (Txn.active_count ka0);
-  check Alcotest.int "no message in its world" sent (Net.Netsim.messages_sent (World.net a));
+  check Alcotest.int "no message in its world" sent (Locus_core.Ktypes.Transport.messages_sent (World.net a));
   Txn.commit t;
   ignore (World.settle a);
   check Alcotest.string "committed" "txn x" (Kernel.read_file ka0 pa0 "/leg")
