@@ -1159,7 +1159,7 @@ let e17 () =
       let handle (type a) ~src (req : a Proto.req) : a =
         (match req with
         | Proto.Open_req _ | Proto.Commit_req _ ->
-          let tag = Proto.tag req in
+          let tag = Proto.tag_name req in
           let n = 1 + Option.value ~default:0 (Hashtbl.find_opt runs tag) in
           Hashtbl.replace runs tag n;
           if n = 1 then Transport.fail_next_message net ~src:site ~dst:src

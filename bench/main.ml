@@ -36,7 +36,9 @@ module Echo_protocol = struct
 
   let pp_errno ppf () = Format.pp_print_string ppf "refused"
 
-  let tag _ = "read"
+  let tag_names = [| "read" |]
+
+  let tag _ = 0
 
   let req_bytes _ = 40
 

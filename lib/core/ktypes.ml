@@ -450,7 +450,7 @@ let rpc k dst req =
   if not k.alive then err Proto.Enet "site %a is down" Site.pp k.site;
   match rpc_result k dst req with
   | Ok reply -> reply
-  | Stdlib.Error (Net.Netsim.Refused e) -> err e "%s refused by site %a" (Proto.tag req) Site.pp dst
+  | Stdlib.Error (Net.Netsim.Refused e) -> err e "%s refused by site %a" (Proto.tag_name req) Site.pp dst
   | Stdlib.Error e -> err Proto.Enet "%a" Transport.pp_error e
 
 (* Send a close leg. A destination outside this site's partition is left
@@ -483,7 +483,7 @@ let send_close k dst req =
     | Ok () | Stdlib.Error (Net.Netsim.Lost_reply _) -> ()
     | Stdlib.Error (Net.Netsim.Unreachable _) -> park_close k dst req ~tries:0
     | Stdlib.Error (Net.Netsim.Refused e) ->
-      err e "%s refused by site %a" (Proto.tag req) Site.pp dst
+      err e "%s refused by site %a" (Proto.tag_name req) Site.pp dst
 
 (* One-way notification; losses are silent (the commit protocol tolerates
    them: recovery reconciles). *)

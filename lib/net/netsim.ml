@@ -21,7 +21,8 @@ module type PROTOCOL = sig
   type errno
   exception Error of errno * string
   val pp_errno : Format.formatter -> errno -> unit
-  val tag : 'a req -> string
+  val tag_names : string array
+  val tag : 'a req -> int
   val req_bytes : 'a req -> int
   val resp_bytes : 'a req -> 'a -> int
   val refused_bytes : int
@@ -66,7 +67,7 @@ module Make (P : PROTOCOL) = struct
     ran : (int, int) Hashtbl.t;
         (* receiver * n_sites + sender -> the last state-changing call id
            the receiver ran for that sender *)
-    tags : (string, tag_stats) Hashtbl.t;
+    tags : tag_stats option array; (* by tag, each made on its first message *)
     (* the fixed counters, resolved once *)
     msg : Stats.counter;           (* net.msg *)
     bytes : Stats.counter;         (* net.bytes *)
@@ -102,7 +103,7 @@ module Make (P : PROTOCOL) = struct
       forced_failures = [];
       next_id = 0;
       ran = Hashtbl.create 16;
-      tags = Hashtbl.create 64;
+      tags = Array.make (Array.length P.tag_names) None;
       msg = counter "net.msg";
       bytes = counter "net.bytes";
       send_err = counter "net.send.err";
@@ -120,11 +121,11 @@ module Make (P : PROTOCOL) = struct
 
   let latency t = t.latency
 
-  let tag_stats t tag =
-    match Hashtbl.find_opt t.tags tag with
+  let tag_stats t i =
+    match t.tags.(i) with
     | Some ts -> ts
     | None ->
-      let stats = Engine.stats t.engine in
+      let stats = Engine.stats t.engine and tag = P.tag_names.(i) in
       let ts =
         {
           ts_msg = Stats.counter stats ("net.msg." ^ tag);
@@ -132,7 +133,7 @@ module Make (P : PROTOCOL) = struct
           ts_retry = Stats.counter stats ("rpc.retry." ^ tag);
         }
       in
-      Hashtbl.add t.tags tag ts;
+      t.tags.(i) <- Some ts;
       ts
 
   let set_handler t site f = t.handlers <- Site.Map.add site f t.handlers
@@ -232,7 +233,7 @@ module Make (P : PROTOCOL) = struct
       if Trace.recording trace then
         Some
           (Trace.span_begin trace ~time:start ~tag:"rpc"
-             (Format.asprintf "%s %a->%a" tag Site.pp src Site.pp dst))
+             (Format.asprintf "%s %a->%a" P.tag_names.(tag) Site.pp src Site.pp dst))
       else None
     in
     let finish outcome result =

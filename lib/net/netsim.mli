@@ -72,9 +72,12 @@ module type PROTOCOL = sig
 
   val pp_errno : Format.formatter -> errno -> unit
 
-  val tag : 'a req -> string
-  (** The message class: names the ["net.msg.<tag>"],
-      ["rpc.latency.<tag>"] and ["rpc.retry.<tag>"] stats. *)
+  val tag_names : string array
+  (** Every message class, indexed by {!tag}: each names the
+      ["net.msg.<tag>"], ["rpc.latency.<tag>"] and ["rpc.retry.<tag>"]
+      stats. *)
+
+  val tag : 'a req -> int
 
   val req_bytes : 'a req -> int  (** Wire size of a request. *)
 

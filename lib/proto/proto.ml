@@ -583,41 +583,51 @@ let resp_bytes : type a. a req -> a -> int =
 (* The one error reply, whatever the request: the header and the errno. *)
 let refused_bytes = header + 4
 
-let tag : type a. a req -> string = function
-  | Open_req _ -> "open"
-  | Storage_req _ -> "storage"
-  | Read_pages { count = 0; stat = true; _ } -> "stat"
-  | Read_pages _ -> "read"
-  | Write_pages { trunc = Some _; len = 0; _ } -> "truncate"
-  | Write_pages _ -> "write"
-  | Commit_req _ -> "commit"
-  | Us_close _ -> "close.us"
-  | Ss_close _ -> "close.ss"
-  | Commit_notify _ -> "notify"
-  | Reclaim_req _ -> "reclaim"
-  | Page_invalidate _ -> "page.invalidate"
-  | Lease_break _ -> "lease.break"
-  | Dir_intent _ -> "dirop"
-  | Intent_step _ -> "dirop.step"
-  | Set_attr _ -> "setattr"
-  | Where_stored _ -> "where"
-  | Lookup_req _ -> "lookup"
-  | Token_req _ -> "token"
-  | Token_state_req _ -> "token.state"
-  | Fork_req _ -> "fork"
-  | Exec_req _ -> "exec"
-  | Run_req _ -> "run"
-  | Signal_req _ -> "signal"
-  | Exit_notify _ -> "exit"
-  | Part_poll -> "part.poll"
-  | Part_announce _ -> "part.announce"
-  | Merge_poll _ -> "merge.poll"
-  | Merge_announce _ -> "merge.announce"
-  | Status_check -> "status"
-  | Open_files_query _ -> "lock.rebuild"
-  | Pack_inventory _ -> "inventory"
-  | Pipe_write _ -> "pipe.write"
-  | Pipe_read _ -> "pipe.read"
+(* Every message class, indexed by [tag]: the names of its stats. *)
+let tag_names =
+  [| "open"; "storage"; "stat"; "read"; "truncate"; "write"; "commit"; "close.us";
+     "close.ss"; "notify"; "reclaim"; "page.invalidate"; "lease.break"; "dirop";
+     "dirop.step"; "setattr"; "where"; "lookup"; "token"; "token.state"; "fork"; "exec";
+     "run"; "signal"; "exit"; "part.poll"; "part.announce"; "merge.poll";
+     "merge.announce"; "status"; "lock.rebuild"; "inventory"; "pipe.write"; "pipe.read" |]
+
+let tag : type a. a req -> int = function
+  | Open_req _ -> 0
+  | Storage_req _ -> 1
+  | Read_pages { count = 0; stat = true; _ } -> 2
+  | Read_pages _ -> 3
+  | Write_pages { trunc = Some _; len = 0; _ } -> 4
+  | Write_pages _ -> 5
+  | Commit_req _ -> 6
+  | Us_close _ -> 7
+  | Ss_close _ -> 8
+  | Commit_notify _ -> 9
+  | Reclaim_req _ -> 10
+  | Page_invalidate _ -> 11
+  | Lease_break _ -> 12
+  | Dir_intent _ -> 13
+  | Intent_step _ -> 14
+  | Set_attr _ -> 15
+  | Where_stored _ -> 16
+  | Lookup_req _ -> 17
+  | Token_req _ -> 18
+  | Token_state_req _ -> 19
+  | Fork_req _ -> 20
+  | Exec_req _ -> 21
+  | Run_req _ -> 22
+  | Signal_req _ -> 23
+  | Exit_notify _ -> 24
+  | Part_poll -> 25
+  | Part_announce _ -> 26
+  | Merge_poll _ -> 27
+  | Merge_announce _ -> 28
+  | Status_check -> 29
+  | Open_files_query _ -> 30
+  | Pack_inventory _ -> 31
+  | Pipe_write _ -> 32
+  | Pipe_read _ -> 33
+
+let tag_name req = tag_names.(tag req)
 
 (* Requests whose handler has the same effect run twice as once: reads,
    queries, token traffic, absolutely positioned writes and re-sendable

@@ -455,8 +455,13 @@ val refused_bytes : int
 (** The error reply's size, whatever the request: the header and the
     errno. *)
 
-val tag : 'a req -> string
-(** Short label for per-category message statistics. *)
+val tag_names : string array
+(** Every message class's short label, which names its statistics. *)
+
+val tag : 'a req -> int
+(** The request's message class, an index of {!tag_names}. *)
+
+val tag_name : 'a req -> string
 
 val idempotent : 'a req -> bool
 (** Running the request twice has the effect of running it once (reads,

@@ -148,7 +148,7 @@ let test_open_us_is_ss_two_messages () =
       (Proto.req_bytes req + Proto.resp_bytes req resp)
       (Stats.delta_of (stats w) snap "net.bytes");
     check Alcotest.int "two messages of the request's class" 2
-      (Stats.delta_of (stats w) snap ("net.msg." ^ Proto.tag req))
+      (Stats.delta_of (stats w) snap ("net.msg." ^ Proto.tag_name req))
   | _ -> Alcotest.fail "expected one open exchange whose reply carries no inode");
   let registrations () =
     match K.ss_find_open k1 gf with

@@ -161,7 +161,7 @@ let pull_requests log gf =
       match req with
       | (Proto.Read_pages { gf = g; _ } | Proto.Where_stored { gf = g; _ })
         when Catalog.Gfile.equal g gf ->
-        Some (Proto.tag req)
+        Some (Proto.tag_name req)
       | _ -> None)
     !log
 

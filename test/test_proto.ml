@@ -99,12 +99,16 @@ let test_sizes_positive () =
   List.iter
     (fun (Any req) ->
       let n = Proto.req_bytes req in
-      if n <= 0 then Alcotest.failf "non-positive size for %s" (Proto.tag req))
+      if n <= 0 then Alcotest.failf "non-positive size for %s" (Proto.tag_name req))
     some_reqs
 
 let test_tags_nonempty_and_distinctive () =
-  let tags = List.map (fun (Any req) -> Proto.tag req) some_reqs in
+  let tags = List.map (fun (Any req) -> Proto.tag_name req) some_reqs in
   List.iter (fun t -> if t = "" then Alcotest.fail "empty tag") tags;
+  (* A tag is an index: 34 classes, a read and a write carrying two each. *)
+  check Alcotest.int "34 message classes" 34 (Array.length Proto.tag_names);
+  check Alcotest.int "every class named once" 34
+    (List.length (List.sort_uniq compare (Array.to_list Proto.tag_names)));
   check Alcotest.bool "plenty of distinct tags" true
     (List.length (List.sort_uniq compare tags) > 20)
 
@@ -233,7 +237,7 @@ let test_one_page_forms () =
   check Alcotest.int "stat request" 32 (background ~count:0 ~committed:false ~stat:true);
   check Alcotest.int "committed stat request" 32 (background ~count:0 ~committed:true ~stat:true);
   check Alcotest.string "stat tag" "stat"
-    (Proto.tag
+    (Proto.tag_name
        (Proto.Read_pages { gf; first = 0; count = 0; guess = 0; committed = true; stat = true; vv = None }));
   check Alcotest.int "inode-only reply" (25 + 55)
     (Proto.resp_bytes read_req { pages = []; eof = true; info = Some info });
@@ -251,11 +255,11 @@ let test_fused_forms () =
   in
   let page = String.make 1024 'p' in
   check Alcotest.int "truncate alone" 36 (Proto.req_bytes (write ~trunc:0 ""));
-  check Alcotest.string "truncate tag" "truncate" (Proto.tag (write ~trunc:0 ""));
+  check Alcotest.string "truncate tag" "truncate" (Proto.tag_name (write ~trunc:0 ""));
   check Alcotest.int "truncate riding a run"
     (Proto.req_bytes (write page) + 4)
     (Proto.req_bytes (write ~trunc:0 page));
-  check Alcotest.string "run tag" "write" (Proto.tag (write ~trunc:0 page));
+  check Alcotest.string "run tag" "write" (Proto.tag_name (write ~trunc:0 page));
   (* A window of a larger body is priced and tagged as a run of its own
      bytes: the rest of the body does not travel. *)
   let window ?trunc len =
@@ -265,7 +269,7 @@ let test_fused_forms () =
   check Alcotest.int "window priced by its bytes" (Proto.req_bytes (write page))
     (Proto.req_bytes (window 1024));
   check Alcotest.string "empty window with a truncate" "truncate"
-    (Proto.tag (window ~trunc:0 0));
+    (Proto.tag_name (window ~trunc:0 0));
   let inval count = Proto.req_bytes (Proto.Page_invalidate { gf; first = 2; count }) in
   check Alcotest.int "one-page invalidation" 36 (inval 1);
   check Alcotest.int "ranged invalidation" 40 (inval 8)
@@ -307,7 +311,7 @@ let test_commit_forms () =
       ("run priced as a write: ragged", None, 2, 1000, page);
       ("run priced as a write: truncate alone", Some 5, 0, 0, "") ];
   check Alcotest.string "a run-carrying commit is tagged commit" "commit"
-    (Proto.tag
+    (Proto.tag_name
        (Proto.Commit_req
           { gf; abort = false; delete = false; force_vv = None; run = run page }))
 
@@ -346,7 +350,7 @@ let test_lease_forms () =
   check Alcotest.int "lease break" (24 + 8 + 4 + 1)
     (Proto.req_bytes (Proto.Lease_break { gf; id = 5; closed = true }));
   check Alcotest.string "a break is tagged lease.break" "lease.break"
-    (Proto.tag (Proto.Lease_break { gf; id = 5; closed = false }))
+    (Proto.tag_name (Proto.Lease_break { gf; id = 5; closed = false }))
 
 let test_intent_forms () =
   let intent op = Proto.req_bytes (Proto.Dir_intent { dir = gf; op }) in

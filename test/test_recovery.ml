@@ -751,7 +751,7 @@ let reconcile_requests ~window =
       let k = World.kernel w site in
       let handle ~src req =
         if src = 0 then begin
-          match Proto.tag req with
+          match Proto.tag_name req with
           | "read" -> incr reads
           | "write" -> incr writes
           | _ -> ()
@@ -854,7 +854,7 @@ let count_stats w =
     (fun site ->
       let k = World.kernel w site in
       let handle ~src req =
-        if Proto.tag req = "stat" then incr stats;
+        if Proto.tag_name req = "stat" then incr stats;
         Dispatch.handle k ~src req
       in
       K.Transport.set_handler (World.net w) site { handle })

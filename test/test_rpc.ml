@@ -26,7 +26,9 @@ module Strings = struct
 
   let pp_errno ppf () = Format.pp_print_string ppf "refused"
 
-  let tag _ = "test"
+  let tag_names = [| "test" |]
+
+  let tag _ = 0
 
   let req_bytes _ = 10
 
