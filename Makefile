@@ -53,7 +53,9 @@ bench:
 # close.us message (the evicted lease's close rides the open), E21's break
 # of a read lease the CSS serves must add exactly 2 messages to the write
 # that breaks it, the acknowledged break's call and reply (no close.us,
-# close.ss or page.invalidate: the break is the close), and E22's reads must
+# close.ss or page.invalidate: the break is the close), the holder's own
+# write of that file must cost what its next write costs, no lease.break
+# and no close.us (its modify open is the break), and E22's reads must
 # return the file's bytes and the per-client read cost at 512 sites must
 # stay within 1.25x of 8 sites', and e24smoke's read oracle must find no read that
 # returned a body no write sent (wrong) or a body older than the last

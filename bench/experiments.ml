@@ -1838,7 +1838,10 @@ let e21 () =
      is what breaking the grant costs. Served by the CSS (file at 0), the
      CSS releases the grant whole: the acknowledged break's call and
      reply, and no close leg or page invalidation. Served by another SS
-     (file at 1), the holder's close ends only that SS's registration. *)
+     (file at 1), the holder's close ends only that SS's registration.
+     When the holder writes the file itself, its modify open is the break:
+     the CSS releases the grant in process, and the write costs what the
+     holder's next write, with no grant left, costs. *)
   let classes = [ "lease.break"; "close.us"; "close.ss"; "page.invalidate" ] in
   let write_cost ~at ~leased =
     let w = make_world ~n:5 ~packs:[ 0; 1 ] () in
@@ -1859,20 +1862,44 @@ let e21 () =
     let total0, per0 = write_cost ~at ~leased:false in
     (total - total0, List.map2 ( - ) per per0)
   in
+  let own_cost () =
+    let w = make_world ~n:5 ~packs:[ 0; 1 ] () in
+    mk_file w ~at:0 ~ncopies:1 ~path:"/b" ~body:"old";
+    let k3 = World.kernel w 3 and p3 = World.proc w 3 in
+    Us.close k3 (Us.open_gf k3 (gf_of k3 "/b") Proto.Mode_read);
+    settle_ok w;
+    let write () =
+      let snap = Stats.snapshot (World.stats w) in
+      Kernel.write_file k3 p3 "/b" "new";
+      settle_ok w;
+      let delta = Stats.delta_of (World.stats w) snap in
+      (delta "net.msg", List.map (fun c -> delta ("net.msg." ^ c)) classes)
+    in
+    let total, per = write () in
+    let total0, per0 = write () in
+    (total - total0, List.map2 ( - ) per per0)
+  in
   let css_total, css_per = break_cost ~at:0 in
   let ss_total, ss_per = break_cost ~at:1 in
+  let own_total, own_per = own_cost () in
   metric "break.css.msgs" (float_of_int css_total);
   metric "break.ss.msgs" (float_of_int ss_total);
+  metric "break.own.msgs" (float_of_int own_total);
   let break_ok = css_total = 2 && css_per = [ 2; 0; 0; 0 ] in
+  let own_ok = own_total = 0 && own_per = [ 0; 0; 0; 0 ] in
   Report.table ~title:"what breaking a lease adds to a write (site 3 holds it, site 2 writes)"
     ~header:([ "grant served by"; "msgs" ] @ classes @ [ "ok" ])
     [
       [ "the CSS (file at 0)"; Report.i css_total ] @ List.map Report.i css_per
       @ [ Report.check break_ok ];
       [ "another SS (file at 1)"; Report.i ss_total ] @ List.map Report.i ss_per @ [ "-" ];
+      [ "the CSS, to its holder's write"; Report.i own_total ] @ List.map Report.i own_per
+      @ [ Report.check own_ok ];
     ];
   if not break_ok then
     failwith "E21: breaking a grant the CSS serves cost more than the break's call and reply";
+  if not own_ok then
+    failwith "E21: the holder's own write cost more than its next write";
   (* Ablation: with the layer off every open repeats the cold exchange,
      reproducing E1's counts exactly. *)
   let ablation name kconfig =

@@ -150,8 +150,10 @@ let close_reader f us =
    sends the holder no more page invalidations. Each holder then hears of
    it by an acknowledged [Lease_break] naming the grant, sent from a
    zero-delay event so the open that broke it does not wait; a loss is
-   resent by the transport. A holder here kills its grant at once. *)
-let break_leases k gf (f : css_file) =
+   resent by the transport. A holder here kills its grant at once, and so
+   does the [opener] whose modify open breaks the leases, on its open's
+   reply: it is sent no break. *)
+let break_leases ?opener k gf (f : css_file) =
   match f.leases with
   | [] -> ()
   | grants ->
@@ -172,6 +174,7 @@ let break_leases k gf (f : css_file) =
             Coherence.lease_broken k gf ~id:g.g_id ~closed;
             None
           end
+          else if opener = Some g.g_holder then None
           else Some (g.g_holder, Proto.Lease_break { gf; id = g.g_id; closed }))
         grants
     in
@@ -296,7 +299,7 @@ let handle_open k ~src gf mode ~shared us_vv =
               f.writer_ss <- Some ss;
               (* A writer exists: no outstanding lease may keep serving
                  zero-message re-opens of the now-mutable file. *)
-              break_leases k gf f
+              break_leases ~opener:src k gf f
             | Proto.Mode_read | Proto.Mode_internal ->
               count_reader f src;
               if lease then f.leases <- { g_holder = src; g_id = id; g_ss = ss } :: f.leases);

@@ -130,6 +130,16 @@ let lease_dead k ~evicted e =
   if evicted then Engine.schedule k.engine ~delay:0.0 (fun () -> lease_send_close k e)
   else lease_send_close k e
 
+(* The CSS released this site's own grant on [gf] at its modify open, as
+   a break does, with the grant's SS registration when the CSS is that SS,
+   and sent it no [Lease_break]: the open's reply is the break. *)
+let own_grant_released k fi gf =
+  Option.iter
+    (fun (e : Openlease.entry) ->
+      Coherence.lease_broken k gf ~id:e.Openlease.le_id
+        ~closed:(Site.equal e.Openlease.le_ss fi.css_site))
+    (Openlease.find_entry k.open_leases gf)
+
 (* Open <filegroup, inode>: interrogate the CSS, which selects the SS
    (Figure 2). Returns the US incore inode.
 
@@ -241,8 +251,11 @@ and open_cold ~shared ~asks k fi gf mode =
   | Stdlib.Error (Net.Netsim.Unreachable _ as e) ->
     Option.iter (lease_send_close k) victim;
     err Proto.Enet "%a" Transport.pp_error e
-  | Stdlib.Error (Net.Netsim.Lost_reply _ as e) -> err Proto.Enet "%a" Transport.pp_error e
+  | Stdlib.Error (Net.Netsim.Lost_reply _ as e) ->
+    if mode = Proto.Mode_modify then own_grant_released k fi gf;
+    err Proto.Enet "%a" Transport.pp_error e
   | Ok { Proto.ss; info; others; nocache; slot; lease; pages } ->
+    if mode = Proto.Mode_modify then own_grant_released k fi gf;
     let info =
       match info with
       | Some info -> info
