@@ -83,7 +83,7 @@ let npages_of (info : Proto.inode_info) = (info.Proto.i_size + Page.size - 1) / 
    in the run, by the inode that came back or else by [npages], fails
    with [Eio]: no reader takes a short body. *)
 let read_run k site gf ~npages ~first ~count ~stat =
-  let pages, info = Ss.read_committed k site gf ~first ~count ~stat in
+  let { Proto.pages; info; _ } = Ss.read_committed k site gf ~first ~count ~stat in
   let npages = match info with Some i -> npages_of i | None -> npages in
   if List.length pages <> min count (max 0 (npages - first)) then
     err Proto.Eio "short read of %a from %a" Gfile.pp gf Site.pp site;

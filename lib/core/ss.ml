@@ -109,20 +109,11 @@ let handle_read_pages ?(guess = 0) ?(committed = false) ?(stat = false) ?vv k gf
 
 (* The client half: read pages of [gf] from [site]. Raises [Error] on a
    refusal or a network failure. *)
-let read_request ?vv k site gf ~first ~count ~guess ~committed ~stat =
-  let { Proto.pages; eof; info } =
-    rpc k site (Proto.Read_pages { gf; first; count; guess; committed; stat; vv })
-  in
-  (pages, eof, info)
-
 let read_pages ?vv k site gf ~first ~count ~guess =
-  read_request ?vv k site gf ~first ~count ~guess ~committed:false ~stat:false
+  rpc k site (Proto.Read_pages { gf; first; count; guess; committed = false; stat = false; vv })
 
 let read_committed k site gf ~first ~count ~stat =
-  let pages, _, info =
-    read_request k site gf ~first ~count ~guess:0 ~committed:true ~stat
-  in
-  (pages, info)
+  rpc k site (Proto.Read_pages { gf; first; count; guess = 0; committed = true; stat; vv = None })
 
 let ensure_session k pack gf =
   let s = ss_get_open k gf in

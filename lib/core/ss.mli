@@ -52,7 +52,7 @@ val read_pages :
   first:int ->
   count:int ->
   guess:int ->
-  string list * bool * Proto.inode_info option
+  Proto.pages
 (** [read_pages k site gf ~first ~count ~guess]: the client half
     of [handle_read_pages] — the pages [site] returns, its eof flag and,
     when the request named a [vv] the copy does not hold, the copy's
@@ -66,7 +66,7 @@ val read_committed :
   first:int ->
   count:int ->
   stat:bool ->
-  string list * Proto.inode_info option
+  Proto.pages
 (** [read_committed k site gf ~first ~count ~stat]: a background read of
     [site]'s committed copy, never an open session's pages — up to
     [count] consecutive pages from [first], and with [stat] the copy's

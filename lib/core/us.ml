@@ -403,12 +403,10 @@ let run_length k o ~from ~limit =
 (* [count] pages from [first] in one [Read_pages] to the open's SS. Only
    a request of two or more pages counts as a bulk read. *)
 let fetch ?vv k o ~first ~count =
-  let ((pages, _, _) as reply) =
-    Ss.read_pages ?vv k o.o_ss o.o_gf ~first ~count ~guess:o.o_guess
-  in
+  let reply = Ss.read_pages ?vv k o.o_ss o.o_gf ~first ~count ~guess:o.o_guess in
   if count > 1 then begin
     Sim.Stats.incr (stats k) "us.bulk.read";
-    Sim.Stats.add (stats k) "us.bulk.read.pages" (List.length pages)
+    Sim.Stats.add (stats k) "us.bulk.read.pages" (List.length reply.Proto.pages)
   end;
   reply
 
@@ -431,14 +429,14 @@ let rebase k o (info : Proto.inode_info) =
    are filed under its private key. *)
 let fetch_range k o ~first ~count =
   let vv = if o.o_mode = Proto.Mode_modify then None else Some o.o_info.Proto.i_vv in
-  let pages, eof, info = fetch ?vv k o ~first ~count in
+  let { Proto.pages; eof; info } = fetch ?vv k o ~first ~count in
   Option.iter (rebase k o) info;
   List.iteri (fun i d -> file_page k o (first + i) d) pages;
   match pages with d :: rest -> (d, rest = [] && eof) | [] -> ("", true)
 
 (* One page straight from the SS, past the US cache. *)
 let fetch_uncached k o lpage =
-  let pages, eof, _ = fetch k o ~first:lpage ~count:1 in
+  let { Proto.pages; eof; _ } = fetch k o ~first:lpage ~count:1 in
   ((match pages with d :: _ -> d | [] -> ""), eof)
 
 (* Keep a full window requested ahead of a sequential reader. The frontier
@@ -791,7 +789,7 @@ let stat_gf k gf =
           | [] -> err Proto.Enoent "stat %a: no reachable copy answered" Gfile.pp gf
           | s :: rest -> (
             match Ss.read_committed k s gf ~first:0 ~count:0 ~stat:true with
-            | _, Some info -> info
-            | _, None | (exception Error _) -> try_sites rest)
+            | { info = Some info; _ } -> info
+            | { info = None; _ } | (exception Error _) -> try_sites rest)
         in
         try_sites reachable))

@@ -20,16 +20,13 @@ let rebuild_css ?(unreported = []) k fg ~members =
   Css.drop_fg k fg;
   List.iter
     (fun m ->
-      (match rpc_result k m (Proto.Pack_inventory { fg }) with
-      | Ok files ->
-        List.iter
-          (fun (ino, vv, ftype, deleted) ->
-            Css.seed_copy k (Gfile.make ~fg ~ino) ~site:m ~vv ~ftype ~deleted)
-          files
-      | Stdlib.Error _ -> ());
-      match rpc_result k m (Proto.Open_files_query { fg }) with
-      | Ok files -> List.iter (fun entry -> Css.register_open k fg entry) files
-      | Stdlib.Error _ -> ())
+      Result.iter
+        (List.iter (fun (ino, vv, ftype, deleted) ->
+             Css.seed_copy k (Gfile.make ~fg ~ino) ~site:m ~vv ~ftype ~deleted))
+        (rpc_result k m (Proto.Pack_inventory { fg }));
+      Result.iter
+        (List.iter (Css.register_open k fg))
+        (rpc_result k m (Proto.Open_files_query { fg })))
     members;
   Locus_core.Dirops.redesignate k fg unreported;
   Css.reclaim_deleted k fg

@@ -76,6 +76,4 @@ let run_active k =
    site has failed, the passive site restarts the protocol itself. Returns
    the report when this site had to take over. *)
 let check_active_and_takeover k ~active =
-  match rpc_result k active Proto.Status_check with
-  | Ok _ -> None
-  | Stdlib.Error _ -> Some (run_active k)
+  if Result.is_ok (rpc_result k active Proto.Status_check) then None else Some (run_active k)

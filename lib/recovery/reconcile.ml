@@ -75,7 +75,7 @@ let merge_manager_for ftype = Hashtbl.find_opt merge_managers ftype
 
 let fetch_info k site gf =
   match Ss.read_committed k site gf ~first:0 ~count:0 ~stat:true with
-  | _, info -> info
+  | { info; _ } -> info
   | exception Error _ -> None
 
 (* A copy as reconciliation reads it: its committed inode, which came

@@ -853,7 +853,7 @@ let install_buffers_what_it_wrote ~window =
   let k3 = World.kernel w 3 in
   List.iter
     (fun site ->
-      let pages, _, _ = Locus_core.Ss.read_pages k3 site gf ~first:0 ~count:3 ~guess:0 in
+      let { Proto.pages; _ } = Locus_core.Ss.read_pages k3 site gf ~first:0 ~count:3 ~guess:0 in
       check Alcotest.string (Printf.sprintf "site %d serves the body" site) body
         (String.concat "" pages))
     [ 0; 1 ];
