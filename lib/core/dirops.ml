@@ -215,9 +215,14 @@ let run_intent k ~us dir (op : Proto.intent) =
             ~after:(links ~delta:(-1) ss)
       in
       let release () = List.iter (fun (f : css_file) -> f.writer <- None) !locked in
-      let reply = Fun.protect ~finally:release run in
-      record k ~tag:"css.intent" "%a from %a" Gfile.pp dir Site.pp us;
-      reply
+      match run () with
+      | reply ->
+        release ();
+        record k ~tag:"css.intent" "%a from %a" Gfile.pp dir Site.pp us;
+        reply
+      | exception refused ->
+        release ();
+        raise refused
 
 (* ---- the using site's half ---- *)
 
