@@ -286,20 +286,16 @@ let create_in k dir_gf ~name ~ftype ~owner ~perms ~ncopies =
 
 (* Initialize a fresh directory's "." and ".." entries. *)
 let init_directory k gf ~parent_ino =
-  let o = Us.open_gf k gf Proto.Mode_modify in
-  match
-    let dir = Dir.empty () in
-    Dir.insert dir ~name:"." ~ino:gf.Gfile.ino ~ftype:Inode.Directory ~stamp:(now k)
-      ~origin:k.site;
-    Dir.insert dir ~name:".." ~ino:parent_ino ~ftype:Inode.Directory ~stamp:(now k)
-      ~origin:k.site;
-    Us.set_contents k o (Dir.encode dir);
-    Us.commit k o
-  with
-  | () -> Us.close k o
-  | exception e ->
-    Us.release k o;
-    raise e
+  Us.with_open k (Us.open_gf k gf Proto.Mode_modify)
+    (fun k o parent_ino ->
+      let dir = Dir.empty () in
+      Dir.insert dir ~name:"." ~ino:o.o_gf.Gfile.ino ~ftype:Inode.Directory ~stamp:(now k)
+        ~origin:k.site;
+      Dir.insert dir ~name:".." ~ino:parent_ino ~ftype:Inode.Directory ~stamp:(now k)
+        ~origin:k.site;
+      Us.set_contents k o (Dir.encode dir);
+      Us.commit k o)
+    parent_ino
 
 (* Remove a name; the file body is deleted once the last link is gone. *)
 let unlink_gf k dir_gf ~name =

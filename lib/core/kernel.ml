@@ -177,17 +177,7 @@ let abort_fd k (proc : proc) num =
 let close_fd k (proc : proc) num =
   let fd = fd_of k proc num in
   Hashtbl.remove proc.p_fds num;
-  fd.f_refs <- fd.f_refs - 1;
-  if fd.f_refs <= 0 then begin
-    (match fd.f_ofile with
-    | Some o -> (
-      (* A close can fail mid-protocol (its commit leg raises when the SS
-         died); the open must still be torn down or it leaks, dirty,
-         holding the CSS write lock. *)
-      try Us.close k o with Error _ -> Us.release k o)
-    | None -> ());
-    Hashtbl.remove k.shared_fds fd.f_key
-  end
+  Tokens.release_fd k fd.f_key
 
 (* ---- name-space calls ---- *)
 
@@ -253,43 +243,29 @@ let chdir k (proc : proc) path =
 
 (* ---- whole-file conveniences ---- *)
 
-(* A failing step mid-operation (an SS crash surfacing as a raised Error,
-   say) must not abandon the open: release it so the close protocol still
-   runs and the SS serving registration and shadow session are torn down. *)
+(* Each opens the file for the one call and ends the open through
+   [Us.with_open]: a failing step mid-operation (an SS crash surfacing as
+   a raised Error, say) releases it, so the close protocol still runs and
+   the SS serving registration and shadow session are torn down. *)
 let read_file k (proc : proc) path =
   let gf = resolve k proc path in
-  let o = open_checked k proc gf Proto.Mode_read in
-  match Us.read_all k o with
-  | body ->
-    Us.close k o;
-    body
-  | exception e ->
-    Us.release k o;
-    raise e
+  Us.with_open k (open_checked k proc gf Proto.Mode_read) (fun k o () -> Us.read_all k o) ()
+
+let overwrite k o body =
+  Us.set_contents k o body;
+  Us.commit k o
 
 let write_file k (proc : proc) path body =
   let gf = resolve k proc path in
-  let o = open_checked k proc gf Proto.Mode_modify in
-  match
-    Us.set_contents k o body;
-    Us.commit k o
-  with
-  | () -> Us.close k o
-  | exception e ->
-    Us.release k o;
-    raise e
+  Us.with_open k (open_checked k proc gf Proto.Mode_modify) overwrite body
 
 let append_file k (proc : proc) path body =
   let gf = resolve k proc path in
-  let o = open_checked k proc gf Proto.Mode_modify in
-  match
-    Us.write k o ~off:o.o_info.Proto.i_size body;
-    Us.commit k o
-  with
-  | () -> Us.close k o
-  | exception e ->
-    Us.release k o;
-    raise e
+  Us.with_open k (open_checked k proc gf Proto.Mode_modify)
+    (fun k o body ->
+      Us.write k o ~off:o.o_info.Proto.i_size body;
+      Us.commit k o)
+    body
 
 (* ---- attribute changes: metadata-only commits ---- *)
 
@@ -299,12 +275,11 @@ let set_attr k (proc : proc) path ~perms ~owner =
   if not (String.equal proc.p_uid "root" || String.equal proc.p_uid info.Proto.i_owner)
   then err Proto.Eaccess "only the owner may change attributes";
   (* Serialize against writers via the normal open protocol. *)
-  let o = Us.open_gf k gf Proto.Mode_modify in
-  match rpc k o.o_ss (Proto.Set_attr { gf; perms; owner }) with
-  | (_ : Vvec.t) -> Us.close k o
-  | exception e ->
-    Us.release k o;
-    raise e
+  Us.with_open k (Us.open_gf k gf Proto.Mode_modify)
+    (fun k o (perms, owner) ->
+      let (_ : Vvec.t) = rpc k o.o_ss (Proto.Set_attr { gf = o.o_gf; perms; owner }) in
+      ())
+    (perms, owner)
 
 let chmod k (proc : proc) path perms = set_attr k proc path ~perms:(Some perms) ~owner:None
 
@@ -354,18 +329,13 @@ let decode_mailbox body =
 let mailbox_deliver k ~path ~from ~body =
   let root = Mount.root k.mount in
   let gf = Pathname.resolve_from k ~cwd:root ~context:[] path in
-  let o = Us.open_gf k gf Proto.Mode_modify in
-  match
-    let mbox = decode_mailbox (Us.read_all k o) in
-    let id = Printf.sprintf "%d.%d" k.site (fresh_serial k) in
-    Mbox.insert mbox ~id ~stamp:(now k) ~from ~body;
-    Us.set_contents k o (Mbox.encode mbox);
-    Us.commit k o
-  with
-  | () -> Us.close k o
-  | exception e ->
-    Us.release k o;
-    raise e
+  Us.with_open k (Us.open_gf k gf Proto.Mode_modify)
+    (fun k o (from, body) ->
+      let mbox = decode_mailbox (Us.read_all k o) in
+      let id = Printf.sprintf "%d.%d" k.site (fresh_serial k) in
+      Mbox.insert mbox ~id ~stamp:(now k) ~from ~body;
+      overwrite k o (Mbox.encode mbox))
+    (from, body)
 
 let mailbox_read k (proc : proc) path = Mbox.live (decode_mailbox (read_file k proc path))
 

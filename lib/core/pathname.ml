@@ -33,17 +33,11 @@ let split_path path = String.split_on_char '/' path |> List.filter (fun c -> c <
 (* Internal unsynchronized open through the CSS. Also returns the version
    vector, which keys the name-cache entries filled from this copy. *)
 let load_dir_remote k gf =
-  let o = Us.open_gf k gf Proto.Mode_internal in
-  match Us.read_all k o with
-  | body ->
-    let info = o.o_info in
-    Us.close k o;
-    (info.Proto.i_ftype, body, info.Proto.i_vv)
-  | exception e ->
-    (* The SS died (or the link failed) mid-read: the resolution fails,
-       but the open must still be torn down or it leaks. *)
-    Us.release k o;
-    raise e
+  Us.with_open k (Us.open_gf k gf Proto.Mode_internal)
+    (fun k o () ->
+      let body = Us.read_all k o in
+      (o.o_info.Proto.i_ftype, body, o.o_info.Proto.i_vv))
+    ()
 
 (* The local copy the fast path of section 2.3.4 searches: stored here,
    not deleted, and with no propagation pending. *)

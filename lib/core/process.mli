@@ -69,22 +69,16 @@ val handle_fork :
   int
 
 val handle_exec :
+  ?context_override:string list ->
   Ktypes.t ->
   pid:int ->
   path:string ->
   env:Proto.process_env ->
-  image_pages:int ->
   parent:int * Net.Site.t ->
   int
-
-val handle_run :
-  ?context_override:string list ->
-  Ktypes.t ->
-  child_pid:int ->
-  path:string ->
-  env:Proto.process_env ->
-  parent:int * Net.Site.t ->
-  int
+(** Destination half of a remote exec, and of a run with the caller's
+    context override applied after the exec. A refused exec leaves no
+    process and no descriptor reference at this site. *)
 
 val handle_exit_notify : Ktypes.t -> pid:int -> status:int -> unit
 

@@ -19,46 +19,49 @@ let get_fd k key =
   | Some fd -> fd
   | None -> err Proto.Einval "unknown shared descriptor"
 
-(* Create a descriptor at its origin site: this site holds the token. *)
-let create_fd k ~gf ~mode ~ofile =
-  let key = (k.site, fresh_serial k) in
+(* This site's first copy of a descriptor, made with the open at its
+   origin, which holds the token, or with none at a site that inherited
+   it, which opens lazily and leaves the token where it was. *)
+let add_fd k key ~gf ~mode ofile =
   let fd =
     {
       f_key = key;
       f_gf = gf;
       f_mode = mode;
       f_offset = 0;
-      f_holder = k.site;
-      f_valid = true;
+      f_holder = manager_of key;
+      f_valid = Option.is_some ofile;
       f_refs = 1;
-      f_ofile = Some ofile;
+      f_ofile = ofile;
     }
   in
   Hashtbl.add k.shared_fds key fd;
   fd
 
-(* Install a copy at a site that inherited the descriptor via fork: the
-   token stays where it was. *)
+let create_fd k ~gf ~mode ~ofile = add_fd k (k.site, fresh_serial k) ~gf ~mode (Some ofile)
+
 let install_remote_fd k ~key ~gf ~mode =
   match find_fd k key with
   | Some fd ->
     fd.f_refs <- fd.f_refs + 1;
     fd
-  | None ->
-    let fd =
-      {
-        f_key = key;
-        f_gf = gf;
-        f_mode = mode;
-        f_offset = 0;
-        f_holder = manager_of key;
-        f_valid = false;
-        f_refs = 1;
-        f_ofile = None;
-      }
-    in
-    Hashtbl.add k.shared_fds key fd;
-    fd
+  | None -> add_fd k key ~gf ~mode None
+
+(* Drop this site's copy of a descriptor. A close can fail mid-protocol
+   (its commit leg raises when the SS died); the open is then released,
+   or it leaks, dirty, holding the CSS write lock. *)
+let drop_fd k fd =
+  (match fd.f_ofile with
+  | Some o -> ( try Us.close k o with Error _ -> Us.release k o)
+  | None -> ());
+  Hashtbl.remove k.shared_fds fd.f_key
+
+let release_fd k key =
+  match find_fd k key with
+  | Some fd ->
+    fd.f_refs <- fd.f_refs - 1;
+    if fd.f_refs <= 0 then drop_fd k fd
+  | None -> ()
 
 (* Yielding the token makes this site's writes readable by the next
    holder through the shared offset: any write-behind run must reach the
@@ -149,10 +152,7 @@ let handle_site_failure k dead =
   in
   List.iter
     (fun (key, fd) ->
-      (match fd.f_ofile with
-      | Some o -> ( try Us.close k o with Error _ -> Us.release k o)
-      | None -> ());
-      Hashtbl.remove k.shared_fds key;
+      drop_fd k fd;
       record k ~tag:"cleanup" "dropped stranded fd (%d,%d)" (fst key) (snd key))
     stranded;
   Hashtbl.iter

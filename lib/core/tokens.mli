@@ -29,6 +29,11 @@ val install_remote_fd :
 (** Install (or re-reference) a copy at a site that inherited the
     descriptor via fork; the token stays where it was. *)
 
+val release_fd : Ktypes.t -> Ktypes.fd_key -> unit
+(** Drop one reference to this site's copy of the descriptor. The last
+    one closes the copy's open, or releases it when the close fails, and
+    removes the copy. *)
+
 val acquire : Ktypes.t -> Ktypes.shared_fd -> unit
 (** Make this site's copy the valid one before using the file position.
     Raises [EDEADTOKEN] when the holder is unreachable. *)

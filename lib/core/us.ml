@@ -675,19 +675,6 @@ let lease_drop_rider k (e : Openlease.entry) =
   e.Openlease.le_active <- e.Openlease.le_active - 1;
   if e.Openlease.le_broken && e.Openlease.le_active <= 0 then lease_send_close k e
 
-(* A commit of [gf] at [vv] from this site: any lease this site holds on
-   another version is dead now, before the CSS's [Lease_break]
-   arrives, as [Ss.install] kills it at a storing site. The commit rides
-   the lease across the kill, so its deferred close goes out from a
-   scheduled event rather than in the foreground. *)
-let retire_lease k gf vv =
-  match Openlease.find_entry k.open_leases gf with
-  | Some e when not (Vvec.equal e.Openlease.le_vv vv) ->
-    e.Openlease.le_active <- e.Openlease.le_active + 1;
-    Openlease.kill k.open_leases gf;
-    Engine.schedule k.engine ~delay:0.0 (fun () -> lease_drop_rider k e)
-  | Some _ | None -> ()
-
 (* Commit or abort the modifications of this open (section 2.3.6). The
    write-behind run is part of what commits: it rides in the commit, which
    the SS writes into the shadow session before committing, so the write
@@ -716,10 +703,7 @@ let commit_gen k o ~abort =
   o.o_dirty <- false;
   if abort then o.o_info <- { o.o_info with Proto.i_size = o.o_committed_size }
   else o.o_committed_size <- o.o_info.Proto.i_size;
-  if not (Vvec.equal vv Vvec.zero) then begin
-    o.o_info <- { o.o_info with Proto.i_vv = vv };
-    retire_lease k o.o_gf vv
-  end;
+  if not (Vvec.equal vv Vvec.zero) then o.o_info <- { o.o_info with Proto.i_vv = vv };
   renew_key k o;
   vv
 
@@ -766,6 +750,19 @@ let release k o =
     o.o_dirty <- false;
     try close k o with Error _ -> ()
   end
+
+(* Run [f] on [o], an open made for this one operation, and end the open:
+   close it when [f] returns, release it when [f] raises (the SS died or
+   the link failed mid-operation) and re-raise. [f] takes its argument
+   rather than capturing it, so a hot caller allocates no closure. *)
+let with_open k o f x =
+  match f k o x with
+  | r ->
+    close k o;
+    r
+  | exception e ->
+    release k o;
+    raise e
 
 let stat_gf k gf =
   (* Prefer the local copy; otherwise ask the CSS, which answers itself

@@ -81,11 +81,8 @@ val set_contents : Ktypes.t -> Ktypes.ofile -> string -> unit
 val commit : Ktypes.t -> Ktypes.ofile -> unit
 (** Atomically commit this open's modifications at the SS (§2.3.6). A
     held write-behind run rides in the [Commit_req], written into the
-    session before the commit in one round trip. A
-    read lease this site holds on the file's older version dies with the
-    commit, so a re-open here cannot read the old bytes before the CSS's
-    [Lease_break] arrives; the lease's deferred close goes out from a
-    scheduled event. *)
+    session before the commit in one round trip. No read lease of this
+    site's survives to the commit: the modify open released them. *)
 
 val abort : Ktypes.t -> Ktypes.ofile -> unit
 (** Undo any changes back to the previous commit point. *)
@@ -114,6 +111,13 @@ val release : Ktypes.t -> Ktypes.ofile -> unit
     protocol, swallowing protocol errors so the original failure
     propagates. Every error path that abandons an [ofile] must release it,
     or the SS serving registration (and any shadow session) leaks. *)
+
+val with_open :
+  Ktypes.t -> Ktypes.ofile -> (Ktypes.t -> Ktypes.ofile -> 'a -> 'b) -> 'a -> 'b
+(** [with_open k o f x] runs [f k o x] on an open made for this one
+    operation and ends the open: {!close} when [f] returns, {!release}
+    and re-raise when it raises. Every path that opens a file for one
+    operation ends it here. *)
 
 val stat_gf : Ktypes.t -> Catalog.Gfile.t -> Proto.inode_info
 (** Descriptor information, from the local pack when possible, else from a

@@ -87,10 +87,9 @@ let handle : type a. Ktypes.t -> src:Site.t -> a Proto.req -> a =
     (* processes *)
     | Proto.Fork_req { child_pid; env; image_pages; parent } ->
       Process.handle_fork k ~child_pid ~env ~image_pages ~parent
-    | Proto.Exec_req { pid; path; env; image_pages; parent } ->
-      Process.handle_exec k ~pid ~path ~env ~image_pages ~parent
+    | Proto.Exec_req { pid; path; env; parent } -> Process.handle_exec k ~pid ~path ~env ~parent
     | Proto.Run_req { child_pid; path; env; parent; context_override } ->
-      Process.handle_run ?context_override k ~child_pid ~path ~env ~parent
+      Process.handle_exec ?context_override k ~pid:child_pid ~path ~env ~parent
     | Proto.Signal_req { pid; signo } -> Process.deliver_signal k pid signo
     | Proto.Exit_notify { pid; status } -> Process.handle_exit_notify k ~pid ~status
     (* pipes *)

@@ -370,7 +370,7 @@ type _ req =
   | Token_state_req : { key : token_key } -> string req (* fetch guarded state with the token *)
   (* --- remote processes (section 3) --- *)
   | Fork_req : { child_pid : int; env : process_env; image_pages : int; parent : int * Net.Site.t } -> int req
-  | Exec_req : { pid : int; path : string; env : process_env; image_pages : int; parent : int * Net.Site.t } -> int req
+  | Exec_req : { pid : int; path : string; env : process_env; parent : int * Net.Site.t } -> int req
   | Run_req : {
       child_pid : int;
       path : string;
@@ -502,7 +502,7 @@ let req_bytes : type a. a req -> int = function
   | Fork_req { env; image_pages; _ } ->
     (* A fork ships the whole process image to the destination site. *)
     header + 16 + env_bytes env + (image_pages * page_bytes)
-  | Exec_req { path; env; _ } -> header + 16 + String.length path + env_bytes env
+  | Exec_req { path; env; _ } -> header + 12 + String.length path + env_bytes env
   | Run_req { path; env; context_override; _ } ->
     header + 12 + String.length path + env_bytes env
     + (match context_override with

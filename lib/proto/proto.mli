@@ -411,7 +411,6 @@ type _ req =
       pid : int;
       path : string;
       env : process_env;
-      image_pages : int;
       parent : int * Net.Site.t;
     } -> int req
   | Run_req : {

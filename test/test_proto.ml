@@ -26,6 +26,8 @@ let read_req =
 let paper_open =
   Proto.Open_req { gf; mode = Proto.Mode_read; us_vv = None; shared = false; want = 0; release = None }
 
+let env = { Proto.e_uid = "u"; e_cwd = gf; e_context = []; e_ncopies = 1; e_fds = [] }
+
 let some_reqs =
   [
     Any (Proto.Open_req
@@ -82,6 +84,10 @@ let some_reqs =
     Any (Proto.Where_stored { gf; stat = false });
     Any (Proto.Token_req { key = Proto.Tok_fd (0, 1); for_site = 2 });
     Any (Proto.Token_state_req { key = Proto.Tok_fd (0, 1) });
+    Any (Proto.Fork_req { child_pid = 1; env; image_pages = 1; parent = (0, 0) });
+    Any (Proto.Exec_req { pid = 1; path = "/bin/cc"; env; parent = (0, 0) });
+    Any (Proto.Run_req
+        { child_pid = 1; path = "/bin/cc"; env; parent = (0, 0); context_override = None });
     Any (Proto.Signal_req { pid = 1; signo = 9 });
     Any (Proto.Exit_notify { pid = 1; status = 0 });
     Any (Proto.Part_poll);
@@ -129,15 +135,20 @@ let test_payload_monotone () =
       (Proto.Fork_req
          {
            child_pid = 1;
-           env =
-             { Proto.e_uid = "u"; e_cwd = gf; e_context = []; e_ncopies = 1; e_fds = [] };
+           env;
            image_pages = pages;
            parent = (0, 0);
          })
   in
   (* Fork ships the image: size scales with pages. *)
   check Alcotest.bool "fork ships image" true
-    (fork_size 64 - fork_size 1 >= 63 * 1024)
+    (fork_size 64 - fork_size 1 >= 63 * 1024);
+  (* Exec and run ship the same fields but the override: no image. *)
+  check Alcotest.int "exec priced as a run without an override"
+    (Proto.req_bytes
+       (Proto.Run_req
+          { child_pid = 1; path = "/bin/cc"; env; parent = (0, 0); context_override = None }))
+    (Proto.req_bytes (Proto.Exec_req { pid = 1; path = "/bin/cc"; env; parent = (0, 0) }))
 
 let info =
   {
