@@ -160,6 +160,31 @@ let test_break_on_own_commit () =
   check Alcotest.int "reader registrations closed" 0 (snd (registrations w gf));
   check Alcotest.string "the holder reads the write" "later" (Kernel.read_file k3 p3 "/f")
 
+(* What lets a commit leave leases alone: the holder's own modify open
+   releases its grant, so no entry is left right after the open returns,
+   whether its reply arrives or every reply is lost. *)
+let test_own_open_leaves_no_entry lose () =
+  let w = make_world () in
+  mk_file w ~at:1 ~path:"/f" ~body:"old!";
+  let k3 = World.kernel w 3 in
+  let gf = gf_of k3 "/f" in
+  Us.close k3 (Us.open_gf k3 gf Proto.Mode_read);
+  ignore (World.settle w);
+  check Alcotest.bool "lease held" true (held k3 gf);
+  if lose then
+    for _ = 1 to 3 do
+      Locus_core.Ktypes.Transport.fail_next_message (World.net w) ~src:0 ~dst:3
+    done;
+  (match Us.open_gf k3 gf Proto.Mode_modify with
+  | o ->
+    check Alcotest.bool "the reply arrived" false lose;
+    check Alcotest.bool "no entry after the open" false (held k3 gf);
+    Us.close k3 o
+  | exception K.Error (Proto.Enet, _) ->
+    check Alcotest.bool "every reply lost" true lose;
+    check Alcotest.bool "no entry after the failed open" false (held k3 gf));
+  ignore (World.settle w)
+
 (* A grant's close is parked (every attempt lost), the CSS breaks the
    grant, and the holder takes a new one before the parked close gets
    through. The break released the old grant, at the CSS and at its SS,
@@ -571,6 +596,10 @@ let () =
           Alcotest.test_case "writer open" `Quick test_break_on_writer_open;
           Alcotest.test_case "commit notify" `Quick test_break_on_commit_notify;
           Alcotest.test_case "own commit" `Quick test_break_on_own_commit;
+          Alcotest.test_case "own modify open leaves no entry" `Quick
+            (test_own_open_leaves_no_entry false);
+          Alcotest.test_case "own modify open leaves no entry, reply lost" `Quick
+            (test_own_open_leaves_no_entry true);
           Alcotest.test_case "parked close after a new grant" `Quick
             test_parked_close_after_new_grant;
           Alcotest.test_case "lost break is resent" `Quick test_lost_break_resent;
