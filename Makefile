@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke soak soak-smoke simdiff baseline baseline-write loc unused check lint fmt clean
+.PHONY: all build test bench bench-smoke soak soak-smoke simdiff baseline baseline-write loc unused coverage check lint fmt clean
 
 all: build
 
@@ -149,6 +149,36 @@ unused:
 				|| echo "$$mod.$$v"; \
 		done; \
 	done
+
+# Match-arm coverage, not gated: builds the tree with every lib/ library
+# rewritten by tools/cov's cov_ppx into its own build directory ($(COV)),
+# runs tier-1 (`dune runtest`, with a fixed QCHECK_SEED), then E1-E23,
+# e24smoke, micro-counts, the full soak and the five benchmark workloads
+# at seeds 1 and 2 (2 s, traced), and prints each file's reached/total
+# match arms for tier-1 and for everything, then every arm nothing reached
+# with its source line.
+COV = _coverage
+COV_OUT = $(CURDIR)/$(COV)/out
+COV_EXPERIMENTS = e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15 e16 e17 e18 e19 \
+	e20 e21 e22 e23 e24smoke
+coverage:
+	@rm -rf $(COV_OUT) && mkdir -p $(COV_OUT)/tier1 $(COV_OUT)/rest $(COV_OUT)/run
+	@dune build --build-dir $(COV) --instrument-with cov_ppx
+	@COV_DIR=$(COV_OUT)/tier1 QCHECK_SEED=1 \
+		dune runtest --build-dir $(COV) --instrument-with cov_ppx --force \
+		> $(COV_OUT)/tier1.log 2>&1 || { tail -40 $(COV_OUT)/tier1.log; exit 1; }
+	@cd $(COV_OUT)/run && export COV_DIR=$(COV_OUT)/rest && \
+		bench=$(CURDIR)/$(COV)/default/bench/main.exe && \
+		$$bench $(COV_EXPERIMENTS) > /dev/null && \
+		$$bench micro-counts > /dev/null && \
+		$$bench soak --seeds 50 --ops 2000 > /dev/null && \
+		for w in read_hot scan_cold write_commit dir_churn partition_heal; do \
+			for s in 1 2; do \
+				$(CURDIR)/$(COV)/default/benchmark/locus_bench.exe \
+					--workload $$w --seed $$s --seconds 2 --traced > /dev/null || exit 1; \
+			done; \
+		done
+	@python3 tools/cov/report.py $(COV_OUT)/tier1 $(COV_OUT)/rest
 
 # Warning-as-error gate: a cold build must produce no compiler output at
 # all. dune only prints warnings when it (re)compiles, so the gate cleans
