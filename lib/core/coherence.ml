@@ -26,9 +26,8 @@ let retire_lease k gf vv =
 (* The committed page [lpage] of this site's copy, through the buffer
    cache: what a re-index reads of a page it does not hold. *)
 let committed_page k gf lpage =
-  let pack = local_pack_exn k gf.Gfile.fg in
-  cached_pack_page k ~read:(Storage.Pack.reader pack (Storage.Pack.get_inode pack gf.Gfile.ino)) gf
-    lpage
+  let inode = local_inode_exn k gf ~what:"re-index" in
+  cached_pack_page k ~read:(Storage.Pack.reader (local_pack_exn k gf.Gfile.fg) inode) gf lpage
 
 let has_session k gf =
   match ss_find_open k gf with Some { s_shadow = Some _; _ } -> true | Some _ | None -> false

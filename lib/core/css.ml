@@ -42,15 +42,12 @@ let get_file k fg ino =
   | None ->
     let f = new_file_state () in
     (* Seed from the local pack if this CSS stores the file itself. *)
-    (match local_pack k fg with
-    | Some pack -> (
-      match Pack.find_inode pack ino with
-      | Some inode ->
-        f.latest_vv <- inode.Inode.vv;
-        f.site_vv <- Site.Map.add k.site inode.Inode.vv f.site_vv;
-        f.css_deleted <- inode.Inode.deleted;
-        f.css_ftype <- inode.Inode.ftype
-      | None -> ())
+    (match local_inode k (Gfile.make ~fg ~ino) with
+    | Some inode ->
+      f.latest_vv <- inode.Inode.vv;
+      f.site_vv <- Site.Map.add k.site inode.Inode.vv f.site_vv;
+      f.css_deleted <- inode.Inode.deleted;
+      f.css_ftype <- inode.Inode.ftype
     | None -> ());
     Hashtbl.add st.css_files ino f;
     f
@@ -119,11 +116,7 @@ let poll_storage_site k ~gf ~vv ~us ~mode ~others candidate =
   rpc_result k candidate (Proto.Storage_req { gf; vv; us; mode; others })
   |> Result.value ~default:None
 
-let local_info k gf =
-  match local_pack k gf.Gfile.fg with
-  | None -> None
-  | Some pack ->
-    Pack.find_inode pack gf.Gfile.ino |> Option.map Proto.info_of_inode
+let local_info k gf = Option.map Proto.info_of_inode (local_inode k gf)
 
 let lease_config_on k = k.config.open_lease_entries > 0
 
@@ -242,8 +235,7 @@ let handle_open k ~src gf mode ~shared us_vv =
             | Some info
               when List.mem k.site candidates
                    && Vvec.dominates_or_equal info.Proto.i_vv f.latest_vv ->
-              let s = ss_register k gf ~us:src ~mode in
-              s.s_others <- others k.site;
+              let s = ss_register k gf ~us:src ~mode ~others:(others k.site) in
               Some (k.site, Some info, s.s_slot)
             | Some _ | None -> None
           in

@@ -265,12 +265,11 @@ let intent k dir op =
 let create_in k dir_gf ~name ~ftype ~owner ~perms ~ncopies =
   let fg = dir_gf.Gfile.fg in
   let own =
-    match local_pack k fg with
-    | Some pack when Pack.stores pack dir_gf.Gfile.ino ->
-      Some (pack, Ss.alloc_inode k pack ~ftype ~owner ~perms)
-    | Some _ | None -> None
+    Option.map
+      (fun _ -> Ss.alloc_inode k (local_pack_exn k fg) ~ftype ~owner ~perms)
+      (local_inode k dir_gf)
   in
-  let ino = Option.map (fun (_, (i : Inode.t)) -> (i.Inode.ino, i.Inode.mtime)) own in
+  let ino = Option.map (fun (i : Inode.t) -> (i.Inode.ino, i.Inode.mtime)) own in
   match intent k dir_gf (Proto.Create { name; ftype; owner; perms; ncopies; ino }) with
   | ino, _, _ ->
     let gf = Gfile.make ~fg ~ino in
@@ -280,7 +279,7 @@ let create_in k dir_gf ~name ~ftype ~owner ~perms ~ncopies =
     (* Refused, so the name was never entered: free the inode. After a
        transport failure the entry may have committed, so it stays. *)
     (match own with
-    | Some (pack, inode) when e <> Proto.Enet -> Pack.remove_inode pack inode.Inode.ino
+    | Some inode when e <> Proto.Enet -> Pack.remove_inode (local_pack_exn k fg) inode.Inode.ino
     | Some _ | None -> ());
     raise failure
 

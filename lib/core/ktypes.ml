@@ -357,16 +357,28 @@ let fg_info k fg =
 let local_pack k fg = Hashtbl.find_opt k.packs fg
 
 let local_pack_exn k fg =
-  match local_pack k fg with
-  | Some p -> p
-  | None -> err Proto.Eio "site %a has no pack for filegroup %d" Site.pp k.site fg
+  match Hashtbl.find k.packs fg with
+  | p -> p
+  | exception Not_found -> err Proto.Eio "site %a has no pack for filegroup %d" Site.pp k.site fg
 
-let local_vv k gf =
+(* This site's copy of [gf]: every role's "do I store this file, and which
+   inode is it?" (section 2.2.2: a pack stores a subset of its filegroup). *)
+let local_inode k gf =
   match local_pack k gf.Gfile.fg with
+  | Some pack -> Storage.Pack.find_inode pack gf.Gfile.ino
   | None -> None
-  | Some pack ->
-    Storage.Pack.find_inode pack gf.Gfile.ino
-    |> Option.map (fun (i : Storage.Inode.t) -> i.Storage.Inode.vv)
+
+(* The storage site's refusal, in one place: no pack here is [Eio], no
+   such inode in the pack [Enoent]. *)
+let local_inode_exn k gf ~what =
+  match Hashtbl.find k.packs gf.Gfile.fg with
+  | exception Not_found -> err Proto.Eio "%s %a: no pack here" what Gfile.pp gf
+  | pack -> (
+    match Storage.Pack.find_inode pack gf.Gfile.ino with
+    | Some inode -> inode
+    | None -> err Proto.Enoent "%s %a: no inode here" what Gfile.pp gf)
+
+let local_vv k gf = Option.map (fun (i : Storage.Inode.t) -> i.Storage.Inode.vv) (local_inode k gf)
 
 let in_partition k site = Site.Set.mem site k.site_set
 
@@ -516,8 +528,9 @@ let count_add us n counts =
 
 (* Register an open of [gf] in [mode] by [us]: the serving state the open
    protocol leaves at the SS it selected. *)
-let ss_register k gf ~us ~mode =
+let ss_register k gf ~us ~mode ~others =
   let s = ss_get_open k gf in
+  s.s_others <- others;
   s.s_uss <- count_add us 1 s.s_uss;
   if mode = Proto.Mode_modify then s.s_writers <- count_add us 1 s.s_writers;
   s

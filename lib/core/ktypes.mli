@@ -353,6 +353,17 @@ val fg_info : t -> int -> fg_info
 val local_pack : t -> int -> Storage.Pack.t option
 
 val local_pack_exn : t -> int -> Storage.Pack.t
+(** Raises [EIO] when this site has no pack of the filegroup. *)
+
+val local_inode : t -> Gfile.t -> Storage.Inode.t option
+(** This site's copy of the file: its pack's inode, if the site has a
+    pack of the filegroup and the pack stores the file. Every role finds
+    its own copy here. *)
+
+val local_inode_exn : t -> Gfile.t -> what:string -> Storage.Inode.t
+(** {!local_inode} as a storage site's refusal: raises [EIO] when the site
+    has no pack of the filegroup and [ENOENT] when the pack has no such
+    inode, the message naming the request [what]. *)
 
 val local_vv : t -> Gfile.t -> Vvec.t option
 (** The version of this site's own copy of the file, if it stores one. *)
@@ -421,9 +432,11 @@ val ss_find_open : t -> Gfile.t -> ss_open option
 val ss_get_open : t -> Gfile.t -> ss_open
 (** Find-or-create the SS serving state (allocating its incore slot). *)
 
-val ss_register : t -> Gfile.t -> us:Site.t -> mode:Proto.open_mode -> ss_open
+val ss_register :
+  t -> Gfile.t -> us:Site.t -> mode:Proto.open_mode -> others:Site.t list -> ss_open
 (** Register an open of the file in [mode] by [us] at this SS: the serving
-    state the open protocol leaves at the storage site it selected. *)
+    state the open protocol leaves at the storage site it selected, with
+    the file's [others] storing sites its commits notify. *)
 
 val ss_end : t -> ss_open -> us:Site.t -> opens:int -> writes:int -> unit
 (** End [opens] of [us]'s registrations, [writes] of them modify opens

@@ -42,12 +42,11 @@ let load_dir_remote k gf =
 (* The local copy the fast path of section 2.3.4 searches: stored here,
    not deleted, and with no propagation pending. *)
 let local_copy k gf =
-  match local_pack k gf.Gfile.fg with
-  | Some pack when not (Gfile.Set.mem gf k.prop_pending) -> (
-    match Pack.find_inode pack gf.Gfile.ino with
-    | Some inode when not inode.Inode.deleted -> Some (pack, inode)
-    | Some _ | None -> None)
-  | Some _ | None -> None
+  if Gfile.Set.mem gf k.prop_pending then None
+  else
+    match local_inode k gf with
+    | Some inode when not inode.Inode.deleted -> Some inode
+    | Some _ | None -> None
 
 (* Load a directory's contents, type and version. Local fast path per
    section 2.3.4; otherwise internal open through the CSS. The [bool]
@@ -55,9 +54,9 @@ let local_copy k gf =
    momentarily stale, so a lookup miss warrants a synchronized retry). *)
 let load_dir_checked k gf =
   match local_copy k gf with
-  | Some (pack, inode) ->
+  | Some inode ->
     charge_disk_read k;
-    (inode.Inode.ftype, Pack.read_string pack inode, true, inode.Inode.vv)
+    (inode.Inode.ftype, Pack.read_string (local_pack_exn k gf.Gfile.fg) inode, true, inode.Inode.vv)
   | None ->
     let ftype, body, vv = load_dir_remote k gf in
     (ftype, body, false, vv)
@@ -320,9 +319,9 @@ let walk_comps k ~context start comps ~finish =
     in
     let missing () = err Proto.Enoent "%s: no such entry in %a" comp Gfile.pp gf in
     match local_copy k gf with
-    | Some (pack, inode) when inode.Inode.ftype = Inode.Directory && cacheable_comp comp -> (
+    | Some inode when inode.Inode.ftype = Inode.Directory && cacheable_comp comp -> (
       (* A name in a local directory: through its index, one page. *)
-      match lookup_local k pack gf inode comp with
+      match lookup_local k (local_pack_exn k gf.Gfile.fg) gf inode comp with
       | Some (ino, ftype, _) -> descend ~comp (ino, ftype) inode.Inode.vv rest
       | None -> (
         match refresh comp with

@@ -42,8 +42,8 @@ let report_to_css k gf vv ~deleted =
          { gf; vv; meta_only = false; modified = []; origin = k.site; fresh = false;
            deleted; designate = false; carried = None })
 
-let apply_delete k pack gf ~vv =
-  match Pack.find_inode pack gf.Gfile.ino with
+let apply_delete k gf ~vv =
+  match local_inode k gf with
   | None -> ()
   | Some inode ->
     if Vvec.conflict inode.Inode.vv vv then
@@ -51,7 +51,7 @@ let apply_delete k pack gf ~vv =
          be saved (section 4.4); leave it for reconciliation. *)
       record k ~tag:"prop.conflict" "%a" Gfile.pp gf
     else if not (Vvec.dominates_or_equal inode.Inode.vv vv) then begin
-      let session = Shadow.begin_modify pack gf.Gfile.ino in
+      let session = Shadow.begin_modify (local_pack_exn k gf.Gfile.fg) gf.Gfile.ino in
       Shadow.set_contents session "";
       Shadow.mark_deleted session ~time:(now k);
       charge_disk_write k;
@@ -90,9 +90,23 @@ let read_run k site gf ~npages ~first ~count ~stat =
   (pages, info)
 
 (* Write the pulled pages of version [info] of [gf] over the local copy
-   [local] in a shadow session and commit it. [read] yields the pages, in
-   (first page, pages) runs; an [Error] from it aborts the session. *)
-let install_version k pack gf ~source (local : Inode.t) (info : Proto.inode_info) ~npulled read =
+   [local] in a shadow session and commit it; a site with no copy yet
+   starts from an empty descriptor, which the commit fills in. [read]
+   yields the pages, in (first page, pages) runs; an [Error] from it aborts
+   the session. *)
+let install_version k gf ~source (local : Inode.t option) (info : Proto.inode_info) ~npulled
+    read =
+  let pack = local_pack_exn k gf.Gfile.fg in
+  let local =
+    match local with
+    | Some local -> local
+    | None ->
+      let local =
+        Inode.create ~ino:gf.Gfile.ino ~ftype:info.Proto.i_ftype ~owner:info.Proto.i_owner
+      in
+      Pack.install_inode pack local;
+      local
+  in
   let session = Shadow.begin_modify pack gf.Gfile.ino in
   let incore = Shadow.incore session in
   incore.Inode.ftype <- info.Proto.i_ftype;
@@ -134,13 +148,13 @@ let install_version k pack gf ~source (local : Inode.t) (info : Proto.inode_info
    pull does not know the size yet, so its first run is one window from
    page 0. [None] when [strict] and the source's version does not
    dominate the notified one: another source must serve. *)
-let pull_from k pack (p : pull) ~source ~strict =
+let pull_from k (p : pull) ~source ~strict =
   let gf = p.pull_gf in
   let cap = max 1 k.config.bulk_window in
   let behind =
     (p.pull_meta_only || p.pull_modified <> [])
     &&
-    match Pack.find_inode pack gf.Gfile.ino with
+    match local_inode k gf with
     | Some local -> one_commit_behind ~local:local.Inode.vv ~target:p.pull_vv ~origin:p.pull_origin
     | None -> false
   in
@@ -165,26 +179,19 @@ let pull_from k pack (p : pull) ~source ~strict =
   | head, Some info ->
     if strict && not (Vvec.dominates_or_equal info.Proto.i_vv p.pull_vv) then None
     else if info.Proto.i_deleted then begin
-      apply_delete k pack gf ~vv:info.Proto.i_vv;
+      apply_delete k gf ~vv:info.Proto.i_vv;
       Some true
     end
-    else begin
-      (* Make sure a local descriptor exists, then shadow in the data. *)
-      (match Pack.find_inode pack gf.Gfile.ino with
-      | Some _ -> ()
-      | None ->
-        Pack.install_inode pack
-          (Inode.create ~ino:gf.Gfile.ino ~ftype:info.Proto.i_ftype ~owner:info.Proto.i_owner));
-      let local = Pack.get_inode pack gf.Gfile.ino in
-      if Vvec.dominates_or_equal local.Inode.vv info.Proto.i_vv then Some true
-      else if Vvec.conflict local.Inode.vv info.Proto.i_vv then begin
+    else
+      match local_inode k gf with
+      | Some local when Vvec.dominates_or_equal local.Inode.vv info.Proto.i_vv -> Some true
+      | Some local when Vvec.conflict local.Inode.vv info.Proto.i_vv ->
         (* Concurrent versions: never overwrite — that would lose an
            update. Reconciliation (section 4) resolves it. *)
         record k ~tag:"prop.conflict" "%a" Gfile.pp gf;
         report_to_css k gf local.Inode.vv ~deleted:local.Inode.deleted;
         Some true
-      end
-      else begin
+      | local ->
         let npages = npages_of info in
         (* The modified pages describe the notified commit only. *)
         let wanted =
@@ -194,15 +201,13 @@ let pull_from k pack (p : pull) ~source ~strict =
         in
         let rest = List.filter (fun pg -> pg < first || pg >= first + count) wanted in
         Some
-          (install_version k pack gf ~source local info ~npulled:(List.length wanted) (fun write ->
+          (install_version k gf ~source local info ~npulled:(List.length wanted) (fun write ->
                write first head;
                List.iter
                  (fun (first, count) ->
                    let pages, _ = fetch ~npages ~first ~count ~stat:false in
                    write first pages)
                  (runs_of ~cap rest)))
-      end
-    end
 
 (* A reachable site other than this one holding the latest version, by
    the CSS's list. *)
@@ -216,32 +221,30 @@ let source_from_css k gf =
 (* One queued propagation request. Returns true when no retry is needed.
    A delete needs no read. The first attempt reads from the committing
    site when it is in the partition; a retry, or a committing site that no
-   longer holds the notified version, goes by the CSS's list. *)
+   longer holds the notified version, goes by the CSS's list. Only a site
+   with a pack of the filegroup queues a request ([enqueue]), and a pack
+   is never taken away. *)
 let attempt k (p : pull) =
   let gf = p.pull_gf in
-  match local_pack k gf.Gfile.fg with
-  | None -> true (* we do not store this filegroup after all *)
-  | Some pack -> (
-    match local_vv k gf with
-    | Some vv when Vvec.dominates_or_equal vv p.pull_vv -> true (* already current *)
-    | Some _ | None -> (
-      if p.pull_deleted then begin
-        apply_delete k pack gf ~vv:p.pull_vv;
-        true
-      end
-      else
-        let from_origin =
-          p.pull_retries = max_retries
-          && (not (Site.equal p.pull_origin k.site))
-          && in_partition k p.pull_origin
-        in
-        match if from_origin then pull_from k pack p ~source:p.pull_origin ~strict:true else None with
-        | Some ok -> ok
-        | None -> (
-          match source_from_css k gf with
-          | None -> false
-          | Some source ->
-            Option.value (pull_from k pack p ~source ~strict:false) ~default:false)))
+  match local_vv k gf with
+  | Some vv when Vvec.dominates_or_equal vv p.pull_vv -> true (* already current *)
+  | Some _ | None -> (
+    if p.pull_deleted then begin
+      apply_delete k gf ~vv:p.pull_vv;
+      true
+    end
+    else
+      let from_origin =
+        p.pull_retries = max_retries
+        && (not (Site.equal p.pull_origin k.site))
+        && in_partition k p.pull_origin
+      in
+      match if from_origin then pull_from k p ~source:p.pull_origin ~strict:true else None with
+      | Some ok -> ok
+      | None -> (
+        match source_from_css k gf with
+        | None -> false
+        | Some source -> Option.value (pull_from k p ~source ~strict:false) ~default:false))
 
 (* Attempt one queued item; a failure with retries left re-queues it, not
    to be retried before [backoff] ms from now. *)
@@ -304,37 +307,26 @@ let rec service_queue k =
    copy reports as a pull does: the CSS's view of it never runs ahead of
    it. *)
 let install_carried k gf ~vv ~origin ~modified ~meta_only ~designate (info, pages) =
-  match local_pack k gf.Gfile.fg with
-  | Some pack when Vvec.equal info.Proto.i_vv vv -> (
+  if Vvec.equal info.Proto.i_vv vv then begin
     let npages = npages_of info in
-    let plan =
-      match Pack.find_inode pack gf.Gfile.ino with
-      | Some local when one_commit_behind ~local:local.Inode.vv ~target:vv ~origin ->
-        Some (Some local, if meta_only then [] else List.filter (fun pg -> pg < npages) modified)
-      | None when designate -> Some (None, List.init npages Fun.id)
+    let local = local_inode k gf in
+    let wanted =
+      match local with
+      | Some l when one_commit_behind ~local:l.Inode.vv ~target:vv ~origin ->
+        Some (if meta_only then [] else List.filter (fun pg -> pg < npages) modified)
+      | None when designate && Option.is_some (local_pack k gf.Gfile.fg) ->
+        Some (List.init npages Fun.id)
       | Some _ | None -> None
     in
-    match plan with
-    | Some (local, wanted) when List.compare_lengths wanted pages = 0 ->
-      let local =
-        match local with
-        | Some local -> local
-        | None ->
-          (* The descriptor a pull would make first; the shadow commit
-             fills it in. *)
-          let local =
-            Inode.create ~ino:gf.Gfile.ino ~ftype:info.Proto.i_ftype ~owner:info.Proto.i_owner
-          in
-          Pack.install_inode pack local;
-          local
-      in
+    match wanted with
+    | Some wanted when List.compare_lengths wanted pages = 0 ->
       Sim.Stats.incr (stats k) "prop.carried";
       Sim.Stats.add (stats k) "prop.carried.pages" (List.length pages);
       ignore
-        (install_version k pack gf ~source:origin local info ~npulled:(List.length pages)
+        (install_version k gf ~source:origin local info ~npulled:(List.length pages)
            (fun write -> List.iter2 (fun pg data -> write pg [ data ]) wanted pages))
-    | Some _ | None -> ())
-  | Some _ | None -> ()
+    | Some _ | None -> ()
+  end
 
 (* Called when a commit notification arrives at a storage site. A copy
    that installed the commit the notification carried is current. Else a
@@ -343,17 +335,12 @@ let install_carried k gf ~vv ~origin ~modified ~meta_only ~designate (info, page
    storage site for a new file. *)
 let enqueue ?carried k gf ~vv ~origin ~modified ~meta_only ~deleted ~designate =
   Option.iter (install_carried k gf ~vv ~origin ~modified ~meta_only ~designate) carried;
-  let interested =
-    match local_pack k gf.Gfile.fg with
-    | None -> false
-    | Some pack -> designate || Pack.stores pack gf.Gfile.ino
+  let behind =
+    match local_inode k gf with
+    | Some local -> not (Vvec.dominates_or_equal local.Inode.vv vv)
+    | None -> designate && Option.is_some (local_pack k gf.Gfile.fg)
   in
-  let current =
-    match local_vv k gf with
-    | Some local -> Vvec.dominates_or_equal local vv
-    | None -> false
-  in
-  if interested && (not current) && not (Gfile.Set.mem gf k.prop_pending) then begin
+  if behind && not (Gfile.Set.mem gf k.prop_pending) then begin
     k.prop_pending <- Gfile.Set.add gf k.prop_pending;
     Queue.add
       {

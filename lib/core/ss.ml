@@ -19,22 +19,14 @@ module Dir = Catalog.Dir
 (* CSS asks: will you act as storage site for this open? Refuse when we do
    not store the file at (at least) the requested version (section 2.3.3). *)
 let handle_storage_req k gf ~vv ~us ~mode ~others =
-  match local_pack k gf.Gfile.fg with
-  | None -> None
-  | Some pack -> (
-    match Pack.find_inode pack gf.Gfile.ino with
-    | None -> None
-    | Some inode ->
-      if inode.Inode.deleted then None
-      else if not (Vvec.dominates_or_equal inode.Inode.vv vv) then
-        (* We store only an out-of-date copy: refuse. *)
-        None
-      else begin
-        let s = ss_register k gf ~us ~mode in
-        s.s_others <- others;
-        charge_disk_read k;
-        Some (Proto.info_of_inode inode, s.s_slot)
-      end)
+  match local_inode k gf with
+  | Some inode when (not inode.Inode.deleted) && Vvec.dominates_or_equal inode.Inode.vv vv ->
+    let s = ss_register k gf ~us ~mode ~others in
+    charge_disk_read k;
+    Some (Proto.info_of_inode inode, s.s_slot)
+  | Some _ | None ->
+    (* No copy, a deleted one or only an out-of-date one: refuse. *)
+    None
 
 (* Where the SS reads [gf]'s pages from: an open shadow session's pages
    when one exists, at a disk read each (readers of a file being written
@@ -43,7 +35,7 @@ let handle_storage_req k gf ~vv ~us ~mode ~others =
    reconciliation) never sees the session. Returns the page reader and
    the size it reads against. One source serves one request, so a file
    past the direct slots costs one indirect-page read per request. *)
-let page_source ?(committed = false) k pack gf (inode : Inode.t) =
+let page_source ?(committed = false) k gf (inode : Inode.t) =
   match ss_find_open k gf with
   | Some { s_shadow = Some session; _ } when not committed ->
     ( (fun lpage ->
@@ -51,7 +43,7 @@ let page_source ?(committed = false) k pack gf (inode : Inode.t) =
         Shadow.read_page session lpage),
       (Shadow.incore session).Inode.size )
   | Some _ | None ->
-    let read = Pack.reader pack inode in
+    let read = Pack.reader (local_pack_exn k gf.Gfile.fg) inode in
     (cached_pack_page k ~read gf, inode.Inode.size)
 
 let note_guess k gf guess =
@@ -77,35 +69,30 @@ let handle_read_pages ?(guess = 0) ?(committed = false) ?(stat = false) ?vv k gf
   if first < 0 || count < 0 || (count = 0 && not stat) then
     err Proto.Einval "read %a pages %d+%d" Gfile.pp gf first count
   else
-    match local_pack k gf.Gfile.fg with
-    | None -> err Proto.Eio "read %a: no pack here" Gfile.pp gf
-    | Some pack -> (
-      match Pack.find_inode pack gf.Gfile.ino with
-      | None -> err Proto.Enoent "read %a: no inode here" Gfile.pp gf
-      | Some inode ->
-        let info =
-          if stat then begin
-            charge_disk_read k;
-            Some (Proto.info_of_inode inode)
-          end
-          else
-            match vv with
-            | Some vv when not (Vvec.equal vv inode.Inode.vv) -> Some (Proto.info_of_inode inode)
-            | Some _ | None -> None
-        in
-        let read_page, size = page_source ~committed:(committed || stat) k pack gf inode in
-        let npages = (size + Page.size - 1) / Page.size in
-        let pages = ref [] in
-        for i = count - 1 downto 0 do
-          let lpage = first + i in
-          if lpage < npages then begin
-            let page = read_page lpage in
-            let remaining = size - (lpage * Page.size) in
-            let len = max 0 (min Page.size remaining) in
-            pages := Page.sub page 0 len :: !pages
-          end
-        done;
-        { Proto.pages = !pages; eof = first + count >= npages; info })
+    let inode = local_inode_exn k gf ~what:"read" in
+    let info =
+      if stat then begin
+        charge_disk_read k;
+        Some (Proto.info_of_inode inode)
+      end
+      else
+        match vv with
+        | Some vv when not (Vvec.equal vv inode.Inode.vv) -> Some (Proto.info_of_inode inode)
+        | Some _ | None -> None
+    in
+    let read_page, size = page_source ~committed:(committed || stat) k gf inode in
+    let npages = (size + Page.size - 1) / Page.size in
+    let pages = ref [] in
+    for i = count - 1 downto 0 do
+      let lpage = first + i in
+      if lpage < npages then begin
+        let page = read_page lpage in
+        let remaining = size - (lpage * Page.size) in
+        let len = max 0 (min Page.size remaining) in
+        pages := Page.sub page 0 len :: !pages
+      end
+    done;
+    { Proto.pages = !pages; eof = first + count >= npages; info }
 
 (* The client half: read pages of [gf] from [site]. Raises [Error] on a
    refusal or a network failure. *)
@@ -115,12 +102,13 @@ let read_pages ?vv k site gf ~first ~count ~guess =
 let read_committed k site gf ~first ~count ~stat =
   rpc k site (Proto.Read_pages { gf; first; count; guess = 0; committed = true; stat; vv = None })
 
-let ensure_session k pack gf =
-  let s = ss_get_open k gf in
+(* [s]'s shadow session, begun on this site's copy when it has none. *)
+let ensure_session k s =
   match s.s_shadow with
   | Some session -> session
   | None ->
-    let session = Shadow.begin_modify pack gf.Gfile.ino in
+    let gf = s.s_gf in
+    let session = Shadow.begin_modify (local_pack_exn k gf.Gfile.fg) gf.Gfile.ino in
     s.s_shadow <- Some session;
     session
 
@@ -157,46 +145,42 @@ let handle_write_pages ?trunc k ~src gf ~first ~off data ~pos ~len =
      || pos + len > String.length data
   then err Proto.Einval "write %a page %d+%d" Gfile.pp gf first off
   else if len = 0 && trunc = None then ()
-  else
-    match local_pack k gf.Gfile.fg with
-    | None -> err Proto.Eio "write %a: no pack here" Gfile.pp gf
-    | Some pack -> (
-      match Pack.find_inode pack gf.Gfile.ino with
-      | None -> err Proto.Enoent "write %a: no inode here" Gfile.pp gf
-      | Some _ ->
-        let session = ensure_session k pack gf in
-        ss_dir_drop k gf;
-        let npages size = (size + Page.size - 1) / Page.size in
-        (* The pages a truncate cuts, [lo, hi): from the one holding the
-           new end (its tail now reads as zeroes) to the old last page.
-           (max_int, 0) is the empty range. *)
-        let lo, hi =
-          match trunc with
-          | Some size ->
-            let old = (Shadow.incore session).Inode.size in
-            Shadow.truncate session size;
-            if size < old then (size / Page.size, npages old) else (max_int, 0)
-          | None -> (max_int, 0)
-        in
-        let base = (first * Page.size) + off in
-        let rec loop at =
-          if at < len then begin
-            let abs = base + at in
-            let lpage = abs / Page.size in
-            let poff = abs mod Page.size in
-            let n = min (Page.size - poff) (len - at) in
-            if poff = 0 && n = Page.size then
-              Shadow.write_page session ~lpage (Page.of_string ~pos:(pos + at) data)
-            else Shadow.patch_page session ~lpage ~off:poff (String.sub data (pos + at) n);
-            page_written k gf lpage;
-            loop (at + n)
-          end
-        in
-        loop 0;
-        let lo, hi =
-          if len = 0 then (lo, hi) else (min lo (base / Page.size), max hi (npages (base + len)))
-        in
-        invalidate_others k gf ~writer:src ~first:lo ~count:(hi - lo))
+  else begin
+    let (_ : Inode.t) = local_inode_exn k gf ~what:"write" in
+    let session = ensure_session k (ss_get_open k gf) in
+    ss_dir_drop k gf;
+    let npages size = (size + Page.size - 1) / Page.size in
+    (* The pages a truncate cuts, [lo, hi): from the one holding the new
+       end (its tail now reads as zeroes) to the old last page.
+       (max_int, 0) is the empty range. *)
+    let lo, hi =
+      match trunc with
+      | Some size ->
+        let old = (Shadow.incore session).Inode.size in
+        Shadow.truncate session size;
+        if size < old then (size / Page.size, npages old) else (max_int, 0)
+      | None -> (max_int, 0)
+    in
+    let base = (first * Page.size) + off in
+    let rec loop at =
+      if at < len then begin
+        let abs = base + at in
+        let lpage = abs / Page.size in
+        let poff = abs mod Page.size in
+        let n = min (Page.size - poff) (len - at) in
+        if poff = 0 && n = Page.size then
+          Shadow.write_page session ~lpage (Page.of_string ~pos:(pos + at) data)
+        else Shadow.patch_page session ~lpage ~off:poff (String.sub data (pos + at) n);
+        page_written k gf lpage;
+        loop (at + n)
+      end
+    in
+    loop 0;
+    let lo, hi =
+      if len = 0 then (lo, hi) else (min lo (base / Page.size), max hi (npages (base + len)))
+    in
+    invalidate_others k gf ~writer:src ~first:lo ~count:(hi - lo)
+  end
 
 (* The pages a request carrying [len] bytes at offset [poff] of its first
    page covers. *)
@@ -293,66 +277,59 @@ let lookup_name ~near k pack gf (inode : Inode.t) name =
     | { Dir.status = Dir.Tombstone; _ } -> None)
   | None -> None
 
-(* Change the record of [name] in directory [gf] where the directory is
-   stored (section 2.3.4's "ask the storage site", applied to updates).
-   The directory's index locates the record: the SS reads that one page
-   through the same page source as a page read and writes the one changed
-   record into the shadow session that a commit then installs — a remove
-   or re-entry in place, a new name after the last record. Only the first
-   change of a version reads every page, to build the index. The pages
-   never reach a process, so none is charged [cpu_page], as in the
-   server-side lookup. A body that does not decode is [Eio], never an
-   empty directory. [change] sees the record that holds [name] now, if
-   any, and returns the record to write in its place, or refuses. Returns
-   the entry written. *)
-let dir_change k ~src gf name change =
-  match local_pack k gf.Gfile.fg with
-  | None -> Stdlib.Error Proto.Eio
-  | Some pack -> (
-    match Pack.find_inode pack gf.Gfile.ino with
-    | None -> Stdlib.Error Proto.Enoent
-    | Some inode -> (
-      let read, size = page_source k pack gf inode in
-      match
-        match find_dir_index k gf inode with
-        | Some d when Dir.Index.log_end d.di_index = size -> d
-        | Some _ | None -> build_dir_index k gf inode ~read ~size
-      with
-      | exception Failure _ -> Stdlib.Error Proto.Eio
-      | d -> (
-        let write at (e : Dir.entry) =
-          match Dir.record e with
-          | exception Invalid_argument _ -> Stdlib.Error Proto.Einval
-          | _ when at / Page.size >= Inode.max_pages -> Stdlib.Error Proto.Enospc
-          | data ->
-            let lpage = at / Page.size in
-            Shadow.patch_page (ensure_session k pack gf) ~lpage ~off:(at mod Page.size) data;
-            page_written k gf lpage;
-            invalidate_others k gf ~writer:src ~first:lpage ~count:1;
-            Ok e
-        in
-        match Dir.Index.find d.di_index ~read ~limit:size name with
-        | Some (at, page) ->
-          Result.bind (change (Some (Dir.entry_at page (at mod Page.size)))) (write at)
-        | None -> (
-          match change None with
-          | Stdlib.Error _ as refused -> refused
-          | Ok e ->
-            let at = Dir.Index.next d.di_index name in
-            let r = write at e in
-            if Result.is_ok r then begin
-              Dir.Index.add d.di_index name at;
-              if at mod Page.size = 0 then dir_index_fit k
-            end;
-            r))))
+(* Change the record of [name] in directory [gf], this site's copy
+   [inode], where the directory is stored (section 2.3.4's "ask the
+   storage site", applied to updates). The directory's index locates the
+   record: the SS reads that one page through the same page source as a
+   page read and writes the one changed record into the shadow session
+   that a commit then installs — a remove or re-entry in place, a new name
+   after the last record. Only the first change of a version reads every
+   page, to build the index. The pages never reach a process, so none is
+   charged [cpu_page], as in the server-side lookup. A body that does not
+   decode is [Eio], never an empty directory. [change] sees the record
+   that holds [name] now, if any, and returns the record to write in its
+   place, or raises. Returns the entry written. *)
+let dir_change k ~src gf (inode : Inode.t) name change =
+  let read, size = page_source k gf inode in
+  let d =
+    match find_dir_index k gf inode with
+    | Some d when Dir.Index.log_end d.di_index = size -> d
+    | Some _ | None -> (
+      try build_dir_index k gf inode ~read ~size
+      with Failure _ -> err Proto.Eio "directory %a does not decode" Gfile.pp gf)
+  in
+  let write at (e : Dir.entry) =
+    let data =
+      try Dir.record e
+      with Invalid_argument _ -> err Proto.Einval "record of %s in %a" e.Dir.name Gfile.pp gf
+    in
+    let lpage = at / Page.size in
+    if lpage >= Inode.max_pages then err Proto.Enospc "directory %a is full" Gfile.pp gf;
+    Shadow.patch_page (ensure_session k (ss_get_open k gf)) ~lpage ~off:(at mod Page.size) data;
+    page_written k gf lpage;
+    invalidate_others k gf ~writer:src ~first:lpage ~count:1
+  in
+  match Dir.Index.find d.di_index ~read ~limit:size name with
+  | Some (at, page) ->
+    let e = change (Some (Dir.entry_at page (at mod Page.size))) in
+    write at e;
+    e
+  | None ->
+    let e = change None in
+    let at = Dir.Index.next d.di_index name in
+    write at e;
+    Dir.Index.add d.di_index name at;
+    if at mod Page.size = 0 then dir_index_fit k;
+    e
 
-(* Install [session] as the committed version of [gf] (section 2.3.6):
-   bump the version vector (or take recovery's [force_vv]), switch the
-   incore inode in, and retire what the new version made stale.
-   [delete] marks the inode deleted first (section 2.3.7). Returns the new
-   version and the pages the session modified. Notifying anyone is the
-   caller's job. *)
-let install ?force_vv k pack gf s session ~delete =
+(* Install [s]'s session as the committed version of [gf], whose copy
+   here is [base] (section 2.3.6): bump the version vector (or take
+   recovery's [force_vv]), switch the incore inode in, and retire what the
+   new version made stale. [delete] marks the inode deleted first (section
+   2.3.7). Returns the new version and the pages the session modified.
+   Notifying anyone is the caller's job. *)
+let install ?force_vv k gf s (base : Inode.t) ~delete =
+  let session = ensure_session k s in
   let modified = Shadow.modified_lpages session in
   if delete then begin
     Shadow.set_contents session "";
@@ -360,9 +337,7 @@ let install ?force_vv k pack gf s session ~delete =
   end;
   let old_vv = (Shadow.incore session).Inode.vv in
   let vv = match force_vv with Some v -> v | None -> Vvec.bump old_vv k.site in
-  let old_size =
-    match Pack.find_inode pack gf.Gfile.ino with Some i -> i.Inode.size | None -> 0
-  in
+  let old_size = base.Inode.size in
   charge_disk_write k;
   let replaced = Shadow.modified_pages session in
   Shadow.commit session ~vv ~mtime:(now k);
@@ -385,21 +360,18 @@ let commit_message ?carried ?origin ?(designate = false) k gf ~vv ~modified ~del
    cache as the first pull would read them, so the cache warms as it did.
    [None] once the local copy is no longer at [vv]. *)
 let carried_pages k gf ~vv ~modified =
-  match local_pack k gf.Gfile.fg with
-  | None -> None
-  | Some pack -> (
-    match Pack.find_inode pack gf.Gfile.ino with
-    | Some inode when Vvec.equal inode.Inode.vv vv ->
-      let read, size = page_source ~committed:true k pack gf inode in
-      let pages =
-        List.filter_map
-          (fun lpage ->
-            let len = min Page.size (size - (lpage * Page.size)) in
-            if len <= 0 then None else Some (Page.sub (read lpage) 0 len))
-          modified
-      in
-      Some (Proto.info_of_inode inode, pages)
-    | Some _ | None -> None)
+  match local_inode k gf with
+  | Some inode when Vvec.equal inode.Inode.vv vv ->
+    let read, size = page_source ~committed:true k gf inode in
+    let pages =
+      List.filter_map
+        (fun lpage ->
+          let len = min Page.size (size - (lpage * Page.size)) in
+          if len <= 0 then None else Some (Page.sub (read lpage) 0 len))
+        modified
+    in
+    Some (Proto.info_of_inode inode, pages)
+  | Some _ | None -> None
 
 (* Notify the file's other storing [sites] of this site's fresh commit
    (section 2.3.6). Above a window of 1, a commit that modified 1 to
@@ -439,52 +411,34 @@ let announce_commit k gf ~vv ~modified ~deleted ~meta_only others =
 
 (* The atomic commit (section 2.3.6): move the incore inode to the disk
    inode, then notify the CSS and all other storage sites so they bring
-   their copies up to date. *)
-let commit_session ?force_vv k gf ~abort ~delete =
-  match local_pack k gf.Gfile.fg with
-  | None -> err Proto.Eio "commit %a: no pack here" Gfile.pp gf
-  | Some pack -> (
-    let s = ss_get_open k gf in
-    match s.s_shadow with
-    | None when abort -> Vvec.zero
-    | None when not delete ->
-      (* Nothing was modified: no new version is created. *)
-      let vv =
-        match Pack.find_inode pack gf.Gfile.ino with
-        | Some inode -> inode.Inode.vv
-        | None -> Vvec.zero
-      in
-      vv
-    | Some session when abort ->
-      Shadow.abort session;
-      s.s_shadow <- None;
-      ss_dir_drop k gf;
-      (* The committed version is untouched: its buffered pages stay. *)
-      record k ~tag:"ss.abort" "%a" Gfile.pp gf;
-      let vv =
-        match Pack.find_inode pack gf.Gfile.ino with
-        | Some inode -> inode.Inode.vv
-        | None -> Vvec.zero
-      in
-      vv
-    | _ ->
-      let session =
-        match s.s_shadow with
-        | Some session -> session
-        | None -> ensure_session k pack gf
-      in
-      let vv, modified = install k pack gf s session ?force_vv ~delete in
-      announce_commit k gf ~vv ~modified ~deleted:delete ~meta_only:false s.s_others)
+   their copies up to date. With no session, nothing was modified and the
+   answer is the committed version. *)
+let commit_session ?force_vv k gf ~abort =
+  let inode = local_inode_exn k gf ~what:"commit" in
+  let s = ss_get_open k gf in
+  match s.s_shadow with
+  | None when abort -> Vvec.zero
+  | None -> inode.Inode.vv
+  | Some session when abort ->
+    Shadow.abort session;
+    s.s_shadow <- None;
+    ss_dir_drop k gf;
+    (* The committed version is untouched: its buffered pages stay. *)
+    record k ~tag:"ss.abort" "%a" Gfile.pp gf;
+    inode.Inode.vv
+  | Some _ ->
+    let vv, modified = install ?force_vv k gf s inode ~delete:false in
+    announce_commit k gf ~vv ~modified ~deleted:false ~meta_only:false s.s_others
 
 (* A commit request: a [run] the commit carries is written into the
    session first, exactly as a [Write_pages] from [src] would write it; a
    refused run is the answer, and nothing commits. *)
-let handle_commit ?force_vv ?run k ~src gf ~abort ~delete =
+let handle_commit ?force_vv ?run k ~src gf ~abort =
   (match run with
   | Some { Proto.run_trunc = trunc; run_first = first; run_off = off; run_data = data } ->
     handle_write_pages ?trunc k ~src gf ~first ~off data ~pos:0 ~len:(String.length data)
   | None -> ());
-  commit_session ?force_vv k gf ~abort ~delete
+  commit_session ?force_vv k gf ~abort
 
 (* US close at the SS, then SS close at the CSS — the three-message close
    protocol adopted after the reopen race was found (section 2.3.3 note).
@@ -603,23 +557,15 @@ let metadata_install k gf (inode : Inode.t) mutate =
    going is a delete commit. Returns the new version and whether the file
    was deleted. *)
 let change_links k gf ~delta =
-  match local_pack k gf.Gfile.fg with
-  | None -> Stdlib.Error Proto.Eio
-  | Some pack -> (
-    match Pack.find_inode pack gf.Gfile.ino with
-    | None -> Stdlib.Error Proto.Enoent
-    | Some { Inode.deleted = true; _ } -> Stdlib.Error Proto.Enoent
-    | Some inode when inode.Inode.nlink + delta <= 0 ->
-      let s = ss_get_open k gf in
-      let session = ensure_session k pack gf in
-      let vv, _ = install k pack gf s session ~delete:true in
-      drop_if_idle k s;
-      Ok (vv, true)
-    | Some inode ->
-      let vv =
-        metadata_install k gf inode (fun i -> i.Inode.nlink <- i.Inode.nlink + delta)
-      in
-      Ok (vv, false))
+  let inode = local_inode_exn k gf ~what:"link count of" in
+  if inode.Inode.deleted then err Proto.Enoent "link count of %a: deleted" Gfile.pp gf
+  else if inode.Inode.nlink + delta <= 0 then begin
+    let s = ss_get_open k gf in
+    let vv, _ = install k gf s inode ~delete:true in
+    drop_if_idle k s;
+    (vv, true)
+  end
+  else (metadata_install k gf inode (fun i -> i.Inode.nlink <- i.Inode.nlink + delta), false)
 
 (* An intent's record change and the directory's commit, in one handler:
    the storage site's half of a create, unlink or link (sections 2.3.4,
@@ -632,15 +578,18 @@ let change_links k gf ~delta =
    also changes the file's link count here when [links_here] says this
    site holds its latest copy. *)
 let apply_intent k ~us dir (op : Proto.intent) ~others ~guard ~links_here =
+  let dir_inode = local_inode_exn k dir ~what:"intent on" in
   let stamp = now k and origin = us in
   let allocated = ref None in
-  let live ino ftype name = Ok { Dir.name; ino; ftype; status = Dir.Live; stamp; origin } in
-  let tombstone (e : Dir.entry) = Ok { e with Dir.status = Dir.Tombstone; stamp; origin } in
-  let result =
+  let refuse e = err e "intent on %a refused" Gfile.pp dir in
+  let live ino ftype name = { Dir.name; ino; ftype; status = Dir.Live; stamp; origin } in
+  let tombstone (e : Dir.entry) = { e with Dir.status = Dir.Tombstone; stamp; origin } in
+  let change name f = dir_change k ~src:us dir dir_inode name f in
+  match
     match op with
     | Proto.Create { name; ftype; owner; perms; ino; ncopies = _ } ->
-      dir_change k ~src:us dir name (function
-        | Some { Dir.status = Dir.Live; _ } -> Stdlib.Error Proto.Eexist
+      change name (function
+        | Some { Dir.status = Dir.Live; _ } -> refuse Proto.Eexist
         | Some { Dir.status = Dir.Tombstone; _ } | None -> (
           match ino with
           | Some (ino, _) -> live ino ftype name
@@ -649,33 +598,33 @@ let apply_intent k ~us dir (op : Proto.intent) ~others ~guard ~links_here =
             allocated := Some inode;
             live inode.Inode.ino ftype name))
     | Proto.Unlink { name; links } ->
-      dir_change k ~src:us dir name (function
+      change name (function
         | Some ({ Dir.status = Dir.Live; ino; _ } as e) ->
-          if links then Result.bind (guard ino) (fun () -> tombstone e) else tombstone e
-        | Some { Dir.status = Dir.Tombstone; _ } | None -> Stdlib.Error Proto.Enoent)
+          if links then Result.iter_error refuse (guard ino);
+          tombstone e
+        | Some { Dir.status = Dir.Tombstone; _ } | None -> refuse Proto.Enoent)
     | Proto.Link { name; ino; ftype; links = _ } ->
-      dir_change k ~src:us dir name (function
-        | Some { Dir.status = Dir.Live; _ } -> Stdlib.Error Proto.Eexist
+      change name (function
+        | Some { Dir.status = Dir.Live; _ } -> refuse Proto.Eexist
         | Some { Dir.status = Dir.Tombstone; _ } | None -> live ino ftype name)
-  in
-  match result with
-  | Stdlib.Error e ->
+  with
+  | exception Error (e, _) ->
     (* Refused before anything was written; an inode allocated for a name
        the record format refused is freed. *)
-    (match !allocated with
-    | Some inode -> Pack.remove_inode (local_pack_exn k dir.Gfile.fg) inode.Inode.ino
-    | None -> ());
-    err e "intent on %a refused" Gfile.pp dir
-  | Ok { Dir.ino; ftype; _ } ->
-    let pack = local_pack_exn k dir.Gfile.fg in
+    Option.iter
+      (fun (i : Inode.t) -> Pack.remove_inode (local_pack_exn k dir.Gfile.fg) i.Inode.ino)
+      !allocated;
+    refuse e
+  | { Dir.ino; ftype; _ } ->
     let s = ss_get_open k dir in
-    let session = ensure_session k pack dir in
-    let dir_vv, modified = install k pack dir s session ~delete:false in
+    let dir_vv, modified = install k dir s dir_inode ~delete:false in
     drop_if_idle k s;
     notify_others k dir ~vv:dir_vv ~modified ~deleted:false ~meta_only:false others;
     let links delta =
       if links_here ino then
-        Result.to_option (change_links k (Gfile.make ~fg:dir.Gfile.fg ~ino) ~delta)
+        match change_links k (Gfile.make ~fg:dir.Gfile.fg ~ino) ~delta with
+        | linked -> Some linked
+        | exception Error _ -> None
       else None
     in
     let file =
@@ -698,23 +647,14 @@ let handle_intent_step : type a. Ktypes.t -> us:Site.t -> a Proto.intent_step ->
       ~guard:(fun ino ->
         match List.assoc_opt ino refuse with Some e -> Stdlib.Error e | None -> Ok ())
       ~links_here:(fun ino -> not (List.mem ino stale))
-  | Proto.Step_link { gf; delta } -> (
-    match change_links k gf ~delta with
-    | Ok linked -> linked
-    | Stdlib.Error e -> err e "link count of %a" Gfile.pp gf)
+  | Proto.Step_link { gf; delta } -> change_links k gf ~delta
 
 (* Metadata-only commit: change descriptor fields and notify the CSS and
    the file's other storing sites. *)
 let metadata_commit k gf mutate =
-  match local_pack k gf.Gfile.fg with
-  | None -> err Proto.Eio "attributes of %a: no pack here" Gfile.pp gf
-  | Some pack -> (
-    match Pack.find_inode pack gf.Gfile.ino with
-    | None -> err Proto.Enoent "attributes of %a: no inode here" Gfile.pp gf
-    | Some inode ->
-      let vv = metadata_install k gf inode mutate in
-      let others = match ss_find_open k gf with Some s -> s.s_others | None -> [] in
-      announce_commit k gf ~vv ~modified:[] ~deleted:false ~meta_only:true others)
+  let vv = metadata_install k gf (local_inode_exn k gf ~what:"attributes of") mutate in
+  let others = match ss_find_open k gf with Some s -> s.s_others | None -> [] in
+  announce_commit k gf ~vv ~modified:[] ~deleted:false ~meta_only:true others
 
 let handle_set_attr k gf ~perms ~owner =
   metadata_commit k gf (fun inode ->
@@ -736,7 +676,10 @@ let handle_reclaim k gf =
 
 (* ---- named pipes (section 2.4.2): the fifo's single SS serializes ---- *)
 
+(* The buffer of fifo [gf], which this site stores. *)
 let pipe_buf k gf =
+  if (local_inode_exn k gf ~what:"pipe").Inode.ftype <> Inode.Fifo then
+    err Proto.Einval "%a is not a pipe" Gfile.pp gf;
   match Gfile.Tbl.find_opt k.pipe_bufs gf with
   | Some b -> b
   | None ->
@@ -745,26 +688,12 @@ let pipe_buf k gf =
     b
 
 let handle_pipe_write k gf data =
-  match local_pack k gf.Gfile.fg with
-  | None -> err Proto.Eio "pipe %a: no pack here" Gfile.pp gf
-  | Some pack -> (
-    match Pack.find_inode pack gf.Gfile.ino with
-    | Some { Inode.ftype = Inode.Fifo; _ } ->
-      let b = pipe_buf k gf in
-      b := !b ^ data
-    | Some _ -> err Proto.Einval "%a is not a pipe" Gfile.pp gf
-    | None -> err Proto.Enoent "pipe %a: no inode here" Gfile.pp gf)
+  let b = pipe_buf k gf in
+  b := !b ^ data
 
 let handle_pipe_read k gf max =
-  match local_pack k gf.Gfile.fg with
-  | None -> err Proto.Eio "pipe %a: no pack here" Gfile.pp gf
-  | Some pack -> (
-    match Pack.find_inode pack gf.Gfile.ino with
-    | Some { Inode.ftype = Inode.Fifo; _ } ->
-      let b = pipe_buf k gf in
-      let n = min max (String.length !b) in
-      let data = String.sub !b 0 n in
-      b := String.sub !b n (String.length !b - n);
-      data
-    | Some _ -> err Proto.Einval "%a is not a pipe" Gfile.pp gf
-    | None -> err Proto.Enoent "pipe %a: no inode here" Gfile.pp gf)
+  let b = pipe_buf k gf in
+  let n = min max (String.length !b) in
+  let data = String.sub !b 0 n in
+  b := String.sub !b n (String.length !b - n);
+  data

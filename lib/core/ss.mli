@@ -143,15 +143,18 @@ val handle_commit :
   src:Net.Site.t ->
   Catalog.Gfile.t ->
   abort:bool ->
-  delete:bool ->
   Vv.Version_vector.t
 (** The atomic commit (§2.3.6): switch the incore inode in, bump the
     version vector (or install [force_vv], recovery's merged vector), and
-    send commit notifications. [abort] discards instead; [delete] marks
-    the inode deleted first (§2.3.7). The open's one SS holds the whole
-    session. A [run] is written into the session first, as
-    {!handle_write_pages} from [src] writes it, with the same ranged
-    invalidation; a refused run is the answer, and nothing commits. *)
+    send commit notifications. [abort] discards instead. With no session
+    the answer is the committed version. A delete is no commit mode: it
+    is the last link going ({!handle_intent_step}'s link-count step). The
+    open's one SS holds the whole session. A [run] is written into the
+    session first, as {!handle_write_pages} from [src] writes it, with the
+    same ranged invalidation; a refused run is the answer, and nothing
+    commits. Refused with [EIO] when this site has no pack of the
+    filegroup and [ENOENT] when its pack has no such inode
+    ({!Ktypes.local_inode_exn}), before any serving state is made. *)
 
 val handle_us_close :
   Ktypes.t ->

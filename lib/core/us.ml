@@ -264,12 +264,11 @@ and open_cold ~shared ~asks k fi gf mode =
            open here, so this site does, once (a polled or CSS-local
            serve is already registered, and two registrations would
            need two closes). *)
-        match local_pack k gf.Gfile.fg with
-        | Some pack when Pack.stores pack gf.Gfile.ino ->
-          let s = ss_register k gf ~us:k.site ~mode in
-          s.s_others <- others;
-          Proto.info_of_inode (Pack.get_inode pack gf.Gfile.ino)
-        | Some _ | None -> err Proto.Eio "open %a: no local copy to serve" Gfile.pp gf)
+        match local_inode k gf with
+        | Some inode ->
+          ignore (ss_register k gf ~us:k.site ~mode ~others);
+          Proto.info_of_inode inode
+        | None -> err Proto.Eio "open %a: no local copy to serve" Gfile.pp gf)
     in
     let lease_entry =
       if lease <> 0 then begin
@@ -691,7 +690,7 @@ let commit_gen k o ~abort =
   in
   o.o_wb <- None;
   let vv =
-    rpc k o.o_ss (Proto.Commit_req { gf = o.o_gf; abort; delete = false; force_vv = None; run })
+    rpc k o.o_ss (Proto.Commit_req { gf = o.o_gf; abort; force_vv = None; run })
   in
   (match run with
   | Some { Proto.run_off; run_data; _ } ->
@@ -767,10 +766,9 @@ let with_open k o f x =
 let stat_gf k gf =
   (* Prefer the local copy; otherwise ask the CSS, which answers itself
      when its own copy is the latest, else names the sites that hold it. *)
-  match local_pack k gf.Gfile.fg with
-  | Some pack when Pack.stores pack gf.Gfile.ino ->
-    Proto.info_of_inode (Pack.get_inode pack gf.Gfile.ino)
-  | Some _ | None -> (
+  match local_inode k gf with
+  | Some inode -> Proto.info_of_inode inode
+  | None -> (
     let fi = fg_info k gf.Gfile.fg in
     match rpc k fi.css_site (Proto.Where_stored { gf; stat = true }) with
     | { Proto.info = Some info; _ } -> info

@@ -50,8 +50,8 @@ let handle : type a. Ktypes.t -> src:Site.t -> a Proto.req -> a =
       Ss.handle_read_pages ~guess ~committed ~stat ?vv k gf ~first ~count
     | Proto.Write_pages { gf; trunc; first; off; data; pos; len } ->
       Ss.handle_write_pages ?trunc k ~src gf ~first ~off data ~pos ~len
-    | Proto.Commit_req { gf; abort; delete; force_vv; run } ->
-      Ss.handle_commit ?force_vv ?run k ~src gf ~abort ~delete
+    | Proto.Commit_req { gf; abort; force_vv; run } ->
+      Ss.handle_commit ?force_vv ?run k ~src gf ~abort
     (* close protocol *)
     | Proto.Us_close { gf; mode; grant; released } -> us_close k ~src gf ~mode ~grant ~released
     | Proto.Ss_close { gf; us; mode; grant } -> Css.handle_ss_close k gf ~us ~mode ~grant

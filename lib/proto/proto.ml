@@ -302,7 +302,6 @@ type _ req =
   | Commit_req : {
       gf : Catalog.Gfile.t;
       abort : bool;
-      delete : bool;
       force_vv : Vvec.t option;
         (* recovery only: install this exact version vector (the pointwise
            maximum of the merged copies, bumped at the merge site) instead
@@ -311,8 +310,9 @@ type _ req =
         (* the write the commit follows: the US's last run of modified
            bytes, written into the session before it commits, in place of
            a [Write_pages] round trip of its own *)
-    } -> Vvec.t req (* US -> SS: commit (or abort) the open modification session; [delete]
-         marks the inode deleted before committing (section 2.3.7) *)
+    } -> Vvec.t req
+    (* US -> SS: commit (or abort) the open modification session. A delete
+       is no commit mode: the last link going deletes (section 2.3.7) *)
   (* --- close protocol (3 messages; see the race note in section 2.3.3) --- *)
   | Us_close : { gf : Catalog.Gfile.t; mode : open_mode; grant : int; released : bool } -> unit req
     (* US -> SS. [grant] names the read lease whose deferred close this
@@ -475,6 +475,7 @@ let req_bytes : type a. a req -> int = function
     + (5 * List.length refuse) + (4 * List.length stale)
   | Intent_step { step = Step_link _; _ } -> header + 4 + gfile_bytes + 4
   | Commit_req { force_vv; run; _ } ->
+    (* The flag byte carries [abort]. *)
     header + gfile_bytes + 1
     + (match force_vv with Some v -> vv_bytes v | None -> 0)
     + (match run with

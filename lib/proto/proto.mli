@@ -321,11 +321,10 @@ type _ req =
   | Commit_req : {
       gf : Catalog.Gfile.t;
       abort : bool;
-      delete : bool;
       force_vv : Vv.Version_vector.t option;
       run : run option;
-    } -> Vv.Version_vector.t req  (** US → SS: commit/abort the open modification; [delete] marks
-           the inode deleted (§2.3.7); [force_vv] installs recovery's
+    } -> Vv.Version_vector.t req  (** US → SS: commit/abort the open modification, the
+           flag byte carrying [abort]; [force_vv] installs recovery's
            merged vector. The commit goes to the open's one SS. [run] is
            the write the commit follows: the SS writes it into the session
            as a [Write_pages] would, then commits, in one round trip. It

@@ -123,7 +123,7 @@ let write_version k ~target gf ~content ~vv ~others =
     match
       rpc_result k target
         (Proto.Commit_req
-           { gf; abort = false; delete = false; force_vv = Some vv; run = None })
+           { gf; abort = false; force_vv = Some vv; run = None })
     with
     | Ok _ ->
       Dirops.designate k gf ~origin:target ~vv

@@ -1298,6 +1298,61 @@ let test_named_pipe_across_sites () =
     (Kernel.pipe_read k3 p3 "/fifo" ~max:100);
   check Alcotest.string "drained" "" (Kernel.pipe_read k0 p0 "/fifo" ~max:100)
 
+(* ---- a storage site's refusals ---- *)
+
+(* Every SS request for a copy the site does not store is refused with the
+   site's lookup's answer, EIO with no pack of the filegroup and ENOENT
+   with no such inode in its pack, and leaves no serving state behind; a
+   pipe request for a regular file is EINVAL. Site 0 alone stores "/f";
+   site 1 has a pack without it, site 2 none. *)
+let test_ss_refuses_what_it_does_not_store () =
+  let w = asym_world () in
+  let k0 = World.kernel w 0 and p0 = World.proc w 0 in
+  Kernel.set_ncopies p0 1;
+  ignore (Kernel.creat k0 p0 "/f");
+  Kernel.write_file k0 p0 "/f" "data";
+  ignore (World.settle w);
+  let gf = gf_of k0 "/f" in
+  let k3 = World.kernel w 3 in
+  let requests =
+    [
+      ( "read",
+        Any
+          (Proto.Read_pages
+             { gf; first = 0; count = 1; guess = 0; committed = false; stat = false; vv = None })
+      );
+      ( "write",
+        Any
+          (Proto.Write_pages { gf; trunc = None; first = 0; off = 0; data = "x"; pos = 0; len = 1 })
+      );
+      ("commit", Any (Proto.Commit_req { gf; abort = false; force_vv = None; run = None }));
+      ("set attr", Any (Proto.Set_attr { gf; perms = Some 0o600; owner = None }));
+      ("pipe write", Any (Proto.Pipe_write { gf; data = "x" }));
+      ("pipe read", Any (Proto.Pipe_read { gf; max = 1 }));
+      ("link count", Any (Proto.Intent_step { us = 3; step = Proto.Step_link { gf; delta = 1 } }));
+    ]
+  in
+  let refusal site (Any req) =
+    let k = World.kernel w site in
+    let opens = Catalog.Gfile.Tbl.length k.K.ss_opens in
+    let answer =
+      match K.rpc_result k3 site req with
+      | Error (Net.Netsim.Refused e) -> Format.asprintf "%a" Proto.pp_errno e
+      | Error e -> Format.asprintf "%a" K.Transport.pp_error e
+      | Ok _ -> "answered"
+    in
+    check Alcotest.int "no serving state is left" opens (Catalog.Gfile.Tbl.length k.K.ss_opens);
+    answer
+  in
+  List.iter
+    (fun (what, req) ->
+      check Alcotest.string (what ^ " at a site with no pack") "EIO" (refusal 2 req);
+      check Alcotest.string (what ^ " at a pack without the file") "ENOENT" (refusal 1 req))
+    requests;
+  check Alcotest.string "a pipe write to a regular file" "EINVAL"
+    (refusal 0 (Any (Proto.Pipe_write { gf; data = "x" })));
+  check Alcotest.string "the file is untouched" "data" (Kernel.read_file k0 p0 "/f")
+
 (* ---- the reopen race of the close protocol (2.3.3 footnote) ---- *)
 
 (* "The US could attempt to reopen the file before the CSS knew that the
@@ -1514,6 +1569,8 @@ let () =
       ( "ipc-objects",
         [
           Alcotest.test_case "named pipe" `Quick test_named_pipe_across_sites;
+          Alcotest.test_case "an SS refuses a copy it does not store" `Quick
+            test_ss_refuses_what_it_does_not_store;
           Alcotest.test_case "mailbox" `Quick test_mailbox_deliver_read;
           Alcotest.test_case "corrupt mailbox is EIO" `Quick test_mailbox_corrupt_is_eio;
         ] );

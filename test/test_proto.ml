@@ -39,7 +39,7 @@ let some_reqs =
     Any (Proto.Write_pages
         { gf; trunc = None; first = 0; off = 0; data = String.make 1024 'x'; pos = 0; len = 1024 });
     Any (Proto.Write_pages { gf; trunc = Some 0; first = 0; off = 0; data = ""; pos = 0; len = 0 });
-    Any (Proto.Commit_req { gf; abort = false; delete = false; force_vv = None; run = None });
+    Any (Proto.Commit_req { gf; abort = false; force_vv = None; run = None });
     Any (Proto.Us_close { gf; mode = Proto.Mode_read; grant = 0; released = false });
     Any (Proto.Ss_close { gf; us = 1; mode = Proto.Mode_read; grant = 0 });
     Any (Proto.Commit_notify
@@ -178,7 +178,7 @@ let test_resp_sizes () =
           Some (info, 1) );
       Exchange (read_req, { pages = [ String.make 512 'd' ]; eof = true; info = None });
       Exchange
-        (Proto.Commit_req { gf; abort = false; delete = false; force_vv = None; run = None }, vv_small);
+        (Proto.Commit_req { gf; abort = false; force_vv = None; run = None }, vv_small);
       Exchange (Proto.Where_stored { gf; stat = false }, { sites = [ 0 ]; info = None });
       Exchange (Proto.Token_req { key = Proto.Tok_fd (0, 1); for_site = 2 }, "17");
       Exchange (Proto.Part_poll, [ 0; 1; 2 ]);
@@ -293,7 +293,7 @@ let test_fused_forms () =
 let test_commit_forms () =
   let commit ?force_vv run =
     Proto.req_bytes
-      (Proto.Commit_req { gf; abort = false; delete = false; force_vv; run })
+      (Proto.Commit_req { gf; abort = false; force_vv; run })
   in
   let run ?trunc ?(first = 0) ?(off = 0) data =
     Some { Proto.run_trunc = trunc; run_first = first; run_off = off; run_data = data }
@@ -324,7 +324,7 @@ let test_commit_forms () =
   check Alcotest.string "a run-carrying commit is tagged commit" "commit"
     (Proto.tag_name
        (Proto.Commit_req
-          { gf; abort = false; delete = false; force_vv = None; run = run page }))
+          { gf; abort = false; force_vv = None; run = run page }))
 
 (* A request names no site the transport already names: the sender is the
    call's source. The SS's close leg carries the file, the using site it
