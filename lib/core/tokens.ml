@@ -80,7 +80,7 @@ let handle_token_req k key ~for_site =
     if Site.equal fd.f_holder for_site then string_of_int fd.f_offset
     else begin
       let offset =
-        let req = Proto.Token_state_req { key = Proto.Tok_fd (fst key, snd key) } in
+        let req = Proto.Token_state_req { key } in
         match rpc_result k fd.f_holder req with
         | Ok state -> int_of_string_opt state
         | Stdlib.Error _ -> None
@@ -93,8 +93,8 @@ let handle_token_req k key ~for_site =
         fd.f_holder <- for_site;
         fd.f_offset <- off;
         Sim.Stats.incr (stats k) "token.flip";
-        record k ~tag:"token.grant" "%a -> %a off=%d" Proto.pp_token
-          (Proto.Tok_fd (fst key, snd key)) Site.pp for_site off;
+        record k ~tag:"token.grant" "fd-token(%d.%d) -> %a off=%d" (fst key) (snd key) Site.pp
+          for_site off;
         string_of_int off
     end
 
@@ -111,8 +111,9 @@ let handle_token_state_req k key =
    valid one before using the file position. *)
 let acquire k fd =
   if not fd.f_valid then begin
-    let key = Proto.Tok_fd (fst fd.f_key, snd fd.f_key) in
-    match rpc_result k (manager_of fd.f_key) (Proto.Token_req { key; for_site = k.site }) with
+    match
+      rpc_result k (manager_of fd.f_key) (Proto.Token_req { key = fd.f_key; for_site = k.site })
+    with
     | Ok state ->
       fd.f_offset <- (match int_of_string_opt state with Some v -> v | None -> 0);
       fd.f_valid <- true;

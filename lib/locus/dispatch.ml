@@ -80,10 +80,8 @@ let handle : type a. Ktypes.t -> src:Site.t -> a Proto.req -> a =
     | Proto.Where_stored { gf; stat } -> Css.handle_where k gf ~stat
     | Proto.Lookup_req { gf; comps; near } -> Pathname.handle_lookup k gf comps ~near
     (* tokens *)
-    | Proto.Token_req { key = Proto.Tok_fd (a, b); for_site } ->
-      Tokens.handle_token_req k (a, b) ~for_site
-    | Proto.Token_state_req { key = Proto.Tok_fd (a, b) } ->
-      Tokens.handle_token_state_req k (a, b)
+    | Proto.Token_req { key; for_site } -> Tokens.handle_token_req k key ~for_site
+    | Proto.Token_state_req { key } -> Tokens.handle_token_state_req k key
     (* processes *)
     | Proto.Fork_req { child_pid; env; image_pages; parent } ->
       Process.handle_fork k ~child_pid ~env ~image_pages ~parent

@@ -95,12 +95,6 @@ let info_of_inode (i : Storage.Inode.t) =
     i_deleted = i.deleted;
   }
 
-type token_key =
-  | Tok_fd of int * int (* shared file-descriptor offset: origin site, serial *)
-
-let pp_token ppf = function
-  | Tok_fd (s, n) -> Format.fprintf ppf "fd-token(%d.%d)" s n
-
 (* One shared open file descriptor carried to a forked child (section 3.1):
    the parent and child share the descriptor, with a token deciding which
    site's copy of the file position is valid. *)
@@ -366,8 +360,10 @@ type _ req =
        [gf] as this site stores, in one round trip (section 2.3.4); with
        [near], each step also returns its page's other live links *)
   (* --- tokens (section 3.2) --- *)
-  | Token_req : { key : token_key; for_site : Net.Site.t } -> string req
-  | Token_state_req : { key : token_key } -> string req (* fetch guarded state with the token *)
+  (* [key] names the shared descriptor whose offset the token guards:
+     origin site, serial *)
+  | Token_req : { key : int * int; for_site : Net.Site.t } -> string req
+  | Token_state_req : { key : int * int } -> string req (* fetch guarded state with the token *)
   (* --- remote processes (section 3) --- *)
   | Fork_req : { child_pid : int; env : process_env; image_pages : int; parent : int * Net.Site.t } -> int req
   | Exec_req : { pid : int; path : string; env : process_env; parent : int * Net.Site.t } -> int req
@@ -417,7 +413,8 @@ let env_bytes e =
 
 let page_bytes = 1024
 
-let token_bytes = function Tok_fd _ -> 8
+(* A shared descriptor's key: origin site and serial. *)
+let token_bytes = 8
 
 (* An op byte and a flag byte, then the op's fields. *)
 let intent_bytes = function
@@ -498,8 +495,8 @@ let req_bytes : type a. a req -> int = function
     header + gfile_bytes
     + List.fold_left (fun a c -> a + 1 + String.length c) 0 comps
     + if near then 1 else 0
-  | Token_req { key; _ } -> header + token_bytes key + 4
-  | Token_state_req { key } -> header + token_bytes key
+  | Token_req _ -> header + token_bytes + 4
+  | Token_state_req _ -> header + token_bytes
   | Fork_req { env; image_pages; _ } ->
     (* A fork ships the whole process image to the destination site. *)
     header + 16 + env_bytes env + (image_pages * page_bytes)

@@ -74,14 +74,6 @@ type inode_info = {
 
 val info_of_inode : Storage.Inode.t -> inode_info
 
-(** {1 Tokens (§3.2)} *)
-
-type token_key =
-  | Tok_fd of int * int
-      (** shared file-descriptor offset token: origin site, serial *)
-
-val pp_token : Format.formatter -> token_key -> unit
-
 (** {1 Process environment (§3.1)} *)
 
 (** One shared open descriptor carried to a forked child: parent and
@@ -398,8 +390,13 @@ type _ req =
           [near] (1 byte, only when set) each step also carries its
           page's other live links ({!lookup_step.l_near}): a site re-warms
           a directory a merge dropped from its name cache. *)
-  | Token_req : { key : token_key; for_site : Net.Site.t } -> string req
-  | Token_state_req : { key : token_key } -> string req
+  | Token_req : { key : int * int; for_site : Net.Site.t } -> string req
+      (** → token manager (§3.2): grant [for_site] the offset token of the
+          shared descriptor [key] (origin site, serial, 8 bytes on the
+          wire); answers the offset. *)
+  | Token_state_req : { key : int * int } -> string req
+      (** manager → holder: yield descriptor [key]'s token; answers the
+          offset it guards. *)
   | Fork_req : {
       child_pid : int;
       env : process_env;

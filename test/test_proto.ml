@@ -82,8 +82,8 @@ let some_reqs =
     Any (Proto.Page_invalidate { gf; first = 3; count = 1 });
     Any (Proto.Set_attr { gf; perms = Some 0o600; owner = None });
     Any (Proto.Where_stored { gf; stat = false });
-    Any (Proto.Token_req { key = Proto.Tok_fd (0, 1); for_site = 2 });
-    Any (Proto.Token_state_req { key = Proto.Tok_fd (0, 1) });
+    Any (Proto.Token_req { key = (0, 1); for_site = 2 });
+    Any (Proto.Token_state_req { key = (0, 1) });
     Any (Proto.Fork_req { child_pid = 1; env; image_pages = 1; parent = (0, 0) });
     Any (Proto.Exec_req { pid = 1; path = "/bin/cc"; env; parent = (0, 0) });
     Any (Proto.Run_req
@@ -180,7 +180,7 @@ let test_resp_sizes () =
       Exchange
         (Proto.Commit_req { gf; abort = false; force_vv = None; run = None }, vv_small);
       Exchange (Proto.Where_stored { gf; stat = false }, { sites = [ 0 ]; info = None });
-      Exchange (Proto.Token_req { key = Proto.Tok_fd (0, 1); for_site = 2 }, "17");
+      Exchange (Proto.Token_req { key = (0, 1); for_site = 2 }, "17");
       Exchange (Proto.Part_poll, [ 0; 1; 2 ]);
       Exchange (Proto.Pack_inventory { fg = 0 }, [ (2, vv_small, Storage.Inode.Regular, false) ]);
       Exchange (Proto.Pipe_read { gf; max = 10 }, "x");
