@@ -61,7 +61,7 @@ bench:
 # returned a body no write sent (wrong) or a body older than the last
 # committed one (stale).
 # E20 onward also leave BENCH_<experiment>.json behind for machine
-# comparison (micro records the heap speedup and words/event; the
+# comparison (micro records the heap's events/sec and words/event; the
 # full-scale flood dashboard is `-- e24`).
 bench-smoke:
 	@dune exec bench/main.exe -- e1 e13 e14 e17 e19 e20 e21 e22 e23 e24smoke micro > /dev/null
@@ -104,8 +104,8 @@ simdiff:
 # experiments (E1-E6, E8-E22, e24smoke) against bench/baseline/<e>.txt, and
 # micro's counted rows (`bench/main.exe micro-counts`: words allocated on
 # the remote read path, by an evicting cache insert, by a directory
-# re-index and by a build, and by a remote write plus commit) against
-# bench/baseline/counts.txt.
+# re-index and by a build, by a remote write plus commit, and per event by
+# the event heap and the engine) against bench/baseline/counts.txt.
 # It fails, printing every key that moved, baseline -> this tree, and each
 # output that differs with its first differing line. A change that
 # moves either on purpose rewrites the files in the same diff with

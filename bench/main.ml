@@ -286,59 +286,55 @@ let micro_tests () =
 
 (* ---- event-core micro suite (BENCH_micro.json) ---- *)
 
+(* Words the program has allocated, in the minor heap and directly in the
+   major one. The minor collection first brings the counters up to date
+   (OCaml 5 updates them at collections). *)
+let allocated_words () =
+  Gc.minor ();
+  let s = Gc.quick_stat () in
+  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+
+(* Host events/sec and words allocated per event of [f] running [iters]
+   events. The words are the same on every run: `micro-counts` prints
+   them for `make baseline`. *)
+let per_event ~iters f =
+  let w0 = allocated_words () in
+  let t0 = Unix.gettimeofday () in
+  f ();
+  let dt = Unix.gettimeofday () -. t0 in
+  let words = allocated_words () -. w0 in
+  (float_of_int iters /. dt, words /. float_of_int iters)
+
 (* Steady-state scheduler churn: preload the heap to a fixed depth, then
    pop-one/push-one for [iters] events, the hold pattern a running
    simulation keeps the queue in. Time increments come from a precomputed
    float array so the measured loop allocates nothing beyond what the
-   heap under test allocates (plus the one boxed float the non-flambda
-   call boundary charges both heaps equally). Reports host events/sec
-   and minor words per event. *)
+   heap allocates (plus the one boxed float the non-flambda call boundary
+   charges). *)
 let n_incs = 4096
 
-let make_incs () =
-  let rng = Sim.Rng.create 0x10adL in
-  Array.init n_incs (fun _ -> Sim.Rng.float rng 10.0)
+let heap_depths = [ 1_024; 65_536 ]
 
-let churn_old ~preload ~iters =
-  let h = Oldheap.create () in
-  let incs = make_incs () in
-  for i = 0 to preload - 1 do
-    Oldheap.push h ~time:incs.(i land (n_incs - 1)) ()
-  done;
-  Gc.minor ();
-  let w0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  for i = 0 to iters - 1 do
-    let time =
-      match Oldheap.pop h with Some (time, ()) -> time | None -> assert false
-    in
-    Oldheap.push h ~time:(time +. incs.(i land (n_incs - 1))) ()
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
-  let words = Gc.minor_words () -. w0 in
-  (float_of_int iters /. dt, words /. float_of_int iters)
+let heap_iters = 400_000
 
-let churn_new ~preload ~iters =
+let engine_iters = 200_000
+
+let churn_heap ~preload ~iters =
   let h = Sim.Eheap.create () in
-  let incs = make_incs () in
+  let rng = Sim.Rng.create 0x10adL in
+  let incs = Array.init n_incs (fun _ -> Sim.Rng.float rng 10.0) in
   let scratch = [| 0.0 |] in
   for i = 0 to preload - 1 do
     Sim.Eheap.push h ~time:incs.(i land (n_incs - 1)) ()
   done;
-  Gc.minor ();
-  let w0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  for i = 0 to iters - 1 do
-    Sim.Eheap.pop_into h ~time:scratch;
-    Sim.Eheap.push h ~time:(scratch.(0) +. incs.(i land (n_incs - 1))) ()
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
-  let words = Gc.minor_words () -. w0 in
-  (float_of_int iters /. dt, words /. float_of_int iters)
+  per_event ~iters (fun () ->
+      for i = 0 to iters - 1 do
+        Sim.Eheap.pop_into h ~time:scratch;
+        Sim.Eheap.push h ~time:(scratch.(0) +. incs.(i land (n_incs - 1))) ()
+      done)
 
 (* Whole-engine churn: a self-rescheduling thunk, i.e. schedule + step +
-   dispatch per event. There is no old engine to race it against; the
-   metric pins the end-to-end cost of one simulated event. *)
+   dispatch per event: the end-to-end cost of one simulated event. *)
 let churn_engine ~iters =
   let e = Sim.Engine.create ~seed:7L () in
   let n = ref 0 in
@@ -349,58 +345,28 @@ let churn_engine ~iters =
     end
   in
   Sim.Engine.schedule e ~delay:1.0 tick;
-  Gc.minor ();
-  let w0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  ignore (Sim.Engine.run_until_idle ~limit:(iters + 8) e);
-  let dt = Unix.gettimeofday () -. t0 in
-  let words = Gc.minor_words () -. w0 in
-  (float_of_int iters /. dt, words /. float_of_int iters)
+  per_event ~iters (fun () -> ignore (Sim.Engine.run_until_idle ~limit:(iters + 8) e))
 
 let run_heap_micro () =
   let metric = Report.metric ~experiment:"micro" in
   Printf.printf "\n== event-core micro suite ==\n%!";
-  let iters = 400_000 in
-  Printf.printf "  %-34s %12s %12s\n" "scheduler churn (pop+push)"
-    "events/sec" "words/event";
-  let speedups =
-    List.map
-      (fun preload ->
-        (* one throwaway round to warm the code paths, then measure *)
-        ignore (churn_old ~preload ~iters:(iters / 8));
-        ignore (churn_new ~preload ~iters:(iters / 8));
-        let old_eps, old_wpe = churn_old ~preload ~iters in
-        let new_eps, new_wpe = churn_new ~preload ~iters in
-        metric (Printf.sprintf "heap.old.events_per_sec.d%d" preload) old_eps;
-        metric (Printf.sprintf "heap.old.words_per_event.d%d" preload) old_wpe;
-        metric (Printf.sprintf "heap.new.events_per_sec.d%d" preload) new_eps;
-        metric (Printf.sprintf "heap.new.words_per_event.d%d" preload) new_wpe;
-        Printf.printf "  old heap, depth %-6d %25.0f %12.1f\n%!" preload old_eps
-          old_wpe;
-        Printf.printf "  new heap, depth %-6d %25.0f %12.1f\n%!" preload new_eps
-          new_wpe;
-        new_eps /. old_eps)
-      [ 1_024; 65_536 ]
-  in
-  let speedup = List.fold_left max 0.0 speedups in
-  metric "heap.speedup" speedup;
-  Printf.printf "  heap speedup (best depth): %.1fx (need >= 3x): %s\n" speedup
-    (Report.check (speedup >= 3.0));
-  let eng_eps, eng_wpe = churn_engine ~iters:200_000 in
+  Printf.printf "  %-34s %12s %12s\n" "scheduler churn (pop+push)" "events/sec" "words/event";
+  List.iter
+    (fun preload ->
+      (* one throwaway round to warm the code paths, then measure *)
+      ignore (churn_heap ~preload ~iters:(heap_iters / 8));
+      let eps, wpe = churn_heap ~preload ~iters:heap_iters in
+      metric (Printf.sprintf "heap.events_per_sec.d%d" preload) eps;
+      metric (Printf.sprintf "heap.words_per_event.d%d" preload) wpe;
+      Printf.printf "  heap, depth %-6d %29.0f %12.1f\n%!" preload eps wpe)
+    heap_depths;
+  let eng_eps, eng_wpe = churn_engine ~iters:engine_iters in
   metric "engine.events_per_sec" eng_eps;
   metric "engine.words_per_event" eng_wpe;
   Printf.printf "  engine step+dispatch: %.0f events/sec, %.1f words/event\n%!"
     eng_eps eng_wpe
 
 (* ---- allocation on the remote read path (BENCH_micro.json) ---- *)
-
-(* Words the program has allocated, in the minor heap and directly in the
-   major one. The minor collection first brings the counters up to date
-   (OCaml 5 updates them at collections). *)
-let allocated_words () =
-  Gc.minor ();
-  let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
 
 (* Words allocated per page on the remote read path, trace recording off:
    a reader at a packless site reads each page of a 128-page file that
@@ -586,11 +552,21 @@ let run_micro_counts () =
   let insert_evict = insert_evict_words () in
   let reindex, build = reindex_words () in
   let commit_remote = commit_remote_words () in
+  let heap =
+    List.map
+      (fun preload ->
+        ( Printf.sprintf "heap.words_per_event.d%d" preload,
+          snd (churn_heap ~preload ~iters:heap_iters) ))
+      heap_depths
+  in
+  let engine = snd (churn_engine ~iters:engine_iters) in
   List.iter
     (fun (name, v) -> Printf.printf "%s %.4f\n" name v)
-    [ ("read_path.words_per_page", read_path); ("lru.insert_evict.words", insert_evict);
-      ("dir.reindex.words", reindex); ("dir.build.words", build);
-      ("rpc.commit_remote.words", commit_remote) ]
+    ([ ("read_path.words_per_page", read_path); ("lru.insert_evict.words", insert_evict);
+       ("dir.reindex.words", reindex); ("dir.build.words", build);
+       ("rpc.commit_remote.words", commit_remote) ]
+    @ heap
+    @ [ ("engine.words_per_event", engine) ])
 
 (* Dropping a file's pages must not grow with the rest of the cache: 16
    times the other entries may cost at most 4 times as much (a scan of
