@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke soak soak-smoke simdiff baseline baseline-write loc unused coverage check lint fmt clean
+.PHONY: all build test bench bench-smoke soak soak-smoke simdiff baseline baseline-write loc unused coverage coverage-write coverage-run check lint fmt clean
 
 all: build
 
@@ -150,18 +150,29 @@ unused:
 		done; \
 	done
 
-# Match-arm coverage, not gated: builds the tree with every lib/ library
-# rewritten by tools/cov's cov_ppx into its own build directory ($(COV)),
-# runs tier-1 (`dune runtest`, with a fixed QCHECK_SEED), then E1-E23,
-# e24smoke, micro-counts, the full soak and the five benchmark workloads
-# at seeds 1 and 2 (2 s, traced), and prints each file's reached/total
-# match arms for tier-1 and for everything, then every arm nothing reached
-# with its source line.
+# Match-arm coverage: builds the tree with every lib/ library rewritten by
+# tools/cov's cov_ppx into its own build directory ($(COV)), runs tier-1
+# (`dune runtest`, with a fixed QCHECK_SEED), then E1-E23, e24smoke,
+# micro-counts, the full soak and the five benchmark workloads at seeds 1
+# and 2 (2 s, traced), and prints each file's reached/total match arms for
+# tier-1 and for everything, then every arm nothing reached with its
+# source line. The runs are deterministic. `make coverage` then fails when
+# any file has more unreached arms than bench/baseline/coverage.txt
+# records, printing that file's unreached arms; `make coverage-write`
+# rewrites the file. It takes about 25 s, so it is not part of
+# `make check`.
 COV = _coverage
 COV_OUT = $(CURDIR)/$(COV)/out
+COV_BASELINE = bench/baseline/coverage.txt
 COV_EXPERIMENTS = e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15 e16 e17 e18 e19 \
 	e20 e21 e22 e23 e24smoke
-coverage:
+coverage: coverage-run
+	@python3 tools/cov/report.py --check $(COV_BASELINE) $(COV_OUT)/tier1 $(COV_OUT)/rest
+
+coverage-write: coverage-run
+	@python3 tools/cov/report.py --write $(COV_BASELINE) $(COV_OUT)/tier1 $(COV_OUT)/rest
+
+coverage-run:
 	@rm -rf $(COV_OUT) && mkdir -p $(COV_OUT)/tier1 $(COV_OUT)/rest $(COV_OUT)/run
 	@dune build --build-dir $(COV) --instrument-with cov_ppx
 	@COV_DIR=$(COV_OUT)/tier1 QCHECK_SEED=1 \
@@ -178,7 +189,6 @@ coverage:
 					--workload $$w --seed $$s --seconds 2 --traced > /dev/null || exit 1; \
 			done; \
 		done
-	@python3 tools/cov/report.py $(COV_OUT)/tier1 $(COV_OUT)/rest
 
 # Warning-as-error gate: a cold build must produce no compiler output at
 # all. dune only prints warnings when it (re)compiles, so the gate cleans
