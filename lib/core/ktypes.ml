@@ -356,13 +356,17 @@ let fg_info k fg =
 
 let local_pack k fg = Hashtbl.find_opt k.packs fg
 
+(* No option: the storage-site handlers, the read path's among them, look
+   their pack up here and find it but on a refusal. *)
 let local_pack_exn k fg =
   match Hashtbl.find k.packs fg with
   | p -> p
   | exception Not_found -> err Proto.Eio "site %a has no pack for filegroup %d" Site.pp k.site fg
 
 (* This site's copy of [gf]: every role's "do I store this file, and which
-   inode is it?" (section 2.2.2: a pack stores a subset of its filegroup). *)
+   inode is it?" (section 2.2.2: a pack stores a subset of its filegroup).
+   Most sites store no pack and the pathname walk asks at every step, so
+   a miss returns [None] rather than raising and catching [Not_found]. *)
 let local_inode k gf =
   match local_pack k gf.Gfile.fg with
   | Some pack -> Storage.Pack.find_inode pack gf.Gfile.ino
